@@ -798,7 +798,9 @@ impl ExpFinder {
         Ok(f(&stored.graph))
     }
 
-    /// A full copy of the graph (for persistence and tests).
+    /// An independent copy of the graph (for persistence and tests). It
+    /// shares structure with the stored graph until either side is
+    /// written to, so taking one is cheap.
     pub fn snapshot(&self, handle: &GraphHandle) -> Result<DiGraph, ExpFinderError> {
         self.read_graph(handle, |g| g.clone())
     }
@@ -934,8 +936,7 @@ impl ExpFinder {
     }
 
     /// Shared update path; `trace` additionally sizes every registered
-    /// query's maintained result before and after (a per-query relation
-    /// clone, so the hot non-traced path skips it).
+    /// query's maintained result before and after (counted in place).
     fn apply_updates_inner(
         &self,
         handle: &GraphHandle,
@@ -955,7 +956,7 @@ impl ExpFinder {
                 .iter()
                 .map(|(name, rq)| RegisteredDelta {
                     query: name.clone(),
-                    before_pairs: rq.maintainer.current().total_pairs(),
+                    before_pairs: rq.maintainer.total_pairs(),
                     after_pairs: 0,
                 })
                 .collect()
@@ -983,10 +984,7 @@ impl ExpFinder {
             mc.maybe_recompress(&stored.graph, drift)?;
         }
         for d in &mut registered {
-            d.after_pairs = stored.registered[&d.query]
-                .maintainer
-                .current()
-                .total_pairs();
+            d.after_pairs = stored.registered[&d.query].maintainer.total_pairs();
         }
         registered.sort_by(|a, b| a.query.cmp(&b.query));
         let report = UpdateReport {

@@ -505,6 +505,10 @@ impl Maintainer for IncrementalBoundedSim {
         MatchRelation::from_sets(self.sim.clone(), self.data_nodes)
     }
 
+    fn total_pairs(&self) -> usize {
+        crate::collapsed_pairs(&self.sim)
+    }
+
     fn stats(&self) -> IncStats {
         self.stats
     }

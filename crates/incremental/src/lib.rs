@@ -78,8 +78,23 @@ pub trait Maintainer {
     /// The maintained relation, collapsed to paper semantics.
     fn current(&self) -> expfinder_core::MatchRelation;
 
+    /// `self.current().total_pairs()`, counted in place on the raw sets —
+    /// sizing a relation must not cost a copy of it.
+    fn total_pairs(&self) -> usize;
+
     /// Work counters accumulated since construction.
     fn stats(&self) -> IncStats;
+}
+
+/// Pair count of raw fixpoint sets under the all-or-nothing rule of
+/// [`expfinder_core::MatchRelation::from_sets`]: one empty set empties
+/// the whole relation.
+fn collapsed_pairs(sets: &[expfinder_graph::BitSet]) -> usize {
+    if sets.iter().any(|s| s.is_empty()) {
+        0
+    } else {
+        sets.iter().map(|s| s.count()).sum()
+    }
 }
 
 /// Apply a batch of updates to `g`, maintaining `m` along the way.
@@ -97,4 +112,62 @@ pub fn apply_batch<M: Maintainer>(
         }
     }
     all
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use expfinder_graph::fixtures::collaboration_fig1;
+    use expfinder_graph::generate::random_updates;
+    use expfinder_graph::DiGraph;
+    use expfinder_pattern::fixtures::fig1_pattern;
+    use expfinder_pattern::{Bound, PatternBuilder, Predicate};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// `total_pairs` agrees with the collapsed relation's own count after
+    /// every update of a random stream that also empties the graph (so the
+    /// relation fails while some raw sets stay populated) and refills it.
+    fn total_pairs_tracks_current(mut g: DiGraph, m: &mut dyn Maintainer) {
+        let original: Vec<_> = g.edges().collect();
+        let mut stream = random_updates(&mut StdRng::seed_from_u64(15), &g, 60, 0.5);
+        let mut scratch = g.clone();
+        for &up in &stream {
+            scratch.apply(up);
+        }
+        stream.extend(scratch.edges().map(|(a, b)| EdgeUpdate::Delete(a, b)));
+        stream.extend(original.iter().map(|&(a, b)| EdgeUpdate::Insert(a, b)));
+
+        let (mut seen_empty, mut seen_matches) = (false, false);
+        for up in stream {
+            assert!(g.apply(up), "every generated update changes the graph");
+            m.on_update(&g, up);
+            let pairs = m.total_pairs();
+            assert_eq!(pairs, m.current().total_pairs(), "after {up}");
+            seen_empty |= pairs == 0;
+            seen_matches |= pairs > 0;
+        }
+        assert!(seen_empty && seen_matches);
+    }
+
+    #[test]
+    fn total_pairs_counts_in_place_bounded() {
+        let g = collaboration_fig1().graph;
+        let mut m = IncrementalBoundedSim::new(&g, &fig1_pattern());
+        total_pairs_tracks_current(g, &mut m);
+    }
+
+    #[test]
+    fn total_pairs_counts_in_place_simulation() {
+        let g = collaboration_fig1().graph;
+        // (fig1_pattern as plain simulation fails on Fig. 1 by design)
+        let q = PatternBuilder::new()
+            .node("sa", Predicate::label("SA"))
+            .node("sd", Predicate::label("SD"))
+            .edge("sa", "sd", Bound::ONE)
+            .build()
+            .unwrap();
+        let mut m = IncrementalSim::new(&g, &q).unwrap();
+        total_pairs_tracks_current(g, &mut m);
+    }
 }

@@ -132,7 +132,7 @@ pub(crate) struct Snapshot {
     pub reach: Arc<ReachIndex>,
     /// The maintained compressed quotient published by the actor, when
     /// one was built ([`DurableExpFinder::compress`]). Immutable like
-    /// the graph — the actor publishes a fresh clone after maintenance.
+    /// the graph — the actor publishes a fresh copy after maintenance.
     pub compressed: Option<Arc<CompressedGraph>>,
     /// The per-snapshot reach memo of the quotient. Fresh on every
     /// publish: the quotient can change without a version bump, so
@@ -142,14 +142,22 @@ pub(crate) struct Snapshot {
 }
 
 impl Snapshot {
-    pub fn new(graph: &DiGraph, registered: Vec<RegisteredView>) -> Snapshot {
+    /// The one way a snapshot is built. `graph.clone()` shares every
+    /// adjacency chunk with the actor's live graph, so this is cheap; the
+    /// reach memos start empty (`reach_c` too — the quotient can change
+    /// without a version bump).
+    pub fn new(
+        graph: &DiGraph,
+        registered: Vec<RegisteredView>,
+        compressed: Option<Arc<CompressedGraph>>,
+    ) -> Snapshot {
         let version = graph.version();
         Snapshot {
             graph: Arc::new(graph.clone()),
             version,
             csr: OnceLock::new(),
             reach: Arc::new(ReachIndex::new(version)),
-            compressed: None,
+            compressed,
             reach_c: Arc::new(ReachIndex::new(version)),
             registered,
         }
@@ -197,7 +205,7 @@ impl PublishedGraph {
         PublishedGraph {
             id,
             shard,
-            state: RwLock::new(Arc::new(Snapshot::new(graph, Vec::new()))),
+            state: RwLock::new(Arc::new(Snapshot::new(graph, Vec::new(), None))),
             profile: Arc::new(CostProfile::default()),
         }
     }
@@ -1820,6 +1828,100 @@ mod tests {
             None,
             "quotients are not WAL-logged; a restart comes back uncompressed"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Publishing is O(Δ) and still copy-on-write: a reader's snapshot
+    /// keeps answering at its own version while the actor commits on,
+    /// the actor's graph copies at most two adjacency chunks per applied
+    /// update, and a registered view no update moved is shared, not
+    /// rebuilt.
+    #[test]
+    fn held_snapshot_survives_commits_and_unmoved_views_are_shared() {
+        use expfinder_core::bounded_simulation;
+        use expfinder_graph::generate::{collaboration, random_updates, CollabConfig};
+        use expfinder_pattern::{Bound, PatternBuilder, Predicate};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let dir = tmpdir("cow_publish");
+        let rt = DurableExpFinder::open(&dir, sequential_config()).unwrap();
+        let base = collaboration(
+            &mut StdRng::seed_from_u64(15),
+            &CollabConfig {
+                teams: 40,
+                team_size: 8,
+                ..CollabConfig::default()
+            },
+        );
+        let updates = random_updates(&mut StdRng::seed_from_u64(16), &base, 160, 0.5);
+        // no node carries this label, so no update can ever move the view
+        let inert = PatternBuilder::new()
+            .node("a", Predicate::label("no-such-label"))
+            .node("b", Predicate::label("SD"))
+            .edge("a", "b", Bound::hops(2))
+            .build()
+            .unwrap();
+        let live = fig1_pattern();
+        let view = |snap: &Snapshot, name: &str| {
+            let v = snap.registered.iter().find(|v| v.name == name);
+            Arc::clone(&v.expect("registered view").matches)
+        };
+
+        rt.add_graph("g", base.clone()).unwrap();
+        rt.register_query("g", "live", live.clone()).unwrap();
+        rt.register_query("g", "inert", inert).unwrap();
+        let pg = rt.published("g").unwrap();
+        let held = pg.snapshot();
+        let held_want = bounded_simulation(&base, &live).unwrap();
+        assert_eq!(*view(&held, "live"), held_want);
+
+        let mut model = base.clone();
+        let (mut applied, mut live_moved) = (0u64, false);
+        let mut prev = Arc::clone(&held);
+        for (i, batch) in updates.chunks(4).enumerate() {
+            if i == 10 {
+                rt.register_query("g", "late", live.clone()).unwrap();
+            }
+            if i == 20 {
+                rt.unregister_query("g", "late").unwrap();
+            }
+            applied += rt.apply_updates("g", batch).unwrap() as u64;
+            for &up in batch {
+                model.apply(up);
+            }
+            let now = pg.snapshot();
+            assert_eq!(now.version, model.version());
+            assert!(Arc::ptr_eq(&view(&now, "inert"), &view(&prev, "inert")));
+            let (a, b) = (view(&now, "live"), view(&prev, "live"));
+            assert!(!Arc::ptr_eq(&a, &b) || *a == *b);
+            live_moved |= !Arc::ptr_eq(&a, &b);
+            prev = now;
+        }
+        assert!(live_moved, "the update stream never touched the live query");
+
+        // a batch of no-ops republishes without rebuilding anything
+        let present = model.edges().next().unwrap();
+        let noop = [EdgeUpdate::Insert(present.0, present.1)];
+        assert_eq!(rt.apply_updates("g", &noop).unwrap(), 0);
+        let newest = pg.snapshot();
+        assert!(Arc::ptr_eq(&view(&newest, "live"), &view(&prev, "live")));
+        assert_eq!(newest.version, model.version());
+
+        // newest answers the new graph, the held snapshot its own
+        let want = bounded_simulation(&model, &live).unwrap();
+        assert_eq!(*view(&newest, "live"), want);
+        assert_eq!(bounded_simulation(&*newest.graph, &live).unwrap(), want);
+        let got = rt.query("g", &live, None, Route::Auto).unwrap();
+        assert_eq!(*got.matches, want);
+        assert_ne!(want, held_want, "the stream changed the answer");
+        assert_eq!(held.version, base.version());
+        assert!(held.graph.edges().eq(base.edges()));
+        assert_eq!(bounded_simulation(&*held.graph, &live).unwrap(), held_want);
+        assert_eq!(*view(&held, "live"), held_want);
+
+        // O(Δ): every snapshot shared its untouched chunks with the actor
+        assert!(applied > 0 && newest.graph.chunk_copies() <= 2 * applied);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

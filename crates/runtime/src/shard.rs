@@ -21,8 +21,9 @@ use crate::wal::{Wal, WalOp};
 use crate::{PublishedGraph, RegisteredView, Snapshot, WalCounters};
 use expfinder_compress::maintain::MaintainedCompression;
 use expfinder_compress::{CompressStats, CompressionMethod};
+use expfinder_core::MatchRelation;
 use expfinder_engine::{ExpFinderError, RegisteredDelta, UpdateHook, UpdateReport};
-use expfinder_graph::{io as gio, DiGraph, EdgeUpdate, ReachIndex};
+use expfinder_graph::{io as gio, DiGraph, EdgeUpdate};
 use expfinder_incremental::{IncrementalBoundedSim, IncrementalSim, Maintainer};
 use expfinder_pattern::{parser, Pattern};
 use parking_lot::RwLock;
@@ -31,7 +32,7 @@ use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Point-in-time load summary of one shard worker (`engine.shard` in
@@ -122,19 +123,42 @@ struct RegisteredQuery {
     pattern: Pattern,
     source: String,
     maintainer: Box<dyn Maintainer + Send + Sync>,
+    /// The collapsed relation as the last snapshot published it; `None`
+    /// once an update changed the maintained sets. While it is `Some`,
+    /// successive snapshots share the one `Arc` instead of re-collapsing
+    /// (and re-copying) a relation that did not move.
+    published: Option<Arc<MatchRelation>>,
 }
 
-/// Build the incremental maintainer of one pattern, seeded from the
-/// current graph — the same routing rule the engine uses.
-fn build_maintainer(
-    graph: &DiGraph,
-    pattern: &Pattern,
-) -> Result<Box<dyn Maintainer + Send + Sync>, ExpFinderError> {
-    Ok(if pattern.is_simulation() {
-        Box::new(IncrementalSim::new(graph, pattern)?)
-    } else {
-        Box::new(IncrementalBoundedSim::new(graph, pattern))
-    })
+impl RegisteredQuery {
+    /// Seed the incremental maintainer from the current graph — the same
+    /// routing rule the engine uses.
+    fn new(
+        graph: &DiGraph,
+        pattern: Pattern,
+        source: String,
+    ) -> Result<RegisteredQuery, ExpFinderError> {
+        let maintainer: Box<dyn Maintainer + Send + Sync> = if pattern.is_simulation() {
+            Box::new(IncrementalSim::new(graph, &pattern)?)
+        } else {
+            Box::new(IncrementalBoundedSim::new(graph, &pattern))
+        };
+        Ok(RegisteredQuery {
+            maintainer,
+            pattern,
+            source,
+            published: None,
+        })
+    }
+
+    /// Repair the maintained relation after `up` was applied to `graph`.
+    /// ΔM is exact on the maintained sets, so an empty one means the
+    /// published relation still stands.
+    fn on_update(&mut self, graph: &DiGraph, up: EdgeUpdate) {
+        if !self.maintainer.on_update(graph, up).is_empty() {
+            self.published = None;
+        }
+    }
 }
 
 /// One graph's actor state: the authoritative mutable graph, its WAL
@@ -200,7 +224,7 @@ impl GraphActor {
                 for &up in ups {
                     if self.graph.apply(up) {
                         for rq in self.registered.values_mut() {
-                            rq.maintainer.on_update(&self.graph, up);
+                            rq.on_update(&self.graph, up);
                         }
                     }
                 }
@@ -211,15 +235,8 @@ impl GraphActor {
                         "wal register record for {query:?} has an unparseable pattern: {e}"
                     ))
                 })?;
-                let maintainer = build_maintainer(&self.graph, &parsed)?;
-                self.registered.insert(
-                    query.clone(),
-                    RegisteredQuery {
-                        pattern: parsed,
-                        source: pattern.clone(),
-                        maintainer,
-                    },
-                );
+                let rq = RegisteredQuery::new(&self.graph, parsed, pattern.clone())?;
+                self.registered.insert(query.clone(), rq);
             }
             WalOp::Unregister { query } => {
                 self.registered.remove(query);
@@ -230,36 +247,36 @@ impl GraphActor {
 
     /// Swap a fresh immutable snapshot into the published slot. The
     /// write lock covers one `Arc` store, so a racing reader is delayed
-    /// by a pointer swap, never by evaluation or IO (copy-on-publish:
-    /// the actor pays a graph clone here so readers pay nothing).
-    pub(crate) fn publish(&self) {
-        let version = self.graph.version();
+    /// by a pointer swap, never by evaluation or IO. Publishing costs
+    /// `O(|ΔG|)`, not `O(|G|)`: the snapshot's graph is a clone that shares
+    /// every adjacency chunk the batch did not touch (see
+    /// [`expfinder_graph::digraph`]), and a registered relation whose
+    /// batch ΔM was empty is the previous snapshot's `Arc`. A reader
+    /// holding an older snapshot keeps exactly its version — the actor's
+    /// next write copies the chunks it touches instead of writing through.
+    pub(crate) fn publish(&mut self) {
         let registered = self
             .registered
-            .iter()
-            .map(|(n, rq)| RegisteredView {
-                name: n.clone(),
-                fingerprint: rq.pattern.fingerprint(),
-                matches: Arc::new(rq.maintainer.current()),
+            .iter_mut()
+            .map(|(n, rq)| {
+                let matches = rq
+                    .published
+                    .get_or_insert_with(|| Arc::new(rq.maintainer.current()));
+                debug_assert_eq!(**matches, rq.maintainer.current(), "stale view of {n:?}");
+                RegisteredView {
+                    name: n.clone(),
+                    fingerprint: rq.pattern.fingerprint(),
+                    matches: Arc::clone(matches),
+                }
             })
             .collect();
-        let snap = Arc::new(Snapshot {
-            graph: Arc::new(self.graph.clone()),
-            version,
-            csr: OnceLock::new(),
-            reach: Arc::new(ReachIndex::new(version)),
-            // copy-on-publish, like the graph: readers keep evaluating
-            // on their snapshot's quotient while the actor maintains its
-            // own — the fresh reach_c drops any memo the old quotient
-            // accumulated (the quotient can change without a version
-            // bump, so version-keyed invalidation alone is not enough)
-            compressed: self
-                .compressed
-                .as_ref()
-                .map(|mc| Arc::new(mc.compressed().clone())),
-            reach_c: Arc::new(ReachIndex::new(version)),
-            registered,
-        });
+        // the quotient is copied on publish: readers keep evaluating on
+        // their snapshot's while the actor maintains its own
+        let compressed = self
+            .compressed
+            .as_ref()
+            .map(|mc| Arc::new(mc.compressed().clone()));
+        let snap = Arc::new(Snapshot::new(&self.graph, registered, compressed));
         *self.published.state.write() = snap;
     }
 
@@ -306,7 +323,7 @@ impl GraphActor {
                 .iter()
                 .map(|(name, rq)| RegisteredDelta {
                     query: name.clone(),
-                    before_pairs: rq.maintainer.current().total_pairs(),
+                    before_pairs: rq.maintainer.total_pairs(),
                     after_pairs: 0,
                 })
                 .collect()
@@ -323,7 +340,7 @@ impl GraphActor {
                 mc.on_update(&self.graph, up);
             }
             for rq in self.registered.values_mut() {
-                rq.maintainer.on_update(&self.graph, up);
+                rq.on_update(&self.graph, up);
             }
         }
         if let Some(mc) = self.compressed.as_mut() {
@@ -334,7 +351,7 @@ impl GraphActor {
             self.published.profile.note_update_batch();
         }
         for d in &mut registered {
-            d.after_pairs = self.registered[&d.query].maintainer.current().total_pairs();
+            d.after_pairs = self.registered[&d.query].maintainer.total_pairs();
         }
         registered.sort_by(|a, b| a.query.cmp(&b.query));
         self.publish();
@@ -372,23 +389,16 @@ impl GraphActor {
                 "pattern does not round-trip through its DSL form".to_owned(),
             ));
         }
-        let maintainer = build_maintainer(&self.graph, &pattern)?;
+        let rq = RegisteredQuery::new(&self.graph, pattern, source.clone())?;
         let (_, frame_bytes) = self
             .wal
             .append_op(&WalOp::Register {
                 query: query_name.to_owned(),
-                pattern: source.clone(),
+                pattern: source,
             })
             .map_err(|e| ExpFinderError::Storage(format!("wal append: {e}")))?;
         wal_counters.on_append(frame_bytes as u64, self.wal.fsyncs_per_append());
-        self.registered.insert(
-            query_name.to_owned(),
-            RegisteredQuery {
-                pattern,
-                source,
-                maintainer,
-            },
-        );
+        self.registered.insert(query_name.to_owned(), rq);
         self.publish();
         Ok(())
     }

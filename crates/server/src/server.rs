@@ -251,6 +251,14 @@ impl ServerHandle {
         self.inner.metrics.total_requests()
     }
 
+    /// The `GET /metrics` document, read in-process: observable even
+    /// while every worker is pinned, which is exactly when an overload
+    /// scenario needs to look at the connection and shed counters.
+    pub fn metrics_json(&self) -> expfinder_graph::json::Value {
+        let inner = &self.inner;
+        inner.metrics.to_json(&inner.backend, inner.subs.to_json())
+    }
+
     /// True once a drain has been requested (locally or remotely).
     pub fn is_draining(&self) -> bool {
         self.inner.draining()

@@ -22,7 +22,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const FIG1_DSL: &str = "node sa* where label = \"SA\" and experience >= 5; \
     node sd where label = \"SD\" and experience >= 2; \
@@ -756,9 +756,24 @@ fn graceful_shutdown_drains_and_closes_the_port() {
     assert!(refused, "listener should be closed after drain");
 }
 
+/// Spin until `cond` holds; fails loudly instead of hanging. Waiting on
+/// state the server exposes (never on a fixed sleep) keeps the overload
+/// test below independent of how fast the host schedules the acceptor.
+fn wait_until(what: &str, cond: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !cond() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::yield_now();
+    }
+}
+
 /// Overload answers immediately with `503 + Retry-After` instead of
 /// blocking the acceptor, and a replay-safe client request rides the
 /// backoff through the overload window and succeeds once it clears.
+/// Every step is gated on the server's own counters: the worker stays
+/// pinned exactly as long as the test holds `pin` open (the idle budget
+/// is far longer than the test), and the overload clears exactly when
+/// the test has seen the client's first attempt shed.
 #[test]
 fn overload_sheds_503_and_client_backoff_recovers() {
     let handle = serve(
@@ -768,13 +783,16 @@ fn overload_sheds_503_and_client_backoff_recovers() {
         )],
         ServerConfig {
             workers: 1,
-            // short idle budget so the pinned/queued connections cycle
-            // out and the overload window clears within the test
-            keep_alive: Duration::from_millis(100),
+            keep_alive: Duration::from_secs(600),
             ..ServerConfig::default()
         },
     );
     let addr = handle.addr();
+    let counter = |path: [&str; 2]| {
+        let doc = handle.metrics_json();
+        let v = doc.field(path[0]).unwrap().field(path[1]).unwrap();
+        v.as_i64().unwrap()
+    };
 
     // pin the only worker: one served keep-alive connection held open
     let mut pin = TcpStream::connect(addr).unwrap();
@@ -797,18 +815,22 @@ fn overload_sheds_503_and_client_backoff_recovers() {
         String::from_utf8_lossy(&got)
     );
 
-    // fill the bounded queue (workers * 2 = 2) with idle connections
-    let _idle1 = TcpStream::connect(addr).unwrap();
-    let _idle2 = TcpStream::connect(addr).unwrap();
-    std::thread::sleep(Duration::from_millis(50)); // let the acceptor enqueue them
+    // fill the bounded queue (workers * 2 = 2) with idle connections;
+    // the acceptor is one thread, so once it has counted both it cannot
+    // reach a later connection before it has queued them
+    let idle1 = TcpStream::connect(addr).unwrap();
+    let idle2 = TcpStream::connect(addr).unwrap();
+    wait_until("the acceptor to take both idle connections", || {
+        counter(["connections", "opened"]) == 3
+    });
 
     // the next connection must be shed, not queued: raw 503 with
     // Retry-After and Connection: close, answered while the worker is
-    // still busy
+    // still busy. The acceptor sheds on accept without reading, so the
+    // test only reads — a request written into the closing socket could
+    // draw a reset that discards the 503 before it is read
     let mut shed = TcpStream::connect(addr).unwrap();
     shed.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    shed.write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
-        .unwrap();
     let mut head = Vec::new();
     let mut byte = [0u8; 256];
     loop {
@@ -822,15 +844,25 @@ fn overload_sheds_503_and_client_backoff_recovers() {
     assert!(head.contains("503 Service Unavailable"), "{head}");
     assert!(head.contains("Retry-After: 1"), "{head}");
     assert!(head.contains("Connection: close"), "{head}");
+    assert_eq!(counter(["server", "shed"]), 1);
 
-    // a replay-safe client request retries past the overload: the shed
-    // 503 carries Retry-After, the pinned connections idle out within
-    // ~300ms, and the retry lands on a free worker
-    drop(pin);
-    let mut client = Client::new(addr);
-    client.set_timeout(Duration::from_secs(5));
-    let health = client.health().unwrap();
-    assert_eq!(health.field("status").unwrap().as_str().unwrap(), "ok");
+    // a replay-safe client request retries past the overload: its first
+    // attempt is shed with Retry-After; only then does the overload
+    // clear (closed connections cost the worker one read each), and
+    // the retry lands on a free worker
+    std::thread::scope(|s| {
+        let client = s.spawn(move || {
+            let mut client = Client::new(addr);
+            client.set_timeout(Duration::from_secs(30));
+            client.health().unwrap()
+        });
+        wait_until("the client's first attempt to be shed", || {
+            counter(["server", "shed"]) == 2
+        });
+        drop((pin, idle1, idle2));
+        let health = client.join().unwrap();
+        assert_eq!(health.field("status").unwrap().as_str().unwrap(), "ok");
+    });
 
     handle.shutdown();
 }

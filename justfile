@@ -1,7 +1,9 @@
 # Offline CI entry points (the container mirror of .github/workflows/ci.yml).
 
-# everything the CI `check` job runs, in order
-verify: fmt-check clippy test docs-check
+# everything the CI `check` job runs, in order, plus the repo-benchmark
+# smoke (the benchmark package has its own `[workspace]`, so nothing
+# above compiles it)
+verify: fmt-check clippy test docs-check bench-e2e-smoke
 
 fmt-check:
     cargo fmt --all --check
@@ -119,6 +121,16 @@ chaos-smoke:
 stress-smoke:
     cargo build --release -p expfinder-server
     cargo run --release -p expfinder-server --bin stress_smoke -- --log target/stress-smoke.log
+
+# the CI `bench-e2e-smoke` job: the repo benchmark (BENCHMARK.json,
+# benchmark/) is a separate cargo workspace that path-depends on
+# crates/*, so `--workspace` builds never see it — build it, run its
+# self-tests, and drive every workload's code path once (< 20 s) so a
+# change to a type it clones or walks cannot break it silently
+bench-e2e-smoke:
+    cargo build --release --offline --manifest-path benchmark/Cargo.toml
+    cd benchmark && cargo test --release --offline
+    bash benchmark/run.sh --smoke
 
 # full server throughput benchmark (writes BENCH_3.json)
 bench-serve:
