@@ -4,7 +4,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use expfinder_bench::*;
 use expfinder_compress::{compress_graph, CompressionMethod};
 use expfinder_core::{
-    bounded_simulation, bounded_simulation_with, BuildOptions, EvalOptions, PlanMode, ResultGraph,
+    bounded_simulation, evaluate, BuildOptions, EvalOptions, EvalRequest, PlanMode, ResultGraph,
+    Semantics,
 };
 
 fn bench_plan_modes(c: &mut Criterion) {
@@ -12,13 +13,16 @@ fn bench_plan_modes(c: &mut Criterion) {
     group.sample_size(10);
     let g = collab_graph(8_000, SEED);
     let q = collab_pattern();
-    group.bench_function("selective", |b| {
-        b.iter(|| bounded_simulation_with(&g, &q, EvalOptions::with_plan(PlanMode::Selective)))
-    });
+    let with_plan = |plan| {
+        let req = EvalRequest {
+            options: EvalOptions::with_plan(plan),
+            ..EvalRequest::new(Semantics::Bounded)
+        };
+        evaluate(&g, &q, req)
+    };
+    group.bench_function("selective", |b| b.iter(|| with_plan(PlanMode::Selective)));
     group.bench_function("declaration_order", |b| {
-        b.iter(|| {
-            bounded_simulation_with(&g, &q, EvalOptions::with_plan(PlanMode::DeclarationOrder))
-        })
+        b.iter(|| with_plan(PlanMode::DeclarationOrder))
     });
     group.finish();
 }

@@ -16,8 +16,8 @@ use expfinder_bench::*;
 use expfinder_compress::maintain::MaintainedCompression;
 use expfinder_compress::{compress_graph, CompressionMethod};
 use expfinder_core::{
-    bounded_simulation, bounded_simulation_with, graph_simulation, rank_matches,
-    subgraph_isomorphism, BuildOptions, EvalOptions, IsoOptions, PlanMode, ResultGraph,
+    bounded_simulation, evaluate, graph_simulation, rank_matches, subgraph_isomorphism,
+    BuildOptions, EvalOptions, EvalRequest, IsoOptions, PlanMode, ResultGraph, Semantics,
 };
 use expfinder_graph::fixtures::collaboration_fig1;
 use expfinder_graph::generate::random_updates;
@@ -775,15 +775,19 @@ fn e12_ablations(opts: &Opts) {
     let reps = if opts.quick { 1 } else { 3 };
 
     // (a) plan ordering
-    let t_sel = median_of(reps, || {
-        bounded_simulation_with(&g, &q, EvalOptions::with_plan(PlanMode::Selective))
-    });
-    let (r, _stats) = bounded_simulation_with(&g, &q, EvalOptions::with_plan(PlanMode::Selective));
-    let t_dec = median_of(reps, || {
-        bounded_simulation_with(&g, &q, EvalOptions::with_plan(PlanMode::DeclarationOrder))
-    });
-    let (r2, _stats2) =
-        bounded_simulation_with(&g, &q, EvalOptions::with_plan(PlanMode::DeclarationOrder));
+    let with_plan = |plan| {
+        let req = EvalRequest {
+            options: EvalOptions::with_plan(plan),
+            ..EvalRequest::new(Semantics::Bounded)
+        };
+        evaluate(&g, &q, req)
+            .expect("bounded simulation, no token")
+            .0
+    };
+    let t_sel = median_of(reps, || with_plan(PlanMode::Selective));
+    let r = with_plan(PlanMode::Selective);
+    let t_dec = median_of(reps, || with_plan(PlanMode::DeclarationOrder));
+    let r2 = with_plan(PlanMode::DeclarationOrder);
     println!(
         "plan ordering:   selective {} vs declaration {}",
         fmt_dur(t_sel),

@@ -19,8 +19,8 @@
 
 use crate::{collab_graph, collab_pattern, fmt_dur, json_obj as obj, time, twitter_graph, SEED};
 use expfinder_core::{
-    bounded_simulation_cancellable, bounded_simulation_indexed, bounded_simulation_scratch,
-    bounded_simulation_with, CancelToken, EvalOptions, EvalScratch, EvalStats, ReachIndex,
+    bounded_simulation_indexed, evaluate, CancelToken, EvalOptions, EvalRequest, EvalScratch,
+    EvalStats, MatchRelation, ReachIndex, Semantics,
 };
 use expfinder_graph::json::Value;
 use expfinder_graph::{CsrGraph, DiGraph, GraphView};
@@ -136,6 +136,16 @@ fn measure<R>(reps: usize, mut f: impl FnMut() -> R) -> (Duration, R) {
     (times[times.len() / 2], last)
 }
 
+/// The pre-PR-4 path: the queue-based oracle fixpoint, fresh allocations
+/// per query.
+fn queue_oracle(graph: &DiGraph, pattern: &Pattern) -> (MatchRelation, EvalStats) {
+    let req = EvalRequest {
+        options: EvalOptions::queue(),
+        ..EvalRequest::new(Semantics::Bounded)
+    };
+    evaluate(graph, pattern, req).expect("no token supplied")
+}
+
 /// One workload's measurements.
 ///
 /// The **old path** is the pre-PR-4 sequential serving shape: queue-based
@@ -147,13 +157,11 @@ fn measure<R>(reps: usize, mut f: impl FnMut() -> R) -> (Duration, R) {
 /// by every query at that version, so its (separately reported) build
 /// cost is not part of per-query latency.
 fn bench_workload(name: &str, graph: &DiGraph, pattern: &Pattern, reps: usize) -> Value {
-    let (old_t, (old_m, old_stats)) = measure(reps, || {
-        bounded_simulation_with(graph, pattern, EvalOptions::queue())
-    });
+    let (old_t, (old_m, old_stats)) = measure(reps, || queue_oracle(graph, pattern));
     let (csr, snapshot_t) = time(|| CsrGraph::snapshot(graph));
     let mut scratch = EvalScratch::new();
     let (new_t, (new_m, new_stats)) = measure(reps, || {
-        bounded_simulation_scratch(&csr, pattern, EvalOptions::default(), &mut scratch)
+        bounded_simulation_indexed(&csr, pattern, EvalOptions::default(), &mut scratch, None)
     });
 
     // the deadline-aware serving shape with a *disarmed* token: every
@@ -162,15 +170,12 @@ fn bench_workload(name: &str, graph: &DiGraph, pattern: &Pattern, reps: usize) -
     // `--max-cancel-overhead` gate holds the chain workload to that
     let disarmed = CancelToken::disarmed();
     let (cancel_t, _) = measure(reps, || {
-        bounded_simulation_cancellable(
-            &csr,
-            pattern,
-            EvalOptions::default(),
-            &mut scratch,
-            None,
-            Some(&disarmed),
-        )
-        .expect("disarmed token never fires")
+        let req = EvalRequest {
+            scratch: Some(&mut scratch),
+            cancel: Some(&disarmed),
+            ..EvalRequest::new(Semantics::Bounded)
+        };
+        evaluate(&csr, pattern, req).expect("disarmed token never fires")
     });
     let cancel_overhead = cancel_t.as_secs_f64() / new_t.as_secs_f64().max(1e-12) - 1.0;
 
@@ -304,9 +309,9 @@ fn bench_warm_workload(
     let (csr, snapshot_t) = time(|| CsrGraph::snapshot(graph));
     let mut scratch = EvalScratch::new();
     let (pr4_t, (pr4_m, pr4_stats)) = measure(reps, || {
-        bounded_simulation_scratch(&csr, pattern, EvalOptions::default(), &mut scratch)
+        bounded_simulation_indexed(&csr, pattern, EvalOptions::default(), &mut scratch, None)
     });
-    let (oracle_m, _) = bounded_simulation_with(graph, pattern, EvalOptions::queue());
+    let (oracle_m, _) = queue_oracle(graph, pattern);
 
     let idx = ReachIndex::new(csr.version());
     let bound = idx.bind(&csr);
@@ -466,7 +471,7 @@ mod tests {
         let q = twitter_chain_pattern();
         // the old path must cascade on this workload (that is what makes
         // it a memoization benchmark) ...
-        let (m_old, old) = bounded_simulation_with(&g, &q, EvalOptions::queue());
+        let (m_old, old) = queue_oracle(&g, &q);
         assert!(!m_old.is_empty(), "pattern matches its generator");
         assert!(
             old.refreshes > q.edge_count(),
@@ -476,7 +481,8 @@ mod tests {
             q.edge_count()
         );
         // ... and the dependency-ordered frontier path must not pay it
-        let (m_new, new) = bounded_simulation_with(&g, &q, EvalOptions::default());
+        let (m_new, new) =
+            evaluate(&g, &q, EvalRequest::new(Semantics::Bounded)).expect("no token supplied");
         assert_eq!(m_old, m_new);
         assert!(
             new.refreshes < old.refreshes,

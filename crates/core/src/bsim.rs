@@ -33,9 +33,10 @@
 //! benchmark baseline. Both compute the same greatest fixpoint
 //! bit-for-bit (property-tested).
 
+use crate::candidate_sets_classed;
+use crate::eval::{evaluate, EvalError, EvalRequest, Semantics};
 use crate::fixpoint::{refine_constraints, Cancelled, Constraint, EvalScratch, IndexCtx};
 use crate::matchrel::MatchRelation;
-use crate::{candidate_sets, candidate_sets_classed};
 use expfinder_graph::bfs::{BfsScratch, Direction};
 use expfinder_graph::{BitSet, CancelToken, GraphView, ReachProvider};
 use expfinder_pattern::Pattern;
@@ -112,62 +113,47 @@ pub struct EvalStats {
 }
 
 /// Compute the maximum bounded simulation `M(Q,G)` with default options.
-pub fn bounded_simulation<G: GraphView>(
+/// Never fails — the `Result` is kept for signature parity with
+/// [`crate::graph_simulation`].
+pub fn bounded_simulation<G: GraphView + Sync>(
     g: &G,
     q: &Pattern,
 ) -> Result<MatchRelation, crate::MatchError> {
-    Ok(bounded_simulation_with(g, q, EvalOptions::default()).0)
+    evaluate(g, q, EvalRequest::new(Semantics::Bounded))
+        .map(|(m, _)| m)
+        .map_err(EvalError::uncancelled)
 }
 
-/// Compute `M(Q,G)` with explicit options; also returns work counters.
-pub fn bounded_simulation_with<G: GraphView>(
-    g: &G,
-    q: &Pattern,
-    opts: EvalOptions,
-) -> (MatchRelation, EvalStats) {
-    let sim = candidate_sets(g, q);
-    bounded_fixpoint(g, q, sim, opts)
-}
-
-/// Compute `M(Q,G)` against a caller-owned [`EvalScratch`] — the
-/// allocation-free path serving workers use: the scratch's BFS frontiers,
-/// reach caches and queues are reused across calls.
-pub fn bounded_simulation_scratch<G: GraphView>(
-    g: &G,
-    q: &Pattern,
-    opts: EvalOptions,
-    scratch: &mut EvalScratch,
-) -> (MatchRelation, EvalStats) {
-    bounded_simulation_indexed(g, q, opts, scratch, None)
-}
-
-/// [`bounded_simulation_scratch`] consulting a per-snapshot
-/// [`ReachProvider`] before class-seeded first refreshes fall back to
-/// BFS — the engine's warm serving path. With `index = None` this *is*
-/// [`bounded_simulation_scratch`]. The provider must be bound to the same
-/// snapshot as `g`; results are bit-identical either way (the entry is
-/// exactly the BFS answer), only `EvalStats::index_hits` and the
-/// traversal work change.
-pub fn bounded_simulation_indexed<G: GraphView>(
+/// [`bounded_simulation`] against a caller-owned [`EvalScratch`],
+/// consulting a per-snapshot [`ReachProvider`] before class-seeded first
+/// refreshes fall back to BFS; also returns work counters. The provider
+/// must be bound to the same snapshot as `g`; results are bit-identical
+/// either way (the entry is exactly the BFS answer), only
+/// `EvalStats::index_hits` and the traversal work change.
+pub fn bounded_simulation_indexed<G: GraphView + Sync>(
     g: &G,
     q: &Pattern,
     opts: EvalOptions,
     scratch: &mut EvalScratch,
     index: Option<&dyn ReachProvider>,
 ) -> (MatchRelation, EvalStats) {
-    match bounded_simulation_cancellable(g, q, opts, scratch, index, None) {
+    let req = EvalRequest {
+        options: opts,
+        scratch: Some(scratch),
+        index,
+        ..EvalRequest::new(Semantics::Bounded)
+    };
+    match evaluate(g, q, req) {
         Ok(r) => r,
-        Err(_) => unreachable!("no cancel token supplied"),
+        Err(_) => unreachable!("bounded simulation takes any pattern and no token"),
     }
 }
 
-/// [`bounded_simulation_indexed`] polling a [`CancelToken`] at every
-/// refresh boundary — the deadline-aware serving path. A fired token
-/// aborts with [`Cancelled`] carrying the partial [`EvalStats`]; the
-/// scratch and any shared index stay sound for the next query (an
-/// aborted refresh is surfaced before its reach set is cached or
-/// applied, and the scratch restamps its caches on the next evaluation).
-pub fn bounded_simulation_cancellable<G: GraphView>(
+/// The sequential bounded-simulation engines behind [`evaluate`]: seed
+/// the candidate sets, then run the fixpoint `opts.engine` names with
+/// paper semantics (early exit when a pattern node dies, collapse to the
+/// empty relation).
+pub(crate) fn bounded_sequential<G: GraphView>(
     g: &G,
     q: &Pattern,
     opts: EvalOptions,
@@ -175,70 +161,22 @@ pub fn bounded_simulation_cancellable<G: GraphView>(
     index: Option<&dyn ReachProvider>,
     cancel: Option<&CancelToken>,
 ) -> Result<(MatchRelation, EvalStats), Cancelled> {
-    let n = g.node_count();
     let (sim, classes) = candidate_sets_classed(g, q);
-    let (sets, stats) =
-        bounded_fixpoint_classed(g, q, sim, opts, true, scratch, &classes, index, cancel)?;
-    Ok((MatchRelation::from_sets(sets, n), stats))
+    let (sets, stats) = bounded_fixpoint(g, q, sim, opts, true, scratch, &classes, index, cancel)?;
+    Ok((MatchRelation::from_sets(sets, g.node_count()), stats))
 }
 
-/// The refinement fixpoint with paper semantics (early exit when a pattern
-/// node dies, collapse to the empty relation).
-pub fn bounded_fixpoint<G: GraphView>(
-    g: &G,
-    q: &Pattern,
-    sim: Vec<BitSet>,
-    opts: EvalOptions,
-) -> (MatchRelation, EvalStats) {
-    let n = g.node_count();
-    let (sets, stats) = bounded_fixpoint_raw(g, q, sim, opts, true);
-    (MatchRelation::from_sets(sets, n), stats)
-}
-
-/// The raw refinement fixpoint. With `early_exit` the computation stops as
-/// soon as any pattern node has no matches (cheaper, but the returned sets
-/// are then only *some* under-approximation of the true greatest fixpoint
-/// for the other nodes); without it, the exact raw GFP is computed — the
-/// incremental module persists that as its state.
-pub fn bounded_fixpoint_raw<G: GraphView>(
-    g: &G,
-    q: &Pattern,
-    sim: Vec<BitSet>,
-    opts: EvalOptions,
-    early_exit: bool,
-) -> (Vec<BitSet>, EvalStats) {
-    match opts.engine {
-        FixpointEngine::Queue => bounded_fixpoint_queue(g, q, sim, opts, early_exit),
-        FixpointEngine::Frontier => {
-            let mut scratch = EvalScratch::new();
-            bounded_fixpoint_scratch(g, q, sim, opts, early_exit, &mut scratch)
-        }
-    }
-}
-
-/// [`bounded_fixpoint_raw`] on the frontier engine with caller-owned
-/// scratch (the `opts.engine` field is ignored — this *is* the frontier
-/// path).
-pub fn bounded_fixpoint_scratch<G: GraphView>(
-    g: &G,
-    q: &Pattern,
-    sim: Vec<BitSet>,
-    opts: EvalOptions,
-    early_exit: bool,
-    scratch: &mut EvalScratch,
-) -> (Vec<BitSet>, EvalStats) {
-    match bounded_fixpoint_classed(g, q, sim, opts, early_exit, scratch, &[], None, None) {
-        Ok(r) => r,
-        Err(_) => unreachable!("no cancel token supplied"),
-    }
-}
-
-/// [`bounded_fixpoint_scratch`] polling a [`CancelToken`] — the
-/// cancellable raw-fixpoint path the incremental module builds its
-/// initial state through. On abort the partially refined sets are
-/// dropped by the caller; nothing durable was mutated.
+/// The raw refinement fixpoint over caller-seeded candidate sets. With
+/// `early_exit` the computation stops as soon as any pattern node has no
+/// matches (cheaper, but the returned sets are then only *some*
+/// under-approximation of the true greatest fixpoint for the other
+/// nodes); without it, the exact raw GFP is computed — the incremental
+/// module persists that as its state. `scratch` and `cancel` serve the
+/// frontier engine; the [`FixpointEngine::Queue`] oracle ignores both. On
+/// abort the partially refined sets are dropped; nothing durable was
+/// mutated.
 #[allow(clippy::type_complexity)]
-pub fn bounded_fixpoint_cancellable<G: GraphView>(
+pub fn bounded_fixpoint_raw<G: GraphView>(
     g: &G,
     q: &Pattern,
     sim: Vec<BitSet>,
@@ -247,14 +185,15 @@ pub fn bounded_fixpoint_cancellable<G: GraphView>(
     scratch: &mut EvalScratch,
     cancel: Option<&CancelToken>,
 ) -> Result<(Vec<BitSet>, EvalStats), Cancelled> {
-    bounded_fixpoint_classed(g, q, sim, opts, early_exit, scratch, &[], None, cancel)
+    bounded_fixpoint(g, q, sim, opts, early_exit, scratch, &[], None, cancel)
 }
 
-/// The frontier fixpoint with the reach-index hook: `classes` marks which
-/// candidate sets were seeded as full label classes (empty slice = no
-/// markers), `index` is the per-snapshot provider (None = plain BFS).
+/// The fixpoint `opts.engine` names. The frontier engine carries the
+/// reach-index hook: `classes` marks which candidate sets were seeded as
+/// full label classes (empty slice = no markers), `index` is the
+/// per-snapshot provider (None = plain BFS).
 #[allow(clippy::too_many_arguments, clippy::type_complexity)]
-fn bounded_fixpoint_classed<G: GraphView>(
+fn bounded_fixpoint<G: GraphView>(
     g: &G,
     q: &Pattern,
     mut sim: Vec<BitSet>,
@@ -265,6 +204,9 @@ fn bounded_fixpoint_classed<G: GraphView>(
     index: Option<&dyn ReachProvider>,
     cancel: Option<&CancelToken>,
 ) -> Result<(Vec<BitSet>, EvalStats), Cancelled> {
+    if opts.engine == FixpointEngine::Queue {
+        return Ok(bounded_fixpoint_queue(g, q, sim, opts, early_exit));
+    }
     let constraints: Vec<Constraint> = q
         .edges()
         .iter()
@@ -371,6 +313,18 @@ mod tests {
     use expfinder_graph::DiGraph;
     use expfinder_pattern::fixtures::fig1_pattern;
     use expfinder_pattern::{Bound, PatternBuilder, Predicate};
+
+    fn bounded_simulation_with(
+        g: &DiGraph,
+        q: &Pattern,
+        options: EvalOptions,
+    ) -> (MatchRelation, EvalStats) {
+        let req = EvalRequest {
+            options,
+            ..EvalRequest::new(Semantics::Bounded)
+        };
+        evaluate(g, q, req).unwrap()
+    }
 
     #[test]
     fn paper_example1_match_set() {
@@ -576,7 +530,8 @@ mod tests {
             cfg.extra_edges = 2;
             let q = random_pattern(&mut rng, &cfg);
             let (old, _) = bounded_simulation_with(&g, &q, EvalOptions::queue());
-            let (new, _) = bounded_simulation_scratch(&g, &q, EvalOptions::default(), &mut scratch);
+            let (new, _) =
+                bounded_simulation_indexed(&g, &q, EvalOptions::default(), &mut scratch, None);
             assert_eq!(old, new, "trial {trial}: engines diverged");
         }
     }
@@ -600,7 +555,7 @@ mod tests {
             .unwrap();
         let mut scratch = EvalScratch::new();
         let (plain, base) =
-            bounded_simulation_scratch(&csr, &q, EvalOptions::default(), &mut scratch);
+            bounded_simulation_indexed(&csr, &q, EvalOptions::default(), &mut scratch, None);
         assert_eq!(base.index_hits, 0, "no provider, no hits");
 
         let idx = ReachIndex::new(csr.version());
@@ -648,7 +603,7 @@ mod tests {
             Some(&bound),
         );
         let (without, _) =
-            bounded_simulation_scratch(&csr, &q2, EvalOptions::default(), &mut scratch);
+            bounded_simulation_indexed(&csr, &q2, EvalOptions::default(), &mut scratch, None);
         assert_eq!(with_idx, without);
         assert_eq!(
             s3.index_misses, 1,

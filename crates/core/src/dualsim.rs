@@ -18,6 +18,7 @@
 //! the hiring team is "dual-clean".
 
 use crate::bsim::{EvalOptions, EvalStats, FixpointEngine};
+use crate::eval::{evaluate, EvalRequest, Semantics};
 use crate::fixpoint::{refine_constraints, Cancelled, Constraint, EvalScratch, IndexCtx};
 use crate::matchrel::MatchRelation;
 use crate::{candidate_sets, candidate_sets_classed};
@@ -26,62 +27,19 @@ use expfinder_graph::{BitSet, CancelToken, GraphView, ReachProvider};
 use expfinder_pattern::Pattern;
 
 /// Compute the maximum bounded **dual** simulation relation.
-pub fn dual_simulation<G: GraphView>(g: &G, q: &Pattern) -> MatchRelation {
-    dual_simulation_with(g, q, EvalOptions::default()).0
-}
-
-/// [`dual_simulation`] with explicit options (plan + fixpoint engine);
-/// also returns work counters.
-pub fn dual_simulation_with<G: GraphView>(
-    g: &G,
-    q: &Pattern,
-    opts: EvalOptions,
-) -> (MatchRelation, EvalStats) {
-    match opts.engine {
-        FixpointEngine::Queue => dual_fixpoint_queue(g, q),
-        FixpointEngine::Frontier => {
-            let mut scratch = EvalScratch::new();
-            dual_simulation_scratch(g, q, opts, &mut scratch)
-        }
+pub fn dual_simulation<G: GraphView + Sync>(g: &G, q: &Pattern) -> MatchRelation {
+    match evaluate(g, q, EvalRequest::new(Semantics::Dual)) {
+        Ok((m, _)) => m,
+        Err(_) => unreachable!("dual simulation takes any pattern and no token"),
     }
 }
 
-/// [`dual_simulation`] on the frontier engine against a caller-owned
-/// [`EvalScratch`] — the allocation-free serving path. Every pattern edge
-/// contributes two constraints (forward child-support, backward
-/// parent-support); both flow through the same delta-aware refinement as
-/// bounded simulation.
-pub fn dual_simulation_scratch<G: GraphView>(
-    g: &G,
-    q: &Pattern,
-    opts: EvalOptions,
-    scratch: &mut EvalScratch,
-) -> (MatchRelation, EvalStats) {
-    dual_simulation_indexed(g, q, opts, scratch, None)
-}
-
-/// [`dual_simulation_scratch`] consulting a per-snapshot
-/// [`ReachProvider`] before class-seeded first refreshes fall back to
-/// BFS. Both constraint directions of every pattern edge are eligible —
-/// the index is keyed by direction. With `index = None` this *is*
-/// [`dual_simulation_scratch`]; results are bit-identical either way.
-pub fn dual_simulation_indexed<G: GraphView>(
-    g: &G,
-    q: &Pattern,
-    opts: EvalOptions,
-    scratch: &mut EvalScratch,
-    index: Option<&dyn ReachProvider>,
-) -> (MatchRelation, EvalStats) {
-    match dual_simulation_cancellable(g, q, opts, scratch, index, None) {
-        Ok(r) => r,
-        Err(_) => unreachable!("no cancel token supplied"),
-    }
-}
-
-/// [`dual_simulation_indexed`] polling a [`CancelToken`] at every refresh
-/// boundary — aborts with [`Cancelled`] carrying partial [`EvalStats`]
-/// once the token fires, leaving scratch and index sound.
-pub fn dual_simulation_cancellable<G: GraphView>(
+/// The sequential dual-simulation engines behind [`evaluate`]. On the
+/// frontier engine every pattern edge contributes two constraints
+/// (forward child-support, backward parent-support); both flow through
+/// the same delta-aware refinement as bounded simulation, and both are
+/// eligible for the reach `index` — it is keyed by direction.
+pub(crate) fn dual_sequential<G: GraphView>(
     g: &G,
     q: &Pattern,
     opts: EvalOptions,
@@ -89,6 +47,9 @@ pub fn dual_simulation_cancellable<G: GraphView>(
     index: Option<&dyn ReachProvider>,
     cancel: Option<&CancelToken>,
 ) -> Result<(MatchRelation, EvalStats), Cancelled> {
+    if opts.engine == FixpointEngine::Queue {
+        return Ok(dual_fixpoint_queue(g, q));
+    }
     let n = g.node_count();
     let ne = q.edge_count();
     let (mut sim, classes) = candidate_sets_classed(g, q);
@@ -253,8 +214,9 @@ mod tests {
             cfg.bound_range = (1, 3);
             cfg.extra_edges = 1;
             let q = random_pattern(&mut rng, &cfg);
-            let (old, _) = dual_simulation_with(&g, &q, EvalOptions::queue());
-            let (new, _) = dual_simulation_scratch(&g, &q, EvalOptions::default(), &mut scratch);
+            let (old, _) = dual_fixpoint_queue(&g, &q);
+            let (new, _) =
+                dual_sequential(&g, &q, EvalOptions::default(), &mut scratch, None, None).unwrap();
             assert_eq!(old, new, "trial {trial}: dual engines diverged");
         }
     }

@@ -1,7 +1,13 @@
 //! Matching core of ExpFinder.
 //!
 //! Implements the three matching semantics the paper discusses, the result
-//! graph, and the top-K ranking that is new in the ExpFinder paper:
+//! graph, and the top-K ranking that is new in the ExpFinder paper.
+//!
+//! **One evaluation entry point.** [`evaluate`] takes a graph, a pattern
+//! and an [`EvalRequest`] — [`Semantics`], [`EvalOptions`], optional
+//! [`EvalScratch`], optional [`ReachProvider`], optional [`CancelToken`],
+//! thread budget — and returns `(MatchRelation, EvalStats)`. Everything
+//! else that evaluates is a fixed request or a raw building block:
 //!
 //! * [`graph_simulation`] — plain graph simulation, quadratic-time
 //!   (Henzinger–Henzinger–Kopke-style refinement with per-edge counters);
@@ -9,6 +15,16 @@
 //!   PVLDB 2010\]: pattern edges with bound `k` map to non-empty paths of
 //!   length ≤ `k`; computed as a greatest-fixpoint refinement whose step is
 //!   a multi-source reverse bounded BFS (cubic worst case);
+//! * [`dual_simulation`] — bounded simulation plus parent support;
+//! * [`bounded_simulation_indexed`] /
+//!   [`parallel_bounded_simulation_indexed`] — the reach-indexed serving
+//!   shapes the repo benchmark times directly;
+//! * [`bsim::bounded_fixpoint_raw`] / [`sim::simulation_fixpoint`] — the
+//!   raw (uncollapsed) fixpoints `expfinder-incremental` persists its
+//!   state from.
+//!
+//! Beside them:
+//!
 //! * [`subgraph_isomorphism`] — the classical baseline the paper argues is
 //!   too strict and too expensive (NP-complete);
 //! * [`ResultGraph`] — matches as nodes, edges weighted by shortest-path
@@ -22,6 +38,7 @@
 
 pub mod bsim;
 pub mod dualsim;
+pub mod eval;
 pub mod fixpoint;
 pub mod iso;
 pub mod matchrel;
@@ -32,28 +49,19 @@ pub mod result_graph;
 pub mod sim;
 
 pub use bsim::{
-    bounded_simulation, bounded_simulation_cancellable, bounded_simulation_indexed,
-    bounded_simulation_scratch, bounded_simulation_with, EvalOptions, EvalStats, FixpointEngine,
+    bounded_simulation, bounded_simulation_indexed, EvalOptions, EvalStats, FixpointEngine,
     PlanMode,
 };
-pub use dualsim::{
-    dual_simulation, dual_simulation_cancellable, dual_simulation_indexed, dual_simulation_scratch,
-    dual_simulation_with,
-};
+pub use dualsim::dual_simulation;
+pub use eval::{evaluate, EvalError, EvalRequest, Semantics};
 pub use expfinder_graph::{CancelToken, ReachIndex, ReachProvider};
 pub use fixpoint::{Cancelled, EvalScratch, PooledScratch, ScratchPool};
 pub use iso::{subgraph_isomorphism, IsoOptions};
 pub use matchrel::MatchRelation;
-pub use parallel::{
-    parallel_bounded_simulation, parallel_bounded_simulation_cancellable,
-    parallel_bounded_simulation_indexed, parallel_bounded_simulation_stats,
-    parallel_candidate_sets, parallel_dual_simulation, parallel_dual_simulation_cancellable,
-    parallel_dual_simulation_indexed, parallel_dual_simulation_stats, parallel_simulation,
-    parallel_simulation_cancellable, parallel_simulation_indexed, parallel_simulation_stats,
-};
+pub use parallel::parallel_bounded_simulation_indexed;
 pub use rank::{rank_matches, rank_matches_top_k, rank_value, top_k, RankedMatch};
 pub use result_graph::{BuildOptions, ResultGraph};
-pub use sim::{graph_simulation, graph_simulation_cancellable, graph_simulation_scratch};
+pub use sim::graph_simulation;
 
 use std::fmt;
 

@@ -37,191 +37,39 @@
 //! ([`crate::fixpoint`]).
 
 use crate::bsim::EvalStats;
+use crate::eval::{evaluate, EvalError, EvalRequest, Semantics};
 use crate::fixpoint::{Cancelled, Constraint};
 use crate::matchrel::MatchRelation;
-use crate::{candidate_set, candidate_set_classed, MatchError};
+use crate::{candidate_set_classed, MatchError};
 use expfinder_graph::bfs::Direction;
 use expfinder_graph::bfs_frontier::FrontierScratch;
 use expfinder_graph::{BitSet, CancelToken, GraphView, ReachProvider, Sym};
 use expfinder_pattern::{PNodeId, Pattern};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Which constraint system to solve.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-enum Semantics {
-    /// Forward constraints only (child support) — simulation flavours.
-    Forward,
-    /// Forward and backward constraints — dual simulation.
-    Dual,
-}
-
-/// Parallel plain graph simulation: identical results to
-/// [`crate::graph_simulation`], computed with `threads` workers.
-pub fn parallel_simulation<G: GraphView + Sync>(
-    g: &G,
-    q: &Pattern,
-    threads: usize,
-) -> Result<MatchRelation, MatchError> {
-    parallel_simulation_stats(g, q, threads).map(|(m, _)| m)
-}
-
-/// [`parallel_simulation`] with work counters.
-pub fn parallel_simulation_stats<G: GraphView + Sync>(
-    g: &G,
-    q: &Pattern,
-    threads: usize,
-) -> Result<(MatchRelation, EvalStats), MatchError> {
-    parallel_simulation_indexed(g, q, threads, None)
-}
-
-/// [`parallel_simulation_stats`] consulting a per-snapshot
-/// [`ReachProvider`] during the first refinement round (when every seed
-/// set is still its freshly seeded candidate set). Bit-identical results
-/// with or without a provider.
-pub fn parallel_simulation_indexed<G: GraphView + Sync>(
-    g: &G,
-    q: &Pattern,
-    threads: usize,
-    index: Option<&dyn ReachProvider>,
-) -> Result<(MatchRelation, EvalStats), MatchError> {
-    if !q.is_simulation() {
-        return Err(MatchError::NotASimulationPattern);
-    }
-    match refine(g, q, Semantics::Forward, threads, index, None) {
-        Ok(r) => Ok(r),
-        Err(_) => unreachable!("no cancel token supplied"),
-    }
-}
-
-/// [`parallel_simulation_indexed`] polling a [`CancelToken`]. The outer
-/// `Result` reports pattern-shape errors, the inner one cancellation —
-/// the same nesting as [`crate::graph_simulation_cancellable`].
-pub fn parallel_simulation_cancellable<G: GraphView + Sync>(
-    g: &G,
-    q: &Pattern,
-    threads: usize,
-    index: Option<&dyn ReachProvider>,
-    cancel: Option<&CancelToken>,
-) -> Result<Result<(MatchRelation, EvalStats), Cancelled>, MatchError> {
-    if !q.is_simulation() {
-        return Err(MatchError::NotASimulationPattern);
-    }
-    Ok(refine(g, q, Semantics::Forward, threads, index, cancel))
-}
-
-/// Parallel bounded simulation: identical results to
-/// [`crate::bounded_simulation`], computed with `threads` workers.
-pub fn parallel_bounded_simulation<G: GraphView + Sync>(
-    g: &G,
-    q: &Pattern,
-    threads: usize,
-) -> Result<MatchRelation, MatchError> {
-    parallel_bounded_simulation_stats(g, q, threads).map(|(m, _)| m)
-}
-
-/// [`parallel_bounded_simulation`] with work counters.
-pub fn parallel_bounded_simulation_stats<G: GraphView + Sync>(
-    g: &G,
-    q: &Pattern,
-    threads: usize,
-) -> Result<(MatchRelation, EvalStats), MatchError> {
-    parallel_bounded_simulation_indexed(g, q, threads, None)
-}
-
-/// [`parallel_bounded_simulation_stats`] consulting a per-snapshot
-/// [`ReachProvider`] during the first refinement round. Bit-identical
-/// results with or without a provider.
+/// Parallel bounded simulation with work counters: identical results to
+/// [`crate::bounded_simulation`], computed with `threads` workers (one
+/// thread runs the sequential frontier engine), consulting a
+/// per-snapshot [`ReachProvider`] during the first refinement round —
+/// when every seed set is still its freshly seeded candidate set.
+/// Bit-identical results with or without a provider. Never fails — the
+/// `Result` is kept for signature parity with the sequential wrappers.
 pub fn parallel_bounded_simulation_indexed<G: GraphView + Sync>(
     g: &G,
     q: &Pattern,
     threads: usize,
     index: Option<&dyn ReachProvider>,
 ) -> Result<(MatchRelation, EvalStats), MatchError> {
-    match refine(g, q, Semantics::Forward, threads, index, None) {
-        Ok(r) => Ok(r),
-        Err(_) => unreachable!("no cancel token supplied"),
-    }
-}
-
-/// [`parallel_bounded_simulation_indexed`] polling a [`CancelToken`] at
-/// every refinement-round boundary and inside each worker's BFS. A fired
-/// token aborts the round before any of its (possibly torn) reach sets
-/// are applied or cached, so cancellation can never corrupt results; the
-/// partial [`EvalStats`] cover the completed rounds.
-pub fn parallel_bounded_simulation_cancellable<G: GraphView + Sync>(
-    g: &G,
-    q: &Pattern,
-    threads: usize,
-    index: Option<&dyn ReachProvider>,
-    cancel: Option<&CancelToken>,
-) -> Result<(MatchRelation, EvalStats), Cancelled> {
-    refine(g, q, Semantics::Forward, threads, index, cancel)
-}
-
-/// Parallel bounded dual simulation: identical results to
-/// [`crate::dual_simulation`], computed with `threads` workers.
-pub fn parallel_dual_simulation<G: GraphView + Sync>(
-    g: &G,
-    q: &Pattern,
-    threads: usize,
-) -> MatchRelation {
-    parallel_dual_simulation_stats(g, q, threads).0
-}
-
-/// [`parallel_dual_simulation`] with work counters.
-pub fn parallel_dual_simulation_stats<G: GraphView + Sync>(
-    g: &G,
-    q: &Pattern,
-    threads: usize,
-) -> (MatchRelation, EvalStats) {
-    parallel_dual_simulation_indexed(g, q, threads, None)
-}
-
-/// [`parallel_dual_simulation_stats`] consulting a per-snapshot
-/// [`ReachProvider`] during the first refinement round. Bit-identical
-/// results with or without a provider.
-pub fn parallel_dual_simulation_indexed<G: GraphView + Sync>(
-    g: &G,
-    q: &Pattern,
-    threads: usize,
-    index: Option<&dyn ReachProvider>,
-) -> (MatchRelation, EvalStats) {
-    match refine(g, q, Semantics::Dual, threads, index, None) {
-        Ok(r) => r,
-        Err(_) => unreachable!("no cancel token supplied"),
-    }
-}
-
-/// [`parallel_dual_simulation_indexed`] polling a [`CancelToken`] — the
-/// dual-semantics counterpart of
-/// [`parallel_bounded_simulation_cancellable`].
-pub fn parallel_dual_simulation_cancellable<G: GraphView + Sync>(
-    g: &G,
-    q: &Pattern,
-    threads: usize,
-    index: Option<&dyn ReachProvider>,
-    cancel: Option<&CancelToken>,
-) -> Result<(MatchRelation, EvalStats), Cancelled> {
-    refine(g, q, Semantics::Dual, threads, index, cancel)
+    let req = EvalRequest {
+        index,
+        threads,
+        ..EvalRequest::new(Semantics::Bounded)
+    };
+    evaluate(g, q, req).map_err(EvalError::uncancelled)
 }
 
 /// Candidate sets computed with `threads` workers, one pattern node per
-/// work item. Identical to the sequential seeding used by every matcher.
-pub fn parallel_candidate_sets<G: GraphView + Sync>(
-    g: &G,
-    q: &Pattern,
-    threads: usize,
-) -> Vec<BitSet> {
-    let ids: Vec<PNodeId> = q.ids().collect();
-    run_items(threads, &ids, || (), |_, &u| (u, candidate_set(g, q, u)))
-        .map(|mut sets| {
-            sets.sort_by_key(|(u, _)| u.index());
-            sets.into_iter().map(|(_, s)| s).collect()
-        })
-        .unwrap_or_else(|| crate::candidate_sets(g, q))
-}
-
-/// [`parallel_candidate_sets`] plus the per-pattern-node class markers of
+/// work item, plus the per-pattern-node class markers of
 /// [`crate::candidate_sets_classed`] (`Some(sym)` ⟺ that node's set is
 /// exactly `g`'s label class for `sym`).
 fn parallel_candidate_sets_classed<G: GraphView + Sync>(
@@ -243,13 +91,17 @@ fn parallel_candidate_sets_classed<G: GraphView + Sync>(
     .unwrap_or_else(|| crate::candidate_sets_classed(g, q))
 }
 
-/// The shared fixpoint driver. `cancel` is polled at every round boundary
-/// and threaded into each worker's BFS; a fired token aborts before the
-/// round's reach sets touch `sim` or the cache.
-fn refine<G: GraphView + Sync>(
+/// The parallel engine behind [`evaluate`]: forward (child-support)
+/// constraints for the simulation flavours, plus the backward ones when
+/// `dual`. `cancel` is polled at every round boundary and threaded into
+/// each worker's BFS; a fired token aborts before the round's (possibly
+/// torn) reach sets touch `sim` or the cache, so cancellation can never
+/// corrupt results, and the partial [`EvalStats`] cover the completed
+/// rounds.
+pub(crate) fn refine<G: GraphView + Sync>(
     g: &G,
     q: &Pattern,
-    semantics: Semantics,
+    dual: bool,
     threads: usize,
     index: Option<&dyn ReachProvider>,
     cancel: Option<&CancelToken>,
@@ -266,7 +118,7 @@ fn refine<G: GraphView + Sync>(
             depth: e.bound.depth(),
             dir: Direction::Backward,
         });
-        if semantics == Semantics::Dual {
+        if dual {
             constraints.push(Constraint {
                 constrained: e.to,
                 seeds: e.from,
@@ -332,7 +184,7 @@ fn refine<G: GraphView + Sync>(
             let (reach, visited) = reach_bfs(scratch, cid, &c);
             (cid, reach, visited, None)
         };
-        let reaches = run_items(threads, &frontier, FrontierScratch::new, |scratch, &cid| {
+        let mut reaches = run_items(threads, &frontier, FrontierScratch::new, |scratch, &cid| {
             reach_for(scratch, cid)
         })
         .unwrap_or_else(|| {
@@ -342,6 +194,10 @@ fn refine<G: GraphView + Sync>(
                 .map(|&cid| reach_for(&mut scratch, cid))
                 .collect()
         });
+        // workers finish in any order, and phase 2 stops at the first set
+        // it empties: apply in constraint order so the work counters (and
+        // the planner's hit rate fed from them) do not depend on timing
+        reaches.sort_unstable_by_key(|&(cid, ..)| cid);
         first_round = false;
 
         // the token may have fired mid-round: some reach sets are then
@@ -444,15 +300,28 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    fn parallel<G: GraphView + Sync>(
+        g: &G,
+        q: &Pattern,
+        semantics: Semantics,
+        threads: usize,
+    ) -> Result<MatchRelation, EvalError> {
+        let req = EvalRequest {
+            threads,
+            ..EvalRequest::new(semantics)
+        };
+        evaluate(g, q, req).map(|(m, _)| m)
+    }
+
     #[test]
     fn fig1_parallel_equals_sequential() {
         let f = collaboration_fig1();
         let q = fig1_pattern();
-        for threads in [1, 2, 4] {
-            let par = parallel_bounded_simulation(&f.graph, &q, threads).unwrap();
+        for threads in [2, 4] {
+            let par = parallel(&f.graph, &q, Semantics::Bounded, threads).unwrap();
             assert_eq!(par, bounded_simulation(&f.graph, &q).unwrap());
             let csr = CsrGraph::snapshot(&f.graph);
-            let par_csr = parallel_bounded_simulation(&csr, &q, threads).unwrap();
+            let par_csr = parallel(&csr, &q, Semantics::Bounded, threads).unwrap();
             assert_eq!(par_csr, par, "CSR fast path agrees ({threads} threads)");
         }
     }
@@ -461,14 +330,12 @@ mod tests {
     fn simulation_rejects_bounded_patterns() {
         let f = collaboration_fig1();
         assert_eq!(
-            parallel_simulation(&f.graph, &fig1_pattern(), 2).unwrap_err(),
-            MatchError::NotASimulationPattern
+            parallel(&f.graph, &fig1_pattern(), Semantics::Simulation, 2).unwrap_err(),
+            EvalError::Pattern(MatchError::NotASimulationPattern)
         );
-        let m = parallel_simulation(&f.graph, &fig1_pattern_simulation(), 2).unwrap();
-        assert_eq!(
-            m,
-            graph_simulation(&f.graph, &fig1_pattern_simulation()).unwrap()
-        );
+        let qs = fig1_pattern_simulation();
+        let m = parallel(&f.graph, &qs, Semantics::Simulation, 2).unwrap();
+        assert_eq!(m, graph_simulation(&f.graph, &qs).unwrap());
     }
 
     #[test]
@@ -485,14 +352,14 @@ mod tests {
 
             let seq_b = bounded_simulation(&g, &q).unwrap();
             let seq_d = dual_simulation(&g, &q);
-            for threads in [1, 3] {
+            for threads in [2, 3] {
                 assert_eq!(
-                    parallel_bounded_simulation(&csr, &q, threads).unwrap(),
+                    parallel(&csr, &q, Semantics::Bounded, threads).unwrap(),
                     seq_b,
                     "trial {trial} bsim {threads}t"
                 );
                 assert_eq!(
-                    parallel_dual_simulation(&csr, &q, threads),
+                    parallel(&csr, &q, Semantics::Dual, threads).unwrap(),
                     seq_d,
                     "trial {trial} dual {threads}t"
                 );
@@ -501,7 +368,7 @@ mod tests {
             let qs = q.as_simulation();
             let seq_s = graph_simulation(&g, &qs).unwrap();
             assert_eq!(
-                parallel_simulation(&csr, &qs, 3).unwrap(),
+                parallel(&csr, &qs, Semantics::Simulation, 3).unwrap(),
                 seq_s,
                 "trial {trial} sim"
             );
@@ -513,8 +380,8 @@ mod tests {
         let f = collaboration_fig1();
         let q = fig1_pattern();
         let csr = CsrGraph::snapshot(&f.graph);
-        let plain = parallel_candidate_sets(&f.graph, &q, 1);
-        let indexed = parallel_candidate_sets(&csr, &q, 4);
+        let plain = parallel_candidate_sets_classed(&f.graph, &q, 1).0;
+        let indexed = parallel_candidate_sets_classed(&csr, &q, 4).0;
         assert_eq!(plain, indexed, "label index changes cost, not membership");
     }
 
@@ -525,7 +392,7 @@ mod tests {
             .node("sa", expfinder_pattern::Predicate::label("SA"))
             .build()
             .unwrap();
-        let m = parallel_bounded_simulation(&f.graph, &q, 2).unwrap();
+        let m = parallel(&f.graph, &q, Semantics::Bounded, 2).unwrap();
         assert_eq!(m, bounded_simulation(&f.graph, &q).unwrap());
         assert_eq!(m.total_pairs(), 2);
     }

@@ -15,6 +15,7 @@
 //! relation, in `O(|Q| · |G|)` time and space.
 
 use crate::bsim::EvalStats;
+use crate::eval::{evaluate, EvalError, EvalRequest, Semantics};
 use crate::fixpoint::{Cancelled, EvalScratch};
 use crate::matchrel::MatchRelation;
 use crate::{candidate_sets, MatchError};
@@ -25,61 +26,38 @@ use expfinder_pattern::{PNodeId, Pattern};
 ///
 /// Errors with [`MatchError::NotASimulationPattern`] if any bound exceeds
 /// one hop — those queries belong to [`crate::bounded_simulation`].
-pub fn graph_simulation<G: GraphView>(g: &G, q: &Pattern) -> Result<MatchRelation, MatchError> {
-    if !q.is_simulation() {
-        return Err(MatchError::NotASimulationPattern);
-    }
-    let (sets, _) = simulation_fixpoint(g, q, candidate_sets(g, q));
-    Ok(MatchRelation::from_sets(sets, g.node_count()))
-}
-
-/// [`graph_simulation`] against a caller-owned [`EvalScratch`]: the
-/// per-edge counter arrays and the removal queue come from the scratch
-/// instead of fresh allocations — the allocation-free serving path for
-/// 1-bounded queries. Also reports removal counters.
-pub fn graph_simulation_scratch<G: GraphView>(
+pub fn graph_simulation<G: GraphView + Sync>(
     g: &G,
     q: &Pattern,
-    scratch: &mut EvalScratch,
-) -> Result<(MatchRelation, EvalStats), MatchError> {
-    match graph_simulation_cancellable(g, q, scratch, None)? {
-        Ok(r) => Ok(r),
-        Err(_) => unreachable!("no cancel token supplied"),
-    }
+) -> Result<MatchRelation, MatchError> {
+    evaluate(g, q, EvalRequest::new(Semantics::Simulation))
+        .map(|(m, _)| m)
+        .map_err(EvalError::uncancelled)
 }
 
-/// [`graph_simulation_scratch`] polling a [`CancelToken`] — checked once
-/// per pattern edge during the counter build and every 1024 removals in
-/// the cascade, the counter fixpoint's analogue of the frontier engine's
-/// refresh boundaries. The outer `Result` reports pattern-shape errors;
-/// the inner one a fired token (with partial [`EvalStats`]). The scratch
-/// buffers are zero-filled on the next checkout, so an abort leaves no
-/// residue.
-#[allow(clippy::type_complexity)]
-pub fn graph_simulation_cancellable<G: GraphView>(
+/// The sequential plain-simulation engine behind [`evaluate`] (which has
+/// already checked that `q` is a simulation pattern): the per-edge
+/// counter arrays and the removal queue come from `scratch`, and `cancel`
+/// is checked once per pattern edge during the counter build and every
+/// 1024 removals in the cascade, the counter fixpoint's analogue of the
+/// frontier engine's refresh boundaries. Reports removal counters only.
+/// The scratch buffers are zero-filled on the next checkout, so an abort
+/// leaves no residue.
+pub(crate) fn simulation_sequential<G: GraphView>(
     g: &G,
     q: &Pattern,
     scratch: &mut EvalScratch,
     cancel: Option<&CancelToken>,
-) -> Result<Result<(MatchRelation, EvalStats), Cancelled>, MatchError> {
-    if !q.is_simulation() {
-        return Err(MatchError::NotASimulationPattern);
-    }
+) -> Result<(MatchRelation, EvalStats), Cancelled> {
     let n = g.node_count();
     let mut sim = candidate_sets(g, q);
     let (cnt, queue) = scratch.sim_buffers(q.edge_count(), n);
-    Ok(
-        match simulation_fixpoint_cancel(g, q, &mut sim, cnt, queue, cancel) {
-            Ok(removals) => {
-                let stats = EvalStats {
-                    removals,
-                    ..EvalStats::default()
-                };
-                Ok((MatchRelation::from_sets(sim, n), stats))
-            }
-            Err(c) => Err(c),
-        },
-    )
+    let removals = simulation_fixpoint_cancel(g, q, &mut sim, cnt, queue, cancel)?;
+    let stats = EvalStats {
+        removals,
+        ..EvalStats::default()
+    };
+    Ok((MatchRelation::from_sets(sim, n), stats))
 }
 
 /// The refinement fixpoint, exposed for the incremental module which needs
@@ -341,7 +319,7 @@ mod tests {
     }
 
     #[test]
-    fn scratch_variant_matches_allocating_path() {
+    fn reused_scratch_matches_fresh_scratch() {
         use expfinder_graph::generate::{erdos_renyi, NodeSpec};
         use expfinder_pattern::generate::{random_pattern, PatternConfig, PatternShape};
         use rand::rngs::StdRng;
@@ -350,12 +328,17 @@ mod tests {
         let spec = NodeSpec::uniform(3, 4);
         let mut scratch = EvalScratch::new();
         for trial in 0..12 {
+            // varying graph sizes exercise the buffer resize between queries
             let g = erdos_renyi(&mut rng, 25 + trial * 4, 120, &spec);
             let mut cfg = PatternConfig::new(PatternShape::Dag, 4, spec.labels.clone());
             cfg.bound_range = (1, 1);
             let q = random_pattern(&mut rng, &cfg);
             let plain = graph_simulation(&g, &q).unwrap();
-            let (with_scratch, _) = graph_simulation_scratch(&g, &q, &mut scratch).unwrap();
+            let req = EvalRequest {
+                scratch: Some(&mut scratch),
+                ..EvalRequest::new(Semantics::Simulation)
+            };
+            let (with_scratch, _) = evaluate(&g, &q, req).unwrap();
             assert_eq!(plain, with_scratch, "trial {trial} diverged");
         }
     }

@@ -10,105 +10,44 @@
 //! caught here).
 
 use expfinder_core::{
-    bounded_simulation_scratch, bounded_simulation_with, dual_simulation_scratch,
-    dual_simulation_with, graph_simulation, graph_simulation_scratch,
-    parallel_bounded_simulation_stats, parallel_dual_simulation_stats, EvalOptions, EvalScratch,
-    PlanMode,
+    evaluate, graph_simulation, EvalOptions, EvalRequest, EvalScratch, EvalStats, MatchRelation,
+    PlanMode, Semantics,
 };
-use expfinder_graph::{AttrValue, CsrGraph, DiGraph, NodeId};
-use expfinder_pattern::{Bound, PNodeId, Pattern, PatternEdge, PatternNode, Predicate};
+use expfinder_graph::{BitSet, CsrGraph, GraphView};
+use expfinder_pattern::Pattern;
 use proptest::prelude::*;
 
-// ---------------------------------------------------------------------
-// generators (same compact raw encodings as the workspace-level tests)
-// ---------------------------------------------------------------------
+mod common;
+use common::*;
 
-#[derive(Clone, Debug)]
-struct RawGraph {
-    labels: Vec<u8>,
-    exps: Vec<u8>,
-    edges: Vec<(u8, u8)>,
+/// The frontier engine against a caller-owned scratch.
+fn frontier<G: GraphView + Sync>(
+    g: &G,
+    q: &Pattern,
+    semantics: Semantics,
+    options: EvalOptions,
+    scratch: &mut EvalScratch,
+) -> (MatchRelation, EvalStats) {
+    let req = EvalRequest {
+        options,
+        scratch: Some(scratch),
+        ..EvalRequest::new(semantics)
+    };
+    evaluate(g, q, req).unwrap()
 }
 
-fn raw_graph(max_nodes: usize) -> impl Strategy<Value = RawGraph> {
-    (2..=max_nodes).prop_flat_map(move |n| {
-        let labels = proptest::collection::vec(0u8..3, n);
-        let exps = proptest::collection::vec(0u8..3, n);
-        let edges = proptest::collection::vec((0u8..n as u8, 0u8..n as u8), 0..n * 3);
-        (labels, exps, edges).prop_map(|(labels, exps, edges)| RawGraph {
-            labels,
-            exps,
-            edges,
-        })
-    })
-}
-
-fn build_graph(raw: &RawGraph) -> DiGraph {
-    let mut g = DiGraph::new();
-    for (l, e) in raw.labels.iter().zip(&raw.exps) {
-        g.add_node(
-            &format!("L{l}"),
-            [("experience", AttrValue::Int(*e as i64))],
-        );
-    }
-    for &(a, b) in &raw.edges {
-        g.add_edge(NodeId(a as u32), NodeId(b as u32));
-    }
-    g
-}
-
-#[derive(Clone, Debug)]
-struct RawPattern {
-    labels: Vec<u8>,
-    thresholds: Vec<u8>,
-    edges: Vec<(u8, u8, u8)>, // from, to, bound (0 ⇒ unbounded)
-}
-
-fn raw_pattern() -> impl Strategy<Value = RawPattern> {
-    (2usize..=4).prop_flat_map(|n| {
-        let labels = proptest::collection::vec(0u8..3, n);
-        let thresholds = proptest::collection::vec(0u8..3, n);
-        let edges = proptest::collection::vec((0u8..n as u8, 0u8..n as u8, 0u8..4), 1..n * 2);
-        (labels, thresholds, edges).prop_map(|(labels, thresholds, edges)| RawPattern {
-            labels,
-            thresholds,
-            edges,
-        })
-    })
-}
-
-fn build_pattern(raw: &RawPattern, force_bound_one: bool) -> Pattern {
-    let nodes: Vec<PatternNode> = raw
-        .labels
-        .iter()
-        .zip(&raw.thresholds)
-        .enumerate()
-        .map(|(i, (l, t))| PatternNode {
-            name: format!("v{i}"),
-            predicate: Predicate::label(format!("L{l}"))
-                .and(Predicate::attr_ge("experience", *t as i64)),
-        })
-        .collect();
-    let mut seen = std::collections::HashSet::new();
-    let mut edges = Vec::new();
-    for &(f, t, b) in &raw.edges {
-        if f == t || !seen.insert((f, t)) {
-            continue;
-        }
-        let bound = if force_bound_one {
-            Bound::ONE
-        } else if b == 0 {
-            Bound::Unbounded
-        } else {
-            Bound::hops(b as u32)
-        };
-        edges.push(PatternEdge {
-            from: PNodeId(f as u32),
-            to: PNodeId(t as u32),
-            bound,
-        });
-    }
-    Pattern::from_parts(nodes, edges, Some(PNodeId(0))).expect("valid pattern")
+/// The parallel refinement with `threads` workers.
+fn parallel(
+    g: &CsrGraph,
+    q: &Pattern,
+    semantics: Semantics,
+    threads: usize,
+) -> (MatchRelation, EvalStats) {
+    let req = EvalRequest {
+        threads,
+        ..EvalRequest::new(semantics)
+    };
+    evaluate(g, q, req).unwrap()
 }
 
 proptest! {
@@ -123,16 +62,16 @@ proptest! {
         let q = build_pattern(&rp, false);
         let csr = CsrGraph::snapshot(&g);
         let mut scratch = EvalScratch::new();
-        let (oracle, _) = bounded_simulation_with(&g, &q, EvalOptions::queue());
+        let oracle = oracle(&g, &q, Semantics::Bounded);
         for plan in [PlanMode::Selective, PlanMode::DeclarationOrder] {
             let opts = EvalOptions::with_plan(plan);
-            let (m, stats) = bounded_simulation_scratch(&g, &q, opts, &mut scratch);
+            let (m, stats) = frontier(&g, &q, Semantics::Bounded, opts, &mut scratch);
             prop_assert_eq!(&m, &oracle, "DiGraph, {:?}", plan);
             prop_assert!(
                 q.edge_count() == 0 || stats.refreshes >= 1,
                 "constrained patterns must refresh"
             );
-            let (mc, _) = bounded_simulation_scratch(&csr, &q, opts, &mut scratch);
+            let (mc, _) = frontier(&csr, &q, Semantics::Bounded, opts, &mut scratch);
             prop_assert_eq!(&mc, &oracle, "CsrGraph, {:?}", plan);
         }
     }
@@ -145,13 +84,13 @@ proptest! {
         let q = build_pattern(&rp, false);
         let csr = CsrGraph::snapshot(&g);
         let mut scratch = EvalScratch::new();
-        let (oracle, _) = dual_simulation_with(&g, &q, EvalOptions::queue());
-        let (m, _) = dual_simulation_scratch(&g, &q, EvalOptions::default(), &mut scratch);
+        let oracle = oracle(&g, &q, Semantics::Dual);
+        let opts = EvalOptions::default();
+        let (m, _) = frontier(&g, &q, Semantics::Dual, opts, &mut scratch);
         prop_assert_eq!(&m, &oracle, "DiGraph");
-        let (mc, _) = dual_simulation_scratch(&csr, &q, EvalOptions::default(), &mut scratch);
+        let (mc, _) = frontier(&csr, &q, Semantics::Dual, opts, &mut scratch);
         prop_assert_eq!(&mc, &oracle, "CsrGraph");
-        let (mp, _) = parallel_dual_simulation_stats(&csr, &q, 2);
-        prop_assert_eq!(&mp, &oracle, "parallel");
+        prop_assert_eq!(&parallel(&csr, &q, Semantics::Dual, 2).0, &oracle, "parallel");
     }
 
     /// The scratch-backed plain simulation ≡ the allocating one, and the
@@ -163,17 +102,29 @@ proptest! {
         let q1 = build_pattern(&rp, true);
         let mut scratch = EvalScratch::new();
         let plain = graph_simulation(&g, &q1).unwrap();
-        let (m, _) = graph_simulation_scratch(&g, &q1, &mut scratch).unwrap();
+        let opts = EvalOptions::default();
+        let (m, _) = frontier(&g, &q1, Semantics::Simulation, opts, &mut scratch);
         prop_assert_eq!(&m, &plain, "plain simulation");
 
-        use expfinder_core::bsim::{bounded_fixpoint_raw, bounded_fixpoint_scratch};
+        use expfinder_core::bsim::bounded_fixpoint_raw;
         let q = build_pattern(&rp, false);
-        let cand: Vec<expfinder_graph::BitSet> =
-            expfinder_core::parallel_candidate_sets(&g, &q, 1);
+        let cand: Vec<BitSet> = q
+            .nodes()
+            .iter()
+            .map(|pn| {
+                let compiled = pn.predicate.compile(&g);
+                let mut set = BitSet::new(g.node_count());
+                for v in g.ids().filter(|&v| compiled.eval(g.vertex(v))) {
+                    set.insert(v);
+                }
+                set
+            })
+            .collect();
         let (raw_queue, _) =
-            bounded_fixpoint_raw(&g, &q, cand.clone(), EvalOptions::queue(), false);
+            bounded_fixpoint_raw(&g, &q, cand.clone(), EvalOptions::queue(), false, &mut scratch, None)
+                .unwrap();
         let (raw_frontier, _) =
-            bounded_fixpoint_scratch(&g, &q, cand, EvalOptions::default(), false, &mut scratch);
+            bounded_fixpoint_raw(&g, &q, cand, opts, false, &mut scratch, None).unwrap();
         prop_assert_eq!(&raw_frontier, &raw_queue, "raw GFP (early_exit = false)");
     }
 
@@ -183,10 +134,10 @@ proptest! {
     fn parallel_bsim_with_memoization_equals_queue(rg in raw_graph(14), rp in raw_pattern()) {
         let g = build_graph(&rg);
         let q = build_pattern(&rp, false);
-        let (oracle, _) = bounded_simulation_with(&g, &q, EvalOptions::queue());
+        let oracle = oracle(&g, &q, Semantics::Bounded);
         let csr = CsrGraph::snapshot(&g);
-        for threads in [1usize, 3] {
-            let (m, stats) = parallel_bounded_simulation_stats(&csr, &q, threads).unwrap();
+        for threads in [2usize, 3] {
+            let (m, stats) = parallel(&csr, &q, Semantics::Bounded, threads);
             prop_assert_eq!(&m, &oracle, "{} threads", threads);
             // raw self-loop edges are dropped by the builder, so a
             // pattern can end up edgeless — then zero refreshes is right

@@ -18,110 +18,33 @@
 //! BFS), so both sides of the eligibility check are exercised.
 
 use expfinder_core::{
-    bounded_simulation_indexed, bounded_simulation_scratch, bounded_simulation_with,
-    dual_simulation_indexed, dual_simulation_with, graph_simulation,
-    parallel_bounded_simulation_indexed, parallel_dual_simulation_indexed, EvalOptions,
-    EvalScratch, ReachIndex,
+    evaluate, graph_simulation, EvalRequest, EvalScratch, EvalStats, MatchRelation, ReachIndex,
+    ReachProvider, Semantics,
 };
-use expfinder_graph::{AttrValue, CsrGraph, DiGraph, EdgeUpdate, GraphView, NodeId};
-use expfinder_pattern::{Bound, PNodeId, Pattern, PatternEdge, PatternNode, Predicate};
+use expfinder_graph::{CsrGraph, EdgeUpdate, GraphView, NodeId};
+use expfinder_pattern::Pattern;
 use proptest::prelude::*;
 
-// ---------------------------------------------------------------------
-// generators (same compact raw encodings as the workspace-level tests)
-// ---------------------------------------------------------------------
+mod common;
+use common::*;
 
-#[derive(Clone, Debug)]
-struct RawGraph {
-    labels: Vec<u8>,
-    exps: Vec<u8>,
-    edges: Vec<(u8, u8)>,
-}
-
-fn raw_graph(max_nodes: usize) -> impl Strategy<Value = RawGraph> {
-    (2..=max_nodes).prop_flat_map(move |n| {
-        let labels = proptest::collection::vec(0u8..3, n);
-        let exps = proptest::collection::vec(0u8..3, n);
-        let edges = proptest::collection::vec((0u8..n as u8, 0u8..n as u8), 0..n * 3);
-        (labels, exps, edges).prop_map(|(labels, exps, edges)| RawGraph {
-            labels,
-            exps,
-            edges,
-        })
-    })
-}
-
-fn build_graph(raw: &RawGraph) -> DiGraph {
-    let mut g = DiGraph::new();
-    for (l, e) in raw.labels.iter().zip(&raw.exps) {
-        g.add_node(
-            &format!("L{l}"),
-            [("experience", AttrValue::Int(*e as i64))],
-        );
-    }
-    for &(a, b) in &raw.edges {
-        g.add_edge(NodeId(a as u32), NodeId(b as u32));
-    }
-    g
-}
-
-#[derive(Clone, Debug)]
-struct RawPattern {
-    labels: Vec<u8>,
-    /// Threshold 0 ⇒ a pure-label predicate (index-eligible seed class);
-    /// otherwise label ∧ experience ≥ t (ineligible).
-    thresholds: Vec<u8>,
-    edges: Vec<(u8, u8, u8)>, // from, to, bound (0 ⇒ unbounded)
-}
-
-fn raw_pattern() -> impl Strategy<Value = RawPattern> {
-    (2usize..=4).prop_flat_map(|n| {
-        let labels = proptest::collection::vec(0u8..3, n);
-        let thresholds = proptest::collection::vec(0u8..3, n);
-        let edges = proptest::collection::vec((0u8..n as u8, 0u8..n as u8, 0u8..4), 1..n * 2);
-        (labels, thresholds, edges).prop_map(|(labels, thresholds, edges)| RawPattern {
-            labels,
-            thresholds,
-            edges,
-        })
-    })
-}
-
-fn build_pattern(raw: &RawPattern, force_bound_one: bool) -> Pattern {
-    let nodes: Vec<PatternNode> = raw
-        .labels
-        .iter()
-        .zip(&raw.thresholds)
-        .enumerate()
-        .map(|(i, (l, t))| PatternNode {
-            name: format!("v{i}"),
-            predicate: if *t == 0 {
-                Predicate::label(format!("L{l}"))
-            } else {
-                Predicate::label(format!("L{l}")).and(Predicate::attr_ge("experience", *t as i64))
-            },
-        })
-        .collect();
-    let mut seen = std::collections::HashSet::new();
-    let mut edges = Vec::new();
-    for &(f, t, b) in &raw.edges {
-        if f == t || !seen.insert((f, t)) {
-            continue;
-        }
-        let bound = if force_bound_one {
-            Bound::ONE
-        } else if b == 0 {
-            Bound::Unbounded
-        } else {
-            Bound::hops(b as u32)
-        };
-        edges.push(PatternEdge {
-            from: PNodeId(f as u32),
-            to: PNodeId(t as u32),
-            bound,
-        });
-    }
-    Pattern::from_parts(nodes, edges, Some(PNodeId(0))).expect("valid pattern")
+/// One evaluation with an optional reach provider: the frontier engine on
+/// `scratch` with one thread, the parallel refinement above that.
+fn indexed<G: GraphView + Sync>(
+    g: &G,
+    q: &Pattern,
+    semantics: Semantics,
+    scratch: &mut EvalScratch,
+    index: Option<&dyn ReachProvider>,
+    threads: usize,
+) -> (MatchRelation, EvalStats) {
+    let req = EvalRequest {
+        scratch: Some(scratch),
+        index,
+        threads,
+        ..EvalRequest::new(semantics)
+    };
+    evaluate(g, q, req).unwrap()
 }
 
 proptest! {
@@ -136,30 +59,28 @@ proptest! {
         let q = build_pattern(&rp, false);
         let csr = CsrGraph::snapshot(&g);
         let mut scratch = EvalScratch::new();
-        let (queue_m, _) = bounded_simulation_with(&g, &q, EvalOptions::queue());
-        let (frontier_m, _) =
-            bounded_simulation_scratch(&csr, &q, EvalOptions::default(), &mut scratch);
+        let queue_m = oracle(&g, &q, Semantics::Bounded);
+        let (frontier_m, _) = indexed(&csr, &q, Semantics::Bounded, &mut scratch, None, 1);
         prop_assert_eq!(&frontier_m, &queue_m, "frontier vs queue");
 
         let idx = ReachIndex::new(csr.version());
         let bound = idx.bind(&csr);
         // twice: cold (entries built) then warm (entries reused)
         for round in 0..2 {
-            let (m, stats) = bounded_simulation_indexed(
-                &csr, &q, EvalOptions::default(), &mut scratch, Some(&bound));
+            let (m, stats) =
+                indexed(&csr, &q, Semantics::Bounded, &mut scratch, Some(&bound), 1);
             prop_assert_eq!(&m, &queue_m, "indexed CSR, round {}", round);
             prop_assert_eq!(stats.index_hits + stats.index_misses > 0, q.edge_count() > 0,
                 "provider consulted iff constrained");
         }
-        let (mp, _) = parallel_bounded_simulation_indexed(&csr, &q, 3, Some(&bound)).unwrap();
+        let (mp, _) = indexed(&csr, &q, Semantics::Bounded, &mut scratch, Some(&bound), 3);
         prop_assert_eq!(&mp, &queue_m, "indexed parallel CSR");
 
         // on the live DiGraph the provider finds no classes: pure misses,
         // identical results
         let live_idx = ReachIndex::new(g.version());
         let live = live_idx.bind(&g);
-        let (ml, stats) = bounded_simulation_indexed(
-            &g, &q, EvalOptions::default(), &mut scratch, Some(&live));
+        let (ml, stats) = indexed(&g, &q, Semantics::Bounded, &mut scratch, Some(&live), 1);
         prop_assert_eq!(&ml, &queue_m, "indexed DiGraph");
         prop_assert_eq!(stats.index_hits, 0, "no label classes on DiGraph");
         prop_assert_eq!(live_idx.len(), 0);
@@ -177,17 +98,15 @@ proptest! {
         let bound = idx.bind(&csr);
 
         let q = build_pattern(&rp, false);
-        let (dual_oracle, _) = dual_simulation_with(&g, &q, EvalOptions::queue());
-        let (md, _) = dual_simulation_indexed(
-            &csr, &q, EvalOptions::default(), &mut scratch, Some(&bound));
+        let dual_oracle = oracle(&g, &q, Semantics::Dual);
+        let (md, _) = indexed(&csr, &q, Semantics::Dual, &mut scratch, Some(&bound), 1);
         prop_assert_eq!(&md, &dual_oracle, "indexed dual CSR");
-        let (mdp, _) = parallel_dual_simulation_indexed(&csr, &q, 2, Some(&bound));
+        let (mdp, _) = indexed(&csr, &q, Semantics::Dual, &mut scratch, Some(&bound), 2);
         prop_assert_eq!(&mdp, &dual_oracle, "indexed parallel dual CSR");
 
         let q1 = build_pattern(&rp, true);
         let sim_oracle = graph_simulation(&g, &q1).unwrap();
-        let (ms, _) = bounded_simulation_indexed(
-            &csr, &q1, EvalOptions::default(), &mut scratch, Some(&bound));
+        let (ms, _) = indexed(&csr, &q1, Semantics::Bounded, &mut scratch, Some(&bound), 1);
         prop_assert_eq!(&ms, &sim_oracle, "bound-1 indexed ≡ plain simulation");
     }
 
@@ -220,13 +139,11 @@ proptest! {
                 idx = ReachIndex::new(csr.version());
             }
             let bound = idx.bind(&csr);
-            let (m, _) = bounded_simulation_indexed(
-                &csr, &q, EvalOptions::default(), &mut scratch, Some(&bound));
-            let (oracle, _) = bounded_simulation_with(&g, &q, EvalOptions::queue());
+            let (m, _) = indexed(&csr, &q, Semantics::Bounded, &mut scratch, Some(&bound), 1);
+            let oracle = oracle(&g, &q, Semantics::Bounded);
             prop_assert_eq!(&m, &oracle, "post-update query at version {}", g.version());
             // warm second query on the same version
-            let (m2, _) = bounded_simulation_indexed(
-                &csr, &q, EvalOptions::default(), &mut scratch, Some(&bound));
+            let (m2, _) = indexed(&csr, &q, Semantics::Bounded, &mut scratch, Some(&bound), 1);
             prop_assert_eq!(&m2, &oracle, "warm query at version {}", g.version());
         }
     }

@@ -4,7 +4,8 @@
 //! [`ExpFinder`] is internally synchronized: the catalog (name → graph)
 //! sits behind one `RwLock`, and every managed graph sits behind its own
 //! `RwLock<StoredGraph>`. All query-side operations — [`ExpFinder::evaluate`],
-//! [`ExpFinder::find_experts`], the fluent [`ExpFinder::query`] builder —
+//! [`ExpFinder::find_experts`], [`ExpFinder::query_deadline`], the fluent
+//! [`ExpFinder::query`] builder, [`ExpFinder::query_batch`] —
 //! take `&self`, so an `Arc<ExpFinder>` can serve many threads at once:
 //! reads on *different* graphs run fully in parallel, reads on the *same*
 //! graph share its read lock, and [`ExpFinder::apply_updates`] briefly
@@ -15,22 +16,27 @@
 //! A handle stays valid until its graph is removed; using it afterwards
 //! yields [`ExpFinderError::StaleHandle`].
 //!
-//! Query routing follows paper §II: (1) the version-keyed result cache,
-//! (2) registered incrementally-maintained queries, and otherwise (3)
-//! the cost-based [`planner`], which estimates the work of every
-//! applicable physical route — the live adjacency, the reach-indexed
-//! CSR snapshot (sequential or parallel), the compressed quotient when
-//! one exists and the query is compression-safe — from the graph's
-//! [`CostProfile`] and picks the cheapest (quadratic simulation for
-//! 1-bounded patterns, cubic bounded simulation for the rest, on
-//! whichever substrate won). Every [`QueryResponse`] carries the full
+//! Query routing follows paper §II and is implemented exactly once, in
+//! [`ReadPath`]: (1) the version-keyed result cache, (2) registered
+//! incrementally-maintained queries, and otherwise (3) the cost-based
+//! [`planner`], which estimates the work of every applicable physical
+//! route — the live adjacency, the reach-indexed CSR snapshot
+//! (sequential or parallel), the compressed quotient when one exists and
+//! the query is compression-safe — from the graph's [`CostProfile`] and
+//! picks the cheapest; then one `expfinder_core::evaluate` call on the
+//! winning substrate (quadratic simulation for 1-bounded patterns, cubic
+//! bounded simulation for the rest), the result graph and the top-K
+//! rank. The read path is generic over a [`GraphState`] view;
+//! [`ExpFinder`]'s part of a read is resolving the handle to its slot (a
+//! [`StateSource`]: borrowing a state takes the graph's read lock), and the
+//! durable runtime reuses the same path over its published snapshots. Every [`QueryResponse`] carries the full
 //! [`PlanDecision`]. Updates flow through [`ExpFinder::apply_updates`],
 //! which maintains the graph, its compressed counterpart and every
 //! registered query in one pass.
 //!
 //! Execution is parallel by default ([`ExecConfig`]): direct evaluation
 //! runs the parallel refinement of `expfinder-core` over an immutable
-//! [`CsrGraph`] snapshot that the engine
+//! [`CsrGraph`](expfinder_graph::CsrGraph) snapshot that the engine
 //! builds lazily once per graph version and caches next to the
 //! compression state (stale snapshots are detected by version and
 //! rebuilt on the next parallel read), and whole batches of queries are
@@ -60,6 +66,7 @@
 
 pub mod cache;
 pub mod planner;
+pub mod read_path;
 pub mod report;
 pub mod shell;
 pub mod storage;
@@ -67,28 +74,22 @@ pub mod storage;
 pub use planner::{
     CandidateCost, CostInputs, CostProfile, PlanContext, PlanDecision, PlanRoute, PlannerTotals,
 };
+pub use read_path::{Derived, GraphState, ReadPath, StateSource};
 
-use cache::QueryCache;
 use expfinder_compress::maintain::MaintainedCompression;
-use expfinder_compress::{CompressError, CompressStats, CompressionMethod};
+use expfinder_compress::{CompressError, CompressStats, CompressedGraph, CompressionMethod};
 pub use expfinder_core::CancelToken;
-use expfinder_core::{
-    bounded_simulation_cancellable, graph_simulation_cancellable,
-    parallel_bounded_simulation_cancellable, parallel_simulation_cancellable, rank_matches_top_k,
-    Cancelled, EvalOptions, EvalScratch, EvalStats, MatchError, MatchRelation, RankedMatch,
-    ResultGraph, ScratchPool,
-};
+use expfinder_core::{EvalStats, MatchError, MatchRelation, RankedMatch};
 use expfinder_graph::io::GraphIoError;
-use expfinder_graph::{CsrGraph, DiGraph, EdgeUpdate, GraphView, ReachIndex};
+use expfinder_graph::{DiGraph, EdgeUpdate, GraphView};
 use expfinder_incremental::{IncrementalBoundedSim, IncrementalSim, Maintainer};
 use expfinder_pattern::parser::ParseError;
 use expfinder_pattern::{Pattern, PatternError};
 use parking_lot::{Mutex, RwLock};
-use planner::PlannerCounters;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use thiserror::Error;
 
 /// Engine configuration.
@@ -96,8 +97,6 @@ use thiserror::Error;
 pub struct EngineConfig {
     /// Cached query results kept per engine (LRU).
     pub cache_capacity: usize,
-    /// Route compression-safe queries through `G_c` automatically.
-    pub auto_use_compressed: bool,
     /// Equivalence used when compressing.
     pub compression_method: CompressionMethod,
     /// Recompress when maintenance drift exceeds this factor.
@@ -110,7 +109,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             cache_capacity: 64,
-            auto_use_compressed: true,
             compression_method: CompressionMethod::Bisimulation,
             recompress_drift: 2.0,
             exec: ExecConfig::default(),
@@ -196,16 +194,6 @@ pub enum ExpFinderError {
     DeadlineExceeded(EvalStats),
 }
 
-/// A fired [`CancelToken`] surfaces from the matching core as
-/// [`Cancelled`]; at the engine boundary it becomes the typed
-/// [`ExpFinderError::DeadlineExceeded`], carrying the partial work
-/// counters of the abandoned evaluation.
-impl From<Cancelled> for ExpFinderError {
-    fn from(c: Cancelled) -> Self {
-        ExpFinderError::DeadlineExceeded(c.stats)
-    }
-}
-
 impl ExpFinderError {
     /// The HTTP status code this error maps to on the wire.
     ///
@@ -277,22 +265,19 @@ pub enum EvalRoute {
     DirectBounded,
 }
 
-/// Result of [`ExpFinder::evaluate`].
-#[derive(Clone, Debug)]
-pub struct QueryOutcome {
-    pub matches: Arc<MatchRelation>,
-    pub route: EvalRoute,
-    /// The graph version the matches correspond to (for consistency
-    /// checks under concurrent updates).
-    pub graph_version: u64,
-}
-
-/// Result of [`ExpFinder::find_experts`].
-#[derive(Clone, Debug)]
-pub struct ExpertReport {
-    pub outcome: QueryOutcome,
-    /// Best-K matches of the output node, ascending rank.
-    pub experts: Vec<RankedMatch>,
+impl EvalRoute {
+    /// The reported route of a plan: the exact and compressed routes name
+    /// themselves, every direct substrate (live, snapshot, parallel)
+    /// reports the algorithm the pattern selected.
+    pub fn of(chosen: PlanRoute, simulation: bool) -> EvalRoute {
+        match chosen {
+            PlanRoute::Cache => EvalRoute::Cache,
+            PlanRoute::Registered => EvalRoute::Registered,
+            PlanRoute::Compressed => EvalRoute::Compressed,
+            _ if simulation => EvalRoute::DirectSimulation,
+            _ => EvalRoute::DirectBounded,
+        }
+    }
 }
 
 /// Wall-clock breakdown of one [`QueryBuilder::run`].
@@ -325,34 +310,27 @@ pub struct QueryResponse {
     pub plan: PlanDecision,
 }
 
-/// A registered query with its incremental maintainer.
+/// A registered query: the fingerprint the read path routes by, and the
+/// incremental maintainer of its result.
 struct RegisteredQuery {
-    pattern: Pattern,
+    fingerprint: String,
     maintainer: Box<dyn Maintainer + Send + Sync>,
 }
 
 /// One managed graph with everything the engine maintains alongside it.
 struct StoredGraph {
+    /// Engine-unique catalog id (the graph component of cache keys).
+    id: u64,
     graph: DiGraph,
     compressed: Option<MaintainedCompression>,
     registered: HashMap<String, RegisteredQuery>,
-    /// Read-optimized CSR snapshot, built lazily once per graph version
-    /// (checked via [`CsrGraph::version`]) and shared by every parallel
-    /// query at that version. Lives behind its own `Mutex` so it can be
-    /// (re)built under the graph's *read* lock.
-    csr: Mutex<Option<Arc<CsrGraph>>>,
-    /// Per-version label-reachability index over the CSR snapshot
-    /// ([`ReachIndex`]), shared via `Arc` by fluent queries, batch
-    /// workers and HTTP workers at that version. Keyed by
-    /// [`ReachIndex::version`], so an update invalidates it the same way
-    /// it invalidates the snapshot: the next read allocates a fresh
-    /// (empty, lazily filled) index.
-    reach: Mutex<Option<Arc<ReachIndex>>>,
-    /// The same per-version index for the *compressed* counterpart.
-    /// Additionally cleared whenever the compression is (re)built at an
-    /// unchanged graph version ([`ExpFinder::compress`]), since the
-    /// quotient graph can change without a version bump.
-    reach_c: Mutex<Option<Arc<ReachIndex>>>,
+    /// The lazily built per-version read state (CSR snapshot, reach
+    /// indexes), shared via `Arc` by fluent queries, batch workers and
+    /// HTTP workers at that version. Behind its own `Mutex` so a reader
+    /// can replace a value left over from an older version under the
+    /// graph's *read* lock: an update invalidates it simply by moving the
+    /// version on.
+    derived: Mutex<Arc<Derived>>,
     /// Per-graph workload statistics the cost-based [`planner`] runs on:
     /// reads per version, reach-index hit rates, update and CSR-build
     /// counters.
@@ -360,60 +338,69 @@ struct StoredGraph {
 }
 
 impl StoredGraph {
-    fn new(graph: DiGraph) -> StoredGraph {
+    fn new(id: u64, graph: DiGraph) -> StoredGraph {
         StoredGraph {
+            id,
+            derived: Mutex::new(Arc::new(Derived::new(graph.version()))),
             graph,
             compressed: None,
             registered: HashMap::new(),
-            csr: Mutex::new(None),
-            reach: Mutex::new(None),
-            reach_c: Mutex::new(None),
             profile: CostProfile::default(),
         }
     }
 
-    /// The reach index in `slot` for `version`, allocating a fresh one
-    /// when the cached index belongs to an older version (the
-    /// invalidation rule: one index per graph version, dropped when the
-    /// version moves on). Entries fill lazily on first use.
-    fn reach_index(slot: &Mutex<Option<Arc<ReachIndex>>>, version: u64) -> Arc<ReachIndex> {
-        let mut s = slot.lock();
-        match &*s {
-            Some(r) if r.version() == version => Arc::clone(r),
-            _ => {
-                let r = Arc::new(ReachIndex::new(version));
-                *s = Some(Arc::clone(&r));
-                r
-            }
-        }
+    /// The quotient was rebuilt or dropped without a graph-version bump,
+    /// so the version-keyed invalidation cannot catch it — swap in a
+    /// fresh quotient reach index explicitly.
+    fn quotient_changed(&mut self) {
+        let derived = self.derived.get_mut();
+        *derived = Arc::new(derived.with_fresh_quotient_reach());
+    }
+}
+
+/// The read path's view of a stored graph. Borrowed from under the
+/// graph's read lock, so every accessor answers for one version.
+impl GraphState for StoredGraph {
+    fn id(&self) -> u64 {
+        self.id
     }
 
-    /// The CSR snapshot for the current graph version, building (and
-    /// caching) it if the version moved since the last build. Builds are
-    /// timed into the graph's [`CostProfile`] (observability only — the
-    /// planner's estimates stay deterministic).
-    fn csr(&self) -> Arc<CsrGraph> {
-        let mut slot = self.csr.lock();
-        match &*slot {
-            Some(c) if c.version() == self.graph.version() => Arc::clone(c),
-            _ => {
-                let started = Instant::now();
-                let c = Arc::new(CsrGraph::snapshot(&self.graph));
-                self.profile
-                    .note_csr_build(started.elapsed().as_nanos() as u64);
-                *slot = Some(Arc::clone(&c));
-                c
-            }
-        }
+    fn version(&self) -> u64 {
+        self.graph.version()
     }
 
-    /// The CSR snapshot if it is already fresh for the current version —
-    /// never triggers a build.
-    fn csr_if_fresh(&self) -> Option<Arc<CsrGraph>> {
-        let slot = self.csr.lock();
-        slot.as_ref()
-            .filter(|c| c.version() == self.graph.version())
-            .map(Arc::clone)
+    fn graph(&self) -> &DiGraph {
+        &self.graph
+    }
+
+    fn registered(&self, fingerprint: &str) -> Option<Arc<MatchRelation>> {
+        self.registered
+            .values()
+            .find(|rq| rq.fingerprint == fingerprint)
+            .map(|rq| Arc::new(rq.maintainer.current()))
+    }
+
+    fn quotient(&self) -> Option<&CompressedGraph> {
+        self.compressed.as_ref().map(|mc| mc.compressed())
+    }
+
+    fn derived(&self) -> impl std::ops::Deref<Target = Derived> + '_ {
+        let mut slot = self.derived.lock();
+        if slot.version() != self.graph.version() {
+            *slot = Arc::new(Derived::new(self.graph.version()));
+        }
+        Arc::clone(&slot)
+    }
+
+    fn profile(&self) -> &CostProfile {
+        &self.profile
+    }
+}
+
+/// Borrowing a state from a graph slot takes its read lock.
+impl StateSource for RwLock<StoredGraph> {
+    fn state(&self) -> impl std::ops::Deref<Target: GraphState> + '_ {
+        self.read()
     }
 }
 
@@ -549,82 +536,15 @@ pub struct ExpFinder {
     /// handle from one engine cannot address another.
     engine_id: u64,
     catalog: RwLock<HashMap<String, CatalogEntry>>,
-    cache: Mutex<QueryCache>,
-    /// Pooled [`EvalScratch`]es: every evaluation path (fluent queries,
-    /// batch workers, HTTP workers) checks one out, so steady-state
-    /// serving reuses BFS frontiers, reach caches and counter buffers
-    /// instead of allocating per request.
-    scratch_pool: ScratchPool,
-    /// Cumulative [`EvalStats`] across every direct/compressed
-    /// evaluation, exported on `GET /metrics`.
-    eval_totals: EvalTotals,
-    /// Cumulative planner counters (decisions, overrides, mispredicts)
-    /// — the `engine.planner` block of `GET /metrics`.
-    planner: PlannerCounters,
-    /// Cumulative cancellation counters (armed checks polled, deadline
-    /// fires) — the `engine.cancel` block of `GET /metrics`.
-    cancel_totals: CancelCounters,
+    /// The shared read path: result cache, scratch pool, thread budget
+    /// and the cumulative planner / evaluation / cancellation counters.
+    read: ReadPath,
     /// Observer of committed update batches (ΔM push fan-out).
     update_hook: RwLock<Option<UpdateHook>>,
     next_id: AtomicU64,
 }
 
-/// Lock-free accumulator behind [`ExpFinder::eval_totals`].
-#[derive(Default)]
-struct EvalTotals {
-    refreshes: AtomicU64,
-    removals: AtomicU64,
-    refreshes_skipped: AtomicU64,
-    bfs_nodes_visited: AtomicU64,
-    index_hits: AtomicU64,
-    index_misses: AtomicU64,
-}
-
-impl EvalTotals {
-    fn add(&self, s: EvalStats) {
-        self.refreshes
-            .fetch_add(s.refreshes as u64, Ordering::Relaxed);
-        self.removals
-            .fetch_add(s.removals as u64, Ordering::Relaxed);
-        self.refreshes_skipped
-            .fetch_add(s.refreshes_skipped as u64, Ordering::Relaxed);
-        self.bfs_nodes_visited
-            .fetch_add(s.bfs_nodes_visited as u64, Ordering::Relaxed);
-        self.index_hits
-            .fetch_add(s.index_hits as u64, Ordering::Relaxed);
-        self.index_misses
-            .fetch_add(s.index_misses as u64, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> EvalStats {
-        EvalStats {
-            refreshes: self.refreshes.load(Ordering::Relaxed) as usize,
-            removals: self.removals.load(Ordering::Relaxed) as usize,
-            refreshes_skipped: self.refreshes_skipped.load(Ordering::Relaxed) as usize,
-            bfs_nodes_visited: self.bfs_nodes_visited.load(Ordering::Relaxed) as usize,
-            index_hits: self.index_hits.load(Ordering::Relaxed) as usize,
-            index_misses: self.index_misses.load(Ordering::Relaxed) as usize,
-        }
-    }
-}
-
-/// Lock-free accumulator behind [`ExpFinder::cancel_totals`]: every
-/// deadline-carrying query drains its token's counters here when it
-/// finishes (successfully or by abort).
-#[derive(Default)]
-struct CancelCounters {
-    checked: AtomicU64,
-    fired: AtomicU64,
-}
-
-impl CancelCounters {
-    fn drain(&self, token: &CancelToken) {
-        self.checked.fetch_add(token.checks(), Ordering::Relaxed);
-        self.fired.fetch_add(token.fired(), Ordering::Relaxed);
-    }
-}
-
-/// Cumulative cancellation totals, from [`ExpFinder::cancel_totals`] —
+/// Cumulative cancellation totals, from [`ReadPath::cancel_totals`] —
 /// the `engine.cancel` block of `GET /metrics`. Disarmed checks are not
 /// counted (they are a single relaxed load by design); `checked` counts
 /// armed polls, `fired` counts deadline/cancel transitions.
@@ -671,16 +591,12 @@ impl Default for ExpFinder {
 
 impl ExpFinder {
     pub fn new(config: EngineConfig) -> ExpFinder {
-        let cache = Mutex::new(QueryCache::new(config.cache_capacity));
+        let read = ReadPath::new(config.cache_capacity, config.exec);
         ExpFinder {
             config,
             engine_id: ENGINE_IDS.fetch_add(1, Ordering::Relaxed),
             catalog: RwLock::new(HashMap::new()),
-            cache,
-            scratch_pool: ScratchPool::new(),
-            eval_totals: EvalTotals::default(),
-            planner: PlannerCounters::default(),
-            cancel_totals: CancelCounters::default(),
+            read,
             update_hook: RwLock::new(None),
             next_id: AtomicU64::new(1),
         }
@@ -696,6 +612,12 @@ impl ExpFinder {
 
     pub fn config(&self) -> &EngineConfig {
         &self.config
+    }
+
+    /// The read path this engine answers queries through — the source of
+    /// the cache / evaluation / planner / cancellation counters.
+    pub fn read_path(&self) -> &ReadPath {
+        &self.read
     }
 
     /// Resolve a handle to its graph slot, rejecting handles from other
@@ -717,7 +639,7 @@ impl ExpFinder {
             return Err(ExpFinderError::DuplicateGraph(name.to_owned()));
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let slot = Arc::new(RwLock::new(StoredGraph::new(graph)));
+        let slot = Arc::new(RwLock::new(StoredGraph::new(id, graph)));
         let handle = GraphHandle {
             engine_id: self.engine_id,
             id,
@@ -815,9 +737,7 @@ impl ExpFinder {
         let mc = MaintainedCompression::new(&stored.graph, method)?;
         let stats = mc.compressed().stats();
         stored.compressed = Some(mc);
-        // the quotient changed without a graph-version bump, so the
-        // version-keyed invalidation cannot catch this — clear explicitly
-        *stored.reach_c.lock() = None;
+        stored.quotient_changed();
         Ok(stats)
     }
 
@@ -826,7 +746,7 @@ impl ExpFinder {
         let slot = self.slot(handle)?;
         let mut stored = slot.write();
         stored.compressed = None;
-        *stored.reach_c.lock() = None;
+        stored.quotient_changed();
         Ok(())
     }
 
@@ -864,7 +784,7 @@ impl ExpFinder {
         stored.registered.insert(
             query_name.to_owned(),
             RegisteredQuery {
-                pattern,
+                fingerprint: pattern.fingerprint(),
                 maintainer,
             },
         );
@@ -1025,25 +945,8 @@ impl ExpFinder {
         &self,
         handle: &GraphHandle,
         pattern: &Pattern,
-    ) -> Result<QueryOutcome, ExpFinderError> {
-        let slot = self.slot(handle)?;
-        let stored = slot.read();
-        let (matches, route, _plan) = self.scratch_pool.with(|scratch| {
-            self.route_and_eval(
-                handle,
-                &stored,
-                pattern,
-                Route::Auto,
-                self.config.exec.threads.max(1),
-                scratch,
-                None,
-            )
-        })?;
-        Ok(QueryOutcome {
-            matches,
-            route,
-            graph_version: stored.graph.version(),
-        })
+    ) -> Result<QueryResponse, ExpFinderError> {
+        self.query_deadline(handle, pattern, None, Route::Auto, None)
     }
 
     /// The paper's headline operation: evaluate, rank by social impact,
@@ -1053,74 +956,38 @@ impl ExpFinder {
         handle: &GraphHandle,
         pattern: &Pattern,
         k: usize,
-    ) -> Result<ExpertReport, ExpFinderError> {
-        let resp = self.query(handle).pattern(pattern.clone()).top_k(k).run()?;
-        Ok(ExpertReport {
-            outcome: QueryOutcome {
-                matches: resp.matches,
-                route: resp.route,
-                graph_version: resp.graph_version,
-            },
-            experts: resp.experts,
-        })
+    ) -> Result<QueryResponse, ExpFinderError> {
+        self.query_deadline(handle, pattern, Some(k), Route::Auto, None)
     }
 
-    /// Build the result graph for a previously evaluated outcome.
-    pub fn result_graph(
+    /// One query on a borrowed pattern under an optional evaluation
+    /// budget — the non-fluent twin of [`ExpFinder::query`], with the
+    /// signature of the durable runtime's `query_deadline`: once
+    /// `deadline` has elapsed the evaluation abandons work at its next
+    /// cancellation point and returns
+    /// [`ExpFinderError::DeadlineExceeded`] with the partial
+    /// [`EvalStats`].
+    pub fn query_deadline(
         &self,
         handle: &GraphHandle,
         pattern: &Pattern,
-        outcome: &QueryOutcome,
-    ) -> Result<ResultGraph, ExpFinderError> {
-        self.read_graph(handle, |g| ResultGraph::build(g, pattern, &outcome.matches))
-    }
-
-    /// Cache hit/miss counters.
-    pub fn cache_stats(&self) -> cache::CacheStats {
-        self.cache.lock().stats()
-    }
-
-    /// Entries currently held by the query cache.
-    pub fn cache_len(&self) -> usize {
-        self.cache.lock().len()
-    }
-
-    /// Cumulative evaluation-work counters (refreshes, skipped refreshes,
-    /// BFS nodes visited, candidate removals, reach-index hits/misses)
-    /// across every direct and compressed evaluation this engine has run
-    /// — the serving-path observability hook behind `GET /metrics`.
-    pub fn eval_totals(&self) -> EvalStats {
-        self.eval_totals.snapshot()
-    }
-
-    /// Cumulative planner counters — how many route decisions were made,
-    /// how many were forced by a caller preference, and how many the
-    /// evaluation then contradicted ([`PlanDecision::mispredicted`]) —
-    /// the `engine.planner` block of `GET /metrics`.
-    pub fn planner_totals(&self) -> PlannerTotals {
-        self.planner.totals()
-    }
-
-    /// Cumulative cancellation counters — armed checks polled and tokens
-    /// fired across every deadline-carrying evaluation — the
-    /// `engine.cancel` block of `GET /metrics`.
-    pub fn cancel_totals(&self) -> CancelTotals {
-        CancelTotals {
-            checked: self.cancel_totals.checked.load(Ordering::Relaxed),
-            fired: self.cancel_totals.fired.load(Ordering::Relaxed),
-        }
+        top_k: Option<usize>,
+        prefer: Route,
+        deadline: Option<Duration>,
+    ) -> Result<QueryResponse, ExpFinderError> {
+        let token = deadline.map(CancelToken::with_deadline);
+        let cancel = token.as_deref();
+        // the engine's half of a read: resolve the handle to its slot. The
+        // read path holds the slot's read lock for the whole run (routing,
+        // evaluation, result graph, ranking), so it sees one consistent state
+        self.read
+            .query(|| self.slot(handle), pattern, top_k, prefer, cancel)
     }
 
     /// Estimate the planner cost (abstract work units) of evaluating
     /// `pattern` on `handle` right now, without evaluating anything —
-    /// the admission-control hook the server uses to reject queries that
-    /// cannot fit their deadline budget (429) before they consume a
-    /// worker. Runs the same deterministic cost model as
-    /// [`route_and_eval`](ExpFinder::query) and returns the cheapest
-    /// candidate's cost. Deliberately does **not** consult the cache or
-    /// registered results (peeking would skew their hit/miss counters),
-    /// so the estimate is conservative: an exact-route hit costs less
-    /// than reported here.
+    /// the server's admission-control hook
+    /// ([`ReadPath::estimate_cost`]).
     pub fn estimate_cost(
         &self,
         handle: &GraphHandle,
@@ -1128,37 +995,7 @@ impl ExpFinder {
     ) -> Result<f64, ExpFinderError> {
         let slot = self.slot(handle)?;
         let stored = slot.read();
-        let compression_ratio = if self.config.auto_use_compressed {
-            stored.compressed.as_ref().and_then(|mc| {
-                let gc = mc.compressed();
-                if gc.validate_pattern(pattern).is_ok() {
-                    let cs = gc.stats();
-                    let original = (cs.original_nodes + cs.original_edges).max(1);
-                    let quotient = (cs.compressed_nodes + cs.compressed_edges).max(1);
-                    Some(quotient as f64 / original as f64)
-                } else {
-                    None
-                }
-            })
-        } else {
-            None
-        };
-        let inputs = stored.profile.inputs(
-            stored.graph.version(),
-            stored.graph.size(),
-            stored.csr_if_fresh().is_some(),
-        );
-        let ctx = PlanContext {
-            threads: self.config.exec.threads.max(1),
-            pattern_edges: pattern.edge_count(),
-            compression_ratio,
-        };
-        let plan = planner::plan(&inputs, &ctx);
-        Ok(plan
-            .candidates
-            .iter()
-            .find(|c| c.route == plan.planned)
-            .map_or(f64::INFINITY, |c| c.cost))
+        Ok(self.read.estimate_cost(&*stored, pattern))
     }
 
     /// Reach-index totals: cumulative hits/misses plus live entry/byte
@@ -1167,23 +1004,9 @@ impl ExpFinder {
     /// `GET /metrics`. Each slot's read lock is taken briefly, one graph
     /// at a time.
     pub fn index_totals(&self) -> IndexTotals {
-        let mut totals = IndexTotals {
-            hits: self.eval_totals.index_hits.load(Ordering::Relaxed),
-            misses: self.eval_totals.index_misses.load(Ordering::Relaxed),
-            entries: 0,
-            bytes: 0,
-        };
         let catalog = self.catalog.read();
-        for entry in catalog.values() {
-            let stored = entry.slot.read();
-            for slot in [&stored.reach, &stored.reach_c] {
-                if let Some(ri) = &*slot.lock() {
-                    totals.entries += ri.len();
-                    totals.bytes += ri.bytes();
-                }
-            }
-        }
-        totals
+        self.read
+            .index_totals(catalog.values().map(|entry| entry.slot.read()))
     }
 
     /// Execute a whole batch of queries against one graph, draining them
@@ -1196,13 +1019,9 @@ impl ExpFinder {
     /// Each query runs under its own read lock and reports the
     /// `graph_version` it observed; every response individually equals a
     /// sequential [`QueryBuilder::run`] at that version (property-tested),
-    /// but a batch racing a writer may span versions.
-    ///
-    /// The thread budget is split, not multiplied: with `w` batch workers
-    /// active, each query refines with `exec.threads / w` (min 1) inner
-    /// threads, so a batch never runs more than `threads + w` threads
-    /// total — batch-level parallelism is the better lever when there are
-    /// many queries, per-query parallelism when there is one.
+    /// but a batch racing a writer may span versions. The thread budget
+    /// is split between batch workers and per-query refinement
+    /// ([`ReadPath::query_batch`]).
     ///
     /// ```
     /// use expfinder_engine::{ExpFinder, QuerySpec};
@@ -1240,360 +1059,9 @@ impl ExpFinder {
         specs: Vec<QuerySpec>,
         deadline: Option<Duration>,
     ) -> Vec<Result<QueryResponse, ExpFinderError>> {
-        if specs.is_empty() {
-            return Vec::new();
-        }
-        let batch_token = deadline.map(CancelToken::with_deadline);
-        let batch_cancel = batch_token.as_deref();
-        let workers = self.config.exec.batch_parallelism.clamp(1, specs.len());
-        let inner_threads = (self.config.exec.threads / workers).max(1);
-        let indices: Vec<usize> = (0..specs.len()).collect();
-        // one pooled EvalScratch per batch worker, reused across its slots
-        let pairs = expfinder_core::parallel::run_items(
-            workers,
-            &indices,
-            || self.scratch_pool.take(),
-            |scratch, &i| {
-                (
-                    i,
-                    self.run_spec(handle, &specs[i], inner_threads, scratch, batch_cancel),
-                )
-            },
-        );
-        let out = match pairs {
-            Some(mut pairs) => {
-                pairs.sort_by_key(|(i, _)| *i);
-                pairs.into_iter().map(|(_, r)| r).collect()
-            }
-            None => {
-                let threads = self.config.exec.threads.max(1);
-                let mut scratch = self.scratch_pool.take();
-                specs
-                    .iter()
-                    .map(|sp| self.run_spec(handle, sp, threads, &mut scratch, batch_cancel))
-                    .collect()
-            }
-        };
-        if let Some(t) = &batch_token {
-            self.cancel_totals.drain(t);
-        }
-        out
-    }
-
-    /// Resolve one [`QuerySpec`] (parsing its DSL if needed) and run it
-    /// with the given inner-thread budget. A per-spec deadline becomes
-    /// its own token, clipped to whatever remains of the batch budget;
-    /// otherwise the shared batch token (if any) is polled directly.
-    fn run_spec(
-        &self,
-        handle: &GraphHandle,
-        spec: &QuerySpec,
-        threads: usize,
-        scratch: &mut EvalScratch,
-        batch_cancel: Option<&CancelToken>,
-    ) -> Result<QueryResponse, ExpFinderError> {
-        let pattern = match &spec.source {
-            SpecSource::Pattern(p) => p.clone(),
-            SpecSource::Dsl(s) => expfinder_pattern::parser::parse(s)?,
-        };
-        let own = spec.deadline.map(|d| {
-            let budget = batch_cancel
-                .and_then(CancelToken::remaining)
-                .map_or(d, |left| left.min(d));
-            CancelToken::with_deadline(budget)
-        });
-        let cancel = own.as_deref().or(batch_cancel);
-        let out = self.execute(
-            handle,
-            &pattern,
-            spec.top_k,
-            spec.prefer,
-            threads,
-            scratch,
-            cancel,
-        );
-        if let Some(t) = &own {
-            self.cancel_totals.drain(t);
-        }
-        out
-    }
-
-    /// The single-query execution path shared by [`QueryBuilder::run`] and
-    /// [`ExpFinder::query_batch`]: routing, evaluation, result-graph
-    /// construction and ranking under one read lock of the target graph,
-    /// with `threads` workers for the parallel stages and `scratch` for
-    /// the sequential ones.
-    #[allow(clippy::too_many_arguments)]
-    fn execute(
-        &self,
-        handle: &GraphHandle,
-        pattern: &Pattern,
-        top_k: Option<usize>,
-        prefer: Route,
-        threads: usize,
-        scratch: &mut EvalScratch,
-        cancel: Option<&CancelToken>,
-    ) -> Result<QueryResponse, ExpFinderError> {
-        let threads = threads.max(1);
-        let started = Instant::now();
-        let slot = self.slot(handle)?;
-        let stored = slot.read();
-        let (matches, route, plan) =
-            self.route_and_eval(handle, &stored, pattern, prefer, threads, scratch, cancel)?;
-        let evaluate_time = started.elapsed();
-
-        let rank_started = Instant::now();
-        let experts = match top_k {
-            None => Vec::new(),
-            Some(k) => {
-                let opts = expfinder_core::BuildOptions { threads };
-                // reuse the CSR snapshot only when direct evaluation just
-                // built (or fetched) it; a cache/registered/compressed hit
-                // never touched it, and building one merely to rank would
-                // cost more than it saves
-                let direct = matches!(
-                    route,
-                    EvalRoute::DirectSimulation | EvalRoute::DirectBounded
-                );
-                let csr = if direct { stored.csr_if_fresh() } else { None };
-                if let Some(csr) = csr {
-                    let rg = ResultGraph::build_with(&*csr, pattern, &matches, opts);
-                    rank_matches_top_k(&rg, pattern, &matches, k)?
-                } else {
-                    let rg = ResultGraph::build_with(&stored.graph, pattern, &matches, opts);
-                    rank_matches_top_k(&rg, pattern, &matches, k)?
-                }
-            }
-        };
-        let rank_time = rank_started.elapsed();
-
-        Ok(QueryResponse {
-            experts,
-            matches,
-            route,
-            graph_version: stored.graph.version(),
-            timings: QueryTimings {
-                evaluate: evaluate_time,
-                rank: rank_time,
-                total: started.elapsed(),
-            },
-            plan,
-        })
-    }
-
-    /// Route and evaluate under an already-held read guard, so a whole
-    /// query (evaluate + rank) sees one consistent graph state. `threads`
-    /// is the budget for direct evaluation's parallel refinement;
-    /// `scratch` carries the reusable buffers of the sequential paths.
-    ///
-    /// The exact-result short circuits (cache, registered) still run
-    /// first, in paper §II order; everything after them is decided by the
-    /// cost-based [`planner`] from the graph's [`CostProfile`]. A
-    /// non-`Auto` `prefer` no longer takes a separate code path — the
-    /// planner still produces its decision and records the override.
-    #[allow(clippy::too_many_arguments)]
-    fn route_and_eval(
-        &self,
-        handle: &GraphHandle,
-        stored: &StoredGraph,
-        pattern: &Pattern,
-        prefer: Route,
-        threads: usize,
-        scratch: &mut EvalScratch,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(Arc<MatchRelation>, EvalRoute, PlanDecision), ExpFinderError> {
-        // a token that fired before evaluation even started (deadline
-        // consumed upstream, or admission-level cancel) aborts here, with
-        // zero work to report
-        if cancel.is_some_and(|t| t.is_cancelled()) {
-            return Err(ExpFinderError::DeadlineExceeded(EvalStats::default()));
-        }
-        let fingerprint = pattern.fingerprint();
-        let version = stored.graph.version();
-        let key = QueryCache::key_for(handle.id, version, &fingerprint);
-
-        if prefer == Route::Auto {
-            // 1. cache (the fingerprint guards against key-hash collisions)
-            if let Some(hit) = self.cache.lock().get(&key, &fingerprint) {
-                let plan = PlanDecision::exact(PlanRoute::Cache);
-                self.planner.on_decision(&plan);
-                return Ok((hit, EvalRoute::Cache, plan));
-            }
-
-            // 2. registered incremental state
-            for rq in stored.registered.values() {
-                if rq.pattern.fingerprint() == fingerprint {
-                    let matches = Arc::new(rq.maintainer.current());
-                    self.cache
-                        .lock()
-                        .put(key, &fingerprint, Arc::clone(&matches));
-                    let plan = PlanDecision::exact(PlanRoute::Registered);
-                    self.planner.on_decision(&plan);
-                    return Ok((matches, EvalRoute::Registered, plan));
-                }
-            }
-        }
-
-        // 3. plan: cost every applicable physical route and take the
-        // cheapest. The compressed quotient is a candidate only when one
-        // exists, the pattern is compression-safe, and the preference
-        // (or `auto_use_compressed`) allows it.
-        let try_compressed = match prefer {
-            Route::Auto => self.config.auto_use_compressed,
-            Route::Compressed => true,
-            Route::Direct => false,
-        };
-        let compression_ratio = if try_compressed {
-            stored.compressed.as_ref().and_then(|mc| {
-                let gc = mc.compressed();
-                if gc.validate_pattern(pattern).is_ok() {
-                    let cs = gc.stats();
-                    let original = (cs.original_nodes + cs.original_edges).max(1);
-                    let quotient = (cs.compressed_nodes + cs.compressed_edges).max(1);
-                    Some(quotient as f64 / original as f64)
-                } else {
-                    None
-                }
-            })
-        } else {
-            None
-        };
-        let inputs = stored.profile.inputs(
-            version,
-            stored.graph.size(),
-            stored.csr_if_fresh().is_some(),
-        );
-        let ctx = PlanContext {
-            threads,
-            pattern_edges: pattern.edge_count(),
-            compression_ratio,
-        };
-        let mut plan = planner::plan(&inputs, &ctx);
-        plan.apply_preference(prefer);
-
-        // 4. evaluate on the chosen substrate. The snapshot routes
-        // consult the per-version [`ReachIndex`], so on a warm version
-        // every class-seeded first refresh is one bitset copy. All
-        // routes compute the same greatest fixpoint. A fired token
-        // surfaces as the inner `Cancelled` before any torn state is
-        // cached or applied (see `expfinder-core`), so an aborted
-        // evaluation leaves scratch, cache and profile untouched.
-        let evaluated: Result<(MatchRelation, EvalStats, EvalRoute), Cancelled> = match plan.chosen
-        {
-            PlanRoute::Compressed => {
-                let mc = stored
-                    .compressed
-                    .as_ref()
-                    .expect("compressed candidate implies a maintained quotient");
-                let gc = mc.compressed();
-                let on_c = if pattern.is_simulation() {
-                    graph_simulation_cancellable(gc, pattern, scratch, cancel)?
-                } else if gc.has_label_index() {
-                    // the reach index is wired here, but only bound
-                    // when the quotient can actually answer class
-                    // lookups — an always-miss provider would pay the
-                    // cache lock per query and poison the hit/miss
-                    // ratio (today `CompressedGraph` has no label
-                    // index; see ROADMAP)
-                    let ri = StoredGraph::reach_index(&stored.reach_c, version);
-                    let bound = ri.bind(gc);
-                    bounded_simulation_cancellable(
-                        gc,
-                        pattern,
-                        EvalOptions::default(),
-                        scratch,
-                        Some(&bound),
-                        cancel,
-                    )
-                } else {
-                    bounded_simulation_cancellable(
-                        gc,
-                        pattern,
-                        EvalOptions::default(),
-                        scratch,
-                        None,
-                        cancel,
-                    )
-                };
-                on_c.map(|(m, stats)| (gc.expand(&m), stats, EvalRoute::Compressed))
-            }
-            PlanRoute::SnapshotParallel => {
-                let csr = stored.csr();
-                let ri = StoredGraph::reach_index(&stored.reach, csr.version());
-                let bound = ri.bind(&*csr);
-                if pattern.is_simulation() {
-                    parallel_simulation_cancellable(&*csr, pattern, threads, Some(&bound), cancel)?
-                        .map(|(m, stats)| (m, stats, EvalRoute::DirectSimulation))
-                } else {
-                    parallel_bounded_simulation_cancellable(
-                        &*csr,
-                        pattern,
-                        threads,
-                        Some(&bound),
-                        cancel,
-                    )
-                    .map(|(m, stats)| (m, stats, EvalRoute::DirectBounded))
-                }
-            }
-            PlanRoute::Snapshot => {
-                let csr = stored.csr();
-                if pattern.is_simulation() {
-                    graph_simulation_cancellable(&*csr, pattern, scratch, cancel)?
-                        .map(|(m, stats)| (m, stats, EvalRoute::DirectSimulation))
-                } else {
-                    let ri = StoredGraph::reach_index(&stored.reach, csr.version());
-                    let bound = ri.bind(&*csr);
-                    bounded_simulation_cancellable(
-                        &*csr,
-                        pattern,
-                        EvalOptions::default(),
-                        scratch,
-                        Some(&bound),
-                        cancel,
-                    )
-                    .map(|(m, stats)| (m, stats, EvalRoute::DirectBounded))
-                }
-            }
-            // Live (Cache/Registered never reach this point)
-            _ => {
-                if pattern.is_simulation() {
-                    graph_simulation_cancellable(&stored.graph, pattern, scratch, cancel)?
-                        .map(|(m, stats)| (m, stats, EvalRoute::DirectSimulation))
-                } else {
-                    bounded_simulation_cancellable(
-                        &stored.graph,
-                        pattern,
-                        EvalOptions::default(),
-                        scratch,
-                        None,
-                        cancel,
-                    )
-                    .map(|(m, stats)| (m, stats, EvalRoute::DirectBounded))
-                }
-            }
-        };
-        let (m, stats, route) = match evaluated {
-            Ok(t) => t,
-            Err(c) => {
-                // partial work still counts toward the engine totals, but
-                // never into the graph's cost profile (it would skew the
-                // planner's per-route estimates) and never into the cache
-                self.planner.on_decision(&plan);
-                self.eval_totals.add(c.stats);
-                return Err(ExpFinderError::DeadlineExceeded(c.stats));
-            }
-        };
-        stored.profile.note_eval(version, &stats);
-        if plan.mispredicted(&stats) {
-            self.planner.on_mispredict();
-        }
-        self.planner.on_decision(&plan);
-        self.eval_totals.add(stats);
-        let matches = Arc::new(m);
-        self.cache
-            .lock()
-            .put(key, &fingerprint, Arc::clone(&matches));
-        Ok((matches, route, plan))
+        // resolved per slot: a dead handle fails every slot, not the call
+        self.read
+            .query_batch(|| self.slot(handle), &specs, deadline)
     }
 }
 
@@ -1675,7 +1143,7 @@ impl QueryBuilder<'_> {
     /// [`ExpFinderError::DeadlineExceeded`] carrying the partial stats.
     /// Composes with [`deadline`](Self::deadline), which arms its budget
     /// on this same token. The token's check/fire counts are folded into
-    /// [`ExpFinder::cancel_totals`] when the run returns.
+    /// [`ReadPath::cancel_totals`] when the run returns.
     pub fn cancel_token(mut self, token: Arc<CancelToken>) -> Self {
         self.token = Some(token);
         self
@@ -1688,7 +1156,6 @@ impl QueryBuilder<'_> {
             Some(Err(e)) => return Err(e),
             Some(Ok(p)) => p,
         };
-        let threads = self.engine.config.exec.threads.max(1);
         let token = match (self.token, self.deadline) {
             (Some(t), Some(d)) => {
                 t.arm_deadline(d);
@@ -1697,27 +1164,17 @@ impl QueryBuilder<'_> {
             (Some(t), None) => Some(t),
             (None, d) => d.map(CancelToken::with_deadline),
         };
-        let out = self.engine.scratch_pool.with(|scratch| {
-            self.engine.execute(
-                &self.handle,
-                &pattern,
-                self.top_k,
-                self.prefer,
-                threads,
-                scratch,
-                token.as_deref(),
-            )
-        });
-        if let Some(t) = &token {
-            self.engine.cancel_totals.drain(t);
-        }
-        out
+        let (engine, cancel) = (self.engine, token.as_deref());
+        let resolve = || engine.slot(&self.handle);
+        engine
+            .read
+            .query(resolve, &pattern, self.top_k, self.prefer, cancel)
     }
 }
 
 /// How one [`QuerySpec`] names its pattern.
 #[derive(Clone, Debug)]
-enum SpecSource {
+pub(crate) enum SpecSource {
     Pattern(Pattern),
     Dsl(String),
 }
@@ -1728,10 +1185,10 @@ enum SpecSource {
 /// fan out across threads.
 #[derive(Clone, Debug)]
 pub struct QuerySpec {
-    source: SpecSource,
-    top_k: Option<usize>,
-    prefer: Route,
-    deadline: Option<Duration>,
+    pub(crate) source: SpecSource,
+    pub(crate) top_k: Option<usize>,
+    pub(crate) prefer: Route,
+    pub(crate) deadline: Option<Duration>,
 }
 
 impl QuerySpec {
@@ -1774,24 +1231,6 @@ impl QuerySpec {
         self.deadline = Some(budget);
         self
     }
-
-    /// The per-slot evaluation budget, if one was set — for executors
-    /// outside this crate that share `QuerySpec` as the batch currency.
-    pub fn deadline_budget(&self) -> Option<Duration> {
-        self.deadline
-    }
-
-    /// Resolve to the executable parts — the pattern (parsing DSL text
-    /// here, so parse errors surface per slot), `top_k` and the routing
-    /// preference. For executors outside this crate that share
-    /// `QuerySpec` as the batch currency (the shard runtime).
-    pub fn resolve(&self) -> Result<(Pattern, Option<usize>, Route), ExpFinderError> {
-        let pattern = match &self.source {
-            SpecSource::Pattern(p) => p.clone(),
-            SpecSource::Dsl(s) => expfinder_pattern::parser::parse(s)?,
-        };
-        Ok((pattern, self.top_k, self.prefer))
-    }
 }
 
 #[cfg(test)]
@@ -1822,7 +1261,7 @@ mod tests {
         let second = e.evaluate(&h, &q).unwrap();
         assert_eq!(second.route, EvalRoute::Cache);
         assert_eq!(*second.matches, *first.matches);
-        let stats = e.cache_stats();
+        let stats = e.read_path().cache_stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
     }
@@ -2107,10 +1546,7 @@ mod tests {
         let batch = e.query_batch(&h, specs.clone());
         assert_eq!(batch.len(), 3);
         for (i, spec) in specs.into_iter().enumerate() {
-            let single = e
-                .scratch_pool
-                .with(|s| e.run_spec(&h, &spec, 1, s, None))
-                .unwrap();
+            let single = e.query_batch(&h, vec![spec]).remove(0).unwrap();
             let b = batch[i].as_ref().unwrap();
             assert_eq!(*b.matches, *single.matches, "slot {i}");
             assert_eq!(
@@ -2399,7 +1835,10 @@ mod tests {
         }
         assert_eq!(err.http_status(), 408);
         assert!(err.partial_stats().is_some());
-        assert!(e.cancel_totals().fired >= 1, "fire transition drained");
+        assert!(
+            e.read_path().cancel_totals().fired >= 1,
+            "fire transition drained"
+        );
         // nothing was cached by the abort, and the next un-deadlined
         // query on the same engine matches a fresh evaluation
         let after = e.query(&h).pattern(q.clone()).run().unwrap();
@@ -2424,7 +1863,7 @@ mod tests {
             assert_eq!(err.http_status(), 408);
             assert!(err.partial_stats().is_some());
         }
-        assert!(e.cancel_totals().fired >= 1);
+        assert!(e.read_path().cancel_totals().fired >= 1);
     }
 
     #[test]
@@ -2438,7 +1877,7 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(with.matches.total_pairs(), 7);
-        assert_eq!(e.cancel_totals().fired, 0);
+        assert_eq!(e.read_path().cancel_totals().fired, 0);
         // a generous per-spec deadline in a batch is equally inert
         let out = e.query_batch(
             &h,
@@ -2538,7 +1977,7 @@ mod tests {
         // a preference is recorded as an override, not a silent branch
         let forced = e.query(&h).pattern(q).prefer(Route::Direct).run().unwrap();
         assert!(forced.plan.overridden);
-        let t = e.planner_totals();
+        let t = e.read_path().planner_totals();
         assert_eq!(t.decisions, 3);
         assert_eq!(t.overrides, 1);
     }

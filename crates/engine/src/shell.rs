@@ -15,8 +15,8 @@
 //! through the handle-based `&self` API.
 
 use crate::{
-    report, storage, EngineConfig, EvalRoute, ExpFinder, ExpFinderError, GraphHandle, QueryOutcome,
-    QuerySpec,
+    report, storage, EngineConfig, EvalRoute, ExpFinder, ExpFinderError, GraphHandle,
+    QueryResponse, QuerySpec,
 };
 use expfinder_compress::CompressionMethod;
 use expfinder_core::ResultGraph;
@@ -39,7 +39,7 @@ pub struct Shell {
     engine: Arc<ExpFinder>,
     current: Option<GraphHandle>,
     seed: u64,
-    last_query: Option<(Pattern, QueryOutcome)>,
+    last_query: Option<(Pattern, QueryResponse)>,
 }
 
 impl Default for Shell {
@@ -180,7 +180,7 @@ impl Shell {
                 Ok("compression dropped".to_owned())
             }
             "cache" => {
-                let s = self.engine.cache_stats();
+                let s = self.engine.read_path().cache_stats();
                 Ok(format!(
                     "cache: {} hits, {} misses, {} evictions",
                     s.hits, s.misses, s.evictions
@@ -431,14 +431,7 @@ impl Shell {
             .read_graph(&h, |g| report::expert_table(g, &resp.experts))
             .map_err(Self::err)?;
         out.push_str(&table);
-        self.last_query = Some((
-            q,
-            QueryOutcome {
-                matches: resp.matches,
-                route: resp.route,
-                graph_version: resp.graph_version,
-            },
-        ));
+        self.last_query = Some((q, resp));
         Ok(out)
     }
 

@@ -36,7 +36,7 @@
 //! local — the experiments use bounded patterns, as does the paper.
 
 use crate::{IncStats, Maintainer, MatchDelta};
-use expfinder_core::bsim::{bounded_fixpoint_cancellable, EvalOptions};
+use expfinder_core::bsim::{bounded_fixpoint_raw, EvalOptions};
 use expfinder_core::fixpoint::EvalScratch;
 use expfinder_core::matchrel::MatchRelation;
 use expfinder_core::Cancelled;
@@ -164,7 +164,7 @@ impl IncrementalBoundedSim {
     ) -> Result<IncrementalBoundedSim, Cancelled> {
         let cand0 = candidate_sets(g, q);
         let mut eval_scratch = EvalScratch::new();
-        let (sim, fix_stats) = bounded_fixpoint_cancellable(
+        let (sim, fix_stats) = bounded_fixpoint_raw(
             g,
             q,
             cand0.clone(),

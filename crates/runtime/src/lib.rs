@@ -22,7 +22,11 @@
 //! lazily), and queries evaluate against whichever snapshot they
 //! grabbed. A reader holds a lock only long enough to clone an `Arc`,
 //! so readers never block on writers and a query's `graph_version` is
-//! exact for the state it saw.
+//! exact for the state it saw. That `Arc` clone is all of the read side
+//! this crate implements: a snapshot is a [`GraphState`], and cache,
+//! registered short circuit, planning, evaluation, ranking, batch
+//! fan-out and cost estimation are the engine's [`ReadPath`] — the same
+//! code, not a copy.
 //!
 //! The WAL is *event-sourced serving state*, not just graph history:
 //! registered queries are logged as `register`/`unregister` records and
@@ -39,11 +43,12 @@
 //! WAL-logged: it is derived, rebuildable on demand, and a restart
 //! comes back uncompressed.
 //!
-//! Route selection is the engine's cost-based planner
+//! Route selection is therefore the engine's cost-based planner
 //! ([`expfinder_engine::planner`]): each graph's published slot carries
-//! a [`CostProfile`] that survives republishing, so read/update
-//! frequencies and index hit rates accumulate across snapshot versions
-//! and every [`QueryResponse`] carries its [`PlanDecision`].
+//! a [`CostProfile`] that survives republishing (every snapshot holds an
+//! `Arc` of it), so read/update frequencies and index hit rates
+//! accumulate across snapshot versions and every [`QueryResponse`]
+//! carries its plan decision.
 //!
 //! ```
 //! use expfinder_runtime::{DurableExpFinder, RuntimeConfig, FsyncPolicy};
@@ -80,28 +85,20 @@ use crate::shard::{write_efg_atomic, Cmd, GraphActor, Reply, Ring, ShardHandle};
 use crate::wal::{ReplaySummary, Wal};
 use expfinder_compress::{CompressStats, CompressedGraph, CompressionMethod};
 pub use expfinder_core::CancelToken;
-use expfinder_core::{
-    bounded_simulation_cancellable, graph_simulation_cancellable,
-    parallel_bounded_simulation_cancellable, parallel_simulation_cancellable, rank_matches_top_k,
-    BuildOptions, Cancelled, EvalOptions, EvalScratch, EvalStats, MatchRelation, ResultGraph,
-    ScratchPool,
-};
-use expfinder_engine::cache::{CacheStats, QueryCache};
-use expfinder_engine::planner::{self, PlannerCounters};
+use expfinder_core::MatchRelation;
 use expfinder_engine::{
-    validate_graph_name, CancelTotals, CostProfile, EvalRoute, ExecConfig, ExpFinderError,
-    GraphInfo, IndexTotals, PlanContext, PlanDecision, PlanRoute, PlannerTotals, QueryResponse,
-    QuerySpec, QueryTimings, Route, UpdateHook, UpdateReport,
+    validate_graph_name, CostProfile, Derived, ExecConfig, ExpFinderError, GraphInfo, GraphState,
+    IndexTotals, QueryResponse, QuerySpec, ReadPath, Route, StateSource, UpdateHook, UpdateReport,
 };
-use expfinder_graph::{io as gio, CsrGraph, DiGraph, EdgeUpdate, GraphView, ReachIndex};
+use expfinder_graph::{io as gio, DiGraph, EdgeUpdate, GraphView};
 use expfinder_pattern::Pattern;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 // ---------------------------------------------------------------------
 // published snapshots (the read side)
@@ -115,75 +112,87 @@ pub(crate) struct RegisteredView {
     pub matches: Arc<MatchRelation>,
 }
 
-/// One immutable published state of a graph. Everything a query needs
-/// travels together: the graph, its version, the lazily-built CSR
-/// snapshot, the per-version reach index and the registered-query
-/// relations — a reader that grabbed the `Arc` can keep evaluating on
-/// it even while the actor publishes ten newer versions.
+/// One immutable published state of a graph — the runtime's
+/// [`GraphState`]. Everything a query needs travels together: the
+/// graph's stable identity (cache-key id, [`CostProfile`]), the graph,
+/// its version, the lazily-built CSR snapshot, the per-version reach
+/// index and the registered-query relations — a reader that grabbed the
+/// `Arc` can keep evaluating on it even while the actor publishes ten
+/// newer versions.
 pub(crate) struct Snapshot {
+    /// [`PublishedGraph::id`] of the slot this was published into.
+    id: u64,
+    /// [`PublishedGraph::profile`] — shared, so workload statistics
+    /// accumulate across republished versions.
+    profile: Arc<CostProfile>,
     pub graph: Arc<DiGraph>,
     pub version: u64,
-    /// CSR built on first eligible use, then shared by every reader of
-    /// this snapshot (`OnceLock`: concurrent first readers race to
-    /// build, one result wins).
-    pub csr: OnceLock<Arc<CsrGraph>>,
-    /// Class-reach memo for this exact version (interior mutability;
-    /// entries fill lazily).
-    pub reach: Arc<ReachIndex>,
+    /// CSR snapshot (built on first eligible use, then shared by every
+    /// reader of this snapshot) and reach memos for this exact version.
+    /// Fresh on every publish — the quotient can change without a version
+    /// bump, so version-keyed invalidation alone would not be safe.
+    derived: Derived,
     /// The maintained compressed quotient published by the actor, when
     /// one was built ([`DurableExpFinder::compress`]). Immutable like
     /// the graph — the actor publishes a fresh copy after maintenance.
     pub compressed: Option<Arc<CompressedGraph>>,
-    /// The per-snapshot reach memo of the quotient. Fresh on every
-    /// publish: the quotient can change without a version bump, so
-    /// version-keyed invalidation alone would not be safe.
-    pub reach_c: Arc<ReachIndex>,
     pub registered: Vec<RegisteredView>,
 }
 
 impl Snapshot {
     /// The one way a snapshot is built. `graph.clone()` shares every
     /// adjacency chunk with the actor's live graph, so this is cheap; the
-    /// reach memos start empty (`reach_c` too — the quotient can change
-    /// without a version bump).
+    /// derived state starts empty.
     pub fn new(
+        id: u64,
+        profile: Arc<CostProfile>,
         graph: &DiGraph,
         registered: Vec<RegisteredView>,
         compressed: Option<Arc<CompressedGraph>>,
     ) -> Snapshot {
         let version = graph.version();
         Snapshot {
+            id,
+            profile,
             graph: Arc::new(graph.clone()),
             version,
-            csr: OnceLock::new(),
-            reach: Arc::new(ReachIndex::new(version)),
+            derived: Derived::new(version),
             compressed,
-            reach_c: Arc::new(ReachIndex::new(version)),
             registered,
         }
     }
+}
 
-    /// The CSR snapshot, building it if this snapshot does not have one
-    /// yet (concurrent first readers race in `get_or_init`, one build
-    /// wins). The build is timed into `profile` — observability only,
-    /// the planner's estimates stay deterministic.
-    fn csr(&self, profile: &CostProfile) -> Arc<CsrGraph> {
-        if let Some(c) = self.csr.get() {
-            return Arc::clone(c);
-        }
-        let started = Instant::now();
-        let c = Arc::clone(
-            self.csr
-                .get_or_init(|| Arc::new(CsrGraph::snapshot(&self.graph))),
-        );
-        profile.note_csr_build(started.elapsed().as_nanos() as u64);
-        c
+impl GraphState for Snapshot {
+    fn id(&self) -> u64 {
+        self.id
     }
 
-    /// The CSR only if some earlier query already paid for it — its
-    /// build is sunk cost, which the planner treats as free.
-    fn csr_if_built(&self) -> Option<Arc<CsrGraph>> {
-        self.csr.get().map(Arc::clone)
+    fn version(&self) -> u64 {
+        self.version
+    }
+
+    fn graph(&self) -> &DiGraph {
+        &self.graph
+    }
+
+    fn registered(&self, fingerprint: &str) -> Option<Arc<MatchRelation>> {
+        self.registered
+            .iter()
+            .find(|rv| rv.fingerprint == fingerprint)
+            .map(|rv| Arc::clone(&rv.matches))
+    }
+
+    fn quotient(&self) -> Option<&CompressedGraph> {
+        self.compressed.as_deref()
+    }
+
+    fn derived(&self) -> impl std::ops::Deref<Target = Derived> + '_ {
+        &self.derived
+    }
+
+    fn profile(&self) -> &CostProfile {
+        &self.profile
     }
 }
 
@@ -202,16 +211,26 @@ pub(crate) struct PublishedGraph {
 
 impl PublishedGraph {
     pub fn new(id: u64, shard: usize, graph: &DiGraph) -> PublishedGraph {
+        let profile = Arc::new(CostProfile::default());
+        let first = Snapshot::new(id, Arc::clone(&profile), graph, Vec::new(), None);
         PublishedGraph {
             id,
             shard,
-            state: RwLock::new(Arc::new(Snapshot::new(graph, Vec::new(), None))),
-            profile: Arc::new(CostProfile::default()),
+            state: RwLock::new(Arc::new(first)),
+            profile,
         }
     }
 
     fn snapshot(&self) -> Arc<Snapshot> {
         Arc::clone(&self.state.read())
+    }
+}
+
+/// Borrowing a state from a published slot grabs its latest snapshot:
+/// no lock is held past the `Arc` clone.
+impl StateSource for PublishedGraph {
+    fn state(&self) -> impl std::ops::Deref<Target: GraphState> + '_ {
+        self.snapshot()
     }
 }
 
@@ -280,64 +299,6 @@ pub struct WalTotals {
 }
 
 // ---------------------------------------------------------------------
-// eval totals (runtime copy of the engine's atomics)
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Default)]
-struct EvalTotals {
-    refreshes: AtomicU64,
-    removals: AtomicU64,
-    refreshes_skipped: AtomicU64,
-    bfs_nodes_visited: AtomicU64,
-    index_hits: AtomicU64,
-    index_misses: AtomicU64,
-}
-
-impl EvalTotals {
-    fn add(&self, s: EvalStats) {
-        self.refreshes
-            .fetch_add(s.refreshes as u64, Ordering::Relaxed);
-        self.removals
-            .fetch_add(s.removals as u64, Ordering::Relaxed);
-        self.refreshes_skipped
-            .fetch_add(s.refreshes_skipped as u64, Ordering::Relaxed);
-        self.bfs_nodes_visited
-            .fetch_add(s.bfs_nodes_visited as u64, Ordering::Relaxed);
-        self.index_hits
-            .fetch_add(s.index_hits as u64, Ordering::Relaxed);
-        self.index_misses
-            .fetch_add(s.index_misses as u64, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> EvalStats {
-        EvalStats {
-            refreshes: self.refreshes.load(Ordering::Relaxed) as usize,
-            removals: self.removals.load(Ordering::Relaxed) as usize,
-            refreshes_skipped: self.refreshes_skipped.load(Ordering::Relaxed) as usize,
-            bfs_nodes_visited: self.bfs_nodes_visited.load(Ordering::Relaxed) as usize,
-            index_hits: self.index_hits.load(Ordering::Relaxed) as usize,
-            index_misses: self.index_misses.load(Ordering::Relaxed) as usize,
-        }
-    }
-}
-
-/// Lock-free accumulator behind [`DurableExpFinder::cancel_totals`] —
-/// every deadline-carrying query drains its token's counters here when
-/// it finishes (successfully or by abort).
-#[derive(Default)]
-struct CancelCounters {
-    checked: AtomicU64,
-    fired: AtomicU64,
-}
-
-impl CancelCounters {
-    fn drain(&self, token: &CancelToken) {
-        self.checked.fetch_add(token.checks(), Ordering::Relaxed);
-        self.fired.fetch_add(token.fired(), Ordering::Relaxed);
-    }
-}
-
-// ---------------------------------------------------------------------
 // configuration
 // ---------------------------------------------------------------------
 
@@ -387,11 +348,9 @@ pub struct DurableExpFinder {
     graphs: RwLock<HashMap<String, Arc<PublishedGraph>>>,
     shards: Vec<ShardHandle>,
     ring: Ring,
-    cache: Mutex<QueryCache>,
-    scratch: ScratchPool,
-    eval_totals: EvalTotals,
-    planner: PlannerCounters,
-    cancel_totals: CancelCounters,
+    /// The engine's read path, shared verbatim: result cache, scratch
+    /// pool, thread budget, planner / evaluation / cancellation counters.
+    read: ReadPath,
     wal_counters: Arc<WalCounters>,
     /// The fault-injection gate every durability-critical I/O site of
     /// this runtime routes through (disarmed in production — see
@@ -435,18 +394,14 @@ impl DurableExpFinder {
             })
             .collect();
         let ring = Ring::new(config.shards.max(1));
-        let cache = Mutex::new(QueryCache::new(config.cache_capacity));
+        let read = ReadPath::new(config.cache_capacity, config.exec);
         let rt = DurableExpFinder {
             dir,
             config,
             graphs: RwLock::new(HashMap::new()),
             shards,
             ring,
-            cache,
-            scratch: ScratchPool::new(),
-            eval_totals: EvalTotals::default(),
-            planner: PlannerCounters::default(),
-            cancel_totals: CancelCounters::default(),
+            read,
             wal_counters,
             faults: FaultInjector::disarmed(),
             update_hook,
@@ -551,6 +506,9 @@ impl DurableExpFinder {
             .map_err(|_| ExpFinderError::Storage("shard worker terminated".to_owned()))?
     }
 
+    /// The runtime's half of a read: look the graph's published slot up.
+    /// Everything after it — snapshot grab, cache, registered, plan,
+    /// evaluate, rank — is the engine's [`ReadPath`].
     fn published(&self, name: &str) -> Result<Arc<PublishedGraph>, ExpFinderError> {
         self.graphs
             .read()
@@ -664,13 +622,13 @@ impl DurableExpFinder {
         name: &str,
         f: impl FnOnce(&DiGraph) -> R,
     ) -> Result<R, ExpFinderError> {
-        let snap = self.published(name)?.snapshot();
+        let snap = self.latest(name)?;
         Ok(f(&snap.graph))
     }
 
     /// The published version of a graph.
     pub fn graph_version(&self, name: &str) -> Result<u64, ExpFinderError> {
-        Ok(self.published(name)?.snapshot().version)
+        Ok(self.latest(name)?.version)
     }
 
     // --------------------------- queries ---------------------------
@@ -692,7 +650,8 @@ impl DurableExpFinder {
     /// `deadline` has elapsed the evaluation abandons work at its next
     /// cancellation point and returns
     /// [`ExpFinderError::DeadlineExceeded`] with the partial
-    /// [`EvalStats`]. `None` costs nothing on the hot path.
+    /// [`EvalStats`](expfinder_core::EvalStats). `None` costs nothing on
+    /// the hot path.
     pub fn query_deadline(
         &self,
         name: &str,
@@ -701,22 +660,10 @@ impl DurableExpFinder {
         prefer: Route,
         deadline: Option<Duration>,
     ) -> Result<QueryResponse, ExpFinderError> {
-        let threads = self.config.exec.threads.max(1);
-        let mut scratch = self.scratch.take();
         let token = deadline.map(CancelToken::with_deadline);
-        let out = self.execute(
-            name,
-            pattern,
-            top_k,
-            prefer,
-            threads,
-            &mut scratch,
-            token.as_deref(),
-        );
-        if let Some(t) = &token {
-            self.cancel_totals.drain(t);
-        }
-        out
+        let cancel = token.as_deref();
+        self.read
+            .query(|| self.published(name), pattern, top_k, prefer, cancel)
     }
 
     /// [`DurableExpFinder::query`] polling a caller-supplied
@@ -726,7 +673,7 @@ impl DurableExpFinder {
     /// supervisor, a deterministic test fuse) aborts the evaluation with
     /// [`ExpFinderError::DeadlineExceeded`] carrying the partial stats.
     /// The token's check/fire counts are folded into
-    /// [`DurableExpFinder::cancel_totals`] when the call returns.
+    /// [`ReadPath::cancel_totals`] when the call returns.
     pub fn query_cancellable(
         &self,
         name: &str,
@@ -735,30 +682,8 @@ impl DurableExpFinder {
         prefer: Route,
         token: &CancelToken,
     ) -> Result<QueryResponse, ExpFinderError> {
-        let threads = self.config.exec.threads.max(1);
-        let mut scratch = self.scratch.take();
-        let out = self.execute(
-            name,
-            pattern,
-            top_k,
-            prefer,
-            threads,
-            &mut scratch,
-            Some(token),
-        );
-        self.cancel_totals.drain(token);
-        out
-    }
-
-    /// Evaluate one [`QuerySpec`] (parsing DSL text if needed).
-    pub fn query_spec(
-        &self,
-        name: &str,
-        spec: &QuerySpec,
-    ) -> Result<QueryResponse, ExpFinderError> {
-        let threads = self.config.exec.threads.max(1);
-        let mut scratch = self.scratch.take();
-        self.run_spec(name, spec, threads, &mut scratch, None)
+        self.read
+            .query(|| self.published(name), pattern, top_k, prefer, Some(token))
     }
 
     /// Evaluate a batch of specs against one graph, fanning out across
@@ -784,306 +709,13 @@ impl DurableExpFinder {
         specs: Vec<QuerySpec>,
         deadline: Option<Duration>,
     ) -> Vec<Result<QueryResponse, ExpFinderError>> {
-        if specs.is_empty() {
-            return Vec::new();
-        }
-        let batch_token = deadline.map(CancelToken::with_deadline);
-        let batch_cancel = batch_token.as_deref();
-        let workers = self.config.exec.batch_parallelism.clamp(1, specs.len());
-        let inner_threads = (self.config.exec.threads / workers).max(1);
-        let indices: Vec<usize> = (0..specs.len()).collect();
-        let pairs = expfinder_core::parallel::run_items(
-            workers,
-            &indices,
-            || self.scratch.take(),
-            |scratch, &i| {
-                (
-                    i,
-                    self.run_spec(name, &specs[i], inner_threads, scratch, batch_cancel),
-                )
-            },
-        );
-        let out = match pairs {
-            Some(mut pairs) => {
-                pairs.sort_by_key(|(i, _)| *i);
-                pairs.into_iter().map(|(_, r)| r).collect()
-            }
-            None => {
-                let threads = self.config.exec.threads.max(1);
-                let mut scratch = self.scratch.take();
-                specs
-                    .iter()
-                    .map(|sp| self.run_spec(name, sp, threads, &mut scratch, batch_cancel))
-                    .collect()
-            }
-        };
-        if let Some(t) = &batch_token {
-            self.cancel_totals.drain(t);
-        }
-        out
+        self.read
+            .query_batch(|| self.published(name), &specs, deadline)
     }
 
-    fn run_spec(
-        &self,
-        name: &str,
-        spec: &QuerySpec,
-        threads: usize,
-        scratch: &mut EvalScratch,
-        batch_cancel: Option<&CancelToken>,
-    ) -> Result<QueryResponse, ExpFinderError> {
-        let (pattern, top_k, prefer) = spec.resolve()?;
-        // a per-spec deadline becomes its own token, clipped to whatever
-        // remains of the batch budget
-        let own = spec.deadline_budget().map(|d| {
-            let budget = batch_cancel
-                .and_then(CancelToken::remaining)
-                .map_or(d, |left| left.min(d));
-            CancelToken::with_deadline(budget)
-        });
-        let cancel = own.as_deref().or(batch_cancel);
-        let out = self.execute(name, &pattern, top_k, prefer, threads, scratch, cancel);
-        if let Some(t) = &own {
-            self.cancel_totals.drain(t);
-        }
-        out
-    }
-
-    /// Snapshot-grab, evaluate, rank: the whole read path. No lock is
-    /// held past the snapshot `Arc` clone.
-    #[allow(clippy::too_many_arguments)]
-    fn execute(
-        &self,
-        name: &str,
-        pattern: &Pattern,
-        top_k: Option<usize>,
-        prefer: Route,
-        threads: usize,
-        scratch: &mut EvalScratch,
-        cancel: Option<&CancelToken>,
-    ) -> Result<QueryResponse, ExpFinderError> {
-        let started = Instant::now();
-        let pg = self.published(name)?;
-        let snap = pg.snapshot();
-        let (matches, route, plan) =
-            self.eval_snapshot(&pg, &snap, pattern, prefer, threads, scratch, cancel)?;
-        let evaluate_time = started.elapsed();
-
-        let rank_started = Instant::now();
-        let experts = match top_k {
-            None => Vec::new(),
-            Some(k) => {
-                let opts = BuildOptions { threads };
-                let direct = matches!(
-                    route,
-                    EvalRoute::DirectSimulation | EvalRoute::DirectBounded
-                );
-                let csr = if direct { snap.csr_if_built() } else { None };
-                if let Some(csr) = csr {
-                    let rg = ResultGraph::build_with(&*csr, pattern, &matches, opts);
-                    rank_matches_top_k(&rg, pattern, &matches, k)?
-                } else {
-                    let rg = ResultGraph::build_with(&*snap.graph, pattern, &matches, opts);
-                    rank_matches_top_k(&rg, pattern, &matches, k)?
-                }
-            }
-        };
-        let rank_time = rank_started.elapsed();
-
-        Ok(QueryResponse {
-            experts,
-            matches,
-            route,
-            graph_version: snap.version,
-            timings: QueryTimings {
-                evaluate: evaluate_time,
-                rank: rank_time,
-                total: started.elapsed(),
-            },
-            plan,
-        })
-    }
-
-    /// The engine's routing: the exact-result short circuits (cache →
-    /// registered) in paper §II order, then the cost-based planner over
-    /// the published snapshot's physical routes — live adjacency,
-    /// reach-indexed CSR (sequential or parallel), and the published
-    /// quotient when one exists and the pattern is compression-safe.
-    /// The [`CostProfile`] lives on the graph's stable [`PublishedGraph`]
-    /// slot, so statistics accumulate across republished versions.
-    #[allow(clippy::too_many_arguments)]
-    fn eval_snapshot(
-        &self,
-        pg: &PublishedGraph,
-        snap: &Snapshot,
-        pattern: &Pattern,
-        prefer: Route,
-        threads: usize,
-        scratch: &mut EvalScratch,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(Arc<MatchRelation>, EvalRoute, PlanDecision), ExpFinderError> {
-        // a token that fired before evaluation started aborts here, with
-        // zero work to report
-        if cancel.is_some_and(|t| t.is_cancelled()) {
-            return Err(ExpFinderError::DeadlineExceeded(EvalStats::default()));
-        }
-        let fingerprint = pattern.fingerprint();
-        let key = QueryCache::key_for(pg.id, snap.version, &fingerprint);
-
-        if prefer == Route::Auto {
-            if let Some(hit) = self.cache.lock().get(&key, &fingerprint) {
-                let plan = PlanDecision::exact(PlanRoute::Cache);
-                self.planner.on_decision(&plan);
-                return Ok((hit, EvalRoute::Cache, plan));
-            }
-            for rv in &snap.registered {
-                if rv.fingerprint == fingerprint {
-                    let matches = Arc::clone(&rv.matches);
-                    self.cache
-                        .lock()
-                        .put(key, &fingerprint, Arc::clone(&matches));
-                    let plan = PlanDecision::exact(PlanRoute::Registered);
-                    self.planner.on_decision(&plan);
-                    return Ok((matches, EvalRoute::Registered, plan));
-                }
-            }
-        }
-
-        let try_compressed = prefer != Route::Direct;
-        let compression_ratio = if try_compressed {
-            snap.compressed.as_ref().and_then(|gc| {
-                if gc.validate_pattern(pattern).is_ok() {
-                    let cs = gc.stats();
-                    let original = (cs.original_nodes + cs.original_edges).max(1);
-                    let quotient = (cs.compressed_nodes + cs.compressed_edges).max(1);
-                    Some(quotient as f64 / original as f64)
-                } else {
-                    None
-                }
-            })
-        } else {
-            None
-        };
-        let inputs = pg.profile.inputs(
-            snap.version,
-            snap.graph.size(),
-            snap.csr_if_built().is_some(),
-        );
-        let ctx = PlanContext {
-            threads,
-            pattern_edges: pattern.edge_count(),
-            compression_ratio,
-        };
-        let mut plan = planner::plan(&inputs, &ctx);
-        plan.apply_preference(prefer);
-
-        // A fired token surfaces as the inner `Cancelled` before any torn
-        // state is cached or applied (see `expfinder-core`), so an
-        // aborted evaluation leaves scratch, cache and profile untouched.
-        let evaluated: Result<(MatchRelation, EvalStats, EvalRoute), Cancelled> = match plan.chosen
-        {
-            PlanRoute::Compressed => {
-                let gc = snap
-                    .compressed
-                    .as_ref()
-                    .expect("compressed candidate implies a published quotient");
-                let on_c = if pattern.is_simulation() {
-                    graph_simulation_cancellable(&**gc, pattern, scratch, cancel)?
-                } else if gc.has_label_index() {
-                    let bound = snap.reach_c.bind(&**gc);
-                    bounded_simulation_cancellable(
-                        &**gc,
-                        pattern,
-                        EvalOptions::default(),
-                        scratch,
-                        Some(&bound),
-                        cancel,
-                    )
-                } else {
-                    bounded_simulation_cancellable(
-                        &**gc,
-                        pattern,
-                        EvalOptions::default(),
-                        scratch,
-                        None,
-                        cancel,
-                    )
-                };
-                on_c.map(|(m, stats)| (gc.expand(&m), stats, EvalRoute::Compressed))
-            }
-            PlanRoute::SnapshotParallel => {
-                let csr = snap.csr(&pg.profile);
-                let bound = snap.reach.bind(&*csr);
-                if pattern.is_simulation() {
-                    parallel_simulation_cancellable(&*csr, pattern, threads, Some(&bound), cancel)?
-                        .map(|(m, stats)| (m, stats, EvalRoute::DirectSimulation))
-                } else {
-                    parallel_bounded_simulation_cancellable(
-                        &*csr,
-                        pattern,
-                        threads,
-                        Some(&bound),
-                        cancel,
-                    )
-                    .map(|(m, stats)| (m, stats, EvalRoute::DirectBounded))
-                }
-            }
-            PlanRoute::Snapshot => {
-                let csr = snap.csr(&pg.profile);
-                if pattern.is_simulation() {
-                    graph_simulation_cancellable(&*csr, pattern, scratch, cancel)?
-                        .map(|(m, stats)| (m, stats, EvalRoute::DirectSimulation))
-                } else {
-                    let bound = snap.reach.bind(&*csr);
-                    bounded_simulation_cancellable(
-                        &*csr,
-                        pattern,
-                        EvalOptions::default(),
-                        scratch,
-                        Some(&bound),
-                        cancel,
-                    )
-                    .map(|(m, stats)| (m, stats, EvalRoute::DirectBounded))
-                }
-            }
-            // Live (Cache/Registered never reach this point)
-            _ => {
-                if pattern.is_simulation() {
-                    graph_simulation_cancellable(&*snap.graph, pattern, scratch, cancel)?
-                        .map(|(m, stats)| (m, stats, EvalRoute::DirectSimulation))
-                } else {
-                    bounded_simulation_cancellable(
-                        &*snap.graph,
-                        pattern,
-                        EvalOptions::default(),
-                        scratch,
-                        None,
-                        cancel,
-                    )
-                    .map(|(m, stats)| (m, stats, EvalRoute::DirectBounded))
-                }
-            }
-        };
-        let (m, stats, route) = match evaluated {
-            Ok(t) => t,
-            Err(c) => {
-                // partial work still counts toward the runtime totals,
-                // but never into the cost profile or the cache
-                self.planner.on_decision(&plan);
-                self.eval_totals.add(c.stats);
-                return Err(ExpFinderError::DeadlineExceeded(c.stats));
-            }
-        };
-        pg.profile.note_eval(snap.version, &stats);
-        if plan.mispredicted(&stats) {
-            self.planner.on_mispredict();
-        }
-        self.planner.on_decision(&plan);
-        self.eval_totals.add(stats);
-        let matches = Arc::new(m);
-        self.cache
-            .lock()
-            .put(key, &fingerprint, Arc::clone(&matches));
-        Ok((matches, route, plan))
+    /// The latest published snapshot of a graph.
+    fn latest(&self, name: &str) -> Result<Arc<Snapshot>, ExpFinderError> {
+        Ok(self.published(name)?.snapshot())
     }
 
     // --------------------------- updates ---------------------------
@@ -1158,7 +790,7 @@ impl DurableExpFinder {
 
     /// Names of queries registered on a graph, sorted.
     pub fn registered_queries(&self, name: &str) -> Result<Vec<String>, ExpFinderError> {
-        let snap = self.published(name)?.snapshot();
+        let snap = self.latest(name)?;
         let mut names: Vec<String> = snap.registered.iter().map(|rv| rv.name.clone()).collect();
         names.sort();
         Ok(names)
@@ -1170,7 +802,7 @@ impl DurableExpFinder {
         name: &str,
         query_name: &str,
     ) -> Result<MatchRelation, ExpFinderError> {
-        let snap = self.published(name)?.snapshot();
+        let snap = self.latest(name)?;
         snap.registered
             .iter()
             .find(|rv| rv.name == query_name)
@@ -1212,7 +844,7 @@ impl DurableExpFinder {
     /// Compression statistics of the currently published quotient, or
     /// `None` when the graph is not compressed.
     pub fn compression_stats(&self, name: &str) -> Result<Option<CompressStats>, ExpFinderError> {
-        let snap = self.published(name)?.snapshot();
+        let snap = self.latest(name)?;
         Ok(snap.compressed.as_ref().map(|gc| gc.stats()))
     }
 
@@ -1239,40 +871,20 @@ impl DurableExpFinder {
 
     // --------------------------- metrics ---------------------------
 
-    /// Cumulative query-cache hit/miss/eviction counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.lock().stats()
-    }
-
-    /// Entries currently held by the query cache.
-    pub fn cache_len(&self) -> usize {
-        self.cache.lock().len()
-    }
-
-    /// Cumulative evaluation-work counters across every query served.
-    pub fn eval_totals(&self) -> EvalStats {
-        self.eval_totals.snapshot()
+    /// The read path this runtime answers queries through — the source
+    /// of the cache / evaluation / planner / cancellation counters.
+    pub fn read_path(&self) -> &ReadPath {
+        &self.read
     }
 
     /// Reach-index totals: cumulative hits/misses plus live entry/byte
-    /// gauges over the currently published snapshots.
+    /// gauges over the currently published snapshots' indexes (direct
+    /// and quotient).
     pub fn index_totals(&self) -> IndexTotals {
-        let stats = self.eval_totals.snapshot();
         let graphs: Vec<Arc<PublishedGraph>> =
             self.graphs.read().values().map(Arc::clone).collect();
-        let mut entries = 0usize;
-        let mut bytes = 0usize;
-        for pg in graphs {
-            let snap = pg.snapshot();
-            entries += snap.reach.len();
-            bytes += snap.reach.bytes();
-        }
-        IndexTotals {
-            hits: stats.index_hits as u64,
-            misses: stats.index_misses as u64,
-            entries,
-            bytes,
-        }
+        self.read
+            .index_totals(graphs.iter().map(|pg| pg.snapshot()))
     }
 
     /// Cumulative WAL activity.
@@ -1293,57 +905,12 @@ impl DurableExpFinder {
         Arc::clone(&self.faults)
     }
 
-    /// Cumulative planner counters: decisions made, preference
-    /// overrides recorded, and index-warmth mispredictions.
-    pub fn planner_totals(&self) -> PlannerTotals {
-        self.planner.totals()
-    }
-
-    /// Cumulative cancellation counters — armed checks polled and tokens
-    /// fired across every deadline-carrying query on this runtime.
-    pub fn cancel_totals(&self) -> CancelTotals {
-        CancelTotals {
-            checked: self.cancel_totals.checked.load(Ordering::Relaxed),
-            fired: self.cancel_totals.fired.load(Ordering::Relaxed),
-        }
-    }
-
     /// Estimate the planner cost (abstract work units) of evaluating
     /// `pattern` on the latest published snapshot of `name`, without
-    /// evaluating anything — the runtime-side twin of
-    /// [`expfinder_engine::ExpFinder::estimate_cost`], used by the
-    /// server's admission
-    /// control. Does not consult the cache or registered results, so
-    /// the estimate is conservative.
+    /// evaluating anything — the server's admission-control hook
+    /// ([`ReadPath::estimate_cost`]).
     pub fn estimate_cost(&self, name: &str, pattern: &Pattern) -> Result<f64, ExpFinderError> {
-        let pg = self.published(name)?;
-        let snap = pg.snapshot();
-        let compression_ratio = snap.compressed.as_ref().and_then(|gc| {
-            if gc.validate_pattern(pattern).is_ok() {
-                let cs = gc.stats();
-                let original = (cs.original_nodes + cs.original_edges).max(1);
-                let quotient = (cs.compressed_nodes + cs.compressed_edges).max(1);
-                Some(quotient as f64 / original as f64)
-            } else {
-                None
-            }
-        });
-        let inputs = pg.profile.inputs(
-            snap.version,
-            snap.graph.size(),
-            snap.csr_if_built().is_some(),
-        );
-        let ctx = PlanContext {
-            threads: self.config.exec.threads.max(1),
-            pattern_edges: pattern.edge_count(),
-            compression_ratio,
-        };
-        let plan = planner::plan(&inputs, &ctx);
-        Ok(plan
-            .candidates
-            .iter()
-            .find(|c| c.route == plan.planned)
-            .map_or(f64::INFINITY, |c| c.cost))
+        Ok(self.read.estimate_cost(&*self.latest(name)?, pattern))
     }
 
     /// Per-shard load: mailbox depth, owned graphs, processed commands.
@@ -1370,8 +937,10 @@ impl DurableExpFinder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use expfinder_engine::{EvalRoute, PlanRoute};
     use expfinder_graph::fixtures::collaboration_fig1;
     use expfinder_pattern::fixtures::{fig1_pattern, fig1_pattern_simulation};
+    use parking_lot::Mutex;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("expfinder_rt_{tag}_{}", std::process::id()));
@@ -1399,7 +968,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.http_status(), 408);
         assert!(err.partial_stats().is_some());
-        assert!(rt.cancel_totals().fired >= 1);
+        assert!(rt.read_path().cancel_totals().fired >= 1);
         // the next un-deadlined query is unaffected and uncached
         let ok = rt.query("fig1", &q, None, Route::Auto).unwrap();
         assert_ne!(ok.route, EvalRoute::Cache);
@@ -1753,7 +1322,7 @@ mod tests {
             .unwrap();
         assert!(forced.plan.overridden, "preference is recorded, not hidden");
 
-        let totals = rt.planner_totals();
+        let totals = rt.read_path().planner_totals();
         assert_eq!(totals.decisions, 3);
         assert_eq!(totals.overrides, 1);
         let _ = std::fs::remove_dir_all(&dir);

@@ -276,8 +276,15 @@ impl GraphActor {
             .compressed
             .as_ref()
             .map(|mc| Arc::new(mc.compressed().clone()));
-        let snap = Arc::new(Snapshot::new(&self.graph, registered, compressed));
-        *self.published.state.write() = snap;
+        let slot = &self.published;
+        let snap = Snapshot::new(
+            slot.id,
+            Arc::clone(&slot.profile),
+            &self.graph,
+            registered,
+            compressed,
+        );
+        *slot.state.write() = Arc::new(snap);
     }
 
     /// Build (or rebuild) the maintained quotient and republish so the

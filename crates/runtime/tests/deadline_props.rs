@@ -1,18 +1,24 @@
-//! Property tests for cooperative cancellation on the durable backend:
-//! a deadline firing at an arbitrary cancellation point must leave the
-//! published snapshot, the runtime cache and the scratch pool
-//! unpoisoned — the next un-deadlined query answers bit-identically to
-//! the independent oracle's fresh evaluation.
+//! Property tests for cooperative cancellation: a deadline firing at an
+//! *arbitrary* cancellation point must leave either backend unpoisoned.
+//!
+//! The fuse token ([`CancelToken::after_checks`]) fires at an exact
+//! armed check instead of racing a timer, so every refinement round of
+//! every route is reachable deterministically. Whatever round the
+//! evaluation was abandoned at, the very next un-deadlined query — cold,
+//! then through the now-warm cache — must be bit-identical to the
+//! independent oracle's fresh evaluation: on the in-memory engine
+//! (sequential and parallel exec) and on the durable runtime, whose
+//! published snapshot, cache and scratch pool it must not have touched.
+//! Both facades live in this one suite because they run one `ReadPath`.
 
-use expfinder_core::bounded_simulation;
-use expfinder_engine::{ExecConfig, ExpFinderError, Route};
-use expfinder_graph::{AttrValue, DiGraph, NodeId};
-use expfinder_pattern::{Bound, PNodeId, Pattern, PatternEdge, PatternNode, Predicate};
+use expfinder_core::Semantics;
+use expfinder_engine::{EngineConfig, ExecConfig, ExpFinder, ExpFinderError, QuerySpec, Route};
 use expfinder_runtime::wal::FsyncPolicy;
 use expfinder_runtime::{CancelToken, DurableExpFinder, RuntimeConfig};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 /// Unique temp dir per proptest case (cases run concurrently).
 fn tmpdir() -> PathBuf {
@@ -25,86 +31,71 @@ fn tmpdir() -> PathBuf {
     dir
 }
 
-#[derive(Clone, Debug)]
-struct RawCase {
-    labels: Vec<u8>,
-    exps: Vec<u8>,
-    edges: Vec<(u8, u8)>,
-    plabels: Vec<u8>,
-    pthresholds: Vec<u8>,
-    pedges: Vec<(u8, u8, u8)>,
-}
+// the raw graph / pattern generators and the queue oracle of the core
+// equivalence suites — one copy, included here by path
+#[path = "../../core/tests/common/mod.rs"]
+mod common;
+use common::*;
 
-fn raw_case() -> impl Strategy<Value = RawCase> {
-    ((2usize..=10), (2usize..=3)).prop_flat_map(|(n, pn)| {
-        (
-            (
-                proptest::collection::vec(0u8..3, n),
-                proptest::collection::vec(0u8..3, n),
-                proptest::collection::vec((0u8..n as u8, 0u8..n as u8), 0..n * 3),
-            ),
-            (
-                proptest::collection::vec(0u8..3, pn),
-                proptest::collection::vec(0u8..3, pn),
-                proptest::collection::vec((0u8..pn as u8, 0u8..pn as u8, 0u8..4), 1..pn * 2),
-            ),
-        )
-            .prop_map(
-                |((labels, exps, edges), (plabels, pthresholds, pedges))| RawCase {
-                    labels,
-                    exps,
-                    edges,
-                    plabels,
-                    pthresholds,
-                    pedges,
-                },
-            )
-    })
-}
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
-fn build_case(raw: &RawCase) -> (DiGraph, Pattern) {
-    let mut g = DiGraph::new();
-    for (l, e) in raw.labels.iter().zip(&raw.exps) {
-        g.add_node(
-            &format!("L{l}"),
-            [("experience", AttrValue::Int(*e as i64))],
-        );
-    }
-    for &(a, b) in &raw.edges {
-        if a != b {
-            g.add_edge(NodeId(a as u32), NodeId(b as u32));
-        }
-    }
-    let nodes: Vec<PatternNode> = raw
-        .plabels
-        .iter()
-        .zip(&raw.pthresholds)
-        .enumerate()
-        .map(|(i, (l, t))| PatternNode {
-            name: format!("v{i}"),
-            predicate: Predicate::label(format!("L{l}"))
-                .and(Predicate::attr_ge("experience", *t as i64)),
-        })
-        .collect();
-    let mut seen = std::collections::HashSet::new();
-    let mut edges = Vec::new();
-    for &(f, t, b) in &raw.pedges {
-        if f == t || !seen.insert((f, t)) {
-            continue;
-        }
-        let bound = if b == 0 {
-            Bound::Unbounded
+    /// Cancel at the `fuse`-th cancellation point, then re-query: the
+    /// abandoned evaluation must not have leaked partial state into the
+    /// cache, the scratch pool, the cost profile or the CSR snapshot.
+    #[test]
+    fn deadline_at_any_round_leaves_engine_unpoisoned(
+        rg in raw_graph(12),
+        rp in raw_pattern(),
+        fuse in 1u64..48,
+        parallel in proptest::bool::ANY,
+    ) {
+        let (g, q) = (build_graph(&rg), build_pattern(&rp, false));
+        let oracle = oracle(&g, &q, Semantics::Bounded);
+
+        let exec = if parallel {
+            ExecConfig { threads: 3, batch_parallelism: 2 }
         } else {
-            Bound::hops(b as u32)
+            ExecConfig::sequential()
         };
-        edges.push(PatternEdge {
-            from: PNodeId(f as u32),
-            to: PNodeId(t as u32),
-            bound,
-        });
+        let engine = ExpFinder::new(EngineConfig { exec, ..EngineConfig::default() });
+        let h = engine.add_graph("g", g).unwrap();
+
+        // fire at an arbitrary cancellation point; a fuse longer than
+        // the whole evaluation means the query completes — and then it
+        // must already agree with the oracle
+        let token = CancelToken::after_checks(fuse);
+        match engine.query(&h).pattern(q.clone()).cancel_token(token).run() {
+            Err(ExpFinderError::DeadlineExceeded(_)) => {}
+            Ok(resp) => prop_assert_eq!(&*resp.matches, &oracle),
+            Err(other) => prop_assert!(false, "unexpected error: {other}"),
+        }
+
+        // the next un-deadlined query is bit-identical to a fresh
+        // evaluation — nothing partial was cached or left in scratch
+        let after = engine.query(&h).pattern(q.clone()).top_k(3).run().unwrap();
+        prop_assert_eq!(&*after.matches, &oracle);
+
+        // and so is the cache hit that follows it
+        let cached = engine.query(&h).pattern(q.clone()).run().unwrap();
+        prop_assert_eq!(&*cached.matches, &oracle);
+
+        // a zero batch budget deadlines every slot without poisoning
+        // the batch scratch pool either
+        let slots = engine.query_batch_deadline(
+            &h,
+            vec![QuerySpec::pattern(q.clone()), QuerySpec::pattern(q.clone())],
+            Some(Duration::ZERO),
+        );
+        for slot in slots {
+            match slot {
+                Err(ExpFinderError::DeadlineExceeded(_)) => {}
+                other => prop_assert!(false, "expected DeadlineExceeded, got {other:?}"),
+            }
+        }
+        let final_run = engine.query(&h).pattern(q).run().unwrap();
+        prop_assert_eq!(&*final_run.matches, &oracle);
     }
-    let q = Pattern::from_parts(nodes, edges, Some(PNodeId(0))).expect("valid pattern");
-    (g, q)
 }
 
 proptest! {
@@ -114,11 +105,12 @@ proptest! {
     /// then re-query without a deadline: same answer as the oracle.
     #[test]
     fn deadline_at_any_round_leaves_runtime_unpoisoned(
-        raw in raw_case(),
+        rg in raw_graph(10),
+        rp in raw_pattern(),
         fuse in 1u64..40,
     ) {
-        let (g, q) = build_case(&raw);
-        let oracle = bounded_simulation(&g, &q).unwrap();
+        let (g, q) = (build_graph(&rg), build_pattern(&rp, false));
+        let oracle = oracle(&g, &q, Semantics::Bounded);
 
         let dir = tmpdir();
         let rt = DurableExpFinder::open(

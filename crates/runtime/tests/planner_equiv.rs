@@ -1,21 +1,42 @@
-//! Property tests pinning the route planner to its contract: routing is
-//! an *optimization*, never a semantic choice. For any seeded graph,
-//! update history and pattern, the match relation under `Route::Auto`
-//! (planner's pick) is bit-identical to forced `Route::Direct`, and to
-//! `Route::Compressed` once the graph carries a quotient — on both the
-//! in-process engine and the durable runtime, cold (first read, planner
-//! leans live) and warm (profile amortized, planner leans snapshot).
+//! The parity script: one read path, two facades, no daylight between
+//! them.
+//!
+//! A seeded op script drives the in-process engine and the durable
+//! runtime through the *same* history — probe, update batch, probe,
+//! `register`, probe, `compress`, probe — where a probe is every `Route`
+//! preference × `top_k` ∈ {None, 3} × {no deadline, a zero-deadline fuse}
+//! over two patterns. After every single query the two backends must
+//! agree on `matches`, `experts`, `route`, the whole plan decision
+//! (`chosen`, `planned`, `overridden`, `candidates`) and
+//! `graph_version`, or on the same 408 with the same partial stats. Both
+//! run `ReadPath`, so any disagreement is a `GraphState` implementor
+//! lying about its graph.
+//!
+//! The older contract rides along: routing is an *optimization*, never a
+//! semantic choice. Within a phase every preference returns the relation
+//! the queue oracle computes over a model graph — cold (first read,
+//! planner leans live) and warm (profile amortized, planner leans
+//! snapshot; the graph is padded so the snapshot routes can win).
 
 use expfinder_compress::CompressionMethod;
-use expfinder_engine::{ExecConfig, ExpFinder, Route};
+use expfinder_core::{evaluate, EvalOptions, EvalRequest, MatchRelation, Semantics};
+use expfinder_engine::{
+    EngineConfig, ExecConfig, ExpFinder, ExpFinderError, GraphHandle, QueryResponse, Route,
+};
 use expfinder_graph::{DiGraph, EdgeUpdate, NodeId};
 use expfinder_pattern::{Bound, Pattern, PatternBuilder, Predicate};
 use expfinder_runtime::{DurableExpFinder, FsyncPolicy, RuntimeConfig};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 const NODES: u32 = 16;
+
+/// Inert padding target: large enough that an amortized (or
+/// thread-divided) CSR build beats the live adjacency, so the snapshot
+/// routes are reachable.
+const PAD_SIZE: usize = 4096;
 
 /// Unique temp dir per proptest case (cases run concurrently).
 fn tmpdir(tag: &str) -> PathBuf {
@@ -27,24 +48,28 @@ fn tmpdir(tag: &str) -> PathBuf {
     ))
 }
 
-fn runtime_config() -> RuntimeConfig {
+fn runtime_config(exec: ExecConfig) -> RuntimeConfig {
     RuntimeConfig {
         shards: 2,
         fsync: FsyncPolicy::Never,
-        exec: ExecConfig::sequential(),
+        exec,
         ..RuntimeConfig::default()
     }
 }
 
 /// A graph with `NODES` nodes, labels cycling over three classes, and
-/// the given edges (modulo the node count).
-fn graph_with_edges(edges: &[(u32, u32)]) -> DiGraph {
+/// the given edges (modulo the node count), padded with isolated `pad`
+/// nodes up to `pad_to` elements.
+fn graph_with_edges(edges: &[(u32, u32)], pad_to: usize) -> DiGraph {
     let mut g = DiGraph::new();
     for i in 0..NODES {
         g.add_node(["A", "B", "C"][i as usize % 3], []);
     }
     for &(a, b) in edges {
         g.add_edge(NodeId(a % NODES), NodeId(b % NODES));
+    }
+    while g.size() < pad_to {
+        g.add_node("pad", []);
     }
     g
 }
@@ -84,96 +109,200 @@ fn pattern_for(kind: u8, b1: u32, b2: u32) -> Pattern {
     .unwrap()
 }
 
-/// Fixed pattern used only to warm a graph's `CostProfile` (every eval
-/// bumps reads-at-version, pushing the planner from live to snapshot).
-fn warm_pattern() -> Pattern {
-    PatternBuilder::new()
-        .node_output("u", Predicate::label("B"))
-        .node("v", Predicate::label("C"))
-        .edge("u", "v", Bound::hops(2))
-        .build()
-        .unwrap()
+/// `M(Q,G)` by the queue oracle, straight off the model graph.
+fn oracle(g: &DiGraph, q: &Pattern) -> MatchRelation {
+    let req = EvalRequest {
+        options: EvalOptions::queue(),
+        ..EvalRequest::new(Semantics::Bounded)
+    };
+    evaluate(g, q, req).unwrap().0
+}
+
+/// Both backends, built from one graph with one exec config, plus the
+/// model graph the oracle runs on.
+struct Pair {
+    engine: ExpFinder,
+    handle: GraphHandle,
+    rt: DurableExpFinder,
+    model: DiGraph,
+}
+
+impl Pair {
+    /// One query on both backends; they must agree on everything a
+    /// client can observe. Returns the (engine's) answer, `None` for an
+    /// agreed deadline abort.
+    fn query(
+        &self,
+        q: &Pattern,
+        prefer: Route,
+        top_k: Option<usize>,
+        deadline: Option<Duration>,
+    ) -> Option<QueryResponse> {
+        let a = self
+            .engine
+            .query_deadline(&self.handle, q, top_k, prefer, deadline);
+        let b = self.rt.query_deadline("g", q, top_k, prefer, deadline);
+        match (a, b) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(*a.matches, *b.matches);
+                assert_eq!(a.experts, b.experts);
+                assert_eq!(a.route, b.route);
+                assert_eq!(a.plan.chosen, b.plan.chosen);
+                assert_eq!(a.plan.planned, b.plan.planned);
+                assert_eq!(a.plan.overridden, b.plan.overridden);
+                assert_eq!(a.plan.candidates, b.plan.candidates);
+                assert_eq!(a.graph_version, b.graph_version);
+                assert_eq!(a.graph_version, self.model.version());
+                Some(a)
+            }
+            (Err(a), Err(b)) => {
+                assert!(matches!(a, ExpFinderError::DeadlineExceeded(_)), "{a}");
+                assert_eq!(a.partial_stats(), b.partial_stats());
+                None
+            }
+            (a, b) => {
+                let (a, b) = (a.map(|r| r.route), b.map(|r| r.route));
+                panic!("backends disagree: engine {a:?}, runtime {b:?}")
+            }
+        }
+    }
+
+    /// Every preference × `top_k` × deadline fuse over `patterns`; every
+    /// answered query must return the oracle's relation.
+    fn probe(&self, patterns: &[&Pattern], phase: &str) {
+        for q in patterns {
+            let want = oracle(&self.model, q);
+            for prefer in [Route::Auto, Route::Direct, Route::Compressed] {
+                for top_k in [None, Some(3)] {
+                    let fused = self.query(q, prefer, top_k, Some(Duration::ZERO));
+                    assert!(fused.is_none(), "{phase}: a spent budget answers 408");
+                    let resp = self.query(q, prefer, top_k, None);
+                    let resp = resp.expect("no deadline, no abort");
+                    assert_eq!(*resp.matches, want, "{phase}: {prefer:?}");
+                    assert!(resp.experts.len() <= top_k.unwrap_or(0));
+                }
+            }
+        }
+    }
+
+    /// One update batch through both write paths (and the model), ending
+    /// in a toggle of edge 0 → 1 so the version is guaranteed to move.
+    fn update(&mut self, updates: &[EdgeUpdate]) {
+        let mut batch = updates.to_vec();
+        for &up in updates {
+            self.model.apply(up);
+        }
+        let (a, b) = (NodeId(0), NodeId(1));
+        batch.push(if self.model.has_edge(a, b) {
+            EdgeUpdate::Delete(a, b)
+        } else {
+            EdgeUpdate::Insert(a, b)
+        });
+        assert!(self.model.apply(batch[updates.len()]), "the toggle applies");
+        let applied = self.engine.apply_updates(&self.handle, &batch).unwrap();
+        assert_eq!(applied, self.rt.apply_updates("g", &batch).unwrap());
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn planner_routes_are_semantics_preserving(
+    fn backends_agree_on_every_query_of_one_history(
         initial in proptest::collection::vec((0..NODES, 0..NODES), 4..40),
-        updates in proptest::collection::vec(update_strategy(), 1..12),
+        updates in proptest::collection::vec(update_strategy(), 3..18),
         kind in 0u8..3,
         b1 in 1u32..4,
         b2 in 1u32..4,
+        threads in 1usize..3,
     ) {
-        let g = graph_with_edges(&initial);
+        let g = graph_with_edges(&initial, PAD_SIZE);
         let p = pattern_for(kind, b1, b2);
         let p2 = pattern_for((kind + 1) % 3, b2, b1);
-        let warm = warm_pattern();
+        let patterns = [&p, &p2];
+        // one thread: live → snapshot as reads amortize the build; two:
+        // the SnapshotParallel candidate is in play from the first read
+        let exec = ExecConfig { threads, batch_parallelism: 1 };
 
-        // ----- in-process engine (default exec: available parallelism,
-        // so the SnapshotParallel candidate is in play) -----
-        let engine = ExpFinder::default();
-        let h = engine.add_graph("g", g.clone()).unwrap();
+        let engine = ExpFinder::new(EngineConfig { exec, ..EngineConfig::default() });
+        let handle = engine.add_graph("g", g.clone()).unwrap();
+        let dir = tmpdir("parity");
+        let rt = DurableExpFinder::open(&dir, runtime_config(exec)).unwrap();
+        rt.add_graph("g", g.clone()).unwrap();
+        let mut pair = Pair { engine, handle, rt, model: g };
 
-        // cold: first read on a fresh graph (Auto must run first — a
-        // Direct eval would populate the cache and turn the Auto query
-        // into a trivial cache hit)
-        let cold = engine.query(&h).pattern(p.clone()).prefer(Route::Auto).run().unwrap();
-        let direct = engine.query(&h).pattern(p.clone()).prefer(Route::Direct).run().unwrap();
-        prop_assert_eq!(&*cold.matches, &*direct.matches);
-        prop_assert!(!cold.plan.candidates.is_empty());
+        pair.probe(&patterns, "fresh");
+        let cold = pair.engine.read_path().planner_totals();
+        prop_assert_eq!(cold, pair.rt.read_path().planner_totals());
 
-        // warm: amortize the profile, then plan a pattern the cache has
-        // never seen — the planner now leans snapshot
-        for _ in 0..4 {
-            engine.query(&h).pattern(warm.clone()).prefer(Route::Direct).run().unwrap();
-        }
-        let warm2 = engine.query(&h).pattern(p2.clone()).prefer(Route::Auto).run().unwrap();
-        let direct2 = engine.query(&h).pattern(p2.clone()).prefer(Route::Direct).run().unwrap();
-        prop_assert_eq!(&*warm2.matches, &*direct2.matches);
+        // A republish at an unchanged version (register, compress, a
+        // batch of no-ops) hands runtime readers a snapshot without the
+        // lazily built CSR, while the engine keeps its own until the
+        // version moves — a difference in what the two *hold*, which the
+        // planner correctly reports as different costs. The script rolls
+        // the version right before each of those ops (every batch ends in
+        // an edge toggle) so both sides start the phase without one.
+        let (first, rest) = updates.split_at(updates.len() / 3);
+        let (second, third) = rest.split_at(rest.len() / 2);
+        pair.update(first);
+        pair.probe(&patterns, "after updates");
 
-        // after updates: cache invalidated, profile reads reset, replan
-        engine.apply_updates(&h, &updates).unwrap();
-        let auto3 = engine.query(&h).pattern(p.clone()).prefer(Route::Auto).run().unwrap();
-        let direct3 = engine.query(&h).pattern(p.clone()).prefer(Route::Direct).run().unwrap();
-        prop_assert_eq!(&*auto3.matches, &*direct3.matches);
+        pair.update(second);
+        pair.engine.register_query(&pair.handle, "standing", p.clone()).unwrap();
+        pair.rt.register_query("g", "standing", p.clone()).unwrap();
+        pair.probe(&patterns, "after register");
 
-        // compressed override: evaluate on the quotient, expand, compare
-        engine.compress(&h).unwrap();
-        let comp = engine.query(&h).pattern(p.clone()).prefer(Route::Compressed).run().unwrap();
-        prop_assert_eq!(&*comp.matches, &*direct3.matches);
+        pair.update(third);
+        pair.engine.compress(&pair.handle).unwrap();
+        pair.rt.compress("g", CompressionMethod::Bisimulation).unwrap();
+        pair.probe(&patterns, "after compress");
 
-        // ----- durable runtime (sequential exec, WAL-backed) -----
-        let dir = tmpdir("equiv");
-        let rt = DurableExpFinder::open(&dir, runtime_config()).unwrap();
-        rt.add_graph("g", g).unwrap();
+        prop_assert_eq!(
+            pair.engine.read_path().planner_totals(),
+            pair.rt.read_path().planner_totals()
+        );
+        prop_assert_eq!(
+            pair.engine.read_path().cache_stats(),
+            pair.rt.read_path().cache_stats()
+        );
+        prop_assert_eq!(pair.engine.index_totals(), pair.rt.index_totals());
 
-        let d_cold = rt.query("g", &p, None, Route::Auto).unwrap();
-        let d_direct = rt.query("g", &p, None, Route::Direct).unwrap();
-        prop_assert_eq!(&*d_cold.matches, &*d_direct.matches);
-        // cross-check: the durable runtime agrees with the engine
-        prop_assert_eq!(&*d_direct.matches, &*direct.matches);
-
-        for _ in 0..4 {
-            rt.query("g", &warm, None, Route::Direct).unwrap();
-        }
-        let d_warm2 = rt.query("g", &p2, None, Route::Auto).unwrap();
-        let d_direct2 = rt.query("g", &p2, None, Route::Direct).unwrap();
-        prop_assert_eq!(&*d_warm2.matches, &*d_direct2.matches);
-        prop_assert_eq!(&*d_direct2.matches, &*direct2.matches);
-
-        rt.apply_updates("g", &updates).unwrap();
-        let d_auto3 = rt.query("g", &p, None, Route::Auto).unwrap();
-        let d_direct3 = rt.query("g", &p, None, Route::Direct).unwrap();
-        prop_assert_eq!(&*d_auto3.matches, &*d_direct3.matches);
-        prop_assert_eq!(&*d_direct3.matches, &*direct3.matches);
-
-        rt.compress("g", CompressionMethod::Bisimulation).unwrap();
-        let d_comp = rt.query("g", &p, None, Route::Compressed).unwrap();
-        prop_assert_eq!(&*d_comp.matches, &*d_direct3.matches);
-
-        drop(rt);
+        drop(pair);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// `engine.index.{entries,bytes}` counts the quotient's reach index on
+/// both backends: after `compress` and one bounded query on the
+/// compressed route the totals are equal, and non-zero.
+#[test]
+fn index_totals_count_the_quotient_index_on_both_backends() {
+    let exec = ExecConfig::sequential();
+    let g = graph_with_edges(&[(0, 1), (0, 2), (3, 4), (3, 5), (6, 7), (1, 2)], 0);
+    let q = pattern_for(1, 2, 2);
+
+    let engine = ExpFinder::new(EngineConfig {
+        exec,
+        ..EngineConfig::default()
+    });
+    let h = engine.add_graph("g", g.clone()).unwrap();
+    engine.compress(&h).unwrap();
+    let a = engine
+        .query_deadline(&h, &q, None, Route::Compressed, None)
+        .unwrap();
+
+    let dir = tmpdir("index_totals");
+    let rt = DurableExpFinder::open(&dir, runtime_config(exec)).unwrap();
+    rt.add_graph("g", g).unwrap();
+    rt.compress("g", CompressionMethod::Bisimulation).unwrap();
+    let b = rt.query("g", &q, None, Route::Compressed).unwrap();
+
+    assert_eq!(a.plan.chosen, expfinder_engine::PlanRoute::Compressed);
+    assert_eq!(b.plan.chosen, expfinder_engine::PlanRoute::Compressed);
+    let (ta, tb) = (engine.index_totals(), rt.index_totals());
+    assert!(ta.hits > 0 && ta.entries > 0 && ta.bytes > 0, "{ta:?}");
+    assert_eq!(ta, tb, "one index_totals over GraphState");
+
+    drop(rt);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -15,19 +15,16 @@
 //! exact set of operations the routes need, both variants are known at
 //! compile time, and `match` keeps the delegation visible in one file.
 
-use expfinder_core::{EvalStats, MatchRelation};
+use expfinder_core::MatchRelation;
 use expfinder_engine::{
-    CancelTotals, ExpFinder, ExpFinderError, GraphInfo, IndexTotals, PlannerTotals, QueryResponse,
-    QuerySpec, Route, UpdateHook, UpdateReport,
+    ExpFinder, ExpFinderError, GraphInfo, IndexTotals, QueryResponse, QuerySpec, ReadPath, Route,
+    UpdateHook, UpdateReport,
 };
 use expfinder_graph::{DiGraph, EdgeUpdate};
 use expfinder_pattern::Pattern;
 use expfinder_runtime::{DurableExpFinder, FaultTotals, ShardStats, WalTotals};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Cache statistics re-exported so `metrics` has one source type.
-pub use expfinder_engine::cache::CacheStats;
 
 /// The serving backend — see the module docs. Cloning is cheap (both
 /// variants are an `Arc`) and shares the underlying engine.
@@ -83,21 +80,10 @@ impl Backend {
         }
     }
 
-    /// Evaluate one pattern.
-    pub fn query(
-        &self,
-        name: &str,
-        pattern: &Pattern,
-        top_k: Option<usize>,
-        prefer: Route,
-    ) -> Result<QueryResponse, ExpFinderError> {
-        self.query_deadline(name, pattern, top_k, prefer, None)
-    }
-
     /// Evaluate one pattern under an optional end-to-end deadline:
     /// evaluation aborts cooperatively once the budget is spent and
     /// surfaces as [`ExpFinderError::DeadlineExceeded`] carrying the
-    /// partial [`EvalStats`].
+    /// partial [`EvalStats`](expfinder_core::EvalStats).
     pub fn query_deadline(
         &self,
         name: &str,
@@ -108,34 +94,17 @@ impl Backend {
     ) -> Result<QueryResponse, ExpFinderError> {
         match self {
             Backend::Local(e) => {
-                let handle = e.handle(name)?;
-                let mut builder = e.query(&handle).pattern(pattern.clone()).prefer(prefer);
-                if let Some(k) = top_k {
-                    builder = builder.top_k(k);
-                }
-                if let Some(d) = deadline {
-                    builder = builder.deadline(d);
-                }
-                builder.run()
+                e.query_deadline(&e.handle(name)?, pattern, top_k, prefer, deadline)
             }
             Backend::Durable(rt) => rt.query_deadline(name, pattern, top_k, prefer, deadline),
         }
     }
 
-    /// Evaluate a batch of specs against one graph. The graph is
-    /// resolved up front so an unknown name fails the whole request
-    /// (404) rather than every slot.
-    pub fn query_batch(
-        &self,
-        name: &str,
-        specs: Vec<QuerySpec>,
-    ) -> Result<Vec<Result<QueryResponse, ExpFinderError>>, ExpFinderError> {
-        self.query_batch_deadline(name, specs, None)
-    }
-
-    /// [`Backend::query_batch`] under an optional batch-wide deadline
-    /// shared by every slot (each spec may additionally carry its own,
-    /// clipped to whatever remains of the batch budget).
+    /// Evaluate a batch of specs against one graph under an optional
+    /// batch-wide deadline shared by every slot (each spec may
+    /// additionally carry its own, clipped to whatever remains of the
+    /// batch budget). The graph is resolved up front so an unknown name
+    /// fails the whole request (404) rather than every slot.
     pub fn query_batch_deadline(
         &self,
         name: &str,
@@ -241,24 +210,12 @@ impl Backend {
 
     // ------------------------- metrics feeds ------------------------
 
-    pub fn cache_stats(&self) -> CacheStats {
+    /// The shared read path of either engine — the one source of the
+    /// cache, evaluation, planner and cancellation counters.
+    pub fn read_path(&self) -> &ReadPath {
         match self {
-            Backend::Local(e) => e.cache_stats(),
-            Backend::Durable(rt) => rt.cache_stats(),
-        }
-    }
-
-    pub fn cache_len(&self) -> usize {
-        match self {
-            Backend::Local(e) => e.cache_len(),
-            Backend::Durable(rt) => rt.cache_len(),
-        }
-    }
-
-    pub fn eval_totals(&self) -> EvalStats {
-        match self {
-            Backend::Local(e) => e.eval_totals(),
-            Backend::Durable(rt) => rt.eval_totals(),
+            Backend::Local(e) => e.read_path(),
+            Backend::Durable(rt) => rt.read_path(),
         }
     }
 
@@ -266,23 +223,6 @@ impl Backend {
         match self {
             Backend::Local(e) => e.index_totals(),
             Backend::Durable(rt) => rt.index_totals(),
-        }
-    }
-
-    /// Cumulative route-planner counters from either engine.
-    pub fn planner_totals(&self) -> PlannerTotals {
-        match self {
-            Backend::Local(e) => e.planner_totals(),
-            Backend::Durable(rt) => rt.planner_totals(),
-        }
-    }
-
-    /// Cumulative cancellation counters (deadline checks polled, tokens
-    /// fired) from either engine — the `engine.cancel` metrics block.
-    pub fn cancel_totals(&self) -> CancelTotals {
-        match self {
-            Backend::Local(e) => e.cancel_totals(),
-            Backend::Durable(rt) => rt.cancel_totals(),
         }
     }
 

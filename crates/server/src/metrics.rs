@@ -340,11 +340,12 @@ impl Metrics {
             .iter()
             .map(|k| (k.name(), self.routes[k.index()].to_json()))
             .collect::<Vec<_>>();
-        let cache = backend.cache_stats();
-        let eval = backend.eval_totals();
+        let read = backend.read_path();
+        let cache = read.cache_stats();
+        let eval = read.eval_totals();
         let index = backend.index_totals();
-        let planner = backend.planner_totals();
-        let cancel = backend.cancel_totals();
+        let planner = read.planner_totals();
+        let cancel = read.cancel_totals();
         let wal = backend.wal_totals();
         let faults = backend.fault_totals();
         let shards: Vec<Value> = backend
@@ -366,7 +367,7 @@ impl Metrics {
                     ("hits", Value::Int(cache.hits as i64)),
                     ("misses", Value::Int(cache.misses as i64)),
                     ("evictions", Value::Int(cache.evictions as i64)),
-                    ("entries", Value::Int(backend.cache_len() as i64)),
+                    ("entries", Value::Int(read.cache_len() as i64)),
                 ]),
             ),
             (

@@ -1,9 +1,9 @@
 # Offline CI entry points (the container mirror of .github/workflows/ci.yml).
 
-# everything the CI `check` job runs, in order, plus the repo-benchmark
-# smoke (the benchmark package has its own `[workspace]`, so nothing
-# above compiles it)
-verify: fmt-check clippy test docs-check bench-e2e-smoke
+# everything the CI `check` and `doc` jobs run, in order, plus the
+# repo-benchmark smoke (the benchmark package has its own `[workspace]`,
+# so nothing above compiles it)
+verify: fmt-check clippy test doc docs-check bench-e2e-smoke
 
 fmt-check:
     cargo fmt --all --check
@@ -15,7 +15,8 @@ test:
     cargo build --release
     cargo test --workspace
 
-# the CI `doc` job: rustdoc with warnings promoted to errors
+# the CI `doc` job: rustdoc with warnings promoted to errors — the only
+# gate that sees a dangling intra-doc link to a deleted or renamed item
 doc:
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 

@@ -27,11 +27,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ROUTES = ROOT / "crates" / "server" / "src" / "routes.rs"
 PROTOCOL = ROOT / "docs" / "PROTOCOL.md"
-ROUTE_ENUMS = [
-    ("Route", ROOT / "crates" / "engine" / "src" / "lib.rs"),
-    ("EvalRoute", ROOT / "crates" / "engine" / "src" / "lib.rs"),
-    ("PlanRoute", ROOT / "crates" / "engine" / "src" / "planner.rs"),
-]
+ENGINE_SRC = ROOT / "crates" / "engine" / "src"
+ROUTE_ENUMS = ["Route", "EvalRoute", "PlanRoute"]
 
 ENUM_VARIANT = re.compile(r"^\s*([A-Z][A-Za-z0-9]*)\s*(?:,|$)")
 
@@ -40,9 +37,12 @@ def snake_case(variant: str) -> str:
     return re.sub(r"(?<!^)(?=[A-Z])", "_", variant).lower()
 
 
-def enum_variants(name: str, source: str):
-    """Variant identifiers of `pub enum <name> { ... }` in `source`."""
-    m = re.search(rf"pub enum {name}\s*\{{(.*?)\n\}}", source, re.DOTALL)
+def enum_variants(name: str, sources: dict):
+    """Variant identifiers of `pub enum <name> { ... }`, wherever under
+    crates/engine/src it is defined (None if no file defines it) — so
+    moving a type between modules cannot silently disable the check."""
+    pattern = re.compile(rf"pub enum {name}\s*\{{(.*?)\n\}}", re.DOTALL)
+    m = next(filter(None, map(pattern.search, sources.values())), None)
     if not m:
         return None
     variants = []
@@ -56,17 +56,21 @@ def enum_variants(name: str, source: str):
     return variants
 
 
-def check_route_enums(spec: str) -> list:
-    """Wire strings of Route/EvalRoute/PlanRoute missing from the spec."""
-    missing = []
-    for enum_name, path in ROUTE_ENUMS:
-        variants = enum_variants(enum_name, path.read_text())
+def check_route_enums(spec: str):
+    """Wire strings of Route/EvalRoute/PlanRoute missing from the spec
+    (an enum that cannot be found at all is reported the same way), and
+    the number of variants checked."""
+    missing, checked = [], 0
+    sources = {p: p.read_text() for p in sorted(ENGINE_SRC.rglob("*.rs"))}
+    for enum_name in ROUTE_ENUMS:
+        variants = enum_variants(enum_name, sources)
         if not variants:
             missing.append(
-                f"enum {enum_name} not parsed from {path} — "
-                "its shape changed; update scripts/docs_check.py"
+                f"enum {enum_name} not found in any file under {ENGINE_SRC} — "
+                "it moved crates or its shape changed; update scripts/docs_check.py"
             )
             continue
+        checked += len(variants)
         for v in variants:
             wire = snake_case(v)
             if f"`{wire}`" not in spec:
@@ -74,7 +78,7 @@ def check_route_enums(spec: str) -> list:
                     f"{enum_name}::{v}: wire string `{wire}` "
                     "not mentioned in docs/PROTOCOL.md"
                 )
-    return missing
+    return missing, checked
 
 # ("POST", ["graphs", name, "subscribe"]) — including arms wrapped over
 # lines; stop at the closing bracket of the segment list
@@ -126,12 +130,11 @@ def main() -> int:
             f"docs-check: no `### \\`{route}\\`` section in docs/PROTOCOL.md",
             file=sys.stderr,
         )
-    variant_missing = check_route_enums(spec)
+    variant_missing, n_variants = check_route_enums(spec)
     for msg in variant_missing:
         print(f"docs-check: {msg}", file=sys.stderr)
     if missing or variant_missing:
         return 1
-    n_variants = sum(len(enum_variants(n, p.read_text()) or []) for n, p in ROUTE_ENUMS)
     print(
         f"docs-check OK: {len(routes)} routes and {n_variants} route-enum "
         "variants, all specified in docs/PROTOCOL.md"

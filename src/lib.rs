@@ -76,8 +76,8 @@ pub mod prelude {
         top_k, MatchRelation, ResultGraph,
     };
     pub use expfinder_engine::{
-        EngineConfig, EvalRoute, ExecConfig, ExpFinder, ExpFinderError, ExpertReport, GraphHandle,
-        QueryOutcome, QueryResponse, QuerySpec, QueryTimings, Route,
+        EngineConfig, EvalRoute, ExecConfig, ExpFinder, ExpFinderError, GraphHandle, QueryResponse,
+        QuerySpec, QueryTimings, Route,
     };
     pub use expfinder_graph::{AttrValue, CsrGraph, DiGraph, EdgeUpdate, GraphView, NodeId};
     pub use expfinder_incremental::{IncrementalBoundedSim, IncrementalSim};

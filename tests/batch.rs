@@ -12,12 +12,11 @@
 //!   snapshots: every response equals a fresh sequential evaluation of
 //!   the graph at the version the response reports.
 
-use expfinder::core::{
-    dual_simulation, parallel_bounded_simulation, parallel_dual_simulation, parallel_simulation,
-};
+use expfinder::core::{dual_simulation, evaluate, EvalRequest, MatchRelation, Semantics};
 use expfinder::graph::generate::{collaboration, random_updates, CollabConfig};
+use expfinder::graph::GraphView;
 use expfinder::pattern::fixtures::demo_queries;
-use expfinder::pattern::{Bound, PNodeId, Pattern, PatternEdge, PatternNode, Predicate};
+use expfinder::pattern::Pattern;
 use expfinder::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -25,103 +24,26 @@ use rand::SeedableRng;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-// ---------------------------------------------------------------------
-// generators (same compact raw encodings as tests/properties.rs)
-// ---------------------------------------------------------------------
-
-#[derive(Clone, Debug)]
-struct RawGraph {
-    labels: Vec<u8>,
-    exps: Vec<u8>,
-    edges: Vec<(u8, u8)>,
-}
-
-fn raw_graph(max_nodes: usize) -> impl Strategy<Value = RawGraph> {
-    (2..=max_nodes).prop_flat_map(move |n| {
-        let labels = proptest::collection::vec(0u8..3, n);
-        let exps = proptest::collection::vec(0u8..3, n);
-        let edges = proptest::collection::vec((0u8..n as u8, 0u8..n as u8), 0..n * 3);
-        (labels, exps, edges).prop_map(|(labels, exps, edges)| RawGraph {
-            labels,
-            exps,
-            edges,
-        })
-    })
-}
-
-fn build_graph(raw: &RawGraph) -> DiGraph {
-    let mut g = DiGraph::new();
-    for (l, e) in raw.labels.iter().zip(&raw.exps) {
-        g.add_node(
-            &format!("L{l}"),
-            [("experience", AttrValue::Int(*e as i64))],
-        );
-    }
-    for &(a, b) in &raw.edges {
-        if a != b {
-            g.add_edge(NodeId(a as u32), NodeId(b as u32));
-        }
-    }
-    g
-}
-
-#[derive(Clone, Debug)]
-struct RawPattern {
-    labels: Vec<u8>,
-    thresholds: Vec<u8>,
-    edges: Vec<(u8, u8, u8)>, // from, to, bound (0 ⇒ unbounded)
-}
-
-fn raw_pattern() -> impl Strategy<Value = RawPattern> {
-    (2usize..=4).prop_flat_map(|n| {
-        let labels = proptest::collection::vec(0u8..3, n);
-        let thresholds = proptest::collection::vec(0u8..3, n);
-        let edges = proptest::collection::vec((0u8..n as u8, 0u8..n as u8, 0u8..4), 1..n * 2);
-        (labels, thresholds, edges).prop_map(|(labels, thresholds, edges)| RawPattern {
-            labels,
-            thresholds,
-            edges,
-        })
-    })
-}
-
-fn build_pattern(raw: &RawPattern, force_bound_one: bool) -> Pattern {
-    let nodes: Vec<PatternNode> = raw
-        .labels
-        .iter()
-        .zip(&raw.thresholds)
-        .enumerate()
-        .map(|(i, (l, t))| PatternNode {
-            name: format!("v{i}"),
-            predicate: Predicate::label(format!("L{l}"))
-                .and(Predicate::attr_ge("experience", *t as i64)),
-        })
-        .collect();
-    let mut seen = std::collections::HashSet::new();
-    let mut edges = Vec::new();
-    for &(f, t, b) in &raw.edges {
-        if f == t || !seen.insert((f, t)) {
-            continue;
-        }
-        let bound = if force_bound_one {
-            Bound::ONE
-        } else if b == 0 {
-            Bound::Unbounded
-        } else {
-            Bound::hops(b as u32)
-        };
-        edges.push(PatternEdge {
-            from: PNodeId(f as u32),
-            to: PNodeId(t as u32),
-            bound,
-        });
-    }
-    Pattern::from_parts(nodes, edges, Some(PNodeId(0))).expect("valid pattern")
-}
+mod common;
+use common::*;
 
 // ---------------------------------------------------------------------
 // parallel refinement ≡ sequential fixpoint
 // ---------------------------------------------------------------------
+
+/// The parallel refinement with `threads` workers.
+fn parallel<G: GraphView + Sync>(
+    g: &G,
+    q: &Pattern,
+    semantics: Semantics,
+    threads: usize,
+) -> MatchRelation {
+    let req = EvalRequest {
+        threads,
+        ..EvalRequest::new(semantics)
+    };
+    evaluate(g, q, req).unwrap().0
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -134,9 +56,9 @@ proptest! {
         let q = build_pattern(&rp, false);
         let seq = bounded_simulation(&g, &q).unwrap();
         let csr = CsrGraph::snapshot(&g);
-        for threads in [1usize, 2, 4] {
-            prop_assert_eq!(&parallel_bounded_simulation(&g, &q, threads).unwrap(), &seq);
-            prop_assert_eq!(&parallel_bounded_simulation(&csr, &q, threads).unwrap(), &seq);
+        for threads in [2usize, 4] {
+            prop_assert_eq!(&parallel(&g, &q, Semantics::Bounded, threads), &seq);
+            prop_assert_eq!(&parallel(&csr, &q, Semantics::Bounded, threads), &seq);
         }
     }
 
@@ -148,8 +70,8 @@ proptest! {
         let q = build_pattern(&rp, true);
         let seq = graph_simulation(&g, &q).unwrap();
         let csr = CsrGraph::snapshot(&g);
-        prop_assert_eq!(&parallel_simulation(&g, &q, 3).unwrap(), &seq);
-        prop_assert_eq!(&parallel_simulation(&csr, &q, 3).unwrap(), &seq);
+        prop_assert_eq!(&parallel(&g, &q, Semantics::Simulation, 3), &seq);
+        prop_assert_eq!(&parallel(&csr, &q, Semantics::Simulation, 3), &seq);
     }
 
     /// Parallel dual simulation equals the sequential bidirectional
@@ -160,8 +82,8 @@ proptest! {
         let q = build_pattern(&rp, false);
         let seq = dual_simulation(&g, &q);
         let csr = CsrGraph::snapshot(&g);
-        prop_assert_eq!(&parallel_dual_simulation(&g, &q, 3), &seq);
-        prop_assert_eq!(&parallel_dual_simulation(&csr, &q, 3), &seq);
+        prop_assert_eq!(&parallel(&g, &q, Semantics::Dual, 3), &seq);
+        prop_assert_eq!(&parallel(&csr, &q, Semantics::Dual, 3), &seq);
     }
 
     /// A parallel-engine batch over a generated graph equals per-query

@@ -75,7 +75,7 @@ fn parallel_queries_agree() {
     });
 
     // the cache took hits from all threads without corruption
-    let stats = engine.cache_stats();
+    let stats = engine.read_path().cache_stats();
     assert!(stats.hits > 0);
     assert_eq!(stats.hits + stats.misses, 8 * 5 * 3 + 3);
 }

@@ -155,7 +155,7 @@ fn ranking_stable_across_routes() {
     registered.register_query(&hr, "q", q.clone()).unwrap();
     let via_r = registered.find_experts(&hr, q, 5).unwrap();
 
-    let ids = |r: &expfinder::engine::ExpertReport| {
+    let ids = |r: &QueryResponse| {
         r.experts
             .iter()
             .map(|e| (e.node, e.rank.to_bits()))
@@ -241,16 +241,22 @@ fn engine_config_variants_agree() {
             .collect::<Vec<_>>()
     );
 
-    // compression present but routing disabled
-    let no_auto = ExpFinder::new(EngineConfig {
-        auto_use_compressed: false,
-        ..EngineConfig::default()
-    });
-    let hn = no_auto.add_graph("c", g).unwrap();
-    no_auto.compress(&hn).unwrap();
-    let out = no_auto.evaluate(&hn, q).unwrap();
-    assert_eq!(out.route, EvalRoute::DirectBounded, "auto routing disabled");
-    assert_eq!(*out.matches, *reference.outcome.matches);
+    // compression present but the request prefers direct evaluation
+    let compressed = ExpFinder::default();
+    let hn = compressed.add_graph("c", g).unwrap();
+    compressed.compress(&hn).unwrap();
+    let out = compressed
+        .query(&hn)
+        .pattern(q.clone())
+        .prefer(Route::Direct)
+        .run()
+        .unwrap();
+    assert_eq!(
+        out.route,
+        EvalRoute::DirectBounded,
+        "quotient not consulted"
+    );
+    assert_eq!(*out.matches, *reference.matches);
 }
 
 /// Stress the paper fixture through repeated insert/delete cycles of e1:
