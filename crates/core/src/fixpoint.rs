@@ -54,7 +54,7 @@ const NEVER: u64 = u64::MAX;
 /// [`EvalScratch`] cache or intersected into a match set, and
 /// `EvalScratch::begin` restamps every cache entry as never-refreshed on
 /// the next evaluation, so whatever the aborted run left behind is inert.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct Cancelled {
     /// Work done up to the abort.
     pub stats: EvalStats,

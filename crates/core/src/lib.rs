@@ -59,7 +59,10 @@ pub use fixpoint::{Cancelled, EvalScratch, PooledScratch, ScratchPool};
 pub use iso::{subgraph_isomorphism, IsoOptions};
 pub use matchrel::MatchRelation;
 pub use parallel::parallel_bounded_simulation_indexed;
-pub use rank::{rank_matches, rank_matches_top_k, rank_value, top_k, RankedMatch};
+pub use rank::{
+    rank_matches, rank_matches_top_k, rank_matches_top_k_cancellable, rank_value, top_k,
+    RankedMatch,
+};
 pub use result_graph::{BuildOptions, ResultGraph};
 pub use sim::graph_simulation;
 

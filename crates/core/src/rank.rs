@@ -14,12 +14,17 @@
 //! `f(SA, Bob) = 9/5`, `f(SA, Walt) = 7/3`, so Bob is the top-1 expert.
 //!
 //! Matches whose `V'_r` is empty (isolated in `G_r`) rank `+∞`, i.e. last.
-//! Ties break by node id so results are deterministic.
+//! Ties break by node id so results are deterministic, and the order
+//! `(rank, node id)` is total — so the top `k'` is a prefix of the top `k`
+//! for every `k' ≤ k`, which is what lets the engine's cache serve a
+//! smaller request from a larger ranked answer.
 
+use crate::eval::EvalError;
+use crate::fixpoint::Cancelled;
 use crate::matchrel::MatchRelation;
 use crate::result_graph::ResultGraph;
 use crate::MatchError;
-use expfinder_graph::{dijkstra::UNREACHABLE, GraphView, NodeId};
+use expfinder_graph::{dijkstra::UNREACHABLE, CancelToken, GraphView, NodeId};
 use expfinder_pattern::Pattern;
 
 /// A ranked match of the output node.
@@ -81,9 +86,7 @@ pub fn rank_matches(
     q: &Pattern,
     m: &MatchRelation,
 ) -> Result<Vec<RankedMatch>, MatchError> {
-    let mut out = rank_matches_unsorted(rg, q, m)?;
-    out.sort_by(rank_order);
-    Ok(out)
+    rank_matches_top_k(rg, q, m, usize::MAX)
 }
 
 /// The best `k` matches of the output node, ascending by `(rank, node
@@ -98,10 +101,30 @@ pub fn rank_matches_top_k(
     m: &MatchRelation,
     k: usize,
 ) -> Result<Vec<RankedMatch>, MatchError> {
-    let mut out = rank_matches_unsorted(rg, q, m)?;
+    rank_matches_top_k_cancellable(rg, q, m, k, None).map_err(EvalError::uncancelled)
+}
+
+/// [`rank_matches_top_k`], polling `cancel` once per candidate; a fired
+/// token aborts with [`EvalError::Cancelled`] (zero stats) and no partial
+/// list.
+pub fn rank_matches_top_k_cancellable(
+    rg: &ResultGraph,
+    q: &Pattern,
+    m: &MatchRelation,
+    k: usize,
+    cancel: Option<&CancelToken>,
+) -> Result<Vec<RankedMatch>, EvalError> {
+    let uo = q.require_output().map_err(|_| MatchError::NoOutputNode)?;
+    let mut out = Vec::new();
     if k == 0 {
-        out.clear();
         return Ok(out);
+    }
+    for node in m.matches(uo).iter() {
+        if cancel.is_some_and(|t| t.is_cancelled()) {
+            return Err(Cancelled::default().into());
+        }
+        let rank = rank_value(rg, node);
+        out.push(RankedMatch { node, rank });
     }
     if out.len() > k {
         out.select_nth_unstable_by(k - 1, rank_order);
@@ -109,22 +132,6 @@ pub fn rank_matches_top_k(
     }
     out.sort_by(rank_order);
     Ok(out)
-}
-
-/// All ranked matches of the output node, in match-set order.
-fn rank_matches_unsorted(
-    rg: &ResultGraph,
-    q: &Pattern,
-    m: &MatchRelation,
-) -> Result<Vec<RankedMatch>, MatchError> {
-    let uo = q.require_output().map_err(|_| MatchError::NoOutputNode)?;
-    Ok(m.matches(uo)
-        .iter()
-        .map(|v| RankedMatch {
-            node: v,
-            rank: rank_value(rg, v),
-        })
-        .collect())
 }
 
 /// The paper's top-K selection: evaluate, build the result graph, rank,

@@ -10,11 +10,13 @@
 //! `u'` within distance `1..=b`; each such pair contributes an edge
 //! `(v, v')` weighted with the shortest-path length. Construction can be
 //! parallelised across match nodes (std scoped threads) — an ablation
-//! in E12.
+//! in E12. A request's [`CancelToken`] is polled once per source match, so
+//! a deadline covers construction too ([`ResultGraph::build_cancellable`]).
 
+use crate::fixpoint::Cancelled;
 use crate::matchrel::MatchRelation;
 use expfinder_graph::bfs::{BfsScratch, Direction};
-use expfinder_graph::{dijkstra, GraphView, NodeId};
+use expfinder_graph::{dijkstra, CancelToken, GraphView, NodeId};
 use expfinder_pattern::{PNodeId, Pattern};
 use std::collections::HashMap;
 
@@ -73,6 +75,20 @@ impl ResultGraph {
         m: &MatchRelation,
         opts: BuildOptions,
     ) -> ResultGraph {
+        Self::build_cancellable(g, q, m, opts, None).expect("no cancel token supplied")
+    }
+
+    /// [`build_with`](Self::build_with), polling `cancel` once per source
+    /// match of every pattern edge; a fired token aborts with
+    /// [`Cancelled`] (zero stats — the fixpoint's work is the caller's to
+    /// report).
+    pub fn build_cancellable<G: GraphView + Sync>(
+        g: &G,
+        q: &Pattern,
+        m: &MatchRelation,
+        opts: BuildOptions,
+        cancel: Option<&CancelToken>,
+    ) -> Result<ResultGraph, Cancelled> {
         // result nodes = union of all matches
         let mut nodes: Vec<NodeId> = Vec::new();
         for u in q.ids() {
@@ -87,12 +103,12 @@ impl ResultGraph {
             .collect();
 
         let edges = if opts.threads > 1 {
-            collect_edges_parallel(g, q, m, opts.threads)
+            collect_edges_parallel(g, q, m, opts.threads, cancel)?
         } else {
             let mut scratch = BfsScratch::new();
             let mut edges = Vec::new();
             for (ei, _) in q.edges().iter().enumerate() {
-                collect_edges_for(g, q, m, ei, &mut scratch, &mut edges);
+                collect_edges_for(g, q, m, ei, &mut scratch, cancel, &mut edges)?;
             }
             edges
         };
@@ -135,14 +151,14 @@ impl ResultGraph {
             .map(|u| m.matches(u).iter().map(|v| index[&v]).collect())
             .collect();
 
-        ResultGraph {
+        Ok(ResultGraph {
             nodes,
             index,
             edges,
             fwd,
             rev,
             members,
-        }
+        })
     }
 
     /// All result nodes (data-graph ids, ascending).
@@ -192,7 +208,8 @@ impl ResultGraph {
 }
 
 /// Collect the result edges witnessed by pattern edge `ei` for the given
-/// source match nodes.
+/// source match nodes, polling `cancel` once per source.
+#[allow(clippy::too_many_arguments)]
 fn collect_edges_chunk<G: GraphView>(
     g: &G,
     q: &Pattern,
@@ -200,12 +217,16 @@ fn collect_edges_chunk<G: GraphView>(
     ei: usize,
     sources: &[NodeId],
     scratch: &mut BfsScratch,
+    cancel: Option<&CancelToken>,
     out: &mut Vec<ResultEdge>,
-) {
+) -> Result<(), Cancelled> {
     let e = &q.edges()[ei];
     let depth = e.bound.depth();
     let targets = m.matches(e.to);
     for &v in sources {
+        if cancel.is_some_and(|t| t.is_cancelled()) {
+            return Err(Cancelled::default());
+        }
         let ball = scratch.ball(g, v, depth, Direction::Forward);
         for (w, d) in ball.iter() {
             if d >= 1 && targets.contains(w) {
@@ -218,6 +239,7 @@ fn collect_edges_chunk<G: GraphView>(
             }
         }
     }
+    Ok(())
 }
 
 /// Collect the result edges witnessed by pattern edge `ei`.
@@ -227,10 +249,11 @@ fn collect_edges_for<G: GraphView>(
     m: &MatchRelation,
     ei: usize,
     scratch: &mut BfsScratch,
+    cancel: Option<&CancelToken>,
     out: &mut Vec<ResultEdge>,
-) {
+) -> Result<(), Cancelled> {
     let sources: Vec<NodeId> = m.matches(q.edges()[ei].from).to_vec();
-    collect_edges_chunk(g, q, m, ei, &sources, scratch, out);
+    collect_edges_chunk(g, q, m, ei, &sources, scratch, cancel, out)
 }
 
 /// Work-unit size for the parallel fan-out: small enough for load balance
@@ -247,7 +270,8 @@ fn collect_edges_parallel<G: GraphView + Sync>(
     q: &Pattern,
     m: &MatchRelation,
     threads: usize,
-) -> Vec<ResultEdge> {
+    cancel: Option<&CancelToken>,
+) -> Result<Vec<ResultEdge>, Cancelled> {
     let mut items: Vec<(usize, Vec<NodeId>)> = Vec::new();
     for ei in 0..q.edge_count() {
         let sources = m.matches_vec(q.edges()[ei].from);
@@ -256,12 +280,12 @@ fn collect_edges_parallel<G: GraphView + Sync>(
         }
     }
     if items.is_empty() {
-        return Vec::new();
+        return Ok(Vec::new());
     }
     let n_items = items.len();
     let items = &items;
     let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut chunks: Vec<Vec<ResultEdge>> = Vec::new();
+    let mut chunks: Vec<Result<Vec<ResultEdge>, Cancelled>> = Vec::new();
     std::thread::scope(|s| {
         let mut handles = Vec::new();
         for _ in 0..threads.min(n_items) {
@@ -275,19 +299,22 @@ fn collect_edges_parallel<G: GraphView + Sync>(
                         break;
                     }
                     let (ei, sources) = &items[i];
-                    collect_edges_chunk(g, q, m, *ei, sources, &mut scratch, &mut local);
+                    collect_edges_chunk(g, q, m, *ei, sources, &mut scratch, cancel, &mut local)?;
                 }
-                local
+                Ok(local)
             }));
         }
         for h in handles {
             chunks.push(h.join().expect("result-graph worker panicked"));
         }
     });
-    let mut out: Vec<ResultEdge> = chunks.into_iter().flatten().collect();
+    let mut out: Vec<ResultEdge> = Vec::new();
+    for chunk in chunks {
+        out.extend(chunk?);
+    }
     // deterministic order regardless of thread interleaving
     out.sort_unstable_by_key(|e| (e.pattern_edge, e.from, e.to));
-    out
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -1,11 +1,13 @@
 //! Generators and the oracle shared by the equivalence suites (and, by
 //! path, the runtime crate's `deadline_props`): compact raw encodings of
 //! random graphs and patterns (the same shapes the workspace-level tests
-//! use), and the queue engine they are checked against.
+//! use), the queue engine they are checked against, and the reference
+//! ranking `core::rank` is checked against.
 #![allow(dead_code)]
 
-use expfinder_core::{evaluate, EvalOptions, EvalRequest, MatchRelation, Semantics};
-use expfinder_graph::{AttrValue, DiGraph, NodeId};
+use expfinder_core::{evaluate, EvalOptions, EvalRequest, MatchRelation, RankedMatch, Semantics};
+use expfinder_graph::bfs::{BfsScratch, Direction};
+use expfinder_graph::{AttrValue, DiGraph, GraphView, NodeId};
 use expfinder_pattern::{Bound, PNodeId, Pattern, PatternEdge, PatternNode, Predicate};
 use proptest::prelude::*;
 
@@ -109,4 +111,91 @@ pub fn oracle(g: &DiGraph, q: &Pattern, semantics: Semantics) -> MatchRelation {
         ..EvalRequest::new(semantics)
     };
     evaluate(g, q, req).unwrap().0
+}
+
+/// The reference top-K ranking: paper §II's `f(u_o, v)` computed the
+/// plain way — `G_r` as per-node hash maps, two full-vector Dijkstras and
+/// a scan of all of `V_r` per candidate, then a full sort. It shares no
+/// code with `core::rank` / `core::result_graph` / `graph::dijkstra`, so
+/// it can judge them — today's, and any rewrite of them.
+pub fn reference_rank<G: GraphView>(
+    g: &G,
+    q: &Pattern,
+    m: &MatchRelation,
+    k: usize,
+) -> Vec<RankedMatch> {
+    use std::collections::{BinaryHeap, HashMap};
+    const UNREACHABLE: u64 = u64::MAX;
+
+    let mut nodes: Vec<NodeId> = q.ids().flat_map(|u| m.matches_vec(u)).collect();
+    nodes.sort_unstable();
+    nodes.dedup();
+    let index: HashMap<NodeId, usize> = nodes.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+
+    let mut fwd: Vec<HashMap<usize, u64>> = vec![HashMap::new(); nodes.len()];
+    let mut rev = fwd.clone();
+    let mut bfs = BfsScratch::new();
+    for e in q.edges() {
+        for v in m.matches(e.from).iter() {
+            let ball = bfs.ball(g, v, e.bound.depth(), Direction::Forward);
+            for (w, d) in ball.iter() {
+                if d >= 1 && m.contains(e.to, w) {
+                    let (vi, wi, d) = (index[&v], index[&w], d as u64);
+                    let slot = fwd[vi].entry(wi).or_insert(d);
+                    *slot = (*slot).min(d);
+                    let slot = rev[wi].entry(vi).or_insert(d);
+                    *slot = (*slot).min(d);
+                }
+            }
+        }
+    }
+
+    let dijkstra = |adj: &[HashMap<usize, u64>], src: usize| {
+        let mut dist = vec![UNREACHABLE; adj.len()];
+        let mut heap = BinaryHeap::new();
+        dist[src] = 0;
+        heap.push(std::cmp::Reverse((0u64, src)));
+        while let Some(std::cmp::Reverse((d, u))) = heap.pop() {
+            if d > dist[u] {
+                continue;
+            }
+            for (&w, &cost) in &adj[u] {
+                if d + cost < dist[w] {
+                    dist[w] = d + cost;
+                    heap.push(std::cmp::Reverse((d + cost, w)));
+                }
+            }
+        }
+        dist
+    };
+
+    let uo = q.output().expect("ranked patterns have an output node");
+    let mut out: Vec<RankedMatch> = m
+        .matches(uo)
+        .iter()
+        .map(|v| {
+            let local = index[&v];
+            let (from, to) = (dijkstra(&fwd, local), dijkstra(&rev, local));
+            let (mut sum, mut connected) = (0u64, 0usize);
+            for i in (0..nodes.len()).filter(|&i| i != local) {
+                if from[i] == UNREACHABLE && to[i] == UNREACHABLE {
+                    continue;
+                }
+                connected += 1;
+                sum += [from[i], to[i]]
+                    .iter()
+                    .filter(|&&d| d != UNREACHABLE)
+                    .sum::<u64>();
+            }
+            let rank = if connected == 0 {
+                f64::INFINITY
+            } else {
+                sum as f64 / connected as f64
+            };
+            RankedMatch { node: v, rank }
+        })
+        .collect();
+    out.sort_by(|a, b| a.rank.total_cmp(&b.rank).then(a.node.cmp(&b.node)));
+    out.truncate(k);
+    out
 }

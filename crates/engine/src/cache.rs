@@ -8,6 +8,15 @@
 //! Keying by id (not name) means a graph removed and re-added under the
 //! same name can never be served stale results.
 //!
+//! A slot holds the relation and, once a request has paid for it, the
+//! **ranked answer**: the top-`k` expert list with the `k` it is the top
+//! of. It serves any `k' ≤ k` (top-k' is a prefix of top-k under the total
+//! `(rank, node id)` order) and every `k'` once complete. It needs no key
+//! of its own — `G_r`, and so every rank, is a function of `(G, M)` only,
+//! and every change to `G` bumps the version — but must never be carried
+//! across versions, even when `M` did not move: an inserted edge can
+//! shorten a witnessed path, changing a `G_r` weight and a rank with it.
+//!
 //! Recency is tracked with a **generation counter** instead of an ordered
 //! key list: every touch stamps the entry with a fresh generation and
 //! appends `(generation, key)` to a queue. Eviction pops the queue front,
@@ -16,7 +25,7 @@
 //! scans per touch. The queue is compacted once it outgrows the live
 //! entries by a constant factor, keeping memory proportional to capacity.
 
-use expfinder_core::MatchRelation;
+use expfinder_core::{MatchRelation, RankedMatch};
 use expfinder_pattern::Pattern;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -40,9 +49,16 @@ pub struct CacheStats {
 /// cross-pattern answer.
 struct Slot {
     value: Arc<MatchRelation>,
+    /// `(list, k)`: the best `k` matches of the output node; `k` is
+    /// `usize::MAX` once the list is known to be complete.
+    ranked: Option<(Arc<[RankedMatch]>, usize)>,
     gen: u64,
     fingerprint: String,
 }
+
+/// A hit: the relation and, if `top_k` was asked for and the slot's
+/// ranked answer determines it, those experts.
+pub type Hit = (Arc<MatchRelation>, Option<Vec<RankedMatch>>);
 
 /// A bounded LRU cache of match relations.
 pub struct QueryCache {
@@ -85,17 +101,21 @@ impl QueryCache {
     /// Look up; refreshes recency on a (fingerprint-verified) hit. A key
     /// whose slot holds a different fingerprint — a hash collision — is
     /// a miss.
-    pub fn get(&mut self, key: &CacheKey, fingerprint: &str) -> Option<Arc<MatchRelation>> {
+    pub fn get(&mut self, key: &CacheKey, fingerprint: &str, top_k: Option<usize>) -> Option<Hit> {
         let gen = self.next_gen;
         match self.map.get_mut(key) {
             Some(slot) if slot.fingerprint == fingerprint => {
                 self.stats.hits += 1;
                 self.next_gen += 1;
                 slot.gen = gen;
-                let v = Arc::clone(&slot.value);
+                let held = slot.ranked.as_ref().zip(top_k);
+                let experts = held
+                    .filter(|((_, held_k), k)| k <= held_k)
+                    .map(|((list, _), k)| list[..k.min(list.len())].to_vec());
+                let hit = (Arc::clone(&slot.value), experts);
                 self.recency.push_back((gen, *key));
                 self.maybe_compact();
-                Some(v)
+                Some(hit)
             }
             _ => {
                 self.stats.misses += 1;
@@ -105,18 +125,19 @@ impl QueryCache {
     }
 
     /// Insert (or refresh) an entry, evicting the least recently used
-    /// entry if over capacity.
+    /// entry if over capacity. Refreshing a slot of the same fingerprint
+    /// keeps its ranked answer: same key, same `(G, M)`, same ranks.
     pub fn put(&mut self, key: CacheKey, fingerprint: &str, value: Arc<MatchRelation>) {
         let gen = self.next_gen;
         self.next_gen += 1;
-        self.map.insert(
-            key,
-            Slot {
-                value,
-                gen,
-                fingerprint: fingerprint.to_owned(),
-            },
-        );
+        let kept = self.map.get(&key).filter(|s| s.fingerprint == fingerprint);
+        let slot = Slot {
+            value,
+            ranked: kept.and_then(|s| s.ranked.clone()),
+            gen,
+            fingerprint: fingerprint.to_owned(),
+        };
+        self.map.insert(key, slot);
         self.recency.push_back((gen, key));
         while self.map.len() > self.capacity {
             let (g, k) = self
@@ -130,6 +151,16 @@ impl QueryCache {
             }
         }
         self.maybe_compact();
+    }
+
+    /// Record the top-`k` list computed for a slot that is still there
+    /// (and still this pattern's), unless it already holds a longer one.
+    pub fn put_ranked(&mut self, key: &CacheKey, fp: &str, list: &[RankedMatch], k: usize) {
+        let k = if list.len() < k { usize::MAX } else { k };
+        let slot = self.map.get_mut(key).filter(|s| s.fingerprint == fp);
+        if let Some(slot) = slot.filter(|s| s.ranked.as_ref().is_none_or(|r| r.1 < k)) {
+            slot.ranked = Some((list.into(), k));
+        }
     }
 
     /// Drop stale touch-log entries once they outnumber live ones 4:1, so
@@ -179,11 +210,17 @@ mod tests {
     #[test]
     fn hit_and_miss() {
         let mut c = QueryCache::new(4);
-        assert!(c.get(&k(1, 1), "fp").is_none());
+        assert!(c.get(&k(1, 1), "fp", None).is_none());
         c.put(k(1, 1), "fp", rel(3));
-        assert!(c.get(&k(1, 1), "fp").is_some());
-        assert!(c.get(&k(1, 2), "fp").is_none(), "different version misses");
-        assert!(c.get(&k(2, 1), "fp").is_none(), "different graph id misses");
+        assert!(c.get(&k(1, 1), "fp", None).is_some());
+        assert!(
+            c.get(&k(1, 2), "fp", None).is_none(),
+            "different version misses"
+        );
+        assert!(
+            c.get(&k(2, 1), "fp", None).is_none(),
+            "different graph id misses"
+        );
         let s = c.stats();
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 3);
@@ -195,11 +232,11 @@ mod tests {
         c.put(k(1, 1), "fp", rel(1));
         c.put(k(2, 1), "fp", rel(1));
         // touch graph 1 so graph 2 becomes the oldest
-        assert!(c.get(&k(1, 1), "fp").is_some());
+        assert!(c.get(&k(1, 1), "fp", None).is_some());
         c.put(k(3, 1), "fp", rel(1));
         assert_eq!(c.len(), 2);
-        assert!(c.get(&k(2, 1), "fp").is_none(), "2 evicted");
-        assert!(c.get(&k(1, 1), "fp").is_some(), "1 survived");
+        assert!(c.get(&k(2, 1), "fp", None).is_none(), "2 evicted");
+        assert!(c.get(&k(1, 1), "fp", None).is_some(), "1 survived");
         assert_eq!(c.stats().evictions, 1);
     }
 
@@ -212,14 +249,17 @@ mod tests {
             c.put(k(i, 1), "fp", rel(1));
             // keep key 0 hot for the first half
             if i < 25 {
-                assert!(c.get(&k(0, 1), "fp").is_some(), "key 0 touched at {i}");
+                assert!(
+                    c.get(&k(0, 1), "fp", None).is_some(),
+                    "key 0 touched at {i}"
+                );
             }
         }
         assert_eq!(c.len(), 3);
-        assert!(c.get(&k(49, 1), "fp").is_some());
-        assert!(c.get(&k(48, 1), "fp").is_some());
-        assert!(c.get(&k(47, 1), "fp").is_some());
-        assert!(c.get(&k(0, 1), "fp").is_none(), "went cold, evicted");
+        assert!(c.get(&k(49, 1), "fp", None).is_some());
+        assert!(c.get(&k(48, 1), "fp", None).is_some());
+        assert!(c.get(&k(47, 1), "fp", None).is_some());
+        assert!(c.get(&k(0, 1), "fp", None).is_none(), "went cold, evicted");
         // recency log stays bounded relative to capacity
         assert!(c.recency.len() <= c.map.len() * 4 + 16);
     }
@@ -231,8 +271,8 @@ mod tests {
         c.put(k(2, 1), "fp", rel(1));
         c.put(k(1, 1), "fp", rel(2)); // refresh 1
         c.put(k(3, 1), "fp", rel(1)); // evicts 2, not 1
-        assert!(c.get(&k(1, 1), "fp").is_some());
-        assert!(c.get(&k(2, 1), "fp").is_none());
+        assert!(c.get(&k(1, 1), "fp", None).is_some());
+        assert!(c.get(&k(2, 1), "fp", None).is_none());
     }
 
     #[test]
@@ -258,15 +298,15 @@ mod tests {
         let mut c = QueryCache::new(4);
         c.put(k(1, 1), "pattern-a", rel(1));
         assert!(
-            c.get(&k(1, 1), "pattern-b").is_none(),
+            c.get(&k(1, 1), "pattern-b", None).is_none(),
             "collision must miss"
         );
         assert_eq!(c.stats().misses, 1);
         // the colliding pattern may overwrite the slot; verification
         // then protects the original
         c.put(k(1, 1), "pattern-b", rel(2));
-        assert!(c.get(&k(1, 1), "pattern-b").is_some());
-        assert!(c.get(&k(1, 1), "pattern-a").is_none());
+        assert!(c.get(&k(1, 1), "pattern-b", None).is_some());
+        assert!(c.get(&k(1, 1), "pattern-a", None).is_none());
         assert_eq!(c.len(), 1);
     }
 
@@ -280,5 +320,61 @@ mod tests {
         assert_eq!(a.2, q.fingerprint_hash());
         let sim = q.as_simulation();
         assert_ne!(QueryCache::key(1, 7, &sim), a, "bounds change the key");
+    }
+
+    fn ranked(n: u32) -> Vec<RankedMatch> {
+        let at = |i| RankedMatch {
+            node: expfinder_graph::NodeId(i),
+            rank: i as f64,
+        };
+        (0..n).map(at).collect()
+    }
+
+    #[test]
+    fn ranked_answer_serves_prefixes_and_never_guesses() {
+        let mut c = QueryCache::new(4);
+        let experts = |c: &mut QueryCache, top_k| c.get(&k(1, 1), "fp", top_k).unwrap().1;
+        c.put(k(1, 1), "fp", rel(9));
+        assert_eq!(experts(&mut c, Some(2)), None, "nothing ranked yet");
+
+        // a top-3 of more than 3 candidates determines top-0..=3 only
+        c.put_ranked(&k(1, 1), "fp", &ranked(3), 3);
+        assert_eq!(experts(&mut c, Some(2)), Some(ranked(2)));
+        assert_eq!(experts(&mut c, Some(3)), Some(ranked(3)));
+        assert_eq!(experts(&mut c, Some(4)), None, "the 4th best is unknown");
+        assert_eq!(experts(&mut c, None), None, "no top_k, no experts");
+
+        // a shorter list never replaces it; a longer one does, and a list
+        // shorter than its k is complete: it serves every k
+        c.put_ranked(&k(1, 1), "fp", &ranked(1), 1);
+        assert_eq!(experts(&mut c, Some(3)), Some(ranked(3)));
+        c.put_ranked(&k(1, 1), "fp", &ranked(5), 8);
+        assert_eq!(experts(&mut c, Some(4)), Some(ranked(4)));
+        assert_eq!(experts(&mut c, Some(100)), Some(ranked(5)));
+        assert_eq!(experts(&mut c, Some(0)), Some(vec![]));
+    }
+
+    #[test]
+    fn ranked_answer_lives_and_dies_with_its_slot() {
+        let mut c = QueryCache::new(2);
+        c.put(k(1, 1), "fp", rel(9));
+        c.put_ranked(&k(1, 1), "fp", &ranked(2), 2);
+        // refreshed by the same pattern: same (G, M), the list stays
+        c.put(k(1, 1), "fp", rel(9));
+        assert_eq!(c.get(&k(1, 1), "fp", Some(2)).unwrap().1, Some(ranked(2)));
+        // a different version or graph id is a different slot
+        c.put(k(1, 2), "fp", rel(9));
+        assert_eq!(c.get(&k(1, 2), "fp", Some(2)).unwrap().1, None);
+        // overwritten by a colliding pattern: the list goes with it, and a
+        // late fill for the old pattern is dropped
+        c.put(k(1, 1), "other", rel(9));
+        c.put_ranked(&k(1, 1), "fp", &ranked(2), 2);
+        assert_eq!(c.get(&k(1, 1), "other", Some(2)).unwrap().1, None);
+        // evicted: nothing to fill
+        c.put(k(7, 7), "fp", rel(9));
+        c.put(k(8, 8), "fp", rel(9));
+        c.put_ranked(&k(1, 1), "other", &ranked(2), 2);
+        assert!(c.get(&k(1, 1), "other", Some(2)).is_none());
+        assert_eq!(c.len(), 2);
     }
 }

@@ -26,7 +26,8 @@
 //! picks the cheapest; then one `expfinder_core::evaluate` call on the
 //! winning substrate (quadratic simulation for 1-bounded patterns, cubic
 //! bounded simulation for the rest), the result graph and the top-K
-//! rank. The read path is generic over a [`GraphState`] view;
+//! rank — or a prefix of the ranked answer the cache slot already
+//! holds. The read path is generic over a [`GraphState`] view;
 //! [`ExpFinder`]'s part of a read is resolving the handle to its slot (a
 //! [`StateSource`]: borrowing a state takes the graph's read lock), and the
 //! durable runtime reuses the same path over its published snapshots. Every [`QueryResponse`] carries the full
@@ -554,6 +555,16 @@ pub struct CancelTotals {
     pub checked: u64,
     /// Tokens that fired (one per deadline-aborted evaluation).
     pub fired: u64,
+}
+
+/// Cumulative ranking totals, from [`ReadPath::rank_totals`] — the
+/// `engine.rank` block of `GET /metrics`.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct RankTotals {
+    /// Ranked answers computed: result graph built and ranked.
+    pub computed: u64,
+    /// Ranked answers served from the query cache's slot.
+    pub reused: u64,
 }
 
 /// Point-in-time reach-index totals across every managed graph, from

@@ -1,8 +1,9 @@
 //! The read path — paper §II's query engine, implemented once.
 //!
 //! cache → registered (incremental) → plan → evaluate → result graph →
-//! top-K rank, plus the batch fan-out and the admission-control cost
-//! estimate, all live in [`ReadPath`]. It is generic (static dispatch)
+//! top-K rank (or the ranked answer the cache slot already holds), plus
+//! the batch fan-out and the admission-control cost estimate, all live in
+//! [`ReadPath`]. It is generic (static dispatch)
 //! over a [`GraphState`]: the handful of things a query needs to know
 //! about one graph at one version. The in-memory [`ExpFinder`] implements
 //! the view for its stored graph under that graph's read lock; the durable
@@ -12,16 +13,16 @@
 //!
 //! [`ExpFinder`]: crate::ExpFinder
 
-use crate::cache::{CacheStats, QueryCache};
+use crate::cache::{CacheKey, CacheStats, Hit, QueryCache};
 use crate::planner::{self, CostProfile, PlanContext, PlanDecision, PlanRoute, PlannerCounters};
 use crate::{
     CancelTotals, EvalRoute, ExecConfig, ExpFinderError, IndexTotals, PlannerTotals, QueryResponse,
-    QuerySpec, QueryTimings, Route, SpecSource,
+    QuerySpec, QueryTimings, RankTotals, Route, SpecSource,
 };
 use expfinder_compress::CompressedGraph;
 use expfinder_core::{
-    evaluate, rank_matches_top_k, BuildOptions, CancelToken, EvalError, EvalRequest, EvalScratch,
-    EvalStats, MatchRelation, RankedMatch, ResultGraph, ScratchPool, Semantics,
+    evaluate, rank_matches_top_k_cancellable, BuildOptions, CancelToken, EvalError, EvalRequest,
+    EvalScratch, EvalStats, MatchRelation, RankedMatch, ResultGraph, ScratchPool, Semantics,
 };
 use expfinder_graph::{CsrGraph, DiGraph, GraphView, ReachIndex};
 use expfinder_pattern::Pattern;
@@ -174,6 +175,18 @@ impl CancelCounters {
     }
 }
 
+/// Lock-free accumulator behind [`ReadPath::rank_totals`].
+#[derive(Default)]
+struct RankCounters {
+    computed: AtomicU64,
+    reused: AtomicU64,
+}
+
+/// What routing hands back to [`ReadPath::execute`]: the relation (with
+/// the experts, when a cache hit's slot already determined the top K
+/// asked for), how it was obtained, and the work that took.
+type Routed = (Hit, PlanDecision, EvalStats);
+
 /// The shared read path of both service facades. Owns everything a read
 /// touches that is not the graph itself: the version-keyed result cache,
 /// the pooled [`EvalScratch`]es (fluent queries, batch workers and HTTP
@@ -186,6 +199,7 @@ pub struct ReadPath {
     cache: Mutex<QueryCache>,
     scratch: ScratchPool,
     planner: PlannerCounters,
+    rank_totals: RankCounters,
     eval_totals: EvalTotals,
     cancel_totals: CancelCounters,
 }
@@ -197,6 +211,7 @@ impl ReadPath {
             cache: Mutex::new(QueryCache::new(cache_capacity)),
             scratch: ScratchPool::new(),
             planner: PlannerCounters::default(),
+            rank_totals: RankCounters::default(),
             eval_totals: EvalTotals::default(),
             cancel_totals: CancelCounters::default(),
         }
@@ -219,7 +234,9 @@ impl ReadPath {
     ) -> Result<QueryResponse, ExpFinderError> {
         let threads = self.exec.threads.max(1);
         let out = self.scratch.with(|scratch| {
-            self.execute(resolve, pattern, top_k, prefer, threads, scratch, cancel)
+            self.execute(
+                resolve, pattern, top_k, prefer, threads, scratch, cancel, true,
+            )
         });
         if let Some(t) = cancel {
             self.cancel_totals.drain(t);
@@ -327,6 +344,7 @@ impl ReadPath {
             threads,
             scratch,
             cancel,
+            false, // a batch slot fills the ranked slot but is not served from it
         );
         if let Some(t) = &own {
             self.cancel_totals.drain(t);
@@ -335,6 +353,14 @@ impl ReadPath {
     }
 
     /// Resolve, borrow, evaluate, rank: the whole of one read, timed.
+    ///
+    /// `serve_held` says whether the ranked list the cache slot already
+    /// holds may answer the read. Single reads pass `true`. Batch slots
+    /// pass `false`: they rank afresh and only *fill* the slot. That is a
+    /// staging decision, not a design one — served from the list, `/batch`
+    /// throughput on a hot pool rises ~40×, and the repo benchmark's
+    /// run-to-run spread bound (a quarter of the *parent commit's* median)
+    /// cannot resolve a rate that far from its parent (CHANGES.md, PR 17).
     #[allow(clippy::too_many_arguments)]
     fn execute<A: Deref<Target: StateSource>>(
         &self,
@@ -345,33 +371,45 @@ impl ReadPath {
         threads: usize,
         scratch: &mut EvalScratch,
         cancel: Option<&CancelToken>,
+        serve_held: bool,
     ) -> Result<QueryResponse, ExpFinderError> {
         let started = Instant::now();
         let source = resolve()?;
         let guard = source.state();
         let state = &*guard;
-        let (matches, plan) =
-            self.route_and_eval(state, pattern, prefer, threads, scratch, cancel)?;
+        let fingerprint = pattern.fingerprint();
+        let key = QueryCache::key_for(state.id(), state.version(), &fingerprint);
+        let slot = (&key, fingerprint.as_str(), top_k.filter(|_| serve_held));
+        let ((matches, held), plan, stats) =
+            self.route_and_eval(state, pattern, slot, prefer, threads, scratch, cancel)?;
         let route = EvalRoute::of(plan.chosen, pattern.is_simulation());
         let evaluate_time = started.elapsed();
 
         let rank_started = Instant::now();
-        let experts = match top_k {
-            None => Vec::new(),
-            Some(k) => {
-                // reuse the CSR snapshot only when direct evaluation just
-                // built (or fetched) it; a cache/registered/compressed hit
-                // never touched it, and building one merely to rank would
-                // cost more than it saves
-                let direct = matches!(
-                    route,
-                    EvalRoute::DirectSimulation | EvalRoute::DirectBounded
-                );
-                let derived = direct.then(|| state.derived());
-                match derived.as_deref().and_then(Derived::csr_if_built) {
-                    Some(csr) => rank(csr, pattern, &matches, k, threads)?,
-                    None => rank(state.graph(), pattern, &matches, k, threads)?,
-                }
+        let experts = match (top_k, held) {
+            (None, _) => Vec::new(),
+            (_, Some(held)) => {
+                self.rank_totals.reused.fetch_add(1, Ordering::Relaxed);
+                held
+            }
+            (Some(k), None) => {
+                self.rank_totals.computed.fetch_add(1, Ordering::Relaxed);
+                // rank over the CSR snapshot whenever this version has one;
+                // building one merely to rank would cost more than it saves
+                let derived = state.derived();
+                let ranked = match derived.csr_if_built() {
+                    Some(csr) => rank(csr, pattern, &matches, k, threads, cancel),
+                    None => rank(state.graph(), pattern, &matches, k, threads, cancel),
+                };
+                let experts = ranked.map_err(|e| match e {
+                    EvalError::Pattern(e) => e.into(),
+                    // the relation is finished and stays cached; the
+                    // ranked list is all or nothing
+                    EvalError::Cancelled(_) => ExpFinderError::DeadlineExceeded(stats),
+                })?;
+                let mut cache = self.cache.lock();
+                cache.put_ranked(&key, &fingerprint, &experts, k);
+                experts
             }
         };
         let rank_time = rank_started.elapsed();
@@ -396,40 +434,41 @@ impl ReadPath {
     /// from the graph's [`CostProfile`]. A non-`Auto` `prefer` takes no
     /// separate code path — the planner still produces its decision and
     /// records the override.
+    #[allow(clippy::too_many_arguments)]
     fn route_and_eval<S: GraphState + ?Sized>(
         &self,
         state: &S,
         pattern: &Pattern,
+        (key, fingerprint, top_k): (&CacheKey, &str, Option<usize>),
         prefer: Route,
         threads: usize,
         scratch: &mut EvalScratch,
         cancel: Option<&CancelToken>,
-    ) -> Result<(Arc<MatchRelation>, PlanDecision), ExpFinderError> {
+    ) -> Result<Routed, ExpFinderError> {
         // a token that fired before evaluation even started (deadline
         // consumed upstream, or admission-level cancel) aborts here, with
         // zero work to report
         if cancel.is_some_and(|t| t.is_cancelled()) {
             return Err(ExpFinderError::DeadlineExceeded(EvalStats::default()));
         }
-        let fingerprint = pattern.fingerprint();
         let version = state.version();
-        let key = QueryCache::key_for(state.id(), version, &fingerprint);
+        let exact = |route, hit| {
+            let plan = PlanDecision::exact(route);
+            self.planner.on_decision(&plan);
+            (hit, plan, EvalStats::default())
+        };
 
         if prefer == Route::Auto {
             // 1. cache (the fingerprint guards against key-hash collisions)
-            if let Some(hit) = self.cache.lock().get(&key, &fingerprint) {
-                let plan = PlanDecision::exact(PlanRoute::Cache);
-                self.planner.on_decision(&plan);
-                return Ok((hit, plan));
+            if let Some(hit) = self.cache.lock().get(key, fingerprint, top_k) {
+                return Ok(exact(PlanRoute::Cache, hit));
             }
             // 2. registered incremental state
-            if let Some(matches) = state.registered(&fingerprint) {
+            if let Some(matches) = state.registered(fingerprint) {
                 self.cache
                     .lock()
-                    .put(key, &fingerprint, Arc::clone(&matches));
-                let plan = PlanDecision::exact(PlanRoute::Registered);
-                self.planner.on_decision(&plan);
-                return Ok((matches, plan));
+                    .put(*key, fingerprint, Arc::clone(&matches));
+                return Ok(exact(PlanRoute::Registered, (matches, None)));
             }
         }
 
@@ -499,8 +538,8 @@ impl ReadPath {
         let matches = Arc::new(m);
         self.cache
             .lock()
-            .put(key, &fingerprint, Arc::clone(&matches));
-        Ok((matches, plan))
+            .put(*key, fingerprint, Arc::clone(&matches));
+        Ok(((matches, None), plan, stats))
     }
 
     /// Estimate the planner cost (abstract work units) of evaluating
@@ -571,6 +610,15 @@ impl ReadPath {
         self.planner.totals()
     }
 
+    /// Ranked answers computed (result graph + ranking) and served from
+    /// the cache slot instead — the `engine.rank` block of `GET /metrics`.
+    pub fn rank_totals(&self) -> RankTotals {
+        RankTotals {
+            computed: self.rank_totals.computed.load(Ordering::Relaxed),
+            reused: self.rank_totals.reused.load(Ordering::Relaxed),
+        }
+    }
+
     /// Cumulative cancellation counters — armed checks polled and tokens
     /// fired across every deadline-carrying evaluation — the
     /// `engine.cancel` block of `GET /metrics`.
@@ -614,14 +662,17 @@ fn plan_routes<S: GraphState + ?Sized>(
     planner::plan(&inputs, &ctx)
 }
 
-/// Build the result graph over `view` and rank the output node's matches.
+/// Build the result graph over `view` and rank the output node's matches,
+/// polling `cancel` per source match and per candidate.
 fn rank<V: GraphView + Sync>(
     view: &V,
     pattern: &Pattern,
     matches: &MatchRelation,
     k: usize,
     threads: usize,
-) -> Result<Vec<RankedMatch>, ExpFinderError> {
-    let rg = ResultGraph::build_with(view, pattern, matches, BuildOptions { threads });
-    Ok(rank_matches_top_k(&rg, pattern, matches, k)?)
+    cancel: Option<&CancelToken>,
+) -> Result<Vec<RankedMatch>, EvalError> {
+    let opts = BuildOptions { threads };
+    let rg = ResultGraph::build_cancellable(view, pattern, matches, opts, cancel)?;
+    rank_matches_top_k_cancellable(&rg, pattern, matches, k, cancel)
 }

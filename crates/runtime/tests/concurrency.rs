@@ -1,13 +1,14 @@
 //! The runtime's headline read-path claim: queries run on published
 //! immutable snapshots, so readers racing a writer (1) never block on
 //! the shard actor and (2) always observe a *consistent* state — every
-//! response's matches equal a fresh single-threaded evaluation of the
-//! graph at the exact `graph_version` the response reports.
+//! response's matches and ranked experts equal a fresh single-threaded
+//! evaluation of the graph at the exact `graph_version` the response
+//! reports.
 
-use expfinder_core::{bounded_simulation, MatchError};
+use expfinder_core::{bounded_simulation, top_k, MatchError, RankedMatch};
 use expfinder_engine::{ExecConfig, Route};
 use expfinder_graph::generate::{collaboration, random_updates, CollabConfig};
-use expfinder_graph::DiGraph;
+use expfinder_graph::{DiGraph, NodeId};
 use expfinder_pattern::fixtures::fig1_pattern;
 use expfinder_runtime::{DurableExpFinder, FsyncPolicy, RuntimeConfig};
 use rand::rngs::StdRng;
@@ -54,13 +55,21 @@ fn readers_consistent_with_concurrent_writer() {
     // The runtime's actor applies the same updates to a clone of `base`
     // in the same order, so it walks the same version sequence — the
     // truth table covers every version a reader can be served.
+    let experts_of = |list: &[RankedMatch]| -> Vec<(NodeId, u64)> {
+        list.iter().map(|x| (x.node, x.rank.to_bits())).collect()
+    };
+    let truth_at = |g: &DiGraph| {
+        let m = bounded_simulation(g, &q).unwrap();
+        let experts = experts_of(&top_k(g, &q, &m, 3).unwrap());
+        (m, experts)
+    };
     let mut expected: HashMap<u64, _> = HashMap::new();
     {
         let mut g = base.clone();
-        expected.insert(g.version(), bounded_simulation(&g, &q).unwrap());
+        expected.insert(g.version(), truth_at(&g));
         for &up in &updates {
             if g.apply(up) {
-                expected.insert(g.version(), bounded_simulation(&g, &q).unwrap());
+                expected.insert(g.version(), truth_at(&g));
             }
         }
     }
@@ -96,8 +105,8 @@ fn readers_consistent_with_concurrent_writer() {
             let expected = &expected;
             s.spawn(move || {
                 for i in 0..READS_PER_READER {
-                    let out = rt.query("live", &q, None, Route::Auto).unwrap();
-                    let truth = expected.get(&out.graph_version).unwrap_or_else(|| {
+                    let out = rt.query("live", &q, Some(3), Route::Auto).unwrap();
+                    let (truth, experts) = expected.get(&out.graph_version).unwrap_or_else(|| {
                         panic!(
                             "reader {r} iteration {i}: version {} was never a \
                              real graph state",
@@ -108,6 +117,13 @@ fn readers_consistent_with_concurrent_writer() {
                         *out.matches, *truth,
                         "reader {r} iteration {i}: matches diverge from a fresh \
                          evaluation at version {}",
+                        out.graph_version
+                    );
+                    assert_eq!(
+                        &experts_of(&out.experts),
+                        experts,
+                        "reader {r} iteration {i}: experts diverge from a fresh \
+                         ranking at version {}",
                         out.graph_version
                     );
                     if i % 16 == 0 {

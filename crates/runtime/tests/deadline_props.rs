@@ -10,14 +10,27 @@
 //! (sequential and parallel exec) and on the durable runtime, whose
 //! published snapshot, cache and scratch pool it must not have touched.
 //! Both facades live in this one suite because they run one `ReadPath`.
+//!
+//! The budget covers the whole read, not just the fixpoint: result-graph
+//! construction polls the token per source match and ranking per
+//! candidate. `every_fuse_value_yields_the_exact_experts_or_408` walks
+//! the fuse through every one of those points on both facades — a ranked
+//! answer is all or nothing, never a truncated list, and a relation whose
+//! ranking was abandoned is still cached.
 
-use expfinder_core::Semantics;
-use expfinder_engine::{EngineConfig, ExecConfig, ExpFinder, ExpFinderError, QuerySpec, Route};
+use expfinder_core::{RankedMatch, Semantics};
+use expfinder_engine::{
+    EngineConfig, EvalRoute, ExecConfig, ExpFinder, ExpFinderError, QueryResponse, QuerySpec,
+    RankTotals, Route,
+};
+use expfinder_graph::fixtures::collaboration_fig1;
+use expfinder_pattern::fixtures::fig1_pattern;
 use expfinder_runtime::wal::FsyncPolicy;
 use expfinder_runtime::{CancelToken, DurableExpFinder, RuntimeConfig};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Unique temp dir per proptest case (cases run concurrently).
@@ -37,6 +50,133 @@ fn tmpdir() -> PathBuf {
 mod common;
 use common::*;
 
+/// What a client can observe of a ranked answer: node order, rank bits.
+fn bits(list: &[RankedMatch]) -> Vec<(u32, u64)> {
+    list.iter().map(|x| (x.node.0, x.rank.to_bits())).collect()
+}
+
+/// One ranked Fig. 1 query per call on a fresh backend, so every fuse
+/// value meets a cold cache. `run(token, top_k)` queries, `totals()`
+/// reads `engine.rank`.
+fn walk_the_fuse<R, T>(fresh: impl Fn() -> (R, T))
+where
+    R: Fn(Option<&Arc<CancelToken>>, Option<usize>) -> Result<QueryResponse, ExpFinderError>,
+    T: Fn() -> RankTotals,
+{
+    let (g, q) = (collaboration_fig1().graph, fig1_pattern());
+    let want = bits(&reference_rank(
+        &g,
+        &q,
+        &oracle(&g, &q, Semantics::Bounded),
+        2,
+    ));
+    assert_eq!(want.len(), 2, "Bob, then Walt");
+
+    // count the cancellation points of the evaluation alone and of the
+    // whole ranked read with fuses that never fire
+    let polls = |top_k| {
+        let token = CancelToken::after_checks(u64::MAX);
+        fresh().0(Some(&token), top_k).unwrap();
+        token.checks()
+    };
+    let (eval_polls, all_polls) = (polls(None), polls(Some(2)));
+    // Fig. 1: 8 source matches over the four pattern edges + 2 candidates
+    assert_eq!(
+        all_polls - eval_polls,
+        10,
+        "G_r and ranking are cancellation points"
+    );
+
+    // the work of the finished evaluation, as the last possible 408 reports it
+    let finished = match fresh().0(Some(&CancelToken::after_checks(all_polls)), Some(2)) {
+        Err(ExpFinderError::DeadlineExceeded(stats)) => stats,
+        other => panic!("the last poll must fire, got {other:?}"),
+    };
+    assert!(finished.refreshes >= q.edge_count());
+
+    for fuse in 1..=all_polls + 1 {
+        let (run, totals) = fresh();
+        match run(Some(&CancelToken::after_checks(fuse)), Some(2)) {
+            Ok(resp) => {
+                assert_eq!(fuse, all_polls + 1, "a fuse inside the read must fire");
+                assert_eq!(bits(&resp.experts), want);
+            }
+            Err(ExpFinderError::DeadlineExceeded(stats)) => {
+                assert!(fuse <= all_polls);
+                let ranking = fuse > eval_polls;
+                // abandoned while ranking: the 408 carries the finished
+                // evaluation's work, and the finished relation is cached
+                assert_eq!(stats == finished, ranking, "fuse {fuse}: {stats:?}");
+                let again = run(None, Some(2)).unwrap();
+                assert_eq!(
+                    bits(&again.experts),
+                    want,
+                    "fuse {fuse}: never a truncated list"
+                );
+                assert_eq!(again.route == EvalRoute::Cache, ranking, "fuse {fuse}");
+                // nothing partial was stored: the follow-up ranked afresh
+                let expect = RankTotals {
+                    computed: 1 + ranking as u64,
+                    reused: 0,
+                };
+                assert_eq!(totals(), expect, "fuse {fuse}");
+            }
+            Err(other) => panic!("fuse {fuse}: unexpected error: {other}"),
+        }
+    }
+}
+
+#[test]
+fn every_fuse_value_yields_the_exact_experts_or_408() {
+    // the in-memory engine
+    walk_the_fuse(|| {
+        let engine = Arc::new(ExpFinder::new(EngineConfig {
+            exec: ExecConfig::sequential(),
+            ..EngineConfig::default()
+        }));
+        let h = engine.add_graph("g", collaboration_fig1().graph).unwrap();
+        let e = Arc::clone(&engine);
+        let run = move |token: Option<&Arc<CancelToken>>, top_k: Option<usize>| {
+            let mut query = e.query(&h).pattern(fig1_pattern());
+            if let Some(k) = top_k {
+                query = query.top_k(k);
+            }
+            if let Some(t) = token {
+                query = query.cancel_token(Arc::clone(t));
+            }
+            query.run()
+        };
+        (run, move || engine.read_path().rank_totals())
+    });
+
+    // the durable runtime
+    let dirs = std::cell::RefCell::new(Vec::new());
+    walk_the_fuse(|| {
+        let dir = tmpdir();
+        dirs.borrow_mut().push(dir.clone());
+        let config = RuntimeConfig {
+            shards: 1,
+            fsync: FsyncPolicy::Never,
+            exec: ExecConfig::sequential(),
+            ..RuntimeConfig::default()
+        };
+        let rt = Arc::new(DurableExpFinder::open(&dir, config).unwrap());
+        rt.add_graph("g", collaboration_fig1().graph).unwrap();
+        let r = Arc::clone(&rt);
+        let run = move |token: Option<&Arc<CancelToken>>, top_k: Option<usize>| {
+            let q = fig1_pattern();
+            match token {
+                Some(t) => r.query_cancellable("g", &q, top_k, Route::Auto, t),
+                None => r.query("g", &q, top_k, Route::Auto),
+            }
+        };
+        (run, move || rt.read_path().rank_totals())
+    });
+    for dir in dirs.into_inner() {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -52,6 +192,7 @@ proptest! {
     ) {
         let (g, q) = (build_graph(&rg), build_pattern(&rp, false));
         let oracle = oracle(&g, &q, Semantics::Bounded);
+        let g_model = g.clone();
 
         let exec = if parallel {
             ExecConfig { threads: 3, batch_parallelism: 2 }
@@ -64,10 +205,14 @@ proptest! {
         // fire at an arbitrary cancellation point; a fuse longer than
         // the whole evaluation means the query completes — and then it
         // must already agree with the oracle
+        let experts = bits(&reference_rank(&g_model, &q, &oracle, 3));
         let token = CancelToken::after_checks(fuse);
-        match engine.query(&h).pattern(q.clone()).cancel_token(token).run() {
+        match engine.query(&h).pattern(q.clone()).top_k(3).cancel_token(token).run() {
             Err(ExpFinderError::DeadlineExceeded(_)) => {}
-            Ok(resp) => prop_assert_eq!(&*resp.matches, &oracle),
+            Ok(resp) => {
+                prop_assert_eq!(&*resp.matches, &oracle);
+                prop_assert_eq!(bits(&resp.experts), experts.clone());
+            }
             Err(other) => prop_assert!(false, "unexpected error: {other}"),
         }
 
@@ -75,6 +220,7 @@ proptest! {
         // evaluation — nothing partial was cached or left in scratch
         let after = engine.query(&h).pattern(q.clone()).top_k(3).run().unwrap();
         prop_assert_eq!(&*after.matches, &oracle);
+        prop_assert_eq!(bits(&after.experts), experts);
 
         // and so is the cache hit that follows it
         let cached = engine.query(&h).pattern(q.clone()).run().unwrap();
@@ -123,17 +269,22 @@ proptest! {
             },
         )
         .unwrap();
+        let experts = bits(&reference_rank(&g, &q, &oracle, 3));
         rt.add_graph("g", g).unwrap();
 
         let token = CancelToken::after_checks(fuse);
-        match rt.query_cancellable("g", &q, None, Route::Auto, &token) {
+        match rt.query_cancellable("g", &q, Some(3), Route::Auto, &token) {
             Err(ExpFinderError::DeadlineExceeded(_)) => {}
-            Ok(resp) => prop_assert_eq!(&*resp.matches, &oracle),
+            Ok(resp) => {
+                prop_assert_eq!(&*resp.matches, &oracle);
+                prop_assert_eq!(bits(&resp.experts), experts.clone());
+            }
             Err(other) => prop_assert!(false, "unexpected error: {other}"),
         }
 
         let after = rt.query("g", &q, Some(3), Route::Auto).unwrap();
         prop_assert_eq!(&*after.matches, &oracle);
+        prop_assert_eq!(bits(&after.experts), experts);
 
         drop(rt);
         let _ = std::fs::remove_dir_all(&dir);

@@ -17,11 +17,19 @@
 //! the queue oracle computes over a model graph — cold (first read,
 //! planner leans live) and warm (profile amortized, planner leans
 //! snapshot; the graph is padded so the snapshot routes can win).
+//!
+//! The ranked-answer slot of the query cache rides the same script
+//! (`ranked_answers_are_cached_per_version_and_never_across`): what it
+//! serves equals a fresh `core::top_k`, single reads compute it as rarely
+//! as the prefix rule allows, batch slots fill it without being served
+//! from it, and it never outlives its graph version or its
+//! graph — not even when an update leaves `M(Q,G)` unchanged.
 
 use expfinder_compress::CompressionMethod;
-use expfinder_core::{evaluate, EvalOptions, EvalRequest, MatchRelation, Semantics};
+use expfinder_core::{evaluate, top_k, EvalOptions, EvalRequest, MatchRelation, Semantics};
 use expfinder_engine::{
-    EngineConfig, ExecConfig, ExpFinder, ExpFinderError, GraphHandle, QueryResponse, Route,
+    EngineConfig, EvalRoute, ExecConfig, ExpFinder, ExpFinderError, GraphHandle, QueryResponse,
+    QuerySpec, RankTotals, Route,
 };
 use expfinder_graph::{DiGraph, EdgeUpdate, NodeId};
 use expfinder_pattern::{Bound, Pattern, PatternBuilder, Predicate};
@@ -188,20 +196,169 @@ impl Pair {
     /// One update batch through both write paths (and the model), ending
     /// in a toggle of edge 0 → 1 so the version is guaranteed to move.
     fn update(&mut self, updates: &[EdgeUpdate]) {
-        let mut batch = updates.to_vec();
+        let mut after = self.model.clone();
         for &up in updates {
-            self.model.apply(up);
+            after.apply(up);
         }
         let (a, b) = (NodeId(0), NodeId(1));
-        batch.push(if self.model.has_edge(a, b) {
+        let mut batch = updates.to_vec();
+        batch.push(if after.has_edge(a, b) {
             EdgeUpdate::Delete(a, b)
         } else {
             EdgeUpdate::Insert(a, b)
         });
-        assert!(self.model.apply(batch[updates.len()]), "the toggle applies");
-        let applied = self.engine.apply_updates(&self.handle, &batch).unwrap();
-        assert_eq!(applied, self.rt.apply_updates("g", &batch).unwrap());
+        let before = self.model.version();
+        self.apply(&batch);
+        assert!(self.model.version() > before, "the toggle applies");
     }
+
+    /// Exactly `batch` through both write paths and the model.
+    fn apply(&mut self, batch: &[EdgeUpdate]) {
+        for &up in batch {
+            self.model.apply(up);
+        }
+        let applied = self.engine.apply_updates(&self.handle, batch).unwrap();
+        assert_eq!(applied, self.rt.apply_updates("g", batch).unwrap());
+    }
+
+    /// A ranked `Auto` query on both backends, checked against a fresh
+    /// `core::top_k` over the model: node order and rank bits.
+    fn ranked(&self, q: &Pattern, prefer: Route, k: usize) -> QueryResponse {
+        let resp = self.query(q, prefer, Some(k), None).expect("no deadline");
+        let want = top_k(&self.model, q, &oracle(&self.model, q), k).unwrap();
+        let bits = |l: &[expfinder_core::RankedMatch]| -> Vec<_> {
+            l.iter().map(|x| (x.node, x.rank.to_bits())).collect()
+        };
+        assert_eq!(
+            bits(&resp.experts),
+            bits(&want),
+            "top {k} at v{}",
+            resp.graph_version
+        );
+        resp
+    }
+
+    /// `engine.rank` — the same on both backends, or the two read paths
+    /// did different work for the same script.
+    fn rank_totals(&self) -> RankTotals {
+        let totals = self.engine.read_path().rank_totals();
+        assert_eq!(totals, self.rt.read_path().rank_totals());
+        totals
+    }
+}
+
+/// The ranked-answer slot, on both facades. Five `A` candidates reach a
+/// `B` within two hops: 0, 9, 12 directly (rank 1), 3 and 6 through a `C`
+/// (rank 2) — the `a1 → x → b1` shape whose direct edge `a1 → b1` can be
+/// inserted without changing `M(Q,G)`.
+#[test]
+fn ranked_answers_are_cached_per_version_and_never_across() {
+    let exec = ExecConfig::sequential();
+    let edges = [(0, 1), (3, 5), (5, 4), (6, 8), (8, 7), (9, 10), (12, 13)];
+    let g = graph_with_edges(&edges, 0);
+    let q = pattern_for(0, 2, 1);
+    let engine = ExpFinder::new(EngineConfig {
+        exec,
+        ..EngineConfig::default()
+    });
+    let handle = engine.add_graph("g", g.clone()).unwrap();
+    let dir = tmpdir("ranked");
+    let rt = DurableExpFinder::open(&dir, runtime_config(exec)).unwrap();
+    rt.add_graph("g", g.clone()).unwrap();
+    let mut pair = Pair {
+        engine,
+        handle,
+        rt,
+        model: g.clone(),
+    };
+    let totals = |computed, reused| RankTotals { computed, reused };
+    let rank_of = |resp: &QueryResponse, v: u32| {
+        let hit = resp.experts.iter().find(|x| x.node == NodeId(v));
+        hit.expect("a candidate").rank
+    };
+
+    // one version: 3 computes, 10 must recompute (3 of 5 is no prefix of
+    // 10) and comes back complete, after which every k is a lookup
+    assert_eq!(pair.ranked(&q, Route::Auto, 3).experts.len(), 3);
+    assert_eq!(pair.rank_totals(), totals(1, 0));
+    let all = pair.ranked(&q, Route::Auto, 10);
+    assert_eq!((all.experts.len(), all.route), (5, EvalRoute::Cache));
+    assert_eq!(pair.rank_totals(), totals(2, 0));
+    assert_eq!(pair.ranked(&q, Route::Auto, 2).experts.len(), 2);
+    assert_eq!(pair.ranked(&q, Route::Auto, 40).experts.len(), 5);
+    assert_eq!(pair.rank_totals(), totals(2, 2));
+    let unranked = pair.query(&q, Route::Auto, None, None).unwrap();
+    assert!(unranked.experts.is_empty());
+    assert_eq!(pair.rank_totals(), totals(2, 2), "no top_k, no ranking");
+
+    // a Direct request bypasses the cache, recomputes, and agrees
+    let direct = pair.ranked(&q, Route::Direct, 10);
+    assert_eq!(direct.route, EvalRoute::DirectBounded);
+    assert_eq!(pair.rank_totals(), totals(3, 2));
+
+    // batch slots are not served from the list (they rank afresh, and
+    // agree); a single read right after them still is
+    let specs = || vec![QuerySpec::pattern(q.clone()).top_k(10); 2];
+    let slots = pair.engine.query_batch(&pair.handle, specs());
+    for (a, b) in slots.iter().zip(pair.rt.query_batch("g", specs())) {
+        let (a, b) = (a.as_ref().unwrap(), b.unwrap());
+        assert_eq!((a.route, b.route), (EvalRoute::Cache, EvalRoute::Cache));
+        assert_eq!(a.experts, all.experts);
+        assert_eq!(b.experts, all.experts);
+    }
+    assert_eq!(pair.rank_totals(), totals(5, 2));
+    pair.ranked(&q, Route::Auto, 10);
+    assert_eq!(pair.rank_totals(), totals(5, 3));
+
+    // 3 → 4 shortens the witnessed path 3 → 5 → 4: M is untouched, the
+    // G_r weight goes 2 → 1, and so does f(3). Reusing the ranked list
+    // because "ΔM is empty" would be wrong; the version key prevents it.
+    assert_eq!(rank_of(&all, 3), 2.0);
+    pair.apply(&[EdgeUpdate::Insert(NodeId(3), NodeId(4))]);
+    let after = pair.ranked(&q, Route::Auto, 10);
+    assert_eq!(*after.matches, *all.matches, "the update changed no match");
+    assert_eq!(rank_of(&after, 3), 1.0, "but it changed a rank");
+    assert_eq!(pair.rank_totals(), totals(6, 3));
+
+    // the same for a registered query, whose maintained relation is the
+    // very same `Arc` across the update
+    pair.engine
+        .register_query(&pair.handle, "standing", q.clone())
+        .unwrap();
+    pair.rt.register_query("g", "standing", q.clone()).unwrap();
+    pair.apply(&[EdgeUpdate::Insert(NodeId(15), NodeId(14))]);
+    let registered = pair.ranked(&q, Route::Auto, 10);
+    assert_eq!(registered.route, EvalRoute::Registered);
+    assert_eq!(pair.ranked(&q, Route::Auto, 10).route, EvalRoute::Cache);
+    assert_eq!(pair.rank_totals(), totals(7, 4));
+    assert_eq!(rank_of(&registered, 6), 2.0);
+    pair.apply(&[EdgeUpdate::Insert(NodeId(6), NodeId(7))]);
+    let after = pair.ranked(&q, Route::Auto, 10);
+    assert_eq!(after.route, EvalRoute::Registered);
+    assert_eq!(*after.matches, *registered.matches);
+    assert_eq!(rank_of(&after, 6), 1.0);
+    assert_eq!(pair.rank_totals(), totals(8, 4));
+
+    // a graph removed and re-added under its name — here even at a version
+    // number the cache has a ranked list for — never serves the old list
+    pair.engine.remove_graph(&pair.handle).unwrap();
+    pair.rt.remove_graph("g").unwrap();
+    let mut reborn_edges = edges[1..].to_vec();
+    reborn_edges.push((15, 14));
+    let reborn = graph_with_edges(&reborn_edges, 0);
+    assert_eq!(
+        reborn.version(),
+        g.version(),
+        "same version number, different graph"
+    );
+    pair.handle = pair.engine.add_graph("g", reborn.clone()).unwrap();
+    pair.rt.add_graph("g", reborn.clone()).unwrap();
+    pair.model = reborn;
+    assert_eq!(pair.ranked(&q, Route::Auto, 10).experts.len(), 4);
+    assert_eq!(pair.rank_totals(), totals(9, 4));
+
+    drop(pair);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 proptest! {

@@ -321,6 +321,16 @@ fn main() {
         i64_at(&direct, &["pairs"]) == 8,
         || direct.to_string_compact(),
     );
+    let ranked_body = query_body(FIG1_DSL, Some(2), "auto", false);
+    let ranked = client.query("fig1", &ranked_body).expect("ranked query");
+    let again = client.query("fig1", &ranked_body).expect("ranked query");
+    h.check(
+        "a repeated ranked query returns the same experts",
+        ranked.field("experts").map(Value::to_string_compact).ok()
+            == again.field("experts").map(Value::to_string_compact).ok()
+            && ranked.field("experts").is_ok(),
+        || again.to_string_compact(),
+    );
     let metrics = client.metrics().expect("metrics");
     h.check(
         "metrics counted the query traffic",
@@ -340,6 +350,14 @@ fn main() {
             && i64_at(&metrics, &["engine", "eval", "bfs_nodes_visited"]) >= 1
             && i64_at(&metrics, &["engine", "eval", "refreshes_skipped"]) >= 0
             && i64_at(&metrics, &["engine", "eval", "removals"]) >= 0,
+        || metrics.to_string_compact(),
+    );
+    h.check(
+        "metrics export ranking counters; a repeated ranked query was a lookup",
+        // the same top-2 query, twice at one version over real TCP on the
+        // durable backend: the second answer comes out of the cache slot
+        i64_at(&metrics, &["engine", "rank", "computed"]) >= 1
+            && i64_at(&metrics, &["engine", "rank", "reused"]) >= 1,
         || metrics.to_string_compact(),
     );
     h.check(
@@ -382,10 +400,12 @@ fn main() {
         .unwrap_or_default();
     h.check(
         "metrics export per-shard mailbox depth and ownership gauges",
+        // a shard that owns no graph has handled no command
         !shards.is_empty()
-            && shards
-                .iter()
-                .all(|s| i64_at(s, &["depth"]) >= 0 && i64_at(s, &["commands"]) >= 1)
+            && shards.iter().all(|s| {
+                i64_at(s, &["depth"]) >= 0
+                    && (i64_at(s, &["commands"]) >= 1) == (i64_at(s, &["graphs"]) >= 1)
+            })
             && shards.iter().map(|s| i64_at(s, &["graphs"])).sum::<i64>() == 2,
         || metrics.to_string_compact(),
     );

@@ -345,6 +345,7 @@ impl Metrics {
         let eval = read.eval_totals();
         let index = backend.index_totals();
         let planner = read.planner_totals();
+        let rank = read.rank_totals();
         let cancel = read.cancel_totals();
         let wal = backend.wal_totals();
         let faults = backend.fault_totals();
@@ -400,6 +401,13 @@ impl Metrics {
                     ("decisions", Value::Int(planner.decisions as i64)),
                     ("overrides", Value::Int(planner.overrides as i64)),
                     ("mispredicts", Value::Int(planner.mispredicts as i64)),
+                ]),
+            ),
+            (
+                "rank",
+                obj(vec![
+                    ("computed", Value::Int(rank.computed as i64)),
+                    ("reused", Value::Int(rank.reused as i64)),
                 ]),
             ),
             (

@@ -226,6 +226,46 @@ fn end_to_end_over_tcp() {
     assert!(served >= 10, "served {served}");
 }
 
+/// `engine.rank` over the wire: a repeated `top_k` query ranks once per
+/// graph version and is a lookup every other time — gated on the counts
+/// `GET /metrics` reports, not on time.
+#[test]
+fn repeated_ranked_query_ranks_once_per_version() {
+    const N: i64 = 6;
+    let handle = fig1_server();
+    let mut client = Client::new(handle.addr());
+    let rank_counts = |client: &mut Client| {
+        let metrics = client.metrics().unwrap();
+        let rank = metrics.field("engine").unwrap().field("rank").unwrap();
+        let count = |key| rank.field(key).unwrap().as_i64().unwrap();
+        (count("computed"), count("reused"))
+    };
+    let body = query_body(FIG1_DSL, Some(2), "auto", false);
+    let experts = |resp: &Value| resp.field("experts").unwrap().to_string_compact();
+
+    assert_eq!(rank_counts(&mut client), (0, 0));
+    let first = client.query("fig1", &body).unwrap();
+    assert_eq!(
+        first.field("route").unwrap().as_str().unwrap(),
+        "direct_bounded"
+    );
+    for _ in 1..N {
+        let again = client.query("fig1", &body).unwrap();
+        assert_eq!(again.field("route").unwrap().as_str().unwrap(), "cache");
+        assert_eq!(experts(&again), experts(&first), "same bytes from the slot");
+    }
+    assert_eq!(rank_counts(&mut client), (1, N - 1));
+
+    // any update moves the version: the next answer is ranked afresh
+    let f = expfinder_graph::fixtures::collaboration_fig1();
+    client
+        .updates("fig1", &[EdgeUpdate::Insert(f.e1.0, f.e1.1)])
+        .unwrap();
+    client.query("fig1", &body).unwrap();
+    assert_eq!(rank_counts(&mut client), (2, N - 1));
+    handle.shutdown();
+}
+
 /// The HTTP-level concurrency oracle (PR 1 approach, now over sockets):
 /// every response a racing client observes must equal a fresh
 /// single-threaded evaluation at the version the response reports.

@@ -18,6 +18,11 @@ evaluation route) and `PlanRoute` (the planner's `timings.plan` routes)
 enums must appear in docs/PROTOCOL.md as its backticked wire string
 (the variant name in snake_case), so a new route variant cannot ship
 undocumented.
+
+And the metrics vocabulary: every key of the `engine` block that
+crates/server/src/metrics.rs emits for `GET /metrics` must appear in
+that route's section of docs/PROTOCOL.md as `"key":` in the example
+document, so a new metrics block cannot ship undocumented either.
 """
 
 import re
@@ -29,6 +34,7 @@ ROUTES = ROOT / "crates" / "server" / "src" / "routes.rs"
 PROTOCOL = ROOT / "docs" / "PROTOCOL.md"
 ENGINE_SRC = ROOT / "crates" / "engine" / "src"
 ROUTE_ENUMS = ["Route", "EvalRoute", "PlanRoute"]
+METRICS_SRC = ROOT / "crates" / "server" / "src" / "metrics.rs"
 
 ENUM_VARIANT = re.compile(r"^\s*([A-Z][A-Za-z0-9]*)\s*(?:,|$)")
 
@@ -79,6 +85,46 @@ def check_route_enums(spec: str):
                     "not mentioned in docs/PROTOCOL.md"
                 )
     return missing, checked
+
+
+def check_engine_metrics(spec: str):
+    """Keys of the `engine` block built in metrics.rs that the
+    `GET /metrics` section of the spec does not show, and the number of
+    keys checked. The block is the `obj(vec![...])` bound to
+    `engine_doc`; its keys are the string literals that open a tuple one
+    nesting level inside it."""
+    src = METRICS_SRC.read_text()
+    start = src.find("let engine_doc = obj(vec![")
+    if start < 0:
+        return [
+            f"`let engine_doc = obj(vec![` not found in {METRICS_SRC} — the "
+            "metrics document is built differently now; update scripts/docs_check.py"
+        ], 0
+    keys, depth = [], 0
+    body = src[src.index("[", start):]
+    for m in re.finditer(r'\(\s*"([a-z_]+)"\s*,|[\[\]]', body):
+        if m.group(0) == "[":
+            depth += 1
+        elif m.group(0) == "]":
+            depth -= 1
+            if depth == 0:
+                break
+        elif depth == 1:
+            keys.append(m.group(1))
+    section = spec.partition("### `GET /metrics`")[2].partition("\n### ")[0]
+    missing = [
+        f'engine.{key}: emitted by metrics.rs but `"{key}":` is not in the '
+        "`GET /metrics` section of docs/PROTOCOL.md"
+        for key in keys
+        if f'"{key}":' not in section
+    ]
+    if len(keys) < 5:
+        missing.append(
+            f"only {len(keys)} engine metrics keys parsed from {METRICS_SRC}; "
+            "update scripts/docs_check.py"
+        )
+    return missing, len(keys)
+
 
 # ("POST", ["graphs", name, "subscribe"]) — including arms wrapped over
 # lines; stop at the closing bracket of the segment list
@@ -133,11 +179,15 @@ def main() -> int:
     variant_missing, n_variants = check_route_enums(spec)
     for msg in variant_missing:
         print(f"docs-check: {msg}", file=sys.stderr)
-    if missing or variant_missing:
+    metrics_missing, n_metrics = check_engine_metrics(spec)
+    for msg in metrics_missing:
+        print(f"docs-check: {msg}", file=sys.stderr)
+    if missing or variant_missing or metrics_missing:
         return 1
     print(
-        f"docs-check OK: {len(routes)} routes and {n_variants} route-enum "
-        "variants, all specified in docs/PROTOCOL.md"
+        f"docs-check OK: {len(routes)} routes, {n_variants} route-enum "
+        f"variants and {n_metrics} engine metrics blocks, all specified in "
+        "docs/PROTOCOL.md"
     )
     return 0
 

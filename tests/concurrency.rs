@@ -5,8 +5,10 @@
 //!
 //! * many readers against one graph agree with sequential answers;
 //! * readers racing a writer always observe a *consistent snapshot*:
-//!   every response's matches equal a fresh single-threaded evaluation of
-//!   the graph at the version the response reports;
+//!   every response's matches *and ranked experts* equal a fresh
+//!   single-threaded evaluation of the graph at the version the response
+//!   reports — a ranked answer cached at one version is never served at
+//!   another;
 //! * readers on different graphs proceed independently while a writer
 //!   updates a third graph.
 
@@ -114,15 +116,24 @@ fn readers_consistent_with_concurrent_writer() {
     let q = fig1_pattern();
     let updates = random_updates(&mut StdRng::seed_from_u64(41), &base, UPDATES, 0.5);
 
-    // Precompute, single-threaded, the expected relation at *every*
-    // version the graph will pass through.
-    let mut expected: HashMap<u64, MatchRelation> = HashMap::new();
+    // Precompute, single-threaded, the expected relation and top-3
+    // experts (node order and rank bits) at *every* version the graph
+    // will pass through.
+    let experts_of = |list: &[expfinder::core::RankedMatch]| -> Vec<(NodeId, u64)> {
+        list.iter().map(|x| (x.node, x.rank.to_bits())).collect()
+    };
+    let truth_at = |g: &DiGraph| {
+        let m = bounded_simulation(g, &q).unwrap();
+        let experts = experts_of(&top_k(g, &q, &m, 3).unwrap());
+        (m, experts)
+    };
+    let mut expected: HashMap<u64, (MatchRelation, Vec<(NodeId, u64)>)> = HashMap::new();
     {
         let mut g = base.clone();
-        expected.insert(g.version(), bounded_simulation(&g, &q).unwrap());
+        expected.insert(g.version(), truth_at(&g));
         for &up in &updates {
             if g.apply(up) {
-                expected.insert(g.version(), bounded_simulation(&g, &q).unwrap());
+                expected.insert(g.version(), truth_at(&g));
             }
         }
     }
@@ -153,8 +164,8 @@ fn readers_consistent_with_concurrent_writer() {
             s.spawn(move || {
                 let mut observed_versions = 0usize;
                 for i in 0..120 {
-                    let out = engine.evaluate(&h, &q).unwrap();
-                    let truth = expected.get(&out.graph_version).unwrap_or_else(|| {
+                    let out = engine.query(&h).pattern(q.clone()).top_k(3).run().unwrap();
+                    let (truth, experts) = expected.get(&out.graph_version).unwrap_or_else(|| {
                         panic!(
                             "reader {r} iteration {i}: version {} was never a \
                              real graph state",
@@ -165,6 +176,13 @@ fn readers_consistent_with_concurrent_writer() {
                         *out.matches, *truth,
                         "reader {r} iteration {i}: matches diverge from a fresh \
                          evaluation at version {}",
+                        out.graph_version
+                    );
+                    assert_eq!(
+                        &experts_of(&out.experts),
+                        experts,
+                        "reader {r} iteration {i}: experts diverge from a fresh \
+                         ranking at version {}",
                         out.graph_version
                     );
                     observed_versions += 1;
