@@ -17,6 +17,7 @@
 
 use crate::matchbench::{collab_team_star_pattern, twitter_audience_pattern};
 use crate::{collab_graph, collab_pattern, json_obj as obj, twitter_graph, SEED};
+use expfinder_compress::CompressionMethod;
 use expfinder_engine::{
     EngineConfig, ExecConfig, ExpFinder, GraphHandle, PlanDecision, QueryResponse, Route,
 };
@@ -189,7 +190,9 @@ pub fn run_plan_bench() -> Value {
         ExecConfig::sequential(),
         collab_graph(1500, SEED),
         |engine, h, steps| {
-            engine.compress(h).expect("compress scenario graph");
+            engine
+                .compress(h, CompressionMethod::Bisimulation)
+                .expect("compress scenario graph");
             let q = collab_team_star_pattern();
             steps.push(step(engine, h, &q, Route::Auto, 0).0);
             steps.push(step(engine, h, &q, Route::Compressed, 1).0);

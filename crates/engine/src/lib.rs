@@ -2,14 +2,17 @@
 //! redesigned as a **shareable, handle-based service**.
 //!
 //! [`ExpFinder`] is internally synchronized: the catalog (name → graph)
-//! sits behind one `RwLock`, and every managed graph sits behind its own
-//! `RwLock<StoredGraph>`. All query-side operations — [`ExpFinder::evaluate`],
+//! sits behind one `RwLock`, and every managed graph is a
+//! [`MaintainedGraph`] behind its own write `Mutex` plus the
+//! [`PublishedGraph`] slot it publishes immutable [`Snapshot`]s into. All
+//! query-side operations — [`ExpFinder::evaluate`],
 //! [`ExpFinder::find_experts`], [`ExpFinder::query_deadline`], the fluent
 //! [`ExpFinder::query`] builder, [`ExpFinder::query_batch`] —
 //! take `&self`, so an `Arc<ExpFinder>` can serve many threads at once:
-//! reads on *different* graphs run fully in parallel, reads on the *same*
-//! graph share its read lock, and [`ExpFinder::apply_updates`] briefly
-//! takes that one graph's write lock without stalling traffic elsewhere.
+//! a read clones the latest snapshot `Arc` and holds no lock while it
+//! evaluates, so readers never wait for a writer (nor a writer for them),
+//! and [`ExpFinder::apply_updates`] serializes only with other writers of
+//! that one graph.
 //!
 //! Graphs are addressed by cheap [`GraphHandle`]s returned from
 //! [`ExpFinder::add_graph`] (or looked up with [`ExpFinder::handle`]).
@@ -27,20 +30,20 @@
 //! winning substrate (quadratic simulation for 1-bounded patterns, cubic
 //! bounded simulation for the rest), the result graph and the top-K
 //! rank — or a prefix of the ranked answer the cache slot already
-//! holds. The read path is generic over a [`GraphState`] view;
-//! [`ExpFinder`]'s part of a read is resolving the handle to its slot (a
-//! [`StateSource`]: borrowing a state takes the graph's read lock), and the
-//! durable runtime reuses the same path over its published snapshots. Every [`QueryResponse`] carries the full
-//! [`PlanDecision`]. Updates flow through [`ExpFinder::apply_updates`],
-//! which maintains the graph, its compressed counterpart and every
-//! registered query in one pass.
+//! holds. The read path reads a published [`Snapshot`] and nothing else;
+//! [`ExpFinder`]'s part of a read is resolving the handle to its graph's
+//! latest one, and the durable runtime does the same by name. Every
+//! [`QueryResponse`] carries the full [`PlanDecision`]. Updates flow
+//! through [`ExpFinder::apply_updates`] into the graph's
+//! [`MaintainedGraph`] — the one write path of both facades — which
+//! maintains the graph, its compressed counterpart and every registered
+//! query in one pass and then publishes the next snapshot.
 //!
 //! Execution is parallel by default ([`ExecConfig`]): direct evaluation
 //! runs the parallel refinement of `expfinder-core` over an immutable
-//! [`CsrGraph`](expfinder_graph::CsrGraph) snapshot that the engine
-//! builds lazily once per graph version and caches next to the
-//! compression state (stale snapshots are detected by version and
-//! rebuilt on the next parallel read), and whole batches of queries are
+//! [`CsrGraph`](expfinder_graph::CsrGraph) snapshot that the read path
+//! builds lazily once per graph version and shares through that
+//! version's [`Derived`] state, and whole batches of queries are
 //! drained across a scoped worker pool by [`ExpFinder::query_batch`].
 //! Parallelism never changes answers — the refinement computes the same
 //! greatest fixpoint — and `ExecConfig::sequential()` restores the fully
@@ -70,20 +73,20 @@ pub mod planner;
 pub mod read_path;
 pub mod report;
 pub mod shell;
+pub mod state;
 pub mod storage;
 
 pub use planner::{
     CandidateCost, CostInputs, CostProfile, PlanContext, PlanDecision, PlanRoute, PlannerTotals,
 };
-pub use read_path::{Derived, GraphState, ReadPath, StateSource};
+pub use read_path::ReadPath;
+pub use state::{Derived, MaintainedGraph, PublishedGraph, Snapshot};
 
-use expfinder_compress::maintain::MaintainedCompression;
-use expfinder_compress::{CompressError, CompressStats, CompressedGraph, CompressionMethod};
+use expfinder_compress::{CompressError, CompressStats, CompressionMethod};
 pub use expfinder_core::CancelToken;
 use expfinder_core::{EvalStats, MatchError, MatchRelation, RankedMatch};
 use expfinder_graph::io::GraphIoError;
-use expfinder_graph::{DiGraph, EdgeUpdate, GraphView};
-use expfinder_incremental::{IncrementalBoundedSim, IncrementalSim, Maintainer};
+use expfinder_graph::{DiGraph, EdgeUpdate};
 use expfinder_pattern::parser::ParseError;
 use expfinder_pattern::{Pattern, PatternError};
 use parking_lot::{Mutex, RwLock};
@@ -98,10 +101,6 @@ use thiserror::Error;
 pub struct EngineConfig {
     /// Cached query results kept per engine (LRU).
     pub cache_capacity: usize,
-    /// Equivalence used when compressing.
-    pub compression_method: CompressionMethod,
-    /// Recompress when maintenance drift exceeds this factor.
-    pub recompress_drift: f64,
     /// Parallel execution knobs (per-query threads + batch fan-out).
     pub exec: ExecConfig,
 }
@@ -110,8 +109,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             cache_capacity: 64,
-            compression_method: CompressionMethod::Bisimulation,
-            recompress_drift: 2.0,
             exec: ExecConfig::default(),
         }
     }
@@ -311,100 +308,6 @@ pub struct QueryResponse {
     pub plan: PlanDecision,
 }
 
-/// A registered query: the fingerprint the read path routes by, and the
-/// incremental maintainer of its result.
-struct RegisteredQuery {
-    fingerprint: String,
-    maintainer: Box<dyn Maintainer + Send + Sync>,
-}
-
-/// One managed graph with everything the engine maintains alongside it.
-struct StoredGraph {
-    /// Engine-unique catalog id (the graph component of cache keys).
-    id: u64,
-    graph: DiGraph,
-    compressed: Option<MaintainedCompression>,
-    registered: HashMap<String, RegisteredQuery>,
-    /// The lazily built per-version read state (CSR snapshot, reach
-    /// indexes), shared via `Arc` by fluent queries, batch workers and
-    /// HTTP workers at that version. Behind its own `Mutex` so a reader
-    /// can replace a value left over from an older version under the
-    /// graph's *read* lock: an update invalidates it simply by moving the
-    /// version on.
-    derived: Mutex<Arc<Derived>>,
-    /// Per-graph workload statistics the cost-based [`planner`] runs on:
-    /// reads per version, reach-index hit rates, update and CSR-build
-    /// counters.
-    profile: CostProfile,
-}
-
-impl StoredGraph {
-    fn new(id: u64, graph: DiGraph) -> StoredGraph {
-        StoredGraph {
-            id,
-            derived: Mutex::new(Arc::new(Derived::new(graph.version()))),
-            graph,
-            compressed: None,
-            registered: HashMap::new(),
-            profile: CostProfile::default(),
-        }
-    }
-
-    /// The quotient was rebuilt or dropped without a graph-version bump,
-    /// so the version-keyed invalidation cannot catch it — swap in a
-    /// fresh quotient reach index explicitly.
-    fn quotient_changed(&mut self) {
-        let derived = self.derived.get_mut();
-        *derived = Arc::new(derived.with_fresh_quotient_reach());
-    }
-}
-
-/// The read path's view of a stored graph. Borrowed from under the
-/// graph's read lock, so every accessor answers for one version.
-impl GraphState for StoredGraph {
-    fn id(&self) -> u64 {
-        self.id
-    }
-
-    fn version(&self) -> u64 {
-        self.graph.version()
-    }
-
-    fn graph(&self) -> &DiGraph {
-        &self.graph
-    }
-
-    fn registered(&self, fingerprint: &str) -> Option<Arc<MatchRelation>> {
-        self.registered
-            .values()
-            .find(|rq| rq.fingerprint == fingerprint)
-            .map(|rq| Arc::new(rq.maintainer.current()))
-    }
-
-    fn quotient(&self) -> Option<&CompressedGraph> {
-        self.compressed.as_ref().map(|mc| mc.compressed())
-    }
-
-    fn derived(&self) -> impl std::ops::Deref<Target = Derived> + '_ {
-        let mut slot = self.derived.lock();
-        if slot.version() != self.graph.version() {
-            *slot = Arc::new(Derived::new(self.graph.version()));
-        }
-        Arc::clone(&slot)
-    }
-
-    fn profile(&self) -> &CostProfile {
-        &self.profile
-    }
-}
-
-/// Borrowing a state from a graph slot takes its read lock.
-impl StateSource for RwLock<StoredGraph> {
-    fn state(&self) -> impl std::ops::Deref<Target: GraphState> + '_ {
-        self.read()
-    }
-}
-
 /// Point-in-time summary of one managed graph, from
 /// [`ExpFinder::graph_infos`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -437,14 +340,16 @@ impl RegisteredDelta {
 /// Observer of committed update batches, installed with
 /// [`ExpFinder::set_update_hook`]. Called once per batch with the graph
 /// name and the full traced [`UpdateReport`], *while the graph's write
-/// lock is still held* — so hook invocations for one graph are totally
-/// ordered and carry consecutive `graph_version`s. Implementations must
-/// not block (the server's subscription fan-out uses non-blocking
-/// queue sends) and must not call back into the engine.
+/// mutex is still held* and after the batch's snapshot was published — so
+/// hook invocations for one graph are totally ordered, carry
+/// non-decreasing `graph_version`s, and a frame's version is already
+/// readable when it arrives. Implementations must not block (the
+/// server's subscription fan-out uses non-blocking queue sends) and must
+/// not write to the same graph.
 pub type UpdateHook = Arc<dyn Fn(&str, &UpdateReport) + Send + Sync>;
 
 /// Result of [`ExpFinder::apply_updates_traced`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct UpdateReport {
     /// Updates that actually changed the graph (no-ops skipped).
     pub applied: usize,
@@ -456,10 +361,13 @@ pub struct UpdateReport {
     pub registered: Vec<RegisteredDelta>,
 }
 
-/// A catalog slot: stable id plus the shared, lock-guarded graph state.
-struct CatalogEntry {
+/// One managed graph: its stable catalog id, the slot readers load
+/// snapshots from, and the write side that publishes into it. The mutex
+/// serializes writers of this graph only; readers never take it.
+struct GraphSlot {
     id: u64,
-    slot: Arc<RwLock<StoredGraph>>,
+    published: PublishedGraph,
+    core: Mutex<MaintainedGraph>,
 }
 
 /// A cheap, clonable reference to one graph managed by an [`ExpFinder`].
@@ -475,7 +383,7 @@ pub struct GraphHandle {
     engine_id: u64,
     id: u64,
     name: Arc<str>,
-    slot: Weak<RwLock<StoredGraph>>,
+    slot: Weak<GraphSlot>,
 }
 
 impl GraphHandle {
@@ -494,7 +402,7 @@ impl GraphHandle {
         self.slot.strong_count() > 0
     }
 
-    fn upgrade(&self) -> Result<Arc<RwLock<StoredGraph>>, ExpFinderError> {
+    fn upgrade(&self) -> Result<Arc<GraphSlot>, ExpFinderError> {
         self.slot
             .upgrade()
             .ok_or_else(|| ExpFinderError::StaleHandle(self.name.to_string()))
@@ -530,13 +438,13 @@ impl std::fmt::Display for GraphHandle {
 }
 
 /// The ExpFinder system facade. See the [crate docs](crate) for the
-/// locking design; in short: `Arc<ExpFinder>` + `&self` everywhere.
+/// concurrency design; in short: `Arc<ExpFinder>` + `&self` everywhere.
 pub struct ExpFinder {
     config: EngineConfig,
     /// Process-unique id of this engine instance; handles carry it so a
     /// handle from one engine cannot address another.
     engine_id: u64,
-    catalog: RwLock<HashMap<String, CatalogEntry>>,
+    catalog: RwLock<HashMap<String, Arc<GraphSlot>>>,
     /// The shared read path: result cache, scratch pool, thread budget
     /// and the cumulative planner / evaluation / cancellation counters.
     read: ReadPath,
@@ -634,9 +542,29 @@ impl ExpFinder {
     /// Resolve a handle to its graph slot, rejecting handles from other
     /// engines (their ids would alias this engine's cache keys) and
     /// handles whose graph was removed.
-    fn slot(&self, handle: &GraphHandle) -> Result<Arc<RwLock<StoredGraph>>, ExpFinderError> {
+    fn slot(&self, handle: &GraphHandle) -> Result<Arc<GraphSlot>, ExpFinderError> {
         handle.owned_by(self.engine_id)?;
         handle.upgrade()
+    }
+
+    /// The engine's half of a read: the latest published snapshot of the
+    /// handle's graph. Everything after it is the [`ReadPath`].
+    fn latest(&self, handle: &GraphHandle) -> Result<Arc<Snapshot>, ExpFinderError> {
+        Ok(self.slot(handle)?.published.latest())
+    }
+
+    /// Run one write operation on the handle's graph under its write
+    /// mutex and publish what it changed before the mutex is released.
+    fn write<T>(
+        &self,
+        handle: &GraphHandle,
+        op: impl FnOnce(&mut MaintainedGraph) -> Result<T, ExpFinderError>,
+    ) -> Result<T, ExpFinderError> {
+        let slot = self.slot(handle)?;
+        let mut core = slot.core.lock();
+        let out = op(&mut core)?;
+        core.publish(&slot.published);
+        Ok(out)
     }
 
     // ------------------------------ catalog ------------------------------
@@ -650,28 +578,32 @@ impl ExpFinder {
             return Err(ExpFinderError::DuplicateGraph(name.to_owned()));
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let slot = Arc::new(RwLock::new(StoredGraph::new(id, graph)));
+        let slot = Arc::new(GraphSlot {
+            id,
+            published: PublishedGraph::new(id, &graph),
+            core: Mutex::new(MaintainedGraph::new(graph)),
+        });
         let handle = GraphHandle {
             engine_id: self.engine_id,
             id,
             name: Arc::from(name),
             slot: Arc::downgrade(&slot),
         };
-        catalog.insert(name.to_owned(), CatalogEntry { id, slot });
+        catalog.insert(name.to_owned(), slot);
         Ok(handle)
     }
 
     /// Look up the handle of a graph by name.
     pub fn handle(&self, name: &str) -> Result<GraphHandle, ExpFinderError> {
         let catalog = self.catalog.read();
-        let entry = catalog
+        let slot = catalog
             .get(name)
             .ok_or_else(|| ExpFinderError::UnknownGraph(name.to_owned()))?;
         Ok(GraphHandle {
             engine_id: self.engine_id,
-            id: entry.id,
+            id: slot.id,
             name: Arc::from(name),
-            slot: Arc::downgrade(&entry.slot),
+            slot: Arc::downgrade(slot),
         })
     }
 
@@ -681,7 +613,7 @@ impl ExpFinder {
         handle.owned_by(self.engine_id)?;
         let mut catalog = self.catalog.write();
         match catalog.get(handle.name()) {
-            Some(entry) if entry.id == handle.id => {
+            Some(slot) if slot.id == handle.id => {
                 catalog.remove(handle.name());
                 Ok(())
             }
@@ -698,37 +630,25 @@ impl ExpFinder {
 
     /// A summary of every managed graph (sorted by name) — the catalog
     /// view the serving layer exposes on `GET /graphs` and `/metrics`.
-    /// Each slot's read lock is taken briefly, one graph at a time.
     pub fn graph_infos(&self) -> Vec<GraphInfo> {
         let catalog = self.catalog.read();
         let mut infos: Vec<GraphInfo> = catalog
             .iter()
-            .map(|(name, entry)| {
-                let stored = entry.slot.read();
-                GraphInfo {
-                    name: name.clone(),
-                    nodes: stored.graph.node_count(),
-                    edges: stored.graph.edge_count(),
-                    version: stored.graph.version(),
-                    registered_queries: stored.registered.len(),
-                    compressed: stored.compressed.is_some(),
-                }
-            })
+            .map(|(name, slot)| slot.published.latest().info(name))
             .collect();
         infos.sort_by(|a, b| a.name.cmp(&b.name));
         infos
     }
 
-    /// Run `f` with shared access to the graph. This is how callers read
-    /// graph data without copying it out of the lock.
+    /// Run `f` against the graph of the latest published snapshot. No
+    /// lock is held while `f` runs: a writer that commits meanwhile
+    /// neither waits for `f` nor changes what it sees.
     pub fn read_graph<R>(
         &self,
         handle: &GraphHandle,
         f: impl FnOnce(&DiGraph) -> R,
     ) -> Result<R, ExpFinderError> {
-        let slot = self.slot(handle)?;
-        let stored = slot.read();
-        Ok(f(&stored.graph))
+        Ok(f(self.latest(handle)?.graph()))
     }
 
     /// An independent copy of the graph (for persistence and tests). It
@@ -740,25 +660,22 @@ impl ExpFinder {
 
     // ---------------------------- compression ----------------------------
 
-    /// Build (or rebuild) the compressed counterpart of a graph.
-    pub fn compress(&self, handle: &GraphHandle) -> Result<CompressStats, ExpFinderError> {
-        let method = self.config.compression_method;
-        let slot = self.slot(handle)?;
-        let mut stored = slot.write();
-        let mc = MaintainedCompression::new(&stored.graph, method)?;
-        let stats = mc.compressed().stats();
-        stored.compressed = Some(mc);
-        stored.quotient_changed();
-        Ok(stats)
+    /// Build (or rebuild) the compressed counterpart of a graph under
+    /// the given equivalence.
+    pub fn compress(
+        &self,
+        handle: &GraphHandle,
+        method: CompressionMethod,
+    ) -> Result<CompressStats, ExpFinderError> {
+        self.write(handle, |core| core.compress(method))
     }
 
     /// Drop the compressed counterpart.
     pub fn drop_compression(&self, handle: &GraphHandle) -> Result<(), ExpFinderError> {
-        let slot = self.slot(handle)?;
-        let mut stored = slot.write();
-        stored.compressed = None;
-        stored.quotient_changed();
-        Ok(())
+        self.write(handle, |core| {
+            core.drop_compression();
+            Ok(())
+        })
     }
 
     /// Compression statistics, if the graph is compressed.
@@ -766,9 +683,7 @@ impl ExpFinder {
         &self,
         handle: &GraphHandle,
     ) -> Result<Option<CompressStats>, ExpFinderError> {
-        let slot = self.slot(handle)?;
-        let stored = slot.read();
-        Ok(stored.compressed.as_ref().map(|mc| mc.compressed().stats()))
+        Ok(self.latest(handle)?.quotient().map(|gc| gc.stats()))
     }
 
     // ------------------------- registered queries ------------------------
@@ -782,24 +697,9 @@ impl ExpFinder {
         query_name: &str,
         pattern: Pattern,
     ) -> Result<(), ExpFinderError> {
-        let slot = self.slot(handle)?;
-        let mut stored = slot.write();
-        if stored.registered.contains_key(query_name) {
-            return Err(ExpFinderError::DuplicateQuery(query_name.to_owned()));
-        }
-        let maintainer: Box<dyn Maintainer + Send + Sync> = if pattern.is_simulation() {
-            Box::new(IncrementalSim::new(&stored.graph, &pattern)?)
-        } else {
-            Box::new(IncrementalBoundedSim::new(&stored.graph, &pattern))
-        };
-        stored.registered.insert(
-            query_name.to_owned(),
-            RegisteredQuery {
-                fingerprint: pattern.fingerprint(),
-                maintainer,
-            },
-        );
-        Ok(())
+        self.write(handle, |core| {
+            core.register(query_name, pattern, |_| Ok(()))
+        })
     }
 
     /// Drop a registered query.
@@ -808,21 +708,12 @@ impl ExpFinder {
         handle: &GraphHandle,
         query_name: &str,
     ) -> Result<(), ExpFinderError> {
-        self.slot(handle)?
-            .write()
-            .registered
-            .remove(query_name)
-            .map(|_| ())
-            .ok_or_else(|| ExpFinderError::UnknownQuery(query_name.to_owned()))
+        self.write(handle, |core| core.unregister(query_name, || Ok(())))
     }
 
     /// Names of queries registered on a graph (sorted).
     pub fn registered_queries(&self, handle: &GraphHandle) -> Result<Vec<String>, ExpFinderError> {
-        let slot = self.slot(handle)?;
-        let stored = slot.read();
-        let mut names: Vec<String> = stored.registered.keys().cloned().collect();
-        names.sort();
-        Ok(names)
+        Ok(self.latest(handle)?.registered_queries())
     }
 
     /// The incrementally-maintained result of a registered query.
@@ -831,21 +722,18 @@ impl ExpFinder {
         handle: &GraphHandle,
         query_name: &str,
     ) -> Result<MatchRelation, ExpFinderError> {
-        let slot = self.slot(handle)?;
-        let stored = slot.read();
-        let rq = stored
-            .registered
-            .get(query_name)
-            .ok_or_else(|| ExpFinderError::UnknownQuery(query_name.to_owned()))?;
-        Ok(rq.maintainer.current())
+        let snap = self.latest(handle)?;
+        Ok((**snap.registered_result(query_name)?).clone())
     }
 
     // ------------------------------ updates ------------------------------
 
     /// Apply edge updates to a graph, maintaining its compression and its
-    /// registered queries along the way, all under that one graph's write
-    /// lock (readers of other graphs are unaffected). Returns how many
-    /// updates actually changed the graph (duplicates/no-ops are skipped).
+    /// registered queries along the way, on the caller's thread under that
+    /// one graph's write mutex (readers are unaffected: they keep the
+    /// snapshot they hold, and the next read sees the new one). Returns how
+    /// many updates actually changed the graph (duplicates/no-ops are
+    /// skipped).
     pub fn apply_updates(
         &self,
         handle: &GraphHandle,
@@ -856,8 +744,8 @@ impl ExpFinder {
 
     /// Like [`ExpFinder::apply_updates`], but also reports the graph
     /// version after the batch and the maintained-result size of every
-    /// registered query before and after, all measured under the same
-    /// write lock — the ΔM report `POST /graphs/{name}/updates` returns.
+    /// registered query before and after, all measured inside the same
+    /// commit — the ΔM report `POST /graphs/{name}/updates` returns.
     pub fn apply_updates_traced(
         &self,
         handle: &GraphHandle,
@@ -866,67 +754,23 @@ impl ExpFinder {
         self.apply_updates_inner(handle, updates, true)
     }
 
-    /// Shared update path; `trace` additionally sizes every registered
-    /// query's maintained result before and after (counted in place).
+    /// [`MaintainedGraph::apply`], then publish, then the hook.
     fn apply_updates_inner(
         &self,
         handle: &GraphHandle,
         updates: &[EdgeUpdate],
         trace: bool,
     ) -> Result<UpdateReport, ExpFinderError> {
-        let drift = self.config.recompress_drift;
         // an installed hook forces tracing so its frames always carry ΔM
         let hook = self.update_hook.read().clone();
         let trace = trace || hook.is_some();
         let slot = self.slot(handle)?;
-        let mut stored = slot.write();
-        let stored = &mut *stored;
-        let mut registered: Vec<RegisteredDelta> = if trace {
-            stored
-                .registered
-                .iter()
-                .map(|(name, rq)| RegisteredDelta {
-                    query: name.clone(),
-                    before_pairs: rq.maintainer.total_pairs(),
-                    after_pairs: 0,
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let mut applied = 0usize;
-        for &up in updates {
-            if !stored.graph.apply(up) {
-                continue;
-            }
-            applied += 1;
-            if let Some(mc) = stored.compressed.as_mut() {
-                mc.on_update(&stored.graph, up);
-            }
-            for rq in stored.registered.values_mut() {
-                rq.maintainer.on_update(&stored.graph, up);
-            }
-        }
-        if applied > 0 {
-            stored.profile.note_update_batch();
-        }
-        if let Some(mc) = stored.compressed.as_mut() {
-            mc.refresh(&stored.graph);
-            mc.maybe_recompress(&stored.graph, drift)?;
-        }
-        for d in &mut registered {
-            d.after_pairs = stored.registered[&d.query].maintainer.total_pairs();
-        }
-        registered.sort_by(|a, b| a.query.cmp(&b.query));
-        let report = UpdateReport {
-            applied,
-            attempted: updates.len(),
-            graph_version: stored.graph.version(),
-            registered,
-        };
+        let mut core = slot.core.lock();
+        let report = core.apply(updates, trace)?;
+        core.publish(&slot.published);
         if let Some(hook) = &hook {
-            // still under the graph's write lock: per-graph hook calls
-            // are totally ordered by graph_version
+            // still under the graph's write mutex: per-graph hook calls
+            // are totally ordered by commit
             hook(handle.name(), &report);
         }
         Ok(report)
@@ -988,11 +832,8 @@ impl ExpFinder {
     ) -> Result<QueryResponse, ExpFinderError> {
         let token = deadline.map(CancelToken::with_deadline);
         let cancel = token.as_deref();
-        // the engine's half of a read: resolve the handle to its slot. The
-        // read path holds the slot's read lock for the whole run (routing,
-        // evaluation, result graph, ranking), so it sees one consistent state
         self.read
-            .query(|| self.slot(handle), pattern, top_k, prefer, cancel)
+            .query(|| self.latest(handle), pattern, top_k, prefer, cancel)
     }
 
     /// Estimate the planner cost (abstract work units) of evaluating
@@ -1004,20 +845,17 @@ impl ExpFinder {
         handle: &GraphHandle,
         pattern: &Pattern,
     ) -> Result<f64, ExpFinderError> {
-        let slot = self.slot(handle)?;
-        let stored = slot.read();
-        Ok(self.read.estimate_cost(&*stored, pattern))
+        Ok(self.read.estimate_cost(&*self.latest(handle)?, pattern))
     }
 
     /// Reach-index totals: cumulative hits/misses plus live entry/byte
     /// gauges summed over every managed graph's per-version indexes
     /// (direct and compressed) — the `engine.index` block of
-    /// `GET /metrics`. Each slot's read lock is taken briefly, one graph
-    /// at a time.
+    /// `GET /metrics`.
     pub fn index_totals(&self) -> IndexTotals {
         let catalog = self.catalog.read();
-        self.read
-            .index_totals(catalog.values().map(|entry| entry.slot.read()))
+        let latest = catalog.values().map(|slot| slot.published.latest());
+        self.read.index_totals(latest)
     }
 
     /// Execute a whole batch of queries against one graph, draining them
@@ -1027,7 +865,7 @@ impl ExpFinder {
     ///
     /// Results come back in spec order, one `Result` per spec, so a single
     /// malformed DSL string fails its own slot without sinking the batch.
-    /// Each query runs under its own read lock and reports the
+    /// Each query runs on the snapshot it grabbed and reports the
     /// `graph_version` it observed; every response individually equals a
     /// sequential [`QueryBuilder::run`] at that version (property-tested),
     /// but a batch racing a writer may span versions. The thread budget
@@ -1072,7 +910,7 @@ impl ExpFinder {
     ) -> Vec<Result<QueryResponse, ExpFinderError>> {
         // resolved per slot: a dead handle fails every slot, not the call
         self.read
-            .query_batch(|| self.slot(handle), &specs, deadline)
+            .query_batch(|| self.latest(handle), &specs, deadline)
     }
 }
 
@@ -1098,9 +936,9 @@ pub fn validate_graph_name(name: &str) -> Result<(), ExpFinderError> {
 /// Chain [`pattern`](Self::pattern) (or [`dsl`](Self::dsl)), optionally
 /// [`top_k`](Self::top_k) and [`prefer`](Self::prefer), then
 /// [`run`](Self::run). The whole run — routing, evaluation, result-graph
-/// construction and ranking — happens under a single read lock of the
-/// target graph, so the response is one consistent snapshot even with
-/// concurrent writers.
+/// construction and ranking — happens on one published snapshot of the
+/// target graph, so the response is consistent even with concurrent
+/// writers.
 #[must_use = "QueryBuilder does nothing until .run()"]
 pub struct QueryBuilder<'a> {
     engine: &'a ExpFinder,
@@ -1176,7 +1014,7 @@ impl QueryBuilder<'_> {
             (None, d) => d.map(CancelToken::with_deadline),
         };
         let (engine, cancel) = (self.engine, token.as_deref());
-        let resolve = || engine.slot(&self.handle);
+        let resolve = || engine.latest(&self.handle);
         engine
             .read
             .query(resolve, &pattern, self.top_k, self.prefer, cancel)
@@ -1305,7 +1143,7 @@ mod tests {
         let (e, h, _) = engine_with_fig1();
         let q = fig1_pattern();
         let direct = e.evaluate(&h, &q).unwrap().matches;
-        let stats = e.compress(&h).unwrap();
+        let stats = e.compress(&h, CompressionMethod::Bisimulation).unwrap();
         assert!(stats.compressed_nodes <= stats.original_nodes);
         // the result is already cached for this version; ask for the
         // compressed route explicitly through the builder
@@ -1323,7 +1161,7 @@ mod tests {
     fn identity_attr_pattern_bypasses_compression() {
         let e = ExpFinder::default();
         let h = e.add_graph("fig1", collaboration_fig1().graph).unwrap();
-        e.compress(&h).unwrap();
+        e.compress(&h, CompressionMethod::Bisimulation).unwrap();
         let q = expfinder_pattern::PatternBuilder::new()
             .node("bob", expfinder_pattern::Predicate::attr_eq("name", "Bob"))
             .build()
@@ -1351,6 +1189,32 @@ mod tests {
         let out = e.evaluate(&h, &q).unwrap();
         assert_eq!(out.route, EvalRoute::Registered);
         assert_eq!(out.matches.total_pairs(), 8);
+    }
+
+    /// A reader holds no lock: a writer commits to completion while a
+    /// `read_graph` closure is still running, and the closure goes on
+    /// seeing the version it started with.
+    #[test]
+    fn a_reader_does_not_block_a_writer() {
+        let (e, h, f) = engine_with_fig1();
+        let insert = [EdgeUpdate::Insert(f.e1.0, f.e1.1)];
+        let (before, inside, committed) = e
+            .read_graph(&h, |g| {
+                let before = (g.version(), g.has_edge(f.e1.0, f.e1.1));
+                let writer = std::thread::scope(|s| {
+                    s.spawn(|| e.apply_updates_traced(&h, &insert).unwrap())
+                        .join()
+                });
+                let inside = (g.version(), g.has_edge(f.e1.0, f.e1.1));
+                (before, inside, writer.unwrap())
+            })
+            .unwrap();
+        assert_eq!(before, inside, "the held snapshot did not move");
+        assert!(!inside.1);
+        assert_eq!(committed.applied, 1);
+        assert!(committed.graph_version > inside.0);
+        let after = e.read_graph(&h, |g| (g.version(), g.has_edge(f.e1.0, f.e1.1)));
+        assert_eq!(after.unwrap(), (committed.graph_version, true));
     }
 
     #[test]
@@ -1479,7 +1343,7 @@ mod tests {
     #[test]
     fn compression_maintained_under_updates() {
         let (e, h, f) = engine_with_fig1();
-        e.compress(&h).unwrap();
+        e.compress(&h, CompressionMethod::Bisimulation).unwrap();
         e.apply_updates(&h, &[EdgeUpdate::Insert(f.e1.0, f.e1.1)])
             .unwrap();
         let q = fig1_pattern();
@@ -1904,7 +1768,7 @@ mod tests {
         let h = e.add_graph("fig1", collaboration_fig1().graph).unwrap();
         e.add_graph("empty", DiGraph::new()).unwrap();
         e.register_query(&h, "team", fig1_pattern()).unwrap();
-        e.compress(&h).unwrap();
+        e.compress(&h, CompressionMethod::Bisimulation).unwrap();
 
         let infos = e.graph_infos();
         assert_eq!(infos.len(), 2);

@@ -297,11 +297,11 @@ pub fn plan(inputs: &CostInputs, ctx: &PlanContext) -> PlanDecision {
     }
 }
 
-/// Lock-free per-graph statistics the planner runs on, maintained by the
-/// engine's `StoredGraph` (and, in the durable runtime, published
-/// alongside each shard snapshot on the graph's stable
-/// `PublishedGraph`). All counters are advisory — racy resets across a
-/// version roll lose at most a read or two, which the model tolerates.
+/// Lock-free per-graph statistics the planner runs on: one per managed
+/// graph, shared by every [`Snapshot`](crate::Snapshot) of it, so they
+/// accumulate across versions. All counters are advisory — racy resets
+/// across a version roll lose at most a read or two, which the model
+/// tolerates.
 #[derive(Debug, Default)]
 pub struct CostProfile {
     /// Graph version the `reads_at_version` window belongs to.

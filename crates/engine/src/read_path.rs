@@ -3,122 +3,28 @@
 //! cache → registered (incremental) → plan → evaluate → result graph →
 //! top-K rank (or the ranked answer the cache slot already holds), plus
 //! the batch fan-out and the admission-control cost estimate, all live in
-//! [`ReadPath`]. It is generic (static dispatch)
-//! over a [`GraphState`]: the handful of things a query needs to know
-//! about one graph at one version. The in-memory [`ExpFinder`] implements
-//! the view for its stored graph under that graph's read lock; the durable
-//! runtime implements it for a published snapshot. A facade owns how a
-//! [`StateSource`] is *resolved* — upgrade a handle, or clone the latest
-//! snapshot `Arc` — and nothing else of the read side.
-//!
-//! [`ExpFinder`]: crate::ExpFinder
+//! [`ReadPath`]. It reads one thing: a published [`Snapshot`] — one graph
+//! at one version, immutable, with everything a query needs travelling
+//! along. A facade's whole share of a read is the `resolve` closure it
+//! passes, which upgrades a handle or looks a name up and clones the
+//! latest snapshot `Arc`; no lock is held while the read runs.
 
 use crate::cache::{CacheKey, CacheStats, Hit, QueryCache};
-use crate::planner::{self, CostProfile, PlanContext, PlanDecision, PlanRoute, PlannerCounters};
+use crate::planner::{self, PlanContext, PlanDecision, PlanRoute, PlannerCounters};
 use crate::{
     CancelTotals, EvalRoute, ExecConfig, ExpFinderError, IndexTotals, PlannerTotals, QueryResponse,
-    QuerySpec, QueryTimings, RankTotals, Route, SpecSource,
+    QuerySpec, QueryTimings, RankTotals, Route, Snapshot, SpecSource,
 };
-use expfinder_compress::CompressedGraph;
 use expfinder_core::{
     evaluate, rank_matches_top_k_cancellable, BuildOptions, CancelToken, EvalError, EvalRequest,
     EvalScratch, EvalStats, MatchRelation, RankedMatch, ResultGraph, ScratchPool, Semantics,
 };
-use expfinder_graph::{CsrGraph, DiGraph, GraphView, ReachIndex};
+use expfinder_graph::GraphView;
 use expfinder_pattern::Pattern;
 use parking_lot::Mutex;
-use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// One graph at one version, as the read path sees it. Everything is
-/// consistent for as long as the value is borrowed: the engine's
-/// implementor lives under a read lock, the runtime's is immutable.
-pub trait GraphState {
-    /// Catalog id — the graph component of a cache key.
-    fn id(&self) -> u64;
-    /// The version every other accessor answers for.
-    fn version(&self) -> u64;
-    /// The live adjacency.
-    fn graph(&self) -> &DiGraph;
-    /// The maintained relation of the registered query whose pattern has
-    /// this fingerprint, if there is one.
-    fn registered(&self, fingerprint: &str) -> Option<Arc<MatchRelation>>;
-    /// The maintained compressed quotient, if one was built.
-    fn quotient(&self) -> Option<&CompressedGraph>;
-    /// The lazily built per-version state: CSR snapshot, reach indexes.
-    fn derived(&self) -> impl Deref<Target = Derived> + '_;
-    /// The workload statistics the planner runs on.
-    fn profile(&self) -> &CostProfile;
-}
-
-/// What a facade resolves a graph reference to: the place one consistent
-/// [`GraphState`] is borrowed from for the length of a read. Borrowing
-/// from the engine's lock-guarded graph takes its read lock; borrowing
-/// from the runtime's immutable snapshot is the identity.
-pub trait StateSource {
-    fn state(&self) -> impl Deref<Target: GraphState> + '_;
-}
-
-/// What reads build lazily for one graph version and then share: the
-/// CSR snapshot (built on the first read the planner sends there) and
-/// the reach indexes over it and over the quotient (entries fill on first
-/// use). One value serves exactly one version — its owner replaces it
-/// when the version moves, and swaps in a fresh quotient index whenever
-/// the quotient is rebuilt, which can happen without a version bump — so
-/// nothing in it is ever stale.
-pub struct Derived {
-    version: u64,
-    csr: OnceLock<Arc<CsrGraph>>,
-    reach: Arc<ReachIndex>,
-    quotient_reach: Arc<ReachIndex>,
-}
-
-impl Derived {
-    pub fn new(version: u64) -> Derived {
-        Derived {
-            version,
-            csr: OnceLock::new(),
-            reach: Arc::new(ReachIndex::new(version)),
-            quotient_reach: Arc::new(ReachIndex::new(version)),
-        }
-    }
-
-    /// The graph version this state was derived from.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// The same CSR snapshot and direct index over a rebuilt quotient.
-    pub fn with_fresh_quotient_reach(&self) -> Derived {
-        Derived {
-            version: self.version,
-            csr: self.csr.clone(),
-            reach: Arc::clone(&self.reach),
-            quotient_reach: Arc::new(ReachIndex::new(self.version)),
-        }
-    }
-
-    /// The CSR snapshot, built from `graph` on first use (concurrent
-    /// first readers race, one build wins). Builds are timed into
-    /// `profile` — observability only, the planner's estimates stay
-    /// deterministic.
-    fn csr(&self, graph: &DiGraph, profile: &CostProfile) -> &CsrGraph {
-        self.csr.get_or_init(|| {
-            let started = Instant::now();
-            let csr = Arc::new(CsrGraph::snapshot(graph));
-            profile.note_csr_build(started.elapsed().as_nanos() as u64);
-            csr
-        })
-    }
-
-    /// The CSR snapshot only if some earlier query already paid for it —
-    /// its build is sunk cost, which the planner treats as free.
-    fn csr_if_built(&self) -> Option<&CsrGraph> {
-        self.csr.get().map(|csr| &**csr)
-    }
-}
 
 /// Lock-free accumulator behind [`ReadPath::eval_totals`].
 #[derive(Default)]
@@ -217,16 +123,16 @@ impl ReadPath {
         }
     }
 
-    /// Answer one query against the source `resolve` hands out: routing,
-    /// evaluation, result-graph construction and ranking all see one
-    /// state of it, with `exec.threads` workers for the parallel stages.
+    /// Answer one query against the snapshot `resolve` hands out: routing,
+    /// evaluation, result-graph construction and ranking all see that one
+    /// state, with `exec.threads` workers for the parallel stages.
     /// `cancel` is polled at every cancellation point; a fired token
     /// aborts with [`ExpFinderError::DeadlineExceeded`] carrying the
     /// partial [`EvalStats`], and its check/fire counts are folded into
     /// [`ReadPath::cancel_totals`] either way.
-    pub fn query<A: Deref<Target: StateSource>>(
+    pub fn query(
         &self,
-        resolve: impl FnOnce() -> Result<A, ExpFinderError>,
+        resolve: impl FnOnce() -> Result<Arc<Snapshot>, ExpFinderError>,
         pattern: &Pattern,
         top_k: Option<usize>,
         prefer: Route,
@@ -247,7 +153,7 @@ impl ReadPath {
     /// Execute a whole batch of queries, draining them across a scoped
     /// worker pool of `exec.batch_parallelism` threads. Results come back
     /// in spec order, one `Result` per spec; each slot resolves its own
-    /// source — a graph removed mid-batch fails its remaining slots — and
+    /// snapshot — a graph removed mid-batch fails its remaining slots — and
     /// reports the `graph_version` it observed.
     ///
     /// The thread budget is split, not multiplied: with `w` batch workers
@@ -261,9 +167,9 @@ impl ReadPath {
     /// [`ExpFinderError::DeadlineExceeded`] while already-finished slots
     /// keep their results. A per-spec [`QuerySpec::deadline`] further
     /// tightens (never extends) the batch budget for its own slot.
-    pub fn query_batch<A: Deref<Target: StateSource>>(
+    pub fn query_batch(
         &self,
-        resolve: impl Fn() -> Result<A, ExpFinderError> + Sync,
+        resolve: impl Fn() -> Result<Arc<Snapshot>, ExpFinderError> + Sync,
         specs: &[QuerySpec],
         deadline: Option<Duration>,
     ) -> Vec<Result<QueryResponse, ExpFinderError>> {
@@ -313,9 +219,9 @@ impl ReadPath {
     /// budget. A per-spec deadline becomes its own token, clipped to
     /// whatever remains of the batch budget; otherwise the shared batch
     /// token (if any) is polled directly.
-    fn run_spec<A: Deref<Target: StateSource>>(
+    fn run_spec(
         &self,
-        resolve: impl FnOnce() -> Result<A, ExpFinderError>,
+        resolve: impl FnOnce() -> Result<Arc<Snapshot>, ExpFinderError>,
         spec: &QuerySpec,
         threads: usize,
         scratch: &mut EvalScratch,
@@ -352,7 +258,7 @@ impl ReadPath {
         out
     }
 
-    /// Resolve, borrow, evaluate, rank: the whole of one read, timed.
+    /// Resolve, evaluate, rank: the whole of one read, timed.
     ///
     /// `serve_held` says whether the ranked list the cache slot already
     /// holds may answer the read. Single reads pass `true`. Batch slots
@@ -362,9 +268,9 @@ impl ReadPath {
     /// run-to-run spread bound (a quarter of the *parent commit's* median)
     /// cannot resolve a rate that far from its parent (CHANGES.md, PR 17).
     #[allow(clippy::too_many_arguments)]
-    fn execute<A: Deref<Target: StateSource>>(
+    fn execute(
         &self,
-        resolve: impl FnOnce() -> Result<A, ExpFinderError>,
+        resolve: impl FnOnce() -> Result<Arc<Snapshot>, ExpFinderError>,
         pattern: &Pattern,
         top_k: Option<usize>,
         prefer: Route,
@@ -374,14 +280,12 @@ impl ReadPath {
         serve_held: bool,
     ) -> Result<QueryResponse, ExpFinderError> {
         let started = Instant::now();
-        let source = resolve()?;
-        let guard = source.state();
-        let state = &*guard;
+        let state = resolve()?;
         let fingerprint = pattern.fingerprint();
-        let key = QueryCache::key_for(state.id(), state.version(), &fingerprint);
+        let key = QueryCache::key_for(state.id, state.version(), &fingerprint);
         let slot = (&key, fingerprint.as_str(), top_k.filter(|_| serve_held));
         let ((matches, held), plan, stats) =
-            self.route_and_eval(state, pattern, slot, prefer, threads, scratch, cancel)?;
+            self.route_and_eval(&state, pattern, slot, prefer, threads, scratch, cancel)?;
         let route = EvalRoute::of(plan.chosen, pattern.is_simulation());
         let evaluate_time = started.elapsed();
 
@@ -396,7 +300,7 @@ impl ReadPath {
                 self.rank_totals.computed.fetch_add(1, Ordering::Relaxed);
                 // rank over the CSR snapshot whenever this version has one;
                 // building one merely to rank would cost more than it saves
-                let derived = state.derived();
+                let derived = &state.derived;
                 let ranked = match derived.csr_if_built() {
                     Some(csr) => rank(csr, pattern, &matches, k, threads, cancel),
                     None => rank(state.graph(), pattern, &matches, k, threads, cancel),
@@ -435,9 +339,9 @@ impl ReadPath {
     /// separate code path — the planner still produces its decision and
     /// records the override.
     #[allow(clippy::too_many_arguments)]
-    fn route_and_eval<S: GraphState + ?Sized>(
+    fn route_and_eval(
         &self,
-        state: &S,
+        state: &Snapshot,
         pattern: &Pattern,
         (key, fingerprint, top_k): (&CacheKey, &str, Option<usize>),
         prefer: Route,
@@ -474,8 +378,8 @@ impl ReadPath {
 
         // 3. plan: cost every applicable physical route and take the
         // cheapest; only a `Direct` preference keeps the quotient out
-        let derived = state.derived();
-        let mut plan = plan_routes(state, &derived, pattern, prefer != Route::Direct, threads);
+        let derived = &state.derived;
+        let mut plan = plan_routes(state, pattern, prefer != Route::Direct, threads);
         plan.apply_preference(prefer);
 
         // 4. evaluate on the chosen substrate. The snapshot and quotient
@@ -509,7 +413,7 @@ impl ReadPath {
                 evaluate(gc, pattern, req).map(|(m, stats)| (gc.expand(&m), stats))
             }
             PlanRoute::Snapshot | PlanRoute::SnapshotParallel => {
-                let csr = derived.csr(state.graph(), state.profile());
+                let csr = derived.csr(state.graph(), &state.profile);
                 let bound = derived.reach.bind(csr);
                 req.index = Some(&bound);
                 evaluate(csr, pattern, req)
@@ -529,7 +433,7 @@ impl ReadPath {
                 return Err(ExpFinderError::DeadlineExceeded(c.stats));
             }
         };
-        state.profile().note_eval(version, &stats);
+        state.profile.note_eval(version, &stats);
         if plan.mispredicted(&stats) {
             self.planner.on_mispredict();
         }
@@ -551,9 +455,9 @@ impl ReadPath {
     /// consult the cache or registered results (peeking would skew their
     /// hit/miss counters), so the estimate is conservative: an
     /// exact-route hit costs less than reported here.
-    pub fn estimate_cost<S: GraphState + ?Sized>(&self, state: &S, pattern: &Pattern) -> f64 {
+    pub fn estimate_cost(&self, state: &Snapshot, pattern: &Pattern) -> f64 {
         let threads = self.exec.threads.max(1);
-        let plan = plan_routes(state, &state.derived(), pattern, true, threads);
+        let plan = plan_routes(state, pattern, true, threads);
         plan.candidates
             .iter()
             .find(|c| c.route == plan.planned)
@@ -562,12 +466,8 @@ impl ReadPath {
 
     /// Reach-index totals: cumulative hits/misses plus live entry/byte
     /// gauges summed over the indexes (direct and quotient) `states`
-    /// currently hold — the `engine.index` block of `GET /metrics`. Each
-    /// state is dropped before the next is acquired.
-    pub fn index_totals<G: Deref<Target: GraphState>>(
-        &self,
-        states: impl IntoIterator<Item = G>,
-    ) -> IndexTotals {
+    /// hold — the `engine.index` block of `GET /metrics`.
+    pub fn index_totals(&self, states: impl IntoIterator<Item = Arc<Snapshot>>) -> IndexTotals {
         let mut totals = IndexTotals {
             hits: self.eval_totals.index_hits.load(Ordering::Relaxed),
             misses: self.eval_totals.index_misses.load(Ordering::Relaxed),
@@ -575,7 +475,7 @@ impl ReadPath {
             bytes: 0,
         };
         for state in states {
-            let derived = state.derived();
+            let derived = &state.derived;
             for ri in [&derived.reach, &derived.quotient_reach] {
                 totals.entries += ri.len();
                 totals.bytes += ri.bytes();
@@ -633,9 +533,8 @@ impl ReadPath {
 /// Cost every physical route applicable to `pattern` on `state`. The
 /// compressed quotient is a candidate only when one exists, the pattern
 /// is compression-safe and `try_compressed` allows it.
-fn plan_routes<S: GraphState + ?Sized>(
-    state: &S,
-    derived: &Derived,
+fn plan_routes(
+    state: &Snapshot,
     pattern: &Pattern,
     try_compressed: bool,
     threads: usize,
@@ -649,10 +548,10 @@ fn plan_routes<S: GraphState + ?Sized>(
             let quotient = (cs.compressed_nodes + cs.compressed_edges).max(1);
             quotient as f64 / original as f64
         });
-    let inputs = state.profile().inputs(
+    let inputs = state.profile.inputs(
         state.version(),
         state.graph().size(),
-        derived.csr_if_built().is_some(),
+        state.derived.csr_if_built().is_some(),
     );
     let ctx = PlanContext {
         threads,

@@ -574,43 +574,18 @@ impl Shell {
 
     fn cmd_compress(&mut self, rest: &str) -> ShellResult {
         let h = self.current()?;
-        if !rest.is_empty() {
-            let method = match rest {
-                "bisim" => CompressionMethod::Bisimulation,
-                "simeq" => CompressionMethod::SimulationEquivalence,
-                other => return Err(format!("unknown method {other:?} (bisim|simeq)")),
-            };
-            if self.engine.config().compression_method != method {
-                return self.compress_with(&h, method);
-            }
-        }
-        let stats = self.engine.compress(&h).map_err(Self::err)?;
+        let method = match rest {
+            "" | "bisim" => CompressionMethod::Bisimulation,
+            "simeq" => CompressionMethod::SimulationEquivalence,
+            other => return Err(format!("unknown method {other:?} (bisim|simeq)")),
+        };
+        let stats = self.engine.compress(&h, method).map_err(Self::err)?;
         Ok(format!(
             "compressed: {} → {} nodes, {} → {} edges ({:.1}% size reduction)",
             stats.original_nodes,
             stats.compressed_nodes,
             stats.original_edges,
             stats.compressed_edges,
-            stats.size_reduction() * 100.0
-        ))
-    }
-
-    fn compress_with(&mut self, h: &GraphHandle, method: CompressionMethod) -> ShellResult {
-        use expfinder_compress::maintain::MaintainedCompression;
-        let stats = self
-            .engine
-            .read_graph(h, |g| {
-                MaintainedCompression::new(g, method).map(|mc| mc.compressed().stats())
-            })
-            .map_err(Self::err)?
-            .map_err(|e| e.to_string())?;
-        // install via the public path: engine compress uses the configured
-        // method, so report here and keep the engine's default one
-        let _ = self.engine.compress(h).map_err(Self::err)?;
-        Ok(format!(
-            "compressed ({method:?}): {} → {} nodes ({:.1}% size reduction)",
-            stats.original_nodes,
-            stats.compressed_nodes,
             stats.size_reduction() * 100.0
         ))
     }
@@ -691,6 +666,41 @@ mod tests {
         assert!(out.contains("compressed:"), "{out}");
         let out = sh.exec("decompress").unwrap();
         assert!(out.contains("dropped"), "{out}");
+    }
+
+    /// `compress <method>` installs the quotient whose numbers it prints.
+    #[test]
+    fn compress_installs_the_method_it_reports() {
+        // a1 → {b1 → c1, b2}, a2 → b3 → c2: a1 and a2 simulate each other,
+        // but nothing of a2's answers a1's dead-end b2 in a bisimulation
+        let mut g = expfinder_graph::DiGraph::new();
+        let [a1, b1, c1, b2, a2, b3, c2] =
+            ["A", "B", "C", "B", "A", "B", "C"].map(|label| g.add_node(label, []));
+        for (x, y) in [(a1, b1), (b1, c1), (a1, b2), (a2, b3), (b3, c2)] {
+            g.add_edge(x, y);
+        }
+        let mut sh = Shell::default();
+        let h = sh.engine().add_graph("g", g).unwrap();
+        sh.exec("use g").unwrap();
+        let mut installed = Vec::new();
+        for method in ["bisim", "simeq"] {
+            let out = sh.exec(&format!("compress {method}")).unwrap();
+            let stats = sh.engine().compression_stats(&h).unwrap().unwrap();
+            let printed = format!(
+                "compressed: {} → {} nodes, {} → {} edges",
+                stats.original_nodes,
+                stats.compressed_nodes,
+                stats.original_edges,
+                stats.compressed_edges
+            );
+            assert!(out.starts_with(&printed), "{method}: {out} vs {stats:?}");
+            installed.push(stats);
+        }
+        assert_ne!(
+            installed[0], installed[1],
+            "simulation equivalence merges a1 and a2, bisimulation cannot"
+        );
+        assert!(sh.exec("compress nope").is_err());
     }
 
     #[test]

@@ -1,25 +1,27 @@
 //! The dynamic attributed directed graph.
 //!
-//! Adjacency is stored in both directions as sorted `Vec<NodeId>` per node:
-//! matching needs fast forward *and* backward traversal (bounded simulation
-//! refreshes candidate sets with reverse BFS; removal cascades walk
-//! in-neighbors), and incremental maintenance needs `O(log d)` edge lookups
-//! plus `O(d)` inserts/removals. Sorted vectors beat hash sets here: the
-//! degrees of social graphs are small on average, iteration is the hot
+//! Adjacency is stored in both directions as one sorted `NodeId` list per
+//! node: matching needs fast forward *and* backward traversal (bounded
+//! simulation refreshes candidate sets with reverse BFS; removal cascades
+//! walk in-neighbors), and incremental maintenance needs `O(log d)` edge
+//! lookups plus cheap inserts/removals. Sorted lists beat hash sets here:
+//! the degrees of social graphs are small on average, iteration is the hot
 //! operation, and memory stays compact.
 //!
-//! **Cloning is structurally shared.** The per-node vectors live in
-//! fixed-size array chunks behind `Arc`s, and the vertex table and the
-//! interner sit behind one `Arc` each, so `DiGraph::clone` bumps
-//! `2·⌈|V|/CHUNK⌉ + 2` reference counts instead of copying `|V|` vectors.
+//! **Cloning is structurally shared.** The lists of `CHUNK` consecutive
+//! nodes live flattened in one chunk behind an `Arc`, and the vertex table
+//! and the interner sit behind one `Arc` each, so `DiGraph::clone` bumps
+//! `2·⌈|V|/CHUNK⌉ + 2` reference counts instead of copying `|V|` lists.
 //! A clone is still an independent value: every mutation goes through
 //! `Arc::make_mut` on exactly the chunks it touches, which copies a chunk
-//! only while another graph still shares it. The invariant the durable
-//! runtime's snapshot publishing rests on: after a clone, an edge update
-//! copies at most one `out` and one `inn` chunk (`O(CHUNK)` small vectors),
+//! only while another graph still shares it. The invariant snapshot
+//! publishing rests on (both service facades publish a clone per commit):
+//! after a clone, an edge update copies at most one `out` and one `inn`
+//! chunk — two allocations and a `memcpy` each, because a chunk is flat —
 //! untouched chunks stay shared, and the first attribute or node write
 //! copies the vertex table once. A graph nobody cloned pays one uniqueness
-//! check per touched chunk and never copies.
+//! check per touched chunk and never copies. An edge update moves the tail
+//! of its chunk's flat list (`O(CHUNK · d̄)` bytes, a `memmove`).
 
 use crate::attrs::{AttrValue, Interner, Sym};
 use crate::view::GraphView;
@@ -106,34 +108,50 @@ impl fmt::Display for EdgeUpdate {
 /// Nodes per adjacency chunk. A constant, not a knob. A clone costs
 /// `2·|V|/CHUNK` refcount bumps (and as many decrements when it is dropped),
 /// which grows with the graph; the first edge update into a chunk that a
-/// clone still shares copies `CHUNK` small vectors, which does not. Measured
-/// on the benchmark's 8000-node collaboration graph (µs: clone+drop /
-/// one `apply` into shared chunks / a 4-edge commit = 4 applies + clone +
-/// drop of the previous clone):
+/// clone still shares copies that chunk's flat list, which does not.
+/// Measured on the benchmark's 8000-node collaboration graph, caches warm
+/// (µs: clone+drop / one `apply` into shared chunks / a 4-edge commit = 4
+/// applies + clone + drop of the previous clone):
 ///
 /// | CHUNK | clone | apply | commit |
 /// |------:|------:|------:|-------:|
-/// |    16 |  10.5 |   0.9 |     16 |
-/// |    32 |   4.3 |   1.1 |     11 |
-/// |    64 |   2.2 |   3.1 |     20 |
-/// |   128 |   1.4 |   7.2 |     44 |
-/// |   256 |   0.6 |  11.3 |     66 |
+/// |    16 |  10.6 |  0.26 |   10.0 |
+/// |    32 |   5.4 |  0.27 |    6.9 |
+/// |    64 |   2.9 |  0.34 |    4.1 |
+/// |   128 |   1.5 |  0.42 |    3.2 |
+/// |   256 |   0.7 |  0.65 |    3.4 |
 ///
-/// 32 and 64 are within 10 µs of each other per commit at this size (the
-/// commit itself is ~500 µs of WAL, ΔM repair and fan-out); 64 is chosen
-/// because its clone term is half of 32's and that is the term that scales
-/// with `|V|`. Reads are the same one extra hop at every size: a chunk is
-/// 1.5 KiB of vector headers next to the node being read.
+/// 64 and up are within 1 µs of each other per commit at this size; 64
+/// keeps a chunk (≈ 2 KiB here) well under a page, so what an update
+/// copies and shifts stays small on denser graphs too. Reads are the same
+/// one extra hop at every size.
 const CHUNK_BITS: usize = 6;
 const CHUNK: usize = 1 << CHUNK_BITS;
 const CHUNK_MASK: usize = CHUNK - 1;
 
-/// One direction of adjacency: node `v`'s sorted neighbor vector lives at
-/// `chunks[v >> CHUNK_BITS][v & CHUNK_MASK]`. Slots past the node count in
-/// the last chunk are empty vectors (no allocation).
+/// The sorted neighbor lists of `CHUNK` consecutive nodes, flattened into
+/// one vector so that copying a chunk is two allocations and a `memcpy`,
+/// whatever the degrees: slot `i`'s list is `targets[ends[i-1]..ends[i]]`
+/// (from 0 for slot 0).
+#[derive(Clone, Debug)]
+struct Chunk {
+    ends: [u32; CHUNK],
+    targets: Vec<NodeId>,
+}
+
+impl Chunk {
+    fn list(&self, slot: usize) -> std::ops::Range<usize> {
+        let start = if slot == 0 { 0 } else { self.ends[slot - 1] };
+        start as usize..self.ends[slot] as usize
+    }
+}
+
+/// One direction of adjacency: node `v`'s sorted neighbor list is slot
+/// `v & CHUNK_MASK` of `chunks[v >> CHUNK_BITS]`. Slots past the node count
+/// in the last chunk are empty.
 #[derive(Clone, Debug, Default)]
 struct Adjacency {
-    chunks: Vec<Arc<[Vec<NodeId>; CHUNK]>>,
+    chunks: Vec<Arc<Chunk>>,
 }
 
 impl Adjacency {
@@ -146,24 +164,41 @@ impl Adjacency {
     /// Make room for node `index` (the next dense id).
     fn push_node(&mut self, index: usize) {
         if index & CHUNK_MASK == 0 {
-            self.chunks
-                .push(Arc::new(std::array::from_fn(|_| Vec::new())));
+            self.chunks.push(Arc::new(Chunk {
+                ends: [0; CHUNK],
+                targets: Vec::new(),
+            }));
         }
     }
 
     #[inline]
     fn get(&self, index: usize) -> &[NodeId] {
-        &self.chunks[index >> CHUNK_BITS][index & CHUNK_MASK]
+        let chunk = &self.chunks[index >> CHUNK_BITS];
+        &chunk.targets[chunk.list(index & CHUNK_MASK)]
     }
 
-    /// Copy-on-write access to one node's vector; bumps `copies` when the
-    /// chunk was still shared with a clone and had to be copied.
-    fn get_mut(&mut self, index: usize, copies: &mut u64) -> &mut Vec<NodeId> {
+    /// Copy-on-write access to the chunk of node `index`; bumps `copies`
+    /// when the chunk was still shared with a clone and had to be copied.
+    fn chunk_mut(&mut self, index: usize, copies: &mut u64) -> &mut Chunk {
         let chunk = &mut self.chunks[index >> CHUNK_BITS];
         if Arc::get_mut(chunk).is_none() {
             *copies += 1;
         }
-        &mut Arc::make_mut(chunk)[index & CHUNK_MASK]
+        Arc::make_mut(chunk)
+    }
+
+    /// Insert `value` at position `at` of node `index`'s list.
+    fn insert(&mut self, index: usize, at: usize, value: NodeId, copies: &mut u64) {
+        let (chunk, slot) = (self.chunk_mut(index, copies), index & CHUNK_MASK);
+        chunk.targets.insert(chunk.list(slot).start + at, value);
+        chunk.ends[slot..].iter_mut().for_each(|end| *end += 1);
+    }
+
+    /// Remove the entry at position `at` of node `index`'s list.
+    fn remove(&mut self, index: usize, at: usize, copies: &mut u64) {
+        let (chunk, slot) = (self.chunk_mut(index, copies), index & CHUNK_MASK);
+        chunk.targets.remove(chunk.list(slot).start + at);
+        chunk.ends[slot..].iter_mut().for_each(|end| *end -= 1);
     }
 }
 
@@ -236,10 +271,10 @@ impl DiGraph {
             Ok(_) => false,
             Err(i) => {
                 let copies = &mut self.chunk_copies;
-                self.out.get_mut(from.index(), copies).insert(i, to);
-                let bwd = self.inn.get_mut(to.index(), copies);
+                self.out.insert(from.index(), i, to, copies);
+                let bwd = self.inn.get(to.index());
                 let j = bwd.binary_search(&from).unwrap_err();
-                bwd.insert(j, from);
+                self.inn.insert(to.index(), j, from, copies);
                 self.edge_count += 1;
                 self.version += 1;
                 true
@@ -256,10 +291,10 @@ impl DiGraph {
             Err(_) => false,
             Ok(i) => {
                 let copies = &mut self.chunk_copies;
-                self.out.get_mut(from.index(), copies).remove(i);
-                let bwd = self.inn.get_mut(to.index(), copies);
+                self.out.remove(from.index(), i, copies);
+                let bwd = self.inn.get(to.index());
                 let j = bwd.binary_search(&from).expect("in/out adjacency desync");
-                bwd.remove(j);
+                self.inn.remove(to.index(), j, copies);
                 self.edge_count -= 1;
                 self.version += 1;
                 true

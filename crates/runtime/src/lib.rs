@@ -23,10 +23,17 @@
 //! grabbed. A reader holds a lock only long enough to clone an `Arc`,
 //! so readers never block on writers and a query's `graph_version` is
 //! exact for the state it saw. That `Arc` clone is all of the read side
-//! this crate implements: a snapshot is a [`GraphState`], and cache,
-//! registered short circuit, planning, evaluation, ranking, batch
-//! fan-out and cost estimation are the engine's [`ReadPath`] — the same
-//! code, not a copy.
+//! this crate implements: cache, registered short circuit, planning,
+//! evaluation, ranking, batch fan-out and cost estimation are the
+//! engine's [`ReadPath`] over the engine's [`Snapshot`] — the same code,
+//! not a copy.
+//!
+//! Nor does this crate implement graph maintenance. What an actor owns
+//! per graph is the engine's
+//! [`MaintainedGraph`](expfinder_engine::MaintainedGraph) — the same apply /
+//! register / unregister / compress / publish the in-memory facade runs
+//! under a mutex — plus the graph's [`wal::Wal`]: the durable write path
+//! is the shared one with a WAL append in front of each step.
 //!
 //! The WAL is *event-sourced serving state*, not just graph history:
 //! registered queries are logged as `register`/`unregister` records and
@@ -44,11 +51,11 @@
 //! comes back uncompressed.
 //!
 //! Route selection is therefore the engine's cost-based planner
-//! ([`expfinder_engine::planner`]): each graph's published slot carries
-//! a [`CostProfile`] that survives republishing (every snapshot holds an
-//! `Arc` of it), so read/update frequencies and index hit rates
-//! accumulate across snapshot versions and every [`QueryResponse`]
-//! carries its plan decision.
+//! ([`expfinder_engine::planner`]): every snapshot of a graph holds an
+//! `Arc` of the same [`CostProfile`](expfinder_engine::CostProfile), so
+//! read/update frequencies and index hit rates accumulate across
+//! snapshot versions and every [`QueryResponse`] carries its plan
+//! decision.
 //!
 //! ```
 //! use expfinder_runtime::{DurableExpFinder, RuntimeConfig, FsyncPolicy};
@@ -83,14 +90,14 @@ pub use wal::FsyncPolicy;
 
 use crate::shard::{write_efg_atomic, Cmd, GraphActor, Reply, Ring, ShardHandle};
 use crate::wal::{ReplaySummary, Wal};
-use expfinder_compress::{CompressStats, CompressedGraph, CompressionMethod};
+use expfinder_compress::{CompressStats, CompressionMethod};
 pub use expfinder_core::CancelToken;
 use expfinder_core::MatchRelation;
 use expfinder_engine::{
-    validate_graph_name, CostProfile, Derived, ExecConfig, ExpFinderError, GraphInfo, GraphState,
-    IndexTotals, QueryResponse, QuerySpec, ReadPath, Route, StateSource, UpdateHook, UpdateReport,
+    validate_graph_name, ExecConfig, ExpFinderError, GraphInfo, IndexTotals, PublishedGraph,
+    QueryResponse, QuerySpec, ReadPath, Route, Snapshot, UpdateHook, UpdateReport,
 };
-use expfinder_graph::{io as gio, DiGraph, EdgeUpdate, GraphView};
+use expfinder_graph::{io as gio, DiGraph, EdgeUpdate};
 use expfinder_pattern::Pattern;
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -99,140 +106,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
-
-// ---------------------------------------------------------------------
-// published snapshots (the read side)
-// ---------------------------------------------------------------------
-
-/// A registered query as the read path sees it: name, route fingerprint
-/// and the maintained relation at this snapshot's version.
-pub(crate) struct RegisteredView {
-    pub name: String,
-    pub fingerprint: String,
-    pub matches: Arc<MatchRelation>,
-}
-
-/// One immutable published state of a graph — the runtime's
-/// [`GraphState`]. Everything a query needs travels together: the
-/// graph's stable identity (cache-key id, [`CostProfile`]), the graph,
-/// its version, the lazily-built CSR snapshot, the per-version reach
-/// index and the registered-query relations — a reader that grabbed the
-/// `Arc` can keep evaluating on it even while the actor publishes ten
-/// newer versions.
-pub(crate) struct Snapshot {
-    /// [`PublishedGraph::id`] of the slot this was published into.
-    id: u64,
-    /// [`PublishedGraph::profile`] — shared, so workload statistics
-    /// accumulate across republished versions.
-    profile: Arc<CostProfile>,
-    pub graph: Arc<DiGraph>,
-    pub version: u64,
-    /// CSR snapshot (built on first eligible use, then shared by every
-    /// reader of this snapshot) and reach memos for this exact version.
-    /// Fresh on every publish — the quotient can change without a version
-    /// bump, so version-keyed invalidation alone would not be safe.
-    derived: Derived,
-    /// The maintained compressed quotient published by the actor, when
-    /// one was built ([`DurableExpFinder::compress`]). Immutable like
-    /// the graph — the actor publishes a fresh copy after maintenance.
-    pub compressed: Option<Arc<CompressedGraph>>,
-    pub registered: Vec<RegisteredView>,
-}
-
-impl Snapshot {
-    /// The one way a snapshot is built. `graph.clone()` shares every
-    /// adjacency chunk with the actor's live graph, so this is cheap; the
-    /// derived state starts empty.
-    pub fn new(
-        id: u64,
-        profile: Arc<CostProfile>,
-        graph: &DiGraph,
-        registered: Vec<RegisteredView>,
-        compressed: Option<Arc<CompressedGraph>>,
-    ) -> Snapshot {
-        let version = graph.version();
-        Snapshot {
-            id,
-            profile,
-            graph: Arc::new(graph.clone()),
-            version,
-            derived: Derived::new(version),
-            compressed,
-            registered,
-        }
-    }
-}
-
-impl GraphState for Snapshot {
-    fn id(&self) -> u64 {
-        self.id
-    }
-
-    fn version(&self) -> u64 {
-        self.version
-    }
-
-    fn graph(&self) -> &DiGraph {
-        &self.graph
-    }
-
-    fn registered(&self, fingerprint: &str) -> Option<Arc<MatchRelation>> {
-        self.registered
-            .iter()
-            .find(|rv| rv.fingerprint == fingerprint)
-            .map(|rv| Arc::clone(&rv.matches))
-    }
-
-    fn quotient(&self) -> Option<&CompressedGraph> {
-        self.compressed.as_deref()
-    }
-
-    fn derived(&self) -> impl std::ops::Deref<Target = Derived> + '_ {
-        &self.derived
-    }
-
-    fn profile(&self) -> &CostProfile {
-        &self.profile
-    }
-}
-
-/// The stable identity of one graph in the runtime: its cache-key id,
-/// owning shard, the slot the actor publishes snapshots into, and the
-/// graph's [`CostProfile`] — which lives here, not on the snapshot, so
-/// workload statistics accumulate across republished versions. The
-/// `state` lock is held for one `Arc` clone (readers) or one `Arc`
-/// store (the actor) — never across evaluation.
-pub(crate) struct PublishedGraph {
-    pub id: u64,
-    pub shard: usize,
-    pub state: RwLock<Arc<Snapshot>>,
-    pub profile: Arc<CostProfile>,
-}
-
-impl PublishedGraph {
-    pub fn new(id: u64, shard: usize, graph: &DiGraph) -> PublishedGraph {
-        let profile = Arc::new(CostProfile::default());
-        let first = Snapshot::new(id, Arc::clone(&profile), graph, Vec::new(), None);
-        PublishedGraph {
-            id,
-            shard,
-            state: RwLock::new(Arc::new(first)),
-            profile,
-        }
-    }
-
-    fn snapshot(&self) -> Arc<Snapshot> {
-        Arc::clone(&self.state.read())
-    }
-}
-
-/// Borrowing a state from a published slot grabs its latest snapshot:
-/// no lock is held past the `Arc` clone.
-impl StateSource for PublishedGraph {
-    fn state(&self) -> impl std::ops::Deref<Target: GraphState> + '_ {
-        self.snapshot()
-    }
-}
 
 // ---------------------------------------------------------------------
 // WAL metrics
@@ -443,9 +316,8 @@ impl DurableExpFinder {
             Arc::clone(&self.faults),
         )
         .map_err(|e| ExpFinderError::Storage(format!("wal open for {name:?}: {e}")))?;
-        let shard = self.ring.shard_for(name);
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let published = Arc::new(PublishedGraph::new(id, shard, &graph));
+        let published = Arc::new(PublishedGraph::new(id, &graph));
         let mut actor = GraphActor::new(
             name.to_owned(),
             self.dir.clone(),
@@ -463,7 +335,7 @@ impl DurableExpFinder {
         self.graphs
             .write()
             .insert(name.to_owned(), Arc::clone(&published));
-        self.request(shard, |reply| Cmd::Adopt {
+        self.request(name, |reply| Cmd::Adopt {
             actor: Box::new(actor),
             reply,
         })?;
@@ -493,28 +365,28 @@ impl DurableExpFinder {
         self.dir.join(format!("{name}.wal"))
     }
 
-    /// Send one command to a shard and wait for its reply; a dead
-    /// worker surfaces as a storage error, never a hang.
+    /// Send one command to the shard owning `name` and wait for its
+    /// reply (a graph the shard does not know answers `UnknownGraph`); a
+    /// dead worker surfaces as a storage error, never a hang.
     fn request<T>(
         &self,
-        shard: usize,
+        name: &str,
         mk: impl FnOnce(Reply<T>) -> Cmd,
     ) -> Result<T, ExpFinderError> {
         let (tx, rx) = mpsc::sync_channel(1);
-        self.shards[shard].send(mk(tx))?;
+        self.shards[self.ring.shard_for(name)].send(mk(tx))?;
         rx.recv()
             .map_err(|_| ExpFinderError::Storage("shard worker terminated".to_owned()))?
     }
 
-    /// The runtime's half of a read: look the graph's published slot up.
-    /// Everything after it — snapshot grab, cache, registered, plan,
+    /// The runtime's half of a read: the latest published snapshot of
+    /// the named graph. Everything after it — cache, registered, plan,
     /// evaluate, rank — is the engine's [`ReadPath`].
-    fn published(&self, name: &str) -> Result<Arc<PublishedGraph>, ExpFinderError> {
-        self.graphs
-            .read()
-            .get(name)
-            .map(Arc::clone)
-            .ok_or_else(|| ExpFinderError::UnknownGraph(name.to_owned()))
+    fn latest(&self, name: &str) -> Result<Arc<Snapshot>, ExpFinderError> {
+        match self.graphs.read().get(name) {
+            Some(published) => Ok(published.latest()),
+            None => Err(ExpFinderError::UnknownGraph(name.to_owned())),
+        }
     }
 
     // --------------------------- catalog ---------------------------
@@ -526,9 +398,8 @@ impl DurableExpFinder {
     /// error surfaces here.
     pub fn add_graph(&self, name: &str, graph: DiGraph) -> Result<u64, ExpFinderError> {
         validate_graph_name(name)?;
-        let shard = self.ring.shard_for(name);
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let published = Arc::new(PublishedGraph::new(id, shard, &graph));
+        let published = Arc::new(PublishedGraph::new(id, &graph));
         {
             let mut graphs = self.graphs.write();
             if graphs.contains_key(name) {
@@ -555,7 +426,7 @@ impl DurableExpFinder {
                 published,
                 Arc::clone(&self.faults),
             );
-            self.request(shard, |reply| Cmd::Adopt {
+            self.request(name, |reply| Cmd::Adopt {
                 actor: Box::new(actor),
                 reply,
             })
@@ -573,8 +444,7 @@ impl DurableExpFinder {
     /// so a crash in between leaves only an orphan `.wal`, which `open`
     /// ignores).
     pub fn remove_graph(&self, name: &str) -> Result<(), ExpFinderError> {
-        let pg = self.published(name)?;
-        self.request(pg.shard, |reply| Cmd::Remove {
+        self.request(name, |reply| Cmd::Remove {
             name: name.to_owned(),
             reply,
         })?;
@@ -591,25 +461,10 @@ impl DurableExpFinder {
 
     /// Point-in-time summaries of every graph, sorted by name.
     pub fn graph_infos(&self) -> Vec<GraphInfo> {
-        let graphs: Vec<(String, Arc<PublishedGraph>)> = self
-            .graphs
-            .read()
-            .iter()
-            .map(|(n, pg)| (n.clone(), Arc::clone(pg)))
-            .collect();
+        let graphs = self.graphs.read();
         let mut infos: Vec<GraphInfo> = graphs
-            .into_iter()
-            .map(|(name, pg)| {
-                let snap = pg.snapshot();
-                GraphInfo {
-                    name,
-                    nodes: snap.graph.node_count(),
-                    edges: snap.graph.edge_count(),
-                    version: snap.version,
-                    registered_queries: snap.registered.len(),
-                    compressed: snap.compressed.is_some(),
-                }
-            })
+            .iter()
+            .map(|(name, published)| published.latest().info(name))
             .collect();
         infos.sort_by(|a, b| a.name.cmp(&b.name));
         infos
@@ -622,13 +477,12 @@ impl DurableExpFinder {
         name: &str,
         f: impl FnOnce(&DiGraph) -> R,
     ) -> Result<R, ExpFinderError> {
-        let snap = self.latest(name)?;
-        Ok(f(&snap.graph))
+        Ok(f(self.latest(name)?.graph()))
     }
 
     /// The published version of a graph.
     pub fn graph_version(&self, name: &str) -> Result<u64, ExpFinderError> {
-        Ok(self.latest(name)?.version)
+        Ok(self.latest(name)?.version())
     }
 
     // --------------------------- queries ---------------------------
@@ -663,7 +517,7 @@ impl DurableExpFinder {
         let token = deadline.map(CancelToken::with_deadline);
         let cancel = token.as_deref();
         self.read
-            .query(|| self.published(name), pattern, top_k, prefer, cancel)
+            .query(|| self.latest(name), pattern, top_k, prefer, cancel)
     }
 
     /// [`DurableExpFinder::query`] polling a caller-supplied
@@ -683,7 +537,7 @@ impl DurableExpFinder {
         token: &CancelToken,
     ) -> Result<QueryResponse, ExpFinderError> {
         self.read
-            .query(|| self.published(name), pattern, top_k, prefer, Some(token))
+            .query(|| self.latest(name), pattern, top_k, prefer, Some(token))
     }
 
     /// Evaluate a batch of specs against one graph, fanning out across
@@ -710,12 +564,7 @@ impl DurableExpFinder {
         deadline: Option<Duration>,
     ) -> Vec<Result<QueryResponse, ExpFinderError>> {
         self.read
-            .query_batch(|| self.published(name), &specs, deadline)
-    }
-
-    /// The latest published snapshot of a graph.
-    fn latest(&self, name: &str) -> Result<Arc<Snapshot>, ExpFinderError> {
-        Ok(self.published(name)?.snapshot())
+            .query_batch(|| self.latest(name), &specs, deadline)
     }
 
     // --------------------------- updates ---------------------------
@@ -746,8 +595,7 @@ impl DurableExpFinder {
         updates: &[EdgeUpdate],
         trace: bool,
     ) -> Result<UpdateReport, ExpFinderError> {
-        let pg = self.published(name)?;
-        self.request(pg.shard, |reply| Cmd::Apply {
+        self.request(name, |reply| Cmd::Apply {
             name: name.to_owned(),
             updates: updates.to_vec(),
             trace,
@@ -768,8 +616,7 @@ impl DurableExpFinder {
         query_name: &str,
         pattern: Pattern,
     ) -> Result<(), ExpFinderError> {
-        let pg = self.published(name)?;
-        self.request(pg.shard, |reply| Cmd::Register {
+        self.request(name, |reply| Cmd::Register {
             name: name.to_owned(),
             query_name: query_name.to_owned(),
             pattern,
@@ -780,8 +627,7 @@ impl DurableExpFinder {
     /// Drop a registered query. The removal is WAL-logged before it
     /// takes effect, so it survives a restart like the registration did.
     pub fn unregister_query(&self, name: &str, query_name: &str) -> Result<(), ExpFinderError> {
-        let pg = self.published(name)?;
-        self.request(pg.shard, |reply| Cmd::Unregister {
+        self.request(name, |reply| Cmd::Unregister {
             name: name.to_owned(),
             query_name: query_name.to_owned(),
             reply,
@@ -790,10 +636,7 @@ impl DurableExpFinder {
 
     /// Names of queries registered on a graph, sorted.
     pub fn registered_queries(&self, name: &str) -> Result<Vec<String>, ExpFinderError> {
-        let snap = self.latest(name)?;
-        let mut names: Vec<String> = snap.registered.iter().map(|rv| rv.name.clone()).collect();
-        names.sort();
-        Ok(names)
+        Ok(self.latest(name)?.registered_queries())
     }
 
     /// The maintained result of a registered query, as published.
@@ -803,11 +646,7 @@ impl DurableExpFinder {
         query_name: &str,
     ) -> Result<MatchRelation, ExpFinderError> {
         let snap = self.latest(name)?;
-        snap.registered
-            .iter()
-            .find(|rv| rv.name == query_name)
-            .map(|rv| (*rv.matches).clone())
-            .ok_or_else(|| ExpFinderError::UnknownQuery(query_name.to_owned()))
+        Ok((**snap.registered_result(query_name)?).clone())
     }
 
     // ------------------------- compression -------------------------
@@ -822,8 +661,7 @@ impl DurableExpFinder {
         name: &str,
         method: CompressionMethod,
     ) -> Result<CompressStats, ExpFinderError> {
-        let pg = self.published(name)?;
-        self.request(pg.shard, |reply| Cmd::Compress {
+        self.request(name, |reply| Cmd::Compress {
             name: name.to_owned(),
             method,
             reply,
@@ -834,8 +672,7 @@ impl DurableExpFinder {
     /// publish without a quotient and the planner stops considering
     /// the compressed route.
     pub fn drop_compression(&self, name: &str) -> Result<(), ExpFinderError> {
-        let pg = self.published(name)?;
-        self.request(pg.shard, |reply| Cmd::DropCompression {
+        self.request(name, |reply| Cmd::DropCompression {
             name: name.to_owned(),
             reply,
         })
@@ -844,16 +681,14 @@ impl DurableExpFinder {
     /// Compression statistics of the currently published quotient, or
     /// `None` when the graph is not compressed.
     pub fn compression_stats(&self, name: &str) -> Result<Option<CompressStats>, ExpFinderError> {
-        let snap = self.latest(name)?;
-        Ok(snap.compressed.as_ref().map(|gc| gc.stats()))
+        Ok(self.latest(name)?.quotient().map(|gc| gc.stats()))
     }
 
     // ---------------------- snapshot / compact ---------------------
 
     /// Rewrite `<name>.efg` from the current graph (WAL untouched).
     pub fn snapshot(&self, name: &str) -> Result<PathBuf, ExpFinderError> {
-        let pg = self.published(name)?;
-        self.request(pg.shard, |reply| Cmd::Snapshot {
+        self.request(name, |reply| Cmd::Snapshot {
             name: name.to_owned(),
             reply,
         })
@@ -862,8 +697,7 @@ impl DurableExpFinder {
     /// Rewrite `<name>.efg`, then truncate the WAL — the log's frames
     /// are folded into the snapshot.
     pub fn compact(&self, name: &str) -> Result<CompactReport, ExpFinderError> {
-        let pg = self.published(name)?;
-        self.request(pg.shard, |reply| Cmd::Compact {
+        self.request(name, |reply| Cmd::Compact {
             name: name.to_owned(),
             reply,
         })
@@ -881,10 +715,9 @@ impl DurableExpFinder {
     /// gauges over the currently published snapshots' indexes (direct
     /// and quotient).
     pub fn index_totals(&self) -> IndexTotals {
-        let graphs: Vec<Arc<PublishedGraph>> =
-            self.graphs.read().values().map(Arc::clone).collect();
+        let graphs = self.graphs.read();
         self.read
-            .index_totals(graphs.iter().map(|pg| pg.snapshot()))
+            .index_totals(graphs.values().map(|published| published.latest()))
     }
 
     /// Cumulative WAL activity.
@@ -916,10 +749,8 @@ impl DurableExpFinder {
     /// Per-shard load: mailbox depth, owned graphs, processed commands.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         let mut per_shard_graphs = vec![0usize; self.shards.len()];
-        for pg in self.graphs.read().values() {
-            if pg.shard < per_shard_graphs.len() {
-                per_shard_graphs[pg.shard] += 1;
-            }
+        for name in self.graphs.read().keys() {
+            per_shard_graphs[self.ring.shard_for(name)] += 1;
         }
         self.shards
             .iter()
@@ -939,6 +770,7 @@ mod tests {
     use super::*;
     use expfinder_engine::{EvalRoute, PlanRoute};
     use expfinder_graph::fixtures::collaboration_fig1;
+    use expfinder_graph::GraphView;
     use expfinder_pattern::fixtures::{fig1_pattern, fig1_pattern_simulation};
     use parking_lot::Mutex;
 
@@ -1400,11 +1232,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Publishing is O(Δ) and still copy-on-write: a reader's snapshot
-    /// keeps answering at its own version while the actor commits on,
-    /// the actor's graph copies at most two adjacency chunks per applied
-    /// update, and a registered view no update moved is shared, not
-    /// rebuilt.
+    /// The engine's test of the same name, through the mailbox and the
+    /// WAL: a reader's snapshot keeps answering at its own version while
+    /// the actor commits on, the actor's graph copies at most two
+    /// adjacency chunks per applied update, a registered view no update
+    /// moved is shared, not rebuilt, and a batch that applied nothing
+    /// publishes nothing.
     #[test]
     fn held_snapshot_survives_commits_and_unmoved_views_are_shared() {
         use expfinder_core::bounded_simulation;
@@ -1432,16 +1265,12 @@ mod tests {
             .build()
             .unwrap();
         let live = fig1_pattern();
-        let view = |snap: &Snapshot, name: &str| {
-            let v = snap.registered.iter().find(|v| v.name == name);
-            Arc::clone(&v.expect("registered view").matches)
-        };
+        let view = |snap: &Snapshot, name: &str| Arc::clone(snap.registered_result(name).unwrap());
 
         rt.add_graph("g", base.clone()).unwrap();
         rt.register_query("g", "live", live.clone()).unwrap();
         rt.register_query("g", "inert", inert).unwrap();
-        let pg = rt.published("g").unwrap();
-        let held = pg.snapshot();
+        let held = rt.latest("g").unwrap();
         let held_want = bounded_simulation(&base, &live).unwrap();
         assert_eq!(*view(&held, "live"), held_want);
 
@@ -1459,8 +1288,8 @@ mod tests {
             for &up in batch {
                 model.apply(up);
             }
-            let now = pg.snapshot();
-            assert_eq!(now.version, model.version());
+            let now = rt.latest("g").unwrap();
+            assert_eq!(now.version(), model.version());
             assert!(Arc::ptr_eq(&view(&now, "inert"), &view(&prev, "inert")));
             let (a, b) = (view(&now, "live"), view(&prev, "live"));
             assert!(!Arc::ptr_eq(&a, &b) || *a == *b);
@@ -1469,28 +1298,28 @@ mod tests {
         }
         assert!(live_moved, "the update stream never touched the live query");
 
-        // a batch of no-ops republishes without rebuilding anything
+        // a batch of no-ops publishes nothing at all
         let present = model.edges().next().unwrap();
         let noop = [EdgeUpdate::Insert(present.0, present.1)];
         assert_eq!(rt.apply_updates("g", &noop).unwrap(), 0);
-        let newest = pg.snapshot();
-        assert!(Arc::ptr_eq(&view(&newest, "live"), &view(&prev, "live")));
-        assert_eq!(newest.version, model.version());
+        let newest = rt.latest("g").unwrap();
+        assert!(Arc::ptr_eq(&newest, &prev));
+        assert_eq!(newest.version(), model.version());
 
         // newest answers the new graph, the held snapshot its own
         let want = bounded_simulation(&model, &live).unwrap();
         assert_eq!(*view(&newest, "live"), want);
-        assert_eq!(bounded_simulation(&*newest.graph, &live).unwrap(), want);
+        assert_eq!(bounded_simulation(newest.graph(), &live).unwrap(), want);
         let got = rt.query("g", &live, None, Route::Auto).unwrap();
         assert_eq!(*got.matches, want);
         assert_ne!(want, held_want, "the stream changed the answer");
-        assert_eq!(held.version, base.version());
-        assert!(held.graph.edges().eq(base.edges()));
-        assert_eq!(bounded_simulation(&*held.graph, &live).unwrap(), held_want);
+        assert_eq!(held.version(), base.version());
+        assert!(held.graph().edges().eq(base.edges()));
+        assert_eq!(bounded_simulation(held.graph(), &live).unwrap(), held_want);
         assert_eq!(*view(&held, "live"), held_want);
 
         // O(Δ): every snapshot shared its untouched chunks with the actor
-        assert!(applied > 0 && newest.graph.chunk_copies() <= 2 * applied);
+        assert!(applied > 0 && newest.graph().chunk_copies() <= 2 * applied);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

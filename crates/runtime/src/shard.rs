@@ -2,13 +2,13 @@
 //!
 //! Graph names are consistently hashed onto `N` shard workers. Each
 //! worker is an actor — a plain thread draining a **bounded** mailbox of
-//! commands — that *owns* the authoritative [`DiGraph`], the WAL handle
-//! and the registered-query maintainers of every graph on its shard.
-//! Ownership is the whole concurrency story on the write side: a batch
-//! has exclusive access to its graph for free (nobody else can touch
-//! actor state), and no lock is ever held across evaluation because
-//! readers run on *published* immutable snapshots instead (see
-//! [`crate::Snapshot`]).
+//! commands — that *owns* the [`MaintainedGraph`] (the authoritative
+//! graph, its quotient and its registered-query maintainers) and the WAL
+//! handle of every graph on its shard. Ownership is the whole concurrency
+//! story on the write side: a batch has exclusive access to its graph for
+//! free (nobody else can touch actor state), and no lock is ever held
+//! across evaluation because readers run on *published* immutable
+//! snapshots instead (see [`expfinder_engine::Snapshot`]).
 //!
 //! Backpressure is the mailbox bound: when a shard falls behind,
 //! senders block in [`ShardHandle::send`] rather than queueing
@@ -18,13 +18,10 @@
 
 use crate::faults::{FaultInjector, IoOp};
 use crate::wal::{Wal, WalOp};
-use crate::{PublishedGraph, RegisteredView, Snapshot, WalCounters};
-use expfinder_compress::maintain::MaintainedCompression;
+use crate::WalCounters;
 use expfinder_compress::{CompressStats, CompressionMethod};
-use expfinder_core::MatchRelation;
-use expfinder_engine::{ExpFinderError, RegisteredDelta, UpdateHook, UpdateReport};
+use expfinder_engine::{ExpFinderError, MaintainedGraph, PublishedGraph, UpdateHook, UpdateReport};
 use expfinder_graph::{io as gio, DiGraph, EdgeUpdate};
-use expfinder_incremental::{IncrementalBoundedSim, IncrementalSim, Maintainer};
 use expfinder_pattern::{parser, Pattern};
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -116,77 +113,40 @@ pub struct CompactReport {
     pub wal_bytes_dropped: u64,
 }
 
-/// A registered query riding on an actor: the pattern, its DSL source
-/// (what the WAL record carries — see [`WalOp::Register`]) and its
-/// incremental maintainer (mirrors the engine's routing contract).
-struct RegisteredQuery {
-    pattern: Pattern,
-    source: String,
-    maintainer: Box<dyn Maintainer + Send + Sync>,
-    /// The collapsed relation as the last snapshot published it; `None`
-    /// once an update changed the maintained sets. While it is `Some`,
-    /// successive snapshots share the one `Arc` instead of re-collapsing
-    /// (and re-copying) a relation that did not move.
-    published: Option<Arc<MatchRelation>>,
-}
-
-impl RegisteredQuery {
-    /// Seed the incremental maintainer from the current graph — the same
-    /// routing rule the engine uses.
-    fn new(
-        graph: &DiGraph,
-        pattern: Pattern,
-        source: String,
-    ) -> Result<RegisteredQuery, ExpFinderError> {
-        let maintainer: Box<dyn Maintainer + Send + Sync> = if pattern.is_simulation() {
-            Box::new(IncrementalSim::new(graph, &pattern)?)
-        } else {
-            Box::new(IncrementalBoundedSim::new(graph, &pattern))
-        };
-        Ok(RegisteredQuery {
-            maintainer,
-            pattern,
-            source,
-            published: None,
-        })
-    }
-
-    /// Repair the maintained relation after `up` was applied to `graph`.
-    /// ΔM is exact on the maintained sets, so an empty one means the
-    /// published relation still stands.
-    fn on_update(&mut self, graph: &DiGraph, up: EdgeUpdate) {
-        if !self.maintainer.on_update(graph, up).is_empty() {
-            self.published = None;
-        }
-    }
-}
-
-/// One graph's actor state: the authoritative mutable graph, its WAL
-/// and its registered queries. Constructed by the facade (which does
-/// the durable add/recover IO) and handed to the owning shard via
-/// [`Cmd::Adopt`].
+/// One graph's actor state: the engine's [`MaintainedGraph`] — the same
+/// write side the in-memory facade drives — plus what makes it durable:
+/// the WAL every step is appended to first, and the fault-injection
+/// gate. Constructed by the facade (which does the durable add/recover
+/// IO) and handed to the owning shard via [`Cmd::Adopt`].
 pub(crate) struct GraphActor {
     pub name: String,
     /// Catalog directory holding `<name>.efg` / `<name>.wal`.
     pub dir: PathBuf,
-    pub graph: DiGraph,
+    /// Graph, registered queries and the maintained quotient. The
+    /// quotient is deliberately *not* WAL-logged: compression is derived
+    /// serving state, rebuildable on demand — a restart comes back
+    /// uncompressed.
+    pub core: MaintainedGraph,
     pub wal: Wal,
     pub published: Arc<PublishedGraph>,
-    registered: HashMap<String, RegisteredQuery>,
-    /// The maintained compressed quotient, when [`Cmd::Compress`] built
-    /// one. Published as an immutable clone with every snapshot (like
-    /// the reach index), maintained through update batches here.
-    /// Deliberately *not* WAL-logged: compression is derived serving
-    /// state, rebuildable on demand — a restart comes back uncompressed.
-    compressed: Option<MaintainedCompression>,
     /// The runtime's fault-injection gate; every snapshot write, fsync
     /// and rename routes through it (the WAL carries its own clone).
     faults: Arc<FaultInjector>,
 }
 
-/// Recompress when maintenance drift exceeds this factor — the same
-/// default the engine's `EngineConfig::recompress_drift` uses.
-const RECOMPRESS_DRIFT: f64 = 2.0;
+/// The DSL text a `register` record carries for `pattern`: its `Display`
+/// form, verified to re-parse to the same fingerprint.
+fn dsl_source(pattern: &Pattern) -> Result<String, ExpFinderError> {
+    let source = pattern.to_string();
+    let reparsed = parser::parse(&source)
+        .map_err(|e| ExpFinderError::Storage(format!("pattern does not round-trip: {e}")))?;
+    if reparsed.fingerprint() != pattern.fingerprint() {
+        return Err(ExpFinderError::Storage(
+            "pattern does not round-trip through its DSL form".to_owned(),
+        ));
+    }
+    Ok(source)
+}
 
 impl GraphActor {
     pub fn new(
@@ -200,11 +160,9 @@ impl GraphActor {
         GraphActor {
             name,
             dir,
-            graph,
+            core: MaintainedGraph::new(graph),
             wal,
             published,
-            registered: HashMap::new(),
-            compressed: None,
             faults,
         }
     }
@@ -214,99 +172,40 @@ impl GraphActor {
     }
 
     /// Replay one recovered WAL record onto the actor's in-memory state:
-    /// no WAL append, no publish (recovery publishes once at the end).
+    /// the same [`MaintainedGraph`] calls as the live path, with no WAL
+    /// append and no publish (recovery publishes once at the end).
     /// Records replay in sequence order, so a registration's maintainer
     /// is seeded from the graph exactly as it stood when the query was
     /// registered, then maintained by the update frames that follow it.
     pub(crate) fn replay_op(&mut self, op: &WalOp) -> Result<(), ExpFinderError> {
         match op {
-            WalOp::Updates(ups) => {
-                for &up in ups {
-                    if self.graph.apply(up) {
-                        for rq in self.registered.values_mut() {
-                            rq.on_update(&self.graph, up);
-                        }
-                    }
-                }
-            }
+            WalOp::Updates(ups) => self.core.apply(ups, false).map(|_| ()),
             WalOp::Register { query, pattern } => {
                 let parsed = parser::parse(pattern).map_err(|e| {
                     ExpFinderError::Storage(format!(
                         "wal register record for {query:?} has an unparseable pattern: {e}"
                     ))
                 })?;
-                let rq = RegisteredQuery::new(&self.graph, parsed, pattern.clone())?;
-                self.registered.insert(query.clone(), rq);
+                self.core.register(query, parsed, |_| Ok(()))
             }
-            WalOp::Unregister { query } => {
-                self.registered.remove(query);
-            }
+            // the log's own history vouches for the name; a record for a
+            // query that is not there has nothing to undo
+            WalOp::Unregister { query } => self.core.unregister(query, || Ok(())).or(Ok(())),
         }
-        Ok(())
     }
 
-    /// Swap a fresh immutable snapshot into the published slot. The
-    /// write lock covers one `Arc` store, so a racing reader is delayed
-    /// by a pointer swap, never by evaluation or IO. Publishing costs
-    /// `O(|ΔG|)`, not `O(|G|)`: the snapshot's graph is a clone that shares
-    /// every adjacency chunk the batch did not touch (see
-    /// [`expfinder_graph::digraph`]), and a registered relation whose
-    /// batch ΔM was empty is the previous snapshot's `Arc`. A reader
-    /// holding an older snapshot keeps exactly its version — the actor's
-    /// next write copies the chunks it touches instead of writing through.
+    /// Publish what changed since the last publish, if anything did (see
+    /// [`MaintainedGraph::publish`]); the worker calls this after every
+    /// command. The slot's write lock covers one `Arc` store, so a racing
+    /// reader is delayed by a pointer swap, never by evaluation or IO.
     pub(crate) fn publish(&mut self) {
-        let registered = self
-            .registered
-            .iter_mut()
-            .map(|(n, rq)| {
-                let matches = rq
-                    .published
-                    .get_or_insert_with(|| Arc::new(rq.maintainer.current()));
-                debug_assert_eq!(**matches, rq.maintainer.current(), "stale view of {n:?}");
-                RegisteredView {
-                    name: n.clone(),
-                    fingerprint: rq.pattern.fingerprint(),
-                    matches: Arc::clone(matches),
-                }
-            })
-            .collect();
-        // the quotient is copied on publish: readers keep evaluating on
-        // their snapshot's while the actor maintains its own
-        let compressed = self
-            .compressed
-            .as_ref()
-            .map(|mc| Arc::new(mc.compressed().clone()));
-        let slot = &self.published;
-        let snap = Snapshot::new(
-            slot.id,
-            Arc::clone(&slot.profile),
-            &self.graph,
-            registered,
-            compressed,
-        );
-        *slot.state.write() = Arc::new(snap);
-    }
-
-    /// Build (or rebuild) the maintained quotient and republish so the
-    /// read path can route compression-safe queries through it.
-    fn compress(&mut self, method: CompressionMethod) -> Result<CompressStats, ExpFinderError> {
-        let mc = MaintainedCompression::new(&self.graph, method)?;
-        let stats = mc.compressed().stats();
-        self.compressed = Some(mc);
-        self.publish();
-        Ok(stats)
-    }
-
-    /// Drop the maintained quotient and republish without it.
-    fn drop_compression(&mut self) {
-        self.compressed = None;
-        self.publish();
+        self.core.publish(&self.published);
     }
 
     /// The write path: append the batch to the WAL (fsync per policy)
-    /// *before* touching the graph, then apply, maintain registered
-    /// queries, republish, and fire the update hook. The hook runs on
-    /// the actor thread after the snapshot swap, so subscribers observe
+    /// *before* touching the graph, then the shared steps — apply and
+    /// maintain, publish — and the update hook. The hook runs on the
+    /// actor thread after the snapshot swap, so subscribers observe
     /// frames in commit order and a frame's `graph_version` is already
     /// readable when it arrives.
     fn apply(
@@ -319,95 +218,34 @@ impl GraphActor {
         // an installed hook forces tracing so its frames always carry ΔM
         let hook = hook.read().clone();
         let trace = trace || hook.is_some();
-        let (_, frame_bytes) = self
-            .wal
-            .append(updates)
-            .map_err(|e| ExpFinderError::Storage(format!("wal append: {e}")))?;
-        wal_counters.on_append(frame_bytes as u64, self.wal.fsyncs_per_append());
-
-        let mut registered: Vec<RegisteredDelta> = if trace {
-            self.registered
-                .iter()
-                .map(|(name, rq)| RegisteredDelta {
-                    query: name.clone(),
-                    before_pairs: rq.maintainer.total_pairs(),
-                    after_pairs: 0,
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let mut applied = 0usize;
-        for &up in updates {
-            if !self.graph.apply(up) {
-                continue;
-            }
-            applied += 1;
-            if let Some(mc) = self.compressed.as_mut() {
-                mc.on_update(&self.graph, up);
-            }
-            for rq in self.registered.values_mut() {
-                rq.on_update(&self.graph, up);
-            }
-        }
-        if let Some(mc) = self.compressed.as_mut() {
-            mc.refresh(&self.graph);
-            mc.maybe_recompress(&self.graph, RECOMPRESS_DRIFT)?;
-        }
-        if applied > 0 {
-            self.published.profile.note_update_batch();
-        }
-        for d in &mut registered {
-            d.after_pairs = self.registered[&d.query].maintainer.total_pairs();
-        }
-        registered.sort_by(|a, b| a.query.cmp(&b.query));
+        let batch = WalOp::Updates(updates.to_vec());
+        log(&mut self.wal, &batch, wal_counters)?;
+        let report = self.core.apply(updates, trace)?;
         self.publish();
-        let report = UpdateReport {
-            applied,
-            attempted: updates.len(),
-            graph_version: self.graph.version(),
-            registered,
-        };
         if let Some(hook) = &hook {
             hook(&self.name, &report);
         }
         Ok(report)
     }
 
-    /// Register a query: WAL-append the registration record (fsynced per
-    /// policy) *before* building the maintainer, so a crash right after
-    /// the ack still replays the registration. The DSL source written to
-    /// the log is the pattern's `Display` form, verified to re-parse to
-    /// the same fingerprint before anything is committed.
+    /// Register a query: the registration record (carrying the pattern's
+    /// DSL source, fsynced per policy) is WAL-appended once the
+    /// registration can no longer be refused and *before* it takes
+    /// effect, so a crash right after the ack still replays it.
     fn register(
         &mut self,
         query_name: &str,
         pattern: Pattern,
         wal_counters: &WalCounters,
     ) -> Result<(), ExpFinderError> {
-        if self.registered.contains_key(query_name) {
-            return Err(ExpFinderError::DuplicateQuery(query_name.to_owned()));
-        }
-        let source = pattern.to_string();
-        let reparsed = parser::parse(&source)
-            .map_err(|e| ExpFinderError::Storage(format!("pattern does not round-trip: {e}")))?;
-        if reparsed.fingerprint() != pattern.fingerprint() {
-            return Err(ExpFinderError::Storage(
-                "pattern does not round-trip through its DSL form".to_owned(),
-            ));
-        }
-        let rq = RegisteredQuery::new(&self.graph, pattern, source.clone())?;
-        let (_, frame_bytes) = self
-            .wal
-            .append_op(&WalOp::Register {
+        let (core, wal) = (&mut self.core, &mut self.wal);
+        core.register(query_name, pattern, |pattern| {
+            let op = WalOp::Register {
                 query: query_name.to_owned(),
-                pattern: source,
-            })
-            .map_err(|e| ExpFinderError::Storage(format!("wal append: {e}")))?;
-        wal_counters.on_append(frame_bytes as u64, self.wal.fsyncs_per_append());
-        self.registered.insert(query_name.to_owned(), rq);
-        self.publish();
-        Ok(())
+                pattern: dsl_source(pattern)?,
+            };
+            log(wal, &op, wal_counters)
+        })
     }
 
     fn unregister(
@@ -415,19 +253,13 @@ impl GraphActor {
         query_name: &str,
         wal_counters: &WalCounters,
     ) -> Result<(), ExpFinderError> {
-        if !self.registered.contains_key(query_name) {
-            return Err(ExpFinderError::UnknownQuery(query_name.to_owned()));
-        }
-        let (_, frame_bytes) = self
-            .wal
-            .append_op(&WalOp::Unregister {
+        let (core, wal) = (&mut self.core, &mut self.wal);
+        core.unregister(query_name, || {
+            let op = WalOp::Unregister {
                 query: query_name.to_owned(),
-            })
-            .map_err(|e| ExpFinderError::Storage(format!("wal append: {e}")))?;
-        wal_counters.on_append(frame_bytes as u64, self.wal.fsyncs_per_append());
-        self.registered.remove(query_name);
-        self.publish();
-        Ok(())
+            };
+            log(wal, &op, wal_counters)
+        })
     }
 
     /// Write `<name>.efg` atomically (tmp + fsync + rename + dir fsync),
@@ -436,7 +268,7 @@ impl GraphActor {
     /// empty file, and the WAL stays replayable onto whichever survives.
     fn save_snapshot(&self) -> Result<PathBuf, ExpFinderError> {
         let path = self.efg_path();
-        write_efg_atomic(&self.graph, &path, &self.faults)?;
+        write_efg_atomic(self.core.graph(), &path, &self.faults)?;
         Ok(path)
     }
 
@@ -453,13 +285,12 @@ impl GraphActor {
         // fresh log seeded with one register record per live query. The
         // swap is atomic (tmp + rename), so no crash point between the
         // old log and the new one can lose a live registration.
-        let mut names: Vec<&String> = self.registered.keys().collect();
-        names.sort();
-        let seeds: Vec<WalOp> = names
-            .into_iter()
-            .map(|name| WalOp::Register {
-                query: name.clone(),
-                pattern: self.registered[name].source.clone(),
+        let seeds: Vec<WalOp> = self
+            .core
+            .registered_patterns()
+            .map(|(name, pattern)| WalOp::Register {
+                query: name.to_owned(),
+                pattern: pattern.to_string(),
             })
             .collect();
         let sizes = self
@@ -475,6 +306,15 @@ impl GraphActor {
             wal_bytes_dropped,
         })
     }
+}
+
+/// Append one record to `wal` (fsync per policy) and count it.
+fn log(wal: &mut Wal, op: &WalOp, wal_counters: &WalCounters) -> Result<(), ExpFinderError> {
+    let (_, frame_bytes) = wal
+        .append_op(op)
+        .map_err(|e| ExpFinderError::Storage(format!("wal append: {e}")))?;
+    wal_counters.on_append(frame_bytes as u64, wal.fsyncs_per_append());
+    Ok(())
 }
 
 /// Save a graph to `path` via a sibling `.tmp` file and an atomic
@@ -569,6 +409,26 @@ impl Drop for ShardHandle {
     }
 }
 
+/// Run `op` on the named graph's actor, publish whatever it changed and
+/// send its result back. Replies are best-effort: a caller that gave up
+/// (dropped its receiver) does not take the worker down with it.
+fn on_actor<T>(
+    graphs: &mut HashMap<String, GraphActor>,
+    name: String,
+    reply: Reply<T>,
+    op: impl FnOnce(&mut GraphActor) -> Result<T, ExpFinderError>,
+) {
+    let result = match graphs.get_mut(&name) {
+        Some(actor) => {
+            let result = op(actor);
+            actor.publish();
+            result
+        }
+        None => Err(ExpFinderError::UnknownGraph(name)),
+    };
+    let _ = reply.send(result);
+}
+
 /// The actor loop: pop one command, dispatch against owned state, reply.
 fn run_worker(
     rx: Receiver<Cmd>,
@@ -578,16 +438,15 @@ fn run_worker(
     hook: Arc<RwLock<Option<UpdateHook>>>,
 ) {
     let mut graphs: HashMap<String, GraphActor> = HashMap::new();
+    let graphs = &mut graphs;
     while let Ok(cmd) = rx.recv() {
         depth.fetch_sub(1, Ordering::Relaxed);
         commands.fetch_add(1, Ordering::Relaxed);
-        // replies are best-effort: a caller that gave up (dropped its
-        // receiver) does not take the worker down with it
         match cmd {
             Cmd::Adopt { actor, reply } => {
                 // the facade published the initial snapshot when it
                 // built the PublishedGraph — nothing to publish here
-                let version = actor.graph.version();
+                let version = actor.core.graph().version();
                 graphs.insert(actor.name.clone(), *actor);
                 let _ = reply.send(Ok(version));
             }
@@ -596,71 +455,39 @@ fn run_worker(
                 updates,
                 trace,
                 reply,
-            } => {
-                let result = match graphs.get_mut(&name) {
-                    Some(actor) => actor.apply(&updates, trace, &wal_counters, &hook),
-                    None => Err(ExpFinderError::UnknownGraph(name)),
-                };
-                let _ = reply.send(result);
-            }
+            } => on_actor(graphs, name, reply, |actor| {
+                actor.apply(&updates, trace, &wal_counters, &hook)
+            }),
             Cmd::Register {
                 name,
                 query_name,
                 pattern,
                 reply,
-            } => {
-                let result = match graphs.get_mut(&name) {
-                    Some(actor) => actor.register(&query_name, pattern, &wal_counters),
-                    None => Err(ExpFinderError::UnknownGraph(name)),
-                };
-                let _ = reply.send(result);
-            }
+            } => on_actor(graphs, name, reply, |actor| {
+                actor.register(&query_name, pattern, &wal_counters)
+            }),
             Cmd::Unregister {
                 name,
                 query_name,
                 reply,
-            } => {
-                let result = match graphs.get_mut(&name) {
-                    Some(actor) => actor.unregister(&query_name, &wal_counters),
-                    None => Err(ExpFinderError::UnknownGraph(name)),
-                };
-                let _ = reply.send(result);
-            }
+            } => on_actor(graphs, name, reply, |actor| {
+                actor.unregister(&query_name, &wal_counters)
+            }),
             Cmd::Snapshot { name, reply } => {
-                let result = match graphs.get(&name) {
-                    Some(actor) => actor.save_snapshot(),
-                    None => Err(ExpFinderError::UnknownGraph(name)),
-                };
-                let _ = reply.send(result);
+                on_actor(graphs, name, reply, |actor| actor.save_snapshot())
             }
             Cmd::Compact { name, reply } => {
-                let result = match graphs.get_mut(&name) {
-                    Some(actor) => actor.compact(&wal_counters),
-                    None => Err(ExpFinderError::UnknownGraph(name)),
-                };
-                let _ = reply.send(result);
+                on_actor(graphs, name, reply, |actor| actor.compact(&wal_counters))
             }
             Cmd::Compress {
                 name,
                 method,
                 reply,
-            } => {
-                let result = match graphs.get_mut(&name) {
-                    Some(actor) => actor.compress(method),
-                    None => Err(ExpFinderError::UnknownGraph(name)),
-                };
-                let _ = reply.send(result);
-            }
-            Cmd::DropCompression { name, reply } => {
-                let result = match graphs.get_mut(&name) {
-                    Some(actor) => {
-                        actor.drop_compression();
-                        Ok(())
-                    }
-                    None => Err(ExpFinderError::UnknownGraph(name)),
-                };
-                let _ = reply.send(result);
-            }
+            } => on_actor(graphs, name, reply, |actor| actor.core.compress(method)),
+            Cmd::DropCompression { name, reply } => on_actor(graphs, name, reply, |actor| {
+                actor.core.drop_compression();
+                Ok(())
+            }),
             Cmd::Remove { name, reply } => {
                 let result = match graphs.remove(&name) {
                     Some(actor) => {

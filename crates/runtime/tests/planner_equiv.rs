@@ -1,16 +1,25 @@
-//! The parity script: one read path, two facades, no daylight between
-//! them.
+//! The parity script: one read path and one write path, two facades, no
+//! daylight between them.
 //!
 //! A seeded op script drives the in-process engine and the durable
 //! runtime through the *same* history — probe, update batch, probe,
-//! `register`, probe, `compress`, probe — where a probe is every `Route`
-//! preference × `top_k` ∈ {None, 3} × {no deadline, a zero-deadline fuse}
-//! over two patterns. After every single query the two backends must
-//! agree on `matches`, `experts`, `route`, the whole plan decision
-//! (`chosen`, `planned`, `overridden`, `candidates`) and
-//! `graph_version`, or on the same 408 with the same partial stats. Both
-//! run `ReadPath`, so any disagreement is a `GraphState` implementor
-//! lying about its graph.
+//! `register`, probe, `compress`, probe, `unregister`, probe, drop the
+//! compression, probe — where a probe is every `Route` preference ×
+//! `top_k` ∈ {None, 3} × {no deadline, a zero-deadline fuse} over two
+//! patterns. After every single query the two backends must agree on
+//! `matches`, `experts`, `route`, the whole plan decision (`chosen`,
+//! `planned`, `overridden`, `candidates`) and `graph_version`, or on the
+//! same 408 with the same partial stats. Both run `ReadPath` over a
+//! `Snapshot` the same `MaintainedGraph` published, so any disagreement
+//! is a facade doing something of its own around them.
+//!
+//! The write side is held to the same standard: after every update batch
+//! the two `UpdateReport`s are equal, the two update hooks have seen the
+//! same `(graph, report)` sequence, and after every write of any kind
+//! `graph_infos`, `registered_queries`, every `registered_result` and
+//! `compression_stats` agree. No step is there to paper over a
+//! difference — a same-version republish (register, compress, an
+//! all-no-op batch) holds the same derived state on both sides.
 //!
 //! The older contract rides along: routing is an *optimization*, never a
 //! semantic choice. Within a phase every preference returns the relation
@@ -29,7 +38,7 @@ use expfinder_compress::CompressionMethod;
 use expfinder_core::{evaluate, top_k, EvalOptions, EvalRequest, MatchRelation, Semantics};
 use expfinder_engine::{
     EngineConfig, EvalRoute, ExecConfig, ExpFinder, ExpFinderError, GraphHandle, QueryResponse,
-    QuerySpec, RankTotals, Route,
+    QuerySpec, RankTotals, Route, UpdateHook, UpdateReport,
 };
 use expfinder_graph::{DiGraph, EdgeUpdate, NodeId};
 use expfinder_pattern::{Bound, Pattern, PatternBuilder, Predicate};
@@ -37,6 +46,7 @@ use expfinder_runtime::{DurableExpFinder, FsyncPolicy, RuntimeConfig};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const NODES: u32 = 16;
@@ -126,6 +136,20 @@ fn oracle(g: &DiGraph, q: &Pattern) -> MatchRelation {
     evaluate(g, q, req).unwrap().0
 }
 
+/// Every `(graph, report)` one facade's update hook has seen, in order.
+type Frames = Arc<Mutex<Vec<(String, UpdateReport)>>>;
+
+fn recording_hook() -> (Frames, UpdateHook) {
+    let frames = Frames::default();
+    let sink = Arc::clone(&frames);
+    let hook: UpdateHook = Arc::new(move |graph: &str, report: &UpdateReport| {
+        sink.lock()
+            .unwrap()
+            .push((graph.to_owned(), report.clone()));
+    });
+    (frames, hook)
+}
+
 /// Both backends, built from one graph with one exec config, plus the
 /// model graph the oracle runs on.
 struct Pair {
@@ -133,9 +157,35 @@ struct Pair {
     handle: GraphHandle,
     rt: DurableExpFinder,
     model: DiGraph,
+    /// What the engine's and the runtime's update hook saw.
+    frames: [Frames; 2],
+    dir: PathBuf,
 }
 
 impl Pair {
+    fn new(g: DiGraph, exec: ExecConfig, tag: &str) -> Pair {
+        let engine = ExpFinder::new(EngineConfig {
+            exec,
+            ..EngineConfig::default()
+        });
+        let handle = engine.add_graph("g", g.clone()).unwrap();
+        let dir = tmpdir(tag);
+        let rt = DurableExpFinder::open(&dir, runtime_config(exec)).unwrap();
+        rt.add_graph("g", g.clone()).unwrap();
+        let (engine_frames, hook) = recording_hook();
+        engine.set_update_hook(Some(hook));
+        let (rt_frames, hook) = recording_hook();
+        rt.set_update_hook(Some(hook));
+        Pair {
+            engine,
+            handle,
+            rt,
+            model: g,
+            frames: [engine_frames, rt_frames],
+            dir,
+        }
+    }
+
     /// One query on both backends; they must agree on everything a
     /// client can observe. Returns the (engine's) answer, `None` for an
     /// agreed deadline abort.
@@ -193,32 +243,51 @@ impl Pair {
         }
     }
 
-    /// One update batch through both write paths (and the model), ending
-    /// in a toggle of edge 0 → 1 so the version is guaranteed to move.
-    fn update(&mut self, updates: &[EdgeUpdate]) {
-        let mut after = self.model.clone();
-        for &up in updates {
-            after.apply(up);
-        }
-        let (a, b) = (NodeId(0), NodeId(1));
-        let mut batch = updates.to_vec();
-        batch.push(if after.has_edge(a, b) {
-            EdgeUpdate::Delete(a, b)
-        } else {
-            EdgeUpdate::Insert(a, b)
-        });
-        let before = self.model.version();
-        self.apply(&batch);
-        assert!(self.model.version() > before, "the toggle applies");
+    /// One update batch through both write paths and the model: the same
+    /// report from both, and the same frame in both hooks.
+    fn update(&mut self, batch: &[EdgeUpdate]) {
+        let applied = batch.iter().filter(|&&up| self.model.apply(up)).count();
+        let a = self
+            .engine
+            .apply_updates_traced(&self.handle, batch)
+            .unwrap();
+        let b = self.rt.apply_updates_traced("g", batch).unwrap();
+        assert_eq!(a, b);
+        assert_eq!(
+            (a.applied, a.attempted, a.graph_version),
+            (applied, batch.len(), self.model.version())
+        );
+        let [engine_frames, rt_frames] = &self.frames;
+        let engine_frames = engine_frames.lock().unwrap();
+        assert_eq!(*engine_frames, *rt_frames.lock().unwrap());
+        assert_eq!(engine_frames.last(), Some(&("g".to_owned(), a)));
+        drop(engine_frames);
+        self.state_agrees();
     }
 
-    /// Exactly `batch` through both write paths and the model.
-    fn apply(&mut self, batch: &[EdgeUpdate]) {
-        for &up in batch {
-            self.model.apply(up);
+    /// Everything the facades report about the graph besides answers.
+    fn state_agrees(&self) {
+        assert_eq!(self.engine.graph_infos(), self.rt.graph_infos());
+        let names = self.engine.registered_queries(&self.handle).unwrap();
+        assert_eq!(names, self.rt.registered_queries("g").unwrap());
+        for name in &names {
+            assert_eq!(
+                self.engine.registered_result(&self.handle, name).unwrap(),
+                self.rt.registered_result("g", name).unwrap()
+            );
         }
-        let applied = self.engine.apply_updates(&self.handle, batch).unwrap();
-        assert_eq!(applied, self.rt.apply_updates("g", batch).unwrap());
+        assert_eq!(
+            self.engine.compression_stats(&self.handle).unwrap(),
+            self.rt.compression_stats("g").unwrap()
+        );
+    }
+
+    fn register(&self, name: &str, q: &Pattern) {
+        self.engine
+            .register_query(&self.handle, name, q.clone())
+            .unwrap();
+        self.rt.register_query("g", name, q.clone()).unwrap();
+        self.state_agrees();
     }
 
     /// A ranked `Auto` query on both backends, checked against a fresh
@@ -236,6 +305,13 @@ impl Pair {
             resp.graph_version
         );
         resp
+    }
+
+    /// Shut the runtime down, then delete its data dir.
+    fn finish(self) {
+        let dir = self.dir.clone();
+        drop(self);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// `engine.rank` — the same on both backends, or the two read paths
@@ -257,20 +333,7 @@ fn ranked_answers_are_cached_per_version_and_never_across() {
     let edges = [(0, 1), (3, 5), (5, 4), (6, 8), (8, 7), (9, 10), (12, 13)];
     let g = graph_with_edges(&edges, 0);
     let q = pattern_for(0, 2, 1);
-    let engine = ExpFinder::new(EngineConfig {
-        exec,
-        ..EngineConfig::default()
-    });
-    let handle = engine.add_graph("g", g.clone()).unwrap();
-    let dir = tmpdir("ranked");
-    let rt = DurableExpFinder::open(&dir, runtime_config(exec)).unwrap();
-    rt.add_graph("g", g.clone()).unwrap();
-    let mut pair = Pair {
-        engine,
-        handle,
-        rt,
-        model: g.clone(),
-    };
+    let mut pair = Pair::new(g.clone(), exec, "ranked");
     let totals = |computed, reused| RankTotals { computed, reused };
     let rank_of = |resp: &QueryResponse, v: u32| {
         let hit = resp.experts.iter().find(|x| x.node == NodeId(v));
@@ -314,7 +377,7 @@ fn ranked_answers_are_cached_per_version_and_never_across() {
     // G_r weight goes 2 → 1, and so does f(3). Reusing the ranked list
     // because "ΔM is empty" would be wrong; the version key prevents it.
     assert_eq!(rank_of(&all, 3), 2.0);
-    pair.apply(&[EdgeUpdate::Insert(NodeId(3), NodeId(4))]);
+    pair.update(&[EdgeUpdate::Insert(NodeId(3), NodeId(4))]);
     let after = pair.ranked(&q, Route::Auto, 10);
     assert_eq!(*after.matches, *all.matches, "the update changed no match");
     assert_eq!(rank_of(&after, 3), 1.0, "but it changed a rank");
@@ -322,17 +385,14 @@ fn ranked_answers_are_cached_per_version_and_never_across() {
 
     // the same for a registered query, whose maintained relation is the
     // very same `Arc` across the update
-    pair.engine
-        .register_query(&pair.handle, "standing", q.clone())
-        .unwrap();
-    pair.rt.register_query("g", "standing", q.clone()).unwrap();
-    pair.apply(&[EdgeUpdate::Insert(NodeId(15), NodeId(14))]);
+    pair.register("standing", &q);
+    pair.update(&[EdgeUpdate::Insert(NodeId(15), NodeId(14))]);
     let registered = pair.ranked(&q, Route::Auto, 10);
     assert_eq!(registered.route, EvalRoute::Registered);
     assert_eq!(pair.ranked(&q, Route::Auto, 10).route, EvalRoute::Cache);
     assert_eq!(pair.rank_totals(), totals(7, 4));
     assert_eq!(rank_of(&registered, 6), 2.0);
-    pair.apply(&[EdgeUpdate::Insert(NodeId(6), NodeId(7))]);
+    pair.update(&[EdgeUpdate::Insert(NodeId(6), NodeId(7))]);
     let after = pair.ranked(&q, Route::Auto, 10);
     assert_eq!(after.route, EvalRoute::Registered);
     assert_eq!(*after.matches, *registered.matches);
@@ -357,8 +417,7 @@ fn ranked_answers_are_cached_per_version_and_never_across() {
     assert_eq!(pair.ranked(&q, Route::Auto, 10).experts.len(), 4);
     assert_eq!(pair.rank_totals(), totals(9, 4));
 
-    drop(pair);
-    let _ = std::fs::remove_dir_all(&dir);
+    pair.finish();
 }
 
 proptest! {
@@ -381,38 +440,38 @@ proptest! {
         // the SnapshotParallel candidate is in play from the first read
         let exec = ExecConfig { threads, batch_parallelism: 1 };
 
-        let engine = ExpFinder::new(EngineConfig { exec, ..EngineConfig::default() });
-        let handle = engine.add_graph("g", g.clone()).unwrap();
-        let dir = tmpdir("parity");
-        let rt = DurableExpFinder::open(&dir, runtime_config(exec)).unwrap();
-        rt.add_graph("g", g.clone()).unwrap();
-        let mut pair = Pair { engine, handle, rt, model: g };
+        let mut pair = Pair::new(g, exec, "parity");
 
         pair.probe(&patterns, "fresh");
         let cold = pair.engine.read_path().planner_totals();
         prop_assert_eq!(cold, pair.rt.read_path().planner_totals());
 
-        // A republish at an unchanged version (register, compress, a
-        // batch of no-ops) hands runtime readers a snapshot without the
-        // lazily built CSR, while the engine keeps its own until the
-        // version moves — a difference in what the two *hold*, which the
-        // planner correctly reports as different costs. The script rolls
-        // the version right before each of those ops (every batch ends in
-        // an edge toggle) so both sides start the phase without one.
-        let (first, rest) = updates.split_at(updates.len() / 3);
-        let (second, third) = rest.split_at(rest.len() / 2);
+        let (first, rest) = updates.split_at(updates.len() / 4);
+        let (second, rest) = rest.split_at(rest.len() / 3);
+        let (third, fourth) = rest.split_at(rest.len() / 2);
         pair.update(first);
         pair.probe(&patterns, "after updates");
 
         pair.update(second);
-        pair.engine.register_query(&pair.handle, "standing", p.clone()).unwrap();
-        pair.rt.register_query("g", "standing", p.clone()).unwrap();
+        pair.register("standing", &p);
         pair.probe(&patterns, "after register");
 
         pair.update(third);
-        pair.engine.compress(&pair.handle).unwrap();
+        pair.engine.compress(&pair.handle, CompressionMethod::Bisimulation).unwrap();
         pair.rt.compress("g", CompressionMethod::Bisimulation).unwrap();
+        pair.state_agrees();
         pair.probe(&patterns, "after compress");
+
+        pair.engine.unregister_query(&pair.handle, "standing").unwrap();
+        pair.rt.unregister_query("g", "standing").unwrap();
+        pair.state_agrees();
+        pair.probe(&patterns, "after unregister");
+
+        pair.update(fourth);
+        pair.engine.drop_compression(&pair.handle).unwrap();
+        pair.rt.drop_compression("g").unwrap();
+        pair.state_agrees();
+        pair.probe(&patterns, "after drop-compression");
 
         prop_assert_eq!(
             pair.engine.read_path().planner_totals(),
@@ -424,8 +483,7 @@ proptest! {
         );
         prop_assert_eq!(pair.engine.index_totals(), pair.rt.index_totals());
 
-        drop(pair);
-        let _ = std::fs::remove_dir_all(&dir);
+        pair.finish();
     }
 }
 
@@ -443,7 +501,9 @@ fn index_totals_count_the_quotient_index_on_both_backends() {
         ..EngineConfig::default()
     });
     let h = engine.add_graph("g", g.clone()).unwrap();
-    engine.compress(&h).unwrap();
+    engine
+        .compress(&h, CompressionMethod::Bisimulation)
+        .unwrap();
     let a = engine
         .query_deadline(&h, &q, None, Route::Compressed, None)
         .unwrap();
@@ -458,7 +518,7 @@ fn index_totals_count_the_quotient_index_on_both_backends() {
     assert_eq!(b.plan.chosen, expfinder_engine::PlanRoute::Compressed);
     let (ta, tb) = (engine.index_totals(), rt.index_totals());
     assert!(ta.hits > 0 && ta.entries > 0 && ta.bytes > 0, "{ta:?}");
-    assert_eq!(ta, tb, "one index_totals over GraphState");
+    assert_eq!(ta, tb, "one index_totals over the published snapshots");
 
     drop(rt);
     let _ = std::fs::remove_dir_all(&dir);

@@ -64,8 +64,7 @@ impl Backend {
         }
     }
 
-    /// Run `f` against the named graph (engine: under its read lock;
-    /// runtime: against the latest published snapshot).
+    /// Run `f` against the named graph's latest published snapshot.
     pub fn read_graph<R>(
         &self,
         name: &str,

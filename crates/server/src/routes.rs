@@ -192,7 +192,7 @@ fn query(inner: &Inner, name: &str, req: &Request) -> Result<Response, WireError
             }
             WireError::from(e)
         })?;
-    // resolve expert display names under a fresh read lock; queries and
+    // resolve expert display names on the latest snapshot; queries and
     // updates may interleave, but expert node ids are stable
     let encoded = inner.backend.read_graph(name, |g| {
         wire::encode_query_response(&resp, &q.pattern, q.include_matches, |n| {

@@ -67,7 +67,9 @@ fn main() {
 
     // compress, then the engine routes through G_c automatically
     let t = Instant::now();
-    let stats = engine.compress(&twitter).unwrap();
+    let stats = engine
+        .compress(&twitter, CompressionMethod::Bisimulation)
+        .unwrap();
     let compress_time = t.elapsed();
     println!(
         "compression: {} → {} nodes, {} → {} edges ({:.1}% size reduction) in {:?}",

@@ -23,6 +23,13 @@ And the metrics vocabulary: every key of the `engine` block that
 crates/server/src/metrics.rs emits for `GET /metrics` must appear in
 that route's section of docs/PROTOCOL.md as `"key":` in the example
 document, so a new metrics block cannot ship undocumented either.
+
+And, the other way round, the type names docs/ARCHITECTURE.md leans on:
+every backticked `CamelCase` identifier (bare, or the type in an
+`a::b::C` / `C::method` path) in its crate map, "The read path" and "The
+write path" must be declared (`struct|enum|trait|type|fn|const`)
+somewhere under crates/*/src, so a PR that deletes or renames a type
+cannot leave its name in the map.
 """
 
 import re
@@ -32,6 +39,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ROUTES = ROOT / "crates" / "server" / "src" / "routes.rs"
 PROTOCOL = ROOT / "docs" / "PROTOCOL.md"
+ARCHITECTURE = ROOT / "docs" / "ARCHITECTURE.md"
+CRATES = ROOT / "crates"
 ENGINE_SRC = ROOT / "crates" / "engine" / "src"
 ROUTE_ENUMS = ["Route", "EvalRoute", "PlanRoute"]
 METRICS_SRC = ROOT / "crates" / "server" / "src" / "metrics.rs"
@@ -126,6 +135,45 @@ def check_engine_metrics(spec: str):
     return missing, len(keys)
 
 
+ARCHITECTURE_SECTIONS = ["Crate map", "The read path", "The write path"]
+# CamelCase names the architecture text may use that this workspace does
+# not declare: std and vendored (`parking_lot`) types
+NOT_OURS = {"Arc", "Mutex", "OnceLock", "RwLock", "Vec"}
+PATH = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:::[A-Za-z_][A-Za-z0-9_]*)*")
+CAMEL = re.compile(r"[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*")
+
+
+def check_architecture_idents():
+    """CamelCase identifiers backticked in the checked sections of
+    docs/ARCHITECTURE.md that no file under crates/*/src declares, and
+    the number of distinct identifiers checked. In a path only the first
+    CamelCase segment — the type — is checked; what follows it is a
+    method or a variant."""
+    text = ARCHITECTURE.read_text()
+    names, missing = set(), []
+    for title in ARCHITECTURE_SECTIONS:
+        _, found, rest = text.partition(f"\n## {title}\n")
+        if not found:
+            missing.append(
+                f"docs/ARCHITECTURE.md has no `## {title}` section; "
+                "update scripts/docs_check.py"
+            )
+        section = rest.partition("\n## ")[0]
+        for span in re.findall(r"`([^`\n]+)`", section):
+            for path in PATH.findall(span):
+                camel = next(filter(CAMEL.fullmatch, path.split("::")), None)
+                if camel and camel not in NOT_OURS:
+                    names.add(camel)
+    sources = "\n".join(p.read_text() for p in sorted(CRATES.glob("*/src/**/*.rs")))
+    for name in sorted(names):
+        if not re.search(rf"\b(?:struct|enum|trait|type|fn|const)\s+{name}\b", sources):
+            missing.append(
+                f"`{name}` is named in docs/ARCHITECTURE.md (crate map / read "
+                "path / write path) but declared nowhere under crates/*/src"
+            )
+    return missing, len(names)
+
+
 # ("POST", ["graphs", name, "subscribe"]) — including arms wrapped over
 # lines; stop at the closing bracket of the segment list
 ARM = re.compile(r'\(\s*"(GET|POST|PUT|DELETE|PATCH)"\s*,\s*\[([^\]]*)\]\s*\)')
@@ -182,12 +230,16 @@ def main() -> int:
     metrics_missing, n_metrics = check_engine_metrics(spec)
     for msg in metrics_missing:
         print(f"docs-check: {msg}", file=sys.stderr)
-    if missing or variant_missing or metrics_missing:
+    ident_missing, n_idents = check_architecture_idents()
+    for msg in ident_missing:
+        print(f"docs-check: {msg}", file=sys.stderr)
+    if missing or variant_missing or metrics_missing or ident_missing:
         return 1
     print(
         f"docs-check OK: {len(routes)} routes, {n_variants} route-enum "
         f"variants and {n_metrics} engine metrics blocks, all specified in "
-        "docs/PROTOCOL.md"
+        f"docs/PROTOCOL.md; {n_idents} type names in docs/ARCHITECTURE.md, "
+        "all declared under crates/*/src"
     )
     return 0
 

@@ -50,7 +50,9 @@ fn compress_route_transparency() {
     let direct = engine.evaluate(&t, &q).unwrap();
     assert_eq!(direct.route, EvalRoute::DirectBounded);
 
-    let stats = engine.compress(&t).unwrap();
+    let stats = engine
+        .compress(&t, CompressionMethod::Bisimulation)
+        .unwrap();
     assert!(stats.size_reduction() > 0.2, "twitter-like compresses");
     let via_c = engine
         .query(&t)
@@ -70,7 +72,9 @@ fn long_update_stream_consistency() {
     let (_, q) = &demo_queries()[0]; // Q1 = the Fig. 1 pattern
     let engine = ExpFinder::default();
     let c = engine.add_graph("c", g).unwrap();
-    engine.compress(&c).unwrap();
+    engine
+        .compress(&c, CompressionMethod::Bisimulation)
+        .unwrap();
     engine.register_query(&c, "q1", q.clone()).unwrap();
 
     let mut rng = StdRng::seed_from_u64(13);
@@ -147,7 +151,9 @@ fn ranking_stable_across_routes() {
 
     let compressed = ExpFinder::default();
     let hc = compressed.add_graph("c", g.clone()).unwrap();
-    compressed.compress(&hc).unwrap();
+    compressed
+        .compress(&hc, CompressionMethod::Bisimulation)
+        .unwrap();
     let via_c = compressed.find_experts(&hc, q, 5).unwrap();
 
     let registered = ExpFinder::default();
@@ -244,7 +250,9 @@ fn engine_config_variants_agree() {
     // compression present but the request prefers direct evaluation
     let compressed = ExpFinder::default();
     let hn = compressed.add_graph("c", g).unwrap();
-    compressed.compress(&hn).unwrap();
+    compressed
+        .compress(&hn, CompressionMethod::Bisimulation)
+        .unwrap();
     let out = compressed
         .query(&hn)
         .pattern(q.clone())
