@@ -12,13 +12,22 @@
 //! parallelised across match nodes (std scoped threads) — an ablation
 //! in E12. A request's [`CancelToken`] is polled once per source match, so
 //! a deadline covers construction too ([`ResultGraph::build_cancellable`]).
+//!
+//! Layout: `|V_r|` is typically thousands while `|E_r|` is hundreds (most
+//! matches witness no pattern edge themselves), so nothing is allocated or
+//! hashed per node: `nodes` is the bitset union of the match sets, already
+//! sorted, so the vector *is* the index (`local` is a binary search), and
+//! both adjacencies are flat [`WeightedAdj`] arrays built by one sort +
+//! dedup-to-minimum of the arcs each. What a build costs beyond its BFS
+//! is proportional to `|E_r|`, plus one copy of the match sets.
 
 use crate::fixpoint::Cancelled;
 use crate::matchrel::MatchRelation;
+use crate::parallel::run_items;
 use expfinder_graph::bfs::{BfsScratch, Direction};
-use expfinder_graph::{dijkstra, CancelToken, GraphView, NodeId};
+use expfinder_graph::dijkstra::{dijkstra, WeightedAdj};
+use expfinder_graph::{CancelToken, GraphView, NodeId};
 use expfinder_pattern::{PNodeId, Pattern};
-use std::collections::HashMap;
 
 /// One edge of the result graph.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -48,18 +57,17 @@ impl Default for BuildOptions {
 /// node membership.
 #[derive(Clone, Debug)]
 pub struct ResultGraph {
-    /// Data-graph ids of all result nodes, sorted ascending.
+    /// Data-graph ids of all result nodes, sorted ascending; a node's
+    /// position is its local index.
     nodes: Vec<NodeId>,
-    /// Dense index of `nodes` (data id → local index).
-    index: HashMap<NodeId, u32>,
     /// All result edges (deduplicated per pattern edge).
     edges: Vec<ResultEdge>,
     /// Forward adjacency over *local* indices with minimal weights.
-    fwd: Vec<Vec<(NodeId, u64)>>,
+    fwd: WeightedAdj,
     /// Reverse adjacency over *local* indices with minimal weights.
-    rev: Vec<Vec<(NodeId, u64)>>,
-    /// For each pattern node, the local indices of its matches.
-    members: Vec<Vec<u32>>,
+    rev: WeightedAdj,
+    /// For each pattern node, its matches (ascending).
+    members: Vec<Vec<NodeId>>,
 }
 
 impl ResultGraph {
@@ -89,71 +97,30 @@ impl ResultGraph {
         opts: BuildOptions,
         cancel: Option<&CancelToken>,
     ) -> Result<ResultGraph, Cancelled> {
+        let members: Vec<Vec<NodeId>> = q.ids().map(|u| m.matches_vec(u)).collect();
+        let edges = collect_all_edges(g, q, m, &members, opts.threads, cancel)?;
+
         // result nodes = union of all matches
-        let mut nodes: Vec<NodeId> = Vec::new();
-        for u in q.ids() {
-            nodes.extend(m.matches(u).iter());
-        }
-        nodes.sort_unstable();
-        nodes.dedup();
-        let index: HashMap<NodeId, u32> = nodes
+        let union = m.sets().split_first().map(|(first, rest)| {
+            let mut all = first.clone();
+            rest.iter().for_each(|set| all.union_with(set));
+            all.to_vec()
+        });
+        let nodes = union.unwrap_or_default();
+        let local = |v: NodeId| nodes.binary_search(&v).expect("edge endpoints are matches") as u32;
+        let fwd: Vec<(u32, u32, u32)> = edges
             .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, i as u32))
+            .map(|e| (local(e.from), local(e.to), e.weight))
             .collect();
-
-        let edges = if opts.threads > 1 {
-            collect_edges_parallel(g, q, m, opts.threads, cancel)?
-        } else {
-            let mut scratch = BfsScratch::new();
-            let mut edges = Vec::new();
-            for (ei, _) in q.edges().iter().enumerate() {
-                collect_edges_for(g, q, m, ei, &mut scratch, cancel, &mut edges)?;
-            }
-            edges
-        };
-
-        // adjacency (over local indices) with minimal weight per pair
-        let mut fwd: Vec<HashMap<NodeId, u64>> = vec![HashMap::new(); nodes.len()];
-        let mut rev: Vec<HashMap<NodeId, u64>> = vec![HashMap::new(); nodes.len()];
-        for e in &edges {
-            let fi = index[&e.from] as usize;
-            let ti = index[&e.to] as usize;
-            let w = e.weight as u64;
-            fwd[fi]
-                .entry(NodeId(index[&e.to]))
-                .and_modify(|x| *x = (*x).min(w))
-                .or_insert(w);
-            rev[ti]
-                .entry(NodeId(index[&e.from]))
-                .and_modify(|x| *x = (*x).min(w))
-                .or_insert(w);
-        }
-        let fwd: Vec<Vec<(NodeId, u64)>> = fwd
-            .into_iter()
-            .map(|m| {
-                let mut v: Vec<_> = m.into_iter().collect();
-                v.sort_unstable();
-                v
-            })
-            .collect();
-        let rev: Vec<Vec<(NodeId, u64)>> = rev
-            .into_iter()
-            .map(|m| {
-                let mut v: Vec<_> = m.into_iter().collect();
-                v.sort_unstable();
-                v
-            })
-            .collect();
-
-        let members = q
-            .ids()
-            .map(|u| m.matches(u).iter().map(|v| index[&v]).collect())
-            .collect();
+        let rev = fwd.iter().map(|&(from, to, w)| (to, from, w)).collect();
+        let n = nodes.len();
+        let (fwd, rev) = (
+            WeightedAdj::from_arcs(n, fwd),
+            WeightedAdj::from_arcs(n, rev),
+        );
 
         Ok(ResultGraph {
             nodes,
-            index,
             edges,
             fwd,
             rev,
@@ -178,44 +145,33 @@ impl ResultGraph {
 
     /// Local index of a data node, if it is part of the result.
     pub fn local(&self, v: NodeId) -> Option<u32> {
-        self.index.get(&v).copied()
+        self.nodes.binary_search(&v).ok().map(|i| i as u32)
     }
 
     /// Matches of pattern node `u` as data ids.
     pub fn matches_of(&self, u: PNodeId) -> Vec<NodeId> {
-        self.members[u.index()]
-            .iter()
-            .map(|&i| self.nodes[i as usize])
-            .collect()
+        self.members[u.index()].clone()
     }
 
     /// Shortest distances *from* `v` to all result nodes (weights are the
     /// `d` markings). Indexed by local index; `u64::MAX` = unreachable.
     pub fn dists_from(&self, v: NodeId) -> Option<Vec<u64>> {
-        let local = self.local(v)?;
-        Some(self.run_dijkstra(local, &self.fwd))
+        Some(dijkstra(&self.fwd, self.local(v)?))
     }
 
     /// Shortest distances *to* `v` from all result nodes.
     pub fn dists_to(&self, v: NodeId) -> Option<Vec<u64>> {
-        let local = self.local(v)?;
-        Some(self.run_dijkstra(local, &self.rev))
-    }
-
-    fn run_dijkstra(&self, src: u32, adj: &[Vec<(NodeId, u64)>]) -> Vec<u64> {
-        dijkstra::dijkstra(adj, NodeId(src))
+        Some(dijkstra(&self.rev, self.local(v)?))
     }
 }
 
-/// Collect the result edges witnessed by pattern edge `ei` for the given
-/// source match nodes, polling `cancel` once per source.
-#[allow(clippy::too_many_arguments)]
-fn collect_edges_chunk<G: GraphView>(
+/// Collect into `out` the result edges witnessed by pattern edge `ei` for
+/// the given source match nodes, polling `cancel` once per source.
+fn collect_edges<G: GraphView>(
     g: &G,
     q: &Pattern,
     m: &MatchRelation,
-    ei: usize,
-    sources: &[NodeId],
+    (ei, sources): (usize, &[NodeId]),
     scratch: &mut BfsScratch,
     cancel: Option<&CancelToken>,
     out: &mut Vec<ResultEdge>,
@@ -242,78 +198,48 @@ fn collect_edges_chunk<G: GraphView>(
     Ok(())
 }
 
-/// Collect the result edges witnessed by pattern edge `ei`.
-fn collect_edges_for<G: GraphView>(
-    g: &G,
-    q: &Pattern,
-    m: &MatchRelation,
-    ei: usize,
-    scratch: &mut BfsScratch,
-    cancel: Option<&CancelToken>,
-    out: &mut Vec<ResultEdge>,
-) -> Result<(), Cancelled> {
-    let sources: Vec<NodeId> = m.matches(q.edges()[ei].from).to_vec();
-    collect_edges_chunk(g, q, m, ei, &sources, scratch, cancel, out)
-}
-
 /// Work-unit size for the parallel fan-out: small enough for load balance
 /// across skewed degree distributions, large enough to amortize dispatch.
 const PARALLEL_CHUNK: usize = 256;
 
-/// Parallel edge collection: every (pattern edge, chunk of match nodes)
-/// pair is an independent work item; workers pull items off a shared
-/// counter and own their BFS scratch. Chunking *within* a pattern edge is
-/// what makes this scale — patterns have few edges but thousands of
-/// matches.
-fn collect_edges_parallel<G: GraphView + Sync>(
+/// Edge collection: every (pattern edge, chunk of the `members` of its
+/// source node) pair is an independent [`run_items`] work item, run inline
+/// on one scratch when that declines to fan out. Chunking *within* a
+/// pattern edge is what makes the fan-out scale — patterns have few edges
+/// but thousands of matches.
+fn collect_all_edges<G: GraphView + Sync>(
     g: &G,
     q: &Pattern,
     m: &MatchRelation,
+    members: &[Vec<NodeId>],
     threads: usize,
     cancel: Option<&CancelToken>,
 ) -> Result<Vec<ResultEdge>, Cancelled> {
-    let mut items: Vec<(usize, Vec<NodeId>)> = Vec::new();
-    for ei in 0..q.edge_count() {
-        let sources = m.matches_vec(q.edges()[ei].from);
-        for chunk in sources.chunks(PARALLEL_CHUNK) {
-            items.push((ei, chunk.to_vec()));
-        }
+    let mut items: Vec<(usize, &[NodeId])> = Vec::new();
+    for (ei, e) in q.edges().iter().enumerate() {
+        let sources = members[e.from.index()].chunks(PARALLEL_CHUNK);
+        items.extend(sources.map(|chunk| (ei, chunk)));
     }
-    if items.is_empty() {
-        return Ok(Vec::new());
-    }
-    let n_items = items.len();
-    let items = &items;
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut chunks: Vec<Result<Vec<ResultEdge>, Cancelled>> = Vec::new();
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for _ in 0..threads.min(n_items) {
-            let next = &next;
-            handles.push(s.spawn(move || {
-                let mut scratch = BfsScratch::new();
-                let mut local: Vec<ResultEdge> = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= n_items {
-                        break;
-                    }
-                    let (ei, sources) = &items[i];
-                    collect_edges_chunk(g, q, m, *ei, sources, &mut scratch, cancel, &mut local)?;
-                }
-                Ok(local)
-            }));
-        }
-        for h in handles {
-            chunks.push(h.join().expect("result-graph worker panicked"));
-        }
+    let mut out = Vec::new();
+    let fanned = run_items(threads, &items, BfsScratch::new, |bfs, &item| {
+        let mut edges = Vec::new();
+        collect_edges(g, q, m, item, bfs, cancel, &mut edges).map(|()| edges)
     });
-    let mut out: Vec<ResultEdge> = Vec::new();
-    for chunk in chunks {
-        out.extend(chunk?);
+    match fanned {
+        Some(chunks) => {
+            for chunk in chunks {
+                out.extend(chunk?);
+            }
+            // deterministic order regardless of thread interleaving
+            out.sort_unstable_by_key(|e| (e.pattern_edge, e.from, e.to));
+        }
+        None => {
+            let mut bfs = BfsScratch::new();
+            for &item in &items {
+                collect_edges(g, q, m, item, &mut bfs, cancel, &mut out)?;
+            }
+        }
     }
-    // deterministic order regardless of thread interleaving
-    out.sort_unstable_by_key(|e| (e.pattern_edge, e.from, e.to));
     Ok(out)
 }
 

@@ -10,6 +10,7 @@ use expfinder_graph::bfs::{BfsScratch, Direction};
 use expfinder_graph::{AttrValue, DiGraph, GraphView, NodeId};
 use expfinder_pattern::{Bound, PNodeId, Pattern, PatternEdge, PatternNode, Predicate};
 use proptest::prelude::*;
+use std::collections::{BTreeSet, BinaryHeap, HashMap};
 
 #[derive(Clone, Debug)]
 pub struct RawGraph {
@@ -113,20 +114,25 @@ pub fn oracle(g: &DiGraph, q: &Pattern, semantics: Semantics) -> MatchRelation {
     evaluate(g, q, req).unwrap().0
 }
 
-/// The reference top-K ranking: paper §II's `f(u_o, v)` computed the
-/// plain way — `G_r` as per-node hash maps, two full-vector Dijkstras and
-/// a scan of all of `V_r` per candidate, then a full sort. It shares no
-/// code with `core::rank` / `core::result_graph` / `graph::dijkstra`, so
-/// it can judge them — today's, and any rewrite of them.
-pub fn reference_rank<G: GraphView>(
+/// The reference `G_r`, built the plain way: per-node hash maps, one BFS
+/// per (pattern edge, source match). Shares no code with
+/// `core::result_graph`.
+pub struct ReferenceResultGraph {
+    /// Every match of every pattern node, ascending, once.
+    pub nodes: Vec<NodeId>,
+    /// `(from, to, weight, pattern edge)`, one per witnessed pattern edge.
+    pub edges: BTreeSet<(NodeId, NodeId, u32, u32)>,
+    /// Adjacency over positions in `nodes`, minimal weight per pair.
+    fwd: Vec<HashMap<usize, u64>>,
+    rev: Vec<HashMap<usize, u64>>,
+    index: HashMap<NodeId, usize>,
+}
+
+pub fn reference_result_graph<G: GraphView>(
     g: &G,
     q: &Pattern,
     m: &MatchRelation,
-    k: usize,
-) -> Vec<RankedMatch> {
-    use std::collections::{BinaryHeap, HashMap};
-    const UNREACHABLE: u64 = u64::MAX;
-
+) -> ReferenceResultGraph {
     let mut nodes: Vec<NodeId> = q.ids().flat_map(|u| m.matches_vec(u)).collect();
     nodes.sort_unstable();
     nodes.dedup();
@@ -134,12 +140,14 @@ pub fn reference_rank<G: GraphView>(
 
     let mut fwd: Vec<HashMap<usize, u64>> = vec![HashMap::new(); nodes.len()];
     let mut rev = fwd.clone();
+    let mut edges = BTreeSet::new();
     let mut bfs = BfsScratch::new();
-    for e in q.edges() {
+    for (ei, e) in q.edges().iter().enumerate() {
         for v in m.matches(e.from).iter() {
             let ball = bfs.ball(g, v, e.bound.depth(), Direction::Forward);
             for (w, d) in ball.iter() {
                 if d >= 1 && m.contains(e.to, w) {
+                    edges.insert((v, w, d, ei as u32));
                     let (vi, wi, d) = (index[&v], index[&w], d as u64);
                     let slot = fwd[vi].entry(wi).or_insert(d);
                     *slot = (*slot).min(d);
@@ -149,6 +157,34 @@ pub fn reference_rank<G: GraphView>(
             }
         }
     }
+    ReferenceResultGraph {
+        nodes,
+        edges,
+        fwd,
+        rev,
+        index,
+    }
+}
+
+/// The reference top-K ranking: paper §II's `f(u_o, v)` computed the
+/// plain way — over [`reference_result_graph`], two full-vector Dijkstras
+/// and a scan of all of `V_r` per candidate, then a full sort. It shares
+/// no code with `core::rank` / `core::result_graph` / `graph::dijkstra`,
+/// so it can judge them — today's, and any rewrite of them.
+pub fn reference_rank<G: GraphView>(
+    g: &G,
+    q: &Pattern,
+    m: &MatchRelation,
+    k: usize,
+) -> Vec<RankedMatch> {
+    const UNREACHABLE: u64 = u64::MAX;
+    let ReferenceResultGraph {
+        nodes,
+        fwd,
+        rev,
+        index,
+        ..
+    } = reference_result_graph(g, q, m);
 
     let dijkstra = |adj: &[HashMap<usize, u64>], src: usize| {
         let mut dist = vec![UNREACHABLE; adj.len()];

@@ -7,20 +7,26 @@
 //! rank **bit for bit**, through all public ranking functions, for every
 //! `k`, on one thread or four, over the live graph or its CSR snapshot.
 //! This is the safety net a rewrite of the ranking kernel lands against.
+//!
+//! The same oracle also hands out its `G_r` (`reference_result_graph`), so
+//! the result graph is checked as a structure — node set, index, edge set,
+//! membership — not only through the ranks read off it.
 
 use expfinder_core::{
     bounded_simulation, rank_matches, rank_matches_top_k, rank_matches_top_k_cancellable,
     rank_value, top_k, BuildOptions, MatchRelation, RankedMatch, ResultGraph,
 };
+use expfinder_graph::dijkstra::UNREACHABLE;
 use expfinder_graph::generate::{collaboration, erdos_renyi, CollabConfig, NodeSpec};
-use expfinder_graph::{CsrGraph, DiGraph, GraphView};
+use expfinder_graph::{CsrGraph, DiGraph, GraphView, NodeId};
 use expfinder_pattern::generate::{random_pattern, PatternConfig, PatternShape};
 use expfinder_pattern::{Bound, Pattern, PatternBuilder, PatternEdge, Predicate};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 
 mod common;
-use common::reference_rank;
+use common::{reference_rank, reference_result_graph, ReferenceResultGraph};
 
 /// Node order and rank bits, the two things a client can observe.
 fn bits(list: &[RankedMatch]) -> Vec<(u32, u64)> {
@@ -36,8 +42,46 @@ fn with_unbounded_edge(q: &Pattern) -> Pattern {
     Pattern::from_parts(q.nodes().to_vec(), edges, q.output()).expect("still a valid pattern")
 }
 
+/// `rg` is the reference's `G_r`: same sorted node set, the sorted vector
+/// is the index, same edge set, same per-pattern-node membership.
+fn assert_same_structure(
+    rg: &ResultGraph,
+    want: &ReferenceResultGraph,
+    data_nodes: usize,
+    q: &Pattern,
+    m: &MatchRelation,
+    what: &str,
+) {
+    assert_eq!(rg.nodes(), &want.nodes[..], "{what}: nodes");
+    assert_eq!(rg.node_count(), want.nodes.len(), "{what}: node_count");
+    assert!(
+        rg.nodes().windows(2).all(|w| w[0] < w[1]),
+        "{what}: sorted, once each"
+    );
+    for (i, &v) in rg.nodes().iter().enumerate() {
+        assert_eq!(rg.local(v), Some(i as u32), "{what}: local({v:?})");
+    }
+    for v in (0..data_nodes as u32 + 2).map(NodeId) {
+        if want.nodes.binary_search(&v).is_err() {
+            assert_eq!(rg.local(v), None, "{what}: {v:?} is no result node");
+            assert!(rg.dists_from(v).is_none() && rg.dists_to(v).is_none());
+        }
+    }
+    let got: BTreeSet<_> = rg
+        .edges()
+        .iter()
+        .map(|e| (e.from, e.to, e.weight, e.pattern_edge))
+        .collect();
+    assert_eq!(got.len(), rg.edges().len(), "{what}: an edge listed twice");
+    assert_eq!(got, want.edges, "{what}: edges");
+    for u in q.ids() {
+        assert_eq!(rg.matches_of(u), m.matches_vec(u), "{what}: matches_of");
+    }
+}
+
 /// Check every public ranking entry point, on `view`, against `want`
-/// (the reference's full ranking), for every interesting `k`.
+/// (the reference's full ranking), for every interesting `k`, and the
+/// result graph itself against the reference's.
 fn check<V: GraphView + Sync>(
     view: &V,
     q: &Pattern,
@@ -45,14 +89,13 @@ fn check<V: GraphView + Sync>(
     want: &[RankedMatch],
     what: &str,
 ) {
+    let want_rg = reference_result_graph(view, q, m);
     for threads in [1, 4] {
         let rg = ResultGraph::build_with(view, q, m, BuildOptions { threads });
+        let what = &format!("{what}, {threads} threads");
+        assert_same_structure(&rg, &want_rg, view.node_count(), q, m, what);
         let all = rank_matches(&rg, q, m).unwrap();
-        assert_eq!(
-            bits(&all),
-            bits(want),
-            "{what}: rank_matches, {threads} threads"
-        );
+        assert_eq!(bits(&all), bits(want), "{what}: rank_matches");
         for x in want {
             let got = rank_value(&rg, x.node);
             assert_eq!(
@@ -158,4 +201,84 @@ fn candidate_on_a_cycle_through_itself() {
     assert_eq!(want.len(), 1);
     assert_eq!(want[0].rank, 2.0);
     assert_eq!(bits(&top_k(&g, &q, &m, 5).unwrap()), bits(&want));
+    differential(&g, &q, "self cycle");
+}
+
+#[test]
+fn empty_relation_gives_the_empty_graph() {
+    let f = expfinder_graph::fixtures::collaboration_fig1();
+    let q = expfinder_pattern::fixtures::fig1_pattern();
+    let m = MatchRelation::empty(&q, f.graph.node_count());
+    for threads in [1, 4] {
+        let rg = ResultGraph::build_with(&f.graph, &q, &m, BuildOptions { threads });
+        let want = reference_result_graph(&f.graph, &q, &m);
+        assert!(want.nodes.is_empty() && want.edges.is_empty());
+        assert_same_structure(&rg, &want, f.graph.node_count(), &q, &m, "empty");
+        assert!(rank_matches(&rg, &q, &m).unwrap().is_empty());
+    }
+}
+
+#[test]
+fn one_data_node_in_two_roles_is_one_result_node() {
+    // a → b → c under  a →(≤1) b1,  b2 →(≤1) c : `b` matches both B
+    // nodes — the head of one pattern edge and the tail of another — and
+    // must be one result node carrying the arcs of both roles
+    let mut g = DiGraph::new();
+    let a = g.add_node("A", []);
+    let b = g.add_node("B", []);
+    let c = g.add_node("C", []);
+    g.add_edge(a, b);
+    g.add_edge(b, c);
+    let q = PatternBuilder::new()
+        .node_output("a", Predicate::label("A"))
+        .node("b1", Predicate::label("B"))
+        .node("b2", Predicate::label("B"))
+        .node("c", Predicate::label("C"))
+        .edge("a", "b1", Bound::ONE)
+        .edge("b2", "c", Bound::ONE)
+        .build()
+        .unwrap();
+    let m = bounded_simulation(&g, &q).unwrap();
+    let rg = ResultGraph::build(&g, &q, &m);
+    assert_eq!(rg.nodes(), &[a, b, c]);
+    assert_eq!(rg.dists_from(a).unwrap(), vec![0, 1, 2], "through b");
+    assert_eq!(rg.dists_to(c).unwrap(), vec![2, 1, 0]);
+    assert_eq!(rg.dists_from(c).unwrap(), vec![UNREACHABLE, UNREACHABLE, 0]);
+    assert_eq!(rank_value(&rg, a), 1.5);
+    differential(&g, &q, "two roles");
+}
+
+#[test]
+fn two_pattern_edges_witnessed_by_one_arc() {
+    // a → x → b, a → b under  a →(≤1) b1,  a →(≤2) b2 : both pattern edges
+    // are witnessed by (a, b) — and the longer one by nothing shorter — so
+    // `edges()` lists the pair once per pattern edge while the distance
+    // structure holds one arc
+    let mut g = DiGraph::new();
+    let a = g.add_node("A", []);
+    let x = g.add_node("X", []);
+    let b = g.add_node("B", []);
+    g.add_edge(a, x);
+    g.add_edge(x, b);
+    g.add_edge(a, b);
+    let q = PatternBuilder::new()
+        .node_output("a", Predicate::label("A"))
+        .node("b1", Predicate::label("B"))
+        .node("b2", Predicate::label("B"))
+        .edge("a", "b1", Bound::ONE)
+        .edge("a", "b2", Bound::hops(2))
+        .build()
+        .unwrap();
+    let m = bounded_simulation(&g, &q).unwrap();
+    let rg = ResultGraph::build(&g, &q, &m);
+    let listed: Vec<_> = rg
+        .edges()
+        .iter()
+        .map(|e| (e.from, e.to, e.weight, e.pattern_edge))
+        .collect();
+    assert_eq!(listed, vec![(a, b, 1, 0), (a, b, 1, 1)]);
+    assert_eq!(rg.dists_from(a).unwrap(), vec![0, 1]);
+    assert_eq!(rg.dists_to(b).unwrap(), vec![1, 0]);
+    assert_eq!(rank_value(&rg, a), 1.0, "one neighbour at distance 1");
+    differential(&g, &q, "shared arc");
 }

@@ -181,7 +181,9 @@ impl BitSet {
 
     /// Collect members into a vector (ascending order).
     pub fn to_vec(&self) -> Vec<NodeId> {
-        self.iter().collect()
+        let mut members = Vec::with_capacity(self.count);
+        members.extend(self.iter());
+        members
     }
 }
 

@@ -17,8 +17,8 @@
 //!   BFS runs entirely on warm graph versions.
 //! * Traversals: bounded (multi-source) BFS with reusable scratch space
 //!   ([`bfs`]), its level-synchronous direction-optimizing counterpart over
-//!   bitset frontiers ([`bfs_frontier`]), Dijkstra over weighted adjacency
-//!   ([`dijkstra`]), Tarjan SCC ([`scc`]).
+//!   bitset frontiers ([`bfs_frontier`]), Dijkstra over a flat CSR-style
+//!   weighted adjacency ([`dijkstra`]), Tarjan SCC ([`scc`]).
 //! * [`bitset::BitSet`] — the dense set representation used by every
 //!   fixpoint computation in the workspace.
 //! * [`CancelToken`] — cooperative cancellation (shared atomic deadline +

@@ -3,9 +3,10 @@
 
 use expfinder_graph::bfs::{BfsScratch, Direction};
 use expfinder_graph::bfs_frontier::FrontierScratch;
-use expfinder_graph::dijkstra::{dijkstra, UNREACHABLE};
+use expfinder_graph::dijkstra::{dijkstra, WeightedAdj, UNREACHABLE};
 use expfinder_graph::{BitSet, DiGraph, GraphView, NodeId};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// Build a graph with `n` nodes from raw edge pairs (self-loops allowed —
 /// the reach semantics treat cycles specially, so they must be covered).
@@ -119,16 +120,54 @@ proptest! {
         let mut scratch = BfsScratch::new();
         let ball = scratch.ball(&g, src, u32::MAX, Direction::Forward);
 
-        let adj: Vec<Vec<(NodeId, u64)>> = g
+        let arcs = g
             .ids()
-            .map(|v| g.out_neighbors(v).iter().map(|&w| (w, 1u64)).collect())
+            .flat_map(|v| g.out_neighbors(v).iter().map(move |&w| (v.0, w.0, 1)))
             .collect();
-        let dist = dijkstra(&adj, src);
+        let dist = dijkstra(&WeightedAdj::from_arcs(n, arcs), src.0);
         for v in g.ids() {
             match ball.dist_of(v) {
                 Some(d) => prop_assert_eq!(dist[v.index()], d as u64),
                 None => prop_assert_eq!(dist[v.index()], UNREACHABLE),
             }
+        }
+    }
+
+    /// `WeightedAdj::from_arcs` against a map model: per node, one arc per
+    /// distinct neighbour, ascending, carrying the minimum weight — and
+    /// nothing else, for any `n` including 0 and nodes without arcs.
+    #[test]
+    fn weighted_adj_matches_the_map_model(
+        n in 0usize..24,
+        raw in proptest::collection::vec((0u32..24, 0u32..24, 0u32..9), 0..80),
+        spare_last in proptest::bool::ANY,
+    ) {
+        // `spare_last` folds endpoints into 0..n-1, leaving `n - 1` arc-free
+        let spare_last = spare_last && n > 1;
+        let m = (n - spare_last as usize) as u32;
+        let triples: Vec<(u32, u32, u32)> = raw
+            .iter()
+            .filter(|_| n > 0)
+            .map(|&(a, b, w)| (a % m, b % m, w))
+            .collect();
+        let mut model: BTreeMap<(u32, u32), u32> = BTreeMap::new();
+        for &(a, b, w) in &triples {
+            model.entry((a, b)).and_modify(|x| *x = (*x).min(w)).or_insert(w);
+        }
+        let adj = WeightedAdj::from_arcs(n, triples);
+        prop_assert_eq!(adj.node_count(), n);
+        let mut total = 0;
+        for v in 0..n as u32 {
+            let want: Vec<(u32, u32)> = model
+                .range((v, 0)..=(v, u32::MAX))
+                .map(|(&(_, to), &w)| (to, w))
+                .collect();
+            prop_assert_eq!(adj.arcs_of(v), &want[..], "arcs of {}", v);
+            total += adj.arcs_of(v).len();
+        }
+        prop_assert_eq!(total, model.len());
+        if spare_last {
+            prop_assert!(adj.arcs_of(n as u32 - 1).is_empty(), "last node has no arcs");
         }
     }
 

@@ -133,6 +133,15 @@ bench-e2e-smoke:
     cd benchmark && cargo test --release --offline
     bash benchmark/run.sh --smoke
 
+# a perf PR's measurement: N alternating parent/change pairs of one
+# repo-benchmark workload against two already-built `serve` binaries
+# (build the parent from a `git clone` of its commit under /root/scratch,
+# and the harness with `just bench-e2e-smoke`); prints medians with
+# quartiles, ratio, pairs won, the BENCHMARK.json bound and the driver's
+# spread gate per metric. Extra flags pass through (`--seed 7`, `--trace 1`)
+bench-pairs parent_serve change_serve workload pairs="10" *flags="":
+    python3 scripts/bench_pairs.py {{parent_serve}} {{change_serve}} --workload {{workload}} --pairs {{pairs}} {{flags}}
+
 # full server throughput benchmark (writes BENCH_3.json)
 bench-serve:
     cargo run --release -p expfinder-bench --bin bench_serve
