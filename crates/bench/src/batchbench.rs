@@ -6,7 +6,7 @@
 //!   sequential engine (`ExecConfig::sequential()`, live adjacency) vs a
 //!   parallel one (CSR snapshot + `threads`-way refinement);
 //! * **batch throughput** — a batch of *distinct* pattern variants (no
-//!   intra-batch cache hits) drained by [`ExpFinder::query_batch`] with
+//!   intra-batch cache hits) drained by `Catalog::query_batch` with
 //!   `batch_parallelism = 1` vs `= threads`.
 //!
 //! Results are printed as a table and returned as a machine-readable

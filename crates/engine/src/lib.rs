@@ -1,21 +1,28 @@
 //! The ExpFinder query engine — the system of Fig. 2 of the paper,
 //! redesigned as a **shareable, handle-based service**.
 //!
-//! [`ExpFinder`] is internally synchronized: the catalog (name → graph)
-//! sits behind one `RwLock`, and every managed graph is a
-//! [`MaintainedGraph`] behind its own write `Mutex` plus the
-//! [`PublishedGraph`] slot it publishes immutable [`Snapshot`]s into. All
-//! query-side operations — [`ExpFinder::evaluate`],
-//! [`ExpFinder::find_experts`], [`ExpFinder::query_deadline`], the fluent
-//! [`ExpFinder::query`] builder, [`ExpFinder::query_batch`] —
-//! take `&self`, so an `Arc<ExpFinder>` can serve many threads at once:
-//! a read clones the latest snapshot `Arc` and holds no lock while it
-//! evaluates, so readers never wait for a writer (nor a writer for them),
-//! and [`ExpFinder::apply_updates`] serializes only with other writers of
-//! that one graph.
+//! The engine is two types split along the line the type system can
+//! enforce. [`Catalog`] is the read side: the name → graph map behind one
+//! `RwLock`, the one [`ReadPath`], the update hook, and *every read* —
+//! [`Catalog::evaluate`], [`Catalog::find_experts`],
+//! [`Catalog::query_deadline`], the fluent [`Catalog::query`] builder,
+//! [`Catalog::query_batch`], the catalog listings and the metrics feeds.
+//! [`ExpFinder`] is a `Catalog` (it [`Deref`]s to one) plus the unlogged
+//! writes, all of them one primitive, [`ExpFinder::write`]: lock the
+//! graph's [`MaintainedGraph`], run the operation, publish the next
+//! immutable [`Snapshot`] into the graph's [`PublishedGraph`] slot. The
+//! durable runtime is built *out of* these, not beside them: it wraps an
+//! `ExpFinder`, derefs to the same `Catalog`, and exposes only writes
+//! that append to a WAL before calling `ExpFinder::write`.
+//!
+//! Everything takes `&self`, so an `Arc<ExpFinder>` can serve many
+//! threads at once: a read clones the latest snapshot `Arc` and holds no
+//! lock while it evaluates, so readers never wait for a writer (nor a
+//! writer for them), and [`ExpFinder::apply_updates`] serializes only
+//! with other writers of that one graph.
 //!
 //! Graphs are addressed by cheap [`GraphHandle`]s returned from
-//! [`ExpFinder::add_graph`] (or looked up with [`ExpFinder::handle`]).
+//! [`ExpFinder::add_graph`] (or looked up with [`Catalog::handle`]).
 //! A handle stays valid until its graph is removed; using it afterwards
 //! yields [`ExpFinderError::StaleHandle`].
 //!
@@ -31,8 +38,9 @@
 //! bounded simulation for the rest), the result graph and the top-K
 //! rank — or a prefix of the ranked answer the cache slot already
 //! holds. The read path reads a published [`Snapshot`] and nothing else;
-//! [`ExpFinder`]'s part of a read is resolving the handle to its graph's
-//! latest one, and the durable runtime does the same by name. Every
+//! the catalog's part of a read is resolving the handle to its graph's
+//! latest one ([`Catalog::handle`], [`Catalog::latest`]) — the same call
+//! on both facades. Every
 //! [`QueryResponse`] carries the full [`PlanDecision`]. Updates flow
 //! through [`ExpFinder::apply_updates`] into the graph's
 //! [`MaintainedGraph`] — the one write path of both facades — which
@@ -44,7 +52,7 @@
 //! [`CsrGraph`](expfinder_graph::CsrGraph) snapshot that the read path
 //! builds lazily once per graph version and shares through that
 //! version's [`Derived`] state, and whole batches of queries are
-//! drained across a scoped worker pool by [`ExpFinder::query_batch`].
+//! drained across a scoped worker pool by [`Catalog::query_batch`].
 //! Parallelism never changes answers — the refinement computes the same
 //! greatest fixpoint — and `ExecConfig::sequential()` restores the fully
 //! deterministic single-threaded schedule.
@@ -91,6 +99,7 @@ use expfinder_pattern::parser::ParseError;
 use expfinder_pattern::{Pattern, PatternError};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
@@ -129,7 +138,7 @@ pub struct ExecConfig {
     /// seeding), while graphs too small to amortize a snapshot stay on
     /// the live adjacency whatever the budget.
     pub threads: usize,
-    /// Queries evaluated concurrently by [`ExpFinder::query_batch`].
+    /// Queries evaluated concurrently by [`Catalog::query_batch`].
     pub batch_parallelism: usize,
 }
 
@@ -309,7 +318,7 @@ pub struct QueryResponse {
 }
 
 /// Point-in-time summary of one managed graph, from
-/// [`ExpFinder::graph_infos`].
+/// [`Catalog::graph_infos`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GraphInfo {
     pub name: String,
@@ -338,7 +347,7 @@ impl RegisteredDelta {
 }
 
 /// Observer of committed update batches, installed with
-/// [`ExpFinder::set_update_hook`]. Called once per batch with the graph
+/// [`Catalog::set_update_hook`]. Called once per batch with the graph
 /// name and the full traced [`UpdateReport`], *while the graph's write
 /// mutex is still held* and after the batch's snapshot was published — so
 /// hook invocations for one graph are totally ordered, carry
@@ -366,6 +375,8 @@ pub struct UpdateReport {
 /// serializes writers of this graph only; readers never take it.
 struct GraphSlot {
     id: u64,
+    /// The catalog name; every handle resolved by name shares it.
+    name: Arc<str>,
     published: PublishedGraph,
     core: Mutex<MaintainedGraph>,
 }
@@ -373,7 +384,7 @@ struct GraphSlot {
 /// A cheap, clonable reference to one graph managed by an [`ExpFinder`].
 ///
 /// Handles are obtained from [`ExpFinder::add_graph`] /
-/// [`ExpFinder::handle`] and stay valid until the graph is removed;
+/// [`Catalog::handle`] and stay valid until the graph is removed;
 /// afterwards every operation through them fails with
 /// [`ExpFinderError::StaleHandle`]. Internally a handle holds a weak
 /// reference to the graph slot, so the query path never touches the
@@ -437,20 +448,41 @@ impl std::fmt::Display for GraphHandle {
     }
 }
 
-/// The ExpFinder system facade. See the [crate docs](crate) for the
-/// concurrency design; in short: `Arc<ExpFinder>` + `&self` everywhere.
-pub struct ExpFinder {
-    config: EngineConfig,
+/// The read side of an engine: the name → graph map, the one
+/// [`ReadPath`] and the update hook. Every read of the system — by handle,
+/// on the latest published [`Snapshot`] — is a method of this type, and
+/// nothing here can change a graph. Both facades are built on it and
+/// [`Deref`] to it: [`ExpFinder`] adds the unlogged writes, the durable
+/// runtime wraps an `ExpFinder` and exposes only writes that append to its
+/// WAL first — so a durable graph is read exactly like an in-memory one and
+/// has no write that skips the log.
+pub struct Catalog {
     /// Process-unique id of this engine instance; handles carry it so a
     /// handle from one engine cannot address another.
     engine_id: u64,
-    catalog: RwLock<HashMap<String, Arc<GraphSlot>>>,
+    graphs: RwLock<HashMap<Arc<str>, Arc<GraphSlot>>>,
     /// The shared read path: result cache, scratch pool, thread budget
     /// and the cumulative planner / evaluation / cancellation counters.
     read: ReadPath,
     /// Observer of committed update batches (ΔM push fan-out).
     update_hook: RwLock<Option<UpdateHook>>,
     next_id: AtomicU64,
+}
+
+/// The ExpFinder system facade: a [`Catalog`] plus the writes. See the
+/// [crate docs](crate) for the concurrency design; in short:
+/// `Arc<ExpFinder>` + `&self` everywhere.
+pub struct ExpFinder {
+    config: EngineConfig,
+    catalog: Catalog,
+}
+
+impl Deref for ExpFinder {
+    type Target = Catalog;
+
+    fn deref(&self) -> &Catalog {
+        &self.catalog
+    }
 }
 
 /// Cumulative cancellation totals, from [`ReadPath::cancel_totals`] —
@@ -476,7 +508,7 @@ pub struct RankTotals {
 }
 
 /// Point-in-time reach-index totals across every managed graph, from
-/// [`ExpFinder::index_totals`] — the `engine.index` block of
+/// [`Catalog::index_totals`] — the `engine.index` block of
 /// `GET /metrics`. `hits`/`misses` are cumulative across the engine's
 /// lifetime (they survive per-version invalidation); `entries`/`bytes`
 /// are live gauges over the currently held indexes.
@@ -508,19 +540,7 @@ impl Default for ExpFinder {
     }
 }
 
-impl ExpFinder {
-    pub fn new(config: EngineConfig) -> ExpFinder {
-        let read = ReadPath::new(config.cache_capacity, config.exec);
-        ExpFinder {
-            config,
-            engine_id: ENGINE_IDS.fetch_add(1, Ordering::Relaxed),
-            catalog: RwLock::new(HashMap::new()),
-            read,
-            update_hook: RwLock::new(None),
-            next_id: AtomicU64::new(1),
-        }
-    }
-
+impl Catalog {
     /// Install (or, with `None`, remove) the [`UpdateHook`] observing
     /// every committed update batch. While a hook is installed, update
     /// batches are always traced — the hook sees the full ΔM report even
@@ -529,11 +549,7 @@ impl ExpFinder {
         *self.update_hook.write() = hook;
     }
 
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
-    /// The read path this engine answers queries through — the source of
+    /// The read path every query is answered through — the source of
     /// the cache / evaluation / planner / cancellation counters.
     pub fn read_path(&self) -> &ReadPath {
         &self.read
@@ -547,83 +563,32 @@ impl ExpFinder {
         handle.upgrade()
     }
 
-    /// The engine's half of a read: the latest published snapshot of the
-    /// handle's graph. Everything after it is the [`ReadPath`].
-    fn latest(&self, handle: &GraphHandle) -> Result<Arc<Snapshot>, ExpFinderError> {
-        Ok(self.slot(handle)?.published.latest())
-    }
-
-    /// Run one write operation on the handle's graph under its write
-    /// mutex and publish what it changed before the mutex is released.
-    fn write<T>(
-        &self,
-        handle: &GraphHandle,
-        op: impl FnOnce(&mut MaintainedGraph) -> Result<T, ExpFinderError>,
-    ) -> Result<T, ExpFinderError> {
-        let slot = self.slot(handle)?;
-        let mut core = slot.core.lock();
-        let out = op(&mut core)?;
-        core.publish(&slot.published);
-        Ok(out)
-    }
-
-    // ------------------------------ catalog ------------------------------
-
-    /// Register a data graph under a name, returning its handle. Names
-    /// double as catalog file stems, so path-like names are rejected.
-    pub fn add_graph(&self, name: &str, graph: DiGraph) -> Result<GraphHandle, ExpFinderError> {
-        validate_graph_name(name)?;
-        let mut catalog = self.catalog.write();
-        if catalog.contains_key(name) {
-            return Err(ExpFinderError::DuplicateGraph(name.to_owned()));
-        }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let slot = Arc::new(GraphSlot {
-            id,
-            published: PublishedGraph::new(id, &graph),
-            core: Mutex::new(MaintainedGraph::new(graph)),
-        });
-        let handle = GraphHandle {
+    fn handle_of(&self, slot: &Arc<GraphSlot>) -> GraphHandle {
+        GraphHandle {
             engine_id: self.engine_id,
-            id,
-            name: Arc::from(name),
-            slot: Arc::downgrade(&slot),
-        };
-        catalog.insert(name.to_owned(), slot);
-        Ok(handle)
+            id: slot.id,
+            name: Arc::clone(&slot.name),
+            slot: Arc::downgrade(slot),
+        }
     }
 
     /// Look up the handle of a graph by name.
     pub fn handle(&self, name: &str) -> Result<GraphHandle, ExpFinderError> {
-        let catalog = self.catalog.read();
-        let slot = catalog
-            .get(name)
-            .ok_or_else(|| ExpFinderError::UnknownGraph(name.to_owned()))?;
-        Ok(GraphHandle {
-            engine_id: self.engine_id,
-            id: slot.id,
-            name: Arc::from(name),
-            slot: Arc::downgrade(slot),
-        })
+        match self.graphs.read().get(name) {
+            Some(slot) => Ok(self.handle_of(slot)),
+            None => Err(ExpFinderError::UnknownGraph(name.to_owned())),
+        }
     }
 
-    /// Remove a graph (and its compression and registered queries).
-    /// Outstanding handles to it become stale.
-    pub fn remove_graph(&self, handle: &GraphHandle) -> Result<(), ExpFinderError> {
-        handle.owned_by(self.engine_id)?;
-        let mut catalog = self.catalog.write();
-        match catalog.get(handle.name()) {
-            Some(slot) if slot.id == handle.id => {
-                catalog.remove(handle.name());
-                Ok(())
-            }
-            _ => Err(ExpFinderError::StaleHandle(handle.name.to_string())),
-        }
+    /// The catalog's half of a read: the latest published snapshot of the
+    /// handle's graph. Everything after it is the [`ReadPath`].
+    pub fn latest(&self, handle: &GraphHandle) -> Result<Arc<Snapshot>, ExpFinderError> {
+        Ok(self.slot(handle)?.published.latest())
     }
 
     /// Names of all managed graphs (sorted).
     pub fn graph_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.catalog.read().keys().cloned().collect();
+        let mut names: Vec<String> = self.graphs.read().keys().map(|n| n.to_string()).collect();
         names.sort();
         names
     }
@@ -631,10 +596,10 @@ impl ExpFinder {
     /// A summary of every managed graph (sorted by name) — the catalog
     /// view the serving layer exposes on `GET /graphs` and `/metrics`.
     pub fn graph_infos(&self) -> Vec<GraphInfo> {
-        let catalog = self.catalog.read();
-        let mut infos: Vec<GraphInfo> = catalog
-            .iter()
-            .map(|(name, slot)| slot.published.latest().info(name))
+        let graphs = self.graphs.read();
+        let mut infos: Vec<GraphInfo> = graphs
+            .values()
+            .map(|slot| slot.published.latest().info(&slot.name))
             .collect();
         infos.sort_by(|a, b| a.name.cmp(&b.name));
         infos
@@ -658,6 +623,251 @@ impl ExpFinder {
         self.read_graph(handle, |g| g.clone())
     }
 
+    /// Compression statistics, if the graph is compressed.
+    pub fn compression_stats(
+        &self,
+        handle: &GraphHandle,
+    ) -> Result<Option<CompressStats>, ExpFinderError> {
+        Ok(self.latest(handle)?.quotient().map(|gc| gc.stats()))
+    }
+
+    /// Names of queries registered on a graph (sorted).
+    pub fn registered_queries(&self, handle: &GraphHandle) -> Result<Vec<String>, ExpFinderError> {
+        Ok(self.latest(handle)?.registered_queries())
+    }
+
+    /// The incrementally-maintained result of a registered query, as the
+    /// latest snapshot publishes it (shared, not copied).
+    pub fn registered_result(
+        &self,
+        handle: &GraphHandle,
+        query_name: &str,
+    ) -> Result<Arc<MatchRelation>, ExpFinderError> {
+        let snap = self.latest(handle)?;
+        Ok(Arc::clone(snap.registered_result(query_name)?))
+    }
+
+    // ----------------------------- evaluation ----------------------------
+
+    /// Start a fluent query against one graph:
+    ///
+    /// ```ignore
+    /// let resp = engine.query(&h).pattern(p).top_k(10).run()?;
+    /// ```
+    pub fn query(&self, handle: &GraphHandle) -> QueryBuilder<'_> {
+        QueryBuilder {
+            catalog: self,
+            handle: handle.clone(),
+            pattern: None,
+            top_k: None,
+            prefer: Route::Auto,
+            deadline: None,
+            token: None,
+        }
+    }
+
+    /// Evaluate a pattern on a graph, routing per paper §II.
+    pub fn evaluate(
+        &self,
+        handle: &GraphHandle,
+        pattern: &Pattern,
+    ) -> Result<QueryResponse, ExpFinderError> {
+        self.query_deadline(handle, pattern, None, Route::Auto, None)
+    }
+
+    /// The paper's headline operation: evaluate, rank by social impact,
+    /// return the top-K experts for the pattern's output node.
+    pub fn find_experts(
+        &self,
+        handle: &GraphHandle,
+        pattern: &Pattern,
+        k: usize,
+    ) -> Result<QueryResponse, ExpFinderError> {
+        self.query_deadline(handle, pattern, Some(k), Route::Auto, None)
+    }
+
+    /// One query on a borrowed pattern under an optional evaluation
+    /// budget — the non-fluent twin of [`Catalog::query`]: once
+    /// `deadline` has elapsed the evaluation abandons work at its next
+    /// cancellation point and returns
+    /// [`ExpFinderError::DeadlineExceeded`] with the partial
+    /// [`EvalStats`].
+    pub fn query_deadline(
+        &self,
+        handle: &GraphHandle,
+        pattern: &Pattern,
+        top_k: Option<usize>,
+        prefer: Route,
+        deadline: Option<Duration>,
+    ) -> Result<QueryResponse, ExpFinderError> {
+        let token = deadline.map(CancelToken::with_deadline);
+        let cancel = token.as_deref();
+        self.read
+            .query(|| self.latest(handle), pattern, top_k, prefer, cancel)
+    }
+
+    /// Estimate the planner cost (abstract work units) of evaluating
+    /// `pattern` on `handle` right now, without evaluating anything —
+    /// the server's admission-control hook
+    /// ([`ReadPath::estimate_cost`]).
+    pub fn estimate_cost(
+        &self,
+        handle: &GraphHandle,
+        pattern: &Pattern,
+    ) -> Result<f64, ExpFinderError> {
+        Ok(self.read.estimate_cost(&*self.latest(handle)?, pattern))
+    }
+
+    /// Reach-index totals: cumulative hits/misses plus live entry/byte
+    /// gauges summed over every managed graph's per-version indexes
+    /// (direct and compressed) — the `engine.index` block of
+    /// `GET /metrics`.
+    pub fn index_totals(&self) -> IndexTotals {
+        let graphs = self.graphs.read();
+        let latest = graphs.values().map(|slot| slot.published.latest());
+        self.read.index_totals(latest)
+    }
+
+    /// Execute a whole batch of queries against one graph, draining them
+    /// across a scoped worker pool of `exec.batch_parallelism` threads —
+    /// the workload shape of a production service (and of expert-finding
+    /// benchmarks, which evaluate over *sets* of queries).
+    ///
+    /// Results come back in spec order, one `Result` per spec, so a single
+    /// malformed DSL string fails its own slot without sinking the batch.
+    /// Each query runs on the snapshot it grabbed and reports the
+    /// `graph_version` it observed; every response individually equals a
+    /// sequential [`QueryBuilder::run`] at that version (property-tested),
+    /// but a batch racing a writer may span versions. The thread budget
+    /// is split between batch workers and per-query refinement
+    /// ([`ReadPath::query_batch`]).
+    ///
+    /// ```
+    /// use expfinder_engine::{ExpFinder, QuerySpec};
+    /// use expfinder_graph::fixtures::collaboration_fig1;
+    /// use expfinder_pattern::fixtures::fig1_pattern;
+    ///
+    /// let engine = ExpFinder::default();
+    /// let h = engine.add_graph("fig1", collaboration_fig1().graph).unwrap();
+    /// let specs = vec![
+    ///     QuerySpec::pattern(fig1_pattern()).top_k(2),
+    ///     QuerySpec::dsl("node sa* where label = \"SA\";"),
+    /// ];
+    /// let responses = engine.query_batch(&h, specs);
+    /// assert_eq!(responses.len(), 2);
+    /// assert_eq!(responses[0].as_ref().unwrap().experts.len(), 2);
+    /// assert_eq!(responses[1].as_ref().unwrap().matches.total_pairs(), 2);
+    /// ```
+    pub fn query_batch(
+        &self,
+        handle: &GraphHandle,
+        specs: Vec<QuerySpec>,
+    ) -> Vec<Result<QueryResponse, ExpFinderError>> {
+        self.query_batch_deadline(handle, specs, None)
+    }
+
+    /// [`Catalog::query_batch`] under one shared deadline: a single
+    /// [`CancelToken`] armed with `deadline` is polled by every worker,
+    /// so slots still running when the budget runs out come back as
+    /// [`ExpFinderError::DeadlineExceeded`] while already-finished slots
+    /// keep their results. A per-spec [`QuerySpec::deadline`] further
+    /// tightens (never extends) the batch budget for its own slot.
+    pub fn query_batch_deadline(
+        &self,
+        handle: &GraphHandle,
+        specs: Vec<QuerySpec>,
+        deadline: Option<Duration>,
+    ) -> Vec<Result<QueryResponse, ExpFinderError>> {
+        // resolved per slot: a dead handle fails every slot, not the call
+        self.read
+            .query_batch(|| self.latest(handle), &specs, deadline)
+    }
+}
+
+impl ExpFinder {
+    pub fn new(config: EngineConfig) -> ExpFinder {
+        let catalog = Catalog {
+            engine_id: ENGINE_IDS.fetch_add(1, Ordering::Relaxed),
+            graphs: RwLock::new(HashMap::new()),
+            read: ReadPath::new(config.cache_capacity, config.exec),
+            update_hook: RwLock::new(None),
+            next_id: AtomicU64::new(1),
+        };
+        ExpFinder { config, catalog }
+    }
+
+    pub fn config(&self) -> &EngineConfig {
+        &self.config
+    }
+
+    /// The one write primitive: run `op` on the handle's graph under its
+    /// write mutex and publish what it changed — also when `op` fails
+    /// part-way — before the mutex is released. Every write below is this with a [`MaintainedGraph`]
+    /// method for `op`; the durable runtime calls it with the same
+    /// methods and a WAL append for their `log` argument.
+    pub fn write<T>(
+        &self,
+        handle: &GraphHandle,
+        op: impl FnOnce(&mut MaintainedGraph) -> Result<T, ExpFinderError>,
+    ) -> Result<T, ExpFinderError> {
+        let slot = self.slot(handle)?;
+        let mut core = slot.core.lock();
+        let out = op(&mut core);
+        core.publish(&slot.published);
+        out
+    }
+
+    // ------------------------------ catalog ------------------------------
+
+    /// Register a data graph under a name, returning its handle. Names
+    /// double as catalog file stems, so path-like names are rejected.
+    pub fn add_graph(&self, name: &str, graph: DiGraph) -> Result<GraphHandle, ExpFinderError> {
+        self.add_maintained(name, MaintainedGraph::new(graph))
+    }
+
+    /// [`ExpFinder::add_graph`] for a graph that already carries state:
+    /// the first snapshot readers see holds `core`'s registered queries
+    /// and quotient (the durable runtime's recovery replays a WAL onto a
+    /// [`MaintainedGraph`] offline and adds the result here, published
+    /// once).
+    pub fn add_maintained(
+        &self,
+        name: &str,
+        mut core: MaintainedGraph,
+    ) -> Result<GraphHandle, ExpFinderError> {
+        validate_graph_name(name)?;
+        let mut graphs = self.graphs.write();
+        if graphs.contains_key(name) {
+            return Err(ExpFinderError::DuplicateGraph(name.to_owned()));
+        }
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let published = PublishedGraph::new(id, core.graph());
+        core.publish(&published);
+        let slot = Arc::new(GraphSlot {
+            id,
+            name: Arc::from(name),
+            published,
+            core: Mutex::new(core),
+        });
+        let handle = self.handle_of(&slot);
+        graphs.insert(Arc::clone(&slot.name), slot);
+        Ok(handle)
+    }
+
+    /// Remove a graph (and its compression and registered queries).
+    /// Outstanding handles to it become stale.
+    pub fn remove_graph(&self, handle: &GraphHandle) -> Result<(), ExpFinderError> {
+        handle.owned_by(self.engine_id)?;
+        let mut graphs = self.graphs.write();
+        match graphs.get(handle.name()) {
+            Some(slot) if slot.id == handle.id => {
+                graphs.remove(handle.name());
+                Ok(())
+            }
+            _ => Err(ExpFinderError::StaleHandle(handle.name.to_string())),
+        }
+    }
+
     // ---------------------------- compression ----------------------------
 
     /// Build (or rebuild) the compressed counterpart of a graph under
@@ -676,14 +886,6 @@ impl ExpFinder {
             core.drop_compression();
             Ok(())
         })
-    }
-
-    /// Compression statistics, if the graph is compressed.
-    pub fn compression_stats(
-        &self,
-        handle: &GraphHandle,
-    ) -> Result<Option<CompressStats>, ExpFinderError> {
-        Ok(self.latest(handle)?.quotient().map(|gc| gc.stats()))
     }
 
     // ------------------------- registered queries ------------------------
@@ -709,21 +911,6 @@ impl ExpFinder {
         query_name: &str,
     ) -> Result<(), ExpFinderError> {
         self.write(handle, |core| core.unregister(query_name, || Ok(())))
-    }
-
-    /// Names of queries registered on a graph (sorted).
-    pub fn registered_queries(&self, handle: &GraphHandle) -> Result<Vec<String>, ExpFinderError> {
-        Ok(self.latest(handle)?.registered_queries())
-    }
-
-    /// The incrementally-maintained result of a registered query.
-    pub fn registered_result(
-        &self,
-        handle: &GraphHandle,
-        query_name: &str,
-    ) -> Result<MatchRelation, ExpFinderError> {
-        let snap = self.latest(handle)?;
-        Ok((**snap.registered_result(query_name)?).clone())
     }
 
     // ------------------------------ updates ------------------------------
@@ -766,151 +953,17 @@ impl ExpFinder {
         let trace = trace || hook.is_some();
         let slot = self.slot(handle)?;
         let mut core = slot.core.lock();
-        let report = core.apply(updates, trace)?;
+        let report = core.apply(updates, trace);
+        // whatever the batch changed is published even when maintenance
+        // failed part-way: a durable owner has already logged it
         core.publish(&slot.published);
+        let report = report?;
         if let Some(hook) = &hook {
             // still under the graph's write mutex: per-graph hook calls
             // are totally ordered by commit
             hook(handle.name(), &report);
         }
         Ok(report)
-    }
-
-    // ----------------------------- evaluation ----------------------------
-
-    /// Start a fluent query against one graph:
-    ///
-    /// ```ignore
-    /// let resp = engine.query(&h).pattern(p).top_k(10).run()?;
-    /// ```
-    pub fn query(&self, handle: &GraphHandle) -> QueryBuilder<'_> {
-        QueryBuilder {
-            engine: self,
-            handle: handle.clone(),
-            pattern: None,
-            top_k: None,
-            prefer: Route::Auto,
-            deadline: None,
-            token: None,
-        }
-    }
-
-    /// Evaluate a pattern on a graph, routing per paper §II.
-    pub fn evaluate(
-        &self,
-        handle: &GraphHandle,
-        pattern: &Pattern,
-    ) -> Result<QueryResponse, ExpFinderError> {
-        self.query_deadline(handle, pattern, None, Route::Auto, None)
-    }
-
-    /// The paper's headline operation: evaluate, rank by social impact,
-    /// return the top-K experts for the pattern's output node.
-    pub fn find_experts(
-        &self,
-        handle: &GraphHandle,
-        pattern: &Pattern,
-        k: usize,
-    ) -> Result<QueryResponse, ExpFinderError> {
-        self.query_deadline(handle, pattern, Some(k), Route::Auto, None)
-    }
-
-    /// One query on a borrowed pattern under an optional evaluation
-    /// budget — the non-fluent twin of [`ExpFinder::query`], with the
-    /// signature of the durable runtime's `query_deadline`: once
-    /// `deadline` has elapsed the evaluation abandons work at its next
-    /// cancellation point and returns
-    /// [`ExpFinderError::DeadlineExceeded`] with the partial
-    /// [`EvalStats`].
-    pub fn query_deadline(
-        &self,
-        handle: &GraphHandle,
-        pattern: &Pattern,
-        top_k: Option<usize>,
-        prefer: Route,
-        deadline: Option<Duration>,
-    ) -> Result<QueryResponse, ExpFinderError> {
-        let token = deadline.map(CancelToken::with_deadline);
-        let cancel = token.as_deref();
-        self.read
-            .query(|| self.latest(handle), pattern, top_k, prefer, cancel)
-    }
-
-    /// Estimate the planner cost (abstract work units) of evaluating
-    /// `pattern` on `handle` right now, without evaluating anything —
-    /// the server's admission-control hook
-    /// ([`ReadPath::estimate_cost`]).
-    pub fn estimate_cost(
-        &self,
-        handle: &GraphHandle,
-        pattern: &Pattern,
-    ) -> Result<f64, ExpFinderError> {
-        Ok(self.read.estimate_cost(&*self.latest(handle)?, pattern))
-    }
-
-    /// Reach-index totals: cumulative hits/misses plus live entry/byte
-    /// gauges summed over every managed graph's per-version indexes
-    /// (direct and compressed) — the `engine.index` block of
-    /// `GET /metrics`.
-    pub fn index_totals(&self) -> IndexTotals {
-        let catalog = self.catalog.read();
-        let latest = catalog.values().map(|slot| slot.published.latest());
-        self.read.index_totals(latest)
-    }
-
-    /// Execute a whole batch of queries against one graph, draining them
-    /// across a scoped worker pool of `exec.batch_parallelism` threads —
-    /// the workload shape of a production service (and of expert-finding
-    /// benchmarks, which evaluate over *sets* of queries).
-    ///
-    /// Results come back in spec order, one `Result` per spec, so a single
-    /// malformed DSL string fails its own slot without sinking the batch.
-    /// Each query runs on the snapshot it grabbed and reports the
-    /// `graph_version` it observed; every response individually equals a
-    /// sequential [`QueryBuilder::run`] at that version (property-tested),
-    /// but a batch racing a writer may span versions. The thread budget
-    /// is split between batch workers and per-query refinement
-    /// ([`ReadPath::query_batch`]).
-    ///
-    /// ```
-    /// use expfinder_engine::{ExpFinder, QuerySpec};
-    /// use expfinder_graph::fixtures::collaboration_fig1;
-    /// use expfinder_pattern::fixtures::fig1_pattern;
-    ///
-    /// let engine = ExpFinder::default();
-    /// let h = engine.add_graph("fig1", collaboration_fig1().graph).unwrap();
-    /// let specs = vec![
-    ///     QuerySpec::pattern(fig1_pattern()).top_k(2),
-    ///     QuerySpec::dsl("node sa* where label = \"SA\";"),
-    /// ];
-    /// let responses = engine.query_batch(&h, specs);
-    /// assert_eq!(responses.len(), 2);
-    /// assert_eq!(responses[0].as_ref().unwrap().experts.len(), 2);
-    /// assert_eq!(responses[1].as_ref().unwrap().matches.total_pairs(), 2);
-    /// ```
-    pub fn query_batch(
-        &self,
-        handle: &GraphHandle,
-        specs: Vec<QuerySpec>,
-    ) -> Vec<Result<QueryResponse, ExpFinderError>> {
-        self.query_batch_deadline(handle, specs, None)
-    }
-
-    /// [`ExpFinder::query_batch`] under one shared deadline: a single
-    /// [`CancelToken`] armed with `deadline` is polled by every worker,
-    /// so slots still running when the budget runs out come back as
-    /// [`ExpFinderError::DeadlineExceeded`] while already-finished slots
-    /// keep their results. A per-spec [`QuerySpec::deadline`] further
-    /// tightens (never extends) the batch budget for its own slot.
-    pub fn query_batch_deadline(
-        &self,
-        handle: &GraphHandle,
-        specs: Vec<QuerySpec>,
-        deadline: Option<Duration>,
-    ) -> Vec<Result<QueryResponse, ExpFinderError>> {
-        // resolved per slot: a dead handle fails every slot, not the call
-        self.read
-            .query_batch(|| self.latest(handle), &specs, deadline)
     }
 }
 
@@ -931,7 +984,7 @@ pub fn validate_graph_name(name: &str) -> Result<(), ExpFinderError> {
     }
 }
 
-/// Fluent request builder returned by [`ExpFinder::query`].
+/// Fluent request builder returned by [`Catalog::query`].
 ///
 /// Chain [`pattern`](Self::pattern) (or [`dsl`](Self::dsl)), optionally
 /// [`top_k`](Self::top_k) and [`prefer`](Self::prefer), then
@@ -941,7 +994,7 @@ pub fn validate_graph_name(name: &str) -> Result<(), ExpFinderError> {
 /// writers.
 #[must_use = "QueryBuilder does nothing until .run()"]
 pub struct QueryBuilder<'a> {
-    engine: &'a ExpFinder,
+    catalog: &'a Catalog,
     handle: GraphHandle,
     pattern: Option<Result<Pattern, ExpFinderError>>,
     top_k: Option<usize>,
@@ -1013,9 +1066,9 @@ impl QueryBuilder<'_> {
             (Some(t), None) => Some(t),
             (None, d) => d.map(CancelToken::with_deadline),
         };
-        let (engine, cancel) = (self.engine, token.as_deref());
-        let resolve = || engine.latest(&self.handle);
-        engine
+        let (catalog, cancel) = (self.catalog, token.as_deref());
+        let resolve = || catalog.latest(&self.handle);
+        catalog
             .read
             .query(resolve, &pattern, self.top_k, self.prefer, cancel)
     }
@@ -1030,7 +1083,7 @@ pub(crate) enum SpecSource {
 
 /// One query of a batch: a pattern (or DSL text parsed at execution
 /// time), an optional `top_k`, and a routing preference — the owned
-/// counterpart of [`QueryBuilder`] that [`ExpFinder::query_batch`] can
+/// counterpart of [`QueryBuilder`] that [`Catalog::query_batch`] can
 /// fan out across threads.
 #[derive(Clone, Debug)]
 pub struct QuerySpec {

@@ -326,7 +326,7 @@ impl Shell {
     }
 
     /// `batch <file>`: one query DSL per line (blank lines and `#`
-    /// comments skipped), executed through [`ExpFinder::query_batch`] —
+    /// comments skipped), executed through [`Catalog::query_batch`] —
     /// the whole file drains across the engine's batch worker pool.
     fn cmd_batch(&mut self, path: &str) -> ShellResult {
         if path.is_empty() {

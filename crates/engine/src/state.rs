@@ -5,13 +5,14 @@
 //! one graph store. [`MaintainedGraph`] is that store's write side — the
 //! graph, its maintained quotient and its registered-query maintainers —
 //! and holds the only copies of apply / register / unregister / compress /
-//! drop-compression / publish. Both facades drive it: [`ExpFinder`] under
-//! a per-graph mutex on the caller's thread, the durable runtime's shard
-//! actor with a WAL append in front of each call. Readers never see it:
+//! drop-compression / publish. It is reached through one function,
+//! [`ExpFinder::write`], under a per-graph mutex: the in-memory facade
+//! calls that on the caller's thread, the durable runtime on the graph's
+//! shard thread with a WAL append in front. Readers never see it:
 //! they clone the latest `Arc<Snapshot>` out of the graph's
 //! [`PublishedGraph`] slot and hold no lock while they evaluate.
 //!
-//! [`ExpFinder`]: crate::ExpFinder
+//! [`ExpFinder::write`]: crate::ExpFinder::write
 
 use crate::planner::CostProfile;
 use crate::{ExpFinderError, GraphInfo, RegisteredDelta, UpdateReport};
@@ -251,8 +252,7 @@ impl MaintainedGraph {
         }
     }
 
-    /// The authoritative graph (the durable runtime saves `.efg` files
-    /// from it).
+    /// The authoritative graph.
     pub fn graph(&self) -> &DiGraph {
         &self.graph
     }

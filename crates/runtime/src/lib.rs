@@ -1,39 +1,32 @@
-//! Actor-per-shard runtime with an event-sourced write-ahead log.
+//! Durability for the engine: an event-sourced write-ahead log around an
+//! [`ExpFinder`].
 //!
-//! [`DurableExpFinder`] is the durable sibling of
-//! [`expfinder_engine::ExpFinder`]: the same catalog-of-graphs surface
-//! (add, query, update, register, batch), re-founded on two ideas the
-//! in-memory engine does not have —
+//! Paper §II stores graphs "as files"; durability is a property of where a
+//! graph lives, not a second engine. [`DurableExpFinder`] therefore *is*
+//! an [`ExpFinder`] with a bracket around its writes. It owns one
+//! (privately) and [`Deref`]s to its [`Catalog`], so the whole read side —
+//! `handle`, `query`, `query_batch`, `graph_infos`, `estimate_cost`,
+//! `read_path`, the update hook — is the in-memory engine's, the same
+//! methods on the same type, not a copy that agrees by test. What this
+//! crate declares is only the writes, and every one of them is
 //!
-//! 1. **Actor-owned writes.** Graph names are consistently hashed onto
-//!    `N` shard workers (the `shard` module); each worker owns the
-//!    authoritative
-//!    [`DiGraph`] of its graphs and drains a *bounded* mailbox of
-//!    commands, so an update batch has exclusive access by construction
-//!    and backpressure is a full mailbox, not an unbounded queue.
-//! 2. **Event-sourced durability.** Every accepted update batch is
-//!    appended to a per-graph WAL ([`wal`]) *before* it is applied.
-//!    Cold start replays `<name>.wal` onto the last `<name>.efg`
-//!    snapshot; compaction rewrites the snapshot and truncates the log.
+//! 1. **routed to the graph's shard.** Graph names are consistently
+//!    hashed onto `N` shard workers (the `shard` module), each draining a
+//!    *bounded* mailbox of commands, so a graph's writes are totally
+//!    ordered and backpressure is a full mailbox, not an unbounded queue;
+//! 2. **logged before it happens.** The worker appends the operation to
+//!    the graph's WAL ([`wal`]) and only then calls the engine's own
+//!    write — `ExpFinder::apply_updates_traced`, or `ExpFinder::write`
+//!    with the same [`MaintainedGraph`] method the in-memory facade
+//!    passes — which maintains, publishes and fires the update hook under
+//!    the graph's write mutex exactly as it does in memory. Cold start
+//!    replays `<name>.wal` onto the last `<name>.efg` snapshot; compaction
+//!    rewrites the snapshot and truncates the log.
 //!
-//! Reads never enter a mailbox: each actor *publishes* an immutable
-//! [`Arc`] snapshot of its graph after every change (with the CSR
-//! snapshot and the per-version reach index travelling along, built
-//! lazily), and queries evaluate against whichever snapshot they
-//! grabbed. A reader holds a lock only long enough to clone an `Arc`,
-//! so readers never block on writers and a query's `graph_version` is
-//! exact for the state it saw. That `Arc` clone is all of the read side
-//! this crate implements: cache, registered short circuit, planning,
-//! evaluation, ranking, batch fan-out and cost estimation are the
-//! engine's [`ReadPath`] over the engine's [`Snapshot`] — the same code,
-//! not a copy.
-//!
-//! Nor does this crate implement graph maintenance. What an actor owns
-//! per graph is the engine's
-//! [`MaintainedGraph`](expfinder_engine::MaintainedGraph) — the same apply /
-//! register / unregister / compress / publish the in-memory facade runs
-//! under a mutex — plus the graph's [`wal::Wal`]: the durable write path
-//! is the shared one with a WAL append in front of each step.
+//! Because the wrapped engine is never handed out, the type guarantees a
+//! durable graph has no write that skips the log; because there is no
+//! second catalog, a graph is listed exactly when the engine holds it —
+//! `add_graph` makes it durable first and inserts it last.
 //!
 //! The WAL is *event-sourced serving state*, not just graph history:
 //! registered queries are logged as `register`/`unregister` records and
@@ -42,24 +35,13 @@
 //! re-seeds the truncated log with one register record per live query.
 //!
 //! Maintained compression works here too: [`DurableExpFinder::compress`]
-//! asks the owning shard actor to build the quotient, which then travels
-//! with every published snapshot (like the reach index) and is
-//! maintained through update batches, so `Route::Compressed` — and the
-//! planner's compressed candidate — evaluate on the quotient exactly as
-//! on the in-memory engine. Compression is *session* state, not
-//! WAL-logged: it is derived, rebuildable on demand, and a restart
-//! comes back uncompressed.
-//!
-//! Route selection is therefore the engine's cost-based planner
-//! ([`expfinder_engine::planner`]): every snapshot of a graph holds an
-//! `Arc` of the same [`CostProfile`](expfinder_engine::CostProfile), so
-//! read/update frequencies and index hit rates accumulate across
-//! snapshot versions and every [`QueryResponse`] carries its plan
-//! decision.
+//! asks the owning shard to build the quotient through the engine, which
+//! then travels with every published snapshot and is maintained through
+//! update batches. Compression is *session* state, not WAL-logged: it is
+//! derived, rebuildable on demand, and a restart comes back uncompressed.
 //!
 //! ```
 //! use expfinder_runtime::{DurableExpFinder, RuntimeConfig, FsyncPolicy};
-//! use expfinder_engine::Route;
 //! use expfinder_graph::fixtures::collaboration_fig1;
 //! use expfinder_pattern::fixtures::fig1_pattern;
 //!
@@ -71,10 +53,12 @@
 //! rt.register_query("fig1", "team", fig1_pattern()).unwrap();
 //! drop(rt);
 //!
-//! // reopen: the graph *and* its registered query are recovered
+//! // reopen: the graph *and* its registered query are recovered, and are
+//! // read through the same `Catalog` methods as an in-memory engine's
 //! let rt = DurableExpFinder::open(&dir, config).unwrap();
-//! assert_eq!(rt.registered_queries("fig1").unwrap(), vec!["team".to_owned()]);
-//! let resp = rt.query("fig1", &fig1_pattern(), Some(2), Route::Auto).unwrap();
+//! let h = rt.handle("fig1").unwrap();
+//! assert_eq!(rt.registered_queries(&h).unwrap(), vec!["team".to_owned()]);
+//! let resp = rt.query(&h).pattern(fig1_pattern()).top_k(2).run().unwrap();
 //! assert_eq!(resp.experts.len(), 2);
 //! # let _ = std::fs::remove_dir_all(&dir);
 //! ```
@@ -88,24 +72,21 @@ pub use faults::{FaultInjector, FaultKind, FaultPlan, FaultTotals, IoOp};
 pub use shard::{CompactReport, ShardStats};
 pub use wal::FsyncPolicy;
 
-use crate::shard::{write_efg_atomic, Cmd, GraphActor, Reply, Ring, ShardHandle};
-use crate::wal::{ReplaySummary, Wal};
+use crate::shard::{Cmd, GraphActor, Reply, Ring, ShardHandle};
+use crate::wal::{ReplaySummary, Wal, WalOp};
 use expfinder_compress::{CompressStats, CompressionMethod};
 pub use expfinder_core::CancelToken;
-use expfinder_core::MatchRelation;
 use expfinder_engine::{
-    validate_graph_name, ExecConfig, ExpFinderError, GraphInfo, IndexTotals, PublishedGraph,
-    QueryResponse, QuerySpec, ReadPath, Route, Snapshot, UpdateHook, UpdateReport,
+    validate_graph_name, Catalog, EngineConfig, ExpFinder, ExpFinderError, MaintainedGraph,
+    UpdateReport,
 };
 use expfinder_graph::{io as gio, DiGraph, EdgeUpdate};
 use expfinder_pattern::Pattern;
-use parking_lot::RwLock;
-use std::collections::HashMap;
+use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::Duration;
 
 // ---------------------------------------------------------------------
 // WAL metrics
@@ -175,21 +156,17 @@ pub struct WalTotals {
 // configuration
 // ---------------------------------------------------------------------
 
-/// Knobs of one [`DurableExpFinder`].
+/// Knobs of one [`DurableExpFinder`]: what durability adds, plus the
+/// configuration of the engine it wraps.
 #[derive(Clone, Debug)]
 pub struct RuntimeConfig {
     /// Shard worker threads (graphs are consistently hashed across
     /// them). More shards = more independent write pipelines.
     pub shards: usize,
-    /// Mailbox slots per shard; a full mailbox blocks senders (the
-    /// backpressure point).
-    pub mailbox_capacity: usize,
     /// When WAL appends reach stable storage.
     pub fsync: FsyncPolicy,
-    /// Cached query results (LRU), shared across graphs.
-    pub cache_capacity: usize,
-    /// Per-query / batch thread budget (same semantics as the engine).
-    pub exec: ExecConfig,
+    /// The wrapped engine's result-cache size and thread budget.
+    pub engine: EngineConfig,
 }
 
 impl Default for RuntimeConfig {
@@ -199,10 +176,8 @@ impl Default for RuntimeConfig {
             // write pipelines, not compute: a handful is plenty, and
             // each idle shard is a parked thread
             shards: cores.clamp(1, 4),
-            mailbox_capacity: 64,
             fsync: FsyncPolicy::Always,
-            cache_capacity: 64,
-            exec: ExecConfig::default(),
+            engine: EngineConfig::default(),
         }
     }
 }
@@ -211,28 +186,68 @@ impl Default for RuntimeConfig {
 // the facade
 // ---------------------------------------------------------------------
 
-/// The durable, sharded ExpFinder: same query surface as the in-memory
-/// engine, with every graph owned by a shard actor and every update
-/// batch WAL-logged before it is applied. See the crate docs for the
-/// architecture.
-pub struct DurableExpFinder {
-    dir: PathBuf,
-    config: RuntimeConfig,
-    graphs: RwLock<HashMap<String, Arc<PublishedGraph>>>,
-    shards: Vec<ShardHandle>,
-    ring: Ring,
-    /// The engine's read path, shared verbatim: result cache, scratch
-    /// pool, thread budget, planner / evaluation / cancellation counters.
-    read: ReadPath,
-    wal_counters: Arc<WalCounters>,
+/// What the facade shares with its shard workers: the wrapped engine and
+/// everything a worker needs to put a WAL append in front of a write to
+/// it. Crate-private — nothing outside this crate can reach the engine's
+/// unlogged writes.
+pub(crate) struct Store {
+    pub engine: ExpFinder,
+    /// Catalog directory holding `<name>.efg` / `<name>.wal`.
+    pub dir: PathBuf,
+    pub config: RuntimeConfig,
+    pub wal_counters: WalCounters,
     /// The fault-injection gate every durability-critical I/O site of
     /// this runtime routes through (disarmed in production — see
-    /// [`faults`]).
-    faults: Arc<FaultInjector>,
-    /// Observer of committed update batches, shared with every shard
-    /// worker (ΔM push fan-out; see [`DurableExpFinder::set_update_hook`]).
-    update_hook: Arc<RwLock<Option<UpdateHook>>>,
-    next_id: AtomicU64,
+    /// [`faults`]); each WAL carries its own clone.
+    pub faults: Arc<FaultInjector>,
+}
+
+impl Store {
+    pub fn efg_path(&self, name: &str) -> PathBuf {
+        self.dir.join(format!("{name}.efg"))
+    }
+
+    pub fn wal_path(&self, name: &str) -> PathBuf {
+        self.dir.join(format!("{name}.wal"))
+    }
+
+    /// Open (creating if missing) the named graph's log for appending
+    /// after `last_seq`.
+    pub fn open_wal(&self, name: &str, last_seq: u64) -> Result<Wal, ExpFinderError> {
+        let faults = Arc::clone(&self.faults);
+        Wal::open_with_faults(self.wal_path(name), self.config.fsync, last_seq, faults)
+            .map_err(|e| ExpFinderError::Storage(format!("wal open for {name:?}: {e}")))
+    }
+
+    /// Append one record to `wal` (fsync per policy) and count it.
+    pub fn log(&self, wal: &mut Wal, op: &WalOp) -> Result<(), ExpFinderError> {
+        let (_, frame_bytes) = wal
+            .append_op(op)
+            .map_err(|e| ExpFinderError::Storage(format!("wal append: {e}")))?;
+        self.wal_counters
+            .on_append(frame_bytes as u64, wal.fsyncs_per_append());
+        Ok(())
+    }
+}
+
+/// The durable ExpFinder: the WAL bracket around an [`ExpFinder`]. It
+/// [`Deref`]s to the engine's [`Catalog`], so every read — `handle`,
+/// `query`, `query_batch`, `graph_infos`, `read_path`, … — *is* the
+/// in-memory one, and it declares only writes, each of which appends to
+/// the graph's log on the owning shard before it calls the engine's own
+/// write. The wrapped engine is never handed out. See the crate docs.
+pub struct DurableExpFinder {
+    store: Arc<Store>,
+    shards: Vec<ShardHandle>,
+    ring: Ring,
+}
+
+impl Deref for DurableExpFinder {
+    type Target = Catalog;
+
+    fn deref(&self) -> &Catalog {
+        &self.store.engine
+    }
 }
 
 // one runtime, many threads — same contract as the engine
@@ -254,37 +269,25 @@ impl DurableExpFinder {
     ) -> Result<DurableExpFinder, ExpFinderError> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        let wal_counters = Arc::new(WalCounters::default());
-        let update_hook: Arc<RwLock<Option<UpdateHook>>> = Arc::new(RwLock::new(None));
-        let shards: Vec<ShardHandle> = (0..config.shards.max(1))
-            .map(|i| {
-                ShardHandle::spawn(
-                    i,
-                    config.mailbox_capacity,
-                    Arc::clone(&wal_counters),
-                    Arc::clone(&update_hook),
-                )
-            })
-            .collect();
-        let ring = Ring::new(config.shards.max(1));
-        let read = ReadPath::new(config.cache_capacity, config.exec);
-        let rt = DurableExpFinder {
+        let shards = config.shards.max(1);
+        let store = Arc::new(Store {
+            engine: ExpFinder::new(config.engine.clone()),
             dir,
             config,
-            graphs: RwLock::new(HashMap::new()),
-            shards,
-            ring,
-            read,
-            wal_counters,
+            wal_counters: WalCounters::default(),
             faults: FaultInjector::disarmed(),
-            update_hook,
-            next_id: AtomicU64::new(1),
+        });
+        let rt = DurableExpFinder {
+            shards: (0..shards)
+                .map(|i| ShardHandle::spawn(i, Arc::clone(&store)))
+                .collect(),
+            ring: Ring::new(shards),
+            store,
         };
 
         let mut names: Vec<String> = Vec::new();
-        for entry in rt.dir.read_dir()? {
-            let entry = entry?;
-            let path = entry.path();
+        for entry in rt.dir().read_dir()? {
+            let path = entry?.path();
             if path.extension().is_some_and(|e| e == "efg") {
                 if let Some(stem) = path.file_stem().and_then(|s| s.to_str()) {
                     names.push(stem.to_owned());
@@ -300,69 +303,36 @@ impl DurableExpFinder {
 
     /// Cold-start one graph: load the snapshot, replay the WAL's records
     /// — update batches *and* register/unregister records — in sequence
-    /// order onto an actor, publish the recovered state (registered
-    /// queries included), then hand ownership to the shard.
+    /// order onto a [`MaintainedGraph`] nobody can read yet, add it to
+    /// the engine (one publish: the first snapshot readers see already
+    /// carries the replayed graph and its registered queries), then hand
+    /// the log to the owning shard.
     fn recover_graph(&self, name: &str) -> Result<(), ExpFinderError> {
-        let graph = gio::load_text(self.dir.join(format!("{name}.efg")))?;
-        let wal_path = self.wal_path(name);
-        let (records, summary) = Wal::replay(&wal_path)
+        let store = &self.store;
+        let graph = gio::load_text(store.efg_path(name))?;
+        let (records, summary) = Wal::replay(store.wal_path(name))
             .map_err(|e| ExpFinderError::Storage(format!("wal replay for {name:?}: {e}")))?;
-        let last_seq = records.last().map_or(0, |r| r.seq);
-        self.wal_counters.on_replay(&summary);
-        let wal = Wal::open_with_faults(
-            &wal_path,
-            self.config.fsync,
-            last_seq,
-            Arc::clone(&self.faults),
-        )
-        .map_err(|e| ExpFinderError::Storage(format!("wal open for {name:?}: {e}")))?;
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let published = Arc::new(PublishedGraph::new(id, &graph));
-        let mut actor = GraphActor::new(
-            name.to_owned(),
-            self.dir.clone(),
-            graph,
-            wal,
-            Arc::clone(&published),
-            Arc::clone(&self.faults),
-        );
+        store.wal_counters.on_replay(&summary);
+        let wal = store.open_wal(name, records.last().map_or(0, |r| r.seq))?;
+        let mut core = MaintainedGraph::new(graph);
         for rec in &records {
-            actor.replay_op(&rec.op)?;
+            shard::replay_op(&mut core, &rec.op)?;
         }
-        // publish before adoption: the first snapshot readers see
-        // already carries the replayed graph and its registered queries
-        actor.publish();
-        self.graphs
-            .write()
-            .insert(name.to_owned(), Arc::clone(&published));
+        let handle = store.engine.add_maintained(name, core)?;
         self.request(name, |reply| Cmd::Adopt {
-            actor: Box::new(actor),
+            actor: GraphActor { handle, wal },
             reply,
-        })?;
-        Ok(())
-    }
-
-    /// Install (or, with `None`, remove) the [`UpdateHook`] every shard
-    /// worker fires after committing an update batch. The hook runs on
-    /// the actor thread right after the snapshot publish, so per-graph
-    /// invocations arrive in commit order; while one is installed,
-    /// batches are always traced (full ΔM in every report).
-    pub fn set_update_hook(&self, hook: Option<UpdateHook>) {
-        *self.update_hook.write() = hook;
+        })
     }
 
     /// The catalog directory.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        &self.store.dir
     }
 
     /// The configuration the runtime was opened with.
     pub fn config(&self) -> &RuntimeConfig {
-        &self.config
-    }
-
-    fn wal_path(&self, name: &str) -> PathBuf {
-        self.dir.join(format!("{name}.wal"))
+        &self.store.config
     }
 
     /// Send one command to the shard owning `name` and wait for its
@@ -379,205 +349,49 @@ impl DurableExpFinder {
             .map_err(|_| ExpFinderError::Storage("shard worker terminated".to_owned()))?
     }
 
-    /// The runtime's half of a read: the latest published snapshot of
-    /// the named graph. Everything after it — cache, registered, plan,
-    /// evaluate, rank — is the engine's [`ReadPath`].
-    fn latest(&self, name: &str) -> Result<Arc<Snapshot>, ExpFinderError> {
-        match self.graphs.read().get(name) {
-            Some(published) => Ok(published.latest()),
-            None => Err(ExpFinderError::UnknownGraph(name.to_owned())),
-        }
-    }
-
     // --------------------------- catalog ---------------------------
 
-    /// Add a graph: write its `.efg` snapshot, create its WAL, and hand
-    /// ownership to the shard the name hashes to. Durable when this
-    /// returns. The graph becomes queryable a moment before the shard's
-    /// ack; if the durable IO fails it is unpublished again and the
-    /// error surfaces here.
+    /// Add a graph; returns its initial version. One command on the shard
+    /// the name hashes to: duplicate check → `.efg` snapshot (atomic) →
+    /// WAL create → catalog insert. Two racing adds of one name are
+    /// serialised by the mailbox (exactly one wins), and the graph is
+    /// listed and queryable only once it is durable; an I/O failure
+    /// leaves neither a catalog entry nor a file `open` would adopt. The
+    /// cost: other graphs on that shard wait for the `.efg` write — adds
+    /// are rare, and per-shard serialisation is already the contract of
+    /// every other write.
     pub fn add_graph(&self, name: &str, graph: DiGraph) -> Result<u64, ExpFinderError> {
+        // names become file stems: refuse path-like ones before any IO
         validate_graph_name(name)?;
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let published = Arc::new(PublishedGraph::new(id, &graph));
-        {
-            let mut graphs = self.graphs.write();
-            if graphs.contains_key(name) {
-                return Err(ExpFinderError::DuplicateGraph(name.to_owned()));
-            }
-            graphs.insert(name.to_owned(), Arc::clone(&published));
-        }
-        // durable IO happens outside the registry lock so concurrent
-        // readers of other graphs never wait on this graph's disk
-        let result = (|| {
-            let wal_path = self.wal_path(name);
-            // a stale log from a removed former life must not replay
-            // onto the new graph
-            let _ = std::fs::remove_file(&wal_path);
-            write_efg_atomic(&graph, &self.dir.join(format!("{name}.efg")), &self.faults)?;
-            let wal =
-                Wal::open_with_faults(&wal_path, self.config.fsync, 0, Arc::clone(&self.faults))
-                    .map_err(|e| ExpFinderError::Storage(format!("wal open for {name:?}: {e}")))?;
-            let actor = GraphActor::new(
-                name.to_owned(),
-                self.dir.clone(),
-                graph,
-                wal,
-                published,
-                Arc::clone(&self.faults),
-            );
-            self.request(name, |reply| Cmd::Adopt {
-                actor: Box::new(actor),
-                reply,
-            })
-        })();
-        match result {
-            Ok(version) => Ok(version),
-            Err(e) => {
-                self.graphs.write().remove(name);
-                Err(e)
-            }
-        }
+        self.request(name, |reply| Cmd::Add {
+            name: name.to_owned(),
+            graph,
+            reply,
+        })
     }
 
     /// Remove a graph and delete its files (snapshot first, then log,
     /// so a crash in between leaves only an orphan `.wal`, which `open`
-    /// ignores).
+    /// ignores). Outstanding handles to it become stale.
     pub fn remove_graph(&self, name: &str) -> Result<(), ExpFinderError> {
         self.request(name, |reply| Cmd::Remove {
             name: name.to_owned(),
             reply,
-        })?;
-        self.graphs.write().remove(name);
-        Ok(())
-    }
-
-    /// Managed graph names, sorted.
-    pub fn graph_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.graphs.read().keys().cloned().collect();
-        names.sort();
-        names
-    }
-
-    /// Point-in-time summaries of every graph, sorted by name.
-    pub fn graph_infos(&self) -> Vec<GraphInfo> {
-        let graphs = self.graphs.read();
-        let mut infos: Vec<GraphInfo> = graphs
-            .iter()
-            .map(|(name, published)| published.latest().info(name))
-            .collect();
-        infos.sort_by(|a, b| a.name.cmp(&b.name));
-        infos
-    }
-
-    /// Run `f` against the published snapshot's graph (no lock held
-    /// while `f` runs — it borrows the snapshot `Arc`).
-    pub fn read_graph<R>(
-        &self,
-        name: &str,
-        f: impl FnOnce(&DiGraph) -> R,
-    ) -> Result<R, ExpFinderError> {
-        Ok(f(self.latest(name)?.graph()))
-    }
-
-    /// The published version of a graph.
-    pub fn graph_version(&self, name: &str) -> Result<u64, ExpFinderError> {
-        Ok(self.latest(name)?.version())
-    }
-
-    // --------------------------- queries ---------------------------
-
-    /// Evaluate one pattern, optionally ranking the best `top_k`
-    /// experts. Runs entirely on the calling thread against the latest
-    /// published snapshot.
-    pub fn query(
-        &self,
-        name: &str,
-        pattern: &Pattern,
-        top_k: Option<usize>,
-        prefer: Route,
-    ) -> Result<QueryResponse, ExpFinderError> {
-        self.query_deadline(name, pattern, top_k, prefer, None)
-    }
-
-    /// [`DurableExpFinder::query`] under an evaluation budget: once
-    /// `deadline` has elapsed the evaluation abandons work at its next
-    /// cancellation point and returns
-    /// [`ExpFinderError::DeadlineExceeded`] with the partial
-    /// [`EvalStats`](expfinder_core::EvalStats). `None` costs nothing on
-    /// the hot path.
-    pub fn query_deadline(
-        &self,
-        name: &str,
-        pattern: &Pattern,
-        top_k: Option<usize>,
-        prefer: Route,
-        deadline: Option<Duration>,
-    ) -> Result<QueryResponse, ExpFinderError> {
-        let token = deadline.map(CancelToken::with_deadline);
-        let cancel = token.as_deref();
-        self.read
-            .query(|| self.latest(name), pattern, top_k, prefer, cancel)
-    }
-
-    /// [`DurableExpFinder::query`] polling a caller-supplied
-    /// [`CancelToken`] at every cancellation point — the durable
-    /// counterpart of the engine's `QueryBuilder::cancel_token`: a
-    /// `cancel()` from another thread (a disconnected client, a
-    /// supervisor, a deterministic test fuse) aborts the evaluation with
-    /// [`ExpFinderError::DeadlineExceeded`] carrying the partial stats.
-    /// The token's check/fire counts are folded into
-    /// [`ReadPath::cancel_totals`] when the call returns.
-    pub fn query_cancellable(
-        &self,
-        name: &str,
-        pattern: &Pattern,
-        top_k: Option<usize>,
-        prefer: Route,
-        token: &CancelToken,
-    ) -> Result<QueryResponse, ExpFinderError> {
-        self.read
-            .query(|| self.latest(name), pattern, top_k, prefer, Some(token))
-    }
-
-    /// Evaluate a batch of specs against one graph, fanning out across
-    /// `exec.batch_parallelism` workers with the engine's split-budget
-    /// rule (`threads / workers` inner threads each). All slots see the
-    /// same published snapshot era (each grabs the latest at its start).
-    pub fn query_batch(
-        &self,
-        name: &str,
-        specs: Vec<QuerySpec>,
-    ) -> Vec<Result<QueryResponse, ExpFinderError>> {
-        self.query_batch_deadline(name, specs, None)
-    }
-
-    /// [`DurableExpFinder::query_batch`] under one shared deadline — the
-    /// durable counterpart of
-    /// [`ExpFinder::query_batch_deadline`](expfinder_engine::ExpFinder::query_batch_deadline):
-    /// one token polled by every worker, per-spec deadlines tightening
-    /// their own slot.
-    pub fn query_batch_deadline(
-        &self,
-        name: &str,
-        specs: Vec<QuerySpec>,
-        deadline: Option<Duration>,
-    ) -> Vec<Result<QueryResponse, ExpFinderError>> {
-        self.read
-            .query_batch(|| self.latest(name), &specs, deadline)
+        })
     }
 
     // --------------------------- updates ---------------------------
 
     /// Apply edge updates through the owning shard: WAL-append (fsynced
-    /// per policy), apply, maintain registered queries, republish.
-    /// Returns how many updates changed the graph.
+    /// per policy), then the engine's own `apply_updates_traced` — apply,
+    /// maintain registered queries, publish, update hook. Returns how
+    /// many updates changed the graph.
     pub fn apply_updates(
         &self,
         name: &str,
         updates: &[EdgeUpdate],
     ) -> Result<usize, ExpFinderError> {
-        Ok(self.apply_updates_inner(name, updates, false)?.applied)
+        Ok(self.apply_updates_traced(name, updates)?.applied)
     }
 
     /// Like [`DurableExpFinder::apply_updates`] with the full ΔM report.
@@ -586,19 +400,9 @@ impl DurableExpFinder {
         name: &str,
         updates: &[EdgeUpdate],
     ) -> Result<UpdateReport, ExpFinderError> {
-        self.apply_updates_inner(name, updates, true)
-    }
-
-    fn apply_updates_inner(
-        &self,
-        name: &str,
-        updates: &[EdgeUpdate],
-        trace: bool,
-    ) -> Result<UpdateReport, ExpFinderError> {
         self.request(name, |reply| Cmd::Apply {
             name: name.to_owned(),
             updates: updates.to_vec(),
-            trace,
             reply,
         })
     }
@@ -634,21 +438,6 @@ impl DurableExpFinder {
         })
     }
 
-    /// Names of queries registered on a graph, sorted.
-    pub fn registered_queries(&self, name: &str) -> Result<Vec<String>, ExpFinderError> {
-        Ok(self.latest(name)?.registered_queries())
-    }
-
-    /// The maintained result of a registered query, as published.
-    pub fn registered_result(
-        &self,
-        name: &str,
-        query_name: &str,
-    ) -> Result<MatchRelation, ExpFinderError> {
-        let snap = self.latest(name)?;
-        Ok((**snap.registered_result(query_name)?).clone())
-    }
-
     // ------------------------- compression -------------------------
 
     /// Build (or rebuild) a maintained reachability-preserving
@@ -678,12 +467,6 @@ impl DurableExpFinder {
         })
     }
 
-    /// Compression statistics of the currently published quotient, or
-    /// `None` when the graph is not compressed.
-    pub fn compression_stats(&self, name: &str) -> Result<Option<CompressStats>, ExpFinderError> {
-        Ok(self.latest(name)?.quotient().map(|gc| gc.stats()))
-    }
-
     // ---------------------- snapshot / compact ---------------------
 
     /// Rewrite `<name>.efg` from the current graph (WAL untouched).
@@ -705,52 +488,29 @@ impl DurableExpFinder {
 
     // --------------------------- metrics ---------------------------
 
-    /// The read path this runtime answers queries through — the source
-    /// of the cache / evaluation / planner / cancellation counters.
-    pub fn read_path(&self) -> &ReadPath {
-        &self.read
-    }
-
-    /// Reach-index totals: cumulative hits/misses plus live entry/byte
-    /// gauges over the currently published snapshots' indexes (direct
-    /// and quotient).
-    pub fn index_totals(&self) -> IndexTotals {
-        let graphs = self.graphs.read();
-        self.read
-            .index_totals(graphs.values().map(|published| published.latest()))
-    }
-
     /// Cumulative WAL activity.
     pub fn wal_totals(&self) -> WalTotals {
-        self.wal_counters.totals()
+        self.store.wal_counters.totals()
     }
 
     /// Cumulative fault-injection activity (`engine.faults` in
     /// `/metrics`); all zeros unless a test harness armed a plan.
     pub fn fault_totals(&self) -> FaultTotals {
-        self.faults.totals()
+        self.store.faults.totals()
     }
 
     /// The fault-injection gate of this runtime, for test harnesses to
     /// arm ([`FaultInjector::arm`]). Production code never touches it —
     /// disarmed hooks cost one relaxed atomic load per I/O boundary.
     pub fn fault_injector(&self) -> Arc<FaultInjector> {
-        Arc::clone(&self.faults)
-    }
-
-    /// Estimate the planner cost (abstract work units) of evaluating
-    /// `pattern` on the latest published snapshot of `name`, without
-    /// evaluating anything — the server's admission-control hook
-    /// ([`ReadPath::estimate_cost`]).
-    pub fn estimate_cost(&self, name: &str, pattern: &Pattern) -> Result<f64, ExpFinderError> {
-        Ok(self.read.estimate_cost(&*self.latest(name)?, pattern))
+        Arc::clone(&self.store.faults)
     }
 
     /// Per-shard load: mailbox depth, owned graphs, processed commands.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         let mut per_shard_graphs = vec![0usize; self.shards.len()];
-        for name in self.graphs.read().keys() {
-            per_shard_graphs[self.ring.shard_for(name)] += 1;
+        for name in self.graph_names() {
+            per_shard_graphs[self.ring.shard_for(&name)] += 1;
         }
         self.shards
             .iter()
@@ -768,7 +528,7 @@ impl DurableExpFinder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use expfinder_engine::{EvalRoute, PlanRoute};
+    use expfinder_engine::{EvalRoute, ExecConfig, PlanRoute, Route, Snapshot};
     use expfinder_graph::fixtures::collaboration_fig1;
     use expfinder_graph::GraphView;
     use expfinder_pattern::fixtures::{fig1_pattern, fig1_pattern_simulation};
@@ -784,65 +544,11 @@ mod tests {
         RuntimeConfig {
             shards: 2,
             fsync: FsyncPolicy::Never,
-            exec: ExecConfig::sequential(),
-            ..RuntimeConfig::default()
+            engine: EngineConfig {
+                exec: ExecConfig::sequential(),
+                ..EngineConfig::default()
+            },
         }
-    }
-
-    #[test]
-    fn zero_deadline_aborts_and_leaves_runtime_unpoisoned() {
-        let dir = tmpdir("deadline");
-        let rt = DurableExpFinder::open(&dir, sequential_config()).unwrap();
-        rt.add_graph("fig1", collaboration_fig1().graph).unwrap();
-        let q = fig1_pattern();
-        let err = rt
-            .query_deadline("fig1", &q, None, Route::Auto, Some(Duration::ZERO))
-            .unwrap_err();
-        assert_eq!(err.http_status(), 408);
-        assert!(err.partial_stats().is_some());
-        assert!(rt.read_path().cancel_totals().fired >= 1);
-        // the next un-deadlined query is unaffected and uncached
-        let ok = rt.query("fig1", &q, None, Route::Auto).unwrap();
-        assert_ne!(ok.route, EvalRoute::Cache);
-        assert_eq!(ok.matches.total_pairs(), 7);
-        // batch-wide zero deadline fails every slot with 408
-        let out = rt.query_batch_deadline(
-            "fig1",
-            vec![QuerySpec::pattern(q.clone()), QuerySpec::pattern(q)],
-            Some(Duration::ZERO),
-        );
-        for r in out {
-            assert_eq!(r.unwrap_err().http_status(), 408);
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn add_query_matches_engine() {
-        let dir = tmpdir("add_query");
-        let f = collaboration_fig1();
-        let rt = DurableExpFinder::open(&dir, sequential_config()).unwrap();
-        rt.add_graph("fig1", f.graph.clone()).unwrap();
-
-        let engine = expfinder_engine::ExpFinder::default();
-        let h = engine.add_graph("fig1", f.graph.clone()).unwrap();
-        let want = engine
-            .query(&h)
-            .pattern(fig1_pattern())
-            .prefer(Route::Direct)
-            .run()
-            .unwrap();
-
-        let got = rt
-            .query("fig1", &fig1_pattern(), None, Route::Auto)
-            .unwrap();
-        assert_eq!(*got.matches, *want.matches);
-        // second identical query is a cache hit
-        let again = rt
-            .query("fig1", &fig1_pattern(), None, Route::Auto)
-            .unwrap();
-        assert_eq!(again.route, EvalRoute::Cache);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -865,10 +571,18 @@ mod tests {
         assert_eq!(rt.wal_totals().replayed_updates, 1);
         let mut oracle = f.graph.clone();
         oracle.apply(EdgeUpdate::Insert(x, y));
-        let edges = rt.read_graph("fig1", |g| g.edge_count()).unwrap();
+        let edges = rt
+            .read_graph(&rt.handle("fig1").unwrap(), |g| g.edge_count())
+            .unwrap();
         assert_eq!(edges, oracle.edge_count());
         let got = rt
-            .query("fig1", &fig1_pattern(), None, Route::Auto)
+            .query_deadline(
+                &rt.handle("fig1").unwrap(),
+                &fig1_pattern(),
+                None,
+                Route::Auto,
+                None,
+            )
             .unwrap();
         let engine = expfinder_engine::ExpFinder::default();
         let h = engine.add_graph("fig1", oracle).unwrap();
@@ -899,7 +613,9 @@ mod tests {
             1,
             "only the post-compaction frame"
         );
-        let edges = rt.read_graph("fig1", |g| g.edge_count()).unwrap();
+        let edges = rt
+            .read_graph(&rt.handle("fig1").unwrap(), |g| g.edge_count())
+            .unwrap();
         assert_eq!(edges, f.graph.edge_count());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -914,7 +630,7 @@ mod tests {
         let q = fig1_pattern_simulation();
         rt.register_query("fig1", "team", q.clone()).unwrap();
         assert_eq!(
-            rt.registered_queries("fig1").unwrap(),
+            rt.registered_queries(&rt.handle("fig1").unwrap()).unwrap(),
             vec!["team".to_owned()]
         );
         assert!(matches!(
@@ -922,25 +638,40 @@ mod tests {
             Err(ExpFinderError::DuplicateQuery(_))
         ));
 
-        let r = rt.query("fig1", &q, None, Route::Auto).unwrap();
+        let r = rt
+            .query_deadline(&rt.handle("fig1").unwrap(), &q, None, Route::Auto, None)
+            .unwrap();
         assert_eq!(r.route, EvalRoute::Registered);
 
-        let before = rt.registered_result("fig1", "team").unwrap().total_pairs();
+        let before = rt
+            .registered_result(&rt.handle("fig1").unwrap(), "team")
+            .unwrap()
+            .total_pairs();
         let report = rt
             .apply_updates_traced("fig1", &[EdgeUpdate::Insert(x, y)])
             .unwrap();
         assert_eq!(report.registered.len(), 1);
         assert_eq!(report.registered[0].before_pairs, before);
-        let after = rt.registered_result("fig1", "team").unwrap().total_pairs();
+        let after = rt
+            .registered_result(&rt.handle("fig1").unwrap(), "team")
+            .unwrap()
+            .total_pairs();
         assert_eq!(report.registered[0].after_pairs, after);
 
         // maintained result equals a fresh evaluation
-        let fresh = rt.query("fig1", &q, None, Route::Direct).unwrap();
-        let maintained = rt.registered_result("fig1", "team").unwrap();
-        assert_eq!(*fresh.matches, maintained);
+        let fresh = rt
+            .query_deadline(&rt.handle("fig1").unwrap(), &q, None, Route::Direct, None)
+            .unwrap();
+        let maintained = rt
+            .registered_result(&rt.handle("fig1").unwrap(), "team")
+            .unwrap();
+        assert_eq!(fresh.matches, maintained);
 
         rt.unregister_query("fig1", "team").unwrap();
-        assert!(rt.registered_queries("fig1").unwrap().is_empty());
+        assert!(rt
+            .registered_queries(&rt.handle("fig1").unwrap())
+            .unwrap()
+            .is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -962,16 +693,24 @@ mod tests {
 
         let rt = DurableExpFinder::open(&dir, sequential_config()).unwrap();
         assert_eq!(
-            rt.registered_queries("fig1").unwrap(),
+            rt.registered_queries(&rt.handle("fig1").unwrap()).unwrap(),
             vec!["team".to_owned()],
             "register and unregister records both replayed"
         );
         // the recovered maintainer saw the post-registration update
-        let maintained = rt.registered_result("fig1", "team").unwrap();
-        let fresh = rt
-            .query("fig1", &fig1_pattern(), None, Route::Direct)
+        let maintained = rt
+            .registered_result(&rt.handle("fig1").unwrap(), "team")
             .unwrap();
-        assert_eq!(*fresh.matches, maintained);
+        let fresh = rt
+            .query_deadline(
+                &rt.handle("fig1").unwrap(),
+                &fig1_pattern(),
+                None,
+                Route::Direct,
+                None,
+            )
+            .unwrap();
+        assert_eq!(fresh.matches, maintained);
         // a duplicate registration is still rejected after recovery
         assert!(matches!(
             rt.register_query("fig1", "team", fig1_pattern()),
@@ -997,14 +736,22 @@ mod tests {
         }
         let rt = DurableExpFinder::open(&dir, sequential_config()).unwrap();
         assert_eq!(
-            rt.registered_queries("fig1").unwrap(),
+            rt.registered_queries(&rt.handle("fig1").unwrap()).unwrap(),
             vec!["team".to_owned()]
         );
-        let maintained = rt.registered_result("fig1", "team").unwrap();
-        let fresh = rt
-            .query("fig1", &fig1_pattern(), None, Route::Direct)
+        let maintained = rt
+            .registered_result(&rt.handle("fig1").unwrap(), "team")
             .unwrap();
-        assert_eq!(*fresh.matches, maintained);
+        let fresh = rt
+            .query_deadline(
+                &rt.handle("fig1").unwrap(),
+                &fig1_pattern(),
+                None,
+                Route::Direct,
+                None,
+            )
+            .unwrap();
+        assert_eq!(fresh.matches, maintained);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1047,7 +794,11 @@ mod tests {
         let dir = tmpdir("errors");
         let rt = DurableExpFinder::open(&dir, sequential_config()).unwrap();
         assert!(matches!(
-            rt.query("nope", &fig1_pattern(), None, Route::Auto),
+            rt.handle("nope"),
+            Err(ExpFinderError::UnknownGraph(_))
+        ));
+        assert!(matches!(
+            rt.apply_updates("nope", &[]),
             Err(ExpFinderError::UnknownGraph(_))
         ));
         let f = collaboration_fig1();
@@ -1077,30 +828,10 @@ mod tests {
         assert!(rt.graph_names().is_empty());
         // the name is reusable, and the fresh graph has no replayed tail
         rt.add_graph("fig1", f.graph.clone()).unwrap();
-        let edges = rt.read_graph("fig1", |g| g.edge_count()).unwrap();
-        assert_eq!(edges, f.graph.edge_count());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn batch_resolves_specs_in_order() {
-        let dir = tmpdir("batch");
-        let f = collaboration_fig1();
-        let rt = DurableExpFinder::open(&dir, sequential_config()).unwrap();
-        rt.add_graph("fig1", f.graph).unwrap();
-        let specs = vec![
-            QuerySpec::pattern(fig1_pattern()).top_k(2),
-            QuerySpec::dsl("definitely not a pattern"),
-            QuerySpec::pattern(fig1_pattern_simulation()),
-        ];
-        let out = rt.query_batch("fig1", specs);
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[0].as_ref().unwrap().experts.len(), 2);
-        assert!(out[1].is_err());
-        let direct = rt
-            .query("fig1", &fig1_pattern_simulation(), None, Route::Direct)
+        let edges = rt
+            .read_graph(&rt.handle("fig1").unwrap(), |g| g.edge_count())
             .unwrap();
-        assert_eq!(*out[2].as_ref().unwrap().matches, *direct.matches);
+        assert_eq!(edges, f.graph.edge_count());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1124,67 +855,48 @@ mod tests {
     }
 
     #[test]
-    fn every_durable_response_carries_a_plan() {
-        let dir = tmpdir("plan");
-        let f = collaboration_fig1();
-        let rt = DurableExpFinder::open(&dir, sequential_config()).unwrap();
-        rt.add_graph("fig1", f.graph).unwrap();
-
-        let first = rt
-            .query("fig1", &fig1_pattern(), None, Route::Auto)
-            .unwrap();
-        assert_eq!(first.plan.chosen, PlanRoute::Live, "cold first read");
-        assert!(
-            first.plan.candidates.len() >= 2,
-            "planned decisions expose the costed candidates"
-        );
-        assert!(!first.plan.overridden);
-
-        let cached = rt
-            .query("fig1", &fig1_pattern(), None, Route::Auto)
-            .unwrap();
-        assert_eq!(cached.plan.chosen, PlanRoute::Cache);
-        assert!(
-            cached.plan.candidates.is_empty(),
-            "exact routes cost nothing"
-        );
-
-        let forced = rt
-            .query("fig1", &fig1_pattern(), None, Route::Direct)
-            .unwrap();
-        assert!(forced.plan.overridden, "preference is recorded, not hidden");
-
-        let totals = rt.read_path().planner_totals();
-        assert_eq!(totals.decisions, 3);
-        assert_eq!(totals.overrides, 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn compression_serves_identical_matches_and_survives_updates() {
         let dir = tmpdir("compress");
         let f = collaboration_fig1();
         let (x, y) = f.e1;
         let rt = DurableExpFinder::open(&dir, sequential_config()).unwrap();
         rt.add_graph("fig1", f.graph.clone()).unwrap();
-        assert_eq!(rt.compression_stats("fig1").unwrap(), None);
+        assert_eq!(
+            rt.compression_stats(&rt.handle("fig1").unwrap()).unwrap(),
+            None
+        );
 
         let stats = rt
             .compress("fig1", CompressionMethod::Bisimulation)
             .unwrap();
         assert!(stats.compressed_nodes <= stats.original_nodes);
-        assert_eq!(rt.compression_stats("fig1").unwrap(), Some(stats));
+        assert_eq!(
+            rt.compression_stats(&rt.handle("fig1").unwrap()).unwrap(),
+            Some(stats)
+        );
         let infos = rt.graph_infos();
         assert!(infos.iter().any(|i| i.name == "fig1" && i.compressed));
 
         // a forced compressed route answers exactly like a direct one
         let via_quotient = rt
-            .query("fig1", &fig1_pattern(), None, Route::Compressed)
+            .query_deadline(
+                &rt.handle("fig1").unwrap(),
+                &fig1_pattern(),
+                None,
+                Route::Compressed,
+                None,
+            )
             .unwrap();
         assert_eq!(via_quotient.route, EvalRoute::Compressed);
         assert_eq!(via_quotient.plan.chosen, PlanRoute::Compressed);
         let direct = rt
-            .query("fig1", &fig1_pattern(), None, Route::Direct)
+            .query_deadline(
+                &rt.handle("fig1").unwrap(),
+                &fig1_pattern(),
+                None,
+                Route::Direct,
+                None,
+            )
             .unwrap();
         assert_eq!(*via_quotient.matches, *direct.matches);
 
@@ -1192,17 +904,38 @@ mod tests {
         rt.apply_updates("fig1", &[EdgeUpdate::Insert(x, y)])
             .unwrap();
         let after_q = rt
-            .query("fig1", &fig1_pattern(), None, Route::Compressed)
+            .query_deadline(
+                &rt.handle("fig1").unwrap(),
+                &fig1_pattern(),
+                None,
+                Route::Compressed,
+                None,
+            )
             .unwrap();
         let after_d = rt
-            .query("fig1", &fig1_pattern(), None, Route::Direct)
+            .query_deadline(
+                &rt.handle("fig1").unwrap(),
+                &fig1_pattern(),
+                None,
+                Route::Direct,
+                None,
+            )
             .unwrap();
         assert_eq!(*after_q.matches, *after_d.matches);
 
         rt.drop_compression("fig1").unwrap();
-        assert_eq!(rt.compression_stats("fig1").unwrap(), None);
+        assert_eq!(
+            rt.compression_stats(&rt.handle("fig1").unwrap()).unwrap(),
+            None
+        );
         let dropped = rt
-            .query("fig1", &fig1_pattern(), None, Route::Compressed)
+            .query_deadline(
+                &rt.handle("fig1").unwrap(),
+                &fig1_pattern(),
+                None,
+                Route::Compressed,
+                None,
+            )
             .unwrap();
         assert_ne!(
             dropped.route,
@@ -1221,11 +954,14 @@ mod tests {
             rt.add_graph("fig1", f.graph.clone()).unwrap();
             rt.compress("fig1", CompressionMethod::Bisimulation)
                 .unwrap();
-            assert!(rt.compression_stats("fig1").unwrap().is_some());
+            assert!(rt
+                .compression_stats(&rt.handle("fig1").unwrap())
+                .unwrap()
+                .is_some());
         }
         let rt = DurableExpFinder::open(&dir, sequential_config()).unwrap();
         assert_eq!(
-            rt.compression_stats("fig1").unwrap(),
+            rt.compression_stats(&rt.handle("fig1").unwrap()).unwrap(),
             None,
             "quotients are not WAL-logged; a restart comes back uncompressed"
         );
@@ -1270,7 +1006,7 @@ mod tests {
         rt.add_graph("g", base.clone()).unwrap();
         rt.register_query("g", "live", live.clone()).unwrap();
         rt.register_query("g", "inert", inert).unwrap();
-        let held = rt.latest("g").unwrap();
+        let held = rt.latest(&rt.handle("g").unwrap()).unwrap();
         let held_want = bounded_simulation(&base, &live).unwrap();
         assert_eq!(*view(&held, "live"), held_want);
 
@@ -1288,7 +1024,7 @@ mod tests {
             for &up in batch {
                 model.apply(up);
             }
-            let now = rt.latest("g").unwrap();
+            let now = rt.latest(&rt.handle("g").unwrap()).unwrap();
             assert_eq!(now.version(), model.version());
             assert!(Arc::ptr_eq(&view(&now, "inert"), &view(&prev, "inert")));
             let (a, b) = (view(&now, "live"), view(&prev, "live"));
@@ -1302,7 +1038,7 @@ mod tests {
         let present = model.edges().next().unwrap();
         let noop = [EdgeUpdate::Insert(present.0, present.1)];
         assert_eq!(rt.apply_updates("g", &noop).unwrap(), 0);
-        let newest = rt.latest("g").unwrap();
+        let newest = rt.latest(&rt.handle("g").unwrap()).unwrap();
         assert!(Arc::ptr_eq(&newest, &prev));
         assert_eq!(newest.version(), model.version());
 
@@ -1310,7 +1046,9 @@ mod tests {
         let want = bounded_simulation(&model, &live).unwrap();
         assert_eq!(*view(&newest, "live"), want);
         assert_eq!(bounded_simulation(newest.graph(), &live).unwrap(), want);
-        let got = rt.query("g", &live, None, Route::Auto).unwrap();
+        let got = rt
+            .query_deadline(&rt.handle("g").unwrap(), &live, None, Route::Auto, None)
+            .unwrap();
         assert_eq!(*got.matches, want);
         assert_ne!(want, held_want, "the stream changed the answer");
         assert_eq!(held.version(), base.version());

@@ -1,29 +1,32 @@
-//! Shard workers: the mutation half of the runtime.
+//! Shard workers: where a durable write gets its WAL append.
 //!
 //! Graph names are consistently hashed onto `N` shard workers. Each
 //! worker is an actor — a plain thread draining a **bounded** mailbox of
-//! commands — that *owns* the [`MaintainedGraph`] (the authoritative
-//! graph, its quotient and its registered-query maintainers) and the WAL
-//! handle of every graph on its shard. Ownership is the whole concurrency
-//! story on the write side: a batch has exclusive access to its graph for
-//! free (nobody else can touch actor state), and no lock is ever held
-//! across evaluation because readers run on *published* immutable
-//! snapshots instead (see [`expfinder_engine::Snapshot`]).
+//! commands — that owns the [`Wal`] of every graph on its shard. The
+//! graphs themselves live in the runtime's one [`ExpFinder`] (see
+//! [`Store`]); a command is *WAL append → the engine's own write*, so
+//! maintenance, publish and the update hook are the in-memory code, and
+//! the mailbox is what orders a graph's log the way its commits are
+//! ordered. Only shard workers call the engine's writes, one command at
+//! a time per graph, so the engine's per-graph write mutex is never
+//! contended here. Reads are not commands at all — they run on published
+//! snapshots through the engine's [`Catalog`](expfinder_engine::Catalog).
 //!
 //! Backpressure is the mailbox bound: when a shard falls behind,
 //! senders block in [`ShardHandle::send`] rather than queueing
 //! unboundedly. The current depth of every mailbox is exported through
 //! `/metrics` (`engine.shard`), so a hot shard is visible before it is
 //! a problem.
+//!
+//! [`ExpFinder`]: expfinder_engine::ExpFinder
 
-use crate::faults::{FaultInjector, IoOp};
+use crate::faults::{FaultInjector, IoOp, CRASH_MARKER};
 use crate::wal::{Wal, WalOp};
-use crate::WalCounters;
+use crate::Store;
 use expfinder_compress::{CompressStats, CompressionMethod};
-use expfinder_engine::{ExpFinderError, MaintainedGraph, PublishedGraph, UpdateHook, UpdateReport};
+use expfinder_engine::{ExpFinderError, GraphHandle, MaintainedGraph, UpdateReport};
 use expfinder_graph::{io as gio, DiGraph, EdgeUpdate};
 use expfinder_pattern::{parser, Pattern};
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fs::File;
 use std::path::{Path, PathBuf};
@@ -31,6 +34,10 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+
+/// Mailbox slots per shard; a full mailbox blocks senders (the
+/// backpressure point).
+const MAILBOX_CAPACITY: usize = 64;
 
 /// Point-in-time load summary of one shard worker (`engine.shard` in
 /// `/metrics`).
@@ -53,19 +60,20 @@ pub(crate) type Reply<T> = SyncSender<Result<T, ExpFinderError>>;
 /// The command alphabet of a shard mailbox. Reads are *not* here — they
 /// run on published snapshots without involving the actor.
 pub(crate) enum Cmd {
-    /// Take ownership of a fully-constructed graph actor (initial add
-    /// and cold-start adoption; the facade did the durable IO already).
-    Adopt {
-        // boxed: an actor (graph + WAL + maintained state) dwarfs every
-        // other command, and `Cmd` travels by value through the ring
-        actor: Box<GraphActor>,
+    /// Make a new graph durable, then add it to the engine; replies with
+    /// its initial version.
+    Add {
+        name: String,
+        graph: DiGraph,
         reply: Reply<u64>,
     },
+    /// Take ownership of a recovered graph's log (cold start: the facade
+    /// replayed it and added the graph to the engine already).
+    Adopt { actor: GraphActor, reply: Reply<()> },
     /// WAL-append, then apply an update batch and republish.
     Apply {
         name: String,
         updates: Vec<EdgeUpdate>,
-        trace: bool,
         reply: Reply<UpdateReport>,
     },
     /// Register a query for incremental maintenance.
@@ -113,25 +121,13 @@ pub struct CompactReport {
     pub wal_bytes_dropped: u64,
 }
 
-/// One graph's actor state: the engine's [`MaintainedGraph`] — the same
-/// write side the in-memory facade drives — plus what makes it durable:
-/// the WAL every step is appended to first, and the fault-injection
-/// gate. Constructed by the facade (which does the durable add/recover
-/// IO) and handed to the owning shard via [`Cmd::Adopt`].
+/// What a shard owns of one graph: its handle in the engine and the WAL
+/// every logged write is appended to first. The quotient is deliberately
+/// *not* WAL-logged: compression is derived serving state, rebuildable on
+/// demand — a restart comes back uncompressed.
 pub(crate) struct GraphActor {
-    pub name: String,
-    /// Catalog directory holding `<name>.efg` / `<name>.wal`.
-    pub dir: PathBuf,
-    /// Graph, registered queries and the maintained quotient. The
-    /// quotient is deliberately *not* WAL-logged: compression is derived
-    /// serving state, rebuildable on demand — a restart comes back
-    /// uncompressed.
-    pub core: MaintainedGraph,
+    pub handle: GraphHandle,
     pub wal: Wal,
-    pub published: Arc<PublishedGraph>,
-    /// The runtime's fault-injection gate; every snapshot write, fsync
-    /// and rename routes through it (the WAL carries its own clone).
-    faults: Arc<FaultInjector>,
 }
 
 /// The DSL text a `register` record carries for `pattern`: its `Display`
@@ -148,84 +144,43 @@ fn dsl_source(pattern: &Pattern) -> Result<String, ExpFinderError> {
     Ok(source)
 }
 
+/// Replay one recovered WAL record onto a graph nobody reads yet: the
+/// same [`MaintainedGraph`] calls as the live path, with no WAL append
+/// and no publish (recovery publishes once at the end). Records replay
+/// in sequence order, so a registration's maintainer is seeded from the
+/// graph exactly as it stood when the query was registered, then
+/// maintained by the update frames that follow it.
+pub(crate) fn replay_op(core: &mut MaintainedGraph, op: &WalOp) -> Result<(), ExpFinderError> {
+    match op {
+        WalOp::Updates(ups) => core.apply(ups, false).map(|_| ()),
+        WalOp::Register { query, pattern } => {
+            let parsed = parser::parse(pattern).map_err(|e| {
+                ExpFinderError::Storage(format!(
+                    "wal register record for {query:?} has an unparseable pattern: {e}"
+                ))
+            })?;
+            core.register(query, parsed, |_| Ok(()))
+        }
+        // the log's own history vouches for the name; a record for a
+        // query that is not there has nothing to undo
+        WalOp::Unregister { query } => core.unregister(query, || Ok(())).or(Ok(())),
+    }
+}
+
 impl GraphActor {
-    pub fn new(
-        name: String,
-        dir: PathBuf,
-        graph: DiGraph,
-        wal: Wal,
-        published: Arc<PublishedGraph>,
-        faults: Arc<FaultInjector>,
-    ) -> GraphActor {
-        GraphActor {
-            name,
-            dir,
-            core: MaintainedGraph::new(graph),
-            wal,
-            published,
-            faults,
-        }
-    }
-
-    fn efg_path(&self) -> PathBuf {
-        self.dir.join(format!("{}.efg", self.name))
-    }
-
-    /// Replay one recovered WAL record onto the actor's in-memory state:
-    /// the same [`MaintainedGraph`] calls as the live path, with no WAL
-    /// append and no publish (recovery publishes once at the end).
-    /// Records replay in sequence order, so a registration's maintainer
-    /// is seeded from the graph exactly as it stood when the query was
-    /// registered, then maintained by the update frames that follow it.
-    pub(crate) fn replay_op(&mut self, op: &WalOp) -> Result<(), ExpFinderError> {
-        match op {
-            WalOp::Updates(ups) => self.core.apply(ups, false).map(|_| ()),
-            WalOp::Register { query, pattern } => {
-                let parsed = parser::parse(pattern).map_err(|e| {
-                    ExpFinderError::Storage(format!(
-                        "wal register record for {query:?} has an unparseable pattern: {e}"
-                    ))
-                })?;
-                self.core.register(query, parsed, |_| Ok(()))
-            }
-            // the log's own history vouches for the name; a record for a
-            // query that is not there has nothing to undo
-            WalOp::Unregister { query } => self.core.unregister(query, || Ok(())).or(Ok(())),
-        }
-    }
-
-    /// Publish what changed since the last publish, if anything did (see
-    /// [`MaintainedGraph::publish`]); the worker calls this after every
-    /// command. The slot's write lock covers one `Arc` store, so a racing
-    /// reader is delayed by a pointer swap, never by evaluation or IO.
-    pub(crate) fn publish(&mut self) {
-        self.core.publish(&self.published);
-    }
-
     /// The write path: append the batch to the WAL (fsync per policy)
-    /// *before* touching the graph, then the shared steps — apply and
-    /// maintain, publish — and the update hook. The hook runs on the
-    /// actor thread after the snapshot swap, so subscribers observe
-    /// frames in commit order and a frame's `graph_version` is already
-    /// readable when it arrives.
+    /// *before* touching the graph, then the engine's traced apply —
+    /// maintain, publish and the update hook, under the graph's write
+    /// mutex exactly as in memory — so subscribers observe frames in
+    /// commit order and a frame's `graph_version` is already readable
+    /// when it arrives.
     fn apply(
         &mut self,
+        store: &Store,
         updates: &[EdgeUpdate],
-        trace: bool,
-        wal_counters: &WalCounters,
-        hook: &RwLock<Option<UpdateHook>>,
     ) -> Result<UpdateReport, ExpFinderError> {
-        // an installed hook forces tracing so its frames always carry ΔM
-        let hook = hook.read().clone();
-        let trace = trace || hook.is_some();
-        let batch = WalOp::Updates(updates.to_vec());
-        log(&mut self.wal, &batch, wal_counters)?;
-        let report = self.core.apply(updates, trace)?;
-        self.publish();
-        if let Some(hook) = &hook {
-            hook(&self.name, &report);
-        }
-        Ok(report)
+        store.log(&mut self.wal, &WalOp::Updates(updates.to_vec()))?;
+        store.engine.apply_updates_traced(&self.handle, updates)
     }
 
     /// Register a query: the registration record (carrying the pattern's
@@ -234,46 +189,49 @@ impl GraphActor {
     /// effect, so a crash right after the ack still replays it.
     fn register(
         &mut self,
+        store: &Store,
         query_name: &str,
         pattern: Pattern,
-        wal_counters: &WalCounters,
     ) -> Result<(), ExpFinderError> {
-        let (core, wal) = (&mut self.core, &mut self.wal);
-        core.register(query_name, pattern, |pattern| {
-            let op = WalOp::Register {
-                query: query_name.to_owned(),
-                pattern: dsl_source(pattern)?,
-            };
-            log(wal, &op, wal_counters)
+        let wal = &mut self.wal;
+        store.engine.write(&self.handle, |core| {
+            core.register(query_name, pattern, |pattern| {
+                let op = WalOp::Register {
+                    query: query_name.to_owned(),
+                    pattern: dsl_source(pattern)?,
+                };
+                store.log(wal, &op)
+            })
         })
     }
 
-    fn unregister(
-        &mut self,
-        query_name: &str,
-        wal_counters: &WalCounters,
-    ) -> Result<(), ExpFinderError> {
-        let (core, wal) = (&mut self.core, &mut self.wal);
-        core.unregister(query_name, || {
-            let op = WalOp::Unregister {
-                query: query_name.to_owned(),
-            };
-            log(wal, &op, wal_counters)
+    fn unregister(&mut self, store: &Store, query_name: &str) -> Result<(), ExpFinderError> {
+        let wal = &mut self.wal;
+        store.engine.write(&self.handle, |core| {
+            core.unregister(query_name, || {
+                let op = WalOp::Unregister {
+                    query: query_name.to_owned(),
+                };
+                store.log(wal, &op)
+            })
         })
     }
 
-    /// Write `<name>.efg` atomically (tmp + fsync + rename + dir fsync),
-    /// so a crash mid-write — or right after the rename — leaves either
-    /// the previous snapshot or the complete new one, never a torn or
-    /// empty file, and the WAL stays replayable onto whichever survives.
-    fn save_snapshot(&self) -> Result<PathBuf, ExpFinderError> {
-        let path = self.efg_path();
-        write_efg_atomic(self.core.graph(), &path, &self.faults)?;
+    /// Write `<name>.efg` atomically (tmp + fsync + rename + dir fsync)
+    /// from the published graph — this shard is the graph's only writer,
+    /// so that is its current state — so a crash mid-write, or right
+    /// after the rename, leaves either the previous snapshot or the
+    /// complete new one, never a torn or empty file, and the WAL stays
+    /// replayable onto whichever survives.
+    fn save_snapshot(&self, store: &Store) -> Result<PathBuf, ExpFinderError> {
+        let path = store.efg_path(self.handle.name());
+        let latest = store.engine.latest(&self.handle)?;
+        write_efg_atomic(latest.graph(), &path, &store.faults)?;
         Ok(path)
     }
 
-    fn compact(&mut self, wal_counters: &WalCounters) -> Result<CompactReport, ExpFinderError> {
-        let snapshot = self.save_snapshot()?;
+    fn compact(&mut self, store: &Store) -> Result<CompactReport, ExpFinderError> {
+        let snapshot = self.save_snapshot(store)?;
         // snapshot is durable; now the log frames are redundant. Crash
         // between the snapshot rename and the log swap replays the full
         // WAL onto the new snapshot, which converges to the same graph.
@@ -285,21 +243,20 @@ impl GraphActor {
         // fresh log seeded with one register record per live query. The
         // swap is atomic (tmp + rename), so no crash point between the
         // old log and the new one can lose a live registration.
-        let seeds: Vec<WalOp> = self
-            .core
-            .registered_patterns()
-            .map(|(name, pattern)| WalOp::Register {
+        let seeds: Vec<WalOp> = store.engine.write(&self.handle, |core| {
+            let seed = |(name, pattern): (&str, &Pattern)| WalOp::Register {
                 query: name.to_owned(),
                 pattern: pattern.to_string(),
-            })
-            .collect();
+            };
+            Ok(core.registered_patterns().map(seed).collect())
+        })?;
         let sizes = self
             .wal
             .reset_seeded(&seeds)
             .map_err(|e| ExpFinderError::Storage(format!("wal swap: {e}")))?;
         for frame_bytes in sizes {
             // the swap fsyncs once for the whole batch, not per frame
-            wal_counters.on_append(frame_bytes as u64, 0);
+            store.wal_counters.on_append(frame_bytes as u64, 0);
         }
         Ok(CompactReport {
             snapshot,
@@ -308,23 +265,14 @@ impl GraphActor {
     }
 }
 
-/// Append one record to `wal` (fsync per policy) and count it.
-fn log(wal: &mut Wal, op: &WalOp, wal_counters: &WalCounters) -> Result<(), ExpFinderError> {
-    let (_, frame_bytes) = wal
-        .append_op(op)
-        .map_err(|e| ExpFinderError::Storage(format!("wal append: {e}")))?;
-    wal_counters.on_append(frame_bytes as u64, wal.fsyncs_per_append());
-    Ok(())
-}
-
 /// Save a graph to `path` via a sibling `.tmp` file and an atomic
 /// rename, fsyncing the tmp file *before* the rename and the parent
 /// directory *after* it — without the first, the rename can become
 /// durable ahead of the bytes it names (publishing an empty snapshot
 /// after a power cut); without the second, the rename itself may not
-/// survive one. Shared by the actor's snapshot/compact path and the
-/// facade's initial `add_graph` write.
-pub(crate) fn write_efg_atomic(
+/// survive one. Shared by the snapshot/compact path and the initial
+/// write of [`Cmd::Add`].
+fn write_efg_atomic(
     g: &DiGraph,
     path: &Path,
     faults: &FaultInjector,
@@ -344,6 +292,46 @@ pub(crate) fn write_efg_atomic(
     Ok(())
 }
 
+/// [`Cmd::Add`]: duplicate check → `.efg` (atomic) → WAL create → catalog
+/// insert, so a graph is listed only once it is durable. A failed step
+/// removes what the earlier ones left, unless it was a simulated crash —
+/// a real one would not clean up either, and `open` adopts an `.efg`
+/// whose log is missing or empty as a graph with no history.
+fn add(
+    store: &Store,
+    graphs: &mut HashMap<String, GraphActor>,
+    name: String,
+    graph: DiGraph,
+) -> Result<u64, ExpFinderError> {
+    if graphs.contains_key(&name) {
+        return Err(ExpFinderError::DuplicateGraph(name));
+    }
+    let version = graph.version();
+    let (efg, wal_path) = (store.efg_path(&name), store.wal_path(&name));
+    // a stale log from a removed former life must not replay onto the
+    // new graph
+    let _ = std::fs::remove_file(&wal_path);
+    let added = write_efg_atomic(&graph, &efg, &store.faults).and_then(|()| {
+        let wal = store.open_wal(&name, 0)?;
+        let handle = store.engine.add_graph(&name, graph)?;
+        Ok(GraphActor { handle, wal })
+    });
+    match added {
+        Ok(actor) => {
+            graphs.insert(name, actor);
+            Ok(version)
+        }
+        Err(e) => {
+            if !e.to_string().contains(CRASH_MARKER) {
+                for path in [efg.with_extension("efg.tmp"), efg, wal_path] {
+                    let _ = std::fs::remove_file(path);
+                }
+            }
+            Err(e)
+        }
+    }
+}
+
 /// Sender side of one shard: the bounded mailbox plus its gauges. The
 /// facade holds one per shard; dropping the last handle closes the
 /// mailbox and the worker thread exits after draining it.
@@ -355,21 +343,16 @@ pub(crate) struct ShardHandle {
 }
 
 impl ShardHandle {
-    /// Spawn shard worker `index` with a mailbox of `capacity` slots.
-    pub fn spawn(
-        index: usize,
-        capacity: usize,
-        wal_counters: Arc<WalCounters>,
-        hook: Arc<RwLock<Option<UpdateHook>>>,
-    ) -> ShardHandle {
-        let (tx, rx) = mpsc::sync_channel(capacity.max(1));
+    /// Spawn shard worker `index` over the runtime's shared [`Store`].
+    pub fn spawn(index: usize, store: Arc<Store>) -> ShardHandle {
+        let (tx, rx) = mpsc::sync_channel(MAILBOX_CAPACITY);
         let depth = Arc::new(AtomicUsize::new(0));
         let commands = Arc::new(AtomicU64::new(0));
         let worker_depth = Arc::clone(&depth);
         let worker_commands = Arc::clone(&commands);
         let join = std::thread::Builder::new()
             .name(format!("efshard-{index}"))
-            .spawn(move || run_worker(rx, worker_depth, worker_commands, wal_counters, hook))
+            .spawn(move || run_worker(rx, worker_depth, worker_commands, &store))
             .expect("spawn shard worker");
         ShardHandle {
             tx,
@@ -409,9 +392,10 @@ impl Drop for ShardHandle {
     }
 }
 
-/// Run `op` on the named graph's actor, publish whatever it changed and
-/// send its result back. Replies are best-effort: a caller that gave up
-/// (dropped its receiver) does not take the worker down with it.
+/// Run `op` on the named graph's actor and send its result back (the
+/// engine write inside `op` published whatever it changed). Replies are
+/// best-effort: a caller that gave up (dropped its receiver) does not
+/// take the worker down with it.
 fn on_actor<T>(
     graphs: &mut HashMap<String, GraphActor>,
     name: String,
@@ -419,87 +403,75 @@ fn on_actor<T>(
     op: impl FnOnce(&mut GraphActor) -> Result<T, ExpFinderError>,
 ) {
     let result = match graphs.get_mut(&name) {
-        Some(actor) => {
-            let result = op(actor);
-            actor.publish();
-            result
-        }
+        Some(actor) => op(actor),
         None => Err(ExpFinderError::UnknownGraph(name)),
     };
     let _ = reply.send(result);
 }
 
 /// The actor loop: pop one command, dispatch against owned state, reply.
-fn run_worker(
-    rx: Receiver<Cmd>,
-    depth: Arc<AtomicUsize>,
-    commands: Arc<AtomicU64>,
-    wal_counters: Arc<WalCounters>,
-    hook: Arc<RwLock<Option<UpdateHook>>>,
-) {
+fn run_worker(rx: Receiver<Cmd>, depth: Arc<AtomicUsize>, commands: Arc<AtomicU64>, store: &Store) {
     let mut graphs: HashMap<String, GraphActor> = HashMap::new();
     let graphs = &mut graphs;
     while let Ok(cmd) = rx.recv() {
         depth.fetch_sub(1, Ordering::Relaxed);
         commands.fetch_add(1, Ordering::Relaxed);
         match cmd {
+            Cmd::Add { name, graph, reply } => {
+                let _ = reply.send(add(store, graphs, name, graph));
+            }
             Cmd::Adopt { actor, reply } => {
-                // the facade published the initial snapshot when it
-                // built the PublishedGraph — nothing to publish here
-                let version = actor.core.graph().version();
-                graphs.insert(actor.name.clone(), *actor);
-                let _ = reply.send(Ok(version));
+                graphs.insert(actor.handle.name().to_owned(), actor);
+                let _ = reply.send(Ok(()));
             }
             Cmd::Apply {
                 name,
                 updates,
-                trace,
                 reply,
-            } => on_actor(graphs, name, reply, |actor| {
-                actor.apply(&updates, trace, &wal_counters, &hook)
-            }),
+            } => on_actor(graphs, name, reply, |actor| actor.apply(store, &updates)),
             Cmd::Register {
                 name,
                 query_name,
                 pattern,
                 reply,
             } => on_actor(graphs, name, reply, |actor| {
-                actor.register(&query_name, pattern, &wal_counters)
+                actor.register(store, &query_name, pattern)
             }),
             Cmd::Unregister {
                 name,
                 query_name,
                 reply,
             } => on_actor(graphs, name, reply, |actor| {
-                actor.unregister(&query_name, &wal_counters)
+                actor.unregister(store, &query_name)
             }),
             Cmd::Snapshot { name, reply } => {
-                on_actor(graphs, name, reply, |actor| actor.save_snapshot())
+                on_actor(graphs, name, reply, |actor| actor.save_snapshot(store))
             }
             Cmd::Compact { name, reply } => {
-                on_actor(graphs, name, reply, |actor| actor.compact(&wal_counters))
+                on_actor(graphs, name, reply, |actor| actor.compact(store))
             }
             Cmd::Compress {
                 name,
                 method,
                 reply,
-            } => on_actor(graphs, name, reply, |actor| actor.core.compress(method)),
+            } => on_actor(graphs, name, reply, |actor| {
+                store.engine.compress(&actor.handle, method)
+            }),
             Cmd::DropCompression { name, reply } => on_actor(graphs, name, reply, |actor| {
-                actor.core.drop_compression();
-                Ok(())
+                store.engine.drop_compression(&actor.handle)
             }),
             Cmd::Remove { name, reply } => {
                 let result = match graphs.remove(&name) {
-                    Some(actor) => {
-                        let wal_path = actor.wal.path().to_path_buf();
-                        let efg = actor.efg_path();
-                        drop(actor); // close the WAL file first
-                                     // snapshot before log: a crash in between
-                                     // leaves an orphan .wal, which open() ignores —
-                                     // the reverse order would resurrect the graph
-                        let _ = std::fs::remove_file(efg);
-                        let _ = std::fs::remove_file(wal_path);
-                        Ok(())
+                    Some(GraphActor { handle, wal }) => {
+                        let unlisted = store.engine.remove_graph(&handle);
+                        // close the log before deleting it; snapshot before
+                        // log: a crash in between leaves an orphan .wal, which
+                        // open() ignores — the reverse order would resurrect
+                        // the graph
+                        drop(wal);
+                        let _ = std::fs::remove_file(store.efg_path(&name));
+                        let _ = std::fs::remove_file(store.wal_path(&name));
+                        unlisted
                     }
                     None => Err(ExpFinderError::UnknownGraph(name)),
                 };

@@ -26,8 +26,8 @@
 //! registration records existed replay unchanged.
 //!
 //! **Durability contract.** A batch is appended (and, under
-//! [`FsyncPolicy::Always`], fsynced) *before* it is applied to the owning
-//! actor's graph — write-ahead in the literal sense. Replay therefore
+//! [`FsyncPolicy::Always`], fsynced) *before* the owning shard applies it
+//! to the graph — write-ahead in the literal sense. Replay therefore
 //! sees every acknowledged batch; an unacknowledged batch can at worst
 //! leave a *torn tail* (partial final frame from a crash mid-write),
 //! which [`Wal::replay`] detects via the length/checksum envelope and
@@ -483,7 +483,7 @@ impl Wal {
     /// tail in place (partial final frame, bad length, or checksum
     /// mismatch on the *last* frame). A checksum/decode failure on a
     /// non-final frame is mid-file corruption and errors instead. A
-    /// missing file replays as empty.
+    /// missing file, or one holding only a torn header, replays as empty.
     pub fn replay(path: impl AsRef<Path>) -> Result<(Vec<WalRecord>, ReplaySummary), WalError> {
         let path = path.as_ref();
         let mut summary = ReplaySummary::default();
@@ -495,7 +495,17 @@ impl Wal {
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
         drop(file);
-        if bytes.len() < WAL_MAGIC.len() || &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
+        if bytes.len() < WAL_MAGIC.len() && WAL_MAGIC.starts_with(&bytes) {
+            // a crash while the log was being created tore its header: no
+            // frame was ever acknowledged, and `open` rewrites the header
+            // of an empty file
+            if !bytes.is_empty() {
+                summary.truncated_tail = true;
+                OpenOptions::new().write(true).open(path)?.set_len(0)?;
+            }
+            return Ok((Vec::new(), summary));
+        }
+        if !bytes.starts_with(WAL_MAGIC) {
             return Err(WalError::BadHeader);
         }
 
@@ -737,6 +747,31 @@ mod tests {
     fn unknown_op_is_a_decode_error() {
         let bad = br#"{"op":"truncate","query":"x","seq":1}"#;
         assert!(WalRecord::from_payload(bad).is_err());
+    }
+
+    #[test]
+    fn torn_header_replays_empty_and_reopens() {
+        for torn in 0..WAL_MAGIC.len() {
+            let p = tmp("torn_header");
+            std::fs::write(&p, &WAL_MAGIC[..torn]).unwrap();
+            let (records, summary) = Wal::replay(&p).unwrap();
+            assert!(records.is_empty());
+            assert_eq!(summary.truncated_tail, torn > 0);
+            let mut wal = Wal::open(&p, FsyncPolicy::Never, 0).unwrap();
+            wal.append(&[ins(1, 2)]).unwrap();
+            drop(wal);
+            assert_eq!(Wal::replay(&p).unwrap().0.len(), 1);
+            let _ = std::fs::remove_file(&p);
+        }
+        let p = tmp("bad_header");
+        std::fs::write(&p, b"EFW").unwrap();
+        assert!(
+            Wal::replay(&p).is_ok(),
+            "a prefix of the magic is a torn header"
+        );
+        std::fs::write(&p, b"XYZ").unwrap();
+        assert!(matches!(Wal::replay(&p), Err(WalError::BadHeader)));
+        let _ = std::fs::remove_file(&p);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! reports.
 
 use expfinder_core::{bounded_simulation, top_k, MatchError, RankedMatch};
-use expfinder_engine::{ExecConfig, Route};
+use expfinder_engine::{EngineConfig, ExecConfig, Route};
 use expfinder_graph::generate::{collaboration, random_updates, CollabConfig};
 use expfinder_graph::{DiGraph, NodeId};
 use expfinder_pattern::fixtures::fig1_pattern;
@@ -80,8 +80,10 @@ fn readers_consistent_with_concurrent_writer() {
             RuntimeConfig {
                 shards: 2,
                 fsync: FsyncPolicy::Never,
-                exec: ExecConfig::sequential(),
-                ..RuntimeConfig::default()
+                engine: EngineConfig {
+                    exec: ExecConfig::sequential(),
+                    ..EngineConfig::default()
+                },
             },
         )
         .unwrap(),
@@ -105,7 +107,9 @@ fn readers_consistent_with_concurrent_writer() {
             let expected = &expected;
             s.spawn(move || {
                 for i in 0..READS_PER_READER {
-                    let out = rt.query("live", &q, Some(3), Route::Auto).unwrap();
+                    let out = rt
+                        .query_deadline(&rt.handle("live").unwrap(), &q, Some(3), Route::Auto, None)
+                        .unwrap();
                     let (truth, experts) = expected.get(&out.graph_version).unwrap_or_else(|| {
                         panic!(
                             "reader {r} iteration {i}: version {} was never a \
@@ -135,9 +139,11 @@ fn readers_consistent_with_concurrent_writer() {
     });
 
     // quiesced: the runtime agrees with the final truth
-    let final_out = rt.query("live", &q, None, Route::Auto).unwrap();
+    let final_out = rt
+        .query_deadline(&rt.handle("live").unwrap(), &q, None, Route::Auto, None)
+        .unwrap();
     let final_truth: Result<_, MatchError> = rt
-        .read_graph("live", |g| bounded_simulation(g, &q))
+        .read_graph(&rt.handle("live").unwrap(), |g| bounded_simulation(g, &q))
         .unwrap();
     assert_eq!(*final_out.matches, final_truth.unwrap());
     let _ = std::fs::remove_dir_all(&dir);
@@ -172,8 +178,10 @@ fn readers_of_one_graph_race_writers_of_another() {
             RuntimeConfig {
                 shards: 2,
                 fsync: FsyncPolicy::Never,
-                exec: ExecConfig::sequential(),
-                ..RuntimeConfig::default()
+                engine: EngineConfig {
+                    exec: ExecConfig::sequential(),
+                    ..EngineConfig::default()
+                },
             },
         )
         .unwrap(),
@@ -197,7 +205,9 @@ fn readers_of_one_graph_race_writers_of_another() {
             let cold_truth = &cold_truth;
             s.spawn(move || {
                 for _ in 0..50 {
-                    let out = rt.query("cold", &q, None, Route::Auto).unwrap();
+                    let out = rt
+                        .query_deadline(&rt.handle("cold").unwrap(), &q, None, Route::Auto, None)
+                        .unwrap();
                     assert_eq!(*out.matches, *cold_truth, "cold graph never changed");
                 }
             });

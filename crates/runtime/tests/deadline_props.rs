@@ -20,14 +20,15 @@
 
 use expfinder_core::{RankedMatch, Semantics};
 use expfinder_engine::{
-    EngineConfig, EvalRoute, ExecConfig, ExpFinder, ExpFinderError, QueryResponse, QuerySpec,
-    RankTotals, Route,
+    Catalog, EngineConfig, EvalRoute, ExecConfig, ExpFinder, ExpFinderError, GraphHandle,
+    QuerySpec, RankTotals,
 };
 use expfinder_graph::fixtures::collaboration_fig1;
 use expfinder_pattern::fixtures::fig1_pattern;
 use expfinder_runtime::wal::FsyncPolicy;
 use expfinder_runtime::{CancelToken, DurableExpFinder, RuntimeConfig};
 use proptest::prelude::*;
+use std::ops::Deref;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -50,19 +51,40 @@ fn tmpdir() -> PathBuf {
 mod common;
 use common::*;
 
+fn sequential() -> EngineConfig {
+    EngineConfig {
+        exec: ExecConfig::sequential(),
+        ..EngineConfig::default()
+    }
+}
+
+fn durable_config() -> RuntimeConfig {
+    RuntimeConfig {
+        shards: 1,
+        fsync: FsyncPolicy::Never,
+        engine: sequential(),
+    }
+}
+
 /// What a client can observe of a ranked answer: node order, rank bits.
 fn bits(list: &[RankedMatch]) -> Vec<(u32, u64)> {
     list.iter().map(|x| (x.node.0, x.rank.to_bits())).collect()
 }
 
-/// One ranked Fig. 1 query per call on a fresh backend, so every fuse
-/// value meets a cold cache. `run(token, top_k)` queries, `totals()`
-/// reads `engine.rank`.
-fn walk_the_fuse<R, T>(fresh: impl Fn() -> (R, T))
-where
-    R: Fn(Option<&Arc<CancelToken>>, Option<usize>) -> Result<QueryResponse, ExpFinderError>,
-    T: Fn() -> RankTotals,
-{
+/// One ranked Fig. 1 query per call on a fresh facade holding Fig. 1, so
+/// every fuse value meets a cold cache. Either facade is read through the
+/// same [`Catalog`].
+fn walk_the_fuse<F: Deref<Target = Catalog>>(fresh: impl Fn() -> (F, GraphHandle)) {
+    let run = |(c, h): &(F, GraphHandle), token: Option<&Arc<CancelToken>>, top_k| {
+        let mut query = c.query(h).pattern(fig1_pattern());
+        if let Some(k) = top_k {
+            query = query.top_k(k);
+        }
+        if let Some(t) = token {
+            query = query.cancel_token(Arc::clone(t));
+        }
+        query.run()
+    };
     let (g, q) = (collaboration_fig1().graph, fig1_pattern());
     let want = bits(&reference_rank(
         &g,
@@ -76,7 +98,7 @@ where
     // whole ranked read with fuses that never fire
     let polls = |top_k| {
         let token = CancelToken::after_checks(u64::MAX);
-        fresh().0(Some(&token), top_k).unwrap();
+        run(&fresh(), Some(&token), top_k).unwrap();
         token.checks()
     };
     let (eval_polls, all_polls) = (polls(None), polls(Some(2)));
@@ -88,15 +110,17 @@ where
     );
 
     // the work of the finished evaluation, as the last possible 408 reports it
-    let finished = match fresh().0(Some(&CancelToken::after_checks(all_polls)), Some(2)) {
+    let last = CancelToken::after_checks(all_polls);
+    let finished = match run(&fresh(), Some(&last), Some(2)) {
         Err(ExpFinderError::DeadlineExceeded(stats)) => stats,
         other => panic!("the last poll must fire, got {other:?}"),
     };
     assert!(finished.refreshes >= q.edge_count());
 
     for fuse in 1..=all_polls + 1 {
-        let (run, totals) = fresh();
-        match run(Some(&CancelToken::after_checks(fuse)), Some(2)) {
+        let facade = fresh();
+        let totals = || facade.0.read_path().rank_totals();
+        match run(&facade, Some(&CancelToken::after_checks(fuse)), Some(2)) {
             Ok(resp) => {
                 assert_eq!(fuse, all_polls + 1, "a fuse inside the read must fire");
                 assert_eq!(bits(&resp.experts), want);
@@ -107,7 +131,7 @@ where
                 // abandoned while ranking: the 408 carries the finished
                 // evaluation's work, and the finished relation is cached
                 assert_eq!(stats == finished, ranking, "fuse {fuse}: {stats:?}");
-                let again = run(None, Some(2)).unwrap();
+                let again = run(&facade, None, Some(2)).unwrap();
                 assert_eq!(
                     bits(&again.experts),
                     want,
@@ -130,23 +154,9 @@ where
 fn every_fuse_value_yields_the_exact_experts_or_408() {
     // the in-memory engine
     walk_the_fuse(|| {
-        let engine = Arc::new(ExpFinder::new(EngineConfig {
-            exec: ExecConfig::sequential(),
-            ..EngineConfig::default()
-        }));
+        let engine = ExpFinder::new(sequential());
         let h = engine.add_graph("g", collaboration_fig1().graph).unwrap();
-        let e = Arc::clone(&engine);
-        let run = move |token: Option<&Arc<CancelToken>>, top_k: Option<usize>| {
-            let mut query = e.query(&h).pattern(fig1_pattern());
-            if let Some(k) = top_k {
-                query = query.top_k(k);
-            }
-            if let Some(t) = token {
-                query = query.cancel_token(Arc::clone(t));
-            }
-            query.run()
-        };
-        (run, move || engine.read_path().rank_totals())
+        (engine, h)
     });
 
     // the durable runtime
@@ -154,23 +164,10 @@ fn every_fuse_value_yields_the_exact_experts_or_408() {
     walk_the_fuse(|| {
         let dir = tmpdir();
         dirs.borrow_mut().push(dir.clone());
-        let config = RuntimeConfig {
-            shards: 1,
-            fsync: FsyncPolicy::Never,
-            exec: ExecConfig::sequential(),
-            ..RuntimeConfig::default()
-        };
-        let rt = Arc::new(DurableExpFinder::open(&dir, config).unwrap());
+        let rt = DurableExpFinder::open(&dir, durable_config()).unwrap();
         rt.add_graph("g", collaboration_fig1().graph).unwrap();
-        let r = Arc::clone(&rt);
-        let run = move |token: Option<&Arc<CancelToken>>, top_k: Option<usize>| {
-            let q = fig1_pattern();
-            match token {
-                Some(t) => r.query_cancellable("g", &q, top_k, Route::Auto, t),
-                None => r.query("g", &q, top_k, Route::Auto),
-            }
-        };
-        (run, move || rt.read_path().rank_totals())
+        let h = rt.handle("g").unwrap();
+        (rt, h)
     });
     for dir in dirs.into_inner() {
         let _ = std::fs::remove_dir_all(dir);
@@ -259,21 +256,13 @@ proptest! {
         let oracle = oracle(&g, &q, Semantics::Bounded);
 
         let dir = tmpdir();
-        let rt = DurableExpFinder::open(
-            &dir,
-            RuntimeConfig {
-                shards: 1,
-                fsync: FsyncPolicy::Never,
-                exec: ExecConfig::sequential(),
-                ..RuntimeConfig::default()
-            },
-        )
-        .unwrap();
+        let rt = DurableExpFinder::open(&dir, durable_config()).unwrap();
         let experts = bits(&reference_rank(&g, &q, &oracle, 3));
         rt.add_graph("g", g).unwrap();
+        let h = rt.handle("g").unwrap();
 
         let token = CancelToken::after_checks(fuse);
-        match rt.query_cancellable("g", &q, Some(3), Route::Auto, &token) {
+        match rt.query(&h).pattern(q.clone()).top_k(3).cancel_token(token).run() {
             Err(ExpFinderError::DeadlineExceeded(_)) => {}
             Ok(resp) => {
                 prop_assert_eq!(&*resp.matches, &oracle);
@@ -282,7 +271,7 @@ proptest! {
             Err(other) => prop_assert!(false, "unexpected error: {other}"),
         }
 
-        let after = rt.query("g", &q, Some(3), Route::Auto).unwrap();
+        let after = rt.find_experts(&h, &q, 3).unwrap();
         prop_assert_eq!(&*after.matches, &oracle);
         prop_assert_eq!(bits(&after.experts), experts);
 

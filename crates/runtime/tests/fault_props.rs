@@ -2,13 +2,22 @@
 //! single write fault (full, partial, ENOSPC, EIO, or simulated crash)
 //! lands on whatever append, the log on disk must remain replayable and
 //! must decode to exactly the appends that were acknowledged.
+//!
+//! The same loop covers `add_graph`, whose `.efg` write, WAL create and
+//! catalog insert are one shard command: a fault at any I/O boundary it
+//! crosses leaves no catalog entry and no file a restart would adopt,
+//! and two racing adds of one name have exactly one winner.
 
-use expfinder_graph::{EdgeUpdate, NodeId};
+use expfinder_engine::ExpFinderError;
+use expfinder_graph::{DiGraph, EdgeUpdate, GraphView, NodeId};
 use expfinder_runtime::wal::{FsyncPolicy, Wal, WalError};
-use expfinder_runtime::{FaultInjector, FaultKind, FaultPlan, IoOp};
+use expfinder_runtime::{
+    DurableExpFinder, FaultInjector, FaultKind, FaultPlan, IoOp, RuntimeConfig,
+};
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Barrier;
 
 /// Unique temp path per proptest case (cases run concurrently).
 fn tmp_wal(tag: &str) -> PathBuf {
@@ -138,4 +147,163 @@ proptest! {
         prop_assert_eq!(again.len(), records.len());
         let _ = std::fs::remove_file(&path);
     }
+}
+
+/// A labelled path of `n` nodes — `n` tells two candidate graphs apart.
+fn path_graph(n: u32) -> DiGraph {
+    let mut g = DiGraph::new();
+    for _ in 0..n {
+        g.add_node("N", []);
+    }
+    for i in 1..n {
+        g.add_edge(NodeId(i - 1), NodeId(i));
+    }
+    g
+}
+
+fn runtime(dir: &Path) -> DurableExpFinder {
+    let config = RuntimeConfig {
+        shards: 2,
+        ..RuntimeConfig::default()
+    };
+    DurableExpFinder::open(dir, config).unwrap()
+}
+
+fn files_in(dir: &Path) -> Vec<String> {
+    let names = dir.read_dir().unwrap();
+    let mut names: Vec<String> = names
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}
+
+/// An `Eio` / `Enospc` at every I/O boundary `add_graph` crosses: the add
+/// fails, the graph is neither listed nor resolvable, nothing on disk
+/// would be adopted by `open`, and a disarmed retry succeeds and survives
+/// a reopen. A simulated crash at the same boundaries runs no cleanup, so
+/// a restart sees nothing or the complete graph — never a torn one.
+#[test]
+fn a_faulted_add_graph_leaves_no_trace() {
+    let dir = tmp_wal("add_fault").with_extension("d");
+    let g = path_graph(5);
+
+    // count the boundaries of one clean add (fsync: Always)
+    let boundaries = {
+        let rt = runtime(&dir);
+        rt.fault_injector().arm(FaultPlan::new());
+        rt.add_graph("g", g.clone()).unwrap();
+        let n = rt.fault_injector().boundaries();
+        rt.fault_injector().disarm();
+        rt.remove_graph("g").unwrap();
+        n
+    };
+    assert!(files_in(&dir).is_empty(), "remove deletes both files");
+    // .efg: write, fsync, rename, dir fsync; .wal: header write, fsync
+    assert_eq!(boundaries, 6);
+
+    for nth in 0..boundaries {
+        for kind in [FaultKind::Eio, FaultKind::Enospc] {
+            let rt = runtime(&dir);
+            let inj = rt.fault_injector();
+            inj.arm(FaultPlan {
+                faults: vec![expfinder_runtime::faults::Fault {
+                    op: None,
+                    nth,
+                    partial: None,
+                    kind,
+                }],
+            });
+            let err = rt.add_graph("g", g.clone()).unwrap_err();
+            assert_eq!(inj.totals().injected, 1, "boundary {nth}: {err}");
+            inj.disarm();
+            assert!(rt.graph_names().is_empty(), "boundary {nth}");
+            assert!(matches!(
+                rt.handle("g"),
+                Err(ExpFinderError::UnknownGraph(_))
+            ));
+            assert!(matches!(
+                rt.apply_updates("g", &[]),
+                Err(ExpFinderError::UnknownGraph(_))
+            ));
+            assert!(
+                files_in(&dir).is_empty(),
+                "boundary {nth}: {:?}",
+                files_in(&dir)
+            );
+            drop(rt);
+            assert!(runtime(&dir).graph_names().is_empty(), "nothing to adopt");
+
+            // the failure was transient: the same add now succeeds
+            let rt = runtime(&dir);
+            rt.add_graph("g", g.clone()).unwrap();
+            drop(rt);
+            let rt = runtime(&dir);
+            let h = rt.handle("g").unwrap();
+            assert!(rt.read_graph(&h, |r| r.edges().eq(g.edges())).unwrap());
+            rt.remove_graph("g").unwrap();
+        }
+
+        // a crash is not cleaned up after; recovery copes with what is left
+        let rt = runtime(&dir);
+        rt.fault_injector().arm(FaultPlan::new().crash_at(nth));
+        rt.add_graph("g", g.clone()).unwrap_err();
+        assert!(rt.graph_names().is_empty(), "an unacked add is not listed");
+        drop(rt);
+        let rt = runtime(&dir);
+        if let Ok(h) = rt.handle("g") {
+            assert!(nth >= 2, "adopted before the rename at boundary {nth}");
+            assert!(rt.read_graph(&h, |r| r.edges().eq(g.edges())).unwrap());
+            assert_eq!(rt.apply_updates("g", &[]).unwrap(), 0, "and is writable");
+            rt.remove_graph("g").unwrap();
+        }
+        drop(rt);
+        for stray in files_in(&dir) {
+            std::fs::remove_file(dir.join(stray)).unwrap();
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two threads add the same name at once: under every interleaving
+/// exactly one wins, the other sees `DuplicateGraph`, and what is on disk
+/// — and listed — is the winner's graph, whole.
+#[test]
+fn racing_adds_of_one_name_have_exactly_one_winner() {
+    let dir = tmp_wal("add_race").with_extension("d");
+    let config = RuntimeConfig {
+        shards: 2,
+        fsync: FsyncPolicy::Never,
+        ..RuntimeConfig::default()
+    };
+    for round in 0..24u32 {
+        let rt = DurableExpFinder::open(&dir, config.clone()).unwrap();
+        let candidates = [path_graph(3 + round), path_graph(40 + round)];
+        let start = Barrier::new(2);
+        let results: Vec<_> = std::thread::scope(|s| {
+            let racers = candidates.each_ref().map(|g| {
+                let (rt, start) = (&rt, &start);
+                s.spawn(move || {
+                    start.wait();
+                    rt.add_graph("g", g.clone())
+                })
+            });
+            racers.map(|r| r.join().unwrap()).into_iter().collect()
+        });
+        let winner = match (&results[0], &results[1]) {
+            (Ok(_), Err(ExpFinderError::DuplicateGraph(_))) => &candidates[0],
+            (Err(ExpFinderError::DuplicateGraph(_)), Ok(_)) => &candidates[1],
+            other => panic!("round {round}: {other:?}"),
+        };
+        assert_eq!(rt.graph_names(), ["g"]);
+        drop(rt);
+
+        let rt = DurableExpFinder::open(&dir, config.clone()).unwrap();
+        let h = rt.handle("g").unwrap();
+        let same =
+            |r: &DiGraph| r.node_count() == winner.node_count() && r.edges().eq(winner.edges());
+        assert!(rt.read_graph(&h, same).unwrap(), "round {round}");
+        rt.remove_graph("g").unwrap();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -27,6 +27,15 @@
 //! planner leans live) and warm (profile amortized, planner leans
 //! snapshot; the graph is padded so the snapshot routes can win).
 //!
+//! Both facades are read through the same `&Catalog` — there is no
+//! durable read method to call instead — so what this suite pins is that
+//! the durable *writes* leave the one catalog in the state the in-memory
+//! ones do. Handles are part of that state: a graph's id is stable across
+//! updates, a handle from the other facade is `ForeignHandle`, and after a
+//! remove → re-add the old handle is `StaleHandle` on every read while the
+//! name is reusable under a fresh id (on the durable side also across a
+//! reopen, with nothing of the former life replayed).
+//!
 //! The ranked-answer slot of the query cache rides the same script
 //! (`ranked_answers_are_cached_per_version_and_never_across`): what it
 //! serves equals a fresh `core::top_k`, single reads compute it as rarely
@@ -37,10 +46,10 @@
 use expfinder_compress::CompressionMethod;
 use expfinder_core::{evaluate, top_k, EvalOptions, EvalRequest, MatchRelation, Semantics};
 use expfinder_engine::{
-    EngineConfig, EvalRoute, ExecConfig, ExpFinder, ExpFinderError, GraphHandle, QueryResponse,
-    QuerySpec, RankTotals, Route, UpdateHook, UpdateReport,
+    Catalog, EngineConfig, EvalRoute, ExecConfig, ExpFinder, ExpFinderError, GraphHandle,
+    QueryResponse, QuerySpec, RankTotals, Route, UpdateHook, UpdateReport,
 };
-use expfinder_graph::{DiGraph, EdgeUpdate, NodeId};
+use expfinder_graph::{DiGraph, EdgeUpdate, GraphView, NodeId};
 use expfinder_pattern::{Bound, Pattern, PatternBuilder, Predicate};
 use expfinder_runtime::{DurableExpFinder, FsyncPolicy, RuntimeConfig};
 use proptest::prelude::*;
@@ -66,12 +75,18 @@ fn tmpdir(tag: &str) -> PathBuf {
     ))
 }
 
+fn engine_config(exec: ExecConfig) -> EngineConfig {
+    EngineConfig {
+        exec,
+        ..EngineConfig::default()
+    }
+}
+
 fn runtime_config(exec: ExecConfig) -> RuntimeConfig {
     RuntimeConfig {
         shards: 2,
         fsync: FsyncPolicy::Never,
-        exec,
-        ..RuntimeConfig::default()
+        engine: engine_config(exec),
     }
 }
 
@@ -150,40 +165,78 @@ fn recording_hook() -> (Frames, UpdateHook) {
     (frames, hook)
 }
 
+/// Every read there is, through a handle whose graph was removed.
+fn assert_stale(c: &Catalog, h: &GraphHandle, q: &Pattern) {
+    fn stale<T>(what: &str, r: Result<T, ExpFinderError>) {
+        match r {
+            Err(ExpFinderError::StaleHandle(name)) => assert_eq!(name, "g"),
+            Err(e) => panic!("{what}: expected StaleHandle, got {e}"),
+            Ok(_) => panic!("{what}: a removed graph answered"),
+        }
+    }
+    assert!(!h.is_live());
+    stale("latest", c.latest(h));
+    stale("read_graph", c.read_graph(h, |g| g.version()));
+    stale("snapshot", c.snapshot(h));
+    stale("compression_stats", c.compression_stats(h));
+    stale("registered_queries", c.registered_queries(h));
+    stale("registered_result", c.registered_result(h, "standing"));
+    stale("query", c.query(h).pattern(q.clone()).top_k(3).run());
+    stale("evaluate", c.evaluate(h, q));
+    stale("find_experts", c.find_experts(h, q, 3));
+    stale(
+        "query_deadline",
+        c.query_deadline(h, q, None, Route::Auto, None),
+    );
+    stale("estimate_cost", c.estimate_cost(h, q));
+    for slot in c.query_batch(h, vec![QuerySpec::pattern(q.clone()); 2]) {
+        stale("query_batch", slot);
+    }
+}
+
 /// Both backends, built from one graph with one exec config, plus the
-/// model graph the oracle runs on.
+/// model graph the oracle runs on. Index 0 is the engine, 1 the runtime.
 struct Pair {
     engine: ExpFinder,
-    handle: GraphHandle,
     rt: DurableExpFinder,
+    handles: [GraphHandle; 2],
     model: DiGraph,
     /// What the engine's and the runtime's update hook saw.
     frames: [Frames; 2],
+    exec: ExecConfig,
     dir: PathBuf,
 }
 
 impl Pair {
     fn new(g: DiGraph, exec: ExecConfig, tag: &str) -> Pair {
-        let engine = ExpFinder::new(EngineConfig {
-            exec,
-            ..EngineConfig::default()
-        });
-        let handle = engine.add_graph("g", g.clone()).unwrap();
+        let engine = ExpFinder::new(engine_config(exec));
         let dir = tmpdir(tag);
         let rt = DurableExpFinder::open(&dir, runtime_config(exec)).unwrap();
-        rt.add_graph("g", g.clone()).unwrap();
         let (engine_frames, hook) = recording_hook();
         engine.set_update_hook(Some(hook));
         let (rt_frames, hook) = recording_hook();
         rt.set_update_hook(Some(hook));
+        let handles = [
+            engine.add_graph("g", g.clone()).unwrap(),
+            rt.add_graph("g", g.clone())
+                .and_then(|_| rt.handle("g"))
+                .unwrap(),
+        ];
         Pair {
             engine,
-            handle,
             rt,
+            handles,
             model: g,
             frames: [engine_frames, rt_frames],
+            exec,
             dir,
         }
+    }
+
+    /// The one read surface of each facade with its handle of `g`.
+    fn reads(&self) -> [(&Catalog, &GraphHandle); 2] {
+        let [a, b] = &self.handles;
+        [(&self.engine, a), (&self.rt, b)]
     }
 
     /// One query on both backends; they must agree on everything a
@@ -196,10 +249,9 @@ impl Pair {
         top_k: Option<usize>,
         deadline: Option<Duration>,
     ) -> Option<QueryResponse> {
-        let a = self
-            .engine
-            .query_deadline(&self.handle, q, top_k, prefer, deadline);
-        let b = self.rt.query_deadline("g", q, top_k, prefer, deadline);
+        let [a, b] = self
+            .reads()
+            .map(|(c, h)| c.query_deadline(h, q, top_k, prefer, deadline));
         match (a, b) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(*a.matches, *b.matches);
@@ -249,7 +301,7 @@ impl Pair {
         let applied = batch.iter().filter(|&&up| self.model.apply(up)).count();
         let a = self
             .engine
-            .apply_updates_traced(&self.handle, batch)
+            .apply_updates_traced(&self.handles[0], batch)
             .unwrap();
         let b = self.rt.apply_updates_traced("g", batch).unwrap();
         assert_eq!(a, b);
@@ -265,29 +317,109 @@ impl Pair {
         self.state_agrees();
     }
 
-    /// Everything the facades report about the graph besides answers.
+    /// Everything the facades report about the graph besides answers,
+    /// handle semantics included.
     fn state_agrees(&self) {
-        assert_eq!(self.engine.graph_infos(), self.rt.graph_infos());
-        let names = self.engine.registered_queries(&self.handle).unwrap();
-        assert_eq!(names, self.rt.registered_queries("g").unwrap());
+        let [(a, ha), (b, hb)] = self.reads();
+        assert_eq!(a.graph_names(), ["g"]);
+        assert_eq!(b.graph_names(), ["g"]);
+        assert_eq!(a.graph_infos(), b.graph_infos());
+        let names = a.registered_queries(ha).unwrap();
+        assert_eq!(names, b.registered_queries(hb).unwrap());
         for name in &names {
             assert_eq!(
-                self.engine.registered_result(&self.handle, name).unwrap(),
-                self.rt.registered_result("g", name).unwrap()
+                a.registered_result(ha, name).unwrap(),
+                b.registered_result(hb, name).unwrap()
             );
         }
         assert_eq!(
-            self.engine.compression_stats(&self.handle).unwrap(),
-            self.rt.compression_stats("g").unwrap()
+            a.compression_stats(ha).unwrap(),
+            b.compression_stats(hb).unwrap()
         );
+        for ((c, h), (_, theirs)) in [((a, ha), (b, hb)), ((b, hb), (a, ha))] {
+            // no write moves a graph to another id: the handle resolved
+            // when the graph was added is the one its name resolves to
+            assert!(h.is_live());
+            let now = c.handle("g").unwrap();
+            assert_eq!((now.id(), now.name()), (h.id(), "g"));
+            assert_eq!(c.latest(h).unwrap().version(), self.model.version());
+            assert!(matches!(
+                c.latest(theirs),
+                Err(ExpFinderError::ForeignHandle(_))
+            ));
+        }
     }
 
     fn register(&self, name: &str, q: &Pattern) {
         self.engine
-            .register_query(&self.handle, name, q.clone())
+            .register_query(&self.handles[0], name, q.clone())
             .unwrap();
         self.rt.register_query("g", name, q.clone()).unwrap();
         self.state_agrees();
+    }
+
+    /// Remove `g` on both sides and add `reborn` under the same name: the
+    /// old handles are stale on every read, the name lists nothing in
+    /// between, and the new graph has a fresh id.
+    fn remove_and_readd(&mut self, reborn: DiGraph, q: &Pattern) {
+        let old = self.handles.clone();
+        self.engine.remove_graph(&old[0]).unwrap();
+        self.rt.remove_graph("g").unwrap();
+        for (c, h) in self.reads() {
+            assert!(c.graph_names().is_empty() && c.graph_infos().is_empty());
+            assert!(matches!(
+                c.handle("g"),
+                Err(ExpFinderError::UnknownGraph(_))
+            ));
+            assert_stale(c, h, q);
+        }
+        assert!(matches!(
+            self.engine.remove_graph(&old[0]),
+            Err(ExpFinderError::StaleHandle(_))
+        ));
+        assert!(matches!(
+            self.rt.remove_graph("g"),
+            Err(ExpFinderError::UnknownGraph(_))
+        ));
+
+        self.handles[0] = self.engine.add_graph("g", reborn.clone()).unwrap();
+        self.rt.add_graph("g", reborn.clone()).unwrap();
+        self.handles[1] = self.rt.handle("g").unwrap();
+        self.model = reborn;
+        for ((c, new), old) in self.reads().into_iter().zip(&old) {
+            assert_ne!(new.id(), old.id(), "a fresh id");
+            assert_ne!(new, old);
+            // the old handle stays dead though its name is live again
+            assert_stale(c, old, q);
+        }
+        self.state_agrees();
+    }
+
+    /// Shut the runtime down and open its directory again: the re-added
+    /// graph comes back under its name — the graph, not its former life's
+    /// log — and a handle from before the restart does not address it.
+    fn reopen_runtime(self) -> Pair {
+        let Pair { rt, exec, dir, .. } = self;
+        drop(rt);
+        let rt = DurableExpFinder::open(&dir, runtime_config(exec)).unwrap();
+        assert_eq!(rt.graph_names(), ["g"]);
+        let h = rt.handle("g").unwrap();
+        assert!(h.is_live());
+        let before = &self.handles[1];
+        assert!(matches!(
+            rt.latest(before),
+            Err(ExpFinderError::ForeignHandle(_))
+        ));
+        let recovered = rt.read_graph(&h, DiGraph::clone).unwrap();
+        assert!(recovered.edges().eq(self.model.edges()));
+        assert_eq!(recovered.node_count(), self.model.node_count());
+        assert!(rt.registered_queries(&h).unwrap().is_empty());
+        Pair {
+            handles: [self.handles[0].clone(), h],
+            rt,
+            dir,
+            ..self
+        }
     }
 
     /// A ranked `Auto` query on both backends, checked against a fresh
@@ -317,8 +449,9 @@ impl Pair {
     /// `engine.rank` — the same on both backends, or the two read paths
     /// did different work for the same script.
     fn rank_totals(&self) -> RankTotals {
-        let totals = self.engine.read_path().rank_totals();
-        assert_eq!(totals, self.rt.read_path().rank_totals());
+        let [(a, _), (b, _)] = self.reads();
+        let totals = a.read_path().rank_totals();
+        assert_eq!(totals, b.read_path().rank_totals());
         totals
     }
 }
@@ -362,9 +495,9 @@ fn ranked_answers_are_cached_per_version_and_never_across() {
     // batch slots are not served from the list (they rank afresh, and
     // agree); a single read right after them still is
     let specs = || vec![QuerySpec::pattern(q.clone()).top_k(10); 2];
-    let slots = pair.engine.query_batch(&pair.handle, specs());
-    for (a, b) in slots.iter().zip(pair.rt.query_batch("g", specs())) {
-        let (a, b) = (a.as_ref().unwrap(), b.unwrap());
+    let [a, b] = pair.reads().map(|(c, h)| c.query_batch(h, specs()));
+    for (a, b) in a.into_iter().zip(b) {
+        let (a, b) = (a.unwrap(), b.unwrap());
         assert_eq!((a.route, b.route), (EvalRoute::Cache, EvalRoute::Cache));
         assert_eq!(a.experts, all.experts);
         assert_eq!(b.experts, all.experts);
@@ -401,8 +534,6 @@ fn ranked_answers_are_cached_per_version_and_never_across() {
 
     // a graph removed and re-added under its name — here even at a version
     // number the cache has a ranked list for — never serves the old list
-    pair.engine.remove_graph(&pair.handle).unwrap();
-    pair.rt.remove_graph("g").unwrap();
     let mut reborn_edges = edges[1..].to_vec();
     reborn_edges.push((15, 14));
     let reborn = graph_with_edges(&reborn_edges, 0);
@@ -411,11 +542,17 @@ fn ranked_answers_are_cached_per_version_and_never_across() {
         g.version(),
         "same version number, different graph"
     );
-    pair.handle = pair.engine.add_graph("g", reborn.clone()).unwrap();
-    pair.rt.add_graph("g", reborn.clone()).unwrap();
-    pair.model = reborn;
+    pair.remove_and_readd(reborn, &q);
     assert_eq!(pair.ranked(&q, Route::Auto, 10).experts.len(), 4);
     assert_eq!(pair.rank_totals(), totals(9, 4));
+
+    // nor does the former life — its log, its standing query — come back
+    // with a restart
+    let pair = pair.reopen_runtime();
+    let [a, b] = pair
+        .reads()
+        .map(|(c, h)| c.find_experts(h, &q, 10).unwrap());
+    assert_eq!((a.experts.len(), &a.experts), (4, &b.experts));
 
     pair.finish();
 }
@@ -443,8 +580,10 @@ proptest! {
         let mut pair = Pair::new(g, exec, "parity");
 
         pair.probe(&patterns, "fresh");
-        let cold = pair.engine.read_path().planner_totals();
-        prop_assert_eq!(cold, pair.rt.read_path().planner_totals());
+        prop_assert_eq!(
+            pair.engine.read_path().planner_totals(),
+            pair.rt.read_path().planner_totals()
+        );
 
         let (first, rest) = updates.split_at(updates.len() / 4);
         let (second, rest) = rest.split_at(rest.len() / 3);
@@ -457,18 +596,18 @@ proptest! {
         pair.probe(&patterns, "after register");
 
         pair.update(third);
-        pair.engine.compress(&pair.handle, CompressionMethod::Bisimulation).unwrap();
+        pair.engine.compress(&pair.handles[0], CompressionMethod::Bisimulation).unwrap();
         pair.rt.compress("g", CompressionMethod::Bisimulation).unwrap();
         pair.state_agrees();
         pair.probe(&patterns, "after compress");
 
-        pair.engine.unregister_query(&pair.handle, "standing").unwrap();
+        pair.engine.unregister_query(&pair.handles[0], "standing").unwrap();
         pair.rt.unregister_query("g", "standing").unwrap();
         pair.state_agrees();
         pair.probe(&patterns, "after unregister");
 
         pair.update(fourth);
-        pair.engine.drop_compression(&pair.handle).unwrap();
+        pair.engine.drop_compression(&pair.handles[0]).unwrap();
         pair.rt.drop_compression("g").unwrap();
         pair.state_agrees();
         pair.probe(&patterns, "after drop-compression");
@@ -483,6 +622,25 @@ proptest! {
         );
         prop_assert_eq!(pair.engine.index_totals(), pair.rt.index_totals());
 
+        // remove → re-add under the same name, with a standing query and a
+        // log of four batches behind the old graph
+        pair.register("standing", &p);
+        let reborn = graph_with_edges(&initial[..initial.len() / 2], PAD_SIZE);
+        pair.remove_and_readd(reborn, &p);
+        pair.probe(&patterns, "after re-add");
+        pair.update(first);
+        pair.probe(&patterns, "re-added, after updates");
+
+        // a restart recovers the new life only; plans may differ from here
+        // on (the runtime's cost profile restarts cold), answers may not
+        let pair = pair.reopen_runtime();
+        for q in patterns {
+            let want = oracle(&pair.model, q);
+            for (c, h) in pair.reads() {
+                prop_assert_eq!(&*c.evaluate(h, q).unwrap().matches, &want);
+            }
+        }
+
         pair.finish();
     }
 }
@@ -496,10 +654,7 @@ fn index_totals_count_the_quotient_index_on_both_backends() {
     let g = graph_with_edges(&[(0, 1), (0, 2), (3, 4), (3, 5), (6, 7), (1, 2)], 0);
     let q = pattern_for(1, 2, 2);
 
-    let engine = ExpFinder::new(EngineConfig {
-        exec,
-        ..EngineConfig::default()
-    });
+    let engine = ExpFinder::new(engine_config(exec));
     let h = engine.add_graph("g", g.clone()).unwrap();
     engine
         .compress(&h, CompressionMethod::Bisimulation)
@@ -512,7 +667,9 @@ fn index_totals_count_the_quotient_index_on_both_backends() {
     let rt = DurableExpFinder::open(&dir, runtime_config(exec)).unwrap();
     rt.add_graph("g", g).unwrap();
     rt.compress("g", CompressionMethod::Bisimulation).unwrap();
-    let b = rt.query("g", &q, None, Route::Compressed).unwrap();
+    let b = rt
+        .query_deadline(&rt.handle("g").unwrap(), &q, None, Route::Compressed, None)
+        .unwrap();
 
     assert_eq!(a.plan.chosen, expfinder_engine::PlanRoute::Compressed);
     assert_eq!(b.plan.chosen, expfinder_engine::PlanRoute::Compressed);

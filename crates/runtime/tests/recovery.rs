@@ -45,7 +45,7 @@ fn assert_queries_match_oracle(rt: &DurableExpFinder, name: &str, oracle: &DiGra
     let engine = expfinder_engine::ExpFinder::default();
     let h = engine.add_graph("oracle", oracle.clone()).unwrap();
     for (qname, q) in demo_queries() {
-        let got = rt.query(name, &q, None, Route::Auto).unwrap();
+        let got = rt.evaluate(&rt.handle(name).unwrap(), &q).unwrap();
         let want = engine
             .query(&h)
             .pattern(q)
@@ -152,7 +152,7 @@ fn snapshot_mid_stream_keeps_replay_convergent() {
         oracle.apply(up);
     }
     let edges = rt
-        .read_graph("c", |g| {
+        .read_graph(&rt.handle("c").unwrap(), |g| {
             let mut e: Vec<_> = g.edges().collect();
             e.sort_unstable();
             e

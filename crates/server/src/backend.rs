@@ -6,19 +6,23 @@
 //! * [`Backend::Local`] — the classic shareable [`ExpFinder`]: graphs
 //!   live in memory and vanish with the process. This is what
 //!   `Server::bind` builds and what the shell's `serve` command uses.
-//! * [`Backend::Durable`] — a [`DurableExpFinder`] shard runtime: every
-//!   accepted update batch is WAL-logged before it is applied, queries
-//!   run on published immutable snapshots, and a restart replays the
-//!   log (`serve --data-dir`).
+//! * [`Backend::Durable`] — a [`DurableExpFinder`]: the same engine with
+//!   a WAL append in front of every write, so a restart replays the log
+//!   (`serve --data-dir`).
 //!
-//! The enum is deliberately not a trait: the method surface is the
-//! exact set of operations the routes need, both variants are known at
-//! compile time, and `match` keeps the delegation visible in one file.
+//! Both variants deref to the same [`Catalog`], so everything a request
+//! reads or observes goes through one private `reads()` and is the same
+//! code on both: resolve the name to a handle, call the catalog. Two arms
+//! remain only where the deployments really differ — the three writes a
+//! durable backend must log first (`add_graph`, `apply_updates_traced`,
+//! `register_query`) and the three gauges only it has (`wal_totals`,
+//! `fault_totals`, `shard_stats`, all-zero / empty on a local backend so
+//! `/metrics` keeps one shape).
 
 use expfinder_core::MatchRelation;
 use expfinder_engine::{
-    ExpFinder, ExpFinderError, GraphInfo, IndexTotals, QueryResponse, QuerySpec, ReadPath, Route,
-    UpdateHook, UpdateReport,
+    Catalog, ExpFinder, ExpFinderError, GraphInfo, IndexTotals, QueryResponse, QuerySpec, ReadPath,
+    Route, UpdateHook, UpdateReport,
 };
 use expfinder_graph::{DiGraph, EdgeUpdate};
 use expfinder_pattern::Pattern;
@@ -37,23 +41,26 @@ pub enum Backend {
 }
 
 impl Backend {
+    /// The one read surface of both deployments.
+    fn reads(&self) -> &Catalog {
+        match self {
+            Backend::Local(e) => e,
+            Backend::Durable(rt) => rt,
+        }
+    }
+
     /// Names of every managed graph, sorted.
     pub fn graph_names(&self) -> Vec<String> {
-        match self {
-            Backend::Local(e) => e.graph_names(),
-            Backend::Durable(rt) => rt.graph_names(),
-        }
+        self.reads().graph_names()
     }
 
     /// Point-in-time summaries of every graph, sorted by name.
     pub fn graph_infos(&self) -> Vec<GraphInfo> {
-        match self {
-            Backend::Local(e) => e.graph_infos(),
-            Backend::Durable(rt) => rt.graph_infos(),
-        }
+        self.reads().graph_infos()
     }
 
-    /// Add a graph; returns its initial published version.
+    /// Add a graph; returns its initial published version. On the
+    /// durable backend the graph is on disk before it is listed.
     pub fn add_graph(&self, name: &str, graph: DiGraph) -> Result<u64, ExpFinderError> {
         match self {
             Backend::Local(e) => {
@@ -70,13 +77,8 @@ impl Backend {
         name: &str,
         f: impl FnOnce(&DiGraph) -> R,
     ) -> Result<R, ExpFinderError> {
-        match self {
-            Backend::Local(e) => {
-                let handle = e.handle(name)?;
-                e.read_graph(&handle, f)
-            }
-            Backend::Durable(rt) => rt.read_graph(name, f),
-        }
+        let c = self.reads();
+        c.read_graph(&c.handle(name)?, f)
     }
 
     /// Evaluate one pattern under an optional end-to-end deadline:
@@ -91,12 +93,8 @@ impl Backend {
         prefer: Route,
         deadline: Option<Duration>,
     ) -> Result<QueryResponse, ExpFinderError> {
-        match self {
-            Backend::Local(e) => {
-                e.query_deadline(&e.handle(name)?, pattern, top_k, prefer, deadline)
-            }
-            Backend::Durable(rt) => rt.query_deadline(name, pattern, top_k, prefer, deadline),
-        }
+        let c = self.reads();
+        c.query_deadline(&c.handle(name)?, pattern, top_k, prefer, deadline)
     }
 
     /// Evaluate a batch of specs against one graph under an optional
@@ -110,29 +108,16 @@ impl Backend {
         specs: Vec<QuerySpec>,
         deadline: Option<Duration>,
     ) -> Result<Vec<Result<QueryResponse, ExpFinderError>>, ExpFinderError> {
-        match self {
-            Backend::Local(e) => {
-                let handle = e.handle(name)?;
-                Ok(e.query_batch_deadline(&handle, specs, deadline))
-            }
-            Backend::Durable(rt) => {
-                rt.graph_version(name)?;
-                Ok(rt.query_batch_deadline(name, specs, deadline))
-            }
-        }
+        let c = self.reads();
+        Ok(c.query_batch_deadline(&c.handle(name)?, specs, deadline))
     }
 
     /// The planner's cost estimate (abstract work units) for evaluating
     /// `pattern` on the named graph right now — the admission-control
     /// input for the 429 path. Purely a read; nothing is evaluated.
     pub fn estimate_cost(&self, name: &str, pattern: &Pattern) -> Result<f64, ExpFinderError> {
-        match self {
-            Backend::Local(e) => {
-                let handle = e.handle(name)?;
-                e.estimate_cost(&handle, pattern)
-            }
-            Backend::Durable(rt) => rt.estimate_cost(name, pattern),
-        }
+        let c = self.reads();
+        c.estimate_cost(&c.handle(name)?, pattern)
     }
 
     /// Apply edge updates with the full ΔM report. On the durable
@@ -145,15 +130,13 @@ impl Backend {
         updates: &[EdgeUpdate],
     ) -> Result<UpdateReport, ExpFinderError> {
         match self {
-            Backend::Local(e) => {
-                let handle = e.handle(name)?;
-                e.apply_updates_traced(&handle, updates)
-            }
+            Backend::Local(e) => e.apply_updates_traced(&e.handle(name)?, updates),
             Backend::Durable(rt) => rt.apply_updates_traced(name, updates),
         }
     }
 
-    /// Register a query for incremental maintenance.
+    /// Register a query for incremental maintenance (WAL-logged on the
+    /// durable backend, so it survives a restart).
     pub fn register_query(
         &self,
         name: &str,
@@ -161,68 +144,47 @@ impl Backend {
         pattern: Pattern,
     ) -> Result<(), ExpFinderError> {
         match self {
-            Backend::Local(e) => {
-                let handle = e.handle(name)?;
-                e.register_query(&handle, query_name, pattern)
-            }
+            Backend::Local(e) => e.register_query(&e.handle(name)?, query_name, pattern),
             Backend::Durable(rt) => rt.register_query(name, query_name, pattern),
         }
     }
 
     /// Names of the registered queries on one graph, sorted.
     pub fn registered_queries(&self, name: &str) -> Result<Vec<String>, ExpFinderError> {
-        match self {
-            Backend::Local(e) => {
-                let handle = e.handle(name)?;
-                e.registered_queries(&handle)
-            }
-            Backend::Durable(rt) => rt.registered_queries(name),
-        }
+        let c = self.reads();
+        c.registered_queries(&c.handle(name)?)
     }
 
-    /// Install (or clear, with `None`) the update hook both engines fire
+    /// Install (or clear, with `None`) the update hook the engine fires
     /// after every committed update batch — the feed for `/subscribe`
     /// push streams. One hook per backend: installing replaces any
     /// previous one, so the last server bound to a shared engine owns
     /// the fan-out.
     pub fn install_update_hook(&self, hook: Option<UpdateHook>) {
-        match self {
-            Backend::Local(e) => e.set_update_hook(hook),
-            Backend::Durable(rt) => rt.set_update_hook(hook),
-        }
+        self.reads().set_update_hook(hook)
     }
 
-    /// The maintained result of a registered query.
+    /// The maintained result of a registered query, shared with the
+    /// snapshot that publishes it.
     pub fn registered_result(
         &self,
         name: &str,
         query_name: &str,
-    ) -> Result<MatchRelation, ExpFinderError> {
-        match self {
-            Backend::Local(e) => {
-                let handle = e.handle(name)?;
-                e.registered_result(&handle, query_name)
-            }
-            Backend::Durable(rt) => rt.registered_result(name, query_name),
-        }
+    ) -> Result<Arc<MatchRelation>, ExpFinderError> {
+        let c = self.reads();
+        c.registered_result(&c.handle(name)?, query_name)
     }
 
     // ------------------------- metrics feeds ------------------------
 
-    /// The shared read path of either engine — the one source of the
-    /// cache, evaluation, planner and cancellation counters.
+    /// The one read path — the source of the cache, evaluation, planner
+    /// and cancellation counters.
     pub fn read_path(&self) -> &ReadPath {
-        match self {
-            Backend::Local(e) => e.read_path(),
-            Backend::Durable(rt) => rt.read_path(),
-        }
+        self.reads().read_path()
     }
 
     pub fn index_totals(&self) -> IndexTotals {
-        match self {
-            Backend::Local(e) => e.index_totals(),
-            Backend::Durable(rt) => rt.index_totals(),
-        }
+        self.reads().index_totals()
     }
 
     /// Cumulative WAL counters — all zero on a [`Backend::Local`], so

@@ -201,12 +201,9 @@ fn mirror_state(mirror: &(DiGraph, BTreeSet<String>)) -> State {
 }
 
 fn rt_state(rt: &DurableExpFinder) -> State {
-    let edges = rt
-        .read_graph(GRAPH, sorted_edges)
-        .expect("graph present after recovery");
-    let regs = rt
-        .registered_queries(GRAPH)
-        .expect("registrations readable");
+    let h = rt.handle(GRAPH).expect("graph present after recovery");
+    let edges = rt.read_graph(&h, sorted_edges).expect("graph readable");
+    let regs = rt.registered_queries(&h).expect("registrations readable");
     (edges, regs)
 }
 
@@ -235,14 +232,11 @@ fn open_seeded(dir: &Path, base: &DiGraph) -> DurableExpFinder {
 /// Every maintained result on the recovered runtime must equal a fresh
 /// from-scratch evaluation of its pattern on the recovered graph.
 fn check_maintained_results(h: &mut Harness, rt: &DurableExpFinder, what: &str) {
-    let graph = rt
-        .read_graph(GRAPH, |g| g.clone())
-        .expect("recovered graph");
-    for name in rt.registered_queries(GRAPH).expect("registered names") {
+    let g = rt.handle(GRAPH).expect("recovered graph");
+    let graph = rt.read_graph(&g, DiGraph::clone).expect("graph readable");
+    for name in rt.registered_queries(&g).expect("registered names") {
         let pattern = pattern_of(&name);
-        let maintained = rt
-            .registered_result(GRAPH, &name)
-            .expect("maintained result");
+        let maintained = rt.registered_result(&g, &name).expect("maintained result");
         let fresh = bounded_simulation(&graph, &pattern).expect("fresh evaluation");
         let diverged = pattern
             .ids()

@@ -10,8 +10,9 @@
 //! use (see [`wire`]).
 //!
 //! * [`backend`] — the engine behind the routes: an in-memory
-//!   `Arc<ExpFinder>` or a durable `Arc<DurableExpFinder>` shard
-//!   runtime (WAL-logged updates, snapshot reads, replay on restart).
+//!   `Arc<ExpFinder>`, or the same engine inside an
+//!   `Arc<DurableExpFinder>` (WAL-logged writes, replay on restart);
+//!   both are read through the one `expfinder_engine::Catalog`.
 //! * [`server`] — bounded worker pool sharing one [`Backend`],
 //!   keep-alive connections, graceful drain, and the `/subscribe` push
 //!   loop (one chunked ΔM frame per committed update batch, fed by the

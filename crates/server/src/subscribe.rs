@@ -85,10 +85,10 @@ impl SubscriptionHub {
     }
 
     /// Fan one committed update batch out to every subscriber of
-    /// `graph`. Called from the backend's update hook, i.e. on the
-    /// engine's update path (Local) or the shard actor thread (Durable)
-    /// — both serialize updates per graph, so frames are enqueued in
-    /// commit order. Never blocks: a full subscriber queue evicts that
+    /// `graph`. Called from the catalog's update hook, i.e. inside the
+    /// engine's update commit under the graph's write mutex (on the
+    /// caller's thread for Local, on the graph's shard thread for
+    /// Durable), so frames are enqueued in commit order. Never blocks: a full subscriber queue evicts that
     /// subscriber instead.
     pub(crate) fn publish(&self, graph: &str, report: &UpdateReport) {
         let mut slots = self.slots.lock().expect("subs lock");

@@ -471,8 +471,10 @@ fn durable_config() -> expfinder_runtime::RuntimeConfig {
     expfinder_runtime::RuntimeConfig {
         shards: 2,
         fsync: expfinder_runtime::wal::FsyncPolicy::Never,
-        exec: expfinder_engine::ExecConfig::sequential(),
-        ..expfinder_runtime::RuntimeConfig::default()
+        engine: expfinder_engine::EngineConfig {
+            exec: expfinder_engine::ExecConfig::sequential(),
+            ..Default::default()
+        },
     }
 }
 

@@ -142,6 +142,13 @@ bench-e2e-smoke:
 bench-pairs parent_serve change_serve workload pairs="10" *flags="":
     python3 scripts/bench_pairs.py {{parent_serve}} {{change_serve}} --workload {{workload}} --pairs {{pairs}} {{flags}}
 
+# a simplicity PR's acceptance number: non-test source lines (each `.rs`
+# file up to its first `#[cfg(test)]`) per file and in total; with
+# `--against <git-rev>` the delta per file instead, e.g.
+# `just src-lines --against HEAD~1 crates/engine/src crates/runtime/src`
+src-lines *args="crates":
+    python3 scripts/src_lines.py {{args}}
+
 # full server throughput benchmark (writes BENCH_3.json)
 bench-serve:
     cargo run --release -p expfinder-bench --bin bench_serve

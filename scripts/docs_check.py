@@ -29,7 +29,10 @@ every backticked `CamelCase` identifier (bare, or the type in an
 `a::b::C` / `C::method` path) in its crate map, "The read path" and "The
 write path" must be declared (`struct|enum|trait|type|fn|const`)
 somewhere under crates/*/src, so a PR that deletes or renames a type
-cannot leave its name in the map.
+cannot leave its name in the map. What follows the type in a path
+(`Catalog::handle`, `Backend::Durable`) must be a `fn`, field or variant
+declared in a file that declares or implements that type — so a deleted
+method cannot stay in the map under a type that survived it either.
 """
 
 import re
@@ -146,11 +149,13 @@ CAMEL = re.compile(r"[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*")
 def check_architecture_idents():
     """CamelCase identifiers backticked in the checked sections of
     docs/ARCHITECTURE.md that no file under crates/*/src declares, and
-    the number of distinct identifiers checked. In a path only the first
-    CamelCase segment — the type — is checked; what follows it is a
-    method or a variant."""
+    the number of distinct identifiers checked. In a path the first
+    CamelCase segment is the type; the segment after it, if any, is a
+    method, field or variant, looked for in the files that declare or
+    implement the type (a coarse scope, but a name deleted from every
+    such file is certainly gone)."""
     text = ARCHITECTURE.read_text()
-    names, missing = set(), []
+    names, members, missing = set(), set(), []
     for title in ARCHITECTURE_SECTIONS:
         _, found, rest = text.partition(f"\n## {title}\n")
         if not found:
@@ -161,17 +166,32 @@ def check_architecture_idents():
         section = rest.partition("\n## ")[0]
         for span in re.findall(r"`([^`\n]+)`", section):
             for path in PATH.findall(span):
-                camel = next(filter(CAMEL.fullmatch, path.split("::")), None)
-                if camel and camel not in NOT_OURS:
-                    names.add(camel)
-    sources = "\n".join(p.read_text() for p in sorted(CRATES.glob("*/src/**/*.rs")))
+                segments = path.split("::")
+                at = next((i for i, s in enumerate(segments) if CAMEL.fullmatch(s)), None)
+                if at is None or segments[at] in NOT_OURS:
+                    continue
+                names.add(segments[at])
+                if at + 1 < len(segments):
+                    members.add((segments[at], segments[at + 1]))
+    sources = [p.read_text() for p in sorted(CRATES.glob("*/src/**/*.rs"))]
+    declared = r"\b(?:struct|enum|trait|type|fn|const)\s+{}\b"
     for name in sorted(names):
-        if not re.search(rf"\b(?:struct|enum|trait|type|fn|const)\s+{name}\b", sources):
+        if not any(re.search(declared.format(name), src) for src in sources):
             missing.append(
                 f"`{name}` is named in docs/ARCHITECTURE.md (crate map / read "
                 "path / write path) but declared nowhere under crates/*/src"
             )
-    return missing, len(names)
+    for name, member in sorted(members):
+        owner = rf"\b(?:struct|enum|trait|type)\s+{name}\b|\bimpl\b[^{{;]*\b{name}\b"
+        item = rf"\bfn\s+{member}\b|^\s*(?:pub(?:\([a-z]+\))?\s+)?{member}\s*[:,({{]"
+        files = [src for src in sources if re.search(owner, src)]
+        if files and not any(re.search(item, src, re.MULTILINE) for src in files):
+            missing.append(
+                f"`{name}::{member}` is named in docs/ARCHITECTURE.md but no file "
+                f"that declares or implements `{name}` has a fn, field or "
+                f"variant `{member}`"
+            )
+    return missing, len(names) + len(members)
 
 
 # ("POST", ["graphs", name, "subscribe"]) — including arms wrapped over
@@ -238,8 +258,8 @@ def main() -> int:
     print(
         f"docs-check OK: {len(routes)} routes, {n_variants} route-enum "
         f"variants and {n_metrics} engine metrics blocks, all specified in "
-        f"docs/PROTOCOL.md; {n_idents} type names in docs/ARCHITECTURE.md, "
-        "all declared under crates/*/src"
+        f"docs/PROTOCOL.md; {n_idents} type and member names in "
+        "docs/ARCHITECTURE.md, all declared under crates/*/src"
     )
     return 0
 

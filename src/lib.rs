@@ -66,7 +66,7 @@ pub use expfinder_runtime as runtime;
 pub use expfinder_server as server;
 
 #[doc(inline)]
-pub use expfinder_engine::{ExpFinder, ExpFinderError, GraphHandle};
+pub use expfinder_engine::{Catalog, ExpFinder, ExpFinderError, GraphHandle};
 
 /// Commonly used items, importable with `use expfinder::prelude::*`.
 pub mod prelude {
@@ -76,8 +76,8 @@ pub mod prelude {
         top_k, MatchRelation, ResultGraph,
     };
     pub use expfinder_engine::{
-        EngineConfig, EvalRoute, ExecConfig, ExpFinder, ExpFinderError, GraphHandle, QueryResponse,
-        QuerySpec, QueryTimings, Route,
+        Catalog, EngineConfig, EvalRoute, ExecConfig, ExpFinder, ExpFinderError, GraphHandle,
+        QueryResponse, QuerySpec, QueryTimings, Route,
     };
     pub use expfinder_graph::{AttrValue, CsrGraph, DiGraph, EdgeUpdate, GraphView, NodeId};
     pub use expfinder_incremental::{IncrementalBoundedSim, IncrementalSim};

@@ -89,7 +89,10 @@ fn long_update_stream_consistency() {
         let fresh = engine
             .read_graph(&c, |g| bounded_simulation(g, q).unwrap())
             .unwrap();
-        assert_eq!(maintained, fresh, "round {round}: registered query drifted");
+        assert_eq!(
+            *maintained, fresh,
+            "round {round}: registered query drifted"
+        );
 
         // compressed route == direct route on the same engine
         let direct = engine
