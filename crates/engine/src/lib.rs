@@ -969,7 +969,7 @@ impl ExpFinder {
 
 /// Graph names double as catalog file stems (`<name>.efg`, and the
 /// runtime's `<name>.wal`), so names that could escape the catalog
-/// directory are rejected up front. Exported for the shard runtime,
+/// directory are rejected up front. Exported for the durable runtime,
 /// which reuses the same name-as-file-stem convention.
 pub fn validate_graph_name(name: &str) -> Result<(), ExpFinderError> {
     let bad = name.is_empty()

@@ -6,9 +6,9 @@
 //! graph, its maintained quotient and its registered-query maintainers —
 //! and holds the only copies of apply / register / unregister / compress /
 //! drop-compression / publish. It is reached through one function,
-//! [`ExpFinder::write`], under a per-graph mutex: the in-memory facade
-//! calls that on the caller's thread, the durable runtime on the graph's
-//! shard thread with a WAL append in front. Readers never see it:
+//! [`ExpFinder::write`], under a per-graph mutex, on the caller's thread
+//! — the durable runtime calls it with a WAL append in front. Readers
+//! never see it:
 //! they clone the latest `Arc<Snapshot>` out of the graph's
 //! [`PublishedGraph`] slot and hold no lock while they evaluate.
 //!

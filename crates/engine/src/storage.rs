@@ -24,7 +24,7 @@ fn storage_err(e: impl std::fmt::Display) -> ExpFinderError {
 /// Incremental: the manifest records each graph's version at save time,
 /// and a later save skips rewriting any `.efg` whose version is
 /// unchanged and whose file still exists — so periodic snapshotting
-/// (e.g. under the shard runtime) does not rewrite cold graphs.
+/// does not rewrite cold graphs.
 /// Versions only compare within one process lifetime (a reloaded graph
 /// restarts its version counter), which errs on the safe side: a
 /// mismatch just rewrites.

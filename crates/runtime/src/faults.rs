@@ -1,13 +1,14 @@
 //! Deterministic I/O fault injection for the durable runtime.
 //!
 //! Every durability-critical I/O site in the WAL ([`crate::wal`]) and the
-//! snapshot writer (`shard::write_efg_atomic`) routes through a shared
+//! snapshot writer and graph removal (`graph_log`) routes through a shared
 //! [`FaultInjector`]. Disarmed — the production state — each hook is one
 //! relaxed atomic load in front of the real syscall. Armed with a
 //! [`FaultPlan`], the injector counts I/O boundaries deterministically
 //! and fails the chosen ones:
 //!
-//! - fail the Nth write / fsync / rename with an injected ENOSPC or EIO,
+//! - fail the Nth write / fsync / rename (or unlink) with an injected
+//!   ENOSPC or EIO,
 //! - perform a *partial* write (a chosen number of bytes reach the file,
 //!   then the error surfaces — a torn frame at byte granularity),
 //! - simulate a crash at any boundary ([`FaultKind::Crash`]): the error
@@ -34,7 +35,8 @@ pub enum IoOp {
     Write,
     /// An `fsync`/`fdatasync` (WAL flush, tmp-file or directory sync).
     Fsync,
-    /// An atomic rename (snapshot or log swap publish step).
+    /// A directory-entry change: an atomic rename (snapshot or log swap
+    /// publish step) or an unlink (graph removal).
     Rename,
 }
 
@@ -302,42 +304,37 @@ impl FaultInjector {
     /// data may or may not be durable — exactly the ambiguity a real
     /// failed fsync leaves (the caller must not retry and trust it).
     pub fn sync_data(&self, file: &File) -> io::Result<()> {
-        if !self.armed.load(Ordering::Relaxed) {
-            return file.sync_data();
-        }
-        match self.fire(IoOp::Fsync) {
-            None => file.sync_data(),
-            Some(fault) => Err(Self::error_for(fault.kind)),
-        }
+        self.check(IoOp::Fsync)?;
+        file.sync_data()
     }
 
     /// `File::sync_all` through the gate (same contract as
     /// [`FaultInjector::sync_data`]).
     pub fn sync_all(&self, file: &File) -> io::Result<()> {
-        if !self.armed.load(Ordering::Relaxed) {
-            return file.sync_all();
-        }
-        match self.fire(IoOp::Fsync) {
-            None => file.sync_all(),
-            Some(fault) => Err(Self::error_for(fault.kind)),
-        }
+        self.check(IoOp::Fsync)?;
+        file.sync_all()
     }
 
     /// `fs::rename` through the gate; an injected fault fails *before*
     /// the rename (the target is untouched, like a full journal).
     pub fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        if !self.armed.load(Ordering::Relaxed) {
-            return std::fs::rename(from, to);
-        }
-        match self.fire(IoOp::Rename) {
-            None => std::fs::rename(from, to),
-            Some(fault) => Err(Self::error_for(fault.kind)),
-        }
+        self.check(IoOp::Rename)?;
+        std::fs::rename(from, to)
     }
 
-    /// A bare boundary for sites whose I/O happens inside a helper the
-    /// injector cannot wrap (e.g. the snapshot body written through
-    /// `expfinder_graph::io::save_text`): fail before the helper runs.
+    /// `fs::remove_file` through the gate, counted as an
+    /// [`IoOp::Rename`]-class boundary; an injected fault fails *before*
+    /// the unlink (the file is untouched).
+    pub fn remove_file(&self, path: &Path) -> io::Result<()> {
+        self.check(IoOp::Rename)?;
+        std::fs::remove_file(path)
+    }
+
+    /// A bare boundary: fail before the I/O it stands in front of runs.
+    /// The gated calls above are this plus their syscall; sites whose
+    /// I/O happens inside a helper the injector cannot wrap (e.g. the
+    /// snapshot body written through `expfinder_graph::io::save_text`)
+    /// call it directly.
     pub fn check(&self, op: IoOp) -> io::Result<()> {
         if !self.armed.load(Ordering::Relaxed) {
             return Ok(());

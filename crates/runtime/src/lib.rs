@@ -8,20 +8,17 @@
 //! `handle`, `query`, `query_batch`, `graph_infos`, `estimate_cost`,
 //! `read_path`, the update hook — is the in-memory engine's, the same
 //! methods on the same type, not a copy that agrees by test. What this
-//! crate declares is only the writes, and every one of them is
-//!
-//! 1. **routed to the graph's shard.** Graph names are consistently
-//!    hashed onto `N` shard workers (the `shard` module), each draining a
-//!    *bounded* mailbox of commands, so a graph's writes are totally
-//!    ordered and backpressure is a full mailbox, not an unbounded queue;
-//! 2. **logged before it happens.** The worker appends the operation to
-//!    the graph's WAL ([`wal`]) and only then calls the engine's own
-//!    write — `ExpFinder::apply_updates_traced`, or `ExpFinder::write`
-//!    with the same [`MaintainedGraph`] method the in-memory facade
-//!    passes — which maintains, publishes and fires the update hook under
-//!    the graph's write mutex exactly as it does in memory. Cold start
-//!    replays `<name>.wal` onto the last `<name>.efg` snapshot; compaction
-//!    rewrites the snapshot and truncates the log.
+//! crate declares is only the writes, and every one of them is **logged
+//! before it happens**, on the caller's thread: lock the graph's log,
+//! append the operation to its WAL ([`wal`], fsync per policy), and only
+//! then call the engine's own write — `ExpFinder::apply_updates_traced`,
+//! or `ExpFinder::write` with the same [`MaintainedGraph`] method the
+//! in-memory facade passes — which maintains, publishes and fires the
+//! update hook under the graph's write mutex exactly as it does in memory.
+//! The log mutex is taken before the engine's, so a graph's log order is
+//! its commit order. Cold start replays `<name>.wal` onto the last
+//! `<name>.efg` snapshot; compaction rewrites the snapshot and truncates
+//! the log.
 //!
 //! Because the wrapped engine is never handed out, the type guarantees a
 //! durable graph has no write that skips the log; because there is no
@@ -35,10 +32,10 @@
 //! re-seeds the truncated log with one register record per live query.
 //!
 //! Maintained compression works here too: [`DurableExpFinder::compress`]
-//! asks the owning shard to build the quotient through the engine, which
-//! then travels with every published snapshot and is maintained through
-//! update batches. Compression is *session* state, not WAL-logged: it is
-//! derived, rebuildable on demand, and a restart comes back uncompressed.
+//! builds the quotient through the engine, which then travels with every
+//! published snapshot and is maintained through update batches.
+//! Compression is *session* state, not WAL-logged: it is derived,
+//! rebuildable on demand, and a restart comes back uncompressed.
 //!
 //! ```
 //! use expfinder_runtime::{DurableExpFinder, RuntimeConfig, FsyncPolicy};
@@ -66,13 +63,13 @@
 pub mod faults;
 pub mod wal;
 
-pub(crate) mod shard;
+pub(crate) mod graph_log;
 
 pub use faults::{FaultInjector, FaultKind, FaultPlan, FaultTotals, IoOp};
-pub use shard::{CompactReport, ShardStats};
+pub use graph_log::CompactReport;
 pub use wal::FsyncPolicy;
 
-use crate::shard::{Cmd, GraphActor, Reply, Ring, ShardHandle};
+use crate::graph_log::{GraphLog, LogSlot};
 use crate::wal::{ReplaySummary, Wal, WalOp};
 use expfinder_compress::{CompressStats, CompressionMethod};
 pub use expfinder_core::CancelToken;
@@ -82,17 +79,18 @@ use expfinder_engine::{
 };
 use expfinder_graph::{io as gio, DiGraph, EdgeUpdate};
 use expfinder_pattern::Pattern;
+use parking_lot::{Mutex, RwLock};
+use std::collections::HashMap;
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------
 // WAL metrics
 // ---------------------------------------------------------------------
 
-/// Shared WAL counters, bumped by shard workers on append and by
+/// Shared WAL counters, bumped by every logged write and by
 /// [`DurableExpFinder::open`] during replay.
 #[derive(Debug, Default)]
 pub(crate) struct WalCounters {
@@ -158,10 +156,11 @@ pub struct WalTotals {
 
 /// Knobs of one [`DurableExpFinder`]: what durability adds, plus the
 /// configuration of the engine it wraps.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RuntimeConfig {
-    /// Shard worker threads (graphs are consistently hashed across
-    /// them). More shards = more independent write pipelines.
+    /// Ignored. Writes run on the caller's thread, so there is no worker
+    /// pool to size; the field is kept only so existing
+    /// `RuntimeConfig { shards, .. }` literals compile.
     pub shards: usize,
     /// When WAL appends reach stable storage.
     pub fsync: FsyncPolicy,
@@ -169,84 +168,37 @@ pub struct RuntimeConfig {
     pub engine: EngineConfig,
 }
 
-impl Default for RuntimeConfig {
-    fn default() -> Self {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        RuntimeConfig {
-            // write pipelines, not compute: a handful is plenty, and
-            // each idle shard is a parked thread
-            shards: cores.clamp(1, 4),
-            fsync: FsyncPolicy::Always,
-            engine: EngineConfig::default(),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // the facade
 // ---------------------------------------------------------------------
-
-/// What the facade shares with its shard workers: the wrapped engine and
-/// everything a worker needs to put a WAL append in front of a write to
-/// it. Crate-private — nothing outside this crate can reach the engine's
-/// unlogged writes.
-pub(crate) struct Store {
-    pub engine: ExpFinder,
-    /// Catalog directory holding `<name>.efg` / `<name>.wal`.
-    pub dir: PathBuf,
-    pub config: RuntimeConfig,
-    pub wal_counters: WalCounters,
-    /// The fault-injection gate every durability-critical I/O site of
-    /// this runtime routes through (disarmed in production — see
-    /// [`faults`]); each WAL carries its own clone.
-    pub faults: Arc<FaultInjector>,
-}
-
-impl Store {
-    pub fn efg_path(&self, name: &str) -> PathBuf {
-        self.dir.join(format!("{name}.efg"))
-    }
-
-    pub fn wal_path(&self, name: &str) -> PathBuf {
-        self.dir.join(format!("{name}.wal"))
-    }
-
-    /// Open (creating if missing) the named graph's log for appending
-    /// after `last_seq`.
-    pub fn open_wal(&self, name: &str, last_seq: u64) -> Result<Wal, ExpFinderError> {
-        let faults = Arc::clone(&self.faults);
-        Wal::open_with_faults(self.wal_path(name), self.config.fsync, last_seq, faults)
-            .map_err(|e| ExpFinderError::Storage(format!("wal open for {name:?}: {e}")))
-    }
-
-    /// Append one record to `wal` (fsync per policy) and count it.
-    pub fn log(&self, wal: &mut Wal, op: &WalOp) -> Result<(), ExpFinderError> {
-        let (_, frame_bytes) = wal
-            .append_op(op)
-            .map_err(|e| ExpFinderError::Storage(format!("wal append: {e}")))?;
-        self.wal_counters
-            .on_append(frame_bytes as u64, wal.fsyncs_per_append());
-        Ok(())
-    }
-}
 
 /// The durable ExpFinder: the WAL bracket around an [`ExpFinder`]. It
 /// [`Deref`]s to the engine's [`Catalog`], so every read — `handle`,
 /// `query`, `query_batch`, `graph_infos`, `read_path`, … — *is* the
 /// in-memory one, and it declares only writes, each of which appends to
-/// the graph's log on the owning shard before it calls the engine's own
-/// write. The wrapped engine is never handed out. See the crate docs.
+/// the graph's log before it calls the engine's own write. The wrapped
+/// engine is never handed out. See the crate docs.
 pub struct DurableExpFinder {
-    store: Arc<Store>,
-    shards: Vec<ShardHandle>,
-    ring: Ring,
+    engine: ExpFinder,
+    /// Catalog directory holding `<name>.efg` / `<name>.wal`.
+    dir: PathBuf,
+    config: RuntimeConfig,
+    /// Each graph's log behind its own mutex, by name. Only writes look
+    /// here — reads stay on the engine's catalog — and the lock order is
+    /// always a log mutex, then the engine's slot mutex.
+    logs: RwLock<HashMap<String, LogSlot>>,
+    wal_counters: WalCounters,
+    /// The fault-injection gate every durability-critical I/O site of
+    /// this runtime routes through (disarmed in production — see
+    /// [`faults`]); each WAL carries its own clone.
+    faults: Arc<FaultInjector>,
 }
 
 impl Deref for DurableExpFinder {
     type Target = Catalog;
 
     fn deref(&self) -> &Catalog {
-        &self.store.engine
+        &self.engine
     }
 }
 
@@ -259,30 +211,23 @@ const _: () = {
 impl DurableExpFinder {
     /// Open (creating if needed) the catalog at `dir` and recover every
     /// graph: load `<name>.efg`, replay `<name>.wal` onto it (torn
-    /// tails truncated), and hand the result to its owning shard. A
-    /// `.wal` with no matching `.efg` is ignored — `add_graph` writes
-    /// the snapshot before the log ever accepts a frame, so an orphan
-    /// log belongs to a removed graph.
+    /// tails truncated), and take over its log. A `.wal` with no
+    /// matching `.efg` is ignored — `add_graph` writes the snapshot
+    /// before the log ever accepts a frame, so an orphan log belongs to
+    /// a removed graph.
     pub fn open(
         dir: impl AsRef<Path>,
         config: RuntimeConfig,
     ) -> Result<DurableExpFinder, ExpFinderError> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        let shards = config.shards.max(1);
-        let store = Arc::new(Store {
+        let rt = DurableExpFinder {
             engine: ExpFinder::new(config.engine.clone()),
             dir,
             config,
+            logs: RwLock::new(HashMap::new()),
             wal_counters: WalCounters::default(),
             faults: FaultInjector::disarmed(),
-        });
-        let rt = DurableExpFinder {
-            shards: (0..shards)
-                .map(|i| ShardHandle::spawn(i, Arc::clone(&store)))
-                .collect(),
-            ring: Ring::new(shards),
-            store,
         };
 
         let mut names: Vec<String> = Vec::new();
@@ -305,87 +250,115 @@ impl DurableExpFinder {
     /// — update batches *and* register/unregister records — in sequence
     /// order onto a [`MaintainedGraph`] nobody can read yet, add it to
     /// the engine (one publish: the first snapshot readers see already
-    /// carries the replayed graph and its registered queries), then hand
-    /// the log to the owning shard.
+    /// carries the replayed graph and its registered queries), then list
+    /// its log.
     fn recover_graph(&self, name: &str) -> Result<(), ExpFinderError> {
-        let store = &self.store;
-        let graph = gio::load_text(store.efg_path(name))?;
-        let (records, summary) = Wal::replay(store.wal_path(name))
+        let graph = gio::load_text(self.efg_path(name))?;
+        let (records, summary) = Wal::replay(self.wal_path(name))
             .map_err(|e| ExpFinderError::Storage(format!("wal replay for {name:?}: {e}")))?;
-        store.wal_counters.on_replay(&summary);
-        let wal = store.open_wal(name, records.last().map_or(0, |r| r.seq))?;
+        self.wal_counters.on_replay(&summary);
+        let wal = self.open_wal(name, records.last().map_or(0, |r| r.seq))?;
         let mut core = MaintainedGraph::new(graph);
         for rec in &records {
-            shard::replay_op(&mut core, &rec.op)?;
+            graph_log::replay_op(&mut core, &rec.op)?;
         }
-        let handle = store.engine.add_maintained(name, core)?;
-        self.request(name, |reply| Cmd::Adopt {
-            actor: GraphActor { handle, wal },
-            reply,
-        })
+        let handle = self.engine.add_maintained(name, core)?;
+        let log = Some(GraphLog { handle, wal });
+        self.logs
+            .write()
+            .insert(name.to_owned(), Arc::new(Mutex::new(log)));
+        Ok(())
     }
 
     /// The catalog directory.
     pub fn dir(&self) -> &Path {
-        &self.store.dir
+        &self.dir
     }
 
     /// The configuration the runtime was opened with.
     pub fn config(&self) -> &RuntimeConfig {
-        &self.store.config
+        &self.config
     }
 
-    /// Send one command to the shard owning `name` and wait for its
-    /// reply (a graph the shard does not know answers `UnknownGraph`); a
-    /// dead worker surfaces as a storage error, never a hang.
-    fn request<T>(
+    fn efg_path(&self, name: &str) -> PathBuf {
+        self.dir.join(format!("{name}.efg"))
+    }
+
+    fn wal_path(&self, name: &str) -> PathBuf {
+        self.dir.join(format!("{name}.wal"))
+    }
+
+    /// Open (creating if missing) the named graph's log for appending
+    /// after `last_seq`.
+    fn open_wal(&self, name: &str, last_seq: u64) -> Result<Wal, ExpFinderError> {
+        let faults = Arc::clone(&self.faults);
+        Wal::open_with_faults(self.wal_path(name), self.config.fsync, last_seq, faults)
+            .map_err(|e| ExpFinderError::Storage(format!("wal open for {name:?}: {e}")))
+    }
+
+    /// Append one record to `wal` (fsync per policy) and count it.
+    fn log(&self, wal: &mut Wal, op: &WalOp) -> Result<(), ExpFinderError> {
+        let (_, frame_bytes) = wal
+            .append_op(op)
+            .map_err(|e| ExpFinderError::Storage(format!("wal append: {e}")))?;
+        self.wal_counters
+            .on_append(frame_bytes as u64, wal.fsyncs_per_append());
+        Ok(())
+    }
+
+    /// The named graph's entry in the log map.
+    fn log_slot(&self, name: &str) -> Result<LogSlot, ExpFinderError> {
+        let slot = self.logs.read().get(name).cloned();
+        slot.ok_or_else(|| ExpFinderError::UnknownGraph(name.to_owned()))
+    }
+
+    /// Run `op` on the named graph's log under its mutex — the one point
+    /// that orders a graph's durable writes. A graph removed since its
+    /// entry was looked up answers `UnknownGraph`, so a write that lost a
+    /// race with `remove_graph` never appends after its files are gone.
+    fn with_log<T>(
         &self,
         name: &str,
-        mk: impl FnOnce(Reply<T>) -> Cmd,
+        op: impl FnOnce(&mut GraphLog) -> Result<T, ExpFinderError>,
     ) -> Result<T, ExpFinderError> {
-        let (tx, rx) = mpsc::sync_channel(1);
-        self.shards[self.ring.shard_for(name)].send(mk(tx))?;
-        rx.recv()
-            .map_err(|_| ExpFinderError::Storage("shard worker terminated".to_owned()))?
+        let slot = self.log_slot(name)?;
+        let mut log = slot.lock();
+        op(log
+            .as_mut()
+            .ok_or_else(|| ExpFinderError::UnknownGraph(name.to_owned()))?)
     }
 
     // --------------------------- catalog ---------------------------
 
-    /// Add a graph; returns its initial version. One command on the shard
-    /// the name hashes to: duplicate check → `.efg` snapshot (atomic) →
-    /// WAL create → catalog insert. Two racing adds of one name are
-    /// serialised by the mailbox (exactly one wins), and the graph is
-    /// listed and queryable only once it is durable; an I/O failure
-    /// leaves neither a catalog entry nor a file `open` would adopt. The
-    /// cost: other graphs on that shard wait for the `.efg` write — adds
-    /// are rare, and per-shard serialisation is already the contract of
-    /// every other write.
+    /// Add a graph; returns its initial version. Duplicate check →
+    /// `.efg` snapshot (atomic) → WAL create → catalog insert, under the
+    /// log map's write lock: two racing adds of one name have exactly one
+    /// winner, and the graph is listed and queryable only once it is
+    /// durable; an I/O failure leaves neither a catalog entry nor a file
+    /// `open` would adopt. The cost: other adds and removes wait for the
+    /// `.efg` write — they are rare, and writes to existing graphs do not
+    /// wait.
     pub fn add_graph(&self, name: &str, graph: DiGraph) -> Result<u64, ExpFinderError> {
         // names become file stems: refuse path-like ones before any IO
         validate_graph_name(name)?;
-        self.request(name, |reply| Cmd::Add {
-            name: name.to_owned(),
-            graph,
-            reply,
-        })
+        graph_log::add(self, name, graph)
     }
 
-    /// Remove a graph and delete its files (snapshot first, then log,
-    /// so a crash in between leaves only an orphan `.wal`, which `open`
-    /// ignores). Outstanding handles to it become stale.
+    /// Remove a graph and delete its files: the snapshot's unlink is made
+    /// durable first, then the graph is unlisted and its log deleted, so a
+    /// crash at any point leaves the graph whole or gone (an orphan
+    /// `.wal` is ignored by `open`), and a failed remove leaves it listed,
+    /// on disk and writable. Outstanding handles to it become stale.
     pub fn remove_graph(&self, name: &str) -> Result<(), ExpFinderError> {
-        self.request(name, |reply| Cmd::Remove {
-            name: name.to_owned(),
-            reply,
-        })
+        graph_log::remove(self, name)
     }
 
     // --------------------------- updates ---------------------------
 
-    /// Apply edge updates through the owning shard: WAL-append (fsynced
-    /// per policy), then the engine's own `apply_updates_traced` — apply,
-    /// maintain registered queries, publish, update hook. Returns how
-    /// many updates changed the graph.
+    /// Apply edge updates: WAL-append (fsynced per policy), then the
+    /// engine's own `apply_updates_traced` — apply, maintain registered
+    /// queries, publish, update hook. Returns how many updates changed
+    /// the graph.
     pub fn apply_updates(
         &self,
         name: &str,
@@ -400,49 +373,36 @@ impl DurableExpFinder {
         name: &str,
         updates: &[EdgeUpdate],
     ) -> Result<UpdateReport, ExpFinderError> {
-        self.request(name, |reply| Cmd::Apply {
-            name: name.to_owned(),
-            updates: updates.to_vec(),
-            reply,
-        })
+        self.with_log(name, |log| log.apply(self, updates))
     }
 
     // ---------------------- registered queries ---------------------
 
-    /// Register a query for incremental maintenance on its shard. The
-    /// registration is durable: a `register` record (carrying the
-    /// pattern's DSL source) is WAL-appended before the ack, and cold
-    /// start replays it — the query, and any push subscription that
-    /// names it, survives a restart.
+    /// Register a query for incremental maintenance. The registration
+    /// is durable: a `register` record (carrying the pattern's DSL
+    /// source) is WAL-appended before the ack, and cold start replays it
+    /// — the query, and any push subscription that names it, survives a
+    /// restart.
     pub fn register_query(
         &self,
         name: &str,
         query_name: &str,
         pattern: Pattern,
     ) -> Result<(), ExpFinderError> {
-        self.request(name, |reply| Cmd::Register {
-            name: name.to_owned(),
-            query_name: query_name.to_owned(),
-            pattern,
-            reply,
-        })
+        self.with_log(name, |log| log.register(self, query_name, pattern))
     }
 
     /// Drop a registered query. The removal is WAL-logged before it
     /// takes effect, so it survives a restart like the registration did.
     pub fn unregister_query(&self, name: &str, query_name: &str) -> Result<(), ExpFinderError> {
-        self.request(name, |reply| Cmd::Unregister {
-            name: name.to_owned(),
-            query_name: query_name.to_owned(),
-            reply,
-        })
+        self.with_log(name, |log| log.unregister(self, query_name))
     }
 
     // ------------------------- compression -------------------------
 
     /// Build (or rebuild) a maintained reachability-preserving
-    /// compression of a graph on its shard and publish the quotient with
-    /// the next snapshot. The quotient is session state — it is *not*
+    /// compression of a graph and publish the quotient with the next
+    /// snapshot. The quotient is session state — it is *not*
     /// WAL-logged, so a restart comes back uncompressed and `compress`
     /// must be called again.
     pub fn compress(
@@ -450,78 +410,47 @@ impl DurableExpFinder {
         name: &str,
         method: CompressionMethod,
     ) -> Result<CompressStats, ExpFinderError> {
-        self.request(name, |reply| Cmd::Compress {
-            name: name.to_owned(),
-            method,
-            reply,
-        })
+        self.with_log(name, |log| self.engine.compress(&log.handle, method))
     }
 
     /// Drop a graph's maintained compression; subsequent snapshots
     /// publish without a quotient and the planner stops considering
     /// the compressed route.
     pub fn drop_compression(&self, name: &str) -> Result<(), ExpFinderError> {
-        self.request(name, |reply| Cmd::DropCompression {
-            name: name.to_owned(),
-            reply,
-        })
+        self.with_log(name, |log| self.engine.drop_compression(&log.handle))
     }
 
     // ---------------------- snapshot / compact ---------------------
 
     /// Rewrite `<name>.efg` from the current graph (WAL untouched).
     pub fn snapshot(&self, name: &str) -> Result<PathBuf, ExpFinderError> {
-        self.request(name, |reply| Cmd::Snapshot {
-            name: name.to_owned(),
-            reply,
-        })
+        self.with_log(name, |log| log.save_snapshot(self))
     }
 
     /// Rewrite `<name>.efg`, then truncate the WAL — the log's frames
     /// are folded into the snapshot.
     pub fn compact(&self, name: &str) -> Result<CompactReport, ExpFinderError> {
-        self.request(name, |reply| Cmd::Compact {
-            name: name.to_owned(),
-            reply,
-        })
+        self.with_log(name, |log| log.compact(self))
     }
 
     // --------------------------- metrics ---------------------------
 
     /// Cumulative WAL activity.
     pub fn wal_totals(&self) -> WalTotals {
-        self.store.wal_counters.totals()
+        self.wal_counters.totals()
     }
 
     /// Cumulative fault-injection activity (`engine.faults` in
     /// `/metrics`); all zeros unless a test harness armed a plan.
     pub fn fault_totals(&self) -> FaultTotals {
-        self.store.faults.totals()
+        self.faults.totals()
     }
 
     /// The fault-injection gate of this runtime, for test harnesses to
     /// arm ([`FaultInjector::arm`]). Production code never touches it —
     /// disarmed hooks cost one relaxed atomic load per I/O boundary.
     pub fn fault_injector(&self) -> Arc<FaultInjector> {
-        Arc::clone(&self.store.faults)
-    }
-
-    /// Per-shard load: mailbox depth, owned graphs, processed commands.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        let mut per_shard_graphs = vec![0usize; self.shards.len()];
-        for name in self.graph_names() {
-            per_shard_graphs[self.ring.shard_for(&name)] += 1;
-        }
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(i, h)| ShardStats {
-                shard: i,
-                depth: h.depth(),
-                graphs: per_shard_graphs[i],
-                commands: h.commands(),
-            })
-            .collect()
+        Arc::clone(&self.faults)
     }
 }
 
@@ -532,7 +461,6 @@ mod tests {
     use expfinder_graph::fixtures::collaboration_fig1;
     use expfinder_graph::GraphView;
     use expfinder_pattern::fixtures::{fig1_pattern, fig1_pattern_simulation};
-    use parking_lot::Mutex;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("expfinder_rt_{tag}_{}", std::process::id()));
@@ -542,12 +470,12 @@ mod tests {
 
     fn sequential_config() -> RuntimeConfig {
         RuntimeConfig {
-            shards: 2,
             fsync: FsyncPolicy::Never,
             engine: EngineConfig {
                 exec: ExecConfig::sequential(),
                 ..EngineConfig::default()
             },
+            ..RuntimeConfig::default()
         }
     }
 
@@ -763,12 +691,14 @@ mod tests {
         let rt = DurableExpFinder::open(&dir, sequential_config()).unwrap();
         rt.add_graph("fig1", f.graph.clone()).unwrap();
         rt.register_query("fig1", "team", fig1_pattern()).unwrap();
-        let seen: Arc<Mutex<Vec<(String, u64, i64)>>> = Arc::new(Mutex::new(Vec::new()));
+        type Frame = (String, u64, i64, std::thread::ThreadId);
+        let seen: Arc<Mutex<Vec<Frame>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&seen);
         rt.set_update_hook(Some(Arc::new(move |graph: &str, report: &UpdateReport| {
             let delta = report.registered.iter().map(|d| d.delta()).sum();
+            let thread = std::thread::current().id();
             sink.lock()
-                .push((graph.to_owned(), report.graph_version, delta));
+                .push((graph.to_owned(), report.graph_version, delta, thread));
         })));
 
         // the untraced entry point still produces fully-traced frames
@@ -781,6 +711,9 @@ mod tests {
         assert!(frames[0].1 < frames[1].1, "commit order");
         assert_eq!(frames[0].2, 1);
         assert_eq!(frames[1].2, -1);
+        // a durable write commits on the writer's own thread
+        let me = std::thread::current().id();
+        assert!(frames.iter().all(|f| f.3 == me), "hook ran off-thread");
 
         rt.set_update_hook(None);
         rt.apply_updates("fig1", &[EdgeUpdate::Insert(x, y)])
@@ -836,7 +769,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_and_wal_metrics_accumulate() {
+    fn wal_metrics_accumulate() {
         let dir = tmpdir("metrics");
         let f = collaboration_fig1();
         let rt = DurableExpFinder::open(&dir, sequential_config()).unwrap();
@@ -847,10 +780,6 @@ mod tests {
         assert_eq!(wal.appends, 1);
         assert!(wal.bytes > 0);
         assert_eq!(wal.fsyncs, 0, "FsyncPolicy::Never");
-        let stats = rt.shard_stats();
-        assert_eq!(stats.len(), 2);
-        assert_eq!(stats.iter().map(|s| s.graphs).sum::<usize>(), 1);
-        assert!(stats.iter().map(|s| s.commands).sum::<u64>() >= 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -900,7 +829,7 @@ mod tests {
             .unwrap();
         assert_eq!(*via_quotient.matches, *direct.matches);
 
-        // the quotient is maintained through updates on the shard
+        // the quotient is maintained through durable updates
         rt.apply_updates("fig1", &[EdgeUpdate::Insert(x, y)])
             .unwrap();
         let after_q = rt
@@ -968,9 +897,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The engine's test of the same name, through the mailbox and the
-    /// WAL: a reader's snapshot keeps answering at its own version while
-    /// the actor commits on, the actor's graph copies at most two
+    /// The engine's test of the same name, through the WAL: a reader's
+    /// snapshot keeps answering at its own version while the writer
+    /// commits on, the writer's graph copies at most two
     /// adjacency chunks per applied update, a registered view no update
     /// moved is shared, not rebuilt, and a batch that applied nothing
     /// publishes nothing.
@@ -1056,7 +985,7 @@ mod tests {
         assert_eq!(bounded_simulation(held.graph(), &live).unwrap(), held_want);
         assert_eq!(*view(&held, "live"), held_want);
 
-        // O(Δ): every snapshot shared its untouched chunks with the actor
+        // O(Δ): every snapshot shared its untouched chunks with the writer
         assert!(applied > 0 && newest.graph().chunk_copies() <= 2 * applied);
         let _ = std::fs::remove_dir_all(&dir);
     }

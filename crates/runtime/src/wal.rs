@@ -26,8 +26,8 @@
 //! registration records existed replay unchanged.
 //!
 //! **Durability contract.** A batch is appended (and, under
-//! [`FsyncPolicy::Always`], fsynced) *before* the owning shard applies it
-//! to the graph — write-ahead in the literal sense. Replay therefore
+//! [`FsyncPolicy::Always`], fsynced) *before* the writer applies it to
+//! the graph — write-ahead in the literal sense. Replay therefore
 //! sees every acknowledged batch; an unacknowledged batch can at worst
 //! leave a *torn tail* (partial final frame from a crash mid-write),
 //! which [`Wal::replay`] detects via the length/checksum envelope and

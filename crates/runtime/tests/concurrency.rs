@@ -1,6 +1,6 @@
 //! The runtime's headline read-path claim: queries run on published
 //! immutable snapshots, so readers racing a writer (1) never block on
-//! the shard actor and (2) always observe a *consistent* state — every
+//! its log or write mutex and (2) always observe a *consistent* state — every
 //! response's matches and ranked experts equal a fresh single-threaded
 //! evaluation of the graph at the exact `graph_version` the response
 //! reports.
@@ -31,7 +31,7 @@ fn runtime_is_send_and_sync() {
 }
 
 /// N reader threads querying through `Arc<DurableExpFinder>` while one
-/// writer streams single-update batches through the shard mailbox.
+/// writer streams single-update batches through the WAL.
 /// Every observation is validated against a precomputed truth table
 /// keyed by graph version.
 #[test]
@@ -52,7 +52,7 @@ fn readers_consistent_with_concurrent_writer() {
     let q = fig1_pattern();
     let updates = random_updates(&mut StdRng::seed_from_u64(41), &base, UPDATES, 0.5);
 
-    // The runtime's actor applies the same updates to a clone of `base`
+    // The runtime applies the same updates to a clone of `base`
     // in the same order, so it walks the same version sequence — the
     // truth table covers every version a reader can be served.
     let experts_of = |list: &[RankedMatch]| -> Vec<(NodeId, u64)> {
@@ -78,12 +78,12 @@ fn readers_consistent_with_concurrent_writer() {
         DurableExpFinder::open(
             &dir,
             RuntimeConfig {
-                shards: 2,
                 fsync: FsyncPolicy::Never,
                 engine: EngineConfig {
                     exec: ExecConfig::sequential(),
                     ..EngineConfig::default()
                 },
+                ..RuntimeConfig::default()
             },
         )
         .unwrap(),
@@ -149,9 +149,8 @@ fn readers_consistent_with_concurrent_writer() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Writers on one graph do not serialize with readers of another: the
-/// two graphs live on (potentially) different shards and reads touch
-/// no shard at all. Correctness check — both sides finish with exact
+/// Writers on one graph do not serialize with readers of another: each
+/// graph has its own log, and reads touch no log at all. Correctness check — both sides finish with exact
 /// answers while racing.
 #[test]
 fn readers_of_one_graph_race_writers_of_another() {
@@ -176,12 +175,12 @@ fn readers_of_one_graph_race_writers_of_another() {
         DurableExpFinder::open(
             &dir,
             RuntimeConfig {
-                shards: 2,
                 fsync: FsyncPolicy::Never,
                 engine: EngineConfig {
                     exec: ExecConfig::sequential(),
                     ..EngineConfig::default()
                 },
+                ..RuntimeConfig::default()
             },
         )
         .unwrap(),

@@ -60,9 +60,9 @@ fn sequential() -> EngineConfig {
 
 fn durable_config() -> RuntimeConfig {
     RuntimeConfig {
-        shards: 1,
         fsync: FsyncPolicy::Never,
         engine: sequential(),
+        ..RuntimeConfig::default()
     }
 }
 

@@ -4,12 +4,16 @@
 //! must decode to exactly the appends that were acknowledged.
 //!
 //! The same loop covers `add_graph`, whose `.efg` write, WAL create and
-//! catalog insert are one shard command: a fault at any I/O boundary it
-//! crosses leaves no catalog entry and no file a restart would adopt,
-//! and two racing adds of one name have exactly one winner.
+//! catalog insert happen under one lock: a fault at any I/O boundary it
+//! crosses leaves no catalog entry and no file a restart would adopt, and
+//! `remove_graph`: a fault at any boundary it crosses leaves the graph
+//! listed, writable and on disk. Writes run on their callers' threads, so
+//! the races the locks must order — two adds of one name, appends against
+//! compaction, appends against a remove and re-add — are tested too.
 
 use expfinder_engine::ExpFinderError;
 use expfinder_graph::{DiGraph, EdgeUpdate, GraphView, NodeId};
+use expfinder_runtime::faults::Fault;
 use expfinder_runtime::wal::{FsyncPolicy, Wal, WalError};
 use expfinder_runtime::{
     DurableExpFinder, FaultInjector, FaultKind, FaultPlan, IoOp, RuntimeConfig,
@@ -162,11 +166,37 @@ fn path_graph(n: u32) -> DiGraph {
 }
 
 fn runtime(dir: &Path) -> DurableExpFinder {
-    let config = RuntimeConfig {
-        shards: 2,
-        ..RuntimeConfig::default()
+    DurableExpFinder::open(dir, RuntimeConfig::default()).unwrap()
+}
+
+fn sorted_edges(g: &DiGraph) -> Vec<(NodeId, NodeId)> {
+    let mut edges: Vec<_> = g.edges().collect();
+    edges.sort_unstable();
+    edges
+}
+
+/// Fail global I/O boundary `nth` with `kind`.
+fn fail_at(nth: u64, kind: FaultKind) -> FaultPlan {
+    FaultPlan {
+        faults: vec![Fault {
+            op: None,
+            nth,
+            partial: None,
+            kind,
+        }],
+    }
+}
+
+/// `n` one-update batches toggling the edges `(i, 3)` of a 4-node graph.
+fn toggles(n: u32) -> Vec<Vec<EdgeUpdate>> {
+    let batch = |i: u32| {
+        let (a, b) = (NodeId(i % 3), NodeId(3));
+        match (i / 3) % 2 {
+            0 => vec![EdgeUpdate::Insert(a, b)],
+            _ => vec![EdgeUpdate::Delete(a, b)],
+        }
     };
-    DurableExpFinder::open(dir, config).unwrap()
+    (0..n).map(batch).collect()
 }
 
 fn files_in(dir: &Path) -> Vec<String> {
@@ -206,14 +236,7 @@ fn a_faulted_add_graph_leaves_no_trace() {
         for kind in [FaultKind::Eio, FaultKind::Enospc] {
             let rt = runtime(&dir);
             let inj = rt.fault_injector();
-            inj.arm(FaultPlan {
-                faults: vec![expfinder_runtime::faults::Fault {
-                    op: None,
-                    nth,
-                    partial: None,
-                    kind,
-                }],
-            });
+            inj.arm(fail_at(nth, kind));
             let err = rt.add_graph("g", g.clone()).unwrap_err();
             assert_eq!(inj.totals().injected, 1, "boundary {nth}: {err}");
             inj.disarm();
@@ -265,6 +288,87 @@ fn a_faulted_add_graph_leaves_no_trace() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// An `Eio` / `Enospc` at every I/O boundary `remove_graph` crosses: the
+/// remove fails, and the graph stays listed, readable and writable, and
+/// survives a reopen with its logged update; a disarmed retry then removes
+/// it for good. A simulated crash at the same boundaries leaves a restart
+/// the graph whole or absent.
+#[test]
+fn a_faulted_remove_graph_keeps_the_graph() {
+    let dir = tmp_wal("remove_fault").with_extension("d");
+    let g = path_graph(5);
+    let up = EdgeUpdate::Insert(NodeId(4), NodeId(0));
+    let mut want = g.clone();
+    want.apply(up);
+    let seeded = || {
+        let rt = runtime(&dir);
+        rt.add_graph("g", g.clone()).unwrap();
+        rt.apply_updates("g", &[up]).unwrap();
+        rt
+    };
+    let whole = |rt: &DurableExpFinder| {
+        let h = rt.handle("g").unwrap();
+        rt.read_graph(&h, |r| sorted_edges(r) == sorted_edges(&want))
+            .unwrap()
+    };
+
+    // count the boundaries of one clean remove (fsync: Always)
+    let boundaries = {
+        let rt = seeded();
+        rt.fault_injector().arm(FaultPlan::new());
+        rt.remove_graph("g").unwrap();
+        let n = rt.fault_injector().boundaries();
+        rt.fault_injector().disarm();
+        n
+    };
+    assert!(files_in(&dir).is_empty(), "remove deletes both files");
+    // .efg unlink, dir fsync
+    assert_eq!(boundaries, 2);
+
+    for nth in 0..boundaries {
+        for kind in [FaultKind::Eio, FaultKind::Enospc] {
+            let rt = seeded();
+            let inj = rt.fault_injector();
+            inj.arm(fail_at(nth, kind));
+            let err = rt.remove_graph("g").unwrap_err();
+            assert_eq!(inj.totals().injected, 1, "boundary {nth}: {err}");
+            inj.disarm();
+            assert_eq!(rt.graph_names(), ["g"], "boundary {nth}: still listed");
+            assert!(whole(&rt), "boundary {nth}: still readable");
+            assert_eq!(rt.apply_updates("g", &[up]).unwrap(), 0, "and writable");
+            drop(rt);
+
+            let rt = runtime(&dir);
+            assert!(whole(&rt), "boundary {nth}: survives reopen");
+            // the failure was transient: a retry removes it for good
+            rt.remove_graph("g").unwrap();
+            drop(rt);
+            assert!(runtime(&dir).graph_names().is_empty(), "boundary {nth}");
+            assert!(
+                files_in(&dir).is_empty(),
+                "boundary {nth}: {:?}",
+                files_in(&dir)
+            );
+        }
+
+        // a crash is not cleaned up after; recovery copes with what is left
+        let rt = seeded();
+        rt.fault_injector().arm(FaultPlan::new().crash_at(nth));
+        rt.remove_graph("g").unwrap_err();
+        drop(rt);
+        let rt = runtime(&dir);
+        if rt.handle("g").is_ok() {
+            assert!(whole(&rt), "boundary {nth}: reopened a torn graph");
+            rt.remove_graph("g").unwrap();
+        }
+        drop(rt);
+        for stray in files_in(&dir) {
+            std::fs::remove_file(dir.join(stray)).unwrap();
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Two threads add the same name at once: under every interleaving
 /// exactly one wins, the other sees `DuplicateGraph`, and what is on disk
 /// — and listed — is the winner's graph, whole.
@@ -272,7 +376,6 @@ fn a_faulted_add_graph_leaves_no_trace() {
 fn racing_adds_of_one_name_have_exactly_one_winner() {
     let dir = tmp_wal("add_race").with_extension("d");
     let config = RuntimeConfig {
-        shards: 2,
         fsync: FsyncPolicy::Never,
         ..RuntimeConfig::default()
     };
@@ -303,6 +406,113 @@ fn racing_adds_of_one_name_have_exactly_one_winner() {
         let same =
             |r: &DiGraph| r.node_count() == winner.node_count() && r.edges().eq(winner.edges());
         assert!(rt.read_graph(&h, same).unwrap(), "round {round}");
+        rt.remove_graph("g").unwrap();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One thread streams update batches while another compacts the same graph
+/// a few times: under every interleaving no acked batch is lost to a log
+/// swap, so a reopen finds the graph the whole stream produced. The stream
+/// outlasts the compactions (each append fsyncs), so the last swap races
+/// appends and no later snapshot can paper over a batch it dropped; each
+/// batch inserts an edge of its own, so no later batch can either.
+#[test]
+fn compaction_racing_appends_loses_no_acked_batch() {
+    let dir = tmp_wal("compact_race").with_extension("d");
+    let batches: Vec<Vec<EdgeUpdate>> = (0..120)
+        .map(|i| vec![EdgeUpdate::Insert(NodeId(i / 16), NodeId(i % 16))])
+        .collect();
+    let base = path_graph(16);
+    let mut model = base.clone();
+    for &up in batches.iter().flatten() {
+        model.apply(up);
+    }
+    for round in 0..8 {
+        let rt = runtime(&dir);
+        rt.add_graph("g", base.clone()).unwrap();
+        let start = Barrier::new(2);
+        std::thread::scope(|s| {
+            let (rt, start, batches) = (&rt, &start, &batches);
+            s.spawn(move || {
+                start.wait();
+                for batch in batches {
+                    rt.apply_updates("g", batch).unwrap();
+                }
+            });
+            s.spawn(move || {
+                start.wait();
+                for _ in 0..3 {
+                    rt.compact("g").unwrap();
+                }
+            });
+        });
+        drop(rt);
+
+        let rt = runtime(&dir);
+        let h = rt.handle("g").unwrap();
+        let got = rt.read_graph(&h, sorted_edges).unwrap();
+        assert_eq!(got, sorted_edges(&model), "round {round}");
+        rt.remove_graph("g").unwrap();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One thread streams update batches while another removes the graph and
+/// re-adds the name: every apply is acked or refused as unknown, never
+/// logged after its graph's files are gone, and after a reopen the new
+/// graph holds exactly the batches acked by the new life — none of the old
+/// graph's frames. The old graph's versions start far above anything the
+/// new one reaches, so an ack's `graph_version` says which life took it.
+#[test]
+fn appends_racing_remove_and_readd_stay_with_their_life() {
+    let dir = tmp_wal("remove_race").with_extension("d");
+    let config = RuntimeConfig {
+        fsync: FsyncPolicy::Never,
+        ..RuntimeConfig::default()
+    };
+    let batches = toggles(24);
+    let (old, fresh) = (path_graph(64), path_graph(4));
+    let new_life = old.version();
+    assert!(fresh.version() + (batches.len() as u64) < new_life);
+    for round in 0..16 {
+        let rt = DurableExpFinder::open(&dir, config.clone()).unwrap();
+        rt.add_graph("g", old.clone()).unwrap();
+        let start = Barrier::new(2);
+        let acked: Vec<&Vec<EdgeUpdate>> = std::thread::scope(|s| {
+            let (rt, start) = (&rt, &start);
+            let writer = s.spawn(|| {
+                start.wait();
+                let mut acked = Vec::new();
+                for batch in &batches {
+                    match rt.apply_updates_traced("g", batch) {
+                        Ok(r) if r.graph_version < new_life => acked.push(batch),
+                        Ok(_)
+                        | Err(ExpFinderError::UnknownGraph(_))
+                        | Err(ExpFinderError::StaleHandle(_)) => {}
+                        Err(e) => panic!("round {round}: {e}"),
+                    }
+                }
+                acked
+            });
+            s.spawn(|| {
+                start.wait();
+                rt.remove_graph("g").unwrap();
+                rt.add_graph("g", fresh.clone()).unwrap();
+            });
+            writer.join().unwrap()
+        });
+        drop(rt);
+
+        let mut model = fresh.clone();
+        for &up in acked.iter().copied().flatten() {
+            model.apply(up);
+        }
+        let rt = DurableExpFinder::open(&dir, config.clone()).unwrap();
+        assert_eq!(rt.wal_totals().replayed_frames, acked.len() as u64);
+        let h = rt.handle("g").unwrap();
+        let got = rt.read_graph(&h, sorted_edges).unwrap();
+        assert_eq!(got, sorted_edges(&model), "round {round}");
         rt.remove_graph("g").unwrap();
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -84,9 +84,9 @@ fn engine_config(exec: ExecConfig) -> EngineConfig {
 
 fn runtime_config(exec: ExecConfig) -> RuntimeConfig {
     RuntimeConfig {
-        shards: 2,
         fsync: FsyncPolicy::Never,
         engine: engine_config(exec),
+        ..RuntimeConfig::default()
     }
 }
 

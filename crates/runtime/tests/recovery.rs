@@ -22,7 +22,6 @@ fn tmpdir(tag: &str) -> PathBuf {
 
 fn config() -> RuntimeConfig {
     RuntimeConfig {
-        shards: 2,
         fsync: FsyncPolicy::Never,
         ..RuntimeConfig::default()
     }

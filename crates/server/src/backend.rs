@@ -15,9 +15,9 @@
 //! code on both: resolve the name to a handle, call the catalog. Two arms
 //! remain only where the deployments really differ — the three writes a
 //! durable backend must log first (`add_graph`, `apply_updates_traced`,
-//! `register_query`) and the three gauges only it has (`wal_totals`,
-//! `fault_totals`, `shard_stats`, all-zero / empty on a local backend so
-//! `/metrics` keeps one shape).
+//! `register_query`) and the two gauges only it has (`wal_totals`,
+//! `fault_totals`, all-zero on a local backend so `/metrics` keeps one
+//! shape).
 
 use expfinder_core::MatchRelation;
 use expfinder_engine::{
@@ -26,7 +26,7 @@ use expfinder_engine::{
 };
 use expfinder_graph::{DiGraph, EdgeUpdate};
 use expfinder_pattern::Pattern;
-use expfinder_runtime::{DurableExpFinder, FaultTotals, ShardStats, WalTotals};
+use expfinder_runtime::{DurableExpFinder, FaultTotals, WalTotals};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -36,7 +36,7 @@ use std::time::Duration;
 pub enum Backend {
     /// In-memory engine (no durability; the seed deployment shape).
     Local(Arc<ExpFinder>),
-    /// Durable shard runtime (WAL + snapshot per graph).
+    /// Durable runtime (WAL + snapshot per graph).
     Durable(Arc<DurableExpFinder>),
 }
 
@@ -203,15 +203,6 @@ impl Backend {
         match self {
             Backend::Local(_) => FaultTotals::default(),
             Backend::Durable(rt) => rt.fault_totals(),
-        }
-    }
-
-    /// Per-shard mailbox/ownership gauges — empty on a
-    /// [`Backend::Local`].
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        match self {
-            Backend::Local(_) => Vec::new(),
-            Backend::Durable(rt) => rt.shard_stats(),
         }
     }
 }

@@ -209,7 +209,6 @@ fn rt_state(rt: &DurableExpFinder) -> State {
 
 fn config() -> RuntimeConfig {
     RuntimeConfig {
-        shards: 1,
         fsync: FsyncPolicy::Always,
         ..RuntimeConfig::default()
     }

@@ -3,19 +3,21 @@
 //! ```text
 //! serve [--addr 127.0.0.1:7878] [--workers N] [--fixture fig1]
 //!       [--load <name> <path.efg>] [--log <path>] [--allow-shutdown]
-//!       [--data-dir <dir>] [--shards N] [--no-fsync]
+//!       [--data-dir <dir>] [--no-fsync] [--shards N (ignored)]
 //!       [--default-deadline-ms N] [--max-deadline-ms N]
 //!       [--admission-max-cost F]
 //! ```
 //!
 //! Without `--data-dir` the daemon serves an in-memory engine (graphs
-//! vanish with the process). With it, the daemon boots a durable shard
-//! runtime rooted at the directory: graphs persist as `.efg` snapshots,
-//! every accepted update batch is WAL-logged before it is applied, and
-//! a restart replays the logs — `kill -9` loses at most the batch whose
-//! append was torn mid-write. `--shards` sizes the actor pool,
+//! vanish with the process). With it, the daemon boots a durable runtime
+//! rooted at the directory: graphs persist as `.efg` snapshots, every
+//! accepted update batch is WAL-logged (on the request's own worker
+//! thread) before it is applied, and a restart replays the logs —
+//! `kill -9` loses at most the batch whose append was torn mid-write.
 //! `--no-fsync` trades crash-durability of the tail for update latency
-//! (replay correctness is unaffected).
+//! (replay correctness is unaffected). `--shards N` is accepted and
+//! ignored: there are no shard workers any more, and the flag stays only
+//! so existing command lines keep working.
 //!
 //! Prints exactly one `listening on <addr>` line on stdout once the
 //! socket is bound (the contract the smoke harness and scripts rely on
@@ -38,7 +40,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: serve [--addr HOST:PORT] [--workers N] [--fixture fig1] \
          [--load NAME PATH] [--log PATH] [--allow-shutdown] \
-         [--data-dir DIR] [--shards N] [--no-fsync] \
+         [--data-dir DIR] [--no-fsync] [--shards N (ignored)] \
          [--default-deadline-ms N] [--max-deadline-ms N] \
          [--admission-max-cost F]"
     );
@@ -80,7 +82,6 @@ fn main() {
     let mut loads: Vec<(String, String)> = Vec::new();
     let mut log_path: Option<String> = None;
     let mut data_dir: Option<String> = None;
-    let mut shards: Option<usize> = None;
     let mut fsync = FsyncPolicy::Always;
 
     let take = |i: &mut usize| -> String {
@@ -101,7 +102,9 @@ fn main() {
             "--log" => log_path = Some(take(&mut i)),
             "--allow-shutdown" => config.allow_remote_shutdown = true,
             "--data-dir" => data_dir = Some(take(&mut i)),
-            "--shards" => shards = Some(take(&mut i).parse().unwrap_or_else(|_| usage())),
+            "--shards" => {
+                let _: usize = take(&mut i).parse().unwrap_or_else(|_| usage());
+            }
             "--no-fsync" => fsync = FsyncPolicy::Never,
             "--default-deadline-ms" => {
                 config.default_deadline_ms = Some(take(&mut i).parse().unwrap_or_else(|_| usage()))
@@ -127,13 +130,10 @@ fn main() {
     let backend = match &data_dir {
         None => Backend::Local(Arc::new(ExpFinder::default())),
         Some(dir) => {
-            let mut rc = RuntimeConfig {
+            let rc = RuntimeConfig {
                 fsync,
                 ..RuntimeConfig::default()
             };
-            if let Some(n) = shards {
-                rc.shards = n.max(1);
-            }
             let rt = DurableExpFinder::open(dir, rc).unwrap_or_else(|e| {
                 eprintln!("cannot open data dir {dir}: {e}");
                 std::process::exit(1);

@@ -326,9 +326,8 @@ impl Metrics {
     /// the exporter doubles as a serving-path profiler: cache hit rates
     /// and `EvalStats` wins (refresh skipping, BFS-node reduction) are
     /// visible without attaching a profiler. The durability block
-    /// (`engine.wal`) and the per-shard gauges (`engine.shard`) are
-    /// always present so dashboards see one schema — an in-memory
-    /// backend exports zeroes and an empty shard list — as are the
+    /// (`engine.wal`) is always present so dashboards see one schema —
+    /// an in-memory backend exports zeroes — as are the
     /// fault-injection counters (`engine.faults`, zero unless a chaos
     /// harness armed the injector) and the load-shedding counter
     /// (`server.shed`). `subscriptions`
@@ -349,18 +348,6 @@ impl Metrics {
         let cancel = read.cancel_totals();
         let wal = backend.wal_totals();
         let faults = backend.fault_totals();
-        let shards: Vec<Value> = backend
-            .shard_stats()
-            .into_iter()
-            .map(|s| {
-                obj(vec![
-                    ("shard", Value::Int(s.shard as i64)),
-                    ("depth", Value::Int(s.depth as i64)),
-                    ("graphs", Value::Int(s.graphs as i64)),
-                    ("commands", Value::Int(s.commands as i64)),
-                ])
-            })
-            .collect();
         let engine_doc = obj(vec![
             (
                 "cache",
@@ -437,7 +424,6 @@ impl Metrics {
                     ("renames", Value::Int(faults.renames as i64)),
                 ]),
             ),
-            ("shard", Value::Array(shards)),
         ]);
         let graphs: Vec<Value> = backend
             .graph_infos()
@@ -564,9 +550,9 @@ mod tests {
     }
 
     #[test]
-    fn wal_and_shard_blocks_always_present() {
+    fn wal_and_fault_blocks_always_present() {
         // one metrics schema for both deployment shapes: an in-memory
-        // backend exports the durability block as zeroes / empty
+        // backend exports the durability block as zeroes
         let doc = Metrics::default().to_json(&local(), subs());
         let wal = doc.field("engine").unwrap().field("wal").unwrap();
         for key in [
@@ -579,8 +565,6 @@ mod tests {
         ] {
             assert_eq!(wal.field(key).unwrap().as_i64().unwrap(), 0, "{key}");
         }
-        let shards = doc.field("engine").unwrap().field("shard").unwrap();
-        assert!(shards.as_array().unwrap().is_empty());
         let faults = doc.field("engine").unwrap().field("faults").unwrap();
         for key in ["injected", "writes", "fsyncs", "renames"] {
             assert_eq!(faults.field(key).unwrap().as_i64().unwrap(), 0, "{key}");

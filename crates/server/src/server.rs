@@ -138,8 +138,8 @@ impl Server {
         Server::bind_backend(Backend::Local(engine), addr, config)
     }
 
-    /// Bind to `addr`, serving a durable shard runtime: updates are
-    /// WAL-logged, queries run on published snapshots, restarts replay.
+    /// Bind to `addr`, serving a durable runtime: updates are WAL-logged
+    /// on their worker, queries run on published snapshots, restarts replay.
     pub fn bind_durable(
         runtime: Arc<DurableExpFinder>,
         addr: impl ToSocketAddrs,

@@ -7,7 +7,7 @@
 //! * `serve [addr]` — boot an HTTP server **on the shell's own engine**
 //!   (default `127.0.0.1:0`); graphs generated or loaded in the shell are
 //!   immediately queryable over the wire.
-//! * `serve durable <dir> [addr]` — boot a server on a **durable shard
+//! * `serve durable <dir> [addr]` — boot a server on a **durable
 //!   runtime** rooted at `<dir>` instead: graphs already in the
 //!   directory are recovered (snapshot + WAL replay) and updates
 //!   accepted over the wire are WAL-logged. Separate from the shell's

@@ -469,12 +469,12 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
 
 fn durable_config() -> expfinder_runtime::RuntimeConfig {
     expfinder_runtime::RuntimeConfig {
-        shards: 2,
         fsync: expfinder_runtime::wal::FsyncPolicy::Never,
         engine: expfinder_engine::EngineConfig {
             exec: expfinder_engine::ExecConfig::sequential(),
             ..Default::default()
         },
+        ..Default::default()
     }
 }
 
@@ -992,7 +992,7 @@ fn deadline_answers_408_while_other_workers_serve() {
 
 /// The durable backend maps a fired deadline to the same 408 wire shape,
 /// and the very next un-deadlined query on the same connection is
-/// answered correctly — cancellation never poisons the shard state.
+/// answered correctly — cancellation never poisons the writer's state.
 #[test]
 fn deadline_408_on_durable_backend_leaves_state_clean() {
     let dir = tmpdir("deadline");

@@ -1,9 +1,11 @@
 # Offline CI entry points (the container mirror of .github/workflows/ci.yml).
 
-# everything the CI `check` and `doc` jobs run, in order, plus the
-# repo-benchmark smoke (the benchmark package has its own `[workspace]`,
-# so nothing above compiles it)
-verify: fmt-check clippy test doc docs-check bench-e2e-smoke
+# the full local CI mirror: everything the CI `check` and `doc` jobs
+# run, the planner and perf-counter gates, the four harnesses that drive
+# the real `serve` binary (the last three are what exercise the durable
+# runtime end to end), and the repo-benchmark smoke (the benchmark
+# package has its own `[workspace]`, so nothing above compiles it)
+verify: fmt-check clippy test doc docs-check plan-check bench-compare serve-smoke recovery-smoke chaos-smoke stress-smoke bench-e2e-smoke
 
 fmt-check:
     cargo fmt --all --check
@@ -141,6 +143,13 @@ bench-e2e-smoke:
 # spread gate per metric. Extra flags pass through (`--seed 7`, `--trace 1`)
 bench-pairs parent_serve change_serve workload pairs="10" *flags="":
     python3 scripts/bench_pairs.py {{parent_serve}} {{change_serve}} --workload {{workload}} --pairs {{pairs}} {{flags}}
+
+# a service-layer refactor's wire check: boot both `serve` binaries in
+# memory and on a fresh --data-dir, send the same ~35 requests, and fail
+# on any status or body difference (numeric `*_us`/`*_ms` under `timings`
+# masked); prints the `/metrics` key-set difference
+wire-parity parent_serve change_serve:
+    python3 scripts/wire_parity.py {{parent_serve}} {{change_serve}}
 
 # a simplicity PR's acceptance number: non-test source lines (each `.rs`
 # file up to its first `#[cfg(test)]`) per file and in total; with

@@ -22,7 +22,9 @@ undocumented.
 And the metrics vocabulary: every key of the `engine` block that
 crates/server/src/metrics.rs emits for `GET /metrics` must appear in
 that route's section of docs/PROTOCOL.md as `"key":` in the example
-document, so a new metrics block cannot ship undocumented either.
+document, so a new metrics block cannot ship undocumented either — and,
+the other way round, every key of the example's `"engine"` object must
+be emitted, so a deleted block cannot stay in the spec.
 
 And, the other way round, the type names docs/ARCHITECTURE.md leans on:
 every backticked `CamelCase` identifier (bare, or the type in an
@@ -35,6 +37,7 @@ declared in a file that declares or implements that type — so a deleted
 method cannot stay in the map under a type that survived it either.
 """
 
+import json
 import re
 import sys
 from pathlib import Path
@@ -101,10 +104,12 @@ def check_route_enums(spec: str):
 
 def check_engine_metrics(spec: str):
     """Keys of the `engine` block built in metrics.rs that the
-    `GET /metrics` section of the spec does not show, and the number of
-    keys checked. The block is the `obj(vec![...])` bound to
-    `engine_doc`; its keys are the string literals that open a tuple one
-    nesting level inside it."""
+    `GET /metrics` section of the spec does not show, keys of the
+    section's example `"engine"` object that metrics.rs does not emit,
+    and the number of keys checked. The block is the `obj(vec![...])`
+    bound to `engine_doc`; its keys are the string literals that open a
+    tuple one nesting level inside it. The example is the section's
+    first ```json block, which must parse as JSON."""
     src = METRICS_SRC.read_text()
     start = src.find("let engine_doc = obj(vec![")
     if start < 0:
@@ -130,6 +135,23 @@ def check_engine_metrics(spec: str):
         for key in keys
         if f'"{key}":' not in section
     ]
+    example = re.search(r"```json\n(.*?)```", section, re.DOTALL)
+    try:
+        documented = json.loads(example.group(1))["engine"] if example else None
+    except (ValueError, KeyError, TypeError):
+        documented = None
+    if not isinstance(documented, dict):
+        missing.append(
+            'the `GET /metrics` example in docs/PROTOCOL.md has no parseable '
+            '`"engine"` object; update scripts/docs_check.py'
+        )
+    else:
+        missing += [
+            f"engine.{key}: shown in the `GET /metrics` example of "
+            "docs/PROTOCOL.md but not emitted by metrics.rs"
+            for key in documented
+            if key not in keys
+        ]
     if len(keys) < 5:
         missing.append(
             f"only {len(keys)} engine metrics keys parsed from {METRICS_SRC}; "
