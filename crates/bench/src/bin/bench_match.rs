@@ -1,48 +1,35 @@
-//! Standalone matching-engine benchmark: the queue-vs-frontier engine
-//! comparison of PR 4 plus the cold-vs-warm reach-index comparison of
-//! PR 5.
+//! The deterministic-gate binary: writes the counters document or the
+//! planner-decision snapshot.
 //!
 //! Usage:
 //!   cargo run --release -p expfinder-bench --bin bench_match
-//!   cargo run --release -p expfinder-bench --bin bench_match -- --quick
 //!   cargo run --release -p expfinder-bench --bin bench_match -- \
-//!       --out BENCH_4.json --min-speedup 1.5 \
-//!       --warm-out BENCH_5.json --min-warm-speedup 1.3 \
-//!       --max-cancel-overhead 0.02
+//!       --out target/ci/BENCH_counters_fresh.json --max-cancel-overhead 0.02
 //!   cargo run --release -p expfinder-bench --bin bench_match -- \
 //!       --plan-out plans.json
 //!
-//! `--plan-out FILE` is an exclusive mode: instead of the timing
-//! benchmarks it writes the deterministic planner-decision snapshot of
+//! By default it writes [`expfinder_bench::matchbench::run_counters_bench`]
+//! to `--out` (default `BENCH_counters.json`, the checked-in baseline);
+//! CI compares a fresh copy against that baseline with
+//! `scripts/bench_compare.py` (`just bench-compare`). With
+//! `--max-cancel-overhead F` it exits non-zero when carrying a *disarmed*
+//! `CancelToken` through any `match_frontier` workload costs more than
+//! fraction `F` over the token-free path (0.02 holds the cancellation
+//! plumbing to within 2%) — a wall-clock bar, advisory in CI.
+//!
+//! `--plan-out FILE` is an exclusive mode: it writes the deterministic
+//! planner-decision snapshot of
 //! [`expfinder_bench::planbench::run_plan_bench`] and exits — CI diffs
 //! that output against the checked-in `PLANS.json` (`just plan-check`).
-//!
-//! Two documents are written: the sequential old-vs-new measurement of
-//! [`expfinder_bench::matchbench::run_match_bench`] (default
-//! `BENCH_4.json`) and the cold-vs-warm multi-query measurement of
-//! [`expfinder_bench::matchbench::run_warm_bench`] (default
-//! `BENCH_5.json`). With `--min-speedup X` the process exits non-zero
-//! when any PR-4 workload's single-query speedup falls below `X`; with
-//! `--min-warm-speedup Y` it exits non-zero when any *gated* warm
-//! workload's second-query-on-version speedup over the PR-4 frontier
-//! path falls below `Y`; with `--max-cancel-overhead F` it exits
-//! non-zero when carrying a *disarmed* `CancelToken` through the
-//! chain workload costs more than fraction `F` over the token-free
-//! path (0.02 holds the cancellation plumbing to within 2%) — the perf
-//! gates the `bench-smoke` CI job attaches to.
 
-use expfinder_bench::batchbench::write_bench_json;
-use expfinder_bench::matchbench::{run_match_bench, run_warm_bench, MatchBenchOptions};
+use expfinder_bench::matchbench::run_counters_bench;
 use expfinder_bench::planbench::run_plan_bench;
+use expfinder_bench::write_bench_json;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut quick = false;
-    let mut out = "BENCH_4.json".to_owned();
-    let mut warm_out = "BENCH_5.json".to_owned();
+    let mut out = "BENCH_counters.json".to_owned();
     let mut plan_out: Option<String> = None;
-    let mut min_speedup: Option<f64> = None;
-    let mut min_warm_speedup: Option<f64> = None;
     let mut max_cancel_overhead: Option<f64> = None;
 
     let mut i = 0;
@@ -57,14 +44,8 @@ fn main() {
                 .clone()
         };
         match args[i].as_str() {
-            "--quick" => quick = true,
             "--out" => out = take(&mut i),
-            "--warm-out" => warm_out = take(&mut i),
             "--plan-out" => plan_out = Some(take(&mut i)),
-            "--min-speedup" => min_speedup = Some(take(&mut i).parse().expect("bad --min-speedup")),
-            "--min-warm-speedup" => {
-                min_warm_speedup = Some(take(&mut i).parse().expect("bad --min-warm-speedup"))
-            }
             "--max-cancel-overhead" => {
                 max_cancel_overhead = Some(take(&mut i).parse().expect("bad --max-cancel-overhead"))
             }
@@ -83,30 +64,12 @@ fn main() {
         return;
     }
 
-    let opts = MatchBenchOptions { quick };
-    let doc = run_match_bench(&opts);
-    write_bench_json(&out, &doc).expect("writing bench json");
-    let warm_doc = run_warm_bench(&opts);
-    write_bench_json(&warm_out, &warm_doc).expect("writing warm bench json");
+    let doc = run_counters_bench();
+    write_bench_json(&out, &doc).expect("writing counters document");
 
-    let mut ok = true;
-    if let Some(min) = min_speedup {
-        let workloads = doc.field("workloads").unwrap().as_array().unwrap();
-        for w in workloads {
-            let name = w.field("name").unwrap().as_str().unwrap();
-            let sp = w.field("speedup").unwrap().as_f64().unwrap();
-            if sp < min {
-                eprintln!("GATE FAIL: {name} single-query speedup {sp:.2}x < required {min:.2}x");
-                ok = false;
-            }
-        }
-        if ok {
-            println!("gate passed: all single-query speedups >= {min:.2}x");
-        }
-    }
     if let Some(max) = max_cancel_overhead {
-        let workloads = doc.field("workloads").unwrap().as_array().unwrap();
-        let mut cancel_ok = true;
+        let workloads = doc.field("match_frontier").unwrap().as_array().unwrap();
+        let mut ok = true;
         for w in workloads {
             let name = w.field("name").unwrap().as_str().unwrap();
             let ov = w.field("cancel_check_overhead").unwrap().as_f64().unwrap();
@@ -116,40 +79,15 @@ fn main() {
                     ov * 100.0,
                     max * 100.0
                 );
-                cancel_ok = false;
+                ok = false;
             }
         }
-        if cancel_ok {
-            println!(
-                "cancel gate passed: disarmed token overhead <= {:.2}% on every workload",
-                max * 100.0
-            );
+        if !ok {
+            std::process::exit(1);
         }
-        ok &= cancel_ok;
-    }
-    if let Some(min) = min_warm_speedup {
-        let workloads = warm_doc.field("workloads").unwrap().as_array().unwrap();
-        let mut warm_ok = true;
-        for w in workloads {
-            if !w.field("gated").unwrap().as_bool().unwrap() {
-                continue;
-            }
-            let name = w.field("name").unwrap().as_str().unwrap();
-            let pat = w.field("pattern").unwrap().as_str().unwrap();
-            let sp = w.field("warm_speedup").unwrap().as_f64().unwrap();
-            if sp < min {
-                eprintln!(
-                    "GATE FAIL: {name}/{pat} warm-query speedup {sp:.2}x < required {min:.2}x"
-                );
-                warm_ok = false;
-            }
-        }
-        if warm_ok {
-            println!("warm gate passed: all gated warm speedups >= {min:.2}x");
-        }
-        ok &= warm_ok;
-    }
-    if !ok {
-        std::process::exit(1);
+        println!(
+            "cancel gate passed: disarmed token overhead <= {:.2}% on every workload",
+            max * 100.0
+        );
     }
 }

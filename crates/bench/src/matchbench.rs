@@ -1,25 +1,28 @@
-//! Old-path vs new-path benchmark for the matching engine (PR 4).
+//! The counters document (`BENCH_counters.json`, `"bench": "counters"`):
+//! the matching engine's deterministic work on seeded workloads, which
+//! `scripts/bench_compare.py` gates in CI.
 //!
-//! Measures **single-query sequential latency** of bounded simulation on
-//! the collab/twitter workloads under both fixpoint engines — the
-//! queue-based BFS loop (`FixpointEngine::Queue`, the pre-PR-4 path) and
-//! the delta-aware frontier engine (`FixpointEngine::Frontier`:
-//! dependency-ordered plan, direction-optimizing bitset BFS, refresh
-//! memoization, reused [`EvalScratch`], CSR snapshot) — alongside the
-//! [`EvalStats`] each produces, so the speedup is attributable:
-//! `refreshes` and `bfs_nodes_visited` drop because the dependency plan
-//! refreshes DAG-pattern edges exactly once, and `refreshes_skipped`
-//! counts queued refreshes proven redundant by the dirty counters.
+//! It holds two workload arrays:
 //!
-//! The patterns are chain-shaped on purpose: a pattern edge whose target
-//! set shrinks during refinement re-queues its upstream edges under the
-//! old static plan — exactly the work the new plan avoids. Answers from
-//! both engines are cross-checked for equality while measuring
-//! (`results_identical` in the JSON document, written to `BENCH_4.json`).
+//! * **`match_frontier`** — bounded simulation on the collab/twitter
+//!   workloads under both fixpoint engines: the queue-based BFS loop
+//!   (`FixpointEngine::Queue`, the oracle) and the delta-aware frontier
+//!   engine (`FixpointEngine::Frontier`: dependency-ordered plan,
+//!   direction-optimizing bitset BFS, refresh memoization, reused
+//!   [`EvalScratch`], CSR snapshot), each with the [`EvalStats`] it
+//!   produces. The patterns are chain-shaped on purpose: a pattern edge
+//!   whose target set shrinks during refinement re-queues its upstream
+//!   edges under a static plan — exactly the work the dependency plan
+//!   avoids. Each workload also ranks its matches: the `rank` block holds
+//!   the result graph's size and the ranking kernel's work counters
+//!   ([`RankScratch::work`]).
+//! * **`match_warm_index`** — the same frontier path without and with the
+//!   per-version reach index, cold (first query on a version) and warm
+//!   (queries 2..N).
 //!
-//! Each workload also ranks its matches: the `rank` block holds the
-//! result graph's size and the ranking kernel's deterministic work
-//! counters ([`RankScratch::work`]), which `bench-compare` gates.
+//! Answers of every path are asserted identical while measuring
+//! (`results_identical`). Counters and sizes are exact functions of the
+//! seed; the `*_ms` / speedup fields are wall-clock and only advisory.
 
 use crate::{collab_graph, collab_pattern, fmt_dur, json_obj as obj, time, twitter_graph, SEED};
 use expfinder_core::{
@@ -32,12 +35,8 @@ use expfinder_graph::{CsrGraph, DiGraph, GraphView};
 use expfinder_pattern::{Bound, Pattern, PatternBuilder, Predicate};
 use std::time::Duration;
 
-/// Knobs for one benchmark run.
-#[derive(Clone, Debug, Default)]
-pub struct MatchBenchOptions {
-    /// Smaller graphs and fewer repetitions.
-    pub quick: bool,
-}
+/// Timed repetitions per measured path (after one untimed warmup).
+const REPS: usize = 3;
 
 /// A chain-shaped influencer pattern for the Twitter-like generator:
 /// `u0 →(2) u1 →(2) u2 →(2) u3`, with `u0` also within 3 hops of a
@@ -78,7 +77,7 @@ pub fn twitter_chain_pattern() -> Pattern {
 /// constraint of `u0 →(2) u1, u0 →(3) media` is seeded from an untouched
 /// full label class, so on a warm graph version the reach index serves
 /// *every* first refresh and queries 2..N skip the class-seeded BFS
-/// entirely — the steady-state serving shape `BENCH_5.json` pins down.
+/// entirely — the steady-state serving shape `match_warm_index` pins down.
 pub fn twitter_audience_pattern() -> Pattern {
     PatternBuilder::new()
         .node_output("u0", Predicate::label("user"))
@@ -127,12 +126,12 @@ fn stats_doc(stats: EvalStats) -> Value {
 }
 
 /// Median latency plus the (identical-across-reps) evaluation output.
-fn measure<R>(reps: usize, mut f: impl FnMut() -> R) -> (Duration, R) {
+fn measure<R>(mut f: impl FnMut() -> R) -> (Duration, R) {
     // one untimed warmup settles allocator/page-cache state; medians on
     // a busy 1-core container are otherwise dominated by the first run
     let mut last = f();
-    let mut times = Vec::with_capacity(reps);
-    for _ in 0..reps {
+    let mut times = Vec::with_capacity(REPS);
+    for _ in 0..REPS {
         let (r, t) = time(&mut f);
         times.push(t);
         last = r;
@@ -161,11 +160,11 @@ fn queue_oracle(graph: &DiGraph, pattern: &Pattern) -> (MatchRelation, EvalStats
 /// `EvalScratch`. The snapshot is built once per graph version and shared
 /// by every query at that version, so its (separately reported) build
 /// cost is not part of per-query latency.
-fn bench_workload(name: &str, graph: &DiGraph, pattern: &Pattern, reps: usize) -> Value {
-    let (old_t, (old_m, old_stats)) = measure(reps, || queue_oracle(graph, pattern));
+fn bench_workload(name: &str, graph: &DiGraph, pattern: &Pattern) -> Value {
+    let (old_t, (old_m, old_stats)) = measure(|| queue_oracle(graph, pattern));
     let (csr, snapshot_t) = time(|| CsrGraph::snapshot(graph));
     let mut scratch = EvalScratch::new();
-    let (new_t, (new_m, new_stats)) = measure(reps, || {
+    let (new_t, (new_m, new_stats)) = measure(|| {
         bounded_simulation_indexed(&csr, pattern, EvalOptions::default(), &mut scratch, None)
     });
 
@@ -174,7 +173,7 @@ fn bench_workload(name: &str, graph: &DiGraph, pattern: &Pattern, reps: usize) -
     // so this must sit within noise of the token-free path above — the
     // `--max-cancel-overhead` gate holds the chain workload to that
     let disarmed = CancelToken::disarmed();
-    let (cancel_t, _) = measure(reps, || {
+    let (cancel_t, _) = measure(|| {
         let req = EvalRequest {
             scratch: Some(&mut scratch),
             cancel: Some(&disarmed),
@@ -216,7 +215,7 @@ fn bench_workload(name: &str, graph: &DiGraph, pattern: &Pattern, reps: usize) -
         fmt_dur(cancel_t),
         cancel_overhead * 100.0,
     );
-    let rank = rank_doc(&csr, pattern, &new_m, reps);
+    let rank = rank_doc(&csr, pattern, &new_m);
 
     obj(vec![
         ("name", Value::Str(name.to_owned())),
@@ -250,14 +249,9 @@ const RANK_TOP_K: usize = 10;
 /// The `rank` block: `G_r`'s size, the ranking kernel's work counters
 /// (deterministic, gated by `bench-compare`) and its median time, for the
 /// top [`RANK_TOP_K`] experts of `m` on one [`RankScratch`] per call.
-fn rank_doc<G: GraphView + Sync>(
-    g: &G,
-    pattern: &Pattern,
-    m: &MatchRelation,
-    reps: usize,
-) -> Value {
+fn rank_doc<G: GraphView + Sync>(g: &G, pattern: &Pattern, m: &MatchRelation) -> Value {
     let rg = ResultGraph::build(g, pattern, m);
-    let (rank_t, work) = measure(reps, || {
+    let (rank_t, work) = measure(|| {
         let mut scratch = RankScratch::new();
         rank_matches_top_k_cancellable(&rg, pattern, m, RANK_TOP_K, &mut scratch, None)
             .expect("a ranked pattern");
@@ -283,47 +277,47 @@ fn rank_doc<G: GraphView + Sync>(
     ])
 }
 
-/// Run the whole benchmark; prints a table and returns the JSON document.
-pub fn run_match_bench(opts: &MatchBenchOptions) -> Value {
-    let reps = if opts.quick { 3 } else { 15 };
-    let scale = if opts.quick { 4 } else { 1 };
+/// Build the counters document; prints one table per workload array.
+pub fn run_counters_bench() -> Value {
+    let collab = collab_graph(1500, SEED);
+    let twitter = twitter_graph(5000, SEED);
+    let match_frontier = frontier_workloads(&collab, &twitter);
+    let match_warm_index = warm_workloads(&collab, &twitter);
+    obj(vec![
+        ("bench", Value::Str("counters".to_owned())),
+        (
+            "note",
+            Value::Str(
+                "deterministic matching work on seeded workloads: queue vs frontier \
+                 fixpoint (match_frontier) and the frontier path without, cold and warm \
+                 on the per-version reach index (match_warm_index); identical results \
+                 asserted while measuring; *_ms and speedups are wall-clock, advisory"
+                    .to_owned(),
+            ),
+        ),
+        ("seed", Value::Int(SEED as i64)),
+        (
+            "available_parallelism",
+            Value::Int(std::thread::available_parallelism().map_or(1, |n| n.get()) as i64),
+        ),
+        ("match_frontier", Value::Array(match_frontier)),
+        ("match_warm_index", Value::Array(match_warm_index)),
+    ])
+}
+
+/// The `match_frontier` array: queue engine vs frontier engine.
+fn frontier_workloads(collab: &DiGraph, twitter: &DiGraph) -> Vec<Value> {
     println!(
-        "match benchmark: queue engine (old) vs frontier engine (new), sequential, {reps} reps"
+        "match_frontier: queue engine (old) vs frontier engine (new), sequential, {REPS} reps"
     );
     println!(
         "{:>10} {:>9} {:>9} | {:>11} {:>11} {:>8} |",
         "workload", "|V|", "|E|", "1q old", "1q new", "speedup"
     );
-    let workloads: Vec<(&str, DiGraph, Pattern)> = vec![
-        ("collab", collab_graph(6000 / scale, SEED), collab_pattern()),
-        (
-            "twitter",
-            twitter_graph(20_000 / scale, SEED),
-            twitter_chain_pattern(),
-        ),
-    ];
-    let results: Vec<Value> = workloads
-        .iter()
-        .map(|(name, g, q)| bench_workload(name, g, q, reps))
-        .collect();
-    obj(vec![
-        ("bench", Value::Str("match_frontier".to_owned())),
-        (
-            "note",
-            Value::Str(
-                "sequential single-query latency: the pre-PR-4 queue fixpoint vs the \
-                 delta-aware frontier fixpoint; identical results asserted while measuring"
-                    .to_owned(),
-            ),
-        ),
-        ("seed", Value::Int(SEED as i64)),
-        ("quick", Value::Bool(opts.quick)),
-        (
-            "available_parallelism",
-            Value::Int(std::thread::available_parallelism().map_or(1, |n| n.get()) as i64),
-        ),
-        ("workloads", Value::Array(results)),
-    ])
+    vec![
+        bench_workload("collab", collab, &collab_pattern()),
+        bench_workload("twitter", twitter, &twitter_chain_pattern()),
+    ]
 }
 
 /// One workload of the cold-vs-warm index benchmark.
@@ -342,19 +336,16 @@ pub fn run_match_bench(opts: &MatchBenchOptions) -> Value {
 ///   each, which is where `bfs_nodes_visited` drops.
 ///
 /// Results of all paths (plus the queue oracle) are asserted identical
-/// while measuring; `gated` marks workloads the `--min-warm-speedup`
-/// gate applies to.
+/// while measuring.
 fn bench_warm_workload(
     name: &str,
     pattern_name: &str,
     graph: &DiGraph,
     pattern: &Pattern,
-    reps: usize,
-    gated: bool,
 ) -> Value {
     let (csr, snapshot_t) = time(|| CsrGraph::snapshot(graph));
     let mut scratch = EvalScratch::new();
-    let (pr4_t, (pr4_m, pr4_stats)) = measure(reps, || {
+    let (pr4_t, (pr4_m, pr4_stats)) = measure(|| {
         bounded_simulation_indexed(&csr, pattern, EvalOptions::default(), &mut scratch, None)
     });
     let (oracle_m, _) = queue_oracle(graph, pattern);
@@ -370,7 +361,7 @@ fn bench_warm_workload(
             Some(&bound),
         )
     });
-    let (warm_t, (warm_m, warm_stats)) = measure(reps, || {
+    let (warm_t, (warm_m, warm_stats)) = measure(|| {
         bounded_simulation_indexed(
             &csr,
             pattern,
@@ -435,76 +426,38 @@ fn bench_warm_workload(
             ]),
         ),
         ("results_identical", Value::Bool(identical)),
-        ("gated", Value::Bool(gated)),
     ])
 }
 
-/// Run the cold-vs-warm multi-query benchmark; prints a table and
-/// returns the JSON document written to `BENCH_5.json`.
-pub fn run_warm_bench(opts: &MatchBenchOptions) -> Value {
-    let reps = if opts.quick { 3 } else { 15 };
-    let scale = if opts.quick { 4 } else { 1 };
+/// The `match_warm_index` array: the frontier path without the index,
+/// then cold and warm on it.
+fn warm_workloads(collab: &DiGraph, twitter: &DiGraph) -> Vec<Value> {
     println!(
-        "warm-index benchmark: PR-4 frontier path vs reach-index warm path, sequential, {reps} reps"
+        "match_warm_index: frontier path without vs with the reach index, sequential, {REPS} reps"
     );
     println!(
         "{:>10} {:>14} | {:>11} {:>11} {:>11} {:>8} |",
         "workload", "pattern", "1q pr4", "1q cold", "1q warm", "speedup"
     );
-    let collab = collab_graph(6000 / scale, SEED);
-    let twitter = twitter_graph(20_000 / scale, SEED);
     // the chain workload keeps two residual-predicate seeds (their first
     // refreshes miss and stay BFS), so only its class-seeded share
     // shrinks; the star workloads are fully class-seeded — every warm
-    // query skips the BFS entirely. The twitter workloads carry the
-    // acceptance gate.
-    let workloads: Vec<(&str, &str, &DiGraph, Pattern, bool)> = vec![
-        (
+    // query skips the BFS entirely
+    vec![
+        bench_warm_workload(
             "twitter",
             "audience_star",
-            &twitter,
-            twitter_audience_pattern(),
-            true,
+            twitter,
+            &twitter_audience_pattern(),
         ),
-        (
+        bench_warm_workload(
             "twitter",
             "influence_chain",
-            &twitter,
-            twitter_chain_pattern(),
-            true,
+            twitter,
+            &twitter_chain_pattern(),
         ),
-        (
-            "collab",
-            "team_star",
-            &collab,
-            collab_team_star_pattern(),
-            false,
-        ),
-    ];
-    let results: Vec<Value> = workloads
-        .iter()
-        .map(|(name, pat, g, q, gated)| bench_warm_workload(name, pat, g, q, reps, *gated))
-        .collect();
-    obj(vec![
-        ("bench", Value::Str("match_warm_index".to_owned())),
-        (
-            "note",
-            Value::Str(
-                "cold-vs-warm multi-query latency on one graph version: the PR-4 frontier \
-                 path re-pays every class-seeded first-refresh BFS per query; the warm path \
-                 serves them from the per-version reach index; identical results asserted \
-                 while measuring"
-                    .to_owned(),
-            ),
-        ),
-        ("seed", Value::Int(SEED as i64)),
-        ("quick", Value::Bool(opts.quick)),
-        (
-            "available_parallelism",
-            Value::Int(std::thread::available_parallelism().map_or(1, |n| n.get()) as i64),
-        ),
-        ("workloads", Value::Array(results)),
-    ])
+        bench_warm_workload("collab", "team_star", collab, &collab_team_star_pattern()),
+    ]
 }
 
 #[cfg(test)]
@@ -537,74 +490,93 @@ mod tests {
         assert!(new.bfs_nodes_visited < old.bfs_nodes_visited);
     }
 
-    #[test]
-    fn bench_doc_shape() {
-        let doc = run_match_bench(&MatchBenchOptions { quick: true });
-        assert_eq!(
-            doc.field("bench").unwrap().as_str().unwrap(),
-            "match_frontier"
-        );
-        let wl = doc.field("workloads").unwrap().as_array().unwrap();
-        assert_eq!(wl.len(), 2);
-        for w in wl {
-            assert!(w.field("results_identical").unwrap().as_bool().unwrap());
-            assert!(w.field("speedup").unwrap().as_f64().unwrap() > 0.0);
-            let new = w.field("new").unwrap().field("stats").unwrap();
-            assert!(new.field("bfs_nodes_visited").unwrap().as_i64().unwrap() > 0);
-            let rank = w.field("rank").unwrap();
-            let count = |k: &str| rank.field(k).unwrap().as_i64().unwrap();
-            assert!(count("nodes") > 0 && count("edges") > 0);
-            // every settled node was pushed at least once
-            assert!(count("settled") > 0 && count("relaxed") > 0);
-            assert!(count("pushes") >= count("settled"));
+    /// Wall-clock fields: the only ones two builds may disagree on.
+    fn is_wall_clock(key: &str) -> bool {
+        key == "ms"
+            || key.ends_with("_ms")
+            || key.ends_with("speedup")
+            || key == "cancel_check_overhead"
+    }
+
+    fn without_wall_clock(v: &Value) -> Value {
+        match v {
+            Value::Object(m) => Value::Object(
+                m.iter()
+                    .filter(|(k, _)| !is_wall_clock(k))
+                    .map(|(k, v)| (k.clone(), without_wall_clock(v)))
+                    .collect(),
+            ),
+            Value::Array(a) => Value::Array(a.iter().map(without_wall_clock).collect()),
+            other => other.clone(),
         }
-        // round-trips through the hand-rolled parser
-        let text = doc.to_string_pretty();
-        assert_eq!(expfinder_graph::json::parse(&text).unwrap(), doc);
+    }
+
+    /// The premise of the blocking `bench-compare` gate: every
+    /// equal-required and counter field — stats, the `rank` work,
+    /// `match_pairs`, sizes, `results_identical` — is identical across
+    /// two builds.
+    #[test]
+    fn counters_are_deterministic() {
+        let a = without_wall_clock(&run_counters_bench());
+        let b = without_wall_clock(&run_counters_bench());
+        assert_eq!(a, b, "counters must not depend on wall-clock");
+        // the strip kept what the gate compares
+        let w = &a.field("match_frontier").unwrap().as_array().unwrap()[0];
+        assert!(w.field("new").unwrap().field("stats").is_ok());
+        assert!(w.field("rank").unwrap().field("settled").is_ok());
+        assert!(w.field("match_pairs").is_ok());
+        assert!(w.field("new").unwrap().field("ms").is_err());
     }
 
     #[test]
-    fn warm_bench_doc_shape_and_invariants() {
-        let doc = run_warm_bench(&MatchBenchOptions { quick: true });
-        assert_eq!(
-            doc.field("bench").unwrap().as_str().unwrap(),
-            "match_warm_index"
-        );
-        let wl = doc.field("workloads").unwrap().as_array().unwrap();
-        assert_eq!(wl.len(), 3);
-        for w in wl {
+    fn counters_doc_shape_and_invariants() {
+        let doc = run_counters_bench();
+        assert_eq!(doc.field("bench").unwrap().as_str().unwrap(), "counters");
+        let int = |v: &Value, k: &str| v.field(k).unwrap().as_i64().unwrap();
+
+        let frontier = doc.field("match_frontier").unwrap().as_array().unwrap();
+        assert_eq!(frontier.len(), 2);
+        for w in frontier {
+            assert!(w.field("results_identical").unwrap().as_bool().unwrap());
+            assert!(w.field("speedup").unwrap().as_f64().unwrap() > 0.0);
+            let new = w.field("new").unwrap().field("stats").unwrap();
+            assert!(int(new, "bfs_nodes_visited") > 0);
+            let rank = w.field("rank").unwrap();
+            assert!(int(rank, "nodes") > 0 && int(rank, "edges") > 0);
+            // every settled node was pushed at least once
+            assert!(int(rank, "settled") > 0 && int(rank, "relaxed") > 0);
+            assert!(int(rank, "pushes") >= int(rank, "settled"));
+        }
+
+        let warm = doc.field("match_warm_index").unwrap().as_array().unwrap();
+        assert_eq!(warm.len(), 3);
+        for w in warm {
             assert!(w.field("results_identical").unwrap().as_bool().unwrap());
             assert!(w.field("warm_speedup").unwrap().as_f64().unwrap() > 0.0);
             let pr4 = w.field("pr4").unwrap().field("stats").unwrap();
-            let warm = w.field("warm").unwrap().field("stats").unwrap();
+            let hot = w.field("warm").unwrap().field("stats").unwrap();
             assert!(
-                warm.field("bfs_nodes_visited").unwrap().as_i64().unwrap()
-                    < pr4.field("bfs_nodes_visited").unwrap().as_i64().unwrap(),
+                int(hot, "bfs_nodes_visited") < int(pr4, "bfs_nodes_visited"),
                 "warm path traverses strictly less"
             );
-            assert!(warm.field("index_hits").unwrap().as_i64().unwrap() > 0);
+            assert!(int(hot, "index_hits") > 0);
             let idx = w.field("index").unwrap();
-            assert!(idx.field("entries").unwrap().as_i64().unwrap() > 0);
-            assert!(idx.field("bytes").unwrap().as_i64().unwrap() > 0);
+            assert!(int(idx, "entries") > 0 && int(idx, "bytes") > 0);
         }
         // the fully class-seeded star skips the BFS entirely on warm runs
-        let star = &wl[0];
+        let star = &warm[0];
         assert_eq!(
             star.field("pattern").unwrap().as_str().unwrap(),
             "audience_star"
         );
+        let star_warm = star.field("warm").unwrap().field("stats").unwrap();
         assert_eq!(
-            star.field("warm")
-                .unwrap()
-                .field("stats")
-                .unwrap()
-                .field("bfs_nodes_visited")
-                .unwrap()
-                .as_i64()
-                .unwrap(),
+            int(star_warm, "bfs_nodes_visited"),
             0,
             "every constraint served from the index"
         );
+
+        // round-trips through the hand-rolled parser
         let text = doc.to_string_pretty();
         assert_eq!(expfinder_graph::json::parse(&text).unwrap(), doc);
     }

@@ -1,7 +1,7 @@
 //! A tiny blocking HTTP/JSON client for the wire protocol.
 //!
 //! Used by the integration tests, the shell's `connect` command, the
-//! `serve_smoke` CI binary and the `bench_serve` load generator. One
+//! `serve_smoke` CI binary and the other `serve`-driving harnesses. One
 //! client holds one keep-alive connection and re-establishes it
 //! transparently when the server (or an idle timeout) closed it between
 //! requests.

@@ -35,21 +35,16 @@ msrv:
     cargo +1.82 build --release
     cargo +1.82 test --workspace
 
-# the CI `bench-smoke` job: quick harness run, fails on panic, refreshes
-# the BENCH_*.json baselines CI uploads as artifacts
-bench-smoke: experiments
-
-# the CI perf-regression gate: rerun the quick deterministic benchmarks
-# and compare against the checked-in quick baselines. Deterministic
-# counters (bfs_nodes_visited, refreshes, index hits/misses) and exact
-# outputs (sizes, match_pairs, results_identical) block on >25%
-# regression / any mismatch; wall-clock numbers are advisory only.
+# the CI perf-regression gate: rebuild the counters document and compare
+# it against the checked-in BENCH_counters.json. Deterministic counters
+# (bfs_nodes_visited, refreshes, index hits/misses, the rank kernel's
+# settled/relaxed/pushes) block on >25% regression and exact outputs
+# (sizes, match_pairs, results_identical) on any mismatch; wall-clock
+# numbers are advisory only. `bench_match` with no flags rewrites the
+# baseline itself (commit it when a counter moves on purpose)
 bench-compare:
-    cargo run --release -p expfinder-bench --bin experiments -- e13 --quick --out target/ci/BENCH_smoke_fresh.json
-    cargo run --release -p expfinder-bench --bin bench_match -- --quick --out target/ci/BENCH_4_smoke_fresh.json --warm-out target/ci/BENCH_5_smoke_fresh.json
-    python3 scripts/bench_compare.py BENCH_smoke.json target/ci/BENCH_smoke_fresh.json --report target/ci/bench_compare_batch.md
-    python3 scripts/bench_compare.py BENCH_4_smoke.json target/ci/BENCH_4_smoke_fresh.json --report target/ci/bench_compare_match.md
-    python3 scripts/bench_compare.py BENCH_5_smoke.json target/ci/BENCH_5_smoke_fresh.json --report target/ci/bench_compare_warm.md
+    cargo run --release -p expfinder-bench --bin bench_match -- --out target/ci/BENCH_counters_fresh.json
+    python3 scripts/bench_compare.py BENCH_counters.json target/ci/BENCH_counters_fresh.json --report target/ci/bench_compare.md
 
 # regenerate the checked-in planner-decision snapshot (commit the diff)
 plan-snapshot:
@@ -62,31 +57,11 @@ plan-check:
     cargo run --release -p expfinder-bench --bin bench_match -- --plan-out target/ci/PLANS_fresh.json
     python3 scripts/plan_diff.py PLANS.json target/ci/PLANS_fresh.json
 
-# quick experiment-harness smoke run
-experiments:
-    cargo run --release -p expfinder-bench --bin experiments -- --quick
-
-# full sequential-vs-parallel batch benchmark (writes BENCH_2.json)
-bench-batch:
-    cargo run --release -p expfinder-bench --bin bench_batch
-
-# matching-engine benchmark: queue fixpoint (pre-PR-4) vs delta-aware
-# frontier fixpoint over the CSR snapshot (writes BENCH_4.json), plus the
-# cold-vs-warm reach-index comparison (writes BENCH_5.json); the >= 1.5x
-# single-query bar is the ISSUE 4 acceptance gate, the >= 1.3x warm bar
-# is the ISSUE 5 one, and the <= 2% disarmed cancel-token bar keeps the
-# PR-10 cancellation plumbing free when no deadline is armed
+# the disarmed cancel-token bar (advisory in CI: it is wall-clock):
+# carrying a CancelToken with no deadline through the match_frontier
+# workloads must cost <= 2% over the token-free path
 bench-match:
-    cargo run --release -p expfinder-bench --bin bench_match -- --min-speedup 1.5 --min-warm-speedup 1.3 --max-cancel-overhead 0.02
-
-# every bench_* bin in sequence, full profiles — refreshes all the
-# checked-in BENCH_*.json baselines in one go
-bench-all: bench-batch bench-match bench-serve
-
-# hard perf gate for multi-core hosts: fail unless every workload's
-# batch throughput is >= 3x the sequential baseline (ISSUE 2 criterion)
-bench-gate:
-    cargo run --release -p expfinder-bench --bin bench_batch -- --threads 8 --min-batch-speedup 3.0 --out BENCH_gate.json
+    cargo run --release -p expfinder-bench --bin bench_match -- --out target/ci/BENCH_counters_cancel.json --max-cancel-overhead 0.02
 
 # run the HTTP server on the paper's Fig. 1 fixture (Ctrl-D or
 # `POST /admin/shutdown` drains gracefully)
@@ -152,12 +127,9 @@ wire-parity parent_serve change_serve:
     python3 scripts/wire_parity.py {{parent_serve}} {{change_serve}}
 
 # a simplicity PR's acceptance number: non-test source lines (each `.rs`
-# file up to its first `#[cfg(test)]`) per file and in total; with
+# file up to its first `#[cfg(test)]`, files under a `tests` directory
+# skipped) per file and in total; with
 # `--against <git-rev>` the delta per file instead, e.g.
 # `just src-lines --against HEAD~1 crates/engine/src crates/runtime/src`
 src-lines *args="crates":
     python3 scripts/src_lines.py {{args}}
-
-# full server throughput benchmark (writes BENCH_3.json)
-bench-serve:
-    cargo run --release -p expfinder-bench --bin bench_serve

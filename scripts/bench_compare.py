@@ -7,12 +7,13 @@ Usage:
 
 The two documents must come from the same benchmark (their ``bench``
 fields must agree); workloads are aligned by ``name`` (plus ``pattern``
-when present). Fields are classified by key, not by position, so the
-same script covers every BENCH_*.json schema in this repository:
+when present). Fields are classified by key, not by position; every
+field of the counters document (``BENCH_counters.json``, written by the
+``bench_match`` binary) has a class:
 
 * **equal-required** (blocking on any difference) — deterministic
-  outputs of a seeded workload: graph sizes, match-pair counts,
-  result-equality flags. A mismatch means the benchmark is no longer
+  outputs of a seeded workload: workload labels, graph sizes,
+  match-pair counts, result-equality flags. A mismatch means the benchmark is no longer
   measuring the same computation.
 * **deterministic counters** (blocking beyond the threshold) —
   evaluation-work counters (``bfs_nodes_visited``, ``refreshes``,
@@ -21,8 +22,9 @@ same script covers every BENCH_*.json schema in this repository:
   and ``refreshes_skipped`` are worse when lower). These are exact
   functions of the algorithm, so a >25% regression is a real algorithmic
   regression, not runner noise.
-* **advisory** (reported, never blocking) — wall-clock milliseconds,
-  throughput, and speedup ratios: honest but hostage to the runner.
+* **advisory** (reported, never blocking) — wall-clock milliseconds and
+  speedup ratios (honest but hostage to the runner), and the reach
+  index's ``entries`` / ``bytes``.
 
 Exit status 0 when no blocking finding, 1 otherwise. ``--report`` also
 writes the full comparison as markdown (CI uploads it as an artifact).
@@ -36,14 +38,11 @@ from pathlib import Path
 EQUAL_KEYS = {
     "bench",
     "seed",
-    "quick",
-    "batch_size",
     "nodes",
     "edges",
-    "size",
     "match_pairs",
     "results_identical",
-    "gated",
+    "name",
     "pattern",
 }
 HIGHER_IS_WORSE = {
@@ -57,11 +56,10 @@ HIGHER_IS_WORSE = {
 }
 LOWER_IS_WORSE = {"index_hits", "refreshes_skipped"}
 # machine-shape fields: neither comparable nor interesting
-IGNORED = {"note", "available_parallelism", "threads"}
-ADVISORY_SUFFIXES = ("_ms", "_qps")
+IGNORED = {"note", "available_parallelism"}
+ADVISORY_SUFFIXES = ("_ms",)
 ADVISORY_KEYS = {
     "ms",
-    "qps",
     "speedup",
     "warm_speedup",
     "bfs_nodes_reduction",

@@ -35,11 +35,19 @@ cannot leave its name in the map. What follows the type in a path
 (`Catalog::handle`, `Backend::Durable`) must be a `fn`, field or variant
 declared in a file that declares or implements that type — so a deleted
 method cannot stay in the map under a type that survived it either.
+
+And the commands the docs tell a reader to run: every package or target
+flag (`-p`, `--bin`, `--example`, `--bench`) in
+README.md, the justfile, the CI workflow, the verify skill and
+docs/*.md must name a package of the workspace (or the repo benchmark
+package) or a target one of them declares or auto-discovers — so a PR
+that deletes a binary cannot leave a command that runs it.
 """
 
 import json
 import re
 import sys
+import tomllib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -216,6 +224,72 @@ def check_architecture_idents():
     return missing, len(names) + len(members)
 
 
+TARGET_DOCS = [
+    "README.md",
+    "justfile",
+    ".github/workflows/ci.yml",
+    ".claude/skills/verify/SKILL.md",
+    "docs/*.md",
+]
+# a package or target flag and the name after it; `\s+` spans a line
+# break, so a command wrapped inside a prose sentence is still read, and
+# `mkdir -p DIR` is not a package
+TARGET_FLAG = re.compile(
+    r"(?<![\w-])(?<!mkdir )(-p|--bin|--example|--bench)\s+([A-Za-z_][\w-]*)"
+)
+FLAG_KIND = {"-p": "package", "--bin": "bin", "--example": "example", "--bench": "bench"}
+# target kind (also its `[[kind]]` manifest array) -> auto-discovery directory
+TARGET_DIRS = {"bin": "src/bin", "example": "examples", "bench": "benches"}
+
+
+def workspace_targets() -> dict:
+    """Kind -> names over the workspace members and the repo benchmark
+    package: packages, plus every bin / example / bench target a
+    manifest declares or cargo auto-discovers (`NAME.rs` or
+    `NAME/main.rs` in the target's directory, `src/main.rs` as a bin
+    named after its package)."""
+    members = tomllib.loads((ROOT / "Cargo.toml").read_text())["workspace"]["members"]
+    found = {kind: set() for kind in ["package", *TARGET_DIRS]}
+    for pkg in [ROOT / m for m in members] + [ROOT / "benchmark"]:
+        manifest = tomllib.loads((pkg / "Cargo.toml").read_text())
+        name = manifest["package"]["name"]
+        found["package"].add(name)
+        if (pkg / "src" / "main.rs").exists():
+            found["bin"].add(name)
+        for kind, sub in TARGET_DIRS.items():
+            found[kind].update(f.stem for f in (pkg / sub).glob("*.rs"))
+            found[kind].update(f.parent.name for f in (pkg / sub).glob("*/main.rs"))
+            found[kind].update(target["name"] for target in manifest.get(kind, []))
+    return found
+
+
+def check_doc_targets():
+    """`file:line: flag name` for every package or target flag in the
+    checked docs that names nothing in the workspace, and the number of
+    flags checked."""
+    known = workspace_targets()
+    docs = sorted({f for pattern in TARGET_DOCS for f in ROOT.glob(pattern)})
+    missing, checked = [], 0
+    for doc in docs:
+        text = doc.read_text()
+        for m in TARGET_FLAG.finditer(text):
+            checked += 1
+            flag, name = m.groups()
+            kind = FLAG_KIND[flag]
+            if name not in known[kind]:
+                line = text.count("\n", 0, m.start()) + 1
+                missing.append(
+                    f"{doc.relative_to(ROOT)}:{line}: `{flag} {name}` names no "
+                    f"{kind} of the workspace"
+                )
+    if checked < 10:
+        missing.append(
+            f"only {checked} package/target flags found in {TARGET_DOCS}; "
+            "update scripts/docs_check.py"
+        )
+    return missing, checked
+
+
 # ("POST", ["graphs", name, "subscribe"]) — including arms wrapped over
 # lines; stop at the closing bracket of the segment list
 ARM = re.compile(r'\(\s*"(GET|POST|PUT|DELETE|PATCH)"\s*,\s*\[([^\]]*)\]\s*\)')
@@ -275,13 +349,17 @@ def main() -> int:
     ident_missing, n_idents = check_architecture_idents()
     for msg in ident_missing:
         print(f"docs-check: {msg}", file=sys.stderr)
-    if missing or variant_missing or metrics_missing or ident_missing:
+    target_missing, n_targets = check_doc_targets()
+    for msg in target_missing:
+        print(f"docs-check: {msg}", file=sys.stderr)
+    if missing or variant_missing or metrics_missing or ident_missing or target_missing:
         return 1
     print(
         f"docs-check OK: {len(routes)} routes, {n_variants} route-enum "
         f"variants and {n_metrics} engine metrics blocks, all specified in "
         f"docs/PROTOCOL.md; {n_idents} type and member names in "
-        "docs/ARCHITECTURE.md, all declared under crates/*/src"
+        "docs/ARCHITECTURE.md, all declared under crates/*/src; "
+        f"{n_targets} package/target flags in the docs, all naming live targets"
     )
     return 0
 

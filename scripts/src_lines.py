@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Count non-test source lines: each `.rs` file up to its first
-`#[cfg(test)]` line (the whole file if it has none).
+`#[cfg(test)]` line (the whole file if it has none), skipping every file
+under a `tests` directory.
 
     scripts/src_lines.py [PATH...]                  # per file + total
     scripts/src_lines.py --against <git-rev> PATH   # delta per file vs <rev>
@@ -9,8 +10,11 @@ PATH is a file or a directory (searched recursively for `*.rs`);
 default `crates`. This is the number simplicity PRs quote as "non-test
 lines": blank lines and comments count (moving or stripping them is not
 a reduction), in-file `mod tests` blocks and everything after them do
-not. `--against` reads the other side with `git show <rev>:<path>`, so
-files that were added, deleted or renamed show up as +N / -N rows.
+not, and neither do integration-test files (any path with a `tests`
+directory component, e.g. `crates/core/tests/common/mod.rs`), which
+carry no `#[cfg(test)]` of their own. `--against` reads the other side
+with `git show <rev>:<path>`, so files that were added, deleted or
+renamed show up as +N / -N rows.
 """
 
 import argparse
@@ -29,6 +33,11 @@ def count(text: str) -> int:
     return len(lines)
 
 
+def is_test_file(rel: str) -> bool:
+    """Whether a repo-relative path lies under a `tests` directory."""
+    return "tests" in Path(rel).parts[:-1]
+
+
 def git(*args: str) -> str:
     return subprocess.run(
         ["git", "-C", str(ROOT), *args], check=True, capture_output=True, text=True
@@ -41,16 +50,17 @@ def here(paths) -> dict:
     for p in map(Path, paths):
         p = p if p.is_absolute() else ROOT / p
         files.update(p.rglob("*.rs") if p.is_dir() else [p])
-    return {
-        str(f.resolve().relative_to(ROOT)): count(f.read_text()) for f in sorted(files)
-    }
+    rel = sorted((str(f.resolve().relative_to(ROOT)), f) for f in files)
+    return {r: count(f.read_text()) for r, f in rel if not is_test_file(r)}
 
 
 def at(rev: str, paths) -> dict:
     """The same at `rev`."""
     listed = git("ls-tree", "-r", "--name-only", rev, "--", *paths).splitlines()
     return {
-        f: count(git("show", f"{rev}:{f}")) for f in sorted(listed) if f.endswith(".rs")
+        f: count(git("show", f"{rev}:{f}"))
+        for f in sorted(listed)
+        if f.endswith(".rs") and not is_test_file(f)
     }
 
 
