@@ -9,7 +9,7 @@
 //!   (`FixpointEngine::Queue`, the oracle) and the delta-aware frontier
 //!   engine (`FixpointEngine::Frontier`: dependency-ordered plan,
 //!   direction-optimizing bitset BFS, refresh memoization, reused
-//!   [`EvalScratch`], CSR snapshot), each with the [`EvalStats`] it
+//!   [`EvalScratch`], label-indexed seeding), each with the [`EvalStats`] it
 //!   produces. The patterns are chain-shaped on purpose: a pattern edge
 //!   whose target set shrinks during refinement re-queues its upstream
 //!   edges under a static plan — exactly the work the dependency plan
@@ -31,7 +31,7 @@ use expfinder_core::{
     Semantics,
 };
 use expfinder_graph::json::Value;
-use expfinder_graph::{CsrGraph, DiGraph, GraphView};
+use expfinder_graph::{DiGraph, GraphView};
 use expfinder_pattern::{Bound, Pattern, PatternBuilder, Predicate};
 use std::time::Duration;
 
@@ -154,18 +154,14 @@ fn queue_oracle(graph: &DiGraph, pattern: &Pattern) -> (MatchRelation, EvalStats
 ///
 /// The **old path** is the pre-PR-4 sequential serving shape: queue-based
 /// fixpoint straight off the live adjacency, fresh allocations per query.
-/// The **new path** is what `ExpFinder` now runs per sequential query on
-/// a large graph: the delta-aware frontier fixpoint over the cached CSR
-/// snapshot (label-indexed candidate seeding), against one reused
-/// `EvalScratch`. The snapshot is built once per graph version and shared
-/// by every query at that version, so its (separately reported) build
-/// cost is not part of per-query latency.
+/// The **new path** is what `ExpFinder` runs per sequential query: the
+/// delta-aware frontier fixpoint over the snapshot's own graph
+/// (label-indexed candidate seeding), against one reused `EvalScratch`.
 fn bench_workload(name: &str, graph: &DiGraph, pattern: &Pattern) -> Value {
     let (old_t, (old_m, old_stats)) = measure(|| queue_oracle(graph, pattern));
-    let (csr, snapshot_t) = time(|| CsrGraph::snapshot(graph));
     let mut scratch = EvalScratch::new();
     let (new_t, (new_m, new_stats)) = measure(|| {
-        bounded_simulation_indexed(&csr, pattern, EvalOptions::default(), &mut scratch, None)
+        bounded_simulation_indexed(graph, pattern, EvalOptions::default(), &mut scratch, None)
     });
 
     // the deadline-aware serving shape with a *disarmed* token: every
@@ -179,7 +175,7 @@ fn bench_workload(name: &str, graph: &DiGraph, pattern: &Pattern) -> Value {
             cancel: Some(&disarmed),
             ..EvalRequest::new(Semantics::Bounded)
         };
-        evaluate(&csr, pattern, req).expect("disarmed token never fires")
+        evaluate(graph, pattern, req).expect("disarmed token never fires")
     });
     let cancel_overhead = cancel_t.as_secs_f64() / new_t.as_secs_f64().max(1e-12) - 1.0;
 
@@ -215,7 +211,7 @@ fn bench_workload(name: &str, graph: &DiGraph, pattern: &Pattern) -> Value {
         fmt_dur(cancel_t),
         cancel_overhead * 100.0,
     );
-    let rank = rank_doc(&csr, pattern, &new_m);
+    let rank = rank_doc(graph, pattern, &new_m);
 
     obj(vec![
         ("name", Value::Str(name.to_owned())),
@@ -228,11 +224,7 @@ fn bench_workload(name: &str, graph: &DiGraph, pattern: &Pattern) -> Value {
         ),
         (
             "new",
-            obj(vec![
-                ("ms", ms(new_t)),
-                ("snapshot_build_ms", ms(snapshot_t)),
-                ("stats", stats_doc(new_stats)),
-            ]),
+            obj(vec![("ms", ms(new_t)), ("stats", stats_doc(new_stats))]),
         ),
         ("speedup", Value::Float(speedup)),
         ("bfs_nodes_reduction", Value::Float(bfs_reduction)),
@@ -249,7 +241,7 @@ const RANK_TOP_K: usize = 10;
 /// The `rank` block: `G_r`'s size, the ranking kernel's work counters
 /// (deterministic, gated by `bench-compare`) and its median time, for the
 /// top [`RANK_TOP_K`] experts of `m` on one [`RankScratch`] per call.
-fn rank_doc<G: GraphView + Sync>(g: &G, pattern: &Pattern, m: &MatchRelation) -> Value {
+fn rank_doc(g: &DiGraph, pattern: &Pattern, m: &MatchRelation) -> Value {
     let rg = ResultGraph::build(g, pattern, m);
     let (rank_t, work) = measure(|| {
         let mut scratch = RankScratch::new();
@@ -322,8 +314,8 @@ fn frontier_workloads(collab: &DiGraph, twitter: &DiGraph) -> Vec<Value> {
 
 /// One workload of the cold-vs-warm index benchmark.
 ///
-/// Three paths are measured against the same CSR snapshot with one
-/// reused `EvalScratch`:
+/// Three paths are measured against the same graph with one reused
+/// `EvalScratch`:
 ///
 /// * **pr4** — the PR-4 serving path (frontier engine, no index): every
 ///   query re-pays the class-seeded first-refresh BFS of each
@@ -343,18 +335,17 @@ fn bench_warm_workload(
     graph: &DiGraph,
     pattern: &Pattern,
 ) -> Value {
-    let (csr, snapshot_t) = time(|| CsrGraph::snapshot(graph));
     let mut scratch = EvalScratch::new();
     let (pr4_t, (pr4_m, pr4_stats)) = measure(|| {
-        bounded_simulation_indexed(&csr, pattern, EvalOptions::default(), &mut scratch, None)
+        bounded_simulation_indexed(graph, pattern, EvalOptions::default(), &mut scratch, None)
     });
     let (oracle_m, _) = queue_oracle(graph, pattern);
 
-    let idx = ReachIndex::new(csr.version());
-    let bound = idx.bind(&csr);
+    let idx = ReachIndex::new(graph.version());
+    let bound = idx.bind(graph);
     let ((cold_m, _), cold_t) = time(|| {
         bounded_simulation_indexed(
-            &csr,
+            graph,
             pattern,
             EvalOptions::default(),
             &mut scratch,
@@ -363,7 +354,7 @@ fn bench_warm_workload(
     });
     let (warm_t, (warm_m, warm_stats)) = measure(|| {
         bounded_simulation_indexed(
-            &csr,
+            graph,
             pattern,
             EvalOptions::default(),
             &mut scratch,
@@ -411,7 +402,6 @@ fn bench_warm_workload(
             "pr4",
             obj(vec![("ms", ms(pr4_t)), ("stats", stats_doc(pr4_stats))]),
         ),
-        ("snapshot_build_ms", ms(snapshot_t)),
         ("cold_ms", ms(cold_t)),
         (
             "warm",

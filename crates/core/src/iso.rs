@@ -3,9 +3,10 @@
 //! Paper §I: traditional subgraph isomorphism is (1) too restrictive —
 //! it demands an *injective* mapping and *edge-to-edge* matching — and
 //! (2) NP-complete. This module implements a VF2-style backtracking
-//! matcher so the experiments can demonstrate both points: on Fig. 1 it
-//! finds nothing where bounded simulation finds the right team, and on the
-//! scalability sweep its runtime explodes.
+//! matcher to demonstrate both points: on Fig. 1 it finds nothing where
+//! bounded simulation finds the right team (`tests/paper_examples.rs`,
+//! `examples/team_hiring.rs`), and on larger graphs its runtime explodes,
+//! which [`IsoOptions::max_steps`] caps.
 //!
 //! Pattern-edge bounds are ignored (treated as 1 hop): isomorphism has no
 //! notion of path matching, which is precisely the restriction the paper
@@ -20,7 +21,7 @@ pub struct IsoOptions {
     /// Stop after this many embeddings (0 = unlimited).
     pub limit: usize,
     /// Abort after this many backtracking steps (0 = unlimited); the
-    /// experiment harness uses this to keep NP-completeness demonstrations
+    /// property tests use this to keep the search on random graphs
     /// bounded.
     pub max_steps: usize,
 }

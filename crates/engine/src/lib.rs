@@ -30,7 +30,7 @@
 //! [`ReadPath`]: (1) the version-keyed result cache, (2) registered
 //! incrementally-maintained queries, and otherwise (3) the cost-based
 //! [`planner`], which estimates the work of every applicable physical
-//! route — the live adjacency, the reach-indexed CSR snapshot
+//! route — the snapshot's own graph with its per-version reach index
 //! (sequential or parallel), the compressed quotient when one exists and
 //! the query is compression-safe — from the graph's [`CostProfile`] and
 //! picks the cheapest; then one `expfinder_core::evaluate` call on the
@@ -47,12 +47,12 @@
 //! maintains the graph, its compressed counterpart and every registered
 //! query in one pass and then publishes the next snapshot.
 //!
-//! Execution is parallel by default ([`ExecConfig`]): direct evaluation
-//! runs the parallel refinement of `expfinder-core` over an immutable
-//! [`CsrGraph`](expfinder_graph::CsrGraph) snapshot that the read path
-//! builds lazily once per graph version and shares through that
-//! version's [`Derived`] state, and whole batches of queries are
-//! drained across a scoped worker pool by [`Catalog::query_batch`].
+//! Execution is parallel by default ([`ExecConfig`]): on graphs large
+//! enough to pay for its workers, direct evaluation runs the parallel
+//! refinement of `expfinder-core` over the snapshot's immutable graph,
+//! consulting the reach index its version's [`Derived`] state shares,
+//! and whole batches of queries are drained across a scoped worker pool
+//! by [`Catalog::query_batch`].
 //! Parallelism never changes answers — the refinement computes the same
 //! greatest fixpoint — and `ExecConfig::sequential()` restores the fully
 //! deterministic single-threaded schedule.
@@ -132,11 +132,11 @@ impl Default for EngineConfig {
 #[derive(Copy, Clone, Debug)]
 pub struct ExecConfig {
     /// Worker threads *inside* one query: parallel sim/dualsim/bsim
-    /// refinement over the CSR snapshot, and result-graph construction.
-    /// `1` disables the parallel path; large graphs still evaluate over
-    /// the CSR snapshot (sequential frontier engine, label-indexed
-    /// seeding), while graphs too small to amortize a snapshot stay on
-    /// the live adjacency whatever the budget.
+    /// refinement over the snapshot's graph, and result-graph
+    /// construction. `1` disables the parallel path; every direct read
+    /// then runs the sequential frontier engine on the same graph and
+    /// reach index, as do graphs too small to pay for the workers
+    /// whatever the budget.
     pub threads: usize,
     /// Queries evaluated concurrently by [`Catalog::query_batch`].
     pub batch_parallelism: usize,
@@ -274,8 +274,8 @@ pub enum EvalRoute {
 
 impl EvalRoute {
     /// The reported route of a plan: the exact and compressed routes name
-    /// themselves, every direct substrate (live, snapshot, parallel)
-    /// reports the algorithm the pattern selected.
+    /// themselves, both direct routes (sequential and parallel) report
+    /// the algorithm the pattern selected.
     pub fn of(chosen: PlanRoute, simulation: bool) -> EvalRoute {
         match chosen {
             PlanRoute::Cache => EvalRoute::Cache,
@@ -1141,9 +1141,9 @@ mod tests {
     use expfinder_graph::fixtures::collaboration_fig1;
     use expfinder_pattern::fixtures::fig1_pattern;
 
-    /// Padding target for tests that want the planner's snapshot routes
-    /// to win: large enough that an amortized (or thread-divided) CSR
-    /// build beats the live adjacency.
+    /// Padding target for tests that want the planner's parallel route
+    /// to win at `threads > 1`: large enough that the thread-divided
+    /// evaluation pays for `planner::PARALLEL_SETUP`.
     const PAD_SIZE: usize = 4096;
 
     fn engine_with_fig1() -> (ExpFinder, GraphHandle, expfinder_graph::fixtures::Fig1) {
@@ -1538,9 +1538,9 @@ mod tests {
     }
 
     #[test]
-    fn csr_snapshot_rebuilt_after_updates() {
-        // fig1 plus inert padding so the graph crosses the parallel-path
-        // size threshold (a bare fig1 stays on the sequential path)
+    fn parallel_route_sees_updates_on_the_snapshot_graph() {
+        // fig1 plus inert padding so the graph is large enough for the
+        // parallel route (a bare fig1 stays sequential)
         let f = collaboration_fig1();
         let mut g = f.graph.clone();
         while g.size() < PAD_SIZE {
@@ -1555,80 +1555,98 @@ mod tests {
         });
         let h = e.add_graph("fig1", g).unwrap();
         let q = fig1_pattern();
-        let before = e
-            .query(&h)
-            .pattern(q.clone())
-            .prefer(Route::Direct)
-            .run()
-            .unwrap();
+        let run = || {
+            e.query(&h)
+                .pattern(q.clone())
+                .prefer(Route::Direct)
+                .run()
+                .unwrap()
+        };
+        let before = run();
+        assert_eq!(before.plan.chosen, PlanRoute::SnapshotParallel);
         assert_eq!(before.matches.total_pairs(), 7);
         e.apply_updates(&h, &[EdgeUpdate::Insert(f.e1.0, f.e1.1)])
             .unwrap();
-        // the cached snapshot is stale by version; the next parallel query
-        // must rebuild it and see Fred
-        let after = e.query(&h).pattern(q).prefer(Route::Direct).run().unwrap();
-        assert_eq!(after.matches.total_pairs(), 8, "snapshot was refreshed");
+        // the next parallel read runs on the new version's graph and
+        // must see Fred
+        let after = run();
+        assert_eq!(after.plan.chosen, PlanRoute::SnapshotParallel);
+        assert_eq!(after.matches.total_pairs(), 8, "new version evaluated");
         assert!(after.graph_version > before.graph_version);
     }
 
     #[test]
-    fn sequential_csr_path_correct_across_updates() {
-        // big graph + fully sequential engine: the first read at a
-        // version stays on the live adjacency, the second builds and
-        // uses the snapshot (build-on-second-read) — answers must be
-        // exact on every step of an alternating update/query stream
+    fn first_read_after_every_update_is_indexed_and_exact() {
+        // an alternating update/read stream: every read is the first of
+        // its version, goes direct on that snapshot's graph with a fresh
+        // reach index, and must be exact and rank like a fresh engine
+        use expfinder_core::naive::naive_bounded_simulation;
         let f = collaboration_fig1();
-        let mut g = f.graph.clone();
-        while g.size() < PAD_SIZE {
-            g.add_node("pad", []);
-        }
-        let e = ExpFinder::new(EngineConfig {
-            exec: ExecConfig::sequential(),
-            ..EngineConfig::default()
-        });
-        let h = e.add_graph("fig1", g).unwrap();
+        let sequential = || {
+            ExpFinder::new(EngineConfig {
+                exec: ExecConfig::sequential(),
+                ..EngineConfig::default()
+            })
+        };
         let q = fig1_pattern();
-        let run = || {
-            e.query(&h)
+        let run = |e: &ExpFinder, h: &GraphHandle| {
+            e.query(h)
                 .pattern(q.clone())
                 .prefer(Route::Direct)
                 .top_k(2)
                 .run()
                 .unwrap()
         };
-        assert_eq!(run().matches.total_pairs(), 7, "first read (live)");
-        assert_eq!(run().matches.total_pairs(), 7, "second read (snapshot)");
-        assert_eq!(run().matches.total_pairs(), 7, "third read (snapshot)");
-        e.apply_updates(&h, &[EdgeUpdate::Insert(f.e1.0, f.e1.1)])
-            .unwrap();
-        assert_eq!(run().matches.total_pairs(), 8, "post-update read (live)");
-        assert_eq!(
-            run().matches.total_pairs(),
-            8,
-            "post-update read (snapshot)"
+        let ranked = |r: &QueryResponse| {
+            r.experts
+                .iter()
+                .map(|x| (x.node, x.rank.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        let consulted = |e: &ExpFinder| {
+            let t = e.read_path().eval_totals();
+            t.index_hits + t.index_misses
+        };
+
+        let e = sequential();
+        let h = e.add_graph("fig1", f.graph.clone()).unwrap();
+        let (insert, delete) = (
+            EdgeUpdate::Insert(f.e1.0, f.e1.1),
+            EdgeUpdate::Delete(f.e1.0, f.e1.1),
         );
-        e.apply_updates(&h, &[EdgeUpdate::Delete(f.e1.0, f.e1.1)])
-            .unwrap();
-        let resp = run();
-        assert_eq!(resp.matches.total_pairs(), 7);
-        assert_eq!(resp.experts[0].node, f.bob, "ranking agrees on every path");
+        for (i, up) in [None, Some(insert), Some(delete), Some(insert)]
+            .into_iter()
+            .enumerate()
+        {
+            if let Some(up) = up {
+                assert_eq!(e.apply_updates(&h, &[up]).unwrap(), 1);
+            }
+            let before = consulted(&e);
+            let resp = run(&e, &h);
+            assert!(consulted(&e) > before, "read {i} consulted the index");
+            assert_eq!(resp.plan.chosen, PlanRoute::Snapshot);
+            assert_eq!(resp.matches.total_pairs(), if i % 2 == 1 { 8 } else { 7 });
+            let graph = e.snapshot(&h).unwrap();
+            assert_eq!(
+                *resp.matches,
+                naive_bounded_simulation(&graph, &q),
+                "read {i}"
+            );
+            let fresh = sequential();
+            let hf = fresh.add_graph("fig1", graph).unwrap();
+            assert_eq!(ranked(&resp), ranked(&run(&fresh, &hf)), "read {i}");
+        }
     }
 
     #[test]
     fn reach_index_warms_and_invalidates_across_versions() {
         use expfinder_pattern::{Bound, PatternBuilder, Predicate};
-        // fig1 plus inert padding so the CSR (and hence the index) path
-        // engages on the sequential engine
         let f = collaboration_fig1();
-        let mut g = f.graph.clone();
-        while g.size() < PAD_SIZE {
-            g.add_node("pad", []);
-        }
         let e = ExpFinder::new(EngineConfig {
             exec: ExecConfig::sequential(),
             ..EngineConfig::default()
         });
-        let h = e.add_graph("fig1", g).unwrap();
+        let h = e.add_graph("fig1", f.graph.clone()).unwrap();
         // pure-label star: both constraints are class-seeded
         let q = PatternBuilder::new()
             .node("sa", Predicate::label("SA"))
@@ -1646,16 +1664,13 @@ mod tests {
                 .unwrap()
         };
 
-        let first = run(); // live adjacency: no snapshot, no index
-        assert_eq!(e.index_totals().hits, 0, "live route never consults it");
-        let second = run(); // second sequential read builds CSR + index
-        assert_eq!(*second.matches, *first.matches);
+        let first = run(); // first read of the version builds the entries
         let t1 = e.index_totals();
         assert!(t1.hits >= 2, "class-seeded refreshes hit ({t1:?})");
         assert!(t1.entries >= 2 && t1.bytes > 0, "entries memoized ({t1:?})");
 
-        let third = run(); // warm: same entries, more hits
-        assert_eq!(*third.matches, *first.matches);
+        let second = run(); // warm: same entries, more hits
+        assert_eq!(*second.matches, *first.matches);
         let t2 = e.index_totals();
         assert!(t2.hits > t1.hits);
         assert_eq!(t2.entries, t1.entries, "no duplicate entries on reuse");
@@ -1664,9 +1679,7 @@ mod tests {
         // the new graph — answers match a from-scratch engine
         e.apply_updates(&h, &[EdgeUpdate::Insert(f.e1.0, f.e1.1)])
             .unwrap();
-        let after_live = run(); // first read of the new version (live)
-        let after_warm = run(); // second read: fresh CSR + fresh index
-        assert_eq!(*after_warm.matches, *after_live.matches);
+        let after = run(); // first read of the new version: a fresh index
         let fresh = ExpFinder::new(EngineConfig {
             exec: ExecConfig::sequential(),
             ..EngineConfig::default()
@@ -1678,7 +1691,7 @@ mod tests {
             .prefer(Route::Direct)
             .run()
             .unwrap();
-        assert_eq!(*after_warm.matches, *expect.matches, "index invalidated");
+        assert_eq!(*after.matches, *expect.matches, "index invalidated");
         let t3 = e.index_totals();
         assert!(t3.hits > t2.hits);
         assert_eq!(
@@ -1889,13 +1902,15 @@ mod tests {
     fn every_response_carries_a_plan_decision() {
         let (e, h, _) = engine_with_fig1();
         let q = fig1_pattern();
-        // cost-modeled evaluation: candidates present, live wins on tiny
+        // cost-modeled evaluation: the sequential direct route wins on a
+        // tiny graph at any thread budget
         let first = e.query(&h).pattern(q.clone()).run().unwrap();
-        assert_eq!(first.plan.chosen, PlanRoute::Live);
+        assert_eq!(first.plan.chosen, PlanRoute::Snapshot);
         assert!(!first.plan.overridden);
-        assert!(
-            first.plan.candidates.len() >= 2,
-            "live and snapshot were costed: {:?}",
+        assert_eq!(
+            first.plan.candidates[0].route,
+            PlanRoute::Snapshot,
+            "the direct route was costed: {:?}",
             first.plan.candidates
         );
         // exact short circuit: the cache hit is recorded without costing
@@ -1908,47 +1923,5 @@ mod tests {
         let t = e.read_path().planner_totals();
         assert_eq!(t.decisions, 3);
         assert_eq!(t.overrides, 1);
-    }
-
-    #[test]
-    fn planner_warms_into_the_snapshot_route_and_resets_on_update() {
-        // the acceptance workload: repeated reads of one version migrate
-        // live → snapshot as the build amortizes; an update batch resets
-        // the window and the next read drops back to the live adjacency
-        let f = collaboration_fig1();
-        let mut g = f.graph.clone();
-        while g.size() < PAD_SIZE {
-            g.add_node("pad", []);
-        }
-        let e = ExpFinder::new(EngineConfig {
-            exec: ExecConfig::sequential(),
-            ..EngineConfig::default()
-        });
-        let h = e.add_graph("fig1", g).unwrap();
-        let q = fig1_pattern();
-        let run = || {
-            e.query(&h)
-                .pattern(q.clone())
-                .prefer(Route::Direct)
-                .run()
-                .unwrap()
-        };
-        assert_eq!(run().plan.chosen, PlanRoute::Live, "cold first read");
-        assert_eq!(run().plan.chosen, PlanRoute::Snapshot, "amortized");
-        assert_eq!(run().plan.chosen, PlanRoute::Snapshot, "sunk build");
-        e.apply_updates(&h, &[EdgeUpdate::Insert(f.e1.0, f.e1.1)])
-            .unwrap();
-        let post = run();
-        assert_eq!(post.plan.chosen, PlanRoute::Live, "window reset");
-        let snap = post
-            .plan
-            .candidates
-            .iter()
-            .find(|c| c.route == PlanRoute::Snapshot)
-            .unwrap();
-        assert!(
-            snap.cost.is_infinite(),
-            "stale snapshot has no amortization horizon"
-        );
     }
 }

@@ -1,49 +1,33 @@
 //! Cost-based route planner.
 //!
 //! The engine serves one logical operation — evaluate a pattern against
-//! a graph — through several physical routes: the live adjacency, the
-//! per-version CSR snapshot (sequential or parallel, both consulting the
-//! per-version [`ReachIndex`](expfinder_graph::ReachIndex)), and the
+//! a graph — through a few physical routes: the published snapshot's
+//! own graph with its per-version [`ReachIndex`](expfinder_graph::ReachIndex)
+//! (refined sequentially, or in parallel under a thread budget), and the
 //! maintained compressed quotient.
-//! Until this module existed the choice was hard-coded: a size cutoff
-//! decided whether a CSR could ever pay off, a "build on the second
-//! sequential read" rule decided when to pay the snapshot build, and
-//! compression always won when it was applicable. Every new route meant
-//! another branch in every caller.
 //!
-//! The planner replaces those branches with one decision: fold the
-//! statistics the engine already collects — per-graph read/update
-//! frequency, reach-index hit rates, CSR build costs — into a
+//! The planner makes that choice in one place: fold the statistics the
+//! engine already collects — the graph's reach-index hit rate — into a
 //! [`CostProfile`], estimate each candidate route's work in abstract
 //! *work units*, and pick the cheapest. The estimates deliberately use
 //! only deterministic inputs (graph size, pattern size, counters), never
 //! wall-clock measurements, so a given workload history always produces
 //! the same plan — which is what lets CI diff planner decisions against
-//! a checked-in snapshot (`PLANS.json`). Measured costs (e.g. CSR build
-//! nanos) are recorded in the profile for observability and misprediction
-//! accounting, not for the decision itself.
+//! a checked-in snapshot (`PLANS.json`).
 //!
 //! The model, in units of "adjacency work" (`size × pattern edges`):
 //!
-//! * **live** — the baseline: one fixpoint straight off the live
-//!   adjacency, nothing to build.
-//! * **snapshot** — the sequential CSR path: the same fixpoint at a
-//!   [`CSR_EVAL_DISCOUNT`] (contiguous adjacency; seeding is
-//!   label-indexed on every route), further discounted by the observed
-//!   reach-index hit rate,
-//!   plus the snapshot build amortized over the *observed* reads at this
-//!   graph version. A version nobody has read yet amortizes over zero
-//!   future reads — infinite per-query cost — so the first read of every
-//!   version stays live and update-heavy streams never pay a build,
-//!   while the second read predicts a read-heavy version and builds.
-//! * **snapshot_parallel** — the CSR path with parallel refinement:
-//!   the snapshot eval divided by the thread budget, plus the *full*
-//!   build cost (parallel refinement requires the CSR, so its build is
-//!   the price of parallelism, not an optional amortization).
+//! * **snapshot** — the direct route: one fixpoint over the snapshot's
+//!   graph, discounted by the observed reach-index hit rate
+//!   ([`INDEX_DISCOUNT`]).
+//! * **snapshot_parallel** — the same fixpoint refined by the per-query
+//!   thread budget: the direct cost divided by the threads, plus a fixed
+//!   [`PARALLEL_SETUP`] charge, so tiny graphs stay sequential.
 //! * **compressed** — the fixpoint on the maintained quotient, scaled by
 //!   the quotient/original size ratio, plus the match expansion.
 //!
-//! Exact-result routes (query cache, registered queries) are not costed:
+//! Every estimate is finite. Exact-result routes (query cache, registered
+//! queries) are not costed:
 //! they short-circuit before planning, and their decisions are recorded
 //! as [`PlanDecision::exact`]. A non-`Auto` [`Route`](crate::Route)
 //! preference no longer takes a separate code path either — the planner
@@ -53,31 +37,17 @@
 use expfinder_core::EvalStats;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Work-unit discount of evaluating on the CSR snapshot instead of the
-/// live adjacency. It was set when only the CSR seeded candidates from
-/// label classes; the live graph now carries the same index, and the
-/// contiguous edges alone measure about free. Mean per query over the
-/// repo benchmark's 512-pattern cold pool on its 8000-node graph, one
-/// CPU (live / CSR, ms): no reach index 0.172 / 0.180, a cold one
-/// 0.173 / 0.165, a warm one 0.107 / 0.102. So 0.5 now overstates the
-/// snapshot's edge over live (≈ 0.95 measured). It is kept because it
-/// decides every route in `PLANS.json`: recalibrating it moves that
-/// snapshot, and is a planner-calibration change of its own.
-pub const CSR_EVAL_DISCOUNT: f64 = 0.5;
-
-/// Fraction of snapshot evaluation served for free by a reach-index hit
+/// Fraction of direct evaluation served for free by a reach-index hit
 /// (a class-seeded first refresh becomes one bitset copy). Scaled by the
 /// observed hit rate.
 pub const INDEX_DISCOUNT: f64 = 0.8;
 
-/// Fixed work units of building a CSR snapshot (allocation, setup) —
-/// this is what keeps tiny graphs on the live adjacency: even a
-/// perfectly amortized build never pays for itself below a few thousand
-/// work units.
-pub const CSR_BUILD_FIXED: f64 = 512.0;
-
-/// Per-element (`|V| + |E|`) work units of building a CSR snapshot.
-pub const CSR_BUILD_PER_ELEMENT: f64 = 0.25;
+/// Fixed work units charged to the parallel route for spawning and
+/// joining its workers — what keeps tiny graphs sequential at any thread
+/// budget: dividing a graph's evaluation never pays for this below a
+/// few thousand work units. Not calibrated against a measured spawn/join
+/// cost yet.
+pub const PARALLEL_SETUP: f64 = 512.0;
 
 /// Work-unit discount of evaluating on the compressed quotient (smaller
 /// graph, then a linear expansion), applied on top of the
@@ -88,19 +58,18 @@ pub const COMPRESSED_EVAL_DISCOUNT: f64 = 0.5;
 /// record, for the exact-result short circuits).
 ///
 /// Wire strings (the `timings.plan` object of a query response):
-/// `cache`, `registered`, `live`, `snapshot`, `snapshot_parallel`,
-/// `compressed`.
+/// `cache`, `registered`, `snapshot`, `snapshot_parallel`, `compressed`.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum PlanRoute {
     /// Exact result from the query cache (not costed).
     Cache,
     /// Exact result from a registered query's maintainer (not costed).
     Registered,
-    /// Sequential fixpoint on the live adjacency.
-    Live,
-    /// Sequential fixpoint on the CSR snapshot, reach-indexed.
+    /// Sequential fixpoint on the published snapshot's graph,
+    /// reach-indexed.
     Snapshot,
-    /// Parallel refinement on the CSR snapshot, reach-indexed.
+    /// Parallel refinement on the published snapshot's graph,
+    /// reach-indexed.
     SnapshotParallel,
     /// Fixpoint on the maintained compressed quotient, then expansion.
     Compressed,
@@ -112,7 +81,6 @@ impl PlanRoute {
         match self {
             PlanRoute::Cache => "cache",
             PlanRoute::Registered => "registered",
-            PlanRoute::Live => "live",
             PlanRoute::Snapshot => "snapshot",
             PlanRoute::SnapshotParallel => "snapshot_parallel",
             PlanRoute::Compressed => "compressed",
@@ -120,10 +88,7 @@ impl PlanRoute {
     }
 }
 
-/// One candidate route with its estimated cost in work units.
-/// `f64::INFINITY` is a legal estimate ("this route cannot amortize its
-/// setup on the observed workload") and is encoded as `"inf"` on the
-/// wire.
+/// One candidate route with its estimated (finite) cost in work units.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct CandidateCost {
     pub route: PlanRoute,
@@ -131,23 +96,16 @@ pub struct CandidateCost {
 }
 
 /// Deterministic, point-in-time inputs to [`plan`], extracted from a
-/// graph's [`CostProfile`] (plus what the caller knows about the graph
-/// and its snapshot state). Construct these directly to unit-test the
-/// model against synthetic workload shapes.
+/// graph's [`CostProfile`] (plus the graph's size). Construct these
+/// directly to unit-test the model against synthetic workload shapes.
 #[derive(Copy, Clone, Debug)]
 pub struct CostInputs {
     /// `|V| + |E|` of the graph.
     pub size: usize,
-    /// Cost-modeled evaluations already completed at the current graph
-    /// version — the amortization horizon for a snapshot build.
-    pub reads_at_version: u64,
     /// Cumulative reach-index hits observed on this graph.
     pub index_hits: u64,
     /// Cumulative reach-index misses observed on this graph.
     pub index_misses: u64,
-    /// A CSR snapshot for the current version already exists (its build
-    /// is sunk cost).
-    pub csr_fresh: bool,
 }
 
 impl CostInputs {
@@ -190,9 +148,9 @@ pub struct PlanDecision {
     /// A non-`Auto` [`Route`](crate::Route) preference forced the
     /// decision (`chosen` may still coincide with `planned`).
     pub overridden: bool,
-    /// Every costed candidate, in deterministic order (`live`,
-    /// `snapshot`, `snapshot_parallel?`, `compressed?`). Empty for the
-    /// exact-result short circuits.
+    /// Every costed candidate, in deterministic order (`snapshot`,
+    /// `snapshot_parallel?`, `compressed?`). Empty for the exact-result
+    /// short circuits.
     pub candidates: Vec<CandidateCost>,
     /// The reach-index hit rate the winning estimate assumed — the
     /// prediction checked by [`PlanDecision::mispredicted`].
@@ -252,34 +210,21 @@ impl PlanDecision {
 }
 
 /// Estimate every candidate route's cost and pick the cheapest (ties
-/// break toward the earlier candidate, so `live` wins an exact tie).
-/// Purely deterministic in its inputs.
+/// break toward the earlier candidate, so the sequential `snapshot`
+/// route wins an exact tie). Purely deterministic in its inputs.
 pub fn plan(inputs: &CostInputs, ctx: &PlanContext) -> PlanDecision {
     let base = inputs.size.max(1) as f64 * ctx.pattern_edges.max(1) as f64;
     let hit_rate = inputs.hit_rate();
-    let build = CSR_BUILD_FIXED + CSR_BUILD_PER_ELEMENT * inputs.size as f64;
-    let snapshot_eval = CSR_EVAL_DISCOUNT * (1.0 - INDEX_DISCOUNT * hit_rate) * base;
+    let direct = (1.0 - INDEX_DISCOUNT * hit_rate) * base;
 
-    let mut candidates = vec![
-        CandidateCost {
-            route: PlanRoute::Live,
-            cost: base,
-        },
-        CandidateCost {
-            route: PlanRoute::Snapshot,
-            cost: if inputs.csr_fresh {
-                snapshot_eval
-            } else {
-                // amortize over the observed reads at this version;
-                // zero observed reads → infinite per-query build cost
-                snapshot_eval + build / inputs.reads_at_version as f64
-            },
-        },
-    ];
+    let mut candidates = vec![CandidateCost {
+        route: PlanRoute::Snapshot,
+        cost: direct,
+    }];
     if ctx.threads > 1 {
         candidates.push(CandidateCost {
             route: PlanRoute::SnapshotParallel,
-            cost: snapshot_eval / ctx.threads as f64 + if inputs.csr_fresh { 0.0 } else { build },
+            cost: direct / ctx.threads as f64 + PARALLEL_SETUP,
         });
     }
     if let Some(ratio) = ctx.compression_ratio {
@@ -295,7 +240,7 @@ pub fn plan(inputs: &CostInputs, ctx: &PlanContext) -> PlanDecision {
             Some(b) if b.cost <= c.cost => Some(b),
             _ => Some(c),
         })
-        .expect("at least the live candidate exists")
+        .expect("the direct candidate always exists")
         .route;
     PlanDecision {
         chosen: planned,
@@ -308,85 +253,33 @@ pub fn plan(inputs: &CostInputs, ctx: &PlanContext) -> PlanDecision {
 
 /// Lock-free per-graph statistics the planner runs on: one per managed
 /// graph, shared by every [`Snapshot`](crate::Snapshot) of it, so they
-/// accumulate across versions. All counters are advisory — racy resets
-/// across a version roll lose at most a read or two, which the model
-/// tolerates.
+/// accumulate across versions. The counters are advisory — concurrent
+/// readers may add in any order, which the model tolerates.
 #[derive(Debug, Default)]
 pub struct CostProfile {
-    /// Graph version the `reads_at_version` window belongs to.
-    version: AtomicU64,
-    reads_at_version: AtomicU64,
-    reads_total: AtomicU64,
-    update_batches: AtomicU64,
     index_hits: AtomicU64,
     index_misses: AtomicU64,
-    csr_builds: AtomicU64,
-    csr_build_nanos: AtomicU64,
 }
 
 impl CostProfile {
-    /// Extract the deterministic model inputs for a query at `version`
-    /// against a graph of `size`, with `csr_fresh` saying whether a CSR
-    /// snapshot for that version already exists.
-    pub fn inputs(&self, version: u64, size: usize, csr_fresh: bool) -> CostInputs {
-        let reads_at_version = if self.version.load(Ordering::Relaxed) == version {
-            self.reads_at_version.load(Ordering::Relaxed)
-        } else {
-            0
-        };
+    /// Extract the deterministic model inputs for a query against a graph
+    /// of `size`.
+    pub fn inputs(&self, size: usize) -> CostInputs {
         CostInputs {
             size,
-            reads_at_version,
             index_hits: self.index_hits.load(Ordering::Relaxed),
             index_misses: self.index_misses.load(Ordering::Relaxed),
-            csr_fresh,
         }
     }
 
-    /// Record one completed cost-modeled evaluation at `version` (cache
-    /// and registered hits are not reads in the planner's sense — they
-    /// never had a route choice to amortize against).
-    pub fn note_eval(&self, version: u64, stats: &EvalStats) {
-        if self.version.load(Ordering::Relaxed) != version {
-            self.version.store(version, Ordering::Relaxed);
-            self.reads_at_version.store(0, Ordering::Relaxed);
-        }
-        self.reads_at_version.fetch_add(1, Ordering::Relaxed);
-        self.reads_total.fetch_add(1, Ordering::Relaxed);
+    /// Record one completed cost-modeled evaluation's index counters
+    /// (cache and registered hits never evaluate, so they are not
+    /// recorded).
+    pub fn note_eval(&self, stats: &EvalStats) {
         self.index_hits
             .fetch_add(stats.index_hits as u64, Ordering::Relaxed);
         self.index_misses
             .fetch_add(stats.index_misses as u64, Ordering::Relaxed);
-    }
-
-    /// Record one committed update batch (version moved).
-    pub fn note_update_batch(&self) {
-        self.update_batches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one measured CSR snapshot build. Observability only — the
-    /// cost model stays deterministic by design.
-    pub fn note_csr_build(&self, nanos: u64) {
-        self.csr_builds.fetch_add(1, Ordering::Relaxed);
-        self.csr_build_nanos.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Lifetime evaluations observed.
-    pub fn reads_total(&self) -> u64 {
-        self.reads_total.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime update batches observed.
-    pub fn update_batches(&self) -> u64 {
-        self.update_batches.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime CSR snapshot builds and their cumulative measured cost.
-    pub fn csr_build_cost(&self) -> (u64, u64) {
-        (
-            self.csr_builds.load(Ordering::Relaxed),
-            self.csr_build_nanos.load(Ordering::Relaxed),
-        )
     }
 }
 
@@ -449,166 +342,100 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cold_first_read_stays_live() {
-        // nobody has read this version: a snapshot build amortizes over
-        // zero future reads, so the live adjacency must win
-        let inputs = CostInputs {
-            size: 100_000,
-            reads_at_version: 0,
-            index_hits: 0,
-            index_misses: 0,
-            csr_fresh: false,
-        };
-        let d = plan(&inputs, &ctx(1, 4));
-        assert_eq!(d.planned, PlanRoute::Live);
-        let snap = d
-            .candidates
-            .iter()
-            .find(|c| c.route == PlanRoute::Snapshot)
-            .unwrap();
-        assert!(snap.cost.is_infinite(), "no amortization horizon");
+    fn inputs(size: usize, index_hits: u64, index_misses: u64) -> CostInputs {
+        CostInputs {
+            size,
+            index_hits,
+            index_misses,
+        }
+    }
+
+    fn cost_of(d: &PlanDecision, route: PlanRoute) -> f64 {
+        d.candidates.iter().find(|c| c.route == route).unwrap().cost
     }
 
     #[test]
-    fn second_read_builds_the_snapshot() {
-        let inputs = CostInputs {
-            size: 4096,
-            reads_at_version: 1,
-            index_hits: 0,
-            index_misses: 0,
-            csr_fresh: false,
-        };
-        let d = plan(&inputs, &ctx(1, 2));
+    fn a_cold_first_read_goes_direct_at_full_cost() {
+        // nothing observed yet: the direct route is the only candidate on
+        // one thread, at the undiscounted `size × pattern edges`
+        let d = plan(&inputs(100_000, 0, 0), &ctx(1, 4));
         assert_eq!(d.planned, PlanRoute::Snapshot);
+        assert_eq!(d.candidates.len(), 1);
+        assert_eq!(cost_of(&d, PlanRoute::Snapshot), 400_000.0);
+        assert_eq!(d.expected_hit_rate, 0.0);
     }
 
     #[test]
-    fn warm_class_seeded_workload_takes_the_reach_indexed_route() {
-        // acceptance shape: many reads at this version, high observed
-        // index hit rate, snapshot already built — the reach-indexed
-        // snapshot route must win by a wide margin
-        let inputs = CostInputs {
-            size: 20_000,
-            reads_at_version: 50,
-            index_hits: 120,
-            index_misses: 4,
-            csr_fresh: true,
-        };
-        let d = plan(&inputs, &ctx(1, 3));
-        assert_eq!(d.planned, PlanRoute::Snapshot);
-        let snap = d
-            .candidates
-            .iter()
-            .find(|c| c.route == PlanRoute::Snapshot)
-            .unwrap();
-        let live = d
-            .candidates
-            .iter()
-            .find(|c| c.route == PlanRoute::Live)
-            .unwrap();
-        assert!(snap.cost < 0.5 * live.cost, "index discount applied");
-        assert!(d.expected_hit_rate > 0.9);
-    }
-
-    #[test]
-    fn update_heavy_stream_stays_on_live_adjacency() {
-        // acceptance shape: every version is read at most once before
-        // the next update batch invalidates it — the planner must never
-        // pay a snapshot build
-        let inputs = CostInputs {
-            size: 50_000,
-            reads_at_version: 0,
-            index_hits: 3,
-            index_misses: 40,
-            csr_fresh: false,
-        };
-        let d = plan(&inputs, &ctx(1, 5));
-        assert_eq!(d.planned, PlanRoute::Live);
-    }
-
-    #[test]
-    fn small_graphs_never_pay_a_build() {
-        // even with an amortization horizon, the fixed build cost dwarfs
-        // a tiny graph's whole evaluation
-        let inputs = CostInputs {
-            size: 30,
-            reads_at_version: 5,
-            index_hits: 0,
-            index_misses: 0,
-            csr_fresh: false,
-        };
-        assert_eq!(plan(&inputs, &ctx(1, 3)).planned, PlanRoute::Live);
-        // ... but a snapshot someone else already built is free to use
-        let fresh = CostInputs {
-            csr_fresh: true,
-            ..inputs
-        };
-        assert_eq!(plan(&fresh, &ctx(1, 3)).planned, PlanRoute::Snapshot);
-    }
-
-    #[test]
-    fn thread_budget_unlocks_the_parallel_route_on_big_graphs_only() {
-        let big = CostInputs {
-            size: 4096,
-            reads_at_version: 0,
-            index_hits: 0,
-            index_misses: 0,
-            csr_fresh: false,
-        };
-        let d = plan(&big, &ctx(4, 3));
-        assert_eq!(
-            d.planned,
-            PlanRoute::SnapshotParallel,
-            "parallel refinement pays its own build: {:?}",
-            d.candidates
+    fn a_warm_index_discounts_the_direct_route() {
+        let cold = plan(&inputs(20_000, 0, 0), &ctx(1, 3));
+        let warm = plan(&inputs(20_000, 120, 4), &ctx(1, 3));
+        assert_eq!(warm.planned, PlanRoute::Snapshot);
+        let (c, w) = (
+            cost_of(&cold, PlanRoute::Snapshot),
+            cost_of(&warm, PlanRoute::Snapshot),
         );
-        let tiny = CostInputs { size: 60, ..big };
-        assert_eq!(plan(&tiny, &ctx(4, 3)).planned, PlanRoute::Live);
+        assert!(w < 0.5 * c, "index discount applied: {w} vs {c}");
+        assert!(warm.expected_hit_rate > 0.9);
+    }
+
+    #[test]
+    fn parallel_setup_keeps_tiny_graphs_sequential() {
+        // the pin for PARALLEL_SETUP: 4096 elements at 4 threads divide
+        // enough work to pay for the workers, 60 elements never do
+        let big = plan(&inputs(4096, 0, 0), &ctx(4, 3));
+        assert_eq!(
+            big.planned,
+            PlanRoute::SnapshotParallel,
+            "{:?}",
+            big.candidates
+        );
+        assert_eq!(
+            cost_of(&big, PlanRoute::SnapshotParallel),
+            4096.0 * 3.0 / 4.0 + PARALLEL_SETUP
+        );
+        let tiny = plan(&inputs(60, 0, 0), &ctx(4, 3));
+        assert_eq!(tiny.planned, PlanRoute::Snapshot);
+        // one thread never costs the parallel route at all
+        assert_eq!(plan(&inputs(4096, 0, 0), &ctx(1, 3)).candidates.len(), 1);
+    }
+
+    #[test]
+    fn every_estimate_is_finite() {
+        let c = PlanContext {
+            threads: 8,
+            pattern_edges: 0,
+            compression_ratio: Some(0.0),
+        };
+        for size in [0, 1, 60, 1 << 20] {
+            for (hits, misses) in [(0, 0), (1, 0), (0, 1), (7, 3)] {
+                let d = plan(&inputs(size, hits, misses), &c);
+                assert_eq!(d.candidates.len(), 3);
+                assert!(d.candidates.iter().all(|c| c.cost.is_finite()), "{d:?}");
+            }
+        }
     }
 
     #[test]
     fn compression_wins_until_the_index_is_warm() {
-        let cold = CostInputs {
-            size: 1000,
-            reads_at_version: 0,
-            index_hits: 0,
-            index_misses: 0,
-            csr_fresh: false,
-        };
         let c = PlanContext {
             threads: 1,
             pattern_edges: 3,
             compression_ratio: Some(0.6),
         };
-        assert_eq!(plan(&cold, &c).planned, PlanRoute::Compressed);
-        // a warm reach-indexed snapshot can out-bid the quotient — the
-        // planner is allowed to skip compression when the index is hot
-        let warm = CostInputs {
-            reads_at_version: 10,
-            index_hits: 99,
-            index_misses: 1,
-            csr_fresh: true,
-            ..cold
-        };
-        assert_eq!(plan(&warm, &c).planned, PlanRoute::Snapshot);
+        assert_eq!(plan(&inputs(1000, 0, 0), &c).planned, PlanRoute::Compressed);
+        // a warm reach index can out-bid the quotient — the planner is
+        // allowed to skip compression when the index is hot
+        assert_eq!(plan(&inputs(1000, 99, 1), &c).planned, PlanRoute::Snapshot);
     }
 
     #[test]
     fn preference_overrides_are_recorded_not_replanned() {
-        let inputs = CostInputs {
-            size: 1000,
-            reads_at_version: 0,
-            index_hits: 0,
-            index_misses: 0,
-            csr_fresh: false,
-        };
         let c = PlanContext {
             threads: 1,
             pattern_edges: 2,
             compression_ratio: Some(0.5),
         };
-        let mut d = plan(&inputs, &c);
+        let mut d = plan(&inputs(1000, 0, 0), &c);
         assert_eq!(d.planned, PlanRoute::Compressed);
         d.apply_preference(crate::Route::Compressed);
         assert!(d.overridden);
@@ -616,38 +443,27 @@ mod tests {
 
         // Direct preference: the caller filtered compression out of the
         // context, so the planned route is already the direct winner
-        let mut d = plan(&inputs, &ctx(1, 2));
+        let mut d = plan(&inputs(1000, 0, 0), &ctx(1, 2));
         d.apply_preference(crate::Route::Direct);
         assert!(d.overridden);
-        assert_eq!(d.chosen, PlanRoute::Live);
+        assert_eq!(d.chosen, PlanRoute::Snapshot);
     }
 
     #[test]
-    fn profile_windows_reads_per_version_and_accumulates_rates() {
+    fn profile_accumulates_index_rates_across_versions() {
         let p = CostProfile::default();
         let stats_hit = EvalStats {
             index_hits: 2,
             index_misses: 1,
             ..EvalStats::default()
         };
-        assert_eq!(p.inputs(7, 100, false).reads_at_version, 0);
-        p.note_eval(7, &stats_hit);
-        p.note_eval(7, &stats_hit);
-        let i = p.inputs(7, 100, false);
-        assert_eq!(i.reads_at_version, 2);
-        assert_eq!(i.index_hits, 4);
+        assert_eq!(p.inputs(100).hit_rate(), 0.0);
+        p.note_eval(&stats_hit);
+        p.note_eval(&stats_hit);
+        p.note_eval(&EvalStats::default());
+        let i = p.inputs(100);
+        assert_eq!((i.size, i.index_hits, i.index_misses), (100, 4, 2));
         assert!((i.hit_rate() - 4.0 / 6.0).abs() < 1e-12);
-        // a version roll resets the window but keeps the rates
-        let i = p.inputs(8, 100, false);
-        assert_eq!(i.reads_at_version, 0);
-        assert_eq!(i.index_hits, 4);
-        p.note_eval(8, &EvalStats::default());
-        assert_eq!(p.inputs(8, 100, false).reads_at_version, 1);
-        assert_eq!(p.reads_total(), 3);
-        p.note_update_batch();
-        assert_eq!(p.update_batches(), 1);
-        p.note_csr_build(500);
-        assert_eq!(p.csr_build_cost(), (1, 500));
     }
 
     #[test]
@@ -685,8 +501,11 @@ mod tests {
         assert!(!d.mispredicted(&some_hit));
         d.expected_hit_rate = 0.2;
         assert!(!d.mispredicted(&all_miss), "no warm promise was made");
-        d.chosen = PlanRoute::Live;
+        d.chosen = PlanRoute::Compressed;
         d.expected_hit_rate = 0.9;
-        assert!(!d.mispredicted(&all_miss), "live made no index promise");
+        assert!(
+            !d.mispredicted(&all_miss),
+            "the quotient made no promise about the direct index"
+        );
     }
 }

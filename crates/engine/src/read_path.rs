@@ -20,7 +20,7 @@ use expfinder_core::{
     EvalScratch, EvalStats, MatchRelation, RankScratch, RankedMatch, ResultGraph, ScratchPool,
     Semantics,
 };
-use expfinder_graph::GraphView;
+use expfinder_graph::DiGraph;
 use expfinder_pattern::Pattern;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -300,13 +300,7 @@ impl ReadPath {
             }
             (Some(k), None) => {
                 self.rank_totals.computed.fetch_add(1, Ordering::Relaxed);
-                // rank over the CSR snapshot whenever this version has one;
-                // building one merely to rank would cost more than it saves
-                let derived = &state.derived;
-                let ranked = match derived.csr_if_built() {
-                    Some(csr) => rank(csr, pattern, &matches, k, threads, cancel),
-                    None => rank(state.graph(), pattern, &matches, k, threads, cancel),
-                };
+                let ranked = rank(state.graph(), pattern, &matches, k, threads, cancel);
                 let experts = ranked.map_err(|e| match e {
                     EvalError::Pattern(e) => e.into(),
                     // the relation is finished and stays cached; the
@@ -357,7 +351,6 @@ impl ReadPath {
         if cancel.is_some_and(|t| t.is_cancelled()) {
             return Err(ExpFinderError::DeadlineExceeded(EvalStats::default()));
         }
-        let version = state.version();
         let exact = |route, hit| {
             let plan = PlanDecision::exact(route);
             self.planner.on_decision(&plan);
@@ -384,13 +377,13 @@ impl ReadPath {
         let mut plan = plan_routes(state, pattern, prefer != Route::Direct, threads);
         plan.apply_preference(prefer);
 
-        // 4. evaluate on the chosen substrate. The snapshot and quotient
-        // routes consult their per-version [`ReachIndex`], so on a warm
-        // version every class-seeded first refresh is one bitset copy.
-        // All routes compute the same greatest fixpoint. A fired token
-        // surfaces as `Cancelled` before any torn state is cached or
-        // applied (see `expfinder-core`), so an aborted evaluation leaves
-        // scratch, cache and profile untouched.
+        // 4. evaluate on the chosen substrate — the snapshot's graph or
+        // the quotient — with that substrate's per-version [`ReachIndex`],
+        // so on a warm version every class-seeded first refresh is one
+        // bitset copy. All routes compute the same greatest fixpoint. A
+        // fired token surfaces as `Cancelled` before any torn state is
+        // cached or applied (see `expfinder-core`), so an aborted
+        // evaluation leaves scratch, cache and profile untouched.
         let mut req = EvalRequest {
             scratch: Some(scratch),
             cancel,
@@ -414,14 +407,13 @@ impl ReadPath {
                 req.index = Some(&bound);
                 evaluate(gc, pattern, req).map(|(m, stats)| (gc.expand(&m), stats))
             }
-            PlanRoute::Snapshot | PlanRoute::SnapshotParallel => {
-                let csr = derived.csr(state.graph(), &state.profile);
-                let bound = derived.reach.bind(csr);
+            // Snapshot / SnapshotParallel (Cache/Registered never reach
+            // this point)
+            _ => {
+                let bound = derived.reach.bind(state.graph());
                 req.index = Some(&bound);
-                evaluate(csr, pattern, req)
+                evaluate(state.graph(), pattern, req)
             }
-            // Live (Cache/Registered never reach this point)
-            _ => evaluate(state.graph(), pattern, req),
         };
         let (m, stats) = match evaluated {
             Ok(t) => t,
@@ -435,7 +427,7 @@ impl ReadPath {
                 return Err(ExpFinderError::DeadlineExceeded(c.stats));
             }
         };
-        state.profile.note_eval(version, &stats);
+        state.profile.note_eval(&stats);
         if plan.mispredicted(&stats) {
             self.planner.on_mispredict();
         }
@@ -550,11 +542,7 @@ fn plan_routes(
             let quotient = (cs.compressed_nodes + cs.compressed_edges).max(1);
             quotient as f64 / original as f64
         });
-    let inputs = state.profile.inputs(
-        state.version(),
-        state.graph().size(),
-        state.derived.csr_if_built().is_some(),
-    );
+    let inputs = state.profile.inputs(state.graph().size());
     let ctx = PlanContext {
         threads,
         pattern_edges: pattern.edge_count(),
@@ -563,11 +551,11 @@ fn plan_routes(
     planner::plan(&inputs, &ctx)
 }
 
-/// Build the result graph over `view` and rank the output node's matches
+/// Build the result graph over `graph` and rank the output node's matches
 /// on one [`RankScratch`], polling `cancel` per source match and per
 /// candidate.
-fn rank<V: GraphView + Sync>(
-    view: &V,
+fn rank(
+    graph: &DiGraph,
     pattern: &Pattern,
     matches: &MatchRelation,
     k: usize,
@@ -575,6 +563,6 @@ fn rank<V: GraphView + Sync>(
     cancel: Option<&CancelToken>,
 ) -> Result<Vec<RankedMatch>, EvalError> {
     let opts = BuildOptions { threads };
-    let rg = ResultGraph::build_cancellable(view, pattern, matches, opts, cancel)?;
+    let rg = ResultGraph::build_cancellable(graph, pattern, matches, opts, cancel)?;
     rank_matches_top_k_cancellable(&rg, pattern, matches, k, &mut RankScratch::new(), cancel)
 }

@@ -19,24 +19,21 @@ use crate::{ExpFinderError, GraphInfo, RegisteredDelta, UpdateReport};
 use expfinder_compress::maintain::MaintainedCompression;
 use expfinder_compress::{CompressStats, CompressedGraph, CompressionMethod};
 use expfinder_core::MatchRelation;
-use expfinder_graph::{CsrGraph, DiGraph, EdgeUpdate, GraphView, ReachIndex};
+use expfinder_graph::{DiGraph, EdgeUpdate, GraphView, ReachIndex};
 use expfinder_incremental::{IncrementalBoundedSim, IncrementalSim, Maintainer};
 use expfinder_pattern::Pattern;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::sync::Arc;
 
 /// What reads build lazily for one graph version and then share: the
-/// CSR snapshot (built on the first read the planner sends there) and
-/// the reach indexes over it and over the quotient (entries fill on first
-/// use). One value serves exactly one version — a publish at a new
-/// version starts a fresh one, and a publish that rebuilt or dropped the
-/// quotient swaps in a fresh quotient index, which can happen without a
-/// version bump — so nothing in it is ever stale.
+/// reach indexes over the snapshot's graph and over the quotient (entries
+/// fill on first use). One value serves exactly one version — a publish
+/// at a new version starts a fresh one, and a publish that rebuilt or
+/// dropped the quotient swaps in a fresh quotient index, which can happen
+/// without a version bump — so nothing in it is ever stale.
 pub struct Derived {
     version: u64,
-    csr: OnceLock<Arc<CsrGraph>>,
     pub(crate) reach: Arc<ReachIndex>,
     pub(crate) quotient_reach: Arc<ReachIndex>,
 }
@@ -45,7 +42,6 @@ impl Derived {
     pub fn new(version: u64) -> Derived {
         Derived {
             version,
-            csr: OnceLock::new(),
             reach: Arc::new(ReachIndex::new(version)),
             quotient_reach: Arc::new(ReachIndex::new(version)),
         }
@@ -56,33 +52,13 @@ impl Derived {
         self.version
     }
 
-    /// The same CSR snapshot and direct index over a rebuilt quotient.
+    /// The same direct index and a fresh one for a rebuilt quotient.
     pub fn with_fresh_quotient_reach(&self) -> Derived {
         Derived {
             version: self.version,
-            csr: self.csr.clone(),
             reach: Arc::clone(&self.reach),
             quotient_reach: Arc::new(ReachIndex::new(self.version)),
         }
-    }
-
-    /// The CSR snapshot, built from `graph` on first use (concurrent
-    /// first readers race, one build wins). Builds are timed into
-    /// `profile` — observability only, the planner's estimates stay
-    /// deterministic.
-    pub(crate) fn csr(&self, graph: &DiGraph, profile: &CostProfile) -> &CsrGraph {
-        self.csr.get_or_init(|| {
-            let started = Instant::now();
-            let csr = Arc::new(CsrGraph::snapshot(graph));
-            profile.note_csr_build(started.elapsed().as_nanos() as u64);
-            csr
-        })
-    }
-
-    /// The CSR snapshot only if some earlier query already paid for it —
-    /// its build is sunk cost, which the planner treats as free.
-    pub(crate) fn csr_if_built(&self) -> Option<&CsrGraph> {
-        self.csr.get().map(|csr| &**csr)
     }
 }
 
@@ -403,7 +379,6 @@ impl MaintainedGraph {
             Some(Arc::new(mc.compressed().clone()))
         };
         let (derived, compressed) = if prev.version() != version {
-            prev.profile.note_update_batch();
             (Arc::new(Derived::new(version)), quotient())
         } else {
             match unpublished {

@@ -7,18 +7,17 @@
 //! arrays (`offsets` + targets). The extra hop through the chunk table
 //! measures about free: over the repo benchmark's 512-pattern cold pool
 //! on its 8000-node graph, one CPU, a query on the chunked graph costs
-//! 0.172 ms against 0.180 ms on the CSR. What the snapshot still buys is
-//! the per-version [`ReachIndex`](crate::ReachIndex) the engine keeps
-//! beside it (0.102 vs 0.107 ms once warm).
+//! 0.172 ms against 0.180 ms on the CSR, and 0.107 vs 0.102 ms with a
+//! warm [`ReachIndex`](crate::ReachIndex). So the engine evaluates on the
+//! published `DiGraph` itself and builds no CSR; this type remains for
+//! the repo benchmark's direct-call rows and the substrate-equivalence
+//! tests.
 //!
 //! A snapshot shares, not copies, what the graph already shares: the
 //! vertex table with its label-class index
 //! ([`GraphView::nodes_with_label`]) and the interner, by `Arc`, so its
 //! build is the two adjacency flattens. It is tied to the
-//! [`DiGraph::version`] it was built from and is never mutated. The
-//! engine builds one lazily per graph version — only for graphs large
-//! enough that the O(|V|+|E|) build amortizes against evaluation — and
-//! drops it when the version moves on (see `expfinder-engine`). Because
+//! [`DiGraph::version`] it was built from and is never mutated. Because
 //! `CsrGraph` implements [`GraphView`], every matcher runs on it
 //! unchanged.
 

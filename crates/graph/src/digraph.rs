@@ -27,8 +27,8 @@
 //! **The label index rides along.** The label → node-set map behind
 //! [`GraphView::nodes_with_label`] lives in the vertex table's `Arc`, built
 //! on first use. Edge updates — the paper's whole ΔG — never write the
-//! table, so every version and every [`CsrGraph`](crate::CsrGraph) snapshot
-//! of a graph read one index; a node or attribute write drops it.
+//! table, so every published version of a graph reads one index; a node
+//! or attribute write drops it.
 
 use crate::attrs::{AttrValue, Interner, Sym};
 use crate::bitset::BitSet;

@@ -9,8 +9,9 @@
 //! * [`GraphView`] — the read-only abstraction all matchers are written
 //!   against, so the same algorithms run on plain and compressed graphs.
 //! * [`CsrGraph`] — an immutable CSR snapshot with contiguous adjacency
-//!   and a label → bitset candidate index; the engine's read-optimized
-//!   fast path for (parallel) query execution.
+//!   sharing the graph's label → bitset candidate index; an alternative
+//!   substrate the matchers are tested and benchmarked on (the engine
+//!   evaluates on the `DiGraph` itself).
 //! * [`ReachIndex`] — a per-snapshot label-reachability memo (entries
 //!   keyed by `(label, bound, direction)`, built by pure bitset sweeps)
 //!   that lets the matching fixpoints skip class-seeded first-refresh

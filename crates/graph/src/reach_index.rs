@@ -13,10 +13,10 @@
 //! lazily on first use by [`class_reach_sweep`] — `b` level-synchronous
 //! rounds over bitset frontiers, dense levels swept word-parallel — and
 //! shared as `Arc<BitSet>` across queries, threads and HTTP workers. The
-//! engine keys one index per graph version next to its cached
-//! [`CsrGraph`](crate::csr::CsrGraph) snapshot and drops it when the
-//! version moves on, so an entry can never describe a graph other than
-//! the one it is consulted for.
+//! engine keeps one index per published graph version, bound to that
+//! version's [`DiGraph`](crate::DiGraph), and drops it when the version
+//! moves on, so an entry can never describe a graph other than the one
+//! it is consulted for.
 //!
 //! The index itself does not hold the graph (entries are built against
 //! whatever [`GraphView`] the caller binds with [`ReachIndex::bind`]);

@@ -36,9 +36,8 @@ pub trait GraphView {
     /// ([`GraphView::has_label_index`]) `None` means no node carries
     /// `label`; on a view without one it is the only answer, and callers
     /// fall back to a full scan. [`crate::DiGraph`] keeps its index beside
-    /// its vertex table — built once per table, shared by every clone and
-    /// every [`crate::csr::CsrGraph`] snapshot, since edge updates never
-    /// touch it.
+    /// its vertex table — built once per table and shared by every clone,
+    /// so by every published version, since edge updates never touch it.
     fn nodes_with_label(&self, label: Sym) -> Option<&BitSet> {
         let _ = label;
         None

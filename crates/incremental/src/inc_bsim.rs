@@ -33,7 +33,7 @@
 //!
 //! Patterns with unbounded (`*`) edges degrade gracefully: the ball radius
 //! becomes "everything that can reach x", which is correct but no longer
-//! local — the experiments use bounded patterns, as does the paper.
+//! local — the paper's patterns are bounded.
 
 use crate::{IncStats, Maintainer, MatchDelta};
 use expfinder_core::bsim::{bounded_fixpoint_raw, EvalOptions};

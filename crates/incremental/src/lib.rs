@@ -36,8 +36,9 @@ pub use inc_sim::IncrementalSim;
 use expfinder_graph::{EdgeUpdate, NodeId};
 use expfinder_pattern::PNodeId;
 
-/// Work counters for one maintenance call — the experiment harness reports
-/// these to show *why* incremental wins (affected area ≪ |G|).
+/// Work counters for one maintenance call — the repo benchmark's
+/// `incremental.affected_nodes` row and `examples/dynamic_network.rs`
+/// report these to show *why* incremental wins (affected area ≪ |G|).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct IncStats {
     /// Pairs added to the match sets.
@@ -68,8 +69,8 @@ pub struct MatchDelta {
     pub added: bool,
 }
 
-/// Shared trait of the two maintainers, so the engine and experiment
-/// harness can drive either uniformly.
+/// Shared trait of the two maintainers, so the engine and the repo
+/// benchmark's trace can drive either uniformly.
 pub trait Maintainer {
     /// Bring the maintained relation in line after `update` has already
     /// been applied to `g`. Returns the ΔM this update caused.

@@ -9,9 +9,12 @@ graph / field / route / method, register x3 including a duplicate,
 updates including a no-op, an empty batch and out-of-range ids, a batch
 with a bad slot, graph adds including a duplicate and a path-like name.
 Numeric `*_us` / `*_ms` values under `timings` are masked; every other
-byte of every response body, and every status, must match. The sorted
-difference of the two `/metrics` key sets is printed (values are not
-compared — uptime and latencies differ run to run).
+byte of every response body, and every status, must match. A differing
+response is reported as the JSON paths at which the bodies differ
+(`timings.plan.candidates[0].route: "live" -> "snapshot"`), and the run
+ends with one line listing every differing path. The sorted difference
+of the two `/metrics` key sets is printed (values are not compared —
+uptime and latencies differ run to run).
 
 Exits 1 on any status or body difference, 0 otherwise. Build the parent
 binary from a `git clone` of the parent commit, e.g.
@@ -121,6 +124,29 @@ def key_paths(value, prefix=""):
     return set()
 
 
+ABSENT = "<absent>"
+
+
+def diff_paths(parent, change, prefix=""):
+    """`(path, parent value, change value)` for every leaf at which two
+    documents differ (`a.b[0].c`; a key or element one side lacks is
+    `<absent>` there)."""
+    if isinstance(parent, dict) and isinstance(change, dict):
+        out = []
+        for k in sorted(parent.keys() | change.keys()):
+            path = f"{prefix}.{k}" if prefix else k
+            out += diff_paths(parent.get(k, ABSENT), change.get(k, ABSENT), path)
+        return out
+    if isinstance(parent, list) and isinstance(change, list):
+        out = []
+        for i in range(max(len(parent), len(change))):
+            p = parent[i] if i < len(parent) else ABSENT
+            c = change[i] if i < len(change) else ABSENT
+            out += diff_paths(p, c, f"{prefix}[{i}]")
+        return out
+    return [] if parent == change else [(prefix or "<body>", parent, change)]
+
+
 def request(addr, method, path, body):
     host, port = addr.rsplit(":", 1)
     conn = http.client.HTTPConnection(host, int(port), timeout=30)
@@ -168,14 +194,21 @@ def run(binary, data_dir):
 
 
 def compare(label, parent, change):
+    """Print every differing response as its differing paths; the number
+    of differing responses and the set of differing paths."""
     (p_resp, p_keys), (c_resp, c_keys) = parent, change
-    diffs = 0
+    diffs, all_paths = 0, set()
     for (method, path, p_status, p_doc), (_, _, c_status, c_doc) in zip(p_resp, c_resp):
-        if (p_status, p_doc) != (c_status, c_doc):
-            diffs += 1
-            print(f"[{label}] DIFF {method} {path}")
-            print(f"  parent {p_status}: {json.dumps(p_doc, sort_keys=True)}")
-            print(f"  change {c_status}: {json.dumps(c_doc, sort_keys=True)}")
+        paths = diff_paths(p_doc, c_doc)
+        if p_status == c_status and not paths:
+            continue
+        diffs += 1
+        print(f"[{label}] DIFF {method} {path}")
+        if p_status != c_status:
+            print(f"  status: {p_status} -> {c_status}")
+        for at, p, c in paths:
+            print(f"  {at}: {json.dumps(p)} -> {json.dumps(c)}")
+            all_paths.add(at)
     statuses = sorted({s for _, _, s, _ in c_resp})
     print(
         f"[{label}] {len(c_resp) - diffs}/{len(c_resp)} responses identical "
@@ -183,7 +216,7 @@ def compare(label, parent, change):
     )
     for side, keys in (("parent", p_keys - c_keys), ("change", c_keys - p_keys)):
         print(f"[{label}] /metrics keys only in {side}: {sorted(keys) or 'none'}")
-    return diffs
+    return diffs, all_paths
 
 
 def main():
@@ -191,7 +224,7 @@ def main():
     ap.add_argument("parent_serve")
     ap.add_argument("change_serve")
     args = ap.parse_args()
-    diffs = 0
+    diffs, all_paths = 0, set()
     for label, durable in (("in-memory", False), ("data-dir", True)):
         sides = []
         for binary in (args.parent_serve, args.change_serve):
@@ -201,7 +234,10 @@ def main():
             finally:
                 if data_dir:
                     shutil.rmtree(data_dir, ignore_errors=True)
-        diffs += compare(label, *sides)
+        n, paths = compare(label, *sides)
+        diffs += n
+        all_paths |= paths
+    print(f"differing body paths: {sorted(all_paths) or 'none'}")
     print("wire parity:", "OK" if diffs == 0 else f"{diffs} differing responses")
     return 1 if diffs else 0
 
