@@ -4,9 +4,9 @@
 //! The engine is two types split along the line the type system can
 //! enforce. [`Catalog`] is the read side: the name → graph map behind one
 //! `RwLock`, the one [`ReadPath`], the update hook, and *every read* —
-//! [`Catalog::evaluate`], [`Catalog::find_experts`],
-//! [`Catalog::query_deadline`], the fluent [`Catalog::query`] builder,
-//! [`Catalog::query_batch`], the catalog listings and the metrics feeds.
+//! the fluent [`Catalog::query`] builder, [`Catalog::query_deadline`] on
+//! a borrowed pattern, [`Catalog::query_batch`], the catalog listings and
+//! the metrics feeds.
 //! [`ExpFinder`] is a `Catalog` (it [`Deref`]s to one) plus the unlogged
 //! writes, all of them one primitive, [`ExpFinder::write`]: lock the
 //! graph's [`MaintainedGraph`], run the operation, publish the next
@@ -41,7 +41,9 @@
 //! the catalog's part of a read is resolving the handle to its graph's
 //! latest one ([`Catalog::handle`], [`Catalog::latest`]) — the same call
 //! on both facades. Every
-//! [`QueryResponse`] carries the full [`PlanDecision`]. Updates flow
+//! [`QueryResponse`] carries the full [`PlanDecision`], whose
+//! [`PlanRoute`] `chosen` is the one report of how the read was
+//! answered. Updates flow
 //! through [`ExpFinder::apply_updates`] into the graph's
 //! [`MaintainedGraph`] — the one write path of both facades — which
 //! maintains the graph, its compressed counterpart and every registered
@@ -82,7 +84,6 @@ pub mod read_path;
 pub mod report;
 pub mod shell;
 pub mod state;
-pub mod storage;
 
 pub use planner::{
     CandidateCost, CostInputs, CostProfile, PlanContext, PlanDecision, PlanRoute, PlannerTotals,
@@ -240,7 +241,8 @@ impl ExpFinderError {
 
 /// Routing preference for one query (input to the engine).
 ///
-/// Distinct from [`EvalRoute`], which reports the route actually taken.
+/// The route actually taken is the response's `plan.chosen`
+/// ([`PlanRoute`]).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum Route {
     /// Paper §II order: cache → registered → compressed → direct.
@@ -254,37 +256,6 @@ pub enum Route {
     /// Force direct evaluation, bypassing cache, registered queries and
     /// the compressed graph.
     Direct,
-}
-
-/// How a query was answered — surfaced so the demo (and the tests) can
-/// verify the routing described in §II.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum EvalRoute {
-    /// Served from the result cache.
-    Cache,
-    /// Served from a registered query's incrementally-maintained state.
-    Registered,
-    /// Evaluated on the compressed graph, then expanded.
-    Compressed,
-    /// Evaluated directly with the quadratic simulation algorithm.
-    DirectSimulation,
-    /// Evaluated directly with the cubic bounded-simulation algorithm.
-    DirectBounded,
-}
-
-impl EvalRoute {
-    /// The reported route of a plan: the exact and compressed routes name
-    /// themselves, both direct routes (sequential and parallel) report
-    /// the algorithm the pattern selected.
-    pub fn of(chosen: PlanRoute, simulation: bool) -> EvalRoute {
-        match chosen {
-            PlanRoute::Cache => EvalRoute::Cache,
-            PlanRoute::Registered => EvalRoute::Registered,
-            PlanRoute::Compressed => EvalRoute::Compressed,
-            _ if simulation => EvalRoute::DirectSimulation,
-            _ => EvalRoute::DirectBounded,
-        }
-    }
 }
 
 /// Wall-clock breakdown of one [`QueryBuilder::run`].
@@ -305,15 +276,14 @@ pub struct QueryResponse {
     pub experts: Vec<RankedMatch>,
     /// The full match relation `M(Q,G)`.
     pub matches: Arc<MatchRelation>,
-    /// The route that produced the relation.
-    pub route: EvalRoute,
     /// The graph version the response corresponds to.
     pub graph_version: u64,
     /// Wall-clock breakdown.
     pub timings: QueryTimings,
-    /// The planner's verdict: chosen route, the route it would have
-    /// picked without a preference, and every costed candidate — the
-    /// `timings.plan` object on the wire.
+    /// The planner's verdict: `chosen`, the route that produced the
+    /// relation, the route it would have picked without a preference,
+    /// and every costed candidate — the `timings.plan` object on the
+    /// wire, whose `chosen` string is also the response's `route`.
     pub plan: PlanDecision,
 }
 
@@ -666,28 +636,9 @@ impl Catalog {
         }
     }
 
-    /// Evaluate a pattern on a graph, routing per paper §II.
-    pub fn evaluate(
-        &self,
-        handle: &GraphHandle,
-        pattern: &Pattern,
-    ) -> Result<QueryResponse, ExpFinderError> {
-        self.query_deadline(handle, pattern, None, Route::Auto, None)
-    }
-
-    /// The paper's headline operation: evaluate, rank by social impact,
-    /// return the top-K experts for the pattern's output node.
-    pub fn find_experts(
-        &self,
-        handle: &GraphHandle,
-        pattern: &Pattern,
-        k: usize,
-    ) -> Result<QueryResponse, ExpFinderError> {
-        self.query_deadline(handle, pattern, Some(k), Route::Auto, None)
-    }
-
     /// One query on a borrowed pattern under an optional evaluation
-    /// budget — the non-fluent twin of [`Catalog::query`]: once
+    /// budget — the non-fluent twin of [`Catalog::query`], for callers
+    /// that hold the pattern and must not clone it per request: once
     /// `deadline` has elapsed the evaluation abandons work at its next
     /// cancellation point and returns
     /// [`ExpFinderError::DeadlineExceeded`] with the partial
@@ -742,6 +693,12 @@ impl Catalog {
     /// is split between batch workers and per-query refinement
     /// ([`ReadPath::query_batch`]).
     ///
+    /// A `deadline` arms one [`CancelToken`] polled by every worker, so
+    /// slots still running when the budget runs out come back as
+    /// [`ExpFinderError::DeadlineExceeded`] while already-finished slots
+    /// keep their results. A per-spec [`QuerySpec::deadline`] further
+    /// tightens (never extends) the batch budget for its own slot.
+    ///
     /// ```
     /// use expfinder_engine::{ExpFinder, QuerySpec};
     /// use expfinder_graph::fixtures::collaboration_fig1;
@@ -753,26 +710,12 @@ impl Catalog {
     ///     QuerySpec::pattern(fig1_pattern()).top_k(2),
     ///     QuerySpec::dsl("node sa* where label = \"SA\";"),
     /// ];
-    /// let responses = engine.query_batch(&h, specs);
+    /// let responses = engine.query_batch(&h, specs, None);
     /// assert_eq!(responses.len(), 2);
     /// assert_eq!(responses[0].as_ref().unwrap().experts.len(), 2);
     /// assert_eq!(responses[1].as_ref().unwrap().matches.total_pairs(), 2);
     /// ```
     pub fn query_batch(
-        &self,
-        handle: &GraphHandle,
-        specs: Vec<QuerySpec>,
-    ) -> Vec<Result<QueryResponse, ExpFinderError>> {
-        self.query_batch_deadline(handle, specs, None)
-    }
-
-    /// [`Catalog::query_batch`] under one shared deadline: a single
-    /// [`CancelToken`] armed with `deadline` is polled by every worker,
-    /// so slots still running when the budget runs out come back as
-    /// [`ExpFinderError::DeadlineExceeded`] while already-finished slots
-    /// keep their results. A per-spec [`QuerySpec::deadline`] further
-    /// tightens (never extends) the batch budget for its own slot.
-    pub fn query_batch_deadline(
         &self,
         handle: &GraphHandle,
         specs: Vec<QuerySpec>,
@@ -1153,15 +1096,21 @@ mod tests {
         (e, h, f)
     }
 
+    /// One `Route::Auto` read of `q`, without ranking.
+    fn auto(e: &Catalog, h: &GraphHandle, q: &Pattern) -> Result<QueryResponse, ExpFinderError> {
+        e.query_deadline(h, q, None, Route::Auto, None)
+    }
+
     #[test]
     fn evaluate_routes_direct_then_cache() {
         let (e, h, _) = engine_with_fig1();
         let q = fig1_pattern();
-        let first = e.evaluate(&h, &q).unwrap();
-        assert_eq!(first.route, EvalRoute::DirectBounded);
+        let first = auto(&e, &h, &q).unwrap();
+        assert_eq!(first.plan.chosen, PlanRoute::Snapshot);
+        assert!(!q.is_simulation(), "bounded simulation ran");
         assert_eq!(first.matches.total_pairs(), 7);
-        let second = e.evaluate(&h, &q).unwrap();
-        assert_eq!(second.route, EvalRoute::Cache);
+        let second = auto(&e, &h, &q).unwrap();
+        assert_eq!(second.plan.chosen, PlanRoute::Cache);
         assert_eq!(*second.matches, *first.matches);
         let stats = e.read_path().cache_stats();
         assert_eq!(stats.hits, 1);
@@ -1172,8 +1121,9 @@ mod tests {
     fn simulation_pattern_routes_to_quadratic() {
         let (e, h, _) = engine_with_fig1();
         let q = fig1_pattern().as_simulation();
-        let out = e.evaluate(&h, &q).unwrap();
-        assert_eq!(out.route, EvalRoute::DirectSimulation);
+        assert!(q.is_simulation(), "the quadratic algorithm is selected");
+        let out = auto(&e, &h, &q).unwrap();
+        assert_eq!(out.plan.chosen, PlanRoute::Snapshot);
         assert!(out.matches.is_empty(), "paper: simulation fails on Fig. 1");
     }
 
@@ -1181,12 +1131,12 @@ mod tests {
     fn updates_invalidate_cache_via_version() {
         let (e, h, f) = engine_with_fig1();
         let q = fig1_pattern();
-        let before = e.evaluate(&h, &q).unwrap();
+        let before = auto(&e, &h, &q).unwrap();
         assert_eq!(before.matches.total_pairs(), 7);
         e.apply_updates(&h, &[EdgeUpdate::Insert(f.e1.0, f.e1.1)])
             .unwrap();
-        let after = e.evaluate(&h, &q).unwrap();
-        assert_ne!(after.route, EvalRoute::Cache, "version changed");
+        let after = auto(&e, &h, &q).unwrap();
+        assert_ne!(after.plan.chosen, PlanRoute::Cache, "version changed");
         assert_eq!(after.matches.total_pairs(), 8, "Fred joined");
         assert!(after.graph_version > before.graph_version);
     }
@@ -1195,7 +1145,7 @@ mod tests {
     fn compressed_route_preserves_results() {
         let (e, h, _) = engine_with_fig1();
         let q = fig1_pattern();
-        let direct = e.evaluate(&h, &q).unwrap().matches;
+        let direct = auto(&e, &h, &q).unwrap().matches;
         let stats = e.compress(&h, CompressionMethod::Bisimulation).unwrap();
         assert!(stats.compressed_nodes <= stats.original_nodes);
         // the result is already cached for this version; ask for the
@@ -1206,7 +1156,7 @@ mod tests {
             .prefer(Route::Compressed)
             .run()
             .unwrap();
-        assert_eq!(out.route, EvalRoute::Compressed);
+        assert_eq!(out.plan.chosen, PlanRoute::Compressed);
         assert_eq!(*out.matches, *direct);
     }
 
@@ -1219,8 +1169,9 @@ mod tests {
             .node("bob", expfinder_pattern::Predicate::attr_eq("name", "Bob"))
             .build()
             .unwrap();
-        let out = e.evaluate(&h, &q).unwrap();
-        assert_eq!(out.route, EvalRoute::DirectSimulation);
+        let out = auto(&e, &h, &q).unwrap();
+        assert_eq!(out.plan.chosen, PlanRoute::Snapshot, "not the quotient");
+        assert!(q.is_simulation());
         assert_eq!(out.matches.total_pairs(), 1);
     }
 
@@ -1231,16 +1182,16 @@ mod tests {
         e.register_query(&h, "team", q.clone()).unwrap();
         assert_eq!(e.registered_queries(&h).unwrap(), vec!["team"]);
 
-        let out = e.evaluate(&h, &q).unwrap();
-        assert_eq!(out.route, EvalRoute::Registered);
+        let out = auto(&e, &h, &q).unwrap();
+        assert_eq!(out.plan.chosen, PlanRoute::Registered);
         assert_eq!(out.matches.total_pairs(), 7);
 
         e.apply_updates(&h, &[EdgeUpdate::Insert(f.e1.0, f.e1.1)])
             .unwrap();
         let maintained = e.registered_result(&h, "team").unwrap();
         assert_eq!(maintained.total_pairs(), 8);
-        let out = e.evaluate(&h, &q).unwrap();
-        assert_eq!(out.route, EvalRoute::Registered);
+        let out = auto(&e, &h, &q).unwrap();
+        assert_eq!(out.plan.chosen, PlanRoute::Registered);
         assert_eq!(out.matches.total_pairs(), 8);
     }
 
@@ -1307,9 +1258,9 @@ mod tests {
     }
 
     #[test]
-    fn find_experts_full_pipeline() {
+    fn ranked_query_full_pipeline() {
         let (e, h, f) = engine_with_fig1();
-        let report = e.find_experts(&h, &fig1_pattern(), 1).unwrap();
+        let report = e.query(&h).pattern(fig1_pattern()).top_k(1).run().unwrap();
         assert_eq!(report.experts.len(), 1);
         assert_eq!(report.experts[0].node, f.bob);
         assert!((report.experts[0].rank - 1.8).abs() < 1e-12);
@@ -1320,7 +1271,7 @@ mod tests {
         let (e, h, f) = engine_with_fig1();
         let resp = e.query(&h).pattern(fig1_pattern()).top_k(2).run().unwrap();
         assert_eq!(resp.matches.total_pairs(), 7);
-        assert_eq!(resp.route, EvalRoute::DirectBounded);
+        assert_eq!(resp.plan.chosen, PlanRoute::Snapshot);
         assert_eq!(resp.experts[0].node, f.bob);
         assert!(resp.timings.total >= resp.timings.rank);
     }
@@ -1351,9 +1302,9 @@ mod tests {
         let (e, h, _) = engine_with_fig1();
         let q = fig1_pattern();
         e.register_query(&h, "team", q.clone()).unwrap();
-        let _ = e.evaluate(&h, &q).unwrap(); // warm the cache
+        let _ = auto(&e, &h, &q).unwrap(); // warm the cache
         let out = e.query(&h).pattern(q).prefer(Route::Direct).run().unwrap();
-        assert_eq!(out.route, EvalRoute::DirectBounded);
+        assert_eq!(out.plan.chosen, PlanRoute::Snapshot);
     }
 
     #[test]
@@ -1380,7 +1331,7 @@ mod tests {
             Err(ExpFinderError::StaleHandle(_))
         ));
         assert!(matches!(
-            e.evaluate(&h, &fig1_pattern()),
+            auto(&e, &h, &fig1_pattern()),
             Err(ExpFinderError::StaleHandle(_))
         ));
         // a new graph under the same name gets a fresh id; old handle
@@ -1388,7 +1339,7 @@ mod tests {
         let h2 = e.add_graph("g", DiGraph::new()).unwrap();
         assert_ne!(h.id(), h2.id());
         assert!(matches!(
-            e.evaluate(&h, &fig1_pattern()),
+            auto(&e, &h, &fig1_pattern()),
             Err(ExpFinderError::StaleHandle(_))
         ));
     }
@@ -1404,10 +1355,10 @@ mod tests {
         let mut g2 = collaboration_fig1().graph;
         g2.add_edge(f.e1.0, f.e1.1);
         let h2 = e2.add_graph("fig1", g2).unwrap();
-        let fresh = e2.evaluate(&h2, &q).unwrap();
-        let maintained = e.evaluate(&h, &q).unwrap();
+        let fresh = auto(&e2, &h2, &q).unwrap();
+        let maintained = auto(&e, &h, &q).unwrap();
         assert_eq!(*maintained.matches, *fresh.matches);
-        assert_eq!(maintained.route, EvalRoute::Compressed);
+        assert_eq!(maintained.plan.chosen, PlanRoute::Compressed);
     }
 
     #[test]
@@ -1416,10 +1367,10 @@ mod tests {
         let b = ExpFinder::default();
         let hb = b.add_graph("fig1", collaboration_fig1().graph).unwrap();
         // warm B's cache with its own graph so any id aliasing would hit
-        let _ = b.evaluate(&hb, &fig1_pattern()).unwrap();
+        let _ = auto(&b, &hb, &fig1_pattern()).unwrap();
 
         assert!(matches!(
-            b.evaluate(&ha, &fig1_pattern()),
+            auto(&b, &ha, &fig1_pattern()),
             Err(ExpFinderError::ForeignHandle(_))
         ));
         assert!(matches!(
@@ -1431,20 +1382,10 @@ mod tests {
             Err(ExpFinderError::ForeignHandle(_))
         ));
         // both engines still answer their own handles
-        assert_eq!(
-            a.evaluate(&ha, &fig1_pattern())
-                .unwrap()
-                .matches
-                .total_pairs(),
-            7
-        );
-        assert_eq!(
-            b.evaluate(&hb, &fig1_pattern())
-                .unwrap()
-                .matches
-                .total_pairs(),
-            7
-        );
+        for (engine, handle) in [(&a, &ha), (&b, &hb)] {
+            let out = auto(engine, handle, &fig1_pattern()).unwrap();
+            assert_eq!(out.matches.total_pairs(), 7);
+        }
     }
 
     #[test]
@@ -1471,10 +1412,10 @@ mod tests {
             QuerySpec::dsl("node sa* where label = \"SA\";"),
             QuerySpec::pattern(fig1_pattern()).prefer(Route::Direct),
         ];
-        let batch = e.query_batch(&h, specs.clone());
+        let batch = e.query_batch(&h, specs.clone(), None);
         assert_eq!(batch.len(), 3);
         for (i, spec) in specs.into_iter().enumerate() {
-            let single = e.query_batch(&h, vec![spec]).remove(0).unwrap();
+            let single = e.query_batch(&h, vec![spec], None).remove(0).unwrap();
             let b = batch[i].as_ref().unwrap();
             assert_eq!(*b.matches, *single.matches, "slot {i}");
             assert_eq!(
@@ -1492,16 +1433,16 @@ mod tests {
             QuerySpec::dsl("node oops"),
             QuerySpec::pattern(fig1_pattern()),
         ];
-        let batch = e.query_batch(&h, specs);
+        let batch = e.query_batch(&h, specs, None);
         assert!(matches!(batch[0], Err(ExpFinderError::Parse(_))));
         assert_eq!(batch[1].as_ref().unwrap().matches.total_pairs(), 7);
 
         // stale handle fails every slot, not the call
         e.remove_graph(&h).unwrap();
-        let batch = e.query_batch(&h, vec![QuerySpec::pattern(fig1_pattern())]);
+        let batch = e.query_batch(&h, vec![QuerySpec::pattern(fig1_pattern())], None);
         assert!(matches!(batch[0], Err(ExpFinderError::StaleHandle(_))));
         // and an empty batch is a no-op
-        assert!(e.query_batch(&h, Vec::new()).is_empty());
+        assert!(e.query_batch(&h, Vec::new(), None).is_empty());
     }
 
     #[test]
@@ -1524,7 +1465,7 @@ mod tests {
         let rs = seq.query(&hs).pattern(q.clone()).top_k(3).run().unwrap();
         let rp = par.query(&hp).pattern(q.clone()).top_k(3).run().unwrap();
         assert_eq!(*rs.matches, *rp.matches);
-        assert_eq!(rs.route, rp.route);
+        assert_eq!(rs.plan.chosen, rp.plan.chosen);
         assert_eq!(
             rs.experts
                 .iter()
@@ -1783,7 +1724,7 @@ mod tests {
         // nothing was cached by the abort, and the next un-deadlined
         // query on the same engine matches a fresh evaluation
         let after = e.query(&h).pattern(q.clone()).run().unwrap();
-        assert_ne!(after.route, EvalRoute::Cache);
+        assert_ne!(after.plan.chosen, PlanRoute::Cache);
         let fresh = ExpFinder::default();
         let h2 = fresh.add_graph("fig1", collaboration_fig1().graph).unwrap();
         let expect = fresh.query(&h2).pattern(q).run().unwrap();
@@ -1797,7 +1738,7 @@ mod tests {
             QuerySpec::pattern(fig1_pattern()),
             QuerySpec::dsl("node sa* where label = \"SA\";"),
         ];
-        let out = e.query_batch_deadline(&h, specs, Some(Duration::ZERO));
+        let out = e.query_batch(&h, specs, Some(Duration::ZERO));
         assert_eq!(out.len(), 2);
         for r in out {
             let err = r.unwrap_err();
@@ -1823,6 +1764,7 @@ mod tests {
         let out = e.query_batch(
             &h,
             vec![QuerySpec::pattern(q).deadline(Duration::from_secs(3600))],
+            None,
         );
         assert_eq!(out[0].as_ref().unwrap().matches.total_pairs(), 7);
     }

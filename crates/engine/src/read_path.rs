@@ -12,8 +12,8 @@
 use crate::cache::{CacheKey, CacheStats, Hit, QueryCache};
 use crate::planner::{self, PlanContext, PlanDecision, PlanRoute, PlannerCounters};
 use crate::{
-    CancelTotals, EvalRoute, ExecConfig, ExpFinderError, IndexTotals, PlannerTotals, QueryResponse,
-    QuerySpec, QueryTimings, RankTotals, Route, Snapshot, SpecSource,
+    CancelTotals, ExecConfig, ExpFinderError, IndexTotals, PlannerTotals, QueryResponse, QuerySpec,
+    QueryTimings, RankTotals, Route, Snapshot, SpecSource,
 };
 use expfinder_core::{
     evaluate, rank_matches_top_k_cancellable, BuildOptions, CancelToken, EvalError, EvalRequest,
@@ -288,7 +288,6 @@ impl ReadPath {
         let slot = (&key, fingerprint.as_str(), top_k.filter(|_| serve_held));
         let ((matches, held), plan, stats) =
             self.route_and_eval(&state, pattern, slot, prefer, threads, scratch, cancel)?;
-        let route = EvalRoute::of(plan.chosen, pattern.is_simulation());
         let evaluate_time = started.elapsed();
 
         let rank_started = Instant::now();
@@ -317,7 +316,6 @@ impl ReadPath {
         Ok(QueryResponse {
             experts,
             matches,
-            route,
             graph_version: state.version(),
             timings: QueryTimings {
                 evaluate: evaluate_time,

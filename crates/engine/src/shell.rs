@@ -15,8 +15,7 @@
 //! through the handle-based `&self` API.
 
 use crate::{
-    report, storage, EngineConfig, EvalRoute, ExpFinder, ExpFinderError, GraphHandle,
-    QueryResponse, QuerySpec,
+    report, EngineConfig, ExpFinder, ExpFinderError, GraphHandle, QueryResponse, QuerySpec,
 };
 use expfinder_compress::CompressionMethod;
 use expfinder_core::ResultGraph;
@@ -55,7 +54,6 @@ ExpFinder shell — expert search by graph pattern matching
                                  (teams=, size=, n=, m=, k=, seed=)
   load <name> <path>             load a .efg graph file
   save <name> <path>             save a graph to a .efg file
-  savecat <dir> / loadcat <dir>  save / load the whole catalog
   use <name>                     select the current graph
   info                           current graph summary
   query <pattern-dsl>            evaluate a pattern (one line, ';'-separated)
@@ -133,16 +131,6 @@ impl Shell {
             "gen" => self.cmd_gen(rest),
             "load" => self.cmd_load(rest),
             "save" => self.cmd_save(rest),
-            "savecat" => {
-                storage::save_catalog(&self.engine, rest).map_err(Self::err)?;
-                Ok(format!("catalog saved to {rest}"))
-            }
-            "loadcat" => {
-                self.engine = Arc::new(storage::load_catalog(rest).map_err(Self::err)?);
-                self.current = None;
-                self.last_query = None;
-                Ok(format!("catalog loaded from {rest}"))
-            }
             "use" => {
                 let h = self.engine.handle(rest).map_err(Self::err)?;
                 self.current = Some(h);
@@ -307,11 +295,16 @@ impl Shell {
     fn cmd_query(&mut self, dsl: &str) -> ShellResult {
         let h = self.current()?;
         let q = Self::parse_pattern(dsl)?;
-        let outcome = self.engine.evaluate(&h, &q).map_err(Self::err)?;
+        let outcome = self
+            .engine
+            .query(&h)
+            .pattern(q.clone())
+            .run()
+            .map_err(Self::err)?;
         let mut out = format!(
             "{} pairs via {}\n",
             outcome.matches.total_pairs(),
-            route_name(outcome.route)
+            outcome.plan.chosen.as_str()
         );
         let body = self
             .engine
@@ -345,7 +338,7 @@ impl Shell {
         }
         let specs: Vec<QuerySpec> = lines.iter().map(|(_, l)| QuerySpec::dsl(*l)).collect();
         let started = std::time::Instant::now();
-        let results = self.engine.query_batch(&h, specs);
+        let results = self.engine.query_batch(&h, specs, None);
         let wall = started.elapsed();
 
         let mut out = String::new();
@@ -357,7 +350,7 @@ impl Shell {
                         out,
                         "line {lineno}: {} pairs via {} in {:.2}ms (v{})",
                         resp.matches.total_pairs(),
-                        route_name(resp.route),
+                        resp.plan.chosen.as_str(),
                         resp.timings.total.as_secs_f64() * 1e3,
                         resp.graph_version
                     );
@@ -423,7 +416,7 @@ impl Shell {
         let mut out = format!(
             "{} pairs via {}; top {} of output node:\n",
             resp.matches.total_pairs(),
-            route_name(resp.route),
+            resp.plan.chosen.as_str(),
             resp.experts.len()
         );
         let table = self
@@ -591,16 +584,6 @@ impl Shell {
     }
 }
 
-fn route_name(r: EvalRoute) -> &'static str {
-    match r {
-        EvalRoute::Cache => "cache",
-        EvalRoute::Registered => "registered incremental state",
-        EvalRoute::Compressed => "compressed graph",
-        EvalRoute::DirectSimulation => "direct simulation (quadratic)",
-        EvalRoute::DirectBounded => "direct bounded simulation (cubic)",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -723,7 +706,7 @@ mod tests {
         assert!(out.contains("applied"), "{out}");
         // er graphs use the expert-field alphabet
         let first = sh.exec("query node a where label = \"SA\";").unwrap();
-        assert!(first.contains("direct simulation"), "{first}");
+        assert!(first.contains("via snapshot"), "{first}");
         let second = sh.exec("query node a where label = \"SA\";").unwrap();
         assert!(second.contains("via cache"), "{second}");
         let out = sh.exec("cache").unwrap();
@@ -799,21 +782,23 @@ mod tests {
         assert!(out.contains("dual simulation: 7 pairs"), "{out}");
     }
 
+    /// A whole catalog persists by serving a durable data dir (`serve
+    /// durable <dir>` in the served shell); the bare shell keeps only the
+    /// single-graph `save` / `load`, and the old catalog commands are
+    /// unknown rather than half-working.
     #[test]
-    fn catalog_roundtrip_through_shell() {
-        let dir = std::env::temp_dir().join(format!("expfinder_shcat_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+    fn catalog_persistence_is_the_durable_runtime() {
         let mut sh = fig1_shell();
-        let out = sh.exec(&format!("savecat {}", dir.display())).unwrap();
-        assert!(out.contains("catalog saved"), "{out}");
-        let out = sh.exec(&format!("loadcat {}", dir.display())).unwrap();
-        assert!(out.contains("catalog loaded"), "{out}");
-        // current selection was reset with the new engine
-        assert!(sh.exec("info").is_err());
-        sh.exec("use fig1").unwrap();
+        let help = sh.exec("help").unwrap();
+        assert!(help.contains("save <name> <path>"), "{help}");
+        assert!(!help.contains("savecat"), "{help}");
+        for cmd in ["savecat some/dir", "loadcat some/dir"] {
+            let err = sh.exec(cmd).unwrap_err();
+            assert!(err.contains("unknown command"), "{cmd}: {err}");
+        }
+        // the session is untouched
         let out = sh.exec(&format!("query {FIG1_DSL}")).unwrap();
-        assert!(out.contains("7 pairs"), "{out}");
-        let _ = std::fs::remove_dir_all(&dir);
+        assert!(out.contains("7 pairs via snapshot"), "{out}");
     }
 
     #[test]

@@ -457,7 +457,7 @@ impl DurableExpFinder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use expfinder_engine::{EvalRoute, ExecConfig, PlanRoute, Route, Snapshot};
+    use expfinder_engine::{ExecConfig, PlanRoute, Route, Snapshot};
     use expfinder_graph::fixtures::collaboration_fig1;
     use expfinder_graph::GraphView;
     use expfinder_pattern::fixtures::{fig1_pattern, fig1_pattern_simulation};
@@ -569,7 +569,7 @@ mod tests {
         let r = rt
             .query_deadline(&rt.handle("fig1").unwrap(), &q, None, Route::Auto, None)
             .unwrap();
-        assert_eq!(r.route, EvalRoute::Registered);
+        assert_eq!(r.plan.chosen, PlanRoute::Registered);
 
         let before = rt
             .registered_result(&rt.handle("fig1").unwrap(), "team")
@@ -816,7 +816,6 @@ mod tests {
                 None,
             )
             .unwrap();
-        assert_eq!(via_quotient.route, EvalRoute::Compressed);
         assert_eq!(via_quotient.plan.chosen, PlanRoute::Compressed);
         let direct = rt
             .query_deadline(
@@ -867,8 +866,8 @@ mod tests {
             )
             .unwrap();
         assert_ne!(
-            dropped.route,
-            EvalRoute::Compressed,
+            dropped.plan.chosen,
+            PlanRoute::Compressed,
             "no quotient to route to"
         );
         let _ = std::fs::remove_dir_all(&dir);

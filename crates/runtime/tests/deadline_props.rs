@@ -20,7 +20,7 @@
 
 use expfinder_core::{RankedMatch, Semantics};
 use expfinder_engine::{
-    Catalog, EngineConfig, EvalRoute, ExecConfig, ExpFinder, ExpFinderError, GraphHandle,
+    Catalog, EngineConfig, ExecConfig, ExpFinder, ExpFinderError, GraphHandle, PlanRoute,
     QuerySpec, RankTotals,
 };
 use expfinder_graph::fixtures::collaboration_fig1;
@@ -137,7 +137,11 @@ fn walk_the_fuse<F: Deref<Target = Catalog>>(fresh: impl Fn() -> (F, GraphHandle
                     want,
                     "fuse {fuse}: never a truncated list"
                 );
-                assert_eq!(again.route == EvalRoute::Cache, ranking, "fuse {fuse}");
+                assert_eq!(
+                    again.plan.chosen == PlanRoute::Cache,
+                    ranking,
+                    "fuse {fuse}"
+                );
                 // nothing partial was stored: the follow-up ranked afresh
                 let expect = RankTotals {
                     computed: 1 + ranking as u64,
@@ -225,7 +229,7 @@ proptest! {
 
         // a zero batch budget deadlines every slot without poisoning
         // the batch scratch pool either
-        let slots = engine.query_batch_deadline(
+        let slots = engine.query_batch(
             &h,
             vec![QuerySpec::pattern(q.clone()), QuerySpec::pattern(q.clone())],
             Some(Duration::ZERO),
@@ -271,7 +275,7 @@ proptest! {
             Err(other) => prop_assert!(false, "unexpected error: {other}"),
         }
 
-        let after = rt.find_experts(&h, &q, 3).unwrap();
+        let after = rt.query(&h).pattern(q.clone()).top_k(3).run().unwrap();
         prop_assert_eq!(&*after.matches, &oracle);
         prop_assert_eq!(bits(&after.experts), experts);
 

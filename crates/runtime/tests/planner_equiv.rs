@@ -7,7 +7,7 @@
 //! compression, probe — where a probe is every `Route` preference ×
 //! `top_k` ∈ {None, 3} × {no deadline, a zero-deadline fuse} over two
 //! patterns. After every single query the two backends must agree on
-//! `matches`, `experts`, `route`, the whole plan decision (`chosen`,
+//! `matches`, `experts`, the whole plan decision (`chosen`,
 //! `planned`, `overridden`, `candidates`) and `graph_version`, or on the
 //! same 408 with the same partial stats. Both run `ReadPath` over a
 //! `Snapshot` the same `MaintainedGraph` published, so any disagreement
@@ -46,7 +46,7 @@
 use expfinder_compress::CompressionMethod;
 use expfinder_core::{evaluate, top_k, EvalOptions, EvalRequest, MatchRelation, Semantics};
 use expfinder_engine::{
-    Catalog, EngineConfig, EvalRoute, ExecConfig, ExpFinder, ExpFinderError, GraphHandle,
+    Catalog, EngineConfig, ExecConfig, ExpFinder, ExpFinderError, GraphHandle, PlanRoute,
     QueryResponse, QuerySpec, RankTotals, Route, UpdateHook, UpdateReport,
 };
 use expfinder_graph::{DiGraph, EdgeUpdate, GraphView, NodeId};
@@ -182,14 +182,12 @@ fn assert_stale(c: &Catalog, h: &GraphHandle, q: &Pattern) {
     stale("registered_queries", c.registered_queries(h));
     stale("registered_result", c.registered_result(h, "standing"));
     stale("query", c.query(h).pattern(q.clone()).top_k(3).run());
-    stale("evaluate", c.evaluate(h, q));
-    stale("find_experts", c.find_experts(h, q, 3));
     stale(
         "query_deadline",
         c.query_deadline(h, q, None, Route::Auto, None),
     );
     stale("estimate_cost", c.estimate_cost(h, q));
-    for slot in c.query_batch(h, vec![QuerySpec::pattern(q.clone()); 2]) {
+    for slot in c.query_batch(h, vec![QuerySpec::pattern(q.clone()); 2], None) {
         stale("query_batch", slot);
     }
 }
@@ -256,7 +254,6 @@ impl Pair {
             (Ok(a), Ok(b)) => {
                 assert_eq!(*a.matches, *b.matches);
                 assert_eq!(a.experts, b.experts);
-                assert_eq!(a.route, b.route);
                 assert_eq!(a.plan.chosen, b.plan.chosen);
                 assert_eq!(a.plan.planned, b.plan.planned);
                 assert_eq!(a.plan.overridden, b.plan.overridden);
@@ -271,7 +268,7 @@ impl Pair {
                 None
             }
             (a, b) => {
-                let (a, b) = (a.map(|r| r.route), b.map(|r| r.route));
+                let (a, b) = (a.map(|r| r.plan.chosen), b.map(|r| r.plan.chosen));
                 panic!("backends disagree: engine {a:?}, runtime {b:?}")
             }
         }
@@ -478,7 +475,7 @@ fn ranked_answers_are_cached_per_version_and_never_across() {
     assert_eq!(pair.ranked(&q, Route::Auto, 3).experts.len(), 3);
     assert_eq!(pair.rank_totals(), totals(1, 0));
     let all = pair.ranked(&q, Route::Auto, 10);
-    assert_eq!((all.experts.len(), all.route), (5, EvalRoute::Cache));
+    assert_eq!((all.experts.len(), all.plan.chosen), (5, PlanRoute::Cache));
     assert_eq!(pair.rank_totals(), totals(2, 0));
     assert_eq!(pair.ranked(&q, Route::Auto, 2).experts.len(), 2);
     assert_eq!(pair.ranked(&q, Route::Auto, 40).experts.len(), 5);
@@ -489,16 +486,20 @@ fn ranked_answers_are_cached_per_version_and_never_across() {
 
     // a Direct request bypasses the cache, recomputes, and agrees
     let direct = pair.ranked(&q, Route::Direct, 10);
-    assert_eq!(direct.route, EvalRoute::DirectBounded);
+    assert_eq!(direct.plan.chosen, PlanRoute::Snapshot);
+    assert_eq!(*direct.matches, *all.matches);
     assert_eq!(pair.rank_totals(), totals(3, 2));
 
     // batch slots are not served from the list (they rank afresh, and
     // agree); a single read right after them still is
     let specs = || vec![QuerySpec::pattern(q.clone()).top_k(10); 2];
-    let [a, b] = pair.reads().map(|(c, h)| c.query_batch(h, specs()));
+    let [a, b] = pair.reads().map(|(c, h)| c.query_batch(h, specs(), None));
     for (a, b) in a.into_iter().zip(b) {
         let (a, b) = (a.unwrap(), b.unwrap());
-        assert_eq!((a.route, b.route), (EvalRoute::Cache, EvalRoute::Cache));
+        assert_eq!(
+            (a.plan.chosen, b.plan.chosen),
+            (PlanRoute::Cache, PlanRoute::Cache)
+        );
         assert_eq!(a.experts, all.experts);
         assert_eq!(b.experts, all.experts);
     }
@@ -521,13 +522,14 @@ fn ranked_answers_are_cached_per_version_and_never_across() {
     pair.register("standing", &q);
     pair.update(&[EdgeUpdate::Insert(NodeId(15), NodeId(14))]);
     let registered = pair.ranked(&q, Route::Auto, 10);
-    assert_eq!(registered.route, EvalRoute::Registered);
-    assert_eq!(pair.ranked(&q, Route::Auto, 10).route, EvalRoute::Cache);
+    assert_eq!(registered.plan.chosen, PlanRoute::Registered);
+    let cached = pair.ranked(&q, Route::Auto, 10);
+    assert_eq!(cached.plan.chosen, PlanRoute::Cache);
     assert_eq!(pair.rank_totals(), totals(7, 4));
     assert_eq!(rank_of(&registered, 6), 2.0);
     pair.update(&[EdgeUpdate::Insert(NodeId(6), NodeId(7))]);
     let after = pair.ranked(&q, Route::Auto, 10);
-    assert_eq!(after.route, EvalRoute::Registered);
+    assert_eq!(after.plan.chosen, PlanRoute::Registered);
     assert_eq!(*after.matches, *registered.matches);
     assert_eq!(rank_of(&after, 6), 1.0);
     assert_eq!(pair.rank_totals(), totals(8, 4));
@@ -551,7 +553,7 @@ fn ranked_answers_are_cached_per_version_and_never_across() {
     let pair = pair.reopen_runtime();
     let [a, b] = pair
         .reads()
-        .map(|(c, h)| c.find_experts(h, &q, 10).unwrap());
+        .map(|(c, h)| c.query(h).pattern(q.clone()).top_k(10).run().unwrap());
     assert_eq!((a.experts.len(), &a.experts), (4, &b.experts));
 
     pair.finish();
@@ -637,7 +639,7 @@ proptest! {
         for q in patterns {
             let want = oracle(&pair.model, q);
             for (c, h) in pair.reads() {
-                prop_assert_eq!(&*c.evaluate(h, q).unwrap().matches, &want);
+                prop_assert_eq!(&*c.query(h).pattern(q.clone()).run().unwrap().matches, &want);
             }
         }
 

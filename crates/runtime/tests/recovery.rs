@@ -44,7 +44,11 @@ fn assert_queries_match_oracle(rt: &DurableExpFinder, name: &str, oracle: &DiGra
     let engine = expfinder_engine::ExpFinder::default();
     let h = engine.add_graph("oracle", oracle.clone()).unwrap();
     for (qname, q) in demo_queries() {
-        let got = rt.evaluate(&rt.handle(name).unwrap(), &q).unwrap();
+        let got = rt
+            .query(&rt.handle(name).unwrap())
+            .pattern(q.clone())
+            .run()
+            .unwrap();
         let want = engine
             .query(&h)
             .pattern(q)

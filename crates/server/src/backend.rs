@@ -109,7 +109,7 @@ impl Backend {
         deadline: Option<Duration>,
     ) -> Result<Vec<Result<QueryResponse, ExpFinderError>>, ExpFinderError> {
         let c = self.reads();
-        Ok(c.query_batch_deadline(&c.handle(name)?, specs, deadline))
+        Ok(c.query_batch(&c.handle(name)?, specs, deadline))
     }
 
     /// The planner's cost estimate (abstract work units) for evaluating

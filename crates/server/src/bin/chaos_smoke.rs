@@ -33,31 +33,28 @@
 //! Data dirs of failed iterations are kept (under `--data-dir` when
 //! given, else the temp dir) so CI can archive them as artifacts.
 
+mod common;
+
+use common::{options, Harness};
 use expfinder_core::bounded_simulation;
 use expfinder_engine::ExpFinderError;
 use expfinder_graph::{DiGraph, EdgeUpdate, GraphView, NodeId};
+use expfinder_pattern::fixtures::fig1_pattern;
 use expfinder_pattern::{parser, Pattern};
 use expfinder_runtime::faults::CRASH_MARKER;
 use expfinder_runtime::{DurableExpFinder, FaultKind, FaultPlan, FsyncPolicy, IoOp, RuntimeConfig};
 use std::collections::BTreeSet;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 const GRAPH: &str = "g";
 
-const Q1_DSL: &str = "node sa* where label = \"SA\" and experience >= 5; \
-    node sd where label = \"SD\" and experience >= 2; \
-    node ba where label = \"BA\" and experience >= 3; \
-    node st where label = \"ST\" and experience >= 2; \
-    edge sa -> sd within 2; edge sa -> ba within 3; \
-    edge sd -> st within 2; edge ba -> st within 1;";
 const Q2_DSL: &str = "node sd where label = \"SD\" and experience >= 2;";
 
 /// One scripted operation against the runtime.
 #[derive(Clone, Debug)]
 enum Op {
     Updates(Vec<EdgeUpdate>),
-    Register(&'static str, &'static str),
+    Register(&'static str),
     Unregister(&'static str),
     Snapshot,
     Compact,
@@ -66,34 +63,6 @@ enum Op {
 /// The oracle state after a prefix of ops: sorted edge list plus the
 /// sorted registered-query names. Durability is judged on exactly this.
 type State = (Vec<(u32, u32)>, Vec<String>);
-
-struct Harness {
-    failures: usize,
-    log: Option<std::fs::File>,
-}
-
-impl Harness {
-    fn say(&mut self, line: &str) {
-        println!("{line}");
-        if let Some(f) = &mut self.log {
-            let _ = writeln!(f, "{line}");
-        }
-    }
-
-    fn check(&mut self, what: &str, ok: bool, detail: impl FnOnce() -> String) {
-        if ok {
-            self.say(&format!("ok: {what}"));
-        } else {
-            self.failures += 1;
-            let d = detail();
-            println!("FAIL: {what}: {d}");
-            eprintln!("FAIL: {what}: {d}");
-            if let Some(f) = &mut self.log {
-                let _ = writeln!(f, "FAIL: {what}: {d}");
-            }
-        }
-    }
-}
 
 /// Deterministic xorshift64* — the harness must cross identically
 /// numbered boundaries on every run, so no environmental randomness.
@@ -138,11 +107,11 @@ fn script(nodes: u32) -> Vec<Op> {
         }
     };
     updates(&mut ops, 4);
-    ops.push(Op::Register("q1", Q1_DSL));
+    ops.push(Op::Register("q1"));
     updates(&mut ops, 3);
     ops.push(Op::Snapshot);
     updates(&mut ops, 3);
-    ops.push(Op::Register("q2", Q2_DSL));
+    ops.push(Op::Register("q2"));
     ops.push(Op::Compact);
     updates(&mut ops, 4);
     ops.push(Op::Unregister("q1"));
@@ -150,21 +119,20 @@ fn script(nodes: u32) -> Vec<Op> {
     ops
 }
 
+/// The pattern the script registers under `name`: q1 is the paper's
+/// Fig. 1 team query.
 fn pattern_of(name: &str) -> Pattern {
-    let dsl = match name {
-        "q1" => Q1_DSL,
-        "q2" => Q2_DSL,
+    match name {
+        "q1" => fig1_pattern(),
+        "q2" => parser::parse(Q2_DSL).expect("script DSL parses"),
         other => panic!("unknown registered query {other:?}"),
-    };
-    parser::parse(dsl).expect("script DSL parses")
+    }
 }
 
 fn apply(rt: &DurableExpFinder, op: &Op) -> Result<(), ExpFinderError> {
     match op {
         Op::Updates(ups) => rt.apply_updates(GRAPH, ups).map(|_| ()),
-        Op::Register(name, dsl) => {
-            rt.register_query(GRAPH, name, parser::parse(dsl).expect("script DSL"))
-        }
+        Op::Register(name) => rt.register_query(GRAPH, name, pattern_of(name)),
         Op::Unregister(name) => rt.unregister_query(GRAPH, name),
         Op::Snapshot => rt.snapshot(GRAPH).map(|_| ()),
         Op::Compact => rt.compact(GRAPH).map(|_| ()),
@@ -179,7 +147,7 @@ fn mirror_apply(mirror: &mut (DiGraph, BTreeSet<String>), op: &Op) {
                 mirror.0.apply(u);
             }
         }
-        Op::Register(name, _) => {
+        Op::Register(name) => {
             mirror.1.insert((*name).to_owned());
         }
         Op::Unregister(name) => {
@@ -249,41 +217,13 @@ fn check_maintained_results(h: &mut Harness, rt: &DurableExpFinder, what: &str) 
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut log_path: Option<String> = None;
-    let mut data_dir_flag: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--log" => {
-                i += 1;
-                log_path = Some(args.get(i).expect("value after --log").clone());
-            }
-            "--data-dir" => {
-                i += 1;
-                data_dir_flag = Some(args.get(i).expect("value after --data-dir").clone());
-            }
-            other => {
-                eprintln!("unknown option {other:?}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+    let [log_flag, data_dir_flag] = options(["--log", "--data-dir"]);
     let base_dir = match &data_dir_flag {
         Some(d) => PathBuf::from(d),
         None => std::env::temp_dir().join(format!("expfinder_chaos_smoke_{}", std::process::id())),
     };
     let _ = std::fs::create_dir_all(&base_dir);
-    let mut h = Harness {
-        failures: 0,
-        log: log_path.as_deref().map(|p| {
-            std::fs::File::create(p).unwrap_or_else(|e| {
-                eprintln!("cannot create log {p:?}: {e}");
-                std::process::exit(2);
-            })
-        }),
-    };
+    let mut h = Harness::new("chaos smoke", log_flag.as_deref());
 
     let base = expfinder_graph::fixtures::collaboration_fig1().graph;
     let nodes = base.node_count() as u32;
@@ -518,10 +458,7 @@ fn main() {
             h.failures,
             base_dir.display()
         );
-        eprintln!("{line}");
-        if let Some(f) = &mut h.log {
-            let _ = writeln!(f, "{line}");
-        }
+        h.fail(&line);
         std::process::exit(1);
     }
 }

@@ -25,83 +25,21 @@
 //! `--data-dir` to put the snapshot + WAL somewhere CI can upload as
 //! an artifact too (the dir is wiped first, and kept on failure).
 
+mod common;
+
+use common::{i64_at, options, server_bin, Harness};
 use expfinder_core::bounded_simulation;
 use expfinder_graph::json::Value;
 use expfinder_graph::{DiGraph, EdgeUpdate};
 use expfinder_pattern::Pattern;
 use expfinder_server::client::{query_body, Client};
-use std::io::BufRead;
 use std::net::SocketAddr;
-use std::process::{Child, Command, Stdio};
+use std::process::Child;
 use std::time::Duration;
-
-const FIG1_DSL: &str = "node sa* where label = \"SA\" and experience >= 5; \
-    node sd where label = \"SD\" and experience >= 2; \
-    node ba where label = \"BA\" and experience >= 3; \
-    node st where label = \"ST\" and experience >= 2; \
-    edge sa -> sd within 2; edge sa -> ba within 3; \
-    edge sd -> st within 2; edge ba -> st within 1;";
-
-struct Harness {
-    failures: usize,
-}
-
-impl Harness {
-    fn check(&mut self, what: &str, ok: bool, detail: impl FnOnce() -> String) {
-        if ok {
-            println!("ok: {what}");
-        } else {
-            self.failures += 1;
-            eprintln!("FAIL: {what}: {}", detail());
-        }
-    }
-}
-
-fn i64_at(v: &Value, path: &[&str]) -> i64 {
-    let mut cur = v;
-    for p in path {
-        cur = cur.field(p).unwrap_or(&Value::Null);
-    }
-    cur.as_i64().unwrap_or(i64::MIN)
-}
 
 /// Boot `serve` on the data dir and wait for the discovery line.
 fn boot(server_bin: &str, data_dir: &str, log: &str) -> (Child, SocketAddr) {
-    let mut child = Command::new(server_bin)
-        .args([
-            "--addr",
-            "127.0.0.1:0",
-            "--fixture",
-            "fig1",
-            "--data-dir",
-            data_dir,
-            "--log",
-            log,
-        ])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .unwrap_or_else(|e| {
-            eprintln!("cannot spawn {server_bin}: {e}");
-            std::process::exit(1);
-        });
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut first_line = String::new();
-    std::io::BufReader::new(stdout)
-        .read_line(&mut first_line)
-        .expect("server stdout");
-    let addr: SocketAddr = first_line
-        .trim()
-        .strip_prefix("listening on ")
-        .unwrap_or_else(|| {
-            let _ = child.kill();
-            eprintln!("bad discovery line {first_line:?}");
-            std::process::exit(1);
-        })
-        .parse()
-        .expect("address in discovery line");
-    (child, addr)
+    common::boot(server_bin, &["--data-dir", data_dir, "--log", log])
 }
 
 /// SIGKILL — the whole point: no drain, no flush, no goodbye.
@@ -140,7 +78,10 @@ fn check_bit_identical(
     pattern: &Pattern,
 ) {
     let resp = client
-        .query("fig1", &query_body(FIG1_DSL, None, "auto", true))
+        .query(
+            "fig1",
+            &query_body(&pattern.to_string(), None, "auto", true),
+        )
         .expect("query after recovery");
     let want = oracle_matches(oracle, pattern);
     let got = resp.field("matches").ok().cloned().unwrap_or(Value::Null);
@@ -162,37 +103,10 @@ fn check_bit_identical(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut server_bin: Option<String> = None;
-    let mut log_prefix = "recovery-smoke".to_owned();
-    let mut data_dir_flag: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--server-bin" => {
-                i += 1;
-                server_bin = Some(args.get(i).expect("value after --server-bin").clone());
-            }
-            "--log" => {
-                i += 1;
-                log_prefix = args.get(i).expect("value after --log").clone();
-            }
-            "--data-dir" => {
-                i += 1;
-                data_dir_flag = Some(args.get(i).expect("value after --data-dir").clone());
-            }
-            other => {
-                eprintln!("unknown option {other:?}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    let server_bin = server_bin.unwrap_or_else(|| {
-        let me = std::env::current_exe().expect("current_exe");
-        let sibling = me.parent().expect("bin dir").join("serve");
-        sibling.to_string_lossy().into_owned()
-    });
+    let [server_bin_flag, log_flag, data_dir_flag] =
+        options(["--server-bin", "--log", "--data-dir"]);
+    let server_bin = server_bin(server_bin_flag);
+    let log_prefix = log_flag.unwrap_or_else(|| "recovery-smoke".to_owned());
 
     // an explicit dir is a request to archive it (CI artifacts): keep
     // the snapshot + repaired WAL around even on success
@@ -205,10 +119,10 @@ fn main() {
     };
     let _ = std::fs::remove_dir_all(&data_dir);
     let data_dir_arg = data_dir.to_string_lossy().into_owned();
-    let mut h = Harness { failures: 0 };
+    let mut h = Harness::new("recovery smoke", None);
 
     let fixture = expfinder_graph::fixtures::collaboration_fig1();
-    let pattern = expfinder_pattern::parser::parse(FIG1_DSL).expect("fixture DSL");
+    let pattern = expfinder_pattern::fixtures::fig1_pattern();
     let e1 = fixture.e1;
     // three single-update batches = three WAL frames; the last one is
     // the torn-tail victim in phase 3

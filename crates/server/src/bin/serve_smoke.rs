@@ -17,85 +17,19 @@
 //! its own executable (both live in `target/release` after
 //! `cargo build --release`).
 
+mod common;
+
+use common::{boot, fig1_dsl, i64_at, options, server_bin, Harness};
 use expfinder_graph::json::Value;
 use expfinder_graph::{EdgeUpdate, GraphView};
 use expfinder_server::client::{query_body, Client};
-use std::io::BufRead;
-use std::net::SocketAddr;
-use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
-const FIG1_DSL: &str = "node sa* where label = \"SA\" and experience >= 5; \
-    node sd where label = \"SD\" and experience >= 2; \
-    node ba where label = \"BA\" and experience >= 3; \
-    node st where label = \"ST\" and experience >= 2; \
-    edge sa -> sd within 2; edge sa -> ba within 3; \
-    edge sd -> st within 2; edge ba -> st within 1;";
-
-struct Harness {
-    child: Child,
-    failures: usize,
-}
-
-impl Harness {
-    fn check(&mut self, what: &str, ok: bool, detail: impl FnOnce() -> String) {
-        if ok {
-            println!("ok: {what}");
-        } else {
-            self.failures += 1;
-            eprintln!("FAIL: {what}: {}", detail());
-        }
-    }
-
-    /// Like [`check`](Self::check), but abort the run when **this** step
-    /// fails (later steps would only cascade) — earlier advisory
-    /// failures keep the run going so CI prints every diagnostic.
-    fn require(&mut self, what: &str, ok: bool, detail: impl FnOnce() -> String) {
-        self.check(what, ok, detail);
-        if !ok {
-            let _ = self.child.kill();
-            let _ = self.child.wait();
-            eprintln!("serve smoke FAILED at required step: {what}");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn i64_at(v: &Value, path: &[&str]) -> i64 {
-    let mut cur = v;
-    for p in path {
-        cur = cur.field(p).unwrap_or(&Value::Null);
-    }
-    cur.as_i64().unwrap_or(i64::MIN)
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut server_bin: Option<String> = None;
-    let mut log_path = "serve-smoke.log".to_owned();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--server-bin" => {
-                i += 1;
-                server_bin = Some(args.get(i).expect("value after --server-bin").clone());
-            }
-            "--log" => {
-                i += 1;
-                log_path = args.get(i).expect("value after --log").clone();
-            }
-            other => {
-                eprintln!("unknown option {other:?}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    let server_bin = server_bin.unwrap_or_else(|| {
-        let me = std::env::current_exe().expect("current_exe");
-        let sibling = me.parent().expect("bin dir").join("serve");
-        sibling.to_string_lossy().into_owned()
-    });
+    let [server_bin_flag, log_flag] = options(["--server-bin", "--log"]);
+    let server_bin = server_bin(server_bin_flag);
+    let log_path = log_flag.unwrap_or_else(|| "serve-smoke.log".to_owned());
+    let fig1 = fig1_dsl();
 
     // ---- boot (durable: the smoke drives the WAL-backed runtime) ----
     let data_dir =
@@ -103,12 +37,9 @@ fn main() {
     let _ = std::fs::remove_dir_all(&data_dir);
     let data_dir_arg = data_dir.to_string_lossy().into_owned();
     println!("booting {server_bin} (log: {log_path}, data dir: {data_dir_arg})");
-    let mut child = Command::new(&server_bin)
-        .args([
-            "--addr",
-            "127.0.0.1:0",
-            "--fixture",
-            "fig1",
+    let (child, addr) = boot(
+        &server_bin,
+        &[
             "--allow-shutdown",
             "--log",
             &log_path,
@@ -118,33 +49,12 @@ fn main() {
             // keep headroom beyond the small-machine default of 2
             "--workers",
             "4",
-        ])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .unwrap_or_else(|e| {
-            eprintln!("cannot spawn {server_bin}: {e}");
-            std::process::exit(1);
-        });
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut first_line = String::new();
-    std::io::BufReader::new(stdout)
-        .read_line(&mut first_line)
-        .expect("server stdout");
-    let addr: SocketAddr = first_line
-        .trim()
-        .strip_prefix("listening on ")
-        .unwrap_or_else(|| {
-            let _ = child.kill();
-            eprintln!("bad discovery line {first_line:?}");
-            std::process::exit(1);
-        })
-        .parse()
-        .expect("address in discovery line");
+        ],
+    );
     println!("server up on {addr}");
 
-    let mut h = Harness { child, failures: 0 };
+    let mut h = Harness::new("serve smoke", None);
+    h.child = Some(child);
     let mut client = Client::new(addr);
     client.set_timeout(Duration::from_secs(10));
 
@@ -186,7 +96,7 @@ fn main() {
     );
 
     // ---- register a query ----
-    let reg = client.register("fig1", "team", FIG1_DSL);
+    let reg = client.register("fig1", "team", &fig1);
     h.require("POST /register registers", reg.is_ok(), || {
         format!("{reg:?}")
     });
@@ -220,7 +130,7 @@ fn main() {
 
     // ---- query ----
     let resp = client
-        .query("fig1", &query_body(FIG1_DSL, Some(2), "auto", true))
+        .query("fig1", &query_body(&fig1, Some(2), "auto", true))
         .expect("query");
     h.check(
         "query: 7 pairs via the registered route",
@@ -242,7 +152,7 @@ fn main() {
         .batch(
             "fig1",
             vec![
-                query_body(FIG1_DSL, Some(1), "auto", false),
+                query_body(&fig1, Some(1), "auto", false),
                 query_body("node oops", None, "auto", false),
                 query_body("node sa* where label = \"SA\";", None, "direct", false),
             ],
@@ -271,7 +181,7 @@ fn main() {
         || report.to_string_compact(),
     );
     let resp = client
-        .query("fig1", &query_body(FIG1_DSL, None, "auto", false))
+        .query("fig1", &query_body(&fig1, None, "auto", false))
         .expect("query after update");
     h.check(
         "query after update sees 8 pairs at a newer version",
@@ -294,7 +204,7 @@ fn main() {
     );
 
     // ---- error statuses over the wire ----
-    let missing = client.query("ghost", &query_body(FIG1_DSL, None, "auto", false));
+    let missing = client.query("ghost", &query_body(&fig1, None, "auto", false));
     h.check(
         "unknown graph answers 404",
         matches!(
@@ -314,14 +224,14 @@ fn main() {
     // drive one bounded query through the direct route first, so the
     // cumulative EvalStats counters provably moved on the serving path
     let direct = client
-        .query("fig1", &query_body(FIG1_DSL, None, "direct", false))
+        .query("fig1", &query_body(&fig1, None, "direct", false))
         .expect("direct query");
     h.check(
         "direct-route query evaluates",
         i64_at(&direct, &["pairs"]) == 8,
         || direct.to_string_compact(),
     );
-    let ranked_body = query_body(FIG1_DSL, Some(2), "auto", false);
+    let ranked_body = query_body(&fig1, Some(2), "auto", false);
     let ranked = client.query("fig1", &ranked_body).expect("ranked query");
     let again = client.query("fig1", &ranked_body).expect("ranked query");
     h.check(
@@ -439,7 +349,7 @@ fn main() {
             .is_some_and(|f| f.field("reason").and_then(|r| r.as_str()).ok() == Some("drain")),
         || format!("{bye:?}"),
     );
-    let status = h.child.wait().expect("wait for server");
+    let status = h.wait_child();
     h.check("server exited 0 after drain", status.success(), || {
         format!("{status:?}")
     });
@@ -471,41 +381,9 @@ fn main() {
     // shed counters must keep the same /metrics schema either way ----
     let local_log = format!("{log_path}.local");
     println!("booting {server_bin} without a data dir (log: {local_log})");
-    let mut child = Command::new(&server_bin)
-        .args([
-            "--addr",
-            "127.0.0.1:0",
-            "--fixture",
-            "fig1",
-            "--allow-shutdown",
-            "--log",
-            &local_log,
-        ])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .unwrap_or_else(|e| {
-            eprintln!("cannot spawn {server_bin}: {e}");
-            std::process::exit(1);
-        });
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut first_line = String::new();
-    std::io::BufReader::new(stdout)
-        .read_line(&mut first_line)
-        .expect("server stdout");
-    let addr: SocketAddr = first_line
-        .trim()
-        .strip_prefix("listening on ")
-        .unwrap_or_else(|| {
-            let _ = child.kill();
-            eprintln!("bad discovery line {first_line:?}");
-            std::process::exit(1);
-        })
-        .parse()
-        .expect("address in discovery line");
+    let (child, addr) = boot(&server_bin, &["--allow-shutdown", "--log", &local_log]);
     println!("local-backend server up on {addr}");
-    h.child = child;
+    h.child = Some(child);
     let mut client = Client::new(addr);
     client.set_timeout(Duration::from_secs(10));
     let metrics = client.metrics();
@@ -530,7 +408,7 @@ fn main() {
         drain.is_ok(),
         || format!("{drain:?}"),
     );
-    let status = h.child.wait().expect("wait for local-backend server");
+    let status = h.wait_child();
     h.check(
         "local-backend server exited 0 after drain",
         status.success(),

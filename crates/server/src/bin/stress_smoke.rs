@@ -24,20 +24,15 @@
 //! stress_smoke [--server-bin path/to/serve] [--log stress-smoke.log]
 //! ```
 
+mod common;
+
+use common::{fig1_dsl, i64_at, options, server_bin, Harness};
 use expfinder_graph::json::Value;
 use expfinder_graph::{AttrValue, DiGraph, NodeId};
 use expfinder_server::client::{query_body, query_body_deadline, Client};
-use std::io::BufRead;
 use std::net::SocketAddr;
-use std::process::{Child, Command, Stdio};
+use std::process::Child;
 use std::time::{Duration, Instant};
-
-const FIG1_DSL: &str = "node sa* where label = \"SA\" and experience >= 5; \
-    node sd where label = \"SD\" and experience >= 2; \
-    node ba where label = \"BA\" and experience >= 3; \
-    node st where label = \"ST\" and experience >= 2; \
-    edge sa -> sd within 2; edge sa -> ba within 3; \
-    edge sd -> st within 2; edge ba -> st within 1;";
 
 /// Worst case on the circulant graph: every bound unbounded plus a
 /// cycle back to the output node, so each refinement round re-runs
@@ -49,40 +44,6 @@ const NASTY_DSL: &str = "node sa* where label = \"SA\"; \
     edge sa -> sd within *; edge sa -> ba within *; \
     edge sd -> st within *; edge ba -> st within *; \
     edge st -> sa within *;";
-
-struct Harness {
-    child: Child,
-    failures: usize,
-}
-
-impl Harness {
-    fn check(&mut self, what: &str, ok: bool, detail: impl FnOnce() -> String) {
-        if ok {
-            println!("ok: {what}");
-        } else {
-            self.failures += 1;
-            eprintln!("FAIL: {what}: {}", detail());
-        }
-    }
-
-    fn require(&mut self, what: &str, ok: bool, detail: impl FnOnce() -> String) {
-        self.check(what, ok, detail);
-        if !ok {
-            let _ = self.child.kill();
-            let _ = self.child.wait();
-            eprintln!("stress smoke FAILED at required step: {what}");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn i64_at(v: &Value, path: &[&str]) -> i64 {
-    let mut cur = v;
-    for p in path {
-        cur = cur.field(p).unwrap_or(&Value::Null);
-    }
-    cur.as_i64().unwrap_or(i64::MIN)
-}
 
 /// One strongly connected "collaboration" mess: labels cycle through
 /// the four roles, and the circulant edges (+1, +7, +13) give every
@@ -106,39 +67,7 @@ fn nasty_graph(n: u32) -> DiGraph {
 }
 
 fn boot(server_bin: &str, extra: &[&str]) -> (Child, SocketAddr) {
-    let mut args = vec![
-        "--addr",
-        "127.0.0.1:0",
-        "--fixture",
-        "fig1",
-        "--allow-shutdown",
-    ];
-    args.extend_from_slice(extra);
-    let mut child = Command::new(server_bin)
-        .args(&args)
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .unwrap_or_else(|e| {
-            eprintln!("cannot spawn {server_bin}: {e}");
-            std::process::exit(1);
-        });
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut first_line = String::new();
-    std::io::BufReader::new(stdout)
-        .read_line(&mut first_line)
-        .expect("server stdout");
-    let addr: SocketAddr = first_line
-        .trim()
-        .strip_prefix("listening on ")
-        .unwrap_or_else(|| {
-            let _ = child.kill();
-            eprintln!("bad discovery line {first_line:?}");
-            std::process::exit(1);
-        })
-        .parse()
-        .expect("address in discovery line");
+    let (child, addr) = common::boot(server_bin, &[&["--allow-shutdown"], extra].concat());
     println!("server up on {addr}");
     (child, addr)
 }
@@ -151,35 +80,11 @@ struct Observation {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut server_bin: Option<String> = None;
-    let mut log_path = "stress-smoke.log".to_owned();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--server-bin" => {
-                i += 1;
-                server_bin = Some(args.get(i).expect("value after --server-bin").clone());
-            }
-            "--log" => {
-                i += 1;
-                log_path = args.get(i).expect("value after --log").clone();
-            }
-            other => {
-                eprintln!("unknown option {other:?}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    let server_bin = server_bin.unwrap_or_else(|| {
-        let me = std::env::current_exe().expect("current_exe");
-        me.parent()
-            .expect("bin dir")
-            .join("serve")
-            .to_string_lossy()
-            .into_owned()
-    });
+    let [server_bin_flag, log_flag] = options(["--server-bin", "--log"]);
+    let server_bin = server_bin(server_bin_flag);
+    let log_path = log_flag.unwrap_or_else(|| "stress-smoke.log".to_owned());
+    let fig1 = fig1_dsl();
+    let fig1 = fig1.as_str();
 
     // ---- phase 1: tight deadlines under concurrent normal traffic ----
     println!("booting {server_bin} with deadline knobs (log: {log_path})");
@@ -194,7 +99,8 @@ fn main() {
             &log_path,
         ],
     );
-    let mut h = Harness { child, failures: 0 };
+    let mut h = Harness::new("stress smoke", None);
+    h.child = Some(child);
     let mut client = Client::new(addr);
     client.set_timeout(Duration::from_secs(30));
 
@@ -273,7 +179,7 @@ fn main() {
                 let mut all_ok = true;
                 for _ in 0..NORMAL_REQS {
                     let resp = c
-                        .query("fig1", &query_body(FIG1_DSL, None, "auto", false))
+                        .query("fig1", &query_body(fig1, None, "auto", false))
                         .expect("normal traffic must keep answering");
                     all_ok &= i64_at(&resp, &["pairs"]) == 7;
                 }
@@ -383,7 +289,7 @@ fn main() {
     h.check("POST /admin/shutdown accepted", drain.is_ok(), || {
         format!("{drain:?}")
     });
-    let status = h.child.wait().expect("wait for server");
+    let status = h.wait_child();
     h.check("server exited 0 after the stress", status.success(), || {
         format!("{status:?}")
     });
@@ -397,14 +303,14 @@ fn main() {
     // ---- phase 2: admission control refuses over-budget work ----
     println!("booting {server_bin} with a starvation-level admission ceiling");
     let (child, addr) = boot(&server_bin, &["--admission-max-cost", "0.000001"]);
-    h.child = child;
+    h.child = Some(child);
     let mut client = Client::new(addr);
     client.set_timeout(Duration::from_secs(10));
 
     let refused = client.request(
         "POST",
         "/graphs/fig1/query",
-        Some(&query_body(FIG1_DSL, None, "auto", false)),
+        Some(&query_body(fig1, None, "auto", false)),
     );
     h.check(
         "over-budget query refused with 429 + Retry-After",
@@ -433,7 +339,7 @@ fn main() {
         drain.is_ok(),
         || format!("{drain:?}"),
     );
-    let status = h.child.wait().expect("wait for admission server");
+    let status = h.wait_child();
     h.check("admission server exited 0", status.success(), || {
         format!("{status:?}")
     });

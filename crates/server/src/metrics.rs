@@ -605,8 +605,9 @@ mod tests {
             .unwrap();
         let q = expfinder_pattern::fixtures::fig1_pattern();
         // miss + direct eval, then a hit
-        engine.evaluate(&h, &q).unwrap();
-        engine.evaluate(&h, &q).unwrap();
+        for _ in 0..2 {
+            engine.query(&h).pattern(q.clone()).run().unwrap();
+        }
         let doc = Metrics::default().to_json(&Backend::Local(engine), subs());
         let cache = doc.field("engine").unwrap().field("cache").unwrap();
         assert_eq!(cache.field("hits").unwrap().as_i64().unwrap(), 1);

@@ -242,7 +242,7 @@ mod tests {
             .exec("remote fig1 node sa* where label = \"SA\";")
             .unwrap();
         assert!(out.contains("2 pairs"), "{out}");
-        assert!(out.contains("via direct_simulation"), "{out}");
+        assert!(out.contains("via snapshot"), "{out}");
 
         // local commands still flow through to the wrapped shell
         let out = sh.exec("graphs").unwrap();

@@ -21,7 +21,7 @@
 use crate::metrics::obj;
 use expfinder_core::EvalStats;
 use expfinder_engine::{
-    EvalRoute, ExpFinderError, GraphInfo, PlanDecision, QueryResponse, Route, UpdateReport,
+    ExpFinderError, GraphInfo, PlanDecision, QueryResponse, Route, UpdateReport,
 };
 use expfinder_graph::io::GraphDoc;
 use expfinder_graph::json::Value;
@@ -229,16 +229,6 @@ pub fn decode_route(s: &str) -> Result<Route, WireError> {
     }
 }
 
-pub fn eval_route_str(r: EvalRoute) -> &'static str {
-    match r {
-        EvalRoute::Cache => "cache",
-        EvalRoute::Registered => "registered",
-        EvalRoute::Compressed => "compressed",
-        EvalRoute::DirectSimulation => "direct_simulation",
-        EvalRoute::DirectBounded => "direct_bounded",
-    }
-}
-
 /// A decoded batch request: the optional batch-wide deadline plus one
 /// slot per query body.
 #[derive(Debug)]
@@ -336,10 +326,12 @@ pub fn encode_plan(plan: &PlanDecision) -> Value {
     ])
 }
 
-/// Encode a [`QueryResponse`]. The full match relation is included only
-/// on request (`include_matches`) — it can dwarf the rest of the
-/// response on large graphs. `resolve_name` maps a node id to its `name`
-/// attribute for human-readable expert rows.
+/// Encode a [`QueryResponse`]. Its `route` is the plan's `chosen`
+/// route, the same string as `timings.plan.chosen`; which algorithm ran
+/// is the pattern's (the client sent it). The full match relation is
+/// included only on request (`include_matches`) — it can dwarf the rest
+/// of the response on large graphs. `resolve_name` maps a node id to its
+/// `name` attribute for human-readable expert rows.
 pub fn encode_query_response(
     resp: &QueryResponse,
     pattern: &Pattern,
@@ -369,7 +361,7 @@ pub fn encode_query_response(
         .collect();
     let mut fields = vec![
         ("pairs", Value::Int(resp.matches.total_pairs() as i64)),
-        ("route", Value::Str(eval_route_str(resp.route).to_owned())),
+        ("route", Value::Str(resp.plan.chosen.as_str().to_owned())),
         ("graph_version", Value::Int(resp.graph_version as i64)),
         ("experts", Value::Array(experts)),
         (
@@ -652,10 +644,7 @@ mod tests {
             })
         });
         assert_eq!(v.field("pairs").unwrap().as_i64().unwrap(), 7);
-        assert_eq!(
-            v.field("route").unwrap().as_str().unwrap(),
-            "direct_bounded"
-        );
+        assert_eq!(v.field("route").unwrap().as_str().unwrap(), "snapshot");
         let experts = v.field("experts").unwrap().as_array().unwrap();
         assert_eq!(experts.len(), 2);
         assert_eq!(
@@ -697,6 +686,63 @@ mod tests {
         // without include_matches the field is absent
         let v = encode_query_response(&resp, &q, false, |_| None);
         assert!(v.field("matches").is_err());
+    }
+
+    /// One query answered on each of the five taken routes, encoded: the
+    /// wire `route` is `timings.plan.chosen`, the route's `as_str`.
+    #[test]
+    fn route_is_the_plan_chosen_route_on_every_taken_route() {
+        use expfinder_compress::CompressionMethod;
+        use expfinder_engine::{EngineConfig, ExecConfig, ExpFinder};
+        use expfinder_pattern::fixtures::fig1_pattern;
+        let engine = ExpFinder::new(EngineConfig {
+            exec: ExecConfig {
+                threads: 2,
+                batch_parallelism: 1,
+            },
+            ..EngineConfig::default()
+        });
+        let fig1 = engine
+            .add_graph("fig1", collaboration_fig1().graph)
+            .unwrap();
+        // inert padding: large enough that two threads pay for the
+        // parallel route's setup
+        let mut padded = collaboration_fig1().graph;
+        while padded.size() < 4096 {
+            padded.add_node("pad", []);
+        }
+        let padded = engine.add_graph("padded", padded).unwrap();
+        let q = fig1_pattern();
+        let run = |h, prefer| {
+            engine
+                .query(h)
+                .pattern(q.clone())
+                .prefer(prefer)
+                .run()
+                .unwrap()
+        };
+
+        engine.register_query(&fig1, "team", q.clone()).unwrap();
+        let mut answers = vec![
+            ("registered", run(&fig1, Route::Auto)),
+            ("cache", run(&fig1, Route::Auto)),
+            ("snapshot", run(&fig1, Route::Direct)),
+            ("snapshot_parallel", run(&padded, Route::Direct)),
+        ];
+        engine
+            .compress(&fig1, CompressionMethod::Bisimulation)
+            .unwrap();
+        answers.push(("compressed", run(&fig1, Route::Compressed)));
+
+        for (want, resp) in &answers {
+            assert_eq!(resp.plan.chosen.as_str(), *want);
+            assert_eq!(resp.matches.total_pairs(), 7, "{want}");
+            let v = encode_query_response(resp, &q, false, |_| None);
+            let route = v.field("route").unwrap().as_str().unwrap();
+            let chosen = v.field("timings").unwrap().field("plan").unwrap();
+            assert_eq!(route, chosen.field("chosen").unwrap().as_str().unwrap());
+            assert_eq!(route, *want);
+        }
     }
 
     #[test]

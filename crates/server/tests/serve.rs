@@ -245,10 +245,7 @@ fn repeated_ranked_query_ranks_once_per_version() {
 
     assert_eq!(rank_counts(&mut client), (0, 0));
     let first = client.query("fig1", &body).unwrap();
-    assert_eq!(
-        first.field("route").unwrap().as_str().unwrap(),
-        "direct_bounded"
-    );
+    assert_eq!(first.field("route").unwrap().as_str().unwrap(), "snapshot");
     for _ in 1..N {
         let again = client.query("fig1", &body).unwrap();
         assert_eq!(again.field("route").unwrap().as_str().unwrap(), "cache");

@@ -92,9 +92,9 @@ fn main() {
         .expect("query runs");
 
     println!(
-        "match relation M(Q,G): {} pairs via {:?} in {:?}",
+        "match relation M(Q,G): {} pairs via {} in {:?}",
         resp.matches.total_pairs(),
-        resp.route,
+        resp.plan.chosen.as_str(),
         resp.timings.total
     );
     for (u, v) in resp.matches.pairs() {

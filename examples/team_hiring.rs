@@ -22,7 +22,11 @@ fn main() {
 
     // ---- Example 1: the match set --------------------------------------
     println!("== Example 1: bounded simulation finds the team ==");
-    let outcome = engine.evaluate(&collab, &pattern).expect("query runs");
+    let outcome = engine
+        .query(&collab)
+        .pattern(pattern.clone())
+        .run()
+        .expect("query runs");
     let g = engine.snapshot(&collab).unwrap();
     let rg = ResultGraph::build(&g, &pattern, &outcome.matches);
     print!("{}", report::roll_up(&g, &pattern, &outcome.matches, &rg));
@@ -30,7 +34,9 @@ fn main() {
 
     // ...while plain simulation and isomorphism both fail (paper §I):
     let sim_result = engine
-        .evaluate(&collab, &fig1_pattern_simulation())
+        .query(&collab)
+        .pattern(fig1_pattern_simulation())
+        .run()
         .expect("query runs");
     println!(
         "plain graph simulation on the same query: {} matches (too strict)",

@@ -56,13 +56,17 @@ fn main() {
 
     // direct evaluation first
     let t = Instant::now();
-    let direct = engine.evaluate(&twitter, &pattern).unwrap();
+    let direct = engine
+        .query(&twitter)
+        .pattern(pattern.clone())
+        .run()
+        .unwrap();
     let direct_time = t.elapsed();
     println!(
-        "\ndirect evaluation: {} pairs in {:?} (route {:?})",
+        "\ndirect evaluation: {} pairs in {:?} (route {})",
         direct.matches.total_pairs(),
         direct_time,
-        direct.route
+        direct.plan.chosen.as_str()
     );
 
     // compress, then the engine routes through G_c automatically
@@ -92,10 +96,10 @@ fn main() {
         .unwrap();
     let compressed_time = t.elapsed();
     println!(
-        "compressed evaluation: {} pairs in {:?} (route {:?})",
+        "compressed evaluation: {} pairs in {:?} (route {})",
         compressed.matches.total_pairs(),
         compressed_time,
-        compressed.route
+        compressed.plan.chosen.as_str()
     );
     assert_eq!(
         *compressed.matches, *direct.matches,
@@ -103,7 +107,12 @@ fn main() {
     );
 
     // top influencers
-    let report = engine.find_experts(&twitter, &pattern, 5).unwrap();
+    let report = engine
+        .query(&twitter)
+        .pattern(pattern.clone())
+        .top_k(5)
+        .run()
+        .unwrap();
     println!("\ntop-5 media accounts by social impact:");
     for (i, e) in report.experts.iter().enumerate() {
         println!("  #{} account {} (rank {:.3})", i + 1, e.node, e.rank);

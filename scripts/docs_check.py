@@ -13,11 +13,14 @@ where dynamic path segments (bare identifiers in the match arm) render
 as `{name}`.
 
 The same principle covers the routing vocabulary: every variant of the
-engine's `Route` (the query-body preference), `EvalRoute` (the reported
-evaluation route) and `PlanRoute` (the planner's `timings.plan` routes)
-enums must appear in docs/PROTOCOL.md as its backticked wire string
-(the variant name in snake_case), so a new route variant cannot ship
-undocumented.
+engine's `Route` (the query-body preference) and `PlanRoute` (the route
+taken: the response's `route` and its `timings.plan` routes) enums must
+appear in docs/PROTOCOL.md as its backticked wire string (the variant
+name in snake_case), so a new route variant cannot ship undocumented.
+Those are the only two route vocabularies: any other `pub enum *Route`
+under crates/engine/src fails the check, and so does an arm of
+`PlanRoute::as_str` that returns anything but its variant's snake_case —
+the one wire-string table is what the snake_case check reads.
 
 And the metrics vocabulary: every key of the `engine` block that
 crates/server/src/metrics.rs emits for `GET /metrics` must appear in
@@ -56,7 +59,7 @@ PROTOCOL = ROOT / "docs" / "PROTOCOL.md"
 ARCHITECTURE = ROOT / "docs" / "ARCHITECTURE.md"
 CRATES = ROOT / "crates"
 ENGINE_SRC = ROOT / "crates" / "engine" / "src"
-ROUTE_ENUMS = ["Route", "EvalRoute", "PlanRoute"]
+ROUTE_ENUMS = ["Route", "PlanRoute"]
 METRICS_SRC = ROOT / "crates" / "server" / "src" / "metrics.rs"
 
 ENUM_VARIANT = re.compile(r"^\s*([A-Z][A-Za-z0-9]*)\s*(?:,|$)")
@@ -85,12 +88,42 @@ def enum_variants(name: str, sources: dict):
     return variants
 
 
+AS_STR_ARM = re.compile(r'PlanRoute::([A-Z][A-Za-z0-9]*)\s*=>\s*"([^"]*)"')
+
+
 def check_route_enums(spec: str):
-    """Wire strings of Route/EvalRoute/PlanRoute missing from the spec
-    (an enum that cannot be found at all is reported the same way), and
-    the number of variants checked."""
+    """Wire strings of Route/PlanRoute missing from the spec (an enum
+    that cannot be found at all is reported the same way), route enums
+    outside ROUTE_ENUMS, `PlanRoute::as_str` arms whose string is not the
+    variant's snake_case, and the number of variants checked."""
     missing, checked = [], 0
     sources = {p: p.read_text() for p in sorted(ENGINE_SRC.rglob("*.rs"))}
+    for path, src in sources.items():
+        for name in re.findall(r"\bpub enum (\w*Route)\b", src):
+            if name not in ROUTE_ENUMS:
+                missing.append(
+                    f"pub enum {name} in {path.relative_to(ROOT)} is a route vocabulary "
+                    f"beside {ROUTE_ENUMS}; report the route taken as a PlanRoute"
+                )
+    as_str = re.compile(r"pub fn as_str\(self\)[^{]*\{(.*?)\n    \}", re.DOTALL)
+    arms = [
+        arm
+        for src in sources.values()
+        if "impl PlanRoute" in src
+        for body in as_str.findall(src.partition("impl PlanRoute")[2])[:1]
+        for arm in AS_STR_ARM.findall(body)
+    ]
+    if not arms:
+        missing.append(
+            "no `PlanRoute::as_str` arms found under crates/engine/src — its "
+            "shape changed; update scripts/docs_check.py"
+        )
+    for variant, wire in arms:
+        if wire != snake_case(variant):
+            missing.append(
+                f"PlanRoute::as_str maps {variant} to {wire!r}, not its snake_case "
+                f"{snake_case(variant)!r}"
+            )
     for enum_name in ROUTE_ENUMS:
         variants = enum_variants(enum_name, sources)
         if not variants:

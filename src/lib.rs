@@ -76,7 +76,7 @@ pub mod prelude {
         top_k, MatchRelation, ResultGraph,
     };
     pub use expfinder_engine::{
-        Catalog, EngineConfig, EvalRoute, ExecConfig, ExpFinder, ExpFinderError, GraphHandle,
+        Catalog, EngineConfig, ExecConfig, ExpFinder, ExpFinderError, GraphHandle, PlanRoute,
         QueryResponse, QuerySpec, QueryTimings, Route,
     };
     pub use expfinder_graph::{AttrValue, CsrGraph, DiGraph, EdgeUpdate, GraphView, NodeId};

@@ -107,7 +107,7 @@ proptest! {
             QuerySpec::pattern(q.clone()).top_k(3),
             QuerySpec::pattern(q.clone()).prefer(Route::Direct),
         ];
-        let batch = par.query_batch(&hp, specs);
+        let batch = par.query_batch(&hp, specs, None);
         let singles = [
             seq.query(&hs).pattern(q.clone()).run().unwrap(),
             seq.query(&hs).pattern(q.clone()).top_k(3).run().unwrap(),
@@ -163,7 +163,7 @@ fn batch_matches_fluent_runs_on_static_graph() {
         .iter()
         .map(|(_, q)| QuerySpec::pattern(q.clone()).top_k(3))
         .collect();
-    let batch = par.query_batch(&hp, specs);
+    let batch = par.query_batch(&hp, specs, None);
     assert_eq!(batch.len(), queries.len());
     for (i, (name, q)) in queries.iter().enumerate() {
         let b = batch[i].as_ref().unwrap();
@@ -244,7 +244,7 @@ fn batch_racing_updates_stays_consistent() {
                         .iter()
                         .map(|(_, q)| QuerySpec::pattern(q.clone()))
                         .collect();
-                    let batch = engine.query_batch(&h, specs);
+                    let batch = engine.query_batch(&h, specs, None);
                     for (qi, result) in batch.iter().enumerate() {
                         let resp = result.as_ref().unwrap();
                         let truth = expected.get(&(resp.graph_version, qi)).unwrap_or_else(|| {
@@ -273,6 +273,7 @@ fn batch_racing_updates_stays_consistent() {
             .iter()
             .map(|(_, q)| QuerySpec::pattern(q.clone()))
             .collect(),
+        None,
     );
     for (qi, (_, q)) in queries.iter().enumerate() {
         let truth = engine

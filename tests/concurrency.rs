@@ -55,7 +55,15 @@ fn parallel_queries_agree() {
     // reference answers, sequential
     let reference: Vec<usize> = queries
         .iter()
-        .map(|(_, q)| engine.evaluate(&h, q).unwrap().matches.total_pairs())
+        .map(|(_, q)| {
+            engine
+                .query(&h)
+                .pattern(q.clone())
+                .run()
+                .unwrap()
+                .matches
+                .total_pairs()
+        })
         .collect();
 
     // hammer the engine from 8 threads × 5 rounds × 3 queries each
@@ -68,7 +76,13 @@ fn parallel_queries_agree() {
             s.spawn(move || {
                 for round in 0..5 {
                     for (i, (_, q)) in queries.iter().enumerate() {
-                        let got = engine.evaluate(h, q).unwrap().matches.total_pairs();
+                        let got = engine
+                            .query(h)
+                            .pattern(q.clone())
+                            .run()
+                            .unwrap()
+                            .matches
+                            .total_pairs();
                         assert_eq!(got, reference[i], "thread {t} round {round} query {i}");
                     }
                 }
@@ -86,7 +100,7 @@ fn parallel_queries_agree() {
 fn parallel_ranked_reports_agree() {
     let (engine, h) = engine_with_collab();
     let (_, q) = &demo_queries()[0];
-    let reference = engine.find_experts(&h, q, 3).unwrap();
+    let reference = engine.query(&h).pattern(q.clone()).top_k(3).run().unwrap();
     let ref_ids: Vec<_> = reference.experts.iter().map(|e| e.node).collect();
 
     std::thread::scope(|s| {
@@ -196,7 +210,7 @@ fn readers_consistent_with_concurrent_writer() {
     });
 
     // after the writer finishes, the engine agrees with the final truth
-    let final_out = engine.evaluate(&h, &q).unwrap();
+    let final_out = engine.query(&h).pattern(q.clone()).run().unwrap();
     let final_truth = engine
         .read_graph(&h, |g| bounded_simulation(g, &q).unwrap())
         .unwrap();
@@ -212,7 +226,13 @@ fn independent_graphs_run_in_parallel() {
     let ha = engine.add_graph("a", collab_graph(15, 1)).unwrap();
     let hb = engine.add_graph("b", collab_graph(15, 2)).unwrap();
     let q = fig1_pattern();
-    let expect_a = engine.evaluate(&ha, &q).unwrap().matches.total_pairs();
+    let expect_a = engine
+        .query(&ha)
+        .pattern(q.clone())
+        .run()
+        .unwrap()
+        .matches
+        .total_pairs();
 
     let updates = {
         let base = engine.snapshot(&hb).unwrap();
@@ -235,7 +255,13 @@ fn independent_graphs_run_in_parallel() {
             let q = q.clone();
             s.spawn(move || {
                 for _ in 0..50 {
-                    let got = engine.evaluate(&ha, &q).unwrap().matches.total_pairs();
+                    let got = engine
+                        .query(&ha)
+                        .pattern(q.clone())
+                        .run()
+                        .unwrap()
+                        .matches
+                        .total_pairs();
                     assert_eq!(got, expect_a, "graph `a` never changed");
                 }
             });
@@ -246,7 +272,10 @@ fn independent_graphs_run_in_parallel() {
     let fresh = engine
         .read_graph(&hb, |g| bounded_simulation(g, &q).unwrap())
         .unwrap();
-    assert_eq!(*engine.evaluate(&hb, &q).unwrap().matches, fresh);
+    assert_eq!(
+        *engine.query(&hb).pattern(q.clone()).run().unwrap().matches,
+        fresh
+    );
 }
 
 #[test]

@@ -103,7 +103,7 @@ fn engine_reproduces_all_examples() {
     let h = engine.add_graph("fig1", f.graph.clone()).unwrap();
     engine.register_query(&h, "team", q.clone()).unwrap();
 
-    let report = engine.find_experts(&h, &q, 2).unwrap();
+    let report = engine.query(&h).pattern(q.clone()).top_k(2).run().unwrap();
     assert_eq!(report.experts[0].node, f.bob);
     assert!((report.experts[0].rank - 1.8).abs() < 1e-12);
 

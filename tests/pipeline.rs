@@ -3,7 +3,6 @@
 //! registered queries, updates and persistence — all through the
 //! handle-based `&self` API.
 
-use expfinder::engine::{storage, EvalRoute, Route};
 use expfinder::graph::generate::{
     collaboration, random_updates, twitter_like, CollabConfig, TwitterConfig,
 };
@@ -47,8 +46,17 @@ fn compress_route_transparency() {
 
     let engine = ExpFinder::default();
     let t = engine.add_graph("t", g).unwrap();
-    let direct = engine.evaluate(&t, &q).unwrap();
-    assert_eq!(direct.route, EvalRoute::DirectBounded);
+    let direct = engine.query(&t).pattern(q.clone()).run().unwrap();
+    // sequential or parallel by the host's thread budget
+    assert!(
+        matches!(
+            direct.plan.chosen,
+            PlanRoute::Snapshot | PlanRoute::SnapshotParallel
+        ),
+        "{:?}",
+        direct.plan
+    );
+    assert!(!q.is_simulation(), "bounded simulation ran");
 
     let stats = engine
         .compress(&t, CompressionMethod::Bisimulation)
@@ -60,7 +68,7 @@ fn compress_route_transparency() {
         .prefer(Route::Compressed)
         .run()
         .unwrap();
-    assert_eq!(via_c.route, EvalRoute::Compressed);
+    assert_eq!(via_c.plan.chosen, PlanRoute::Compressed);
     assert_eq!(*via_c.matches, *direct.matches);
 }
 
@@ -107,7 +115,7 @@ fn long_update_stream_consistency() {
             .prefer(Route::Compressed)
             .run()
             .unwrap();
-        assert_eq!(routed.route, EvalRoute::Compressed, "round {round}");
+        assert_eq!(routed.plan.chosen, PlanRoute::Compressed, "round {round}");
         assert_eq!(
             *routed.matches, *direct.matches,
             "round {round}: G_c drifted"
@@ -115,30 +123,44 @@ fn long_update_stream_consistency() {
     }
 }
 
-/// Save a catalog, reload it, and verify query equivalence.
+/// Close a durable catalog and reopen its directory: the graph (with its
+/// logged updates) and its registered query come back, and answer
+/// exactly as before.
 #[test]
 fn persistence_pipeline() {
     let dir = std::env::temp_dir().join(format!("expfinder_pipeline_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    let config = RuntimeConfig {
+        fsync: FsyncPolicy::Never,
+        ..RuntimeConfig::default()
+    };
 
     let g = collab(25, 17);
     let (_, q) = &demo_queries()[1]; // Q2
-    let engine = ExpFinder::default();
-    let c = engine.add_graph("c", g).unwrap();
-    let before = engine.evaluate(&c, q).unwrap();
+    let ups = random_updates(&mut StdRng::seed_from_u64(19), &g, 10, 0.5);
+    let before = {
+        let rt = DurableExpFinder::open(&dir, config.clone()).unwrap();
+        rt.add_graph("c", g).unwrap();
+        rt.register_query("c", "q2", q.clone()).unwrap();
+        rt.apply_updates("c", &ups).unwrap();
+        let c = rt.handle("c").unwrap();
+        rt.query(&c).pattern(q.clone()).top_k(5).run().unwrap()
+    };
 
-    storage::save_catalog(&engine, &dir).unwrap();
-    let reloaded = storage::load_catalog(&dir).unwrap();
-    let c2 = reloaded.handle("c").unwrap();
-    let after = reloaded.evaluate(&c2, q).unwrap();
+    let rt = DurableExpFinder::open(&dir, config).unwrap();
+    assert_eq!(rt.graph_names(), vec!["c".to_owned()]);
+    let c = rt.handle("c").unwrap();
+    assert_eq!(rt.registered_queries(&c).unwrap(), vec!["q2".to_owned()]);
+    let after = rt.query(&c).pattern(q.clone()).top_k(5).run().unwrap();
+    assert_eq!(after.plan.chosen, PlanRoute::Registered);
     assert_eq!(*after.matches, *before.matches);
+    let ranked = |r: &QueryResponse| {
+        let bits = r.experts.iter().map(|e| (e.node, e.rank.to_bits()));
+        bits.collect::<Vec<_>>()
+    };
+    assert_eq!(ranked(&after), ranked(&before));
 
-    // results round-trip too
-    let rpath = dir.join("q2.result.json");
-    storage::save_result(&before.matches, &rpath).unwrap();
-    let loaded = storage::load_result(&rpath).unwrap();
-    assert_eq!(loaded, *before.matches);
-
+    drop(rt);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -150,19 +172,29 @@ fn ranking_stable_across_routes() {
 
     let plain = ExpFinder::default();
     let h = plain.add_graph("c", g.clone()).unwrap();
-    let direct = plain.find_experts(&h, q, 5).unwrap();
+    let direct = plain.query(&h).pattern(q.clone()).top_k(5).run().unwrap();
 
     let compressed = ExpFinder::default();
     let hc = compressed.add_graph("c", g.clone()).unwrap();
     compressed
         .compress(&hc, CompressionMethod::Bisimulation)
         .unwrap();
-    let via_c = compressed.find_experts(&hc, q, 5).unwrap();
+    let via_c = compressed
+        .query(&hc)
+        .pattern(q.clone())
+        .top_k(5)
+        .run()
+        .unwrap();
 
     let registered = ExpFinder::default();
     let hr = registered.add_graph("c", g).unwrap();
     registered.register_query(&hr, "q", q.clone()).unwrap();
-    let via_r = registered.find_experts(&hr, q, 5).unwrap();
+    let via_r = registered
+        .query(&hr)
+        .pattern(q.clone())
+        .top_k(5)
+        .run()
+        .unwrap();
 
     let ids = |r: &QueryResponse| {
         r.experts
@@ -183,7 +215,7 @@ fn demo_queries_end_to_end() {
     let engine = ExpFinder::default();
     let c = engine.add_graph("c", g).unwrap();
     for (name, q) in demo_queries() {
-        let report = engine.find_experts(&c, &q, 3).unwrap();
+        let report = engine.query(&c).pattern(q.clone()).top_k(3).run().unwrap();
         assert!(
             !report.experts.is_empty(),
             "{name} should find at least one expert"
@@ -204,9 +236,9 @@ fn cache_versioning_under_updates() {
     let engine = ExpFinder::default();
     let c = engine.add_graph("c", g).unwrap();
 
-    let first = engine.evaluate(&c, q).unwrap();
-    let cached = engine.evaluate(&c, q).unwrap();
-    assert_eq!(cached.route, EvalRoute::Cache);
+    let first = engine.query(&c).pattern(q.clone()).run().unwrap();
+    let cached = engine.query(&c).pattern(q.clone()).run().unwrap();
+    assert_eq!(cached.plan.chosen, PlanRoute::Cache);
 
     let ups = engine
         .read_graph(&c, |g| {
@@ -214,8 +246,8 @@ fn cache_versioning_under_updates() {
         })
         .unwrap();
     engine.apply_updates(&c, &ups).unwrap();
-    let after = engine.evaluate(&c, q).unwrap();
-    assert_ne!(after.route, EvalRoute::Cache, "version bumped");
+    let after = engine.query(&c).pattern(q.clone()).run().unwrap();
+    assert_ne!(after.plan.chosen, PlanRoute::Cache, "version bumped");
     // deletions can only shrink the relation
     assert!(after.matches.total_pairs() <= first.matches.total_pairs());
 }
@@ -229,7 +261,12 @@ fn engine_config_variants_agree() {
 
     let default_engine = ExpFinder::default();
     let hd = default_engine.add_graph("c", g.clone()).unwrap();
-    let reference = default_engine.find_experts(&hd, q, 5).unwrap();
+    let reference = default_engine
+        .query(&hd)
+        .pattern(q.clone())
+        .top_k(5)
+        .run()
+        .unwrap();
 
     // parallel execution (CSR fast path + threaded result graph)
     let threaded = ExpFinder::new(EngineConfig {
@@ -240,7 +277,12 @@ fn engine_config_variants_agree() {
         ..EngineConfig::default()
     });
     let ht = threaded.add_graph("c", g.clone()).unwrap();
-    let via_threads = threaded.find_experts(&ht, q, 5).unwrap();
+    let via_threads = threaded
+        .query(&ht)
+        .pattern(q.clone())
+        .top_k(5)
+        .run()
+        .unwrap();
     assert_eq!(
         reference.experts.iter().map(|e| e.node).collect::<Vec<_>>(),
         via_threads
@@ -262,10 +304,13 @@ fn engine_config_variants_agree() {
         .prefer(Route::Direct)
         .run()
         .unwrap();
-    assert_eq!(
-        out.route,
-        EvalRoute::DirectBounded,
-        "quotient not consulted"
+    assert!(
+        matches!(
+            out.plan.chosen,
+            PlanRoute::Snapshot | PlanRoute::SnapshotParallel
+        ),
+        "quotient not consulted: {:?}",
+        out.plan
     );
     assert_eq!(*out.matches, *reference.matches);
 }
