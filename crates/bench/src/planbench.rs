@@ -136,10 +136,7 @@ pub fn run_plan_bench() -> Value {
     // route's worker setup.
     scenarios.push(scenario(
         "twitter_parallel",
-        ExecConfig {
-            threads: 4,
-            batch_parallelism: 1,
-        },
+        ExecConfig { threads: 4 },
         twitter_graph(5000, SEED),
         |engine, h, steps| {
             let q = twitter_audience_pattern();

@@ -21,8 +21,9 @@
 //! Each shrink event re-queues at most `deg_Q` edges and each refresh is
 //! linear in `|G|`, giving the cubic worst case the paper quotes, but in
 //! practice a handful of refreshes per edge. The refresh *order* is the
-//! "query plan": [`PlanMode::Selective`] starts from the most selective
-//! target sets, which empirically halves refresh counts (ablation E12).
+//! "query plan": both engines start from the most selective target sets,
+//! and the frontier engine also runs a constraint only after the ones
+//! that can shrink its seeds.
 //!
 //! Two interchangeable engines compute the fixpoint
 //! ([`EvalOptions::engine`]): the default [`FixpointEngine::Frontier`]
@@ -41,16 +42,6 @@ use expfinder_graph::bfs::{BfsScratch, Direction};
 use expfinder_graph::{BitSet, CancelToken, GraphView, ReachProvider};
 use expfinder_pattern::Pattern;
 
-/// Refresh-order heuristic ("query plan").
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub enum PlanMode {
-    /// Process pattern edges with the smallest target candidate sets first.
-    #[default]
-    Selective,
-    /// Process pattern edges in declaration order (baseline for E12).
-    DeclarationOrder,
-}
-
 /// Which fixpoint loop evaluates the refinement.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 pub enum FixpointEngine {
@@ -58,33 +49,23 @@ pub enum FixpointEngine {
     /// per-edge reach memoization, dirty-counter refresh skipping.
     #[default]
     Frontier,
-    /// The original queue-based multi-source BFS loop — the oracle the
-    /// frontier engine is property-tested against, and the "old path" of
-    /// the `bench_match` comparison.
+    /// The original queue-based multi-source BFS loop — the oracle for
+    /// dual simulation and for the frontier engine's raw fixpoint, and
+    /// the "old path" of the `bench_match` comparison.
     Queue,
 }
 
 /// Evaluation options.
 #[derive(Copy, Clone, Debug, Default)]
 pub struct EvalOptions {
-    pub plan: PlanMode,
     pub engine: FixpointEngine,
 }
 
 impl EvalOptions {
-    /// Default engine with an explicit plan mode.
-    pub fn with_plan(plan: PlanMode) -> EvalOptions {
-        EvalOptions {
-            plan,
-            ..EvalOptions::default()
-        }
-    }
-
-    /// The queue-based oracle engine with the default plan.
+    /// The queue-based oracle engine.
     pub fn queue() -> EvalOptions {
         EvalOptions {
             engine: FixpointEngine::Queue,
-            ..EvalOptions::default()
         }
     }
 }
@@ -205,7 +186,7 @@ fn bounded_fixpoint<G: GraphView>(
     cancel: Option<&CancelToken>,
 ) -> Result<(Vec<BitSet>, EvalStats), Cancelled> {
     if opts.engine == FixpointEngine::Queue {
-        return Ok(bounded_fixpoint_queue(g, q, sim, opts, early_exit));
+        return Ok(bounded_fixpoint_queue(g, q, sim, early_exit));
     }
     let constraints: Vec<Constraint> = q
         .edges()
@@ -226,7 +207,6 @@ fn bounded_fixpoint<G: GraphView>(
         q.node_count(),
         &constraints,
         &mut sim,
-        opts.plan,
         early_exit,
         scratch,
         ictx,
@@ -247,7 +227,6 @@ fn bounded_fixpoint_queue<G: GraphView>(
     g: &G,
     q: &Pattern,
     mut sim: Vec<BitSet>,
-    opts: EvalOptions,
     early_exit: bool,
 ) -> (Vec<BitSet>, EvalStats) {
     let n = g.node_count();
@@ -258,11 +237,9 @@ fn bounded_fixpoint_queue<G: GraphView>(
         return (sim, stats);
     }
 
-    // initial processing order = the "query plan"
+    // initial processing order = the "query plan": most selective first
     let mut order: Vec<usize> = (0..ne).collect();
-    if opts.plan == PlanMode::Selective {
-        order.sort_by_key(|&ei| sim[q.edges()[ei].to.index()].count());
-    }
+    order.sort_by_key(|&ei| sim[q.edges()[ei].to.index()].count());
 
     let mut in_queue = vec![true; ne];
     let mut queue: std::collections::VecDeque<usize> = order.into_iter().collect();
@@ -478,26 +455,6 @@ mod tests {
             .unwrap();
         let m = bounded_simulation(&g, &q).unwrap();
         assert_eq!(m.total_pairs(), 2);
-    }
-
-    #[test]
-    fn plan_modes_agree_on_result() {
-        use expfinder_graph::generate::{erdos_renyi, NodeSpec};
-        use expfinder_pattern::generate::{random_pattern, PatternConfig, PatternShape};
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(17);
-        let spec = NodeSpec::uniform(4, 5);
-        for trial in 0..10 {
-            let g = erdos_renyi(&mut rng, 60, 300, &spec);
-            let cfg = PatternConfig::new(PatternShape::Dag, 5, spec.labels.clone());
-            let q = random_pattern(&mut rng, &cfg);
-            let (m1, _) =
-                bounded_simulation_with(&g, &q, EvalOptions::with_plan(PlanMode::Selective));
-            let (m2, _) =
-                bounded_simulation_with(&g, &q, EvalOptions::with_plan(PlanMode::DeclarationOrder));
-            assert_eq!(m1, m2, "trial {trial}: plans change cost, never results");
-        }
     }
 
     #[test]

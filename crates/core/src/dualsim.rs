@@ -80,7 +80,6 @@ pub(crate) fn dual_sequential<G: GraphView>(
         q.node_count(),
         &constraints,
         &mut sim,
-        opts.plan,
         true,
         scratch,
         ictx,

@@ -33,7 +33,7 @@ pub enum Semantics {
 /// changes cost or observability.
 pub struct EvalRequest<'a> {
     pub semantics: Semantics,
-    /// Refresh order and sequential fixpoint engine.
+    /// Sequential fixpoint engine.
     /// [`FixpointEngine::Queue`](crate::FixpointEngine) is the
     /// uninstrumented oracle: it allocates its own buffers and ignores
     /// `scratch`, `index` and `cancel`. The parallel refinement and the
@@ -150,7 +150,7 @@ pub fn evaluate<G: GraphView + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bsim::{bounded_fixpoint_raw, PlanMode};
+    use crate::bsim::bounded_fixpoint_raw;
     use crate::sim::simulation_fixpoint;
     use crate::{
         bounded_simulation, bounded_simulation_indexed, candidate_sets, dual_simulation,
@@ -194,11 +194,7 @@ mod tests {
             cancel: Some(&disarmed),
             ..EvalRequest::new(semantics)
         };
-        let all_options = [
-            EvalOptions::default(),
-            EvalOptions::with_plan(PlanMode::DeclarationOrder),
-            EvalOptions::queue(),
-        ];
+        let all_options = [EvalOptions::default(), EvalOptions::queue()];
         for (g, q) in &cases {
             let g = &CsrGraph::snapshot(g);
             let n = g.node_count();

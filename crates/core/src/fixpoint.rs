@@ -29,10 +29,11 @@
 //!
 //! None of this changes results — the greatest fixpoint of a monotone
 //! operator on a finite lattice is unique, so schedule and per-step
-//! algebra may vary freely (property-tested bit-identical to the queue
-//! oracles in `tests/frontier_equivalence.rs`).
+//! algebra may vary freely (property-tested against the naive oracle,
+//! and bit-identical to the queue oracle's raw fixpoint, in the workspace
+//! root's `tests/differential.rs`).
 
-use crate::bsim::{EvalStats, PlanMode};
+use crate::bsim::EvalStats;
 use expfinder_graph::bfs::Direction;
 use expfinder_graph::bfs_frontier::FrontierScratch;
 use expfinder_graph::{BitSet, CancelToken, GraphView, NodeId, ReachProvider, Sym};
@@ -208,7 +209,6 @@ pub(crate) fn refine_constraints<G: GraphView>(
     nq: usize,
     constraints: &[Constraint],
     sim: &mut [BitSet],
-    plan: PlanMode,
     early_exit: bool,
     scratch: &mut EvalScratch,
     index: Option<IndexCtx<'_>>,
@@ -228,18 +228,14 @@ pub(crate) fn refine_constraints<G: GraphView>(
         by_seed[c.seeds.index()].push(ci as u32);
     }
 
-    // initial processing order = the "query plan". The frontier engine
-    // interprets [`PlanMode::Selective`] as *dependency-aware*: refresh a
-    // constraint only once everything that can shrink its seed set has
-    // run, so on DAG-shaped patterns every constraint refreshes exactly
-    // once (the queue oracle's static selective order re-refreshes
-    // upstream edges whenever a downstream refresh shrinks their seeds
-    // afterwards). Cyclic dependencies fall back to most-selective-first
-    // and let the worklist iterate.
-    let order: Vec<usize> = match plan {
-        PlanMode::DeclarationOrder => (0..nc).collect(),
-        PlanMode::Selective => dependency_order(nq, constraints, sim),
-    };
+    // initial processing order = the "query plan", *dependency-aware*:
+    // refresh a constraint only once everything that can shrink its seed
+    // set has run, so on DAG-shaped patterns every constraint refreshes
+    // exactly once (the queue oracle's static most-selective-first order
+    // re-refreshes upstream edges whenever a downstream refresh shrinks
+    // their seeds afterwards). Cyclic dependencies fall back to
+    // most-selective-first and let the worklist iterate.
+    let order = dependency_order(nq, constraints, sim);
 
     let EvalScratch {
         frontier,
@@ -347,8 +343,7 @@ pub(crate) fn refine_constraints<G: GraphView>(
     Ok((false, stats))
 }
 
-/// The dependency-aware constraint order behind the frontier engine's
-/// [`PlanMode::Selective`].
+/// The dependency-aware constraint order of the frontier engine.
 ///
 /// A constraint reads `sim(seeds)` and shrinks `sim(constrained)`, so it
 /// should run after every constraint that writes its seed node —

@@ -50,7 +50,6 @@ pub mod sim;
 
 pub use bsim::{
     bounded_simulation, bounded_simulation_indexed, EvalOptions, EvalStats, FixpointEngine,
-    PlanMode,
 };
 pub use dualsim::dual_simulation;
 pub use eval::{evaluate, EvalError, EvalRequest, Semantics};

@@ -25,7 +25,8 @@
 //! superset of the final fixpoint, so every removal is sound; at
 //! termination every constraint holds, so the result *is* the greatest
 //! fixpoint — bit-identical to the sequential functions (property-tested
-//! in `tests/batch.rs`). Candidate-set construction parallelises the same
+//! against the naive fixpoint in the workspace root's
+//! `tests/differential.rs`). Candidate-set construction parallelises the same
 //! way, one pattern node per work item, seeded from the label index when
 //! the view provides one ([`GraphView::nodes_with_label`]).
 //!

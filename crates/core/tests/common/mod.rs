@@ -1,10 +1,13 @@
-//! Generators and the oracle shared by the equivalence suites (and, by
-//! path, the runtime crate's `deadline_props`): compact raw encodings of
-//! random graphs and patterns (the same shapes the workspace-level tests
-//! use), the queue engine they are checked against, and the reference
+//! The one copy of the test generators and oracles, used here by
+//! `rank_equivalence` and included by path from the workspace root's
+//! `tests/differential.rs`, `tests/properties.rs`, `tests/concurrency.rs`,
+//! `tests/batch.rs` and `tests/pipeline.rs`: compact raw encodings of random graphs and
+//! patterns, the match oracle ([`oracle`]: `core::naive`, or the queue
+//! engine for dual simulation, which naive lacks) and the reference
 //! ranking `core::rank` is checked against.
 #![allow(dead_code)]
 
+use expfinder_core::naive::{naive_bounded_simulation, naive_simulation};
 use expfinder_core::{evaluate, EvalOptions, EvalRequest, MatchRelation, RankedMatch, Semantics};
 use expfinder_graph::bfs::{BfsScratch, Direction};
 use expfinder_graph::{AttrValue, DiGraph, GraphView, NodeId};
@@ -50,7 +53,10 @@ pub fn build_graph(raw: &RawGraph) -> DiGraph {
 pub struct RawPattern {
     pub labels: Vec<u8>,
     /// Threshold 0 ⇒ a pure-label predicate (index-eligible seed class);
-    /// otherwise label ∧ experience ≥ t (ineligible).
+    /// otherwise label ∧ experience ≥ t (ineligible). Two nodes in three
+    /// are pure-label, so that a pattern often chains two of them: only
+    /// then can a reach-index entry be asked for a seed class that
+    /// refinement already shrank.
     pub thresholds: Vec<u8>,
     pub edges: Vec<(u8, u8, u8)>, // from, to, bound (0 ⇒ unbounded)
 }
@@ -58,7 +64,8 @@ pub struct RawPattern {
 pub fn raw_pattern() -> impl Strategy<Value = RawPattern> {
     (2usize..=4).prop_flat_map(|n| {
         let labels = proptest::collection::vec(0u8..3, n);
-        let thresholds = proptest::collection::vec(0u8..3, n);
+        let threshold = prop_oneof![Just(0u8), Just(0u8), 1u8..3];
+        let thresholds = proptest::collection::vec(threshold, n);
         let edges = proptest::collection::vec((0u8..n as u8, 0u8..n as u8, 0u8..4), 1..n * 2);
         (labels, thresholds, edges).prop_map(|(labels, thresholds, edges)| RawPattern {
             labels,
@@ -141,13 +148,22 @@ pub fn apply_vertex_op(g: &mut DiGraph, op: &VertexOp) {
     }
 }
 
-/// The queue-based oracle: `FixpointEngine::Queue`, nothing attached.
-pub fn oracle(g: &DiGraph, q: &Pattern, semantics: Semantics) -> MatchRelation {
-    let req = EvalRequest {
-        options: EvalOptions::queue(),
-        ..EvalRequest::new(semantics)
-    };
-    evaluate(g, q, req).unwrap().0
+/// `M(Q,G)` by the oracle that judges `semantics`: the naive fixpoints,
+/// which share no code with the engines, for simulation and bounded
+/// simulation; for dual simulation, which naive lacks, the queue engine
+/// (`FixpointEngine::Queue`, nothing attached).
+pub fn oracle<G: GraphView + Sync>(g: &G, q: &Pattern, semantics: Semantics) -> MatchRelation {
+    match semantics {
+        Semantics::Simulation => naive_simulation(g, q),
+        Semantics::Bounded => naive_bounded_simulation(g, q),
+        Semantics::Dual => {
+            let req = EvalRequest {
+                options: EvalOptions::queue(),
+                ..EvalRequest::new(semantics)
+            };
+            evaluate(g, q, req).unwrap().0
+        }
+    }
 }
 
 /// The reference `G_r`, built the plain way: per-node hash maps, one BFS

@@ -111,7 +111,7 @@ use thiserror::Error;
 pub struct EngineConfig {
     /// Cached query results kept per engine (LRU).
     pub cache_capacity: usize,
-    /// Parallel execution knobs (per-query threads + batch fan-out).
+    /// Parallel execution budget (per-query threads, split across a batch).
     pub exec: ExecConfig,
 }
 
@@ -126,29 +126,27 @@ impl Default for EngineConfig {
 
 /// Parallel execution configuration.
 ///
-/// Both knobs default to [`std::thread::available_parallelism`]. Set
+/// `threads` defaults to [`std::thread::available_parallelism`]. Set
 /// `threads: 1` for fully sequential, deterministic-schedule execution
 /// (the escape hatch tests use); results are bit-identical either way —
 /// the parallel refinement computes the same greatest fixpoint.
 #[derive(Copy, Clone, Debug)]
 pub struct ExecConfig {
-    /// Worker threads *inside* one query: parallel sim/dualsim/bsim
-    /// refinement over the snapshot's graph, and result-graph
-    /// construction. `1` disables the parallel path; every direct read
-    /// then runs the sequential frontier engine on the same graph and
-    /// reach index, as do graphs too small to pay for the workers
-    /// whatever the budget.
+    /// The thread budget of one read. A single query spends it *inside*
+    /// the query: parallel sim/dualsim/bsim refinement over the snapshot's
+    /// graph, and result-graph construction. `1` disables the parallel
+    /// path; every direct read then runs the sequential frontier engine
+    /// on the same graph and reach index, as do graphs too small to pay
+    /// for the workers whatever the budget. A [`Catalog::query_batch`]
+    /// splits it between batch workers and their queries
+    /// ([`ReadPath::query_batch`]).
     pub threads: usize,
-    /// Queries evaluated concurrently by [`Catalog::query_batch`].
-    pub batch_parallelism: usize,
 }
 
 impl Default for ExecConfig {
     fn default() -> Self {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         ExecConfig {
-            threads: cores,
-            batch_parallelism: cores,
+            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 }
@@ -156,10 +154,7 @@ impl Default for ExecConfig {
 impl ExecConfig {
     /// Fully sequential execution: one thread everywhere.
     pub fn sequential() -> Self {
-        ExecConfig {
-            threads: 1,
-            batch_parallelism: 1,
-        }
+        ExecConfig { threads: 1 }
     }
 }
 
@@ -680,8 +675,8 @@ impl Catalog {
     }
 
     /// Execute a whole batch of queries against one graph, draining them
-    /// across a scoped worker pool of `exec.batch_parallelism` threads —
-    /// the workload shape of a production service (and of expert-finding
+    /// across a scoped pool of up to `exec.threads` workers — the
+    /// workload shape of a production service (and of expert-finding
     /// benchmarks, which evaluate over *sets* of queries).
     ///
     /// Results come back in spec order, one `Result` per spec, so a single
@@ -1453,10 +1448,7 @@ mod tests {
             ..EngineConfig::default()
         });
         let par = ExpFinder::new(EngineConfig {
-            exec: ExecConfig {
-                threads: 4,
-                batch_parallelism: 4,
-            },
+            exec: ExecConfig { threads: 4 },
             ..EngineConfig::default()
         });
         let hs = seq.add_graph("fig1", f.graph.clone()).unwrap();
@@ -1488,10 +1480,7 @@ mod tests {
             g.add_node("pad", []);
         }
         let e = ExpFinder::new(EngineConfig {
-            exec: ExecConfig {
-                threads: 2,
-                batch_parallelism: 1,
-            },
+            exec: ExecConfig { threads: 2 },
             ..EngineConfig::default()
         });
         let h = e.add_graph("fig1", g).unwrap();
@@ -1649,10 +1638,7 @@ mod tests {
             g.add_node("pad", []);
         }
         let e = ExpFinder::new(EngineConfig {
-            exec: ExecConfig {
-                threads: 3,
-                batch_parallelism: 1,
-            },
+            exec: ExecConfig { threads: 3 },
             ..EngineConfig::default()
         });
         let h = e.add_graph("fig1", g.clone()).unwrap();

@@ -152,16 +152,16 @@ impl ReadPath {
     }
 
     /// Execute a whole batch of queries, draining them across a scoped
-    /// worker pool of `exec.batch_parallelism` threads. Results come back
-    /// in spec order, one `Result` per spec; each slot resolves its own
-    /// snapshot — a graph removed mid-batch fails its remaining slots — and
-    /// reports the `graph_version` it observed.
+    /// pool of `w = exec.threads` workers, clamped to `1..=specs.len()`.
+    /// Results come back in spec order, one `Result` per spec; each slot
+    /// resolves its own snapshot — a graph removed mid-batch fails its
+    /// remaining slots — and reports the `graph_version` it observed.
     ///
-    /// The thread budget is split, not multiplied: with `w` batch workers
-    /// active, each query refines with `exec.threads / w` (min 1) inner
-    /// threads, so a batch never runs more than `threads + w` threads
-    /// total — batch-level parallelism is the better lever when there are
-    /// many queries, per-query parallelism when there is one.
+    /// The thread budget is split, not multiplied: each query refines with
+    /// `exec.threads / w` (min 1) inner threads, so a batch never runs
+    /// more than `threads + w` threads total — batch-level parallelism is
+    /// the better lever when there are many queries, per-query
+    /// parallelism when there is one.
     ///
     /// A `deadline` arms one [`CancelToken`] polled by every worker, so
     /// slots still running when the budget runs out come back as
@@ -179,7 +179,7 @@ impl ReadPath {
         }
         let batch_token = deadline.map(CancelToken::with_deadline);
         let batch_cancel = batch_token.as_deref();
-        let workers = self.exec.batch_parallelism.clamp(1, specs.len());
+        let workers = self.exec.threads.clamp(1, specs.len());
         let inner_threads = (self.exec.threads / workers).max(1);
         let indices: Vec<usize> = (0..specs.len()).collect();
         // one pooled EvalScratch per batch worker, reused across its slots

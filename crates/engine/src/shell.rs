@@ -371,11 +371,7 @@ impl Shell {
             failed,
             wall.as_secs_f64() * 1e3,
             // mirror query_batch's clamp: never more workers than queries
-            self.engine
-                .config()
-                .exec
-                .batch_parallelism
-                .clamp(1, results.len())
+            self.engine.config().exec.threads.clamp(1, results.len())
         );
         Ok(out)
     }

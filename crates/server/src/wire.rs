@@ -696,10 +696,7 @@ mod tests {
         use expfinder_engine::{EngineConfig, ExecConfig, ExpFinder};
         use expfinder_pattern::fixtures::fig1_pattern;
         let engine = ExpFinder::new(EngineConfig {
-            exec: ExecConfig {
-                threads: 2,
-                batch_parallelism: 1,
-            },
+            exec: ExecConfig { threads: 2 },
             ..EngineConfig::default()
         });
         let fig1 = engine

@@ -40,11 +40,14 @@ declared in a file that declares or implements that type — so a deleted
 method cannot stay in the map under a type that survived it either.
 
 And the commands the docs tell a reader to run: every package or target
-flag (`-p`, `--bin`, `--example`, `--bench`) in
+flag (`-p`, `--bin`, `--example`, `--bench`, `--test`) in
 README.md, the justfile, the CI workflow, the verify skill and
 docs/*.md must name a package of the workspace (or the repo benchmark
 package) or a target one of them declares or auto-discovers — so a PR
-that deletes a binary cannot leave a command that runs it.
+that deletes a binary or a test suite cannot leave a command that runs
+it. In the same docs, every backticked path ending in `.rs` must exist,
+resolved from the repo root or from crates/ — so a deleted source or
+test file cannot stay cited.
 """
 
 import json
@@ -268,11 +271,19 @@ TARGET_DOCS = [
 # break, so a command wrapped inside a prose sentence is still read, and
 # `mkdir -p DIR` is not a package
 TARGET_FLAG = re.compile(
-    r"(?<![\w-])(?<!mkdir )(-p|--bin|--example|--bench)\s+([A-Za-z_][\w-]*)"
+    r"(?<![\w-])(?<!mkdir )(-p|--bin|--example|--bench|--test)\s+([A-Za-z_][\w-]*)"
 )
-FLAG_KIND = {"-p": "package", "--bin": "bin", "--example": "example", "--bench": "bench"}
+FLAG_KIND = {
+    "-p": "package",
+    "--bin": "bin",
+    "--example": "example",
+    "--bench": "bench",
+    "--test": "test",
+}
 # target kind (also its `[[kind]]` manifest array) -> auto-discovery directory
-TARGET_DIRS = {"bin": "src/bin", "example": "examples", "bench": "benches"}
+TARGET_DIRS = {"bin": "src/bin", "example": "examples", "bench": "benches", "test": "tests"}
+# a backticked source path: `tests/batch.rs`, `engine/src/lib.rs`
+RS_PATH = re.compile(r"`([\w./-]*\w\.rs)`")
 
 
 def workspace_targets() -> dict:
@@ -296,13 +307,18 @@ def workspace_targets() -> dict:
     return found
 
 
+def at(doc: Path, text: str, m: re.Match) -> str:
+    """`file:line` of match `m` in `doc`, whose contents are `text`."""
+    return f"{doc.relative_to(ROOT)}:{text.count(chr(10), 0, m.start()) + 1}"
+
+
 def check_doc_targets():
-    """`file:line: flag name` for every package or target flag in the
-    checked docs that names nothing in the workspace, and the number of
-    flags checked."""
+    """`file:line: …` for every package or target flag in the checked
+    docs that names nothing in the workspace and every backticked `.rs`
+    path that names no file, and the number of flags and paths checked."""
     known = workspace_targets()
     docs = sorted({f for pattern in TARGET_DOCS for f in ROOT.glob(pattern)})
-    missing, checked = [], 0
+    missing, checked, paths = [], 0, 0
     for doc in docs:
         text = doc.read_text()
         for m in TARGET_FLAG.finditer(text):
@@ -310,17 +326,18 @@ def check_doc_targets():
             flag, name = m.groups()
             kind = FLAG_KIND[flag]
             if name not in known[kind]:
-                line = text.count("\n", 0, m.start()) + 1
-                missing.append(
-                    f"{doc.relative_to(ROOT)}:{line}: `{flag} {name}` names no "
-                    f"{kind} of the workspace"
-                )
-    if checked < 10:
+                missing.append(f"{at(doc, text, m)}: `{flag} {name}` names no {kind} of the workspace")
+        for m in RS_PATH.finditer(text):
+            paths += 1
+            path = m.group(1)
+            if not any((base / path).is_file() for base in (ROOT, CRATES)):
+                missing.append(f"{at(doc, text, m)}: `{path}` names no file (from the root or crates/)")
+    if checked < 10 or paths < 10:
         missing.append(
-            f"only {checked} package/target flags found in {TARGET_DOCS}; "
-            "update scripts/docs_check.py"
+            f"only {checked} package/target flags and {paths} `.rs` paths found "
+            f"in {TARGET_DOCS}; update scripts/docs_check.py"
         )
-    return missing, checked
+    return missing, checked + paths
 
 
 # ("POST", ["graphs", name, "subscribe"]) — including arms wrapped over
@@ -392,7 +409,8 @@ def main() -> int:
         f"variants and {n_metrics} engine metrics blocks, all specified in "
         f"docs/PROTOCOL.md; {n_idents} type and member names in "
         "docs/ARCHITECTURE.md, all declared under crates/*/src; "
-        f"{n_targets} package/target flags in the docs, all naming live targets"
+        f"{n_targets} package/target flags and `.rs` paths in the docs, all "
+        "naming live targets and files"
     )
     return 0
 

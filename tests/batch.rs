@@ -1,34 +1,35 @@
 //! Batch and parallel-execution determinism tests.
 //!
-//! The parallel refinement path (CSR snapshot + round-based frontier
-//! workers) and the batch executor must be *invisible* except in speed:
+//! The parallel refinement path and the batch executor must be
+//! *invisible* except in speed. Every answer is judged by the naive
+//! oracle (the queue engine for dual simulation) and the reference
+//! ranking, never by the production engine itself:
 //!
-//! * property tests: parallel sim / dualsim / bsim are bit-identical to
-//!   the sequential fixpoints on arbitrary generated graphs and patterns,
-//!   on both the live `DiGraph` and its `CsrGraph` snapshot;
-//! * `query_batch` responses equal per-query sequential `run()` at the
-//!   same `graph_version`;
+//! * property tests: parallel sim / dualsim / bsim equal the oracle on
+//!   arbitrary generated graphs and patterns, on both the `DiGraph` and
+//!   its `CsrGraph` snapshot;
+//! * `query_batch` slots equal fluent per-query runs, and both equal the
+//!   oracle at the same `graph_version`;
 //! * a batch racing `apply_updates` only ever observes consistent
-//!   snapshots: every response equals a fresh sequential evaluation of
-//!   the graph at the version the response reports.
+//!   snapshots: every slot equals the oracle's relation of the graph at
+//!   the version the slot reports.
 
-use expfinder::core::{dual_simulation, evaluate, EvalRequest, MatchRelation, Semantics};
+use expfinder::core::{evaluate, EvalRequest, RankedMatch, Semantics};
 use expfinder::graph::generate::{collaboration, random_updates, CollabConfig};
 use expfinder::graph::GraphView;
 use expfinder::pattern::fixtures::demo_queries;
-use expfinder::pattern::Pattern;
 use expfinder::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
-use std::sync::Arc;
 
+#[path = "../crates/core/tests/common/mod.rs"]
 mod common;
 use common::*;
 
 // ---------------------------------------------------------------------
-// parallel refinement ≡ sequential fixpoint
+// parallel refinement ≡ the oracle
 // ---------------------------------------------------------------------
 
 /// The parallel refinement with `threads` workers.
@@ -45,63 +46,79 @@ fn parallel<G: GraphView + Sync>(
     evaluate(g, q, req).unwrap().0
 }
 
+fn bits(list: &[RankedMatch]) -> Vec<(NodeId, u64)> {
+    list.iter().map(|x| (x.node, x.rank.to_bits())).collect()
+}
+
+fn engine(exec: ExecConfig) -> ExpFinder {
+    ExpFinder::new(EngineConfig {
+        exec,
+        ..EngineConfig::default()
+    })
+}
+
+/// A response's relation is the naive one on `g`, and its experts are
+/// the reference top-`k` (none without `k`).
+fn assert_answers(g: &DiGraph, q: &Pattern, resp: &QueryResponse, k: Option<usize>, who: &str) {
+    let want = oracle(g, q, Semantics::Bounded);
+    assert_eq!(*resp.matches, want, "{who}: matches");
+    let ranked = k.map_or_else(Vec::new, |k| reference_rank(g, q, &want, k));
+    assert_eq!(bits(&resp.experts), bits(&ranked), "{who}: experts");
+    assert_eq!(resp.graph_version, g.version(), "{who}: version");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Parallel bounded simulation equals the sequential fixpoint, on the
-    /// live adjacency and on the CSR snapshot, at several thread counts.
+    /// Parallel bounded simulation equals the naive fixpoint, on the
+    /// `DiGraph` and on the CSR snapshot, at several thread counts.
     #[test]
     fn parallel_bsim_equals_sequential(rg in raw_graph(14), rp in raw_pattern()) {
         let g = build_graph(&rg);
         let q = build_pattern(&rp, false);
-        let seq = bounded_simulation(&g, &q).unwrap();
+        let want = oracle(&g, &q, Semantics::Bounded);
         let csr = CsrGraph::snapshot(&g);
         for threads in [2usize, 4] {
-            prop_assert_eq!(&parallel(&g, &q, Semantics::Bounded, threads), &seq);
-            prop_assert_eq!(&parallel(&csr, &q, Semantics::Bounded, threads), &seq);
+            prop_assert_eq!(&parallel(&g, &q, Semantics::Bounded, threads), &want);
+            prop_assert_eq!(&parallel(&csr, &q, Semantics::Bounded, threads), &want);
         }
     }
 
-    /// Parallel plain simulation equals the sequential counter-based
-    /// algorithm on bound-1 patterns.
+    /// Parallel plain simulation equals naive simulation on bound-1
+    /// patterns.
     #[test]
     fn parallel_sim_equals_sequential(rg in raw_graph(14), rp in raw_pattern()) {
         let g = build_graph(&rg);
         let q = build_pattern(&rp, true);
-        let seq = graph_simulation(&g, &q).unwrap();
+        let want = oracle(&g, &q, Semantics::Simulation);
         let csr = CsrGraph::snapshot(&g);
-        prop_assert_eq!(&parallel(&g, &q, Semantics::Simulation, 3), &seq);
-        prop_assert_eq!(&parallel(&csr, &q, Semantics::Simulation, 3), &seq);
+        prop_assert_eq!(&parallel(&g, &q, Semantics::Simulation, 3), &want);
+        prop_assert_eq!(&parallel(&csr, &q, Semantics::Simulation, 3), &want);
     }
 
-    /// Parallel dual simulation equals the sequential bidirectional
+    /// Parallel dual simulation equals the queue engine's bidirectional
     /// fixpoint.
     #[test]
     fn parallel_dualsim_equals_sequential(rg in raw_graph(14), rp in raw_pattern()) {
         let g = build_graph(&rg);
         let q = build_pattern(&rp, false);
-        let seq = dual_simulation(&g, &q);
+        let want = oracle(&g, &q, Semantics::Dual);
         let csr = CsrGraph::snapshot(&g);
-        prop_assert_eq!(&parallel(&g, &q, Semantics::Dual, 3), &seq);
-        prop_assert_eq!(&parallel(&csr, &q, Semantics::Dual, 3), &seq);
+        prop_assert_eq!(&parallel(&g, &q, Semantics::Dual, 3), &want);
+        prop_assert_eq!(&parallel(&csr, &q, Semantics::Dual, 3), &want);
     }
 
-    /// A parallel-engine batch over a generated graph equals per-query
-    /// sequential runs at the same version — the engine-level contract.
+    /// A batch on a two-thread engine and per-query runs on a sequential
+    /// one both equal the oracle at the same version — the engine-level
+    /// contract.
     #[test]
     fn batch_equals_sequential_runs(rg in raw_graph(12), rp in raw_pattern()) {
         let g = build_graph(&rg);
         let q = build_pattern(&rp, false);
-        let par = ExpFinder::new(EngineConfig {
-            exec: ExecConfig { threads: 2, batch_parallelism: 3 },
-            ..EngineConfig::default()
-        });
-        let seq = ExpFinder::new(EngineConfig {
-            exec: ExecConfig::sequential(),
-            ..EngineConfig::default()
-        });
+        let par = engine(ExecConfig { threads: 2 });
+        let seq = engine(ExecConfig::sequential());
         let hp = par.add_graph("g", g.clone()).unwrap();
-        let hs = seq.add_graph("g", g).unwrap();
+        let hs = seq.add_graph("g", g.clone()).unwrap();
         let specs = vec![
             QuerySpec::pattern(q.clone()),
             QuerySpec::pattern(q.clone()).top_k(3),
@@ -109,18 +126,13 @@ proptest! {
         ];
         let batch = par.query_batch(&hp, specs, None);
         let singles = [
-            seq.query(&hs).pattern(q.clone()).run().unwrap(),
-            seq.query(&hs).pattern(q.clone()).top_k(3).run().unwrap(),
-            seq.query(&hs).pattern(q).prefer(Route::Direct).run().unwrap(),
+            (seq.query(&hs).pattern(q.clone()).run().unwrap(), None),
+            (seq.query(&hs).pattern(q.clone()).top_k(3).run().unwrap(), Some(3)),
+            (seq.query(&hs).pattern(q.clone()).prefer(Route::Direct).run().unwrap(), None),
         ];
-        for (i, single) in singles.iter().enumerate() {
-            let b = batch[i].as_ref().unwrap();
-            prop_assert_eq!(&*b.matches, &*single.matches, "slot {}", i);
-            prop_assert_eq!(
-                b.experts.iter().map(|x| x.node).collect::<Vec<_>>(),
-                single.experts.iter().map(|x| x.node).collect::<Vec<_>>(),
-                "slot {}", i
-            );
+        for (i, (single, k)) in singles.iter().enumerate() {
+            assert_answers(&g, &q, batch[i].as_ref().unwrap(), *k, &format!("batch slot {i}"));
+            assert_answers(&g, &q, single, *k, &format!("single {i}"));
         }
     }
 }
@@ -140,23 +152,15 @@ fn collab_graph(teams: usize, seed: u64) -> DiGraph {
     )
 }
 
-/// Batch responses on a quiescent graph equal fluent per-query runs.
+/// Batch responses on a quiescent graph equal fluent per-query runs, and
+/// both equal the oracle's relation and the reference ranking.
 #[test]
 fn batch_matches_fluent_runs_on_static_graph() {
     let g = collab_graph(25, 17);
-    let par = ExpFinder::new(EngineConfig {
-        exec: ExecConfig {
-            threads: 2,
-            batch_parallelism: 4,
-        },
-        ..EngineConfig::default()
-    });
-    let seq = ExpFinder::new(EngineConfig {
-        exec: ExecConfig::sequential(),
-        ..EngineConfig::default()
-    });
+    let par = engine(ExecConfig { threads: 2 });
+    let seq = engine(ExecConfig::sequential());
     let hp = par.add_graph("c", g.clone()).unwrap();
-    let hs = seq.add_graph("c", g).unwrap();
+    let hs = seq.add_graph("c", g.clone()).unwrap();
 
     let queries = demo_queries();
     let specs: Vec<QuerySpec> = queries
@@ -168,24 +172,19 @@ fn batch_matches_fluent_runs_on_static_graph() {
     for (i, (name, q)) in queries.iter().enumerate() {
         let b = batch[i].as_ref().unwrap();
         let s = seq.query(&hs).pattern(q.clone()).top_k(3).run().unwrap();
-        assert_eq!(b.graph_version, s.graph_version, "{name}");
         assert_eq!(*b.matches, *s.matches, "{name}: matches diverge");
         assert_eq!(
-            b.experts
-                .iter()
-                .map(|x| (x.node, x.rank))
-                .collect::<Vec<_>>(),
-            s.experts
-                .iter()
-                .map(|x| (x.node, x.rank))
-                .collect::<Vec<_>>(),
+            bits(&b.experts),
+            bits(&s.experts),
             "{name}: ranking diverges"
         );
+        assert_answers(&g, q, b, Some(3), &format!("{name} batch"));
+        assert_answers(&g, q, &s, Some(3), &format!("{name} fluent"));
     }
 }
 
 /// Batches racing a writer observe only consistent snapshots: every
-/// response equals a fresh sequential evaluation at its reported version.
+/// slot equals the oracle's relation at the slot's reported version.
 #[test]
 fn batch_racing_updates_stays_consistent() {
     const UPDATES: usize = 40;
@@ -195,90 +194,61 @@ fn batch_racing_updates_stays_consistent() {
     let queries = demo_queries();
     let updates = random_updates(&mut StdRng::seed_from_u64(51), &base, UPDATES, 0.5);
 
-    // sequential ground truth for every (version, query) the graph can
-    // pass through
+    // the oracle's truth for every (version, query) the graph can pass
+    // through
     let mut expected: HashMap<(u64, usize), MatchRelation> = HashMap::new();
-    {
-        let mut g = base.clone();
+    let mut g = base.clone();
+    let mut record = |g: &DiGraph| {
         for (qi, (_, q)) in queries.iter().enumerate() {
-            expected.insert((g.version(), qi), bounded_simulation(&g, q).unwrap());
+            expected.insert((g.version(), qi), oracle(g, q, Semantics::Bounded));
         }
-        for &up in &updates {
-            if g.apply(up) {
-                for (qi, (_, q)) in queries.iter().enumerate() {
-                    expected.insert((g.version(), qi), bounded_simulation(&g, q).unwrap());
-                }
-            }
+    };
+    record(&g);
+    for &up in &updates {
+        if g.apply(up) {
+            record(&g);
         }
     }
 
-    let engine = Arc::new(ExpFinder::new(EngineConfig {
-        exec: ExecConfig {
-            threads: 2,
-            batch_parallelism: 3,
-        },
-        ..EngineConfig::default()
-    }));
+    let engine = engine(ExecConfig { threads: 2 });
     let h = engine.add_graph("live", base).unwrap();
-
-    std::thread::scope(|s| {
-        {
-            let engine = Arc::clone(&engine);
-            let h = h.clone();
-            let updates = &updates;
-            s.spawn(move || {
-                for &up in updates {
-                    engine.apply_updates(&h, &[up]).unwrap();
-                    std::thread::yield_now();
-                }
-            });
-        }
-        {
-            let engine = Arc::clone(&engine);
-            let h = h.clone();
-            let queries = &queries;
-            let expected = &expected;
-            s.spawn(move || {
-                for round in 0..ROUNDS {
-                    let specs: Vec<QuerySpec> = queries
-                        .iter()
-                        .map(|(_, q)| QuerySpec::pattern(q.clone()))
-                        .collect();
-                    let batch = engine.query_batch(&h, specs, None);
-                    for (qi, result) in batch.iter().enumerate() {
-                        let resp = result.as_ref().unwrap();
-                        let truth = expected.get(&(resp.graph_version, qi)).unwrap_or_else(|| {
-                            panic!(
-                                "round {round} query {qi}: version {} was never \
-                                     a real graph state",
-                                resp.graph_version
-                            )
-                        });
-                        assert_eq!(
-                            *resp.matches, *truth,
-                            "round {round} query {qi}: batch response diverges from \
-                             sequential evaluation at version {}",
-                            resp.graph_version
-                        );
-                    }
-                }
-            });
-        }
-    });
-
-    // quiesced: batch equals a final fresh evaluation
-    let final_batch = engine.query_batch(
-        &h,
+    let specs = || -> Vec<QuerySpec> {
         queries
             .iter()
             .map(|(_, q)| QuerySpec::pattern(q.clone()))
-            .collect(),
-        None,
-    );
-    for (qi, (_, q)) in queries.iter().enumerate() {
-        let truth = engine
-            .read_graph(&h, |g| bounded_simulation(g, q).unwrap())
-            .unwrap();
-        assert_eq!(*final_batch[qi].as_ref().unwrap().matches, truth);
+            .collect()
+    };
+
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for &up in &updates {
+                engine.apply_updates(&h, &[up]).unwrap();
+                std::thread::yield_now();
+            }
+        });
+        s.spawn(|| {
+            for round in 0..ROUNDS {
+                let batch = engine.query_batch(&h, specs(), None);
+                for (qi, result) in batch.iter().enumerate() {
+                    let resp = result.as_ref().unwrap();
+                    let version = resp.graph_version;
+                    let who = format!("round {round} query {qi} at version {version}");
+                    let truth = expected
+                        .get(&(version, qi))
+                        .unwrap_or_else(|| panic!("{who}: never a real graph state"));
+                    assert_eq!(
+                        *resp.matches, *truth,
+                        "{who}: slot diverges from the oracle"
+                    );
+                }
+            }
+        });
+    });
+
+    // quiesced: the batch equals the oracle on the final graph
+    let final_batch = engine.query_batch(&h, specs(), None);
+    for (qi, (name, q)) in queries.iter().enumerate() {
+        let resp = final_batch[qi].as_ref().unwrap();
+        assert_answers(&g, q, resp, None, &format!("final {name}"));
     }
 }

@@ -1,24 +1,35 @@
-//! Concurrency tests: `ExpFinder` is `Send + Sync` with a fully `&self`
-//! query path, so an `Arc<ExpFinder>` is shared across threads — the
-//! production scenario of one engine serving many clients. These tests
-//! hammer that contract:
+//! Concurrency tests: both facades are `Send + Sync` with a fully `&self`
+//! read path, so one `Arc` serves many threads — the production scenario
+//! of one service answering many clients. These tests hammer that
+//! contract, judging every answer by the naive oracle and the reference
+//! ranking:
 //!
-//! * many readers against one graph agree with sequential answers;
-//! * readers racing a writer always observe a *consistent snapshot*:
-//!   every response's matches *and ranked experts* equal a fresh
-//!   single-threaded evaluation of the graph at the version the response
-//!   reports — a ranked answer cached at one version is never served at
-//!   another;
-//! * readers on different graphs proceed independently while a writer
-//!   updates a third graph.
+//! * many readers against one graph get the oracle's answers;
+//! * readers racing a writer — single ranked reads and batches, on the
+//!   in-memory and on the durable facade — always observe a *consistent
+//!   snapshot*: every response's matches *and ranked experts* equal the
+//!   oracle's at the version the response reports, so a ranked answer
+//!   cached at one version is never served at another;
+//! * readers of one graph proceed while a writer updates another (each
+//!   graph has its own write mutex, and on the durable facade its own
+//!   log, which reads never touch).
 
+use expfinder::engine::Catalog;
 use expfinder::graph::generate::{collaboration, random_updates, CollabConfig};
 use expfinder::pattern::fixtures::{demo_queries, fig1_pattern};
 use expfinder::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
+use std::ops::Deref;
+use std::path::PathBuf;
 use std::sync::Arc;
+
+#[path = "../crates/core/tests/common/mod.rs"]
+mod common;
+use common::{oracle, reference_rank};
+
+use expfinder::core::{RankedMatch, Semantics};
 
 fn collab_graph(teams: usize, seed: u64) -> DiGraph {
     collaboration(
@@ -31,40 +42,110 @@ fn collab_graph(teams: usize, seed: u64) -> DiGraph {
     )
 }
 
-fn engine_with_collab() -> (Arc<ExpFinder>, GraphHandle) {
-    let e = Arc::new(ExpFinder::default());
-    let h = e.add_graph("c", collab_graph(30, 99)).unwrap();
-    (e, h)
+fn naive(g: &DiGraph, q: &Pattern) -> MatchRelation {
+    oracle(g, q, Semantics::Bounded)
 }
 
-/// The engine type itself upholds the shareability contract.
+/// Node order and rank bits of the reference top-`k`.
+fn ranked(g: &DiGraph, q: &Pattern, k: usize) -> Vec<(NodeId, u64)> {
+    bits(&reference_rank(g, q, &naive(g, q), k))
+}
+
+fn bits(list: &[RankedMatch]) -> Vec<(NodeId, u64)> {
+    list.iter().map(|x| (x.node, x.rank.to_bits())).collect()
+}
+
+fn engine_with_collab() -> (Arc<ExpFinder>, GraphHandle, DiGraph) {
+    let e = Arc::new(ExpFinder::default());
+    let g = collab_graph(30, 99);
+    let h = e.add_graph("c", g.clone()).unwrap();
+    (e, h, g)
+}
+
+/// Either facade behind the one read surface, with its edge write.
+enum Facade {
+    Memory(ExpFinder),
+    /// The runtime and its directory, removed on drop.
+    Durable(DurableExpFinder, PathBuf),
+}
+
+impl Deref for Facade {
+    type Target = Catalog;
+
+    fn deref(&self) -> &Catalog {
+        match self {
+            Facade::Memory(e) => e,
+            Facade::Durable(rt, _) => rt,
+        }
+    }
+}
+
+impl Drop for Facade {
+    fn drop(&mut self) {
+        if let Facade::Durable(_, dir) = self {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+}
+
+impl Facade {
+    /// An in-memory and a durable facade (in a fresh directory named
+    /// after `tag`), each with a `threads` budget.
+    fn both(threads: usize, tag: &str) -> [Facade; 2] {
+        let engine = EngineConfig {
+            exec: ExecConfig { threads },
+            ..EngineConfig::default()
+        };
+        let dir = std::env::temp_dir().join(format!("expfinder_conc_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = RuntimeConfig {
+            fsync: FsyncPolicy::Never,
+            engine: engine.clone(),
+            ..RuntimeConfig::default()
+        };
+        let rt = DurableExpFinder::open(&dir, config).unwrap();
+        [
+            Facade::Memory(ExpFinder::new(engine)),
+            Facade::Durable(rt, dir),
+        ]
+    }
+
+    fn add(&self, name: &str, g: DiGraph) -> GraphHandle {
+        match self {
+            Facade::Memory(e) => e.add_graph(name, g).unwrap(),
+            Facade::Durable(rt, _) => {
+                rt.add_graph(name, g).unwrap();
+                rt.handle(name).unwrap()
+            }
+        }
+    }
+
+    fn update(&self, h: &GraphHandle, updates: &[EdgeUpdate]) {
+        match self {
+            Facade::Memory(e) => e.apply_updates(h, updates),
+            Facade::Durable(rt, _) => rt.apply_updates(h.name(), updates),
+        }
+        .unwrap();
+    }
+}
+
+/// Both facades uphold the shareability contract.
 #[test]
 fn engine_is_send_and_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<ExpFinder>();
     assert_send_sync::<Arc<ExpFinder>>();
+    assert_send_sync::<DurableExpFinder>();
+    assert_send_sync::<Arc<DurableExpFinder>>();
     assert_send_sync::<GraphHandle>();
     assert_send_sync::<QueryResponse>();
 }
 
 #[test]
 fn parallel_queries_agree() {
-    let (engine, h) = engine_with_collab();
+    let (engine, h, g) = engine_with_collab();
     let queries = demo_queries();
-
-    // reference answers, sequential
-    let reference: Vec<usize> = queries
-        .iter()
-        .map(|(_, q)| {
-            engine
-                .query(&h)
-                .pattern(q.clone())
-                .run()
-                .unwrap()
-                .matches
-                .total_pairs()
-        })
-        .collect();
+    let reference: Vec<MatchRelation> = queries.iter().map(|(_, q)| naive(&g, q)).collect();
 
     // hammer the engine from 8 threads × 5 rounds × 3 queries each
     std::thread::scope(|s| {
@@ -76,14 +157,11 @@ fn parallel_queries_agree() {
             s.spawn(move || {
                 for round in 0..5 {
                     for (i, (_, q)) in queries.iter().enumerate() {
-                        let got = engine
-                            .query(h)
-                            .pattern(q.clone())
-                            .run()
-                            .unwrap()
-                            .matches
-                            .total_pairs();
-                        assert_eq!(got, reference[i], "thread {t} round {round} query {i}");
+                        let got = engine.query(h).pattern(q.clone()).run().unwrap();
+                        assert_eq!(
+                            *got.matches, reference[i],
+                            "thread {t} round {round} query {i}"
+                        );
                     }
                 }
             });
@@ -93,189 +171,163 @@ fn parallel_queries_agree() {
     // the cache took hits from all threads without corruption
     let stats = engine.read_path().cache_stats();
     assert!(stats.hits > 0);
-    assert_eq!(stats.hits + stats.misses, 8 * 5 * 3 + 3);
+    assert_eq!(stats.hits + stats.misses, 8 * 5 * 3);
 }
 
 #[test]
 fn parallel_ranked_reports_agree() {
-    let (engine, h) = engine_with_collab();
+    let (engine, h, g) = engine_with_collab();
     let (_, q) = &demo_queries()[0];
-    let reference = engine.query(&h).pattern(q.clone()).top_k(3).run().unwrap();
-    let ref_ids: Vec<_> = reference.experts.iter().map(|e| e.node).collect();
+    let reference = ranked(&g, q, 3);
 
     std::thread::scope(|s| {
         for _ in 0..6 {
             let engine = &engine;
             let h = &h;
-            let ref_ids = &ref_ids;
+            let reference = &reference;
             s.spawn(move || {
                 let resp = engine.query(h).pattern(q.clone()).top_k(3).run().unwrap();
-                let ids: Vec<_> = resp.experts.iter().map(|e| e.node).collect();
-                assert_eq!(&ids, ref_ids);
+                assert_eq!(&bits(&resp.experts), reference);
             });
         }
     });
 }
 
-/// The headline requirement: N reader threads calling `evaluate` through
-/// `Arc<ExpFinder>` while one writer applies `EdgeUpdate`s. Every result
-/// a reader observes must equal a fresh single-threaded evaluation of the
-/// graph at the version the engine reported for that result.
+/// The headline requirement, on both facades: reader threads — single
+/// ranked reads and batches of every demo query — while one writer
+/// applies updates one at a time. Every answer a reader observes equals
+/// the oracle's relation and reference ranking of the graph at the
+/// version the facade reported for it.
 #[test]
 fn readers_consistent_with_concurrent_writer() {
     const READERS: usize = 4;
     const UPDATES: usize = 60;
+    const READS: usize = 60;
 
     let base = collab_graph(20, 7);
-    let q = fig1_pattern();
+    let queries = demo_queries();
     let updates = random_updates(&mut StdRng::seed_from_u64(41), &base, UPDATES, 0.5);
 
-    // Precompute, single-threaded, the expected relation and top-3
-    // experts (node order and rank bits) at *every* version the graph
-    // will pass through.
-    let experts_of = |list: &[expfinder::core::RankedMatch]| -> Vec<(NodeId, u64)> {
-        list.iter().map(|x| (x.node, x.rank.to_bits())).collect()
+    // single-threaded truth at every version the graph passes through;
+    // both facades apply the same updates in the same order to a copy
+    // of `base`, so they walk the same version sequence
+    type Truth = Vec<(MatchRelation, Vec<(NodeId, u64)>)>;
+    let truth_at = |g: &DiGraph| -> Truth {
+        let each = |(_, q): &(_, Pattern)| (naive(g, q), ranked(g, q, 3));
+        queries.iter().map(each).collect()
     };
-    let truth_at = |g: &DiGraph| {
-        let m = bounded_simulation(g, &q).unwrap();
-        let experts = experts_of(&top_k(g, &q, &m, 3).unwrap());
-        (m, experts)
-    };
-    let mut expected: HashMap<u64, (MatchRelation, Vec<(NodeId, u64)>)> = HashMap::new();
-    {
-        let mut g = base.clone();
-        expected.insert(g.version(), truth_at(&g));
-        for &up in &updates {
-            if g.apply(up) {
-                expected.insert(g.version(), truth_at(&g));
-            }
+    let mut expected: HashMap<u64, Truth> = HashMap::new();
+    let mut g = base.clone();
+    expected.insert(g.version(), truth_at(&g));
+    for &up in &updates {
+        if g.apply(up) {
+            expected.insert(g.version(), truth_at(&g));
         }
     }
 
-    let engine = Arc::new(ExpFinder::default());
-    let h = engine.add_graph("live", base).unwrap();
-
-    std::thread::scope(|s| {
-        // one writer, applying updates one at a time
-        {
-            let engine = Arc::clone(&engine);
-            let h = h.clone();
-            let updates = &updates;
-            s.spawn(move || {
-                for &up in updates {
-                    engine.apply_updates(&h, &[up]).unwrap();
+    for facade in Facade::both(2, "race") {
+        let h = facade.add("live", base.clone());
+        let check = |who: &str, qi: usize, out: &QueryResponse| {
+            let version = out.graph_version;
+            let truth = expected
+                .get(&version)
+                .unwrap_or_else(|| panic!("{who}: version {version} was never a real graph state"));
+            let (matches, experts) = &truth[qi];
+            assert_eq!(
+                *out.matches, *matches,
+                "{who}: matches at version {version}"
+            );
+            assert_eq!(
+                bits(&out.experts),
+                *experts,
+                "{who}: experts at version {version}"
+            );
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for up in &updates {
+                    facade.update(&h, std::slice::from_ref(up));
                     std::thread::yield_now();
                 }
             });
-        }
-        // N readers, each validating every observation against the
-        // precomputed truth for the version it was served
-        for r in 0..READERS {
-            let engine = Arc::clone(&engine);
-            let h = h.clone();
-            let q = q.clone();
-            let expected = &expected;
-            s.spawn(move || {
-                let mut observed_versions = 0usize;
-                for i in 0..120 {
-                    let out = engine.query(&h).pattern(q.clone()).top_k(3).run().unwrap();
-                    let (truth, experts) = expected.get(&out.graph_version).unwrap_or_else(|| {
-                        panic!(
-                            "reader {r} iteration {i}: version {} was never a \
-                             real graph state",
-                            out.graph_version
-                        )
-                    });
-                    assert_eq!(
-                        *out.matches, *truth,
-                        "reader {r} iteration {i}: matches diverge from a fresh \
-                         evaluation at version {}",
-                        out.graph_version
-                    );
-                    assert_eq!(
-                        &experts_of(&out.experts),
-                        experts,
-                        "reader {r} iteration {i}: experts diverge from a fresh \
-                         ranking at version {}",
-                        out.graph_version
-                    );
-                    observed_versions += 1;
-                    if i % 10 == 0 {
-                        std::thread::yield_now();
+            for r in 0..READERS {
+                let (facade, h, queries, check) = (&facade, &h, &queries, &check);
+                s.spawn(move || {
+                    for i in 0..READS {
+                        let qi = i % queries.len();
+                        if i % 2 == 0 {
+                            let q = queries[qi].1.clone();
+                            let out = facade.query(h).pattern(q).top_k(3).run().unwrap();
+                            check(&format!("reader {r} read {i}"), qi, &out);
+                        } else {
+                            let specs = queries
+                                .iter()
+                                .map(|(_, q)| QuerySpec::pattern(q.clone()).top_k(3));
+                            let batch = facade.query_batch(h, specs.collect(), None);
+                            for (qi, slot) in batch.iter().enumerate() {
+                                check(
+                                    &format!("reader {r} batch {i} slot {qi}"),
+                                    qi,
+                                    slot.as_ref().unwrap(),
+                                );
+                            }
+                        }
                     }
-                }
-                assert_eq!(observed_versions, 120);
-            });
-        }
-    });
+                });
+            }
+        });
 
-    // after the writer finishes, the engine agrees with the final truth
-    let final_out = engine.query(&h).pattern(q.clone()).run().unwrap();
-    let final_truth = engine
-        .read_graph(&h, |g| bounded_simulation(g, &q).unwrap())
-        .unwrap();
-    assert_eq!(*final_out.matches, final_truth);
+        // quiesced: the facade agrees with the final truth
+        for (qi, (_, q)) in queries.iter().enumerate() {
+            check(
+                "final",
+                qi,
+                &facade.query(&h).pattern(q.clone()).top_k(3).run().unwrap(),
+            );
+        }
+    }
 }
 
 /// Readers of one graph are not blocked by a writer hammering another:
-/// different graphs have independent locks. (Correctness check — both
-/// workloads finish with exact answers.)
+/// different graphs have independent write mutexes (and, durably,
+/// independent logs). Both workloads finish with exact answers.
 #[test]
 fn independent_graphs_run_in_parallel() {
-    let engine = Arc::new(ExpFinder::default());
-    let ha = engine.add_graph("a", collab_graph(15, 1)).unwrap();
-    let hb = engine.add_graph("b", collab_graph(15, 2)).unwrap();
+    let (a, b) = (collab_graph(15, 1), collab_graph(15, 2));
     let q = fig1_pattern();
-    let expect_a = engine
-        .query(&ha)
-        .pattern(q.clone())
-        .run()
-        .unwrap()
-        .matches
-        .total_pairs();
+    let expect_a = naive(&a, &q);
+    let updates = random_updates(&mut StdRng::seed_from_u64(5), &b, 40, 0.5);
 
-    let updates = {
-        let base = engine.snapshot(&hb).unwrap();
-        random_updates(&mut StdRng::seed_from_u64(5), &base, 40, 0.5)
-    };
-
-    std::thread::scope(|s| {
-        {
-            let engine = Arc::clone(&engine);
-            let hb = hb.clone();
-            s.spawn(move || {
-                for up in updates {
-                    engine.apply_updates(&hb, &[up]).unwrap();
+    for facade in Facade::both(1, "twograph") {
+        let ha = facade.add("a", a.clone());
+        let hb = facade.add("b", b.clone());
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for chunk in updates.chunks(4) {
+                    facade.update(&hb, chunk);
                 }
             });
-        }
-        for _ in 0..4 {
-            let engine = Arc::clone(&engine);
-            let ha = ha.clone();
-            let q = q.clone();
-            s.spawn(move || {
-                for _ in 0..50 {
-                    let got = engine
-                        .query(&ha)
-                        .pattern(q.clone())
-                        .run()
-                        .unwrap()
-                        .matches
-                        .total_pairs();
-                    assert_eq!(got, expect_a, "graph `a` never changed");
-                }
-            });
-        }
-    });
+            for _ in 0..4 {
+                let (facade, ha, q, expect_a) = (&facade, &ha, &q, &expect_a);
+                s.spawn(move || {
+                    for _ in 0..50 {
+                        let got = facade.query(ha).pattern(q.clone()).run().unwrap();
+                        assert_eq!(*got.matches, *expect_a, "graph `a` never changed");
+                    }
+                });
+            }
+        });
 
-    // graph b ended in a consistent state too
-    let fresh = engine
-        .read_graph(&hb, |g| bounded_simulation(g, &q).unwrap())
-        .unwrap();
-    assert_eq!(
-        *engine.query(&hb).pattern(q.clone()).run().unwrap().matches,
-        fresh
-    );
+        // graph b ended in a consistent state too
+        let fresh = facade.read_graph(&hb, |g| naive(g, &q)).unwrap();
+        assert_eq!(
+            *facade.query(&hb).pattern(q.clone()).run().unwrap().matches,
+            fresh
+        );
+        if let Facade::Durable(rt, _) = &facade {
+            assert_eq!(rt.wal_totals().appends, updates.chunks(4).count() as u64);
+        }
+    }
 }
 
 #[test]
@@ -284,7 +336,7 @@ fn matchers_are_send_across_threads() {
     let g = collab_graph(10, 5);
     let (_, q) = demo_queries().remove(0);
     let handle = std::thread::spawn(move || {
-        let m = bounded_simulation(&g, &q).unwrap();
+        let m = naive(&g, &q);
         let rg = ResultGraph::build(&g, &q, &m);
         (m.total_pairs(), rg.node_count())
     });

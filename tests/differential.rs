@@ -1,0 +1,1351 @@
+//! One differential harness for the paper's contract (§II): every route,
+//! backend, thread count, cache state, crash point and cancellation point
+//! returns the `M(Q,G)` and the ranked experts of the naive fixpoint over
+//! the same graph version.
+//!
+//! `facades_agree_with_the_model_on_every_op_script` drives a seeded
+//! script of [`Op`]s through the in-memory `ExpFinder` and the
+//! `DurableExpFinder` side by side, next to a plain [`Model`]: a
+//! `DiGraph`, the registered set and the acked writes. The ops:
+//!
+//! * `AddSide` adds a second graph, or both facades refuse the duplicate;
+//! * `Update` applies an edge batch; `NoopUpdate` applies a batch of
+//!   no-ops, which must publish nothing;
+//! * `Register` / `Unregister` a standing query under one of two names;
+//! * `Query`: `Route::{Auto, Direct, Compressed}` × `top_k` ∈ {none, 2,
+//!   64} × fuse ∈ {none, a zero deadline, `CancelToken::after_checks(n)`};
+//! * `Batch` runs `query_batch` over the patterns, one slot with a zero
+//!   per-slot deadline;
+//! * `Compress` / `DropCompression`;
+//! * `Hold` keeps both facades' latest snapshot, which must answer for
+//!   its own version after every later write;
+//! * `Compact`; `RemoveReadd` removes the graph and adds one under the
+//!   same name (fresh id, every old handle stale);
+//! * `Restart` reopens the durable side and rebuilds the in-memory side
+//!   from the model, so both come back cold; `Crash` crashes the durable
+//!   side at its next WAL append, then restarts: the acked batches
+//!   survive and the crashed one does not;
+//! * `Vertex` adds nodes and writes attributes on a copy of the model
+//!   graph only (the facades take edge updates only), which resets the
+//!   graph's label index.
+//!
+//! Each case draws `threads` ∈ {1, 2}; its graph is padded with isolated
+//! nodes so that the planner takes `snapshot_parallel` at two threads.
+//! After every step both facades agree with each other on everything a
+//! client sees: answers, plans, versions, update reports and hook frames,
+//! catalog and handle state, and the cache, planner, rank and index
+//! counters. They also agree with the model. At every model version
+//! [`check_every_request`] runs every way of calling `core::evaluate`.
+//!
+//! The judges: `M(Q,G)` under simulation and bounded simulation is
+//! `core::naive`'s. Naive has no dual simulation, so the queue engine
+//! judges that. A ranked answer must equal `reference_rank` bit for bit.
+//! No check takes `bounded_simulation`, `top_k` or `evaluate` as its own
+//! truth.
+//!
+//! A failing case is shrunk: ops are dropped one at a time while the
+//! script still fails. The minimal case is printed as a test to paste
+//! into this file, with its proptest case index. The vendored proptest
+//! runner seeds each test from its name, so the same case fails on every
+//! run.
+//!
+//! Fixed scenarios ride along: the ranked-answer slot's exact
+//! `RankTotals`, the quotient's `index_totals`, the exhaustive Fig. 1
+//! fuse walk, and the Fig. 1 pattern on every taken route.
+
+use expfinder::compress::CompressionMethod;
+use expfinder::core::bsim::bounded_fixpoint_raw;
+use expfinder::core::{
+    candidate_sets, evaluate, EvalOptions, EvalRequest, EvalScratch, MatchRelation, RankedMatch,
+    ReachIndex, ReachProvider, Semantics,
+};
+use expfinder::engine::{
+    Catalog, EngineConfig, ExecConfig, ExpFinder, ExpFinderError, GraphHandle, PlanRoute,
+    QueryResponse, QuerySpec, RankTotals, Route, Snapshot, UpdateHook, UpdateReport,
+};
+use expfinder::graph::fixtures::collaboration_fig1;
+use expfinder::graph::{BitSet, CsrGraph, DiGraph, EdgeUpdate, GraphView, NodeId};
+use expfinder::pattern::fixtures::fig1_pattern;
+use expfinder::pattern::{Bound, Pattern, PatternBuilder, Predicate};
+use expfinder::runtime::faults::CRASH_MARKER;
+use expfinder::runtime::{CancelToken, DurableExpFinder, FaultPlan, FsyncPolicy, RuntimeConfig};
+use proptest::prelude::*;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Debug;
+use std::panic::{catch_unwind, AssertUnwindSafe, PanicHookInfo};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
+
+#[path = "../crates/core/tests/common/mod.rs"]
+mod common;
+use common::*;
+
+/// Graph size (`|V| + |E|`) the script's graphs are padded to: large
+/// enough that at two threads the planner's parallel route pays for its
+/// setup.
+const PAD_SIZE: usize = 2048;
+
+/// Cases of the op-script property.
+const CASES: u32 = 48;
+
+/// The `route` and `top_k` operands of `Query` and `Batch`.
+const ROUTES: [Route; 3] = [Route::Auto, Route::Direct, Route::Compressed];
+const TOP_K: [Option<usize>; 3] = [None, Some(2), Some(64)];
+
+// ---------------------------------------------------------------------
+// every way of calling `core::evaluate`
+// ---------------------------------------------------------------------
+
+/// Every way of calling `core::evaluate` on `g` for `q` returns the
+/// oracle's relation: simulation (on `q`'s bound-1 variant), bounded and
+/// dual simulation, each on the `DiGraph` and its `CsrGraph` snapshot,
+/// × 1–3 threads × a fresh or the case's `reused` scratch × no index, a
+/// cold or a warm `ReachIndex` bound to that view, plus the sequential
+/// queue engine. A cold index hits and misses alike on both views, and
+/// the raw fixpoint the incremental module persists (`early_exit =
+/// false`) equals the queue engine's.
+fn check_every_request(g: &DiGraph, q: &Pattern, reused: &mut EvalScratch) {
+    let csr = CsrGraph::snapshot(g);
+    let simulation = q.as_simulation();
+    for (semantics, q) in [
+        (Semantics::Simulation, &simulation),
+        (Semantics::Bounded, q),
+        (Semantics::Dual, q),
+    ] {
+        let want = oracle(g, q, semantics);
+        let on_graph = every_request(g, g.version(), q, semantics, &want, reused);
+        let on_csr = every_request(&csr, csr.version(), q, semantics, &want, reused);
+        assert_eq!(on_graph, on_csr, "{semantics:?}: cold index hits, misses");
+    }
+    let raw = raw_fixpoint(g, q, EvalOptions::default(), reused);
+    assert_eq!(raw, raw_fixpoint(g, q, EvalOptions::queue(), reused));
+    assert_eq!(raw, raw_fixpoint(&csr, q, EvalOptions::default(), reused));
+}
+
+/// `q` under `semantics` on one view (at `version`), every request;
+/// returns the cold index's `(hits, misses)` on one thread.
+fn every_request<G: GraphView + Sync>(
+    view: &G,
+    version: u64,
+    q: &Pattern,
+    semantics: Semantics,
+    want: &MatchRelation,
+    reused: &mut EvalScratch,
+) -> (usize, usize) {
+    let mut cold = None;
+    for threads in 1..=3 {
+        for reuse in [false, true] {
+            let index = ReachIndex::new(version);
+            let bound = index.bind(view);
+            for (state, provider) in [
+                ("none", None),
+                ("cold", Some(&bound as &dyn ReachProvider)),
+                ("warm", Some(&bound as &dyn ReachProvider)),
+            ] {
+                let mut fresh = EvalScratch::new();
+                let req = EvalRequest {
+                    scratch: Some(if reuse { &mut *reused } else { &mut fresh }),
+                    index: provider,
+                    threads,
+                    ..EvalRequest::new(semantics)
+                };
+                let (m, stats) = evaluate(view, q, req).unwrap();
+                let how =
+                    format!("{semantics:?}, {threads} threads, reused {reuse}, {state} index");
+                assert_eq!(&m, want, "{how}");
+                if (threads, reuse, state) == (1, false, "cold") {
+                    cold = Some((stats.index_hits, stats.index_misses));
+                }
+            }
+        }
+    }
+    for reuse in [false, true] {
+        let mut fresh = EvalScratch::new();
+        let req = EvalRequest {
+            options: EvalOptions::queue(),
+            scratch: Some(if reuse { &mut *reused } else { &mut fresh }),
+            ..EvalRequest::new(semantics)
+        };
+        assert_eq!(
+            &evaluate(view, q, req).unwrap().0,
+            want,
+            "{semantics:?} queue"
+        );
+    }
+    cold.expect("one sequential cold run")
+}
+
+/// The raw bounded fixpoint over `view`'s candidate sets, run to the end.
+fn raw_fixpoint<G: GraphView>(
+    view: &G,
+    q: &Pattern,
+    options: EvalOptions,
+    scratch: &mut EvalScratch,
+) -> Vec<BitSet> {
+    let seeds = candidate_sets(view, q);
+    let out = bounded_fixpoint_raw(view, q, seeds, options, false, scratch, None);
+    out.expect("no cancel token").0
+}
+
+// ---------------------------------------------------------------------
+// the two facades and the model
+// ---------------------------------------------------------------------
+
+/// A directory removed when dropped; unique per harness (tests and
+/// shrinking runs open many).
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new() -> TempDir {
+        static COUNTER: AtomicU64 = AtomicU64::new(0);
+        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
+        let pid = std::process::id();
+        TempDir(std::env::temp_dir().join(format!("expfinder_differential_{pid}_{n}")))
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn engine_config(exec: ExecConfig) -> EngineConfig {
+    EngineConfig {
+        exec,
+        ..EngineConfig::default()
+    }
+}
+
+fn runtime_config(exec: ExecConfig) -> RuntimeConfig {
+    RuntimeConfig {
+        fsync: FsyncPolicy::Never,
+        engine: engine_config(exec),
+        ..RuntimeConfig::default()
+    }
+}
+
+/// Every `(graph, report)` one facade's update hook has seen, in order.
+type Frames = Arc<Mutex<Vec<(String, UpdateReport)>>>;
+
+fn recording_hook(c: &Catalog) -> Frames {
+    let frames = Frames::default();
+    let sink = Arc::clone(&frames);
+    let hook: UpdateHook = Arc::new(move |graph: &str, report: &UpdateReport| {
+        let frame = (graph.to_owned(), report.clone());
+        sink.lock().unwrap().push(frame);
+    });
+    c.set_update_hook(Some(hook));
+    frames
+}
+
+/// What a client sees of a ranked answer: node order and rank bits.
+fn bits(list: &[RankedMatch]) -> Vec<(NodeId, u64)> {
+    list.iter().map(|x| (x.node, x.rank.to_bits())).collect()
+}
+
+/// The graph as its text document: labels, attributes and edges, but not
+/// the version (a restart renumbers versions).
+fn text(g: &DiGraph) -> String {
+    let mut out = Vec::new();
+    expfinder::graph::io::write_text(g, &mut out).unwrap();
+    String::from_utf8(out).unwrap()
+}
+
+fn padded(mut g: DiGraph) -> DiGraph {
+    while g.size() < PAD_SIZE {
+        g.add_node("pad", []);
+    }
+    g
+}
+
+/// How a query may be cut short.
+#[derive(Copy, Clone)]
+enum Fuse {
+    None,
+    /// A zero deadline: the read answers 408 before it starts.
+    Zero,
+    /// Fire at the `n`-th cancellation point.
+    After(u64),
+}
+
+/// One read through the query builder.
+fn run(
+    c: &Catalog,
+    h: &GraphHandle,
+    q: &Pattern,
+    prefer: Route,
+    top_k: Option<usize>,
+    token: Option<Arc<CancelToken>>,
+    deadline: Option<Duration>,
+) -> Result<QueryResponse, ExpFinderError> {
+    let mut query = c.query(h).pattern(q.clone()).prefer(prefer);
+    if let Some(k) = top_k {
+        query = query.top_k(k);
+    }
+    if let Some(t) = token {
+        query = query.cancel_token(t);
+    }
+    if let Some(d) = deadline {
+        query = query.deadline(d);
+    }
+    query.run()
+}
+
+/// What the facades must hold: the acked writes, applied to plain values.
+struct Model {
+    g: DiGraph,
+    side: Option<DiGraph>,
+    registered: BTreeMap<String, Pattern>,
+    compressed: bool,
+    /// Updates applied to `g` since it was added or recovered; each may
+    /// copy at most two adjacency chunks of a graph a snapshot shares.
+    applied: u64,
+    held: Vec<Held>,
+}
+
+impl Model {
+    fn names(&self) -> Vec<String> {
+        let side = self.side.as_ref().map(|_| "side".to_owned());
+        std::iter::once("g".to_owned()).chain(side).collect()
+    }
+}
+
+/// Both facades' snapshot of `g` at one version, and what it must answer.
+struct Held {
+    snaps: [Arc<Snapshot>; 2],
+    graph: DiGraph,
+    registered: Vec<(String, MatchRelation)>,
+}
+
+/// Both facades, held to the model. Index 0 is the in-memory engine, 1
+/// the durable runtime.
+struct Harness {
+    engine: ExpFinder,
+    rt: DurableExpFinder,
+    handles: [GraphHandle; 2],
+    frames: [Frames; 2],
+    exec: ExecConfig,
+    model: Model,
+    /// Dropped after `rt`, which holds files in it.
+    dir: TempDir,
+}
+
+/// The in-memory facade as `model` describes it, each facade's handle
+/// of `g`, and a recording hook on each.
+fn attach(
+    model: &Model,
+    rt: &DurableExpFinder,
+    exec: ExecConfig,
+) -> (ExpFinder, [GraphHandle; 2], [Frames; 2]) {
+    let engine = ExpFinder::new(engine_config(exec));
+    let h = engine.add_graph("g", model.g.clone()).unwrap();
+    if let Some(side) = &model.side {
+        engine.add_graph("side", side.clone()).unwrap();
+    }
+    for (name, q) in &model.registered {
+        engine.register_query(&h, name, q.clone()).unwrap();
+    }
+    let frames = [recording_hook(&engine), recording_hook(rt)];
+    (engine, [h, rt.handle("g").unwrap()], frames)
+}
+
+impl Harness {
+    fn new(g: DiGraph, exec: ExecConfig) -> Harness {
+        let dir = TempDir::new();
+        let rt = DurableExpFinder::open(&dir.0, runtime_config(exec)).unwrap();
+        rt.add_graph("g", g.clone()).unwrap();
+        let model = Model {
+            g,
+            side: None,
+            registered: BTreeMap::new(),
+            compressed: false,
+            applied: 0,
+            held: Vec::new(),
+        };
+        let (engine, handles, frames) = attach(&model, &rt, exec);
+        Harness {
+            engine,
+            rt,
+            handles,
+            frames,
+            exec,
+            model,
+            dir,
+        }
+    }
+
+    /// The one read surface of each facade with its handle of `g`.
+    fn reads(&self) -> [(&Catalog, &GraphHandle); 2] {
+        let [a, b] = &self.handles;
+        [(&self.engine, a), (&self.rt, b)]
+    }
+
+    /// Checks a response against the model: the naive relation, the
+    /// reference ranking, the model's version.
+    fn answers(&self, q: &Pattern, resp: &QueryResponse, top_k: Option<usize>) {
+        let g = &self.model.g;
+        let want = oracle(g, q, Semantics::Bounded);
+        assert_eq!(*resp.matches, want, "M(Q,G) via {:?}", resp.plan.chosen);
+        let ranked = top_k.map_or_else(Vec::new, |k| reference_rank(g, q, &want, k));
+        assert_eq!(bits(&resp.experts), bits(&ranked), "experts");
+        assert_eq!(resp.graph_version, g.version());
+        TAKEN.with(|t| t.borrow_mut().insert(resp.plan.chosen.as_str()));
+    }
+
+    /// One query on both facades: they agree on everything a client
+    /// sees, and an answer agrees with the model. `None` for an agreed
+    /// 408.
+    fn query(
+        &self,
+        q: &Pattern,
+        prefer: Route,
+        top_k: Option<usize>,
+        fuse: Fuse,
+    ) -> Option<QueryResponse> {
+        let [a, b] = self.reads().map(|(c, h)| {
+            let (token, deadline) = match fuse {
+                Fuse::None => (None, None),
+                Fuse::Zero => (None, Some(Duration::ZERO)),
+                Fuse::After(n) => (Some(CancelToken::after_checks(n)), None),
+            };
+            run(c, h, q, prefer, top_k, token, deadline)
+        });
+        match (a, b) {
+            (Ok(a), Ok(b)) => {
+                assert!(!matches!(fuse, Fuse::Zero), "a spent budget answers 408");
+                assert_eq!(*a.matches, *b.matches);
+                assert_eq!(bits(&a.experts), bits(&b.experts));
+                assert_eq!(a.plan.chosen, b.plan.chosen);
+                assert_eq!(a.plan.planned, b.plan.planned);
+                assert_eq!(a.plan.overridden, b.plan.overridden);
+                assert_eq!(a.plan.candidates, b.plan.candidates);
+                assert_eq!(a.graph_version, b.graph_version);
+                self.answers(q, &a, top_k);
+                Some(a)
+            }
+            (Err(a), Err(b)) => {
+                assert!(matches!(a, ExpFinderError::DeadlineExceeded(_)), "{a}");
+                assert!(matches!(b, ExpFinderError::DeadlineExceeded(_)), "{b}");
+                // parallel workers race to the firing poll: their partial
+                // work is not a function of the fuse
+                if self.exec.threads == 1 {
+                    assert_eq!(a.partial_stats(), b.partial_stats());
+                }
+                None
+            }
+            (a, b) => {
+                let (a, b) = (a.map(|r| r.plan.chosen), b.map(|r| r.plan.chosen));
+                panic!("facades disagree: engine {a:?}, runtime {b:?}")
+            }
+        }
+    }
+
+    /// A ranked query that must answer.
+    fn ranked(&self, q: &Pattern, prefer: Route, k: usize) -> QueryResponse {
+        let resp = self.query(q, prefer, Some(k), Fuse::None);
+        resp.expect("no fuse, no 408")
+    }
+
+    /// `query_batch` over `patterns` (one slot per fingerprint, so that
+    /// concurrent slots never race for one cache entry); slot `zero`
+    /// carries a zero deadline.
+    fn batch(&self, patterns: &[Pattern], prefer: Route, top_k: Option<usize>, zero: usize) {
+        let mut seen = BTreeSet::new();
+        let distinct: Vec<&Pattern> = patterns
+            .iter()
+            .filter(|q| seen.insert(q.fingerprint()))
+            .collect();
+        let specs: Vec<QuerySpec> = distinct
+            .iter()
+            .enumerate()
+            .map(|(i, q)| {
+                let mut spec = QuerySpec::pattern((*q).clone()).prefer(prefer);
+                if let Some(k) = top_k {
+                    spec = spec.top_k(k);
+                }
+                if i == zero {
+                    spec = spec.deadline(Duration::ZERO);
+                }
+                spec
+            })
+            .collect();
+        let [a, b] = self
+            .reads()
+            .map(|(c, h)| c.query_batch(h, specs.clone(), None));
+        for (i, (a, b)) in a.into_iter().zip(b).enumerate() {
+            match (a, b) {
+                (Ok(a), Ok(b)) => {
+                    assert_ne!(i, zero, "a spent slot budget answers 408");
+                    assert_eq!(*a.matches, *b.matches);
+                    assert_eq!(bits(&a.experts), bits(&b.experts));
+                    assert_eq!(a.graph_version, b.graph_version);
+                    // concurrent slots feed one cost profile in either order
+                    if self.exec.threads == 1 {
+                        assert_eq!(a.plan.chosen, b.plan.chosen);
+                        assert_eq!(a.plan.candidates, b.plan.candidates);
+                    }
+                    self.answers(distinct[i], &a, top_k);
+                }
+                (Err(a), Err(b)) => {
+                    assert_eq!(i, zero, "slot {i}: {a}");
+                    assert_eq!(a.partial_stats(), Some(Default::default()));
+                    assert_eq!(b.partial_stats(), Some(Default::default()));
+                }
+                (a, b) => panic!("slot {i}: facades disagree: {:?} / {:?}", a.err(), b.err()),
+            }
+        }
+    }
+
+    /// One update batch through both write paths and the model: the same
+    /// report from both, and the same frame in both hooks.
+    fn update(&mut self, batch: &[EdgeUpdate]) -> usize {
+        let applied = batch.iter().filter(|&&up| self.model.g.apply(up)).count();
+        self.model.applied += applied as u64;
+        let a = self.engine.apply_updates_traced(&self.handles[0], batch);
+        let b = self.rt.apply_updates_traced("g", batch);
+        let (a, b) = (a.unwrap(), b.unwrap());
+        assert_eq!(a, b);
+        let model = (applied, batch.len(), self.model.g.version());
+        assert_eq!((a.applied, a.attempted, a.graph_version), model);
+        let frames = self.frames[0].lock().unwrap();
+        assert_eq!(frames.last(), Some(&("g".to_owned(), a)));
+        applied
+    }
+
+    /// A batch that changes nothing: an edge that is there inserted, one
+    /// that is not deleted. Neither facade publishes.
+    fn noop_update(&mut self) {
+        let g = &self.model.g;
+        let absent = g
+            .ids()
+            .flat_map(|a| g.ids().map(move |b| (a, b)))
+            .find(|&(a, b)| !g.has_edge(a, b))
+            .expect("the padding has no edges");
+        let mut batch = vec![EdgeUpdate::Delete(absent.0, absent.1)];
+        batch.extend(g.edges().next().map(|(a, b)| EdgeUpdate::Insert(a, b)));
+        let before = self.reads().map(|(c, h)| c.latest(h).unwrap());
+        assert_eq!(self.update(&batch), 0);
+        for ((c, h), before) in self.reads().into_iter().zip(before) {
+            assert!(Arc::ptr_eq(&c.latest(h).unwrap(), &before), "republished");
+        }
+    }
+
+    /// Both facades succeed, or both refuse with the same error kind.
+    fn both<T: Debug, U: Debug>(
+        a: Result<T, ExpFinderError>,
+        b: Result<U, ExpFinderError>,
+    ) -> bool {
+        match (&a, &b) {
+            (Ok(_), Ok(_)) => true,
+            (Err(x), Err(y)) if std::mem::discriminant(x) == std::mem::discriminant(y) => false,
+            _ => panic!("facades disagree: {a:?} / {b:?}"),
+        }
+    }
+
+    fn register(&mut self, name: &str, q: &Pattern) {
+        let a = self
+            .engine
+            .register_query(&self.handles[0], name, q.clone());
+        let b = self.rt.register_query("g", name, q.clone());
+        if Self::both(a, b) {
+            self.model.registered.insert(name.to_owned(), q.clone());
+        }
+    }
+
+    fn unregister(&mut self, name: &str) {
+        let a = self.engine.unregister_query(&self.handles[0], name);
+        let b = self.rt.unregister_query("g", name);
+        if Self::both(a, b) {
+            self.model.registered.remove(name);
+        }
+    }
+
+    fn compress(&mut self) {
+        let method = CompressionMethod::Bisimulation;
+        let a = self.engine.compress(&self.handles[0], method).unwrap();
+        assert_eq!(a, self.rt.compress("g", method).unwrap());
+        self.model.compressed = true;
+    }
+
+    fn drop_compression(&mut self) {
+        self.engine.drop_compression(&self.handles[0]).unwrap();
+        self.rt.drop_compression("g").unwrap();
+        self.model.compressed = false;
+    }
+
+    fn add_side(&mut self, side: &DiGraph) {
+        let a = self.engine.add_graph("side", side.clone());
+        let b = self.rt.add_graph("side", side.clone());
+        assert_eq!(Self::both(a, b), self.model.side.is_none());
+        self.model.side = Some(side.clone());
+    }
+
+    /// Keep both facades' latest snapshot and what it must answer; the
+    /// last three stay held.
+    fn hold(&mut self) {
+        let g = &self.model.g;
+        let answer =
+            |(name, q): (&String, &Pattern)| (name.clone(), oracle(g, q, Semantics::Bounded));
+        let held = Held {
+            snaps: self.reads().map(|(c, h)| c.latest(h).unwrap()),
+            graph: g.clone(),
+            registered: self.model.registered.iter().map(answer).collect(),
+        };
+        self.model.held.push(held);
+        if self.model.held.len() > 3 {
+            self.model.held.remove(0);
+        }
+    }
+
+    /// Remove `g` on both sides and add `reborn` under the same name: the
+    /// old handles are stale on every read, the name lists nothing in
+    /// between, and the new graph has a fresh id.
+    fn remove_and_readd(&mut self, reborn: DiGraph, q: &Pattern) {
+        let old = self.handles.clone();
+        self.engine.remove_graph(&old[0]).unwrap();
+        self.rt.remove_graph("g").unwrap();
+        let side = self.model.side.as_ref().map(|_| "side".to_owned());
+        for (c, h) in self.reads() {
+            assert_eq!(c.graph_names(), Vec::from_iter(side.clone()));
+            assert!(matches!(
+                c.handle("g"),
+                Err(ExpFinderError::UnknownGraph(_))
+            ));
+            assert_stale(c, h, q);
+        }
+        assert!(matches!(
+            self.engine.remove_graph(&old[0]),
+            Err(ExpFinderError::StaleHandle(_))
+        ));
+        assert!(matches!(
+            self.rt.remove_graph("g"),
+            Err(ExpFinderError::UnknownGraph(_))
+        ));
+
+        self.handles[0] = self.engine.add_graph("g", reborn.clone()).unwrap();
+        self.rt.add_graph("g", reborn.clone()).unwrap();
+        self.handles[1] = self.rt.handle("g").unwrap();
+        self.model.g = reborn;
+        self.model.registered.clear();
+        self.model.compressed = false;
+        self.model.applied = 0;
+        for ((c, new), old) in self.reads().into_iter().zip(&old) {
+            assert_ne!(new.id(), old.id(), "a fresh id");
+            // the old handle stays dead though its name is live again
+            assert_stale(c, old, q);
+        }
+    }
+
+    /// Reopen the durable side's directory and rebuild the in-memory side
+    /// from the model: every graph comes back as acked (its version
+    /// renumbered), the registered queries too, compression does not
+    /// (it is session state), and no handle from before addresses either.
+    fn restart(self) -> Harness {
+        let Harness {
+            engine,
+            rt,
+            handles: old,
+            exec,
+            mut model,
+            dir,
+            ..
+        } = self;
+        drop((engine, rt));
+        let rt = DurableExpFinder::open(&dir.0, runtime_config(exec)).unwrap();
+        assert_eq!(rt.graph_names(), model.names());
+        let recovered = |name: &str, want: &DiGraph| {
+            let got = rt.read_graph(&rt.handle(name).unwrap(), DiGraph::clone);
+            let got = got.unwrap();
+            assert_eq!(text(&got), text(want), "{name} recovered as acked");
+            got
+        };
+        model.g = recovered("g", &model.g);
+        model.side = model.side.as_ref().map(|side| recovered("side", side));
+        model.compressed = false;
+        model.applied = 0;
+        let (engine, handles, frames) = attach(&model, &rt, exec);
+        let facades: [&Catalog; 2] = [&engine, &rt];
+        for c in facades {
+            for h in &old {
+                assert!(matches!(c.latest(h), Err(ExpFinderError::ForeignHandle(_))));
+            }
+        }
+        Harness {
+            engine,
+            rt,
+            handles,
+            frames,
+            exec,
+            model,
+            dir,
+        }
+    }
+
+    /// Crash the durable side at its next WAL append — `torn` bytes of
+    /// the frame reach the file — then restart: the crashed batch was
+    /// never acked, so neither the model nor the in-memory side has it.
+    fn crash(self, batch: &[EdgeUpdate], torn: usize) -> Harness {
+        let frames = self.frames[1].lock().unwrap().len();
+        let faults = self.rt.fault_injector();
+        faults.arm(FaultPlan::new().crash_at_partial(0, torn));
+        let err = self.rt.apply_updates("g", batch).unwrap_err();
+        assert!(err.to_string().contains(CRASH_MARKER), "{err}");
+        assert_eq!(self.frames[1].lock().unwrap().len(), frames, "no frame");
+        self.restart()
+    }
+
+    /// `engine.rank` — the same on both facades, or the two read paths
+    /// did different work for the same script.
+    fn rank_totals(&self) -> RankTotals {
+        let [(a, _), (b, _)] = self.reads();
+        let totals = a.read_path().rank_totals();
+        assert_eq!(totals, b.read_path().rank_totals());
+        totals
+    }
+
+    /// Everything the facades report besides answers, held to each other
+    /// and to the model.
+    fn agree(&self) {
+        let [(a, ha), (b, hb)] = self.reads();
+        let model = &self.model;
+        for c in [a, b] {
+            assert_eq!(c.graph_names(), model.names());
+        }
+        let infos = a.graph_infos();
+        assert_eq!(infos, b.graph_infos());
+        let g = &model.g;
+        let info = &infos[0];
+        assert_eq!(
+            (info.nodes, info.edges, info.version),
+            (g.node_count(), g.edge_count(), g.version())
+        );
+        assert_eq!(
+            (info.registered_queries, info.compressed),
+            (model.registered.len(), model.compressed)
+        );
+        let names: Vec<String> = model.registered.keys().cloned().collect();
+        assert_eq!(a.registered_queries(ha).unwrap(), names);
+        assert_eq!(b.registered_queries(hb).unwrap(), names);
+        for (name, q) in &model.registered {
+            let want = oracle(g, q, Semantics::Bounded);
+            assert_eq!(*a.registered_result(ha, name).unwrap(), want, "{name}");
+            assert_eq!(*b.registered_result(hb, name).unwrap(), want, "{name}");
+        }
+        let stats = a.compression_stats(ha).unwrap();
+        assert_eq!(stats, b.compression_stats(hb).unwrap());
+        assert_eq!(stats.is_some(), model.compressed);
+
+        for ((c, h), (_, theirs)) in [((a, ha), (b, hb)), ((b, hb), (a, ha))] {
+            // no write moves a graph to another id
+            let now = c.handle("g").unwrap();
+            assert_eq!((now.id(), now.name()), (h.id(), "g"));
+            let latest = c.latest(h).unwrap();
+            assert_eq!(latest.version(), g.version());
+            // publishing is O(Δ): untouched chunks stay shared
+            assert!(latest.graph().chunk_copies() <= 2 * model.applied);
+            assert!(matches!(
+                c.latest(theirs),
+                Err(ExpFinderError::ForeignHandle(_))
+            ));
+        }
+        assert_eq!(
+            *self.frames[0].lock().unwrap(),
+            *self.frames[1].lock().unwrap()
+        );
+        let (ra, rb) = (a.read_path(), b.read_path());
+        let (pa, pb) = (ra.planner_totals(), rb.planner_totals());
+        assert_eq!((pa.decisions, pa.overrides), (pb.decisions, pb.overrides));
+        // concurrent batch slots read one cost profile in either order, and
+        // whether a plan mispredicted depends on the hit rate it read
+        if self.exec.threads == 1 {
+            assert_eq!(pa.mispredicts, pb.mispredicts);
+        }
+        assert_eq!(ra.cache_stats(), rb.cache_stats());
+        self.rank_totals();
+        assert_eq!(self.engine.index_totals(), self.rt.index_totals());
+
+        // a held snapshot keeps answering for its own version
+        for held in &model.held {
+            for snap in &held.snaps {
+                assert_eq!(snap.version(), held.graph.version());
+                assert!(snap.graph().edges().eq(held.graph.edges()));
+                let names: Vec<&String> = held.registered.iter().map(|(n, _)| n).collect();
+                assert_eq!(snap.registered_queries().iter().collect::<Vec<_>>(), names);
+                for (name, want) in &held.registered {
+                    assert_eq!(**snap.registered_result(name).unwrap(), *want);
+                }
+            }
+        }
+    }
+}
+
+/// Every read there is, through a handle whose graph was removed.
+fn assert_stale(c: &Catalog, h: &GraphHandle, q: &Pattern) {
+    fn stale<T>(what: &str, r: Result<T, ExpFinderError>) {
+        match r {
+            Err(ExpFinderError::StaleHandle(name)) => assert_eq!(name, "g"),
+            Err(e) => panic!("{what}: expected StaleHandle, got {e}"),
+            Ok(_) => panic!("{what}: a removed graph answered"),
+        }
+    }
+    assert!(!h.is_live());
+    stale("latest", c.latest(h));
+    stale("read_graph", c.read_graph(h, |g| g.version()));
+    stale("snapshot", c.snapshot(h));
+    stale("compression_stats", c.compression_stats(h));
+    stale("registered_queries", c.registered_queries(h));
+    stale("registered_result", c.registered_result(h, "q0"));
+    stale("query", c.query(h).pattern(q.clone()).top_k(3).run());
+    stale(
+        "query_deadline",
+        c.query_deadline(h, q, None, Route::Auto, None),
+    );
+    stale("estimate_cost", c.estimate_cost(h, q));
+    for slot in c.query_batch(h, vec![QuerySpec::pattern(q.clone()); 2], None) {
+        stale("query_batch", slot);
+    }
+}
+
+// ---------------------------------------------------------------------
+// the op script
+// ---------------------------------------------------------------------
+
+/// One step of a script. Operands are small integers, so that a printed
+/// script is a Rust literal: an edge is `(insert, from, to)` over the
+/// case graph's nodes, `pattern` and `name` index the case's patterns and
+/// two query names, `route` and `top_k` index [`ROUTES`] and [`TOP_K`].
+#[derive(Clone, Debug)]
+enum Op {
+    AddSide,
+    Update(Vec<(bool, u8, u8)>),
+    NoopUpdate,
+    Register {
+        name: u8,
+        pattern: u8,
+    },
+    Unregister {
+        name: u8,
+    },
+    /// `fuse`: 0 none, 1 a zero deadline, `n` ≥ 2 fires at the `n - 1`-th
+    /// cancellation point.
+    Query {
+        pattern: u8,
+        route: u8,
+        top_k: u8,
+        fuse: u8,
+    },
+    /// Slot `zero` carries a zero deadline (none when out of range).
+    Batch {
+        route: u8,
+        top_k: u8,
+        zero: u8,
+    },
+    Compress,
+    DropCompression,
+    Hold,
+    Compact,
+    /// Re-add the case graph with its first `keep` edges.
+    RemoveReadd {
+        keep: u8,
+    },
+    Restart,
+    Crash {
+        batch: Vec<(bool, u8, u8)>,
+        torn: u8,
+    },
+    Vertex(Vec<VertexOp>),
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    let edges = || proptest::collection::vec((proptest::bool::ANY, 0u8..12, 0u8..12), 1..6);
+    let query = || {
+        // small fuses often fire inside `G_r` or the ranking of a read
+        // whose relation comes from the cache
+        let fuse = prop_oneof![Just(0u8), Just(0u8), Just(1u8), 2u8..12, 12u8..48];
+        (0u8..2, 0u8..3, 0u8..3, fuse).prop_map(|(pattern, route, top_k, fuse)| Op::Query {
+            pattern,
+            route,
+            top_k,
+            fuse,
+        })
+    };
+    prop_oneof![
+        Just(Op::AddSide),
+        edges().prop_map(Op::Update),
+        edges().prop_map(Op::Update),
+        edges().prop_map(Op::Update),
+        Just(Op::NoopUpdate),
+        (0u8..2, 0u8..2).prop_map(|(name, pattern)| Op::Register { name, pattern }),
+        (0u8..2).prop_map(|name| Op::Unregister { name }),
+        query(),
+        query(),
+        query(),
+        query(),
+        query(),
+        (0u8..3, 0u8..3, 0u8..3).prop_map(|(route, top_k, zero)| Op::Batch { route, top_k, zero }),
+        Just(Op::Compress),
+        Just(Op::DropCompression),
+        Just(Op::Hold),
+        Just(Op::Compact),
+        (0u8..40).prop_map(|keep| Op::RemoveReadd { keep }),
+        Just(Op::Restart),
+        (edges(), 0u8..48).prop_map(|(batch, torn)| Op::Crash { batch, torn }),
+        vertex_ops().prop_map(Op::Vertex),
+    ]
+}
+
+/// Everything one property case is: a replayable value.
+#[derive(Clone, Debug)]
+struct Case {
+    graph: RawGraph,
+    patterns: Vec<RawPattern>,
+    threads: usize,
+    script: Vec<Op>,
+}
+
+thread_local! {
+    /// The routes answers were taken on, on this test thread.
+    static TAKEN: RefCell<BTreeSet<&'static str>> = const { RefCell::new(BTreeSet::new()) };
+}
+
+/// Run `case`'s script on both facades and the model.
+fn run_case(case: &Case) {
+    let base = build_graph(&case.graph);
+    let real = base.node_count() as u32;
+    let edge = |&(insert, a, b): &(bool, u8, u8)| {
+        let (a, b) = (NodeId(a as u32 % real), NodeId(b as u32 % real));
+        if insert {
+            EdgeUpdate::Insert(a, b)
+        } else {
+            EdgeUpdate::Delete(a, b)
+        }
+    };
+    let edges = |batch: &[(bool, u8, u8)]| batch.iter().map(edge).collect::<Vec<_>>();
+    let patterns: Vec<Pattern> = case
+        .patterns
+        .iter()
+        .map(|p| build_pattern(p, false))
+        .collect();
+    let pattern = |i: u8| &patterns[i as usize % patterns.len()];
+    let mut scratch = EvalScratch::new();
+    let mut h = Harness::new(
+        padded(base.clone()),
+        ExecConfig {
+            threads: case.threads,
+        },
+    );
+    check_every_request(&h.model.g, pattern(0), &mut scratch);
+    h.agree();
+
+    for (step, op) in case.script.iter().enumerate() {
+        let q = pattern(step as u8);
+        let version = (h.handles[0].id(), h.model.g.version());
+        match op {
+            Op::AddSide => h.add_side(&base),
+            Op::Update(batch) => {
+                h.update(&edges(batch));
+            }
+            Op::NoopUpdate => h.noop_update(),
+            Op::Register { name, pattern: p } => h.register(&format!("q{name}"), pattern(*p)),
+            Op::Unregister { name } => h.unregister(&format!("q{name}")),
+            Op::Query {
+                pattern: p,
+                route,
+                top_k,
+                fuse,
+            } => {
+                let fuse = match fuse {
+                    0 => Fuse::None,
+                    1 => Fuse::Zero,
+                    n => Fuse::After(*n as u64 - 1),
+                };
+                let (route, top_k) = (ROUTES[*route as usize], TOP_K[*top_k as usize]);
+                h.query(pattern(*p), route, top_k, fuse);
+            }
+            Op::Batch { route, top_k, zero } => {
+                let (route, top_k) = (ROUTES[*route as usize], TOP_K[*top_k as usize]);
+                h.batch(&patterns, route, top_k, *zero as usize);
+            }
+            Op::Compress => h.compress(),
+            Op::DropCompression => h.drop_compression(),
+            Op::Hold => h.hold(),
+            Op::Compact => {
+                h.rt.compact("g").unwrap();
+            }
+            Op::RemoveReadd { keep } => {
+                let mut raw = case.graph.clone();
+                raw.edges.truncate(*keep as usize);
+                h.remove_and_readd(padded(build_graph(&raw)), q);
+            }
+            Op::Restart => h = h.restart(),
+            Op::Crash { batch, torn } => h = h.crash(&edges(batch), *torn as usize),
+            Op::Vertex(ops) => {
+                // a copy of the model graph shares its vertex table and
+                // label index until its first write
+                let mut shadow = h.model.g.clone();
+                for op in ops {
+                    apply_vertex_op(&mut shadow, op);
+                }
+                check_every_request(&shadow, q, &mut scratch);
+            }
+        }
+        h.agree();
+        if (h.handles[0].id(), h.model.g.version()) != version || matches!(op, Op::Vertex(_)) {
+            check_every_request(&h.model.g, q, &mut scratch);
+        }
+    }
+}
+
+/// `case` as Rust source: `Debug` output with every sequence as `vec![..]`.
+fn literal(case: &Case) -> String {
+    let rust = |v: &dyn Debug| format!("{v:?}").replace('[', "vec![");
+    let script: String = case
+        .script
+        .iter()
+        .map(|op| format!("            {},\n", rust(op)))
+        .collect();
+    format!(
+        "Case {{\n        graph: {},\n        patterns: {},\n        threads: {},\n        \
+         script: vec![\n{script}        ],\n    }}",
+        rust(&case.graph),
+        rust(&case.patterns),
+        case.threads
+    )
+}
+
+/// Run `case`; on failure drop ops one at a time while the script still
+/// fails, print the minimal case as a test, and fail with its message.
+fn check_case(index: usize, case: Case) {
+    if catch_unwind(AssertUnwindSafe(|| run_case(&case))).is_ok() {
+        return;
+    }
+    // quiet while shrinking: only this thread's panics, which are expected
+    let hook: Arc<dyn Fn(&PanicHookInfo) + Send + Sync> = Arc::from(std::panic::take_hook());
+    let (shrinking, outer) = (std::thread::current().id(), Arc::clone(&hook));
+    std::panic::set_hook(Box::new(move |info| {
+        if std::thread::current().id() != shrinking {
+            outer(info);
+        }
+    }));
+    let mut minimal = case;
+    let mut i = 0;
+    while i < minimal.script.len() {
+        let mut shorter = minimal.clone();
+        shorter.script.remove(i);
+        if catch_unwind(AssertUnwindSafe(|| run_case(&shorter))).is_err() {
+            minimal = shorter;
+        } else {
+            i += 1;
+        }
+    }
+    std::panic::set_hook(Box::new(move |info| hook(info)));
+    eprintln!(
+        "proptest case {index} fails; shrunk to {} ops. Replay it with this test:\n\n\
+         #[test]\nfn replay() {{\n    use Op::*;\n    use VertexOp::*;\n    run_case(&{});\n}}\n",
+        minimal.script.len(),
+        literal(&minimal)
+    );
+    run_case(&minimal);
+    panic!("case {index} failed, but its shrunk script passes: the harness is nondeterministic");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+    #[test]
+    fn facades_agree_with_the_model_on_every_op_script(
+        graph in raw_graph(12),
+        p0 in raw_pattern(),
+        p1 in raw_pattern(),
+        threads in 1usize..3,
+        script in proptest::collection::vec(op(), 6..20),
+    ) {
+        static CASE: AtomicUsize = AtomicUsize::new(0);
+        let index = CASE.fetch_add(1, Ordering::Relaxed);
+        // one edge keeps the second pattern's answer rarely empty, so that
+        // updates move it and a stale answer shows
+        let mut p1 = p1;
+        p1.edges.truncate(1);
+        check_case(index, Case { graph, patterns: vec![p0, p1], threads, script });
+        if index + 1 == CASES as usize {
+            let taken = TAKEN.with(|t| t.borrow().clone());
+            let all = ["cache", "compressed", "registered", "snapshot", "snapshot_parallel"];
+            prop_assert_eq!(taken, BTreeSet::from(all), "routes the scripts took");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// fixed scenarios
+// ---------------------------------------------------------------------
+
+/// Sixteen nodes, labels cycling over `A`, `B`, `C`, and `edges`.
+fn abc_graph(edges: &[(u32, u32)]) -> DiGraph {
+    let mut g = DiGraph::new();
+    for i in 0..16 {
+        g.add_node(["A", "B", "C"][i % 3], []);
+    }
+    for &(a, b) in edges {
+        g.add_edge(NodeId(a), NodeId(b));
+    }
+    g
+}
+
+/// The ranked-answer slot, on both facades. Five `A` candidates reach a
+/// `B` within two hops: 0, 9, 12 directly (rank 1), 3 and 6 through a `C`
+/// (rank 2) — the `a1 → x → b1` shape whose direct edge `a1 → b1` can be
+/// inserted without changing `M(Q,G)`.
+#[test]
+fn ranked_answers_are_cached_per_version_and_never_across() {
+    let edges = [(0, 1), (3, 5), (5, 4), (6, 8), (8, 7), (9, 10), (12, 13)];
+    let g = abc_graph(&edges);
+    let q = PatternBuilder::new()
+        .node_output("x", Predicate::label("A"))
+        .node("y", Predicate::label("B"))
+        .edge("x", "y", Bound::hops(2))
+        .build()
+        .unwrap();
+    let mut h = Harness::new(g.clone(), ExecConfig::sequential());
+    let totals = |computed, reused| RankTotals { computed, reused };
+    let rank_of = |resp: &QueryResponse, v: u32| {
+        let hit = resp.experts.iter().find(|x| x.node == NodeId(v));
+        hit.expect("a candidate").rank
+    };
+
+    // one version: 3 computes, 10 must recompute (3 of 5 is no prefix of
+    // 10) and comes back complete, after which every k is a lookup
+    assert_eq!(h.ranked(&q, Route::Auto, 3).experts.len(), 3);
+    assert_eq!(h.rank_totals(), totals(1, 0));
+    let all = h.ranked(&q, Route::Auto, 10);
+    assert_eq!((all.experts.len(), all.plan.chosen), (5, PlanRoute::Cache));
+    assert_eq!(h.rank_totals(), totals(2, 0));
+    assert_eq!(h.ranked(&q, Route::Auto, 2).experts.len(), 2);
+    assert_eq!(h.ranked(&q, Route::Auto, 40).experts.len(), 5);
+    assert_eq!(h.rank_totals(), totals(2, 2));
+    let unranked = h.query(&q, Route::Auto, None, Fuse::None).unwrap();
+    assert!(unranked.experts.is_empty());
+    assert_eq!(h.rank_totals(), totals(2, 2), "no top_k, no ranking");
+
+    // a Direct request bypasses the cache, recomputes, and agrees
+    let direct = h.ranked(&q, Route::Direct, 10);
+    assert_eq!(direct.plan.chosen, PlanRoute::Snapshot);
+    assert_eq!(h.rank_totals(), totals(3, 2));
+
+    // batch slots are not served from the list (they rank afresh, and
+    // agree); a single read right after them still is
+    let specs = || vec![QuerySpec::pattern(q.clone()).top_k(10); 2];
+    for (c, hd) in h.reads() {
+        for slot in c.query_batch(hd, specs(), None) {
+            let slot = slot.unwrap();
+            assert_eq!(slot.plan.chosen, PlanRoute::Cache);
+            assert_eq!(bits(&slot.experts), bits(&all.experts));
+        }
+    }
+    assert_eq!(h.rank_totals(), totals(5, 2));
+    h.ranked(&q, Route::Auto, 10);
+    assert_eq!(h.rank_totals(), totals(5, 3));
+
+    // 3 → 4 shortens the witnessed path 3 → 5 → 4: M is untouched, the
+    // G_r weight goes 2 → 1, and so does f(3). Reusing the ranked list
+    // because "ΔM is empty" would be wrong; the version key prevents it.
+    assert_eq!(rank_of(&all, 3), 2.0);
+    h.update(&[EdgeUpdate::Insert(NodeId(3), NodeId(4))]);
+    let after = h.ranked(&q, Route::Auto, 10);
+    assert_eq!(*after.matches, *all.matches, "the update changed no match");
+    assert_eq!(rank_of(&after, 3), 1.0, "but it changed a rank");
+    assert_eq!(h.rank_totals(), totals(6, 3));
+
+    // the same for a registered query, whose maintained relation is the
+    // very same `Arc` across the update
+    h.register("q0", &q);
+    h.update(&[EdgeUpdate::Insert(NodeId(15), NodeId(14))]);
+    let registered = h.ranked(&q, Route::Auto, 10);
+    assert_eq!(registered.plan.chosen, PlanRoute::Registered);
+    let cached = h.ranked(&q, Route::Auto, 10);
+    assert_eq!(cached.plan.chosen, PlanRoute::Cache);
+    assert_eq!(h.rank_totals(), totals(7, 4));
+    assert_eq!(rank_of(&registered, 6), 2.0);
+    h.update(&[EdgeUpdate::Insert(NodeId(6), NodeId(7))]);
+    let after = h.ranked(&q, Route::Auto, 10);
+    assert_eq!(after.plan.chosen, PlanRoute::Registered);
+    assert_eq!(rank_of(&after, 6), 1.0);
+    assert_eq!(h.rank_totals(), totals(8, 4));
+    h.agree();
+
+    // a graph removed and re-added under its name — here even at a version
+    // number the cache has a ranked list for — never serves the old list
+    let mut reborn_edges = edges[1..].to_vec();
+    reborn_edges.push((15, 14));
+    let reborn = abc_graph(&reborn_edges);
+    assert_eq!(reborn.version(), g.version(), "same version, another graph");
+    h.remove_and_readd(reborn, &q);
+    assert_eq!(h.ranked(&q, Route::Auto, 10).experts.len(), 4);
+    assert_eq!(h.rank_totals(), totals(9, 4));
+    h.agree();
+
+    // nor does the former life — its log, its standing query — come back
+    // with a restart
+    let h = h.restart();
+    h.agree();
+    assert_eq!(h.ranked(&q, Route::Auto, 10).experts.len(), 4);
+}
+
+/// `engine.index.{entries,bytes}` counts the quotient's reach index on
+/// both facades: after `compress` and one bounded query on the
+/// compressed route the totals are equal, and non-zero.
+#[test]
+fn index_totals_count_the_quotient_index_on_both_backends() {
+    let g = abc_graph(&[(0, 1), (0, 2), (3, 4), (3, 5), (6, 7), (1, 2)]);
+    let q = PatternBuilder::new()
+        .node_output("x", Predicate::label("A"))
+        .node("y", Predicate::label("B"))
+        .node("z", Predicate::label("C"))
+        .edge("x", "y", Bound::hops(2))
+        .edge("x", "z", Bound::hops(2))
+        .build()
+        .unwrap();
+    let mut h = Harness::new(g, ExecConfig::sequential());
+    h.compress();
+    let resp = h.query(&q, Route::Compressed, None, Fuse::None).unwrap();
+    assert_eq!(resp.plan.chosen, PlanRoute::Compressed);
+    let totals = h.engine.index_totals();
+    assert!(
+        totals.hits > 0 && totals.entries > 0 && totals.bytes > 0,
+        "{totals:?}"
+    );
+    h.agree();
+}
+
+/// The budget covers the whole read: result-graph construction polls the
+/// token per source match and ranking per candidate. A fuse at every
+/// cancellation point of a ranked Fig. 1 read, on a fresh pair of
+/// facades each time, gives the exact experts or a 408 — never a
+/// truncated list — and a relation whose ranking was abandoned is cached.
+#[test]
+fn every_fuse_value_yields_the_exact_experts_or_408() {
+    let (g, q) = (collaboration_fig1().graph, fig1_pattern());
+    let want = bits(&reference_rank(
+        &g,
+        &q,
+        &oracle(&g, &q, Semantics::Bounded),
+        2,
+    ));
+    assert_eq!(want.len(), 2, "Bob, then Walt");
+    let fresh = || Harness::new(g.clone(), ExecConfig::sequential());
+    let ranked =
+        |c: &Catalog, h: &GraphHandle, token| run(c, h, &q, Route::Auto, Some(2), token, None);
+
+    // the cancellation points of the evaluation alone and of the whole
+    // ranked read, counted with fuses that never fire
+    let polls = |top_k| {
+        let h = fresh();
+        let [a, b] = h.reads().map(|(c, hd)| {
+            let token = CancelToken::after_checks(u64::MAX);
+            let out = run(
+                c,
+                hd,
+                &q,
+                Route::Auto,
+                top_k,
+                Some(Arc::clone(&token)),
+                None,
+            );
+            out.unwrap();
+            token.checks()
+        });
+        assert_eq!(a, b);
+        a
+    };
+    let (eval_polls, all_polls) = (polls(None), polls(Some(2)));
+    // Fig. 1: 8 source matches over the four pattern edges + 2 candidates
+    assert_eq!(
+        all_polls - eval_polls,
+        10,
+        "G_r and ranking are cancellation points"
+    );
+
+    // the work of the finished evaluation, as the last possible 408 reports it
+    let finished = {
+        let h = fresh();
+        let (c, hd) = h.reads()[0];
+        match ranked(c, hd, Some(CancelToken::after_checks(all_polls))) {
+            Err(ExpFinderError::DeadlineExceeded(stats)) => stats,
+            other => panic!("the last poll must fire, got {other:?}"),
+        }
+    };
+    assert!(finished.refreshes >= q.edge_count());
+
+    for fuse in 1..=all_polls + 1 {
+        let h = fresh();
+        for (c, hd) in h.reads() {
+            match ranked(c, hd, Some(CancelToken::after_checks(fuse))) {
+                Ok(resp) => {
+                    assert_eq!(fuse, all_polls + 1, "a fuse inside the read must fire");
+                    assert_eq!(bits(&resp.experts), want);
+                }
+                Err(ExpFinderError::DeadlineExceeded(stats)) => {
+                    assert!(fuse <= all_polls);
+                    let ranking = fuse > eval_polls;
+                    // abandoned while ranking: the 408 carries the finished
+                    // evaluation's work, and the finished relation is cached
+                    assert_eq!(stats == finished, ranking, "fuse {fuse}: {stats:?}");
+                    let again = ranked(c, hd, None).unwrap();
+                    assert_eq!(bits(&again.experts), want, "fuse {fuse}: a truncated list");
+                    assert_eq!(
+                        again.plan.chosen == PlanRoute::Cache,
+                        ranking,
+                        "fuse {fuse}"
+                    );
+                    // nothing partial was stored: the follow-up ranked afresh
+                    let expect = RankTotals {
+                        computed: 1 + ranking as u64,
+                        reused: 0,
+                    };
+                    assert_eq!(c.read_path().rank_totals(), expect, "fuse {fuse}");
+                }
+                Err(other) => panic!("fuse {fuse}: unexpected error: {other}"),
+            }
+        }
+        h.agree();
+    }
+}
+
+/// The Fig. 1 query answers the paper's experts — Bob at 9/5, Walt at
+/// 7/3 — on every route a read can take, on both facades.
+#[test]
+fn fig1_answers_alike_on_every_taken_route_of_both_facades() {
+    let f = collaboration_fig1();
+    let q = fig1_pattern();
+    let mut taken = BTreeSet::new();
+    // sequential on Fig. 1 as drawn; two threads on a padded copy, which
+    // pays for the parallel route
+    for (threads, g) in [(1, f.graph.clone()), (2, padded(f.graph.clone()))] {
+        let mut h = Harness::new(g, ExecConfig { threads });
+        h.register("team", &q);
+        let mut read = |h: &Harness, prefer| {
+            let resp = h.ranked(&q, prefer, 2);
+            let experts: Vec<_> = resp.experts.iter().map(|x| (x.node, x.rank)).collect();
+            assert_eq!(experts, [(f.bob, 9.0 / 5.0), (f.walt, 7.0 / 3.0)]);
+            assert_eq!(resp.matches.total_pairs(), 7);
+            taken.insert(resp.plan.chosen.as_str());
+            h.agree();
+        };
+        read(&h, Route::Auto); // registered
+        read(&h, Route::Auto); // cache
+        read(&h, Route::Direct); // snapshot, or snapshot_parallel
+        h.compress();
+        read(&h, Route::Compressed);
+    }
+    let all = [
+        "cache",
+        "compressed",
+        "registered",
+        "snapshot",
+        "snapshot_parallel",
+    ];
+    assert_eq!(taken, BTreeSet::from(all));
+}

@@ -1,7 +1,8 @@
 //! Cross-crate pipeline tests: realistic end-to-end flows a user of the
 //! system would run, combining generation, the engine, compression,
 //! registered queries, updates and persistence — all through the
-//! handle-based `&self` API.
+//! handle-based `&self` API, and judged by the naive oracle and the
+//! reference ranking.
 
 use expfinder::graph::generate::{
     collaboration, random_updates, twitter_like, CollabConfig, TwitterConfig,
@@ -12,6 +13,26 @@ use expfinder::pattern::parser;
 use expfinder::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+#[path = "../crates/core/tests/common/mod.rs"]
+mod common;
+use common::{oracle, reference_rank};
+
+use expfinder::core::Semantics;
+
+fn naive(g: &DiGraph, q: &Pattern) -> MatchRelation {
+    oracle(g, q, Semantics::Bounded)
+}
+
+/// Node order and rank bits of a ranked answer.
+fn bits(experts: &[expfinder::core::RankedMatch]) -> Vec<(NodeId, u64)> {
+    experts.iter().map(|e| (e.node, e.rank.to_bits())).collect()
+}
+
+/// The reference top-`k` of `q` over `g`, as [`bits`].
+fn expected_top(g: &DiGraph, q: &Pattern, k: usize) -> Vec<(NodeId, u64)> {
+    bits(&reference_rank(g, q, &naive(g, q), k))
+}
 
 fn collab(teams: usize, seed: u64) -> DiGraph {
     collaboration(
@@ -44,9 +65,11 @@ fn compress_route_transparency() {
     )
     .unwrap();
 
+    let want = naive(&g, &q);
     let engine = ExpFinder::default();
     let t = engine.add_graph("t", g).unwrap();
     let direct = engine.query(&t).pattern(q.clone()).run().unwrap();
+    assert_eq!(*direct.matches, want);
     // sequential or parallel by the host's thread budget
     assert!(
         matches!(
@@ -69,7 +92,7 @@ fn compress_route_transparency() {
         .run()
         .unwrap();
     assert_eq!(via_c.plan.chosen, PlanRoute::Compressed);
-    assert_eq!(*via_c.matches, *direct.matches);
+    assert_eq!(*via_c.matches, want);
 }
 
 /// Registered queries stay exact across a long random update stream while
@@ -92,11 +115,9 @@ fn long_update_stream_consistency() {
             .unwrap();
         engine.apply_updates(&c, &ups).unwrap();
 
-        // maintained result == fresh evaluation on the live graph
+        // maintained result == the oracle on the live graph
         let maintained = engine.registered_result(&c, "q1").unwrap();
-        let fresh = engine
-            .read_graph(&c, |g| bounded_simulation(g, q).unwrap())
-            .unwrap();
+        let fresh = engine.read_graph(&c, |g| naive(g, q)).unwrap();
         assert_eq!(
             *maintained, fresh,
             "round {round}: registered query drifted"
@@ -116,10 +137,8 @@ fn long_update_stream_consistency() {
             .run()
             .unwrap();
         assert_eq!(routed.plan.chosen, PlanRoute::Compressed, "round {round}");
-        assert_eq!(
-            *routed.matches, *direct.matches,
-            "round {round}: G_c drifted"
-        );
+        assert_eq!(*direct.matches, fresh, "round {round}: direct drifted");
+        assert_eq!(*routed.matches, fresh, "round {round}: G_c drifted");
     }
 }
 
@@ -187,7 +206,7 @@ fn ranking_stable_across_routes() {
         .unwrap();
 
     let registered = ExpFinder::default();
-    let hr = registered.add_graph("c", g).unwrap();
+    let hr = registered.add_graph("c", g.clone()).unwrap();
     registered.register_query(&hr, "q", q.clone()).unwrap();
     let via_r = registered
         .query(&hr)
@@ -196,14 +215,10 @@ fn ranking_stable_across_routes() {
         .run()
         .unwrap();
 
-    let ids = |r: &QueryResponse| {
-        r.experts
-            .iter()
-            .map(|e| (e.node, e.rank.to_bits()))
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(ids(&direct), ids(&via_c));
-    assert_eq!(ids(&direct), ids(&via_r));
+    let want = expected_top(&g, q, 5);
+    assert_eq!(bits(&direct.experts), want);
+    assert_eq!(bits(&via_c.experts), want);
+    assert_eq!(bits(&via_r.experts), want);
 }
 
 /// Demo queries Q1–Q3 run end to end on a generated network and produce
@@ -268,12 +283,12 @@ fn engine_config_variants_agree() {
         .run()
         .unwrap();
 
-    // parallel execution (CSR fast path + threaded result graph)
+    let want = expected_top(&g, q, 5);
+    assert_eq!(bits(&reference.experts), want);
+
+    // parallel execution (threaded refinement and result graph)
     let threaded = ExpFinder::new(EngineConfig {
-        exec: ExecConfig {
-            threads: 4,
-            batch_parallelism: 4,
-        },
+        exec: ExecConfig { threads: 4 },
         ..EngineConfig::default()
     });
     let ht = threaded.add_graph("c", g.clone()).unwrap();
@@ -283,18 +298,11 @@ fn engine_config_variants_agree() {
         .top_k(5)
         .run()
         .unwrap();
-    assert_eq!(
-        reference.experts.iter().map(|e| e.node).collect::<Vec<_>>(),
-        via_threads
-            .experts
-            .iter()
-            .map(|e| e.node)
-            .collect::<Vec<_>>()
-    );
+    assert_eq!(bits(&via_threads.experts), want);
 
     // compression present but the request prefers direct evaluation
     let compressed = ExpFinder::default();
-    let hn = compressed.add_graph("c", g).unwrap();
+    let hn = compressed.add_graph("c", g.clone()).unwrap();
     compressed
         .compress(&hn, CompressionMethod::Bisimulation)
         .unwrap();
@@ -312,7 +320,7 @@ fn engine_config_variants_agree() {
         "quotient not consulted: {:?}",
         out.plan
     );
-    assert_eq!(*out.matches, *reference.matches);
+    assert_eq!(*out.matches, naive(&g, q));
 }
 
 /// Stress the paper fixture through repeated insert/delete cycles of e1:
@@ -336,7 +344,7 @@ fn e1_cycle_stress() {
     }
     assert_eq!(
         inc.current(),
-        bounded_simulation(&f.graph, &q).unwrap(),
+        naive(&f.graph, &q),
         "no drift after 40 reversals"
     );
 }
