@@ -14,8 +14,9 @@
 //!   whose target set shrinks during refinement re-queues its upstream
 //!   edges under a static plan — exactly the work the dependency plan
 //!   avoids. Each workload also ranks its matches: the `rank` block holds
-//!   the result graph's size and the ranking kernel's work counters
-//!   ([`RankScratch::work`]).
+//!   the result graph's size, the work of building it
+//!   ([`RankScratch::build_visits`]) and the ranking kernel's work
+//!   counters ([`RankScratch::work`]).
 //! * **`match_warm_index`** — the same frontier path without and with the
 //!   per-version reach index, cold (first query on a version) and warm
 //!   (queries 2..N).
@@ -238,11 +239,15 @@ fn bench_workload(name: &str, graph: &DiGraph, pattern: &Pattern) -> Value {
 /// Experts ranked per query in the `rank` block.
 const RANK_TOP_K: usize = 10;
 
-/// The `rank` block: `G_r`'s size, the ranking kernel's work counters
-/// (deterministic, gated by `bench-compare`) and its median time, for the
-/// top [`RANK_TOP_K`] experts of `m` on one [`RankScratch`] per call.
+/// The `rank` block: `G_r`'s size, the build's and the ranking kernel's
+/// work counters (deterministic, gated by `bench-compare`) and the
+/// ranking's median time, for the top [`RANK_TOP_K`] experts of `m` on
+/// one [`RankScratch`] per call.
 fn rank_doc(g: &DiGraph, pattern: &Pattern, m: &MatchRelation) -> Value {
-    let rg = ResultGraph::build(g, pattern, m);
+    let mut build = RankScratch::new();
+    let rg = ResultGraph::build_cancellable(g, pattern, m, 1, &mut build, None)
+        .expect("no cancel token supplied");
+    let build_visits = build.build_visits();
     let (rank_t, work) = measure(|| {
         let mut scratch = RankScratch::new();
         rank_matches_top_k_cancellable(&rg, pattern, m, RANK_TOP_K, &mut scratch, None)
@@ -250,10 +255,11 @@ fn rank_doc(g: &DiGraph, pattern: &Pattern, m: &MatchRelation) -> Value {
         scratch.work()
     });
     println!(
-        "{:>10} rank: |V_r| {} |E_r| {} | settled {} relaxed {} pushes {} | {}",
+        "{:>10} rank: |V_r| {} |E_r| {} | build visits {} | settled {} relaxed {} pushes {} | {}",
         "",
         rg.node_count(),
         rg.edges().len(),
+        build_visits,
         work.settled,
         work.relaxed,
         work.pushes,
@@ -262,6 +268,7 @@ fn rank_doc(g: &DiGraph, pattern: &Pattern, m: &MatchRelation) -> Value {
     obj(vec![
         ("nodes", Value::Int(rg.node_count() as i64)),
         ("edges", Value::Int(rg.edges().len() as i64)),
+        ("build_visits", Value::Int(build_visits as i64)),
         ("settled", Value::Int(work.settled as i64)),
         ("relaxed", Value::Int(work.relaxed as i64)),
         ("pushes", Value::Int(work.pushes as i64)),
@@ -514,6 +521,7 @@ mod tests {
         let w = &a.field("match_frontier").unwrap().as_array().unwrap()[0];
         assert!(w.field("new").unwrap().field("stats").is_ok());
         assert!(w.field("rank").unwrap().field("settled").is_ok());
+        assert!(w.field("rank").unwrap().field("build_visits").is_ok());
         assert!(w.field("match_pairs").is_ok());
         assert!(w.field("new").unwrap().field("ms").is_err());
     }
@@ -533,6 +541,8 @@ mod tests {
             assert!(int(new, "bfs_nodes_visited") > 0);
             let rank = w.field("rank").unwrap();
             assert!(int(rank, "nodes") > 0 && int(rank, "edges") > 0);
+            // every result edge was found by a visit of its build
+            assert!(int(rank, "build_visits") >= int(rank, "edges"));
             // every settled node was pushed at least once
             assert!(int(rank, "settled") > 0 && int(rank, "relaxed") > 0);
             assert!(int(rank, "pushes") >= int(rank, "settled"));

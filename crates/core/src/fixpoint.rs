@@ -34,6 +34,7 @@
 //! root's `tests/differential.rs`).
 
 use crate::bsim::EvalStats;
+use crate::rank::RankScratch;
 use expfinder_graph::bfs::Direction;
 use expfinder_graph::bfs_frontier::FrontierScratch;
 use expfinder_graph::{BitSet, CancelToken, GraphView, NodeId, ReachProvider, Sym};
@@ -104,14 +105,15 @@ pub(crate) struct IndexCtx<'a> {
 }
 
 /// Reusable evaluation state: BFS frontiers, per-constraint reach caches
-/// and dirty counters, and the counter buffers of the plain-simulation
-/// fixpoint. One scratch serves any sequence of (graph, pattern) pairs —
-/// caches are keyed per evaluation and reset on entry — so a worker
-/// thread that holds on to one reuses every *graph-sized* evaluation
-/// buffer across queries. (The candidate sets themselves are still
-/// allocated per query: they are refined in place into the returned
-/// `MatchRelation`, so they cannot live in the scratch; the remaining
-/// per-query allocations are pattern-sized bookkeeping.)
+/// and dirty counters, the counter buffers of the plain-simulation
+/// fixpoint, and the [`RankScratch`] that builds and ranks the result
+/// graph of a ranked read. One scratch serves any sequence of (graph,
+/// pattern) pairs — caches are keyed per evaluation and reset on entry —
+/// so a worker thread that holds on to one reuses every *graph-sized*
+/// evaluation and ranking buffer across queries. (The candidate sets
+/// themselves are still allocated per query: they are refined in place
+/// into the returned `MatchRelation`, so they cannot live in the scratch;
+/// the remaining per-query allocations are pattern-sized bookkeeping.)
 #[derive(Debug, Default)]
 pub struct EvalScratch {
     frontier: FrontierScratch,
@@ -129,11 +131,17 @@ pub struct EvalScratch {
     /// Per-edge counter buffers for the plain-simulation fixpoint.
     counters: Vec<Vec<u32>>,
     removal_queue: Vec<(PNodeId, NodeId)>,
+    rank: RankScratch,
 }
 
 impl EvalScratch {
     pub fn new() -> EvalScratch {
         EvalScratch::default()
+    }
+
+    /// The scratch a ranked read builds and ranks its result graph on.
+    pub fn rank_scratch(&mut self) -> &mut RankScratch {
+        &mut self.rank
     }
 
     /// Reset for an evaluation over `n` data nodes, `nq` pattern nodes and
@@ -171,6 +179,7 @@ impl EvalScratch {
             .sum::<usize>()
             + bitset_bytes(self.tmp.capacity()) * 6
             + self.counters.iter().map(|c| c.len() * 4).sum::<usize>()
+            + self.rank.retained_bytes()
     }
 
     /// The counter and removal-queue buffers of the plain-simulation
@@ -524,6 +533,33 @@ mod tests {
             let _b = pool.take();
         }
         assert_eq!(pool.idle(), 2);
+    }
+
+    #[test]
+    fn a_scratch_that_ranked_past_the_cap_is_dropped_not_parked() {
+        use crate::{bounded_simulation, rank_matches_top_k_cancellable, ResultGraph};
+        use expfinder_graph::fixtures::collaboration_fig1;
+        use expfinder_pattern::fixtures::fig1_pattern;
+
+        let f = collaboration_fig1();
+        let q = fig1_pattern();
+        let m = bounded_simulation(&f.graph, &q).unwrap();
+        let pool = ScratchPool::new();
+        let rank = |scratch: &mut EvalScratch| {
+            let rs = scratch.rank_scratch();
+            let rg = ResultGraph::build_cancellable(&f.graph, &q, &m, 1, rs, None).unwrap();
+            rank_matches_top_k_cancellable(&rg, &q, &m, 1, rs, None).unwrap()
+        };
+        pool.with(|s| rank(s));
+        assert_eq!(pool.idle(), 1, "a small ranked read parks its scratch");
+        pool.with(|s| {
+            rank(s);
+            // what a `G_r` of ~5.6M arcs leaves in the arc buffer (reserved,
+            // never touched, so it costs address space and no memory)
+            s.rank.arcs.reserve(SCRATCH_RETAIN_BYTES / 12 + 1);
+            assert!(s.retained_bytes() > SCRATCH_RETAIN_BYTES);
+        });
+        assert_eq!(pool.idle(), 0, "the oversized scratch was dropped");
     }
 
     #[test]

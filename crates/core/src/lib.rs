@@ -62,7 +62,7 @@ pub use rank::{
     rank_matches, rank_matches_top_k, rank_matches_top_k_cancellable, rank_value, top_k,
     RankScratch, RankedMatch,
 };
-pub use result_graph::{BuildOptions, ResultGraph};
+pub use result_graph::ResultGraph;
 pub use sim::graph_simulation;
 
 use expfinder_graph::{BitSet, GraphView, NodeId, Sym};

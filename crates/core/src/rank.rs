@@ -25,17 +25,20 @@
 //! forward list plus the backward entries the forward run did not reach,
 //! `v` itself excluded — and the next candidate's runs reset only those
 //! entries. Integer sums do not depend on order, so the ranks are the
-//! ones a full `0..|V_r|` scan gives, bit for bit. A ranking call sizes
-//! one [`RankScratch`] to `|V_r|` once and reuses it for every candidate;
-//! an isolated candidate (most of them: `G_r` has thousands of nodes and
-//! hundreds of arcs) then costs two heap pushes and pops.
+//! ones a full `0..|V_r|` scan gives, bit for bit. One [`RankScratch`]
+//! serves every candidate of a call — an isolated candidate (most of
+//! them: `G_r` has fewer arcs than nodes) then costs two heap pushes and
+//! pops — and, reused, every ranked read: it also holds what building
+//! `G_r` needs ([`ResultGraph::build_cancellable`]), and the serving
+//! layers draw it from their pooled `EvalScratch`, so a steady stream of
+//! ranked reads allocates no search or build buffers.
 
 use crate::eval::EvalError;
 use crate::fixpoint::Cancelled;
 use crate::matchrel::MatchRelation;
 use crate::result_graph::ResultGraph;
 use crate::MatchError;
-use expfinder_graph::bfs::Direction;
+use expfinder_graph::bfs::{BfsScratch, Direction};
 use expfinder_graph::dijkstra::{DijkstraScratch, DijkstraWork, UNREACHABLE};
 use expfinder_graph::{CancelToken, GraphView, NodeId};
 use expfinder_pattern::Pattern;
@@ -48,12 +51,22 @@ pub struct RankedMatch {
     pub rank: f64,
 }
 
-/// The two searches one candidate runs, kept across the candidates of a
-/// ranking call so each pays only for what it reaches.
+/// The one scratch of a ranked read: the BFS, dense node→local map and
+/// arc buffer of the [`ResultGraph`] build, and the two searches each
+/// candidate runs, kept across candidates and reads so each pays only for
+/// what it reaches. Any sequence of graphs and patterns may share one.
 #[derive(Clone, Debug, Default)]
 pub struct RankScratch {
     fwd: DijkstraScratch,
     rev: DijkstraScratch,
+    pub(crate) bfs: BfsScratch,
+    /// Data node → local index; meaningful only at the result nodes of
+    /// the build in progress (see [`ResultGraph::build_cancellable`]).
+    pub(crate) local: Vec<u32>,
+    /// `(from, to, weight)` arcs over local indices, the input of the
+    /// forward adjacency.
+    pub(crate) arcs: Vec<(u32, u32, u32)>,
+    pub(crate) build_visits: u64,
 }
 
 impl RankScratch {
@@ -65,6 +78,21 @@ impl RankScratch {
     /// scratch has run — a deterministic measure of ranking work.
     pub fn work(&self) -> DijkstraWork {
         self.fwd.work() + self.rev.work()
+    }
+
+    /// Ball nodes visited plus adjacency entries scanned by every result
+    /// graph built on this scratch — a deterministic measure of build work.
+    pub fn build_visits(&self) -> u64 {
+        self.build_visits
+    }
+
+    /// Heap bytes kept between reads, for a pool's keep-or-drop decision.
+    pub(crate) fn retained_bytes(&self) -> usize {
+        self.fwd.retained_bytes()
+            + self.rev.retained_bytes()
+            + self.bfs.retained_bytes()
+            + self.local.capacity() * 4
+            + self.arcs.capacity() * 12
     }
 }
 
@@ -79,7 +107,7 @@ fn rank_with(rg: &ResultGraph, v: NodeId, scratch: &mut RankScratch) -> f64 {
     let Some(src) = rg.local(v) else {
         return f64::INFINITY;
     };
-    let RankScratch { fwd, rev } = scratch;
+    let RankScratch { fwd, rev, .. } = scratch;
     fwd.run(rg.adjacency(Direction::Forward), src);
     rev.run(rg.adjacency(Direction::Backward), src);
     // both lists start with `v` itself, which is not in V'_r

@@ -8,22 +8,29 @@
 //! Construction: for every pattern edge `(u, u')` with bound `b` and every
 //! match `v` of `u`, a bounded forward BFS collects the matches `v'` of
 //! `u'` within distance `1..=b`; each such pair contributes an edge
-//! `(v, v')` weighted with the shortest-path length. Construction can be
-//! parallelised across match nodes (std scoped threads) — an ablation
-//! in E12. A request's [`CancelToken`] is polled once per source match, so
-//! a deadline covers construction too ([`ResultGraph::build_cancellable`]).
+//! `(v, v')` weighted with the shortest-path length. A bound-1 pattern
+//! edge needs no BFS: its witnesses are `v`'s out-neighbours, read off the
+//! adjacency the way the fixpoint refines such edges. Construction can be
+//! parallelised across match nodes (std scoped threads). A request's
+//! [`CancelToken`] is polled once per source match, so a deadline covers
+//! construction too ([`ResultGraph::build_cancellable`]).
 //!
-//! Layout: `|V_r|` is typically thousands while `|E_r|` is hundreds (most
-//! matches witness no pattern edge themselves), so nothing is allocated or
-//! hashed per node: `nodes` is the bitset union of the match sets, already
-//! sorted, so the vector *is* the index (`local` is a binary search), and
-//! both adjacencies are flat [`WeightedAdj`] arrays built by one sort +
-//! dedup-to-minimum of the arcs each. What a build costs beyond its BFS
-//! is proportional to `|E_r|`, plus one copy of the match sets.
+//! Layout: `|E_r|` is smaller than `|V_r|` (most matches witness no
+//! pattern edge themselves: over the repo benchmark's 528 pool patterns,
+//! Σ|E_r| = 327k against Σ|V_r| = 868k), though one `G_r` may carry 7k
+//! arcs, so nothing is allocated or hashed per node: `nodes` is the bitset
+//! union of the match sets, already sorted, so the vector *is* the index,
+//! and both adjacencies are flat [`WeightedAdj`] arrays — the forward one
+//! a counting sort of the arcs by tail, the backward one its transpose.
+//! Each arc finds its local ids in a dense node→local map of the
+//! [`RankScratch`], which also holds the BFS and the arc buffer, so a
+//! build on a reused scratch allocates only what the returned graph owns.
+//! What a build costs beyond its BFS balls is `O(|V_r| + |E_r|)`.
 
 use crate::fixpoint::Cancelled;
 use crate::matchrel::MatchRelation;
 use crate::parallel::run_items;
+use crate::rank::RankScratch;
 use expfinder_graph::bfs::{BfsScratch, Direction};
 use expfinder_graph::dijkstra::WeightedAdj;
 use expfinder_graph::{CancelToken, GraphView, NodeId};
@@ -38,19 +45,6 @@ pub struct ResultEdge {
     pub weight: u32,
     /// Index of the pattern edge this match edge witnesses.
     pub pattern_edge: u32,
-}
-
-/// Options for result-graph construction.
-#[derive(Copy, Clone, Debug)]
-pub struct BuildOptions {
-    /// Worker threads for the per-match BFS fan-out (1 = sequential).
-    pub threads: usize,
-}
-
-impl Default for BuildOptions {
-    fn default() -> Self {
-        BuildOptions { threads: 1 }
-    }
 }
 
 /// The result graph: match nodes, weighted match edges, and per-pattern
@@ -71,34 +65,29 @@ pub struct ResultGraph {
 }
 
 impl ResultGraph {
-    /// Build `G_r` from a match relation (sequential).
+    /// Build `G_r` from a match relation (sequential, on a fresh scratch).
     pub fn build<G: GraphView + Sync>(g: &G, q: &Pattern, m: &MatchRelation) -> ResultGraph {
-        Self::build_with(g, q, m, BuildOptions::default())
+        Self::build_cancellable(g, q, m, 1, &mut RankScratch::new(), None)
+            .expect("no cancel token supplied")
     }
 
-    /// Build `G_r` with explicit options.
-    pub fn build_with<G: GraphView + Sync>(
-        g: &G,
-        q: &Pattern,
-        m: &MatchRelation,
-        opts: BuildOptions,
-    ) -> ResultGraph {
-        Self::build_cancellable(g, q, m, opts, None).expect("no cancel token supplied")
-    }
-
-    /// [`build_with`](Self::build_with), polling `cancel` once per source
+    /// Build `G_r` with `threads` workers for the per-match fan-out (1 =
+    /// sequential, on `scratch`'s BFS), polling `cancel` once per source
     /// match of every pattern edge; a fired token aborts with
     /// [`Cancelled`] (zero stats — the fixpoint's work is the caller's to
-    /// report).
+    /// report). The work is added to [`RankScratch::build_visits`].
     pub fn build_cancellable<G: GraphView + Sync>(
         g: &G,
         q: &Pattern,
         m: &MatchRelation,
-        opts: BuildOptions,
+        threads: usize,
+        scratch: &mut RankScratch,
         cancel: Option<&CancelToken>,
     ) -> Result<ResultGraph, Cancelled> {
         let members: Vec<Vec<NodeId>> = q.ids().map(|u| m.matches_vec(u)).collect();
-        let edges = collect_all_edges(g, q, m, &members, opts.threads, cancel)?;
+        let (edges, visits) =
+            collect_all_edges(g, q, m, &members, threads, &mut scratch.bfs, cancel)?;
+        scratch.build_visits += visits;
 
         // result nodes = union of all matches
         let union = m.sets().split_first().map(|(first, rest)| {
@@ -107,17 +96,26 @@ impl ResultGraph {
             all.to_vec()
         });
         let nodes = union.unwrap_or_default();
-        let local = |v: NodeId| nodes.binary_search(&v).expect("edge endpoints are matches") as u32;
-        let fwd: Vec<(u32, u32, u32)> = edges
-            .iter()
-            .map(|e| (local(e.from), local(e.to), e.weight))
-            .collect();
-        let rev = fwd.iter().map(|&(from, to, w)| (to, from, w)).collect();
-        let n = nodes.len();
-        let (fwd, rev) = (
-            WeightedAdj::from_arcs(n, fwd),
-            WeightedAdj::from_arcs(n, rev),
+        // dense local ids: written at this build's nodes and read only at
+        // edge endpoints, which are among them — so what earlier builds
+        // left in the map is never read and needs no reset
+        let local = &mut scratch.local;
+        let span = nodes.last().map_or(0, |v| v.index() + 1);
+        if local.len() < span {
+            local.resize(span, 0);
+        }
+        for (i, &v) in nodes.iter().enumerate() {
+            local[v.index()] = i as u32;
+        }
+        let arcs = &mut scratch.arcs;
+        arcs.clear();
+        arcs.extend(
+            edges
+                .iter()
+                .map(|e| (local[e.from.index()], local[e.to.index()], e.weight)),
         );
+        let fwd = WeightedAdj::from_arcs(nodes.len(), arcs);
+        let rev = fwd.transpose();
 
         Ok(ResultGraph {
             nodes,
@@ -133,7 +131,7 @@ impl ResultGraph {
         &self.nodes
     }
 
-    /// All result edges.
+    /// All result edges, grouped by pattern edge, then by source match.
     pub fn edges(&self) -> &[ResultEdge] {
         &self.edges
     }
@@ -170,6 +168,7 @@ impl ResultGraph {
 
 /// Collect into `out` the result edges witnessed by pattern edge `ei` for
 /// the given source match nodes, polling `cancel` once per source.
+/// Returns the ball nodes visited plus the adjacency entries scanned.
 fn collect_edges<G: GraphView>(
     g: &G,
     q: &Pattern,
@@ -178,27 +177,45 @@ fn collect_edges<G: GraphView>(
     scratch: &mut BfsScratch,
     cancel: Option<&CancelToken>,
     out: &mut Vec<ResultEdge>,
-) -> Result<(), Cancelled> {
+) -> Result<u64, Cancelled> {
     let e = &q.edges()[ei];
     let depth = e.bound.depth();
     let targets = m.matches(e.to);
+    let mut visits = 0;
+    let mut witness = |from, to, weight| {
+        out.push(ResultEdge {
+            from,
+            to,
+            weight,
+            pattern_edge: ei as u32,
+        })
+    };
     for &v in sources {
         if cancel.is_some_and(|t| t.is_cancelled()) {
             return Err(Cancelled::default());
         }
-        let ball = scratch.ball(g, v, depth, Direction::Forward);
-        for (w, d) in ball.iter() {
-            if d >= 1 && targets.contains(w) {
-                out.push(ResultEdge {
-                    from: v,
-                    to: w,
-                    weight: d,
-                    pattern_edge: ei as u32,
-                });
+        if depth == 1 {
+            // a one-hop ball without its source is the out-neighbours in
+            // adjacency order, minus `v` itself where a self-loop lists it
+            let succ = g.out_neighbors(v);
+            visits += succ.len() as u64;
+            for &w in succ {
+                if w != v && targets.contains(w) {
+                    witness(v, w, 1);
+                }
+            }
+        } else {
+            let ball = scratch.ball(g, v, depth, Direction::Forward);
+            visits += ball.len() as u64;
+            // the source comes first, and is the one node at distance 0
+            for (w, d) in ball.iter().skip(1) {
+                if targets.contains(w) {
+                    witness(v, w, d);
+                }
             }
         }
     }
-    Ok(())
+    Ok(visits)
 }
 
 /// Work-unit size for the parallel fan-out: small enough for load balance
@@ -207,43 +224,47 @@ const PARALLEL_CHUNK: usize = 256;
 
 /// Edge collection: every (pattern edge, chunk of the `members` of its
 /// source node) pair is an independent [`run_items`] work item, run inline
-/// on one scratch when that declines to fan out. Chunking *within* a
-/// pattern edge is what makes the fan-out scale — patterns have few edges
-/// but thousands of matches.
+/// on `bfs` when that declines to fan out. Chunking *within* a pattern
+/// edge is what makes the fan-out scale — patterns have few edges but
+/// thousands of matches. Returns the edges and the work of
+/// [`collect_edges`], summed.
 fn collect_all_edges<G: GraphView + Sync>(
     g: &G,
     q: &Pattern,
     m: &MatchRelation,
     members: &[Vec<NodeId>],
     threads: usize,
+    bfs: &mut BfsScratch,
     cancel: Option<&CancelToken>,
-) -> Result<Vec<ResultEdge>, Cancelled> {
+) -> Result<(Vec<ResultEdge>, u64), Cancelled> {
     let mut items: Vec<(usize, &[NodeId])> = Vec::new();
     for (ei, e) in q.edges().iter().enumerate() {
         let sources = members[e.from.index()].chunks(PARALLEL_CHUNK);
         items.extend(sources.map(|chunk| (ei, chunk)));
     }
     let mut out = Vec::new();
+    let mut visits = 0;
     let fanned = run_items(threads, &items, BfsScratch::new, |bfs, &item| {
         let mut edges = Vec::new();
-        collect_edges(g, q, m, item, bfs, cancel, &mut edges).map(|()| edges)
+        collect_edges(g, q, m, item, bfs, cancel, &mut edges).map(|v| (edges, v))
     });
     match fanned {
         Some(chunks) => {
             for chunk in chunks {
-                out.extend(chunk?);
+                let (edges, v) = chunk?;
+                out.extend(edges);
+                visits += v;
             }
             // deterministic order regardless of thread interleaving
             out.sort_unstable_by_key(|e| (e.pattern_edge, e.from, e.to));
         }
         None => {
-            let mut bfs = BfsScratch::new();
             for &item in &items {
-                collect_edges(g, q, m, item, &mut bfs, cancel, &mut out)?;
+                visits += collect_edges(g, q, m, item, bfs, cancel, &mut out)?;
             }
         }
     }
-    Ok(out)
+    Ok((out, visits))
 }
 
 #[cfg(test)]
@@ -333,7 +354,13 @@ mod tests {
     fn parallel_build_matches_sequential() {
         let (f, q, rg) = fig1_result();
         let m = bounded_simulation(&f.graph, &q).unwrap();
-        let rg_par = ResultGraph::build_with(&f.graph, &q, &m, BuildOptions { threads: 4 });
+        let mut scratch = RankScratch::new();
+        let rg_par = ResultGraph::build_cancellable(&f.graph, &q, &m, 4, &mut scratch, None)
+            .expect("no cancel token supplied");
+        assert!(
+            scratch.build_visits() > 0,
+            "the workers' visits are counted"
+        );
         assert_eq!(rg.nodes(), rg_par.nodes());
         let mut a = rg.edges().to_vec();
         let mut b = rg_par.edges().to_vec();

@@ -11,10 +11,16 @@
 //! The same oracle also hands out its `G_r` (`reference_result_graph`), so
 //! the result graph is checked as a structure — node set, index, edge set,
 //! membership — not only through the ranks read off it.
+//!
+//! Every `G_r` [`check`] builds and ranks, in every test of this file,
+//! goes through one shared [`RankScratch`], as a pooled read does: cases
+//! whose graphs grow and shrink follow each other on it, so a local-map,
+//! BFS or search entry an earlier case left behind shows up as a
+//! structure or a rank the reference does not have.
 
 use expfinder_core::{
     bounded_simulation, rank_matches, rank_matches_top_k, rank_matches_top_k_cancellable,
-    rank_value, top_k, BuildOptions, MatchRelation, RankScratch, RankedMatch, ResultGraph,
+    rank_value, top_k, MatchRelation, RankScratch, RankedMatch, ResultGraph,
 };
 use expfinder_graph::bfs::Direction;
 use expfinder_graph::dijkstra::{DijkstraScratch, UNREACHABLE};
@@ -25,6 +31,7 @@ use expfinder_pattern::{Bound, Pattern, PatternBuilder, PatternEdge, Predicate};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
+use std::sync::{LazyLock, Mutex, MutexGuard};
 
 mod common;
 use common::{reference_rank, reference_result_graph, ReferenceResultGraph};
@@ -40,6 +47,13 @@ fn dists(rg: &ResultGraph, dir: Direction, v: NodeId) -> Vec<u64> {
     let mut s = DijkstraScratch::new();
     s.run(rg.adjacency(dir), rg.local(v).expect("a result node"));
     (0..rg.node_count() as u32).map(|i| s.dist(i)).collect()
+}
+
+/// The one scratch every [`check`] of this file builds and ranks on.
+fn shared_scratch() -> MutexGuard<'static, RankScratch> {
+    static SHARED: LazyLock<Mutex<RankScratch>> = LazyLock::new(Mutex::default);
+    // a failed case must not hide the others behind a poisoned lock
+    SHARED.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// `q` with its first edge made unbounded (`*`).
@@ -83,6 +97,10 @@ fn assert_same_structure(
         .collect();
     assert_eq!(got.len(), rg.edges().len(), "{what}: an edge listed twice");
     assert_eq!(got, want.edges, "{what}: edges");
+    assert!(
+        rg.edges().iter().all(|e| e.from != e.to),
+        "{what}: a self-arc"
+    );
     for u in q.ids() {
         assert_eq!(rg.matches_of(u), m.matches_vec(u), "{what}: matches_of");
     }
@@ -90,7 +108,8 @@ fn assert_same_structure(
 
 /// Check every public ranking entry point, on `view`, against `want`
 /// (the reference's full ranking), for every interesting `k`, and the
-/// result graph itself against the reference's.
+/// result graph itself against the reference's — both built and ranked
+/// on the file's [`shared_scratch`].
 fn check<V: GraphView + Sync>(
     view: &V,
     q: &Pattern,
@@ -99,9 +118,12 @@ fn check<V: GraphView + Sync>(
     what: &str,
 ) {
     let want_rg = reference_result_graph(view, q, m);
-    let mut reused = RankScratch::new();
+    let mut reused = shared_scratch();
+    let build = |threads, scratch: &mut RankScratch| {
+        ResultGraph::build_cancellable(view, q, m, threads, scratch, None).expect("no token")
+    };
     for threads in [1, 4] {
-        let rg = ResultGraph::build_with(view, q, m, BuildOptions { threads });
+        let rg = build(threads, &mut reused);
         let what = &format!("{what}, {threads} threads");
         assert_same_structure(&rg, &want_rg, view.node_count(), q, m, what);
         let all = rank_matches(&rg, q, m).unwrap();
@@ -120,9 +142,9 @@ fn check<V: GraphView + Sync>(
             let got = rank_matches_top_k(&rg, q, m, k).unwrap();
             assert_eq!(bits(&got), expect, "{what}: rank_matches_top_k k={k}");
             // the cancellable pair the engine calls, token disarmed, on a
-            // scratch the previous `k` already ran every candidate through
-            let rg2 = ResultGraph::build_cancellable(view, q, m, BuildOptions { threads }, None)
-                .expect("no token");
+            // scratch the previous `k` already built and ranked on
+            let rg2 = build(threads, &mut reused);
+            assert_same_structure(&rg2, &want_rg, view.node_count(), q, m, what);
             let got = rank_matches_top_k_cancellable(&rg2, q, m, k, &mut reused, None).unwrap();
             assert_eq!(bits(&got), expect, "{what}: cancellable k={k}");
             let got = top_k(view, q, m, k).unwrap();
@@ -221,12 +243,57 @@ fn empty_relation_gives_the_empty_graph() {
     let q = expfinder_pattern::fixtures::fig1_pattern();
     let m = MatchRelation::empty(&q, f.graph.node_count());
     for threads in [1, 4] {
-        let rg = ResultGraph::build_with(&f.graph, &q, &m, BuildOptions { threads });
+        let rg =
+            ResultGraph::build_cancellable(&f.graph, &q, &m, threads, &mut shared_scratch(), None)
+                .expect("no token");
         let want = reference_result_graph(&f.graph, &q, &m);
         assert!(want.nodes.is_empty() && want.edges.is_empty());
         assert_same_structure(&rg, &want, f.graph.node_count(), &q, &m, "empty");
         assert!(rank_matches(&rg, &q, &m).unwrap().is_empty());
     }
+}
+
+#[test]
+fn self_loops_and_two_cycles_give_no_self_arc() {
+    // every node has a self-loop, and a ⇄ b, b ⇄ c, c ⇄ d form 2-cycles
+    // (d is the one B). Under  x →(≤1) y,  y →(≤2) x,  x →(≤2) z  with x,
+    // y over A, b and c match both ends of the bound-1 and the bound-2
+    // edge, and `lone` (whose only other arc is lone → d) matches them
+    // through its self-loop alone; G_r must still carry no arc from a
+    // node to itself, and the ranks stay the reference's
+    let mut g = DiGraph::new();
+    let [a, b, c] = ["A", "A", "A"].map(|l| g.add_node(l, []));
+    let d = g.add_node("B", []);
+    let lone = g.add_node("A", []);
+    for v in [a, b, c, d, lone] {
+        g.add_edge(v, v);
+    }
+    for (v, w) in [(a, b), (b, c), (c, d)] {
+        g.add_edge(v, w);
+        g.add_edge(w, v);
+    }
+    g.add_edge(lone, d);
+    let q = PatternBuilder::new()
+        .node_output("x", Predicate::label("A"))
+        .node("y", Predicate::label("A"))
+        .node("z", Predicate::label("B"))
+        .edge("x", "y", Bound::ONE)
+        .edge("y", "x", Bound::hops(2))
+        .edge("x", "z", Bound::hops(2))
+        .build()
+        .unwrap();
+    let m = bounded_simulation(&g, &q).unwrap();
+    let (x, y) = (q.node_id("x").unwrap(), q.node_id("y").unwrap());
+    let both_ends: Vec<NodeId> = m
+        .matches_vec(x)
+        .into_iter()
+        .filter(|&v| m.contains(y, v))
+        .collect();
+    assert_eq!(both_ends, [b, c, lone]);
+    let rg = ResultGraph::build(&g, &q, &m);
+    assert!(rg.edges().iter().all(|e| e.from != e.to));
+    assert!(!rg.edges().is_empty());
+    assert_eq!(differential(&g, &q, "self-loops"), m.matches(x).count());
 }
 
 #[test]

@@ -16,9 +16,8 @@ use crate::{
     QueryTimings, RankTotals, Route, Snapshot, SpecSource,
 };
 use expfinder_core::{
-    evaluate, rank_matches_top_k_cancellable, BuildOptions, CancelToken, EvalError, EvalRequest,
-    EvalScratch, EvalStats, MatchRelation, RankScratch, RankedMatch, ResultGraph, ScratchPool,
-    Semantics,
+    evaluate, rank_matches_top_k_cancellable, CancelToken, EvalError, EvalRequest, EvalScratch,
+    EvalStats, MatchRelation, RankScratch, RankedMatch, ResultGraph, ScratchPool, Semantics,
 };
 use expfinder_graph::DiGraph;
 use expfinder_pattern::Pattern;
@@ -98,8 +97,8 @@ type Routed = (Hit, PlanDecision, EvalStats);
 /// touches that is not the graph itself: the version-keyed result cache,
 /// the pooled [`EvalScratch`]es (fluent queries, batch workers and HTTP
 /// workers each check one out, so steady-state serving reuses BFS
-/// frontiers, reach caches and counter buffers instead of allocating per
-/// request), the cumulative planner / evaluation / cancellation counters
+/// frontiers, reach caches, counter buffers and the result-graph and
+/// ranking buffers instead of allocating per request), the cumulative planner / evaluation / cancellation counters
 /// behind `GET /metrics`, and the thread budget.
 pub struct ReadPath {
     exec: ExecConfig,
@@ -299,7 +298,15 @@ impl ReadPath {
             }
             (Some(k), None) => {
                 self.rank_totals.computed.fetch_add(1, Ordering::Relaxed);
-                let ranked = rank(state.graph(), pattern, &matches, k, threads, cancel);
+                let ranked = rank(
+                    state.graph(),
+                    pattern,
+                    &matches,
+                    k,
+                    threads,
+                    scratch.rank_scratch(),
+                    cancel,
+                );
                 let experts = ranked.map_err(|e| match e {
                     EvalError::Pattern(e) => e.into(),
                     // the relation is finished and stays cached; the
@@ -550,17 +557,17 @@ fn plan_routes(
 }
 
 /// Build the result graph over `graph` and rank the output node's matches
-/// on one [`RankScratch`], polling `cancel` per source match and per
-/// candidate.
+/// on the read's pooled [`RankScratch`], polling `cancel` per source match
+/// and per candidate.
 fn rank(
     graph: &DiGraph,
     pattern: &Pattern,
     matches: &MatchRelation,
     k: usize,
     threads: usize,
+    scratch: &mut RankScratch,
     cancel: Option<&CancelToken>,
 ) -> Result<Vec<RankedMatch>, EvalError> {
-    let opts = BuildOptions { threads };
-    let rg = ResultGraph::build_cancellable(graph, pattern, matches, opts, cancel)?;
-    rank_matches_top_k_cancellable(&rg, pattern, matches, k, &mut RankScratch::new(), cancel)
+    let rg = ResultGraph::build_cancellable(graph, pattern, matches, threads, scratch, cancel)?;
+    rank_matches_top_k_cancellable(&rg, pattern, matches, k, scratch, cancel)
 }

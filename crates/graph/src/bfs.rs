@@ -63,6 +63,15 @@ impl BfsScratch {
         }
     }
 
+    /// Heap bytes the scratch keeps between traversals.
+    pub fn retained_bytes(&self) -> usize {
+        let words = self.dist.capacity()
+            + self.mark.capacity()
+            + self.queue.capacity()
+            + self.touched.capacity();
+        words * 4
+    }
+
     fn begin(&mut self, n: usize) {
         self.ensure(n);
         self.epoch = self.epoch.wrapping_add(1);

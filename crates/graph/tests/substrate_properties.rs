@@ -120,12 +120,12 @@ proptest! {
         let mut scratch = BfsScratch::new();
         let ball = scratch.ball(&g, src, u32::MAX, Direction::Forward);
 
-        let arcs = g
+        let arcs: Vec<_> = g
             .ids()
             .flat_map(|v| g.out_neighbors(v).iter().map(move |&w| (v.0, w.0, 1)))
             .collect();
         let mut dijkstra = DijkstraScratch::new();
-        dijkstra.run(&WeightedAdj::from_arcs(n, arcs), src.0);
+        dijkstra.run(&WeightedAdj::from_arcs(n, &arcs), src.0);
         for v in g.ids() {
             match ball.dist_of(v) {
                 Some(d) => prop_assert_eq!(dijkstra.dist(v.0), d as u64),
@@ -137,7 +137,8 @@ proptest! {
 
     /// `WeightedAdj::from_arcs` against a map model: per node, one arc per
     /// distinct neighbour, ascending, carrying the minimum weight — and
-    /// nothing else, for any `n` including 0 and nodes without arcs.
+    /// nothing else, for any `n` including 0 and nodes without arcs. Its
+    /// `transpose` is the model with every pair reversed.
     #[test]
     fn weighted_adj_matches_the_map_model(
         n in 0usize..24,
@@ -156,20 +157,24 @@ proptest! {
         for &(a, b, w) in &triples {
             model.entry((a, b)).and_modify(|x| *x = (*x).min(w)).or_insert(w);
         }
-        let adj = WeightedAdj::from_arcs(n, triples);
-        prop_assert_eq!(adj.node_count(), n);
-        let mut total = 0;
-        for v in 0..n as u32 {
-            let want: Vec<(u32, u32)> = model
-                .range((v, 0)..=(v, u32::MAX))
-                .map(|(&(_, to), &w)| (to, w))
-                .collect();
-            prop_assert_eq!(adj.arcs_of(v), &want[..], "arcs of {}", v);
-            total += adj.arcs_of(v).len();
-        }
-        prop_assert_eq!(total, model.len());
-        if spare_last {
-            prop_assert!(adj.arcs_of(n as u32 - 1).is_empty(), "last node has no arcs");
+        let adj = WeightedAdj::from_arcs(n, &triples);
+        let reversed: BTreeMap<(u32, u32), u32> =
+            model.iter().map(|(&(a, b), &w)| ((b, a), w)).collect();
+        for (adj, model) in [(adj.clone(), &model), (adj.transpose(), &reversed)] {
+            prop_assert_eq!(adj.node_count(), n);
+            let mut total = 0;
+            for v in 0..n as u32 {
+                let want: Vec<(u32, u32)> = model
+                    .range((v, 0)..=(v, u32::MAX))
+                    .map(|(&(_, to), &w)| (to, w))
+                    .collect();
+                prop_assert_eq!(adj.arcs_of(v), &want[..], "arcs of {}", v);
+                total += adj.arcs_of(v).len();
+            }
+            prop_assert_eq!(total, model.len());
+            if spare_last {
+                prop_assert!(adj.arcs_of(n as u32 - 1).is_empty(), "last node has no arcs");
+            }
         }
     }
 

@@ -17,8 +17,9 @@ field of the counters document (``BENCH_counters.json``, written by the
   measuring the same computation.
 * **deterministic counters** (blocking beyond the threshold) —
   evaluation-work counters (``bfs_nodes_visited``, ``refreshes``,
-  ``removals``, ``index_misses`` and the ranking kernel's ``settled``,
-  ``relaxed``, ``pushes`` are worse when higher; ``index_hits``
+  ``removals``, ``index_misses``, the result-graph build's
+  ``build_visits`` and the ranking kernel's ``settled``, ``relaxed``,
+  ``pushes`` are worse when higher; ``index_hits``
   and ``refreshes_skipped`` are worse when lower). These are exact
   functions of the algorithm, so a >25% regression is a real algorithmic
   regression, not runner noise.
@@ -50,6 +51,7 @@ HIGHER_IS_WORSE = {
     "removals",
     "bfs_nodes_visited",
     "index_misses",
+    "build_visits",
     "settled",
     "relaxed",
     "pushes",
