@@ -20,20 +20,30 @@
 //! * **`match_warm_index`** — the same frontier path without and with the
 //!   per-version reach index, cold (first query on a version) and warm
 //!   (queries 2..N).
+//! * **`match_bound1`** — plain simulation: the `match_frontier` patterns
+//!   with every bound set to 1, evaluated by the one bounded kernel and
+//!   maintained by [`IncrementalBoundedSim`] over a seeded update stream
+//!   (its [`IncStats`](expfinder_incremental::IncStats) work), both
+//!   judged by `naive_simulation`.
 //!
 //! Answers of every path are asserted identical while measuring
 //! (`results_identical`). Counters and sizes are exact functions of the
 //! seed; the `*_ms` / speedup fields are wall-clock and only advisory.
 
 use crate::{collab_graph, collab_pattern, fmt_dur, json_obj as obj, time, twitter_graph, SEED};
+use expfinder_core::naive::naive_simulation;
 use expfinder_core::{
     bounded_simulation_indexed, evaluate, rank_matches_top_k_cancellable, CancelToken, EvalOptions,
     EvalRequest, EvalScratch, EvalStats, MatchRelation, RankScratch, ReachIndex, ResultGraph,
     Semantics,
 };
+use expfinder_graph::generate::random_updates;
 use expfinder_graph::json::Value;
 use expfinder_graph::{DiGraph, GraphView};
+use expfinder_incremental::{IncrementalBoundedSim, Maintainer};
 use expfinder_pattern::{Bound, Pattern, PatternBuilder, Predicate};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::time::Duration;
 
 /// Timed repetitions per measured path (after one untimed warmup).
@@ -282,15 +292,22 @@ pub fn run_counters_bench() -> Value {
     let twitter = twitter_graph(5000, SEED);
     let match_frontier = frontier_workloads(&collab, &twitter);
     let match_warm_index = warm_workloads(&collab, &twitter);
+    println!("match_bound1: the match_frontier patterns with every bound 1");
+    let match_bound1 = vec![
+        bench_bound1_workload("collab", &collab, &collab_pattern()),
+        bench_bound1_workload("twitter", &twitter, &twitter_chain_pattern()),
+    ];
     obj(vec![
         ("bench", Value::Str("counters".to_owned())),
         (
             "note",
             Value::Str(
                 "deterministic matching work on seeded workloads: queue vs frontier \
-                 fixpoint (match_frontier) and the frontier path without, cold and warm \
-                 on the per-version reach index (match_warm_index); identical results \
-                 asserted while measuring; *_ms and speedups are wall-clock, advisory"
+                 fixpoint (match_frontier), the frontier path without, cold and warm \
+                 on the per-version reach index (match_warm_index), and plain \
+                 simulation evaluated and maintained as bound-1 bounded simulation \
+                 (match_bound1); identical results asserted while measuring; *_ms and \
+                 speedups are wall-clock, advisory"
                     .to_owned(),
             ),
         ),
@@ -301,6 +318,7 @@ pub fn run_counters_bench() -> Value {
         ),
         ("match_frontier", Value::Array(match_frontier)),
         ("match_warm_index", Value::Array(match_warm_index)),
+        ("match_bound1", Value::Array(match_bound1)),
     ])
 }
 
@@ -457,6 +475,68 @@ fn warm_workloads(collab: &DiGraph, twitter: &DiGraph) -> Vec<Value> {
     ]
 }
 
+/// Edge updates in each `match_bound1` maintenance stream.
+const BOUND1_UPDATES: usize = 400;
+
+/// One `match_bound1` workload: `pattern` with every bound 1, evaluated
+/// by the bounded kernel on one reused scratch, then maintained over a
+/// seeded insert/delete stream. The relation before and after the stream
+/// must equal `naive_simulation`'s.
+fn bench_bound1_workload(name: &str, graph: &DiGraph, pattern: &Pattern) -> Value {
+    let q = pattern.as_simulation();
+    let mut scratch = EvalScratch::new();
+    let (eval_t, (m, stats)) = measure(|| {
+        bounded_simulation_indexed(graph, &q, EvalOptions::default(), &mut scratch, None)
+    });
+
+    let mut g = graph.clone();
+    let stream = random_updates(&mut StdRng::seed_from_u64(SEED), &g, BOUND1_UPDATES, 0.5);
+    let mut inc = IncrementalBoundedSim::new(&g, &q);
+    let (_, maintain_t) = time(|| {
+        for &up in &stream {
+            if g.apply(up) {
+                inc.on_update(&g, up);
+            }
+        }
+    });
+    let maintained = inc.current();
+
+    let identical = m == naive_simulation(graph, &q) && maintained == naive_simulation(&g, &q);
+    assert!(
+        identical,
+        "{name}: bound-1 kernel diverged from naive_simulation"
+    );
+    let work = inc.stats();
+    println!(
+        "{name:>10} | {:>11} | pairs {:>6} | {} updates in {}: affected {} tentative {}",
+        fmt_dur(eval_t),
+        m.total_pairs(),
+        stream.len(),
+        fmt_dur(maintain_t),
+        work.affected_nodes,
+        work.tentative_pairs,
+    );
+    obj(vec![
+        ("name", Value::Str(name.to_owned())),
+        ("nodes", Value::Int(graph.node_count() as i64)),
+        ("edges", Value::Int(graph.edge_count() as i64)),
+        ("match_pairs", Value::Int(m.total_pairs() as i64)),
+        ("ms", ms(eval_t)),
+        ("stats", stats_doc(stats)),
+        (
+            "maintain",
+            obj(vec![
+                ("updates", Value::Int(stream.len() as i64)),
+                ("match_pairs", Value::Int(maintained.total_pairs() as i64)),
+                ("affected_nodes", Value::Int(work.affected_nodes as i64)),
+                ("tentative_pairs", Value::Int(work.tentative_pairs as i64)),
+                ("ms", ms(maintain_t)),
+            ]),
+        ),
+        ("results_identical", Value::Bool(identical)),
+    ])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -562,6 +642,16 @@ mod tests {
             assert!(int(hot, "index_hits") > 0);
             let idx = w.field("index").unwrap();
             assert!(int(idx, "entries") > 0 && int(idx, "bytes") > 0);
+        }
+
+        let bound1 = doc.field("match_bound1").unwrap().as_array().unwrap();
+        assert_eq!(bound1.len(), 2);
+        for w in bound1 {
+            assert!(w.field("results_identical").unwrap().as_bool().unwrap());
+            let maintain = w.field("maintain").unwrap();
+            assert_eq!(int(maintain, "updates"), BOUND1_UPDATES as i64);
+            // every update's affected ball holds its source
+            assert!(int(maintain, "affected_nodes") >= BOUND1_UPDATES as i64);
         }
         // the fully class-seeded star skips the BFS entirely on warm runs
         let star = &warm[0];

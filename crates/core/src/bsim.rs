@@ -38,6 +38,7 @@ use crate::candidate_sets_classed;
 use crate::eval::{evaluate, EvalError, EvalRequest, Semantics};
 use crate::fixpoint::{refine_constraints, Cancelled, Constraint, EvalScratch, IndexCtx};
 use crate::matchrel::MatchRelation;
+use crate::MatchError;
 use expfinder_graph::bfs::{BfsScratch, Direction};
 use expfinder_graph::{BitSet, CancelToken, GraphView, ReachProvider};
 use expfinder_pattern::Pattern;
@@ -95,14 +96,31 @@ pub struct EvalStats {
 
 /// Compute the maximum bounded simulation `M(Q,G)` with default options.
 /// Never fails — the `Result` is kept for signature parity with
-/// [`crate::graph_simulation`].
+/// [`graph_simulation`].
 pub fn bounded_simulation<G: GraphView + Sync>(
     g: &G,
     q: &Pattern,
-) -> Result<MatchRelation, crate::MatchError> {
+) -> Result<MatchRelation, MatchError> {
     evaluate(g, q, EvalRequest::new(Semantics::Bounded))
         .map(|(m, _)| m)
         .map_err(EvalError::uncancelled)
+}
+
+/// Compute the maximum plain graph simulation `M(Q,G)`. The paper sends
+/// such queries to HHK's quadratic algorithm; here a simulation pattern is
+/// bounded simulation with every bound 1, whose fixpoint refines each
+/// bound-1 edge by adjacency intersection, so the one kernel answers it.
+///
+/// Errors with [`MatchError::NotASimulationPattern`] if any bound exceeds
+/// one hop — those queries belong to [`bounded_simulation`].
+pub fn graph_simulation<G: GraphView + Sync>(
+    g: &G,
+    q: &Pattern,
+) -> Result<MatchRelation, MatchError> {
+    if !q.is_simulation() {
+        return Err(MatchError::NotASimulationPattern);
+    }
+    bounded_simulation(g, q)
 }
 
 /// [`bounded_simulation`] against a caller-owned [`EvalScratch`],
@@ -287,7 +305,7 @@ fn bounded_fixpoint_queue<G: GraphView>(
 mod tests {
     use super::*;
     use expfinder_graph::fixtures::collaboration_fig1;
-    use expfinder_graph::DiGraph;
+    use expfinder_graph::{DiGraph, NodeId};
     use expfinder_pattern::fixtures::fig1_pattern;
     use expfinder_pattern::{Bound, PatternBuilder, Predicate};
 
@@ -352,10 +370,70 @@ mod tests {
             let mut cfg = PatternConfig::new(PatternShape::Tree, 4, spec.labels.clone());
             cfg.bound_range = (1, 1);
             let q = random_pattern(&mut rng, &cfg);
-            let b = bounded_simulation(&g, &q).unwrap();
-            let s = crate::sim::graph_simulation(&g, &q).unwrap();
-            assert_eq!(b, s, "trial {trial}: bsim(bounds=1) == simulation");
+            let s = graph_simulation(&g, &q).unwrap();
+            let want = crate::naive::naive_simulation(&g, &q);
+            assert_eq!(s, want, "trial {trial}: bsim(bounds=1) == simulation");
         }
+    }
+
+    fn chain_graph(labels: &[&str]) -> DiGraph {
+        let mut g = DiGraph::new();
+        let ids: Vec<_> = labels.iter().map(|l| g.add_node(l, [])).collect();
+        for w in ids.windows(2) {
+            g.add_edge(w[0], w[1]);
+        }
+        g
+    }
+
+    /// The `a ⇄ b` pattern over labels `A`, `B`, every bound 1.
+    fn two_cycle_pattern() -> Pattern {
+        PatternBuilder::new()
+            .node("a", Predicate::label("A"))
+            .node("b", Predicate::label("B"))
+            .edge("a", "b", Bound::ONE)
+            .edge("b", "a", Bound::ONE)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn simulation_cascades_removal() {
+        // A → B, but B has no C successor, so pattern a→b→c kills all
+        let g = chain_graph(&["A", "B", "X"]);
+        let q = PatternBuilder::new()
+            .node("a", Predicate::label("A"))
+            .node("b", Predicate::label("B"))
+            .node("c", Predicate::label("C"))
+            .edge("a", "b", Bound::ONE)
+            .edge("b", "c", Bound::ONE)
+            .build()
+            .unwrap();
+        assert!(graph_simulation(&g, &q).unwrap().is_empty());
+    }
+
+    #[test]
+    fn simulation_cyclic_pattern_needs_cyclic_data() {
+        let mut g = chain_graph(&["A", "B"]);
+        let q = two_cycle_pattern();
+        assert!(graph_simulation(&g, &q).unwrap().is_empty());
+        g.add_edge(NodeId(1), NodeId(0));
+        assert_eq!(graph_simulation(&g, &q).unwrap().total_pairs(), 2);
+    }
+
+    #[test]
+    fn simulation_rejects_bounded_pattern() {
+        let g = chain_graph(&["A", "B"]);
+        let q = PatternBuilder::new()
+            .node("a", Predicate::label("A"))
+            .node("b", Predicate::label("B"))
+            .edge("a", "b", Bound::hops(2))
+            .build()
+            .unwrap();
+        assert_eq!(
+            graph_simulation(&g, &q).unwrap_err(),
+            MatchError::NotASimulationPattern
+        );
+        assert!(graph_simulation(&g, &q.as_simulation()).is_ok());
     }
 
     #[test]

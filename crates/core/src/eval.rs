@@ -1,6 +1,6 @@
 //! The one evaluation entry point.
 //!
-//! Every way of computing a match relation in this crate — three
+//! Every way of computing a match relation in this crate — two
 //! semantics, two sequential fixpoint engines, the parallel refinement,
 //! with or without caller-owned scratch, a per-snapshot reach index or a
 //! cancellation token — is one call: [`evaluate`] with an
@@ -11,17 +11,15 @@
 use crate::bsim::{EvalOptions, EvalStats};
 use crate::fixpoint::{Cancelled, EvalScratch};
 use crate::matchrel::MatchRelation;
-use crate::{bsim, dualsim, parallel, sim, MatchError};
+use crate::{bsim, dualsim, parallel, MatchError};
 use expfinder_graph::{CancelToken, GraphView, ReachProvider};
 use expfinder_pattern::Pattern;
 
-/// Which match relation to compute.
+/// Which match relation to compute. Plain graph simulation is
+/// `Bounded` on a pattern whose every bound is one hop
+/// ([`crate::graph_simulation`] checks that and requests it).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Semantics {
-    /// Plain graph simulation — every bound must be one hop
-    /// ([`MatchError::NotASimulationPattern`] otherwise). Sequentially
-    /// this is the quadratic counter-based refinement of [`crate::sim`].
-    Simulation,
     /// Bounded simulation, the paper's core semantics ([`crate::bsim`]).
     Bounded,
     /// Bounded dual simulation ([`crate::dualsim`]).
@@ -36,8 +34,8 @@ pub struct EvalRequest<'a> {
     /// Sequential fixpoint engine.
     /// [`FixpointEngine::Queue`](crate::FixpointEngine) is the
     /// uninstrumented oracle: it allocates its own buffers and ignores
-    /// `scratch`, `index` and `cancel`. The parallel refinement and the
-    /// sequential [`Semantics::Simulation`] counters ignore `options`.
+    /// `scratch`, `index` and `cancel`. The parallel refinement ignores
+    /// `options`.
     pub options: EvalOptions,
     /// Reusable buffers for the sequential engines; `None` allocates a
     /// fresh scratch for this call.
@@ -128,9 +126,6 @@ pub fn evaluate<G: GraphView + Sync>(
         cancel,
         threads,
     } = req;
-    if semantics == Semantics::Simulation && !q.is_simulation() {
-        return Err(MatchError::NotASimulationPattern.into());
-    }
     if threads > 1 {
         let dual = semantics == Semantics::Dual;
         return Ok(parallel::refine(g, q, dual, threads, index, cancel)?);
@@ -141,7 +136,6 @@ pub fn evaluate<G: GraphView + Sync>(
         None => own.insert(EvalScratch::new()),
     };
     Ok(match semantics {
-        Semantics::Simulation => sim::simulation_sequential(g, q, scratch, cancel)?,
         Semantics::Bounded => bsim::bounded_sequential(g, q, options, scratch, index, cancel)?,
         Semantics::Dual => dualsim::dual_sequential(g, q, options, scratch, index, cancel)?,
     })
@@ -151,7 +145,6 @@ pub fn evaluate<G: GraphView + Sync>(
 mod tests {
     use super::*;
     use crate::bsim::bounded_fixpoint_raw;
-    use crate::sim::simulation_fixpoint;
     use crate::{
         bounded_simulation, bounded_simulation_indexed, candidate_sets, dual_simulation,
         graph_simulation, parallel_bounded_simulation_indexed,
@@ -205,13 +198,14 @@ mod tests {
                 let (ia, ib) = (ia.bind(g), ib.bind(g));
                 let index = |on: bool, i| on.then_some(i as &dyn ReachProvider);
 
-                let sim = relation(Semantics::Simulation);
+                let bounded = relation(Semantics::Bounded);
+                let sim = if q.is_simulation() {
+                    bounded.clone()
+                } else {
+                    Err(MatchError::NotASimulationPattern)
+                };
                 assert_eq!(graph_simulation(g, q), sim);
-                let raw = q.is_simulation().then(|| {
-                    MatchRelation::from_sets(simulation_fixpoint(g, q, candidate_sets(g, q)).0, n)
-                });
-                assert_eq!(raw, sim.ok(), "simulation_fixpoint");
-                assert_eq!(bounded_simulation(g, q), relation(Semantics::Bounded));
+                assert_eq!(bounded_simulation(g, q), bounded);
                 assert_eq!(Ok(dual_simulation(g, q)), relation(Semantics::Dual));
 
                 for options in all_options {

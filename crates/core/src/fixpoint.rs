@@ -37,7 +37,7 @@ use crate::bsim::EvalStats;
 use crate::rank::RankScratch;
 use expfinder_graph::bfs::Direction;
 use expfinder_graph::bfs_frontier::FrontierScratch;
-use expfinder_graph::{BitSet, CancelToken, GraphView, NodeId, ReachProvider, Sym};
+use expfinder_graph::{BitSet, CancelToken, GraphView, ReachProvider, Sym};
 use expfinder_pattern::PNodeId;
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -105,9 +105,8 @@ pub(crate) struct IndexCtx<'a> {
 }
 
 /// Reusable evaluation state: BFS frontiers, per-constraint reach caches
-/// and dirty counters, the counter buffers of the plain-simulation
-/// fixpoint, and the [`RankScratch`] that builds and ranks the result
-/// graph of a ranked read. One scratch serves any sequence of (graph,
+/// and dirty counters, and the [`RankScratch`] that builds and ranks the
+/// result graph of a ranked read. One scratch serves any sequence of (graph,
 /// pattern) pairs — caches are keyed per evaluation and reset on entry —
 /// so a worker thread that holds on to one reuses every *graph-sized*
 /// evaluation and ranking buffer across queries. (The candidate sets
@@ -128,9 +127,6 @@ pub struct EvalScratch {
     /// swapped with the per-constraint cache.
     tmp: BitSet,
     queue: VecDeque<usize>,
-    /// Per-edge counter buffers for the plain-simulation fixpoint.
-    counters: Vec<Vec<u32>>,
-    removal_queue: Vec<(PNodeId, NodeId)>,
     rank: RankScratch,
 }
 
@@ -178,28 +174,7 @@ impl EvalScratch {
             .map(|r| bitset_bytes(r.capacity()))
             .sum::<usize>()
             + bitset_bytes(self.tmp.capacity()) * 6
-            + self.counters.iter().map(|c| c.len() * 4).sum::<usize>()
             + self.rank.retained_bytes()
-    }
-
-    /// The counter and removal-queue buffers of the plain-simulation
-    /// fixpoint, sized for `ne` pattern edges over `n` data nodes and
-    /// zero-filled.
-    pub(crate) fn sim_buffers(
-        &mut self,
-        ne: usize,
-        n: usize,
-    ) -> (&mut [Vec<u32>], &mut Vec<(PNodeId, NodeId)>) {
-        self.counters.truncate(ne);
-        for c in &mut self.counters {
-            c.clear();
-            c.resize(n, 0);
-        }
-        while self.counters.len() < ne {
-            self.counters.push(vec![0; n]);
-        }
-        self.removal_queue.clear();
-        (&mut self.counters, &mut self.removal_queue)
     }
 }
 
@@ -574,18 +549,5 @@ mod tests {
         assert_eq!(s.reach.len(), 1);
         assert_eq!(s.reach[0].capacity(), 10);
         assert_eq!(s.ver, vec![0, 0]);
-    }
-
-    #[test]
-    fn sim_buffers_are_zeroed_between_uses() {
-        let mut s = EvalScratch::new();
-        {
-            let (cnt, queue) = s.sim_buffers(2, 5);
-            cnt[0][3] = 7;
-            queue.push((PNodeId(0), NodeId(1)));
-        }
-        let (cnt, queue) = s.sim_buffers(2, 5);
-        assert_eq!(cnt[0][3], 0);
-        assert!(queue.is_empty());
     }
 }

@@ -9,19 +9,20 @@
 //! thread budget — and returns `(MatchRelation, EvalStats)`. Everything
 //! else that evaluates is a fixed request or a raw building block:
 //!
-//! * [`graph_simulation`] — plain graph simulation, quadratic-time
-//!   (Henzinger–Henzinger–Kopke-style refinement with per-edge counters);
 //! * [`bounded_simulation`] — the paper's core semantics \[Fan et al.,
 //!   PVLDB 2010\]: pattern edges with bound `k` map to non-empty paths of
 //!   length ≤ `k`; computed as a greatest-fixpoint refinement whose step is
-//!   a multi-source reverse bounded BFS (cubic worst case);
+//!   a multi-source reverse bounded BFS (cubic worst case), or an
+//!   adjacency intersection for a bound-1 edge;
+//! * [`graph_simulation`] — plain graph simulation, which the paper
+//!   computes with HHK's quadratic algorithm. It is bounded simulation with
+//!   every bound 1, so the same kernel answers it: one matching kernel;
 //! * [`dual_simulation`] — bounded simulation plus parent support;
 //! * [`bounded_simulation_indexed`] /
 //!   [`parallel_bounded_simulation_indexed`] — the reach-indexed serving
 //!   shapes the repo benchmark times directly;
-//! * [`bsim::bounded_fixpoint_raw`] / [`sim::simulation_fixpoint`] — the
-//!   raw (uncollapsed) fixpoints `expfinder-incremental` persists its
-//!   state from.
+//! * [`bsim::bounded_fixpoint_raw`] — the raw (uncollapsed) fixpoint
+//!   `expfinder-incremental` persists its state from.
 //!
 //! Beside them:
 //!
@@ -46,10 +47,10 @@ pub mod naive;
 pub mod parallel;
 pub mod rank;
 pub mod result_graph;
-pub mod sim;
 
 pub use bsim::{
-    bounded_simulation, bounded_simulation_indexed, EvalOptions, EvalStats, FixpointEngine,
+    bounded_simulation, bounded_simulation_indexed, graph_simulation, EvalOptions, EvalStats,
+    FixpointEngine,
 };
 pub use dualsim::dual_simulation;
 pub use eval::{evaluate, EvalError, EvalRequest, Semantics};
@@ -63,7 +64,6 @@ pub use rank::{
     RankScratch, RankedMatch,
 };
 pub use result_graph::ResultGraph;
-pub use sim::graph_simulation;
 
 use expfinder_graph::{BitSet, GraphView, NodeId, Sym};
 use expfinder_pattern::{PNodeId, Pattern, Predicate};
@@ -94,7 +94,7 @@ impl std::error::Error for MatchError {}
 
 /// Collect the nodes of `g` satisfying each pattern node's predicate,
 /// as bitsets indexed by pattern node — the seeding every matcher and the
-/// incremental maintainers start from. On a view with a label index
+/// incremental maintainer start from. On a view with a label index
 /// ([`GraphView::has_label_index`]) a predicate that implies a label
 /// tests only that label's class.
 pub fn candidate_sets<G: GraphView>(g: &G, q: &Pattern) -> Vec<BitSet> {

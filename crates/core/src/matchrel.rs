@@ -106,7 +106,7 @@ impl MatchRelation {
         out
     }
 
-    /// Direct mutable access for the incremental maintainers (same crate
+    /// Direct mutable access for the incremental maintainer (same crate
     /// family only — hidden from docs).
     #[doc(hidden)]
     pub fn sets_mut(&mut self) -> &mut Vec<BitSet> {

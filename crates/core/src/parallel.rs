@@ -1,7 +1,8 @@
 //! Parallel refinement — the multi-threaded evaluation path.
 //!
-//! All three matching semantics in this crate (plain simulation, bounded
-//! simulation, bounded dual simulation) are greatest-fixpoint refinements:
+//! Both matching semantics in this crate (bounded simulation, of which
+//! plain simulation is the all-bound-1 case, and bounded dual simulation)
+//! are greatest-fixpoint refinements:
 //! starting from predicate candidate sets, per-pattern-edge constraints
 //! repeatedly intersect a set with a reach-set computed by one bounded
 //! multi-source BFS, until nothing shrinks. The greatest fixpoint of a
@@ -292,11 +293,11 @@ pub fn run_items<T: Sync, R: Send, W>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{bounded_simulation, dual_simulation, graph_simulation};
+    use crate::{bounded_simulation, dual_simulation};
     use expfinder_graph::fixtures::collaboration_fig1;
     use expfinder_graph::generate::{erdos_renyi, NodeSpec};
     use expfinder_graph::CsrGraph;
-    use expfinder_pattern::fixtures::{fig1_pattern, fig1_pattern_simulation};
+    use expfinder_pattern::fixtures::fig1_pattern;
     use expfinder_pattern::generate::{random_pattern, PatternConfig, PatternShape};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -328,18 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn simulation_rejects_bounded_patterns() {
-        let f = collaboration_fig1();
-        assert_eq!(
-            parallel(&f.graph, &fig1_pattern(), Semantics::Simulation, 2).unwrap_err(),
-            EvalError::Pattern(MatchError::NotASimulationPattern)
-        );
-        let qs = fig1_pattern_simulation();
-        let m = parallel(&f.graph, &qs, Semantics::Simulation, 2).unwrap();
-        assert_eq!(m, graph_simulation(&f.graph, &qs).unwrap());
-    }
-
-    #[test]
     fn random_graphs_all_semantics_agree() {
         let mut rng = StdRng::seed_from_u64(2607);
         let spec = NodeSpec::uniform(3, 4);
@@ -367,10 +356,9 @@ mod tests {
             }
 
             let qs = q.as_simulation();
-            let seq_s = graph_simulation(&g, &qs).unwrap();
             assert_eq!(
-                parallel(&csr, &qs, Semantics::Simulation, 3).unwrap(),
-                seq_s,
+                parallel(&csr, &qs, Semantics::Bounded, 3).unwrap(),
+                crate::naive::naive_simulation(&g, &qs),
                 "trial {trial} sim"
             );
         }

@@ -7,7 +7,7 @@
 //! ranking `core::rank` is checked against.
 #![allow(dead_code)]
 
-use expfinder_core::naive::{naive_bounded_simulation, naive_simulation};
+use expfinder_core::naive::naive_bounded_simulation;
 use expfinder_core::{evaluate, EvalOptions, EvalRequest, MatchRelation, RankedMatch, Semantics};
 use expfinder_graph::bfs::{BfsScratch, Direction};
 use expfinder_graph::{AttrValue, DiGraph, GraphView, NodeId};
@@ -148,13 +148,13 @@ pub fn apply_vertex_op(g: &mut DiGraph, op: &VertexOp) {
     }
 }
 
-/// `M(Q,G)` by the oracle that judges `semantics`: the naive fixpoints,
-/// which share no code with the engines, for simulation and bounded
-/// simulation; for dual simulation, which naive lacks, the queue engine
-/// (`FixpointEngine::Queue`, nothing attached).
+/// `M(Q,G)` by the oracle that judges `semantics`: the naive fixpoint,
+/// which shares no code with the engines, for bounded simulation; for
+/// dual simulation, which naive lacks, the queue engine
+/// (`FixpointEngine::Queue`, nothing attached). Plain simulation is
+/// judged by `naive_simulation` directly.
 pub fn oracle<G: GraphView + Sync>(g: &G, q: &Pattern, semantics: Semantics) -> MatchRelation {
     match semantics {
-        Semantics::Simulation => naive_simulation(g, q),
         Semantics::Bounded => naive_bounded_simulation(g, q),
         Semantics::Dual => {
             let req = EvalRequest {

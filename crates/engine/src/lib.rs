@@ -34,8 +34,8 @@
 //! (sequential or parallel), the compressed quotient when one exists and
 //! the query is compression-safe — from the graph's [`CostProfile`] and
 //! picks the cheapest; then one `expfinder_core::evaluate` call on the
-//! winning substrate (quadratic simulation for 1-bounded patterns, cubic
-//! bounded simulation for the rest), the result graph and the top-K
+//! winning substrate (bounded simulation, of which a 1-bounded pattern is
+//! the plain-simulation case), the result graph and the top-K
 //! rank — or a prefix of the ranked answer the cache slot already
 //! holds. The read path reads a published [`Snapshot`] and nothing else;
 //! the catalog's part of a read is resolving the handle to its graph's
@@ -1102,7 +1102,6 @@ mod tests {
         let q = fig1_pattern();
         let first = auto(&e, &h, &q).unwrap();
         assert_eq!(first.plan.chosen, PlanRoute::Snapshot);
-        assert!(!q.is_simulation(), "bounded simulation ran");
         assert_eq!(first.matches.total_pairs(), 7);
         let second = auto(&e, &h, &q).unwrap();
         assert_eq!(second.plan.chosen, PlanRoute::Cache);
@@ -1113,12 +1112,13 @@ mod tests {
     }
 
     #[test]
-    fn simulation_pattern_routes_to_quadratic() {
-        let (e, h, _) = engine_with_fig1();
+    fn simulation_pattern_answers_plain_simulation() {
+        let (e, h, f) = engine_with_fig1();
         let q = fig1_pattern().as_simulation();
-        assert!(q.is_simulation(), "the quadratic algorithm is selected");
         let out = auto(&e, &h, &q).unwrap();
         assert_eq!(out.plan.chosen, PlanRoute::Snapshot);
+        let want = expfinder_core::naive::naive_simulation(&f.graph, &q);
+        assert_eq!(*out.matches, want, "bound-1 bounded simulation");
         assert!(out.matches.is_empty(), "paper: simulation fails on Fig. 1");
     }
 
@@ -1166,7 +1166,6 @@ mod tests {
             .unwrap();
         let out = auto(&e, &h, &q).unwrap();
         assert_eq!(out.plan.chosen, PlanRoute::Snapshot, "not the quotient");
-        assert!(q.is_simulation());
         assert_eq!(out.matches.total_pairs(), 1);
     }
 

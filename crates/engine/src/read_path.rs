@@ -397,11 +397,7 @@ impl ReadPath {
             } else {
                 1
             },
-            ..EvalRequest::new(if pattern.is_simulation() {
-                Semantics::Simulation
-            } else {
-                Semantics::Bounded
-            })
+            ..EvalRequest::new(Semantics::Bounded)
         };
         let evaluated = match plan.chosen {
             PlanRoute::Compressed => {

@@ -20,7 +20,7 @@ use expfinder_compress::maintain::MaintainedCompression;
 use expfinder_compress::{CompressStats, CompressedGraph, CompressionMethod};
 use expfinder_core::MatchRelation;
 use expfinder_graph::{DiGraph, EdgeUpdate, GraphView, ReachIndex};
-use expfinder_incremental::{IncrementalBoundedSim, IncrementalSim, Maintainer};
+use expfinder_incremental::{IncrementalBoundedSim, Maintainer};
 use expfinder_pattern::Pattern;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -184,7 +184,7 @@ impl PublishedGraph {
 struct RegisteredQuery {
     pattern: Pattern,
     fingerprint: Arc<str>,
-    maintainer: Box<dyn Maintainer + Send + Sync>,
+    maintainer: IncrementalBoundedSim,
     /// The collapsed relation as the last snapshot published it; `None`
     /// once an update changed the maintained sets. While it is `Some`,
     /// successive snapshots share the one `Arc` instead of re-collapsing
@@ -310,11 +310,7 @@ impl MaintainedGraph {
         if self.registered.contains_key(query_name) {
             return Err(ExpFinderError::DuplicateQuery(query_name.to_owned()));
         }
-        let maintainer: Box<dyn Maintainer + Send + Sync> = if pattern.is_simulation() {
-            Box::new(IncrementalSim::new(&self.graph, &pattern)?)
-        } else {
-            Box::new(IncrementalBoundedSim::new(&self.graph, &pattern))
-        };
+        let maintainer = IncrementalBoundedSim::new(&self.graph, &pattern);
         log(&pattern)?;
         let rq = RegisteredQuery {
             fingerprint: pattern.fingerprint().into(),

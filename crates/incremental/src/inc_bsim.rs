@@ -78,7 +78,8 @@ pub struct IncrementalBoundedSim {
 ///
 /// `multi_source_within` has exactly the *non-empty path* semantics the
 /// support counters need — a node (the seed included) qualifies only via
-/// a genuine ≥1-length path, so cycles need no special-casing here.
+/// a genuine ≥1-length path, so cycles need no special-casing here. A
+/// depth-1 reach skips the traversal and copies the adjacency list.
 #[derive(Default)]
 struct ReachScratch {
     frontier: FrontierScratch,
@@ -121,6 +122,15 @@ impl ReachScratch {
             self.seed = BitSet::new(n);
             self.reach = BitSet::new(n);
             self.last_seed = None;
+        }
+        if depth == 1 {
+            // the bound-1 shortcut the fixpoint takes: one hop is the
+            // adjacency list, which holds `v` only through a self-loop
+            self.reach.clear();
+            for &w in dir.neighbors(g, v) {
+                self.reach.insert(w);
+            }
+            return &self.reach;
         }
         if let Some(prev) = self.last_seed.replace(v) {
             self.seed.remove(prev);
@@ -505,8 +515,14 @@ impl Maintainer for IncrementalBoundedSim {
         MatchRelation::from_sets(self.sim.clone(), self.data_nodes)
     }
 
+    /// Counted on the raw sets under the all-or-nothing rule of
+    /// [`MatchRelation::from_sets`]: one empty set empties the relation.
     fn total_pairs(&self) -> usize {
-        crate::collapsed_pairs(&self.sim)
+        if self.sim.iter().any(|s| s.is_empty()) {
+            0
+        } else {
+            self.sim.iter().map(|s| s.count()).sum()
+        }
     }
 
     fn stats(&self) -> IncStats {
@@ -667,6 +683,98 @@ mod tests {
         inc.on_update(&g, EdgeUpdate::Insert(b, a));
         check_against_recompute(&g, &inc);
         assert_eq!(inc.current().total_pairs(), 2);
+    }
+
+    /// Plain simulation: node `a` has label `A` and so on, every listed
+    /// edge has bound 1.
+    fn simulation_pattern(nodes: &[&str], edges: &[(&str, &str)]) -> Pattern {
+        let mut b = PatternBuilder::new();
+        for &n in nodes {
+            b = b.node(n, Predicate::label(n.to_uppercase()));
+        }
+        for &(from, to) in edges {
+            b = b.edge(from, to, Bound::ONE);
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn bound_one_insertion_revives_a_dead_pattern_node() {
+        // A  B, no edge: `a` has no match, so M is empty until the insert
+        let mut g = DiGraph::new();
+        let a = g.add_node("A", []);
+        let b = g.add_node("B", []);
+        let q = simulation_pattern(&["a", "b"], &[("a", "b")]);
+        let mut inc = IncrementalBoundedSim::new(&g, &q);
+        assert!(inc.current().is_empty());
+        g.add_edge(a, b);
+        let delta = inc.on_update(&g, EdgeUpdate::Insert(a, b));
+        check_against_recompute(&g, &inc);
+        assert_eq!(inc.current().total_pairs(), 2);
+        // (b, B) was already in the raw sets; only (a, A) is new
+        assert_eq!(
+            delta,
+            vec![MatchDelta {
+                pattern_node: q.node_id("a").unwrap(),
+                data_node: a,
+                added: true
+            }]
+        );
+    }
+
+    #[test]
+    fn bound_one_insertion_admits_cyclic_mutual_support() {
+        // pattern a ⇄ b; data A → B without the back edge: inserting
+        // B → A must admit both pairs at once
+        let mut g = DiGraph::new();
+        let a = g.add_node("A", []);
+        let b = g.add_node("B", []);
+        g.add_edge(a, b);
+        let q = simulation_pattern(&["a", "b"], &[("a", "b"), ("b", "a")]);
+        let mut inc = IncrementalBoundedSim::new(&g, &q);
+        assert!(inc.current().is_empty());
+        g.add_edge(b, a);
+        inc.on_update(&g, EdgeUpdate::Insert(b, a));
+        check_against_recompute(&g, &inc);
+        assert_eq!(inc.current().total_pairs(), 2);
+    }
+
+    #[test]
+    fn bound_one_verification_trims_tentative_pairs() {
+        // a→b→c with no C anywhere: inserting A → B tentatively admits
+        // (a, A), which verification must remove again
+        let mut g = DiGraph::new();
+        let a = g.add_node("A", []);
+        let b = g.add_node("B", []);
+        let chain = simulation_pattern(&["a", "b", "c"], &[("a", "b"), ("b", "c")]);
+        let mut inc = IncrementalBoundedSim::new(&g, &chain);
+        g.add_edge(a, b);
+        assert!(inc.on_update(&g, EdgeUpdate::Insert(a, b)).is_empty());
+        check_against_recompute(&g, &inc);
+        assert!(inc.current().is_empty());
+
+        // a ⇄ b plus b→c: the insert closes the cycle, so expansion admits
+        // (a, A) and (b, B) on mutual support; (b, B) lacks a C and takes
+        // (a, A) with it
+        let cyclic = simulation_pattern(&["a", "b", "c"], &[("a", "b"), ("b", "a"), ("b", "c")]);
+        let mut inc = IncrementalBoundedSim::new(&g, &cyclic);
+        g.add_edge(b, a);
+        let delta = inc.on_update(&g, EdgeUpdate::Insert(b, a));
+        check_against_recompute(&g, &inc);
+        assert!(inc.current().is_empty());
+        assert!(delta.is_empty(), "nothing truly changed");
+        assert!(inc.stats().tentative_pairs > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the maintained graph")]
+    fn update_on_unknown_node_panics() {
+        let mut g = DiGraph::new();
+        let a = g.add_node("A", []);
+        let mut inc = IncrementalBoundedSim::new(&g, &simulation_pattern(&["a"], &[]));
+        let b = g.add_node("B", []); // added after the maintainer
+        g.add_edge(a, b);
+        inc.on_update(&g, EdgeUpdate::Insert(a, b));
     }
 
     #[test]

@@ -5,21 +5,22 @@
 //! *changes* ΔM without recomputing from scratch — "when ΔG is small, as
 //! commonly found in practice, it is far more efficient". The module
 //! implements the incremental evaluation strategy of \[Fan et al., SIGMOD
-//! 2011\] for both semantics:
+//! 2011\] with one maintainer, [`IncrementalBoundedSim`]. Plain graph
+//! simulation is bounded simulation with every bound 1, so the same
+//! maintainer serves it, and a one-hop support count reads the adjacency
+//! list instead of running a BFS.
 //!
-//! * [`IncrementalSim`] — plain graph simulation. Exploits monotonicity:
-//!   an edge **insertion can only add** matches (handled by optimistic
-//!   upstream expansion followed by a verification fixpoint, which is what
-//!   makes cyclic mutual support correct), and an edge **deletion can only
-//!   remove** matches (handled by an exact counter cascade).
-//! * [`IncrementalBoundedSim`] — bounded simulation. The same
-//!   monotonicity holds (insertions shorten distances, deletions lengthen
-//!   them); maintenance localizes work to the *affected ball*
-//!   `ball_rev(x, b_max − 1) ∪ {x}` around a changed edge `(x, y)` and
-//!   keeps per-pattern-edge support counters
-//!   `scnt[e][v] = |{v' ∈ sim(u') : 1 ≤ dist(v, v') ≤ b_e}|`.
+//! Maintenance exploits monotonicity: an edge **insertion can only add**
+//! matches (insertions shorten distances; handled by optimistic upstream
+//! expansion followed by a verification fixpoint, which is what makes
+//! cyclic mutual support correct), and an edge **deletion can only
+//! remove** matches (deletions lengthen distances; handled by an exact
+//! counter cascade). Work is localized to the *affected ball*
+//! `ball_rev(x, b_max − 1) ∪ {x}` around a changed edge `(x, y)`, with
+//! per-pattern-edge support counters
+//! `scnt[e][v] = |{v' ∈ sim(u') : 1 ≤ dist(v, v') ≤ b_e}|`.
 //!
-//! Both maintainers persist the **raw** greatest-fixpoint sets (not the
+//! The maintainer persists the **raw** greatest-fixpoint sets (not the
 //! all-or-nothing collapsed relation), so a query that currently fails is
 //! still maintained cheaply and springs back to life the moment an
 //! insertion revives the dead pattern node.
@@ -28,10 +29,8 @@
 //! sequence the maintained relation must equal a from-scratch recompute.
 
 pub mod inc_bsim;
-pub mod inc_sim;
 
 pub use inc_bsim::IncrementalBoundedSim;
-pub use inc_sim::IncrementalSim;
 
 use expfinder_graph::{EdgeUpdate, NodeId};
 use expfinder_pattern::PNodeId;
@@ -69,8 +68,8 @@ pub struct MatchDelta {
     pub added: bool,
 }
 
-/// Shared trait of the two maintainers, so the engine and the repo
-/// benchmark's trace can drive either uniformly.
+/// The maintainer interface the engine and the repo benchmark's trace
+/// drive [`IncrementalBoundedSim`] through.
 pub trait Maintainer {
     /// Bring the maintained relation in line after `update` has already
     /// been applied to `g`. Returns the ΔM this update caused.
@@ -85,17 +84,6 @@ pub trait Maintainer {
 
     /// Work counters accumulated since construction.
     fn stats(&self) -> IncStats;
-}
-
-/// Pair count of raw fixpoint sets under the all-or-nothing rule of
-/// [`expfinder_core::MatchRelation::from_sets`]: one empty set empties
-/// the whole relation.
-fn collapsed_pairs(sets: &[expfinder_graph::BitSet]) -> usize {
-    if sets.iter().any(|s| s.is_empty()) {
-        0
-    } else {
-        sets.iter().map(|s| s.count()).sum()
-    }
 }
 
 /// Apply a batch of updates to `g`, maintaining `m` along the way.
@@ -159,7 +147,7 @@ mod tests {
     }
 
     #[test]
-    fn total_pairs_counts_in_place_simulation() {
+    fn total_pairs_counts_in_place_bound_one() {
         let g = collaboration_fig1().graph;
         // (fig1_pattern as plain simulation fails on Fig. 1 by design)
         let q = PatternBuilder::new()
@@ -168,7 +156,7 @@ mod tests {
             .edge("sa", "sd", Bound::ONE)
             .build()
             .unwrap();
-        let mut m = IncrementalSim::new(&g, &q).unwrap();
+        let mut m = IncrementalBoundedSim::new(&g, &q);
         total_pairs_tracks_current(g, &mut m);
     }
 }

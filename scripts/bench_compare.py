@@ -12,14 +12,15 @@ field of the counters document (``BENCH_counters.json``, written by the
 ``bench_match`` binary) has a class:
 
 * **equal-required** (blocking on any difference) — deterministic
-  outputs of a seeded workload: workload labels, graph sizes,
-  match-pair counts, result-equality flags. A mismatch means the benchmark is no longer
+  outputs of a seeded workload: workload labels, graph sizes, update
+  counts, match-pair counts, result-equality flags. A mismatch means the benchmark is no longer
   measuring the same computation.
 * **deterministic counters** (blocking beyond the threshold) —
   evaluation-work counters (``bfs_nodes_visited``, ``refreshes``,
   ``removals``, ``index_misses``, the result-graph build's
-  ``build_visits`` and the ranking kernel's ``settled``, ``relaxed``,
-  ``pushes`` are worse when higher; ``index_hits``
+  ``build_visits``, the ranking kernel's ``settled``, ``relaxed``,
+  ``pushes`` and the incremental maintainer's ``affected_nodes``,
+  ``tentative_pairs`` are worse when higher; ``index_hits``
   and ``refreshes_skipped`` are worse when lower). These are exact
   functions of the algorithm, so a >25% regression is a real algorithmic
   regression, not runner noise.
@@ -45,6 +46,7 @@ EQUAL_KEYS = {
     "results_identical",
     "name",
     "pattern",
+    "updates",
 }
 HIGHER_IS_WORSE = {
     "refreshes",
@@ -55,6 +57,8 @@ HIGHER_IS_WORSE = {
     "settled",
     "relaxed",
     "pushes",
+    "affected_nodes",
+    "tentative_pairs",
 }
 LOWER_IS_WORSE = {"index_hits", "refreshes_skipped"}
 # machine-shape fields: neither comparable nor interesting

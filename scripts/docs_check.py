@@ -48,6 +48,14 @@ that deletes a binary or a test suite cannot leave a command that runs
 it. In the same docs, every backticked path ending in `.rs` must exist,
 resolved from the repo root or from crates/ — so a deleted source or
 test file cannot stay cited.
+
+And the module paths README.md and docs/*.md name: every backticked
+lowercase path `crate::x` (`core::rank`, `expfinder_graph::reach_index`,
+`expfinder::core::naive`) must resolve under crates/<crate>/src, module
+by module, to a module file or to an item the module declares or
+re-exports `pub`. A module-qualified path (`bsim::bounded_fixpoint_raw`)
+resolves the same way from every module file of that name in any crate —
+so a deleted module or item cannot stay named in the prose.
 """
 
 import json
@@ -340,6 +348,85 @@ def check_doc_targets():
     return missing, checked + paths
 
 
+MODULE_DOCS = ["README.md", "docs/*.md"]
+# a lowercase-led `a::b[::c…]` path, not the tail of a longer path
+MODULE_PATH = re.compile(r"(?<![\w:])([a-z_][a-z0-9_]*(?:::[A-Za-z_][A-Za-z0-9_]*)+)")
+# paths into std and Rust's own path keywords: not ours to resolve
+FOREIGN_ROOTS = {"std", "alloc", "self", "super", "crate"}
+
+
+def module_children(module: Path, name: str) -> list:
+    """The file of submodule `name` of the module in file `module`
+    (a `lib.rs`, `mod.rs` or `foo.rs`), as a one- or zero-element list."""
+    base = module.parent if module.name in ("lib.rs", "mod.rs") else module.with_suffix("")
+    return [f for f in (base / f"{name}.rs", base / name / "mod.rs") if f.is_file()]
+
+
+def declares_pub(module: Path, name: str) -> bool:
+    """Does the module in file `module` declare or re-export `name` as
+    `pub` (a `pub(crate)` item does not count)?"""
+    src = module.read_text()
+    item = rf"\bpub\s+(?:unsafe\s+)?(?:fn|struct|enum|trait|type|const|static|mod)\s+{name}\b"
+    if re.search(item, src):
+        return True
+    return any(re.search(rf"\b{name}\b", use) for use in re.findall(r"\bpub use\b[^;]*;", src))
+
+
+def resolve_module_path(path: str, crates: set) -> str | None:
+    """Why `path` resolves to nothing under crates/*/src, or None when it
+    resolves (or is not a path into this workspace)."""
+    segments = path.split("::")
+    if segments[0] == "expfinder" and segments[1] in crates:
+        segments = segments[1:]
+    elif segments[0].startswith("expfinder_"):
+        segments[0] = segments[0].removeprefix("expfinder_")
+    head, rest = segments[0], segments[1:]
+    if head in FOREIGN_ROOTS:
+        return None
+    if head in crates:
+        modules = [CRATES / head / "src" / "lib.rs"]
+    else:
+        modules = sorted(
+            f
+            for f in CRATES.glob("*/src/**/*.rs")
+            if f.stem == head or (f.name == "mod.rs" and f.parent.name == head)
+        )
+        if not modules:
+            return f"no crate and no module file named `{head}` under crates/*/src"
+    for seg in rest:
+        children = [c for m in modules for c in module_children(m, seg)]
+        if children:
+            modules = children
+            continue
+        if any(declares_pub(m, seg) for m in modules):
+            return None  # an item; what follows it is a member
+        where = ", ".join(str(m.relative_to(ROOT)) for m in modules)
+        return f"`{seg}` is neither a submodule nor a `pub` item of {where}"
+    return None
+
+
+def check_module_paths():
+    """`file:line: …` for every backticked lowercase module path in
+    README.md and docs/*.md that does not resolve, and the number of
+    paths checked."""
+    crates = {p.parent.parent.name for p in CRATES.glob("*/src/lib.rs")}
+    docs = sorted({f for pattern in MODULE_DOCS for f in ROOT.glob(pattern)})
+    missing, checked = [], 0
+    for doc in docs:
+        text = doc.read_text()
+        for span in re.finditer(r"`([^`\n]+)`", text):
+            for path in MODULE_PATH.findall(span.group(1)):
+                checked += 1
+                why = resolve_module_path(path, crates)
+                if why:
+                    missing.append(f"{at(doc, text, span)}: `{path}`: {why}")
+    if checked < 10:
+        missing.append(
+            f"only {checked} module paths found in {MODULE_DOCS}; update scripts/docs_check.py"
+        )
+    return missing, checked
+
+
 # ("POST", ["graphs", name, "subscribe"]) — including arms wrapped over
 # lines; stop at the closing bracket of the segment list
 ARM = re.compile(r'\(\s*"(GET|POST|PUT|DELETE|PATCH)"\s*,\s*\[([^\]]*)\]\s*\)')
@@ -402,7 +489,11 @@ def main() -> int:
     target_missing, n_targets = check_doc_targets()
     for msg in target_missing:
         print(f"docs-check: {msg}", file=sys.stderr)
-    if missing or variant_missing or metrics_missing or ident_missing or target_missing:
+    path_missing, n_paths = check_module_paths()
+    for msg in path_missing:
+        print(f"docs-check: {msg}", file=sys.stderr)
+    failed = [missing, variant_missing, metrics_missing, ident_missing, target_missing]
+    if any(failed) or path_missing:
         return 1
     print(
         f"docs-check OK: {len(routes)} routes, {n_variants} route-enum "
@@ -410,7 +501,8 @@ def main() -> int:
         f"docs/PROTOCOL.md; {n_idents} type and member names in "
         "docs/ARCHITECTURE.md, all declared under crates/*/src; "
         f"{n_targets} package/target flags and `.rs` paths in the docs, all "
-        "naming live targets and files"
+        f"naming live targets and files; {n_paths} module paths, all resolving "
+        "under crates/*/src"
     )
     return 0
 

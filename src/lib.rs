@@ -80,7 +80,7 @@ pub mod prelude {
         QueryResponse, QuerySpec, QueryTimings, Route,
     };
     pub use expfinder_graph::{AttrValue, CsrGraph, DiGraph, EdgeUpdate, GraphView, NodeId};
-    pub use expfinder_incremental::{IncrementalBoundedSim, IncrementalSim};
+    pub use expfinder_incremental::IncrementalBoundedSim;
     pub use expfinder_pattern::{Bound, Pattern, PatternBuilder, Predicate};
     pub use expfinder_runtime::{DurableExpFinder, FsyncPolicy, RuntimeConfig};
     pub use expfinder_server::{Client, ServedShell, Server, ServerConfig, ServerHandle};

@@ -14,6 +14,7 @@
 //!   snapshots: every slot equals the oracle's relation of the graph at
 //!   the version the slot reports.
 
+use expfinder::core::naive::naive_simulation;
 use expfinder::core::{evaluate, EvalRequest, RankedMatch, Semantics};
 use expfinder::graph::generate::{collaboration, random_updates, CollabConfig};
 use expfinder::graph::GraphView;
@@ -84,16 +85,16 @@ proptest! {
         }
     }
 
-    /// Parallel plain simulation equals naive simulation on bound-1
-    /// patterns.
+    /// Parallel plain simulation — bounded simulation on a bound-1
+    /// pattern — equals naive simulation.
     #[test]
     fn parallel_sim_equals_sequential(rg in raw_graph(14), rp in raw_pattern()) {
         let g = build_graph(&rg);
         let q = build_pattern(&rp, true);
-        let want = oracle(&g, &q, Semantics::Simulation);
+        let want = naive_simulation(&g, &q);
         let csr = CsrGraph::snapshot(&g);
-        prop_assert_eq!(&parallel(&g, &q, Semantics::Simulation, 3), &want);
-        prop_assert_eq!(&parallel(&csr, &q, Semantics::Simulation, 3), &want);
+        prop_assert_eq!(&parallel(&g, &q, Semantics::Bounded, 3), &want);
+        prop_assert_eq!(&parallel(&csr, &q, Semantics::Bounded, 3), &want);
     }
 
     /// Parallel dual simulation equals the queue engine's bidirectional

@@ -9,9 +9,12 @@
 //! `DiGraph`, the registered set and the acked writes. The ops:
 //!
 //! * `AddSide` adds a second graph, or both facades refuse the duplicate;
-//! * `Update` applies an edge batch; `NoopUpdate` applies a batch of
-//!   no-ops, which must publish nothing;
+//! * `Update` applies an edge batch between two direct reads of the
+//!   step's pattern; `NoopUpdate` applies a batch of no-ops, which must
+//!   publish nothing;
 //! * `Register` / `Unregister` a standing query under one of two names;
+//!   the case's patterns include the bound-1 variant of its first, so
+//!   every case can register and query a plain-simulation pattern;
 //! * `Query`: `Route::{Auto, Direct, Compressed}` × `top_k` ∈ {none, 2,
 //!   64} × fuse ∈ {none, a zero deadline, `CancelToken::after_checks(n)`};
 //! * `Batch` runs `query_batch` over the patterns, one slot with a zero
@@ -55,6 +58,7 @@
 
 use expfinder::compress::CompressionMethod;
 use expfinder::core::bsim::bounded_fixpoint_raw;
+use expfinder::core::naive::naive_simulation;
 use expfinder::core::{
     candidate_sets, evaluate, EvalOptions, EvalRequest, EvalScratch, MatchRelation, RankedMatch,
     ReachIndex, ReachProvider, Semantics,
@@ -100,8 +104,10 @@ const TOP_K: [Option<usize>; 3] = [None, Some(2), Some(64)];
 // ---------------------------------------------------------------------
 
 /// Every way of calling `core::evaluate` on `g` for `q` returns the
-/// oracle's relation: simulation (on `q`'s bound-1 variant), bounded and
-/// dual simulation, each on the `DiGraph` and its `CsrGraph` snapshot,
+/// oracle's relation: simulation (bounded simulation on `q`'s bound-1
+/// variant, judged by `naive_simulation`, which must also equal
+/// `naive_bounded_simulation` there), bounded and dual simulation on `q`,
+/// each on the `DiGraph` and its `CsrGraph` snapshot,
 /// × 1–3 threads × a fresh or the case's `reused` scratch × no index, a
 /// cold or a warm `ReachIndex` bound to that view, plus the sequential
 /// queue engine. A cold index hits and misses alike on both views, and
@@ -110,15 +116,20 @@ const TOP_K: [Option<usize>; 3] = [None, Some(2), Some(64)];
 fn check_every_request(g: &DiGraph, q: &Pattern, reused: &mut EvalScratch) {
     let csr = CsrGraph::snapshot(g);
     let simulation = q.as_simulation();
-    for (semantics, q) in [
-        (Semantics::Simulation, &simulation),
-        (Semantics::Bounded, q),
-        (Semantics::Dual, q),
+    let want = naive_simulation(g, &simulation);
+    let bounded = oracle(g, &simulation, Semantics::Bounded);
+    assert_eq!(want, bounded, "simulation is bound-1 bounded simulation");
+    for (semantics, q, want) in [
+        (Semantics::Bounded, &simulation, want),
+        (Semantics::Bounded, q, oracle(g, q, Semantics::Bounded)),
+        (Semantics::Dual, q, oracle(g, q, Semantics::Dual)),
     ] {
-        let want = oracle(g, q, semantics);
         let on_graph = every_request(g, g.version(), q, semantics, &want, reused);
         let on_csr = every_request(&csr, csr.version(), q, semantics, &want, reused);
-        assert_eq!(on_graph, on_csr, "{semantics:?}: cold index hits, misses");
+        assert_eq!(
+            on_graph, on_csr,
+            "{semantics:?} {q}: cold index hits, misses"
+        );
     }
     let raw = raw_fixpoint(g, q, EvalOptions::default(), reused);
     assert_eq!(raw, raw_fixpoint(g, q, EvalOptions::queue(), reused));
@@ -866,7 +877,7 @@ fn op() -> impl Strategy<Value = Op> {
         // small fuses often fire inside `G_r` or the ranking of a read
         // whose relation comes from the cache
         let fuse = prop_oneof![Just(0u8), Just(0u8), Just(1u8), 2u8..12, 12u8..48];
-        (0u8..2, 0u8..3, 0u8..3, fuse).prop_map(|(pattern, route, top_k, fuse)| Op::Query {
+        (0u8..3, 0u8..3, 0u8..3, fuse).prop_map(|(pattern, route, top_k, fuse)| Op::Query {
             pattern,
             route,
             top_k,
@@ -879,7 +890,7 @@ fn op() -> impl Strategy<Value = Op> {
         edges().prop_map(Op::Update),
         edges().prop_map(Op::Update),
         Just(Op::NoopUpdate),
-        (0u8..2, 0u8..2).prop_map(|(name, pattern)| Op::Register { name, pattern }),
+        (0u8..2, 0u8..3).prop_map(|(name, pattern)| Op::Register { name, pattern }),
         (0u8..2).prop_map(|name| Op::Unregister { name }),
         query(),
         query(),
@@ -912,6 +923,10 @@ thread_local! {
     static TAKEN: RefCell<BTreeSet<&'static str>> = const { RefCell::new(BTreeSet::new()) };
 }
 
+/// Registrations of an all-bound-1 (plain simulation) pattern, over every
+/// case run.
+static BOUND_ONE_REGISTRATIONS: AtomicUsize = AtomicUsize::new(0);
+
 /// Run `case`'s script on both facades and the model.
 fn run_case(case: &Case) {
     let base = build_graph(&case.graph);
@@ -925,11 +940,12 @@ fn run_case(case: &Case) {
         }
     };
     let edges = |batch: &[(bool, u8, u8)]| batch.iter().map(edge).collect::<Vec<_>>();
-    let patterns: Vec<Pattern> = case
+    let mut patterns: Vec<Pattern> = case
         .patterns
         .iter()
         .map(|p| build_pattern(p, false))
         .collect();
+    patterns.push(patterns[0].as_simulation());
     let pattern = |i: u8| &patterns[i as usize % patterns.len()];
     let mut scratch = EvalScratch::new();
     let mut h = Harness::new(
@@ -947,10 +963,19 @@ fn run_case(case: &Case) {
         match op {
             Op::AddSide => h.add_side(&base),
             Op::Update(batch) => {
+                // a direct read on each side of the batch: state derived
+                // for the old version and served at the new one shows
+                h.query(q, Route::Direct, None, Fuse::None);
                 h.update(&edges(batch));
+                h.query(q, Route::Direct, None, Fuse::None);
             }
             Op::NoopUpdate => h.noop_update(),
-            Op::Register { name, pattern: p } => h.register(&format!("q{name}"), pattern(*p)),
+            Op::Register { name, pattern: p } => {
+                if pattern(*p).is_simulation() {
+                    BOUND_ONE_REGISTRATIONS.fetch_add(1, Ordering::Relaxed);
+                }
+                h.register(&format!("q{name}"), pattern(*p))
+            }
             Op::Unregister { name } => h.unregister(&format!("q{name}")),
             Op::Query {
                 pattern: p,
@@ -1075,6 +1100,9 @@ proptest! {
             let taken = TAKEN.with(|t| t.borrow().clone());
             let all = ["cache", "compressed", "registered", "snapshot", "snapshot_parallel"];
             prop_assert_eq!(taken, BTreeSet::from(all), "routes the scripts took");
+            let bound_one = BOUND_ONE_REGISTRATIONS.load(Ordering::Relaxed);
+            eprintln!("all-bound-1 registrations over {CASES} cases: {bound_one}");
+            prop_assert!(bound_one > 0, "no case registered a plain-simulation pattern");
         }
     }
 }

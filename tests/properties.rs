@@ -5,7 +5,7 @@
 //!
 //! * soundness & maximality of bounded simulation (against the independent
 //!   naive oracle and the validity checker);
-//! * bound-1 bounded simulation ≡ plain simulation;
+//! * bound-1 bounded simulation ≡ plain simulation (naive's);
 //! * isomorphism embeddings are contained in the simulation relation;
 //! * compression preserves query answers (the naive oracle's) for both
 //!   equivalences;
@@ -42,16 +42,17 @@ proptest! {
         prop_assert!(is_valid_bounded_relation(&g, &q, &fast));
     }
 
-    /// Bounded simulation with all bounds 1 is plain graph simulation.
+    /// Bounded simulation with all bounds 1 is plain graph simulation:
+    /// the one kernel agrees with the naive simulation oracle, which
+    /// agrees with the naive bounded one.
     #[test]
     fn bound_one_is_simulation(rg in raw_graph(14), rp in raw_pattern()) {
         let g = build_graph(&rg);
         let q = build_pattern(&rp, true);
-        let b = bounded_simulation(&g, &q).unwrap();
         let s = graph_simulation(&g, &q).unwrap();
         let n = naive_simulation(&g, &q);
-        prop_assert_eq!(&b, &s);
         prop_assert_eq!(&s, &n);
+        prop_assert_eq!(&n, &naive_bounded_simulation(&g, &q));
     }
 
     /// Every isomorphism embedding is contained in the simulation result
@@ -106,8 +107,9 @@ proptest! {
         }
     }
 
-    /// Incremental maintenance equals recompute after an arbitrary
-    /// sequence of edge updates (both maintainers).
+    /// Incremental maintenance equals the naive oracle after an arbitrary
+    /// sequence of edge updates, on the pattern and on its bound-1
+    /// variant (plain simulation).
     #[test]
     fn incremental_equals_recompute(
         rg in raw_graph(10),
@@ -120,7 +122,7 @@ proptest! {
         let qb = build_pattern(&rp, false);
         let mut inc_b = IncrementalBoundedSim::new(&g, &qb);
         let qs = build_pattern(&rp, true);
-        let mut inc_s = IncrementalSim::new(&g, &qs).unwrap();
+        let mut inc_s = IncrementalBoundedSim::new(&g, &qs);
 
         for &(a, b, insert) in &ups {
             let (a, b) = (NodeId((a % n) as u32), NodeId((b % n) as u32));
