@@ -5,18 +5,16 @@
 //! It holds two workload arrays:
 //!
 //! * **`match_frontier`** — bounded simulation on the collab/twitter
-//!   workloads under both fixpoint engines: the queue-based BFS loop
-//!   (`FixpointEngine::Queue`, the oracle) and the delta-aware frontier
-//!   engine (`FixpointEngine::Frontier`: dependency-ordered plan,
+//!   workloads by the one fixpoint engine (dependency-ordered plan,
 //!   direction-optimizing bitset BFS, refresh memoization, reused
-//!   [`EvalScratch`], label-indexed seeding), each with the [`EvalStats`] it
-//!   produces. The patterns are chain-shaped on purpose: a pattern edge
-//!   whose target set shrinks during refinement re-queues its upstream
-//!   edges under a static plan — exactly the work the dependency plan
-//!   avoids. Each workload also ranks its matches: the `rank` block holds
-//!   the result graph's size, the work of building it
-//!   ([`RankScratch::build_visits`]) and the ranking kernel's work
-//!   counters ([`RankScratch::work`]).
+//!   [`EvalScratch`], label-indexed seeding) as a sequential query is
+//!   served (`new`), with the [`EvalStats`] it produces. The patterns are
+//!   chain-shaped on purpose: a pattern edge whose target set shrinks
+//!   during refinement would re-queue its upstream edges under a static
+//!   plan — exactly the work the dependency plan avoids. Each workload
+//!   also ranks its matches: the `rank` block holds the result graph's
+//!   size, the work of building it ([`RankScratch::build_visits`]) and the
+//!   ranking kernel's work counters ([`RankScratch::work`]).
 //! * **`match_warm_index`** — the same frontier path without and with the
 //!   per-version reach index, cold (first query on a version) and warm
 //!   (queries 2..N).
@@ -26,12 +24,13 @@
 //!   (its [`IncStats`](expfinder_incremental::IncStats) work), both
 //!   judged by `naive_simulation`.
 //!
-//! Answers of every path are asserted identical while measuring
-//! (`results_identical`). Counters and sizes are exact functions of the
-//! seed; the `*_ms` / speedup fields are wall-clock and only advisory.
+//! Answers of every path are asserted equal to `core::naive`'s while
+//! measuring (`results_identical`). Counters and sizes are exact functions
+//! of the seed; the `*_ms` / speedup fields are wall-clock and only
+//! advisory.
 
 use crate::{collab_graph, collab_pattern, fmt_dur, json_obj as obj, time, twitter_graph, SEED};
-use expfinder_core::naive::naive_simulation;
+use expfinder_core::naive::{naive_bounded_simulation, naive_simulation};
 use expfinder_core::{
     bounded_simulation_indexed, evaluate, rank_matches_top_k_cancellable, CancelToken, EvalOptions,
     EvalRequest, EvalScratch, EvalStats, MatchRelation, RankScratch, ReachIndex, ResultGraph,
@@ -53,16 +52,16 @@ const REPS: usize = 3;
 /// `u0 →(2) u1 →(2) u2 →(2) u3`, with `u0` also within 3 hops of a
 /// media hub — the "influence chain" workload.
 ///
-/// The chain is built so the old static-selective plan *must*
+/// The chain is built so a static most-selective-first plan *must*
 /// re-refresh: seed-set sizes order the edges `media (tiny) → u2-seeded
-/// → u1-seeded → u3-seeded`, so `u1 → u2` and `u0 → u1` both run before
-/// the huge `u2 → u3` refresh shrinks `sim(u2)` hard (only about a
-/// third of users follow another user directly in this generator), and
-/// the shrink cascades back up the chain as repeated refreshes. The
-/// frontier engine's dependency plan refreshes the chain leaf-first
-/// instead — every edge exactly once — and the bound-1 `u2 → u3` edge
-/// exercises the direct-intersection fast path (the old path runs a
-/// full multi-source BFS from every user for it).
+/// → u1-seeded → u3-seeded`, so `u1 → u2` and `u0 → u1` would both run
+/// before the huge `u2 → u3` refresh shrinks `sim(u2)` hard (only about
+/// a third of users follow another user directly in this generator),
+/// and the shrink would cascade back up the chain as repeated refreshes.
+/// The engine's dependency plan refreshes the chain leaf-first instead —
+/// every edge exactly once — and the bound-1 `u2 → u3` edge exercises
+/// the direct-intersection fast path instead of a multi-source BFS from
+/// every user.
 pub fn twitter_chain_pattern() -> Pattern {
     PatternBuilder::new()
         .node_output("u0", Predicate::label("user"))
@@ -151,29 +150,14 @@ fn measure<R>(mut f: impl FnMut() -> R) -> (Duration, R) {
     (times[times.len() / 2], last)
 }
 
-/// The pre-PR-4 path: the queue-based oracle fixpoint, fresh allocations
-/// per query.
-fn queue_oracle(graph: &DiGraph, pattern: &Pattern) -> (MatchRelation, EvalStats) {
-    let req = EvalRequest {
-        options: EvalOptions::queue(),
-        ..EvalRequest::new(Semantics::Bounded)
-    };
-    evaluate(graph, pattern, req).expect("no token supplied")
-}
-
-/// One workload's measurements.
-///
-/// The **old path** is the pre-PR-4 sequential serving shape: queue-based
-/// fixpoint straight off the live adjacency, fresh allocations per query.
-/// The **new path** is what `ExpFinder` runs per sequential query: the
-/// delta-aware frontier fixpoint over the snapshot's own graph
-/// (label-indexed candidate seeding), against one reused `EvalScratch`.
+/// One workload's measurements: the `new` path is what `ExpFinder` runs
+/// per sequential query — the fixpoint over the snapshot's own graph
+/// (label-indexed candidate seeding) against one reused `EvalScratch` —
+/// judged by `naive_bounded_simulation`.
 fn bench_workload(name: &str, graph: &DiGraph, pattern: &Pattern) -> Value {
-    let (old_t, (old_m, old_stats)) = measure(|| queue_oracle(graph, pattern));
     let mut scratch = EvalScratch::new();
-    let (new_t, (new_m, new_stats)) = measure(|| {
-        bounded_simulation_indexed(graph, pattern, EvalOptions::default(), &mut scratch, None)
-    });
+    let (new_t, (new_m, new_stats)) =
+        measure(|| bounded_simulation_indexed(graph, pattern, EvalOptions, &mut scratch, None));
 
     // the deadline-aware serving shape with a *disarmed* token: every
     // cancellation point costs one relaxed atomic load and nothing else,
@@ -190,31 +174,25 @@ fn bench_workload(name: &str, graph: &DiGraph, pattern: &Pattern) -> Value {
     });
     let cancel_overhead = cancel_t.as_secs_f64() / new_t.as_secs_f64().max(1e-12) - 1.0;
 
-    let identical = old_m == new_m;
+    let identical = new_m == naive_bounded_simulation(graph, pattern);
     assert!(
         identical,
-        "{name}: frontier engine diverged from queue oracle"
+        "{name}: the engine diverged from the naive oracle"
     );
     assert!(
         !new_m.is_empty(),
         "{name}: pattern must match its generator"
     );
 
-    let speedup = old_t.as_secs_f64() / new_t.as_secs_f64().max(1e-12);
-    let bfs_reduction =
-        old_stats.bfs_nodes_visited as f64 / (new_stats.bfs_nodes_visited as f64).max(1.0);
     println!(
-        "{:>10} {:>9} {:>9} | {:>11} {:>11} {:>7.2}x | bfs nodes {:>11} → {:>11} ({:.2}x) | skipped {}",
+        "{:>10} {:>9} {:>9} | {:>11} | refreshes {:>3} skipped {:>3} | bfs nodes {:>11}",
         name,
         graph.node_count(),
         graph.edge_count(),
-        fmt_dur(old_t),
         fmt_dur(new_t),
-        speedup,
-        old_stats.bfs_nodes_visited,
-        new_stats.bfs_nodes_visited,
-        bfs_reduction,
+        new_stats.refreshes,
         new_stats.refreshes_skipped,
+        new_stats.bfs_nodes_visited,
     );
     println!(
         "{:>10} disarmed cancel token: {} ({:+.2}% vs token-free)",
@@ -230,15 +208,9 @@ fn bench_workload(name: &str, graph: &DiGraph, pattern: &Pattern) -> Value {
         ("edges", Value::Int(graph.edge_count() as i64)),
         ("match_pairs", Value::Int(new_m.total_pairs() as i64)),
         (
-            "old",
-            obj(vec![("ms", ms(old_t)), ("stats", stats_doc(old_stats))]),
-        ),
-        (
             "new",
             obj(vec![("ms", ms(new_t)), ("stats", stats_doc(new_stats))]),
         ),
-        ("speedup", Value::Float(speedup)),
-        ("bfs_nodes_reduction", Value::Float(bfs_reduction)),
         ("cancel_check_ms", ms(cancel_t)),
         ("cancel_check_overhead", Value::Float(cancel_overhead)),
         ("rank", rank),
@@ -302,12 +274,12 @@ pub fn run_counters_bench() -> Value {
         (
             "note",
             Value::Str(
-                "deterministic matching work on seeded workloads: queue vs frontier \
-                 fixpoint (match_frontier), the frontier path without, cold and warm \
+                "deterministic matching work on seeded workloads: the fixpoint as a \
+                 sequential query is served (match_frontier), without, cold and warm \
                  on the per-version reach index (match_warm_index), and plain \
                  simulation evaluated and maintained as bound-1 bounded simulation \
-                 (match_bound1); identical results asserted while measuring; *_ms and \
-                 speedups are wall-clock, advisory"
+                 (match_bound1); results asserted equal to the naive oracle while \
+                 measuring; *_ms and speedups are wall-clock, advisory"
                     .to_owned(),
             ),
         ),
@@ -322,14 +294,12 @@ pub fn run_counters_bench() -> Value {
     ])
 }
 
-/// The `match_frontier` array: queue engine vs frontier engine.
+/// The `match_frontier` array: the fixpoint as a sequential query.
 fn frontier_workloads(collab: &DiGraph, twitter: &DiGraph) -> Vec<Value> {
+    println!("match_frontier: the fixpoint on one reused scratch, sequential, {REPS} reps");
     println!(
-        "match_frontier: queue engine (old) vs frontier engine (new), sequential, {REPS} reps"
-    );
-    println!(
-        "{:>10} {:>9} {:>9} | {:>11} {:>11} {:>8} |",
-        "workload", "|V|", "|E|", "1q old", "1q new", "speedup"
+        "{:>10} {:>9} {:>9} | {:>11} |",
+        "workload", "|V|", "|E|", "1q"
     );
     vec![
         bench_workload("collab", collab, &collab_pattern()),
@@ -352,8 +322,8 @@ fn frontier_workloads(collab: &DiGraph, twitter: &DiGraph) -> Vec<Value> {
 ///   refreshes are served from the memoized entries as one bitset copy
 ///   each, which is where `bfs_nodes_visited` drops.
 ///
-/// Results of all paths (plus the queue oracle) are asserted identical
-/// while measuring.
+/// Results of all paths are asserted equal to the naive oracle's while
+/// measuring.
 fn bench_warm_workload(
     name: &str,
     pattern_name: &str,
@@ -361,30 +331,17 @@ fn bench_warm_workload(
     pattern: &Pattern,
 ) -> Value {
     let mut scratch = EvalScratch::new();
-    let (pr4_t, (pr4_m, pr4_stats)) = measure(|| {
-        bounded_simulation_indexed(graph, pattern, EvalOptions::default(), &mut scratch, None)
-    });
-    let (oracle_m, _) = queue_oracle(graph, pattern);
+    let (pr4_t, (pr4_m, pr4_stats)) =
+        measure(|| bounded_simulation_indexed(graph, pattern, EvalOptions, &mut scratch, None));
+    let oracle_m = naive_bounded_simulation(graph, pattern);
 
     let idx = ReachIndex::new(graph.version());
     let bound = idx.bind(graph);
     let ((cold_m, _), cold_t) = time(|| {
-        bounded_simulation_indexed(
-            graph,
-            pattern,
-            EvalOptions::default(),
-            &mut scratch,
-            Some(&bound),
-        )
+        bounded_simulation_indexed(graph, pattern, EvalOptions, &mut scratch, Some(&bound))
     });
     let (warm_t, (warm_m, warm_stats)) = measure(|| {
-        bounded_simulation_indexed(
-            graph,
-            pattern,
-            EvalOptions::default(),
-            &mut scratch,
-            Some(&bound),
-        )
+        bounded_simulation_indexed(graph, pattern, EvalOptions, &mut scratch, Some(&bound))
     });
 
     let identical = warm_m == pr4_m && warm_m == oracle_m && cold_m == warm_m;
@@ -485,9 +442,8 @@ const BOUND1_UPDATES: usize = 400;
 fn bench_bound1_workload(name: &str, graph: &DiGraph, pattern: &Pattern) -> Value {
     let q = pattern.as_simulation();
     let mut scratch = EvalScratch::new();
-    let (eval_t, (m, stats)) = measure(|| {
-        bounded_simulation_indexed(graph, &q, EvalOptions::default(), &mut scratch, None)
-    });
+    let (eval_t, (m, stats)) =
+        measure(|| bounded_simulation_indexed(graph, &q, EvalOptions, &mut scratch, None));
 
     let mut g = graph.clone();
     let stream = random_updates(&mut StdRng::seed_from_u64(SEED), &g, BOUND1_UPDATES, 0.5);
@@ -542,29 +498,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn twitter_chain_pattern_matches_and_cascades() {
+    fn twitter_chain_pattern_matches_and_refreshes_each_edge_once() {
         let g = twitter_graph(4000, SEED);
         let q = twitter_chain_pattern();
-        // the old path must cascade on this workload (that is what makes
-        // it a memoization benchmark) ...
-        let (m_old, old) = queue_oracle(&g, &q);
-        assert!(!m_old.is_empty(), "pattern matches its generator");
-        assert!(
-            old.refreshes > q.edge_count(),
-            "chain shape must re-refresh some edge on the queue path \
-             (got {} refreshes for {} edges)",
-            old.refreshes,
-            q.edge_count()
-        );
-        // ... and the dependency-ordered frontier path must not pay it
-        let (m_new, new) =
+        let (m, stats) =
             evaluate(&g, &q, EvalRequest::new(Semantics::Bounded)).expect("no token supplied");
-        assert_eq!(m_old, m_new);
+        assert!(!m.is_empty(), "pattern matches its generator");
+        assert_eq!(m, naive_bounded_simulation(&g, &q));
+        // the chain shrinks `sim(u2)` hard on its bound-1 edge; the
+        // dependency plan runs that edge first, so no upstream edge has to
+        // re-refresh (re-queued constraints are skipped, not refreshed)
+        assert_eq!(stats.refreshes, q.edge_count(), "dependency plan");
         assert!(
-            new.refreshes < old.refreshes,
-            "dependency plan saves refreshes"
+            stats.refreshes_skipped > 0,
+            "the shrink re-queued something"
         );
-        assert!(new.bfs_nodes_visited < old.bfs_nodes_visited);
     }
 
     /// Wall-clock fields: the only ones two builds may disagree on.
@@ -616,7 +564,6 @@ mod tests {
         assert_eq!(frontier.len(), 2);
         for w in frontier {
             assert!(w.field("results_identical").unwrap().as_bool().unwrap());
-            assert!(w.field("speedup").unwrap().as_f64().unwrap() > 0.0);
             let new = w.field("new").unwrap().field("stats").unwrap();
             assert!(int(new, "bfs_nodes_visited") > 0);
             let rank = w.field("rank").unwrap();

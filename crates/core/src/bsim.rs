@@ -21,55 +21,28 @@
 //! Each shrink event re-queues at most `deg_Q` edges and each refresh is
 //! linear in `|G|`, giving the cubic worst case the paper quotes, but in
 //! practice a handful of refreshes per edge. The refresh *order* is the
-//! "query plan": both engines start from the most selective target sets,
-//! and the frontier engine also runs a constraint only after the ones
-//! that can shrink its seeds.
+//! "query plan": a constraint runs only after the ones that can shrink
+//! its seeds, most selective target sets first.
 //!
-//! Two interchangeable engines compute the fixpoint
-//! ([`EvalOptions::engine`]): the default [`FixpointEngine::Frontier`]
-//! runs the delta-aware loop of [`crate::fixpoint`] (word-parallel BFS,
-//! refresh memoization, dirty-counter skipping, reusable
-//! [`EvalScratch`]); [`FixpointEngine::Queue`] is the original
-//! queue-based loop, kept verbatim as the correctness oracle and the
-//! benchmark baseline. Both compute the same greatest fixpoint
-//! bit-for-bit (property-tested).
+//! One engine computes the fixpoint: the delta-aware loop of
+//! [`crate::fixpoint`] (word-parallel BFS, refresh memoization,
+//! dirty-counter skipping, reusable [`EvalScratch`]). It is judged by
+//! [`crate::naive`], which shares no code with it.
 
 use crate::candidate_sets_classed;
 use crate::eval::{evaluate, EvalError, EvalRequest, Semantics};
 use crate::fixpoint::{refine_constraints, Cancelled, Constraint, EvalScratch, IndexCtx};
 use crate::matchrel::MatchRelation;
 use crate::MatchError;
-use expfinder_graph::bfs::{BfsScratch, Direction};
+use expfinder_graph::bfs::Direction;
 use expfinder_graph::{BitSet, CancelToken, GraphView, ReachProvider};
 use expfinder_pattern::Pattern;
 
-/// Which fixpoint loop evaluates the refinement.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub enum FixpointEngine {
-    /// Delta-aware frontier engine: direction-optimizing bitset BFS,
-    /// per-edge reach memoization, dirty-counter refresh skipping.
-    #[default]
-    Frontier,
-    /// The original queue-based multi-source BFS loop — the oracle for
-    /// dual simulation and for the frontier engine's raw fixpoint, and
-    /// the "old path" of the `bench_match` comparison.
-    Queue,
-}
-
-/// Evaluation options.
-#[derive(Copy, Clone, Debug, Default)]
-pub struct EvalOptions {
-    pub engine: FixpointEngine,
-}
-
-impl EvalOptions {
-    /// The queue-based oracle engine.
-    pub fn queue() -> EvalOptions {
-        EvalOptions {
-            engine: FixpointEngine::Queue,
-        }
-    }
-}
+/// Evaluation options of [`bounded_simulation_indexed`]. There is one
+/// fixpoint engine, so none are left; the type stays because the repo
+/// benchmark's direct-call rows pass `EvalOptions::default()`.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct EvalOptions;
 
 /// Counters describing how much work one evaluation did.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -79,7 +52,7 @@ pub struct EvalStats {
     /// Total candidate removals across all pattern nodes.
     pub removals: usize,
     /// Queued refreshes skipped because the seed set had not shrunk since
-    /// the constraint's last refresh (frontier engine only).
+    /// the constraint's last refresh.
     pub refreshes_skipped: usize,
     /// Nodes marked visited across all reach traversals — the traversal
     /// work the refresh memoization exists to cut.
@@ -132,12 +105,11 @@ pub fn graph_simulation<G: GraphView + Sync>(
 pub fn bounded_simulation_indexed<G: GraphView + Sync>(
     g: &G,
     q: &Pattern,
-    opts: EvalOptions,
+    _: EvalOptions,
     scratch: &mut EvalScratch,
     index: Option<&dyn ReachProvider>,
 ) -> (MatchRelation, EvalStats) {
     let req = EvalRequest {
-        options: opts,
         scratch: Some(scratch),
         index,
         ..EvalRequest::new(Semantics::Bounded)
@@ -148,20 +120,18 @@ pub fn bounded_simulation_indexed<G: GraphView + Sync>(
     }
 }
 
-/// The sequential bounded-simulation engines behind [`evaluate`]: seed
-/// the candidate sets, then run the fixpoint `opts.engine` names with
-/// paper semantics (early exit when a pattern node dies, collapse to the
-/// empty relation).
+/// Sequential bounded simulation behind [`evaluate`]: seed the candidate
+/// sets, then run the fixpoint with paper semantics (early exit when a
+/// pattern node dies, collapse to the empty relation).
 pub(crate) fn bounded_sequential<G: GraphView>(
     g: &G,
     q: &Pattern,
-    opts: EvalOptions,
     scratch: &mut EvalScratch,
     index: Option<&dyn ReachProvider>,
     cancel: Option<&CancelToken>,
 ) -> Result<(MatchRelation, EvalStats), Cancelled> {
     let (sim, classes) = candidate_sets_classed(g, q);
-    let (sets, stats) = bounded_fixpoint(g, q, sim, opts, true, scratch, &classes, index, cancel)?;
+    let (sets, stats) = bounded_fixpoint(g, q, sim, true, scratch, &classes, index, cancel)?;
     Ok((MatchRelation::from_sets(sets, g.node_count()), stats))
 }
 
@@ -170,42 +140,36 @@ pub(crate) fn bounded_sequential<G: GraphView>(
 /// matches (cheaper, but the returned sets are then only *some*
 /// under-approximation of the true greatest fixpoint for the other
 /// nodes); without it, the exact raw GFP is computed — the incremental
-/// module persists that as its state. `scratch` and `cancel` serve the
-/// frontier engine; the [`FixpointEngine::Queue`] oracle ignores both. On
-/// abort the partially refined sets are dropped; nothing durable was
-/// mutated.
+/// module persists that as its state, and
+/// [`naive_bounded_fixpoint`](crate::naive::naive_bounded_fixpoint)
+/// judges it. On abort the partially refined sets are dropped; nothing
+/// durable was mutated.
 #[allow(clippy::type_complexity)]
 pub fn bounded_fixpoint_raw<G: GraphView>(
     g: &G,
     q: &Pattern,
     sim: Vec<BitSet>,
-    opts: EvalOptions,
     early_exit: bool,
     scratch: &mut EvalScratch,
     cancel: Option<&CancelToken>,
 ) -> Result<(Vec<BitSet>, EvalStats), Cancelled> {
-    bounded_fixpoint(g, q, sim, opts, early_exit, scratch, &[], None, cancel)
+    bounded_fixpoint(g, q, sim, early_exit, scratch, &[], None, cancel)
 }
 
-/// The fixpoint `opts.engine` names. The frontier engine carries the
-/// reach-index hook: `classes` marks which candidate sets were seeded as
-/// full label classes (empty slice = no markers), `index` is the
-/// per-snapshot provider (None = plain BFS).
+/// The fixpoint with the reach-index hook: `classes` marks which
+/// candidate sets were seeded as full label classes (empty slice = no
+/// markers), `index` is the per-snapshot provider (None = plain BFS).
 #[allow(clippy::too_many_arguments, clippy::type_complexity)]
 fn bounded_fixpoint<G: GraphView>(
     g: &G,
     q: &Pattern,
     mut sim: Vec<BitSet>,
-    opts: EvalOptions,
     early_exit: bool,
     scratch: &mut EvalScratch,
     classes: &[Option<expfinder_graph::Sym>],
     index: Option<&dyn ReachProvider>,
     cancel: Option<&CancelToken>,
 ) -> Result<(Vec<BitSet>, EvalStats), Cancelled> {
-    if opts.engine == FixpointEngine::Queue {
-        return Ok(bounded_fixpoint_queue(g, q, sim, early_exit));
-    }
     let constraints: Vec<Constraint> = q
         .edges()
         .iter()
@@ -239,87 +203,14 @@ fn bounded_fixpoint<G: GraphView>(
     Ok((sim, stats))
 }
 
-/// The original queue-based fixpoint — the [`FixpointEngine::Queue`]
-/// oracle.
-fn bounded_fixpoint_queue<G: GraphView>(
-    g: &G,
-    q: &Pattern,
-    mut sim: Vec<BitSet>,
-    early_exit: bool,
-) -> (Vec<BitSet>, EvalStats) {
-    let n = g.node_count();
-    let ne = q.edge_count();
-    let mut stats = EvalStats::default();
-
-    if ne == 0 {
-        return (sim, stats);
-    }
-
-    // initial processing order = the "query plan": most selective first
-    let mut order: Vec<usize> = (0..ne).collect();
-    order.sort_by_key(|&ei| sim[q.edges()[ei].to.index()].count());
-
-    let mut in_queue = vec![true; ne];
-    let mut queue: std::collections::VecDeque<usize> = order.into_iter().collect();
-
-    let mut scratch = BfsScratch::new();
-    let mut reach = BitSet::new(n);
-
-    while let Some(ei) = queue.pop_front() {
-        in_queue[ei] = false;
-        let e = &q.edges()[ei];
-        let (u, t, depth) = (e.from, e.to, e.bound.depth());
-
-        stats.refreshes += 1;
-        stats.bfs_nodes_visited +=
-            scratch.multi_source_within(g, &sim[t.index()], depth, Direction::Backward, &mut reach);
-
-        let before = sim[u.index()].count();
-        sim[u.index()].intersect_with(&reach);
-        let after = sim[u.index()].count();
-
-        if after < before {
-            stats.removals += before - after;
-            if after == 0 && early_exit {
-                // some pattern node became unmatchable: M(Q,G) = ∅
-                for s in &mut sim {
-                    s.clear();
-                }
-                return (sim, stats);
-            }
-            // sim(u) shrank: every edge whose *target* is u must re-check
-            for &in_ei in q.in_edge_indices(u) {
-                let in_ei = in_ei as usize;
-                if !in_queue[in_ei] {
-                    in_queue[in_ei] = true;
-                    queue.push_back(in_ei);
-                }
-            }
-        }
-    }
-
-    (sim, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::naive::naive_bounded_simulation;
     use expfinder_graph::fixtures::collaboration_fig1;
     use expfinder_graph::{DiGraph, NodeId};
     use expfinder_pattern::fixtures::fig1_pattern;
     use expfinder_pattern::{Bound, PatternBuilder, Predicate};
-
-    fn bounded_simulation_with(
-        g: &DiGraph,
-        q: &Pattern,
-        options: EvalOptions,
-    ) -> (MatchRelation, EvalStats) {
-        let req = EvalRequest {
-            options,
-            ..EvalRequest::new(Semantics::Bounded)
-        };
-        evaluate(g, q, req).unwrap()
-    }
 
     #[test]
     fn paper_example1_match_set() {
@@ -452,7 +343,7 @@ mod tests {
                 cfg.extra_edges = 1;
                 let q = random_pattern(&mut rng, &cfg);
                 let fast = bounded_simulation(&g, &q).unwrap();
-                let slow = crate::naive::naive_bounded_simulation(&g, &q);
+                let slow = naive_bounded_simulation(&g, &q);
                 assert_eq!(fast, slow, "{shape:?} trial {trial} diverged");
             }
         }
@@ -539,16 +430,13 @@ mod tests {
     fn stats_are_populated() {
         let f = collaboration_fig1();
         let q = fig1_pattern();
-        let (_, stats) = bounded_simulation_with(&f.graph, &q, EvalOptions::default());
+        let (_, stats) = evaluate(&f.graph, &q, EvalRequest::new(Semantics::Bounded)).unwrap();
         assert!(stats.refreshes >= q.edge_count());
         assert!(stats.bfs_nodes_visited > 0);
-        let (_, old) = bounded_simulation_with(&f.graph, &q, EvalOptions::queue());
-        assert!(old.refreshes >= q.edge_count());
-        assert!(old.bfs_nodes_visited >= stats.bfs_nodes_visited);
     }
 
     #[test]
-    fn engines_agree_and_scratch_is_reusable() {
+    fn reused_scratch_agrees_with_naive() {
         use crate::fixpoint::EvalScratch;
         use expfinder_graph::generate::{erdos_renyi, NodeSpec};
         use expfinder_pattern::generate::{random_pattern, PatternConfig, PatternShape};
@@ -564,10 +452,8 @@ mod tests {
             cfg.bound_range = (1, 3);
             cfg.extra_edges = 2;
             let q = random_pattern(&mut rng, &cfg);
-            let (old, _) = bounded_simulation_with(&g, &q, EvalOptions::queue());
-            let (new, _) =
-                bounded_simulation_indexed(&g, &q, EvalOptions::default(), &mut scratch, None);
-            assert_eq!(old, new, "trial {trial}: engines diverged");
+            let (got, _) = bounded_simulation_indexed(&g, &q, EvalOptions, &mut scratch, None);
+            assert_eq!(got, naive_bounded_simulation(&g, &q), "trial {trial}");
         }
     }
 
@@ -589,19 +475,13 @@ mod tests {
             .build()
             .unwrap();
         let mut scratch = EvalScratch::new();
-        let (plain, base) =
-            bounded_simulation_indexed(&csr, &q, EvalOptions::default(), &mut scratch, None);
+        let (plain, base) = bounded_simulation_indexed(&csr, &q, EvalOptions, &mut scratch, None);
         assert_eq!(base.index_hits, 0, "no provider, no hits");
 
         let idx = ReachIndex::new(csr.version());
         let bound = idx.bind(&csr);
-        let (cold, s1) = bounded_simulation_indexed(
-            &csr,
-            &q,
-            EvalOptions::default(),
-            &mut scratch,
-            Some(&bound),
-        );
+        let (cold, s1) =
+            bounded_simulation_indexed(&csr, &q, EvalOptions, &mut scratch, Some(&bound));
         assert_eq!(cold, plain, "index never changes results");
         assert_eq!(s1.index_hits, 2, "both first refreshes are class-seeded");
         assert_eq!(s1.index_misses, 0);
@@ -609,13 +489,8 @@ mod tests {
 
         // warm query: entries are reused, and the class-seeded traversal
         // work disappears entirely
-        let (warm, s2) = bounded_simulation_indexed(
-            &csr,
-            &q,
-            EvalOptions::default(),
-            &mut scratch,
-            Some(&bound),
-        );
+        let (warm, s2) =
+            bounded_simulation_indexed(&csr, &q, EvalOptions, &mut scratch, Some(&bound));
         assert_eq!(warm, plain);
         assert_eq!(s2.index_hits, 2);
         assert!(s2.bfs_nodes_visited < base.bfs_nodes_visited);
@@ -630,15 +505,9 @@ mod tests {
             .edge("sa", "sd", Bound::hops(2))
             .build()
             .unwrap();
-        let (with_idx, s3) = bounded_simulation_indexed(
-            &csr,
-            &q2,
-            EvalOptions::default(),
-            &mut scratch,
-            Some(&bound),
-        );
-        let (without, _) =
-            bounded_simulation_indexed(&csr, &q2, EvalOptions::default(), &mut scratch, None);
+        let (with_idx, s3) =
+            bounded_simulation_indexed(&csr, &q2, EvalOptions, &mut scratch, Some(&bound));
+        let (without, _) = bounded_simulation_indexed(&csr, &q2, EvalOptions, &mut scratch, None);
         assert_eq!(with_idx, without);
         assert_eq!(
             s3.index_misses, 1,

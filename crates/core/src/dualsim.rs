@@ -17,13 +17,13 @@
 //! bounded-simulation result, and on the paper's Fig. 1 both coincide —
 //! the hiring team is "dual-clean".
 
-use crate::bsim::{EvalOptions, EvalStats, FixpointEngine};
+use crate::bsim::EvalStats;
+use crate::candidate_sets_classed;
 use crate::eval::{evaluate, EvalRequest, Semantics};
 use crate::fixpoint::{refine_constraints, Cancelled, Constraint, EvalScratch, IndexCtx};
 use crate::matchrel::MatchRelation;
-use crate::{candidate_sets, candidate_sets_classed};
-use expfinder_graph::bfs::{BfsScratch, Direction};
-use expfinder_graph::{BitSet, CancelToken, GraphView, ReachProvider};
+use expfinder_graph::bfs::Direction;
+use expfinder_graph::{CancelToken, GraphView, ReachProvider};
 use expfinder_pattern::Pattern;
 
 /// Compute the maximum bounded **dual** simulation relation.
@@ -34,22 +34,18 @@ pub fn dual_simulation<G: GraphView + Sync>(g: &G, q: &Pattern) -> MatchRelation
     }
 }
 
-/// The sequential dual-simulation engines behind [`evaluate`]. On the
-/// frontier engine every pattern edge contributes two constraints
-/// (forward child-support, backward parent-support); both flow through
-/// the same delta-aware refinement as bounded simulation, and both are
-/// eligible for the reach `index` — it is keyed by direction.
+/// Sequential dual simulation behind [`evaluate`]. Every pattern edge
+/// contributes two constraints (forward child-support, backward
+/// parent-support); both flow through the same delta-aware refinement as
+/// bounded simulation, and both are eligible for the reach `index` — it
+/// is keyed by direction.
 pub(crate) fn dual_sequential<G: GraphView>(
     g: &G,
     q: &Pattern,
-    opts: EvalOptions,
     scratch: &mut EvalScratch,
     index: Option<&dyn ReachProvider>,
     cancel: Option<&CancelToken>,
 ) -> Result<(MatchRelation, EvalStats), Cancelled> {
-    if opts.engine == FixpointEngine::Queue {
-        return Ok(dual_fixpoint_queue(g, q));
-    }
     let n = g.node_count();
     let ne = q.edge_count();
     let (mut sim, classes) = candidate_sets_classed(g, q);
@@ -91,77 +87,11 @@ pub(crate) fn dual_sequential<G: GraphView>(
     Ok((MatchRelation::from_sets(sim, n), stats))
 }
 
-/// The original queue-based bidirectional fixpoint — the
-/// [`FixpointEngine::Queue`] oracle.
-fn dual_fixpoint_queue<G: GraphView>(g: &G, q: &Pattern) -> (MatchRelation, EvalStats) {
-    let n = g.node_count();
-    let ne = q.edge_count();
-    let mut sim = candidate_sets(g, q);
-    let mut stats = EvalStats::default();
-    if ne == 0 {
-        return (MatchRelation::from_sets(sim, n), stats);
-    }
-
-    // constraint ids: 2*e = forward side of edge e, 2*e+1 = backward side
-    let total = ne * 2;
-    let mut in_queue = vec![true; total];
-    let mut queue: std::collections::VecDeque<usize> = (0..total).collect();
-
-    let mut scratch = BfsScratch::new();
-    let mut reach = BitSet::new(n);
-
-    while let Some(cid) = queue.pop_front() {
-        in_queue[cid] = false;
-        let e = &q.edges()[cid / 2];
-        let forward = cid % 2 == 0;
-        let depth = e.bound.depth();
-
-        // which set shrinks, and from which seeds reach is computed
-        let (constrained, seeds, dir) = if forward {
-            (e.from, e.to, Direction::Backward)
-        } else {
-            (e.to, e.from, Direction::Forward)
-        };
-
-        stats.refreshes += 1;
-        stats.bfs_nodes_visited +=
-            scratch.multi_source_within(g, &sim[seeds.index()], depth, dir, &mut reach);
-        let before = sim[constrained.index()].count();
-        sim[constrained.index()].intersect_with(&reach);
-        let after = sim[constrained.index()].count();
-        if after == before {
-            continue;
-        }
-        stats.removals += before - after;
-        if sim[constrained.index()].is_empty() {
-            return (MatchRelation::empty(q, n), stats);
-        }
-        // sim(constrained) shrank: every constraint that *reads* it must
-        // re-check — forward constraints of edges entering it, backward
-        // constraints of edges leaving it.
-        for &ei in q.in_edge_indices(constrained) {
-            let c = (ei as usize) * 2;
-            if !in_queue[c] {
-                in_queue[c] = true;
-                queue.push_back(c);
-            }
-        }
-        for &ei in q.out_edge_indices(constrained) {
-            let c = (ei as usize) * 2 + 1;
-            if !in_queue[c] {
-                in_queue[c] = true;
-                queue.push_back(c);
-            }
-        }
-    }
-
-    (MatchRelation::from_sets(sim, n), stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bsim::bounded_simulation;
+    use crate::naive::naive_dual_simulation;
     use expfinder_graph::fixtures::collaboration_fig1;
     use expfinder_graph::{DiGraph, NodeId};
     use expfinder_pattern::fixtures::fig1_pattern;
@@ -198,8 +128,7 @@ mod tests {
     }
 
     #[test]
-    fn engines_agree_with_reused_scratch() {
-        use crate::fixpoint::EvalScratch;
+    fn reused_scratch_agrees_with_naive() {
         use expfinder_graph::generate::{erdos_renyi, NodeSpec};
         use expfinder_pattern::generate::{random_pattern, PatternConfig, PatternShape};
         use rand::rngs::StdRng;
@@ -213,10 +142,8 @@ mod tests {
             cfg.bound_range = (1, 3);
             cfg.extra_edges = 1;
             let q = random_pattern(&mut rng, &cfg);
-            let (old, _) = dual_fixpoint_queue(&g, &q);
-            let (new, _) =
-                dual_sequential(&g, &q, EvalOptions::default(), &mut scratch, None, None).unwrap();
-            assert_eq!(old, new, "trial {trial}: dual engines diverged");
+            let (got, _) = dual_sequential(&g, &q, &mut scratch, None, None).unwrap();
+            assert_eq!(got, naive_dual_simulation(&g, &q), "trial {trial}");
         }
     }
 

@@ -1,14 +1,14 @@
 //! The one evaluation entry point.
 //!
 //! Every way of computing a match relation in this crate — two
-//! semantics, two sequential fixpoint engines, the parallel refinement,
-//! with or without caller-owned scratch, a per-snapshot reach index or a
+//! semantics, the sequential fixpoint or the parallel refinement, with or
+//! without caller-owned scratch, a per-snapshot reach index or a
 //! cancellation token — is one call: [`evaluate`] with an
 //! [`EvalRequest`]. The paper-named wrappers ([`crate::graph_simulation`],
 //! [`crate::bounded_simulation`], [`crate::dual_simulation`]) and the two
 //! indexed wrappers are fixed requests.
 
-use crate::bsim::{EvalOptions, EvalStats};
+use crate::bsim::EvalStats;
 use crate::fixpoint::{Cancelled, EvalScratch};
 use crate::matchrel::MatchRelation;
 use crate::{bsim, dualsim, parallel, MatchError};
@@ -31,13 +31,7 @@ pub enum Semantics {
 /// changes cost or observability.
 pub struct EvalRequest<'a> {
     pub semantics: Semantics,
-    /// Sequential fixpoint engine.
-    /// [`FixpointEngine::Queue`](crate::FixpointEngine) is the
-    /// uninstrumented oracle: it allocates its own buffers and ignores
-    /// `scratch`, `index` and `cancel`. The parallel refinement ignores
-    /// `options`.
-    pub options: EvalOptions,
-    /// Reusable buffers for the sequential engines; `None` allocates a
+    /// Reusable buffers for the sequential fixpoint; `None` allocates a
     /// fresh scratch for this call.
     pub scratch: Option<&'a mut EvalScratch>,
     /// Per-snapshot reach provider consulted before class-seeded first
@@ -49,16 +43,15 @@ pub struct EvalRequest<'a> {
     /// reach set is cached or applied, so scratch and index stay sound.
     pub cancel: Option<&'a CancelToken>,
     /// Worker threads. Above one, the round-based parallel refinement of
-    /// [`crate::parallel`] runs instead of a sequential engine.
+    /// [`crate::parallel`] runs instead of the sequential fixpoint.
     pub threads: usize,
 }
 
 impl EvalRequest<'_> {
-    /// Sequential, default options, nothing attached.
+    /// Sequential, nothing attached.
     pub fn new(semantics: Semantics) -> EvalRequest<'static> {
         EvalRequest {
             semantics,
-            options: EvalOptions::default(),
             scratch: None,
             index: None,
             cancel: None,
@@ -110,9 +103,10 @@ impl std::fmt::Display for EvalError {
 impl std::error::Error for EvalError {}
 
 /// Compute the maximum match relation `M(Q,G)` of `q` over `g` under
-/// `req.semantics`, with work counters. All engines compute the same
-/// greatest fixpoint bit for bit (property-tested); the request only
-/// decides how much work that takes and what is reused.
+/// `req.semantics`, with work counters. The sequential fixpoint and the
+/// parallel refinement compute the same greatest fixpoint bit for bit
+/// (judged by [`crate::naive`]); the request only decides how much work
+/// that takes and what is reused.
 pub fn evaluate<G: GraphView + Sync>(
     g: &G,
     q: &Pattern,
@@ -120,7 +114,6 @@ pub fn evaluate<G: GraphView + Sync>(
 ) -> Result<(MatchRelation, EvalStats), EvalError> {
     let EvalRequest {
         semantics,
-        options,
         scratch,
         index,
         cancel,
@@ -136,15 +129,15 @@ pub fn evaluate<G: GraphView + Sync>(
         None => own.insert(EvalScratch::new()),
     };
     Ok(match semantics {
-        Semantics::Bounded => bsim::bounded_sequential(g, q, options, scratch, index, cancel)?,
-        Semantics::Dual => dualsim::dual_sequential(g, q, options, scratch, index, cancel)?,
+        Semantics::Bounded => bsim::bounded_sequential(g, q, scratch, index, cancel)?,
+        Semantics::Dual => dualsim::dual_sequential(g, q, scratch, index, cancel)?,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bsim::bounded_fixpoint_raw;
+    use crate::bsim::{bounded_fixpoint_raw, EvalOptions};
     use crate::{
         bounded_simulation, bounded_simulation_indexed, candidate_sets, dual_simulation,
         graph_simulation, parallel_bounded_simulation_indexed,
@@ -167,9 +160,9 @@ mod tests {
     /// Every retained wrapper is `evaluate` with one fixed request: same
     /// relation, same `EvalStats` (where the wrapper reports them), same
     /// error — and a disarmed token changes neither. The table is the
-    /// cross product below: wrapper × options × index × threads, over a
-    /// fixture and three random graph/pattern pairs, each also as its
-    /// 1-bounded (simulation) variant.
+    /// cross product below: wrapper × index × threads, over a fixture and
+    /// three random graph/pattern pairs, each also as its 1-bounded
+    /// (simulation) variant.
     #[test]
     fn retained_wrappers_equal_their_requests() {
         let mut rng = StdRng::seed_from_u64(1601);
@@ -187,7 +180,6 @@ mod tests {
             cancel: Some(&disarmed),
             ..EvalRequest::new(semantics)
         };
-        let all_options = [EvalOptions::default(), EvalOptions::queue()];
         for (g, q) in &cases {
             let g = &CsrGraph::snapshot(g);
             let n = g.node_count();
@@ -208,31 +200,24 @@ mod tests {
                 assert_eq!(bounded_simulation(g, q), bounded);
                 assert_eq!(Ok(dual_simulation(g, q)), relation(Semantics::Dual));
 
-                for options in all_options {
-                    for on in [false, true] {
-                        let mut scratch = EvalScratch::new();
-                        let got =
-                            bounded_simulation_indexed(g, q, options, &mut scratch, index(on, &ia));
-                        let req = EvalRequest {
-                            options,
-                            scratch: Some(&mut scratch),
-                            index: index(on, &ib),
-                            ..base(Semantics::Bounded)
-                        };
-                        assert_eq!(Ok(got), eval(g, q, req), "bounded_simulation_indexed");
-                    }
+                for on in [false, true] {
                     let mut scratch = EvalScratch::new();
-                    let sets = candidate_sets(g, q);
-                    let (sets, stats) =
-                        bounded_fixpoint_raw(g, q, sets, options, true, &mut scratch, None)
-                            .expect("no cancel token supplied");
+                    let got =
+                        bounded_simulation_indexed(g, q, EvalOptions, &mut scratch, index(on, &ia));
                     let req = EvalRequest {
-                        options,
+                        scratch: Some(&mut scratch),
+                        index: index(on, &ib),
                         ..base(Semantics::Bounded)
                     };
-                    let got = (MatchRelation::from_sets(sets, n), stats);
-                    assert_eq!(Ok(got), eval(g, q, req), "bounded_fixpoint_raw");
+                    assert_eq!(Ok(got), eval(g, q, req), "bounded_simulation_indexed");
                 }
+                let mut scratch = EvalScratch::new();
+                let sets = candidate_sets(g, q);
+                let (sets, stats) = bounded_fixpoint_raw(g, q, sets, true, &mut scratch, None)
+                    .expect("no cancel token supplied");
+                let got = (MatchRelation::from_sets(sets, n), stats);
+                let req = base(Semantics::Bounded);
+                assert_eq!(Ok(got), eval(g, q, req), "bounded_fixpoint_raw");
                 for threads in [1, 2] {
                     let got = parallel_bounded_simulation_indexed(g, q, threads, Some(&ia));
                     let req = EvalRequest {

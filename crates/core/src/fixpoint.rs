@@ -5,9 +5,8 @@
 //! Every matcher in this crate is a greatest-fixpoint refinement over a
 //! set of *constraints* `sim(constrained) ∩= reach(sim(seeds))`, where the
 //! reach set is one bounded multi-source BFS. This module implements that
-//! loop once, with three structural optimizations the queue-based
-//! originals (kept as oracles behind
-//! [`FixpointEngine::Queue`](crate::bsim::FixpointEngine)) do not have:
+//! loop once, with three structural optimizations over a plain
+//! queue-of-edges loop that re-runs a full BFS per refresh:
 //!
 //! 1. **Word-parallel BFS** — reach sets are computed by the
 //!    direction-optimizing frontier BFS of
@@ -29,9 +28,9 @@
 //!
 //! None of this changes results — the greatest fixpoint of a monotone
 //! operator on a finite lattice is unique, so schedule and per-step
-//! algebra may vary freely (property-tested against the naive oracle,
-//! and bit-identical to the queue oracle's raw fixpoint, in the workspace
-//! root's `tests/differential.rs`).
+//! algebra may vary freely. [`crate::naive`] judges every relation this
+//! loop computes, the raw (uncollapsed) fixpoint included, in the
+//! workspace root's `tests/differential.rs`.
 
 use crate::bsim::EvalStats;
 use crate::rank::RankScratch;
@@ -215,9 +214,9 @@ pub(crate) fn refine_constraints<G: GraphView>(
     // initial processing order = the "query plan", *dependency-aware*:
     // refresh a constraint only once everything that can shrink its seed
     // set has run, so on DAG-shaped patterns every constraint refreshes
-    // exactly once (the queue oracle's static most-selective-first order
-    // re-refreshes upstream edges whenever a downstream refresh shrinks
-    // their seeds afterwards). Cyclic dependencies fall back to
+    // exactly once (a static most-selective-first order re-refreshes
+    // upstream edges whenever a downstream refresh shrinks their seeds
+    // afterwards). Cyclic dependencies fall back to
     // most-selective-first and let the worklist iterate.
     let order = dependency_order(nq, constraints, sim);
 

@@ -4,10 +4,10 @@
 //! graph, and the top-K ranking that is new in the ExpFinder paper.
 //!
 //! **One evaluation entry point.** [`evaluate`] takes a graph, a pattern
-//! and an [`EvalRequest`] — [`Semantics`], [`EvalOptions`], optional
-//! [`EvalScratch`], optional [`ReachProvider`], optional [`CancelToken`],
-//! thread budget — and returns `(MatchRelation, EvalStats)`. Everything
-//! else that evaluates is a fixed request or a raw building block:
+//! and an [`EvalRequest`] — [`Semantics`], optional [`EvalScratch`],
+//! optional [`ReachProvider`], optional [`CancelToken`], thread budget —
+//! and returns `(MatchRelation, EvalStats)`. Everything else that
+//! evaluates is a fixed request or a raw building block:
 //!
 //! * [`bounded_simulation`] — the paper's core semantics \[Fan et al.,
 //!   PVLDB 2010\]: pattern edges with bound `k` map to non-empty paths of
@@ -23,6 +23,12 @@
 //!   shapes the repo benchmark times directly;
 //! * [`bsim::bounded_fixpoint_raw`] — the raw (uncollapsed) fixpoint
 //!   `expfinder-incremental` persists its state from.
+//!
+//! **One fixpoint engine.** Every sequential evaluation runs the
+//! delta-aware loop of [`fixpoint`]; the parallel refinement of
+//! [`parallel`] is its multi-threaded form. Their judge is [`naive`]:
+//! simulation, bounded and dual simulation and the raw fixpoint by
+//! repeated full re-checks, sharing no code with the engine.
 //!
 //! Beside them:
 //!
@@ -50,7 +56,6 @@ pub mod result_graph;
 
 pub use bsim::{
     bounded_simulation, bounded_simulation_indexed, graph_simulation, EvalOptions, EvalStats,
-    FixpointEngine,
 };
 pub use dualsim::dual_simulation;
 pub use eval::{evaluate, EvalError, EvalRequest, Semantics};

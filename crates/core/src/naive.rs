@@ -5,11 +5,14 @@
 //! every pass re-checks every pair from scratch until nothing changes.
 //! Slow — but independent, which is what a differential oracle needs:
 //! candidates too are found by testing every node, never from a label
-//! index.
+//! index. They judge every relation the one fixpoint engine computes:
+//! simulation, bounded simulation, dual simulation, and the raw
+//! (uncollapsed) fixpoint the incremental module persists.
 
 use crate::matchrel::MatchRelation;
+use expfinder_graph::bfs::Direction;
 use expfinder_graph::{BitSet, GraphView, NodeId};
-use expfinder_pattern::{Bound, Pattern};
+use expfinder_pattern::Pattern;
 use std::collections::{HashMap, VecDeque};
 
 fn candidate_sets<G: GraphView>(g: &G, q: &Pattern) -> Vec<BitSet> {
@@ -46,21 +49,23 @@ pub fn naive_simulation<G: GraphView>(g: &G, q: &Pattern) -> MatchRelation {
     MatchRelation::from_sets(sim, g.node_count())
 }
 
-/// Is there a non-empty path from `v` to a member of `targets` of length
-/// ≤ `depth`? Independent BFS with its own queue/visited map.
+/// Is there a non-empty path of length ≤ `depth` from `v` to a member of
+/// `targets`, walking in direction `dir`? Independent BFS with its own
+/// queue/visited map.
 fn can_reach_within<G: GraphView>(
     g: &G,
     v: NodeId,
-    targets: &expfinder_graph::BitSet,
+    targets: &BitSet,
     depth: u32,
+    dir: Direction,
 ) -> bool {
     if depth == 0 {
         return false;
     }
     let mut dist: HashMap<NodeId, u32> = HashMap::new();
     let mut queue = VecDeque::new();
-    // start from v's successors at distance 1 so v itself needs a real path
-    for &w in g.out_neighbors(v) {
+    // start from v's neighbours at distance 1 so v itself needs a real path
+    for &w in dir.neighbors(g, v) {
         if targets.contains(w) {
             return true;
         }
@@ -74,7 +79,7 @@ fn can_reach_within<G: GraphView>(
         if d >= depth {
             continue;
         }
-        for &w in g.out_neighbors(u) {
+        for &w in dir.neighbors(g, u) {
             if targets.contains(w) {
                 return true;
             }
@@ -87,33 +92,79 @@ fn can_reach_within<G: GraphView>(
     false
 }
 
-/// Reference bounded simulation by repeated full re-checks with per-node
-/// forward BFS.
+/// Remove from `sim[side]` every node with no non-empty path of length
+/// ≤ `depth` in direction `dir` to a member of `sim[other]`; reports
+/// whether anything went.
+fn drop_unsupported<G: GraphView>(
+    g: &G,
+    sim: &mut [BitSet],
+    side: usize,
+    other: usize,
+    depth: u32,
+    dir: Direction,
+) -> bool {
+    let doomed: Vec<NodeId> = sim[side]
+        .iter()
+        .filter(|&v| !can_reach_within(g, v, &sim[other], depth, dir))
+        .collect();
+    for &v in &doomed {
+        sim[side].remove(v);
+    }
+    !doomed.is_empty()
+}
+
+/// Reference raw bounded fixpoint: the greatest relation below the
+/// caller's sets `sim` in which every member of `sim(u)` has, for each
+/// pattern edge `(u, u')` with bound `b`, a non-empty path of length ≤ `b`
+/// to a member of `sim(u')`. Repeated full re-checks with per-node
+/// forward BFS; no early exit and no collapse — a set that empties stays
+/// empty while the others refine on, which is the raw fixpoint
+/// [`bounded_fixpoint_raw`](crate::bsim::bounded_fixpoint_raw) computes
+/// without early exit.
+pub fn naive_bounded_fixpoint<G: GraphView>(
+    g: &G,
+    q: &Pattern,
+    mut sim: Vec<BitSet>,
+) -> Vec<BitSet> {
+    loop {
+        let mut changed = false;
+        for e in q.edges() {
+            let (from, to) = (e.from.index(), e.to.index());
+            let depth = e.bound.depth();
+            changed |= drop_unsupported(g, &mut sim, from, to, depth, Direction::Forward);
+        }
+        if !changed {
+            return sim;
+        }
+    }
+}
+
+/// Reference bounded simulation: [`naive_bounded_fixpoint`] from
+/// predicate-tested candidates, collapsed to the empty relation when a
+/// pattern node has no match.
 pub fn naive_bounded_simulation<G: GraphView>(g: &G, q: &Pattern) -> MatchRelation {
+    let sim = naive_bounded_fixpoint(g, q, candidate_sets(g, q));
+    MatchRelation::from_sets(sim, g.node_count())
+}
+
+/// Reference bounded dual simulation by repeated full re-checks: for each
+/// pattern edge `(u, u')` with bound `b`, a match of `u` needs a non-empty
+/// ≤`b` path *to* a match of `u'` (forward BFS), and a match of `u'` one
+/// *from* a match of `u` (backward BFS).
+pub fn naive_dual_simulation<G: GraphView>(g: &G, q: &Pattern) -> MatchRelation {
     let mut sim = candidate_sets(g, q);
     loop {
         let mut changed = false;
         for e in q.edges() {
-            let depth = match e.bound {
-                Bound::Hops(k) => k,
-                Bound::Unbounded => u32::MAX,
-            };
-            let mut doomed = Vec::new();
-            for v in sim[e.from.index()].iter() {
-                if !can_reach_within(g, v, &sim[e.to.index()], depth) {
-                    doomed.push(v);
-                }
-            }
-            for v in doomed {
-                sim[e.from.index()].remove(v);
-                changed = true;
-            }
+            let (from, to) = (e.from.index(), e.to.index());
+            let depth = e.bound.depth();
+            changed |= drop_unsupported(g, &mut sim, from, to, depth, Direction::Forward);
+            changed |= drop_unsupported(g, &mut sim, to, from, depth, Direction::Backward);
         }
         if !changed {
-            break;
+            return MatchRelation::from_sets(sim, g.node_count());
         }
     }
-    MatchRelation::from_sets(sim, g.node_count())
 }
 
 /// Check that `m` actually *is* a valid bounded simulation relation (every
@@ -128,7 +179,8 @@ pub fn is_valid_bounded_relation<G: GraphView>(g: &G, q: &Pattern, m: &MatchRela
                 return false;
             }
             for e in q.out_edges(u) {
-                if !can_reach_within(g, v, m.matches(e.to), e.bound.depth()) {
+                let (targets, depth) = (m.matches(e.to), e.bound.depth());
+                if !can_reach_within(g, v, targets, depth, Direction::Forward) {
                     return false;
                 }
             }
@@ -141,13 +193,69 @@ pub fn is_valid_bounded_relation<G: GraphView>(g: &G, q: &Pattern, m: &MatchRela
 mod tests {
     use super::*;
     use expfinder_graph::fixtures::collaboration_fig1;
+    use expfinder_graph::DiGraph;
     use expfinder_pattern::fixtures::{fig1_pattern, fig1_pattern_simulation};
+    use expfinder_pattern::{Bound, PatternBuilder, Predicate};
 
     #[test]
     fn naive_bsim_reproduces_example1() {
         let f = collaboration_fig1();
         let m = naive_bounded_simulation(&f.graph, &fig1_pattern());
         assert_eq!(m.total_pairs(), 7);
+    }
+
+    #[test]
+    fn naive_dual_needs_a_parent_within_the_bound() {
+        // a → m → b plus an orphan b2: pattern a →(k) b
+        let mut g = DiGraph::new();
+        let a = g.add_node("A", []);
+        let m = g.add_node("M", []);
+        let b = g.add_node("B", []);
+        let b2 = g.add_node("B", []);
+        g.add_edge(a, m);
+        g.add_edge(m, b);
+        let pattern = |k| {
+            PatternBuilder::new()
+                .node("a", Predicate::label("A"))
+                .node("b", Predicate::label("B"))
+                .edge("a", "b", Bound::hops(k))
+                .build()
+                .unwrap()
+        };
+        let q = pattern(2);
+        let (ub, bounded) = (q.node_id("b").unwrap(), naive_bounded_simulation(&g, &q));
+        assert!(bounded.contains(ub, b2), "bounded keeps the orphan");
+        let dual = naive_dual_simulation(&g, &q);
+        assert_eq!(dual.matches_vec(ub), vec![b], "dual prunes the orphan");
+        assert_eq!(dual.total_pairs(), 2);
+        assert!(naive_dual_simulation(&g, &pattern(1)).is_empty());
+        // the paper's team is parent-supported too
+        let f = collaboration_fig1();
+        let team = naive_dual_simulation(&f.graph, &fig1_pattern());
+        assert_eq!(team, naive_bounded_simulation(&f.graph, &fig1_pattern()));
+    }
+
+    #[test]
+    fn naive_raw_fixpoint_does_not_collapse() {
+        // a → b and c with no successor: pattern a → b, c → b. `c` dies,
+        // the raw fixpoint keeps (a, b); the relation is empty.
+        let mut g = DiGraph::new();
+        let a = g.add_node("A", []);
+        let b = g.add_node("B", []);
+        g.add_node("C", []);
+        g.add_edge(a, b);
+        let q = PatternBuilder::new()
+            .node("a", Predicate::label("A"))
+            .node("b", Predicate::label("B"))
+            .node("c", Predicate::label("C"))
+            .edge("a", "b", Bound::ONE)
+            .edge("c", "b", Bound::ONE)
+            .build()
+            .unwrap();
+        let raw = naive_bounded_fixpoint(&g, &q, candidate_sets(&g, &q));
+        let sizes: Vec<usize> = raw.iter().map(BitSet::count).collect();
+        assert_eq!(sizes, vec![1, 1, 0]);
+        assert!(naive_bounded_simulation(&g, &q).is_empty());
     }
 
     #[test]

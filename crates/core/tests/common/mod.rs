@@ -2,13 +2,12 @@
 //! `rank_equivalence` and included by path from the workspace root's
 //! `tests/differential.rs`, `tests/properties.rs`, `tests/concurrency.rs`,
 //! `tests/batch.rs` and `tests/pipeline.rs`: compact raw encodings of random graphs and
-//! patterns, the match oracle ([`oracle`]: `core::naive`, or the queue
-//! engine for dual simulation, which naive lacks) and the reference
-//! ranking `core::rank` is checked against.
+//! patterns, the match oracle ([`oracle`]: `core::naive`) and the
+//! reference ranking `core::rank` is checked against.
 #![allow(dead_code)]
 
-use expfinder_core::naive::naive_bounded_simulation;
-use expfinder_core::{evaluate, EvalOptions, EvalRequest, MatchRelation, RankedMatch, Semantics};
+use expfinder_core::naive::{naive_bounded_simulation, naive_dual_simulation};
+use expfinder_core::{MatchRelation, RankedMatch, Semantics};
 use expfinder_graph::bfs::{BfsScratch, Direction};
 use expfinder_graph::{AttrValue, DiGraph, GraphView, NodeId};
 use expfinder_pattern::{Bound, PNodeId, Pattern, PatternEdge, PatternNode, Predicate};
@@ -148,21 +147,13 @@ pub fn apply_vertex_op(g: &mut DiGraph, op: &VertexOp) {
     }
 }
 
-/// `M(Q,G)` by the oracle that judges `semantics`: the naive fixpoint,
-/// which shares no code with the engines, for bounded simulation; for
-/// dual simulation, which naive lacks, the queue engine
-/// (`FixpointEngine::Queue`, nothing attached). Plain simulation is
-/// judged by `naive_simulation` directly.
+/// `M(Q,G)` by the naive fixpoint that judges `semantics`, which shares
+/// no code with the engine. Plain simulation is judged by
+/// `naive_simulation` directly.
 pub fn oracle<G: GraphView + Sync>(g: &G, q: &Pattern, semantics: Semantics) -> MatchRelation {
     match semantics {
         Semantics::Bounded => naive_bounded_simulation(g, q),
-        Semantics::Dual => {
-            let req = EvalRequest {
-                options: EvalOptions::queue(),
-                ..EvalRequest::new(semantics)
-            };
-            evaluate(g, q, req).unwrap().0
-        }
+        Semantics::Dual => naive_dual_simulation(g, q),
     }
 }
 

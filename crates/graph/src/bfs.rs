@@ -1,13 +1,14 @@
-//! Bounded breadth-first traversals with reusable scratch space.
+//! Bounded single-source breadth-first traversals with reusable scratch
+//! space, and the [`Direction`] every traversal walks in.
 //!
-//! Bounded simulation evaluates pattern edges by asking "which nodes have a
-//! non-empty path of length ≤ b to some node in this set?" — a multi-source
-//! reverse BFS — and the result-graph builder asks for distance balls around
-//! match nodes. Both run thousands of times per query, so the traversal
-//! state (distance array, epoch marks, queue) lives in a [`BfsScratch`]
-//! that is allocated once and reused; resetting costs O(1) via epochs.
+//! The result-graph builder and the incremental maintainer ask for
+//! distance balls around single nodes, thousands of times per query, so
+//! the traversal state (distance array, epoch marks, queue) lives in a
+//! [`BfsScratch`] that is allocated once and reused; resetting costs O(1)
+//! via epochs. The set question bounded simulation asks — "which nodes
+//! have a non-empty path of length ≤ b to some node in this set?" — is
+//! answered by the frontier BFS of [`crate::bfs_frontier`].
 
-use crate::bitset::BitSet;
 use crate::view::GraphView;
 use crate::NodeId;
 
@@ -130,59 +131,6 @@ impl BfsScratch {
             epoch: self.epoch,
         }
     }
-
-    /// Multi-source bounded reach with the *non-empty path* semantics of
-    /// bounded simulation: writes into `out` every node `v` that has a path
-    /// of length `1..=depth` (in direction `dir`, seen from the seeds) to
-    /// some seed.
-    ///
-    /// With `dir == Backward` this answers: "which `v` can reach a seed
-    /// within `depth` hops along forward edges?" (the traversal itself walks
-    /// in-edges from the seeds). Seeds are *not* automatically members of
-    /// `out`; a seed appears only if it has a genuine ≥1-length path to a
-    /// seed (e.g. around a cycle), exactly matching the paper's "nonempty
-    /// path ρ" requirement.
-    ///
-    /// Returns the number of nodes marked visited (seeds included) — the
-    /// traversal-work measure `EvalStats::bfs_nodes_visited` aggregates.
-    pub fn multi_source_within<G: GraphView>(
-        &mut self,
-        g: &G,
-        seeds: &BitSet,
-        depth: u32,
-        dir: Direction,
-        out: &mut BitSet,
-    ) -> usize {
-        out.clear();
-        if depth == 0 {
-            return 0;
-        }
-        self.begin(g.node_count());
-        for s in seeds.iter() {
-            self.visit(s, 0);
-            self.queue.push(s);
-        }
-        let mut head = 0;
-        while head < self.queue.len() {
-            let u = self.queue[head];
-            head += 1;
-            let d = self.dist[u.index()];
-            if d >= depth {
-                continue;
-            }
-            for &w in dir.neighbors(g, u) {
-                // w has a path of length d+1 ≥ 1 to a seed regardless of
-                // whether BFS already visited it (possibly at distance 0 as
-                // a seed itself) — that is what makes the non-empty-path
-                // semantics exact.
-                out.insert(w);
-                if self.visit(w, d + 1) {
-                    self.queue.push(w);
-                }
-            }
-        }
-        self.touched.len()
-    }
 }
 
 /// Result view of a single-source BFS; borrows the scratch.
@@ -221,9 +169,49 @@ impl Ball<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::DiGraph;
+    use crate::{BitSet, DiGraph};
+
+    /// The reference for every multi-source reach test in this crate, by
+    /// definition: `v` qualifies iff some walk of length `1..=depth` in
+    /// direction `dir`, seen from the seeds, joins `v` to a seed —
+    /// computed by repeated one-step expansion of exact-length walk sets,
+    /// no BFS. A shortest such walk has length ≤ `|V|`, so deeper levels
+    /// add nothing. Also returns the traversal-work measure every
+    /// multi-source BFS reports: the nodes it marks, `|seeds ∪ out|`.
+    pub(crate) fn walk_reach<G: GraphView>(
+        g: &G,
+        seeds: &BitSet,
+        depth: u32,
+        dir: Direction,
+    ) -> (BitSet, usize) {
+        let n = g.node_count();
+        let mut out = BitSet::new(n);
+        if depth == 0 {
+            return (out, 0);
+        }
+        let mut level = seeds.clone();
+        for _ in 0..depth.min(n as u32) {
+            let mut next = BitSet::new(n);
+            for v in g.ids() {
+                if dir
+                    .opposite()
+                    .neighbors(g, v)
+                    .iter()
+                    .any(|&w| level.contains(w))
+                {
+                    next.insert(v);
+                }
+            }
+            out.union_with(&next);
+            level = next;
+        }
+        let mut marked = out.clone();
+        marked.union_with(seeds);
+        let visited = if seeds.is_empty() { 0 } else { marked.count() };
+        (out, visited)
+    }
 
     /// Chain 0 → 1 → 2 → 3 → 4 plus a back edge 4 → 0.
     fn ring5() -> DiGraph {
@@ -286,85 +274,28 @@ mod tests {
     }
 
     #[test]
-    fn multi_source_nonempty_path_semantics() {
-        // 0 → 1 → 2,  seeds = {2}: within depth 2, {0,1} qualify; 2 itself
-        // does not (no non-empty path back to a seed).
+    fn walk_reach_is_the_nonempty_path_definition() {
+        // 0 → 1 → 2 → 0 with a tail 3 → 0
         let mut g = DiGraph::new();
-        let a = g.add_node("x", []);
-        let b = g.add_node("x", []);
-        let c = g.add_node("x", []);
-        g.add_edge(a, b);
-        g.add_edge(b, c);
-        let mut seeds = BitSet::new(3);
-        seeds.insert(c);
-        let mut s = BfsScratch::new();
-        let mut out = BitSet::new(3);
-        s.multi_source_within(&g, &seeds, 2, Direction::Backward, &mut out);
-        assert!(out.contains(a));
-        assert!(out.contains(b));
-        assert!(!out.contains(c));
-    }
-
-    #[test]
-    fn multi_source_seed_on_cycle_included() {
-        // 0 → 1 → 0: seed {0} has a 2-step path back to itself.
-        let mut g = DiGraph::new();
-        let a = g.add_node("x", []);
-        let b = g.add_node("x", []);
-        g.add_edge(a, b);
-        g.add_edge(b, a);
-        let mut seeds = BitSet::new(2);
-        seeds.insert(a);
-        let mut s = BfsScratch::new();
-        let mut out = BitSet::new(2);
-        s.multi_source_within(&g, &seeds, 2, Direction::Backward, &mut out);
-        assert!(out.contains(a), "seed reachable from itself via cycle");
-        assert!(out.contains(b));
-
-        // with depth 1 only the direct predecessor qualifies
-        s.multi_source_within(&g, &seeds, 1, Direction::Backward, &mut out);
-        assert!(!out.contains(a));
-        assert!(out.contains(b));
-    }
-
-    #[test]
-    fn multi_source_depth_zero_is_empty() {
-        let g = ring5();
-        let seeds = BitSet::full(5);
-        let mut s = BfsScratch::new();
-        let mut out = BitSet::new(5);
-        s.multi_source_within(&g, &seeds, 0, Direction::Backward, &mut out);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn multi_source_respects_depth_exactly() {
-        // chain 0→1→2→3→4, seed {4}: depth 3 reaches {1,2,3}, not 0.
-        let mut g = DiGraph::new();
-        let ids: Vec<_> = (0..5).map(|_| g.add_node("x", [])).collect();
-        for w in ids.windows(2) {
-            g.add_edge(w[0], w[1]);
+        let ids: Vec<_> = (0..4).map(|_| g.add_node("x", [])).collect();
+        for (a, b) in [(0, 1), (1, 2), (2, 0), (3, 0)] {
+            g.add_edge(ids[a], ids[b]);
         }
-        let mut seeds = BitSet::new(5);
-        seeds.insert(ids[4]);
-        let mut s = BfsScratch::new();
-        let mut out = BitSet::new(5);
-        s.multi_source_within(&g, &seeds, 3, Direction::Backward, &mut out);
-        assert_eq!(out.to_vec(), vec![ids[1], ids[2], ids[3]]);
-    }
-
-    #[test]
-    fn multi_source_forward_direction() {
-        // chain 0→1→2; seeds {0}; forward within 1 = {1}.
-        let mut g = DiGraph::new();
-        let ids: Vec<_> = (0..3).map(|_| g.add_node("x", [])).collect();
-        g.add_edge(ids[0], ids[1]);
-        g.add_edge(ids[1], ids[2]);
-        let mut seeds = BitSet::new(3);
+        let mut seeds = BitSet::new(4);
         seeds.insert(ids[0]);
-        let mut s = BfsScratch::new();
-        let mut out = BitSet::new(3);
-        s.multi_source_within(&g, &seeds, 1, Direction::Forward, &mut out);
-        assert_eq!(out.to_vec(), vec![ids[1]]);
+        let reach = |depth, dir| walk_reach(&g, &seeds, depth, dir).0.to_vec();
+        assert_eq!(reach(1, Direction::Backward), vec![ids[2], ids[3]]);
+        assert_eq!(reach(2, Direction::Backward), vec![ids[1], ids[2], ids[3]]);
+        // the seed re-reaches itself around the 3-cycle only
+        assert_eq!(reach(3, Direction::Backward), ids);
+        assert_eq!(
+            reach(u32::MAX, Direction::Forward),
+            vec![ids[0], ids[1], ids[2]]
+        );
+        assert_eq!(walk_reach(&g, &seeds, 2, Direction::Forward).1, 3);
+        assert_eq!(
+            walk_reach(&g, &seeds, 0, Direction::Forward),
+            (BitSet::new(4), 0)
+        );
     }
 }

@@ -1,12 +1,13 @@
 //! Level-synchronous, direction-optimizing multi-source BFS over bitset
-//! frontiers — the word-parallel counterpart of [`crate::bfs::BfsScratch`].
+//! frontiers — the one multi-source reach traversal of the workspace.
 //!
-//! The queue-based BFS in [`crate::bfs`] pays a per-node queue push/pop and
-//! a per-edge distance check. The matching fixpoints, however, only ever ask
-//! a *set* question — "which nodes have a non-empty ≤`b` path to this seed
-//! set?" — so the traversal state can itself be sets: each BFS level is a
-//! [`BitSet`] frontier, expanded level-by-level until `depth` levels have
-//! been swept or the frontier empties.
+//! A queue-based BFS ([`crate::bfs::BfsScratch`], which serves distance
+//! balls) pays a per-node queue push/pop and a per-edge distance check.
+//! The matching fixpoints, however, only ever ask a *set* question —
+//! "which nodes have a non-empty ≤`b` path to this seed set?" — so the
+//! traversal state can itself be sets: each BFS level is a [`BitSet`]
+//! frontier, expanded level-by-level until `depth` levels have been swept
+//! or the frontier empties.
 //!
 //! Two expansion strategies are chosen per level by estimated cost (the
 //! classic direction-optimizing BFS of Beamer et al.):
@@ -20,7 +21,8 @@
 //!   graph, which multi-seed reach queries hit almost immediately.
 //!
 //! Both strategies produce identical visited sets, so the choice never
-//! changes results (property-tested against the queue BFS).
+//! changes results (property-tested against the walk-set definition of
+//! reach in `tests/substrate_properties.rs`).
 //!
 //! The traversal optionally takes an `allowed` set and then never visits,
 //! inserts or expands a node outside it. Bounded simulation uses this for
@@ -94,11 +96,16 @@ impl FrontierScratch {
     }
 
     /// Multi-source bounded reach with the *non-empty path* semantics of
-    /// bounded simulation — the exact contract of
-    /// [`crate::bfs::BfsScratch::multi_source_within`], computed with
-    /// bitset frontiers: writes into `out` every node that has a path of
+    /// bounded simulation: writes into `out` every node that has a path of
     /// length `1..=depth` (in direction `dir`, seen from the seeds) to
     /// some seed. `depth == u32::MAX` means unbounded.
+    ///
+    /// With `dir == Backward` this answers "which `v` can reach a seed
+    /// within `depth` hops along forward edges?" (the traversal itself
+    /// walks in-edges from the seeds). Seeds are *not* automatically
+    /// members of `out`; a seed appears only if it has a genuine
+    /// ≥1-length path to a seed (e.g. around a cycle), exactly the
+    /// paper's "nonempty path ρ" requirement.
     ///
     /// With `allowed = Some(set)`, the traversal is restricted to that
     /// set: nodes outside it are never inserted into `out` nor expanded.
@@ -107,8 +114,8 @@ impl FrontierScratch {
     /// suffix path, so it lies in the answer itself) — the refresh-
     /// memoization invariant of the matching fixpoint.
     ///
-    /// Returns the number of nodes marked visited (seeds included), the
-    /// same work measure the queue BFS reports.
+    /// Returns the number of nodes marked visited (seeds included) — the
+    /// traversal-work measure `EvalStats::bfs_nodes_visited` aggregates.
     pub fn multi_source_within<G: GraphView>(
         &mut self,
         g: &G,
@@ -240,7 +247,7 @@ impl FrontierScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bfs::BfsScratch;
+    use crate::bfs::tests::walk_reach;
     use crate::DiGraph;
 
     fn n(i: u32) -> NodeId {
@@ -258,20 +265,70 @@ mod tests {
         g
     }
 
+    /// A chain `0 → 1 → … → len-1`.
+    fn chain(len: u32) -> DiGraph {
+        let mut g = DiGraph::new();
+        let ids: Vec<_> = (0..len).map(|_| g.add_node("x", [])).collect();
+        for w in ids.windows(2) {
+            g.add_edge(w[0], w[1]);
+        }
+        g
+    }
+
+    fn seed_set(n: usize, members: &[u32]) -> BitSet {
+        let mut s = BitSet::new(n);
+        for &v in members {
+            s.insert(NodeId(v));
+        }
+        s
+    }
+
+    /// The frontier BFS's answer next to [`walk_reach`]'s.
     fn both(g: &DiGraph, seeds: &BitSet, depth: u32, dir: Direction) -> (BitSet, BitSet) {
-        let nn = g.node_count();
-        let mut queue = BfsScratch::new();
-        let mut a = BitSet::new(nn);
-        let va = queue.multi_source_within(g, seeds, depth, dir, &mut a);
+        let (want, want_visited) = walk_reach(g, seeds, depth, dir);
         let mut frontier = FrontierScratch::new();
-        let mut b = BitSet::new(nn);
+        let mut b = BitSet::new(g.node_count());
         let vb = frontier.multi_source_within(g, seeds, depth, dir, None, &mut b);
-        assert_eq!(va, vb, "visited-work measure agrees");
-        (a, b)
+        assert_eq!(want_visited, vb, "visited-work measure agrees");
+        (want, b)
     }
 
     #[test]
-    fn agrees_with_queue_bfs_on_ring() {
+    fn nonempty_path_semantics() {
+        // 0 → 1 → 2, seeds = {2}: within depth 2, {0, 1} qualify; 2 itself
+        // does not (no non-empty path back to a seed)
+        let g = chain(3);
+        let (want, got) = both(&g, &seed_set(3, &[2]), 2, Direction::Backward);
+        assert_eq!(got, want);
+        assert_eq!(got.to_vec(), vec![n(0), n(1)]);
+    }
+
+    #[test]
+    fn seed_on_cycle_is_included_only_within_the_cycle_length() {
+        // 0 → 1 → 0: seed {0} has a 2-step path back to itself
+        let mut g = chain(2);
+        g.add_edge(n(1), n(0));
+        let seeds = seed_set(2, &[0]);
+        let (_, got) = both(&g, &seeds, 2, Direction::Backward);
+        assert_eq!(got.to_vec(), vec![n(0), n(1)], "seed reachable via cycle");
+        // with depth 1 only the direct predecessor qualifies
+        let (_, got) = both(&g, &seeds, 1, Direction::Backward);
+        assert_eq!(got.to_vec(), vec![n(1)]);
+    }
+
+    #[test]
+    fn depth_is_respected_exactly_in_both_directions() {
+        // chain 0→1→2→3→4: seed {4} backward within 3 is {1,2,3}, not 0;
+        // seed {0} forward within 1 is {1}
+        let g = chain(5);
+        let (_, got) = both(&g, &seed_set(5, &[4]), 3, Direction::Backward);
+        assert_eq!(got.to_vec(), vec![n(1), n(2), n(3)]);
+        let (_, got) = both(&g, &seed_set(5, &[0]), 1, Direction::Forward);
+        assert_eq!(got.to_vec(), vec![n(1)]);
+    }
+
+    #[test]
+    fn agrees_with_walk_reach_on_ring() {
         let g = ring5();
         for depth in [0u32, 1, 2, 3, u32::MAX] {
             for dir in [Direction::Forward, Direction::Backward] {
@@ -374,14 +431,12 @@ mod tests {
             g.add_edge(w[0], w[1]);
         }
         let mut s = FrontierScratch::new();
-        let mut queue = BfsScratch::new();
         let mut out = BitSet::new(n as usize);
-        let mut want = BitSet::new(n as usize);
         for &(seed, depth) in &[(5000u32, 3u32), (100, 2), (5001, 4), (9999, 1), (0, 5)] {
             let mut seeds = BitSet::new(n as usize);
             seeds.insert(ids[seed as usize]);
             let va = s.multi_source_within(&g, &seeds, depth, Direction::Backward, None, &mut out);
-            let vb = queue.multi_source_within(&g, &seeds, depth, Direction::Backward, &mut want);
+            let (want, vb) = walk_reach(&g, &seeds, depth, Direction::Backward);
             assert_eq!(out, want, "seed {seed} depth {depth}");
             assert_eq!(va, vb, "work measure, seed {seed}");
         }

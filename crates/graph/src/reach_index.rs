@@ -52,12 +52,9 @@ pub trait ReachProvider: Sync {
 /// array or priority state; the traversal scratch is confined to the
 /// build and dropped with it.
 ///
-/// Writes into `out` (which must have capacity `g.node_count()`) the
-/// exact answer of
-/// [`BfsScratch::multi_source_within`](crate::bfs::BfsScratch::multi_source_within):
-/// every node with a path of length `1..=depth` in direction `dir` to
-/// some seed — seeds included only via a genuine non-empty path (a
-/// cycle). Returns the number of nodes marked visited (seeds included),
+/// Writes into `out` (which must have capacity `g.node_count()`) every
+/// node with a path of length `1..=depth` in direction `dir` to some
+/// seed — seeds included only via a genuine non-empty path (a cycle). Returns the number of nodes marked visited (seeds included),
 /// the shared traversal-work measure.
 pub fn class_reach_sweep<G: GraphView>(
     g: &G,
@@ -169,7 +166,7 @@ impl<G: GraphView + Sync> ReachProvider for BoundReachIndex<'_, G> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bfs::BfsScratch;
+    use crate::bfs::tests::walk_reach as oracle;
     use crate::csr::CsrGraph;
     use crate::generate::{erdos_renyi, NodeSpec};
     use crate::{DiGraph, NodeId};
@@ -191,15 +188,8 @@ mod tests {
         g
     }
 
-    fn oracle(g: &DiGraph, seeds: &BitSet, depth: u32, dir: Direction) -> (BitSet, usize) {
-        let mut s = BfsScratch::new();
-        let mut out = BitSet::new(g.node_count());
-        let visited = s.multi_source_within(g, seeds, depth, dir, &mut out);
-        (out, visited)
-    }
-
     #[test]
-    fn sweep_matches_queue_bfs_on_ring() {
+    fn sweep_matches_walk_reach_on_ring() {
         let g = ring5();
         for depth in [0u32, 1, 2, 3, u32::MAX] {
             for dir in [Direction::Forward, Direction::Backward] {
@@ -217,7 +207,7 @@ mod tests {
     }
 
     #[test]
-    fn sweep_matches_queue_bfs_on_random_graphs() {
+    fn sweep_matches_walk_reach_on_random_graphs() {
         let mut rng = StdRng::seed_from_u64(5005);
         let spec = NodeSpec::uniform(3, 4);
         for trial in 0..12 {

@@ -212,11 +212,12 @@ proptest! {
         }
     }
 
-    /// Frontier BFS ≡ queue BFS: same reach sets and the same
-    /// visited-work measure, for both directions and all depths
-    /// (including unbounded), on arbitrary graphs and seed sets.
+    /// The frontier BFS equals the walk-set definition of bounded reach:
+    /// same reach sets and the visited-work measure `|seeds ∪ reach|`,
+    /// for both directions and all depths (including unbounded), on
+    /// arbitrary graphs (self-loops included) and seed sets.
     #[test]
-    fn frontier_bfs_equals_queue_bfs(
+    fn frontier_bfs_matches_bruteforce(
         n in 2usize..16,
         edges in proptest::collection::vec((0u8..16, 0u8..16), 0..70),
         seeds in proptest::collection::vec(0u8..16, 1..8),
@@ -229,15 +230,16 @@ proptest! {
         for s in seeds {
             seed_set.insert(NodeId((s as usize % n) as u32));
         }
-        let mut queue = BfsScratch::new();
         let mut frontier = FrontierScratch::new();
-        let mut a = BitSet::new(n);
-        let mut b = BitSet::new(n);
+        let mut got = BitSet::new(n);
         for dir in [Direction::Forward, Direction::Backward] {
-            let va = queue.multi_source_within(&g, &seed_set, depth, dir, &mut a);
-            let vb = frontier.multi_source_within(&g, &seed_set, depth, dir, None, &mut b);
-            prop_assert_eq!(&a, &b, "reach diverged ({:?}, depth {})", dir, depth);
-            prop_assert_eq!(va, vb, "work measure diverged ({:?}, depth {})", dir, depth);
+            let visited = frontier.multi_source_within(&g, &seed_set, depth, dir, None, &mut got);
+            let want = walk_reach(&g, &seed_set, depth, dir);
+            prop_assert_eq!(&got, &want, "reach diverged ({:?}, depth {})", dir, depth);
+            let mut marked = want.clone();
+            marked.union_with(&seed_set);
+            let work = if depth == 0 { 0 } else { marked.count() };
+            prop_assert_eq!(visited, work, "work measure ({:?}, depth {})", dir, depth);
         }
     }
 
@@ -276,49 +278,30 @@ proptest! {
         prop_assert_eq!(&restricted, &unrestricted, "restriction changed the answer");
         prop_assert!(vr <= vu, "restriction increased work: {} > {}", vr, vu);
     }
+}
 
-    /// `multi_source_within` equals the brute-force definition.
-    #[test]
-    fn multi_source_matches_bruteforce(
-        n in 2usize..12,
-        edges in proptest::collection::vec((0u8..12, 0u8..12), 0..40),
-        seeds in proptest::collection::vec(0u8..12, 1..5),
-        depth in 1u32..5,
-    ) {
-        let mut g = DiGraph::new();
-        for _ in 0..n {
-            g.add_node("x", []);
-        }
-        for (a, b) in edges {
-            let (a, b) = ((a as usize % n) as u32, (b as usize % n) as u32);
-            if a != b {
-                g.add_edge(NodeId(a), NodeId(b));
-            }
-        }
-        let mut seed_set = BitSet::new(n);
-        for s in seeds {
-            seed_set.insert(NodeId((s as usize % n) as u32));
-        }
-        let mut scratch = BfsScratch::new();
-        let mut out = BitSet::new(n);
-        scratch.multi_source_within(&g, &seed_set, depth, Direction::Backward, &mut out);
-
-        // brute force: v qualifies iff some walk of length 1..=depth from v
-        // ends in a seed — computed by repeated one-step expansion
-        let mut reachable_in: Vec<BitSet> = vec![seed_set.clone()];
-        for d in 1..=depth as usize {
-            let prev = &reachable_in[d - 1];
-            let mut cur = BitSet::new(n);
-            for v in g.ids() {
-                if g.out_neighbors(v).iter().any(|w| prev.contains(*w)) {
-                    cur.insert(v);
-                }
-            }
-            reachable_in.push(cur);
-        }
+/// Brute-force bounded reach: `v` qualifies iff some walk of length
+/// `1..=depth` in direction `dir`, seen from the seeds, joins `v` to a
+/// seed — computed by repeated one-step expansion of exact-length walk
+/// sets, no BFS. A shortest such walk has length ≤ `|V|`.
+fn walk_reach(g: &DiGraph, seeds: &BitSet, depth: u32, dir: Direction) -> BitSet {
+    let n = g.node_count();
+    let mut out = BitSet::new(n);
+    let mut level = seeds.clone();
+    for _ in 0..depth.min(n as u32) {
+        let mut next = BitSet::new(n);
         for v in g.ids() {
-            let truth = (1..=depth as usize).any(|d| reachable_in[d].contains(v));
-            prop_assert_eq!(out.contains(v), truth, "node {} depth {}", v, depth);
+            if dir
+                .opposite()
+                .neighbors(g, v)
+                .iter()
+                .any(|w| level.contains(*w))
+            {
+                next.insert(v);
+            }
         }
+        out.union_with(&next);
+        level = next;
     }
+    out
 }

@@ -66,9 +66,7 @@ IGNORED = {"note", "available_parallelism"}
 ADVISORY_SUFFIXES = ("_ms",)
 ADVISORY_KEYS = {
     "ms",
-    "speedup",
     "warm_speedup",
-    "bfs_nodes_reduction",
     "cancel_check_overhead",
     "entries",
     "bytes",

@@ -56,6 +56,12 @@ by module, to a module file or to an item the module declares or
 re-exports `pub`. A module-qualified path (`bsim::bounded_fixpoint_raw`)
 resolves the same way from every module file of that name in any crate —
 so a deleted module or item cannot stay named in the prose.
+
+And one rule about the code itself: the `core::naive` oracles judge the
+one fixpoint engine, so no release code may call them — every file
+under crates/*/src, up to its first `#[cfg(test)]`, outside naive.rs and
+the `bench` crate (whose counters are asserted against them), must not
+name `naive::` or a `naive_*` function.
 """
 
 import json
@@ -427,6 +433,38 @@ def check_module_paths():
     return missing, checked
 
 
+# where the oracles live, and the one crate besides tests that may judge
+# by them: `bench_match` asserts its counters' answers against them
+ORACLE_HOME = CRATES / "core" / "src" / "naive.rs"
+ORACLE_JUDGES = {"bench"}
+ORACLE_CALL = re.compile(r"\bnaive::|\bnaive_[a-z_]+\b")
+
+
+def check_oracle_callers():
+    """`file:line: …` for every line of release code that names a
+    `core::naive` oracle, and the number of files checked. Release code
+    is each file under crates/*/src up to its first `#[cfg(test)]`
+    (comment lines skipped), outside ORACLE_HOME and the ORACLE_JUDGES
+    crates — so an oracle can be compiled into `core` (the repo benchmark
+    imports it) but nothing that serves a request can call one."""
+    missing, checked = [], 0
+    for src in sorted(CRATES.glob("*/src/**/*.rs")):
+        crate = src.relative_to(CRATES).parts[0]
+        if src == ORACLE_HOME or crate in ORACLE_JUDGES:
+            continue
+        checked += 1
+        code = src.read_text().partition("#[cfg(test)]")[0]
+        for n, line in enumerate(code.splitlines(), 1):
+            if not line.lstrip().startswith("//") and ORACLE_CALL.search(line):
+                missing.append(
+                    f"{src.relative_to(ROOT)}:{n}: release code names a `core::naive` "
+                    "oracle; only tests and crates/bench judge by it"
+                )
+    if checked < 20:
+        missing.append(f"only {checked} release source files found; update scripts/docs_check.py")
+    return missing, checked
+
+
 # ("POST", ["graphs", name, "subscribe"]) — including arms wrapped over
 # lines; stop at the closing bracket of the segment list
 ARM = re.compile(r'\(\s*"(GET|POST|PUT|DELETE|PATCH)"\s*,\s*\[([^\]]*)\]\s*\)')
@@ -492,8 +530,11 @@ def main() -> int:
     path_missing, n_paths = check_module_paths()
     for msg in path_missing:
         print(f"docs-check: {msg}", file=sys.stderr)
+    oracle_missing, n_release = check_oracle_callers()
+    for msg in oracle_missing:
+        print(f"docs-check: {msg}", file=sys.stderr)
     failed = [missing, variant_missing, metrics_missing, ident_missing, target_missing]
-    if any(failed) or path_missing:
+    if any(failed) or path_missing or oracle_missing:
         return 1
     print(
         f"docs-check OK: {len(routes)} routes, {n_variants} route-enum "
@@ -502,7 +543,8 @@ def main() -> int:
         "docs/ARCHITECTURE.md, all declared under crates/*/src; "
         f"{n_targets} package/target flags and `.rs` paths in the docs, all "
         f"naming live targets and files; {n_paths} module paths, all resolving "
-        "under crates/*/src"
+        f"under crates/*/src; {n_release} release source files, none calling "
+        "a `core::naive` oracle"
     )
     return 0
 

@@ -2,8 +2,8 @@
 //!
 //! The parallel refinement path and the batch executor must be
 //! *invisible* except in speed. Every answer is judged by the naive
-//! oracle (the queue engine for dual simulation) and the reference
-//! ranking, never by the production engine itself:
+//! oracle and the reference ranking, never by the production engine
+//! itself:
 //!
 //! * property tests: parallel sim / dualsim / bsim equal the oracle on
 //!   arbitrary generated graphs and patterns, on both the `DiGraph` and
@@ -97,8 +97,7 @@ proptest! {
         prop_assert_eq!(&parallel(&csr, &q, Semantics::Bounded, 3), &want);
     }
 
-    /// Parallel dual simulation equals the queue engine's bidirectional
-    /// fixpoint.
+    /// Parallel dual simulation equals the naive bidirectional fixpoint.
     #[test]
     fn parallel_dualsim_equals_sequential(rg in raw_graph(14), rp in raw_pattern()) {
         let g = build_graph(&rg);

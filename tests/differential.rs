@@ -40,11 +40,11 @@
 //! counters. They also agree with the model. At every model version
 //! [`check_every_request`] runs every way of calling `core::evaluate`.
 //!
-//! The judges: `M(Q,G)` under simulation and bounded simulation is
-//! `core::naive`'s. Naive has no dual simulation, so the queue engine
-//! judges that. A ranked answer must equal `reference_rank` bit for bit.
-//! No check takes `bounded_simulation`, `top_k` or `evaluate` as its own
-//! truth.
+//! The judges: `M(Q,G)` under simulation, bounded and dual simulation,
+//! and the raw fixpoint the incremental module persists, are
+//! `core::naive`'s. A ranked answer must equal `reference_rank` bit for
+//! bit. No check takes `bounded_simulation`, `top_k` or `evaluate` as its
+//! own truth.
 //!
 //! A failing case is shrunk: ops are dropped one at a time while the
 //! script still fails. The minimal case is printed as a test to paste
@@ -58,10 +58,10 @@
 
 use expfinder::compress::CompressionMethod;
 use expfinder::core::bsim::bounded_fixpoint_raw;
-use expfinder::core::naive::naive_simulation;
+use expfinder::core::naive::{naive_bounded_fixpoint, naive_simulation};
 use expfinder::core::{
-    candidate_sets, evaluate, EvalOptions, EvalRequest, EvalScratch, MatchRelation, RankedMatch,
-    ReachIndex, ReachProvider, Semantics,
+    candidate_sets, evaluate, EvalRequest, EvalScratch, MatchRelation, RankedMatch, ReachIndex,
+    ReachProvider, Semantics,
 };
 use expfinder::engine::{
     Catalog, EngineConfig, ExecConfig, ExpFinder, ExpFinderError, GraphHandle, PlanRoute,
@@ -109,10 +109,10 @@ const TOP_K: [Option<usize>; 3] = [None, Some(2), Some(64)];
 /// `naive_bounded_simulation` there), bounded and dual simulation on `q`,
 /// each on the `DiGraph` and its `CsrGraph` snapshot,
 /// × 1–3 threads × a fresh or the case's `reused` scratch × no index, a
-/// cold or a warm `ReachIndex` bound to that view, plus the sequential
-/// queue engine. A cold index hits and misses alike on both views, and
-/// the raw fixpoint the incremental module persists (`early_exit =
-/// false`) equals the queue engine's.
+/// cold or a warm `ReachIndex` bound to that view. A cold index hits and
+/// misses alike on both views, and on both the raw fixpoint the
+/// incremental module persists (`early_exit = false`) equals
+/// `naive_bounded_fixpoint`'s.
 fn check_every_request(g: &DiGraph, q: &Pattern, reused: &mut EvalScratch) {
     let csr = CsrGraph::snapshot(g);
     let simulation = q.as_simulation();
@@ -131,9 +131,13 @@ fn check_every_request(g: &DiGraph, q: &Pattern, reused: &mut EvalScratch) {
             "{semantics:?} {q}: cold index hits, misses"
         );
     }
-    let raw = raw_fixpoint(g, q, EvalOptions::default(), reused);
-    assert_eq!(raw, raw_fixpoint(g, q, EvalOptions::queue(), reused));
-    assert_eq!(raw, raw_fixpoint(&csr, q, EvalOptions::default(), reused));
+    let want = naive_bounded_fixpoint(g, q, candidate_sets(g, q));
+    assert_eq!(raw_fixpoint(g, q, reused), want, "raw fixpoint");
+    assert_eq!(
+        raw_fixpoint(&csr, q, reused),
+        want,
+        "raw fixpoint on the CSR"
+    );
 }
 
 /// `q` under `semantics` on one view (at `version`), every request;
@@ -173,31 +177,13 @@ fn every_request<G: GraphView + Sync>(
             }
         }
     }
-    for reuse in [false, true] {
-        let mut fresh = EvalScratch::new();
-        let req = EvalRequest {
-            options: EvalOptions::queue(),
-            scratch: Some(if reuse { &mut *reused } else { &mut fresh }),
-            ..EvalRequest::new(semantics)
-        };
-        assert_eq!(
-            &evaluate(view, q, req).unwrap().0,
-            want,
-            "{semantics:?} queue"
-        );
-    }
     cold.expect("one sequential cold run")
 }
 
 /// The raw bounded fixpoint over `view`'s candidate sets, run to the end.
-fn raw_fixpoint<G: GraphView>(
-    view: &G,
-    q: &Pattern,
-    options: EvalOptions,
-    scratch: &mut EvalScratch,
-) -> Vec<BitSet> {
+fn raw_fixpoint<G: GraphView>(view: &G, q: &Pattern, scratch: &mut EvalScratch) -> Vec<BitSet> {
     let seeds = candidate_sets(view, q);
-    let out = bounded_fixpoint_raw(view, q, seeds, options, false, scratch, None);
+    let out = bounded_fixpoint_raw(view, q, seeds, false, scratch, None);
     out.expect("no cancel token").0
 }
 
