@@ -23,6 +23,13 @@
 //!   maintained by [`IncrementalBoundedSim`] over a seeded update stream
 //!   (its [`IncStats`](expfinder_incremental::IncStats) work), both
 //!   judged by `naive_simulation`.
+//! * **`gr_maintain`** — a registered pattern's result graph: the
+//!   maintainer repairs its `G_r` arcs once per update batch
+//!   (`repair_sources` re-run BFSes, against the `full_build_sources` a
+//!   from-scratch build would run), and a ranked read after every batch
+//!   assembles `G_r` from them with no BFS (`registered_build_visits` is
+//!   0), judged by a from-scratch [`ResultGraph::build`] and
+//!   `reference_rank`.
 //!
 //! Answers of every path are asserted equal to `core::naive`'s while
 //! measuring (`results_identical`). Counters and sizes are exact functions
@@ -30,7 +37,7 @@
 //! advisory.
 
 use crate::{collab_graph, collab_pattern, fmt_dur, json_obj as obj, time, twitter_graph, SEED};
-use expfinder_core::naive::{naive_bounded_simulation, naive_simulation};
+use expfinder_core::naive::{naive_bounded_simulation, naive_simulation, reference_rank};
 use expfinder_core::{
     bounded_simulation_indexed, evaluate, rank_matches_top_k_cancellable, CancelToken, EvalOptions,
     EvalRequest, EvalScratch, EvalStats, MatchRelation, RankScratch, ReachIndex, ResultGraph,
@@ -269,6 +276,23 @@ pub fn run_counters_bench() -> Value {
         bench_bound1_workload("collab", &collab, &collab_pattern()),
         bench_bound1_workload("twitter", &twitter, &twitter_chain_pattern()),
     ];
+    println!("gr_maintain: registered G_r arcs repaired per batch, read with no BFS");
+    let gr_maintain = vec![
+        bench_gr_workload("collab", "team", &collab, &collab_pattern()),
+        bench_gr_workload("collab", "team_star", &collab, &collab_team_star_pattern()),
+        bench_gr_workload(
+            "twitter",
+            "influence_chain",
+            &twitter,
+            &twitter_chain_pattern(),
+        ),
+        bench_gr_workload(
+            "twitter",
+            "audience_star",
+            &twitter,
+            &twitter_audience_pattern(),
+        ),
+    ];
     obj(vec![
         ("bench", Value::Str("counters".to_owned())),
         (
@@ -278,8 +302,10 @@ pub fn run_counters_bench() -> Value {
                  sequential query is served (match_frontier), without, cold and warm \
                  on the per-version reach index (match_warm_index), and plain \
                  simulation evaluated and maintained as bound-1 bounded simulation \
-                 (match_bound1); results asserted equal to the naive oracle while \
-                 measuring; *_ms and speedups are wall-clock, advisory"
+                 (match_bound1), and registered G_r arcs repaired per update batch \
+                 and read with no BFS (gr_maintain); results asserted equal to the \
+                 naive oracle while measuring; *_ms and speedups are wall-clock, \
+                 advisory"
                     .to_owned(),
             ),
         ),
@@ -291,6 +317,7 @@ pub fn run_counters_bench() -> Value {
         ("match_frontier", Value::Array(match_frontier)),
         ("match_warm_index", Value::Array(match_warm_index)),
         ("match_bound1", Value::Array(match_bound1)),
+        ("gr_maintain", Value::Array(gr_maintain)),
     ])
 }
 
@@ -493,6 +520,95 @@ fn bench_bound1_workload(name: &str, graph: &DiGraph, pattern: &Pattern) -> Valu
     ])
 }
 
+/// Edge updates in each `gr_maintain` stream, applied [`GR_BATCH`] at a
+/// time.
+const GR_UPDATES: usize = 48;
+const GR_BATCH: usize = 4;
+
+/// One `gr_maintain` workload: `pattern` maintained on `graph` by
+/// [`IncrementalBoundedSim`] over a seeded stream of update batches, its
+/// `G_r` arcs repaired once per batch, and read ranked after every batch
+/// the way the engine serves a registered pattern — [`ResultGraph::assemble`]
+/// on the maintained arcs, then the top [`RANK_TOP_K`], on one
+/// [`RankScratch`]. At every step the relation must equal naive's, the
+/// assembled `G_r` a from-scratch [`ResultGraph::build`]'s, and the ranking
+/// `reference_rank`'s, bit for bit.
+fn bench_gr_workload(name: &str, pattern_name: &str, graph: &DiGraph, pattern: &Pattern) -> Value {
+    let mut g = graph.clone();
+    let stream = random_updates(&mut StdRng::seed_from_u64(SEED), &g, GR_UPDATES, 0.5);
+    let mut inc = IncrementalBoundedSim::new(&g, pattern);
+    let mut read = RankScratch::new();
+    let (mut full_build_sources, mut identical) = (0, true);
+    let (mut maintain_t, mut read_t) = (Duration::ZERO, Duration::ZERO);
+    for batch in stream.chunks(GR_BATCH) {
+        let (_, t) = time(|| {
+            for &up in batch {
+                if g.apply(up) {
+                    inc.on_update(&g, up);
+                }
+            }
+            inc.repair_arcs(&g);
+        });
+        maintain_t += t;
+        let m = inc.current();
+        let ((rg, ranked), t) = time(|| {
+            let arcs = inc.arcs().iter().copied();
+            let rg = ResultGraph::assemble(pattern, &m, arcs, &mut read);
+            let ranked =
+                rank_matches_top_k_cancellable(&rg, pattern, &m, RANK_TOP_K, &mut read, None);
+            (rg, ranked.expect("a ranked pattern"))
+        });
+        read_t += t;
+        let fresh = ResultGraph::build(&g, pattern, &m);
+        let bits = |list: &[expfinder_core::RankedMatch]| -> Vec<(u32, u64)> {
+            list.iter().map(|x| (x.node.0, x.rank.to_bits())).collect()
+        };
+        identical &= m == naive_bounded_simulation(&g, pattern)
+            && (rg.nodes(), rg.edges()) == (fresh.nodes(), fresh.edges())
+            && bits(&ranked) == bits(&reference_rank(&g, pattern, &m, RANK_TOP_K));
+        full_build_sources += pattern
+            .edges()
+            .iter()
+            .map(|e| m.matches(e.from).count())
+            .sum::<usize>();
+    }
+    assert!(
+        identical,
+        "{name}/{pattern_name}: the maintained G_r diverged from a fresh build"
+    );
+    let work = inc.stats();
+    let m = inc.current();
+    assert!(!m.is_empty(), "{name}/{pattern_name}: pattern matches");
+    println!(
+        "{name:>10} {pattern_name:>16} | {} batches: re-BFS {} sources vs {} by full builds | \
+         arcs {} | maintain {} read {}",
+        stream.len().div_ceil(GR_BATCH),
+        work.repair_sources,
+        full_build_sources,
+        inc.arcs().len(),
+        fmt_dur(maintain_t),
+        fmt_dur(read_t),
+    );
+    obj(vec![
+        ("name", Value::Str(name.to_owned())),
+        ("pattern", Value::Str(pattern_name.to_owned())),
+        ("nodes", Value::Int(graph.node_count() as i64)),
+        ("edges", Value::Int(graph.edge_count() as i64)),
+        ("updates", Value::Int(stream.len() as i64)),
+        ("match_pairs", Value::Int(m.total_pairs() as i64)),
+        ("repair_sources", Value::Int(work.repair_sources as i64)),
+        ("full_build_sources", Value::Int(full_build_sources as i64)),
+        ("arcs", Value::Int(inc.arcs().len() as i64)),
+        (
+            "registered_build_visits",
+            Value::Int(read.build_visits() as i64),
+        ),
+        ("maintain_ms", ms(maintain_t)),
+        ("read_ms", ms(read_t)),
+        ("results_identical", Value::Bool(identical)),
+    ])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -599,6 +715,17 @@ mod tests {
             assert_eq!(int(maintain, "updates"), BOUND1_UPDATES as i64);
             // every update's affected ball holds its source
             assert!(int(maintain, "affected_nodes") >= BOUND1_UPDATES as i64);
+        }
+        let gr = doc.field("gr_maintain").unwrap().as_array().unwrap();
+        assert_eq!(gr.len(), 4);
+        for w in gr {
+            assert!(w.field("results_identical").unwrap().as_bool().unwrap());
+            assert_eq!(int(w, "updates"), GR_UPDATES as i64);
+            // a ranked registered read runs no BFS, and the repair re-runs
+            // a small share of what a build per batch would
+            assert_eq!(int(w, "registered_build_visits"), 0);
+            assert!(int(w, "repair_sources") > 0 && int(w, "arcs") > 0);
+            assert!(10 * int(w, "repair_sources") < int(w, "full_build_sources"));
         }
         // the fully class-seeded star skips the BFS entirely on warm runs
         let star = &warm[0];

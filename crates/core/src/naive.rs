@@ -7,13 +7,17 @@
 //! candidates too are found by testing every node, never from a label
 //! index. They judge every relation the one fixpoint engine computes:
 //! simulation, bounded simulation, dual simulation, and the raw
-//! (uncollapsed) fixpoint the incremental module persists.
+//! (uncollapsed) fixpoint the incremental module persists — and, over a
+//! relation, the result graph and the top-K ranking
+//! ([`reference_result_graph`], [`reference_rank`]).
 
 use crate::matchrel::MatchRelation;
+use crate::rank::RankedMatch;
 use expfinder_graph::bfs::Direction;
 use expfinder_graph::{BitSet, GraphView, NodeId};
 use expfinder_pattern::Pattern;
-use std::collections::{HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
 
 fn candidate_sets<G: GraphView>(g: &G, q: &Pattern) -> Vec<BitSet> {
     let scan = |pn: &expfinder_pattern::PatternNode| crate::scan(g, &pn.predicate, g.ids());
@@ -187,6 +191,146 @@ pub fn is_valid_bounded_relation<G: GraphView>(g: &G, q: &Pattern, m: &MatchRela
         }
     }
     true
+}
+
+/// The reference `G_r`, built the plain way: per-node hash maps, one
+/// queue BFS of its own per (pattern edge, source match). Shares no code
+/// with `core::result_graph` or the graph crate's BFS.
+pub struct ReferenceResultGraph {
+    /// Every match of every pattern node, ascending, once.
+    pub nodes: Vec<NodeId>,
+    /// `(from, to, weight, pattern edge)`, one per witnessed pattern edge.
+    pub edges: BTreeSet<(NodeId, NodeId, u32, u32)>,
+    /// Adjacency over positions in `nodes`, minimal weight per pair.
+    fwd: Vec<HashMap<usize, u64>>,
+    rev: Vec<HashMap<usize, u64>>,
+    index: HashMap<NodeId, usize>,
+}
+
+pub fn reference_result_graph<G: GraphView>(
+    g: &G,
+    q: &Pattern,
+    m: &MatchRelation,
+) -> ReferenceResultGraph {
+    let mut nodes: Vec<NodeId> = q.ids().flat_map(|u| m.matches_vec(u)).collect();
+    nodes.sort_unstable();
+    nodes.dedup();
+    let index: HashMap<NodeId, usize> = nodes.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+
+    let mut fwd: Vec<HashMap<usize, u64>> = vec![HashMap::new(); nodes.len()];
+    let mut rev = fwd.clone();
+    let mut edges = BTreeSet::new();
+    for (ei, e) in q.edges().iter().enumerate() {
+        for v in m.matches(e.from).iter() {
+            for (w, d) in distances_within(g, v, e.bound.depth()) {
+                if w != v && m.contains(e.to, w) {
+                    edges.insert((v, w, d, ei as u32));
+                    let (vi, wi, d) = (index[&v], index[&w], d as u64);
+                    let slot = fwd[vi].entry(wi).or_insert(d);
+                    *slot = (*slot).min(d);
+                    let slot = rev[wi].entry(vi).or_insert(d);
+                    *slot = (*slot).min(d);
+                }
+            }
+        }
+    }
+    ReferenceResultGraph {
+        nodes,
+        edges,
+        fwd,
+        rev,
+        index,
+    }
+}
+
+/// Every node within `depth` hops of `v`, with its hop distance (`v`
+/// itself at 0): a plain queue BFS over a hash map.
+fn distances_within<G: GraphView>(g: &G, v: NodeId, depth: u32) -> HashMap<NodeId, u32> {
+    let mut dist = HashMap::from([(v, 0)]);
+    let mut queue = VecDeque::from([v]);
+    while let Some(u) = queue.pop_front() {
+        let d = dist[&u];
+        if d == depth {
+            continue;
+        }
+        for &w in g.out_neighbors(u) {
+            if let Entry::Vacant(slot) = dist.entry(w) {
+                slot.insert(d + 1);
+                queue.push_back(w);
+            }
+        }
+    }
+    dist
+}
+
+/// The reference top-K ranking: paper §II's `f(u_o, v)` computed the
+/// plain way — over [`reference_result_graph`], two full-vector Dijkstras
+/// and a scan of all of `V_r` per candidate, then a full sort. It shares
+/// no code with `core::rank` / `core::result_graph` / `graph::dijkstra`,
+/// so it can judge them — today's, and any rewrite of them.
+pub fn reference_rank<G: GraphView>(
+    g: &G,
+    q: &Pattern,
+    m: &MatchRelation,
+    k: usize,
+) -> Vec<RankedMatch> {
+    const UNREACHABLE: u64 = u64::MAX;
+    let ReferenceResultGraph {
+        nodes,
+        fwd,
+        rev,
+        index,
+        ..
+    } = reference_result_graph(g, q, m);
+
+    let dijkstra = |adj: &[HashMap<usize, u64>], src: usize| {
+        let mut dist = vec![UNREACHABLE; adj.len()];
+        let mut heap = BinaryHeap::new();
+        dist[src] = 0;
+        heap.push(std::cmp::Reverse((0u64, src)));
+        while let Some(std::cmp::Reverse((d, u))) = heap.pop() {
+            if d > dist[u] {
+                continue;
+            }
+            for (&w, &cost) in &adj[u] {
+                if d + cost < dist[w] {
+                    dist[w] = d + cost;
+                    heap.push(std::cmp::Reverse((d + cost, w)));
+                }
+            }
+        }
+        dist
+    };
+
+    let uo = q.output().expect("ranked patterns have an output node");
+    let mut out: Vec<RankedMatch> = m
+        .matches(uo)
+        .iter()
+        .map(|v| {
+            let local = index[&v];
+            let (from, to) = (dijkstra(&fwd, local), dijkstra(&rev, local));
+            let (mut sum, mut connected) = (0u64, 0usize);
+            for i in (0..nodes.len()).filter(|&i| i != local) {
+                if from[i] == UNREACHABLE && to[i] == UNREACHABLE {
+                    continue;
+                }
+                connected += 1;
+                sum += [from[i], to[i]]
+                    .iter()
+                    .filter(|&&d| d != UNREACHABLE)
+                    .sum::<u64>();
+            }
+            let rank = if connected == 0 {
+                f64::INFINITY
+            } else {
+                sum as f64 / connected as f64
+            };
+            RankedMatch { node: v, rank }
+        })
+        .collect();
+    out.sort_by(|a, b| a.rank.total_cmp(&b.rank).then(a.node.cmp(&b.node)));
+    out.truncate(k);
+    out
 }
 
 #[cfg(test)]

@@ -5,15 +5,23 @@
 //! edge (marked with an integer d) represents a shortest path with length
 //! d corresponding to a query edge."
 //!
-//! Construction: for every pattern edge `(u, u')` with bound `b` and every
-//! match `v` of `u`, a bounded forward BFS collects the matches `v'` of
-//! `u'` within distance `1..=b`; each such pair contributes an edge
-//! `(v, v')` weighted with the shortest-path length. A bound-1 pattern
-//! edge needs no BFS: its witnesses are `v`'s out-neighbours, read off the
-//! adjacency the way the fixpoint refines such edges. Construction can be
-//! parallelised across match nodes (std scoped threads). A request's
-//! [`CancelToken`] is polled once per source match, so a deadline covers
-//! construction too ([`ResultGraph::build_cancellable`]).
+//! Construction is two steps. **Collect**: for every pattern edge
+//! `(u, u')` with bound `b` and every match `v` of `u`, a bounded forward
+//! BFS collects the matches `v'` of `u'` within distance `1..=b`; each
+//! such pair contributes an edge `(v, v')` weighted with the
+//! shortest-path length ([`witness_arcs`], the one witness kernel). A
+//! bound-1 pattern edge needs no BFS: its witnesses are `v`'s
+//! out-neighbours, read off the adjacency the way the fixpoint refines
+//! such edges. Collection can be parallelised across match nodes (std
+//! scoped threads); either way the arcs come out in `(pattern_edge, from,
+//! to)` order. A request's [`CancelToken`] is polled once per source
+//! match, so a deadline covers construction too
+//! ([`ResultGraph::build_cancellable`]). **Assemble**
+//! ([`ResultGraph::assemble`]): keep the arcs whose endpoints the
+//! relation matches, then lay out the graph below. The incremental
+//! module keeps a registered pattern's arcs across updates, repaired per
+//! batch with the same kernel, so a ranked read of a registered pattern
+//! runs the second step only.
 //!
 //! Layout: `|E_r|` is smaller than `|V_r|` (most matches witness no
 //! pattern edge themselves: over the repo benchmark's 528 pool patterns,
@@ -33,7 +41,7 @@ use crate::parallel::run_items;
 use crate::rank::RankScratch;
 use expfinder_graph::bfs::{BfsScratch, Direction};
 use expfinder_graph::dijkstra::WeightedAdj;
-use expfinder_graph::{CancelToken, GraphView, NodeId};
+use expfinder_graph::{BitSet, CancelToken, GraphView, NodeId};
 use expfinder_pattern::{PNodeId, Pattern};
 
 /// One edge of the result graph.
@@ -76,6 +84,9 @@ impl ResultGraph {
     /// match of every pattern edge; a fired token aborts with
     /// [`Cancelled`] (zero stats — the fixpoint's work is the caller's to
     /// report). The work is added to [`RankScratch::build_visits`].
+    /// Collects the arcs with one BFS per source match, then lays them out
+    /// as [`assemble`](Self::assemble) does — they need no filter, every
+    /// endpoint being a match.
     pub fn build_cancellable<G: GraphView + Sync>(
         g: &G,
         q: &Pattern,
@@ -84,10 +95,40 @@ impl ResultGraph {
         scratch: &mut RankScratch,
         cancel: Option<&CancelToken>,
     ) -> Result<ResultGraph, Cancelled> {
-        let members: Vec<Vec<NodeId>> = q.ids().map(|u| m.matches_vec(u)).collect();
-        let (edges, visits) =
-            collect_all_edges(g, q, m, &members, threads, &mut scratch.bfs, cancel)?;
+        let (edges, visits) = collect_all_edges(g, q, m, threads, &mut scratch.bfs, cancel)?;
         scratch.build_visits += visits;
+        Ok(Self::layout(q, m, edges, scratch))
+    }
+
+    /// Assemble `G_r` from arcs already collected, in `(pattern_edge,
+    /// from, to)` order: the ones whose two endpoints match their pattern
+    /// nodes under `m` are kept, so `edges` may come from a superset of
+    /// `m` — a registered query's maintained arcs span its raw sets and
+    /// every candidate target (`IncrementalBoundedSim::arcs`). Runs no
+    /// BFS: what it costs is `O(|V_r| + |edges|)`.
+    pub fn assemble(
+        q: &Pattern,
+        m: &MatchRelation,
+        edges: impl IntoIterator<Item = ResultEdge>,
+        scratch: &mut RankScratch,
+    ) -> ResultGraph {
+        let pattern_edges = q.edges();
+        let matched = |r: &ResultEdge| {
+            let e = &pattern_edges[r.pattern_edge as usize];
+            m.contains(e.from, r.from) && m.contains(e.to, r.to)
+        };
+        let edges: Vec<ResultEdge> = edges.into_iter().filter(matched).collect();
+        Self::layout(q, m, edges, scratch)
+    }
+
+    /// The result graph of `m` with exactly `edges`, matched at both ends.
+    fn layout(
+        q: &Pattern,
+        m: &MatchRelation,
+        edges: Vec<ResultEdge>,
+        scratch: &mut RankScratch,
+    ) -> ResultGraph {
+        let members: Vec<Vec<NodeId>> = q.ids().map(|u| m.matches_vec(u)).collect();
 
         // result nodes = union of all matches
         let union = m.sets().split_first().map(|(first, rest)| {
@@ -117,13 +158,13 @@ impl ResultGraph {
         let fwd = WeightedAdj::from_arcs(nodes.len(), arcs);
         let rev = fwd.transpose();
 
-        Ok(ResultGraph {
+        ResultGraph {
             nodes,
             edges,
             fwd,
             rev,
             members,
-        })
+        }
     }
 
     /// All result nodes (data-graph ids, ascending).
@@ -131,7 +172,8 @@ impl ResultGraph {
         &self.nodes
     }
 
-    /// All result edges, grouped by pattern edge, then by source match.
+    /// All result edges, ordered by `(pattern_edge, from, to)` — whatever
+    /// built them, at any thread count.
     pub fn edges(&self) -> &[ResultEdge] {
         &self.edges
     }
@@ -166,9 +208,61 @@ impl ResultGraph {
     }
 }
 
-/// Collect into `out` the result edges witnessed by pattern edge `ei` for
-/// the given source match nodes, polling `cancel` once per source.
+/// Append to `out` the arcs pattern edge `ei` of `q` contributes from the
+/// source `v`: one per `w ∈ targets`, `w ≠ v`, at shortest distance
+/// `1..=b` from `v`, weighted with that distance, in ascending `to` order.
+/// A bound-1 edge reads `v`'s out-neighbours instead of running a BFS.
 /// Returns the ball nodes visited plus the adjacency entries scanned.
+/// The one witness kernel of `G_r`: a build runs it per source match, and
+/// the incremental module per source whose ball an update batch touched.
+pub fn witness_arcs<G: GraphView>(
+    g: &G,
+    q: &Pattern,
+    ei: usize,
+    v: NodeId,
+    targets: &BitSet,
+    bfs: &mut BfsScratch,
+    out: &mut Vec<ResultEdge>,
+) -> u64 {
+    let depth = q.edges()[ei].bound.depth();
+    let start = out.len();
+    let mut witness = |to, weight| {
+        out.push(ResultEdge {
+            from: v,
+            to,
+            weight,
+            pattern_edge: ei as u32,
+        })
+    };
+    let visits = if depth == 1 {
+        // a one-hop ball without its source is the out-neighbours, minus
+        // `v` itself where a self-loop lists it
+        let succ = g.out_neighbors(v);
+        for &w in succ {
+            if w != v && targets.contains(w) {
+                witness(w, 1);
+            }
+        }
+        succ.len()
+    } else {
+        let ball = bfs.ball(g, v, depth, Direction::Forward);
+        // the source comes first, and is the one node at distance 0
+        for (w, d) in ball.iter().skip(1) {
+            if targets.contains(w) {
+                witness(w, d);
+            }
+        }
+        ball.len()
+    };
+    if out.len() - start > 1 {
+        out[start..].sort_unstable_by_key(|e| e.to);
+    }
+    visits as u64
+}
+
+/// Collect into `out` the result edges witnessed by pattern edge `ei` for
+/// the given source match nodes (ascending), polling `cancel` once per
+/// source. Returns the work of [`witness_arcs`], summed.
 fn collect_edges<G: GraphView>(
     g: &G,
     q: &Pattern,
@@ -178,42 +272,13 @@ fn collect_edges<G: GraphView>(
     cancel: Option<&CancelToken>,
     out: &mut Vec<ResultEdge>,
 ) -> Result<u64, Cancelled> {
-    let e = &q.edges()[ei];
-    let depth = e.bound.depth();
-    let targets = m.matches(e.to);
+    let targets = m.matches(q.edges()[ei].to);
     let mut visits = 0;
-    let mut witness = |from, to, weight| {
-        out.push(ResultEdge {
-            from,
-            to,
-            weight,
-            pattern_edge: ei as u32,
-        })
-    };
     for &v in sources {
         if cancel.is_some_and(|t| t.is_cancelled()) {
             return Err(Cancelled::default());
         }
-        if depth == 1 {
-            // a one-hop ball without its source is the out-neighbours in
-            // adjacency order, minus `v` itself where a self-loop lists it
-            let succ = g.out_neighbors(v);
-            visits += succ.len() as u64;
-            for &w in succ {
-                if w != v && targets.contains(w) {
-                    witness(v, w, 1);
-                }
-            }
-        } else {
-            let ball = scratch.ball(g, v, depth, Direction::Forward);
-            visits += ball.len() as u64;
-            // the source comes first, and is the one node at distance 0
-            for (w, d) in ball.iter().skip(1) {
-                if targets.contains(w) {
-                    witness(v, w, d);
-                }
-            }
-        }
+        visits += witness_arcs(g, q, ei, v, targets, scratch, out);
     }
     Ok(visits)
 }
@@ -222,44 +287,48 @@ fn collect_edges<G: GraphView>(
 /// across skewed degree distributions, large enough to amortize dispatch.
 const PARALLEL_CHUNK: usize = 256;
 
-/// Edge collection: every (pattern edge, chunk of the `members` of its
+/// Edge collection: every (pattern edge, chunk of the matches of its
 /// source node) pair is an independent [`run_items`] work item, run inline
 /// on `bfs` when that declines to fan out. Chunking *within* a pattern
 /// edge is what makes the fan-out scale — patterns have few edges but
-/// thousands of matches. Returns the edges and the work of
-/// [`collect_edges`], summed.
+/// thousands of matches. Items are in `(pattern edge, source)` order and
+/// each source's arcs in `to` order, so concatenating the items' edges in
+/// item order gives `(pattern_edge, from, to)` order on either path.
+/// Returns the edges and the work of [`collect_edges`], summed.
 fn collect_all_edges<G: GraphView + Sync>(
     g: &G,
     q: &Pattern,
     m: &MatchRelation,
-    members: &[Vec<NodeId>],
     threads: usize,
     bfs: &mut BfsScratch,
     cancel: Option<&CancelToken>,
 ) -> Result<(Vec<ResultEdge>, u64), Cancelled> {
-    let mut items: Vec<(usize, &[NodeId])> = Vec::new();
-    for (ei, e) in q.edges().iter().enumerate() {
-        let sources = members[e.from.index()].chunks(PARALLEL_CHUNK);
-        items.extend(sources.map(|chunk| (ei, chunk)));
-    }
+    let sources: Vec<Vec<NodeId>> = q.edges().iter().map(|e| m.matches_vec(e.from)).collect();
+    // numbered, because workers finish in any order
+    let items: Vec<(usize, (usize, &[NodeId]))> = sources
+        .iter()
+        .enumerate()
+        .flat_map(|(ei, sources)| sources.chunks(PARALLEL_CHUNK).map(move |chunk| (ei, chunk)))
+        .enumerate()
+        .collect();
     let mut out = Vec::new();
     let mut visits = 0;
-    let fanned = run_items(threads, &items, BfsScratch::new, |bfs, &item| {
+    let fanned = run_items(threads, &items, BfsScratch::new, |bfs, &(i, item)| {
         let mut edges = Vec::new();
-        collect_edges(g, q, m, item, bfs, cancel, &mut edges).map(|v| (edges, v))
+        let work = collect_edges(g, q, m, item, bfs, cancel, &mut edges);
+        (i, work.map(|v| (edges, v)))
     });
     match fanned {
-        Some(chunks) => {
-            for chunk in chunks {
+        Some(mut chunks) => {
+            chunks.sort_unstable_by_key(|&(i, _)| i);
+            for (_, chunk) in chunks {
                 let (edges, v) = chunk?;
                 out.extend(edges);
                 visits += v;
             }
-            // deterministic order regardless of thread interleaving
-            out.sort_unstable_by_key(|e| (e.pattern_edge, e.from, e.to));
         }
         None => {
-            for &item in &items {
+            for &(_, item) in &items {
                 visits += collect_edges(g, q, m, item, bfs, cancel, &mut out)?;
             }
         }
@@ -362,11 +431,13 @@ mod tests {
             "the workers' visits are counted"
         );
         assert_eq!(rg.nodes(), rg_par.nodes());
-        let mut a = rg.edges().to_vec();
-        let mut b = rg_par.edges().to_vec();
-        a.sort_unstable_by_key(|e| (e.pattern_edge, e.from, e.to));
-        b.sort_unstable_by_key(|e| (e.pattern_edge, e.from, e.to));
-        assert_eq!(a, b);
+        // one order, whatever the thread count: drill-downs read it as is
+        assert_eq!(rg.edges(), rg_par.edges());
+        assert!(rg
+            .edges()
+            .windows(2)
+            .all(|w| (w[0].pattern_edge, w[0].from, w[0].to)
+                < (w[1].pattern_edge, w[1].from, w[1].to)));
     }
 
     #[test]

@@ -2,17 +2,16 @@
 //! `rank_equivalence` and included by path from the workspace root's
 //! `tests/differential.rs`, `tests/properties.rs`, `tests/concurrency.rs`,
 //! `tests/batch.rs` and `tests/pipeline.rs`: compact raw encodings of random graphs and
-//! patterns, the match oracle ([`oracle`]: `core::naive`) and the
-//! reference ranking `core::rank` is checked against.
+//! patterns and the match oracle ([`oracle`]: `core::naive`). The
+//! reference ranking `core::rank` is checked against lives in
+//! `core::naive` too (`reference_rank`, `reference_result_graph`).
 #![allow(dead_code)]
 
 use expfinder_core::naive::{naive_bounded_simulation, naive_dual_simulation};
-use expfinder_core::{MatchRelation, RankedMatch, Semantics};
-use expfinder_graph::bfs::{BfsScratch, Direction};
+use expfinder_core::{MatchRelation, Semantics};
 use expfinder_graph::{AttrValue, DiGraph, GraphView, NodeId};
 use expfinder_pattern::{Bound, PNodeId, Pattern, PatternEdge, PatternNode, Predicate};
 use proptest::prelude::*;
-use std::collections::{BTreeSet, BinaryHeap, HashMap};
 
 #[derive(Clone, Debug)]
 pub struct RawGraph {
@@ -155,126 +154,4 @@ pub fn oracle<G: GraphView + Sync>(g: &G, q: &Pattern, semantics: Semantics) -> 
         Semantics::Bounded => naive_bounded_simulation(g, q),
         Semantics::Dual => naive_dual_simulation(g, q),
     }
-}
-
-/// The reference `G_r`, built the plain way: per-node hash maps, one BFS
-/// per (pattern edge, source match). Shares no code with
-/// `core::result_graph`.
-pub struct ReferenceResultGraph {
-    /// Every match of every pattern node, ascending, once.
-    pub nodes: Vec<NodeId>,
-    /// `(from, to, weight, pattern edge)`, one per witnessed pattern edge.
-    pub edges: BTreeSet<(NodeId, NodeId, u32, u32)>,
-    /// Adjacency over positions in `nodes`, minimal weight per pair.
-    fwd: Vec<HashMap<usize, u64>>,
-    rev: Vec<HashMap<usize, u64>>,
-    index: HashMap<NodeId, usize>,
-}
-
-pub fn reference_result_graph<G: GraphView>(
-    g: &G,
-    q: &Pattern,
-    m: &MatchRelation,
-) -> ReferenceResultGraph {
-    let mut nodes: Vec<NodeId> = q.ids().flat_map(|u| m.matches_vec(u)).collect();
-    nodes.sort_unstable();
-    nodes.dedup();
-    let index: HashMap<NodeId, usize> = nodes.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-
-    let mut fwd: Vec<HashMap<usize, u64>> = vec![HashMap::new(); nodes.len()];
-    let mut rev = fwd.clone();
-    let mut edges = BTreeSet::new();
-    let mut bfs = BfsScratch::new();
-    for (ei, e) in q.edges().iter().enumerate() {
-        for v in m.matches(e.from).iter() {
-            let ball = bfs.ball(g, v, e.bound.depth(), Direction::Forward);
-            for (w, d) in ball.iter() {
-                if d >= 1 && m.contains(e.to, w) {
-                    edges.insert((v, w, d, ei as u32));
-                    let (vi, wi, d) = (index[&v], index[&w], d as u64);
-                    let slot = fwd[vi].entry(wi).or_insert(d);
-                    *slot = (*slot).min(d);
-                    let slot = rev[wi].entry(vi).or_insert(d);
-                    *slot = (*slot).min(d);
-                }
-            }
-        }
-    }
-    ReferenceResultGraph {
-        nodes,
-        edges,
-        fwd,
-        rev,
-        index,
-    }
-}
-
-/// The reference top-K ranking: paper §II's `f(u_o, v)` computed the
-/// plain way — over [`reference_result_graph`], two full-vector Dijkstras
-/// and a scan of all of `V_r` per candidate, then a full sort. It shares
-/// no code with `core::rank` / `core::result_graph` / `graph::dijkstra`,
-/// so it can judge them — today's, and any rewrite of them.
-pub fn reference_rank<G: GraphView>(
-    g: &G,
-    q: &Pattern,
-    m: &MatchRelation,
-    k: usize,
-) -> Vec<RankedMatch> {
-    const UNREACHABLE: u64 = u64::MAX;
-    let ReferenceResultGraph {
-        nodes,
-        fwd,
-        rev,
-        index,
-        ..
-    } = reference_result_graph(g, q, m);
-
-    let dijkstra = |adj: &[HashMap<usize, u64>], src: usize| {
-        let mut dist = vec![UNREACHABLE; adj.len()];
-        let mut heap = BinaryHeap::new();
-        dist[src] = 0;
-        heap.push(std::cmp::Reverse((0u64, src)));
-        while let Some(std::cmp::Reverse((d, u))) = heap.pop() {
-            if d > dist[u] {
-                continue;
-            }
-            for (&w, &cost) in &adj[u] {
-                if d + cost < dist[w] {
-                    dist[w] = d + cost;
-                    heap.push(std::cmp::Reverse((d + cost, w)));
-                }
-            }
-        }
-        dist
-    };
-
-    let uo = q.output().expect("ranked patterns have an output node");
-    let mut out: Vec<RankedMatch> = m
-        .matches(uo)
-        .iter()
-        .map(|v| {
-            let local = index[&v];
-            let (from, to) = (dijkstra(&fwd, local), dijkstra(&rev, local));
-            let (mut sum, mut connected) = (0u64, 0usize);
-            for i in (0..nodes.len()).filter(|&i| i != local) {
-                if from[i] == UNREACHABLE && to[i] == UNREACHABLE {
-                    continue;
-                }
-                connected += 1;
-                sum += [from[i], to[i]]
-                    .iter()
-                    .filter(|&&d| d != UNREACHABLE)
-                    .sum::<u64>();
-            }
-            let rank = if connected == 0 {
-                f64::INFINITY
-            } else {
-                sum as f64 / connected as f64
-            };
-            RankedMatch { node: v, rank }
-        })
-        .collect();
-    out.sort_by(|a, b| a.rank.total_cmp(&b.rank).then(a.node.cmp(&b.node)));
-    out.truncate(k);
-    out
 }

@@ -1,6 +1,6 @@
 //! Ranking against an oracle that is not the code under test.
 //!
-//! `common::reference_rank` is an independent implementation of paper
+//! `naive::reference_rank` is an independent implementation of paper
 //! §II's `f(u_o, v)` — its own hash-map `G_r`, its own full-vector
 //! Dijkstra, a `|V_r|` scan per candidate, a full sort. `core::rank` and
 //! `core::result_graph` must agree with it on node order and on every
@@ -34,7 +34,7 @@ use std::collections::BTreeSet;
 use std::sync::{LazyLock, Mutex, MutexGuard};
 
 mod common;
-use common::{reference_rank, reference_result_graph, ReferenceResultGraph};
+use expfinder_core::naive::{reference_rank, reference_result_graph, ReferenceResultGraph};
 
 /// Node order and rank bits, the two things a client can observe.
 fn bits(list: &[RankedMatch]) -> Vec<(u32, u64)> {

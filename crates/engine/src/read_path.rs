@@ -19,7 +19,6 @@ use expfinder_core::{
     evaluate, rank_matches_top_k_cancellable, CancelToken, EvalError, EvalRequest, EvalScratch,
     EvalStats, MatchRelation, RankScratch, RankedMatch, ResultGraph, ScratchPool, Semantics,
 };
-use expfinder_graph::DiGraph;
 use expfinder_pattern::Pattern;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -299,7 +298,8 @@ impl ReadPath {
             (Some(k), None) => {
                 self.rank_totals.computed.fetch_add(1, Ordering::Relaxed);
                 let ranked = rank(
-                    state.graph(),
+                    &state,
+                    &fingerprint,
                     pattern,
                     &matches,
                     k,
@@ -552,11 +552,16 @@ fn plan_routes(
     planner::plan(&inputs, &ctx)
 }
 
-/// Build the result graph over `graph` and rank the output node's matches
-/// on the read's pooled [`RankScratch`], polling `cancel` per source match
-/// and per candidate.
+/// Build the result graph of `matches` on `state` and rank the output
+/// node's matches on the read's pooled [`RankScratch`], polling `cancel`
+/// per candidate. A pattern `state` has registered — whatever route
+/// produced `matches` — assembles `G_r` from the maintained arcs the
+/// snapshot carries and runs no BFS; any other builds it with one BFS per
+/// source match, polling `cancel` per source.
+#[allow(clippy::too_many_arguments)]
 fn rank(
-    graph: &DiGraph,
+    state: &Snapshot,
+    fingerprint: &str,
     pattern: &Pattern,
     matches: &MatchRelation,
     k: usize,
@@ -564,6 +569,12 @@ fn rank(
     scratch: &mut RankScratch,
     cancel: Option<&CancelToken>,
 ) -> Result<Vec<RankedMatch>, EvalError> {
-    let rg = ResultGraph::build_cancellable(graph, pattern, matches, threads, scratch, cancel)?;
+    let rg = match state.registered_arcs(fingerprint) {
+        Some(arcs) => ResultGraph::assemble(pattern, matches, arcs.iter().copied(), scratch),
+        None => {
+            let g = state.graph();
+            ResultGraph::build_cancellable(g, pattern, matches, threads, scratch, cancel)?
+        }
+    };
     rank_matches_top_k_cancellable(&rg, pattern, matches, k, scratch, cancel)
 }

@@ -3,14 +3,18 @@
 //!
 //! Paper §II hangs an incremental module and a compression module off
 //! one graph store. [`MaintainedGraph`] is that store's write side — the
-//! graph, its maintained quotient and its registered-query maintainers —
-//! and holds the only copies of apply / register / unregister / compress /
-//! drop-compression / publish. It is reached through one function,
-//! [`ExpFinder::write`], under a per-graph mutex, on the caller's thread
-//! — the durable runtime calls it with a WAL append in front. Readers
-//! never see it:
-//! they clone the latest `Arc<Snapshot>` out of the graph's
-//! [`PublishedGraph`] slot and hold no lock while they evaluate.
+//! graph, its maintained quotient and its registered-query maintainers,
+//! each of which keeps its query's relation and `G_r` arcs, the arcs
+//! repaired once per update batch — and holds the only copies of apply /
+//! register / unregister / compress / drop-compression / publish. A
+//! snapshot carries each registered query's relation and arcs as `Arc`s,
+//! shared with the previous snapshot while a batch moves neither, so a
+//! ranked read of a registered query runs no BFS. The write side is
+//! reached through one function, [`ExpFinder::write`], under a per-graph
+//! mutex, on the caller's thread — the durable runtime calls it with a
+//! WAL append in front. Readers never see it: they clone the latest
+//! `Arc<Snapshot>` out of the graph's [`PublishedGraph`] slot and hold no
+//! lock while they evaluate.
 //!
 //! [`ExpFinder::write`]: crate::ExpFinder::write
 
@@ -18,6 +22,7 @@ use crate::planner::CostProfile;
 use crate::{ExpFinderError, GraphInfo, RegisteredDelta, UpdateReport};
 use expfinder_compress::maintain::MaintainedCompression;
 use expfinder_compress::{CompressStats, CompressedGraph, CompressionMethod};
+use expfinder_core::result_graph::ResultEdge;
 use expfinder_core::MatchRelation;
 use expfinder_graph::{DiGraph, EdgeUpdate, GraphView, ReachIndex};
 use expfinder_incremental::{IncrementalBoundedSim, Maintainer};
@@ -62,12 +67,13 @@ impl Derived {
     }
 }
 
-/// A registered query as a snapshot carries it: name, route fingerprint
-/// and the maintained relation at the snapshot's version.
+/// A registered query as a snapshot carries it: name, route fingerprint,
+/// and the maintained relation and `G_r` arcs at the snapshot's version.
 pub struct RegisteredView {
     name: Arc<str>,
     fingerprint: Arc<str>,
     matches: Arc<MatchRelation>,
+    arcs: Arc<Vec<ResultEdge>>,
 }
 
 /// One immutable published state of a graph — the only thing the read
@@ -114,6 +120,17 @@ impl Snapshot {
             .iter()
             .find(|rv| &*rv.fingerprint == fingerprint)
             .map(|rv| Arc::clone(&rv.matches))
+    }
+
+    /// The maintained `G_r` arcs of the registered query whose pattern
+    /// has this fingerprint, if there is one — what
+    /// [`ResultGraph::assemble`](expfinder_core::ResultGraph::assemble)
+    /// turns into the result graph with no BFS.
+    pub fn registered_arcs(&self, fingerprint: &str) -> Option<&[ResultEdge]> {
+        self.registered
+            .iter()
+            .find(|rv| &*rv.fingerprint == fingerprint)
+            .map(|rv| rv.arcs.as_slice())
     }
 
     /// Names of the registered queries, sorted.
@@ -246,9 +263,11 @@ impl MaintainedGraph {
     }
 
     /// Apply edge updates, maintaining the quotient and every registered
-    /// query along the way (duplicates and no-ops are skipped). `trace`
-    /// additionally sizes every registered query's maintained result
-    /// before and after (counted in place) — the ΔM report.
+    /// query along the way (duplicates and no-ops are skipped), then
+    /// repair every registered query's `G_r` arcs once for the whole
+    /// batch. `trace` additionally sizes every registered query's
+    /// maintained result before and after (counted in place) — the ΔM
+    /// report.
     pub fn apply(
         &mut self,
         updates: &[EdgeUpdate],
@@ -278,6 +297,9 @@ impl MaintainedGraph {
                     rq.published = None;
                 }
             }
+        }
+        for rq in self.registered.values_mut() {
+            rq.maintainer.repair_arcs(&self.graph);
         }
         if let Some(mc) = self.compressed.as_mut() {
             mc.refresh(&self.graph);
@@ -360,8 +382,9 @@ impl MaintainedGraph {
     /// rebuilt or dropped); and when nothing changed at all, nothing is
     /// published. Publishing costs `O(|ΔG|)`, not `O(|G|)`: the
     /// snapshot's graph is a clone that shares every adjacency chunk the
-    /// batch did not touch, and a registered relation whose batch ΔM was
-    /// empty is the previous snapshot's `Arc`. A reader holding an older
+    /// batch did not touch, a registered relation whose batch ΔM was
+    /// empty is the previous snapshot's `Arc`, and so are registered `G_r`
+    /// arcs the batch's repair left as they were. A reader holding an older
     /// snapshot keeps exactly its version — the owner's next write copies
     /// the chunks it touches instead of writing through.
     pub fn publish(&mut self, slot: &PublishedGraph) {
@@ -398,6 +421,7 @@ impl MaintainedGraph {
                     name: Arc::clone(name),
                     fingerprint: Arc::clone(&rq.fingerprint),
                     matches: Arc::clone(matches),
+                    arcs: Arc::clone(rq.maintainer.arcs()),
                 }
             })
             .collect();

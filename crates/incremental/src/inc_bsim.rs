@@ -34,16 +34,35 @@
 //! Patterns with unbounded (`*`) edges degrade gracefully: the ball radius
 //! becomes "everything that can reach x", which is correct but no longer
 //! local — the paper's patterns are bounded.
+//!
+//! ## The result graph's arcs
+//!
+//! The maintainer also keeps the arcs of `G_r` ([`IncrementalBoundedSim::arcs`]):
+//! per pattern edge `(u, u', b)` and raw source `v ∈ sim(u)`, every
+//! candidate `w ∈ cand0(u')`, `w ≠ v`, at distance `1..=b`. The same
+//! locality argument bounds what an update can move: `v`'s `b`-ball
+//! changes only if `dist(v, x) ≤ b − 1`, which step 2 already knows for
+//! every `v` in `A`; an insertion `(x, y)` moves an arc only if some
+//! candidate of `u'` is within `b − 1 − dist(v, x)` of `y`, and a deletion
+//! only if an arc is longer than `dist(v, x)`. Those sources, and the
+//! ones ΔM adds or removes, are marked dirty, and
+//! [`IncrementalBoundedSim::repair_arcs`] re-runs each dirty source's
+//! witness BFS once at the end of the batch. Targets are
+//! candidates, not members, so a ΔM on `u'` moves no arc; the read
+//! keeps the arcs the collapsed relation matches at both ends.
 
 use crate::{IncStats, Maintainer, MatchDelta};
 use expfinder_core::bsim::bounded_fixpoint_raw;
 use expfinder_core::fixpoint::EvalScratch;
 use expfinder_core::matchrel::MatchRelation;
+use expfinder_core::result_graph::{witness_arcs, ResultEdge};
 use expfinder_core::{candidate_sets, Cancelled};
 use expfinder_graph::bfs::{BfsScratch, Direction};
 use expfinder_graph::bfs_frontier::FrontierScratch;
 use expfinder_graph::{BitSet, CancelToken, DiGraph, EdgeUpdate, GraphView, NodeId};
-use expfinder_pattern::{PNodeId, Pattern};
+use expfinder_pattern::{PNodeId, Pattern, PatternEdge};
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Maintains `M(Q,G)` for a bounded-simulation pattern under edge updates.
 pub struct IncrementalBoundedSim {
@@ -63,7 +82,66 @@ pub struct IncrementalBoundedSim {
     reach: ReachScratch,
     /// Persistent output buffer of [`IncrementalBoundedSim::affected`].
     affected_buf: Vec<(NodeId, u32)>,
+    /// The arcs of `G_r` over the raw sets (see [`Self::arcs`]). Replaced,
+    /// never written through, so a published `Arc` stays exact for the
+    /// version it was published at.
+    arcs: Arc<Vec<ResultEdge>>,
+    /// Per pattern edge, the sources whose arcs the batch in progress may
+    /// have changed; [`Self::repair_arcs`] drains them.
+    dirty: Vec<DirtySources>,
+    repair: Repair,
     stats: IncStats,
+}
+
+/// A set of data nodes in insertion order, deduplicated by a bitset, so a
+/// batch of any length holds each source once.
+struct DirtySources {
+    mark: BitSet,
+    list: Vec<NodeId>,
+}
+
+impl DirtySources {
+    fn new(data_nodes: usize) -> DirtySources {
+        DirtySources {
+            mark: BitSet::new(data_nodes),
+            list: Vec::new(),
+        }
+    }
+
+    fn insert(&mut self, v: NodeId) {
+        if self.mark.insert(v) {
+            self.list.push(v);
+        }
+    }
+
+    /// The members, ascending; leaves the set empty.
+    fn drain_sorted(&mut self) -> std::vec::Drain<'_, NodeId> {
+        for &v in &self.list {
+            self.mark.remove(v);
+        }
+        self.list.sort_unstable();
+        self.list.drain(..)
+    }
+}
+
+/// The buffers of [`IncrementalBoundedSim::repair_arcs`], kept across
+/// batches.
+#[derive(Default)]
+struct Repair {
+    /// The dirty sources' arcs on the current graph, in `(edge, source)`
+    /// order.
+    fresh: Vec<ResultEdge>,
+    /// Per dirty source: its stored run, and its run in `fresh`.
+    redo: Vec<(Range<usize>, Range<usize>)>,
+}
+
+/// Where the stored arcs of pattern edge `ei` from `v` are in `arcs` (an
+/// empty range at their place when there are none): one binary search,
+/// by the `(pattern_edge, from, to)` order.
+fn stored(arcs: &[ResultEdge], ei: usize, v: NodeId) -> Range<usize> {
+    let key = |a: &ResultEdge| (a.pattern_edge as usize, a.from);
+    let lo = arcs.partition_point(|a| key(a) < (ei, v));
+    lo..lo + arcs[lo..].partition_point(|a| key(a) == (ei, v))
 }
 
 /// Persistent single-source reach scratch: the word-parallel frontier BFS
@@ -201,6 +279,18 @@ impl IncrementalBoundedSim {
                 }
             }
         }
+        // the arcs of G_r: one witness run per raw source per pattern edge
+        let mut scratch = BfsScratch::new();
+        let mut arcs = Vec::new();
+        for (ei, e) in q.edges().iter().enumerate() {
+            for v in sim[e.from.index()].iter() {
+                if cancel.is_some_and(|t| t.is_cancelled()) {
+                    return Err(Cancelled { stats: fix_stats });
+                }
+                let targets = &cand0[e.to.index()];
+                witness_arcs(g, q, ei, v, targets, &mut scratch, &mut arcs);
+            }
+        }
         let ball_radius = match q.max_bound() {
             Some(b) => b - 1,
             None => u32::MAX,
@@ -212,15 +302,42 @@ impl IncrementalBoundedSim {
             scnt,
             ball_radius,
             data_nodes: n,
-            scratch: BfsScratch::new(),
+            scratch,
             reach,
             affected_buf: Vec::new(),
+            arcs: Arc::new(arcs),
+            dirty: (0..q.edge_count()).map(|_| DirtySources::new(n)).collect(),
+            repair: Repair::default(),
             stats: IncStats::default(),
         })
     }
 
     pub fn pattern(&self) -> &Pattern {
         &self.pattern
+    }
+
+    /// The arcs of `G_r` as of the last [`repair_arcs`](Self::repair_arcs),
+    /// in `(pattern_edge, from, to)` order: for every pattern edge
+    /// `e = (u, u', b)` and every `v` in the raw set `sim(u)`, one arc to
+    /// each candidate `w ∈ cand0(u')`, `w ≠ v`, at shortest distance
+    /// `1..=b` from `v`, weighted with it. Targets are candidates, not
+    /// members, so a ΔM on `u'` leaves every arc standing;
+    /// [`ResultGraph::assemble`](expfinder_core::ResultGraph::assemble)
+    /// keeps the ones the collapsed relation matches at both ends, which
+    /// is exactly the `G_r` a BFS build over that relation collects.
+    pub fn arcs(&self) -> &Arc<Vec<ResultEdge>> {
+        debug_assert!(
+            self.dirty.iter().all(|d| d.list.is_empty()),
+            "arcs read before the batch's repair_arcs"
+        );
+        &self.arcs
+    }
+
+    /// Mark `v` dirty on every out-edge of `u` (ΔM moved `(u, v)`).
+    fn dirty_source(&mut self, u: PNodeId, v: NodeId) {
+        for &ei in self.pattern.out_edge_indices(u) {
+            self.dirty[ei as usize].insert(v);
+        }
     }
 
     fn assert_node(&self, v: NodeId) {
@@ -317,9 +434,37 @@ impl IncrementalBoundedSim {
         }
     }
 
+    /// Mark dirty, per pattern edge `e = (u, u', b)`, the members `v` of
+    /// `sim(u)` in the affected ball within `b − 1` of the changed edge's
+    /// tail — no other `b`-ball can reach through the edge — for which
+    /// `moves(e, its index, v, dist(v, x))` says the edge can change an
+    /// arc. Sources that join or leave `sim(u)` are ΔM's to mark.
+    fn mark_dirty(
+        &mut self,
+        affected: &[(NodeId, u32)],
+        moves: impl Fn(&PatternEdge, usize, NodeId, u32) -> bool,
+    ) {
+        for (ei, e) in self.pattern.edges().iter().enumerate() {
+            let radius = e.bound.depth().saturating_sub(1);
+            for &(v, dvx) in affected {
+                if dvx <= radius && self.sim[e.from.index()].contains(v) && moves(e, ei, v, dvx) {
+                    self.dirty[ei].insert(v);
+                }
+            }
+        }
+    }
+
     fn on_delete(&mut self, g: &DiGraph, x: NodeId) -> Vec<MatchDelta> {
         let affected = self.affected(g, x);
         self.recompute_counters(g, &affected);
+        // a deleted (x, y) lengthens only shortest paths through it, and
+        // one from v to w through it is longer than dist(v, x); the stored
+        // arcs are as the batch began, but a source whose arcs an earlier
+        // update of the batch moved is dirty already
+        let arcs = Arc::clone(&self.arcs);
+        self.mark_dirty(&affected, |_, ei, v, dvx| {
+            arcs[stored(&arcs, ei, v)].iter().any(|a| a.weight > dvx)
+        });
 
         // members in the affected area whose support vanished
         let mut queue: Vec<(PNodeId, NodeId)> = Vec::new();
@@ -376,6 +521,12 @@ impl IncrementalBoundedSim {
                 }
             }
         }
+        // the same bound decides which arcs the new edge can shorten or
+        // add: a path through it to a candidate of u' that fits b
+        self.mark_dirty(&affected, |e, _, _, dvx| {
+            let need = (dvx as u64 + 1).saturating_add(dmin_y[e.to.index()]);
+            need <= e.bound.depth() as u64
+        });
 
         // ---- optimistic expansion: unconditional upstream closure ----
         //
@@ -492,7 +643,7 @@ impl Maintainer for IncrementalBoundedSim {
         let (x, y) = update.endpoints();
         self.assert_node(x);
         self.assert_node(y);
-        match update {
+        let deltas = match update {
             EdgeUpdate::Insert(..) => {
                 debug_assert!(g.has_edge(x, y), "insert must be applied before on_update");
                 self.on_insert(g, x, y)
@@ -501,7 +652,55 @@ impl Maintainer for IncrementalBoundedSim {
                 debug_assert!(!g.has_edge(x, y), "delete must be applied before on_update");
                 self.on_delete(g, x)
             }
+        };
+        for d in &deltas {
+            self.dirty_source(d.pattern_node, d.data_node);
         }
+        deltas
+    }
+
+    /// End an update batch: re-run the witness BFS of every source the
+    /// batch dirtied that is still in its raw set, once, on the graph as
+    /// the batch left it, and drop the arcs of the sources that left it.
+    /// A source is dirty on pattern edge `e` when an update could move
+    /// one of its arcs (`mark_dirty`), or when ΔM added or removed it.
+    /// Returns whether the arcs changed: only then are they copied, with
+    /// the dirty sources' runs replaced, into a new `Arc` — otherwise the
+    /// very same `Arc` stays. Its cost is the dirty sources' balls, plus
+    /// one copy of the stored arcs when something moved.
+    fn repair_arcs(&mut self, g: &DiGraph) -> bool {
+        let Repair { fresh, redo } = &mut self.repair;
+        fresh.clear();
+        redo.clear();
+        let mut changed = false;
+        for (ei, e) in self.pattern.edges().iter().enumerate() {
+            let (sources, targets) = (&self.sim[e.from.index()], &self.cand0[e.to.index()]);
+            for v in self.dirty[ei].drain_sorted() {
+                let start = fresh.len();
+                if sources.contains(v) {
+                    self.stats.repair_sources += 1;
+                    witness_arcs(g, &self.pattern, ei, v, targets, &mut self.scratch, fresh);
+                }
+                let stale = stored(&self.arcs, ei, v);
+                changed |= fresh[start..] != self.arcs[stale.clone()];
+                redo.push((stale, start..fresh.len()));
+            }
+        }
+        if changed {
+            // `redo` is in (edge, source) order, so its stale runs are
+            // disjoint and ascending
+            let old = &self.arcs;
+            let mut out = Vec::with_capacity(old.len() + fresh.len());
+            let mut at = 0;
+            for (stale, new) in redo.iter() {
+                out.extend_from_slice(&old[at..stale.start]);
+                out.extend_from_slice(&fresh[new.clone()]);
+                at = stale.end;
+            }
+            out.extend_from_slice(&old[at..]);
+            self.arcs = Arc::new(out);
+        }
+        changed
     }
 
     fn current(&self) -> MatchRelation {
@@ -528,6 +727,7 @@ mod tests {
     use super::*;
     use crate::apply_batch;
     use expfinder_core::naive::naive_bounded_fixpoint;
+    use expfinder_core::{RankScratch, ResultGraph};
     use expfinder_graph::fixtures::collaboration_fig1;
     use expfinder_graph::generate::{erdos_renyi, random_updates, NodeSpec};
     use expfinder_pattern::fixtures::fig1_pattern;
@@ -842,6 +1042,252 @@ mod tests {
         apply_batch(&mut g, &mut inc, &updates);
         check_against_recompute(&g, &inc);
         assert!(inc.stats().affected_nodes > 0);
+    }
+
+    // ---- the maintained G_r arcs ----
+
+    /// The arcs [`IncrementalBoundedSim::arcs`] must hold, judged pair by
+    /// pair: sources from naive's raw fixpoint, targets from the
+    /// candidate sets, weights from an all-pairs Floyd–Warshall table
+    /// that shares no code with any BFS. Ascending `(edge, from, to)`.
+    fn reference_arcs(g: &DiGraph, q: &Pattern) -> Vec<ResultEdge> {
+        const FAR: u32 = u32::MAX;
+        let n = g.node_count();
+        let mut dist = vec![vec![FAR; n]; n];
+        for (a, b) in g.edges() {
+            dist[a.index()][b.index()] = 1;
+        }
+        for (i, row) in dist.iter_mut().enumerate() {
+            row[i] = 0;
+        }
+        for k in 0..n {
+            for i in 0..n {
+                for j in 0..n {
+                    let via = dist[i][k].saturating_add(dist[k][j]);
+                    if via < dist[i][j] {
+                        dist[i][j] = via;
+                    }
+                }
+            }
+        }
+        let cand0 = candidate_sets(g, q);
+        let raw = naive_bounded_fixpoint(g, q, cand0.clone());
+        let mut out = Vec::new();
+        for (ei, e) in q.edges().iter().enumerate() {
+            for v in raw[e.from.index()].iter() {
+                for w in cand0[e.to.index()].iter() {
+                    let d = dist[v.index()][w.index()];
+                    if w != v && d != FAR && d <= e.bound.depth() {
+                        out.push(ResultEdge {
+                            from: v,
+                            to: w,
+                            weight: d,
+                            pattern_edge: ei as u32,
+                        });
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The maintained arcs equal the reference, and what they assemble
+    /// under the collapsed relation is the `G_r` a BFS build collects.
+    fn check_arcs(g: &DiGraph, inc: &IncrementalBoundedSim) {
+        let q = inc.pattern();
+        assert_eq!(**inc.arcs(), reference_arcs(g, q), "maintained G_r arcs");
+        let m = inc.current();
+        let mut scratch = RankScratch::new();
+        let rg = ResultGraph::assemble(q, &m, inc.arcs().to_vec(), &mut scratch);
+        let built = ResultGraph::build(g, q, &m);
+        assert_eq!((rg.nodes(), rg.edges()), (built.nodes(), built.edges()));
+        assert_eq!(scratch.build_visits(), 0, "assembly runs no BFS");
+    }
+
+    /// One update as a batch of its own; returns its ΔM and whether the
+    /// arcs `Arc` was replaced.
+    fn step(
+        g: &mut DiGraph,
+        inc: &mut IncrementalBoundedSim,
+        up: EdgeUpdate,
+    ) -> (Vec<MatchDelta>, bool) {
+        let before = Arc::clone(inc.arcs());
+        assert!(g.apply(up), "{up} changes the graph");
+        let delta = inc.on_update(g, up);
+        let repaired = inc.repair_arcs(g);
+        assert_eq!(repaired, !Arc::ptr_eq(&before, inc.arcs()));
+        check_against_recompute(g, inc);
+        check_arcs(g, inc);
+        (delta, repaired)
+    }
+
+    /// `a →(≤ bound) b` over labels `A` and `B`.
+    fn a_to_b(bound: Bound) -> Pattern {
+        PatternBuilder::new()
+            .node_output("a", Predicate::label("A"))
+            .node("b", Predicate::label("B"))
+            .edge("a", "b", bound)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn arcs_follow_a_shortcut_that_leaves_m_unchanged() {
+        // a1 → x → b1, then the shortcut a1 → b1: M stands, the arc's
+        // weight drops 2 → 1
+        let mut g = DiGraph::new();
+        let a1 = g.add_node("A", []);
+        let x = g.add_node("X", []);
+        let b1 = g.add_node("B", []);
+        let (x2, x3) = (g.add_node("X", []), g.add_node("X", []));
+        g.add_edge(a1, x);
+        g.add_edge(x, b1);
+        let mut inc = IncrementalBoundedSim::new(&g, &a_to_b(Bound::hops(2)));
+        check_arcs(&g, &inc);
+        let weight =
+            |inc: &IncrementalBoundedSim| inc.arcs().iter().map(|e| e.weight).collect::<Vec<_>>();
+        assert_eq!(weight(&inc), [2]);
+        let (delta, repaired) = step(&mut g, &mut inc, EdgeUpdate::Insert(a1, b1));
+        assert!(delta.is_empty() && repaired);
+        assert_eq!(weight(&inc), [1]);
+        // an edge no source reaches dirties nothing: the same Arc stays
+        let (delta, repaired) = step(&mut g, &mut inc, EdgeUpdate::Insert(x2, x3));
+        assert!(delta.is_empty() && !repaired);
+    }
+
+    #[test]
+    fn arcs_drop_a_target_pushed_past_its_bound_while_m_stands() {
+        // a1 → b2 keeps a1 matched; b1 is 2 away through x and 3 away
+        // through x → y, so deleting x → b1 pushes it past the bound
+        let mut g = DiGraph::new();
+        let a1 = g.add_node("A", []);
+        let (b1, b2) = (g.add_node("B", []), g.add_node("B", []));
+        let (x, y) = (g.add_node("X", []), g.add_node("X", []));
+        for (p, c) in [(a1, b2), (a1, x), (x, b1), (x, y), (y, b1)] {
+            g.add_edge(p, c);
+        }
+        let mut inc = IncrementalBoundedSim::new(&g, &a_to_b(Bound::hops(2)));
+        assert_eq!(inc.arcs().len(), 2);
+        let (delta, repaired) = step(&mut g, &mut inc, EdgeUpdate::Delete(x, b1));
+        assert!(delta.is_empty() && repaired);
+        assert_eq!(inc.arcs().iter().map(|e| e.to).collect::<Vec<_>>(), [b2]);
+    }
+
+    #[test]
+    fn arcs_follow_dm_adding_a_source_and_removing_a_target() {
+        // a →(1) b →(1) c: a1 reaches b1 and b2, only b2 has a C. Every
+        // bound is 1, so an update's affected ball is its tail alone, and
+        // only ΔM dirties the sources a and b gain or lose
+        let q = PatternBuilder::new()
+            .node_output("a", Predicate::label("A"))
+            .node("b", Predicate::label("B"))
+            .node("c", Predicate::label("C"))
+            .edge("a", "b", Bound::ONE)
+            .edge("b", "c", Bound::ONE)
+            .build()
+            .unwrap();
+        let mut g = DiGraph::new();
+        let (a1, a2) = (g.add_node("A", []), g.add_node("A", []));
+        let (b1, b2) = (g.add_node("B", []), g.add_node("B", []));
+        let (c1, c2) = (g.add_node("C", []), g.add_node("C", []));
+        for (p, c) in [(a1, b1), (a1, b2), (b2, c2), (a2, b1)] {
+            g.add_edge(p, c);
+        }
+        let mut inc = IncrementalBoundedSim::new(&g, &q);
+        check_arcs(&g, &inc);
+        // b1 → c1 admits b1, and with it the source a2
+        let (delta, _) = step(&mut g, &mut inc, EdgeUpdate::Insert(b1, c1));
+        let (pa, pb) = (q.node_id("a").unwrap(), q.node_id("b").unwrap());
+        let added = |u, v| MatchDelta {
+            pattern_node: u,
+            data_node: v,
+            added: true,
+        };
+        assert!(delta.contains(&added(pa, a2)) && delta.contains(&added(pb, b1)));
+        assert!(inc.arcs().iter().any(|e| e.from == a2));
+        // deleting it again removes the target b1 (and the source a2);
+        // a1's arc to b1 stays stored, and assembly drops it
+        let (delta, _) = step(&mut g, &mut inc, EdgeUpdate::Delete(b1, c1));
+        assert_eq!(delta.len(), 2);
+        assert!(inc.arcs().iter().any(|e| (e.from, e.to) == (a1, b1)));
+        assert!(!inc.arcs().iter().any(|e| e.from == a2));
+    }
+
+    #[test]
+    fn a_source_on_a_cycle_has_no_arc_to_itself() {
+        let mut g = DiGraph::new();
+        let (n0, n1) = (g.add_node("A", []), g.add_node("A", []));
+        let q = PatternBuilder::new()
+            .node("a", Predicate::label("A"))
+            .node("a2", Predicate::label("A"))
+            .edge("a", "a2", Bound::hops(2))
+            .build()
+            .unwrap();
+        let mut inc = IncrementalBoundedSim::new(&g, &q);
+        step(&mut g, &mut inc, EdgeUpdate::Insert(n0, n1));
+        step(&mut g, &mut inc, EdgeUpdate::Insert(n1, n0));
+        step(&mut g, &mut inc, EdgeUpdate::Insert(n0, n0));
+        assert_eq!(inc.current().total_pairs(), 4);
+        assert!(inc.arcs().iter().all(|e| e.from != e.to));
+        assert_eq!(inc.arcs().len(), 2, "(n0, n1) and (n1, n0), weight 1");
+    }
+
+    /// Seeded insert/delete streams of single-update batches, then of
+    /// three-update batches, checked after each, for the patterns `make`
+    /// draws over the labels `L0..L2`.
+    fn arcs_stream(seed: u64, make: impl Fn(&mut StdRng, &NodeSpec) -> Pattern) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let spec = NodeSpec::uniform(3, 4);
+        for _ in 0..4 {
+            let mut g = erdos_renyi(&mut rng, 24, 60, &spec);
+            let q = make(&mut rng, &spec);
+            let mut inc = IncrementalBoundedSim::new(&g, &q);
+            check_arcs(&g, &inc);
+            for up in random_updates(&mut rng, &g, 24, 0.5) {
+                step(&mut g, &mut inc, up);
+            }
+            for batch in random_updates(&mut rng, &g, 24, 0.5).chunks(3) {
+                apply_batch(&mut g, &mut inc, batch);
+                check_against_recompute(&g, &inc);
+                check_arcs(&g, &inc);
+            }
+        }
+    }
+
+    fn random_shape(shape: PatternShape, rng: &mut StdRng, spec: &NodeSpec) -> Pattern {
+        let mut cfg = PatternConfig::new(shape, 3, spec.labels.clone());
+        cfg.bound_range = (1, 3);
+        random_pattern(rng, &cfg)
+    }
+
+    #[test]
+    fn arcs_track_seeded_streams_bounded() {
+        arcs_stream(31, |rng, spec| random_shape(PatternShape::Tree, rng, spec));
+        arcs_stream(32, |rng, spec| random_shape(PatternShape::Cycle, rng, spec));
+    }
+
+    #[test]
+    fn arcs_track_seeded_streams_bound_one() {
+        let simulation = |shape| {
+            move |rng: &mut StdRng, spec: &NodeSpec| random_shape(shape, rng, spec).as_simulation()
+        };
+        arcs_stream(33, simulation(PatternShape::Chain));
+        arcs_stream(34, simulation(PatternShape::Cycle));
+    }
+
+    #[test]
+    fn arcs_track_seeded_streams_unbounded() {
+        // `a →(*) b →(≤2) c`
+        arcs_stream(35, |_, _| {
+            PatternBuilder::new()
+                .node_output("a", Predicate::label("L0"))
+                .node("b", Predicate::label("L1"))
+                .node("c", Predicate::label("L2"))
+                .edge("a", "b", Bound::Unbounded)
+                .edge("b", "c", Bound::hops(2))
+                .build()
+                .unwrap()
+        });
     }
 
     #[test]

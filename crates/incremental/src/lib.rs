@@ -25,6 +25,11 @@
 //! still maintained cheaply and springs back to life the moment an
 //! insertion revives the dead pattern node.
 //!
+//! Beside `M`, the maintainer keeps what ranking needs: the arcs of the
+//! result graph `G_r` over the raw sets, which [`Maintainer::repair_arcs`]
+//! brings up to date once per update batch, re-running the bounded BFS
+//! only of the sources the batch's affected balls and ΔM touched.
+//!
 //! Exactness is enforced by differential tests: after every random update
 //! sequence the maintained relation must equal a from-scratch recompute.
 
@@ -48,6 +53,8 @@ pub struct IncStats {
     pub affected_nodes: usize,
     /// Candidate pairs examined during optimistic expansion.
     pub tentative_pairs: usize,
+    /// Sources whose `G_r` arcs a batch-end repair re-ran a BFS for.
+    pub repair_sources: usize,
 }
 
 impl IncStats {
@@ -56,6 +63,7 @@ impl IncStats {
         self.removed += other.removed;
         self.affected_nodes += other.affected_nodes;
         self.tentative_pairs += other.tentative_pairs;
+        self.repair_sources += other.repair_sources;
     }
 }
 
@@ -75,6 +83,11 @@ pub trait Maintainer {
     /// been applied to `g`. Returns the ΔM this update caused.
     fn on_update(&mut self, g: &expfinder_graph::DiGraph, update: EdgeUpdate) -> Vec<MatchDelta>;
 
+    /// End an update batch on `g`: bring the maintained `G_r` arcs in
+    /// line with every `on_update` since the last call. Returns whether
+    /// they changed.
+    fn repair_arcs(&mut self, g: &expfinder_graph::DiGraph) -> bool;
+
     /// The maintained relation, collapsed to paper semantics.
     fn current(&self) -> expfinder_core::MatchRelation;
 
@@ -86,9 +99,10 @@ pub trait Maintainer {
     fn stats(&self) -> IncStats;
 }
 
-/// Apply a batch of updates to `g`, maintaining `m` along the way.
-/// Returns the combined ΔM (per-update deltas concatenated; a pair that
-/// flips twice appears twice, faithfully recording the history).
+/// Apply a batch of updates to `g`, maintaining `m` along the way, then
+/// repair its `G_r` arcs once. Returns the combined ΔM (per-update deltas
+/// concatenated; a pair that flips twice appears twice, faithfully
+/// recording the history).
 pub fn apply_batch<M: Maintainer>(
     g: &mut expfinder_graph::DiGraph,
     m: &mut M,
@@ -100,6 +114,7 @@ pub fn apply_batch<M: Maintainer>(
             all.extend(m.on_update(g, up));
         }
     }
+    m.repair_arcs(g);
     all
 }
 

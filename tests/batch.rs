@@ -14,7 +14,7 @@
 //!   snapshots: every slot equals the oracle's relation of the graph at
 //!   the version the slot reports.
 
-use expfinder::core::naive::naive_simulation;
+use expfinder::core::naive::{naive_simulation, reference_rank};
 use expfinder::core::{evaluate, EvalRequest, RankedMatch, Semantics};
 use expfinder::graph::generate::{collaboration, random_updates, CollabConfig};
 use expfinder::graph::GraphView;

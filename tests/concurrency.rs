@@ -27,7 +27,8 @@ use std::sync::Arc;
 
 #[path = "../crates/core/tests/common/mod.rs"]
 mod common;
-use common::{oracle, reference_rank};
+use common::oracle;
+use expfinder::core::naive::reference_rank;
 
 use expfinder::core::{RankedMatch, Semantics};
 

@@ -10,7 +10,8 @@
 //!
 //! * `AddSide` adds a second graph, or both facades refuse the duplicate;
 //! * `Update` applies an edge batch between two direct reads of the
-//!   step's pattern; `NoopUpdate` applies a batch of no-ops, which must
+//!   step's pattern, and reads every registered pattern ranked right
+//!   after it; `NoopUpdate` applies a batch of no-ops, which must
 //!   publish nothing;
 //! * `Register` / `Unregister` a standing query under one of two names;
 //!   the case's patterns include the bound-1 variant of its first, so
@@ -53,12 +54,13 @@
 //! run.
 //!
 //! Fixed scenarios ride along: the ranked-answer slot's exact
-//! `RankTotals`, the quotient's `index_totals`, the exhaustive Fig. 1
-//! fuse walk, and the Fig. 1 pattern on every taken route.
+//! `RankTotals`, a registered `G_r` that follows the sources ΔM adds and
+//! removes, the quotient's `index_totals`, the exhaustive Fig. 1 fuse
+//! walk, and the Fig. 1 pattern on every taken route.
 
 use expfinder::compress::CompressionMethod;
 use expfinder::core::bsim::bounded_fixpoint_raw;
-use expfinder::core::naive::{naive_bounded_fixpoint, naive_simulation};
+use expfinder::core::naive::{naive_bounded_fixpoint, naive_simulation, reference_rank};
 use expfinder::core::{
     candidate_sets, evaluate, EvalRequest, EvalScratch, MatchRelation, RankedMatch, ReachIndex,
     ReachProvider, Semantics,
@@ -445,6 +447,14 @@ impl Harness {
     fn ranked(&self, q: &Pattern, prefer: Route, k: usize) -> QueryResponse {
         let resp = self.query(q, prefer, Some(k), Fuse::None);
         resp.expect("no fuse, no 408")
+    }
+
+    /// Every registered pattern, read ranked through the cache-and-
+    /// registered route on both facades.
+    fn read_registered(&self) {
+        for q in self.model.registered.values() {
+            self.ranked(q, Route::Auto, TOP_K[2].unwrap());
+        }
     }
 
     /// `query_batch` over `patterns` (one slot per fingerprint, so that
@@ -950,9 +960,12 @@ fn run_case(case: &Case) {
             Op::AddSide => h.add_side(&base),
             Op::Update(batch) => {
                 // a direct read on each side of the batch: state derived
-                // for the old version and served at the new one shows
+                // for the old version and served at the new one shows;
+                // and every registered pattern read ranked at the new
+                // version, from the `G_r` arcs the batch repaired
                 h.query(q, Route::Direct, None, Fuse::None);
                 h.update(&edges(batch));
+                h.read_registered();
                 h.query(q, Route::Direct, None, Fuse::None);
             }
             Op::NoopUpdate => h.noop_update(),
@@ -1203,9 +1216,58 @@ fn ranked_answers_are_cached_per_version_and_never_across() {
 
     // nor does the former life — its log, its standing query — come back
     // with a restart
-    let h = h.restart();
+    let mut h = h.restart();
     h.agree();
     assert_eq!(h.ranked(&q, Route::Auto, 10).experts.len(), 4);
+
+    // registered again: 9 → 10 → 13 gives 9 a second target, then the
+    // deletion of 10 → 13 takes that `G_r` arc away while M stands, and
+    // f(9) goes 3/2 → 1. The ranked read at each version is assembled from
+    // the maintained arcs, which the batch must have repaired.
+    h.register("q0", &q);
+    h.update(&[EdgeUpdate::Insert(NodeId(10), NodeId(13))]);
+    let before = h.ranked(&q, Route::Auto, 10);
+    assert_eq!(before.plan.chosen, PlanRoute::Registered);
+    assert_eq!(rank_of(&before, 9), 1.5);
+    h.update(&[EdgeUpdate::Delete(NodeId(10), NodeId(13))]);
+    let after = h.ranked(&q, Route::Auto, 10);
+    assert_eq!(after.plan.chosen, PlanRoute::Registered);
+    assert_eq!(
+        *after.matches, *before.matches,
+        "the deletion changed no match"
+    );
+    assert_eq!(rank_of(&after, 9), 1.0);
+    assert_eq!(h.rank_totals(), totals(3, 0));
+    h.agree();
+}
+
+/// A registered pattern's `G_r` comes from arcs the write path repairs
+/// once per batch. On the chain `x →(1) y →(1) z` every bound is 1, so an
+/// update's affected ball is its tail alone: inserting 10 → 11 gives the
+/// `B` node 10 its `C`, and ΔM then adds 10 to `y` and 9 (9 → 10) to `x`
+/// — only ΔM tells the repair that 9's arcs now count. Deleting the edge
+/// again removes both.
+#[test]
+fn registered_arcs_follow_the_sources_dm_adds_and_removes() {
+    let chain = PatternBuilder::new()
+        .node_output("x", Predicate::label("A"))
+        .node("y", Predicate::label("B"))
+        .node("z", Predicate::label("C"))
+        .edge("x", "y", Bound::ONE)
+        .edge("y", "z", Bound::ONE)
+        .build()
+        .unwrap();
+    let mut h = Harness::new(abc_graph(&[(9, 10), (12, 13)]), ExecConfig::sequential());
+    h.register("chain", &chain);
+    assert!(h.ranked(&chain, Route::Auto, 10).experts.is_empty());
+    h.update(&[EdgeUpdate::Insert(NodeId(10), NodeId(11))]);
+    let added = h.ranked(&chain, Route::Auto, 10);
+    assert_eq!(added.plan.chosen, PlanRoute::Registered);
+    let experts: Vec<(NodeId, f64)> = added.experts.iter().map(|x| (x.node, x.rank)).collect();
+    assert_eq!(experts, [(NodeId(9), 1.5)], "9 → 10 at 1, 9 → 11 at 2");
+    h.update(&[EdgeUpdate::Delete(NodeId(10), NodeId(11))]);
+    assert!(h.ranked(&chain, Route::Auto, 10).experts.is_empty());
+    h.agree();
 }
 
 /// `engine.index.{entries,bytes}` counts the quotient's reach index on

@@ -16,7 +16,8 @@ use rand::SeedableRng;
 
 #[path = "../crates/core/tests/common/mod.rs"]
 mod common;
-use common::{oracle, reference_rank};
+use common::oracle;
+use expfinder::core::naive::reference_rank;
 
 use expfinder::core::Semantics;
 
