@@ -23,13 +23,16 @@
 //!   maintained by [`IncrementalBoundedSim`] over a seeded update stream
 //!   (its [`IncStats`](expfinder_incremental::IncStats) work), both
 //!   judged by `naive_simulation`.
-//! * **`gr_maintain`** — a registered pattern's result graph: the
-//!   maintainer repairs its `G_r` arcs once per update batch
+//! * **`gr_maintain`** — a registered pattern's result graph and ranking:
+//!   the maintainer repairs its `G_r` arcs once per update batch
 //!   (`repair_sources` re-run BFSes, against the `full_build_sources` a
-//!   from-scratch build would run), and a ranked read after every batch
-//!   assembles `G_r` from them with no BFS (`registered_build_visits` is
-//!   0), judged by a from-scratch [`ResultGraph::build`] and
-//!   `reference_rank`.
+//!   from-scratch build would run) and re-ranks the candidates the batch
+//!   can have moved (`rerank_candidates` values of `f`, against the
+//!   `full_rank_candidates` a full re-rank per batch would compute), so a
+//!   ranked read after every batch copies a prefix of the maintained
+//!   ranking and builds nothing (`registered_build_visits` is 0). The
+//!   arcs are judged by a from-scratch [`ResultGraph::build`], the whole
+//!   ranking by `reference_rank` and by [`rank_matches`] on that build.
 //!
 //! Answers of every path are asserted equal to `core::naive`'s while
 //! measuring (`results_identical`). Counters and sizes are exact functions
@@ -39,14 +42,14 @@
 use crate::{collab_graph, collab_pattern, fmt_dur, json_obj as obj, time, twitter_graph, SEED};
 use expfinder_core::naive::{naive_bounded_simulation, naive_simulation, reference_rank};
 use expfinder_core::{
-    bounded_simulation_indexed, evaluate, rank_matches_top_k_cancellable, CancelToken, EvalOptions,
-    EvalRequest, EvalScratch, EvalStats, MatchRelation, RankScratch, ReachIndex, ResultGraph,
-    Semantics,
+    bounded_simulation_indexed, evaluate, rank_matches, rank_matches_top_k_cancellable,
+    CancelToken, EvalOptions, EvalRequest, EvalScratch, EvalStats, MatchRelation, RankScratch,
+    RankedMatch, ReachIndex, ResultGraph, Semantics,
 };
 use expfinder_graph::generate::random_updates;
 use expfinder_graph::json::Value;
 use expfinder_graph::{DiGraph, GraphView};
-use expfinder_incremental::{IncrementalBoundedSim, Maintainer};
+use expfinder_incremental::{IncrementalBoundedSim, Maintainer, RerankScratch};
 use expfinder_pattern::{Bound, Pattern, PatternBuilder, Predicate};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -276,7 +279,7 @@ pub fn run_counters_bench() -> Value {
         bench_bound1_workload("collab", &collab, &collab_pattern()),
         bench_bound1_workload("twitter", &twitter, &twitter_chain_pattern()),
     ];
-    println!("gr_maintain: registered G_r arcs repaired per batch, read with no BFS");
+    println!("gr_maintain: registered G_r arcs repaired and moved candidates re-ranked per batch");
     let gr_maintain = vec![
         bench_gr_workload("collab", "team", &collab, &collab_pattern()),
         bench_gr_workload("collab", "team_star", &collab, &collab_team_star_pattern()),
@@ -302,8 +305,9 @@ pub fn run_counters_bench() -> Value {
                  sequential query is served (match_frontier), without, cold and warm \
                  on the per-version reach index (match_warm_index), and plain \
                  simulation evaluated and maintained as bound-1 bounded simulation \
-                 (match_bound1), and registered G_r arcs repaired per update batch \
-                 and read with no BFS (gr_maintain); results asserted equal to the \
+                 (match_bound1), and registered G_r arcs repaired and moved candidates \
+                 re-ranked per update batch, read as a prefix (gr_maintain); results \
+                 asserted equal to the \
                  naive oracle while measuring; *_ms and speedups are wall-clock, \
                  advisory"
                     .to_owned(),
@@ -526,20 +530,22 @@ const GR_UPDATES: usize = 48;
 const GR_BATCH: usize = 4;
 
 /// One `gr_maintain` workload: `pattern` maintained on `graph` by
-/// [`IncrementalBoundedSim`] over a seeded stream of update batches, its
-/// `G_r` arcs repaired once per batch, and read ranked after every batch
-/// the way the engine serves a registered pattern — [`ResultGraph::assemble`]
-/// on the maintained arcs, then the top [`RANK_TOP_K`], on one
-/// [`RankScratch`]. At every step the relation must equal naive's, the
-/// assembled `G_r` a from-scratch [`ResultGraph::build`]'s, and the ranking
-/// `reference_rank`'s, bit for bit.
+/// [`IncrementalBoundedSim`] over a seeded stream of update batches, each
+/// ended once (arcs repaired, moved candidates re-ranked), and read
+/// ranked after every batch the way the engine serves a registered
+/// pattern — a copy of the top [`RANK_TOP_K`] of the maintained ranking.
+/// At every step the relation must equal naive's, the maintained arcs
+/// kept under the relation a from-scratch [`ResultGraph::build`]'s edges,
+/// and the whole ranking `reference_rank`'s and [`rank_matches`]'s on that
+/// build, bit for bit.
 fn bench_gr_workload(name: &str, pattern_name: &str, graph: &DiGraph, pattern: &Pattern) -> Value {
     let mut g = graph.clone();
     let stream = random_updates(&mut StdRng::seed_from_u64(SEED), &g, GR_UPDATES, 0.5);
     let mut inc = IncrementalBoundedSim::new(&g, pattern);
-    let mut read = RankScratch::new();
-    let (mut full_build_sources, mut identical) = (0, true);
+    let mut rerank = RerankScratch::default();
+    let (mut full_build_sources, mut full_rank_candidates, mut identical) = (0, 0, true);
     let (mut maintain_t, mut read_t) = (Duration::ZERO, Duration::ZERO);
+    let uo = pattern.require_output().expect("a ranked pattern");
     for batch in stream.chunks(GR_BATCH) {
         let (_, t) = time(|| {
             for &up in batch {
@@ -547,45 +553,52 @@ fn bench_gr_workload(name: &str, pattern_name: &str, graph: &DiGraph, pattern: &
                     inc.on_update(&g, up);
                 }
             }
-            inc.repair_arcs(&g);
+            inc.end_batch(&g, &mut rerank);
         });
         maintain_t += t;
         let m = inc.current();
-        let ((rg, ranked), t) = time(|| {
-            let arcs = inc.arcs().iter().copied();
-            let rg = ResultGraph::assemble(pattern, &m, arcs, &mut read);
-            let ranked =
-                rank_matches_top_k_cancellable(&rg, pattern, &m, RANK_TOP_K, &mut read, None);
-            (rg, ranked.expect("a ranked pattern"))
+        let (top, t) = time(|| {
+            let ranking = inc.ranking();
+            ranking[..RANK_TOP_K.min(ranking.len())].to_vec()
         });
         read_t += t;
         let fresh = ResultGraph::build(&g, pattern, &m);
-        let bits = |list: &[expfinder_core::RankedMatch]| -> Vec<(u32, u64)> {
+        let bits = |list: &[RankedMatch]| -> Vec<(u32, u64)> {
             list.iter().map(|x| (x.node.0, x.rank.to_bits())).collect()
         };
+        let kept = |e: &expfinder_core::result_graph::ResultEdge| {
+            m.contains(pattern.edges()[e.pattern_edge as usize].to, e.to)
+        };
+        let arcs: Vec<_> = inc.arcs().into_iter().filter(kept).collect();
+        let all = bits(inc.ranking());
         identical &= m == naive_bounded_simulation(&g, pattern)
-            && (rg.nodes(), rg.edges()) == (fresh.nodes(), fresh.edges())
-            && bits(&ranked) == bits(&reference_rank(&g, pattern, &m, RANK_TOP_K));
+            && arcs == fresh.edges()
+            && all == bits(&reference_rank(&g, pattern, &m, usize::MAX))
+            && all == bits(&rank_matches(&fresh, pattern, &m).expect("a ranked pattern"))
+            && bits(&top) == all[..top.len()];
         full_build_sources += pattern
             .edges()
             .iter()
             .map(|e| m.matches(e.from).count())
             .sum::<usize>();
+        full_rank_candidates += m.matches(uo).count();
     }
     assert!(
         identical,
-        "{name}/{pattern_name}: the maintained G_r diverged from a fresh build"
+        "{name}/{pattern_name}: the maintained G_r or ranking diverged from a fresh build"
     );
     let work = inc.stats();
     let m = inc.current();
     assert!(!m.is_empty(), "{name}/{pattern_name}: pattern matches");
+    let arcs = inc.arcs().len();
     println!(
         "{name:>10} {pattern_name:>16} | {} batches: re-BFS {} sources vs {} by full builds | \
-         arcs {} | maintain {} read {}",
+         re-rank {} vs {} | arcs {arcs} | maintain {} read {}",
         stream.len().div_ceil(GR_BATCH),
         work.repair_sources,
         full_build_sources,
-        inc.arcs().len(),
+        work.rerank_candidates,
+        full_rank_candidates,
         fmt_dur(maintain_t),
         fmt_dur(read_t),
     );
@@ -598,10 +611,18 @@ fn bench_gr_workload(name: &str, pattern_name: &str, graph: &DiGraph, pattern: &
         ("match_pairs", Value::Int(m.total_pairs() as i64)),
         ("repair_sources", Value::Int(work.repair_sources as i64)),
         ("full_build_sources", Value::Int(full_build_sources as i64)),
-        ("arcs", Value::Int(inc.arcs().len() as i64)),
+        (
+            "rerank_candidates",
+            Value::Int(work.rerank_candidates as i64),
+        ),
+        (
+            "full_rank_candidates",
+            Value::Int(full_rank_candidates as i64),
+        ),
+        ("arcs", Value::Int(arcs as i64)),
         (
             "registered_build_visits",
-            Value::Int(read.build_visits() as i64),
+            Value::Int(rerank.build_visits() as i64),
         ),
         ("maintain_ms", ms(maintain_t)),
         ("read_ms", ms(read_t)),
@@ -721,11 +742,14 @@ mod tests {
         for w in gr {
             assert!(w.field("results_identical").unwrap().as_bool().unwrap());
             assert_eq!(int(w, "updates"), GR_UPDATES as i64);
-            // a ranked registered read runs no BFS, and the repair re-runs
-            // a small share of what a build per batch would
+            // a ranked registered read builds nothing, and the batch end
+            // re-runs and re-ranks a small share of what a build per
+            // batch would
             assert_eq!(int(w, "registered_build_visits"), 0);
             assert!(int(w, "repair_sources") > 0 && int(w, "arcs") > 0);
             assert!(10 * int(w, "repair_sources") < int(w, "full_build_sources"));
+            assert!(int(w, "rerank_candidates") > 0);
+            assert!(10 * int(w, "rerank_candidates") < int(w, "full_rank_candidates"));
         }
         // the fully class-seeded star skips the BFS entirely on warm runs
         let star = &warm[0];

@@ -32,6 +32,14 @@
 //! `G_r` needs ([`ResultGraph::build_cancellable`]), and the serving
 //! layers draw it from their pooled `EvalScratch`, so a steady stream of
 //! ranked reads allocates no search or build buffers.
+//!
+//! One kernel: [`RankScratch::social_impact`] computes `f` over any
+//! [`WeightedArcs`] pair. A cold read hands it a built [`ResultGraph`]'s
+//! two adjacencies; a registered query's maintainer
+//! (`expfinder_incremental`) hands it its own per-node rows, re-ranks
+//! only the candidates an update batch can have moved, and keeps the
+//! sorted list — so a ranked read of a registered pattern copies a
+//! prefix of it, and its ranks are this code's, bit for bit.
 
 use crate::eval::EvalError;
 use crate::fixpoint::Cancelled;
@@ -39,7 +47,7 @@ use crate::matchrel::MatchRelation;
 use crate::result_graph::ResultGraph;
 use crate::MatchError;
 use expfinder_graph::bfs::{BfsScratch, Direction};
-use expfinder_graph::dijkstra::{DijkstraScratch, DijkstraWork, UNREACHABLE};
+use expfinder_graph::dijkstra::{DijkstraScratch, DijkstraWork, WeightedArcs, UNREACHABLE};
 use expfinder_graph::{CancelToken, GraphView, NodeId};
 use expfinder_pattern::Pattern;
 
@@ -86,6 +94,33 @@ impl RankScratch {
         self.build_visits
     }
 
+    /// `f(u_o, v)` of the node `src` of a result graph whose arcs are
+    /// `fwd` and whose reversed arcs are `rev`: one run each way from
+    /// `src`, summed over what they reached. `+∞` when `src` reaches
+    /// nothing and nothing reaches it.
+    pub fn social_impact<A: WeightedArcs>(&mut self, fwd: &A, rev: &A, src: u32) -> f64 {
+        let RankScratch {
+            fwd: from, rev: to, ..
+        } = self;
+        from.run(fwd, src);
+        to.run(rev, src);
+        // both lists start with `v` itself, which is not in V'_r
+        let mut sum = 0u64;
+        let mut connected = 0usize;
+        for &u in &from.touched()[1..] {
+            sum += from.dist(u); // dist(v, u')
+            connected += 1;
+        }
+        for &u in &to.touched()[1..] {
+            sum += to.dist(u); // dist(u, v)
+            connected += usize::from(from.dist(u) == UNREACHABLE);
+        }
+        if connected == 0 {
+            return f64::INFINITY;
+        }
+        sum as f64 / connected as f64
+    }
+
     /// Heap bytes kept between reads, for a pool's keep-or-drop decision.
     pub(crate) fn retained_bytes(&self) -> usize {
         self.fwd.retained_bytes()
@@ -107,31 +142,18 @@ fn rank_with(rg: &ResultGraph, v: NodeId, scratch: &mut RankScratch) -> f64 {
     let Some(src) = rg.local(v) else {
         return f64::INFINITY;
     };
-    let RankScratch { fwd, rev, .. } = scratch;
-    fwd.run(rg.adjacency(Direction::Forward), src);
-    rev.run(rg.adjacency(Direction::Backward), src);
-    // both lists start with `v` itself, which is not in V'_r
-    let mut sum = 0u64;
-    let mut connected = 0usize;
-    for &u in &fwd.touched()[1..] {
-        sum += fwd.dist(u); // dist(v, u')
-        connected += 1;
-    }
-    for &u in &rev.touched()[1..] {
-        sum += rev.dist(u); // dist(u, v)
-        connected += usize::from(fwd.dist(u) == UNREACHABLE);
-    }
-    if connected == 0 {
-        return f64::INFINITY;
-    }
-    sum as f64 / connected as f64
+    let (fwd, rev) = (
+        rg.adjacency(Direction::Forward),
+        rg.adjacency(Direction::Backward),
+    );
+    scratch.social_impact(fwd, rev, src)
 }
 
 /// The total order experts are ranked by: ascending `(rank, node id)`.
 /// Ranks are never NaN (`rank_value` yields finite sums or `+∞`), so the
 /// `partial_cmp` fallback is unreachable and the order is total — which is
 /// what makes the selection-based top-K below exact.
-fn rank_order(a: &RankedMatch, b: &RankedMatch) -> std::cmp::Ordering {
+pub fn rank_order(a: &RankedMatch, b: &RankedMatch) -> std::cmp::Ordering {
     a.rank
         .partial_cmp(&b.rank)
         .unwrap_or(std::cmp::Ordering::Equal)

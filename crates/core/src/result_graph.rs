@@ -16,12 +16,11 @@
 //! scoped threads); either way the arcs come out in `(pattern_edge, from,
 //! to)` order. A request's [`CancelToken`] is polled once per source
 //! match, so a deadline covers construction too
-//! ([`ResultGraph::build_cancellable`]). **Assemble**
-//! ([`ResultGraph::assemble`]): keep the arcs whose endpoints the
-//! relation matches, then lay out the graph below. The incremental
-//! module keeps a registered pattern's arcs across updates, repaired per
-//! batch with the same kernel, so a ranked read of a registered pattern
-//! runs the second step only.
+//! ([`ResultGraph::build_cancellable`]). **Lay out**: the graph below.
+//! The incremental module keeps a registered pattern's arcs across
+//! updates instead, as per-node rows repaired per batch with the same
+//! witness kernel, and ranks over those rows itself — a ranked read of a
+//! registered pattern builds no `ResultGraph` at all.
 //!
 //! Layout: `|E_r|` is smaller than `|V_r|` (most matches witness no
 //! pattern edge themselves: over the repo benchmark's 528 pool patterns,
@@ -84,9 +83,7 @@ impl ResultGraph {
     /// match of every pattern edge; a fired token aborts with
     /// [`Cancelled`] (zero stats — the fixpoint's work is the caller's to
     /// report). The work is added to [`RankScratch::build_visits`].
-    /// Collects the arcs with one BFS per source match, then lays them out
-    /// as [`assemble`](Self::assemble) does — they need no filter, every
-    /// endpoint being a match.
+    /// Collects the arcs with one BFS per source match, then lays them out.
     pub fn build_cancellable<G: GraphView + Sync>(
         g: &G,
         q: &Pattern,
@@ -98,27 +95,6 @@ impl ResultGraph {
         let (edges, visits) = collect_all_edges(g, q, m, threads, &mut scratch.bfs, cancel)?;
         scratch.build_visits += visits;
         Ok(Self::layout(q, m, edges, scratch))
-    }
-
-    /// Assemble `G_r` from arcs already collected, in `(pattern_edge,
-    /// from, to)` order: the ones whose two endpoints match their pattern
-    /// nodes under `m` are kept, so `edges` may come from a superset of
-    /// `m` — a registered query's maintained arcs span its raw sets and
-    /// every candidate target (`IncrementalBoundedSim::arcs`). Runs no
-    /// BFS: what it costs is `O(|V_r| + |edges|)`.
-    pub fn assemble(
-        q: &Pattern,
-        m: &MatchRelation,
-        edges: impl IntoIterator<Item = ResultEdge>,
-        scratch: &mut RankScratch,
-    ) -> ResultGraph {
-        let pattern_edges = q.edges();
-        let matched = |r: &ResultEdge| {
-            let e = &pattern_edges[r.pattern_edge as usize];
-            m.contains(e.from, r.from) && m.contains(e.to, r.to)
-        };
-        let edges: Vec<ResultEdge> = edges.into_iter().filter(matched).collect();
-        Self::layout(q, m, edges, scratch)
     }
 
     /// The result graph of `m` with exactly `edges`, matched at both ends.

@@ -89,7 +89,7 @@ pub use planner::{
     CandidateCost, CostInputs, CostProfile, PlanContext, PlanDecision, PlanRoute, PlannerTotals,
 };
 pub use read_path::ReadPath;
-pub use state::{Derived, MaintainedGraph, PublishedGraph, Snapshot};
+pub use state::{Derived, MaintainedGraph, PublishedGraph, RegisteredView, Snapshot};
 
 use expfinder_compress::{CompressError, CompressStats, CompressionMethod};
 pub use expfinder_core::CancelToken;

@@ -1,7 +1,8 @@
 //! The read path — paper §II's query engine, implemented once.
 //!
 //! cache → registered (incremental) → plan → evaluate → result graph →
-//! top-K rank (or the ranked answer the cache slot already holds), plus
+//! top-K rank (or the ranked answer the cache slot already holds, or a
+//! prefix of a registered query's maintained ranking), plus
 //! the batch fan-out and the admission-control cost estimate, all live in
 //! [`ReadPath`]. It reads one thing: a published [`Snapshot`] — one graph
 //! at one version, immutable, with everything a query needs travelling
@@ -13,11 +14,12 @@ use crate::cache::{CacheKey, CacheStats, Hit, QueryCache};
 use crate::planner::{self, PlanContext, PlanDecision, PlanRoute, PlannerCounters};
 use crate::{
     CancelTotals, ExecConfig, ExpFinderError, IndexTotals, PlannerTotals, QueryResponse, QuerySpec,
-    QueryTimings, RankTotals, Route, Snapshot, SpecSource,
+    QueryTimings, RankTotals, RegisteredView, Route, Snapshot, SpecSource,
 };
 use expfinder_core::{
     evaluate, rank_matches_top_k_cancellable, CancelToken, EvalError, EvalRequest, EvalScratch,
-    EvalStats, MatchRelation, RankScratch, RankedMatch, ResultGraph, ScratchPool, Semantics,
+    EvalStats, MatchError, MatchRelation, RankScratch, RankedMatch, ResultGraph, ScratchPool,
+    Semantics,
 };
 use expfinder_pattern::Pattern;
 use parking_lot::Mutex;
@@ -284,8 +286,10 @@ impl ReadPath {
         let fingerprint = pattern.fingerprint();
         let key = QueryCache::key_for(state.id, state.version(), &fingerprint);
         let slot = (&key, fingerprint.as_str(), top_k.filter(|_| serve_held));
-        let ((matches, held), plan, stats) =
-            self.route_and_eval(&state, pattern, slot, prefer, threads, scratch, cancel)?;
+        let registered = state.registered(&fingerprint);
+        let ((matches, held), plan, stats) = self.route_and_eval(
+            &state, registered, pattern, slot, prefer, threads, scratch, cancel,
+        )?;
         let evaluate_time = started.elapsed();
 
         let rank_started = Instant::now();
@@ -299,7 +303,7 @@ impl ReadPath {
                 self.rank_totals.computed.fetch_add(1, Ordering::Relaxed);
                 let ranked = rank(
                     &state,
-                    &fingerprint,
+                    registered,
                     pattern,
                     &matches,
                     k,
@@ -333,8 +337,9 @@ impl ReadPath {
         })
     }
 
-    /// Route and evaluate against one state. The exact-result short
-    /// circuits (cache, registered) run first, in paper §II order;
+    /// Route and evaluate against one state, `registered` being its view
+    /// of the pattern if it has one. The exact-result short circuits
+    /// (cache, registered) run first, in paper §II order;
     /// everything after them is decided by the cost-based [`planner`]
     /// from the graph's [`CostProfile`]. A non-`Auto` `prefer` takes no
     /// separate code path — the planner still produces its decision and
@@ -343,6 +348,7 @@ impl ReadPath {
     fn route_and_eval(
         &self,
         state: &Snapshot,
+        registered: Option<&RegisteredView>,
         pattern: &Pattern,
         (key, fingerprint, top_k): (&CacheKey, &str, Option<usize>),
         prefer: Route,
@@ -368,7 +374,8 @@ impl ReadPath {
                 return Ok(exact(PlanRoute::Cache, hit));
             }
             // 2. registered incremental state
-            if let Some(matches) = state.registered(fingerprint) {
+            if let Some(view) = registered {
+                let matches = Arc::clone(view.matches());
                 self.cache
                     .lock()
                     .put(*key, fingerprint, Arc::clone(&matches));
@@ -552,16 +559,16 @@ fn plan_routes(
     planner::plan(&inputs, &ctx)
 }
 
-/// Build the result graph of `matches` on `state` and rank the output
-/// node's matches on the read's pooled [`RankScratch`], polling `cancel`
-/// per candidate. A pattern `state` has registered — whatever route
-/// produced `matches` — assembles `G_r` from the maintained arcs the
-/// snapshot carries and runs no BFS; any other builds it with one BFS per
-/// source match, polling `cancel` per source.
+/// The best `k` matches of the output node. A pattern `state` has
+/// registered — whatever route produced `matches` — is answered with a
+/// copy of the prefix of its maintained ranking: no result graph, no
+/// ranking, no cancellation poll. Any other builds the result graph of
+/// `matches` on `state` and ranks on the read's pooled [`RankScratch`],
+/// polling `cancel` per source match and per candidate.
 #[allow(clippy::too_many_arguments)]
 fn rank(
     state: &Snapshot,
-    fingerprint: &str,
+    registered: Option<&RegisteredView>,
     pattern: &Pattern,
     matches: &MatchRelation,
     k: usize,
@@ -569,12 +576,14 @@ fn rank(
     scratch: &mut RankScratch,
     cancel: Option<&CancelToken>,
 ) -> Result<Vec<RankedMatch>, EvalError> {
-    let rg = match state.registered_arcs(fingerprint) {
-        Some(arcs) => ResultGraph::assemble(pattern, matches, arcs.iter().copied(), scratch),
-        None => {
-            let g = state.graph();
-            ResultGraph::build_cancellable(g, pattern, matches, threads, scratch, cancel)?
-        }
+    let Some(view) = registered else {
+        let g = state.graph();
+        let rg = ResultGraph::build_cancellable(g, pattern, matches, threads, scratch, cancel)?;
+        return rank_matches_top_k_cancellable(&rg, pattern, matches, k, scratch, cancel);
     };
-    rank_matches_top_k_cancellable(&rg, pattern, matches, k, scratch, cancel)
+    pattern
+        .require_output()
+        .map_err(|_| MatchError::NoOutputNode)?;
+    let ranking = view.ranking();
+    Ok(ranking[..k.min(ranking.len())].to_vec())
 }

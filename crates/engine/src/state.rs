@@ -4,15 +4,17 @@
 //! Paper §II hangs an incremental module and a compression module off
 //! one graph store. [`MaintainedGraph`] is that store's write side — the
 //! graph, its maintained quotient and its registered-query maintainers,
-//! each of which keeps its query's relation and `G_r` arcs, the arcs
-//! repaired once per update batch — and holds the only copies of apply /
-//! register / unregister / compress / drop-compression / publish. A
-//! snapshot carries each registered query's relation and arcs as `Arc`s,
-//! shared with the previous snapshot while a batch moves neither, so a
-//! ranked read of a registered query runs no BFS. The write side is
-//! reached through one function, [`ExpFinder::write`], under a per-graph
-//! mutex, on the caller's thread — the durable runtime calls it with a
-//! WAL append in front. Readers never see it: they clone the latest
+//! each of which keeps its query's relation, `G_r` arcs and ranking, the
+//! arcs repaired and the moved candidates re-ranked once per update
+//! batch on one [`RerankScratch`] the graph's queries share — and holds
+//! the only copies of apply / register / unregister / compress /
+//! drop-compression / publish. A snapshot carries each registered
+//! query's relation and ranking as `Arc`s, shared with the previous
+//! snapshot while a batch moves neither, so a ranked read of a registered
+//! query copies a prefix of the ranking and computes nothing. The write
+//! side is reached through one function, [`ExpFinder::write`], under a
+//! per-graph mutex, on the caller's thread — the durable runtime calls it
+//! with a WAL append in front. Readers never see it: they clone the latest
 //! `Arc<Snapshot>` out of the graph's [`PublishedGraph`] slot and hold no
 //! lock while they evaluate.
 //!
@@ -22,10 +24,9 @@ use crate::planner::CostProfile;
 use crate::{ExpFinderError, GraphInfo, RegisteredDelta, UpdateReport};
 use expfinder_compress::maintain::MaintainedCompression;
 use expfinder_compress::{CompressStats, CompressedGraph, CompressionMethod};
-use expfinder_core::result_graph::ResultEdge;
-use expfinder_core::MatchRelation;
+use expfinder_core::{MatchRelation, RankedMatch};
 use expfinder_graph::{DiGraph, EdgeUpdate, GraphView, ReachIndex};
-use expfinder_incremental::{IncrementalBoundedSim, Maintainer};
+use expfinder_incremental::{IncrementalBoundedSim, Maintainer, RerankScratch};
 use expfinder_pattern::Pattern;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -68,12 +69,26 @@ impl Derived {
 }
 
 /// A registered query as a snapshot carries it: name, route fingerprint,
-/// and the maintained relation and `G_r` arcs at the snapshot's version.
+/// and the maintained relation and ranking at the snapshot's version.
 pub struct RegisteredView {
     name: Arc<str>,
     fingerprint: Arc<str>,
     matches: Arc<MatchRelation>,
-    arcs: Arc<Vec<ResultEdge>>,
+    ranking: Arc<[RankedMatch]>,
+}
+
+impl RegisteredView {
+    /// The maintained relation, collapsed to paper semantics.
+    pub fn matches(&self) -> &Arc<MatchRelation> {
+        &self.matches
+    }
+
+    /// Every match of the output node with its `f(u_o, v)`, sorted by
+    /// `(rank, node id)` — so the top `k` is its prefix. Empty when the
+    /// relation is, or the pattern has no output node.
+    pub fn ranking(&self) -> &[RankedMatch] {
+        &self.ranking
+    }
 }
 
 /// One immutable published state of a graph — the only thing the read
@@ -113,24 +128,12 @@ impl Snapshot {
         self.compressed.as_deref()
     }
 
-    /// The maintained relation of the registered query whose pattern has
-    /// this fingerprint, if there is one.
-    pub fn registered(&self, fingerprint: &str) -> Option<Arc<MatchRelation>> {
+    /// The registered query whose pattern has this fingerprint, if there
+    /// is one — its relation and ranking, from one scan of the views.
+    pub fn registered(&self, fingerprint: &str) -> Option<&RegisteredView> {
         self.registered
             .iter()
             .find(|rv| &*rv.fingerprint == fingerprint)
-            .map(|rv| Arc::clone(&rv.matches))
-    }
-
-    /// The maintained `G_r` arcs of the registered query whose pattern
-    /// has this fingerprint, if there is one — what
-    /// [`ResultGraph::assemble`](expfinder_core::ResultGraph::assemble)
-    /// turns into the result graph with no BFS.
-    pub fn registered_arcs(&self, fingerprint: &str) -> Option<&[ResultEdge]> {
-        self.registered
-            .iter()
-            .find(|rv| &*rv.fingerprint == fingerprint)
-            .map(|rv| rv.arcs.as_slice())
     }
 
     /// Names of the registered queries, sorted.
@@ -232,6 +235,8 @@ pub struct MaintainedGraph {
     graph: DiGraph,
     compressed: Option<MaintainedCompression>,
     registered: BTreeMap<Arc<str>, RegisteredQuery>,
+    /// What every registered query's batch end searches and ranks with.
+    rerank: RerankScratch,
     unpublished: Unpublished,
 }
 
@@ -241,6 +246,7 @@ impl MaintainedGraph {
             graph,
             compressed: None,
             registered: BTreeMap::new(),
+            rerank: RerankScratch::default(),
             unpublished: Unpublished::Nothing,
         }
     }
@@ -263,9 +269,9 @@ impl MaintainedGraph {
     }
 
     /// Apply edge updates, maintaining the quotient and every registered
-    /// query along the way (duplicates and no-ops are skipped), then
-    /// repair every registered query's `G_r` arcs once for the whole
-    /// batch. `trace` additionally sizes every registered query's
+    /// query along the way (duplicates and no-ops are skipped), then end
+    /// the batch once for every registered query: its `G_r` arcs are
+    /// repaired and its moved candidates re-ranked. `trace` additionally sizes every registered query's
     /// maintained result before and after (counted in place) — the ΔM
     /// report.
     pub fn apply(
@@ -299,7 +305,7 @@ impl MaintainedGraph {
             }
         }
         for rq in self.registered.values_mut() {
-            rq.maintainer.repair_arcs(&self.graph);
+            rq.maintainer.end_batch(&self.graph, &mut self.rerank);
         }
         if let Some(mc) = self.compressed.as_mut() {
             mc.refresh(&self.graph);
@@ -383,8 +389,8 @@ impl MaintainedGraph {
     /// published. Publishing costs `O(|ΔG|)`, not `O(|G|)`: the
     /// snapshot's graph is a clone that shares every adjacency chunk the
     /// batch did not touch, a registered relation whose batch ΔM was
-    /// empty is the previous snapshot's `Arc`, and so are registered `G_r`
-    /// arcs the batch's repair left as they were. A reader holding an older
+    /// empty is the previous snapshot's `Arc`, and so is a registered
+    /// ranking the batch's re-rank left as it was. A reader holding an older
     /// snapshot keeps exactly its version — the owner's next write copies
     /// the chunks it touches instead of writing through.
     pub fn publish(&mut self, slot: &PublishedGraph) {
@@ -421,7 +427,7 @@ impl MaintainedGraph {
                     name: Arc::clone(name),
                     fingerprint: Arc::clone(&rq.fingerprint),
                     matches: Arc::clone(matches),
-                    arcs: Arc::clone(rq.maintainer.arcs()),
+                    ranking: Arc::clone(rq.maintainer.ranking()),
                 }
             })
             .collect();

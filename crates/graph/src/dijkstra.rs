@@ -23,6 +23,12 @@
 //! resets only those. A run from `src` costs `O(R + A log A)` for the `R`
 //! nodes it reaches and the `A` arcs leaving them, not `O(n)`; the array
 //! is sized once per scratch (and again only when `n` grows).
+//!
+//! A run reads its graph through [`WeightedArcs`], so one kernel serves
+//! both shapes `G_r` comes in: a [`WeightedAdj`] over local ids, laid out
+//! by a cold build, and a registered query's maintained per-node rows
+//! over data-node ids (`expfinder_incremental`), which filter their arcs
+//! by the query's current match sets as they are read.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -30,6 +36,26 @@ use std::ops::Add;
 
 /// Sentinel distance for unreachable nodes.
 pub const UNREACHABLE: u64 = u64::MAX;
+
+/// A weighted digraph over node ids `0..node_count()`, as a
+/// [`DijkstraScratch`] run reads it.
+pub trait WeightedArcs {
+    /// One past the largest node id.
+    fn node_count(&self) -> usize;
+
+    /// The `(head, weight)` arcs leaving `v`.
+    fn arcs(&self, v: u32) -> impl Iterator<Item = (u32, u32)> + '_;
+}
+
+impl WeightedArcs for WeightedAdj {
+    fn node_count(&self) -> usize {
+        self.node_count()
+    }
+
+    fn arcs(&self, v: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.arcs_of(v).iter().copied()
+    }
+}
 
 /// Weighted adjacency over dense node indices `0..n` in CSR form: the
 /// arcs of node `v` are `arcs[offsets[v]..offsets[v + 1]]`, each a
@@ -142,8 +168,8 @@ impl Add for DijkstraWork {
     }
 }
 
-/// Single-source shortest paths over a [`WeightedAdj`], reusable across
-/// runs and adjacencies of any size. Between runs `dist` is
+/// Single-source shortest paths over any [`WeightedArcs`], reusable
+/// across runs and graphs of any size. Between runs `dist` is
 /// [`UNREACHABLE`] everywhere outside `touched`, the nodes the last run
 /// reached — so the next run resets just those.
 #[derive(Clone, Debug, Default)]
@@ -162,7 +188,7 @@ impl DijkstraScratch {
     /// Shortest distances from `src` over `adj`, read back through
     /// [`touched`](Self::touched) and [`dist`](Self::dist). Panics if `src`
     /// is not below `adj.node_count()`.
-    pub fn run(&mut self, adj: &WeightedAdj, src: u32) {
+    pub fn run(&mut self, adj: &impl WeightedArcs, src: u32) {
         for &v in &self.touched {
             self.dist[v as usize] = UNREACHABLE;
         }
@@ -173,10 +199,9 @@ impl DijkstraScratch {
             if d > self.dist[u as usize] {
                 continue; // stale entry
             }
-            let arcs = adj.arcs_of(u);
             self.work.settled += 1;
-            self.work.relaxed += arcs.len() as u64;
-            for &(w, cost) in arcs {
+            for (w, cost) in adj.arcs(u) {
+                self.work.relaxed += 1;
                 let nd = d.saturating_add(cost as u64);
                 if nd < self.dist[w as usize] {
                     self.reach(w, nd);

@@ -35,32 +35,67 @@
 //! becomes "everything that can reach x", which is correct but no longer
 //! local — the paper's patterns are bounded.
 //!
-//! ## The result graph's arcs
+//! ## The result graph and its ranking
 //!
-//! The maintainer also keeps the arcs of `G_r` ([`IncrementalBoundedSim::arcs`]):
-//! per pattern edge `(u, u', b)` and raw source `v ∈ sim(u)`, every
-//! candidate `w ∈ cand0(u')`, `w ≠ v`, at distance `1..=b`. The same
-//! locality argument bounds what an update can move: `v`'s `b`-ball
-//! changes only if `dist(v, x) ≤ b − 1`, which step 2 already knows for
-//! every `v` in `A`; an insertion `(x, y)` moves an arc only if some
-//! candidate of `u'` is within `b − 1 − dist(v, x)` of `y`, and a deletion
-//! only if an arc is longer than `dist(v, x)`. Those sources, and the
-//! ones ΔM adds or removes, are marked dirty, and
-//! [`IncrementalBoundedSim::repair_arcs`] re-runs each dirty source's
-//! witness BFS once at the end of the batch. Targets are
-//! candidates, not members, so a ΔM on `u'` moves no arc; the read
-//! keeps the arcs the collapsed relation matches at both ends.
+//! The maintainer also keeps what a ranked read needs, so that read
+//! copies a prefix and computes nothing. **Arcs**: the arcs of `G_r`
+//! over the raw sets ([`IncrementalBoundedSim::arcs`]) — per pattern edge
+//! `(u, u', b)` and raw source `v ∈ sim(u)`, every candidate
+//! `w ∈ cand0(u')`, `w ≠ v`, at distance `1..=b` — as per-node rows in
+//! both directions, each entry carrying its pattern edge and weight.
+//! The same locality argument bounds what an update can move: `v`'s
+//! `b`-ball changes only if `dist(v, x) ≤ b − 1`, which step 2 already
+//! knows for every `v` in `A`; an insertion `(x, y)` moves an arc only if
+//! some candidate of `u'` is within `b − 1 − dist(v, x)` of `y`, and a
+//! deletion only if an arc is longer than `dist(v, x)`. Those sources,
+//! and the ones ΔM adds or removes, are marked dirty. **Ranking**:
+//! `f(u_o, v)` of every member of `sim(u_o)`, held as the complete list
+//! sorted by `(rank, node id)` ([`IncrementalBoundedSim::ranking`]).
+//!
+//! [`IncrementalBoundedSim::end_batch`] brings both up to date once per
+//! update batch:
+//!
+//! 1. re-run the witness BFS of each dirty source on the graph as the
+//!    batch left it, and diff it against the source's stored run;
+//! 2. **before** patching, search the stored rows: backward from the tail
+//!    of every changed arc (added, removed or reweighted), forward from
+//!    its head, and both ways from every node ΔM moved. The output
+//!    candidates reached are the ones whose `f` can have changed: `f(v)`
+//!    reads only the arcs leaving `v`'s forward reach in `G_r` and those
+//!    entering its backward reach, so a candidate whose old forward reach
+//!    holds no changed tail, whose old backward reach holds no changed
+//!    head, and neither of which holds an endpoint of an arc whose filter
+//!    ΔM flipped, keeps its `f`. The unfiltered rows hold the old `G_r`,
+//!    so the search finds a superset of them;
+//! 3. patch the rows in place;
+//! 4. recompute `f` of the reached candidates still in `sim(u_o)`, drop
+//!    the ones that left, and merge them into the list — a new `Arc` only
+//!    if some entry moved. When the collapsed relation flips (a raw set
+//!    empties or refills) the whole list is recomputed, or emptied.
+//!
+//! `G_r` is read off the rows with no copy: an arc counts when its head is
+//! in the raw set of its pattern edge's target (its tail is in its
+//! source's by construction), which while no raw set is empty is the
+//! collapsed relation. `f` comes from
+//! [`RankScratch::social_impact`], the kernel a cold read ranks with, so
+//! the ranks are bit-equal to it. The search marks and the two
+//! `|V|`-sized Dijkstra arrays live in a [`RerankScratch`] the caller
+//! passes in, one per graph, not per query.
 
 use crate::{IncStats, Maintainer, MatchDelta};
 use expfinder_core::bsim::bounded_fixpoint_raw;
 use expfinder_core::fixpoint::EvalScratch;
 use expfinder_core::matchrel::MatchRelation;
+use expfinder_core::rank::rank_order;
 use expfinder_core::result_graph::{witness_arcs, ResultEdge};
-use expfinder_core::{candidate_sets, Cancelled};
+use expfinder_core::{candidate_sets, Cancelled, RankScratch, RankedMatch};
 use expfinder_graph::bfs::{BfsScratch, Direction};
 use expfinder_graph::bfs_frontier::FrontierScratch;
+use expfinder_graph::dijkstra::WeightedArcs;
 use expfinder_graph::{BitSet, CancelToken, DiGraph, EdgeUpdate, GraphView, NodeId};
 use expfinder_pattern::{PNodeId, Pattern, PatternEdge};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -82,19 +117,27 @@ pub struct IncrementalBoundedSim {
     reach: ReachScratch,
     /// Persistent output buffer of [`IncrementalBoundedSim::affected`].
     affected_buf: Vec<(NodeId, u32)>,
-    /// The arcs of `G_r` over the raw sets (see [`Self::arcs`]). Replaced,
-    /// never written through, so a published `Arc` stays exact for the
-    /// version it was published at.
-    arcs: Arc<Vec<ResultEdge>>,
+    /// The arcs of `G_r` over the raw sets (see [`Self::arcs`]).
+    rows: Rows,
+    /// Every member of `sim(u_o)` with its `f`, sorted by `(rank, node
+    /// id)`; empty while the collapsed relation is, or with no output
+    /// node. Replaced, never written through, so a published `Arc` stays
+    /// exact for the version it was published at.
+    ranking: Arc<[RankedMatch]>,
+    /// Whether the collapsed relation was non-empty (no raw set empty) at
+    /// the last batch end.
+    matched: bool,
     /// Per pattern edge, the sources whose arcs the batch in progress may
-    /// have changed; [`Self::repair_arcs`] drains them.
+    /// have changed; [`Self::end_batch`] drains them.
     dirty: Vec<DirtySources>,
+    /// The nodes whose membership ΔM changed during the batch.
+    moved: DirtySources,
     repair: Repair,
     stats: IncStats,
 }
 
 /// A set of data nodes in insertion order, deduplicated by a bitset, so a
-/// batch of any length holds each source once.
+/// batch of any length holds each node once.
 struct DirtySources {
     mark: BitSet,
     list: Vec<NodeId>,
@@ -124,24 +167,247 @@ impl DirtySources {
     }
 }
 
-/// The buffers of [`IncrementalBoundedSim::repair_arcs`], kept across
+/// The buffers of [`IncrementalBoundedSim::end_batch`], kept across
 /// batches.
 #[derive(Default)]
 struct Repair {
-    /// The dirty sources' arcs on the current graph, in `(edge, source)`
-    /// order.
+    /// The changed sources' arcs on the current graph, in `(edge,
+    /// source)` order.
     fresh: Vec<ResultEdge>,
-    /// Per dirty source: its stored run, and its run in `fresh`.
-    redo: Vec<(Range<usize>, Range<usize>)>,
+    /// Per changed source: its pattern edge, and its run in `fresh`.
+    redo: Vec<(u32, NodeId, Range<usize>)>,
+    /// The search's seeds: the heads of the changed arcs and every node
+    /// ΔM moved, searched forward; their tails and the same moved nodes,
+    /// searched backward.
+    heads: Vec<NodeId>,
+    tails: Vec<NodeId>,
+    /// The output candidates the search reached, ascending.
+    touched: Vec<NodeId>,
 }
 
-/// Where the stored arcs of pattern edge `ei` from `v` are in `arcs` (an
-/// empty range at their place when there are none): one binary search,
-/// by the `(pattern_edge, from, to)` order.
-fn stored(arcs: &[ResultEdge], ei: usize, v: NodeId) -> Range<usize> {
-    let key = |a: &ResultEdge| (a.pattern_edge as usize, a.from);
-    let lo = arcs.partition_point(|a| key(a) < (ei, v));
-    lo..lo + arcs[lo..].partition_point(|a| key(a) == (ei, v))
+/// What [`IncrementalBoundedSim::end_batch`] searches and ranks with: the
+/// two Dijkstra runs of `f`, whose distance arrays span the graph's
+/// nodes, and the marks of the search that decides which candidates to
+/// re-rank. Meant to be one per graph, shared by its registered queries
+/// in turn, so no `|V|`-sized array is kept per query.
+#[derive(Default)]
+pub struct RerankScratch {
+    rank: RankScratch,
+    seen: BitSet,
+    visited: Vec<NodeId>,
+}
+
+impl RerankScratch {
+    /// Ball nodes visited by result-graph builds on this scratch
+    /// ([`RankScratch::build_visits`]): a batch end ranks over the
+    /// maintained rows and builds no `G_r`, so this stays 0.
+    pub fn build_visits(&self) -> u64 {
+        self.rank.build_visits()
+    }
+}
+
+/// One entry of a [`Rows`] row: the node at the arc's other end, its
+/// weight, and the pattern edge it witnesses.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+struct RowArc {
+    node: NodeId,
+    weight: u32,
+    pattern_edge: u32,
+}
+
+/// Hashes a [`NodeId`] with one multiply: a Dijkstra run over [`Rows`]
+/// looks a row up per node it settles, where SipHash would cost more than
+/// the run. Node ids are dense and below the graph's node count, and the
+/// multiply is injective on them.
+#[derive(Default)]
+struct NodeHasher(u64);
+
+impl Hasher for NodeHasher {
+    fn finish(&self) -> u64 {
+        // Fibonacci hashing: the product's high half mixes every bit of
+        // the id, so it goes to the low bits the table indexes buckets by
+        // (ids that agree in their low bits would share a bucket)
+        self.0.rotate_left(32)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(b.into());
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.0 = (self.0.rotate_left(5) ^ u64::from(v)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+/// One direction of [`Rows`]: node → its row.
+type RowMap = HashMap<NodeId, Vec<RowArc>, BuildHasherDefault<NodeHasher>>;
+
+/// The maintained arcs of `G_r` as per-node rows in both directions, kept
+/// only for nodes that have arcs. Unfiltered: a target leaving its raw set
+/// keeps its arcs ([`GrView`] filters them as a run reads them).
+#[derive(Default)]
+struct Rows {
+    /// Tail → its arcs (`node` the head), in `(pattern_edge, head)` order.
+    out: RowMap,
+    /// Head → its arcs (`node` the tail), in no set order.
+    inn: RowMap,
+}
+
+/// Where pattern edge `ei`'s arcs are in a tail's row (an empty range at
+/// their place when there are none).
+fn run_of(row: &[RowArc], ei: u32) -> Range<usize> {
+    let lo = row.partition_point(|a| a.pattern_edge < ei);
+    lo..lo + row[lo..].partition_point(|a| a.pattern_edge == ei)
+}
+
+impl Rows {
+    /// The stored arcs of pattern edge `ei` from `v`, ascending by head.
+    fn run(&self, ei: u32, v: NodeId) -> &[RowArc] {
+        self.out.get(&v).map_or(&[], |row| &row[run_of(row, ei)])
+    }
+
+    /// Replace the arcs of pattern edge `ei` from `v` by `fresh` (`v`'s
+    /// witnesses, ascending by head), in both directions.
+    fn patch(&mut self, ei: u32, v: NodeId, fresh: &[ResultEdge]) {
+        let row = self.out.entry(v).or_default();
+        let run = run_of(row, ei);
+        for old in &row[run.clone()] {
+            let into = self.inn.get_mut(&old.node).expect("an in-row per head");
+            let at = into
+                .iter()
+                .position(|a| (a.node, a.pattern_edge) == (v, ei));
+            into.swap_remove(at.expect("the arc's in-entry"));
+            if into.is_empty() {
+                self.inn.remove(&old.node);
+            }
+        }
+        let arc = |node, weight| RowArc {
+            node,
+            weight,
+            pattern_edge: ei,
+        };
+        row.splice(run, fresh.iter().map(|e| arc(e.to, e.weight)));
+        if row.is_empty() {
+            self.out.remove(&v);
+        }
+        for e in fresh {
+            self.inn.entry(e.to).or_default().push(arc(v, e.weight));
+        }
+    }
+
+    /// Append to `out` every node of `keep` a path of stored arcs leads to
+    /// from one of `heads`, or from which one leads to one of `tails` (the
+    /// seeds included); then sort and deduplicate `out`.
+    fn reached(
+        &self,
+        (heads, tails): (&[NodeId], &[NodeId]),
+        keep: &BitSet,
+        scratch: &mut RerankScratch,
+        out: &mut Vec<NodeId>,
+    ) {
+        let RerankScratch { seen, visited, .. } = scratch;
+        if seen.capacity() != keep.capacity() {
+            *seen = BitSet::new(keep.capacity());
+        }
+        for (rows, seeds) in [(&self.out, heads), (&self.inn, tails)] {
+            for &v in seeds {
+                if seen.insert(v) {
+                    visited.push(v);
+                }
+            }
+            // `visited` is the queue: every node is pushed once, when seen
+            let mut next = 0;
+            while let Some(&u) = visited.get(next) {
+                next += 1;
+                if keep.contains(u) {
+                    out.push(u);
+                }
+                for a in rows.get(&u).into_iter().flatten() {
+                    if seen.insert(a.node) {
+                        visited.push(a.node);
+                    }
+                }
+            }
+            for v in visited.drain(..) {
+                seen.remove(v);
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+    }
+}
+
+/// `G_r` as the rows describe it under the raw sets, over data-node ids:
+/// an arc counts when its head is in the raw set of its pattern edge's
+/// target. `forward` reads the tails' rows, else the heads'.
+struct GrView<'a> {
+    rows: &'a RowMap,
+    forward: bool,
+    pattern: &'a Pattern,
+    sim: &'a [BitSet],
+}
+
+impl WeightedArcs for GrView<'_> {
+    fn node_count(&self) -> usize {
+        self.sim.first().map_or(0, BitSet::capacity)
+    }
+
+    fn arcs(&self, v: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let edges = self.pattern.edges();
+        let row = self.rows.get(&NodeId(v)).map_or(&[][..], Vec::as_slice);
+        row.iter().filter_map(move |a| {
+            let head = if self.forward { a.node } else { NodeId(v) };
+            let target = edges[a.pattern_edge as usize].to;
+            self.sim[target.index()]
+                .contains(head)
+                .then_some((a.node.0, a.weight))
+        })
+    }
+}
+
+/// Push onto `heads` the head of every arc from `v` that differs between
+/// the stored run `old` and `fresh` (both ascending by head) — added,
+/// removed or reweighted — and `v` onto `tails` if any did. Returns
+/// whether any did.
+fn diff_run(
+    v: NodeId,
+    old: &[RowArc],
+    fresh: &[ResultEdge],
+    (heads, tails): (&mut Vec<NodeId>, &mut Vec<NodeId>),
+) -> bool {
+    let (mut i, mut j, start) = (0, 0, heads.len());
+    loop {
+        let head = match (old.get(i), fresh.get(j)) {
+            (None, None) => break,
+            (Some(a), Some(e)) if a.node == e.to => {
+                (i, j) = (i + 1, j + 1);
+                if a.weight == e.weight {
+                    continue;
+                }
+                a.node
+            }
+            (Some(a), Some(e)) if a.node < e.to => {
+                i += 1;
+                a.node
+            }
+            (Some(a), None) => {
+                i += 1;
+                a.node
+            }
+            (_, Some(e)) => {
+                j += 1;
+                e.to
+            }
+        };
+        heads.push(head);
+    }
+    let changed = heads.len() > start;
+    if changed {
+        tails.push(v);
+    }
+    changed
 }
 
 /// Persistent single-source reach scratch: the word-parallel frontier BFS
@@ -281,21 +547,24 @@ impl IncrementalBoundedSim {
         }
         // the arcs of G_r: one witness run per raw source per pattern edge
         let mut scratch = BfsScratch::new();
-        let mut arcs = Vec::new();
+        let (mut rows, mut arcs) = (Rows::default(), Vec::new());
         for (ei, e) in q.edges().iter().enumerate() {
             for v in sim[e.from.index()].iter() {
                 if cancel.is_some_and(|t| t.is_cancelled()) {
                     return Err(Cancelled { stats: fix_stats });
                 }
+                arcs.clear();
                 let targets = &cand0[e.to.index()];
                 witness_arcs(g, q, ei, v, targets, &mut scratch, &mut arcs);
+                rows.patch(ei as u32, v, &arcs);
             }
         }
         let ball_radius = match q.max_bound() {
             Some(b) => b - 1,
             None => u32::MAX,
         };
-        Ok(IncrementalBoundedSim {
+        let matched = sim.iter().all(|s| !s.is_empty());
+        let mut inc = IncrementalBoundedSim {
             pattern: q.clone(),
             cand0,
             sim,
@@ -305,39 +574,183 @@ impl IncrementalBoundedSim {
             scratch,
             reach,
             affected_buf: Vec::new(),
-            arcs: Arc::new(arcs),
+            rows,
+            ranking: Arc::new([]),
+            matched,
             dirty: (0..q.edge_count()).map(|_| DirtySources::new(n)).collect(),
+            moved: DirtySources::new(n),
             repair: Repair::default(),
             stats: IncStats::default(),
-        })
+        };
+        if let (Some(uo), true) = (q.output(), matched) {
+            let members = inc.sim[uo.index()].to_vec();
+            inc.ranking = inc.rank(&members, &mut RerankScratch::default()).into();
+        }
+        Ok(inc)
     }
 
     pub fn pattern(&self) -> &Pattern {
         &self.pattern
     }
 
-    /// The arcs of `G_r` as of the last [`repair_arcs`](Self::repair_arcs),
-    /// in `(pattern_edge, from, to)` order: for every pattern edge
-    /// `e = (u, u', b)` and every `v` in the raw set `sim(u)`, one arc to
-    /// each candidate `w ∈ cand0(u')`, `w ≠ v`, at shortest distance
-    /// `1..=b` from `v`, weighted with it. Targets are candidates, not
-    /// members, so a ΔM on `u'` leaves every arc standing;
-    /// [`ResultGraph::assemble`](expfinder_core::ResultGraph::assemble)
-    /// keeps the ones the collapsed relation matches at both ends, which
-    /// is exactly the `G_r` a BFS build over that relation collects.
-    pub fn arcs(&self) -> &Arc<Vec<ResultEdge>> {
+    /// Debug check that no batch is open: what the batch end maintains is
+    /// read only between batches.
+    fn assert_batch_ended(&self, what: &str) {
         debug_assert!(
-            self.dirty.iter().all(|d| d.list.is_empty()),
-            "arcs read before the batch's repair_arcs"
+            self.dirty.iter().all(|d| d.list.is_empty()) && self.moved.list.is_empty(),
+            "{what} read before the batch's end_batch"
         );
-        &self.arcs
     }
 
-    /// Mark `v` dirty on every out-edge of `u` (ΔM moved `(u, v)`).
+    /// The arcs of `G_r` as of the last [`end_batch`](Self::end_batch),
+    /// collected in `(pattern_edge, from, to)` order: for every pattern
+    /// edge `e = (u, u', b)` and every `v` in the raw set `sim(u)`, one
+    /// arc to each candidate `w ∈ cand0(u')`, `w ≠ v`, at shortest distance
+    /// `1..=b` from `v`, weighted with it. Targets are candidates, not
+    /// members, so a ΔM on `u'` leaves every arc standing; the ones whose
+    /// head is in `sim(u')` are, while no raw set is empty, exactly the
+    /// `G_r` a BFS build over the collapsed relation collects.
+    pub fn arcs(&self) -> Vec<ResultEdge> {
+        self.assert_batch_ended("arcs");
+        let mut arcs: Vec<ResultEdge> = (self.rows.out.iter())
+            .flat_map(|(&from, row)| {
+                row.iter().map(move |a| ResultEdge {
+                    from,
+                    to: a.node,
+                    weight: a.weight,
+                    pattern_edge: a.pattern_edge,
+                })
+            })
+            .collect();
+        arcs.sort_unstable_by_key(|e| (e.pattern_edge, e.from, e.to));
+        arcs
+    }
+
+    /// The ranking as of the last [`end_batch`](Self::end_batch): every
+    /// match of the output node with its `f(u_o, v)` over `G_r`, sorted
+    /// by `(rank, node id)` — what
+    /// [`rank_matches`](expfinder_core::rank_matches) gives on a built
+    /// `G_r`, bit for bit. Empty when the collapsed relation is, and when
+    /// the pattern has no output node.
+    pub fn ranking(&self) -> &Arc<[RankedMatch]> {
+        self.assert_batch_ended("ranking");
+        &self.ranking
+    }
+
+    /// `f` of each of `nodes` over the rows, sorted by `(rank, node id)`.
+    fn rank(&self, nodes: &[NodeId], scratch: &mut RerankScratch) -> Vec<RankedMatch> {
+        let view = |forward| GrView {
+            rows: if forward {
+                &self.rows.out
+            } else {
+                &self.rows.inn
+            },
+            forward,
+            pattern: &self.pattern,
+            sim: &self.sim,
+        };
+        let (fwd, rev) = (view(true), view(false));
+        let mut ranked: Vec<RankedMatch> = (nodes.iter())
+            .map(|&node| RankedMatch {
+                node,
+                rank: scratch.rank.social_impact(&fwd, &rev, node.0),
+            })
+            .collect();
+        ranked.sort_by(rank_order);
+        ranked
+    }
+
+    /// End an update batch on `g`, the graph as the batch left it: repair
+    /// the `G_r` arcs of every source the batch dirtied (one witness BFS
+    /// each, and the sources that left their raw set lose theirs), then
+    /// re-rank the candidates whose `f` the changed arcs and ΔM can have
+    /// moved — found by a search of the rows as they were — and merge
+    /// them into the ranking. Returns whether the ranking changed: only
+    /// then is it a new `Arc`. See the module docs for the steps and why
+    /// the search finds every moved candidate.
+    pub fn end_batch(&mut self, g: &DiGraph, scratch: &mut RerankScratch) -> bool {
+        let Repair {
+            fresh,
+            redo,
+            heads,
+            tails,
+            touched,
+        } = &mut self.repair;
+        fresh.clear();
+        redo.clear();
+        for nodes in [&mut *heads, &mut *tails, &mut *touched] {
+            nodes.clear();
+        }
+        for (ei, e) in self.pattern.edges().iter().enumerate() {
+            let (sources, targets) = (&self.sim[e.from.index()], &self.cand0[e.to.index()]);
+            for v in self.dirty[ei].drain_sorted() {
+                let start = fresh.len();
+                if sources.contains(v) {
+                    self.stats.repair_sources += 1;
+                    witness_arcs(g, &self.pattern, ei, v, targets, &mut self.scratch, fresh);
+                }
+                let ei = ei as u32;
+                let seeds = (&mut *heads, &mut *tails);
+                if diff_run(v, self.rows.run(ei, v), &fresh[start..], seeds) {
+                    redo.push((ei, v, start..fresh.len()));
+                } else {
+                    fresh.truncate(start);
+                }
+            }
+        }
+        for v in self.moved.drain_sorted() {
+            heads.push(v);
+            tails.push(v);
+        }
+        let was = self.matched;
+        self.matched = self.sim.iter().all(|s| !s.is_empty());
+        let output = self.pattern.output();
+        if let (Some(uo), true, true) = (output, was, self.matched) {
+            // searched before the patch: the rows still hold the old G_r
+            let candidates = &self.cand0[uo.index()];
+            self.rows
+                .reached((heads, tails), candidates, scratch, touched);
+        }
+        for (ei, v, run) in redo.drain(..) {
+            self.rows.patch(ei, v, &fresh[run]);
+        }
+
+        let Some(uo) = output else {
+            return false;
+        };
+        let members = &self.sim[uo.index()];
+        let ranking = if !self.matched {
+            Vec::new()
+        } else if !was {
+            let all = members.to_vec();
+            self.stats.rerank_candidates += all.len();
+            self.rank(&all, scratch)
+        } else if touched.is_empty() {
+            return false;
+        } else {
+            let mut touched = std::mem::take(&mut self.repair.touched);
+            let kept = |m: &&RankedMatch| touched.binary_search(&m.node).is_err();
+            let kept: Vec<RankedMatch> = self.ranking.iter().filter(kept).copied().collect();
+            touched.retain(|&v| members.contains(v));
+            self.stats.rerank_candidates += touched.len();
+            let fresh = self.rank(&touched, scratch);
+            self.repair.touched = touched;
+            merge_ranked(&kept, &fresh)
+        };
+        if *ranking == *self.ranking {
+            return false;
+        }
+        self.ranking = ranking.into();
+        true
+    }
+
+    /// Mark `v` dirty on every out-edge of `u` and as moved (ΔM moved
+    /// `(u, v)`).
     fn dirty_source(&mut self, u: PNodeId, v: NodeId) {
         for &ei in self.pattern.out_edge_indices(u) {
             self.dirty[ei as usize].insert(v);
         }
+        self.moved.insert(v);
     }
 
     fn assert_node(&self, v: NodeId) {
@@ -442,12 +855,15 @@ impl IncrementalBoundedSim {
     fn mark_dirty(
         &mut self,
         affected: &[(NodeId, u32)],
-        moves: impl Fn(&PatternEdge, usize, NodeId, u32) -> bool,
+        moves: impl Fn(&Rows, &PatternEdge, u32, NodeId, u32) -> bool,
     ) {
         for (ei, e) in self.pattern.edges().iter().enumerate() {
             let radius = e.bound.depth().saturating_sub(1);
             for &(v, dvx) in affected {
-                if dvx <= radius && self.sim[e.from.index()].contains(v) && moves(e, ei, v, dvx) {
+                if dvx <= radius
+                    && self.sim[e.from.index()].contains(v)
+                    && moves(&self.rows, e, ei as u32, v, dvx)
+                {
                     self.dirty[ei].insert(v);
                 }
             }
@@ -461,9 +877,8 @@ impl IncrementalBoundedSim {
         // one from v to w through it is longer than dist(v, x); the stored
         // arcs are as the batch began, but a source whose arcs an earlier
         // update of the batch moved is dirty already
-        let arcs = Arc::clone(&self.arcs);
-        self.mark_dirty(&affected, |_, ei, v, dvx| {
-            arcs[stored(&arcs, ei, v)].iter().any(|a| a.weight > dvx)
+        self.mark_dirty(&affected, |rows, _, ei, v, dvx| {
+            rows.run(ei, v).iter().any(|a| a.weight > dvx)
         });
 
         // members in the affected area whose support vanished
@@ -523,7 +938,7 @@ impl IncrementalBoundedSim {
         }
         // the same bound decides which arcs the new edge can shorten or
         // add: a path through it to a candidate of u' that fits b
-        self.mark_dirty(&affected, |e, _, _, dvx| {
+        self.mark_dirty(&affected, |_, e, _, _, dvx| {
             let need = (dvx as u64 + 1).saturating_add(dmin_y[e.to.index()]);
             need <= e.bound.depth() as u64
         });
@@ -638,6 +1053,21 @@ impl IncrementalBoundedSim {
     }
 }
 
+/// `kept` and `fresh`, each sorted by `(rank, node id)` and disjoint,
+/// merged into one list sorted the same way.
+fn merge_ranked(kept: &[RankedMatch], fresh: &[RankedMatch]) -> Vec<RankedMatch> {
+    let mut out = Vec::with_capacity(kept.len() + fresh.len());
+    let mut fresh = fresh.iter().peekable();
+    for m in kept {
+        while let Some(f) = fresh.next_if(|f| rank_order(f, m).is_lt()) {
+            out.push(*f);
+        }
+        out.push(*m);
+    }
+    out.extend(fresh);
+    out
+}
+
 impl Maintainer for IncrementalBoundedSim {
     fn on_update(&mut self, g: &DiGraph, update: EdgeUpdate) -> Vec<MatchDelta> {
         let (x, y) = update.endpoints();
@@ -657,50 +1087,6 @@ impl Maintainer for IncrementalBoundedSim {
             self.dirty_source(d.pattern_node, d.data_node);
         }
         deltas
-    }
-
-    /// End an update batch: re-run the witness BFS of every source the
-    /// batch dirtied that is still in its raw set, once, on the graph as
-    /// the batch left it, and drop the arcs of the sources that left it.
-    /// A source is dirty on pattern edge `e` when an update could move
-    /// one of its arcs (`mark_dirty`), or when ΔM added or removed it.
-    /// Returns whether the arcs changed: only then are they copied, with
-    /// the dirty sources' runs replaced, into a new `Arc` — otherwise the
-    /// very same `Arc` stays. Its cost is the dirty sources' balls, plus
-    /// one copy of the stored arcs when something moved.
-    fn repair_arcs(&mut self, g: &DiGraph) -> bool {
-        let Repair { fresh, redo } = &mut self.repair;
-        fresh.clear();
-        redo.clear();
-        let mut changed = false;
-        for (ei, e) in self.pattern.edges().iter().enumerate() {
-            let (sources, targets) = (&self.sim[e.from.index()], &self.cand0[e.to.index()]);
-            for v in self.dirty[ei].drain_sorted() {
-                let start = fresh.len();
-                if sources.contains(v) {
-                    self.stats.repair_sources += 1;
-                    witness_arcs(g, &self.pattern, ei, v, targets, &mut self.scratch, fresh);
-                }
-                let stale = stored(&self.arcs, ei, v);
-                changed |= fresh[start..] != self.arcs[stale.clone()];
-                redo.push((stale, start..fresh.len()));
-            }
-        }
-        if changed {
-            // `redo` is in (edge, source) order, so its stale runs are
-            // disjoint and ascending
-            let old = &self.arcs;
-            let mut out = Vec::with_capacity(old.len() + fresh.len());
-            let mut at = 0;
-            for (stale, new) in redo.iter() {
-                out.extend_from_slice(&old[at..stale.start]);
-                out.extend_from_slice(&fresh[new.clone()]);
-                at = stale.end;
-            }
-            out.extend_from_slice(&old[at..]);
-            self.arcs = Arc::new(out);
-        }
-        changed
     }
 
     fn current(&self) -> MatchRelation {
@@ -726,8 +1112,7 @@ impl Maintainer for IncrementalBoundedSim {
 mod tests {
     use super::*;
     use crate::apply_batch;
-    use expfinder_core::naive::naive_bounded_fixpoint;
-    use expfinder_core::{RankScratch, ResultGraph};
+    use expfinder_core::naive::{naive_bounded_fixpoint, reference_rank};
     use expfinder_graph::fixtures::collaboration_fig1;
     use expfinder_graph::generate::{erdos_renyi, random_updates, NodeSpec};
     use expfinder_pattern::fixtures::fig1_pattern;
@@ -735,6 +1120,7 @@ mod tests {
     use expfinder_pattern::{Bound, PatternBuilder, Predicate};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::cell::RefCell;
 
     /// The maintained raw sets are the naive raw fixpoint of the current
     /// graph — so the collapsed relation is naive's too, and a dead query
@@ -1044,7 +1430,7 @@ mod tests {
         assert!(inc.stats().affected_nodes > 0);
     }
 
-    // ---- the maintained G_r arcs ----
+    // ---- the maintained G_r arcs and ranking ----
 
     /// The arcs [`IncrementalBoundedSim::arcs`] must hold, judged pair by
     /// pair: sources from naive's raw fixpoint, targets from the
@@ -1091,34 +1477,56 @@ mod tests {
         out
     }
 
-    /// The maintained arcs equal the reference, and what they assemble
-    /// under the collapsed relation is the `G_r` a BFS build collects.
-    fn check_arcs(g: &DiGraph, inc: &IncrementalBoundedSim) {
-        let q = inc.pattern();
-        assert_eq!(**inc.arcs(), reference_arcs(g, q), "maintained G_r arcs");
-        let m = inc.current();
-        let mut scratch = RankScratch::new();
-        let rg = ResultGraph::assemble(q, &m, inc.arcs().to_vec(), &mut scratch);
-        let built = ResultGraph::build(g, q, &m);
-        assert_eq!((rg.nodes(), rg.edges()), (built.nodes(), built.edges()));
-        assert_eq!(scratch.build_visits(), 0, "assembly runs no BFS");
+    fn bits(list: &[RankedMatch]) -> Vec<(NodeId, u64)> {
+        list.iter().map(|m| (m.node, m.rank.to_bits())).collect()
     }
 
-    /// One update as a batch of its own; returns its ΔM and whether the
-    /// arcs `Arc` was replaced.
+    /// The maintained arcs equal the reference, and the maintained
+    /// ranking is `reference_rank`'s over the whole output set, bit for
+    /// bit (empty without an output node).
+    fn check_arcs(g: &DiGraph, inc: &IncrementalBoundedSim) {
+        let q = inc.pattern();
+        assert_eq!(inc.arcs(), reference_arcs(g, q), "maintained G_r arcs");
+        let want = q.output().map_or_else(Vec::new, |_| {
+            reference_rank(g, q, &inc.current(), usize::MAX)
+        });
+        assert_eq!(bits(inc.ranking()), bits(&want), "maintained ranking");
+    }
+
+    thread_local! {
+        /// The scratch every batch end of a test thread shares, across
+        /// maintainers too — the way a graph's registered queries do.
+        static RERANK: RefCell<RerankScratch> = RefCell::default();
+    }
+
+    /// End the batch on the thread's shared scratch; returns whether the
+    /// ranking `Arc` was replaced (and asserts that is what it reported).
+    fn end(g: &DiGraph, inc: &mut IncrementalBoundedSim) -> bool {
+        let before = Arc::clone(&inc.ranking);
+        let moved = RERANK.with_borrow_mut(|scratch| inc.end_batch(g, scratch));
+        assert_eq!(moved, !Arc::ptr_eq(&before, inc.ranking()));
+        moved
+    }
+
+    /// One update as a batch of its own, checked; returns its ΔM and
+    /// whether the ranking moved.
     fn step(
         g: &mut DiGraph,
         inc: &mut IncrementalBoundedSim,
         up: EdgeUpdate,
     ) -> (Vec<MatchDelta>, bool) {
-        let before = Arc::clone(inc.arcs());
         assert!(g.apply(up), "{up} changes the graph");
         let delta = inc.on_update(g, up);
-        let repaired = inc.repair_arcs(g);
-        assert_eq!(repaired, !Arc::ptr_eq(&before, inc.arcs()));
+        let moved = end(g, inc);
         check_against_recompute(g, inc);
         check_arcs(g, inc);
-        (delta, repaired)
+        (delta, moved)
+    }
+
+    /// The rank of `v` in the maintained ranking.
+    fn rank_of(inc: &IncrementalBoundedSim, v: NodeId) -> f64 {
+        let hit = inc.ranking().iter().find(|m| m.node == v);
+        hit.expect("a ranked candidate").rank
     }
 
     /// `a →(≤ bound) b` over labels `A` and `B`.
@@ -1144,15 +1552,17 @@ mod tests {
         g.add_edge(x, b1);
         let mut inc = IncrementalBoundedSim::new(&g, &a_to_b(Bound::hops(2)));
         check_arcs(&g, &inc);
-        let weight =
-            |inc: &IncrementalBoundedSim| inc.arcs().iter().map(|e| e.weight).collect::<Vec<_>>();
+        let weight = |inc: &IncrementalBoundedSim| {
+            let arcs = inc.arcs();
+            arcs.iter().map(|e| e.weight).collect::<Vec<_>>()
+        };
         assert_eq!(weight(&inc), [2]);
-        let (delta, repaired) = step(&mut g, &mut inc, EdgeUpdate::Insert(a1, b1));
-        assert!(delta.is_empty() && repaired);
+        let (delta, moved) = step(&mut g, &mut inc, EdgeUpdate::Insert(a1, b1));
+        assert!(delta.is_empty() && moved);
         assert_eq!(weight(&inc), [1]);
         // an edge no source reaches dirties nothing: the same Arc stays
-        let (delta, repaired) = step(&mut g, &mut inc, EdgeUpdate::Insert(x2, x3));
-        assert!(delta.is_empty() && !repaired);
+        let (delta, moved) = step(&mut g, &mut inc, EdgeUpdate::Insert(x2, x3));
+        assert!(delta.is_empty() && !moved);
     }
 
     #[test]
@@ -1168,8 +1578,8 @@ mod tests {
         }
         let mut inc = IncrementalBoundedSim::new(&g, &a_to_b(Bound::hops(2)));
         assert_eq!(inc.arcs().len(), 2);
-        let (delta, repaired) = step(&mut g, &mut inc, EdgeUpdate::Delete(x, b1));
-        assert!(delta.is_empty() && repaired);
+        let (delta, moved) = step(&mut g, &mut inc, EdgeUpdate::Delete(x, b1));
+        assert!(delta.is_empty() && moved);
         assert_eq!(inc.arcs().iter().map(|e| e.to).collect::<Vec<_>>(), [b2]);
     }
 
@@ -1206,7 +1616,7 @@ mod tests {
         assert!(delta.contains(&added(pa, a2)) && delta.contains(&added(pb, b1)));
         assert!(inc.arcs().iter().any(|e| e.from == a2));
         // deleting it again removes the target b1 (and the source a2);
-        // a1's arc to b1 stays stored, and assembly drops it
+        // a1's arc to b1 stays stored, and the ranking reads past it
         let (delta, _) = step(&mut g, &mut inc, EdgeUpdate::Delete(b1, c1));
         assert_eq!(delta.len(), 2);
         assert!(inc.arcs().iter().any(|e| (e.from, e.to) == (a1, b1)));
@@ -1230,26 +1640,221 @@ mod tests {
         assert_eq!(inc.current().total_pairs(), 4);
         assert!(inc.arcs().iter().all(|e| e.from != e.to));
         assert_eq!(inc.arcs().len(), 2, "(n0, n1) and (n1, n0), weight 1");
+        assert!(inc.ranking().is_empty(), "no output node, no ranking");
+    }
+
+    #[test]
+    fn a_shortcut_two_hops_away_moves_f_while_m_stands() {
+        // a →(≤2) b →(≤2) c →(≤2) d on a1 → b1 → c1 → x → d1: inserting
+        // c1 → d1 leaves M as it is and changes the one arc c1 → d1, two
+        // G_r hops from the candidate a1, whose dist to d1 goes 4 → 3
+        let q = PatternBuilder::new()
+            .node_output("a", Predicate::label("A"))
+            .node("b", Predicate::label("B"))
+            .node("c", Predicate::label("C"))
+            .node("d", Predicate::label("D"))
+            .edge("a", "b", Bound::hops(2))
+            .edge("b", "c", Bound::hops(2))
+            .edge("c", "d", Bound::hops(2))
+            .build()
+            .unwrap();
+        let mut g = DiGraph::new();
+        let [a1, b1, c1, x, d1] = ["A", "B", "C", "X", "D"].map(|l| g.add_node(l, []));
+        let a2 = g.add_node("A", []);
+        for (p, c) in [(a1, b1), (b1, c1), (c1, x), (x, d1), (a2, b1)] {
+            g.add_edge(p, c);
+        }
+        let mut inc = IncrementalBoundedSim::new(&g, &q);
+        check_arcs(&g, &inc);
+        assert_eq!(rank_of(&inc, a1), (1 + 2 + 4) as f64 / 3.0);
+        let before = inc.stats().rerank_candidates;
+        let (delta, moved) = step(&mut g, &mut inc, EdgeUpdate::Insert(c1, d1));
+        assert!(delta.is_empty() && moved);
+        assert_eq!(rank_of(&inc, a1), 2.0);
+        // a1 and a2 both reach c1: both are re-ranked, nothing else is
+        assert_eq!(inc.stats().rerank_candidates - before, 2);
+    }
+
+    #[test]
+    fn a_deletion_that_splits_a_component_reranks_its_side() {
+        // output b: b1 ← a1 → x → b2 ← a2. Deleting x → b2 drops the arc
+        // a1 → b2 and splits {a1, b1, b2, a2} in two while M stands:
+        // f(b2) loses a1 (3/2 → 1), f(b1) keeps its 1
+        let q = PatternBuilder::new()
+            .node("a", Predicate::label("A"))
+            .node_output("b", Predicate::label("B"))
+            .edge("a", "b", Bound::hops(2))
+            .build()
+            .unwrap();
+        let mut g = DiGraph::new();
+        let [a1, a2, b1, b2, x] = ["A", "A", "B", "B", "X"].map(|l| g.add_node(l, []));
+        for (p, c) in [(a1, b1), (a1, x), (x, b2), (a2, b2)] {
+            g.add_edge(p, c);
+        }
+        let mut inc = IncrementalBoundedSim::new(&g, &q);
+        check_arcs(&g, &inc);
+        assert_eq!((rank_of(&inc, b1), rank_of(&inc, b2)), (1.0, 1.5));
+        let (delta, moved) = step(&mut g, &mut inc, EdgeUpdate::Delete(x, b2));
+        assert!(delta.is_empty() && moved);
+        assert_eq!((rank_of(&inc, b1), rank_of(&inc, b2)), (1.0, 1.0));
+        assert_eq!(
+            bits(inc.ranking()),
+            bits(&[b1, b2].map(|node| RankedMatch { node, rank: 1.0 }))
+        );
+    }
+
+    #[test]
+    fn dm_adding_a_chain_middle_flips_an_arc_no_source_repair_touches() {
+        // a →(1) b →(1) c: a1 is matched through b2 (two Cs), its stored
+        // arc to b1 is filtered out while b1 has no C. Inserting b1 → c1
+        // repairs only b1's own arcs — the ball of a bound-1 update is its
+        // tail — yet ΔM's (b, b1) lets a1 → b1 into G_r: f(a1) 5/3 → 8/5
+        let q = PatternBuilder::new()
+            .node_output("a", Predicate::label("A"))
+            .node("b", Predicate::label("B"))
+            .node("c", Predicate::label("C"))
+            .edge("a", "b", Bound::ONE)
+            .edge("b", "c", Bound::ONE)
+            .build()
+            .unwrap();
+        let mut g = DiGraph::new();
+        let [a1, b1, b2, c1, c2, c3] = ["A", "B", "B", "C", "C", "C"].map(|l| g.add_node(l, []));
+        for (p, c) in [(a1, b1), (a1, b2), (b2, c2), (b2, c3)] {
+            g.add_edge(p, c);
+        }
+        let mut inc = IncrementalBoundedSim::new(&g, &q);
+        check_arcs(&g, &inc);
+        assert_eq!(rank_of(&inc, a1), 5.0 / 3.0);
+        let repaired = inc.stats().repair_sources;
+        let (delta, moved) = step(&mut g, &mut inc, EdgeUpdate::Insert(b1, c1));
+        assert_eq!(delta.len(), 1, "only (b, b1) moves");
+        assert!(moved);
+        assert_eq!(inc.stats().repair_sources - repaired, 1, "b1 alone");
+        assert_eq!(rank_of(&inc, a1), 8.0 / 5.0);
+    }
+
+    #[test]
+    fn dm_of_a_member_that_only_witnesses_itself_moves_f_with_no_arc_changed() {
+        // x →(≤2) a →(1) a2, a and a2 both over `A`: v and w match a on
+        // their self-loops alone, so neither has an arc of its own. x1
+        // reaches v at 1 and w at 2. Deleting v's loop takes (a, v) out of
+        // M and the arc x1 → v out of G_r, yet changes no stored arc and
+        // dirties no source with one: ΔM's v is the search's only seed.
+        // f(x1) goes 3/2 → 2
+        let q = PatternBuilder::new()
+            .node_output("x", Predicate::label("X"))
+            .node("a", Predicate::label("A"))
+            .node("a2", Predicate::label("A"))
+            .edge("x", "a", Bound::hops(2))
+            .edge("a", "a2", Bound::ONE)
+            .build()
+            .unwrap();
+        let mut g = DiGraph::new();
+        let [x1, y, v, w] = ["X", "Y", "A", "A"].map(|l| g.add_node(l, []));
+        for (p, c) in [(x1, v), (x1, y), (y, w), (v, v), (w, w)] {
+            g.add_edge(p, c);
+        }
+        let mut inc = IncrementalBoundedSim::new(&g, &q);
+        check_arcs(&g, &inc);
+        assert_eq!(rank_of(&inc, x1), 1.5);
+        let arcs = inc.arcs();
+        let (delta, moved) = step(&mut g, &mut inc, EdgeUpdate::Delete(v, v));
+        assert_eq!(delta.len(), 1, "(a, v) alone leaves");
+        assert_eq!(inc.arcs(), arcs, "no stored arc changed");
+        assert!(moved);
+        assert_eq!(rank_of(&inc, x1), 2.0);
+    }
+
+    #[test]
+    fn a_collapse_flip_empties_the_ranking_and_refills_it() {
+        // a →(1) b, output b: b2 has no A, so it ranks +∞. Deleting a1 → b1
+        // empties sim(a) — the collapsed relation empties while sim(b)
+        // stands — and inserting it back refills every rank
+        let q = PatternBuilder::new()
+            .node("a", Predicate::label("A"))
+            .node_output("b", Predicate::label("B"))
+            .edge("a", "b", Bound::ONE)
+            .build()
+            .unwrap();
+        let mut g = DiGraph::new();
+        let [a1, b1, b2] = ["A", "B", "B"].map(|l| g.add_node(l, []));
+        g.add_edge(a1, b1);
+        let mut inc = IncrementalBoundedSim::new(&g, &q);
+        check_arcs(&g, &inc);
+        let full = bits(inc.ranking());
+        assert_eq!(
+            full,
+            bits(&[(b1, 1.0), (b2, f64::INFINITY)].map(|(node, rank)| RankedMatch { node, rank }))
+        );
+        let (_, moved) = step(&mut g, &mut inc, EdgeUpdate::Delete(a1, b1));
+        assert!(moved && inc.ranking().is_empty());
+        assert!(!inc.sim[1].is_empty(), "b's raw set stands");
+        let (_, moved) = step(&mut g, &mut inc, EdgeUpdate::Insert(a1, b1));
+        assert!(moved);
+        assert_eq!(bits(inc.ranking()), full);
+    }
+
+    #[test]
+    fn a_candidate_on_a_cycle_ranks_by_its_cycle() {
+        // a →(≤2) a2 over one label, output a: 0 → 1 → 2 → 0 puts every
+        // node on a cycle, each at 1 and 2 from the others both ways
+        let q = PatternBuilder::new()
+            .node_output("a", Predicate::label("A"))
+            .node("a2", Predicate::label("A"))
+            .edge("a", "a2", Bound::hops(2))
+            .build()
+            .unwrap();
+        let mut g = DiGraph::new();
+        let [n0, n1, n2] = ["A", "A", "A"].map(|l| g.add_node(l, []));
+        let mut inc = IncrementalBoundedSim::new(&g, &q);
+        for up in [(n0, n1), (n1, n2), (n2, n0)].map(|(a, b)| EdgeUpdate::Insert(a, b)) {
+            step(&mut g, &mut inc, up);
+        }
+        for v in [n0, n1, n2] {
+            assert_eq!(rank_of(&inc, v), 3.0, "(1 + 2 + 2 + 1) / 2");
+        }
+        // the chord 0 → 2 changes 0's and 2's distances, and 1's too
+        step(&mut g, &mut inc, EdgeUpdate::Insert(n0, n2));
+        step(&mut g, &mut inc, EdgeUpdate::Delete(n1, n2));
     }
 
     /// Seeded insert/delete streams of single-update batches, then of
-    /// three-update batches, checked after each, for the patterns `make`
-    /// draws over the labels `L0..L2`.
+    /// three-update batches, checked after each, for two patterns `make`
+    /// draws over the labels `L0..L2` and maintains side by side on one
+    /// graph, sharing one scratch.
     fn arcs_stream(seed: u64, make: impl Fn(&mut StdRng, &NodeSpec) -> Pattern) {
         let mut rng = StdRng::seed_from_u64(seed);
         let spec = NodeSpec::uniform(3, 4);
         for _ in 0..4 {
             let mut g = erdos_renyi(&mut rng, 24, 60, &spec);
-            let q = make(&mut rng, &spec);
-            let mut inc = IncrementalBoundedSim::new(&g, &q);
-            check_arcs(&g, &inc);
+            let mut incs = [(); 2].map(|_| IncrementalBoundedSim::new(&g, &make(&mut rng, &spec)));
+            for inc in &incs {
+                check_arcs(&g, inc);
+            }
             for up in random_updates(&mut rng, &g, 24, 0.5) {
-                step(&mut g, &mut inc, up);
+                assert!(g.apply(up), "{up} changes the graph");
+                for inc in &mut incs {
+                    inc.on_update(&g, up);
+                }
+                for inc in &mut incs {
+                    end(&g, inc);
+                    check_against_recompute(&g, inc);
+                    check_arcs(&g, inc);
+                }
             }
             for batch in random_updates(&mut rng, &g, 24, 0.5).chunks(3) {
-                apply_batch(&mut g, &mut inc, batch);
-                check_against_recompute(&g, &inc);
-                check_arcs(&g, &inc);
+                for &up in batch {
+                    if g.apply(up) {
+                        for inc in &mut incs {
+                            inc.on_update(&g, up);
+                        }
+                    }
+                }
+                for inc in &mut incs {
+                    end(&g, inc);
+                    check_against_recompute(&g, inc);
+                    check_arcs(&g, inc);
+                }
             }
         }
     }

@@ -26,16 +26,19 @@
 //! insertion revives the dead pattern node.
 //!
 //! Beside `M`, the maintainer keeps what ranking needs: the arcs of the
-//! result graph `G_r` over the raw sets, which [`Maintainer::repair_arcs`]
-//! brings up to date once per update batch, re-running the bounded BFS
-//! only of the sources the batch's affected balls and ΔM touched.
+//! result graph `G_r` over the raw sets, as per-node rows, and the
+//! ranking of the output node's matches by `f(u_o, v)`.
+//! [`IncrementalBoundedSim::end_batch`] brings both up to date once per
+//! update batch: it re-runs the bounded BFS only of the sources the
+//! batch's affected balls and ΔM touched, and re-ranks only the
+//! candidates a search of the rows connects to what changed.
 //!
 //! Exactness is enforced by differential tests: after every random update
 //! sequence the maintained relation must equal a from-scratch recompute.
 
 pub mod inc_bsim;
 
-pub use inc_bsim::IncrementalBoundedSim;
+pub use inc_bsim::{IncrementalBoundedSim, RerankScratch};
 
 use expfinder_graph::{EdgeUpdate, NodeId};
 use expfinder_pattern::PNodeId;
@@ -55,6 +58,8 @@ pub struct IncStats {
     pub tentative_pairs: usize,
     /// Sources whose `G_r` arcs a batch-end repair re-ran a BFS for.
     pub repair_sources: usize,
+    /// `f(u_o, v)` values a batch end recomputed.
+    pub rerank_candidates: usize,
 }
 
 impl IncStats {
@@ -64,6 +69,7 @@ impl IncStats {
         self.affected_nodes += other.affected_nodes;
         self.tentative_pairs += other.tentative_pairs;
         self.repair_sources += other.repair_sources;
+        self.rerank_candidates += other.rerank_candidates;
     }
 }
 
@@ -83,11 +89,6 @@ pub trait Maintainer {
     /// been applied to `g`. Returns the ΔM this update caused.
     fn on_update(&mut self, g: &expfinder_graph::DiGraph, update: EdgeUpdate) -> Vec<MatchDelta>;
 
-    /// End an update batch on `g`: bring the maintained `G_r` arcs in
-    /// line with every `on_update` since the last call. Returns whether
-    /// they changed.
-    fn repair_arcs(&mut self, g: &expfinder_graph::DiGraph) -> bool;
-
     /// The maintained relation, collapsed to paper semantics.
     fn current(&self) -> expfinder_core::MatchRelation;
 
@@ -100,12 +101,12 @@ pub trait Maintainer {
 }
 
 /// Apply a batch of updates to `g`, maintaining `m` along the way, then
-/// repair its `G_r` arcs once. Returns the combined ΔM (per-update deltas
-/// concatenated; a pair that flips twice appears twice, faithfully
-/// recording the history).
-pub fn apply_batch<M: Maintainer>(
+/// end the batch once on a fresh [`RerankScratch`]. Returns the combined
+/// ΔM (per-update deltas concatenated; a pair that flips twice appears
+/// twice, faithfully recording the history).
+pub fn apply_batch(
     g: &mut expfinder_graph::DiGraph,
-    m: &mut M,
+    m: &mut IncrementalBoundedSim,
     updates: &[EdgeUpdate],
 ) -> Vec<MatchDelta> {
     let mut all = Vec::new();
@@ -114,7 +115,7 @@ pub fn apply_batch<M: Maintainer>(
             all.extend(m.on_update(g, up));
         }
     }
-    m.repair_arcs(g);
+    m.end_batch(g, &mut RerankScratch::default());
     all
 }
 

@@ -15,16 +15,18 @@ field of the counters document (``BENCH_counters.json``, written by the
   outputs of a seeded workload: workload labels, graph sizes, update
   counts, match-pair counts, result-equality flags, and of
   ``gr_maintain``: the maintained ``G_r`` ``arcs``, the
-  ``full_build_sources`` a build per batch would BFS, and the
-  ``registered_build_visits`` of a ranked registered read (0: it runs no
-  BFS). A mismatch means the benchmark is no longer measuring the same
+  ``full_build_sources`` a build per batch would BFS, the
+  ``full_rank_candidates`` a full re-rank per batch would compute, and
+  the ``registered_build_visits`` of a ranked registered read (0: it
+  builds nothing). A mismatch means the benchmark is no longer measuring the same
   computation.
 * **deterministic counters** (blocking beyond the threshold) —
   evaluation-work counters (``bfs_nodes_visited``, ``refreshes``,
   ``removals``, ``index_misses``, the result-graph build's
   ``build_visits``, the ranking kernel's ``settled``, ``relaxed``,
   ``pushes`` and the incremental maintainer's ``affected_nodes``,
-  ``tentative_pairs`` and ``repair_sources`` are worse when higher; ``index_hits``
+  ``tentative_pairs``, ``repair_sources`` and ``rerank_candidates`` are
+  worse when higher; ``index_hits``
   and ``refreshes_skipped`` are worse when lower). These are exact
   functions of the algorithm, so a >25% regression is a real algorithmic
   regression, not runner noise.
@@ -53,6 +55,7 @@ EQUAL_KEYS = {
     "updates",
     "arcs",
     "full_build_sources",
+    "full_rank_candidates",
     "registered_build_visits",
 }
 HIGHER_IS_WORSE = {
@@ -67,6 +70,7 @@ HIGHER_IS_WORSE = {
     "affected_nodes",
     "tentative_pairs",
     "repair_sources",
+    "rerank_candidates",
 }
 LOWER_IS_WORSE = {"index_hits", "refreshes_skipped"}
 # machine-shape fields: neither comparable nor interesting

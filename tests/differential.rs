@@ -449,11 +449,19 @@ impl Harness {
         resp.expect("no fuse, no 408")
     }
 
-    /// Every registered pattern, read ranked through the cache-and-
-    /// registered route on both facades.
+    /// Every registered pattern, read ranked on both facades through the
+    /// cache-and-registered route, on `Direct`, and as the slots of one
+    /// `/batch` at k = 2 and one at k = 64 — every way a read reaches the
+    /// maintained ranking.
     fn read_registered(&self) {
+        let k = TOP_K[2].unwrap();
         for q in self.model.registered.values() {
-            self.ranked(q, Route::Auto, TOP_K[2].unwrap());
+            self.ranked(q, Route::Auto, k);
+            self.ranked(q, Route::Direct, k);
+        }
+        let registered: Vec<Pattern> = self.model.registered.values().cloned().collect();
+        for k in [2, k] {
+            self.batch(&registered, Route::Auto, Some(k), usize::MAX);
         }
     }
 
@@ -1267,6 +1275,91 @@ fn registered_arcs_follow_the_sources_dm_adds_and_removes() {
     assert_eq!(experts, [(NodeId(9), 1.5)], "9 → 10 at 1, 9 → 11 at 2");
     h.update(&[EdgeUpdate::Delete(NodeId(10), NodeId(11))]);
     assert!(h.ranked(&chain, Route::Auto, 10).experts.is_empty());
+    h.agree();
+}
+
+/// A registered pattern's ranking is re-ranked on the write side, only
+/// where a batch can have moved it. On `a →(≤2) b →(≤2) c →(≤2) d` over
+/// the chain a1 → b1 → c1 → x → d1, inserting c1 → d1 leaves `M` as it
+/// is and changes one `G_r` arc two hops from the only candidate a1,
+/// whose rank goes 7/3 → 2 while the list's order cannot change; the
+/// deletion takes it back.
+#[test]
+fn registered_ranks_follow_an_arc_two_hops_from_the_candidate() {
+    let q = PatternBuilder::new()
+        .node_output("a", Predicate::label("A"))
+        .node("b", Predicate::label("B"))
+        .node("c", Predicate::label("C"))
+        .node("d", Predicate::label("D"))
+        .edge("a", "b", Bound::hops(2))
+        .edge("b", "c", Bound::hops(2))
+        .edge("c", "d", Bound::hops(2))
+        .build()
+        .unwrap();
+    let mut g = DiGraph::new();
+    let [a1, b1, c1, x, d1] = ["A", "B", "C", "X", "D"].map(|l| g.add_node(l, []));
+    for (p, c) in [(a1, b1), (b1, c1), (c1, x), (x, d1)] {
+        g.add_edge(p, c);
+    }
+    let mut h = Harness::new(g, ExecConfig::sequential());
+    h.register("chain", &q);
+    let rank = |h: &Harness| {
+        let resp = h.ranked(&q, Route::Auto, 10);
+        assert_eq!(resp.plan.chosen, PlanRoute::Registered);
+        let experts: Vec<(NodeId, f64)> = resp.experts.iter().map(|x| (x.node, x.rank)).collect();
+        h.read_registered();
+        experts
+    };
+    assert_eq!(rank(&h), [(a1, 7.0 / 3.0)]);
+    h.update(&[EdgeUpdate::Insert(c1, d1)]);
+    assert_eq!(rank(&h), [(a1, 2.0)]);
+    h.update(&[EdgeUpdate::Delete(c1, d1)]);
+    assert_eq!(rank(&h), [(a1, 7.0 / 3.0)]);
+    h.agree();
+}
+
+/// A registered pattern with no output node ranks as an unregistered
+/// one: `top_k` 0 and 2, on the cache route and on `Direct`, on both
+/// facades, refuse with the same error before and after the
+/// registration — the maintained (empty) ranking never answers.
+#[test]
+fn a_registered_pattern_without_an_output_node_ranks_as_an_unregistered_one() {
+    let headless = PatternBuilder::new()
+        .node("x", Predicate::label("A"))
+        .node("y", Predicate::label("B"))
+        .edge("x", "y", Bound::hops(2))
+        .build()
+        .unwrap();
+    let mut h = Harness::new(
+        abc_graph(&[(0, 1), (3, 5), (5, 4)]),
+        ExecConfig::sequential(),
+    );
+    let outcomes = |h: &Harness| {
+        let mut out = Vec::new();
+        for (c, hd) in h.reads() {
+            for prefer in [Route::Auto, Route::Direct] {
+                for k in [0, 2] {
+                    let read = run(c, hd, &headless, prefer, Some(k), None, None);
+                    out.push(format!("{:?}", read.map(|r| r.experts)));
+                }
+            }
+        }
+        out
+    };
+    let unregistered = outcomes(&h);
+    assert!(
+        unregistered.iter().all(|o| o.contains("NoOutputNode")),
+        "{unregistered:?}"
+    );
+    h.register("headless", &headless);
+    assert_eq!(outcomes(&h), unregistered);
+    let [(c, hd), _] = h.reads();
+    let view = c.latest(hd).unwrap();
+    assert!(view
+        .registered(&headless.fingerprint())
+        .unwrap()
+        .ranking()
+        .is_empty());
     h.agree();
 }
 
