@@ -18,8 +18,9 @@
 //!
 //! Boundaries are counted per plan arming, so a scripted op sequence
 //! crosses the same numbered boundaries on every run — the property the
-//! `chaos_smoke` torture harness builds on: run the script once armed
-//! with an empty plan to count boundaries, then crash at each one.
+//! root package's differential harness (`tests/differential.rs`) builds
+//! on: run a script once armed with an empty plan to count boundaries,
+//! then crash at each one.
 
 use parking_lot::Mutex;
 use std::fs::File;
@@ -152,18 +153,20 @@ pub fn is_simulated_crash(e: &io::Error) -> bool {
         .is_some_and(|inner| inner.is::<SimulatedCrash>())
 }
 
-/// Cumulative fault-injection activity — the `engine.faults` block of
-/// `GET /metrics`. Boundary counters only advance while a plan is
-/// armed, so a production server exports all zeros.
+/// Fault-injection activity — the `engine.faults` block of
+/// `GET /metrics`. Only `injected` is cumulative: the boundary counters
+/// count since the last [`FaultInjector::arm`], which resets them to
+/// zero, and only advance while a plan is armed, so a production server
+/// exports all zeros.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultTotals {
     /// Faults fired since the injector was created.
     pub injected: u64,
-    /// Write boundaries crossed while armed.
+    /// Write boundaries crossed since the last arming.
     pub writes: u64,
-    /// Fsync boundaries crossed while armed.
+    /// Fsync boundaries crossed since the last arming.
     pub fsyncs: u64,
-    /// Rename boundaries crossed while armed.
+    /// Rename boundaries crossed since the last arming.
     pub renames: u64,
 }
 
@@ -229,7 +232,8 @@ impl FaultInjector {
         self.state.lock().log.clone()
     }
 
-    /// Cumulative totals (the `engine.faults` metrics block).
+    /// The `engine.faults` metrics block: faults fired since creation,
+    /// boundaries crossed since the last arming.
     pub fn totals(&self) -> FaultTotals {
         let st = self.state.lock();
         FaultTotals {

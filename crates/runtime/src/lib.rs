@@ -440,8 +440,9 @@ impl DurableExpFinder {
         self.wal_counters.totals()
     }
 
-    /// Cumulative fault-injection activity (`engine.faults` in
-    /// `/metrics`); all zeros unless a test harness armed a plan.
+    /// Fault-injection activity (`engine.faults` in `/metrics`): see
+    /// [`FaultTotals`] for which counts are cumulative; all zeros
+    /// unless a test armed a plan.
     pub fn fault_totals(&self) -> FaultTotals {
         self.faults.totals()
     }

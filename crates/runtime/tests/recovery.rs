@@ -1,15 +1,20 @@
 //! Crash-recovery tests for [`DurableExpFinder`]: a runtime that goes
 //! away without writing any snapshot must come back — via WAL replay —
 //! to a state whose query answers are **bit-identical** to an in-memory
-//! oracle that applied the same updates. (The out-of-process `kill -9`
-//! variant lives in the server crate's `recovery_smoke` binary; these
-//! tests cover the same replay machinery in-process.)
+//! oracle that applied the same updates. A torn final frame is cut off
+//! the file in place, a failed fsync seals the log until a reopen, and a
+//! snapshot's bytes are fsynced before the rename that publishes them.
+//! (A simulated crash at every I/O boundary of a durable write is the
+//! root package's differential harness, `tests/differential.rs`; the
+//! out-of-process `kill -9` of `serve` is the repo benchmark's smoke
+//! run, which restarts both durable workloads and checks the recovered
+//! answers against the naive oracle.)
 
 use expfinder_engine::Route;
 use expfinder_graph::generate::{collaboration, random_updates, CollabConfig};
 use expfinder_graph::{DiGraph, EdgeUpdate};
 use expfinder_pattern::fixtures::demo_queries;
-use expfinder_runtime::{DurableExpFinder, FsyncPolicy, RuntimeConfig};
+use expfinder_runtime::{DurableExpFinder, FaultKind, FaultPlan, FsyncPolicy, IoOp, RuntimeConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
@@ -25,6 +30,22 @@ fn config() -> RuntimeConfig {
         fsync: FsyncPolicy::Never,
         ..RuntimeConfig::default()
     }
+}
+
+fn fsync_always() -> RuntimeConfig {
+    RuntimeConfig {
+        fsync: FsyncPolicy::Always,
+        ..RuntimeConfig::default()
+    }
+}
+
+/// `base` with every update of `batches` applied.
+fn applied(base: &DiGraph, batches: &[&[EdgeUpdate]]) -> DiGraph {
+    let mut g = base.clone();
+    for &up in batches.iter().copied().flatten() {
+        g.apply(up);
+    }
+    g
 }
 
 fn collab(seed: u64) -> DiGraph {
@@ -118,6 +139,13 @@ fn torn_final_frame_is_dropped_and_the_rest_recovers() {
     let totals = rt.wal_totals();
     assert_eq!(totals.truncated_tails, 1, "torn tail must be detected");
     assert_eq!(totals.replayed_frames, batches.len() as u64 - 1);
+    // the repair is on disk: the next append starts on a frame boundary
+    let repaired = std::fs::metadata(&wal_path).unwrap().len();
+    assert!(
+        repaired < bytes.len() as u64,
+        "torn tail left in place: {repaired} bytes, torn file was {}",
+        bytes.len()
+    );
 
     // oracle state: everything except the torn final batch
     let mut oracle = base;
@@ -173,8 +201,6 @@ fn snapshot_mid_stream_keeps_replay_convergent() {
 /// oracle checks still pass, and recovery after restart is exact.
 #[test]
 fn injected_enospc_mid_run_keeps_recovery_exact() {
-    use expfinder_runtime::{FaultKind, FaultPlan};
-
     let dir = tmpdir("enospc");
     let base = collab(51);
     let updates = random_updates(&mut StdRng::seed_from_u64(52), &base, 40, 0.5);
@@ -219,6 +245,73 @@ fn injected_enospc_mid_run_keeps_recovery_exact() {
         oracle.apply(up);
     }
     assert_queries_match_oracle(&rt, "c", &oracle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A failed fsync seals the log: the append whose fsync failed errors,
+/// and so does every later one, with the sealed error — whether the
+/// frame reached the disk is unknowable, so the writer never acks again.
+/// A reopen recovers exactly the acknowledged prefix and takes appends
+/// again.
+#[test]
+fn a_failed_fsync_seals_the_log_until_a_reopen() {
+    let dir = tmpdir("seal");
+    let base = collab(61);
+    let updates = random_updates(&mut StdRng::seed_from_u64(62), &base, 18, 0.5);
+    let batches: Vec<&[EdgeUpdate]> = updates.chunks(6).collect();
+
+    {
+        let rt = DurableExpFinder::open(&dir, fsync_always()).unwrap();
+        rt.add_graph("c", base.clone()).unwrap();
+        // the second append's fsync fails
+        let plan = FaultPlan::new().fail_nth(IoOp::Fsync, 1, FaultKind::Eio);
+        rt.fault_injector().arm(plan);
+        rt.apply_updates("c", batches[0]).unwrap();
+        assert!(rt.apply_updates("c", batches[1]).is_err());
+        let refused = rt.apply_updates("c", batches[2]).unwrap_err();
+        assert!(refused.to_string().contains("sealed"), "{refused}");
+        assert_eq!(rt.fault_totals().injected, 1);
+    }
+
+    let rt = DurableExpFinder::open(&dir, fsync_always()).unwrap();
+    assert_eq!(rt.wal_totals().replayed_frames, 1);
+    assert_queries_match_oracle(&rt, "c", &applied(&base, &batches[..1]));
+    rt.apply_updates("c", batches[2]).unwrap();
+    drop(rt);
+    let rt = DurableExpFinder::open(&dir, fsync_always()).unwrap();
+    assert_eq!(rt.wal_totals().replayed_frames, 2);
+    assert_queries_match_oracle(&rt, "c", &applied(&base, &[batches[0], batches[2]]));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The I/O a snapshot and a compaction cross, in order. A rename
+/// publishes only bytes an fsync has made durable, and an fsync of the
+/// directory makes the rename itself durable. An in-process crash loses
+/// no page cache, so no crash sweep can see a rename that overtakes its
+/// fsync: the order is asserted here.
+#[test]
+fn snapshot_and_compaction_fsync_before_they_rename() {
+    use IoOp::{Fsync, Rename, Write};
+
+    let dir = tmpdir("order");
+    let rt = DurableExpFinder::open(&dir, fsync_always()).unwrap();
+    rt.add_graph("c", collab(71)).unwrap();
+    let (name, q) = demo_queries().remove(0);
+    rt.register_query("c", &name, q).unwrap();
+    let faults = rt.fault_injector();
+    faults.arm(FaultPlan::new());
+    rt.snapshot("c").unwrap();
+    // .efg body, its fsync, the rename, the directory's fsync
+    assert_eq!(faults.op_log(), [Write, Fsync, Rename, Fsync]);
+    faults.arm(FaultPlan::new());
+    rt.compact("c").unwrap();
+    // the snapshot, then the new log: header, one register record, its
+    // fsync, the rename over the old log, the directory's fsync
+    let swap = [Write, Write, Fsync, Rename, Fsync];
+    assert_eq!(
+        faults.op_log(),
+        [&[Write, Fsync, Rename, Fsync][..], &swap].concat()
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

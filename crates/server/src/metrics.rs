@@ -328,8 +328,9 @@ impl Metrics {
     /// visible without attaching a profiler. The durability block
     /// (`engine.wal`) is always present so dashboards see one schema —
     /// an in-memory backend exports zeroes — as are the
-    /// fault-injection counters (`engine.faults`, zero unless a chaos
-    /// harness armed the injector) and the load-shedding counter
+    /// fault-injection counters (`engine.faults`, zero unless a test
+    /// armed the injector; `injected` accumulates, while the boundary
+    /// counts restart at zero with each arming) and the load-shedding counter
     /// (`server.shed`). `subscriptions`
     /// is the push-streaming gauge block built by the server's
     /// subscription hub (live subscribers, frames pushed, slow-consumer

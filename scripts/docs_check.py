@@ -47,7 +47,11 @@ package) or a target one of them declares or auto-discovers — so a PR
 that deletes a binary or a test suite cannot leave a command that runs
 it. In the same docs, every backticked path ending in `.rs` must exist,
 resolved from the repo root or from crates/ — so a deleted source or
-test file cannot stay cited.
+test file cannot stay cited. Every backticked `just NAME` there, and
+every dependency of the justfile's `verify:` recipe, must name a recipe
+the justfile declares — so a deleted recipe cannot stay named either
+(there is no `just` binary to run them offline, so nothing else would
+notice).
 
 And the module paths README.md and docs/*.md name: every backticked
 lowercase path `crate::x` (`core::rank`, `expfinder_graph::reach_index`,
@@ -354,6 +358,46 @@ def check_doc_targets():
     return missing, checked + paths
 
 
+JUSTFILE = ROOT / "justfile"
+# a recipe header: its name, its parameters (`*flags=""`), then `:` (not
+# `:=`) and its dependencies
+RECIPE = re.compile(
+    r"^([A-Za-z_][\w-]*)(?:\s+[*+$]?[\w-]+(?:=\"[^\"]*\"|='[^']*'|=[\w-]+)?)*\s*:(?!=)(.*)$",
+    re.M,
+)
+# a backticked `just NAME …` command
+JUST_COMMAND = re.compile(r"`just ([A-Za-z_][\w-]*)[^`]*`")
+
+
+def check_just_recipes():
+    """`file:line: …` for every backticked `just NAME` in the checked docs
+    and every dependency of `verify:` that names no recipe of the
+    justfile, and the number of distinct names checked."""
+    text = JUSTFILE.read_text()
+    recipes = {m.group(1): m.group(2).split() for m in RECIPE.finditer(text)}
+    missing = [
+        f"justfile: `verify` depends on `{dep}`, which is no recipe"
+        for dep in recipes.get("verify", [])
+        if dep not in recipes
+    ]
+    if "verify" not in recipes:
+        missing.append("justfile: no `verify` recipe; update scripts/docs_check.py")
+    named = set()
+    docs = sorted({f for pattern in TARGET_DOCS for f in ROOT.glob(pattern)})
+    for doc in docs:
+        doc_text = doc.read_text()
+        for m in JUST_COMMAND.finditer(doc_text):
+            named.add(m.group(1))
+            if m.group(1) not in recipes:
+                missing.append(f"{at(doc, doc_text, m)}: `just {m.group(1)}` names no recipe")
+    if len(named) < 5:
+        missing.append(
+            f"only {len(named)} `just` recipes named in {TARGET_DOCS}; "
+            "update scripts/docs_check.py"
+        )
+    return missing, len(named | set(recipes.get("verify", [])))
+
+
 MODULE_DOCS = ["README.md", "docs/*.md"]
 # a lowercase-led `a::b[::c…]` path, not the tail of a longer path
 MODULE_PATH = re.compile(r"(?<![\w:])([a-z_][a-z0-9_]*(?:::[A-Za-z_][A-Za-z0-9_]*)+)")
@@ -527,13 +571,16 @@ def main() -> int:
     target_missing, n_targets = check_doc_targets()
     for msg in target_missing:
         print(f"docs-check: {msg}", file=sys.stderr)
+    recipe_missing, n_recipes = check_just_recipes()
+    for msg in recipe_missing:
+        print(f"docs-check: {msg}", file=sys.stderr)
     path_missing, n_paths = check_module_paths()
     for msg in path_missing:
         print(f"docs-check: {msg}", file=sys.stderr)
     oracle_missing, n_release = check_oracle_callers()
     for msg in oracle_missing:
         print(f"docs-check: {msg}", file=sys.stderr)
-    failed = [missing, variant_missing, metrics_missing, ident_missing, target_missing]
+    failed = [missing, variant_missing, metrics_missing, ident_missing, target_missing, recipe_missing]
     if any(failed) or path_missing or oracle_missing:
         return 1
     print(
@@ -542,7 +589,8 @@ def main() -> int:
         f"docs/PROTOCOL.md; {n_idents} type and member names in "
         "docs/ARCHITECTURE.md, all declared under crates/*/src; "
         f"{n_targets} package/target flags and `.rs` paths in the docs, all "
-        f"naming live targets and files; {n_paths} module paths, all resolving "
+        f"naming live targets and files; {n_recipes} `just` recipes named, all "
+        f"declared in the justfile; {n_paths} module paths, all resolving "
         f"under crates/*/src; {n_release} release source files, none calling "
         "a `core::naive` oracle"
     )

@@ -23,29 +23,54 @@
 //! * `Compress` / `DropCompression`;
 //! * `Hold` keeps both facades' latest snapshot, which must answer for
 //!   its own version after every later write;
-//! * `Compact`; `RemoveReadd` removes the graph and adds one under the
-//!   same name (fresh id, every old handle stale);
+//! * `Snapshot` rewrites the durable side's `.efg`; `Compact` also swaps
+//!   its log for one holding only the live registrations; `RemoveReadd`
+//!   removes the graph and adds one under the same name (fresh id, every
+//!   old handle stale);
 //! * `Restart` reopens the durable side and rebuilds the in-memory side
-//!   from the model, so both come back cold; `Crash` crashes the durable
-//!   side at its next WAL append, then restarts: the acked batches
-//!   survive and the crashed one does not;
+//!   from the model, so both come back cold;
+//! * `Crash { at, class, torn }` arms a simulated crash at the `at`-th
+//!   I/O boundary of class [`CRASH_CLASSES`]`[class]` (a write, an fsync,
+//!   a rename, or any), leaving `torn` bytes of a crashed write behind.
+//!   It fires inside whichever later durable write reaches that boundary
+//!   — an update, a registration, a snapshot or a compaction — and is
+//!   judged as below;
 //! * `Vertex` adds nodes and writes attributes on a copy of the model
 //!   graph only (the facades take edge updates only), which resets the
 //!   graph's label index.
 //!
-//! Each case draws `threads` ∈ {1, 2}; its graph is padded with isolated
-//! nodes so that the planner takes `snapshot_parallel` at two threads.
-//! After every step both facades agree with each other on everything a
-//! client sees: answers, plans, versions, update reports and hook frames,
-//! catalog and handle state, and the cache, planner, rank and index
-//! counters. They also agree with the model. At every model version
-//! [`check_every_request`] runs every way of calling `core::evaluate`.
+//! Each case draws `threads` ∈ {1, 2} and the durable side's `fsync` ∈
+//! {`Never`, `Always`}, so that fsync boundaries are reachable; its graph
+//! is padded with isolated nodes so that the planner takes
+//! `snapshot_parallel` at two threads. After every step both facades
+//! agree with each other on everything a client sees: answers, plans,
+//! versions, update reports and hook frames, catalog and handle state,
+//! and the cache, planner, rank and index counters. They also agree with
+//! the model. At every model version [`check_every_request`] runs every
+//! way of calling `core::evaluate`.
 //!
 //! The judges: `M(Q,G)` under simulation, bounded and dual simulation,
 //! and the raw fixpoint the incremental module persists, are
 //! `core::naive`'s. A ranked answer must equal `reference_rank` bit for
 //! bit. No check takes `bounded_simulation`, `top_k` or `evaluate` as its
 //! own truth.
+//!
+//! A crash is judged the same way wherever it fires: the crashed write
+//! returns [`CRASH_MARKER`] and the durable side has pushed no hook frame
+//! for it; the harness reopens the directory as `Restart` does, and the
+//! recovered graph and registered set must be the model's before the
+//! write (`S_a`) or after it (`S_{a+1}`, when the crashed record reached
+//! the log whole). The model takes the write only in the second case; the
+//! in-memory side is rebuilt from the model, and the registered results
+//! are held to `core::naive` as after every step. A crash still armed at
+//! the next `Restart`, `AddSide` or `RemoveReadd`, or at the end of the
+//! script, is disarmed and counted as unfired: the writes of
+//! `add_graph` and `remove_graph` never crash here, because
+//! `crates/runtime/tests/fault_props.rs` sweeps a fault over every
+//! boundary they cross, and a crash between a remove and its re-add
+//! would recover a state the model never held. The last case asserts
+//! that crashes fired at a write, an fsync and a rename, and that both
+//! `S_a` and `S_{a+1}` were recovered.
 //!
 //! A failing case is shrunk: ops are dropped one at a time while the
 //! script still fails. The minimal case is printed as a test to paste
@@ -56,7 +81,9 @@
 //! Fixed scenarios ride along: the ranked-answer slot's exact
 //! `RankTotals`, a registered `G_r` that follows the sources ΔM adds and
 //! removes, the quotient's `index_totals`, the exhaustive Fig. 1 fuse
-//! walk, and the Fig. 1 pattern on every taken route.
+//! walk, the Fig. 1 pattern on every taken route, and one durable script
+//! under `FsyncPolicy::Always` crashed at every I/O boundary it crosses,
+//! and at every write again with torn bytes, each crash judged as above.
 
 use expfinder::compress::CompressionMethod;
 use expfinder::core::bsim::bounded_fixpoint_raw;
@@ -72,9 +99,11 @@ use expfinder::engine::{
 use expfinder::graph::fixtures::collaboration_fig1;
 use expfinder::graph::{BitSet, CsrGraph, DiGraph, EdgeUpdate, GraphView, NodeId};
 use expfinder::pattern::fixtures::fig1_pattern;
-use expfinder::pattern::{Bound, Pattern, PatternBuilder, Predicate};
-use expfinder::runtime::faults::CRASH_MARKER;
-use expfinder::runtime::{CancelToken, DurableExpFinder, FaultPlan, FsyncPolicy, RuntimeConfig};
+use expfinder::pattern::{parser, Bound, Pattern, PatternBuilder, Predicate};
+use expfinder::runtime::faults::{Fault, CRASH_MARKER};
+use expfinder::runtime::{
+    CancelToken, DurableExpFinder, FaultKind, FaultPlan, FsyncPolicy, IoOp, RuntimeConfig,
+};
 use proptest::prelude::*;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -100,6 +129,15 @@ const CASES: u32 = 48;
 /// The `route` and `top_k` operands of `Query` and `Batch`.
 const ROUTES: [Route; 3] = [Route::Auto, Route::Direct, Route::Compressed];
 const TOP_K: [Option<usize>; 3] = [None, Some(2), Some(64)];
+
+/// The `class` operand of `Crash`: the boundary class it counts, `None`
+/// for every boundary.
+const CRASH_CLASSES: [Option<IoOp>; 4] = [
+    Some(IoOp::Write),
+    Some(IoOp::Fsync),
+    Some(IoOp::Rename),
+    None,
+];
 
 // ---------------------------------------------------------------------
 // every way of calling `core::evaluate`
@@ -219,9 +257,9 @@ fn engine_config(exec: ExecConfig) -> EngineConfig {
     }
 }
 
-fn runtime_config(exec: ExecConfig) -> RuntimeConfig {
+fn runtime_config(exec: ExecConfig, fsync: FsyncPolicy) -> RuntimeConfig {
     RuntimeConfig {
-        fsync: FsyncPolicy::Never,
+        fsync,
         engine: engine_config(exec),
         ..RuntimeConfig::default()
     }
@@ -306,10 +344,18 @@ struct Model {
     held: Vec<Held>,
 }
 
+/// What a restart must bring back of `g`: the graph and its standing
+/// queries.
+type Acked = (DiGraph, BTreeMap<String, Pattern>);
+
 impl Model {
     fn names(&self) -> Vec<String> {
         let side = self.side.as_ref().map(|_| "side".to_owned());
         std::iter::once("g".to_owned()).chain(side).collect()
+    }
+
+    fn acked(&self) -> Acked {
+        (self.g.clone(), self.registered.clone())
     }
 }
 
@@ -328,7 +374,11 @@ struct Harness {
     handles: [GraphHandle; 2],
     frames: [Frames; 2],
     exec: ExecConfig,
+    fsync: FsyncPolicy,
     model: Model,
+    /// After a write an armed crash fired in: what the model would hold
+    /// had the write been acked (`S_{a+1}`), until the restart judges it.
+    crashed: Option<Acked>,
     /// Dropped after `rt`, which holds files in it.
     dir: TempDir,
 }
@@ -354,8 +404,12 @@ fn attach(
 
 impl Harness {
     fn new(g: DiGraph, exec: ExecConfig) -> Harness {
+        Harness::with_fsync(g, exec, FsyncPolicy::Never)
+    }
+
+    fn with_fsync(g: DiGraph, exec: ExecConfig, fsync: FsyncPolicy) -> Harness {
         let dir = TempDir::new();
-        let rt = DurableExpFinder::open(&dir.0, runtime_config(exec)).unwrap();
+        let rt = DurableExpFinder::open(&dir.0, runtime_config(exec, fsync)).unwrap();
         rt.add_graph("g", g.clone()).unwrap();
         let model = Model {
             g,
@@ -372,7 +426,9 @@ impl Harness {
             handles,
             frames,
             exec,
+            fsync,
             model,
+            crashed: None,
             dir,
         }
     }
@@ -515,15 +571,45 @@ impl Harness {
         }
     }
 
+    /// One durable write on the runtime. `None` when an armed crash fired
+    /// in it: the write returned [`CRASH_MARKER`] and pushed no hook
+    /// frame, and `after` — what the model would hold had the write been
+    /// acked — waits for [`Harness::restart`] to judge the recovery.
+    fn durable<T>(
+        &mut self,
+        write: impl FnOnce(&DurableExpFinder) -> Result<T, ExpFinderError>,
+        after: impl FnOnce(&Model) -> Acked,
+    ) -> Option<Result<T, ExpFinderError>> {
+        let frames = self.frames[1].lock().unwrap().len();
+        match write(&self.rt) {
+            Err(e) if e.to_string().contains(CRASH_MARKER) => {
+                assert_eq!(self.frames[1].lock().unwrap().len(), frames, "no frame");
+                let at = self.rt.fault_injector().op_log().last().copied();
+                let class = CRASH_CLASSES.iter().position(|&c| c == at);
+                CRASHES.with(|t| t.borrow_mut().fired[class.expect("a boundary fired")] += 1);
+                self.crashed = Some(after(&self.model));
+                None
+            }
+            out => Some(out),
+        }
+    }
+
     /// One update batch through both write paths and the model: the same
-    /// report from both, and the same frame in both hooks.
+    /// report from both, and the same frame in both hooks. A crashed
+    /// batch leaves the model as it was.
     fn update(&mut self, batch: &[EdgeUpdate]) -> usize {
-        let applied = batch.iter().filter(|&&up| self.model.g.apply(up)).count();
-        self.model.applied += applied as u64;
+        let mut g = self.model.g.clone();
+        let applied = batch.iter().filter(|&&up| g.apply(up)).count();
         let a = self.engine.apply_updates_traced(&self.handles[0], batch);
-        let b = self.rt.apply_updates_traced("g", batch);
+        let b = self.durable(
+            |rt| rt.apply_updates_traced("g", batch),
+            |m| (g.clone(), m.registered.clone()),
+        );
+        let Some(b) = b else { return 0 };
         let (a, b) = (a.unwrap(), b.unwrap());
         assert_eq!(a, b);
+        self.model.g = g;
+        self.model.applied += applied as u64;
         let model = (applied, batch.len(), self.model.g.version());
         assert_eq!((a.applied, a.attempted, a.graph_version), model);
         let frames = self.frames[0].lock().unwrap();
@@ -565,17 +651,70 @@ impl Harness {
         let a = self
             .engine
             .register_query(&self.handles[0], name, q.clone());
-        let b = self.rt.register_query("g", name, q.clone());
-        if Self::both(a, b) {
+        let b = self.durable(
+            |rt| rt.register_query("g", name, q.clone()),
+            |m| {
+                let (g, mut registered) = m.acked();
+                registered.insert(name.to_owned(), q.clone());
+                (g, registered)
+            },
+        );
+        if b.is_some_and(|b| Self::both(a, b)) {
             self.model.registered.insert(name.to_owned(), q.clone());
         }
     }
 
     fn unregister(&mut self, name: &str) {
         let a = self.engine.unregister_query(&self.handles[0], name);
-        let b = self.rt.unregister_query("g", name);
-        if Self::both(a, b) {
+        let b = self.durable(
+            |rt| rt.unregister_query("g", name),
+            |m| {
+                let (g, mut registered) = m.acked();
+                registered.remove(name);
+                (g, registered)
+            },
+        );
+        if b.is_some_and(|b| Self::both(a, b)) {
             self.model.registered.remove(name);
+        }
+    }
+
+    /// Rewrite the durable side's `.efg`; the model does not move.
+    fn snapshot(&mut self) {
+        if let Some(out) = self.durable(|rt| rt.snapshot("g"), Model::acked) {
+            out.unwrap();
+        }
+    }
+
+    /// Fold the durable side's log into its `.efg`; the model does not
+    /// move.
+    fn compact(&mut self) {
+        if let Some(out) = self.durable(|rt| rt.compact("g"), Model::acked) {
+            out.unwrap();
+        }
+    }
+
+    /// Arm a simulated crash at the `at`-th boundary of `class`, leaving
+    /// `torn` bytes of a crashed write; a crash armed before it is
+    /// counted as unfired.
+    fn arm_crash(&mut self, at: u64, class: Option<IoOp>, torn: usize) {
+        self.disarm_crash();
+        self.rt.fault_injector().arm(FaultPlan {
+            faults: vec![Fault {
+                op: class,
+                nth: at,
+                partial: Some(torn),
+                kind: FaultKind::Crash,
+            }],
+        });
+    }
+
+    /// Disarm a crash that has not fired, and count it.
+    fn disarm_crash(&mut self) {
+        let faults = self.rt.fault_injector();
+        if faults.is_armed() {
+            faults.disarm();
+            CRASHES.with(|t| t.borrow_mut().unfired += 1);
         }
     }
 
@@ -593,6 +732,7 @@ impl Harness {
     }
 
     fn add_side(&mut self, side: &DiGraph) {
+        self.disarm_crash();
         let a = self.engine.add_graph("side", side.clone());
         let b = self.rt.add_graph("side", side.clone());
         assert_eq!(Self::both(a, b), self.model.side.is_none());
@@ -620,6 +760,7 @@ impl Harness {
     /// old handles are stale on every read, the name lists nothing in
     /// between, and the new graph has a fresh id.
     fn remove_and_readd(&mut self, reborn: DiGraph, q: &Pattern) {
+        self.disarm_crash();
         let old = self.handles.clone();
         self.engine.remove_graph(&old[0]).unwrap();
         self.rt.remove_graph("g").unwrap();
@@ -659,19 +800,49 @@ impl Harness {
     /// from the model: every graph comes back as acked (its version
     /// renumbered), the registered queries too, compression does not
     /// (it is session state), and no handle from before addresses either.
-    fn restart(self) -> Harness {
+    /// After a crash, `g` and its registered set come back as the model
+    /// holds them (`S_a`) or as the crashed write would have left them
+    /// (`S_{a+1}`), and the model follows.
+    fn restart(mut self) -> Harness {
+        if self.crashed.is_none() {
+            self.disarm_crash();
+        }
         let Harness {
             engine,
             rt,
             handles: old,
             exec,
+            fsync,
             mut model,
+            crashed,
             dir,
             ..
         } = self;
         drop((engine, rt));
-        let rt = DurableExpFinder::open(&dir.0, runtime_config(exec)).unwrap();
+        let rt = DurableExpFinder::open(&dir.0, runtime_config(exec, fsync)).unwrap();
         assert_eq!(rt.graph_names(), model.names());
+        if let Some(after) = crashed {
+            let h = rt.handle("g").unwrap();
+            let got = (
+                rt.read_graph(&h, text).unwrap(),
+                rt.registered_queries(&h).unwrap(),
+            );
+            let state = |(g, registered): &Acked| (text(g), registered.keys().cloned().collect());
+            let (before, next) = (state(&model.acked()), state(&after));
+            CRASHES.with(|t| {
+                let t = &mut *t.borrow_mut();
+                let seen = match (before == next, got == before) {
+                    (true, _) => &mut t.neutral,
+                    (false, true) => &mut t.before,
+                    (false, false) => &mut t.after,
+                };
+                *seen += 1;
+            });
+            if got != before {
+                assert_eq!(got, next, "recovered neither S_a nor S_a+1");
+                (model.g, model.registered) = after;
+            }
+        }
         let recovered = |name: &str, want: &DiGraph| {
             let got = rt.read_graph(&rt.handle(name).unwrap(), DiGraph::clone);
             let got = got.unwrap();
@@ -695,22 +866,11 @@ impl Harness {
             handles,
             frames,
             exec,
+            fsync,
             model,
+            crashed: None,
             dir,
         }
-    }
-
-    /// Crash the durable side at its next WAL append — `torn` bytes of
-    /// the frame reach the file — then restart: the crashed batch was
-    /// never acked, so neither the model nor the in-memory side has it.
-    fn crash(self, batch: &[EdgeUpdate], torn: usize) -> Harness {
-        let frames = self.frames[1].lock().unwrap().len();
-        let faults = self.rt.fault_injector();
-        faults.arm(FaultPlan::new().crash_at_partial(0, torn));
-        let err = self.rt.apply_updates("g", batch).unwrap_err();
-        assert!(err.to_string().contains(CRASH_MARKER), "{err}");
-        assert_eq!(self.frames[1].lock().unwrap().len(), frames, "no frame");
-        self.restart()
     }
 
     /// `engine.rank` — the same on both facades, or the two read paths
@@ -862,14 +1022,17 @@ enum Op {
     Compress,
     DropCompression,
     Hold,
+    Snapshot,
     Compact,
     /// Re-add the case graph with its first `keep` edges.
     RemoveReadd {
         keep: u8,
     },
     Restart,
+    /// `class` indexes [`CRASH_CLASSES`].
     Crash {
-        batch: Vec<(bool, u8, u8)>,
+        at: u8,
+        class: u8,
         torn: u8,
     },
     Vertex(Vec<VertexOp>),
@@ -888,14 +1051,24 @@ fn op() -> impl Strategy<Value = Op> {
             fuse,
         })
     };
+    let register = || (0u8..2, 0u8..3).prop_map(|(name, pattern)| Op::Register { name, pattern });
+    let unregister = || (0u8..2).prop_map(|name| Op::Unregister { name });
+    // a small `at`, so that the armed crash usually fires in the script;
+    // a short frame may reach the file whole before the crash (`S_{a+1}`)
+    let crash = || {
+        let at = prop_oneof![Just(0u8), 0u8..3];
+        (at, 0u8..4, 0u8..96).prop_map(|(at, class, torn)| Op::Crash { at, class, torn })
+    };
     prop_oneof![
         Just(Op::AddSide),
         edges().prop_map(Op::Update),
         edges().prop_map(Op::Update),
         edges().prop_map(Op::Update),
         Just(Op::NoopUpdate),
-        (0u8..2, 0u8..3).prop_map(|(name, pattern)| Op::Register { name, pattern }),
-        (0u8..2).prop_map(|name| Op::Unregister { name }),
+        register(),
+        register(),
+        unregister(),
+        unregister(),
         query(),
         query(),
         query(),
@@ -905,10 +1078,13 @@ fn op() -> impl Strategy<Value = Op> {
         Just(Op::Compress),
         Just(Op::DropCompression),
         Just(Op::Hold),
+        Just(Op::Snapshot),
         Just(Op::Compact),
         (0u8..40).prop_map(|keep| Op::RemoveReadd { keep }),
         Just(Op::Restart),
-        (edges(), 0u8..48).prop_map(|(batch, torn)| Op::Crash { batch, torn }),
+        crash(),
+        crash(),
+        crash(),
         vertex_ops().prop_map(Op::Vertex),
     ]
 }
@@ -919,6 +1095,7 @@ struct Case {
     graph: RawGraph,
     patterns: Vec<RawPattern>,
     threads: usize,
+    fsync: FsyncPolicy,
     script: Vec<Op>,
 }
 
@@ -931,19 +1108,44 @@ thread_local! {
 /// case run.
 static BOUND_ONE_REGISTRATIONS: AtomicUsize = AtomicUsize::new(0);
 
-/// Run `case`'s script on both facades and the model.
-fn run_case(case: &Case) {
-    let base = build_graph(&case.graph);
-    let real = base.node_count() as u32;
+/// The crashes armed on one test thread, and how they ended.
+#[derive(Debug, Default)]
+struct Crashes {
+    /// Fired, by the class of the boundary they fired at: write, fsync,
+    /// rename.
+    fired: [usize; 3],
+    /// Disarmed before any write reached their boundary.
+    unfired: usize,
+    /// Recovered the state before the crashed write (`S_a`) / the state
+    /// after it (`S_{a+1}`), where the two differ.
+    before: usize,
+    after: usize,
+    /// Recovered from a write that moves no state (a snapshot, a
+    /// compaction, a no-op batch).
+    neutral: usize,
+}
+
+thread_local! {
+    static CRASHES: RefCell<Crashes> = RefCell::default();
+}
+
+/// An `Update` operand as edge updates over the first `nodes` nodes.
+fn edge_updates(batch: &[(bool, u8, u8)], nodes: u32) -> Vec<EdgeUpdate> {
     let edge = |&(insert, a, b): &(bool, u8, u8)| {
-        let (a, b) = (NodeId(a as u32 % real), NodeId(b as u32 % real));
+        let (a, b) = (NodeId(a as u32 % nodes), NodeId(b as u32 % nodes));
         if insert {
             EdgeUpdate::Insert(a, b)
         } else {
             EdgeUpdate::Delete(a, b)
         }
     };
-    let edges = |batch: &[(bool, u8, u8)]| batch.iter().map(edge).collect::<Vec<_>>();
+    batch.iter().map(edge).collect()
+}
+
+/// Run `case`'s script on both facades and the model.
+fn run_case(case: &Case) {
+    let base = build_graph(&case.graph);
+    let real = base.node_count() as u32;
     let mut patterns: Vec<Pattern> = case
         .patterns
         .iter()
@@ -952,11 +1154,12 @@ fn run_case(case: &Case) {
     patterns.push(patterns[0].as_simulation());
     let pattern = |i: u8| &patterns[i as usize % patterns.len()];
     let mut scratch = EvalScratch::new();
-    let mut h = Harness::new(
+    let mut h = Harness::with_fsync(
         padded(base.clone()),
         ExecConfig {
             threads: case.threads,
         },
+        case.fsync,
     );
     check_every_request(&h.model.g, pattern(0), &mut scratch);
     h.agree();
@@ -972,9 +1175,11 @@ fn run_case(case: &Case) {
                 // and every registered pattern read ranked at the new
                 // version, from the `G_r` arcs the batch repaired
                 h.query(q, Route::Direct, None, Fuse::None);
-                h.update(&edges(batch));
-                h.read_registered();
-                h.query(q, Route::Direct, None, Fuse::None);
+                h.update(&edge_updates(batch, real));
+                if h.crashed.is_none() {
+                    h.read_registered();
+                    h.query(q, Route::Direct, None, Fuse::None);
+                }
             }
             Op::NoopUpdate => h.noop_update(),
             Op::Register { name, pattern: p } => {
@@ -1005,16 +1210,18 @@ fn run_case(case: &Case) {
             Op::Compress => h.compress(),
             Op::DropCompression => h.drop_compression(),
             Op::Hold => h.hold(),
-            Op::Compact => {
-                h.rt.compact("g").unwrap();
-            }
+            Op::Snapshot => h.snapshot(),
+            Op::Compact => h.compact(),
             Op::RemoveReadd { keep } => {
                 let mut raw = case.graph.clone();
                 raw.edges.truncate(*keep as usize);
                 h.remove_and_readd(padded(build_graph(&raw)), q);
             }
             Op::Restart => h = h.restart(),
-            Op::Crash { batch, torn } => h = h.crash(&edges(batch), *torn as usize),
+            Op::Crash { at, class, torn } => {
+                let class = CRASH_CLASSES[*class as usize];
+                h.arm_crash(*at as u64, class, *torn as usize);
+            }
             Op::Vertex(ops) => {
                 // a copy of the model graph shares its vertex table and
                 // label index until its first write
@@ -1025,11 +1232,15 @@ fn run_case(case: &Case) {
                 check_every_request(&shadow, q, &mut scratch);
             }
         }
+        if h.crashed.is_some() {
+            h = h.restart();
+        }
         h.agree();
         if (h.handles[0].id(), h.model.g.version()) != version || matches!(op, Op::Vertex(_)) {
             check_every_request(&h.model.g, q, &mut scratch);
         }
     }
+    h.disarm_crash();
 }
 
 /// `case` as Rust source: `Debug` output with every sequence as `vec![..]`.
@@ -1042,10 +1253,11 @@ fn literal(case: &Case) -> String {
         .collect();
     format!(
         "Case {{\n        graph: {},\n        patterns: {},\n        threads: {},\n        \
-         script: vec![\n{script}        ],\n    }}",
+         fsync: FsyncPolicy::{:?},\n        script: vec![\n{script}        ],\n    }}",
         rust(&case.graph),
         rust(&case.patterns),
-        case.threads
+        case.threads,
+        case.fsync
     )
 }
 
@@ -1094,6 +1306,7 @@ proptest! {
         p0 in raw_pattern(),
         p1 in raw_pattern(),
         threads in 1usize..3,
+        fsync in proptest::bool::ANY,
         script in proptest::collection::vec(op(), 6..20),
     ) {
         static CASE: AtomicUsize = AtomicUsize::new(0);
@@ -1102,7 +1315,8 @@ proptest! {
         // updates move it and a stale answer shows
         let mut p1 = p1;
         p1.edges.truncate(1);
-        check_case(index, Case { graph, patterns: vec![p0, p1], threads, script });
+        let fsync = if fsync { FsyncPolicy::Always } else { FsyncPolicy::Never };
+        check_case(index, Case { graph, patterns: vec![p0, p1], threads, fsync, script });
         if index + 1 == CASES as usize {
             let taken = TAKEN.with(|t| t.borrow().clone());
             let all = ["cache", "compressed", "registered", "snapshot", "snapshot_parallel"];
@@ -1110,6 +1324,10 @@ proptest! {
             let bound_one = BOUND_ONE_REGISTRATIONS.load(Ordering::Relaxed);
             eprintln!("all-bound-1 registrations over {CASES} cases: {bound_one}");
             prop_assert!(bound_one > 0, "no case registered a plain-simulation pattern");
+            let crashes = CRASHES.with(RefCell::take);
+            eprintln!("crashes over {CASES} cases: {crashes:?}");
+            prop_assert!(crashes.fired.iter().all(|&n| n > 0), "a boundary class never crashed");
+            prop_assert!(crashes.before > 0 && crashes.after > 0, "S_a or S_a+1 never recovered");
         }
     }
 }
@@ -1517,4 +1735,110 @@ fn fig1_answers_alike_on_every_taken_route_of_both_facades() {
         "snapshot_parallel",
     ];
     assert_eq!(taken, BTreeSet::from(all));
+}
+
+// ---------------------------------------------------------------------
+// every boundary of one durable script
+// ---------------------------------------------------------------------
+
+/// The second pattern the durable script registers: the senior developers.
+const SENIOR_DEVELOPERS: &str = "node sd where label = \"SD\" and experience >= 2;";
+
+/// Edge batches around a registration of the paper's Fig. 1 team query
+/// (`q1`), a snapshot, a second registration (`q2`), a compaction and the
+/// unregistration of `q1`. Every third edge deletes the one inserted two
+/// before it, so that most batches move the graph.
+fn durable_script() -> Vec<Op> {
+    let pair = |i: u8| (i.wrapping_mul(37) ^ 11, i.wrapping_mul(91) ^ 29);
+    let edge = |i: u8| match i % 3 {
+        0 => (false, pair(i - 2)),
+        _ => (true, pair(i)),
+    };
+    let mut edges = (1u8..).map(edge).map(|(insert, (a, b))| (insert, a, b));
+    let mut updates = |count: usize| -> Vec<Op> {
+        let batch = |_| Op::Update(edges.by_ref().take(2).collect());
+        (0..count).map(batch).collect()
+    };
+    let register = |name, pattern| vec![Op::Register { name, pattern }];
+    [
+        updates(4),
+        register(1, 0),
+        updates(3),
+        vec![Op::Snapshot],
+        updates(3),
+        register(2, 1),
+        vec![Op::Compact],
+        updates(4),
+        vec![Op::Unregister { name: 1 }],
+        updates(2),
+    ]
+    .concat()
+}
+
+/// The durable script under `FsyncPolicy::Always`, crashed at every I/O
+/// boundary it crosses and at every write again with 3 torn bytes. A
+/// census run, armed with an empty plan, counts the boundaries; each
+/// crash run stops at the write the crash fires in, and the restart
+/// judges it as in the op-script property.
+#[test]
+fn every_boundary_of_one_script_recovers() {
+    let fig1 = collaboration_fig1().graph;
+    let nodes = fig1.node_count() as u32;
+    let patterns = [fig1_pattern(), parser::parse(SENIOR_DEVELOPERS).unwrap()];
+    let script = durable_script();
+    // the script with `plan` armed from its first op: the boundaries it
+    // crossed, or `None` when a crash fired and recovered
+    let run = |plan: FaultPlan| {
+        let sequential = ExecConfig::sequential();
+        let mut h = Harness::with_fsync(fig1.clone(), sequential, FsyncPolicy::Always);
+        h.rt.fault_injector().arm(plan);
+        for op in &script {
+            match op {
+                Op::Update(batch) => {
+                    h.update(&edge_updates(batch, nodes));
+                }
+                Op::Register { name, pattern } => {
+                    h.register(&format!("q{name}"), &patterns[*pattern as usize])
+                }
+                Op::Unregister { name } => h.unregister(&format!("q{name}")),
+                Op::Snapshot => h.snapshot(),
+                Op::Compact => h.compact(),
+                other => unreachable!("{other:?}"),
+            }
+            if h.crashed.is_some() {
+                h.restart().agree();
+                return None;
+            }
+        }
+        h.agree();
+        Some(h.rt.fault_injector().op_log())
+    };
+
+    let census = run(FaultPlan::new()).expect("an empty plan fires nothing");
+    let count = |class| census.iter().filter(|&&op| op == class).count();
+    let (writes, fsyncs, renames) = (count(IoOp::Write), count(IoOp::Fsync), count(IoOp::Rename));
+    eprintln!(
+        "durable script: {} boundaries ({writes} writes, {fsyncs} fsyncs, {renames} renames)",
+        census.len()
+    );
+    assert!(census.len() >= 50, "only {} boundaries", census.len());
+
+    let mut plans: Vec<FaultPlan> = (0..census.len() as u64)
+        .map(|k| FaultPlan::new().crash_at(k))
+        .collect();
+    let torn = census
+        .iter()
+        .enumerate()
+        .filter(|(_, &op)| op == IoOp::Write);
+    plans.extend(torn.map(|(k, _)| FaultPlan::new().crash_at_partial(k as u64, 3)));
+    let points = plans.len();
+    for plan in plans {
+        let at = plan.faults[0];
+        assert!(run(plan).is_none(), "{at:?} never fired");
+    }
+    let crashes = CRASHES.with(RefCell::take);
+    eprintln!("{points} crash points: {crashes:?}");
+    assert_eq!(crashes.fired.iter().sum::<usize>(), points);
+    assert_eq!(crashes.before + crashes.after + crashes.neutral, points);
+    assert!(crashes.before > 0 && crashes.after > 0, "{crashes:?}");
 }
