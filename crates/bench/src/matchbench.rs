@@ -17,7 +17,10 @@
 //!   ranking kernel's work counters ([`RankScratch::work`]).
 //! * **`match_warm_index`** — the same frontier path without and with the
 //!   per-version reach index, cold (first query on a version) and warm
-//!   (queries 2..N).
+//!   (queries 2..N); and one row read once per version of a seeded update
+//!   stream on an index whose bounded entries each batch carried and
+//!   repaired ([`ReachCarry`]): `repair_visits` against the
+//!   `rebuild_visits` of sweeping every carried entry again per batch.
 //! * **`match_bound1`** — plain simulation: the `match_frontier` patterns
 //!   with every bound set to 1, evaluated by the one bounded kernel and
 //!   maintained by [`IncrementalBoundedSim`] over a seeded update stream
@@ -48,7 +51,8 @@ use expfinder_core::{
 };
 use expfinder_graph::generate::random_updates;
 use expfinder_graph::json::Value;
-use expfinder_graph::{DiGraph, GraphView};
+use expfinder_graph::reach_index::{class_reach_sweep, ReachCarry};
+use expfinder_graph::{BitSet, DiGraph, GraphView};
 use expfinder_incremental::{IncrementalBoundedSim, Maintainer, RerankScratch};
 use expfinder_pattern::{Bound, Pattern, PatternBuilder, Predicate};
 use rand::rngs::StdRng;
@@ -460,7 +464,100 @@ fn warm_workloads(collab: &DiGraph, twitter: &DiGraph) -> Vec<Value> {
             &twitter_chain_pattern(),
         ),
         bench_warm_workload("collab", "team_star", collab, &collab_team_star_pattern()),
+        bench_carried_workload("collab", collab),
     ]
+}
+
+/// Edge updates in the carried-index stream, applied [`CARRY_BATCH`] at
+/// a time.
+const CARRY_UPDATES: usize = 48;
+const CARRY_BATCH: usize = 4;
+
+/// The carried-index row of `match_warm_index`: [`collab_team_star_pattern`]
+/// and its `sa → sd` edge alone, unbounded, are read once per graph
+/// version of a seeded update stream, on the index that version's writer
+/// handed on — the bounded entries of the previous version's index,
+/// carried and repaired after every update by [`ReachCarry`], as the
+/// engine's write path does. `repair_visits` is the repairs' work,
+/// `rebuild_visits` the work of sweeping every carried entry again per
+/// batch instead; `shared` / `repaired` / `dropped` count the entries at
+/// the handoffs. After every batch each carried entry must equal a fresh
+/// [`class_reach_sweep`], distances included, both reads must equal
+/// naive's, and the only entry a read builds is the unbounded one.
+fn bench_carried_workload(name: &str, graph: &DiGraph) -> Value {
+    let star = collab_team_star_pattern();
+    let unbounded = PatternBuilder::new()
+        .node_output("sa", Predicate::label("SA"))
+        .node("sd", Predicate::label("SD"))
+        .edge("sa", "sd", Bound::Unbounded)
+        .build()
+        .expect("valid pattern");
+    let mut g = graph.clone();
+    let stream = random_updates(&mut StdRng::seed_from_u64(SEED), &g, CARRY_UPDATES, 0.5);
+    let mut scratch = EvalScratch::new();
+    let mut read = |g: &DiGraph, idx: &ReachIndex| {
+        [&star, &unbounded].into_iter().all(|q| {
+            let bound = idx.bind(g);
+            let (m, _) = bounded_simulation_indexed(g, q, EvalOptions, &mut scratch, Some(&bound));
+            m == naive_bounded_simulation(g, q)
+        })
+    };
+    let mut idx = ReachIndex::new(g.version());
+    let mut identical = read(&g, &idx);
+    let mut carry = ReachCarry::default();
+    let (mut rebuild_visits, mut repair_t) = (0, Duration::ZERO);
+    for batch in stream.chunks(CARRY_BATCH) {
+        let (_, t) = time(|| {
+            carry.begin(&idx);
+            for &up in batch {
+                if g.apply(up) {
+                    carry.on_update(&g, up);
+                }
+            }
+        });
+        repair_t += t;
+        for ((label, depth, dir), reach, dist) in carry.entries() {
+            let class = g.nodes_with_label(label).expect("a carried label");
+            let (mut want, mut want_dist) = (BitSet::new(g.node_count()), Vec::new());
+            rebuild_visits +=
+                class_reach_sweep(&g, class, depth, dir, &mut want, Some(&mut want_dist));
+            identical &= *reach == want && dist == want_dist;
+        }
+        let built = idx.counters().built();
+        idx = carry.successor(g.version(), &idx);
+        identical &= read(&g, &idx) && idx.counters().built() == built + 1;
+    }
+    assert!(
+        identical,
+        "{name}: a carried reach entry diverged from a fresh sweep"
+    );
+    let stats = carry.stats();
+    println!(
+        "{name:>10} {:>14} | {} batches: repair visits {} vs {} by rebuilds | \
+         shared {} repaired {} dropped {} | repair {}",
+        "carried",
+        stream.len().div_ceil(CARRY_BATCH),
+        stats.repair_visits,
+        rebuild_visits,
+        stats.shared,
+        stats.repaired,
+        stats.dropped,
+        fmt_dur(repair_t),
+    );
+    obj(vec![
+        ("name", Value::Str(name.to_owned())),
+        ("pattern", Value::Str("team_star_carried".to_owned())),
+        ("nodes", Value::Int(graph.node_count() as i64)),
+        ("edges", Value::Int(graph.edge_count() as i64)),
+        ("updates", Value::Int(stream.len() as i64)),
+        ("repair_visits", Value::Int(stats.repair_visits as i64)),
+        ("rebuild_visits", Value::Int(rebuild_visits as i64)),
+        ("shared", Value::Int(stats.shared as i64)),
+        ("repaired", Value::Int(stats.repaired as i64)),
+        ("dropped", Value::Int(stats.dropped as i64)),
+        ("repair_ms", ms(repair_t)),
+        ("results_identical", Value::Bool(identical)),
+    ])
 }
 
 /// Edge updates in each `match_bound1` maintenance stream.
@@ -713,7 +810,8 @@ mod tests {
         }
 
         let warm = doc.field("match_warm_index").unwrap().as_array().unwrap();
-        assert_eq!(warm.len(), 3);
+        assert_eq!(warm.len(), 4);
+        let (warm, carried) = warm.split_at(3);
         for w in warm {
             assert!(w.field("results_identical").unwrap().as_bool().unwrap());
             assert!(w.field("warm_speedup").unwrap().as_f64().unwrap() > 0.0);
@@ -751,6 +849,15 @@ mod tests {
             assert!(int(w, "rerank_candidates") > 0);
             assert!(10 * int(w, "rerank_candidates") < int(w, "full_rank_candidates"));
         }
+        // every carried entry is handed on at every batch: repaired far
+        // cheaper than rebuilt, or shared; the unbounded one is dropped
+        let c = &carried[0];
+        assert!(c.field("results_identical").unwrap().as_bool().unwrap());
+        let batches = (CARRY_UPDATES / CARRY_BATCH) as i64;
+        assert_eq!(int(c, "shared") + int(c, "repaired"), 3 * batches);
+        assert_eq!(int(c, "dropped"), batches);
+        assert!(int(c, "repaired") > 0 && int(c, "repair_visits") > 0);
+        assert!(10 * int(c, "repair_visits") < int(c, "rebuild_visits"));
         // the fully class-seeded star skips the BFS entirely on warm runs
         let star = &warm[0];
         assert_eq!(

@@ -474,15 +474,22 @@ pub struct RankTotals {
 
 /// Point-in-time reach-index totals across every managed graph, from
 /// [`Catalog::index_totals`] — the `engine.index` block of
-/// `GET /metrics`. `hits`/`misses` are cumulative across the engine's
-/// lifetime (they survive per-version invalidation); `entries`/`bytes`
-/// are live gauges over the currently held indexes.
+/// `GET /metrics`. `hits`/`misses`/`built`/`carried` are cumulative
+/// across the engine's lifetime (they survive version changes and graph
+/// removals); `entries`/`bytes` are live gauges over the indexes of the
+/// latest snapshots.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct IndexTotals {
-    /// Class-seeded first refreshes served from an index entry.
+    /// First refreshes whose seed set was still an unshrunk label class,
+    /// served from an index entry (warm or built on the spot).
     pub hits: u64,
-    /// First refreshes that consulted a provider but ran the BFS.
+    /// First refreshes that consulted a provider but ran the BFS: their
+    /// seed set had shrunk, or was never a pure label class.
     pub misses: u64,
+    /// Entries built by a full sweep.
+    pub built: u64,
+    /// Entries handed to a new graph version, shared or repaired.
+    pub carried: u64,
     /// Memoized entries currently held across all graphs.
     pub entries: usize,
     /// Bytes retained by those entries.
@@ -779,7 +786,8 @@ impl ExpFinder {
             return Err(ExpFinderError::DuplicateGraph(name.to_owned()));
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let published = PublishedGraph::new(id, core.graph());
+        let counters = Arc::clone(self.read.index_counters());
+        let published = PublishedGraph::new(id, core.graph(), counters);
         core.publish(&published);
         let slot = Arc::new(GraphSlot {
             id,
@@ -1568,7 +1576,7 @@ mod tests {
     }
 
     #[test]
-    fn reach_index_warms_and_invalidates_across_versions() {
+    fn reach_index_warms_and_is_carried_across_versions() {
         use expfinder_pattern::{Bound, PatternBuilder, Predicate};
         let f = collaboration_fig1();
         let e = ExpFinder::new(EngineConfig {
@@ -1604,11 +1612,12 @@ mod tests {
         assert!(t2.hits > t1.hits);
         assert_eq!(t2.entries, t1.entries, "no duplicate entries on reuse");
 
-        // an update moves the version: the stale index must never serve
-        // the new graph — answers match a from-scratch engine
+        // an update moves the version: the entries are carried into the
+        // new version's index, repaired, and must serve the new graph
+        // exactly — answers match a from-scratch engine
         e.apply_updates(&h, &[EdgeUpdate::Insert(f.e1.0, f.e1.1)])
             .unwrap();
-        let after = run(); // first read of the new version: a fresh index
+        let after = run(); // first read of the new version: warm
         let fresh = ExpFinder::new(EngineConfig {
             exec: ExecConfig::sequential(),
             ..EngineConfig::default()
@@ -1620,12 +1629,15 @@ mod tests {
             .prefer(Route::Direct)
             .run()
             .unwrap();
-        assert_eq!(*after.matches, *expect.matches, "index invalidated");
+        assert_eq!(*after.matches, *expect.matches, "carried entries repaired");
         let t3 = e.index_totals();
         assert!(t3.hits > t2.hits);
+        assert_eq!(t1.built, t1.entries as u64, "one build per entry");
+        assert_eq!(t3.carried, t1.entries as u64, "every bounded entry carried");
+        assert_eq!(t3.built, t1.built, "the new version built nothing");
         assert_eq!(
             t3.entries, t1.entries,
-            "old version's entries were dropped, not accumulated"
+            "old version's entries were replaced, not accumulated"
         );
     }
 

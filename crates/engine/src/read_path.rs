@@ -21,6 +21,7 @@ use expfinder_core::{
     EvalStats, MatchError, MatchRelation, RankScratch, RankedMatch, ResultGraph, ScratchPool,
     Semantics,
 };
+use expfinder_graph::reach_index::IndexCounters;
 use expfinder_pattern::Pattern;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -109,6 +110,8 @@ pub struct ReadPath {
     rank_totals: RankCounters,
     eval_totals: EvalTotals,
     cancel_totals: CancelCounters,
+    /// What every reach index of every graph counts into.
+    index_counters: Arc<IndexCounters>,
 }
 
 impl ReadPath {
@@ -121,7 +124,14 @@ impl ReadPath {
             rank_totals: RankCounters::default(),
             eval_totals: EvalTotals::default(),
             cancel_totals: CancelCounters::default(),
+            index_counters: Arc::default(),
         }
+    }
+
+    /// The counters a graph's reach indexes count into, handed to each
+    /// graph the catalog adds.
+    pub fn index_counters(&self) -> &Arc<IndexCounters> {
+        &self.index_counters
     }
 
     /// Answer one query against the snapshot `resolve` hands out: routing,
@@ -466,13 +476,16 @@ impl ReadPath {
             .map_or(f64::INFINITY, |c| c.cost)
     }
 
-    /// Reach-index totals: cumulative hits/misses plus live entry/byte
-    /// gauges summed over the indexes (direct and quotient) `states`
-    /// hold — the `engine.index` block of `GET /metrics`.
+    /// Reach-index totals: cumulative hits/misses and built/carried
+    /// entries, plus live entry/byte gauges summed over the indexes
+    /// (direct and quotient) `states` hold — the `engine.index` block of
+    /// `GET /metrics`.
     pub fn index_totals(&self, states: impl IntoIterator<Item = Arc<Snapshot>>) -> IndexTotals {
         let mut totals = IndexTotals {
             hits: self.eval_totals.index_hits.load(Ordering::Relaxed),
             misses: self.eval_totals.index_misses.load(Ordering::Relaxed),
+            built: self.index_counters.built(),
+            carried: self.index_counters.carried(),
             entries: 0,
             bytes: 0,
         };

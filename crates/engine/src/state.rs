@@ -25,6 +25,7 @@ use crate::{ExpFinderError, GraphInfo, RegisteredDelta, UpdateReport};
 use expfinder_compress::maintain::MaintainedCompression;
 use expfinder_compress::{CompressStats, CompressedGraph, CompressionMethod};
 use expfinder_core::{MatchRelation, RankedMatch};
+use expfinder_graph::reach_index::{IndexCounters, ReachCarry};
 use expfinder_graph::{DiGraph, EdgeUpdate, GraphView, ReachIndex};
 use expfinder_incremental::{IncrementalBoundedSim, Maintainer, RerankScratch};
 use expfinder_pattern::Pattern;
@@ -34,10 +35,13 @@ use std::sync::Arc;
 
 /// What reads build lazily for one graph version and then share: the
 /// reach indexes over the snapshot's graph and over the quotient (entries
-/// fill on first use). One value serves exactly one version — a publish
-/// at a new version starts a fresh one, and a publish that rebuilt or
-/// dropped the quotient swaps in a fresh quotient index, which can happen
-/// without a version bump — so nothing in it is ever stale.
+/// fill on first use). One value describes exactly one version, so
+/// nothing in it is ever stale. A publish at a new version starts a new
+/// one whose graph index holds the previous version's bounded entries,
+/// repaired update by update by the writer ([`ReachCarry`]), and whose
+/// quotient index is empty; a publish that rebuilt or dropped the
+/// quotient swaps in an empty quotient index, which can happen without a
+/// version bump.
 pub struct Derived {
     version: u64,
     pub(crate) reach: Arc<ReachIndex>,
@@ -45,11 +49,15 @@ pub struct Derived {
 }
 
 impl Derived {
-    pub fn new(version: u64) -> Derived {
+    /// `reach` as the graph index, and an empty quotient index counting
+    /// into the same counters.
+    pub fn new(reach: ReachIndex) -> Derived {
+        let version = reach.version();
+        let quotient_reach = ReachIndex::counting(version, Arc::clone(reach.counters()));
         Derived {
             version,
-            reach: Arc::new(ReachIndex::new(version)),
-            quotient_reach: Arc::new(ReachIndex::new(version)),
+            reach: Arc::new(reach),
+            quotient_reach: Arc::new(quotient_reach),
         }
     }
 
@@ -63,7 +71,10 @@ impl Derived {
         Derived {
             version: self.version,
             reach: Arc::clone(&self.reach),
-            quotient_reach: Arc::new(ReachIndex::new(self.version)),
+            quotient_reach: Arc::new(ReachIndex::counting(
+                self.version,
+                Arc::clone(self.reach.counters()),
+            )),
         }
     }
 }
@@ -178,13 +189,17 @@ pub struct PublishedGraph {
 
 impl PublishedGraph {
     /// A slot holding `graph` as its first snapshot: no registered
-    /// queries, no quotient, a fresh [`CostProfile`].
-    pub fn new(id: u64, graph: &DiGraph) -> PublishedGraph {
+    /// queries, no quotient, a fresh [`CostProfile`], and reach indexes
+    /// counting into `counters`.
+    pub fn new(id: u64, graph: &DiGraph, counters: Arc<IndexCounters>) -> PublishedGraph {
         let first = Snapshot {
             id,
             profile: Arc::new(CostProfile::default()),
             graph: graph.clone(),
-            derived: Arc::new(Derived::new(graph.version())),
+            derived: Arc::new(Derived::new(ReachIndex::counting(
+                graph.version(),
+                counters,
+            ))),
             compressed: None,
             registered: Vec::new(),
         };
@@ -237,6 +252,11 @@ pub struct MaintainedGraph {
     registered: BTreeMap<Arc<str>, RegisteredQuery>,
     /// What every registered query's batch end searches and ranks with.
     rerank: RerankScratch,
+    /// The graph reach index of the snapshot this graph last published,
+    /// which readers fill; the next batch carries its bounded entries.
+    reach: Option<Arc<ReachIndex>>,
+    /// Those entries, repaired after every update until the next publish.
+    carry: ReachCarry,
     unpublished: Unpublished,
 }
 
@@ -247,6 +267,8 @@ impl MaintainedGraph {
             compressed: None,
             registered: BTreeMap::new(),
             rerank: RerankScratch::default(),
+            reach: None,
+            carry: ReachCarry::default(),
             unpublished: Unpublished::Nothing,
         }
     }
@@ -268,12 +290,13 @@ impl MaintainedGraph {
         self.unpublished = self.unpublished.max(change);
     }
 
-    /// Apply edge updates, maintaining the quotient and every registered
-    /// query along the way (duplicates and no-ops are skipped), then end
-    /// the batch once for every registered query: its `G_r` arcs are
-    /// repaired and its moved candidates re-ranked. `trace` additionally sizes every registered query's
-    /// maintained result before and after (counted in place) — the ΔM
-    /// report.
+    /// Apply edge updates, maintaining the quotient, every registered
+    /// query and the carried reach-index entries along the way
+    /// (duplicates and no-ops are skipped), then end the batch once for
+    /// every registered query: its `G_r` arcs are repaired and its moved
+    /// candidates re-ranked. `trace` additionally sizes every registered
+    /// query's maintained result before and after (counted in place) —
+    /// the ΔM report.
     pub fn apply(
         &mut self,
         updates: &[EdgeUpdate],
@@ -287,12 +310,21 @@ impl MaintainedGraph {
                 after_pairs: 0,
             }));
         }
+        let version = self.graph.version();
+        match &self.reach {
+            // the last published index, with whatever readers filled in
+            Some(reach) if reach.version() == version => self.carry.begin(reach),
+            // a batch before this one was not published yet: go on with it
+            _ if self.carry.version() == Some(version) => {}
+            _ => self.carry.clear(),
+        }
         let mut applied = 0usize;
         for &up in updates {
             if !self.graph.apply(up) {
                 continue;
             }
             applied += 1;
+            self.carry.on_update(&self.graph, up);
             if let Some(mc) = self.compressed.as_mut() {
                 mc.on_update(&self.graph, up);
             }
@@ -382,11 +414,12 @@ impl MaintainedGraph {
     }
 
     /// Swap a fresh immutable snapshot into `slot` — the one publish rule
-    /// of both facades. A new graph version gets a fresh [`Derived`]; an
-    /// unchanged one keeps the previous snapshot's (registered set
-    /// changed) or only swaps its quotient reach index (quotient built,
-    /// rebuilt or dropped); and when nothing changed at all, nothing is
-    /// published. Publishing costs `O(|ΔG|)`, not `O(|G|)`: the
+    /// of both facades. A new graph version gets a new [`Derived`], whose
+    /// graph index starts with the entries the batch carried and
+    /// repaired; an unchanged one keeps the previous snapshot's
+    /// (registered set changed) or only swaps its quotient reach index
+    /// (quotient built, rebuilt or dropped); and when nothing changed at
+    /// all, nothing is published. Publishing costs `O(|ΔG|)`, not `O(|G|)`: the
     /// snapshot's graph is a clone that shares every adjacency chunk the
     /// batch did not touch, a registered relation whose batch ΔM was
     /// empty is the previous snapshot's `Arc`, and so is a registered
@@ -404,10 +437,14 @@ impl MaintainedGraph {
             Some(Arc::new(mc.compressed().clone()))
         };
         let (derived, compressed) = if prev.version() != version {
-            (Arc::new(Derived::new(version)), quotient())
+            let reach = self.carry.successor(version, &prev.derived.reach);
+            (Arc::new(Derived::new(reach)), quotient())
         } else {
             match unpublished {
-                Unpublished::Nothing => return,
+                Unpublished::Nothing => {
+                    self.reach = Some(Arc::clone(&prev.derived.reach));
+                    return;
+                }
                 Unpublished::Views => (Arc::clone(&prev.derived), prev.compressed.clone()),
                 Unpublished::Quotient => (
                     Arc::new(prev.derived.with_fresh_quotient_reach()),
@@ -431,6 +468,7 @@ impl MaintainedGraph {
                 }
             })
             .collect();
+        self.reach = Some(Arc::clone(&derived.reach));
         let next = Snapshot {
             id: prev.id,
             profile: Arc::clone(&prev.profile),

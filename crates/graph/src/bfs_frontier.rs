@@ -145,6 +145,27 @@ impl FrontierScratch {
         cancel: Option<&CancelToken>,
         out: &mut BitSet,
     ) -> usize {
+        self.traverse(g, seeds, depth, dir, allowed, cancel, out, None)
+    }
+
+    /// The traversal behind every public entry point. With `levels`, each
+    /// node's shortest non-empty path length is written to
+    /// `levels[node]` as it enters `out` (the level it is found at);
+    /// nothing else of `levels` is touched, and `depth` must then fit a
+    /// `u8`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn traverse<G: GraphView>(
+        &mut self,
+        g: &G,
+        seeds: &BitSet,
+        depth: u32,
+        dir: Direction,
+        allowed: Option<&BitSet>,
+        cancel: Option<&CancelToken>,
+        out: &mut BitSet,
+        mut levels: Option<&mut [u8]>,
+    ) -> usize {
+        debug_assert!(levels.is_none() || depth <= u8::MAX as u32);
         out.clear();
         if depth == 0 || seeds.is_empty() {
             return 0;
@@ -174,13 +195,20 @@ impl FrontierScratch {
                 None => n - out.count(),
             };
             let top_down = self.frontier_vec.len().saturating_mul(avg_deg) <= candidates;
+            // the path length of the nodes this level adds to `out`; read
+            // only with `levels`, whose `depth` fits a `u8`
+            let found_at = (level + 1) as u8;
             if top_down {
                 for &u in &self.frontier_vec {
                     for &w in dir.neighbors(g, u) {
                         if allowed.is_some_and(|a| !a.contains(w)) {
                             continue;
                         }
-                        out.insert(w);
+                        if out.insert(w) {
+                            if let Some(levels) = levels.as_deref_mut() {
+                                levels[w.index()] = found_at;
+                            }
+                        }
                         if self.visited.insert(w) {
                             visited_count += 1;
                             self.next.insert(w);
@@ -222,6 +250,11 @@ impl FrontierScratch {
                 // `out` could not be updated during the sweep (it defines
                 // the candidate set being swept); fold in the discoveries
                 // and split off the genuinely new nodes word-parallel.
+                if let Some(levels) = levels.as_deref_mut() {
+                    for w in self.next.iter() {
+                        levels[w.index()] = found_at;
+                    }
+                }
                 out.union_with(&self.next);
                 self.next.subtract(&self.visited);
                 visited_count += self.next.count();

@@ -12,10 +12,12 @@
 //!   sharing the graph's label → bitset candidate index; an alternative
 //!   substrate the matchers are tested and benchmarked on (the engine
 //!   evaluates on the `DiGraph` itself).
-//! * [`ReachIndex`] — a per-snapshot label-reachability memo (entries
+//! * [`ReachIndex`] — a per-version label-reachability memo (entries
 //!   keyed by `(label, bound, direction)`, built by pure bitset sweeps)
 //!   that lets the matching fixpoints skip class-seeded first-refresh
-//!   BFS runs entirely on warm graph versions.
+//!   BFS runs entirely; its bounded entries are carried into the next
+//!   version and repaired update by update
+//!   ([`ReachCarry`](reach_index::ReachCarry)).
 //! * Traversals: bounded (multi-source) BFS with reusable scratch space
 //!   ([`bfs`]), its level-synchronous direction-optimizing counterpart over
 //!   bitset frontiers ([`bfs_frontier`]), Dijkstra over a flat CSR-style

@@ -4,7 +4,8 @@
 use expfinder_graph::bfs::{BfsScratch, Direction};
 use expfinder_graph::bfs_frontier::FrontierScratch;
 use expfinder_graph::dijkstra::{DijkstraScratch, WeightedAdj, UNREACHABLE};
-use expfinder_graph::{BitSet, DiGraph, GraphView, NodeId};
+use expfinder_graph::reach_index::{class_reach_sweep, ReachCarry};
+use expfinder_graph::{BitSet, DiGraph, EdgeUpdate, GraphView, NodeId, ReachIndex};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -277,6 +278,80 @@ proptest! {
             &g, &s2, depth, Direction::Backward, Some(&r1), &mut restricted);
         prop_assert_eq!(&restricted, &unrestricted, "restriction changed the answer");
         prop_assert!(vr <= vu, "restriction increased work: {} > {}", vr, vu);
+    }
+
+    /// Every carried reach-index entry stays a fresh sweep's, bitset and
+    /// distances, after every update of a random insert/delete stream,
+    /// across handoffs to new versions at random points. Self-loops and
+    /// 2-cycles let a class member's own non-empty-path membership flip.
+    /// Unbounded entries are never carried.
+    #[test]
+    fn carried_reach_entries_equal_a_fresh_sweep(
+        n in 3usize..12,
+        labels in proptest::collection::vec(proptest::bool::ANY, 12),
+        edges in proptest::collection::vec((0u8..12, 0u8..12, proptest::bool::ANY), 0..30),
+        ops in proptest::collection::vec((proptest::bool::ANY, 0u8..12, 0u8..12, proptest::bool::ANY), 1..40),
+    ) {
+        let mut g = DiGraph::new();
+        for &a in &labels[..n] {
+            g.add_node(if a { "A" } else { "B" }, []);
+        }
+        let id = |i: u8| NodeId((i as usize % n) as u32);
+        for &(a, b, twin) in &edges {
+            g.add_edge(id(a), id(b));
+            if twin {
+                g.add_edge(id(b), id(a));
+            }
+        }
+        let syms: Vec<_> = ["A", "B"].iter().filter_map(|l| g.interner().get(l)).collect();
+        let dirs = [Direction::Forward, Direction::Backward];
+        // the first version builds bound 1 only; later ones add 2 and 3,
+        // which carried bound-1 entries of the same label must absorb
+        let fill = |idx: &ReachIndex, g: &DiGraph, depths: &[u32]| {
+            for &l in &syms {
+                for dir in dirs {
+                    for &depth in depths.iter().chain(&[u32::MAX]) {
+                        idx.entry(g, l, depth, dir);
+                    }
+                }
+            }
+        };
+        let classes = syms.iter().filter(|&&l| g.nodes_with_label(l).is_some()).count();
+        let mut bounded = classes * 2;
+        let mut idx = ReachIndex::new(g.version());
+        fill(&idx, &g, &[1]);
+        let mut carry = ReachCarry::default();
+        carry.begin(&idx);
+        for &(insert, a, b, handoff) in &ops {
+            let up = if insert {
+                EdgeUpdate::Insert(id(a), id(b))
+            } else {
+                EdgeUpdate::Delete(id(a), id(b))
+            };
+            if g.apply(up) {
+                carry.on_update(&g, up);
+            }
+            let mut carried = 0;
+            for ((label, depth, dir), reach, dist) in carry.entries() {
+                prop_assert!(depth <= 3, "an unbounded entry was carried");
+                let mut want = BitSet::new(n);
+                let mut want_dist = Vec::new();
+                let class = g.nodes_with_label(label).unwrap();
+                class_reach_sweep(&g, class, depth, dir, &mut want, Some(&mut want_dist));
+                prop_assert_eq!(reach, &want, "{:?} after {:?}", (depth, dir), up);
+                prop_assert_eq!(&dist, &want_dist, "{:?} after {:?}", (depth, dir), up);
+                carried += 1;
+            }
+            prop_assert_eq!(carried, bounded);
+            if handoff {
+                let next = carry.successor(g.version(), &idx);
+                prop_assert_eq!(next.len(), bounded);
+                idx = next;
+                fill(&idx, &g, &[1, 2, 3]);
+                bounded = classes * 6;
+                carry.begin(&idx);
+            }
+        }
     }
 }
 

@@ -276,6 +276,8 @@ fn main() {
         // presence; fig1 is below the snapshot threshold, hence zeroes
         i64_at(&metrics, &["engine", "index", "hits"]) >= 0
             && i64_at(&metrics, &["engine", "index", "misses"]) >= 0
+            && i64_at(&metrics, &["engine", "index", "built"]) >= 0
+            && i64_at(&metrics, &["engine", "index", "carried"]) >= 0
             && i64_at(&metrics, &["engine", "index", "entries"]) >= 0
             && i64_at(&metrics, &["engine", "index", "bytes"]) >= 0,
         || metrics.to_string_compact(),

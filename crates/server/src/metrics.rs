@@ -379,6 +379,8 @@ impl Metrics {
                 obj(vec![
                     ("hits", Value::Int(index.hits as i64)),
                     ("misses", Value::Int(index.misses as i64)),
+                    ("built", Value::Int(index.built as i64)),
+                    ("carried", Value::Int(index.carried as i64)),
                     ("entries", Value::Int(index.entries as i64)),
                     ("bytes", Value::Int(index.bytes as i64)),
                 ]),
@@ -622,7 +624,7 @@ mod tests {
         // the reach-index block is always present (zeroes on a graph too
         // small for the snapshot fast path)
         let index = doc.field("engine").unwrap().field("index").unwrap();
-        for key in ["hits", "misses", "entries", "bytes"] {
+        for key in ["hits", "misses", "built", "carried", "entries", "bytes"] {
             assert!(index.field(key).unwrap().as_i64().unwrap() >= 0, "{key}");
         }
         // planner counters: one decision per evaluate call above

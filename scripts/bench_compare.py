@@ -18,15 +18,19 @@ field of the counters document (``BENCH_counters.json``, written by the
   ``full_build_sources`` a build per batch would BFS, the
   ``full_rank_candidates`` a full re-rank per batch would compute, and
   the ``registered_build_visits`` of a ranked registered read (0: it
-  builds nothing). A mismatch means the benchmark is no longer measuring the same
-  computation.
+  builds nothing); and of the carried-index row of ``match_warm_index``:
+  the ``rebuild_visits`` of sweeping every carried entry again per batch,
+  and the entries handed on ``shared`` or ``repaired`` (a distance moved)
+  and ``dropped`` (unbounded). A mismatch means the benchmark
+  is no longer measuring the same computation.
 * **deterministic counters** (blocking beyond the threshold) —
   evaluation-work counters (``bfs_nodes_visited``, ``refreshes``,
   ``removals``, ``index_misses``, the result-graph build's
   ``build_visits``, the ranking kernel's ``settled``, ``relaxed``,
-  ``pushes`` and the incremental maintainer's ``affected_nodes``,
-  ``tentative_pairs``, ``repair_sources`` and ``rerank_candidates`` are
-  worse when higher; ``index_hits``
+  ``pushes``, the incremental maintainer's ``affected_nodes``,
+  ``tentative_pairs``, ``repair_sources`` and ``rerank_candidates``, and
+  the carried reach-index entries' ``repair_visits`` are worse when
+  higher; ``index_hits``
   and ``refreshes_skipped`` are worse when lower). These are exact
   functions of the algorithm, so a >25% regression is a real algorithmic
   regression, not runner noise.
@@ -57,6 +61,10 @@ EQUAL_KEYS = {
     "full_build_sources",
     "full_rank_candidates",
     "registered_build_visits",
+    "rebuild_visits",
+    "shared",
+    "repaired",
+    "dropped",
 }
 HIGHER_IS_WORSE = {
     "refreshes",
@@ -71,6 +79,7 @@ HIGHER_IS_WORSE = {
     "tentative_pairs",
     "repair_sources",
     "rerank_candidates",
+    "repair_visits",
 }
 LOWER_IS_WORSE = {"index_hits", "refreshes_skipped"}
 # machine-shape fields: neither comparable nor interesting

@@ -1536,6 +1536,55 @@ fn registered_ranks_follow_an_arc_two_hops_from_the_candidate() {
     h.agree();
 }
 
+/// The reach index survives a version: the bounded entries a read filled
+/// are carried into the next version's index and repaired there, the
+/// unbounded one is rebuilt. Over 3 → 5 and 6 → 8 → 7, inserting 5 → 7
+/// pulls 3 into the `B` class's 2-ball (and its unbounded reach), and
+/// deleting 8 → 7 takes 8's only tight successor, so 6 leaves both. An
+/// entry carried unrepaired, or a delete left unrepaired, or an unbounded
+/// entry carried at all, answers one of the reads wrong.
+#[test]
+fn carried_reach_entries_follow_an_insert_and_a_delete() {
+    let star = |bound| {
+        PatternBuilder::new()
+            .node_output("x", Predicate::label("A"))
+            .node("y", Predicate::label("B"))
+            .edge("x", "y", bound)
+            .build()
+            .unwrap()
+    };
+    let (near, far) = (star(Bound::hops(2)), star(Bound::Unbounded));
+    let mut h = Harness::new(
+        abc_graph(&[(0, 1), (3, 5), (6, 8), (8, 7)]),
+        ExecConfig::sequential(),
+    );
+    let read = |h: &Harness| {
+        [&near, &far].map(|q| {
+            let resp = h.query(q, Route::Direct, None, Fuse::None).unwrap();
+            assert_eq!(resp.plan.chosen, PlanRoute::Snapshot);
+            let x = q.node_id("x").unwrap();
+            resp.matches
+                .matches(x)
+                .iter()
+                .map(|v| v.0)
+                .collect::<Vec<_>>()
+        })
+    };
+    let counts = |h: &Harness| {
+        let t = h.engine.index_totals();
+        (t.built, t.carried, t.entries)
+    };
+    assert_eq!(read(&h), [vec![0, 6], vec![0, 6]]);
+    assert_eq!(counts(&h), (2, 0, 2), "one bounded and one unbounded entry");
+    h.update(&[EdgeUpdate::Insert(NodeId(5), NodeId(7))]);
+    assert_eq!(read(&h), [vec![0, 3, 6], vec![0, 3, 6]]);
+    assert_eq!(counts(&h), (3, 1, 2), "the bounded entry carried");
+    h.update(&[EdgeUpdate::Delete(NodeId(8), NodeId(7))]);
+    assert_eq!(read(&h), [vec![0, 3], vec![0, 3]]);
+    assert_eq!(counts(&h), (4, 2, 2));
+    h.agree();
+}
+
 /// A registered pattern with no output node ranks as an unregistered
 /// one: `top_k` 0 and 2, on the cache route and on `Direct`, on both
 /// facades, refuse with the same error before and after the
