@@ -466,7 +466,9 @@ pub struct CancelTotals {
 /// `engine.rank` block of `GET /metrics`.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct RankTotals {
-    /// Ranked answers computed: result graph built and ranked.
+    /// Ranked answers not served from the cache slot: a result graph
+    /// built and ranked, or a prefix of a registered query's maintained
+    /// ranking copied.
     pub computed: u64,
     /// Ranked answers served from the query cache's slot.
     pub reused: u64,
@@ -514,9 +516,9 @@ impl Default for ExpFinder {
 
 impl Catalog {
     /// Install (or, with `None`, remove) the [`UpdateHook`] observing
-    /// every committed update batch. While a hook is installed, update
-    /// batches are always traced — the hook sees the full ΔM report even
-    /// when the caller used the untraced [`ExpFinder::apply_updates`].
+    /// every committed update batch: it sees the full ΔM report whichever
+    /// of [`ExpFinder::apply_updates`] and
+    /// [`ExpFinder::apply_updates_traced`] the caller used.
     pub fn set_update_hook(&self, hook: Option<UpdateHook>) {
         *self.update_hook.write() = hook;
     }
@@ -872,34 +874,23 @@ impl ExpFinder {
         handle: &GraphHandle,
         updates: &[EdgeUpdate],
     ) -> Result<usize, ExpFinderError> {
-        Ok(self.apply_updates_inner(handle, updates, false)?.applied)
+        Ok(self.apply_updates_traced(handle, updates)?.applied)
     }
 
     /// Like [`ExpFinder::apply_updates`], but also reports the graph
     /// version after the batch and the maintained-result size of every
     /// registered query before and after, all measured inside the same
-    /// commit — the ΔM report `POST /graphs/{name}/updates` returns.
+    /// commit — the ΔM report `POST /graphs/{name}/updates` returns:
+    /// [`MaintainedGraph::apply`], then publish, then the update hook.
     pub fn apply_updates_traced(
         &self,
         handle: &GraphHandle,
         updates: &[EdgeUpdate],
     ) -> Result<UpdateReport, ExpFinderError> {
-        self.apply_updates_inner(handle, updates, true)
-    }
-
-    /// [`MaintainedGraph::apply`], then publish, then the hook.
-    fn apply_updates_inner(
-        &self,
-        handle: &GraphHandle,
-        updates: &[EdgeUpdate],
-        trace: bool,
-    ) -> Result<UpdateReport, ExpFinderError> {
-        // an installed hook forces tracing so its frames always carry ΔM
         let hook = self.update_hook.read().clone();
-        let trace = trace || hook.is_some();
         let slot = self.slot(handle)?;
         let mut core = slot.core.lock();
-        let report = core.apply(updates, trace);
+        let report = core.apply(updates);
         // whatever the batch changed is published even when maintenance
         // failed part-way: a durable owner has already logged it
         core.publish(&slot.published);
@@ -1239,7 +1230,7 @@ mod tests {
             ));
         })));
 
-        // untraced entry point: the hook forces tracing anyway
+        // the count-only entry point: the hook still sees ΔM
         e.apply_updates(&h, &[EdgeUpdate::Insert(f.e1.0, f.e1.1)])
             .unwrap();
         e.apply_updates(&h, &[EdgeUpdate::Delete(f.e1.0, f.e1.1)])
@@ -1249,7 +1240,7 @@ mod tests {
         assert_eq!(frames.len(), 2);
         assert!(frames.iter().all(|(g, _, _)| g == "fig1"));
         assert!(frames[0].1 < frames[1].1, "versions strictly ordered");
-        assert_eq!(frames[0].2.len(), 1, "ΔM present despite untraced call");
+        assert_eq!(frames[0].2.len(), 1, "ΔM present despite a count-only call");
         assert_eq!(frames[0].2[0].delta(), 1);
         assert_eq!(frames[1].2[0].delta(), -1);
 
@@ -1819,7 +1810,7 @@ mod tests {
             report.graph_version,
             e.read_graph(&h, |g| g.version()).unwrap()
         );
-        // the untraced path agrees on applied counts
+        // the count-only entry point agrees on applied counts
         let n = e
             .apply_updates(&h, &[EdgeUpdate::Delete(f.e1.0, f.e1.1)])
             .unwrap();

@@ -525,8 +525,9 @@ impl ReadPath {
         self.planner.totals()
     }
 
-    /// Ranked answers computed (result graph + ranking) and served from
-    /// the cache slot instead — the `engine.rank` block of `GET /metrics`.
+    /// Ranked answers computed (ranked afresh, or copied from a
+    /// registered query's maintained ranking) and served from the cache
+    /// slot instead — the `engine.rank` block of `GET /metrics`.
     pub fn rank_totals(&self) -> RankTotals {
         RankTotals {
             computed: self.rank_totals.computed.load(Ordering::Relaxed),

@@ -294,22 +294,19 @@ impl MaintainedGraph {
     /// query and the carried reach-index entries along the way
     /// (duplicates and no-ops are skipped), then end the batch once for
     /// every registered query: its `G_r` arcs are repaired and its moved
-    /// candidates re-ranked. `trace` additionally sizes every registered
-    /// query's maintained result before and after (counted in place) —
-    /// the ΔM report.
-    pub fn apply(
-        &mut self,
-        updates: &[EdgeUpdate],
-        trace: bool,
-    ) -> Result<UpdateReport, ExpFinderError> {
-        let mut registered: Vec<RegisteredDelta> = Vec::new();
-        if trace {
-            registered.extend(self.registered.iter().map(|(name, rq)| RegisteredDelta {
+    /// candidates re-ranked. The report sizes every registered query's
+    /// maintained result before and after (counted in place) — the ΔM
+    /// report.
+    pub fn apply(&mut self, updates: &[EdgeUpdate]) -> Result<UpdateReport, ExpFinderError> {
+        let mut registered: Vec<RegisteredDelta> = self
+            .registered
+            .iter()
+            .map(|(name, rq)| RegisteredDelta {
                 query: name.to_string(),
                 before_pairs: rq.maintainer.total_pairs(),
                 after_pairs: 0,
-            }));
-        }
+            })
+            .collect();
         let version = self.graph.version();
         match &self.reach {
             // the last published index, with whatever readers filled in

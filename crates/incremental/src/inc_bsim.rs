@@ -88,11 +88,11 @@ use expfinder_core::fixpoint::EvalScratch;
 use expfinder_core::matchrel::MatchRelation;
 use expfinder_core::rank::rank_order;
 use expfinder_core::result_graph::{witness_arcs, ResultEdge};
-use expfinder_core::{candidate_sets, Cancelled, RankScratch, RankedMatch};
+use expfinder_core::{candidate_sets, RankScratch, RankedMatch};
 use expfinder_graph::bfs::{BfsScratch, Direction};
 use expfinder_graph::bfs_frontier::FrontierScratch;
 use expfinder_graph::dijkstra::WeightedArcs;
-use expfinder_graph::{BitSet, CancelToken, DiGraph, EdgeUpdate, GraphView, NodeId};
+use expfinder_graph::{BitSet, DiGraph, EdgeUpdate, GraphView, NodeId};
 use expfinder_pattern::{PNodeId, Pattern, PatternEdge};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -446,21 +446,6 @@ impl ReachScratch {
         depth: u32,
         dir: Direction,
     ) -> &'a BitSet {
-        self.reach_of_cancel(g, v, depth, dir, None)
-    }
-
-    /// [`reach_of`](Self::reach_of) polling a [`CancelToken`] inside the
-    /// frontier BFS. When the token fires the borrowed reach set is torn;
-    /// the construction sweep re-checks the token after every call and
-    /// aborts before the torn set is counted.
-    fn reach_of_cancel<'a, G: GraphView>(
-        &'a mut self,
-        g: &G,
-        v: NodeId,
-        depth: u32,
-        dir: Direction,
-        cancel: Option<&CancelToken>,
-    ) -> &'a BitSet {
         let n = g.node_count();
         if self.seed.capacity() != n {
             self.seed = BitSet::new(n);
@@ -480,15 +465,8 @@ impl ReachScratch {
             self.seed.remove(prev);
         }
         self.seed.insert(v);
-        self.frontier.multi_source_within_cancel(
-            g,
-            &self.seed,
-            depth,
-            dir,
-            None,
-            cancel,
-            &mut self.reach,
-        );
+        self.frontier
+            .multi_source_within(g, &self.seed, depth, dir, None, &mut self.reach);
         &self.reach
     }
 }
@@ -497,29 +475,10 @@ impl IncrementalBoundedSim {
     /// Evaluate `q` on `g` once (exact raw fixpoint, no early exit) and
     /// build the support counters.
     pub fn new(g: &DiGraph, q: &Pattern) -> IncrementalBoundedSim {
-        match IncrementalBoundedSim::new_cancellable(g, q, None) {
-            Ok(inc) => inc,
-            Err(_) => unreachable!("no cancel token supplied"),
-        }
-    }
-
-    /// [`new`](Self::new) polling a [`CancelToken`]: construction is the
-    /// expensive part of registration (one exact raw fixpoint plus one
-    /// support sweep per member per pattern edge), so a deadline-bound
-    /// registration can abandon it cleanly — nothing durable has been
-    /// mutated when [`Cancelled`] is returned. Maintenance
-    /// (`on_update`) stays uncancellable by design: aborting mid-cascade
-    /// would leave the persistent counters inconsistent with `sim`, and
-    /// update work is ball-local (bounded) anyway.
-    pub fn new_cancellable(
-        g: &DiGraph,
-        q: &Pattern,
-        cancel: Option<&CancelToken>,
-    ) -> Result<IncrementalBoundedSim, Cancelled> {
         let cand0 = candidate_sets(g, q);
         let mut eval_scratch = EvalScratch::new();
-        let (sim, fix_stats) =
-            bounded_fixpoint_raw(g, q, cand0.clone(), false, &mut eval_scratch, cancel)?;
+        let (sim, _) = bounded_fixpoint_raw(g, q, cand0.clone(), false, &mut eval_scratch, None)
+            .expect("no cancel token supplied");
         let n = g.node_count();
         let mut reach = ReachScratch::default();
         let mut scnt: Vec<Vec<u32>> = vec![vec![0; n]; q.edge_count()];
@@ -532,13 +491,7 @@ impl IncrementalBoundedSim {
             let src_cand = &cand0[e.from.index()];
             let members: Vec<NodeId> = sim[e.to.index()].to_vec();
             for vp in members {
-                let sweep = reach.reach_of_cancel(g, vp, depth, Direction::Backward, cancel);
-                // sweep-boundary cancellation point: a fired token means
-                // the borrowed reach set may be torn — drop everything
-                if cancel.is_some_and(|t| t.is_cancelled()) {
-                    return Err(Cancelled { stats: fix_stats });
-                }
-                for w in sweep.iter() {
+                for w in reach.reach_of(g, vp, depth, Direction::Backward).iter() {
                     if src_cand.contains(w) {
                         scnt[ei][w.index()] += 1;
                     }
@@ -550,9 +503,6 @@ impl IncrementalBoundedSim {
         let (mut rows, mut arcs) = (Rows::default(), Vec::new());
         for (ei, e) in q.edges().iter().enumerate() {
             for v in sim[e.from.index()].iter() {
-                if cancel.is_some_and(|t| t.is_cancelled()) {
-                    return Err(Cancelled { stats: fix_stats });
-                }
                 arcs.clear();
                 let targets = &cand0[e.to.index()];
                 witness_arcs(g, q, ei, v, targets, &mut scratch, &mut arcs);
@@ -586,7 +536,7 @@ impl IncrementalBoundedSim {
             let members = inc.sim[uo.index()].to_vec();
             inc.ranking = inc.rank(&members, &mut RerankScratch::default()).into();
         }
-        Ok(inc)
+        inc
     }
 
     pub fn pattern(&self) -> &Pattern {
@@ -1358,19 +1308,6 @@ mod tests {
         let b = g.add_node("B", []); // added after the maintainer
         g.add_edge(a, b);
         inc.on_update(&g, EdgeUpdate::Insert(a, b));
-    }
-
-    #[test]
-    fn cancelled_construction_aborts_cleanly() {
-        let f = collaboration_fig1();
-        let q = fig1_pattern();
-        let token = CancelToken::new();
-        token.cancel();
-        let err = IncrementalBoundedSim::new_cancellable(&f.graph, &q, Some(&token));
-        assert!(err.is_err(), "pre-cancelled token aborts construction");
-        // an un-deadlined build afterwards is unaffected
-        let inc = IncrementalBoundedSim::new(&f.graph, &q);
-        check_against_recompute(&f.graph, &inc);
     }
 
     #[test]

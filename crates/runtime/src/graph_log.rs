@@ -65,7 +65,7 @@ fn dsl_source(pattern: &Pattern) -> Result<String, ExpFinderError> {
 /// maintained by the update frames that follow it.
 pub(crate) fn replay_op(core: &mut MaintainedGraph, op: &WalOp) -> Result<(), ExpFinderError> {
     match op {
-        WalOp::Updates(ups) => core.apply(ups, false).map(|_| ()),
+        WalOp::Updates(ups) => core.apply(ups).map(|_| ()),
         WalOp::Register { query, pattern } => {
             let parsed = parser::parse(pattern).map_err(|e| {
                 ExpFinderError::Storage(format!(

@@ -702,7 +702,7 @@ mod tests {
                 .push((graph.to_owned(), report.graph_version, delta, thread));
         })));
 
-        // the untraced entry point still produces fully-traced frames
+        // the count-only entry point still produces frames carrying ΔM
         rt.apply_updates("fig1", &[EdgeUpdate::Insert(x, y)])
             .unwrap();
         rt.apply_updates("fig1", &[EdgeUpdate::Delete(x, y)])

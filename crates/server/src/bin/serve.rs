@@ -20,8 +20,8 @@
 //! so existing command lines keep working.
 //!
 //! Prints exactly one `listening on <addr>` line on stdout once the
-//! socket is bound (the contract the smoke harness and scripts rely on
-//! to discover an ephemeral port), then serves until either
+//! socket is bound (the contract the tests and scripts rely on to
+//! discover an ephemeral port), then serves until either
 //!
 //! * `POST /admin/shutdown` arrives (only with `--allow-shutdown`), or
 //! * stdin reaches EOF (the supervisor closed the pipe — the offline

@@ -1,10 +1,9 @@
 //! A tiny blocking HTTP/JSON client for the wire protocol.
 //!
-//! Used by the integration tests, the shell's `connect` command, the
-//! `serve_smoke` CI binary and the other `serve`-driving harnesses. One
-//! client holds one keep-alive connection and re-establishes it
-//! transparently when the server (or an idle timeout) closed it between
-//! requests.
+//! Used by the integration tests (among them the ones that boot the real
+//! `serve` binary) and the shell's `connect` command. One client holds
+//! one keep-alive connection and re-establishes it transparently when
+//! the server (or an idle timeout) closed it between requests.
 //!
 //! Requests whose replay is safe — reads, queries/batches, edge updates
 //! (insert/delete are idempotent) and shutdown — are retried on

@@ -21,8 +21,7 @@
 //!   through [`expfinder_engine::ExpFinderError::http_status`].
 //! * [`metrics`] — lock-free request counters, per-route latency
 //!   histograms, in-flight gauge; exported on `GET /metrics`.
-//! * [`client`] — a tiny blocking client (tests, shell, CI smoke, load
-//!   generator).
+//! * [`client`] — a tiny blocking client (tests, shell).
 //! * [`shell_ext`] — wraps the engine shell with `serve`/`connect`
 //!   commands.
 //!

@@ -53,8 +53,8 @@ pub struct ServerConfig {
     /// Deadline for reading one request once its first byte arrived, and
     /// for finishing in-flight work during a drain.
     pub request_deadline: Duration,
-    /// Honor `POST /admin/shutdown` (the smoke harness and the shell use
-    /// it; production deployments should leave it off and stop the
+    /// Honor `POST /admin/shutdown` (the tests and the shell use it;
+    /// production deployments should leave it off and stop the
     /// process instead).
     pub allow_remote_shutdown: bool,
     /// Bounded per-subscriber frame queue for `/subscribe` push streams.

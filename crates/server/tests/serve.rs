@@ -1157,6 +1157,8 @@ fn admission_ceiling_rejects_429_with_retry_after() {
 
     // health/metrics bypass admission; the rejection was counted and no
     // cost is stuck in flight
+    let health = client.health().unwrap();
+    assert_eq!(health.field("status").unwrap().as_str().unwrap(), "ok");
     let m = client.metrics().unwrap();
     let deadline = m.field("server").unwrap().field("deadline").unwrap();
     assert!(deadline.field("rejected").unwrap().as_i64().unwrap() >= 1);
@@ -1204,4 +1206,231 @@ fn admission_ceiling_admits_within_budget_traffic() {
         0
     );
     handle.shutdown();
+}
+
+// ------------------------ the real `serve` binary ------------------------
+
+/// A `serve` child process on an ephemeral port, killed on drop (so a
+/// failed assertion never leaks it). Its stdin stays piped: `serve`
+/// drains when that pipe closes.
+struct ServeBin {
+    child: std::process::Child,
+    addr: std::net::SocketAddr,
+    log: std::path::PathBuf,
+}
+
+impl ServeBin {
+    /// Spawn `serve --addr 127.0.0.1:0 --fixture fig1 --log <tmp>` plus
+    /// `args`, and read the `listening on <addr>` line it prints once the
+    /// socket is bound. A reader thread waits for it, so a binary that
+    /// never prints it fails the test instead of hanging it.
+    fn boot(tag: &str, args: &[&str]) -> ServeBin {
+        use std::io::BufRead;
+        use std::process::{Command, Stdio};
+        let log =
+            std::env::temp_dir().join(format!("expfinder_bin_{tag}_{}.log", std::process::id()));
+        let mut child = Command::new(env!("CARGO_BIN_EXE_serve"))
+            .args(["--addr", "127.0.0.1:0", "--fixture", "fig1", "--log"])
+            .arg(&log)
+            .args(args)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .unwrap();
+        let stdout = child.stdout.take().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut line = String::new();
+            let _ = std::io::BufReader::new(stdout).read_line(&mut line);
+            let _ = tx.send(line);
+        });
+        let mut bin = ServeBin {
+            child,
+            addr: "0.0.0.0:0".parse().unwrap(),
+            log,
+        };
+        let line = rx.recv_timeout(Duration::from_secs(60)).unwrap_or_default();
+        bin.addr = match line.trim().strip_prefix("listening on ") {
+            Some(addr) => addr.parse().unwrap(),
+            None => panic!("no `listening on` line, got {line:?}"),
+        };
+        bin
+    }
+
+    fn client(&self) -> Client {
+        let mut client = Client::new(self.addr);
+        client.set_timeout(Duration::from_secs(30));
+        client
+    }
+
+    /// Wait for the process: it exits 0 and its log records boot and drain.
+    /// A watchdog kills a process that never drains, so the test fails
+    /// instead of hanging.
+    fn assert_drained(&mut self) {
+        let (drained, watchdog) = std::sync::mpsc::channel::<()>();
+        let pid = self.child.id().to_string();
+        std::thread::spawn(move || {
+            let timeout = std::sync::mpsc::RecvTimeoutError::Timeout;
+            if watchdog.recv_timeout(Duration::from_secs(60)) == Err(timeout) {
+                let _ = std::process::Command::new("kill").arg(pid).status();
+            }
+        });
+        let status = self.child.wait().unwrap();
+        drop(drained);
+        assert!(status.success(), "{status:?}");
+        let log = std::fs::read_to_string(&self.log).unwrap();
+        assert!(log.contains("listening on 127.0.0.1:"), "{log}");
+        assert!(log.contains("drained and stopped"), "{log}");
+    }
+}
+
+impl Drop for ServeBin {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+        let _ = std::fs::remove_file(&self.log);
+    }
+}
+
+/// The integer at a dotted `/metrics` path (`"engine.wal.fsyncs"`).
+fn metric(doc: &Value, path: &str) -> i64 {
+    let v = path.split('.').fold(doc, |v, k| v.field(k).unwrap());
+    v.as_i64().unwrap()
+}
+
+/// Every object key path of a `/metrics` document under `engine`,
+/// `server` and `subscriptions` (the parts whose schema is fixed).
+fn metric_keys(doc: &Value) -> Vec<String> {
+    fn walk(v: &Value, path: String, out: &mut Vec<String>) {
+        if let Ok(map) = v.as_object() {
+            for (k, child) in map {
+                walk(child, format!("{path}.{k}"), out);
+            }
+        } else {
+            out.push(path);
+        }
+    }
+    let mut out = Vec::new();
+    for top in ["engine", "server", "subscriptions"] {
+        walk(doc.field(top).unwrap(), top.to_owned(), &mut out);
+    }
+    out
+}
+
+/// The deployment shape end to end: a durable boot (`--data-dir`,
+/// `--workers`, `--allow-shutdown`) serves, pushes ΔM, drains on
+/// `POST /admin/shutdown` with a `bye` frame and leaves one `.efg` per
+/// graph and a `.wal`; an in-memory boot drains on stdin EOF; both export
+/// the same `/metrics` key set.
+#[test]
+fn serve_binary_boots_both_backends_and_drains() {
+    let dir = tmpdir("bin_durable");
+    let mut bin = ServeBin::boot(
+        "durable",
+        &[
+            "--data-dir",
+            dir.to_str().unwrap(),
+            "--workers",
+            "4",
+            "--allow-shutdown",
+        ],
+    );
+    let boot_log = std::fs::read_to_string(&bin.log).unwrap();
+    assert!(boot_log.contains("with 4 workers"), "{boot_log}");
+    let mut client = bin.client();
+    let health = client.health().unwrap();
+    assert_eq!(health.field("graphs").unwrap().as_i64().unwrap(), 1);
+    let mut tiny = DiGraph::new();
+    tiny.add_node("SA", []);
+    client.add_graph("tiny", &tiny).unwrap();
+    let resp = client
+        .query("fig1", &query_body(FIG1_DSL, Some(2), "auto", false))
+        .unwrap();
+    assert_eq!(resp.field("pairs").unwrap().as_i64().unwrap(), 7);
+
+    client.register("fig1", "team", FIG1_DSL).unwrap();
+    let mut sub = client.subscribe("fig1", None).unwrap();
+    let hello = sub.next_frame().unwrap().unwrap();
+    assert_eq!(hello.field("frame").unwrap().as_str().unwrap(), "hello");
+    let f = expfinder_graph::fixtures::collaboration_fig1();
+    let report = client
+        .updates("fig1", &[EdgeUpdate::Insert(f.e1.0, f.e1.1)])
+        .unwrap();
+    let frame = sub.next_frame().unwrap().unwrap();
+    assert_eq!(
+        frame.field("report").unwrap().to_string_compact(),
+        report.to_string_compact()
+    );
+    let durable_metrics = client.metrics().unwrap();
+    for key in [
+        "engine.cache.misses",
+        "engine.eval.refreshes",
+        "engine.wal.appends",
+        "engine.wal.fsyncs",
+        "subscriptions.live",
+    ] {
+        assert!(metric(&durable_metrics, key) >= 1, "{key}");
+    }
+
+    let drain = client.shutdown_server().unwrap();
+    assert!(drain.field("draining").unwrap().as_bool().unwrap());
+    let bye = sub.next_frame().unwrap().unwrap();
+    assert_eq!(bye.field("frame").unwrap().as_str().unwrap(), "bye");
+    assert_eq!(bye.field("reason").unwrap().as_str().unwrap(), "drain");
+    bin.assert_drained();
+    for file in ["fig1.efg", "fig1.wal", "tiny.efg"] {
+        assert!(dir.join(file).is_file(), "no {file} in the data dir");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let mut bin = ServeBin::boot("memory", &[]);
+    let memory_metrics = bin.client().metrics().unwrap();
+    drop(bin.child.stdin.take());
+    bin.assert_drained();
+    assert_eq!(metric_keys(&memory_metrics), metric_keys(&durable_metrics));
+    for key in [
+        "engine.index.carried",
+        "engine.rank.reused",
+        "engine.cancel.fired",
+        "engine.wal.fsyncs",
+        "engine.faults.injected",
+        "server.shed",
+        "server.deadline.rejected",
+    ] {
+        assert_eq!(metric(&memory_metrics, key), 0, "{key}");
+    }
+}
+
+/// The serving-policy flags reach the server: a default budget of 0 and
+/// a cap of 0 each turn a query into a 408, and an admission ceiling below
+/// fig1's estimate turns it into a 429 with `Retry-After` — each on its
+/// own boot, drained by closing stdin.
+#[test]
+fn serve_binary_applies_deadline_and_admission_flags() {
+    let plain = query_body(FIG1_DSL, None, "auto", false);
+    let asks_a_minute = query_body_deadline(FIG1_DSL, None, "auto", false, 60_000);
+    let cases = [
+        ("--default-deadline-ms", "0", &plain, 408),
+        ("--default-deadline-ms", "0", &asks_a_minute, 200),
+        ("--max-deadline-ms", "0", &asks_a_minute, 408),
+        ("--admission-max-cost", "0.000001", &plain, 429),
+    ];
+    for (flag, value, body, status) in cases {
+        let mut bin = ServeBin::boot("flags", &[flag, value]);
+        let resp = bin
+            .client()
+            .request("POST", "/graphs/fig1/query", Some(body))
+            .unwrap();
+        let shown = resp.body.to_string_compact();
+        assert_eq!(resp.status, status, "{flag} {value}: {shown}");
+        if status == 408 {
+            let err = resp.body.field("error").unwrap();
+            let partial = err.field("timings").unwrap().field("partial").unwrap();
+            assert!(partial.as_bool().unwrap(), "{shown}");
+        }
+        assert_eq!(resp.retry_after, (status == 429).then_some(1), "{shown}");
+        drop(bin.child.stdin.take());
+        bin.assert_drained();
+    }
 }

@@ -1,13 +1,14 @@
 # Offline CI entry points (the container mirror of .github/workflows/ci.yml).
 
 # the full local CI mirror: everything the CI `check` and `doc` jobs
-# run, the planner and perf-counter gates, the two harnesses that drive
-# the real `serve` binary, and the repo-benchmark smoke (the benchmark
-# package has its own `[workspace]`, so nothing above compiles it; it
-# also kills `serve` with SIGKILL on both durable workloads and holds
-# the recovered answers to the naive oracle). A simulated crash at every
-# I/O boundary of a durable write is `test`'s differential harness
-verify: fmt-check clippy test doc docs-check plan-check bench-compare serve-smoke stress-smoke bench-e2e-smoke
+# run, the planner and perf-counter gates, and the repo-benchmark smoke
+# (the benchmark package has its own `[workspace]`, so nothing above
+# compiles it; it also kills `serve` with SIGKILL on both durable
+# workloads and holds the recovered answers to the naive oracle). A
+# simulated crash at every I/O boundary of a durable write is `test`'s
+# differential harness, and its server suite boots the real `serve`
+# binary
+verify: fmt-check clippy test doc docs-check plan-check bench-compare bench-e2e-smoke
 
 fmt-check:
     cargo fmt --all --check
@@ -69,22 +70,6 @@ bench-match:
 # `POST /admin/shutdown` drains gracefully)
 serve:
     cargo run --release -p expfinder-server --bin serve -- --addr 127.0.0.1:7878 --fixture fig1 --allow-shutdown
-
-# the CI `serve-smoke` job: build release, boot the real `serve` binary
-# on an ephemeral port (durable data dir), drive every endpoint over
-# TCP, drain, check the log
-serve-smoke:
-    cargo build --release -p expfinder-server
-    cargo run --release -p expfinder-server --bin serve_smoke -- --log target/serve-smoke.log
-
-# the CI `stress-smoke` job: boot `serve` with tight deadline caps,
-# fire pathological worst-case patterns under millisecond budgets mixed
-# with normal traffic, assert every deadlined request answers 408 with
-# partial stats and bounded latency, then reboot with an admission
-# ceiling and assert 429 + Retry-After — clean drain both times
-stress-smoke:
-    cargo build --release -p expfinder-server
-    cargo run --release -p expfinder-server --bin stress_smoke -- --log target/stress-smoke.log
 
 # the CI `bench-e2e-smoke` job: the repo benchmark (BENCHMARK.json,
 # benchmark/) is a separate cargo workspace that path-depends on

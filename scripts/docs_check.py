@@ -45,7 +45,9 @@ README.md, the justfile, the CI workflow, the verify skill and
 docs/*.md must name a package of the workspace (or the repo benchmark
 package) or a target one of them declares or auto-discovers — so a PR
 that deletes a binary or a test suite cannot leave a command that runs
-it. In the same docs, every backticked path ending in `.rs` must exist,
+it. A `--bin NAME` must name a `[[bin]]` a manifest declares (or a
+package's `src/main.rs`), not merely a file cargo would pick up, and
+when the same line passes `-p PACKAGE` that package must declare it. In the same docs, every backticked path ending in `.rs` must exist,
 resolved from the repo root or from crates/ — so a deleted source or
 test file cannot stay cited. Every backticked `just NAME` there, and
 every dependency of the justfile's `verify:` recipe, must name a recipe
@@ -298,6 +300,8 @@ FLAG_KIND = {
     "--bench": "bench",
     "--test": "test",
 }
+# the package a command on one line selects
+PACKAGE_FLAG = re.compile(r"(?<![\w-])-p\s+([A-Za-z_][\w-]*)")
 # target kind (also its `[[kind]]` manifest array) -> auto-discovery directory
 TARGET_DIRS = {"bin": "src/bin", "example": "examples", "bench": "benches", "test": "tests"}
 # a backticked source path: `tests/batch.rs`, `engine/src/lib.rs`
@@ -312,13 +316,19 @@ def workspace_targets() -> dict:
     named after its package)."""
     members = tomllib.loads((ROOT / "Cargo.toml").read_text())["workspace"]["members"]
     found = {kind: set() for kind in ["package", *TARGET_DIRS]}
+    found["bins_of"] = {}
     for pkg in [ROOT / m for m in members] + [ROOT / "benchmark"]:
         manifest = tomllib.loads((pkg / "Cargo.toml").read_text())
         name = manifest["package"]["name"]
         found["package"].add(name)
+        bins = {target["name"] for target in manifest.get("bin", [])}
         if (pkg / "src" / "main.rs").exists():
-            found["bin"].add(name)
+            bins.add(name)
+        found["bins_of"][name] = bins
+        found["bin"] |= bins
         for kind, sub in TARGET_DIRS.items():
+            if kind == "bin":
+                continue
             found[kind].update(f.stem for f in (pkg / sub).glob("*.rs"))
             found[kind].update(f.parent.name for f in (pkg / sub).glob("*/main.rs"))
             found[kind].update(target["name"] for target in manifest.get(kind, []))
@@ -344,7 +354,13 @@ def check_doc_targets():
             flag, name = m.groups()
             kind = FLAG_KIND[flag]
             if name not in known[kind]:
-                missing.append(f"{at(doc, text, m)}: `{flag} {name}` names no {kind} of the workspace")
+                what = "`[[bin]]`" if kind == "bin" else kind
+                missing.append(f"{at(doc, text, m)}: `{flag} {name}` names no {what} of the workspace")
+            elif flag == "--bin":
+                line = text[text.rfind("\n", 0, m.start()) + 1 : m.start()]
+                packages = PACKAGE_FLAG.findall(line)
+                if packages and name not in known["bins_of"].get(packages[-1], set()):
+                    missing.append(f"{at(doc, text, m)}: `--bin {name}` is no `[[bin]]` of `{packages[-1]}`")
         for m in RS_PATH.finditer(text):
             paths += 1
             path = m.group(1)
