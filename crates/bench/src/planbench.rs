@@ -16,7 +16,7 @@ use crate::matchbench::{collab_team_star_pattern, twitter_audience_pattern};
 use crate::{collab_graph, collab_pattern, json_obj as obj, twitter_graph, SEED};
 use expfinder_compress::CompressionMethod;
 use expfinder_engine::{
-    EngineConfig, ExecConfig, ExpFinder, GraphHandle, PlanDecision, QueryResponse, Route,
+    EngineConfig, ExpFinder, GraphHandle, PlanDecision, QueryResponse, QuerySpec, Route,
 };
 use expfinder_graph::json::Value;
 use expfinder_graph::{EdgeUpdate, NodeId};
@@ -58,10 +58,7 @@ fn step(
     index: usize,
 ) -> (Value, QueryResponse) {
     let resp = engine
-        .query(h)
-        .pattern(pattern.clone())
-        .prefer(prefer)
-        .run()
+        .query(h, &QuerySpec::pattern(pattern.clone()).prefer(prefer))
         .expect("plan scenario query");
     let doc = obj(vec![
         ("step", Value::Int(index as i64)),
@@ -76,12 +73,12 @@ fn step(
 /// and compression between steps driven by the closure.
 fn scenario(
     name: &str,
-    exec: ExecConfig,
+    threads: usize,
     graph: expfinder_graph::DiGraph,
     script: impl FnOnce(&ExpFinder, &GraphHandle, &mut Vec<Value>),
 ) -> Value {
     let engine = ExpFinder::new(EngineConfig {
-        exec,
+        threads,
         ..EngineConfig::default()
     });
     let nodes = expfinder_graph::GraphView::node_count(&graph);
@@ -93,7 +90,7 @@ fn scenario(
         ("name", Value::Str(name.to_owned())),
         ("nodes", Value::Int(nodes as i64)),
         ("edges", Value::Int(edges as i64)),
-        ("threads", Value::Int(exec.threads as i64)),
+        ("threads", Value::Int(threads as i64)),
         ("steps", Value::Array(steps)),
     ])
 }
@@ -109,7 +106,7 @@ pub fn run_plan_bench() -> Value {
     // graph's, not the version's, so an update batch keeps the discount.
     scenarios.push(scenario(
         "collab_warm_class_seeded",
-        ExecConfig::sequential(),
+        1,
         collab_graph(1500, SEED),
         |engine, h, steps| {
             let q = collab_team_star_pattern();
@@ -136,7 +133,7 @@ pub fn run_plan_bench() -> Value {
     // route's worker setup.
     scenarios.push(scenario(
         "twitter_parallel",
-        ExecConfig { threads: 4 },
+        4,
         twitter_graph(5000, SEED),
         |engine, h, steps| {
             let q = twitter_audience_pattern();
@@ -149,7 +146,7 @@ pub fn run_plan_bench() -> Value {
     // quotient; `prefer=compressed` on a later step records an override.
     scenarios.push(scenario(
         "collab_compressed",
-        ExecConfig::sequential(),
+        1,
         collab_graph(1500, SEED),
         |engine, h, steps| {
             engine
@@ -165,7 +162,7 @@ pub fn run_plan_bench() -> Value {
     // query is a cache hit with no costed candidates.
     scenarios.push(scenario(
         "collab_cache_hit",
-        ExecConfig::sequential(),
+        1,
         collab_graph(1500, SEED),
         |engine, h, steps| {
             let q = collab_pattern();

@@ -4,9 +4,8 @@
 //! The engine is two types split along the line the type system can
 //! enforce. [`Catalog`] is the read side: the name → graph map behind one
 //! `RwLock`, the one [`ReadPath`], the update hook, and *every read* —
-//! the fluent [`Catalog::query`] builder, [`Catalog::query_deadline`] on
-//! a borrowed pattern, [`Catalog::query_batch`], the catalog listings and
-//! the metrics feeds.
+//! [`Catalog::query`] and [`Catalog::query_batch`], both of which take
+//! [`QuerySpec`]s, the catalog listings and the metrics feeds.
 //! [`ExpFinder`] is a `Catalog` (it [`Deref`]s to one) plus the unlogged
 //! writes, all of them one primitive, [`ExpFinder::write`]: lock the
 //! graph's [`MaintainedGraph`], run the operation, publish the next
@@ -49,31 +48,26 @@
 //! maintains the graph, its compressed counterpart and every registered
 //! query in one pass and then publishes the next snapshot.
 //!
-//! Execution is parallel by default ([`ExecConfig`]): on graphs large
+//! Execution is parallel by default ([`EngineConfig::threads`]): on graphs large
 //! enough to pay for its workers, direct evaluation runs the parallel
 //! refinement of `expfinder-core` over the snapshot's immutable graph,
 //! consulting the reach index its version's [`Derived`] state shares,
 //! and whole batches of queries are drained across a scoped worker pool
 //! by [`Catalog::query_batch`].
 //! Parallelism never changes answers — the refinement computes the same
-//! greatest fixpoint — and `ExecConfig::sequential()` restores the fully
+//! greatest fixpoint — and [`EngineConfig::sequential`] restores the fully
 //! deterministic single-threaded schedule.
 //!
 //! ```
-//! use expfinder_engine::{ExpFinder, Route};
+//! use expfinder_engine::{ExpFinder, QuerySpec, Route};
 //! use expfinder_graph::fixtures::collaboration_fig1;
 //! use expfinder_pattern::fixtures::fig1_pattern;
 //! use std::sync::Arc;
 //!
 //! let engine = Arc::new(ExpFinder::default());
 //! let h = engine.add_graph("fig1", collaboration_fig1().graph).unwrap();
-//! let resp = engine
-//!     .query(&h)
-//!     .pattern(fig1_pattern())
-//!     .top_k(2)
-//!     .prefer(Route::Auto)
-//!     .run()
-//!     .unwrap();
+//! let spec = QuerySpec::pattern(fig1_pattern()).top_k(2).prefer(Route::Auto);
+//! let resp = engine.query(&h, &spec).unwrap();
 //! assert_eq!(resp.matches.total_pairs(), 7);
 //! assert_eq!(resp.experts.len(), 2);
 //! ```
@@ -107,54 +101,42 @@ use std::time::Duration;
 use thiserror::Error;
 
 /// Engine configuration.
+///
+/// `threads` defaults to [`std::thread::available_parallelism`];
+/// [`EngineConfig::sequential`] sets it to 1 for fully sequential,
+/// deterministic-schedule execution (the escape hatch tests use). Results
+/// are bit-identical either way — the parallel refinement computes the
+/// same greatest fixpoint.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
     /// Cached query results kept per engine (LRU).
     pub cache_capacity: usize,
-    /// Parallel execution budget (per-query threads, split across a batch).
-    pub exec: ExecConfig,
+    /// The thread budget of one read. A single query spends it *inside*
+    /// the query: parallel refinement over the snapshot's graph, and
+    /// result-graph construction. `1` disables the parallel path; every
+    /// direct read then runs the sequential frontier engine on the same
+    /// graph and reach index, as do graphs too small to pay for the
+    /// workers whatever the budget. A [`Catalog::query_batch`] splits it
+    /// between batch workers and their queries ([`ReadPath::query_batch`]).
+    pub threads: usize,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             cache_capacity: 64,
-            exec: ExecConfig::default(),
-        }
-    }
-}
-
-/// Parallel execution configuration.
-///
-/// `threads` defaults to [`std::thread::available_parallelism`]. Set
-/// `threads: 1` for fully sequential, deterministic-schedule execution
-/// (the escape hatch tests use); results are bit-identical either way —
-/// the parallel refinement computes the same greatest fixpoint.
-#[derive(Copy, Clone, Debug)]
-pub struct ExecConfig {
-    /// The thread budget of one read. A single query spends it *inside*
-    /// the query: parallel sim/dualsim/bsim refinement over the snapshot's
-    /// graph, and result-graph construction. `1` disables the parallel
-    /// path; every direct read then runs the sequential frontier engine
-    /// on the same graph and reach index, as do graphs too small to pay
-    /// for the workers whatever the budget. A [`Catalog::query_batch`]
-    /// splits it between batch workers and their queries
-    /// ([`ReadPath::query_batch`]).
-    pub threads: usize,
-}
-
-impl Default for ExecConfig {
-    fn default() -> Self {
-        ExecConfig {
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 }
 
-impl ExecConfig {
-    /// Fully sequential execution: one thread everywhere.
+impl EngineConfig {
+    /// The default configuration with one thread everywhere.
     pub fn sequential() -> Self {
-        ExecConfig { threads: 1 }
+        EngineConfig {
+            threads: 1,
+            ..EngineConfig::default()
+        }
     }
 }
 
@@ -177,8 +159,6 @@ pub enum ExpFinderError {
     UnknownQuery(String),
     #[error("query {0:?} already registered")]
     DuplicateQuery(String),
-    #[error("query builder needs a pattern before run()")]
-    MissingPattern,
     #[error("match error: {0}")]
     Match(#[from] MatchError),
     #[error("compression error: {0}")]
@@ -213,7 +193,7 @@ impl ExpFinderError {
             // the named resource already exists
             DuplicateGraph(_) | DuplicateQuery(_) => 409,
             // the request itself is malformed
-            InvalidGraphName(_) | MissingPattern | Pattern(_) | Parse(_) | GraphIo(_) => 400,
+            InvalidGraphName(_) | Pattern(_) | Parse(_) | GraphIo(_) => 400,
             // well-formed but unprocessable against this graph
             Match(_) | Compress(_) => 422,
             // the query's deadline fired mid-evaluation
@@ -253,7 +233,7 @@ pub enum Route {
     Direct,
 }
 
-/// Wall-clock breakdown of one [`QueryBuilder::run`].
+/// Wall-clock breakdown of one read.
 #[derive(Copy, Clone, Debug, Default)]
 pub struct QueryTimings {
     /// Evaluating the match relation (including cache/registered hits).
@@ -264,7 +244,7 @@ pub struct QueryTimings {
     pub total: Duration,
 }
 
-/// Everything one fluent query returns.
+/// Everything one read returns.
 #[derive(Clone, Debug)]
 pub struct QueryResponse {
     /// Best-K matches of the output node (empty unless `top_k` was set).
@@ -322,7 +302,7 @@ impl RegisteredDelta {
 /// not write to the same graph.
 pub type UpdateHook = Arc<dyn Fn(&str, &UpdateReport) + Send + Sync>;
 
-/// Result of [`ExpFinder::apply_updates_traced`].
+/// Result of [`ExpFinder::apply_updates`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct UpdateReport {
     /// Updates that actually changed the graph (no-ops skipped).
@@ -516,9 +496,8 @@ impl Default for ExpFinder {
 
 impl Catalog {
     /// Install (or, with `None`, remove) the [`UpdateHook`] observing
-    /// every committed update batch: it sees the full ΔM report whichever
-    /// of [`ExpFinder::apply_updates`] and
-    /// [`ExpFinder::apply_updates_traced`] the caller used.
+    /// every committed update batch: the same ΔM report
+    /// [`ExpFinder::apply_updates`] returns to its caller.
     pub fn set_update_hook(&self, hook: Option<UpdateHook>) {
         *self.update_hook.write() = hook;
     }
@@ -623,42 +602,26 @@ impl Catalog {
 
     // ----------------------------- evaluation ----------------------------
 
-    /// Start a fluent query against one graph:
-    ///
-    /// ```ignore
-    /// let resp = engine.query(&h).pattern(p).top_k(10).run()?;
-    /// ```
-    pub fn query(&self, handle: &GraphHandle) -> QueryBuilder<'_> {
-        QueryBuilder {
-            catalog: self,
-            handle: handle.clone(),
-            pattern: None,
-            top_k: None,
-            prefer: Route::Auto,
-            deadline: None,
-            token: None,
-        }
-    }
-
-    /// One query on a borrowed pattern under an optional evaluation
-    /// budget — the non-fluent twin of [`Catalog::query`], for callers
-    /// that hold the pattern and must not clone it per request: once
-    /// `deadline` has elapsed the evaluation abandons work at its next
-    /// cancellation point and returns
+    /// Answer one query against the latest snapshot of the handle's
+    /// graph: routing, evaluation, result-graph construction and ranking
+    /// all see that one snapshot, so the response is consistent even with
+    /// concurrent writers. A spec's DSL text is parsed here, so a parse
+    /// error is this call's error. Past a [`QuerySpec::deadline`], or once
+    /// its [`QuerySpec::cancel_token`] fires, the evaluation abandons work
+    /// at its next cancellation point and returns
     /// [`ExpFinderError::DeadlineExceeded`] with the partial
     /// [`EvalStats`].
-    pub fn query_deadline(
+    pub fn query(
         &self,
         handle: &GraphHandle,
-        pattern: &Pattern,
-        top_k: Option<usize>,
-        prefer: Route,
-        deadline: Option<Duration>,
+        spec: &QuerySpec,
     ) -> Result<QueryResponse, ExpFinderError> {
-        let token = deadline.map(CancelToken::with_deadline);
-        let cancel = token.as_deref();
-        self.read
-            .query(|| self.latest(handle), pattern, top_k, prefer, cancel)
+        spec.read(|pattern| {
+            let (top_k, prefer, token) = (spec.top_k, spec.prefer, spec.token.clone());
+            let resolve = || self.latest(handle);
+            self.read
+                .query(resolve, pattern, top_k, prefer, spec.deadline, token)
+        })
     }
 
     /// Estimate the planner cost (abstract work units) of evaluating
@@ -684,7 +647,7 @@ impl Catalog {
     }
 
     /// Execute a whole batch of queries against one graph, draining them
-    /// across a scoped pool of up to `exec.threads` workers — the
+    /// across a scoped pool of up to [`EngineConfig::threads`] workers — the
     /// workload shape of a production service (and of expert-finding
     /// benchmarks, which evaluate over *sets* of queries).
     ///
@@ -692,7 +655,7 @@ impl Catalog {
     /// malformed DSL string fails its own slot without sinking the batch.
     /// Each query runs on the snapshot it grabbed and reports the
     /// `graph_version` it observed; every response individually equals a
-    /// sequential [`QueryBuilder::run`] at that version (property-tested),
+    /// sequential [`Catalog::query`] at that version (property-tested),
     /// but a batch racing a writer may span versions. The thread budget
     /// is split between batch workers and per-query refinement
     /// ([`ReadPath::query_batch`]).
@@ -700,8 +663,10 @@ impl Catalog {
     /// A `deadline` arms one [`CancelToken`] polled by every worker, so
     /// slots still running when the budget runs out come back as
     /// [`ExpFinderError::DeadlineExceeded`] while already-finished slots
-    /// keep their results. A per-spec [`QuerySpec::deadline`] further
-    /// tightens (never extends) the batch budget for its own slot.
+    /// keep their results. A per-spec [`QuerySpec::deadline`] or
+    /// [`QuerySpec::cancel_token`] gives its slot a token of its own,
+    /// armed with the tighter of that deadline and what is left of the
+    /// batch budget.
     ///
     /// ```
     /// use expfinder_engine::{ExpFinder, QuerySpec};
@@ -736,7 +701,7 @@ impl ExpFinder {
         let catalog = Catalog {
             engine_id: ENGINE_IDS.fetch_add(1, Ordering::Relaxed),
             graphs: RwLock::new(HashMap::new()),
-            read: ReadPath::new(config.cache_capacity, config.exec),
+            read: ReadPath::new(&config),
             update_hook: RwLock::new(None),
             next_id: AtomicU64::new(1),
         };
@@ -866,23 +831,14 @@ impl ExpFinder {
     /// Apply edge updates to a graph, maintaining its compression and its
     /// registered queries along the way, on the caller's thread under that
     /// one graph's write mutex (readers are unaffected: they keep the
-    /// snapshot they hold, and the next read sees the new one). Returns how
-    /// many updates actually changed the graph (duplicates/no-ops are
-    /// skipped).
+    /// snapshot they hold, and the next read sees the new one). The
+    /// [`UpdateReport`] counts the updates that changed the graph
+    /// (duplicates/no-ops are skipped) and carries the version after the
+    /// batch and every registered query's maintained size before and
+    /// after, all measured inside the same commit — the ΔM report
+    /// `POST /graphs/{name}/updates` returns: [`MaintainedGraph::apply`],
+    /// then publish, then the update hook.
     pub fn apply_updates(
-        &self,
-        handle: &GraphHandle,
-        updates: &[EdgeUpdate],
-    ) -> Result<usize, ExpFinderError> {
-        Ok(self.apply_updates_traced(handle, updates)?.applied)
-    }
-
-    /// Like [`ExpFinder::apply_updates`], but also reports the graph
-    /// version after the batch and the maintained-result size of every
-    /// registered query before and after, all measured inside the same
-    /// commit — the ΔM report `POST /graphs/{name}/updates` returns:
-    /// [`MaintainedGraph::apply`], then publish, then the update hook.
-    pub fn apply_updates_traced(
         &self,
         handle: &GraphHandle,
         updates: &[EdgeUpdate],
@@ -921,134 +877,47 @@ pub fn validate_graph_name(name: &str) -> Result<(), ExpFinderError> {
     }
 }
 
-/// Fluent request builder returned by [`Catalog::query`].
-///
-/// Chain [`pattern`](Self::pattern) (or [`dsl`](Self::dsl)), optionally
-/// [`top_k`](Self::top_k) and [`prefer`](Self::prefer), then
-/// [`run`](Self::run). The whole run — routing, evaluation, result-graph
-/// construction and ranking — happens on one published snapshot of the
-/// target graph, so the response is consistent even with concurrent
-/// writers.
-#[must_use = "QueryBuilder does nothing until .run()"]
-pub struct QueryBuilder<'a> {
-    catalog: &'a Catalog,
-    handle: GraphHandle,
-    pattern: Option<Result<Pattern, ExpFinderError>>,
-    top_k: Option<usize>,
-    prefer: Route,
-    deadline: Option<Duration>,
-    token: Option<Arc<CancelToken>>,
-}
-
-impl QueryBuilder<'_> {
-    /// The pattern to evaluate.
-    pub fn pattern(mut self, pattern: Pattern) -> Self {
-        self.pattern = Some(Ok(pattern));
-        self
-    }
-
-    /// The pattern to evaluate, written in the text DSL. Parse errors
-    /// surface at [`run`](Self::run).
-    pub fn dsl(mut self, dsl: &str) -> Self {
-        self.pattern = Some(expfinder_pattern::parser::parse(dsl).map_err(ExpFinderError::from));
-        self
-    }
-
-    /// Also rank the output node's matches and return the best `k`.
-    pub fn top_k(mut self, k: usize) -> Self {
-        self.top_k = Some(k);
-        self
-    }
-
-    /// Routing preference (default [`Route::Auto`]).
-    pub fn prefer(mut self, route: Route) -> Self {
-        self.prefer = route;
-        self
-    }
-
-    /// Evaluation budget, measured from [`run`](Self::run): once it has
-    /// elapsed, the evaluation abandons work at its next cancellation
-    /// point and returns [`ExpFinderError::DeadlineExceeded`] carrying
-    /// the partial [`EvalStats`]. No deadline (the default) costs a
-    /// single relaxed atomic load per cancellation point.
-    pub fn deadline(mut self, budget: Duration) -> Self {
-        self.deadline = Some(budget);
-        self
-    }
-
-    /// Poll a caller-supplied [`CancelToken`] at every cancellation
-    /// point, so `cancel()` from another thread (a disconnected client,
-    /// a supervisor, a deterministic test fuse) aborts the run with
-    /// [`ExpFinderError::DeadlineExceeded`] carrying the partial stats.
-    /// Composes with [`deadline`](Self::deadline), which arms its budget
-    /// on this same token. The token's check/fire counts are folded into
-    /// [`ReadPath::cancel_totals`] when the run returns.
-    pub fn cancel_token(mut self, token: Arc<CancelToken>) -> Self {
-        self.token = Some(token);
-        self
-    }
-
-    /// Execute the query.
-    pub fn run(self) -> Result<QueryResponse, ExpFinderError> {
-        let pattern = match self.pattern {
-            None => return Err(ExpFinderError::MissingPattern),
-            Some(Err(e)) => return Err(e),
-            Some(Ok(p)) => p,
-        };
-        let token = match (self.token, self.deadline) {
-            (Some(t), Some(d)) => {
-                t.arm_deadline(d);
-                Some(t)
-            }
-            (Some(t), None) => Some(t),
-            (None, d) => d.map(CancelToken::with_deadline),
-        };
-        let (catalog, cancel) = (self.catalog, token.as_deref());
-        let resolve = || catalog.latest(&self.handle);
-        catalog
-            .read
-            .query(resolve, &pattern, self.top_k, self.prefer, cancel)
-    }
-}
-
 /// How one [`QuerySpec`] names its pattern.
 #[derive(Clone, Debug)]
-pub(crate) enum SpecSource {
+enum SpecSource {
     Pattern(Pattern),
     Dsl(String),
 }
 
-/// One query of a batch: a pattern (or DSL text parsed at execution
-/// time), an optional `top_k`, and a routing preference — the owned
-/// counterpart of [`QueryBuilder`] that [`Catalog::query_batch`] can
-/// fan out across threads.
+/// One read request — the engine's only one: a pattern (or DSL text
+/// parsed at execution time), an optional `top_k`, a routing preference,
+/// and an optional deadline and cancellation token. [`Catalog::query`]
+/// answers one; [`Catalog::query_batch`] fans a `Vec` of them out across
+/// threads.
 #[derive(Clone, Debug)]
 pub struct QuerySpec {
-    pub(crate) source: SpecSource,
+    source: SpecSource,
     pub(crate) top_k: Option<usize>,
     pub(crate) prefer: Route,
     pub(crate) deadline: Option<Duration>,
+    pub(crate) token: Option<Arc<CancelToken>>,
 }
 
 impl QuerySpec {
-    /// A spec from an assembled pattern.
-    pub fn pattern(pattern: Pattern) -> QuerySpec {
+    fn new(source: SpecSource) -> QuerySpec {
         QuerySpec {
-            source: SpecSource::Pattern(pattern),
+            source,
             top_k: None,
             prefer: Route::Auto,
             deadline: None,
+            token: None,
         }
     }
 
-    /// A spec from DSL text; parse errors surface in the batch slot.
+    /// A spec from an assembled pattern.
+    pub fn pattern(pattern: Pattern) -> QuerySpec {
+        QuerySpec::new(SpecSource::Pattern(pattern))
+    }
+
+    /// A spec from DSL text; parse errors surface when it is read (in its
+    /// own slot, in a batch).
     pub fn dsl(dsl: impl Into<String>) -> QuerySpec {
-        QuerySpec {
-            source: SpecSource::Dsl(dsl.into()),
-            top_k: None,
-            prefer: Route::Auto,
-            deadline: None,
-        }
+        QuerySpec::new(SpecSource::Dsl(dsl.into()))
     }
 
     /// Also rank the output node's matches and return the best `k`.
@@ -1063,12 +932,39 @@ impl QuerySpec {
         self
     }
 
-    /// Evaluation budget for this slot, measured from the moment the
-    /// batch worker picks it up. Combined with a batch-wide deadline the
-    /// *tighter* of the two applies.
+    /// Evaluation budget, measured from the moment the read starts (a
+    /// batch worker picking the slot up): once it has elapsed, the
+    /// evaluation abandons work at its next cancellation point and
+    /// returns [`ExpFinderError::DeadlineExceeded`] carrying the partial
+    /// [`EvalStats`]. In a batch with a batch-wide deadline the *tighter*
+    /// of the two applies. No deadline (the default) costs a single
+    /// relaxed atomic load per cancellation point.
     pub fn deadline(mut self, budget: Duration) -> QuerySpec {
         self.deadline = Some(budget);
         self
+    }
+
+    /// Poll a caller-supplied [`CancelToken`] at every cancellation
+    /// point, so `cancel()` from another thread (a disconnected client,
+    /// a supervisor, a deterministic test fuse) aborts the read with
+    /// [`ExpFinderError::DeadlineExceeded`] carrying the partial stats.
+    /// Composes with [`deadline`](Self::deadline), which is armed on this
+    /// same token. The token's check/fire counts are folded into
+    /// [`ReadPath::cancel_totals`] when the read returns.
+    pub fn cancel_token(mut self, token: Arc<CancelToken>) -> QuerySpec {
+        self.token = Some(token);
+        self
+    }
+
+    /// Run `read` on the spec's pattern, parsing its DSL text first.
+    pub(crate) fn read<R>(
+        &self,
+        read: impl FnOnce(&Pattern) -> Result<R, ExpFinderError>,
+    ) -> Result<R, ExpFinderError> {
+        match &self.source {
+            SpecSource::Pattern(p) => read(p),
+            SpecSource::Dsl(s) => read(&expfinder_pattern::parser::parse(s)?),
+        }
     }
 }
 
@@ -1092,7 +988,7 @@ mod tests {
 
     /// One `Route::Auto` read of `q`, without ranking.
     fn auto(e: &Catalog, h: &GraphHandle, q: &Pattern) -> Result<QueryResponse, ExpFinderError> {
-        e.query_deadline(h, q, None, Route::Auto, None)
+        e.query(h, &QuerySpec::pattern(q.clone()))
     }
 
     #[test]
@@ -1143,12 +1039,9 @@ mod tests {
         let stats = e.compress(&h, CompressionMethod::Bisimulation).unwrap();
         assert!(stats.compressed_nodes <= stats.original_nodes);
         // the result is already cached for this version; ask for the
-        // compressed route explicitly through the builder
+        // compressed route explicitly
         let out = e
-            .query(&h)
-            .pattern(q)
-            .prefer(Route::Compressed)
-            .run()
+            .query(&h, &QuerySpec::pattern(q).prefer(Route::Compressed))
             .unwrap();
         assert_eq!(out.plan.chosen, PlanRoute::Compressed);
         assert_eq!(*out.matches, *direct);
@@ -1199,8 +1092,7 @@ mod tests {
             .read_graph(&h, |g| {
                 let before = (g.version(), g.has_edge(f.e1.0, f.e1.1));
                 let writer = std::thread::scope(|s| {
-                    s.spawn(|| e.apply_updates_traced(&h, &insert).unwrap())
-                        .join()
+                    s.spawn(|| e.apply_updates(&h, &insert).unwrap()).join()
                 });
                 let inside = (g.version(), g.has_edge(f.e1.0, f.e1.1));
                 (before, inside, writer.unwrap())
@@ -1215,7 +1107,7 @@ mod tests {
     }
 
     #[test]
-    fn update_hook_sees_traced_reports_in_order() {
+    fn update_hook_sees_reports_in_order() {
         let (e, h, f) = engine_with_fig1();
         e.register_query(&h, "team", fig1_pattern()).unwrap();
         type SeenReports = Vec<(String, u64, Vec<RegisteredDelta>)>;
@@ -1230,7 +1122,6 @@ mod tests {
             ));
         })));
 
-        // the count-only entry point: the hook still sees ΔM
         e.apply_updates(&h, &[EdgeUpdate::Insert(f.e1.0, f.e1.1)])
             .unwrap();
         e.apply_updates(&h, &[EdgeUpdate::Delete(f.e1.0, f.e1.1)])
@@ -1240,7 +1131,7 @@ mod tests {
         assert_eq!(frames.len(), 2);
         assert!(frames.iter().all(|(g, _, _)| g == "fig1"));
         assert!(frames[0].1 < frames[1].1, "versions strictly ordered");
-        assert_eq!(frames[0].2.len(), 1, "ΔM present despite a count-only call");
+        assert_eq!(frames[0].2.len(), 1, "ΔM present");
         assert_eq!(frames[0].2[0].delta(), 1);
         assert_eq!(frames[1].2[0].delta(), -1);
 
@@ -1253,16 +1144,20 @@ mod tests {
     #[test]
     fn ranked_query_full_pipeline() {
         let (e, h, f) = engine_with_fig1();
-        let report = e.query(&h).pattern(fig1_pattern()).top_k(1).run().unwrap();
+        let report = e
+            .query(&h, &QuerySpec::pattern(fig1_pattern()).top_k(1))
+            .unwrap();
         assert_eq!(report.experts.len(), 1);
         assert_eq!(report.experts[0].node, f.bob);
         assert!((report.experts[0].rank - 1.8).abs() < 1e-12);
     }
 
     #[test]
-    fn builder_full_response() {
+    fn full_response() {
         let (e, h, f) = engine_with_fig1();
-        let resp = e.query(&h).pattern(fig1_pattern()).top_k(2).run().unwrap();
+        let resp = e
+            .query(&h, &QuerySpec::pattern(fig1_pattern()).top_k(2))
+            .unwrap();
         assert_eq!(resp.matches.total_pairs(), 7);
         assert_eq!(resp.plan.chosen, PlanRoute::Snapshot);
         assert_eq!(resp.experts[0].node, f.bob);
@@ -1270,33 +1165,29 @@ mod tests {
     }
 
     #[test]
-    fn builder_dsl_and_missing_pattern() {
+    fn dsl_spec_parses_at_read_time() {
         let (e, h, _) = engine_with_fig1();
         let resp = e
-            .query(&h)
-            .dsl("node sa* where label = \"SA\";")
-            .run()
+            .query(&h, &QuerySpec::dsl("node sa* where label = \"SA\";"))
             .unwrap();
         assert_eq!(resp.matches.total_pairs(), 2, "Bob and Walt");
         assert!(resp.experts.is_empty(), "no top_k requested");
 
         assert!(matches!(
-            e.query(&h).run(),
-            Err(ExpFinderError::MissingPattern)
-        ));
-        assert!(matches!(
-            e.query(&h).dsl("node oops").run(),
+            e.query(&h, &QuerySpec::dsl("node oops")),
             Err(ExpFinderError::Parse(_))
         ));
     }
 
     #[test]
-    fn builder_prefer_direct_skips_cache_and_registered() {
+    fn prefer_direct_skips_cache_and_registered() {
         let (e, h, _) = engine_with_fig1();
         let q = fig1_pattern();
         e.register_query(&h, "team", q.clone()).unwrap();
         let _ = auto(&e, &h, &q).unwrap(); // warm the cache
-        let out = e.query(&h).pattern(q).prefer(Route::Direct).run().unwrap();
+        let out = e
+            .query(&h, &QuerySpec::pattern(q).prefer(Route::Direct))
+            .unwrap();
         assert_eq!(out.plan.chosen, PlanRoute::Snapshot);
     }
 
@@ -1371,7 +1262,7 @@ mod tests {
             Err(ExpFinderError::ForeignHandle(_))
         ));
         assert!(matches!(
-            b.query(&ha).pattern(fig1_pattern()).run(),
+            b.query(&ha, &QuerySpec::pattern(fig1_pattern())),
             Err(ExpFinderError::ForeignHandle(_))
         ));
         // both engines still answer their own handles
@@ -1441,19 +1332,20 @@ mod tests {
     #[test]
     fn parallel_exec_identical_to_sequential() {
         let f = collaboration_fig1();
-        let seq = ExpFinder::new(EngineConfig {
-            exec: ExecConfig::sequential(),
-            ..EngineConfig::default()
-        });
+        let seq = ExpFinder::new(EngineConfig::sequential());
         let par = ExpFinder::new(EngineConfig {
-            exec: ExecConfig { threads: 4 },
+            threads: 4,
             ..EngineConfig::default()
         });
         let hs = seq.add_graph("fig1", f.graph.clone()).unwrap();
         let hp = par.add_graph("fig1", f.graph.clone()).unwrap();
         let q = fig1_pattern();
-        let rs = seq.query(&hs).pattern(q.clone()).top_k(3).run().unwrap();
-        let rp = par.query(&hp).pattern(q.clone()).top_k(3).run().unwrap();
+        let rs = seq
+            .query(&hs, &QuerySpec::pattern(q.clone()).top_k(3))
+            .unwrap();
+        let rp = par
+            .query(&hp, &QuerySpec::pattern(q.clone()).top_k(3))
+            .unwrap();
         assert_eq!(*rs.matches, *rp.matches);
         assert_eq!(rs.plan.chosen, rp.plan.chosen);
         assert_eq!(
@@ -1478,16 +1370,13 @@ mod tests {
             g.add_node("pad", []);
         }
         let e = ExpFinder::new(EngineConfig {
-            exec: ExecConfig { threads: 2 },
+            threads: 2,
             ..EngineConfig::default()
         });
         let h = e.add_graph("fig1", g).unwrap();
         let q = fig1_pattern();
         let run = || {
-            e.query(&h)
-                .pattern(q.clone())
-                .prefer(Route::Direct)
-                .run()
+            e.query(&h, &QuerySpec::pattern(q.clone()).prefer(Route::Direct))
                 .unwrap()
         };
         let before = run();
@@ -1510,20 +1399,14 @@ mod tests {
         // reach index, and must be exact and rank like a fresh engine
         use expfinder_core::naive::naive_bounded_simulation;
         let f = collaboration_fig1();
-        let sequential = || {
-            ExpFinder::new(EngineConfig {
-                exec: ExecConfig::sequential(),
-                ..EngineConfig::default()
-            })
-        };
+        let sequential = || ExpFinder::new(EngineConfig::sequential());
         let q = fig1_pattern();
         let run = |e: &ExpFinder, h: &GraphHandle| {
-            e.query(h)
-                .pattern(q.clone())
-                .prefer(Route::Direct)
-                .top_k(2)
-                .run()
-                .unwrap()
+            e.query(
+                h,
+                &QuerySpec::pattern(q.clone()).prefer(Route::Direct).top_k(2),
+            )
+            .unwrap()
         };
         let ranked = |r: &QueryResponse| {
             r.experts
@@ -1547,7 +1430,7 @@ mod tests {
             .enumerate()
         {
             if let Some(up) = up {
-                assert_eq!(e.apply_updates(&h, &[up]).unwrap(), 1);
+                assert_eq!(e.apply_updates(&h, &[up]).unwrap().applied, 1);
             }
             let before = consulted(&e);
             let resp = run(&e, &h);
@@ -1570,10 +1453,7 @@ mod tests {
     fn reach_index_warms_and_is_carried_across_versions() {
         use expfinder_pattern::{Bound, PatternBuilder, Predicate};
         let f = collaboration_fig1();
-        let e = ExpFinder::new(EngineConfig {
-            exec: ExecConfig::sequential(),
-            ..EngineConfig::default()
-        });
+        let e = ExpFinder::new(EngineConfig::sequential());
         let h = e.add_graph("fig1", f.graph.clone()).unwrap();
         // pure-label star: both constraints are class-seeded
         let q = PatternBuilder::new()
@@ -1585,10 +1465,7 @@ mod tests {
             .build()
             .unwrap();
         let run = || {
-            e.query(&h)
-                .pattern(q.clone())
-                .prefer(Route::Direct)
-                .run()
+            e.query(&h, &QuerySpec::pattern(q.clone()).prefer(Route::Direct))
                 .unwrap()
         };
 
@@ -1609,16 +1486,10 @@ mod tests {
         e.apply_updates(&h, &[EdgeUpdate::Insert(f.e1.0, f.e1.1)])
             .unwrap();
         let after = run(); // first read of the new version: warm
-        let fresh = ExpFinder::new(EngineConfig {
-            exec: ExecConfig::sequential(),
-            ..EngineConfig::default()
-        });
+        let fresh = ExpFinder::new(EngineConfig::sequential());
         let hf = fresh.add_graph("fig1", e.snapshot(&h).unwrap()).unwrap();
         let expect = fresh
-            .query(&hf)
-            .pattern(q.clone())
-            .prefer(Route::Direct)
-            .run()
+            .query(&hf, &QuerySpec::pattern(q.clone()).prefer(Route::Direct))
             .unwrap();
         assert_eq!(*after.matches, *expect.matches, "carried entries repaired");
         let t3 = e.index_totals();
@@ -1640,22 +1511,16 @@ mod tests {
             g.add_node("pad", []);
         }
         let e = ExpFinder::new(EngineConfig {
-            exec: ExecConfig { threads: 3 },
+            threads: 3,
             ..EngineConfig::default()
         });
         let h = e.add_graph("fig1", g.clone()).unwrap();
         let q = fig1_pattern();
         let r1 = e
-            .query(&h)
-            .pattern(q.clone())
-            .prefer(Route::Direct)
-            .run()
+            .query(&h, &QuerySpec::pattern(q.clone()).prefer(Route::Direct))
             .unwrap();
         let r2 = e
-            .query(&h)
-            .pattern(q.clone())
-            .prefer(Route::Direct)
-            .run()
+            .query(&h, &QuerySpec::pattern(q.clone()).prefer(Route::Direct))
             .unwrap();
         assert_eq!(*r1.matches, *r2.matches);
         assert_eq!(r1.matches.total_pairs(), 7);
@@ -1674,7 +1539,6 @@ mod tests {
             (ExpFinderError::DuplicateGraph("g".into()), 409),
             (ExpFinderError::DuplicateQuery("q".into()), 409),
             (ExpFinderError::InvalidGraphName("a/b".into()), 400),
-            (ExpFinderError::MissingPattern, 400),
             (ExpFinderError::ForeignHandle("g".into()), 500),
             (ExpFinderError::Storage("boom".into()), 500),
             (ExpFinderError::DeadlineExceeded(EvalStats::default()), 408),
@@ -1694,10 +1558,7 @@ mod tests {
         let (e, h, _) = engine_with_fig1();
         let q = fig1_pattern();
         let err = e
-            .query(&h)
-            .pattern(q.clone())
-            .deadline(Duration::ZERO)
-            .run()
+            .query(&h, &QuerySpec::pattern(q.clone()).deadline(Duration::ZERO))
             .unwrap_err();
         match &err {
             ExpFinderError::DeadlineExceeded(_) => {}
@@ -1711,11 +1572,11 @@ mod tests {
         );
         // nothing was cached by the abort, and the next un-deadlined
         // query on the same engine matches a fresh evaluation
-        let after = e.query(&h).pattern(q.clone()).run().unwrap();
+        let after = e.query(&h, &QuerySpec::pattern(q.clone())).unwrap();
         assert_ne!(after.plan.chosen, PlanRoute::Cache);
         let fresh = ExpFinder::default();
         let h2 = fresh.add_graph("fig1", collaboration_fig1().graph).unwrap();
-        let expect = fresh.query(&h2).pattern(q).run().unwrap();
+        let expect = fresh.query(&h2, &QuerySpec::pattern(q)).unwrap();
         assert_eq!(*after.matches, *expect.matches);
     }
 
@@ -1741,10 +1602,10 @@ mod tests {
         let (e, h, _) = engine_with_fig1();
         let q = fig1_pattern();
         let with = e
-            .query(&h)
-            .pattern(q.clone())
-            .deadline(Duration::from_secs(3600))
-            .run()
+            .query(
+                &h,
+                &QuerySpec::pattern(q.clone()).deadline(Duration::from_secs(3600)),
+            )
             .unwrap();
         assert_eq!(with.matches.total_pairs(), 7);
         assert_eq!(e.read_path().cancel_totals().fired, 0);
@@ -1785,11 +1646,11 @@ mod tests {
     }
 
     #[test]
-    fn traced_updates_report_registered_deltas() {
+    fn updates_report_registered_deltas() {
         let (e, h, f) = engine_with_fig1();
         e.register_query(&h, "team", fig1_pattern()).unwrap();
         let report = e
-            .apply_updates_traced(
+            .apply_updates(
                 &h,
                 &[
                     EdgeUpdate::Insert(f.e1.0, f.e1.1),
@@ -1810,11 +1671,6 @@ mod tests {
             report.graph_version,
             e.read_graph(&h, |g| g.version()).unwrap()
         );
-        // the count-only entry point agrees on applied counts
-        let n = e
-            .apply_updates(&h, &[EdgeUpdate::Delete(f.e1.0, f.e1.1)])
-            .unwrap();
-        assert_eq!(n, 1);
     }
 
     #[test]
@@ -1834,7 +1690,7 @@ mod tests {
         let q = fig1_pattern();
         // cost-modeled evaluation: the sequential direct route wins on a
         // tiny graph at any thread budget
-        let first = e.query(&h).pattern(q.clone()).run().unwrap();
+        let first = e.query(&h, &QuerySpec::pattern(q.clone())).unwrap();
         assert_eq!(first.plan.chosen, PlanRoute::Snapshot);
         assert!(!first.plan.overridden);
         assert_eq!(
@@ -1844,11 +1700,13 @@ mod tests {
             first.plan.candidates
         );
         // exact short circuit: the cache hit is recorded without costing
-        let second = e.query(&h).pattern(q.clone()).run().unwrap();
+        let second = e.query(&h, &QuerySpec::pattern(q.clone())).unwrap();
         assert_eq!(second.plan.chosen, PlanRoute::Cache);
         assert!(second.plan.candidates.is_empty());
         // a preference is recorded as an override, not a silent branch
-        let forced = e.query(&h).pattern(q).prefer(Route::Direct).run().unwrap();
+        let forced = e
+            .query(&h, &QuerySpec::pattern(q).prefer(Route::Direct))
+            .unwrap();
         assert!(forced.plan.overridden);
         let t = e.read_path().planner_totals();
         assert_eq!(t.decisions, 3);

@@ -13,8 +13,8 @@
 use crate::cache::{CacheKey, CacheStats, Hit, QueryCache};
 use crate::planner::{self, PlanContext, PlanDecision, PlanRoute, PlannerCounters};
 use crate::{
-    CancelTotals, ExecConfig, ExpFinderError, IndexTotals, PlannerTotals, QueryResponse, QuerySpec,
-    QueryTimings, RankTotals, RegisteredView, Route, Snapshot, SpecSource,
+    CancelTotals, EngineConfig, ExpFinderError, IndexTotals, PlannerTotals, QueryResponse,
+    QuerySpec, QueryTimings, RankTotals, RegisteredView, Route, Snapshot,
 };
 use expfinder_core::{
     evaluate, rank_matches_top_k_cancellable, CancelToken, EvalError, EvalRequest, EvalScratch,
@@ -97,13 +97,14 @@ type Routed = (Hit, PlanDecision, EvalStats);
 
 /// The shared read path of both service facades. Owns everything a read
 /// touches that is not the graph itself: the version-keyed result cache,
-/// the pooled [`EvalScratch`]es (fluent queries, batch workers and HTTP
+/// the pooled [`EvalScratch`]es (single reads, batch workers and HTTP
 /// workers each check one out, so steady-state serving reuses BFS
 /// frontiers, reach caches, counter buffers and the result-graph and
 /// ranking buffers instead of allocating per request), the cumulative planner / evaluation / cancellation counters
 /// behind `GET /metrics`, and the thread budget.
 pub struct ReadPath {
-    exec: ExecConfig,
+    /// [`EngineConfig::threads`], at least 1.
+    threads: usize,
     cache: Mutex<QueryCache>,
     scratch: ScratchPool,
     planner: PlannerCounters,
@@ -115,10 +116,10 @@ pub struct ReadPath {
 }
 
 impl ReadPath {
-    pub fn new(cache_capacity: usize, exec: ExecConfig) -> ReadPath {
+    pub fn new(config: &EngineConfig) -> ReadPath {
         ReadPath {
-            exec,
-            cache: Mutex::new(QueryCache::new(cache_capacity)),
+            threads: config.threads.max(1),
+            cache: Mutex::new(QueryCache::new(config.cache_capacity)),
             scratch: ScratchPool::new(),
             planner: PlannerCounters::default(),
             rank_totals: RankCounters::default(),
@@ -136,10 +137,12 @@ impl ReadPath {
 
     /// Answer one query against the snapshot `resolve` hands out: routing,
     /// evaluation, result-graph construction and ranking all see that one
-    /// state, with `exec.threads` workers for the parallel stages.
-    /// `cancel` is polled at every cancellation point; a fired token
-    /// aborts with [`ExpFinderError::DeadlineExceeded`] carrying the
-    /// partial [`EvalStats`], and its check/fire counts are folded into
+    /// state, with [`EngineConfig::threads`] workers for the parallel
+    /// stages. The read polls its own token — the caller's `token`, or a
+    /// fresh one when it has only a `deadline` — with `deadline` armed on
+    /// it; a fired token aborts with
+    /// [`ExpFinderError::DeadlineExceeded`] carrying the partial
+    /// [`EvalStats`], and its check/fire counts are folded into
     /// [`ReadPath::cancel_totals`] either way.
     pub fn query(
         &self,
@@ -147,9 +150,11 @@ impl ReadPath {
         pattern: &Pattern,
         top_k: Option<usize>,
         prefer: Route,
-        cancel: Option<&CancelToken>,
+        deadline: Option<Duration>,
+        token: Option<Arc<CancelToken>>,
     ) -> Result<QueryResponse, ExpFinderError> {
-        let threads = self.exec.threads.max(1);
+        let (own, threads) = (read_token(token, deadline, None), self.threads);
+        let cancel = own.as_deref();
         let out = self.scratch.with(|scratch| {
             self.execute(
                 resolve, pattern, top_k, prefer, threads, scratch, cancel, true,
@@ -162,13 +167,13 @@ impl ReadPath {
     }
 
     /// Execute a whole batch of queries, draining them across a scoped
-    /// pool of `w = exec.threads` workers, clamped to `1..=specs.len()`.
+    /// pool of `w = threads` workers, clamped to `1..=specs.len()`.
     /// Results come back in spec order, one `Result` per spec; each slot
     /// resolves its own snapshot — a graph removed mid-batch fails its
     /// remaining slots — and reports the `graph_version` it observed.
     ///
     /// The thread budget is split, not multiplied: each query refines with
-    /// `exec.threads / w` (min 1) inner threads, so a batch never runs
+    /// `threads / w` (min 1) inner threads, so a batch never runs
     /// more than `threads + w` threads total — batch-level parallelism is
     /// the better lever when there are many queries, per-query
     /// parallelism when there is one.
@@ -176,8 +181,9 @@ impl ReadPath {
     /// A `deadline` arms one [`CancelToken`] polled by every worker, so
     /// slots still running when the budget runs out come back as
     /// [`ExpFinderError::DeadlineExceeded`] while already-finished slots
-    /// keep their results. A per-spec [`QuerySpec::deadline`] further
-    /// tightens (never extends) the batch budget for its own slot.
+    /// keep their results. A slot whose spec carries a deadline or a
+    /// token polls a token of its own instead, armed with the tighter of
+    /// its deadline and what is left of the batch budget.
     pub fn query_batch(
         &self,
         resolve: impl Fn() -> Result<Arc<Snapshot>, ExpFinderError> + Sync,
@@ -189,8 +195,8 @@ impl ReadPath {
         }
         let batch_token = deadline.map(CancelToken::with_deadline);
         let batch_cancel = batch_token.as_deref();
-        let workers = self.exec.threads.clamp(1, specs.len());
-        let inner_threads = (self.exec.threads / workers).max(1);
+        let workers = self.threads.clamp(1, specs.len());
+        let inner_threads = (self.threads / workers).max(1);
         let indices: Vec<usize> = (0..specs.len()).collect();
         // one pooled EvalScratch per batch worker, reused across its slots
         let pairs = expfinder_core::parallel::run_items(
@@ -211,11 +217,10 @@ impl ReadPath {
                 pairs.into_iter().map(|(_, r)| r).collect()
             }
             None => {
-                let threads = self.exec.threads.max(1);
                 let mut scratch = self.scratch.take();
                 specs
                     .iter()
-                    .map(|sp| self.run_spec(&resolve, sp, threads, &mut scratch, batch_cancel))
+                    .map(|sp| self.run_spec(&resolve, sp, self.threads, &mut scratch, batch_cancel))
                     .collect()
             }
         };
@@ -227,9 +232,8 @@ impl ReadPath {
 
     /// Resolve one [`QuerySpec`] (parsing its DSL if needed, so a parse
     /// error fails its own slot) and run it with the given inner-thread
-    /// budget. A per-spec deadline becomes its own token, clipped to
-    /// whatever remains of the batch budget; otherwise the shared batch
-    /// token (if any) is polled directly.
+    /// budget, polling the slot's own token ([`read_token`]) or else the
+    /// batch token.
     fn run_spec(
         &self,
         resolve: impl FnOnce() -> Result<Arc<Snapshot>, ExpFinderError>,
@@ -238,35 +242,23 @@ impl ReadPath {
         scratch: &mut EvalScratch,
         batch_cancel: Option<&CancelToken>,
     ) -> Result<QueryResponse, ExpFinderError> {
-        let parsed;
-        let pattern = match &spec.source {
-            SpecSource::Pattern(p) => p,
-            SpecSource::Dsl(s) => {
-                parsed = expfinder_pattern::parser::parse(s)?;
-                &parsed
+        spec.read(|pattern| {
+            let own = read_token(spec.token.clone(), spec.deadline, batch_cancel);
+            let out = self.execute(
+                resolve,
+                pattern,
+                spec.top_k,
+                spec.prefer,
+                threads,
+                scratch,
+                own.as_deref().or(batch_cancel),
+                false, // a batch slot fills the ranked slot but is not served from it
+            );
+            if let Some(t) = &own {
+                self.cancel_totals.drain(t);
             }
-        };
-        let own = spec.deadline.map(|d| {
-            let budget = batch_cancel
-                .and_then(CancelToken::remaining)
-                .map_or(d, |left| left.min(d));
-            CancelToken::with_deadline(budget)
-        });
-        let cancel = own.as_deref().or(batch_cancel);
-        let out = self.execute(
-            resolve,
-            pattern,
-            spec.top_k,
-            spec.prefer,
-            threads,
-            scratch,
-            cancel,
-            false, // a batch slot fills the ranked slot but is not served from it
-        );
-        if let Some(t) = &own {
-            self.cancel_totals.drain(t);
-        }
-        out
+            out
+        })
     }
 
     /// Resolve, evaluate, rank: the whole of one read, timed.
@@ -468,8 +460,7 @@ impl ReadPath {
     /// hit/miss counters), so the estimate is conservative: an
     /// exact-route hit costs less than reported here.
     pub fn estimate_cost(&self, state: &Snapshot, pattern: &Pattern) -> f64 {
-        let threads = self.exec.threads.max(1);
-        let plan = plan_routes(state, pattern, true, threads);
+        let plan = plan_routes(state, pattern, true, self.threads);
         plan.candidates
             .iter()
             .find(|c| c.route == plan.planned)
@@ -546,6 +537,29 @@ impl ReadPath {
     }
 }
 
+/// The token one read polls. A read with a caller `token` or a
+/// `deadline` polls a token of its own — the caller's, or else a fresh one
+/// — armed with the tighter of its deadline and whatever is left of the
+/// `batch` budget. A read with neither gets `None` and polls the batch
+/// token (if any).
+fn read_token(
+    token: Option<Arc<CancelToken>>,
+    deadline: Option<Duration>,
+    batch: Option<&CancelToken>,
+) -> Option<Arc<CancelToken>> {
+    let left = batch.and_then(CancelToken::remaining);
+    let budget = deadline.map(|d| left.map_or(d, |left| left.min(d)));
+    match token {
+        Some(t) => {
+            if let Some(b) = budget.or(left) {
+                t.arm_deadline(b);
+            }
+            Some(t)
+        }
+        None => budget.map(CancelToken::with_deadline),
+    }
+}
+
 /// Cost every physical route applicable to `pattern` on `state`. The
 /// compressed quotient is a candidate only when one exists, the pattern
 /// is compression-safe and `try_compressed` allows it.
@@ -600,4 +614,37 @@ fn rank(
         .map_err(|_| MatchError::NoOutputNode)?;
     let ranking = view.ranking();
     Ok(ranking[..k.min(ranking.len())].to_vec())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_read_polls_its_own_token_armed_with_the_tighter_budget() {
+        let minute = Duration::from_secs(60);
+        let batch = CancelToken::with_deadline(minute);
+        // neither a token nor a deadline: the read polls the batch token
+        assert!(read_token(None, None, Some(&batch)).is_none());
+        // a deadline alone: a fresh token, clipped to the batch budget
+        let fresh = read_token(None, Some(Duration::from_secs(3600)), Some(&batch)).unwrap();
+        assert!(fresh.remaining().unwrap() <= minute);
+        // the caller's token is the one armed, with the tighter budget
+        let caller = CancelToken::disarmed();
+        let own = read_token(
+            Some(Arc::clone(&caller)),
+            Some(Duration::ZERO),
+            Some(&batch),
+        );
+        assert!(Arc::ptr_eq(&own.unwrap(), &caller));
+        assert_eq!(caller.remaining(), Some(Duration::ZERO));
+        // a caller's token without a deadline takes what is left of the
+        // batch budget, and stays unarmed outside a batch
+        let caller = CancelToken::disarmed();
+        read_token(Some(Arc::clone(&caller)), None, Some(&batch));
+        assert!(caller.remaining().unwrap() <= minute);
+        let caller = CancelToken::disarmed();
+        read_token(Some(Arc::clone(&caller)), None, None);
+        assert_eq!(caller.remaining(), None);
+    }
 }

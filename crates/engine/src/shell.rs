@@ -297,9 +297,7 @@ impl Shell {
         let q = Self::parse_pattern(dsl)?;
         let outcome = self
             .engine
-            .query(&h)
-            .pattern(q.clone())
-            .run()
+            .query(&h, &QuerySpec::pattern(q.clone()))
             .map_err(Self::err)?;
         let mut out = format!(
             "{} pairs via {}\n",
@@ -371,7 +369,7 @@ impl Shell {
             failed,
             wall.as_secs_f64() * 1e3,
             // mirror query_batch's clamp: never more workers than queries
-            self.engine.config().exec.threads.clamp(1, results.len())
+            self.engine.config().threads.clamp(1, results.len())
         );
         Ok(out)
     }
@@ -401,13 +399,10 @@ impl Shell {
         let k: usize = k_str.parse().map_err(|e| format!("bad k: {e}"))?;
         let h = self.current()?;
         let q = Self::parse_pattern(dsl)?;
-        // the fluent path: one consistent snapshot of evaluation + ranking
+        // one read: one consistent snapshot of evaluation + ranking
         let resp = self
             .engine
-            .query(&h)
-            .pattern(q.clone())
-            .top_k(k)
-            .run()
+            .query(&h, &QuerySpec::pattern(q.clone()).top_k(k))
             .map_err(Self::err)?;
         let mut out = format!(
             "{} pairs via {}; top {} of output node:\n",
@@ -545,8 +540,12 @@ impl Shell {
             }
             other => return Err(format!("unknown update op {other:?}")),
         };
-        let applied = self.engine.apply_updates(&h, &updates).map_err(Self::err)?;
-        Ok(format!("applied {applied}/{} updates", updates.len()))
+        let report = self.engine.apply_updates(&h, &updates).map_err(Self::err)?;
+        Ok(format!(
+            "applied {}/{} updates",
+            report.applied,
+            updates.len()
+        ))
     }
 
     fn cmd_register(&mut self, rest: &str) -> ShellResult {

@@ -481,7 +481,7 @@ impl MaintainedGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ExpFinder, Route};
+    use crate::{ExpFinder, QuerySpec};
     use expfinder_core::bounded_simulation;
     use expfinder_graph::generate::{collaboration, random_updates, CollabConfig};
     use expfinder_pattern::fixtures::fig1_pattern;
@@ -533,7 +533,7 @@ mod tests {
             if i == 20 {
                 engine.unregister_query(&h, "late").unwrap();
             }
-            applied += engine.apply_updates(&h, batch).unwrap() as u64;
+            applied += engine.apply_updates(&h, batch).unwrap().applied as u64;
             for &up in batch {
                 model.apply(up);
             }
@@ -550,7 +550,7 @@ mod tests {
         // a batch of no-ops publishes nothing at all
         let present = model.edges().next().unwrap();
         let noop = [EdgeUpdate::Insert(present.0, present.1)];
-        assert_eq!(engine.apply_updates(&h, &noop).unwrap(), 0);
+        assert_eq!(engine.apply_updates(&h, &noop).unwrap().applied, 0);
         let newest = engine.latest(&h).unwrap();
         assert!(Arc::ptr_eq(&newest, &prev));
         assert_eq!(newest.version(), model.version());
@@ -559,7 +559,7 @@ mod tests {
         let want = bounded_simulation(&model, &live).unwrap();
         assert_eq!(*view(&newest, "live"), want);
         assert_eq!(bounded_simulation(newest.graph(), &live).unwrap(), want);
-        let got = engine.query_deadline(&h, &live, None, Route::Auto, None);
+        let got = engine.query(&h, &QuerySpec::pattern(live.clone()));
         assert_eq!(*got.unwrap().matches, want);
         assert_ne!(want, held_want, "the stream changed the answer");
         assert_eq!(held.version(), base.version());

@@ -88,16 +88,6 @@ pub enum AttrValue {
 }
 
 impl AttrValue {
-    /// Human-readable type name, used in error messages.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            AttrValue::Int(_) => "int",
-            AttrValue::Float(_) => "float",
-            AttrValue::Str(_) => "str",
-            AttrValue::Bool(_) => "bool",
-        }
-    }
-
     pub fn as_int(&self) -> Option<i64> {
         match self {
             AttrValue::Int(v) => Some(*v),

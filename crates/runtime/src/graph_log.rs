@@ -93,7 +93,7 @@ impl GraphLog {
         updates: &[EdgeUpdate],
     ) -> Result<UpdateReport, ExpFinderError> {
         rt.log(&mut self.wal, &WalOp::Updates(updates.to_vec()))?;
-        rt.engine.apply_updates_traced(&self.handle, updates)
+        rt.engine.apply_updates(&self.handle, updates)
     }
 
     /// Register a query: the registration record (carrying the pattern's

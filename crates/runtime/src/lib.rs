@@ -11,7 +11,7 @@
 //! crate declares is only the writes, and every one of them is **logged
 //! before it happens**, on the caller's thread: lock the graph's log,
 //! append the operation to its WAL ([`wal`], fsync per policy), and only
-//! then call the engine's own write — `ExpFinder::apply_updates_traced`,
+//! then call the engine's own write — `ExpFinder::apply_updates`,
 //! or `ExpFinder::write` with the same [`MaintainedGraph`] method the
 //! in-memory facade passes — which maintains, publishes and fires the
 //! update hook under the graph's write mutex exactly as it does in memory.
@@ -38,6 +38,7 @@
 //! rebuildable on demand, and a restart comes back uncompressed.
 //!
 //! ```
+//! use expfinder_engine::QuerySpec;
 //! use expfinder_runtime::{DurableExpFinder, RuntimeConfig, FsyncPolicy};
 //! use expfinder_graph::fixtures::collaboration_fig1;
 //! use expfinder_pattern::fixtures::fig1_pattern;
@@ -55,7 +56,7 @@
 //! let rt = DurableExpFinder::open(&dir, config).unwrap();
 //! let h = rt.handle("fig1").unwrap();
 //! assert_eq!(rt.registered_queries(&h).unwrap(), vec!["team".to_owned()]);
-//! let resp = rt.query(&h).pattern(fig1_pattern()).top_k(2).run().unwrap();
+//! let resp = rt.query(&h, &QuerySpec::pattern(fig1_pattern()).top_k(2)).unwrap();
 //! assert_eq!(resp.experts.len(), 2);
 //! # let _ = std::fs::remove_dir_all(&dir);
 //! ```
@@ -356,19 +357,9 @@ impl DurableExpFinder {
     // --------------------------- updates ---------------------------
 
     /// Apply edge updates: WAL-append (fsynced per policy), then the
-    /// engine's own `apply_updates_traced` — apply, maintain registered
-    /// queries, publish, update hook. Returns how many updates changed
-    /// the graph.
+    /// engine's own [`ExpFinder::apply_updates`] — apply, maintain
+    /// registered queries, publish, update hook. Returns its ΔM report.
     pub fn apply_updates(
-        &self,
-        name: &str,
-        updates: &[EdgeUpdate],
-    ) -> Result<usize, ExpFinderError> {
-        Ok(self.apply_updates_traced(name, updates)?.applied)
-    }
-
-    /// Like [`DurableExpFinder::apply_updates`] with the full ΔM report.
-    pub fn apply_updates_traced(
         &self,
         name: &str,
         updates: &[EdgeUpdate],
@@ -458,7 +449,7 @@ impl DurableExpFinder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use expfinder_engine::{ExecConfig, PlanRoute, Route};
+    use expfinder_engine::{PlanRoute, QuerySpec, Route};
     use expfinder_graph::fixtures::collaboration_fig1;
     use expfinder_graph::GraphView;
     use expfinder_pattern::fixtures::{fig1_pattern, fig1_pattern_simulation};
@@ -472,10 +463,7 @@ mod tests {
     fn sequential_config() -> RuntimeConfig {
         RuntimeConfig {
             fsync: FsyncPolicy::Never,
-            engine: EngineConfig {
-                exec: ExecConfig::sequential(),
-                ..EngineConfig::default()
-            },
+            engine: EngineConfig::sequential(),
             ..RuntimeConfig::default()
         }
     }
@@ -488,10 +476,10 @@ mod tests {
         {
             let rt = DurableExpFinder::open(&dir, sequential_config()).unwrap();
             rt.add_graph("fig1", f.graph.clone()).unwrap();
-            let applied = rt
+            let report = rt
                 .apply_updates("fig1", &[EdgeUpdate::Insert(x, y)])
                 .unwrap();
-            assert_eq!(applied, 1);
+            assert_eq!(report.applied, 1);
         } // clean-ish shutdown: no snapshot write, recovery must replay
 
         let rt = DurableExpFinder::open(&dir, sequential_config()).unwrap();
@@ -505,17 +493,16 @@ mod tests {
             .unwrap();
         assert_eq!(edges, oracle.edge_count());
         let got = rt
-            .query_deadline(
+            .query(
                 &rt.handle("fig1").unwrap(),
-                &fig1_pattern(),
-                None,
-                Route::Auto,
-                None,
+                &QuerySpec::pattern(fig1_pattern()),
             )
             .unwrap();
         let engine = expfinder_engine::ExpFinder::default();
         let h = engine.add_graph("fig1", oracle).unwrap();
-        let want = engine.query(&h).pattern(fig1_pattern()).run().unwrap();
+        let want = engine
+            .query(&h, &QuerySpec::pattern(fig1_pattern()))
+            .unwrap();
         assert_eq!(*got.matches, *want.matches);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -568,7 +555,7 @@ mod tests {
         ));
 
         let r = rt
-            .query_deadline(&rt.handle("fig1").unwrap(), &q, None, Route::Auto, None)
+            .query(&rt.handle("fig1").unwrap(), &QuerySpec::pattern(q.clone()))
             .unwrap();
         assert_eq!(r.plan.chosen, PlanRoute::Registered);
 
@@ -577,7 +564,7 @@ mod tests {
             .unwrap()
             .total_pairs();
         let report = rt
-            .apply_updates_traced("fig1", &[EdgeUpdate::Insert(x, y)])
+            .apply_updates("fig1", &[EdgeUpdate::Insert(x, y)])
             .unwrap();
         assert_eq!(report.registered.len(), 1);
         assert_eq!(report.registered[0].before_pairs, before);
@@ -589,7 +576,10 @@ mod tests {
 
         // maintained result equals a fresh evaluation
         let fresh = rt
-            .query_deadline(&rt.handle("fig1").unwrap(), &q, None, Route::Direct, None)
+            .query(
+                &rt.handle("fig1").unwrap(),
+                &QuerySpec::pattern(q.clone()).prefer(Route::Direct),
+            )
             .unwrap();
         let maintained = rt
             .registered_result(&rt.handle("fig1").unwrap(), "team")
@@ -631,12 +621,9 @@ mod tests {
             .registered_result(&rt.handle("fig1").unwrap(), "team")
             .unwrap();
         let fresh = rt
-            .query_deadline(
+            .query(
                 &rt.handle("fig1").unwrap(),
-                &fig1_pattern(),
-                None,
-                Route::Direct,
-                None,
+                &QuerySpec::pattern(fig1_pattern()).prefer(Route::Direct),
             )
             .unwrap();
         assert_eq!(fresh.matches, maintained);
@@ -672,12 +659,9 @@ mod tests {
             .registered_result(&rt.handle("fig1").unwrap(), "team")
             .unwrap();
         let fresh = rt
-            .query_deadline(
+            .query(
                 &rt.handle("fig1").unwrap(),
-                &fig1_pattern(),
-                None,
-                Route::Direct,
-                None,
+                &QuerySpec::pattern(fig1_pattern()).prefer(Route::Direct),
             )
             .unwrap();
         assert_eq!(fresh.matches, maintained);
@@ -809,22 +793,16 @@ mod tests {
 
         // a forced compressed route answers exactly like a direct one
         let via_quotient = rt
-            .query_deadline(
+            .query(
                 &rt.handle("fig1").unwrap(),
-                &fig1_pattern(),
-                None,
-                Route::Compressed,
-                None,
+                &QuerySpec::pattern(fig1_pattern()).prefer(Route::Compressed),
             )
             .unwrap();
         assert_eq!(via_quotient.plan.chosen, PlanRoute::Compressed);
         let direct = rt
-            .query_deadline(
+            .query(
                 &rt.handle("fig1").unwrap(),
-                &fig1_pattern(),
-                None,
-                Route::Direct,
-                None,
+                &QuerySpec::pattern(fig1_pattern()).prefer(Route::Direct),
             )
             .unwrap();
         assert_eq!(*via_quotient.matches, *direct.matches);
@@ -833,21 +811,15 @@ mod tests {
         rt.apply_updates("fig1", &[EdgeUpdate::Insert(x, y)])
             .unwrap();
         let after_q = rt
-            .query_deadline(
+            .query(
                 &rt.handle("fig1").unwrap(),
-                &fig1_pattern(),
-                None,
-                Route::Compressed,
-                None,
+                &QuerySpec::pattern(fig1_pattern()).prefer(Route::Compressed),
             )
             .unwrap();
         let after_d = rt
-            .query_deadline(
+            .query(
                 &rt.handle("fig1").unwrap(),
-                &fig1_pattern(),
-                None,
-                Route::Direct,
-                None,
+                &QuerySpec::pattern(fig1_pattern()).prefer(Route::Direct),
             )
             .unwrap();
         assert_eq!(*after_q.matches, *after_d.matches);
@@ -858,12 +830,9 @@ mod tests {
             None
         );
         let dropped = rt
-            .query_deadline(
+            .query(
                 &rt.handle("fig1").unwrap(),
-                &fig1_pattern(),
-                None,
-                Route::Compressed,
-                None,
+                &QuerySpec::pattern(fig1_pattern()).prefer(Route::Compressed),
             )
             .unwrap();
         assert_ne!(

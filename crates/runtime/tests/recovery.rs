@@ -10,7 +10,7 @@
 //! run, which restarts both durable workloads and checks the recovered
 //! answers against the naive oracle.)
 
-use expfinder_engine::Route;
+use expfinder_engine::{QuerySpec, Route};
 use expfinder_graph::generate::{collaboration, random_updates, CollabConfig};
 use expfinder_graph::{DiGraph, EdgeUpdate};
 use expfinder_pattern::fixtures::demo_queries;
@@ -66,15 +66,10 @@ fn assert_queries_match_oracle(rt: &DurableExpFinder, name: &str, oracle: &DiGra
     let h = engine.add_graph("oracle", oracle.clone()).unwrap();
     for (qname, q) in demo_queries() {
         let got = rt
-            .query(&rt.handle(name).unwrap())
-            .pattern(q.clone())
-            .run()
+            .query(&rt.handle(name).unwrap(), &QuerySpec::pattern(q.clone()))
             .unwrap();
         let want = engine
-            .query(&h)
-            .pattern(q)
-            .prefer(Route::Direct)
-            .run()
+            .query(&h, &QuerySpec::pattern(q).prefer(Route::Direct))
             .unwrap();
         assert_eq!(
             *got.matches, *want.matches,

@@ -4,8 +4,8 @@
 //! engine, so the same wire protocol serves two deployment shapes:
 //!
 //! * [`Backend::Local`] — the classic shareable [`ExpFinder`]: graphs
-//!   live in memory and vanish with the process. This is what
-//!   `Server::bind` builds and what the shell's `serve` command uses.
+//!   live in memory and vanish with the process. This is what the
+//!   shell's `serve` command fronts.
 //! * [`Backend::Durable`] — a [`DurableExpFinder`]: the same engine with
 //!   a WAL append in front of every write, so a restart replays the log
 //!   (`serve --data-dir`).
@@ -84,7 +84,9 @@ impl Backend {
     /// Evaluate one pattern under an optional end-to-end deadline:
     /// evaluation aborts cooperatively once the budget is spent and
     /// surfaces as [`ExpFinderError::DeadlineExceeded`] carrying the
-    /// partial [`EvalStats`](expfinder_core::EvalStats).
+    /// partial [`EvalStats`](expfinder_core::EvalStats). The borrowed
+    /// pattern goes straight to the [`ReadPath`] — `/query` neither
+    /// clones nor re-parses it.
     pub fn query_deadline(
         &self,
         name: &str,
@@ -94,7 +96,9 @@ impl Backend {
         deadline: Option<Duration>,
     ) -> Result<QueryResponse, ExpFinderError> {
         let c = self.reads();
-        c.query_deadline(&c.handle(name)?, pattern, top_k, prefer, deadline)
+        let h = c.handle(name)?;
+        c.read_path()
+            .query(|| c.latest(&h), pattern, top_k, prefer, deadline, None)
     }
 
     /// Evaluate a batch of specs against one graph under an optional
@@ -130,8 +134,8 @@ impl Backend {
         updates: &[EdgeUpdate],
     ) -> Result<UpdateReport, ExpFinderError> {
         match self {
-            Backend::Local(e) => e.apply_updates_traced(&e.handle(name)?, updates),
-            Backend::Durable(rt) => rt.apply_updates_traced(name, updates),
+            Backend::Local(e) => e.apply_updates(&e.handle(name)?, updates),
+            Backend::Durable(rt) => rt.apply_updates(name, updates),
         }
     }
 

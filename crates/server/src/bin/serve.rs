@@ -178,7 +178,7 @@ fn main() {
     }
 
     let workers = config.workers;
-    let server = Server::bind_backend(backend, addr.as_str(), config).unwrap_or_else(|e| {
+    let server = Server::bind(backend, addr.as_str(), config).unwrap_or_else(|e| {
         eprintln!("bind {addr}: {e}");
         std::process::exit(1);
     });

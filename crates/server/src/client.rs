@@ -357,7 +357,7 @@ impl Client {
     ///
     /// ```
     /// use expfinder_engine::ExpFinder;
-    /// use expfinder_server::{client::Client, Server, ServerConfig};
+    /// use expfinder_server::{client::Client, Backend, Server, ServerConfig};
     /// use std::sync::Arc;
     ///
     /// let engine = Arc::new(ExpFinder::default());
@@ -366,7 +366,9 @@ impl Client {
     ///     .unwrap();
     /// // a live subscription pins one worker; keep headroom beyond it
     /// let config = ServerConfig { workers: 4, ..ServerConfig::default() };
-    /// let handle = Server::bind(engine, "127.0.0.1:0", config).unwrap().spawn();
+    /// let handle = Server::bind(Backend::Local(engine), "127.0.0.1:0", config)
+    ///     .unwrap()
+    ///     .spawn();
     ///
     /// let mut client = Client::new(handle.addr());
     /// client

@@ -211,7 +211,9 @@ pub fn read_head(
 }
 
 /// Read a `Content-Length` body, enforcing `max_body` **before** any
-/// allocation so an attacker-declared length cannot balloon memory.
+/// allocation. The buffer then grows only as bytes arrive (doubling,
+/// never past the declared length), so a declared length costs memory
+/// only once its bytes are sent — the client reads responses with no cap.
 pub fn read_body(
     r: &mut impl BufRead,
     headers: &[(String, String)],
@@ -232,9 +234,14 @@ pub fn read_body(
         return Err(HttpError::TooLarge("body"));
     }
     let started = Instant::now();
-    let mut body = vec![0u8; len];
-    let mut read = 0usize;
+    let (mut body, mut read) = (Vec::new(), 0usize);
     while read < len {
+        if read == body.len() {
+            // double the buffer once it is full, never past `len`
+            let grow = (len - read).min(read.max(64 * 1024));
+            body.reserve_exact(grow);
+            body.resize(read + grow, 0);
+        }
         match r.read(&mut body[read..]) {
             Ok(0) => return Err(HttpError::Malformed("eof mid-body".into())),
             // deadline applies to successful partial reads too (a
@@ -500,6 +507,20 @@ mod tests {
             );
         }
         assert!(matches!(req(b""), Err(HttpError::Closed)));
+    }
+
+    /// A client reads responses with no body cap: a head declaring an
+    /// absurd length allocates nothing before the body's bytes arrive.
+    #[test]
+    fn an_absurd_declared_length_allocates_nothing_up_front() {
+        let mut r =
+            BufReader::new(&b"HTTP/1.1 200 OK\r\nContent-Length: 1152921504606846976\r\n\r\n"[..]);
+        let (_, headers) = read_head(&mut r, DL).unwrap();
+        let e = read_body(&mut r, &headers, usize::MAX, DL).unwrap_err();
+        assert!(
+            matches!(&e, HttpError::Malformed(m) if m == "eof mid-body"),
+            "{e}"
+        );
     }
 
     #[test]

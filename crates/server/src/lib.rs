@@ -27,14 +27,15 @@
 //!
 //! ```
 //! use expfinder_engine::ExpFinder;
-//! use expfinder_server::{client::Client, Server, ServerConfig};
+//! use expfinder_server::{client::Client, Backend, Server, ServerConfig};
 //! use std::sync::Arc;
 //!
 //! let engine = Arc::new(ExpFinder::default());
 //! engine
 //!     .add_graph("fig1", expfinder_graph::fixtures::collaboration_fig1().graph)
 //!     .unwrap();
-//! let server = Server::bind(engine, "127.0.0.1:0", ServerConfig::default()).unwrap();
+//! let backend = Backend::Local(engine);
+//! let server = Server::bind(backend, "127.0.0.1:0", ServerConfig::default()).unwrap();
 //! let handle = server.spawn();
 //!
 //! let mut client = Client::new(handle.addr());

@@ -500,7 +500,7 @@ pub(crate) fn obj(fields: Vec<(&str, Value)>) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use expfinder_engine::ExpFinder;
+    use expfinder_engine::{ExpFinder, QuerySpec};
     use std::sync::Arc;
 
     fn local() -> Backend {
@@ -609,7 +609,7 @@ mod tests {
         let q = expfinder_pattern::fixtures::fig1_pattern();
         // miss + direct eval, then a hit
         for _ in 0..2 {
-            engine.query(&h).pattern(q.clone()).run().unwrap();
+            engine.query(&h, &QuerySpec::pattern(q.clone())).unwrap();
         }
         let doc = Metrics::default().to_json(&Backend::Local(engine), subs());
         let cache = doc.field("engine").unwrap().field("cache").unwrap();

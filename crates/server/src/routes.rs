@@ -6,7 +6,7 @@
 //! | GET    | `/metrics`                | counters, latency histograms, versions  |
 //! | GET    | `/graphs`                 | catalog listing                         |
 //! | POST   | `/graphs`                 | add a graph (JSON graph document)       |
-//! | POST   | `/graphs/{name}/query`    | one fluent query                        |
+//! | POST   | `/graphs/{name}/query`    | one query                               |
 //! | POST   | `/graphs/{name}/batch`    | a batch through `ExpFinder::query_batch`|
 //! | POST   | `/graphs/{name}/updates`  | edge updates + ΔM report                |
 //! | POST   | `/graphs/{name}/register` | register a query for maintenance        |

@@ -30,8 +30,6 @@ use crate::http::{self, HttpError, Response};
 use crate::metrics::Metrics;
 use crate::routes::{self, Dispatch};
 use crate::subscribe::{Subscriber, SubscriptionHub};
-use expfinder_engine::ExpFinder;
-use expfinder_runtime::DurableExpFinder;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -128,31 +126,12 @@ pub struct Server {
 const POLL: Duration = Duration::from_millis(25);
 
 impl Server {
-    /// Bind to `addr` (use port 0 for an ephemeral port), serving an
-    /// in-memory engine.
+    /// Bind to `addr` (use port 0 for an ephemeral port), serving
+    /// `backend` — an in-memory engine or a durable runtime. Binding
+    /// installs the backend's update hook, so committed batches start
+    /// reaching the subscription hub before the first connection is
+    /// accepted; the hook is cleared again when the server shuts down.
     pub fn bind(
-        engine: Arc<ExpFinder>,
-        addr: impl ToSocketAddrs,
-        config: ServerConfig,
-    ) -> std::io::Result<Server> {
-        Server::bind_backend(Backend::Local(engine), addr, config)
-    }
-
-    /// Bind to `addr`, serving a durable runtime: updates are WAL-logged
-    /// on their worker, queries run on published snapshots, restarts replay.
-    pub fn bind_durable(
-        runtime: Arc<DurableExpFinder>,
-        addr: impl ToSocketAddrs,
-        config: ServerConfig,
-    ) -> std::io::Result<Server> {
-        Server::bind_backend(Backend::Durable(runtime), addr, config)
-    }
-
-    /// Bind to `addr` with an explicit [`Backend`]. Binding installs the
-    /// backend's update hook, so committed batches start reaching the
-    /// subscription hub before the first connection is accepted; the
-    /// hook is cleared again when the server shuts down.
-    pub fn bind_backend(
         backend: Backend,
         addr: impl ToSocketAddrs,
         config: ServerConfig,
@@ -235,20 +214,6 @@ impl ServerHandle {
     /// The backend this server fronts.
     pub fn backend(&self) -> &Backend {
         &self.inner.backend
-    }
-
-    /// The in-memory engine this server fronts, when it is serving one
-    /// (`None` on a durable backend).
-    pub fn engine(&self) -> Option<&Arc<ExpFinder>> {
-        match &self.inner.backend {
-            Backend::Local(e) => Some(e),
-            Backend::Durable(_) => None,
-        }
-    }
-
-    /// Requests served so far (all routes).
-    pub fn requests_served(&self) -> u64 {
-        self.inner.metrics.total_requests()
     }
 
     /// The `GET /metrics` document, read in-process: observable even

@@ -132,7 +132,7 @@ impl ServedShell {
         };
         let config = ServerConfig::default();
         let workers = config.workers;
-        let server = Server::bind_backend(backend, addr.as_str(), config)
+        let server = Server::bind(backend, addr.as_str(), config)
             .map_err(|e| format!("bind {addr}: {e}"))?;
         let handle = server.spawn();
         let out = match recovered {

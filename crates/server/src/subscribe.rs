@@ -3,7 +3,7 @@
 //!
 //! Every committed update batch reaches [`SubscriptionHub::publish`]
 //! (installed as the engine/runtime [`expfinder_engine::UpdateHook`] by
-//! `Server::bind_backend`), which fans the encoded `update` frame out to
+//! `Server::bind`), which fans the encoded `update` frame out to
 //! every subscriber of that graph. Fan-out cost is proportional to the
 //! number of *affected* subscribers — graphs without subscribers pay one
 //! mutex acquire and an early return.

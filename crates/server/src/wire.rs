@@ -551,6 +551,7 @@ pub fn encode_add_graph(name: &str, g: &DiGraph) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use expfinder_engine::QuerySpec;
     use expfinder_graph::fixtures::collaboration_fig1;
     use expfinder_graph::json::parse;
     use expfinder_graph::GraphView;
@@ -636,7 +637,9 @@ mod tests {
         let f = collaboration_fig1();
         let h = engine.add_graph("fig1", f.graph.clone()).unwrap();
         let q = fig1_pattern();
-        let resp = engine.query(&h).pattern(q.clone()).top_k(2).run().unwrap();
+        let resp = engine
+            .query(&h, &QuerySpec::pattern(q.clone()).top_k(2))
+            .unwrap();
         let v = encode_query_response(&resp, &q, true, |n| {
             f.graph.attr_of(n, "name").and_then(|a| match a {
                 expfinder_graph::AttrValue::Str(s) => Some(s.clone()),
@@ -672,7 +675,9 @@ mod tests {
         assert_eq!(parse(&v.to_string_compact()).unwrap(), v);
 
         // an exact route (cache hit) plans nothing but still reports
-        let hit = engine.query(&h).pattern(q.clone()).top_k(2).run().unwrap();
+        let hit = engine
+            .query(&h, &QuerySpec::pattern(q.clone()).top_k(2))
+            .unwrap();
         let v2 = encode_query_response(&hit, &q, false, |_| None);
         let plan2 = v2.field("timings").unwrap().field("plan").unwrap();
         assert_eq!(plan2.field("chosen").unwrap().as_str().unwrap(), "cache");
@@ -693,10 +698,10 @@ mod tests {
     #[test]
     fn route_is_the_plan_chosen_route_on_every_taken_route() {
         use expfinder_compress::CompressionMethod;
-        use expfinder_engine::{EngineConfig, ExecConfig, ExpFinder};
+        use expfinder_engine::{EngineConfig, ExpFinder};
         use expfinder_pattern::fixtures::fig1_pattern;
         let engine = ExpFinder::new(EngineConfig {
-            exec: ExecConfig { threads: 2 },
+            threads: 2,
             ..EngineConfig::default()
         });
         let fig1 = engine
@@ -712,10 +717,7 @@ mod tests {
         let q = fig1_pattern();
         let run = |h, prefer| {
             engine
-                .query(h)
-                .pattern(q.clone())
-                .prefer(prefer)
-                .run()
+                .query(h, &QuerySpec::pattern(q.clone()).prefer(prefer))
                 .unwrap()
         };
 

@@ -14,7 +14,7 @@ use expfinder_graph::json::Value;
 use expfinder_graph::{DiGraph, EdgeUpdate};
 use expfinder_pattern::Pattern;
 use expfinder_server::client::{query_body, query_body_deadline, Client};
-use expfinder_server::{ClientError, Server, ServerConfig, ServerHandle};
+use expfinder_server::{Backend, ClientError, Server, ServerConfig, ServerHandle};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, HashMap};
@@ -35,7 +35,9 @@ fn serve(graphs: Vec<(&str, DiGraph)>, config: ServerConfig) -> ServerHandle {
     for (name, g) in graphs {
         engine.add_graph(name, g).unwrap();
     }
-    Server::bind(engine, "127.0.0.1:0", config).unwrap().spawn()
+    Server::bind(Backend::Local(engine), "127.0.0.1:0", config)
+        .unwrap()
+        .spawn()
 }
 
 fn fig1_server() -> ServerHandle {
@@ -466,10 +468,7 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
 fn durable_config() -> expfinder_runtime::RuntimeConfig {
     expfinder_runtime::RuntimeConfig {
         fsync: expfinder_runtime::wal::FsyncPolicy::Never,
-        engine: expfinder_engine::EngineConfig {
-            exec: expfinder_engine::ExecConfig::sequential(),
-            ..Default::default()
-        },
+        engine: expfinder_engine::EngineConfig::sequential(),
         ..Default::default()
     }
 }
@@ -537,7 +536,7 @@ fn subscription_pushes_frames_matching_updates_responses_durable() {
         expfinder_graph::fixtures::collaboration_fig1().graph,
     )
     .unwrap();
-    let handle = Server::bind_durable(rt, "127.0.0.1:0", ServerConfig::default())
+    let handle = Server::bind(Backend::Durable(rt), "127.0.0.1:0", ServerConfig::default())
         .unwrap()
         .spawn();
     assert_push_matches_poll(&handle);
@@ -706,7 +705,7 @@ fn durable_registration_survives_restart_and_feeds_new_subscriptions() {
         let rt =
             Arc::new(expfinder_runtime::DurableExpFinder::open(&dir, durable_config()).unwrap());
         rt.add_graph("fig1", f.graph.clone()).unwrap();
-        let handle = Server::bind_durable(rt, "127.0.0.1:0", ServerConfig::default())
+        let handle = Server::bind(Backend::Durable(rt), "127.0.0.1:0", ServerConfig::default())
             .unwrap()
             .spawn();
         let mut client = Client::new(handle.addr());
@@ -720,7 +719,7 @@ fn durable_registration_survives_restart_and_feeds_new_subscriptions() {
     // second lifetime: recovery replays the WAL's register record, so a
     // client can subscribe immediately — no re-registration step
     let rt = Arc::new(expfinder_runtime::DurableExpFinder::open(&dir, durable_config()).unwrap());
-    let handle = Server::bind_durable(rt, "127.0.0.1:0", ServerConfig::default())
+    let handle = Server::bind(Backend::Durable(rt), "127.0.0.1:0", ServerConfig::default())
         .unwrap()
         .spawn();
     let mut client = Client::new(handle.addr());
@@ -998,7 +997,7 @@ fn deadline_408_on_durable_backend_leaves_state_clean() {
         expfinder_graph::fixtures::collaboration_fig1().graph,
     )
     .unwrap();
-    let handle = Server::bind_durable(rt, "127.0.0.1:0", ServerConfig::default())
+    let handle = Server::bind(Backend::Durable(rt), "127.0.0.1:0", ServerConfig::default())
         .unwrap()
         .spawn();
     let mut client = Client::new(handle.addr());

@@ -1,7 +1,7 @@
 //! Quickstart: build a small collaboration graph, express a hiring
 //! requirement as a bounded-simulation pattern, and get ranked experts —
-//! first through the shareable engine (the handle/builder API every
-//! service would use), then through the raw matching layer.
+//! first through the shareable engine (the handle + `QuerySpec` API
+//! every service would use), then through the raw matching layer.
 //!
 //! Run with: `cargo run --example quickstart`
 
@@ -78,17 +78,14 @@ fn main() {
         .build()
         .expect("valid pattern");
 
-    // --- the engine way: shareable, handle-based, fluent ----------------
+    // --- the engine way: shareable, handle-based -----------------------
     // `Arc<ExpFinder>` is how a long-lived service holds the engine: every
     // query-side method is `&self`, so clones of the Arc can serve many
     // threads at once.
     let engine = Arc::new(ExpFinder::default());
     let team = engine.add_graph("team", g.clone()).expect("fresh name");
     let resp = engine
-        .query(&team)
-        .pattern(pattern.clone())
-        .top_k(2)
-        .run()
+        .query(&team, &QuerySpec::pattern(pattern.clone()).top_k(2))
         .expect("query runs");
 
     println!(

@@ -23,9 +23,7 @@ fn main() {
     // ---- Example 1: the match set --------------------------------------
     println!("== Example 1: bounded simulation finds the team ==");
     let outcome = engine
-        .query(&collab)
-        .pattern(pattern.clone())
-        .run()
+        .query(&collab, &QuerySpec::pattern(pattern.clone()))
         .expect("query runs");
     let g = engine.snapshot(&collab).unwrap();
     let rg = ResultGraph::build(&g, &pattern, &outcome.matches);
@@ -34,9 +32,7 @@ fn main() {
 
     // ...while plain simulation and isomorphism both fail (paper §I):
     let sim_result = engine
-        .query(&collab)
-        .pattern(fig1_pattern_simulation())
-        .run()
+        .query(&collab, &QuerySpec::pattern(fig1_pattern_simulation()))
         .expect("query runs");
     println!(
         "plain graph simulation on the same query: {} matches (too strict)",
@@ -55,10 +51,7 @@ fn main() {
     // ---- Example 2: ranking by social impact ---------------------------
     println!("== Example 2: top-K experts for the SA position ==");
     let resp = engine
-        .query(&collab)
-        .pattern(pattern.clone())
-        .top_k(2)
-        .run()
+        .query(&collab, &QuerySpec::pattern(pattern.clone()).top_k(2))
         .expect("ranked query");
     print!("{}", report::expert_table(&g, &resp.experts));
     let bob = &resp.experts[0];

@@ -57,9 +57,7 @@ fn main() {
     // direct evaluation first
     let t = Instant::now();
     let direct = engine
-        .query(&twitter)
-        .pattern(pattern.clone())
-        .run()
+        .query(&twitter, &QuerySpec::pattern(pattern.clone()))
         .unwrap();
     let direct_time = t.elapsed();
     println!(
@@ -89,10 +87,10 @@ fn main() {
     // this version's answer, so Auto would short-circuit)
     let t = Instant::now();
     let compressed = engine
-        .query(&twitter)
-        .pattern(pattern.clone())
-        .prefer(Route::Compressed)
-        .run()
+        .query(
+            &twitter,
+            &QuerySpec::pattern(pattern.clone()).prefer(Route::Compressed),
+        )
         .unwrap();
     let compressed_time = t.elapsed();
     println!(
@@ -108,10 +106,7 @@ fn main() {
 
     // top influencers
     let report = engine
-        .query(&twitter)
-        .pattern(pattern.clone())
-        .top_k(5)
-        .run()
+        .query(&twitter, &QuerySpec::pattern(pattern.clone()).top_k(5))
         .unwrap();
     println!("\ntop-5 media accounts by social impact:");
     for (i, e) in report.experts.iter().enumerate() {

@@ -34,10 +34,13 @@ every backticked `CamelCase` identifier (bare, or the type in an
 `a::b::C` / `C::method` path) in its crate map, "The read path" and "The
 write path" must be declared (`struct|enum|trait|type|fn|const`)
 somewhere under crates/*/src, so a PR that deletes or renames a type
-cannot leave its name in the map. What follows the type in a path
-(`Catalog::handle`, `Backend::Durable`) must be a `fn`, field or variant
-declared in a file that declares or implements that type — so a deleted
-method cannot stay in the map under a type that survived it either.
+cannot leave its name in the map. And every backticked type-and-member
+path (`Catalog::handle`, `Backend::Durable`) in README.md, docs/*.md and
+the verify skill names a type declared under crates/*/src,
+crates/*/tests or tests/, and a member — a `fn`, field, variant,
+associated const or `#[derive]`d trait method — declared in a file that
+declares or implements that type, so a deleted method cannot stay in the
+docs under a type that survived it either.
 
 And the commands the docs tell a reader to run: every package or target
 flag (`-p`, `--bin`, `--example`, `--bench`, `--test`) in
@@ -232,16 +235,92 @@ PATH = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:::[A-Za-z_][A-Za-z0-9_]*)*")
 CAMEL = re.compile(r"[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*")
 
 
+MEMBER_DOCS = ["README.md", "docs/*.md", ".claude/skills/verify/SKILL.md"]
+# where a documented type may live: release code, and the test types the
+# docs name (`Harness::restart`)
+MEMBER_SOURCES = ["crates/*/src/**/*.rs", "crates/*/tests/**/*.rs", "tests/**/*.rs"]
+# the methods a `#[derive]`d trait gives a type
+DERIVED = {
+    "Clone": ["clone"],
+    "Debug": ["fmt"],
+    "Default": ["default"],
+    "PartialEq": ["eq", "ne"],
+    "Eq": [],
+    "Hash": ["hash"],
+    "PartialOrd": ["partial_cmp"],
+    "Ord": ["cmp"],
+}
+
+
+def camel_paths(span: str):
+    """`(type, member)` for every path in `span` whose first CamelCase
+    segment (outside NOT_OURS) is followed by another segment."""
+    for path in PATH.findall(span):
+        segments = path.split("::")
+        at = next((i for i, s in enumerate(segments) if CAMEL.fullmatch(s)), None)
+        if at is not None and segments[at] not in NOT_OURS and at + 1 < len(segments):
+            yield segments[at], segments[at + 1]
+
+
+def derived_methods(name: str, src: str) -> set:
+    """Methods the `#[derive(...)]` on `struct|enum name` in `src` gives it."""
+    attrs = rf"#\[derive\(([^)]*)\)\](?:\s*#\[[^\]]*\])*\s*(?:pub(?:\([a-z]+\))?\s+)?(?:struct|enum)\s+{name}\b"
+    return {
+        method
+        for derive in re.findall(attrs, src)
+        for trait in derive.split(",")
+        for method in DERIVED.get(trait.strip().rpartition("::")[2], [])
+    }
+
+
+def check_doc_members():
+    """`file:line: …` for every backticked type-and-member path in
+    MEMBER_DOCS whose type no file under MEMBER_SOURCES declares, or whose
+    member no file that declares or implements the type has, and the
+    number of distinct paths checked."""
+    sources = [p.read_text() for pattern in MEMBER_SOURCES for p in sorted(ROOT.glob(pattern))]
+    docs = sorted({f for pattern in MEMBER_DOCS for f in ROOT.glob(pattern)})
+    missing, checked = [], set()
+    for doc in docs:
+        text = doc.read_text()
+        for span in re.finditer(r"`([^`\n]+)`", text):
+            for name, member in camel_paths(span.group(1)):
+                checked.add((name, member))
+                owner = rf"\b(?:struct|enum|trait|type)\s+{name}\b|\bimpl\b[^{{;]*\b{name}\b"
+                files = [src for src in sources if re.search(owner, src)]
+                item = (
+                    rf"\b(?:fn|const|static|type)\s+{member}\b"
+                    rf"|^\s*(?:pub(?:\([a-z]+\))?\s+)?{member}\s*[:,({{]"
+                )
+                if not files:
+                    missing.append(
+                        f"{at(doc, text, span)}: `{name}::{member}`: no type `{name}` is "
+                        "declared under crates/*/src, crates/*/tests or tests/"
+                    )
+                elif not any(
+                    re.search(item, src, re.MULTILINE) or member in derived_methods(name, src)
+                    for src in files
+                ):
+                    missing.append(
+                        f"{at(doc, text, span)}: `{name}::{member}`: no file that declares "
+                        f"or implements `{name}` has a fn, field, variant or derived "
+                        f"method `{member}`"
+                    )
+    if len(checked) < 20:
+        missing.append(
+            f"only {len(checked)} type-and-member paths found in {MEMBER_DOCS}; "
+            "update scripts/docs_check.py"
+        )
+    return missing, len(checked)
+
+
 def check_architecture_idents():
     """CamelCase identifiers backticked in the checked sections of
     docs/ARCHITECTURE.md that no file under crates/*/src declares, and
     the number of distinct identifiers checked. In a path the first
-    CamelCase segment is the type; the segment after it, if any, is a
-    method, field or variant, looked for in the files that declare or
-    implement the type (a coarse scope, but a name deleted from every
-    such file is certainly gone)."""
+    CamelCase segment is the type (its member is `check_doc_members`'s)."""
     text = ARCHITECTURE.read_text()
-    names, members, missing = set(), set(), []
+    names, missing = set(), []
     for title in ARCHITECTURE_SECTIONS:
         _, found, rest = text.partition(f"\n## {title}\n")
         if not found:
@@ -257,8 +336,6 @@ def check_architecture_idents():
                 if at is None or segments[at] in NOT_OURS:
                     continue
                 names.add(segments[at])
-                if at + 1 < len(segments):
-                    members.add((segments[at], segments[at + 1]))
     sources = [p.read_text() for p in sorted(CRATES.glob("*/src/**/*.rs"))]
     declared = r"\b(?:struct|enum|trait|type|fn|const)\s+{}\b"
     for name in sorted(names):
@@ -267,17 +344,7 @@ def check_architecture_idents():
                 f"`{name}` is named in docs/ARCHITECTURE.md (crate map / read "
                 "path / write path) but declared nowhere under crates/*/src"
             )
-    for name, member in sorted(members):
-        owner = rf"\b(?:struct|enum|trait|type)\s+{name}\b|\bimpl\b[^{{;]*\b{name}\b"
-        item = rf"\bfn\s+{member}\b|^\s*(?:pub(?:\([a-z]+\))?\s+)?{member}\s*[:,({{]"
-        files = [src for src in sources if re.search(owner, src)]
-        if files and not any(re.search(item, src, re.MULTILINE) for src in files):
-            missing.append(
-                f"`{name}::{member}` is named in docs/ARCHITECTURE.md but no file "
-                f"that declares or implements `{name}` has a fn, field or "
-                f"variant `{member}`"
-            )
-    return missing, len(names) + len(members)
+    return missing, len(names)
 
 
 TARGET_DOCS = [
@@ -584,6 +651,9 @@ def main() -> int:
     ident_missing, n_idents = check_architecture_idents()
     for msg in ident_missing:
         print(f"docs-check: {msg}", file=sys.stderr)
+    member_missing, n_members = check_doc_members()
+    for msg in member_missing:
+        print(f"docs-check: {msg}", file=sys.stderr)
     target_missing, n_targets = check_doc_targets()
     for msg in target_missing:
         print(f"docs-check: {msg}", file=sys.stderr)
@@ -596,14 +666,23 @@ def main() -> int:
     oracle_missing, n_release = check_oracle_callers()
     for msg in oracle_missing:
         print(f"docs-check: {msg}", file=sys.stderr)
-    failed = [missing, variant_missing, metrics_missing, ident_missing, target_missing, recipe_missing]
+    failed = [
+        missing,
+        variant_missing,
+        metrics_missing,
+        ident_missing,
+        member_missing,
+        target_missing,
+        recipe_missing,
+    ]
     if any(failed) or path_missing or oracle_missing:
         return 1
     print(
         f"docs-check OK: {len(routes)} routes, {n_variants} route-enum "
         f"variants and {n_metrics} engine metrics blocks, all specified in "
-        f"docs/PROTOCOL.md; {n_idents} type and member names in "
-        "docs/ARCHITECTURE.md, all declared under crates/*/src; "
+        f"docs/PROTOCOL.md; {n_idents} type names in docs/ARCHITECTURE.md, "
+        f"all declared under crates/*/src; {n_members} type-and-member paths "
+        "in the docs, all resolving; "
         f"{n_targets} package/target flags and `.rs` paths in the docs, all "
         f"naming live targets and files; {n_recipes} `just` recipes named, all "
         f"declared in the justfile; {n_paths} module paths, all resolving "

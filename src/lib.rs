@@ -40,13 +40,8 @@
 //! // a shareable engine: add_graph returns a handle, queries are &self
 //! let engine = Arc::new(ExpFinder::default());
 //! let team = engine.add_graph("team", g).unwrap();
-//! let resp = engine
-//!     .query(&team)
-//!     .pattern(pattern.clone())
-//!     .top_k(1)
-//!     .prefer(Route::Auto)
-//!     .run()
-//!     .unwrap();
+//! let spec = QuerySpec::pattern(pattern.clone()).top_k(1).prefer(Route::Auto);
+//! let resp = engine.query(&team, &spec).unwrap();
 //! assert_eq!(resp.experts[0].node, lead);
 //! assert!(resp.matches.contains(pattern.node_id("sa").unwrap(), lead));
 //!
@@ -76,8 +71,8 @@ pub mod prelude {
         top_k, MatchRelation, ResultGraph,
     };
     pub use expfinder_engine::{
-        Catalog, EngineConfig, ExecConfig, ExpFinder, ExpFinderError, GraphHandle, PlanRoute,
-        QueryResponse, QuerySpec, QueryTimings, Route,
+        Catalog, EngineConfig, ExpFinder, ExpFinderError, GraphHandle, PlanRoute, QueryResponse,
+        QuerySpec, QueryTimings, Route,
     };
     pub use expfinder_graph::{AttrValue, CsrGraph, DiGraph, EdgeUpdate, GraphView, NodeId};
     pub use expfinder_incremental::IncrementalBoundedSim;

@@ -8,7 +8,7 @@
 //! * property tests: parallel sim / dualsim / bsim equal the oracle on
 //!   arbitrary generated graphs and patterns, on both the `DiGraph` and
 //!   its `CsrGraph` snapshot;
-//! * `query_batch` slots equal fluent per-query runs, and both equal the
+//! * `query_batch` slots equal single `Catalog::query` reads, and both equal the
 //!   oracle at the same `graph_version`;
 //! * a batch racing `apply_updates` only ever observes consistent
 //!   snapshots: every slot equals the oracle's relation of the graph at
@@ -51,9 +51,9 @@ fn bits(list: &[RankedMatch]) -> Vec<(NodeId, u64)> {
     list.iter().map(|x| (x.node, x.rank.to_bits())).collect()
 }
 
-fn engine(exec: ExecConfig) -> ExpFinder {
+fn engine(threads: usize) -> ExpFinder {
     ExpFinder::new(EngineConfig {
-        exec,
+        threads,
         ..EngineConfig::default()
     })
 }
@@ -115,8 +115,8 @@ proptest! {
     fn batch_equals_sequential_runs(rg in raw_graph(12), rp in raw_pattern()) {
         let g = build_graph(&rg);
         let q = build_pattern(&rp, false);
-        let par = engine(ExecConfig { threads: 2 });
-        let seq = engine(ExecConfig::sequential());
+        let par = engine(2);
+        let seq = engine(1);
         let hp = par.add_graph("g", g.clone()).unwrap();
         let hs = seq.add_graph("g", g.clone()).unwrap();
         let specs = vec![
@@ -126,9 +126,9 @@ proptest! {
         ];
         let batch = par.query_batch(&hp, specs, None);
         let singles = [
-            (seq.query(&hs).pattern(q.clone()).run().unwrap(), None),
-            (seq.query(&hs).pattern(q.clone()).top_k(3).run().unwrap(), Some(3)),
-            (seq.query(&hs).pattern(q.clone()).prefer(Route::Direct).run().unwrap(), None),
+            (seq.query(&hs, &QuerySpec::pattern(q.clone())).unwrap(), None),
+            (seq.query(&hs, &QuerySpec::pattern(q.clone()).top_k(3)).unwrap(), Some(3)),
+            (seq.query(&hs, &QuerySpec::pattern(q.clone()).prefer(Route::Direct)).unwrap(), None),
         ];
         for (i, (single, k)) in singles.iter().enumerate() {
             assert_answers(&g, &q, batch[i].as_ref().unwrap(), *k, &format!("batch slot {i}"));
@@ -152,13 +152,13 @@ fn collab_graph(teams: usize, seed: u64) -> DiGraph {
     )
 }
 
-/// Batch responses on a quiescent graph equal fluent per-query runs, and
+/// Batch responses on a quiescent graph equal single reads, and
 /// both equal the oracle's relation and the reference ranking.
 #[test]
 fn batch_matches_fluent_runs_on_static_graph() {
     let g = collab_graph(25, 17);
-    let par = engine(ExecConfig { threads: 2 });
-    let seq = engine(ExecConfig::sequential());
+    let par = engine(2);
+    let seq = engine(1);
     let hp = par.add_graph("c", g.clone()).unwrap();
     let hs = seq.add_graph("c", g.clone()).unwrap();
 
@@ -171,7 +171,9 @@ fn batch_matches_fluent_runs_on_static_graph() {
     assert_eq!(batch.len(), queries.len());
     for (i, (name, q)) in queries.iter().enumerate() {
         let b = batch[i].as_ref().unwrap();
-        let s = seq.query(&hs).pattern(q.clone()).top_k(3).run().unwrap();
+        let s = seq
+            .query(&hs, &QuerySpec::pattern(q.clone()).top_k(3))
+            .unwrap();
         assert_eq!(*b.matches, *s.matches, "{name}: matches diverge");
         assert_eq!(
             bits(&b.experts),
@@ -179,7 +181,7 @@ fn batch_matches_fluent_runs_on_static_graph() {
             "{name}: ranking diverges"
         );
         assert_answers(&g, q, b, Some(3), &format!("{name} batch"));
-        assert_answers(&g, q, &s, Some(3), &format!("{name} fluent"));
+        assert_answers(&g, q, &s, Some(3), &format!("{name} single"));
     }
 }
 
@@ -210,7 +212,7 @@ fn batch_racing_updates_stays_consistent() {
         }
     }
 
-    let engine = engine(ExecConfig { threads: 2 });
+    let engine = engine(2);
     let h = engine.add_graph("live", base).unwrap();
     let specs = || -> Vec<QuerySpec> {
         queries

@@ -94,7 +94,7 @@ impl Facade {
     /// after `tag`), each with a `threads` budget.
     fn both(threads: usize, tag: &str) -> [Facade; 2] {
         let engine = EngineConfig {
-            exec: ExecConfig { threads },
+            threads,
             ..EngineConfig::default()
         };
         let dir = std::env::temp_dir().join(format!("expfinder_conc_{tag}_{}", std::process::id()));
@@ -158,7 +158,7 @@ fn parallel_queries_agree() {
             s.spawn(move || {
                 for round in 0..5 {
                     for (i, (_, q)) in queries.iter().enumerate() {
-                        let got = engine.query(h).pattern(q.clone()).run().unwrap();
+                        let got = engine.query(h, &QuerySpec::pattern(q.clone())).unwrap();
                         assert_eq!(
                             *got.matches, reference[i],
                             "thread {t} round {round} query {i}"
@@ -187,7 +187,9 @@ fn parallel_ranked_reports_agree() {
             let h = &h;
             let reference = &reference;
             s.spawn(move || {
-                let resp = engine.query(h).pattern(q.clone()).top_k(3).run().unwrap();
+                let resp = engine
+                    .query(h, &QuerySpec::pattern(q.clone()).top_k(3))
+                    .unwrap();
                 assert_eq!(&bits(&resp.experts), reference);
             });
         }
@@ -258,7 +260,7 @@ fn readers_consistent_with_concurrent_writer() {
                         let qi = i % queries.len();
                         if i % 2 == 0 {
                             let q = queries[qi].1.clone();
-                            let out = facade.query(h).pattern(q).top_k(3).run().unwrap();
+                            let out = facade.query(h, &QuerySpec::pattern(q).top_k(3)).unwrap();
                             check(&format!("reader {r} read {i}"), qi, &out);
                         } else {
                             let specs = queries
@@ -283,7 +285,9 @@ fn readers_consistent_with_concurrent_writer() {
             check(
                 "final",
                 qi,
-                &facade.query(&h).pattern(q.clone()).top_k(3).run().unwrap(),
+                &facade
+                    .query(&h, &QuerySpec::pattern(q.clone()).top_k(3))
+                    .unwrap(),
             );
         }
     }
@@ -312,7 +316,7 @@ fn independent_graphs_run_in_parallel() {
                 let (facade, ha, q, expect_a) = (&facade, &ha, &q, &expect_a);
                 s.spawn(move || {
                     for _ in 0..50 {
-                        let got = facade.query(ha).pattern(q.clone()).run().unwrap();
+                        let got = facade.query(ha, &QuerySpec::pattern(q.clone())).unwrap();
                         assert_eq!(*got.matches, *expect_a, "graph `a` never changed");
                     }
                 });
@@ -322,7 +326,10 @@ fn independent_graphs_run_in_parallel() {
         // graph b ended in a consistent state too
         let fresh = facade.read_graph(&hb, |g| naive(g, &q)).unwrap();
         assert_eq!(
-            *facade.query(&hb).pattern(q.clone()).run().unwrap().matches,
+            *facade
+                .query(&hb, &QuerySpec::pattern(q.clone()))
+                .unwrap()
+                .matches,
             fresh
         );
         if let Facade::Durable(rt, _) = &facade {

@@ -18,6 +18,8 @@
 //!   every case can register and query a plain-simulation pattern;
 //! * `Query`: `Route::{Auto, Direct, Compressed}` × `top_k` ∈ {none, 2,
 //!   64} × fuse ∈ {none, a zero deadline, `CancelToken::after_checks(n)`};
+//!   a zero-deadline read is repeated with the caller's `after_checks(n)`
+//!   token as well, which the deadline must fire at its first poll;
 //! * `Batch` runs `query_batch` over the patterns, one slot with a zero
 //!   per-slot deadline;
 //! * `Compress` / `DropCompression`;
@@ -93,8 +95,8 @@ use expfinder::core::{
     ReachProvider, Semantics,
 };
 use expfinder::engine::{
-    Catalog, EngineConfig, ExecConfig, ExpFinder, ExpFinderError, GraphHandle, PlanRoute,
-    QueryResponse, QuerySpec, RankTotals, Route, Snapshot, UpdateHook, UpdateReport,
+    Catalog, EngineConfig, ExpFinder, ExpFinderError, GraphHandle, PlanRoute, QueryResponse,
+    QuerySpec, RankTotals, Route, Snapshot, UpdateHook, UpdateReport,
 };
 use expfinder::graph::fixtures::collaboration_fig1;
 use expfinder::graph::{BitSet, CsrGraph, DiGraph, EdgeUpdate, GraphView, NodeId};
@@ -250,17 +252,17 @@ impl Drop for TempDir {
     }
 }
 
-fn engine_config(exec: ExecConfig) -> EngineConfig {
+fn engine_config(threads: usize) -> EngineConfig {
     EngineConfig {
-        exec,
+        threads,
         ..EngineConfig::default()
     }
 }
 
-fn runtime_config(exec: ExecConfig, fsync: FsyncPolicy) -> RuntimeConfig {
+fn runtime_config(threads: usize, fsync: FsyncPolicy) -> RuntimeConfig {
     RuntimeConfig {
         fsync,
-        engine: engine_config(exec),
+        engine: engine_config(threads),
         ..RuntimeConfig::default()
     }
 }
@@ -307,9 +309,13 @@ enum Fuse {
     Zero,
     /// Fire at the `n`-th cancellation point.
     After(u64),
+    /// The caller's `after_checks(n)` token, `n` ≥ 2, with a zero
+    /// deadline: the deadline is armed on that token, so the read answers
+    /// 408 at the token's first poll.
+    AfterAndZero(u64),
 }
 
-/// One read through the query builder.
+/// One read.
 fn run(
     c: &Catalog,
     h: &GraphHandle,
@@ -319,17 +325,17 @@ fn run(
     token: Option<Arc<CancelToken>>,
     deadline: Option<Duration>,
 ) -> Result<QueryResponse, ExpFinderError> {
-    let mut query = c.query(h).pattern(q.clone()).prefer(prefer);
+    let mut spec = QuerySpec::pattern(q.clone()).prefer(prefer);
     if let Some(k) = top_k {
-        query = query.top_k(k);
+        spec = spec.top_k(k);
     }
     if let Some(t) = token {
-        query = query.cancel_token(t);
+        spec = spec.cancel_token(t);
     }
     if let Some(d) = deadline {
-        query = query.deadline(d);
+        spec = spec.deadline(d);
     }
-    query.run()
+    c.query(h, &spec)
 }
 
 /// What the facades must hold: the acked writes, applied to plain values.
@@ -373,7 +379,7 @@ struct Harness {
     rt: DurableExpFinder,
     handles: [GraphHandle; 2],
     frames: [Frames; 2],
-    exec: ExecConfig,
+    threads: usize,
     fsync: FsyncPolicy,
     model: Model,
     /// After a write an armed crash fired in: what the model would hold
@@ -388,9 +394,9 @@ struct Harness {
 fn attach(
     model: &Model,
     rt: &DurableExpFinder,
-    exec: ExecConfig,
+    threads: usize,
 ) -> (ExpFinder, [GraphHandle; 2], [Frames; 2]) {
-    let engine = ExpFinder::new(engine_config(exec));
+    let engine = ExpFinder::new(engine_config(threads));
     let h = engine.add_graph("g", model.g.clone()).unwrap();
     if let Some(side) = &model.side {
         engine.add_graph("side", side.clone()).unwrap();
@@ -403,13 +409,13 @@ fn attach(
 }
 
 impl Harness {
-    fn new(g: DiGraph, exec: ExecConfig) -> Harness {
-        Harness::with_fsync(g, exec, FsyncPolicy::Never)
+    fn new(g: DiGraph, threads: usize) -> Harness {
+        Harness::with_fsync(g, threads, FsyncPolicy::Never)
     }
 
-    fn with_fsync(g: DiGraph, exec: ExecConfig, fsync: FsyncPolicy) -> Harness {
+    fn with_fsync(g: DiGraph, threads: usize, fsync: FsyncPolicy) -> Harness {
         let dir = TempDir::new();
-        let rt = DurableExpFinder::open(&dir.0, runtime_config(exec, fsync)).unwrap();
+        let rt = DurableExpFinder::open(&dir.0, runtime_config(threads, fsync)).unwrap();
         rt.add_graph("g", g.clone()).unwrap();
         let model = Model {
             g,
@@ -419,13 +425,13 @@ impl Harness {
             applied: 0,
             held: Vec::new(),
         };
-        let (engine, handles, frames) = attach(&model, &rt, exec);
+        let (engine, handles, frames) = attach(&model, &rt, threads);
         Harness {
             engine,
             rt,
             handles,
             frames,
-            exec,
+            threads,
             fsync,
             model,
             crashed: None,
@@ -466,12 +472,19 @@ impl Harness {
                 Fuse::None => (None, None),
                 Fuse::Zero => (None, Some(Duration::ZERO)),
                 Fuse::After(n) => (Some(CancelToken::after_checks(n)), None),
+                Fuse::AfterAndZero(n) => (Some(CancelToken::after_checks(n)), Some(Duration::ZERO)),
             };
-            run(c, h, q, prefer, top_k, token, deadline)
+            let out = run(c, h, q, prefer, top_k, token.clone(), deadline);
+            if let (Fuse::AfterAndZero(_), Some(t)) = (fuse, token) {
+                // the deadline fired the caller's token at its first poll
+                assert_eq!((t.checks(), t.fired()), (1, 1), "caller's token");
+            }
+            out
         });
         match (a, b) {
             (Ok(a), Ok(b)) => {
-                assert!(!matches!(fuse, Fuse::Zero), "a spent budget answers 408");
+                let spent = matches!(fuse, Fuse::Zero | Fuse::AfterAndZero(_));
+                assert!(!spent, "a spent budget answers 408");
                 assert_eq!(*a.matches, *b.matches);
                 assert_eq!(bits(&a.experts), bits(&b.experts));
                 assert_eq!(a.plan.chosen, b.plan.chosen);
@@ -487,7 +500,7 @@ impl Harness {
                 assert!(matches!(b, ExpFinderError::DeadlineExceeded(_)), "{b}");
                 // parallel workers race to the firing poll: their partial
                 // work is not a function of the fuse
-                if self.exec.threads == 1 {
+                if self.threads == 1 {
                     assert_eq!(a.partial_stats(), b.partial_stats());
                 }
                 None
@@ -555,7 +568,7 @@ impl Harness {
                     assert_eq!(bits(&a.experts), bits(&b.experts));
                     assert_eq!(a.graph_version, b.graph_version);
                     // concurrent slots feed one cost profile in either order
-                    if self.exec.threads == 1 {
+                    if self.threads == 1 {
                         assert_eq!(a.plan.chosen, b.plan.chosen);
                         assert_eq!(a.plan.candidates, b.plan.candidates);
                     }
@@ -600,9 +613,9 @@ impl Harness {
     fn update(&mut self, batch: &[EdgeUpdate]) -> usize {
         let mut g = self.model.g.clone();
         let applied = batch.iter().filter(|&&up| g.apply(up)).count();
-        let a = self.engine.apply_updates_traced(&self.handles[0], batch);
+        let a = self.engine.apply_updates(&self.handles[0], batch);
         let b = self.durable(
-            |rt| rt.apply_updates_traced("g", batch),
+            |rt| rt.apply_updates("g", batch),
             |m| (g.clone(), m.registered.clone()),
         );
         let Some(b) = b else { return 0 };
@@ -811,7 +824,7 @@ impl Harness {
             engine,
             rt,
             handles: old,
-            exec,
+            threads,
             fsync,
             mut model,
             crashed,
@@ -819,7 +832,7 @@ impl Harness {
             ..
         } = self;
         drop((engine, rt));
-        let rt = DurableExpFinder::open(&dir.0, runtime_config(exec, fsync)).unwrap();
+        let rt = DurableExpFinder::open(&dir.0, runtime_config(threads, fsync)).unwrap();
         assert_eq!(rt.graph_names(), model.names());
         if let Some(after) = crashed {
             let h = rt.handle("g").unwrap();
@@ -853,7 +866,7 @@ impl Harness {
         model.side = model.side.as_ref().map(|side| recovered("side", side));
         model.compressed = false;
         model.applied = 0;
-        let (engine, handles, frames) = attach(&model, &rt, exec);
+        let (engine, handles, frames) = attach(&model, &rt, threads);
         let facades: [&Catalog; 2] = [&engine, &rt];
         for c in facades {
             for h in &old {
@@ -865,7 +878,7 @@ impl Harness {
             rt,
             handles,
             frames,
-            exec,
+            threads,
             fsync,
             model,
             crashed: None,
@@ -936,7 +949,7 @@ impl Harness {
         assert_eq!((pa.decisions, pa.overrides), (pb.decisions, pb.overrides));
         // concurrent batch slots read one cost profile in either order, and
         // whether a plan mispredicted depends on the hit rate it read
-        if self.exec.threads == 1 {
+        if self.threads == 1 {
             assert_eq!(pa.mispredicts, pb.mispredicts);
         }
         assert_eq!(ra.cache_stats(), rb.cache_stats());
@@ -974,11 +987,9 @@ fn assert_stale(c: &Catalog, h: &GraphHandle, q: &Pattern) {
     stale("compression_stats", c.compression_stats(h));
     stale("registered_queries", c.registered_queries(h));
     stale("registered_result", c.registered_result(h, "q0"));
-    stale("query", c.query(h).pattern(q.clone()).top_k(3).run());
-    stale(
-        "query_deadline",
-        c.query_deadline(h, q, None, Route::Auto, None),
-    );
+    stale("query", c.query(h, &QuerySpec::pattern(q.clone()).top_k(3)));
+    let dsl = QuerySpec::dsl("node sa* where label = \"SA\";");
+    stale("query (dsl)", c.query(h, &dsl));
     stale("estimate_cost", c.estimate_cost(h, q));
     for slot in c.query_batch(h, vec![QuerySpec::pattern(q.clone()); 2], None) {
         stale("query_batch", slot);
@@ -1005,7 +1016,8 @@ enum Op {
     Unregister {
         name: u8,
     },
-    /// `fuse`: 0 none, 1 a zero deadline, `n` ≥ 2 fires at the `n - 1`-th
+    /// `fuse`: 0 none, 1 a zero deadline (then again with the caller's
+    /// `after_checks(pattern + 2)` token), `n` ≥ 2 fires at the `n - 1`-th
     /// cancellation point.
     Query {
         pattern: u8,
@@ -1154,13 +1166,7 @@ fn run_case(case: &Case) {
     patterns.push(patterns[0].as_simulation());
     let pattern = |i: u8| &patterns[i as usize % patterns.len()];
     let mut scratch = EvalScratch::new();
-    let mut h = Harness::with_fsync(
-        padded(base.clone()),
-        ExecConfig {
-            threads: case.threads,
-        },
-        case.fsync,
-    );
+    let mut h = Harness::with_fsync(padded(base.clone()), case.threads, case.fsync);
     check_every_request(&h.model.g, pattern(0), &mut scratch);
     h.agree();
 
@@ -1202,6 +1208,12 @@ fn run_case(case: &Case) {
                 };
                 let (route, top_k) = (ROUTES[*route as usize], TOP_K[*top_k as usize]);
                 h.query(pattern(*p), route, top_k, fuse);
+                if matches!(fuse, Fuse::Zero) {
+                    // a read that never starts changes nothing but the
+                    // cancel totals, so the script's state is unchanged
+                    let fuse = Fuse::AfterAndZero(*p as u64 + 2);
+                    h.query(pattern(*p), route, top_k, fuse);
+                }
             }
             Op::Batch { route, top_k, zero } => {
                 let (route, top_k) = (ROUTES[*route as usize], TOP_K[*top_k as usize]);
@@ -1362,7 +1374,7 @@ fn ranked_answers_are_cached_per_version_and_never_across() {
         .edge("x", "y", Bound::hops(2))
         .build()
         .unwrap();
-    let mut h = Harness::new(g.clone(), ExecConfig::sequential());
+    let mut h = Harness::new(g.clone(), 1);
     let totals = |computed, reused| RankTotals { computed, reused };
     let rank_of = |resp: &QueryResponse, v: u32| {
         let hit = resp.experts.iter().find(|x| x.node == NodeId(v));
@@ -1483,7 +1495,7 @@ fn registered_arcs_follow_the_sources_dm_adds_and_removes() {
         .edge("y", "z", Bound::ONE)
         .build()
         .unwrap();
-    let mut h = Harness::new(abc_graph(&[(9, 10), (12, 13)]), ExecConfig::sequential());
+    let mut h = Harness::new(abc_graph(&[(9, 10), (12, 13)]), 1);
     h.register("chain", &chain);
     assert!(h.ranked(&chain, Route::Auto, 10).experts.is_empty());
     h.update(&[EdgeUpdate::Insert(NodeId(10), NodeId(11))]);
@@ -1519,7 +1531,7 @@ fn registered_ranks_follow_an_arc_two_hops_from_the_candidate() {
     for (p, c) in [(a1, b1), (b1, c1), (c1, x), (x, d1)] {
         g.add_edge(p, c);
     }
-    let mut h = Harness::new(g, ExecConfig::sequential());
+    let mut h = Harness::new(g, 1);
     h.register("chain", &q);
     let rank = |h: &Harness| {
         let resp = h.ranked(&q, Route::Auto, 10);
@@ -1554,10 +1566,7 @@ fn carried_reach_entries_follow_an_insert_and_a_delete() {
             .unwrap()
     };
     let (near, far) = (star(Bound::hops(2)), star(Bound::Unbounded));
-    let mut h = Harness::new(
-        abc_graph(&[(0, 1), (3, 5), (6, 8), (8, 7)]),
-        ExecConfig::sequential(),
-    );
+    let mut h = Harness::new(abc_graph(&[(0, 1), (3, 5), (6, 8), (8, 7)]), 1);
     let read = |h: &Harness| {
         [&near, &far].map(|q| {
             let resp = h.query(q, Route::Direct, None, Fuse::None).unwrap();
@@ -1597,10 +1606,7 @@ fn a_registered_pattern_without_an_output_node_ranks_as_an_unregistered_one() {
         .edge("x", "y", Bound::hops(2))
         .build()
         .unwrap();
-    let mut h = Harness::new(
-        abc_graph(&[(0, 1), (3, 5), (5, 4)]),
-        ExecConfig::sequential(),
-    );
+    let mut h = Harness::new(abc_graph(&[(0, 1), (3, 5), (5, 4)]), 1);
     let outcomes = |h: &Harness| {
         let mut out = Vec::new();
         for (c, hd) in h.reads() {
@@ -1644,7 +1650,7 @@ fn index_totals_count_the_quotient_index_on_both_backends() {
         .edge("x", "z", Bound::hops(2))
         .build()
         .unwrap();
-    let mut h = Harness::new(g, ExecConfig::sequential());
+    let mut h = Harness::new(g, 1);
     h.compress();
     let resp = h.query(&q, Route::Compressed, None, Fuse::None).unwrap();
     assert_eq!(resp.plan.chosen, PlanRoute::Compressed);
@@ -1671,7 +1677,7 @@ fn every_fuse_value_yields_the_exact_experts_or_408() {
         2,
     ));
     assert_eq!(want.len(), 2, "Bob, then Walt");
-    let fresh = || Harness::new(g.clone(), ExecConfig::sequential());
+    let fresh = || Harness::new(g.clone(), 1);
     let ranked =
         |c: &Catalog, h: &GraphHandle, token| run(c, h, &q, Route::Auto, Some(2), token, None);
 
@@ -1760,7 +1766,7 @@ fn fig1_answers_alike_on_every_taken_route_of_both_facades() {
     // sequential on Fig. 1 as drawn; two threads on a padded copy, which
     // pays for the parallel route
     for (threads, g) in [(1, f.graph.clone()), (2, padded(f.graph.clone()))] {
-        let mut h = Harness::new(g, ExecConfig { threads });
+        let mut h = Harness::new(g, threads);
         h.register("team", &q);
         let mut read = |h: &Harness, prefer| {
             let resp = h.ranked(&q, prefer, 2);
@@ -1838,8 +1844,7 @@ fn every_boundary_of_one_script_recovers() {
     // the script with `plan` armed from its first op: the boundaries it
     // crossed, or `None` when a crash fired and recovered
     let run = |plan: FaultPlan| {
-        let sequential = ExecConfig::sequential();
-        let mut h = Harness::with_fsync(fig1.clone(), sequential, FsyncPolicy::Always);
+        let mut h = Harness::with_fsync(fig1.clone(), 1, FsyncPolicy::Always);
         h.rt.fault_injector().arm(plan);
         for op in &script {
             match op {

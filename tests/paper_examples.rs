@@ -104,12 +104,17 @@ fn engine_reproduces_all_examples() {
     let h = engine.add_graph("fig1", f.graph.clone()).unwrap();
     engine.register_query(&h, "team", q.clone()).unwrap();
 
-    let report = engine.query(&h).pattern(q.clone()).top_k(2).run().unwrap();
+    let report = engine
+        .query(&h, &QuerySpec::pattern(q.clone()).top_k(2))
+        .unwrap();
     assert_eq!(report.experts[0].node, f.bob);
     assert!((report.experts[0].rank - 1.8).abs() < 1e-12);
 
-    // the fluent builder returns the same answer with timings attached
-    let resp = engine.query(&h).pattern(q.clone()).top_k(2).run().unwrap();
+    // a second read is served from the held ranking: the same answer,
+    // with timings attached
+    let resp = engine
+        .query(&h, &QuerySpec::pattern(q.clone()).top_k(2))
+        .unwrap();
     assert_eq!(resp.experts[0].node, f.bob);
     assert!(resp.timings.total >= resp.timings.rank);
 

@@ -69,7 +69,7 @@ fn compress_route_transparency() {
     let want = naive(&g, &q);
     let engine = ExpFinder::default();
     let t = engine.add_graph("t", g).unwrap();
-    let direct = engine.query(&t).pattern(q.clone()).run().unwrap();
+    let direct = engine.query(&t, &QuerySpec::pattern(q.clone())).unwrap();
     assert_eq!(*direct.matches, want);
     // sequential or parallel by the host's thread budget
     assert!(
@@ -86,10 +86,7 @@ fn compress_route_transparency() {
         .unwrap();
     assert!(stats.size_reduction() > 0.2, "twitter-like compresses");
     let via_c = engine
-        .query(&t)
-        .pattern(q)
-        .prefer(Route::Compressed)
-        .run()
+        .query(&t, &QuerySpec::pattern(q).prefer(Route::Compressed))
         .unwrap();
     assert_eq!(via_c.plan.chosen, PlanRoute::Compressed);
     assert_eq!(*via_c.matches, want);
@@ -125,16 +122,10 @@ fn long_update_stream_consistency() {
 
         // compressed route == direct route on the same engine
         let direct = engine
-            .query(&c)
-            .pattern(q.clone())
-            .prefer(Route::Direct)
-            .run()
+            .query(&c, &QuerySpec::pattern(q.clone()).prefer(Route::Direct))
             .unwrap();
         let routed = engine
-            .query(&c)
-            .pattern(q.clone())
-            .prefer(Route::Compressed)
-            .run()
+            .query(&c, &QuerySpec::pattern(q.clone()).prefer(Route::Compressed))
             .unwrap();
         assert_eq!(routed.plan.chosen, PlanRoute::Compressed, "round {round}");
         assert_eq!(*direct.matches, fresh, "round {round}: direct drifted");
@@ -163,14 +154,17 @@ fn persistence_pipeline() {
         rt.register_query("c", "q2", q.clone()).unwrap();
         rt.apply_updates("c", &ups).unwrap();
         let c = rt.handle("c").unwrap();
-        rt.query(&c).pattern(q.clone()).top_k(5).run().unwrap()
+        rt.query(&c, &QuerySpec::pattern(q.clone()).top_k(5))
+            .unwrap()
     };
 
     let rt = DurableExpFinder::open(&dir, config).unwrap();
     assert_eq!(rt.graph_names(), vec!["c".to_owned()]);
     let c = rt.handle("c").unwrap();
     assert_eq!(rt.registered_queries(&c).unwrap(), vec!["q2".to_owned()]);
-    let after = rt.query(&c).pattern(q.clone()).top_k(5).run().unwrap();
+    let after = rt
+        .query(&c, &QuerySpec::pattern(q.clone()).top_k(5))
+        .unwrap();
     assert_eq!(after.plan.chosen, PlanRoute::Registered);
     assert_eq!(*after.matches, *before.matches);
     let ranked = |r: &QueryResponse| {
@@ -191,7 +185,9 @@ fn ranking_stable_across_routes() {
 
     let plain = ExpFinder::default();
     let h = plain.add_graph("c", g.clone()).unwrap();
-    let direct = plain.query(&h).pattern(q.clone()).top_k(5).run().unwrap();
+    let direct = plain
+        .query(&h, &QuerySpec::pattern(q.clone()).top_k(5))
+        .unwrap();
 
     let compressed = ExpFinder::default();
     let hc = compressed.add_graph("c", g.clone()).unwrap();
@@ -199,20 +195,14 @@ fn ranking_stable_across_routes() {
         .compress(&hc, CompressionMethod::Bisimulation)
         .unwrap();
     let via_c = compressed
-        .query(&hc)
-        .pattern(q.clone())
-        .top_k(5)
-        .run()
+        .query(&hc, &QuerySpec::pattern(q.clone()).top_k(5))
         .unwrap();
 
     let registered = ExpFinder::default();
     let hr = registered.add_graph("c", g.clone()).unwrap();
     registered.register_query(&hr, "q", q.clone()).unwrap();
     let via_r = registered
-        .query(&hr)
-        .pattern(q.clone())
-        .top_k(5)
-        .run()
+        .query(&hr, &QuerySpec::pattern(q.clone()).top_k(5))
         .unwrap();
 
     let want = expected_top(&g, q, 5);
@@ -230,7 +220,9 @@ fn demo_queries_end_to_end() {
     let engine = ExpFinder::default();
     let c = engine.add_graph("c", g).unwrap();
     for (name, q) in demo_queries() {
-        let report = engine.query(&c).pattern(q.clone()).top_k(3).run().unwrap();
+        let report = engine
+            .query(&c, &QuerySpec::pattern(q.clone()).top_k(3))
+            .unwrap();
         assert!(
             !report.experts.is_empty(),
             "{name} should find at least one expert"
@@ -251,8 +243,8 @@ fn cache_versioning_under_updates() {
     let engine = ExpFinder::default();
     let c = engine.add_graph("c", g).unwrap();
 
-    let first = engine.query(&c).pattern(q.clone()).run().unwrap();
-    let cached = engine.query(&c).pattern(q.clone()).run().unwrap();
+    let first = engine.query(&c, &QuerySpec::pattern(q.clone())).unwrap();
+    let cached = engine.query(&c, &QuerySpec::pattern(q.clone())).unwrap();
     assert_eq!(cached.plan.chosen, PlanRoute::Cache);
 
     let ups = engine
@@ -261,7 +253,7 @@ fn cache_versioning_under_updates() {
         })
         .unwrap();
     engine.apply_updates(&c, &ups).unwrap();
-    let after = engine.query(&c).pattern(q.clone()).run().unwrap();
+    let after = engine.query(&c, &QuerySpec::pattern(q.clone())).unwrap();
     assert_ne!(after.plan.chosen, PlanRoute::Cache, "version bumped");
     // deletions can only shrink the relation
     assert!(after.matches.total_pairs() <= first.matches.total_pairs());
@@ -277,10 +269,7 @@ fn engine_config_variants_agree() {
     let default_engine = ExpFinder::default();
     let hd = default_engine.add_graph("c", g.clone()).unwrap();
     let reference = default_engine
-        .query(&hd)
-        .pattern(q.clone())
-        .top_k(5)
-        .run()
+        .query(&hd, &QuerySpec::pattern(q.clone()).top_k(5))
         .unwrap();
 
     let want = expected_top(&g, q, 5);
@@ -288,15 +277,12 @@ fn engine_config_variants_agree() {
 
     // parallel execution (threaded refinement and result graph)
     let threaded = ExpFinder::new(EngineConfig {
-        exec: ExecConfig { threads: 4 },
+        threads: 4,
         ..EngineConfig::default()
     });
     let ht = threaded.add_graph("c", g.clone()).unwrap();
     let via_threads = threaded
-        .query(&ht)
-        .pattern(q.clone())
-        .top_k(5)
-        .run()
+        .query(&ht, &QuerySpec::pattern(q.clone()).top_k(5))
         .unwrap();
     assert_eq!(bits(&via_threads.experts), want);
 
@@ -307,10 +293,7 @@ fn engine_config_variants_agree() {
         .compress(&hn, CompressionMethod::Bisimulation)
         .unwrap();
     let out = compressed
-        .query(&hn)
-        .pattern(q.clone())
-        .prefer(Route::Direct)
-        .run()
+        .query(&hn, &QuerySpec::pattern(q.clone()).prefer(Route::Direct))
         .unwrap();
     assert!(
         matches!(
