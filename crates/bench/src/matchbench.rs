@@ -14,7 +14,11 @@
 //!   plan — exactly the work the dependency plan avoids. Each workload
 //!   also ranks its matches: the `rank` block holds the result graph's
 //!   size, the work of building it ([`RankScratch::build_visits`]) and the
-//!   ranking kernel's work counters ([`RankScratch::work`]).
+//!   ranking kernel's work counters ([`RankScratch::work`]); its
+//!   `on_demand` block the same ranking as a cold read computes it from
+//!   the candidates ([`rank_candidates`]): the rows it expanded
+//!   ([`RankScratch::expand_visits`]), its searches' work, and whether
+//!   its ranks equal the full build's (`identical`).
 //! * **`match_warm_index`** — the same frontier path without and with the
 //!   per-version reach index, cold (first query on a version) and warm
 //!   (queries 2..N); and one row read once per version of a seeded update
@@ -45,7 +49,7 @@
 use crate::{collab_graph, collab_pattern, fmt_dur, json_obj as obj, time, twitter_graph, SEED};
 use expfinder_core::naive::{naive_bounded_simulation, naive_simulation, reference_rank};
 use expfinder_core::{
-    bounded_simulation_indexed, evaluate, rank_matches, rank_matches_top_k_cancellable,
+    bounded_simulation_indexed, evaluate, rank_candidates, rank_matches, rank_matches_top_k_with,
     CancelToken, EvalOptions, EvalRequest, EvalScratch, EvalStats, MatchRelation, RankScratch,
     RankedMatch, ReachIndex, ResultGraph, Semantics,
 };
@@ -232,24 +236,41 @@ fn bench_workload(name: &str, graph: &DiGraph, pattern: &Pattern) -> Value {
     ])
 }
 
+/// Node order and rank bits of a ranked list, the two things a client
+/// can observe.
+fn bits(list: &[RankedMatch]) -> Vec<(u32, u64)> {
+    list.iter().map(|x| (x.node.0, x.rank.to_bits())).collect()
+}
+
 /// Experts ranked per query in the `rank` block.
 const RANK_TOP_K: usize = 10;
 
 /// The `rank` block: `G_r`'s size, the build's and the ranking kernel's
 /// work counters (deterministic, gated by `bench-compare`) and the
 /// ranking's median time, for the top [`RANK_TOP_K`] experts of `m` on
-/// one [`RankScratch`] per call.
+/// one [`RankScratch`] per call; and, under `on_demand`, the same for
+/// [`rank_candidates`] — the rows it expanded (`expand_visits`), its
+/// searches' work, and whether its ranks equal the full build's
+/// (`identical`).
 fn rank_doc(g: &DiGraph, pattern: &Pattern, m: &MatchRelation) -> Value {
     let mut build = RankScratch::new();
-    let rg = ResultGraph::build_cancellable(g, pattern, m, 1, &mut build, None)
-        .expect("no cancel token supplied");
+    let rg = ResultGraph::build_with(g, pattern, m, &mut build);
     let build_visits = build.build_visits();
-    let (rank_t, work) = measure(|| {
+    let (rank_t, (built, work)) = measure(|| {
         let mut scratch = RankScratch::new();
-        rank_matches_top_k_cancellable(&rg, pattern, m, RANK_TOP_K, &mut scratch, None)
+        let ranked = rank_matches_top_k_with(&rg, pattern, m, RANK_TOP_K, &mut scratch)
             .expect("a ranked pattern");
-        scratch.work()
+        (ranked, scratch.work())
     });
+    let (demand_t, (ranked, demand)) = measure(|| {
+        let mut scratch = RankScratch::new();
+        let ranked = rank_candidates(g, pattern, m, RANK_TOP_K, &mut scratch, None)
+            .expect("a ranked pattern");
+        (ranked, scratch)
+    });
+    let identical = bits(&ranked) == bits(&built);
+    assert!(identical, "on-demand ranks diverged from the full build's");
+    let (expand_visits, demand_work) = (demand.expand_visits(), demand.work());
     println!(
         "{:>10} rank: |V_r| {} |E_r| {} | build visits {} | settled {} relaxed {} pushes {} | {}",
         "",
@@ -261,6 +282,15 @@ fn rank_doc(g: &DiGraph, pattern: &Pattern, m: &MatchRelation) -> Value {
         work.pushes,
         fmt_dur(rank_t),
     );
+    println!(
+        "{:>10} on demand: expand visits {} | settled {} relaxed {} pushes {} | {}",
+        "",
+        expand_visits,
+        demand_work.settled,
+        demand_work.relaxed,
+        demand_work.pushes,
+        fmt_dur(demand_t),
+    );
     obj(vec![
         ("nodes", Value::Int(rg.node_count() as i64)),
         ("edges", Value::Int(rg.edges().len() as i64)),
@@ -269,6 +299,17 @@ fn rank_doc(g: &DiGraph, pattern: &Pattern, m: &MatchRelation) -> Value {
         ("relaxed", Value::Int(work.relaxed as i64)),
         ("pushes", Value::Int(work.pushes as i64)),
         ("ms", ms(rank_t)),
+        (
+            "on_demand",
+            obj(vec![
+                ("expand_visits", Value::Int(expand_visits as i64)),
+                ("settled", Value::Int(demand_work.settled as i64)),
+                ("relaxed", Value::Int(demand_work.relaxed as i64)),
+                ("pushes", Value::Int(demand_work.pushes as i64)),
+                ("identical", Value::Bool(identical)),
+                ("ms", ms(demand_t)),
+            ]),
+        ),
     ])
 }
 
@@ -660,9 +701,6 @@ fn bench_gr_workload(name: &str, pattern_name: &str, graph: &DiGraph, pattern: &
         });
         read_t += t;
         let fresh = ResultGraph::build(&g, pattern, &m);
-        let bits = |list: &[RankedMatch]| -> Vec<(u32, u64)> {
-            list.iter().map(|x| (x.node.0, x.rank.to_bits())).collect()
-        };
         let kept = |e: &expfinder_core::result_graph::ResultEdge| {
             m.contains(pattern.edges()[e.pattern_edge as usize].to, e.to)
         };
@@ -784,6 +822,9 @@ mod tests {
         assert!(w.field("new").unwrap().field("stats").is_ok());
         assert!(w.field("rank").unwrap().field("settled").is_ok());
         assert!(w.field("rank").unwrap().field("build_visits").is_ok());
+        let demand = w.field("rank").unwrap().field("on_demand").unwrap();
+        assert!(demand.field("expand_visits").is_ok());
+        assert!(demand.field("ms").is_err());
         assert!(w.field("match_pairs").is_ok());
         assert!(w.field("new").unwrap().field("ms").is_err());
     }
@@ -807,6 +848,12 @@ mod tests {
             // every settled node was pushed at least once
             assert!(int(rank, "settled") > 0 && int(rank, "relaxed") > 0);
             assert!(int(rank, "pushes") >= int(rank, "settled"));
+            // a cold read expands fewer rows than a build witnesses, and
+            // ranks alike
+            let demand = rank.field("on_demand").unwrap();
+            assert!(demand.field("identical").unwrap().as_bool().unwrap());
+            assert!(int(demand, "expand_visits") <= int(rank, "build_visits"));
+            assert!(int(demand, "pushes") >= int(demand, "settled"));
         }
 
         let warm = doc.field("match_warm_index").unwrap().as_array().unwrap();

@@ -104,10 +104,9 @@ pub(crate) struct IndexCtx<'a> {
 }
 
 /// Reusable evaluation state: BFS frontiers, per-constraint reach caches
-/// and dirty counters, and the [`RankScratch`] that builds and ranks the
-/// result graph of a ranked read. One scratch serves any sequence of (graph,
-/// pattern) pairs — caches are keyed per evaluation and reset on entry —
-/// so a worker thread that holds on to one reuses every *graph-sized*
+/// and dirty counters, and the [`RankScratch`] a ranked read ranks on.
+/// One scratch serves any sequence of (graph, pattern) pairs — caches
+/// are keyed per evaluation and reset on entry — so a worker thread that holds on to one reuses every *graph-sized*
 /// evaluation and ranking buffer across queries. (The candidate sets
 /// themselves are still allocated per query: they are refined in place
 /// into the returned `MatchRelation`, so they cannot live in the scratch;
@@ -134,7 +133,7 @@ impl EvalScratch {
         EvalScratch::default()
     }
 
-    /// The scratch a ranked read builds and ranks its result graph on.
+    /// The scratch a ranked read ranks on.
     pub fn rank_scratch(&mut self) -> &mut RankScratch {
         &mut self.rank
     }
@@ -511,7 +510,7 @@ mod tests {
 
     #[test]
     fn a_scratch_that_ranked_past_the_cap_is_dropped_not_parked() {
-        use crate::{bounded_simulation, rank_matches_top_k_cancellable, ResultGraph};
+        use crate::{bounded_simulation, rank_candidates};
         use expfinder_graph::fixtures::collaboration_fig1;
         use expfinder_pattern::fixtures::fig1_pattern;
 
@@ -520,9 +519,7 @@ mod tests {
         let m = bounded_simulation(&f.graph, &q).unwrap();
         let pool = ScratchPool::new();
         let rank = |scratch: &mut EvalScratch| {
-            let rs = scratch.rank_scratch();
-            let rg = ResultGraph::build_cancellable(&f.graph, &q, &m, 1, rs, None).unwrap();
-            rank_matches_top_k_cancellable(&rg, &q, &m, 1, rs, None).unwrap()
+            rank_candidates(&f.graph, &q, &m, 1, scratch.rank_scratch(), None).unwrap()
         };
         pool.with(|s| rank(s));
         assert_eq!(pool.idle(), 1, "a small ranked read parks its scratch");

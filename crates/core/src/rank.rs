@@ -28,18 +28,31 @@
 //! ones a full `0..|V_r|` scan gives, bit for bit. One [`RankScratch`]
 //! serves every candidate of a call — an isolated candidate (most of
 //! them: `G_r` has fewer arcs than nodes) then costs two heap pushes and
-//! pops — and, reused, every ranked read: it also holds what building
-//! `G_r` needs ([`ResultGraph::build_cancellable`]), and the serving
-//! layers draw it from their pooled `EvalScratch`, so a steady stream of
-//! ranked reads allocates no search or build buffers.
+//! pops — and, reused, every ranked read: the serving layers draw it from
+//! their pooled `EvalScratch`, so a steady stream of ranked reads
+//! allocates no search or row buffers.
+//!
+//! A cold read builds no `G_r`: `f` reads only the part of it that its
+//! candidates' searches reach. [`rank_candidates`] expands a node's row
+//! in one direction the first time a search settles the node, and keeps
+//! it in the scratch for the rest of the read. The row is one bounded
+//! BFS at the deepest bound of the pattern edges the node's roles give
+//! it — forward for `v ∈ M(e.from)`, backward for `v ∈ M(e.to)` — or a
+//! scan of the adjacency list when that bound is 1. A ball node `w` at
+//! distance `d` is an arc when some such edge `e` has `d ≤ bound(e)` and
+//! `w` matches `e`'s other end, `w ≠ v`: the arcs and weights of
+//! [`witness_arcs`](crate::result_graph::witness_arcs), so `f` is the
+//! same sum, bit for bit. The whole [`ResultGraph`] is built only by the
+//! views that show it (the shell, reports, [`top_k`]), and is the
+//! reference the on-demand rows are tested against.
 //!
 //! One kernel: [`RankScratch::social_impact`] computes `f` over any
-//! [`WeightedArcs`] pair. A cold read hands it a built [`ResultGraph`]'s
-//! two adjacencies; a registered query's maintainer
-//! (`expfinder_incremental`) hands it its own per-node rows, re-ranks
-//! only the candidates an update batch can have moved, and keeps the
-//! sorted list — so a ranked read of a registered pattern copies a
-//! prefix of it, and its ranks are this code's, bit for bit.
+//! [`ResultArcs`]. A cold read hands it the rows it expands on demand;
+//! a built [`ResultGraph`] its two adjacencies; a registered query's
+//! maintainer (`expfinder_incremental`) its own per-node rows — it
+//! re-ranks only the candidates an update batch can have moved, and
+//! keeps the sorted list, so a ranked read of a registered pattern
+//! copies a prefix of it, and its ranks are this code's, bit for bit.
 
 use crate::eval::EvalError;
 use crate::fixpoint::Cancelled;
@@ -49,7 +62,7 @@ use crate::MatchError;
 use expfinder_graph::bfs::{BfsScratch, Direction};
 use expfinder_graph::dijkstra::{DijkstraScratch, DijkstraWork, WeightedArcs, UNREACHABLE};
 use expfinder_graph::{CancelToken, GraphView, NodeId};
-use expfinder_pattern::Pattern;
+use expfinder_pattern::{PNodeId, Pattern};
 
 /// A ranked match of the output node.
 #[derive(Copy, Clone, Debug, PartialEq)]
@@ -59,51 +72,33 @@ pub struct RankedMatch {
     pub rank: f64,
 }
 
-/// The one scratch of a ranked read: the BFS, dense node→local map and
-/// arc buffer of the [`ResultGraph`] build, and the two searches each
-/// candidate runs, kept across candidates and reads so each pays only for
-/// what it reaches. Any sequence of graphs and patterns may share one.
-#[derive(Clone, Debug, Default)]
-pub struct RankScratch {
-    fwd: DijkstraScratch,
-    rev: DijkstraScratch,
-    pub(crate) bfs: BfsScratch,
-    /// Data node → local index; meaningful only at the result nodes of
-    /// the build in progress (see [`ResultGraph::build_cancellable`]).
-    pub(crate) local: Vec<u32>,
-    /// `(from, to, weight)` arcs over local indices, the input of the
-    /// forward adjacency.
-    pub(crate) arcs: Vec<(u32, u32, u32)>,
-    pub(crate) build_visits: u64,
+/// `G_r` as [`RankScratch::social_impact`] searches it: its arcs read
+/// one way at a time.
+pub trait ResultArcs {
+    /// The arcs of `G_r` (`Forward`) or the same arcs reversed
+    /// (`Backward`), over one node id space for both.
+    fn one_way(&mut self, dir: Direction) -> impl WeightedArcs + '_;
 }
 
-impl RankScratch {
-    pub fn new() -> RankScratch {
-        RankScratch::default()
+impl ResultArcs for &ResultGraph {
+    fn one_way(&mut self, dir: Direction) -> impl WeightedArcs + '_ {
+        self.adjacency(dir)
     }
+}
 
-    /// Nodes settled, arcs relaxed and heap pushes of every search this
-    /// scratch has run — a deterministic measure of ranking work.
-    pub fn work(&self) -> DijkstraWork {
-        self.fwd.work() + self.rev.work()
-    }
+/// The two searches each candidate runs.
+#[derive(Clone, Debug, Default)]
+struct Searches {
+    fwd: DijkstraScratch,
+    rev: DijkstraScratch,
+}
 
-    /// Ball nodes visited plus adjacency entries scanned by every result
-    /// graph built on this scratch — a deterministic measure of build work.
-    pub fn build_visits(&self) -> u64 {
-        self.build_visits
-    }
-
-    /// `f(u_o, v)` of the node `src` of a result graph whose arcs are
-    /// `fwd` and whose reversed arcs are `rev`: one run each way from
-    /// `src`, summed over what they reached. `+∞` when `src` reaches
-    /// nothing and nothing reaches it.
-    pub fn social_impact<A: WeightedArcs>(&mut self, fwd: &A, rev: &A, src: u32) -> f64 {
-        let RankScratch {
-            fwd: from, rev: to, ..
-        } = self;
-        from.run(fwd, src);
-        to.run(rev, src);
+impl Searches {
+    /// See [`RankScratch::social_impact`].
+    fn social_impact(&mut self, mut g_r: impl ResultArcs, src: u32) -> f64 {
+        let Searches { fwd: from, rev: to } = self;
+        from.run(g_r.one_way(Direction::Forward), src);
+        to.run(g_r.one_way(Direction::Backward), src);
         // both lists start with `v` itself, which is not in V'_r
         let mut sum = 0u64;
         let mut connected = 0usize;
@@ -120,12 +115,214 @@ impl RankScratch {
         }
         sum as f64 / connected as f64
     }
+}
+
+/// The `G_r` rows of one direction that one read has expanded, over
+/// data-node ids.
+#[derive(Clone, Debug, Default)]
+struct Rows {
+    /// Data node → 1 + the index of its row in `spans`; 0 while the read
+    /// has not expanded it.
+    slot: Vec<u32>,
+    /// `(node, first arc)` per expanded row, in expansion order: a row
+    /// ends where the next one starts.
+    spans: Vec<(u32, u32)>,
+    /// `(head, weight)` arcs of every expanded row.
+    arcs: Vec<(u32, u32)>,
+    /// `(bound, other end)` of each pattern edge the node being expanded
+    /// has a role in.
+    roles: Vec<(u32, PNodeId)>,
+}
+
+impl Rows {
+    /// Forget every row, and fit the slots to a graph of `n` nodes.
+    fn reset(&mut self, n: usize) {
+        for &(v, _) in &self.spans {
+            self.slot[v as usize] = 0;
+        }
+        self.spans.clear();
+        self.arcs.clear();
+        if self.slot.len() < n {
+            self.slot.resize(n, 0);
+        }
+    }
+
+    /// `v`'s row, if this read expanded it.
+    fn row(&self, v: u32) -> Option<&[(u32, u32)]> {
+        let i = self.slot[v as usize].checked_sub(1)? as usize;
+        let end = self
+            .spans
+            .get(i + 1)
+            .map_or(self.arcs.len(), |s| s.1 as usize);
+        Some(&self.arcs[self.spans[i].1 as usize..end])
+    }
+
+    /// Expand `v`'s row in direction `dir` of the `G_r` of `m`; returns
+    /// the ball nodes visited plus the adjacency entries scanned.
+    fn expand<G: GraphView>(
+        &mut self,
+        (g, q, m): (&G, &Pattern, &MatchRelation),
+        dir: Direction,
+        v: NodeId,
+        bfs: &mut BfsScratch,
+    ) -> u64 {
+        let Rows {
+            slot,
+            spans,
+            arcs,
+            roles,
+        } = self;
+        roles.clear();
+        for e in q.edges() {
+            let (near, far) = match dir {
+                Direction::Forward => (e.from, e.to),
+                Direction::Backward => (e.to, e.from),
+            };
+            if m.contains(near, v) {
+                roles.push((e.bound.depth(), far));
+            }
+        }
+        spans.push((v.0, arcs.len() as u32));
+        slot[v.index()] = spans.len() as u32;
+        let is_arc = |w: NodeId, d: u32| {
+            w != v && (roles.iter()).any(|&(b, far)| d <= b && m.contains(far, w))
+        };
+        match roles.iter().map(|r| r.0).max() {
+            None => 0,
+            // a one-hop ball without its source is the adjacency list
+            Some(1) => {
+                let adj = dir.neighbors(g, v);
+                arcs.extend(adj.iter().filter(|&&w| is_arc(w, 1)).map(|w| (w.0, 1)));
+                adj.len() as u64
+            }
+            Some(depth) => {
+                let ball = bfs.ball(g, v, depth, dir);
+                arcs.extend(
+                    ball.iter()
+                        .filter(|&(w, d)| is_arc(w, d))
+                        .map(|(w, d)| (w.0, d)),
+                );
+                ball.len() as u64
+            }
+        }
+    }
+}
+
+/// One read's `G_r`, a row at a time (see the module docs).
+struct OnDemand<'a, G> {
+    input: (&'a G, &'a Pattern, &'a MatchRelation),
+    rows: &'a mut [Rows; 2],
+    bfs: &'a mut BfsScratch,
+    visits: &'a mut u64,
+    cancel: Option<&'a CancelToken>,
+    /// The token fired while a row was due: that row and every later one
+    /// read empty, and the read must be abandoned.
+    cancelled: bool,
+}
+
+impl<G: GraphView> OnDemand<'_, G> {
+    /// `v`'s row in direction `dir`, expanded now if this read has not
+    /// yet — after a poll of the token.
+    fn row(&mut self, dir: Direction, v: u32) -> &[(u32, u32)] {
+        let rows = &mut self.rows[dir as usize];
+        if rows.slot[v as usize] == 0 {
+            self.cancelled = self.cancelled || self.cancel.is_some_and(|t| t.is_cancelled());
+            if self.cancelled {
+                return &[];
+            }
+            *self.visits += rows.expand(self.input, dir, NodeId(v), self.bfs);
+        }
+        rows.row(v).expect("an expanded row")
+    }
+}
+
+/// One direction of an [`OnDemand`] `G_r`.
+struct OneWay<'b, 'a, G> {
+    gr: &'b mut OnDemand<'a, G>,
+    dir: Direction,
+}
+
+impl<G: GraphView> WeightedArcs for OneWay<'_, '_, G> {
+    fn node_count(&self) -> usize {
+        self.gr.input.0.node_count()
+    }
+
+    fn arcs(&mut self, v: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.gr.row(self.dir, v).iter().copied()
+    }
+}
+
+impl<G: GraphView> ResultArcs for &mut OnDemand<'_, G> {
+    fn one_way(&mut self, dir: Direction) -> impl WeightedArcs + '_ {
+        OneWay {
+            gr: &mut **self,
+            dir,
+        }
+    }
+}
+
+/// The one scratch of a ranked read: the two searches each candidate
+/// runs, the rows a cold read expands and the BFS it expands them with,
+/// and the dense node→local map and arc buffer of a full
+/// [`ResultGraph`] build — kept across candidates and reads so each pays
+/// only for what it reaches. Any sequence of graphs and patterns may
+/// share one.
+#[derive(Clone, Debug, Default)]
+pub struct RankScratch {
+    searches: Searches,
+    pub(crate) bfs: BfsScratch,
+    /// Forward and backward rows of [`rank_candidates`], indexed by
+    /// [`Direction`].
+    rows: [Rows; 2],
+    /// Data node → local index; meaningful only at the result nodes of
+    /// the build in progress (see [`ResultGraph::build_with`]).
+    pub(crate) local: Vec<u32>,
+    /// `(from, to, weight)` arcs over local indices, the input of the
+    /// forward adjacency.
+    pub(crate) arcs: Vec<(u32, u32, u32)>,
+    pub(crate) build_visits: u64,
+    expand_visits: u64,
+}
+
+impl RankScratch {
+    pub fn new() -> RankScratch {
+        RankScratch::default()
+    }
+
+    /// Nodes settled, arcs relaxed and heap pushes of every search this
+    /// scratch has run — a deterministic measure of ranking work.
+    pub fn work(&self) -> DijkstraWork {
+        self.searches.fwd.work() + self.searches.rev.work()
+    }
+
+    /// Ball nodes visited plus adjacency entries scanned by every result
+    /// graph built on this scratch — a deterministic measure of build work.
+    pub fn build_visits(&self) -> u64 {
+        self.build_visits
+    }
+
+    /// The same measure for the rows [`rank_candidates`] expanded on this
+    /// scratch.
+    pub fn expand_visits(&self) -> u64 {
+        self.expand_visits
+    }
+
+    /// `f(u_o, v)` of the node `src` of `g_r`: one run each way from
+    /// `src`, summed over what they reached. `+∞` when `src` reaches
+    /// nothing and nothing reaches it.
+    pub fn social_impact(&mut self, g_r: impl ResultArcs, src: u32) -> f64 {
+        self.searches.social_impact(g_r, src)
+    }
 
     /// Heap bytes kept between reads, for a pool's keep-or-drop decision.
     pub(crate) fn retained_bytes(&self) -> usize {
-        self.fwd.retained_bytes()
-            + self.rev.retained_bytes()
+        let rows: usize = (self.rows.iter())
+            .map(|r| r.slot.capacity() * 4 + (r.spans.capacity() + r.arcs.capacity()) * 8)
+            .sum();
+        self.searches.fwd.retained_bytes()
+            + self.searches.rev.retained_bytes()
             + self.bfs.retained_bytes()
+            + rows
             + self.local.capacity() * 4
             + self.arcs.capacity() * 12
     }
@@ -134,19 +331,10 @@ impl RankScratch {
 /// Compute `f(u_o, v)` for one match `v`. Returns `f64::INFINITY` when `v`
 /// is isolated in the result graph (or not part of it).
 pub fn rank_value(rg: &ResultGraph, v: NodeId) -> f64 {
-    rank_with(rg, v, &mut RankScratch::new())
-}
-
-/// [`rank_value`] on a reused scratch.
-fn rank_with(rg: &ResultGraph, v: NodeId, scratch: &mut RankScratch) -> f64 {
-    let Some(src) = rg.local(v) else {
-        return f64::INFINITY;
-    };
-    let (fwd, rev) = (
-        rg.adjacency(Direction::Forward),
-        rg.adjacency(Direction::Backward),
-    );
-    scratch.social_impact(fwd, rev, src)
+    match rg.local(v) {
+        Some(src) => RankScratch::new().social_impact(rg, src),
+        None => f64::INFINITY,
+    }
 }
 
 /// The total order experts are ranked by: ascending `(rank, node id)`.
@@ -182,20 +370,77 @@ pub fn rank_matches_top_k(
     m: &MatchRelation,
     k: usize,
 ) -> Result<Vec<RankedMatch>, MatchError> {
-    rank_matches_top_k_cancellable(rg, q, m, k, &mut RankScratch::new(), None)
-        .map_err(EvalError::uncancelled)
+    rank_matches_top_k_with(rg, q, m, k, &mut RankScratch::new())
 }
 
-/// [`rank_matches_top_k`] on the caller's `scratch`, polling `cancel` once
-/// per candidate; a fired token aborts with [`EvalError::Cancelled`] (zero
-/// stats) and no partial list.
-pub fn rank_matches_top_k_cancellable(
+/// [`rank_matches_top_k`] on the caller's `scratch`.
+pub fn rank_matches_top_k_with(
     rg: &ResultGraph,
     q: &Pattern,
     m: &MatchRelation,
     k: usize,
     scratch: &mut RankScratch,
+) -> Result<Vec<RankedMatch>, MatchError> {
+    let ranked = select_top_k(q, m, k, |v| {
+        Ok(rg
+            .local(v)
+            .map_or(f64::INFINITY, |src| scratch.social_impact(rg, src)))
+    });
+    ranked.map_err(EvalError::uncancelled)
+}
+
+/// The best `k` matches of the output node, as [`rank_matches_top_k`]
+/// gives them on [`ResultGraph::build`]`(g, q, m)` — bit for bit — but
+/// with no result graph built: each candidate's searches expand the rows
+/// they settle, once per read (see the module docs). Polls `cancel` once
+/// per candidate and once per row expanded; a fired token aborts with
+/// [`EvalError::Cancelled`] (zero stats) and no partial list, and the
+/// rows it leaves in `scratch` are forgotten by the next read.
+pub fn rank_candidates<G: GraphView>(
+    g: &G,
+    q: &Pattern,
+    m: &MatchRelation,
+    k: usize,
+    scratch: &mut RankScratch,
     cancel: Option<&CancelToken>,
+) -> Result<Vec<RankedMatch>, EvalError> {
+    let RankScratch {
+        searches,
+        bfs,
+        rows,
+        expand_visits,
+        ..
+    } = scratch;
+    for r in rows.iter_mut() {
+        r.reset(g.node_count());
+    }
+    let mut gr = OnDemand {
+        input: (g, q, m),
+        rows,
+        bfs,
+        visits: expand_visits,
+        cancel,
+        cancelled: false,
+    };
+    select_top_k(q, m, k, |v| {
+        if cancel.is_some_and(|t| t.is_cancelled()) {
+            return Err(Cancelled::default());
+        }
+        let rank = searches.social_impact(&mut gr, v.0);
+        if gr.cancelled {
+            return Err(Cancelled::default());
+        }
+        Ok(rank)
+    })
+}
+
+/// The best `k` matches of `q`'s output node in `m`, each ranked by
+/// `rank`, ascending by `(rank, node id)`; the first error aborts.
+fn select_top_k(
+    q: &Pattern,
+    m: &MatchRelation,
+    k: usize,
+    mut rank: impl FnMut(NodeId) -> Result<f64, Cancelled>,
 ) -> Result<Vec<RankedMatch>, EvalError> {
     let uo = q.require_output().map_err(|_| MatchError::NoOutputNode)?;
     let mut out = Vec::new();
@@ -203,11 +448,10 @@ pub fn rank_matches_top_k_cancellable(
         return Ok(out);
     }
     for node in m.matches(uo).iter() {
-        if cancel.is_some_and(|t| t.is_cancelled()) {
-            return Err(Cancelled::default().into());
-        }
-        let rank = rank_with(rg, node, scratch);
-        out.push(RankedMatch { node, rank });
+        out.push(RankedMatch {
+            node,
+            rank: rank(node)?,
+        });
     }
     if out.len() > k {
         out.select_nth_unstable_by(k - 1, rank_order);
@@ -219,7 +463,7 @@ pub fn rank_matches_top_k_cancellable(
 
 /// The paper's top-K selection: evaluate, build the result graph, rank,
 /// truncate to the best `k` experts.
-pub fn top_k<G: GraphView + Sync>(
+pub fn top_k<G: GraphView>(
     g: &G,
     q: &Pattern,
     m: &MatchRelation,

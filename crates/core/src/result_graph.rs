@@ -12,15 +12,17 @@
 //! shortest-path length ([`witness_arcs`], the one witness kernel). A
 //! bound-1 pattern edge needs no BFS: its witnesses are `v`'s
 //! out-neighbours, read off the adjacency the way the fixpoint refines
-//! such edges. Collection can be parallelised across match nodes (std
-//! scoped threads); either way the arcs come out in `(pattern_edge, from,
-//! to)` order. A request's [`CancelToken`] is polled once per source
-//! match, so a deadline covers construction too
-//! ([`ResultGraph::build_cancellable`]). **Lay out**: the graph below.
-//! The incremental module keeps a registered pattern's arcs across
-//! updates instead, as per-node rows repaired per batch with the same
-//! witness kernel, and ranks over those rows itself — a ranked read of a
-//! registered pattern builds no `ResultGraph` at all.
+//! such edges. The arcs come out in `(pattern_edge, from, to)` order.
+//! **Lay out**: the graph below.
+//!
+//! Who builds one: the views that show all of `G_r` — the shell, reports,
+//! [`top_k`](crate::rank::top_k) — and the tests, which hold the ranking
+//! to it. A ranked read does not: a cold read ranks from its candidates,
+//! expanding only the rows its searches settle
+//! ([`rank_candidates`](crate::rank::rank_candidates)), and the
+//! incremental module keeps a registered pattern's arcs across updates
+//! as per-node rows repaired per batch with the same witness kernel, and
+//! ranks over those rows itself.
 //!
 //! Layout: `|E_r|` is smaller than `|V_r|` (most matches witness no
 //! pattern edge themselves: over the repo benchmark's 528 pool patterns,
@@ -34,13 +36,11 @@
 //! build on a reused scratch allocates only what the returned graph owns.
 //! What a build costs beyond its BFS balls is `O(|V_r| + |E_r|)`.
 
-use crate::fixpoint::Cancelled;
 use crate::matchrel::MatchRelation;
-use crate::parallel::run_items;
 use crate::rank::RankScratch;
 use expfinder_graph::bfs::{BfsScratch, Direction};
 use expfinder_graph::dijkstra::WeightedAdj;
-use expfinder_graph::{BitSet, CancelToken, GraphView, NodeId};
+use expfinder_graph::{BitSet, GraphView, NodeId};
 use expfinder_pattern::{PNodeId, Pattern};
 
 /// One edge of the result graph.
@@ -72,29 +72,29 @@ pub struct ResultGraph {
 }
 
 impl ResultGraph {
-    /// Build `G_r` from a match relation (sequential, on a fresh scratch).
-    pub fn build<G: GraphView + Sync>(g: &G, q: &Pattern, m: &MatchRelation) -> ResultGraph {
-        Self::build_cancellable(g, q, m, 1, &mut RankScratch::new(), None)
-            .expect("no cancel token supplied")
+    /// Build `G_r` from a match relation, on a fresh scratch.
+    pub fn build<G: GraphView>(g: &G, q: &Pattern, m: &MatchRelation) -> ResultGraph {
+        Self::build_with(g, q, m, &mut RankScratch::new())
     }
 
-    /// Build `G_r` with `threads` workers for the per-match fan-out (1 =
-    /// sequential, on `scratch`'s BFS), polling `cancel` once per source
-    /// match of every pattern edge; a fired token aborts with
-    /// [`Cancelled`] (zero stats — the fixpoint's work is the caller's to
-    /// report). The work is added to [`RankScratch::build_visits`].
-    /// Collects the arcs with one BFS per source match, then lays them out.
-    pub fn build_cancellable<G: GraphView + Sync>(
+    /// Build `G_r` on `scratch`: one [`witness_arcs`] per (pattern edge,
+    /// source match), then the layout. The work is added to
+    /// [`RankScratch::build_visits`].
+    pub fn build_with<G: GraphView>(
         g: &G,
         q: &Pattern,
         m: &MatchRelation,
-        threads: usize,
         scratch: &mut RankScratch,
-        cancel: Option<&CancelToken>,
-    ) -> Result<ResultGraph, Cancelled> {
-        let (edges, visits) = collect_all_edges(g, q, m, threads, &mut scratch.bfs, cancel)?;
-        scratch.build_visits += visits;
-        Ok(Self::layout(q, m, edges, scratch))
+    ) -> ResultGraph {
+        let mut edges = Vec::new();
+        for (ei, e) in q.edges().iter().enumerate() {
+            let targets = m.matches(e.to);
+            for v in m.matches(e.from).iter() {
+                scratch.build_visits +=
+                    witness_arcs(g, q, ei, v, targets, &mut scratch.bfs, &mut edges);
+            }
+        }
+        Self::layout(q, m, edges, scratch)
     }
 
     /// The result graph of `m` with exactly `edges`, matched at both ends.
@@ -148,8 +148,7 @@ impl ResultGraph {
         &self.nodes
     }
 
-    /// All result edges, ordered by `(pattern_edge, from, to)` — whatever
-    /// built them, at any thread count.
+    /// All result edges, ordered by `(pattern_edge, from, to)`.
     pub fn edges(&self) -> &[ResultEdge] {
         &self.edges
     }
@@ -191,6 +190,8 @@ impl ResultGraph {
 /// Returns the ball nodes visited plus the adjacency entries scanned.
 /// The one witness kernel of `G_r`: a build runs it per source match, and
 /// the incremental module per source whose ball an update batch touched.
+/// A cold ranked read finds the same arcs a node at a time, every role of
+/// the node in one ball ([`rank_candidates`](crate::rank::rank_candidates)).
 pub fn witness_arcs<G: GraphView>(
     g: &G,
     q: &Pattern,
@@ -234,82 +235,6 @@ pub fn witness_arcs<G: GraphView>(
         out[start..].sort_unstable_by_key(|e| e.to);
     }
     visits as u64
-}
-
-/// Collect into `out` the result edges witnessed by pattern edge `ei` for
-/// the given source match nodes (ascending), polling `cancel` once per
-/// source. Returns the work of [`witness_arcs`], summed.
-fn collect_edges<G: GraphView>(
-    g: &G,
-    q: &Pattern,
-    m: &MatchRelation,
-    (ei, sources): (usize, &[NodeId]),
-    scratch: &mut BfsScratch,
-    cancel: Option<&CancelToken>,
-    out: &mut Vec<ResultEdge>,
-) -> Result<u64, Cancelled> {
-    let targets = m.matches(q.edges()[ei].to);
-    let mut visits = 0;
-    for &v in sources {
-        if cancel.is_some_and(|t| t.is_cancelled()) {
-            return Err(Cancelled::default());
-        }
-        visits += witness_arcs(g, q, ei, v, targets, scratch, out);
-    }
-    Ok(visits)
-}
-
-/// Work-unit size for the parallel fan-out: small enough for load balance
-/// across skewed degree distributions, large enough to amortize dispatch.
-const PARALLEL_CHUNK: usize = 256;
-
-/// Edge collection: every (pattern edge, chunk of the matches of its
-/// source node) pair is an independent [`run_items`] work item, run inline
-/// on `bfs` when that declines to fan out. Chunking *within* a pattern
-/// edge is what makes the fan-out scale — patterns have few edges but
-/// thousands of matches. Items are in `(pattern edge, source)` order and
-/// each source's arcs in `to` order, so concatenating the items' edges in
-/// item order gives `(pattern_edge, from, to)` order on either path.
-/// Returns the edges and the work of [`collect_edges`], summed.
-fn collect_all_edges<G: GraphView + Sync>(
-    g: &G,
-    q: &Pattern,
-    m: &MatchRelation,
-    threads: usize,
-    bfs: &mut BfsScratch,
-    cancel: Option<&CancelToken>,
-) -> Result<(Vec<ResultEdge>, u64), Cancelled> {
-    let sources: Vec<Vec<NodeId>> = q.edges().iter().map(|e| m.matches_vec(e.from)).collect();
-    // numbered, because workers finish in any order
-    let items: Vec<(usize, (usize, &[NodeId]))> = sources
-        .iter()
-        .enumerate()
-        .flat_map(|(ei, sources)| sources.chunks(PARALLEL_CHUNK).map(move |chunk| (ei, chunk)))
-        .enumerate()
-        .collect();
-    let mut out = Vec::new();
-    let mut visits = 0;
-    let fanned = run_items(threads, &items, BfsScratch::new, |bfs, &(i, item)| {
-        let mut edges = Vec::new();
-        let work = collect_edges(g, q, m, item, bfs, cancel, &mut edges);
-        (i, work.map(|v| (edges, v)))
-    });
-    match fanned {
-        Some(mut chunks) => {
-            chunks.sort_unstable_by_key(|&(i, _)| i);
-            for (_, chunk) in chunks {
-                let (edges, v) = chunk?;
-                out.extend(edges);
-                visits += v;
-            }
-        }
-        None => {
-            for &(_, item) in &items {
-                visits += collect_edges(g, q, m, item, bfs, cancel, &mut out)?;
-            }
-        }
-    }
-    Ok((out, visits))
 }
 
 #[cfg(test)]
@@ -393,27 +318,6 @@ mod tests {
         assert_eq!(dist(&rg, Direction::Backward, f.eva, f.bob), 2);
         assert_eq!(dist(&rg, Direction::Backward, f.eva, f.jean), 1);
         assert_eq!(dist(&rg, Direction::Forward, f.eva, f.bob), UNREACHABLE);
-    }
-
-    #[test]
-    fn parallel_build_matches_sequential() {
-        let (f, q, rg) = fig1_result();
-        let m = bounded_simulation(&f.graph, &q).unwrap();
-        let mut scratch = RankScratch::new();
-        let rg_par = ResultGraph::build_cancellable(&f.graph, &q, &m, 4, &mut scratch, None)
-            .expect("no cancel token supplied");
-        assert!(
-            scratch.build_visits() > 0,
-            "the workers' visits are counted"
-        );
-        assert_eq!(rg.nodes(), rg_par.nodes());
-        // one order, whatever the thread count: drill-downs read it as is
-        assert_eq!(rg.edges(), rg_par.edges());
-        assert!(rg
-            .edges()
-            .windows(2)
-            .all(|w| (w[0].pattern_edge, w[0].from, w[0].to)
-                < (w[1].pattern_edge, w[1].from, w[1].to)));
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! §II's `f(u_o, v)` — its own hash-map `G_r`, its own full-vector
 //! Dijkstra, a `|V_r|` scan per candidate, a full sort. `core::rank` and
 //! `core::result_graph` must agree with it on node order and on every
-//! rank **bit for bit**, through all public ranking functions, for every
-//! `k`, on one thread or four, over the live graph or its CSR snapshot.
-//! This is the safety net a rewrite of the ranking kernel lands against.
+//! rank **bit for bit**, through all public ranking functions — the
+//! ranks read off a built `G_r` and the ones a cold read computes from
+//! its candidates, expanding rows on demand ([`rank_candidates`]) — for
+//! every `k`, over the live graph or its CSR snapshot. This is the
+//! safety net a rewrite of the ranking kernel lands against.
 //!
 //! The same oracle also hands out its `G_r` (`reference_result_graph`), so
 //! the result graph is checked as a structure — node set, index, edge set,
@@ -15,12 +17,13 @@
 //! Every `G_r` [`check`] builds and ranks, in every test of this file,
 //! goes through one shared [`RankScratch`], as a pooled read does: cases
 //! whose graphs grow and shrink follow each other on it, so a local-map,
-//! BFS or search entry an earlier case left behind shows up as a
-//! structure or a rank the reference does not have.
+//! BFS, memoised row or search entry an earlier case left behind shows
+//! up as a structure or a rank the reference does not have.
 
 use expfinder_core::{
-    bounded_simulation, rank_matches, rank_matches_top_k, rank_matches_top_k_cancellable,
-    rank_value, top_k, MatchRelation, RankScratch, RankedMatch, ResultGraph,
+    bounded_simulation, rank_candidates, rank_matches, rank_matches_top_k, rank_matches_top_k_with,
+    rank_value, top_k, CancelToken, EvalError, MatchRelation, RankScratch, RankedMatch,
+    ResultGraph,
 };
 use expfinder_graph::bfs::Direction;
 use expfinder_graph::dijkstra::{DijkstraScratch, UNREACHABLE};
@@ -108,48 +111,39 @@ fn assert_same_structure(
 
 /// Check every public ranking entry point, on `view`, against `want`
 /// (the reference's full ranking), for every interesting `k`, and the
-/// result graph itself against the reference's — both built and ranked
+/// result graph itself against the reference's — all built and ranked
 /// on the file's [`shared_scratch`].
-fn check<V: GraphView + Sync>(
-    view: &V,
-    q: &Pattern,
-    m: &MatchRelation,
-    want: &[RankedMatch],
-    what: &str,
-) {
+fn check<V: GraphView>(view: &V, q: &Pattern, m: &MatchRelation, want: &[RankedMatch], what: &str) {
     let want_rg = reference_result_graph(view, q, m);
     let mut reused = shared_scratch();
-    let build = |threads, scratch: &mut RankScratch| {
-        ResultGraph::build_cancellable(view, q, m, threads, scratch, None).expect("no token")
-    };
-    for threads in [1, 4] {
-        let rg = build(threads, &mut reused);
-        let what = &format!("{what}, {threads} threads");
-        assert_same_structure(&rg, &want_rg, view.node_count(), q, m, what);
-        let all = rank_matches(&rg, q, m).unwrap();
-        assert_eq!(bits(&all), bits(want), "{what}: rank_matches");
-        for x in want {
-            let got = rank_value(&rg, x.node);
-            assert_eq!(
-                got.to_bits(),
-                x.rank.to_bits(),
-                "{what}: rank_value({:?})",
-                x.node
-            );
-        }
-        for k in [0, 1, 2, want.len(), want.len() + 3] {
-            let expect = bits(&want[..k.min(want.len())]);
-            let got = rank_matches_top_k(&rg, q, m, k).unwrap();
-            assert_eq!(bits(&got), expect, "{what}: rank_matches_top_k k={k}");
-            // the cancellable pair the engine calls, token disarmed, on a
-            // scratch the previous `k` already built and ranked on
-            let rg2 = build(threads, &mut reused);
-            assert_same_structure(&rg2, &want_rg, view.node_count(), q, m, what);
-            let got = rank_matches_top_k_cancellable(&rg2, q, m, k, &mut reused, None).unwrap();
-            assert_eq!(bits(&got), expect, "{what}: cancellable k={k}");
-            let got = top_k(view, q, m, k).unwrap();
-            assert_eq!(bits(&got), expect, "{what}: top_k k={k}");
-        }
+    let rg = ResultGraph::build_with(view, q, m, &mut reused);
+    assert_same_structure(&rg, &want_rg, view.node_count(), q, m, what);
+    let all = rank_matches(&rg, q, m).unwrap();
+    assert_eq!(bits(&all), bits(want), "{what}: rank_matches");
+    for x in want {
+        let got = rank_value(&rg, x.node);
+        assert_eq!(
+            got.to_bits(),
+            x.rank.to_bits(),
+            "{what}: rank_value({:?})",
+            x.node
+        );
+    }
+    for k in [0, 1, 2, want.len(), want.len() + 3] {
+        let expect = bits(&want[..k.min(want.len())]);
+        let got = rank_matches_top_k(&rg, q, m, k).unwrap();
+        assert_eq!(bits(&got), expect, "{what}: rank_matches_top_k k={k}");
+        // built and ranked on a scratch the previous `k` already built,
+        // ranked and expanded rows on
+        let rg2 = ResultGraph::build_with(view, q, m, &mut reused);
+        assert_same_structure(&rg2, &want_rg, view.node_count(), q, m, what);
+        let got = rank_matches_top_k_with(&rg2, q, m, k, &mut reused).unwrap();
+        assert_eq!(bits(&got), expect, "{what}: rank_matches_top_k_with k={k}");
+        // what a cold read calls: no `G_r` built, rows expanded on demand
+        let got = rank_candidates(view, q, m, k, &mut reused, None).unwrap();
+        assert_eq!(bits(&got), expect, "{what}: rank_candidates k={k}");
+        let got = top_k(view, q, m, k).unwrap();
+        assert_eq!(bits(&got), expect, "{what}: top_k k={k}");
     }
 }
 
@@ -242,15 +236,13 @@ fn empty_relation_gives_the_empty_graph() {
     let f = expfinder_graph::fixtures::collaboration_fig1();
     let q = expfinder_pattern::fixtures::fig1_pattern();
     let m = MatchRelation::empty(&q, f.graph.node_count());
-    for threads in [1, 4] {
-        let rg =
-            ResultGraph::build_cancellable(&f.graph, &q, &m, threads, &mut shared_scratch(), None)
-                .expect("no token");
-        let want = reference_result_graph(&f.graph, &q, &m);
-        assert!(want.nodes.is_empty() && want.edges.is_empty());
-        assert_same_structure(&rg, &want, f.graph.node_count(), &q, &m, "empty");
-        assert!(rank_matches(&rg, &q, &m).unwrap().is_empty());
-    }
+    let rg = ResultGraph::build_with(&f.graph, &q, &m, &mut shared_scratch());
+    let want = reference_result_graph(&f.graph, &q, &m);
+    assert!(want.nodes.is_empty() && want.edges.is_empty());
+    assert_same_structure(&rg, &want, f.graph.node_count(), &q, &m, "empty");
+    assert!(rank_matches(&rg, &q, &m).unwrap().is_empty());
+    let ranked = rank_candidates(&f.graph, &q, &m, 5, &mut shared_scratch(), None);
+    assert!(ranked.unwrap().is_empty());
 }
 
 #[test]
@@ -403,16 +395,22 @@ fn thousands_of_isolated_candidates_around_a_few_arcs() {
         (20..100).contains(&reached),
         "{reached} candidates reach something"
     );
-    let mut scratch = RankScratch::new();
-    let got = rank_matches_top_k_cancellable(&rg, &q, &m, usize::MAX, &mut scratch, None).unwrap();
-    assert_eq!(bits(&got), bits(&want));
     // each isolated candidate settles itself once per direction; the rest
-    // add at most a lead and its head per arc into them
-    let settled = scratch.work().settled;
-    assert!(
-        settled <= 2 * candidates as u64 + 2 * arcs as u64,
-        "{settled} nodes settled for {candidates} candidates"
-    );
+    // add at most a lead and its head per arc into them — on the built
+    // `G_r` and on rows expanded on demand alike
+    let mut scratch = RankScratch::new();
+    let got = rank_matches_top_k_with(&rg, &q, &m, usize::MAX, &mut scratch).unwrap();
+    assert_eq!(bits(&got), bits(&want));
+    let mut on_demand = RankScratch::new();
+    let got = rank_candidates(&g, &q, &m, usize::MAX, &mut on_demand, None).unwrap();
+    assert_eq!(bits(&got), bits(&want));
+    for work in [scratch.work(), on_demand.work()] {
+        assert!(
+            work.settled <= 2 * candidates as u64 + 2 * arcs as u64,
+            "{} nodes settled for {candidates} candidates",
+            work.settled
+        );
+    }
     differential(&g, &q, "isolated crowd");
 }
 
@@ -450,4 +448,171 @@ fn each_candidate_reaches_a_strict_subset_of_the_one_before() {
         assert!(next.is_subset(&earlier) && next.len() < earlier.len());
     }
     differential(&g, &q, "shrinking reach");
+}
+
+#[test]
+fn a_deeper_role_adds_no_arc_to_a_shallower_one() {
+    // v → x → y and v → p → z, with x, y over B, z over C and p over D,
+    // under  a1 →(≤1) b,  a2 →(≤3) c  and a1, a2 over A: `v` plays both
+    // roles, so its forward row is one BFS at depth 3. `y` is a B at
+    // distance 2 — a match of `b`, inside that ball — but only `a1 → b`
+    // wants a B, and only within 1: the row must hold v → x (1) and
+    // v → z (2) and no v → y, which would move f(v) from 3/2 to 5/3
+    let mut g = DiGraph::new();
+    let v = g.add_node("A", []);
+    let [x, y] = ["B", "B"].map(|l| g.add_node(l, []));
+    let z = g.add_node("C", []);
+    let p = g.add_node("D", []);
+    for (s, t) in [(v, x), (x, y), (v, p), (p, z)] {
+        g.add_edge(s, t);
+    }
+    let q = PatternBuilder::new()
+        .node_output("a1", Predicate::label("A"))
+        .node("a2", Predicate::label("A"))
+        .node("b", Predicate::label("B"))
+        .node("c", Predicate::label("C"))
+        .edge("a1", "b", Bound::ONE)
+        .edge("a2", "c", Bound::hops(3))
+        .build()
+        .unwrap();
+    let m = bounded_simulation(&g, &q).unwrap();
+    let [a1, a2, b] = ["a1", "a2", "b"].map(|u| q.node_id(u).unwrap());
+    assert!(m.contains(a1, v) && m.contains(a2, v) && m.contains(b, y));
+    let rg = ResultGraph::build(&g, &q, &m);
+    let from_v: BTreeSet<_> = (rg.edges().iter())
+        .filter(|e| e.from == v)
+        .map(|e| (e.to, e.weight))
+        .collect();
+    assert_eq!(from_v, BTreeSet::from([(x, 1), (z, 2)]));
+    let want = reference_rank(&g, &q, &m, usize::MAX);
+    assert_eq!(bits(&want), bits(&[RankedMatch { node: v, rank: 1.5 }]));
+    differential(&g, &q, "two roles, two bounds");
+}
+
+#[test]
+fn an_unbounded_edge_ranks_across_the_whole_graph() {
+    // a chain of 40 nodes alternating A and B, closed into a cycle, under
+    // a →(*) b and b →(≤1) a: every row of a `*` role is a BFS to the
+    // end of the graph, both ways
+    let mut g = DiGraph::new();
+    let ring: Vec<NodeId> = (0..40)
+        .map(|i| g.add_node(if i % 2 == 0 { "A" } else { "B" }, []))
+        .collect();
+    for i in 0..ring.len() {
+        g.add_edge(ring[i], ring[(i + 1) % ring.len()]);
+    }
+    for shape in [true, false] {
+        let mut b = PatternBuilder::new()
+            .node_output("a", Predicate::label("A"))
+            .node("b", Predicate::label("B"))
+            .edge("a", "b", Bound::Unbounded);
+        if shape {
+            b = b.edge("b", "a", Bound::ONE);
+        }
+        let q = b.build().unwrap();
+        let ranked = differential(&g, &q, &format!("unbounded, back edge {shape}"));
+        assert_eq!(ranked, 20);
+    }
+}
+
+#[test]
+fn many_candidates_on_one_cycle_expand_each_row_once() {
+    // a directed cycle of 60 A nodes under a →(≤2) a': every candidate's
+    // searches settle every node of the cycle, yet a read expands each
+    // node's row once per direction — a 3-node ball each way — where a
+    // build runs one forward ball per node
+    let n = 60;
+    let mut g = DiGraph::new();
+    let ring: Vec<NodeId> = (0..n).map(|_| g.add_node("A", [])).collect();
+    for i in 0..n {
+        g.add_edge(ring[i], ring[(i + 1) % n]);
+    }
+    let q = PatternBuilder::new()
+        .node_output("a", Predicate::label("A"))
+        .node("b", Predicate::label("A"))
+        .edge("a", "b", Bound::hops(2))
+        .build()
+        .unwrap();
+    let m = bounded_simulation(&g, &q).unwrap();
+    assert_eq!(m.matches(q.output().unwrap()).count(), n);
+    let mut built = RankScratch::new();
+    let rg = ResultGraph::build_with(&g, &q, &m, &mut built);
+    assert_eq!(built.build_visits(), 3 * n as u64);
+    let mut scratch = RankScratch::new();
+    let got = rank_candidates(&g, &q, &m, usize::MAX, &mut scratch, None).unwrap();
+    assert_eq!(scratch.expand_visits(), 2 * built.build_visits());
+    assert_eq!(scratch.work().settled, 2 * (n * n) as u64);
+    let want = rank_matches(&rg, &q, &m).unwrap();
+    assert_eq!(bits(&got), bits(&want));
+    // a second read forgets the first one's rows and expands them again
+    rank_candidates(&g, &q, &m, 1, &mut scratch, None).unwrap();
+    assert_eq!(scratch.expand_visits(), 4 * built.build_visits());
+    differential(&g, &q, "one cycle");
+}
+
+#[test]
+fn big_and_small_graphs_alternate_on_one_scratch() {
+    // a read on a small graph after one on a big graph (and back) on the
+    // one shared scratch: a row the big read memoised at a node id the
+    // small graph also has must not be read as the small graph's
+    let mut rng = StdRng::seed_from_u64(4242);
+    let spec = NodeSpec::uniform(2, 3);
+    let mut ranked = 0;
+    for trial in 0..8 {
+        let n = if trial % 2 == 0 { 400 } else { 12 };
+        let g = erdos_renyi(&mut rng, n, 3 * n, &spec);
+        let mut cfg = PatternConfig::new(PatternShape::Chain, 3, spec.labels.clone());
+        cfg.bound_range = (1, 3);
+        let q = random_pattern(&mut rng, &cfg);
+        ranked += differential(&g, &q, &format!("alternating trial {trial}, n {n}"));
+    }
+    assert!(ranked > 100, "vacuous: {ranked} ranked");
+}
+
+#[test]
+fn a_fired_token_aborts_the_read_and_leaves_no_row_behind() {
+    // a fuse at every cancellation point of an on-demand read — one per
+    // candidate, one per row expanded — aborts it with no list; the next
+    // reads on the same scratch, with no token — of another graph of the
+    // same shape, whose rows differ at the node ids the aborted read
+    // expanded, then of the aborted graph — are the reference's
+    let team = |seed| {
+        collaboration(
+            &mut StdRng::seed_from_u64(seed),
+            &CollabConfig {
+                teams: 30,
+                ..CollabConfig::default()
+            },
+        )
+    };
+    let (g, g1) = (team(77), team(78));
+    let q = expfinder_pattern::fixtures::fig1_pattern();
+    let m = bounded_simulation(&g, &q).unwrap();
+    let want = bits(&reference_rank(&g, &q, &m, 3));
+    let m1 = bounded_simulation(&g1, &q).unwrap();
+    let want1 = bits(&reference_rank(&g1, &q, &m1, usize::MAX));
+    let polls = {
+        let token = CancelToken::after_checks(u64::MAX);
+        let mut scratch = RankScratch::new();
+        rank_candidates(&g, &q, &m, 3, &mut scratch, Some(&token)).unwrap();
+        token.checks()
+    };
+    let candidates = m.matches(q.output().unwrap()).count() as u64;
+    assert!(polls > candidates, "rows are cancellation points too");
+    for fuse in 1..=polls + 1 {
+        let mut scratch = shared_scratch();
+        let token = CancelToken::after_checks(fuse);
+        match rank_candidates(&g, &q, &m, 3, &mut scratch, Some(&token)) {
+            Ok(got) => {
+                assert_eq!(fuse, polls + 1, "a fuse inside the read must fire");
+                assert_eq!(bits(&got), want);
+            }
+            Err(EvalError::Cancelled(_)) => assert!(fuse <= polls),
+            Err(other) => panic!("fuse {fuse}: {other:?}"),
+        }
+        let other = rank_candidates(&g1, &q, &m1, usize::MAX, &mut scratch, None).unwrap();
+        assert_eq!(bits(&other), want1, "fuse {fuse}: another graph after it");
+        let again = rank_candidates(&g, &q, &m, 3, &mut scratch, None).unwrap();
+        assert_eq!(bits(&again), want, "fuse {fuse}");
+    }
 }

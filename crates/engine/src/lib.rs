@@ -34,9 +34,8 @@
 //! the query is compression-safe — from the graph's [`CostProfile`] and
 //! picks the cheapest; then one `expfinder_core::evaluate` call on the
 //! winning substrate (bounded simulation, of which a 1-bounded pattern is
-//! the plain-simulation case), the result graph and the top-K
-//! rank — or a prefix of the ranked answer the cache slot already
-//! holds. The read path reads a published [`Snapshot`] and nothing else;
+//! the plain-simulation case), and the top-K rank from the candidates —
+//! or a prefix of the ranked answer the cache slot already holds. The read path reads a published [`Snapshot`] and nothing else;
 //! the catalog's part of a read is resolving the handle to its graph's
 //! latest one ([`Catalog::handle`], [`Catalog::latest`]) — the same call
 //! on both facades. Every
@@ -238,7 +237,9 @@ pub enum Route {
 pub struct QueryTimings {
     /// Evaluating the match relation (including cache/registered hits).
     pub evaluate: Duration,
-    /// Building the result graph and ranking (zero if no `top_k`).
+    /// Ranking the top `k`: from the candidates, expanding the `G_r`
+    /// rows their searches reach, or copying a registered query's
+    /// maintained prefix or the cache slot's list (zero if no `top_k`).
     pub rank: Duration,
     /// End-to-end time inside the engine.
     pub total: Duration,
@@ -446,9 +447,9 @@ pub struct CancelTotals {
 /// `engine.rank` block of `GET /metrics`.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct RankTotals {
-    /// Ranked answers not served from the cache slot: a result graph
-    /// built and ranked, or a prefix of a registered query's maintained
-    /// ranking copied.
+    /// Ranked answers not served from the cache slot: ranked from the
+    /// candidates, or a prefix of a registered query's maintained ranking
+    /// copied. A ranking the deadline abandoned is not counted.
     pub computed: u64,
     /// Ranked answers served from the query cache's slot.
     pub reused: u64,

@@ -1,8 +1,8 @@
 //! The read path — paper §II's query engine, implemented once.
 //!
-//! cache → registered (incremental) → plan → evaluate → result graph →
-//! top-K rank (or the ranked answer the cache slot already holds, or a
-//! prefix of a registered query's maintained ranking), plus
+//! cache → registered (incremental) → plan → evaluate → top-K rank from
+//! the candidates (or the ranked answer the cache slot already holds, or
+//! a prefix of a registered query's maintained ranking), plus
 //! the batch fan-out and the admission-control cost estimate, all live in
 //! [`ReadPath`]. It reads one thing: a published [`Snapshot`] — one graph
 //! at one version, immutable, with everything a query needs travelling
@@ -17,9 +17,8 @@ use crate::{
     QuerySpec, QueryTimings, RankTotals, RegisteredView, Route, Snapshot,
 };
 use expfinder_core::{
-    evaluate, rank_matches_top_k_cancellable, CancelToken, EvalError, EvalRequest, EvalScratch,
-    EvalStats, MatchError, MatchRelation, RankScratch, RankedMatch, ResultGraph, ScratchPool,
-    Semantics,
+    evaluate, rank_candidates, CancelToken, EvalError, EvalRequest, EvalScratch, EvalStats,
+    MatchError, MatchRelation, RankScratch, RankedMatch, ScratchPool, Semantics,
 };
 use expfinder_graph::reach_index::IndexCounters;
 use expfinder_pattern::Pattern;
@@ -302,14 +301,12 @@ impl ReadPath {
                 held
             }
             (Some(k), None) => {
-                self.rank_totals.computed.fetch_add(1, Ordering::Relaxed);
                 let ranked = rank(
                     &state,
                     registered,
                     pattern,
                     &matches,
                     k,
-                    threads,
                     scratch.rank_scratch(),
                     cancel,
                 );
@@ -319,6 +316,7 @@ impl ReadPath {
                     // ranked list is all or nothing
                     EvalError::Cancelled(_) => ExpFinderError::DeadlineExceeded(stats),
                 })?;
+                self.rank_totals.computed.fetch_add(1, Ordering::Relaxed);
                 let mut cache = self.cache.lock();
                 cache.put_ranked(&key, &fingerprint, &experts, k);
                 experts
@@ -589,25 +587,22 @@ fn plan_routes(
 
 /// The best `k` matches of the output node. A pattern `state` has
 /// registered — whatever route produced `matches` — is answered with a
-/// copy of the prefix of its maintained ranking: no result graph, no
-/// ranking, no cancellation poll. Any other builds the result graph of
-/// `matches` on `state` and ranks on the read's pooled [`RankScratch`],
-/// polling `cancel` per source match and per candidate.
-#[allow(clippy::too_many_arguments)]
+/// copy of the prefix of its maintained ranking: no ranking, no
+/// cancellation poll. Any other is ranked from its candidates on
+/// `state`'s graph, on the read's pooled [`RankScratch`], which expands
+/// only the `G_r` rows the candidates' searches reach and polls `cancel`
+/// per candidate and per row.
 fn rank(
     state: &Snapshot,
     registered: Option<&RegisteredView>,
     pattern: &Pattern,
     matches: &MatchRelation,
     k: usize,
-    threads: usize,
     scratch: &mut RankScratch,
     cancel: Option<&CancelToken>,
 ) -> Result<Vec<RankedMatch>, EvalError> {
     let Some(view) = registered else {
-        let g = state.graph();
-        let rg = ResultGraph::build_cancellable(g, pattern, matches, threads, scratch, cancel)?;
-        return rank_matches_top_k_cancellable(&rg, pattern, matches, k, scratch, cancel);
+        return rank_candidates(state.graph(), pattern, matches, k, scratch, cancel);
     };
     pattern
         .require_output()

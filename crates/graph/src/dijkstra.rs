@@ -25,10 +25,13 @@
 //! is sized once per scratch (and again only when `n` grows).
 //!
 //! A run reads its graph through [`WeightedArcs`], so one kernel serves
-//! both shapes `G_r` comes in: a [`WeightedAdj`] over local ids, laid out
-//! by a cold build, and a registered query's maintained per-node rows
-//! over data-node ids (`expfinder_incremental`), which filter their arcs
-//! by the query's current match sets as they are read.
+//! every shape `G_r` comes in: a [`WeightedAdj`] over local ids, laid out
+//! by a full build; a registered query's maintained per-node rows over
+//! data-node ids (`expfinder_incremental`), which filter their arcs by
+//! the query's current match sets as they are read; and a cold read's
+//! rows over data-node ids, each expanded the first time a run settles
+//! its node (`expfinder_core::rank`) — which is why a run borrows its
+//! arcs source mutably.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -38,21 +41,22 @@ use std::ops::Add;
 pub const UNREACHABLE: u64 = u64::MAX;
 
 /// A weighted digraph over node ids `0..node_count()`, as a
-/// [`DijkstraScratch`] run reads it.
+/// [`DijkstraScratch`] run reads it. A run asks for a node's arcs once,
+/// when it settles the node, so a source may compute them then.
 pub trait WeightedArcs {
     /// One past the largest node id.
     fn node_count(&self) -> usize;
 
     /// The `(head, weight)` arcs leaving `v`.
-    fn arcs(&self, v: u32) -> impl Iterator<Item = (u32, u32)> + '_;
+    fn arcs(&mut self, v: u32) -> impl Iterator<Item = (u32, u32)> + '_;
 }
 
-impl WeightedArcs for WeightedAdj {
+impl WeightedArcs for &WeightedAdj {
     fn node_count(&self) -> usize {
-        self.node_count()
+        WeightedAdj::node_count(self)
     }
 
-    fn arcs(&self, v: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
+    fn arcs(&mut self, v: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
         self.arcs_of(v).iter().copied()
     }
 }
@@ -188,7 +192,7 @@ impl DijkstraScratch {
     /// Shortest distances from `src` over `adj`, read back through
     /// [`touched`](Self::touched) and [`dist`](Self::dist). Panics if `src`
     /// is not below `adj.node_count()`.
-    pub fn run(&mut self, adj: &impl WeightedArcs, src: u32) {
+    pub fn run(&mut self, mut adj: impl WeightedArcs, src: u32) {
         for &v in &self.touched {
             self.dist[v as usize] = UNREACHABLE;
         }

@@ -88,7 +88,7 @@ use expfinder_core::fixpoint::EvalScratch;
 use expfinder_core::matchrel::MatchRelation;
 use expfinder_core::rank::rank_order;
 use expfinder_core::result_graph::{witness_arcs, ResultEdge};
-use expfinder_core::{candidate_sets, RankScratch, RankedMatch};
+use expfinder_core::{candidate_sets, RankScratch, RankedMatch, ResultArcs};
 use expfinder_graph::bfs::{BfsScratch, Direction};
 use expfinder_graph::bfs_frontier::FrontierScratch;
 use expfinder_graph::dijkstra::WeightedArcs;
@@ -341,7 +341,31 @@ impl Rows {
 
 /// `G_r` as the rows describe it under the raw sets, over data-node ids:
 /// an arc counts when its head is in the raw set of its pattern edge's
-/// target. `forward` reads the tails' rows, else the heads'.
+/// target.
+struct Gr<'a> {
+    rows: &'a Rows,
+    pattern: &'a Pattern,
+    sim: &'a [BitSet],
+}
+
+impl ResultArcs for &Gr<'_> {
+    fn one_way(&mut self, dir: Direction) -> impl WeightedArcs + '_ {
+        let forward = dir == Direction::Forward;
+        GrView {
+            rows: if forward {
+                &self.rows.out
+            } else {
+                &self.rows.inn
+            },
+            forward,
+            pattern: self.pattern,
+            sim: self.sim,
+        }
+    }
+}
+
+/// One direction of a [`Gr`]: `forward` reads the tails' rows, else the
+/// heads'.
 struct GrView<'a> {
     rows: &'a RowMap,
     forward: bool,
@@ -354,7 +378,7 @@ impl WeightedArcs for GrView<'_> {
         self.sim.first().map_or(0, BitSet::capacity)
     }
 
-    fn arcs(&self, v: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
+    fn arcs(&mut self, v: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
         let edges = self.pattern.edges();
         let row = self.rows.get(&NodeId(v)).map_or(&[][..], Vec::as_slice);
         row.iter().filter_map(move |a| {
@@ -589,21 +613,15 @@ impl IncrementalBoundedSim {
 
     /// `f` of each of `nodes` over the rows, sorted by `(rank, node id)`.
     fn rank(&self, nodes: &[NodeId], scratch: &mut RerankScratch) -> Vec<RankedMatch> {
-        let view = |forward| GrView {
-            rows: if forward {
-                &self.rows.out
-            } else {
-                &self.rows.inn
-            },
-            forward,
+        let gr = Gr {
+            rows: &self.rows,
             pattern: &self.pattern,
             sim: &self.sim,
         };
-        let (fwd, rev) = (view(true), view(false));
         let mut ranked: Vec<RankedMatch> = (nodes.iter())
             .map(|&node| RankedMatch {
                 node,
-                rank: scratch.rank.social_impact(&fwd, &rev, node.0),
+                rank: scratch.rank.social_impact(&gr, node.0),
             })
             .collect();
         ranked.sort_by(rank_order);

@@ -41,10 +41,11 @@ msrv:
 # the CI perf-regression gate: rebuild the counters document and compare
 # it against the checked-in BENCH_counters.json. Deterministic counters
 # (bfs_nodes_visited, refreshes, index hits/misses, the rank kernel's
-# settled/relaxed/pushes) block on >25% regression and exact outputs
-# (sizes, match_pairs, results_identical) on any mismatch; wall-clock
-# numbers are advisory only. `bench_match` with no flags rewrites the
-# baseline itself (commit it when a counter moves on purpose)
+# settled/relaxed/pushes, the on-demand rows' expand_visits) block on
+# >25% regression and exact outputs (sizes, match_pairs,
+# results_identical, the on-demand ranks' identical) on any mismatch;
+# wall-clock numbers are advisory only. `bench_match` with no flags
+# rewrites the baseline itself (commit it when a counter moves on purpose)
 bench-compare:
     cargo run --release -p expfinder-bench --bin bench_match -- --out target/ci/BENCH_counters_fresh.json
     python3 scripts/bench_compare.py BENCH_counters.json target/ci/BENCH_counters_fresh.json --report target/ci/bench_compare.md

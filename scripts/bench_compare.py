@@ -13,7 +13,9 @@ field of the counters document (``BENCH_counters.json``, written by the
 
 * **equal-required** (blocking on any difference) — deterministic
   outputs of a seeded workload: workload labels, graph sizes, update
-  counts, match-pair counts, result-equality flags, and of
+  counts, match-pair counts, result-equality flags (among them the
+  ``rank`` block's ``on_demand.identical``: the ranks a cold read
+  computes from its candidates equal the full build's), and of
   ``gr_maintain``: the maintained ``G_r`` ``arcs``, the
   ``full_build_sources`` a build per batch would BFS, the
   ``full_rank_candidates`` a full re-rank per batch would compute, and
@@ -26,8 +28,9 @@ field of the counters document (``BENCH_counters.json``, written by the
 * **deterministic counters** (blocking beyond the threshold) —
   evaluation-work counters (``bfs_nodes_visited``, ``refreshes``,
   ``removals``, ``index_misses``, the result-graph build's
-  ``build_visits``, the ranking kernel's ``settled``, ``relaxed``,
-  ``pushes``, the incremental maintainer's ``affected_nodes``,
+  ``build_visits``, the on-demand ranker's ``expand_visits`` (the rows
+  a cold read expands), the ranking kernel's ``settled``, ``relaxed``,
+  ``pushes`` (on the built graph and under ``on_demand``), the incremental maintainer's ``affected_nodes``,
   ``tentative_pairs``, ``repair_sources`` and ``rerank_candidates``, and
   the carried reach-index entries' ``repair_visits`` are worse when
   higher; ``index_hits``
@@ -54,6 +57,7 @@ EQUAL_KEYS = {
     "edges",
     "match_pairs",
     "results_identical",
+    "identical",
     "name",
     "pattern",
     "updates",
@@ -72,6 +76,7 @@ HIGHER_IS_WORSE = {
     "bfs_nodes_visited",
     "index_misses",
     "build_visits",
+    "expand_visits",
     "settled",
     "relaxed",
     "pushes",

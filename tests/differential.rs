@@ -1662,11 +1662,12 @@ fn index_totals_count_the_quotient_index_on_both_backends() {
     h.agree();
 }
 
-/// The budget covers the whole read: result-graph construction polls the
-/// token per source match and ranking per candidate. A fuse at every
-/// cancellation point of a ranked Fig. 1 read, on a fresh pair of
-/// facades each time, gives the exact experts or a 408 — never a
-/// truncated list — and a relation whose ranking was abandoned is cached.
+/// The budget covers the whole read: ranking polls the token per
+/// candidate and per `G_r` row it expands. A fuse at every cancellation
+/// point of a ranked Fig. 1 read, on a fresh pair of facades each time,
+/// gives the exact experts or a 408 — never a truncated list — a
+/// relation whose ranking was abandoned is cached, and an abandoned
+/// ranking is not counted as computed.
 #[test]
 fn every_fuse_value_yields_the_exact_experts_or_408() {
     let (g, q) = (collaboration_fig1().graph, fig1_pattern());
@@ -1703,11 +1704,13 @@ fn every_fuse_value_yields_the_exact_experts_or_408() {
         a
     };
     let (eval_polls, all_polls) = (polls(None), polls(Some(2)));
-    // Fig. 1: 8 source matches over the four pattern edges + 2 candidates
+    // Fig. 1: 2 candidates + 9 rows. Bob's searches expand the forward
+    // rows of Bob, Dan, Mat, Pat, Jean and Eva and Bob's backward row;
+    // Walt's add his own two and find the rest expanded
     assert_eq!(
         all_polls - eval_polls,
-        10,
-        "G_r and ranking are cancellation points"
+        11,
+        "candidates and G_r rows are cancellation points"
     );
 
     // the work of the finished evaluation, as the last possible 408 reports it
@@ -1735,6 +1738,9 @@ fn every_fuse_value_yields_the_exact_experts_or_408() {
                     // abandoned while ranking: the 408 carries the finished
                     // evaluation's work, and the finished relation is cached
                     assert_eq!(stats == finished, ranking, "fuse {fuse}: {stats:?}");
+                    // an abandoned ranking is no computed list
+                    let none = RankTotals::default();
+                    assert_eq!(c.read_path().rank_totals(), none, "fuse {fuse}");
                     let again = ranked(c, hd, None).unwrap();
                     assert_eq!(bits(&again.experts), want, "fuse {fuse}: a truncated list");
                     assert_eq!(
@@ -1744,7 +1750,7 @@ fn every_fuse_value_yields_the_exact_experts_or_408() {
                     );
                     // nothing partial was stored: the follow-up ranked afresh
                     let expect = RankTotals {
-                        computed: 1 + ranking as u64,
+                        computed: 1,
                         reused: 0,
                     };
                     assert_eq!(c.read_path().rank_totals(), expect, "fuse {fuse}");
@@ -1790,6 +1796,39 @@ fn fig1_answers_alike_on_every_taken_route_of_both_facades() {
         "snapshot_parallel",
     ];
     assert_eq!(taken, BTreeSet::from(all));
+}
+
+/// A cold ranked read expands a node's `G_r` row once, at the deepest
+/// bound of its roles. `v` plays `a1 →(≤1) b` and `a2 →(≤3) c`, and `y`
+/// — a `b` match two hops out, inside that ball — must not become an
+/// arc of `v` (it would move `f(v)` from 3/2 to 5/3): both facades rank
+/// as the reference does.
+#[test]
+fn a_node_in_two_roles_ranks_by_each_roles_own_bound() {
+    let mut g = DiGraph::new();
+    let v = g.add_node("A", []);
+    let [x, y] = ["B", "B"].map(|l| g.add_node(l, []));
+    let z = g.add_node("C", []);
+    let p = g.add_node("D", []);
+    for (s, t) in [(v, x), (x, y), (v, p), (p, z)] {
+        g.add_edge(s, t);
+    }
+    let q = PatternBuilder::new()
+        .node_output("a1", Predicate::label("A"))
+        .node("a2", Predicate::label("A"))
+        .node("b", Predicate::label("B"))
+        .node("c", Predicate::label("C"))
+        .edge("a1", "b", Bound::ONE)
+        .edge("a2", "c", Bound::hops(3))
+        .build()
+        .unwrap();
+    let h = Harness::new(g, 1);
+    for prefer in [Route::Direct, Route::Auto] {
+        let resp = h.ranked(&q, prefer, 2);
+        let experts: Vec<_> = resp.experts.iter().map(|x| (x.node, x.rank)).collect();
+        assert_eq!(experts, [(v, 1.5)]);
+    }
+    h.agree();
 }
 
 // ---------------------------------------------------------------------
