@@ -39,7 +39,8 @@
 //!   ranked read after every batch copies a prefix of the maintained
 //!   ranking and builds nothing (`registered_build_visits` is 0). The
 //!   arcs are judged by a from-scratch [`ResultGraph::build`], the whole
-//!   ranking by `reference_rank` and by [`rank_matches`] on that build.
+//!   ranking by `reference_rank` and by [`rank_matches_top_k`] on that
+//!   build.
 //!
 //! Answers of every path are asserted equal to `core::naive`'s while
 //! measuring (`results_identical`). Counters and sizes are exact functions
@@ -49,9 +50,9 @@
 use crate::{collab_graph, collab_pattern, fmt_dur, json_obj as obj, time, twitter_graph, SEED};
 use expfinder_core::naive::{naive_bounded_simulation, naive_simulation, reference_rank};
 use expfinder_core::{
-    bounded_simulation_indexed, evaluate, rank_candidates, rank_matches, rank_matches_top_k_with,
-    CancelToken, EvalOptions, EvalRequest, EvalScratch, EvalStats, MatchRelation, RankScratch,
-    RankedMatch, ReachIndex, ResultGraph, Semantics,
+    bounded_simulation_indexed, evaluate, rank_candidates, rank_matches_top_k,
+    rank_matches_top_k_with, CancelToken, EvalOptions, EvalRequest, EvalScratch, EvalStats,
+    MatchRelation, RankScratch, RankedMatch, ReachIndex, ResultGraph, Semantics,
 };
 use expfinder_graph::generate::random_updates;
 use expfinder_graph::json::Value;
@@ -674,7 +675,7 @@ const GR_BATCH: usize = 4;
 /// pattern — a copy of the top [`RANK_TOP_K`] of the maintained ranking.
 /// At every step the relation must equal naive's, the maintained arcs
 /// kept under the relation a from-scratch [`ResultGraph::build`]'s edges,
-/// and the whole ranking `reference_rank`'s and [`rank_matches`]'s on that
+/// and the whole ranking `reference_rank`'s and [`rank_matches_top_k`]'s on that
 /// build, bit for bit.
 fn bench_gr_workload(name: &str, pattern_name: &str, graph: &DiGraph, pattern: &Pattern) -> Value {
     let mut g = graph.clone();
@@ -706,10 +707,11 @@ fn bench_gr_workload(name: &str, pattern_name: &str, graph: &DiGraph, pattern: &
         };
         let arcs: Vec<_> = inc.arcs().into_iter().filter(kept).collect();
         let all = bits(inc.ranking());
+        let built = rank_matches_top_k(&fresh, pattern, &m, usize::MAX).expect("a ranked pattern");
         identical &= m == naive_bounded_simulation(&g, pattern)
             && arcs == fresh.edges()
             && all == bits(&reference_rank(&g, pattern, &m, usize::MAX))
-            && all == bits(&rank_matches(&fresh, pattern, &m).expect("a ranked pattern"))
+            && all == bits(&built)
             && bits(&top) == all[..top.len()];
         full_build_sources += pattern
             .edges()

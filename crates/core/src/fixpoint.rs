@@ -525,9 +525,10 @@ mod tests {
         assert_eq!(pool.idle(), 1, "a small ranked read parks its scratch");
         pool.with(|s| {
             rank(s);
-            // what a `G_r` of ~5.6M arcs leaves in the arc buffer (reserved,
-            // never touched, so it costs address space and no memory)
-            s.rank.arcs.reserve(SCRATCH_RETAIN_BYTES / 12 + 1);
+            // what a cold read whose rows held ~8.4M arcs leaves in the
+            // row buffer (reserved, never touched, so it costs address
+            // space and no memory)
+            s.rank.rows[0].arcs.reserve(SCRATCH_RETAIN_BYTES / 8 + 1);
             assert!(s.retained_bytes() > SCRATCH_RETAIN_BYTES);
         });
         assert_eq!(pool.idle(), 0, "the oversized scratch was dropped");

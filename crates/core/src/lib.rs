@@ -36,7 +36,7 @@
 //!   too strict and too expensive (NP-complete);
 //! * [`ResultGraph`] — matches as nodes, edges weighted by shortest-path
 //!   length, exactly the result representation of \[PVLDB 2010\];
-//! * [`rank_matches`] / [`top_k`] — the social-impact ranking
+//! * [`rank_matches_top_k`] / [`top_k`] — the social-impact ranking
 //!   `f(u_o, v) = (Σ dist(u,v) + Σ dist(v,u')) / |V'_r|` of paper §II;
 //!   [`rank_candidates`] gives the same ranks without building `G_r`.
 //!
@@ -66,8 +66,8 @@ pub use iso::{subgraph_isomorphism, IsoOptions};
 pub use matchrel::MatchRelation;
 pub use parallel::parallel_bounded_simulation_indexed;
 pub use rank::{
-    rank_candidates, rank_matches, rank_matches_top_k, rank_matches_top_k_with, rank_value, top_k,
-    RankScratch, RankedMatch, ResultArcs,
+    rank_candidates, rank_matches_top_k, rank_matches_top_k_with, top_k, RankScratch, RankedMatch,
+    ResultArcs,
 };
 pub use result_graph::ResultGraph;
 

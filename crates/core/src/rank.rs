@@ -44,11 +44,12 @@
 //! [`witness_arcs`](crate::result_graph::witness_arcs), so `f` is the
 //! same sum, bit for bit. The whole [`ResultGraph`] is built only by the
 //! views that show it (the shell, reports, [`top_k`]), and is the
-//! reference the on-demand rows are tested against.
+//! reference the on-demand rows are tested against. It holds its arcs in
+//! the same rows, over the same data-node ids, filled once at build time.
 //!
 //! One kernel: [`RankScratch::social_impact`] computes `f` over any
 //! [`ResultArcs`]. A cold read hands it the rows it expands on demand;
-//! a built [`ResultGraph`] its two adjacencies; a registered query's
+//! a built [`ResultGraph`] the rows it filled; a registered query's
 //! maintainer (`expfinder_incremental`) its own per-node rows — it
 //! re-ranks only the candidates an update batch can have moved, and
 //! keeps the sorted list, so a ranked read of a registered pattern
@@ -57,7 +58,7 @@
 use crate::eval::EvalError;
 use crate::fixpoint::Cancelled;
 use crate::matchrel::MatchRelation;
-use crate::result_graph::ResultGraph;
+use crate::result_graph::{walk_ball, ResultGraph};
 use crate::MatchError;
 use expfinder_graph::bfs::{BfsScratch, Direction};
 use expfinder_graph::dijkstra::{DijkstraScratch, DijkstraWork, WeightedArcs, UNREACHABLE};
@@ -82,7 +83,7 @@ pub trait ResultArcs {
 
 impl ResultArcs for &ResultGraph {
     fn one_way(&mut self, dir: Direction) -> impl WeightedArcs + '_ {
-        self.adjacency(dir)
+        self.rows(dir)
     }
 }
 
@@ -117,24 +118,59 @@ impl Searches {
     }
 }
 
-/// The `G_r` rows of one direction that one read has expanded, over
-/// data-node ids.
+/// The `G_r` arcs of one direction as rows over data-node ids: a cold
+/// read expands a node's row the first time a search settles it
+/// ([`rank_candidates`]); a built [`ResultGraph`] fills every row once
+/// ([`Rows::filled`]).
 #[derive(Clone, Debug, Default)]
-struct Rows {
-    /// Data node → 1 + the index of its row in `spans`; 0 while the read
-    /// has not expanded it.
+pub(crate) struct Rows {
+    /// Data node → 1 + the index of its row in `spans`; 0 while a read
+    /// has not expanded it, or, in a built `G_r`, where it has no arc.
     slot: Vec<u32>,
-    /// `(node, first arc)` per expanded row, in expansion order: a row
-    /// ends where the next one starts.
+    /// `(node, first arc)` per row, in the order the rows were laid out:
+    /// a row ends where the next one starts.
     spans: Vec<(u32, u32)>,
-    /// `(head, weight)` arcs of every expanded row.
-    arcs: Vec<(u32, u32)>,
-    /// `(bound, other end)` of each pattern edge the node being expanded
-    /// has a role in.
-    roles: Vec<(u32, PNodeId)>,
+    /// `(head, weight)` arcs of every row.
+    pub(crate) arcs: Vec<(u32, u32)>,
+}
+
+/// The rows of a built [`ResultGraph`]: a node without a row has no arc.
+impl WeightedArcs for &Rows {
+    fn node_count(&self) -> usize {
+        self.slot.len()
+    }
+
+    fn arcs(&mut self, v: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.row(v).unwrap_or_default().iter().copied()
+    }
 }
 
 impl Rows {
+    /// The rows of `arcs` over data nodes `0..n`: `(tail, head, weight)`
+    /// triples sorted ascending, of which each row keeps the first — the
+    /// lightest — arc per head.
+    pub(crate) fn filled(n: usize, arcs: &[(u32, u32, u32)]) -> Rows {
+        let mut rows = Rows {
+            slot: vec![0; n],
+            ..Rows::default()
+        };
+        for &(v, w, d) in arcs {
+            if rows.spans.last().is_none_or(|s| s.0 != v) {
+                rows.start(v);
+            } else if rows.arcs.last().is_some_and(|a| a.0 == w) {
+                continue; // a heavier parallel arc
+            }
+            rows.arcs.push((w, d));
+        }
+        rows
+    }
+
+    /// Open `v`'s row, empty, after the last one.
+    fn start(&mut self, v: u32) {
+        self.spans.push((v, self.arcs.len() as u32));
+        self.slot[v as usize] = self.spans.len() as u32;
+    }
+
     /// Forget every row, and fit the slots to a graph of `n` nodes.
     fn reset(&mut self, n: usize) {
         for &(v, _) in &self.spans {
@@ -147,7 +183,7 @@ impl Rows {
         }
     }
 
-    /// `v`'s row, if this read expanded it.
+    /// `v`'s row, if it has one.
     fn row(&self, v: u32) -> Option<&[(u32, u32)]> {
         let i = self.slot[v as usize].checked_sub(1)? as usize;
         let end = self
@@ -157,21 +193,17 @@ impl Rows {
         Some(&self.arcs[self.spans[i].1 as usize..end])
     }
 
-    /// Expand `v`'s row in direction `dir` of the `G_r` of `m`; returns
-    /// the ball nodes visited plus the adjacency entries scanned.
+    /// Expand `v`'s row in direction `dir` of the `G_r` of `m`, listing
+    /// `v`'s `(bound, other end)` roles in `roles`; returns the ball nodes
+    /// visited plus the adjacency entries scanned.
     fn expand<G: GraphView>(
         &mut self,
         (g, q, m): (&G, &Pattern, &MatchRelation),
         dir: Direction,
         v: NodeId,
         bfs: &mut BfsScratch,
+        roles: &mut Vec<(u32, PNodeId)>,
     ) -> u64 {
-        let Rows {
-            slot,
-            spans,
-            arcs,
-            roles,
-        } = self;
         roles.clear();
         for e in q.edges() {
             let (near, far) = match dir {
@@ -182,29 +214,15 @@ impl Rows {
                 roles.push((e.bound.depth(), far));
             }
         }
-        spans.push((v.0, arcs.len() as u32));
-        slot[v.index()] = spans.len() as u32;
-        let is_arc = |w: NodeId, d: u32| {
-            w != v && (roles.iter()).any(|&(b, far)| d <= b && m.contains(far, w))
+        self.start(v.0);
+        let Some(depth) = roles.iter().map(|r| r.0).max() else {
+            return 0;
         };
-        match roles.iter().map(|r| r.0).max() {
-            None => 0,
-            // a one-hop ball without its source is the adjacency list
-            Some(1) => {
-                let adj = dir.neighbors(g, v);
-                arcs.extend(adj.iter().filter(|&&w| is_arc(w, 1)).map(|w| (w.0, 1)));
-                adj.len() as u64
+        walk_ball(g, v, depth, dir, bfs, |w, d| {
+            if (roles.iter()).any(|&(b, far)| d <= b && m.contains(far, w)) {
+                self.arcs.push((w.0, d));
             }
-            Some(depth) => {
-                let ball = bfs.ball(g, v, depth, dir);
-                arcs.extend(
-                    ball.iter()
-                        .filter(|&(w, d)| is_arc(w, d))
-                        .map(|(w, d)| (w.0, d)),
-                );
-                ball.len() as u64
-            }
-        }
+        })
     }
 }
 
@@ -212,6 +230,7 @@ impl Rows {
 struct OnDemand<'a, G> {
     input: (&'a G, &'a Pattern, &'a MatchRelation),
     rows: &'a mut [Rows; 2],
+    roles: &'a mut Vec<(u32, PNodeId)>,
     bfs: &'a mut BfsScratch,
     visits: &'a mut u64,
     cancel: Option<&'a CancelToken>,
@@ -230,7 +249,7 @@ impl<G: GraphView> OnDemand<'_, G> {
             if self.cancelled {
                 return &[];
             }
-            *self.visits += rows.expand(self.input, dir, NodeId(v), self.bfs);
+            *self.visits += rows.expand(self.input, dir, NodeId(v), self.bfs, self.roles);
         }
         rows.row(v).expect("an expanded row")
     }
@@ -262,24 +281,20 @@ impl<G: GraphView> ResultArcs for &mut OnDemand<'_, G> {
 }
 
 /// The one scratch of a ranked read: the two searches each candidate
-/// runs, the rows a cold read expands and the BFS it expands them with,
-/// and the dense node→local map and arc buffer of a full
-/// [`ResultGraph`] build — kept across candidates and reads so each pays
-/// only for what it reaches. Any sequence of graphs and patterns may
-/// share one.
+/// runs, and the rows a cold read expands and the BFS it expands them
+/// (and a full [`ResultGraph`] build collects its arcs) with — kept
+/// across candidates and reads so each pays only for what it reaches.
+/// Any sequence of graphs and patterns may share one.
 #[derive(Clone, Debug, Default)]
 pub struct RankScratch {
     searches: Searches,
     pub(crate) bfs: BfsScratch,
     /// Forward and backward rows of [`rank_candidates`], indexed by
     /// [`Direction`].
-    rows: [Rows; 2],
-    /// Data node → local index; meaningful only at the result nodes of
-    /// the build in progress (see [`ResultGraph::build_with`]).
-    pub(crate) local: Vec<u32>,
-    /// `(from, to, weight)` arcs over local indices, the input of the
-    /// forward adjacency.
-    pub(crate) arcs: Vec<(u32, u32, u32)>,
+    pub(crate) rows: [Rows; 2],
+    /// `(bound, other end)` of each pattern edge the node being expanded
+    /// has a role in.
+    roles: Vec<(u32, PNodeId)>,
     pub(crate) build_visits: u64,
     expand_visits: u64,
 }
@@ -323,22 +338,11 @@ impl RankScratch {
             + self.searches.rev.retained_bytes()
             + self.bfs.retained_bytes()
             + rows
-            + self.local.capacity() * 4
-            + self.arcs.capacity() * 12
-    }
-}
-
-/// Compute `f(u_o, v)` for one match `v`. Returns `f64::INFINITY` when `v`
-/// is isolated in the result graph (or not part of it).
-pub fn rank_value(rg: &ResultGraph, v: NodeId) -> f64 {
-    match rg.local(v) {
-        Some(src) => RankScratch::new().social_impact(rg, src),
-        None => f64::INFINITY,
     }
 }
 
 /// The total order experts are ranked by: ascending `(rank, node id)`.
-/// Ranks are never NaN (`rank_value` yields finite sums or `+∞`), so the
+/// Ranks are never NaN (`social_impact` yields finite sums or `+∞`), so the
 /// `partial_cmp` fallback is unreachable and the order is total — which is
 /// what makes the selection-based top-K below exact.
 pub fn rank_order(a: &RankedMatch, b: &RankedMatch) -> std::cmp::Ordering {
@@ -348,20 +352,12 @@ pub fn rank_order(a: &RankedMatch, b: &RankedMatch) -> std::cmp::Ordering {
         .then(a.node.cmp(&b.node))
 }
 
-/// Rank every match of the output node; sorted ascending by
-/// `(rank, node id)`.
-pub fn rank_matches(
-    rg: &ResultGraph,
-    q: &Pattern,
-    m: &MatchRelation,
-) -> Result<Vec<RankedMatch>, MatchError> {
-    rank_matches_top_k(rg, q, m, usize::MAX)
-}
-
-/// The best `k` matches of the output node, ascending by `(rank, node
-/// id)` — identical to `rank_matches(..)` truncated to `k`, but computed
-/// with an `O(n)` partition ([`select_nth_unstable_by`][sel]) plus an
-/// `O(k log k)` sort of the prefix instead of sorting all `n` matches.
+/// The best `k` matches of the output node in `rg`, the result graph of
+/// `m`, ascending by `(rank, node id)` — every match when `k` is
+/// `usize::MAX`. Identical to sorting every ranked match and truncating
+/// to `k`, but computed with an `O(n)` partition
+/// ([`select_nth_unstable_by`][sel]) plus an `O(k log k)` sort of the
+/// prefix instead of sorting all `n` matches.
 ///
 /// [sel]: slice::select_nth_unstable_by
 pub fn rank_matches_top_k(
@@ -381,11 +377,7 @@ pub fn rank_matches_top_k_with(
     k: usize,
     scratch: &mut RankScratch,
 ) -> Result<Vec<RankedMatch>, MatchError> {
-    let ranked = select_top_k(q, m, k, |v| {
-        Ok(rg
-            .local(v)
-            .map_or(f64::INFINITY, |src| scratch.social_impact(rg, src)))
-    });
+    let ranked = select_top_k(q, m, k, |v| Ok(scratch.social_impact(rg, v.0)));
     ranked.map_err(EvalError::uncancelled)
 }
 
@@ -408,6 +400,7 @@ pub fn rank_candidates<G: GraphView>(
         searches,
         bfs,
         rows,
+        roles,
         expand_visits,
         ..
     } = scratch;
@@ -417,6 +410,7 @@ pub fn rank_candidates<G: GraphView>(
     let mut gr = OnDemand {
         input: (g, q, m),
         rows,
+        roles,
         bfs,
         visits: expand_visits,
         cancel,
@@ -481,14 +475,20 @@ mod tests {
     use expfinder_pattern::fixtures::fig1_pattern;
     use expfinder_pattern::{Bound, PatternBuilder, Predicate};
 
+    /// `f(u_o, v)` of the match `v` of `q`'s output node, over `G_r`.
+    fn rank_of<G: GraphView>(g: &G, q: &Pattern, m: &MatchRelation, v: NodeId) -> f64 {
+        let rg = ResultGraph::build(g, q, m);
+        let all = rank_matches_top_k(&rg, q, m, usize::MAX).unwrap();
+        all.iter().find(|x| x.node == v).expect("a match").rank
+    }
+
     #[test]
     fn paper_example2_rank_values() {
         let f = collaboration_fig1();
         let q = fig1_pattern();
         let m = bounded_simulation(&f.graph, &q).unwrap();
-        let rg = ResultGraph::build(&f.graph, &q, &m);
-        let bob = rank_value(&rg, f.bob);
-        let walt = rank_value(&rg, f.walt);
+        let bob = rank_of(&f.graph, &q, &m, f.bob);
+        let walt = rank_of(&f.graph, &q, &m, f.walt);
         assert!(
             (bob - 9.0 / 5.0).abs() < 1e-12,
             "f(SA,Bob) = 9/5, got {bob}"
@@ -576,8 +576,7 @@ mod tests {
             .build()
             .unwrap();
         let m = bounded_simulation(&g, &q).unwrap();
-        let rg = ResultGraph::build(&g, &q, &m);
-        let f = rank_value(&rg, a);
+        let f = rank_of(&g, &q, &m, a);
         assert!((f - 2.0).abs() < 1e-12, "got {f}");
     }
 
@@ -599,7 +598,7 @@ mod tests {
             let q = random_pattern(&mut rng, &cfg);
             let m = bounded_simulation(&g, &q).unwrap();
             let rg = ResultGraph::build(&g, &q, &m);
-            let full = rank_matches(&rg, &q, &m).unwrap();
+            let full = rank_matches_top_k(&rg, &q, &m, usize::MAX).unwrap();
             for k in [0usize, 1, 2, 5, full.len(), full.len() + 3] {
                 let mut expect = full.clone();
                 expect.truncate(k);
@@ -612,14 +611,5 @@ mod tests {
                 assert!(eq, "trial {trial} k {k}: {got:?} != {expect:?}");
             }
         }
-    }
-
-    #[test]
-    fn rank_of_non_member_is_infinite() {
-        let f = collaboration_fig1();
-        let q = fig1_pattern();
-        let m = bounded_simulation(&f.graph, &q).unwrap();
-        let rg = ResultGraph::build(&f.graph, &q, &m);
-        assert!(rank_value(&rg, f.bill).is_infinite());
     }
 }

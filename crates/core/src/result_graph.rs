@@ -13,7 +13,7 @@
 //! bound-1 pattern edge needs no BFS: its witnesses are `v`'s
 //! out-neighbours, read off the adjacency the way the fixpoint refines
 //! such edges. The arcs come out in `(pattern_edge, from, to)` order.
-//! **Lay out**: the graph below.
+//! **Lay out**: the rows below.
 //!
 //! Who builds one: the views that show all of `G_r` — the shell, reports,
 //! [`top_k`](crate::rank::top_k) — and the tests, which hold the ranking
@@ -28,20 +28,20 @@
 //! pattern edge themselves: over the repo benchmark's 528 pool patterns,
 //! Σ|E_r| = 327k against Σ|V_r| = 868k), though one `G_r` may carry 7k
 //! arcs, so nothing is allocated or hashed per node: `nodes` is the bitset
-//! union of the match sets, already sorted, so the vector *is* the index,
-//! and both adjacencies are flat [`WeightedAdj`] arrays — the forward one
-//! a counting sort of the arcs by tail, the backward one its transpose.
-//! Each arc finds its local ids in a dense node→local map of the
-//! [`RankScratch`], which also holds the BFS and the arc buffer, so a
-//! build on a reused scratch allocates only what the returned graph owns.
-//! What a build costs beyond its BFS balls is `O(|V_r| + |E_r|)`.
+//! union of the match sets, already sorted, and the arcs are the rows a
+//! cold read expands, over data-node ids — one arc vector cut into
+//! per-node spans, found through a slot array — filled once, forward from
+//! the arcs sorted by `(from, to)`, backward from them sorted by
+//! `(to, from)`, one arc per pair at its lightest weight. A built `G_r`
+//! is therefore ranked by the code that ranks a cold read, row for row.
+//! What a build costs beyond its BFS balls is `O(|E_r| log |E_r|)` plus
+//! the two slot arrays.
 
 use crate::matchrel::MatchRelation;
-use crate::rank::RankScratch;
+use crate::rank::{RankScratch, Rows};
 use expfinder_graph::bfs::{BfsScratch, Direction};
-use expfinder_graph::dijkstra::WeightedAdj;
 use expfinder_graph::{BitSet, GraphView, NodeId};
-use expfinder_pattern::{PNodeId, Pattern};
+use expfinder_pattern::Pattern;
 
 /// One edge of the result graph.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -54,21 +54,17 @@ pub struct ResultEdge {
     pub pattern_edge: u32,
 }
 
-/// The result graph: match nodes, weighted match edges, and per-pattern
-/// node membership.
+/// The result graph: match nodes and weighted match edges.
 #[derive(Clone, Debug)]
 pub struct ResultGraph {
-    /// Data-graph ids of all result nodes, sorted ascending; a node's
-    /// position is its local index.
+    /// Data-graph ids of all result nodes, sorted ascending.
     nodes: Vec<NodeId>,
     /// All result edges (deduplicated per pattern edge).
     edges: Vec<ResultEdge>,
-    /// Forward adjacency over *local* indices with minimal weights.
-    fwd: WeightedAdj,
-    /// Reverse adjacency over *local* indices with minimal weights.
-    rev: WeightedAdj,
-    /// For each pattern node, its matches (ascending).
-    members: Vec<Vec<NodeId>>,
+    /// The arcs of `G_r` (`Forward`) and the same arcs reversed
+    /// (`Backward`), indexed by [`Direction`]: one per `(from, to)` pair
+    /// at its minimal weight (the `d` markings).
+    rows: [Rows; 2],
 }
 
 impl ResultGraph {
@@ -78,7 +74,7 @@ impl ResultGraph {
     }
 
     /// Build `G_r` on `scratch`: one [`witness_arcs`] per (pattern edge,
-    /// source match), then the layout. The work is added to
+    /// source match), then the rows. The work is added to
     /// [`RankScratch::build_visits`].
     pub fn build_with<G: GraphView>(
         g: &G,
@@ -94,18 +90,6 @@ impl ResultGraph {
                     witness_arcs(g, q, ei, v, targets, &mut scratch.bfs, &mut edges);
             }
         }
-        Self::layout(q, m, edges, scratch)
-    }
-
-    /// The result graph of `m` with exactly `edges`, matched at both ends.
-    fn layout(
-        q: &Pattern,
-        m: &MatchRelation,
-        edges: Vec<ResultEdge>,
-        scratch: &mut RankScratch,
-    ) -> ResultGraph {
-        let members: Vec<Vec<NodeId>> = q.ids().map(|u| m.matches_vec(u)).collect();
-
         // result nodes = union of all matches
         let union = m.sets().split_first().map(|(first, rest)| {
             let mut all = first.clone();
@@ -113,33 +97,20 @@ impl ResultGraph {
             all.to_vec()
         });
         let nodes = union.unwrap_or_default();
-        // dense local ids: written at this build's nodes and read only at
-        // edge endpoints, which are among them — so what earlier builds
-        // left in the map is never read and needs no reset
-        let local = &mut scratch.local;
+        // every arc end is a result node, so the slots end at the last one
         let span = nodes.last().map_or(0, |v| v.index() + 1);
-        if local.len() < span {
-            local.resize(span, 0);
-        }
-        for (i, &v) in nodes.iter().enumerate() {
-            local[v.index()] = i as u32;
-        }
-        let arcs = &mut scratch.arcs;
-        arcs.clear();
-        arcs.extend(
-            edges
-                .iter()
-                .map(|e| (local[e.from.index()], local[e.to.index()], e.weight)),
-        );
-        let fwd = WeightedAdj::from_arcs(nodes.len(), arcs);
-        let rev = fwd.transpose();
-
+        let mut arcs: Vec<_> = (edges.iter())
+            .map(|e| (e.from.0, e.to.0, e.weight))
+            .collect();
+        arcs.sort_unstable();
+        let fwd = Rows::filled(span, &arcs);
+        arcs.iter_mut().for_each(|a| *a = (a.1, a.0, a.2));
+        arcs.sort_unstable();
+        let rev = Rows::filled(span, &arcs);
         ResultGraph {
             nodes,
             edges,
-            fwd,
-            rev,
-            members,
+            rows: [fwd, rev],
         }
     }
 
@@ -158,28 +129,9 @@ impl ResultGraph {
         self.nodes.len()
     }
 
-    /// Local index of a data node, if it is part of the result.
-    pub fn local(&self, v: NodeId) -> Option<u32> {
-        self.nodes.binary_search(&v).ok().map(|i| i as u32)
-    }
-
-    /// Matches of pattern node `u` as data ids.
-    pub fn matches_of(&self, u: PNodeId) -> Vec<NodeId> {
-        self.members[u.index()].clone()
-    }
-
-    /// The arcs of `G_r` over local indices, one per `(from, to)` pair at
-    /// its minimal weight (the `d` markings): result edges `Forward`,
-    /// reversed `Backward`. A [`DijkstraScratch`] run over it from
-    /// `local(v)` gives the distances from (`Forward`) or to (`Backward`)
-    /// `v`.
-    ///
-    /// [`DijkstraScratch`]: expfinder_graph::dijkstra::DijkstraScratch
-    pub fn adjacency(&self, dir: Direction) -> &WeightedAdj {
-        match dir {
-            Direction::Forward => &self.fwd,
-            Direction::Backward => &self.rev,
-        }
+    /// The arcs of `G_r` one way, for [`ResultArcs`](crate::ResultArcs).
+    pub(crate) fn rows(&self, dir: Direction) -> &Rows {
+        &self.rows[dir as usize]
     }
 }
 
@@ -203,45 +155,53 @@ pub fn witness_arcs<G: GraphView>(
 ) -> u64 {
     let depth = q.edges()[ei].bound.depth();
     let start = out.len();
-    let mut witness = |to, weight| {
-        out.push(ResultEdge {
-            from: v,
-            to,
-            weight,
-            pattern_edge: ei as u32,
-        })
-    };
-    let visits = if depth == 1 {
-        // a one-hop ball without its source is the out-neighbours, minus
-        // `v` itself where a self-loop lists it
-        let succ = g.out_neighbors(v);
-        for &w in succ {
-            if w != v && targets.contains(w) {
-                witness(w, 1);
-            }
+    let visits = walk_ball(g, v, depth, Direction::Forward, bfs, |to, weight| {
+        if targets.contains(to) {
+            out.push(ResultEdge {
+                from: v,
+                to,
+                weight,
+                pattern_edge: ei as u32,
+            })
         }
-        succ.len()
-    } else {
-        let ball = bfs.ball(g, v, depth, Direction::Forward);
-        // the source comes first, and is the one node at distance 0
-        for (w, d) in ball.iter().skip(1) {
-            if targets.contains(w) {
-                witness(w, d);
-            }
-        }
-        ball.len()
-    };
+    });
     if out.len() - start > 1 {
         out[start..].sort_unstable_by_key(|e| e.to);
     }
-    visits as u64
+    visits
+}
+
+/// Call `visit(w, d)` for every node `w ≠ v` at distance `d` in `1..=depth`
+/// from `v` in direction `dir`: `v`'s adjacency list (minus `v` itself,
+/// where a self-loop lists it) when `depth` is 1, a bounded BFS ball
+/// otherwise. Returns the ball nodes visited plus the adjacency entries
+/// scanned. The one walk both ways of finding `G_r`'s arcs take — a
+/// [`witness_arcs`] per pattern edge, a cold read's row per node.
+pub(crate) fn walk_ball<G: GraphView>(
+    g: &G,
+    v: NodeId,
+    depth: u32,
+    dir: Direction,
+    bfs: &mut BfsScratch,
+    mut visit: impl FnMut(NodeId, u32),
+) -> u64 {
+    if depth == 1 {
+        let adj = dir.neighbors(g, v);
+        adj.iter().filter(|&&w| w != v).for_each(|&w| visit(w, 1));
+        return adj.len() as u64;
+    }
+    let ball = bfs.ball(g, v, depth, dir);
+    // the source comes first, and is the one node at distance 0
+    ball.iter().skip(1).for_each(|(w, d)| visit(w, d));
+    ball.len() as u64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bsim::bounded_simulation;
-    use expfinder_graph::dijkstra::{DijkstraScratch, UNREACHABLE};
+    use crate::ResultArcs;
+    use expfinder_graph::dijkstra::{DijkstraScratch, WeightedArcs, UNREACHABLE};
     use expfinder_graph::fixtures::collaboration_fig1;
     use expfinder_pattern::fixtures::fig1_pattern;
 
@@ -291,10 +251,10 @@ mod tests {
     }
 
     /// `dist(v, w)` (`Forward`) or `dist(w, v)` (`Backward`) inside `G_r`.
-    fn dist(rg: &ResultGraph, dir: Direction, v: NodeId, w: NodeId) -> u64 {
+    fn dist(mut rg: &ResultGraph, dir: Direction, v: NodeId, w: NodeId) -> u64 {
         let mut s = DijkstraScratch::new();
-        s.run(rg.adjacency(dir), rg.local(v).unwrap());
-        s.dist(rg.local(w).unwrap())
+        s.run(rg.one_way(dir), v.0);
+        s.dist(w.0)
     }
 
     #[test]
@@ -321,17 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn matches_of_lists_pattern_node_members() {
-        let (f, q, rg) = fig1_result();
-        let sa = q.node_id("sa").unwrap();
-        let mut got = rg.matches_of(sa);
-        got.sort();
-        let mut want = vec![f.bob, f.walt];
-        want.sort();
-        assert_eq!(got, want);
-    }
-
-    #[test]
     fn empty_match_gives_empty_result_graph() {
         let f = collaboration_fig1();
         let q = fig1_pattern();
@@ -339,9 +288,8 @@ mod tests {
         let rg = ResultGraph::build(&f.graph, &q, &empty);
         assert_eq!(rg.node_count(), 0);
         assert!(rg.edges().is_empty());
-        assert_eq!(rg.local(f.bob), None);
         for dir in [Direction::Forward, Direction::Backward] {
-            assert_eq!(rg.adjacency(dir).node_count(), 0);
+            assert_eq!(rg.rows(dir).node_count(), 0);
         }
     }
 }

@@ -11,22 +11,24 @@
 //! safety net a rewrite of the ranking kernel lands against.
 //!
 //! The same oracle also hands out its `G_r` (`reference_result_graph`), so
-//! the result graph is checked as a structure — node set, index, edge set,
-//! membership — not only through the ranks read off it.
+//! the result graph is checked as a structure — node set and edge set —
+//! not only through the ranks read off it. And the two rankers must do
+//! the same search work: both read one arc per `(v, w)` pair, so they
+//! settle the same nodes and relax the same arcs; only the heap pushes
+//! may differ, as on-demand rows list their arcs in ball order.
 //!
 //! Every `G_r` [`check`] builds and ranks, in every test of this file,
 //! goes through one shared [`RankScratch`], as a pooled read does: cases
-//! whose graphs grow and shrink follow each other on it, so a local-map,
-//! BFS, memoised row or search entry an earlier case left behind shows
-//! up as a structure or a rank the reference does not have.
+//! whose graphs grow and shrink follow each other on it, so a BFS,
+//! memoised row or search entry an earlier case left behind shows up as
+//! a structure or a rank the reference does not have.
 
 use expfinder_core::{
-    bounded_simulation, rank_candidates, rank_matches, rank_matches_top_k, rank_matches_top_k_with,
-    rank_value, top_k, CancelToken, EvalError, MatchRelation, RankScratch, RankedMatch,
-    ResultGraph,
+    bounded_simulation, rank_candidates, rank_matches_top_k, rank_matches_top_k_with, top_k,
+    CancelToken, EvalError, MatchRelation, RankScratch, RankedMatch, ResultArcs, ResultGraph,
 };
 use expfinder_graph::bfs::Direction;
-use expfinder_graph::dijkstra::{DijkstraScratch, UNREACHABLE};
+use expfinder_graph::dijkstra::{DijkstraScratch, DijkstraWork, UNREACHABLE};
 use expfinder_graph::generate::{collaboration, erdos_renyi, CollabConfig, NodeSpec};
 use expfinder_graph::{CsrGraph, DiGraph, GraphView, NodeId};
 use expfinder_pattern::generate::{random_pattern, PatternConfig, PatternShape};
@@ -45,11 +47,25 @@ fn bits(list: &[RankedMatch]) -> Vec<(u32, u64)> {
 }
 
 /// Every result node's distance from (`Forward`) or to (`Backward`) `v`,
-/// by local index.
-fn dists(rg: &ResultGraph, dir: Direction, v: NodeId) -> Vec<u64> {
+/// in node order.
+fn dists(mut rg: &ResultGraph, dir: Direction, v: NodeId) -> Vec<u64> {
     let mut s = DijkstraScratch::new();
-    s.run(rg.adjacency(dir), rg.local(v).expect("a result node"));
-    (0..rg.node_count() as u32).map(|i| s.dist(i)).collect()
+    s.run(rg.one_way(dir), v.0);
+    rg.nodes().iter().map(|w| s.dist(w.0)).collect()
+}
+
+/// The whole ranking of `m` over `rg`.
+fn rank_all(rg: &ResultGraph, q: &Pattern, m: &MatchRelation) -> Vec<RankedMatch> {
+    rank_matches_top_k(rg, q, m, usize::MAX).unwrap()
+}
+
+/// Nodes settled and arcs relaxed between two readings of a scratch's
+/// work: what the two rankers must agree on.
+fn searched(before: DijkstraWork, after: DijkstraWork) -> (u64, u64) {
+    (
+        after.settled - before.settled,
+        after.relaxed - before.relaxed,
+    )
 }
 
 /// The one scratch every [`check`] of this file builds and ranks on.
@@ -68,31 +84,14 @@ fn with_unbounded_edge(q: &Pattern) -> Pattern {
     Pattern::from_parts(q.nodes().to_vec(), edges, q.output()).expect("still a valid pattern")
 }
 
-/// `rg` is the reference's `G_r`: same sorted node set, the sorted vector
-/// is the index, same edge set, same per-pattern-node membership.
-fn assert_same_structure(
-    rg: &ResultGraph,
-    want: &ReferenceResultGraph,
-    data_nodes: usize,
-    q: &Pattern,
-    m: &MatchRelation,
-    what: &str,
-) {
+/// `rg` is the reference's `G_r`: same sorted node set, same edge set.
+fn assert_same_structure(rg: &ResultGraph, want: &ReferenceResultGraph, what: &str) {
     assert_eq!(rg.nodes(), &want.nodes[..], "{what}: nodes");
     assert_eq!(rg.node_count(), want.nodes.len(), "{what}: node_count");
     assert!(
         rg.nodes().windows(2).all(|w| w[0] < w[1]),
         "{what}: sorted, once each"
     );
-    for (i, &v) in rg.nodes().iter().enumerate() {
-        assert_eq!(rg.local(v), Some(i as u32), "{what}: local({v:?})");
-    }
-    for v in (0..data_nodes as u32 + 2).map(NodeId) {
-        if want.nodes.binary_search(&v).is_err() {
-            assert_eq!(rg.local(v), None, "{what}: {v:?} is no result node");
-            assert_eq!(rank_value(rg, v), f64::INFINITY, "{what}: rank of {v:?}");
-        }
-    }
     let got: BTreeSet<_> = rg
         .edges()
         .iter()
@@ -104,31 +103,19 @@ fn assert_same_structure(
         rg.edges().iter().all(|e| e.from != e.to),
         "{what}: a self-arc"
     );
-    for u in q.ids() {
-        assert_eq!(rg.matches_of(u), m.matches_vec(u), "{what}: matches_of");
-    }
 }
 
 /// Check every public ranking entry point, on `view`, against `want`
-/// (the reference's full ranking), for every interesting `k`, and the
-/// result graph itself against the reference's — all built and ranked
-/// on the file's [`shared_scratch`].
+/// (the reference's full ranking), for every interesting `k`; the result
+/// graph itself against the reference's; and the search work of the two
+/// rankers against each other — all built and ranked on the file's
+/// [`shared_scratch`].
 fn check<V: GraphView>(view: &V, q: &Pattern, m: &MatchRelation, want: &[RankedMatch], what: &str) {
     let want_rg = reference_result_graph(view, q, m);
     let mut reused = shared_scratch();
     let rg = ResultGraph::build_with(view, q, m, &mut reused);
-    assert_same_structure(&rg, &want_rg, view.node_count(), q, m, what);
-    let all = rank_matches(&rg, q, m).unwrap();
-    assert_eq!(bits(&all), bits(want), "{what}: rank_matches");
-    for x in want {
-        let got = rank_value(&rg, x.node);
-        assert_eq!(
-            got.to_bits(),
-            x.rank.to_bits(),
-            "{what}: rank_value({:?})",
-            x.node
-        );
-    }
+    assert_same_structure(&rg, &want_rg, what);
+    assert_eq!(bits(&rank_all(&rg, q, m)), bits(want), "{what}: all ranked");
     for k in [0, 1, 2, want.len(), want.len() + 3] {
         let expect = bits(&want[..k.min(want.len())]);
         let got = rank_matches_top_k(&rg, q, m, k).unwrap();
@@ -136,12 +123,19 @@ fn check<V: GraphView>(view: &V, q: &Pattern, m: &MatchRelation, want: &[RankedM
         // built and ranked on a scratch the previous `k` already built,
         // ranked and expanded rows on
         let rg2 = ResultGraph::build_with(view, q, m, &mut reused);
-        assert_same_structure(&rg2, &want_rg, view.node_count(), q, m, what);
+        assert_same_structure(&rg2, &want_rg, what);
+        let before = reused.work();
         let got = rank_matches_top_k_with(&rg2, q, m, k, &mut reused).unwrap();
         assert_eq!(bits(&got), expect, "{what}: rank_matches_top_k_with k={k}");
+        let built = reused.work();
         // what a cold read calls: no `G_r` built, rows expanded on demand
         let got = rank_candidates(view, q, m, k, &mut reused, None).unwrap();
         assert_eq!(bits(&got), expect, "{what}: rank_candidates k={k}");
+        assert_eq!(
+            searched(built, reused.work()),
+            searched(before, built),
+            "{what}: on-demand settled and relaxed vs the built G_r's, k={k}"
+        );
         let got = top_k(view, q, m, k).unwrap();
         assert_eq!(bits(&got), expect, "{what}: top_k k={k}");
     }
@@ -239,8 +233,8 @@ fn empty_relation_gives_the_empty_graph() {
     let rg = ResultGraph::build_with(&f.graph, &q, &m, &mut shared_scratch());
     let want = reference_result_graph(&f.graph, &q, &m);
     assert!(want.nodes.is_empty() && want.edges.is_empty());
-    assert_same_structure(&rg, &want, f.graph.node_count(), &q, &m, "empty");
-    assert!(rank_matches(&rg, &q, &m).unwrap().is_empty());
+    assert_same_structure(&rg, &want, "empty");
+    assert!(rank_all(&rg, &q, &m).is_empty());
     let ranked = rank_candidates(&f.graph, &q, &m, 5, &mut shared_scratch(), None);
     assert!(ranked.unwrap().is_empty());
 }
@@ -317,7 +311,10 @@ fn one_data_node_in_two_roles_is_one_result_node() {
         dists(&rg, Direction::Forward, c),
         [UNREACHABLE, UNREACHABLE, 0]
     );
-    assert_eq!(rank_value(&rg, a), 1.5);
+    assert_eq!(
+        bits(&rank_all(&rg, &q, &m)),
+        bits(&[RankedMatch { node: a, rank: 1.5 }])
+    );
     differential(&g, &q, "two roles");
 }
 
@@ -352,7 +349,11 @@ fn two_pattern_edges_witnessed_by_one_arc() {
     assert_eq!(listed, vec![(a, b, 1, 0), (a, b, 1, 1)]);
     assert_eq!(dists(&rg, Direction::Forward, a), [0, 1]);
     assert_eq!(dists(&rg, Direction::Backward, b), [1, 0]);
-    assert_eq!(rank_value(&rg, a), 1.0, "one neighbour at distance 1");
+    assert_eq!(
+        bits(&rank_all(&rg, &q, &m)),
+        bits(&[RankedMatch { node: a, rank: 1.0 }]),
+        "one neighbour at distance 1"
+    );
     differential(&g, &q, "shared arc");
 }
 
@@ -438,9 +439,9 @@ fn each_candidate_reaches_a_strict_subset_of_the_one_before() {
     let rg = ResultGraph::build(&g, &q, &m);
     let candidates = m.matches_vec(q.output().unwrap());
     assert_eq!(candidates, chain[..29]);
-    let reach = |v| -> BTreeSet<u32> {
+    let reach = |v: NodeId| -> BTreeSet<u32> {
         let mut s = DijkstraScratch::new();
-        s.run(rg.adjacency(Direction::Forward), rg.local(v).unwrap());
+        s.run((&rg).one_way(Direction::Forward), v.0);
         s.touched().iter().copied().collect()
     };
     for w in candidates.windows(2) {
@@ -542,7 +543,7 @@ fn many_candidates_on_one_cycle_expand_each_row_once() {
     let got = rank_candidates(&g, &q, &m, usize::MAX, &mut scratch, None).unwrap();
     assert_eq!(scratch.expand_visits(), 2 * built.build_visits());
     assert_eq!(scratch.work().settled, 2 * (n * n) as u64);
-    let want = rank_matches(&rg, &q, &m).unwrap();
+    let want = rank_all(&rg, &q, &m);
     assert_eq!(bits(&got), bits(&want));
     // a second read forgets the first one's rows and expands them again
     rank_candidates(&g, &q, &m, 1, &mut scratch, None).unwrap();

@@ -950,7 +950,8 @@ impl QuerySpec {
     /// a supervisor, a deterministic test fuse) aborts the read with
     /// [`ExpFinderError::DeadlineExceeded`] carrying the partial stats.
     /// Composes with [`deadline`](Self::deadline), which is armed on this
-    /// same token. The token's check/fire counts are folded into
+    /// same token when it fires sooner than the token's own deadline: a
+    /// read only ever tightens a caller's token. The token's check/fire counts are folded into
     /// [`ReadPath::cancel_totals`] when the read returns.
     pub fn cancel_token(mut self, token: Arc<CancelToken>) -> QuerySpec {
         self.token = Some(token);
@@ -1579,6 +1580,26 @@ mod tests {
         let h2 = fresh.add_graph("fig1", collaboration_fig1().graph).unwrap();
         let expect = fresh.query(&h2, &QuerySpec::pattern(q)).unwrap();
         assert_eq!(*after.matches, *expect.matches);
+    }
+
+    #[test]
+    fn a_deadline_never_loosens_a_tighter_caller_token() {
+        let (e, h, _) = engine_with_fig1();
+        let spec = || {
+            QuerySpec::pattern(fig1_pattern())
+                .cancel_token(CancelToken::with_deadline(Duration::ZERO))
+                .deadline(Duration::from_secs(60))
+        };
+        match e.query(&h, &spec()) {
+            Err(ExpFinderError::DeadlineExceeded(_)) => {}
+            other => panic!("expected DeadlineExceeded, got {other:?}"),
+        }
+        // a batch slot's own token under a looser batch-wide deadline
+        let out = e.query_batch(&h, vec![spec()], Some(Duration::from_secs(60)));
+        match &out[..] {
+            [Err(ExpFinderError::DeadlineExceeded(_))] => {}
+            other => panic!("expected one DeadlineExceeded slot, got {other:?}"),
+        }
     }
 
     #[test]

@@ -538,8 +538,9 @@ impl ReadPath {
 /// The token one read polls. A read with a caller `token` or a
 /// `deadline` polls a token of its own — the caller's, or else a fresh one
 /// — armed with the tighter of its deadline and whatever is left of the
-/// `batch` budget. A read with neither gets `None` and polls the batch
-/// token (if any).
+/// `batch` budget. A caller's token is only ever tightened: one already
+/// armed to fire sooner keeps its own deadline. A read with neither gets
+/// `None` and polls the batch token (if any).
 fn read_token(
     token: Option<Arc<CancelToken>>,
     deadline: Option<Duration>,
@@ -550,7 +551,9 @@ fn read_token(
     match token {
         Some(t) => {
             if let Some(b) = budget.or(left) {
-                t.arm_deadline(b);
+                if t.remaining().is_none_or(|r| b < r) {
+                    t.arm_deadline(b);
+                }
             }
             Some(t)
         }

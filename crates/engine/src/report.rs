@@ -65,7 +65,7 @@ pub fn roll_up(g: &DiGraph, q: &Pattern, m: &MatchRelation, rg: &ResultGraph) ->
 /// information in a result graph".
 pub fn drill_down(g: &DiGraph, q: &Pattern, rg: &ResultGraph, v: NodeId) -> String {
     let mut out = String::new();
-    if rg.local(v).is_none() {
+    if rg.nodes().binary_search(&v).is_err() {
         let _ = writeln!(out, "{} is not part of the result", display_name(g, v));
         return out;
     }
@@ -129,7 +129,7 @@ pub fn expert_table(g: &DiGraph, experts: &[RankedMatch]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use expfinder_core::{bounded_simulation, rank_matches};
+    use expfinder_core::{bounded_simulation, rank_matches_top_k};
     use expfinder_graph::fixtures::collaboration_fig1;
     use expfinder_pattern::fixtures::fig1_pattern;
 
@@ -176,7 +176,7 @@ mod tests {
         let q = fig1_pattern();
         let m = bounded_simulation(&f.graph, &q).unwrap();
         let rg = ResultGraph::build(&f.graph, &q, &m);
-        let ranked = rank_matches(&rg, &q, &m).unwrap();
+        let ranked = rank_matches_top_k(&rg, &q, &m, usize::MAX).unwrap();
         let text = expert_table(&f.graph, &ranked);
         let bob_line = text.lines().find(|l| l.contains("Bob")).unwrap();
         assert!(

@@ -1,19 +1,9 @@
-//! Dijkstra over a flat weighted adjacency.
+//! Dijkstra over any source of weighted arcs.
 //!
 //! The ranking function of the paper measures social distance inside the
 //! *result graph*, whose edges are weighted by shortest-path lengths in the
 //! data graph. Result graphs are small (matches only), so a plain binary
 //! heap Dijkstra is the right tool.
-//!
-//! Layout: a result graph has fewer arcs than nodes (most matches witness
-//! no pattern edge themselves: over the repo benchmark's 528 pool
-//! patterns, Σ|E_r| = 327k against Σ|V_r| = 868k), yet one `G_r` may
-//! carry thousands of arcs, so an adjacency that allocates per node spends
-//! its time on empty lists. [`WeightedAdj`] is CSR-style instead — one
-//! `offsets` array of `n + 1` prefix sums and one `arcs` array — built in
-//! `O(n + m)` by a counting sort of the `m` arcs by tail (plus a sort of
-//! each row, which is a handful of arcs), and its reverse by a
-//! [`transpose`](WeightedAdj::transpose) that needs no sort at all.
 //!
 //! Cost: ranking runs two searches per candidate over the same result
 //! graph, and almost every candidate reaches nothing, so a search must
@@ -25,13 +15,13 @@
 //! is sized once per scratch (and again only when `n` grows).
 //!
 //! A run reads its graph through [`WeightedArcs`], so one kernel serves
-//! every shape `G_r` comes in: a [`WeightedAdj`] over local ids, laid out
-//! by a full build; a registered query's maintained per-node rows over
-//! data-node ids (`expfinder_incremental`), which filter their arcs by
-//! the query's current match sets as they are read; and a cold read's
-//! rows over data-node ids, each expanded the first time a run settles
-//! its node (`expfinder_core::rank`) — which is why a run borrows its
-//! arcs source mutably.
+//! every shape `G_r` comes in, all over data-node ids: a built result
+//! graph's rows, filled once from its collected arcs; a registered
+//! query's maintained per-node rows (`expfinder_incremental`), which
+//! filter their arcs by the query's current match sets as they are read;
+//! and a cold read's rows, each expanded the first time a run settles its
+//! node (`expfinder_core::rank`) — which is why a run borrows its arcs
+//! source mutably.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -49,102 +39,6 @@ pub trait WeightedArcs {
 
     /// The `(head, weight)` arcs leaving `v`.
     fn arcs(&mut self, v: u32) -> impl Iterator<Item = (u32, u32)> + '_;
-}
-
-impl WeightedArcs for &WeightedAdj {
-    fn node_count(&self) -> usize {
-        WeightedAdj::node_count(self)
-    }
-
-    fn arcs(&mut self, v: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.arcs_of(v).iter().copied()
-    }
-}
-
-/// Weighted adjacency over dense node indices `0..n` in CSR form: the
-/// arcs of node `v` are `arcs[offsets[v]..offsets[v + 1]]`, each a
-/// `(neighbor, weight)` pair, sorted by neighbor, one arc per neighbor.
-#[derive(Clone, Debug)]
-pub struct WeightedAdj {
-    offsets: Vec<u32>,
-    arcs: Vec<(u32, u32)>,
-}
-
-impl WeightedAdj {
-    /// Build the adjacency of `n` nodes from `(from, to, weight)` triples.
-    /// Parallel arcs collapse to the one of minimal weight. Panics if an
-    /// endpoint is not below `n`.
-    pub fn from_arcs(n: usize, triples: &[(u32, u32, u32)]) -> WeightedAdj {
-        let mut offsets = vec![0u32; n + 1];
-        for &(from, to, _) in triples {
-            assert!((to as usize) < n, "arc head {to} outside 0..{n}");
-            offsets[from as usize + 1] += 1;
-        }
-        for v in 0..n {
-            offsets[v + 1] += offsets[v];
-        }
-        // counting sort by tail: `offsets[v]` is row `v`'s write cursor,
-        // so once every arc is placed it holds the row's end
-        let mut arcs = vec![(0, 0); triples.len()];
-        for &(from, to, w) in triples {
-            let cursor = &mut offsets[from as usize];
-            arcs[*cursor as usize] = (to, w);
-            *cursor += 1;
-        }
-        // sort each row by (to, weight) and keep the first, lightest arc
-        // of every run, compacting the rows leftwards as they shrink
-        let (mut start, mut kept) = (0, 0);
-        for offset in &mut offsets[..n] {
-            let end = *offset as usize;
-            arcs[start..end].sort_unstable();
-            let row = kept;
-            *offset = row as u32;
-            for i in start..end {
-                if kept == row || arcs[kept - 1].0 != arcs[i].0 {
-                    arcs[kept] = arcs[i];
-                    kept += 1;
-                }
-            }
-            start = end;
-        }
-        offsets[n] = kept as u32;
-        arcs.truncate(kept);
-        WeightedAdj { offsets, arcs }
-    }
-
-    /// The same arcs reversed: `(v, w)` here is `(w, v)` there, at the
-    /// same weight. Rows come out sorted because tails are read in order.
-    pub fn transpose(&self) -> WeightedAdj {
-        let n = self.node_count();
-        let mut offsets = vec![0u32; n + 1];
-        for &(to, _) in &self.arcs {
-            offsets[to as usize + 1] += 1;
-        }
-        for v in 0..n {
-            offsets[v + 1] += offsets[v];
-        }
-        let mut arcs = vec![(0, 0); self.arcs.len()];
-        let mut cursor = offsets.clone();
-        for from in 0..n as u32 {
-            for &(to, w) in self.arcs_of(from) {
-                let slot = &mut cursor[to as usize];
-                arcs[*slot as usize] = (from, w);
-                *slot += 1;
-            }
-        }
-        WeightedAdj { offsets, arcs }
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// The `(neighbor, weight)` arcs leaving `v`, ascending by neighbor.
-    pub fn arcs_of(&self, v: u32) -> &[(u32, u32)] {
-        let v = v as usize;
-        &self.arcs[self.offsets[v] as usize..self.offsets[v + 1] as usize]
-    }
 }
 
 /// The work [`DijkstraScratch`] runs did, summed over every run of one
@@ -253,10 +147,26 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// `(from, to, weight)` triples over nodes `0..n`, read as they are:
+    /// parallel arcs stay parallel.
+    struct Triples<'a>(usize, &'a [(u32, u32, u32)]);
+
+    impl WeightedArcs for Triples<'_> {
+        fn node_count(&self) -> usize {
+            self.0
+        }
+
+        fn arcs(&mut self, v: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
+            (self.1.iter())
+                .filter(move |a| a.0 == v)
+                .map(|a| (a.1, a.2))
+        }
+    }
+
     /// The dense distance vector of one run (what the tests compare).
     fn dists(n: usize, arcs: &[(u32, u32, u32)], src: u32) -> Vec<u64> {
         let mut s = DijkstraScratch::new();
-        s.run(&WeightedAdj::from_arcs(n, arcs), src);
+        s.run(Triples(n, arcs), src);
         (0..n as u32).map(|v| s.dist(v)).collect()
     }
 
@@ -298,9 +208,8 @@ mod tests {
         ) {
             let mut s = DijkstraScratch::new();
             for (i, (n, arcs, src)) in runs.into_iter().enumerate() {
-                let adj = WeightedAdj::from_arcs(n, &arcs);
                 let before = s.work();
-                s.run(&adj, src);
+                s.run(Triples(n, &arcs), src);
                 let want = model(n, &arcs, src);
                 for v in 0..n as u32 {
                     prop_assert_eq!(s.dist(v), want[v as usize], "run {} node {}", i, v);
@@ -314,7 +223,7 @@ mod tests {
                     (0..n as u32).filter(|&v| want[v as usize] != UNREACHABLE).collect();
                 prop_assert_eq!(reached, want_reached, "run {}: touched", i);
                 let did = s.work();
-                let arcs_out: usize = s.touched().iter().map(|&v| adj.arcs_of(v).len()).sum();
+                let arcs_out = (arcs.iter()).filter(|a| s.touched().contains(&a.0)).count();
                 prop_assert_eq!(did.settled - before.settled, s.touched().len() as u64);
                 prop_assert_eq!(did.relaxed - before.relaxed, arcs_out as u64);
                 prop_assert!(did.pushes - before.pushes >= did.settled - before.settled);
@@ -360,18 +269,18 @@ mod tests {
     fn a_run_resets_what_the_last_one_reached() {
         // 0 → 1 → 2; a run from 2 reaches nothing, then `n` shrinks and grows
         let mut s = DijkstraScratch::new();
-        let adj = WeightedAdj::from_arcs(3, &[(0, 1, 1), (1, 2, 1)]);
-        s.run(&adj, 0);
+        let chain = [(0, 1, 1), (1, 2, 1)];
+        s.run(Triples(3, &chain), 0);
         assert_eq!((s.touched(), s.dist(2)), (&[0, 1, 2][..], 2));
-        s.run(&adj, 2);
+        s.run(Triples(3, &chain), 2);
         assert_eq!(s.touched(), &[2]);
         assert_eq!(
             [s.dist(0), s.dist(1), s.dist(2)],
             [UNREACHABLE, UNREACHABLE, 0]
         );
-        s.run(&WeightedAdj::from_arcs(1, &[]), 0);
+        s.run(Triples(1, &[]), 0);
         assert_eq!((s.touched(), s.dist(2)), (&[0][..], UNREACHABLE));
-        s.run(&WeightedAdj::from_arcs(4, &[(3, 0, 5)]), 3);
+        s.run(Triples(4, &[(3, 0, 5)]), 3);
         assert_eq!(
             [s.dist(0), s.dist(1), s.dist(2)],
             [5, UNREACHABLE, UNREACHABLE]
@@ -381,24 +290,5 @@ mod tests {
             (work.settled, work.relaxed, work.pushes),
             (3 + 1 + 1 + 2, 2 + 1, 7)
         );
-    }
-
-    #[test]
-    fn parallel_arcs_collapse_to_the_minimum() {
-        let adj = WeightedAdj::from_arcs(2, &[(0, 1, 7), (0, 1, 2), (0, 1, 4)]);
-        assert_eq!(adj.arcs_of(0), &[(1, 2)]);
-        assert!(adj.arcs_of(1).is_empty());
-    }
-
-    #[test]
-    fn no_nodes_no_arcs() {
-        let adj = WeightedAdj::from_arcs(0, &[]);
-        assert_eq!(adj.node_count(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside 0..2")]
-    fn arc_head_out_of_range_is_rejected() {
-        WeightedAdj::from_arcs(2, &[(0, 2, 1)]);
     }
 }

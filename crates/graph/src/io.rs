@@ -369,7 +369,8 @@ impl GraphDoc {
         )
     }
 
-    /// Decode from a JSON value.
+    /// Decode from a JSON value. An edge whose endpoint is not a node of
+    /// the document is an error; a repeated edge is one edge.
     pub fn from_json_value(v: &Value) -> Result<GraphDoc, JsonError> {
         let nodes = v
             .field("nodes")?
@@ -397,6 +398,7 @@ impl GraphDoc {
                 })
             })
             .collect::<Result<Vec<_>, JsonError>>()?;
+        let n = nodes.len();
         let edges = v
             .field("edges")?
             .as_array()?
@@ -404,7 +406,13 @@ impl GraphDoc {
             .map(|e| {
                 let e = e.as_array()?;
                 match e {
-                    [a, b] => Ok((a.as_u32()?, b.as_u32()?)),
+                    [a, b] => match (a.as_u32()?, b.as_u32()?) {
+                        (a, b) if a.max(b) as usize >= n => Err(JsonError {
+                            msg: format!("edge [{a}, {b}] names a node outside 0..{n}"),
+                            offset: None,
+                        }),
+                        edge => Ok(edge),
+                    },
                     _ => Err(JsonError {
                         msg: "edge must be [from, to]".into(),
                         offset: None,
@@ -534,6 +542,19 @@ mod tests {
         let input = format!("{HEADER}\nn a\ne 0 9\n");
         let err = read_text(&mut std::io::Cursor::new(input.into_bytes())).unwrap_err();
         assert!(matches!(err, GraphIoError::Parse { line: 3, .. }));
+    }
+
+    #[test]
+    fn json_edge_out_of_range_rejected() {
+        let doc =
+            |edges| format!(r#"{{"nodes": [{{"label": "a", "attrs": []}}], "edges": {edges}}}"#);
+        for edges in ["[[0, 1]]", "[[1, 0]]"] {
+            let err = from_json(&doc(edges)).unwrap_err();
+            assert!(err.to_string().contains("outside 0..1"), "{edges}: {err}");
+        }
+        // a self-loop is a node's own edge, and a repeat collapses
+        let g = from_json(&doc("[[0, 0], [0, 0]]")).unwrap();
+        assert_eq!(g.edge_count(), 1);
     }
 
     #[test]

@@ -3,11 +3,23 @@
 
 use expfinder_graph::bfs::{BfsScratch, Direction};
 use expfinder_graph::bfs_frontier::FrontierScratch;
-use expfinder_graph::dijkstra::{DijkstraScratch, WeightedAdj, UNREACHABLE};
+use expfinder_graph::dijkstra::{DijkstraScratch, WeightedArcs, UNREACHABLE};
 use expfinder_graph::reach_index::{class_reach_sweep, ReachCarry};
 use expfinder_graph::{BitSet, DiGraph, EdgeUpdate, GraphView, NodeId, ReachIndex};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+
+/// A graph's out-edges, each of weight 1, as a Dijkstra run reads them.
+struct UnitArcs<'a>(&'a DiGraph);
+
+impl WeightedArcs for UnitArcs<'_> {
+    fn node_count(&self) -> usize {
+        self.0.node_count()
+    }
+
+    fn arcs(&mut self, v: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.0.out_neighbors(NodeId(v)).iter().map(|w| (w.0, 1))
+    }
+}
 
 /// Build a graph with `n` nodes from raw edge pairs (self-loops allowed —
 /// the reach semantics treat cycles specially, so they must be covered).
@@ -121,12 +133,8 @@ proptest! {
         let mut scratch = BfsScratch::new();
         let ball = scratch.ball(&g, src, u32::MAX, Direction::Forward);
 
-        let arcs: Vec<_> = g
-            .ids()
-            .flat_map(|v| g.out_neighbors(v).iter().map(move |&w| (v.0, w.0, 1)))
-            .collect();
         let mut dijkstra = DijkstraScratch::new();
-        dijkstra.run(&WeightedAdj::from_arcs(n, &arcs), src.0);
+        dijkstra.run(UnitArcs(&g), src.0);
         for v in g.ids() {
             match ball.dist_of(v) {
                 Some(d) => prop_assert_eq!(dijkstra.dist(v.0), d as u64),
@@ -134,49 +142,6 @@ proptest! {
             }
         }
         prop_assert_eq!(dijkstra.touched().len(), ball.iter().count());
-    }
-
-    /// `WeightedAdj::from_arcs` against a map model: per node, one arc per
-    /// distinct neighbour, ascending, carrying the minimum weight — and
-    /// nothing else, for any `n` including 0 and nodes without arcs. Its
-    /// `transpose` is the model with every pair reversed.
-    #[test]
-    fn weighted_adj_matches_the_map_model(
-        n in 0usize..24,
-        raw in proptest::collection::vec((0u32..24, 0u32..24, 0u32..9), 0..80),
-        spare_last in proptest::bool::ANY,
-    ) {
-        // `spare_last` folds endpoints into 0..n-1, leaving `n - 1` arc-free
-        let spare_last = spare_last && n > 1;
-        let m = (n - spare_last as usize) as u32;
-        let triples: Vec<(u32, u32, u32)> = raw
-            .iter()
-            .filter(|_| n > 0)
-            .map(|&(a, b, w)| (a % m, b % m, w))
-            .collect();
-        let mut model: BTreeMap<(u32, u32), u32> = BTreeMap::new();
-        for &(a, b, w) in &triples {
-            model.entry((a, b)).and_modify(|x| *x = (*x).min(w)).or_insert(w);
-        }
-        let adj = WeightedAdj::from_arcs(n, &triples);
-        let reversed: BTreeMap<(u32, u32), u32> =
-            model.iter().map(|(&(a, b), &w)| ((b, a), w)).collect();
-        for (adj, model) in [(adj.clone(), &model), (adj.transpose(), &reversed)] {
-            prop_assert_eq!(adj.node_count(), n);
-            let mut total = 0;
-            for v in 0..n as u32 {
-                let want: Vec<(u32, u32)> = model
-                    .range((v, 0)..=(v, u32::MAX))
-                    .map(|(&(_, to), &w)| (to, w))
-                    .collect();
-                prop_assert_eq!(adj.arcs_of(v), &want[..], "arcs of {}", v);
-                total += adj.arcs_of(v).len();
-            }
-            prop_assert_eq!(total, model.len());
-            if spare_last {
-                prop_assert!(adj.arcs_of(n as u32 - 1).is_empty(), "last node has no arcs");
-            }
-        }
     }
 
     /// In/out adjacency stay exact mirrors under arbitrary edge churn.

@@ -603,8 +603,8 @@ impl IncrementalBoundedSim {
     /// The ranking as of the last [`end_batch`](Self::end_batch): every
     /// match of the output node with its `f(u_o, v)` over `G_r`, sorted
     /// by `(rank, node id)` — what
-    /// [`rank_matches`](expfinder_core::rank_matches) gives on a built
-    /// `G_r`, bit for bit. Empty when the collapsed relation is, and when
+    /// [`rank_matches_top_k`](expfinder_core::rank_matches_top_k) gives
+    /// for every `k` on a built `G_r`, bit for bit. Empty when the collapsed relation is, and when
     /// the pattern has no output node.
     pub fn ranking(&self) -> &Arc<[RankedMatch]> {
         self.assert_batch_ended("ranking");

@@ -630,6 +630,18 @@ mod tests {
     }
 
     #[test]
+    fn add_graph_with_an_edge_to_no_node_is_a_bad_request() {
+        let body = parse(
+            r#"{"name": "g", "graph": {"nodes": [{"label": "SA", "attrs": []}],
+                "edges": [[0, 1]]}}"#,
+        )
+        .unwrap();
+        let err = decode_add_graph(&body).unwrap_err();
+        assert_eq!(err.status, 400);
+        assert!(err.message.contains("outside 0..1"), "{}", err.message);
+    }
+
+    #[test]
     fn query_response_encoding() {
         use expfinder_engine::ExpFinder;
         use expfinder_pattern::fixtures::fig1_pattern;

@@ -44,7 +44,10 @@ msrv:
 # settled/relaxed/pushes, the on-demand rows' expand_visits) block on
 # >25% regression and exact outputs (sizes, match_pairs,
 # results_identical, the on-demand ranks' identical) on any mismatch;
-# wall-clock numbers are advisory only. `bench_match` with no flags
+# the same-search rule blocks a fresh document whose rank block's
+# on_demand.settled / on_demand.relaxed differ from its own settled /
+# relaxed (both rankers read one arc per pair); wall-clock numbers are
+# advisory only. `bench_match` with no flags
 # rewrites the baseline itself (commit it when a counter moves on purpose)
 bench-compare:
     cargo run --release -p expfinder-bench --bin bench_match -- --out target/ci/BENCH_counters_fresh.json

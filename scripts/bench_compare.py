@@ -37,6 +37,12 @@ field of the counters document (``BENCH_counters.json``, written by the
   and ``refreshes_skipped`` are worse when lower). These are exact
   functions of the algorithm, so a >25% regression is a real algorithmic
   regression, not runner noise.
+* **same-search rule** (blocking, within the fresh document alone) —
+  each ``rank`` block's ``on_demand.settled`` must equal its ``settled``
+  and ``on_demand.relaxed`` its ``relaxed``: the cold read's rows and the
+  built ``G_r`` hold one arc per ``(v, w)`` pair, so both rankers settle
+  the same nodes and relax the same arcs (only ``pushes`` may differ, as
+  on-demand rows list their arcs in ball order).
 * **advisory** (reported, never blocking) — wall-clock milliseconds and
   speedup ratios (honest but hostage to the runner), and the reach
   index's ``entries`` / ``bytes``.
@@ -174,6 +180,30 @@ def compare(base, fresh, path, key, threshold, findings):
         findings.append(("advisory", path, f"unclassified field changed: {base!r} -> {fresh!r}"))
 
 
+def same_search(doc, path, findings):
+    """The same-search rule, over every ``rank`` block of one document."""
+    if isinstance(doc, list):
+        for w in doc:
+            same_search(w, f"{path}[{workload_label(w)}]", findings)
+        return
+    if not isinstance(doc, dict):
+        return
+    rank = doc.get("rank")
+    if isinstance(rank, dict) and isinstance(rank.get("on_demand"), dict):
+        for key in ("settled", "relaxed"):
+            built, demand = rank.get(key), rank["on_demand"].get(key)
+            if built != demand:
+                findings.append(
+                    (
+                        "blocking",
+                        f"{path}.rank.on_demand.{key}",
+                        f"same-search rule: on_demand {demand!r} != built {built!r}",
+                    )
+                )
+    for k, v in doc.items():
+        same_search(v, f"{path}.{k}", findings)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("baseline", type=Path)
@@ -194,6 +224,7 @@ def main() -> int:
 
     findings = []
     compare(base, fresh, "$", "", args.threshold, findings)
+    same_search(fresh, "$", findings)
     blocking = [f for f in findings if f[0] == "blocking"]
     advisory = [f for f in findings if f[0] == "advisory"]
 

@@ -67,8 +67,8 @@ pub use expfinder_engine::{Catalog, ExpFinder, ExpFinderError, GraphHandle};
 pub mod prelude {
     pub use expfinder_compress::{compress_graph, CompressedGraph, CompressionMethod, ReachIndex};
     pub use expfinder_core::{
-        bounded_simulation, dual_simulation, graph_simulation, rank_matches, subgraph_isomorphism,
-        top_k, MatchRelation, ResultGraph,
+        bounded_simulation, dual_simulation, graph_simulation, rank_matches_top_k,
+        subgraph_isomorphism, top_k, MatchRelation, ResultGraph,
     };
     pub use expfinder_engine::{
         Catalog, EngineConfig, ExpFinder, ExpFinderError, GraphHandle, PlanRoute, QueryResponse,

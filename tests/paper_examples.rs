@@ -5,7 +5,7 @@
 //! E3 (Example 3) — see DESIGN.md §2.
 
 use expfinder::core::naive::naive_bounded_simulation;
-use expfinder::core::{rank_value, IsoOptions};
+use expfinder::core::IsoOptions;
 use expfinder::graph::fixtures::collaboration_fig1;
 use expfinder::incremental::Maintainer;
 use expfinder::pattern::fixtures::{fig1_pattern, fig1_pattern_simulation};
@@ -63,8 +63,11 @@ fn e2_rank_values_exact() {
     let q = fig1_pattern();
     let m = bounded_simulation(&f.graph, &q).unwrap();
     let rg = ResultGraph::build(&f.graph, &q, &m);
-    assert!((rank_value(&rg, f.bob) - 9.0 / 5.0).abs() < 1e-12);
-    assert!((rank_value(&rg, f.walt) - 7.0 / 3.0).abs() < 1e-12);
+    let all = rank_matches_top_k(&rg, &q, &m, usize::MAX).unwrap();
+    let nodes: Vec<NodeId> = all.iter().map(|x| x.node).collect();
+    assert_eq!(nodes, [f.bob, f.walt]);
+    assert!((all[0].rank - 9.0 / 5.0).abs() < 1e-12);
+    assert!((all[1].rank - 7.0 / 3.0).abs() < 1e-12);
     let top = top_k(&f.graph, &q, &m, 1).unwrap();
     assert_eq!(top[0].node, f.bob);
 }
