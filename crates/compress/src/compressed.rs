@@ -274,6 +274,27 @@ mod tests {
         assert_eq!(expanded.total_pairs(), 9);
     }
 
+    /// A label may hold any character. One node labelled like another's
+    /// label-and-attribute content once shared its signature, and with it a
+    /// quotient block, so the compressed route lost the `A` node.
+    #[test]
+    fn nodes_whose_content_only_prints_alike_keep_two_blocks() {
+        let mut g = DiGraph::new();
+        g.add_node("A\u{1}k\u{2}i5", []);
+        let a = g.add_node("A", [("k", AttrValue::Int(5))]);
+        let c = compress_graph(&g, CompressionMethod::Bisimulation).unwrap();
+        assert_eq!(c.stats().compressed_nodes, 2);
+        let q = PatternBuilder::new()
+            .node_output("x", Predicate::label("A"))
+            .build()
+            .unwrap();
+        let direct = bounded_simulation(&g, &q).unwrap();
+        let compressed = c.expand(&bounded_simulation(&c, &q).unwrap());
+        assert_eq!(direct.total_pairs(), 1);
+        assert_eq!(compressed, direct);
+        assert!(compressed.contains(q.output().unwrap(), a));
+    }
+
     #[test]
     fn identity_attr_queries_rejected() {
         let mut g = DiGraph::new();

@@ -1,6 +1,6 @@
 //! Partitions of a graph's node set and the bisimulation refinement.
 
-use expfinder_graph::{DiGraph, GraphView, NodeId};
+use expfinder_graph::{DiGraph, GraphView, NodeId, Quoted};
 use std::collections::HashMap;
 
 /// Which node content forms the compression signature.
@@ -28,20 +28,20 @@ impl SignaturePolicy {
         !self.identity_attrs.iter().any(|a| a == key)
     }
 
-    /// Canonical signature string of a node: label plus every
-    /// non-identity attribute in key order.
+    /// Signature string of a node: its [`Quoted`] label, then ` "key"
+    /// value` for every non-identity attribute in key order, each value in
+    /// its DSL text. Quoted parts delimit themselves and values of
+    /// different types print differently, so two nodes share a signature
+    /// exactly when they share that content, whatever their strings hold.
     pub fn signature_of(&self, g: &DiGraph, v: NodeId) -> String {
+        use std::fmt::Write;
         let data = g.vertex(v);
         let it = g.interner();
-        let mut s = String::new();
-        s.push_str(it.resolve(data.label()));
+        let mut s = Quoted(it.resolve(data.label())).to_string();
         for (k, val) in data.attrs() {
             let key = it.resolve(*k);
             if self.in_signature(key) {
-                s.push('\u{1}');
-                s.push_str(key);
-                s.push('\u{2}');
-                s.push_str(&val.canonical());
+                let _ = write!(s, " {} {val}", Quoted(key));
             }
         }
         s

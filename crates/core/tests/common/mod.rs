@@ -33,13 +33,17 @@ pub fn raw_graph(max_nodes: usize) -> impl Strategy<Value = RawGraph> {
     })
 }
 
+/// Raw label `l`'s string. Next to plain ones, the alphabet holds what a
+/// pattern's text must decode or escape: non-ASCII, `"`, `\`, a tab, a
+/// newline, and `),L(`, which once forged the old encoding's separators.
+pub fn label(l: u8) -> &'static str {
+    ["L0", "Müller", "a),L(b \"q\" \\ \t\n", "L3"][l as usize % 4]
+}
+
 pub fn build_graph(raw: &RawGraph) -> DiGraph {
     let mut g = DiGraph::new();
     for (l, e) in raw.labels.iter().zip(&raw.exps) {
-        g.add_node(
-            &format!("L{l}"),
-            [("experience", AttrValue::Int(*e as i64))],
-        );
+        g.add_node(label(*l), [("experience", AttrValue::Int(*e as i64))]);
     }
     for &(a, b) in &raw.edges {
         g.add_edge(NodeId(a as u32), NodeId(b as u32));
@@ -51,10 +55,10 @@ pub fn build_graph(raw: &RawGraph) -> DiGraph {
 pub struct RawPattern {
     pub labels: Vec<u8>,
     /// Threshold 0 ⇒ a pure-label predicate (index-eligible seed class);
-    /// otherwise label ∧ experience ≥ t (ineligible). Two nodes in three
-    /// are pure-label, so that a pattern often chains two of them: only
-    /// then can a reach-index entry be asked for a seed class that
-    /// refinement already shrank.
+    /// otherwise label ∧ experience ≥ [`threshold_value`] (ineligible).
+    /// Two nodes in three are pure-label, so that a pattern often chains
+    /// two of them: only then can a reach-index entry be asked for a seed
+    /// class that refinement already shrank.
     pub thresholds: Vec<u8>,
     pub edges: Vec<(u8, u8, u8)>, // from, to, bound (0 ⇒ unbounded)
 }
@@ -62,7 +66,7 @@ pub struct RawPattern {
 pub fn raw_pattern() -> impl Strategy<Value = RawPattern> {
     (2usize..=4).prop_flat_map(|n| {
         let labels = proptest::collection::vec(0u8..3, n);
-        let threshold = prop_oneof![Just(0u8), Just(0u8), 1u8..3];
+        let threshold = prop_oneof![Just(0u8), Just(0u8), 1u8..6];
         let thresholds = proptest::collection::vec(threshold, n);
         let edges = proptest::collection::vec((0u8..n as u8, 0u8..n as u8, 0u8..4), 1..n * 2);
         (labels, thresholds, edges).prop_map(|(labels, thresholds, edges)| RawPattern {
@@ -71,6 +75,17 @@ pub fn raw_pattern() -> impl Strategy<Value = RawPattern> {
             edges,
         })
     })
+}
+
+/// The bound a nonzero threshold code sets on `experience`: an int (1,
+/// 2), an integral float (1.0, 2.0) or `-0.0` (5) — numbers whose text
+/// once read back as another value.
+pub fn threshold_value(t: u8) -> AttrValue {
+    match t {
+        1 | 2 => AttrValue::Int(t as i64),
+        3 | 4 => AttrValue::Float((t - 2) as f64),
+        _ => AttrValue::Float(-0.0),
+    }
 }
 
 pub fn build_pattern(raw: &RawPattern, force_bound_one: bool) -> Pattern {
@@ -82,9 +97,10 @@ pub fn build_pattern(raw: &RawPattern, force_bound_one: bool) -> Pattern {
         .map(|(i, (l, t))| PatternNode {
             name: format!("v{i}"),
             predicate: if *t == 0 {
-                Predicate::label(format!("L{l}"))
+                Predicate::label(label(*l))
             } else {
-                Predicate::label(format!("L{l}")).and(Predicate::attr_ge("experience", *t as i64))
+                Predicate::label(label(*l))
+                    .and(Predicate::attr_ge("experience", threshold_value(*t)))
             },
         })
         .collect();
@@ -115,7 +131,7 @@ pub fn build_pattern(raw: &RawPattern, force_bound_one: bool) -> Pattern {
 /// onto the current node range.
 #[derive(Clone, Debug)]
 pub enum VertexOp {
-    /// A node labelled `L{l}` with `experience = e`.
+    /// A node labelled [`label`]`(l)` with `experience = e`.
     Add(u8, u8),
     SetExperience(u8, u8),
     Insert(u8, u8),
@@ -134,7 +150,7 @@ pub fn apply_vertex_op(g: &mut DiGraph, op: &VertexOp) {
     let node = |i: u8| NodeId((i as usize % g.node_count()) as u32);
     match *op {
         VertexOp::Add(l, e) => {
-            g.add_node(&format!("L{l}"), [("experience", AttrValue::Int(e as i64))]);
+            g.add_node(label(l), [("experience", AttrValue::Int(e as i64))]);
         }
         VertexOp::SetExperience(v, e) => {
             g.set_attr(node(v), "experience", AttrValue::Int(e as i64))

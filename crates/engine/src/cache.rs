@@ -2,8 +2,10 @@
 //!
 //! Paper §II: "the query engine directly returns M(Q,G) if it is already
 //! cached". Keys combine the graph's catalog id, its version counter and
-//! a `u64` digest of the pattern fingerprint
-//! ([`Pattern::fingerprint_hash`]), so updates invalidate implicitly —
+//! the pattern's DSL text
+//! ([`Pattern::fingerprint`](expfinder_pattern::Pattern::fingerprint)),
+//! the one text the parser reads back to itself, so two patterns share a
+//! slot exactly when they print alike. Updates invalidate implicitly —
 //! stale entries simply stop being requested and age out of the LRU.
 //! Keying by id (not name) means a graph removed and re-added under the
 //! same name can never be served stale results.
@@ -26,12 +28,11 @@
 //! entries by a constant factor, keeping memory proportional to capacity.
 
 use expfinder_core::{MatchRelation, RankedMatch};
-use expfinder_pattern::Pattern;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-/// Cache key: graph catalog id, graph version, pattern fingerprint hash.
-pub type CacheKey = (u64, u64, u64);
+/// Cache key: graph catalog id, graph version, the pattern's DSL text.
+pub type CacheKey = (u64, u64, Arc<str>);
 
 /// Hit/miss counters.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -41,19 +42,13 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-/// A cached relation stamped with its most recent touch generation and
-/// the full fingerprint its key hash was derived from. The hash is only
-/// an index: FNV-1a collisions are constructible by anyone who can
-/// submit patterns, so every hit re-verifies the exact fingerprint —
-/// a collision is a miss (and an overwriting `put` wins), never a
-/// cross-pattern answer.
+/// A cached relation stamped with its most recent touch generation.
 struct Slot {
     value: Arc<MatchRelation>,
     /// `(list, k)`: the best `k` matches of the output node; `k` is
     /// `usize::MAX` once the list is known to be complete.
     ranked: Option<(Arc<[RankedMatch]>, usize)>,
     gen: u64,
-    fingerprint: String,
 }
 
 /// A hit: the relation and, if `top_k` was asked for and the slot's
@@ -83,62 +78,39 @@ impl QueryCache {
         }
     }
 
-    /// Build the canonical key for a query. When the fingerprint string
-    /// is already at hand, prefer [`QueryCache::key_for`].
-    pub fn key(graph_id: u64, version: u64, pattern: &Pattern) -> CacheKey {
-        Self::key_for(graph_id, version, &pattern.fingerprint())
-    }
-
-    /// Build the canonical key from an already-computed fingerprint.
-    pub fn key_for(graph_id: u64, version: u64, fingerprint: &str) -> CacheKey {
-        (
-            graph_id,
-            version,
-            expfinder_pattern::hash_fingerprint(fingerprint),
-        )
-    }
-
-    /// Look up; refreshes recency on a (fingerprint-verified) hit. A key
-    /// whose slot holds a different fingerprint — a hash collision — is
-    /// a miss.
-    pub fn get(&mut self, key: &CacheKey, fingerprint: &str, top_k: Option<usize>) -> Option<Hit> {
+    /// Look up; refreshes recency on a hit.
+    pub fn get(&mut self, key: &CacheKey, top_k: Option<usize>) -> Option<Hit> {
         let gen = self.next_gen;
-        match self.map.get_mut(key) {
-            Some(slot) if slot.fingerprint == fingerprint => {
-                self.stats.hits += 1;
-                self.next_gen += 1;
-                slot.gen = gen;
-                let held = slot.ranked.as_ref().zip(top_k);
-                let experts = held
-                    .filter(|((_, held_k), k)| k <= held_k)
-                    .map(|((list, _), k)| list[..k.min(list.len())].to_vec());
-                let hit = (Arc::clone(&slot.value), experts);
-                self.recency.push_back((gen, *key));
-                self.maybe_compact();
-                Some(hit)
-            }
-            _ => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+        let Some(slot) = self.map.get_mut(key) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        self.stats.hits += 1;
+        self.next_gen += 1;
+        slot.gen = gen;
+        let held = slot.ranked.as_ref().zip(top_k);
+        let experts = held
+            .filter(|((_, held_k), k)| k <= held_k)
+            .map(|((list, _), k)| list[..k.min(list.len())].to_vec());
+        let hit = (Arc::clone(&slot.value), experts);
+        self.recency.push_back((gen, key.clone()));
+        self.maybe_compact();
+        Some(hit)
     }
 
     /// Insert (or refresh) an entry, evicting the least recently used
-    /// entry if over capacity. Refreshing a slot of the same fingerprint
-    /// keeps its ranked answer: same key, same `(G, M)`, same ranks.
-    pub fn put(&mut self, key: CacheKey, fingerprint: &str, value: Arc<MatchRelation>) {
+    /// entry if over capacity. Refreshing a slot keeps its ranked answer:
+    /// same key, same `(G, M)`, same ranks.
+    pub fn put(&mut self, key: CacheKey, value: Arc<MatchRelation>) {
         let gen = self.next_gen;
         self.next_gen += 1;
-        let kept = self.map.get(&key).filter(|s| s.fingerprint == fingerprint);
         let slot = Slot {
             value,
-            ranked: kept.and_then(|s| s.ranked.clone()),
+            ranked: self.map.get(&key).and_then(|s| s.ranked.clone()),
             gen,
-            fingerprint: fingerprint.to_owned(),
         };
+        self.recency.push_back((gen, key.clone()));
         self.map.insert(key, slot);
-        self.recency.push_back((gen, key));
         while self.map.len() > self.capacity {
             let (g, k) = self
                 .recency
@@ -153,11 +125,11 @@ impl QueryCache {
         self.maybe_compact();
     }
 
-    /// Record the top-`k` list computed for a slot that is still there
-    /// (and still this pattern's), unless it already holds a longer one.
-    pub fn put_ranked(&mut self, key: &CacheKey, fp: &str, list: &[RankedMatch], k: usize) {
+    /// Record the top-`k` list computed for a slot that is still there,
+    /// unless it already holds a longer one.
+    pub fn put_ranked(&mut self, key: &CacheKey, list: &[RankedMatch], k: usize) {
         let k = if list.len() < k { usize::MAX } else { k };
-        let slot = self.map.get_mut(key).filter(|s| s.fingerprint == fp);
+        let slot = self.map.get_mut(key);
         if let Some(slot) = slot.filter(|s| s.ranked.as_ref().is_none_or(|r| r.1 < k)) {
             slot.ranked = Some((list.into(), k));
         }
@@ -204,23 +176,17 @@ mod tests {
     }
 
     fn k(id: u64, v: u64) -> CacheKey {
-        (id, v, 0xfeed)
+        (id, v, "node a;".into())
     }
 
     #[test]
     fn hit_and_miss() {
         let mut c = QueryCache::new(4);
-        assert!(c.get(&k(1, 1), "fp", None).is_none());
-        c.put(k(1, 1), "fp", rel(3));
-        assert!(c.get(&k(1, 1), "fp", None).is_some());
-        assert!(
-            c.get(&k(1, 2), "fp", None).is_none(),
-            "different version misses"
-        );
-        assert!(
-            c.get(&k(2, 1), "fp", None).is_none(),
-            "different graph id misses"
-        );
+        assert!(c.get(&k(1, 1), None).is_none());
+        c.put(k(1, 1), rel(3));
+        assert!(c.get(&k(1, 1), None).is_some());
+        assert!(c.get(&k(1, 2), None).is_none(), "different version misses");
+        assert!(c.get(&k(2, 1), None).is_none(), "different graph id misses");
         let s = c.stats();
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 3);
@@ -229,14 +195,14 @@ mod tests {
     #[test]
     fn lru_eviction_order() {
         let mut c = QueryCache::new(2);
-        c.put(k(1, 1), "fp", rel(1));
-        c.put(k(2, 1), "fp", rel(1));
+        c.put(k(1, 1), rel(1));
+        c.put(k(2, 1), rel(1));
         // touch graph 1 so graph 2 becomes the oldest
-        assert!(c.get(&k(1, 1), "fp", None).is_some());
-        c.put(k(3, 1), "fp", rel(1));
+        assert!(c.get(&k(1, 1), None).is_some());
+        c.put(k(3, 1), rel(1));
         assert_eq!(c.len(), 2);
-        assert!(c.get(&k(2, 1), "fp", None).is_none(), "2 evicted");
-        assert!(c.get(&k(1, 1), "fp", None).is_some(), "1 survived");
+        assert!(c.get(&k(2, 1), None).is_none(), "2 evicted");
+        assert!(c.get(&k(1, 1), None).is_some(), "1 survived");
         assert_eq!(c.stats().evictions, 1);
     }
 
@@ -246,20 +212,17 @@ mod tests {
         // set must always be the most recently touched `capacity` keys
         let mut c = QueryCache::new(3);
         for i in 0..50u64 {
-            c.put(k(i, 1), "fp", rel(1));
+            c.put(k(i, 1), rel(1));
             // keep key 0 hot for the first half
             if i < 25 {
-                assert!(
-                    c.get(&k(0, 1), "fp", None).is_some(),
-                    "key 0 touched at {i}"
-                );
+                assert!(c.get(&k(0, 1), None).is_some(), "key 0 touched at {i}");
             }
         }
         assert_eq!(c.len(), 3);
-        assert!(c.get(&k(49, 1), "fp", None).is_some());
-        assert!(c.get(&k(48, 1), "fp", None).is_some());
-        assert!(c.get(&k(47, 1), "fp", None).is_some());
-        assert!(c.get(&k(0, 1), "fp", None).is_none(), "went cold, evicted");
+        assert!(c.get(&k(49, 1), None).is_some());
+        assert!(c.get(&k(48, 1), None).is_some());
+        assert!(c.get(&k(47, 1), None).is_some());
+        assert!(c.get(&k(0, 1), None).is_none(), "went cold, evicted");
         // recency log stays bounded relative to capacity
         assert!(c.recency.len() <= c.map.len() * 4 + 16);
     }
@@ -267,18 +230,18 @@ mod tests {
     #[test]
     fn put_refreshes_existing() {
         let mut c = QueryCache::new(2);
-        c.put(k(1, 1), "fp", rel(1));
-        c.put(k(2, 1), "fp", rel(1));
-        c.put(k(1, 1), "fp", rel(2)); // refresh 1
-        c.put(k(3, 1), "fp", rel(1)); // evicts 2, not 1
-        assert!(c.get(&k(1, 1), "fp", None).is_some());
-        assert!(c.get(&k(2, 1), "fp", None).is_none());
+        c.put(k(1, 1), rel(1));
+        c.put(k(2, 1), rel(1));
+        c.put(k(1, 1), rel(2)); // refresh 1
+        c.put(k(3, 1), rel(1)); // evicts 2, not 1
+        assert!(c.get(&k(1, 1), None).is_some());
+        assert!(c.get(&k(2, 1), None).is_none());
     }
 
     #[test]
     fn clear_empties() {
         let mut c = QueryCache::new(2);
-        c.put(k(1, 1), "fp", rel(1));
+        c.put(k(1, 1), rel(1));
         c.clear();
         assert!(c.is_empty());
     }
@@ -286,40 +249,25 @@ mod tests {
     #[test]
     fn zero_capacity_clamped_to_one() {
         let mut c = QueryCache::new(0);
-        c.put(k(1, 1), "fp", rel(1));
+        c.put(k(1, 1), rel(1));
         assert_eq!(c.len(), 1);
     }
 
     #[test]
-    fn hash_collision_is_a_miss_not_a_wrong_answer() {
-        // same key hash, different fingerprints (the adversarial FNV
-        // collision shape): the verified get never serves the other
-        // pattern's relation
+    fn keys_are_pattern_texts() {
+        // the text spells the condition tree, so patterns whose old
+        // encodings collided take two slots
+        use expfinder_pattern::parser::parse;
+        let text = |src: &str| -> Arc<str> { parse(src).unwrap().fingerprint().into() };
+        let grouped = text(r#"node a where (label = "a),L(b") and (has c);"#);
+        let split = text(r#"node a where (label = "a") and (label = "b") and (has c);"#);
         let mut c = QueryCache::new(4);
-        c.put(k(1, 1), "pattern-a", rel(1));
-        assert!(
-            c.get(&k(1, 1), "pattern-b", None).is_none(),
-            "collision must miss"
-        );
-        assert_eq!(c.stats().misses, 1);
-        // the colliding pattern may overwrite the slot; verification
-        // then protects the original
-        c.put(k(1, 1), "pattern-b", rel(2));
-        assert!(c.get(&k(1, 1), "pattern-b", None).is_some());
-        assert!(c.get(&k(1, 1), "pattern-a", None).is_none());
-        assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn keys_come_from_fingerprint_hashes() {
-        use expfinder_pattern::fixtures::fig1_pattern;
-        let q = fig1_pattern();
-        let a = QueryCache::key(1, 7, &q);
-        let b = QueryCache::key(1, 7, &q);
-        assert_eq!(a, b);
-        assert_eq!(a.2, q.fingerprint_hash());
-        let sim = q.as_simulation();
-        assert_ne!(QueryCache::key(1, 7, &sim), a, "bounds change the key");
+        c.put((1, 1, grouped.clone()), rel(1));
+        assert!(c.get(&(1, 1, split.clone()), None).is_none());
+        c.put((1, 1, split.clone()), rel(2));
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.get(&(1, 1, grouped), None).unwrap().0.data_nodes(), 1);
+        assert_eq!(c.get(&(1, 1, split), None).unwrap().0.data_nodes(), 2);
     }
 
     fn ranked(n: u32) -> Vec<RankedMatch> {
@@ -333,12 +281,12 @@ mod tests {
     #[test]
     fn ranked_answer_serves_prefixes_and_never_guesses() {
         let mut c = QueryCache::new(4);
-        let experts = |c: &mut QueryCache, top_k| c.get(&k(1, 1), "fp", top_k).unwrap().1;
-        c.put(k(1, 1), "fp", rel(9));
+        let experts = |c: &mut QueryCache, top_k| c.get(&k(1, 1), top_k).unwrap().1;
+        c.put(k(1, 1), rel(9));
         assert_eq!(experts(&mut c, Some(2)), None, "nothing ranked yet");
 
         // a top-3 of more than 3 candidates determines top-0..=3 only
-        c.put_ranked(&k(1, 1), "fp", &ranked(3), 3);
+        c.put_ranked(&k(1, 1), &ranked(3), 3);
         assert_eq!(experts(&mut c, Some(2)), Some(ranked(2)));
         assert_eq!(experts(&mut c, Some(3)), Some(ranked(3)));
         assert_eq!(experts(&mut c, Some(4)), None, "the 4th best is unknown");
@@ -346,9 +294,9 @@ mod tests {
 
         // a shorter list never replaces it; a longer one does, and a list
         // shorter than its k is complete: it serves every k
-        c.put_ranked(&k(1, 1), "fp", &ranked(1), 1);
+        c.put_ranked(&k(1, 1), &ranked(1), 1);
         assert_eq!(experts(&mut c, Some(3)), Some(ranked(3)));
-        c.put_ranked(&k(1, 1), "fp", &ranked(5), 8);
+        c.put_ranked(&k(1, 1), &ranked(5), 8);
         assert_eq!(experts(&mut c, Some(4)), Some(ranked(4)));
         assert_eq!(experts(&mut c, Some(100)), Some(ranked(5)));
         assert_eq!(experts(&mut c, Some(0)), Some(vec![]));
@@ -357,24 +305,19 @@ mod tests {
     #[test]
     fn ranked_answer_lives_and_dies_with_its_slot() {
         let mut c = QueryCache::new(2);
-        c.put(k(1, 1), "fp", rel(9));
-        c.put_ranked(&k(1, 1), "fp", &ranked(2), 2);
+        c.put(k(1, 1), rel(9));
+        c.put_ranked(&k(1, 1), &ranked(2), 2);
         // refreshed by the same pattern: same (G, M), the list stays
-        c.put(k(1, 1), "fp", rel(9));
-        assert_eq!(c.get(&k(1, 1), "fp", Some(2)).unwrap().1, Some(ranked(2)));
+        c.put(k(1, 1), rel(9));
+        assert_eq!(c.get(&k(1, 1), Some(2)).unwrap().1, Some(ranked(2)));
         // a different version or graph id is a different slot
-        c.put(k(1, 2), "fp", rel(9));
-        assert_eq!(c.get(&k(1, 2), "fp", Some(2)).unwrap().1, None);
-        // overwritten by a colliding pattern: the list goes with it, and a
-        // late fill for the old pattern is dropped
-        c.put(k(1, 1), "other", rel(9));
-        c.put_ranked(&k(1, 1), "fp", &ranked(2), 2);
-        assert_eq!(c.get(&k(1, 1), "other", Some(2)).unwrap().1, None);
+        c.put(k(1, 2), rel(9));
+        assert_eq!(c.get(&k(1, 2), Some(2)).unwrap().1, None);
         // evicted: nothing to fill
-        c.put(k(7, 7), "fp", rel(9));
-        c.put(k(8, 8), "fp", rel(9));
-        c.put_ranked(&k(1, 1), "other", &ranked(2), 2);
-        assert!(c.get(&k(1, 1), "other", Some(2)).is_none());
+        c.put(k(7, 7), rel(9));
+        c.put(k(8, 8), rel(9));
+        c.put_ranked(&k(1, 1), &ranked(2), 2);
+        assert!(c.get(&k(1, 1), Some(2)).is_none());
         assert_eq!(c.len(), 2);
     }
 }

@@ -284,10 +284,9 @@ impl ReadPath {
     ) -> Result<QueryResponse, ExpFinderError> {
         let started = Instant::now();
         let state = resolve()?;
-        let fingerprint = pattern.fingerprint();
-        let key = QueryCache::key_for(state.id, state.version(), &fingerprint);
-        let slot = (&key, fingerprint.as_str(), top_k.filter(|_| serve_held));
-        let registered = state.registered(&fingerprint);
+        let key: CacheKey = (state.id, state.version(), pattern.fingerprint().into());
+        let registered = state.registered(&key.2);
+        let slot = (&key, top_k.filter(|_| serve_held));
         let ((matches, held), plan, stats) = self.route_and_eval(
             &state, registered, pattern, slot, prefer, threads, scratch, cancel,
         )?;
@@ -318,7 +317,7 @@ impl ReadPath {
                 })?;
                 self.rank_totals.computed.fetch_add(1, Ordering::Relaxed);
                 let mut cache = self.cache.lock();
-                cache.put_ranked(&key, &fingerprint, &experts, k);
+                cache.put_ranked(&key, &experts, k);
                 experts
             }
         };
@@ -350,7 +349,7 @@ impl ReadPath {
         state: &Snapshot,
         registered: Option<&RegisteredView>,
         pattern: &Pattern,
-        (key, fingerprint, top_k): (&CacheKey, &str, Option<usize>),
+        (key, top_k): (&CacheKey, Option<usize>),
         prefer: Route,
         threads: usize,
         scratch: &mut EvalScratch,
@@ -369,16 +368,14 @@ impl ReadPath {
         };
 
         if prefer == Route::Auto {
-            // 1. cache (the fingerprint guards against key-hash collisions)
-            if let Some(hit) = self.cache.lock().get(key, fingerprint, top_k) {
+            // 1. cache
+            if let Some(hit) = self.cache.lock().get(key, top_k) {
                 return Ok(exact(PlanRoute::Cache, hit));
             }
             // 2. registered incremental state
             if let Some(view) = registered {
                 let matches = Arc::clone(view.matches());
-                self.cache
-                    .lock()
-                    .put(*key, fingerprint, Arc::clone(&matches));
+                self.cache.lock().put(key.clone(), Arc::clone(&matches));
                 return Ok(exact(PlanRoute::Registered, (matches, None)));
             }
         }
@@ -442,9 +439,7 @@ impl ReadPath {
         self.planner.on_decision(&plan);
         self.eval_totals.add(stats);
         let matches = Arc::new(m);
-        self.cache
-            .lock()
-            .put(*key, fingerprint, Arc::clone(&matches));
+        self.cache.lock().put(key.clone(), Arc::clone(&matches));
         Ok(((matches, None), plan, stats))
     }
 

@@ -79,11 +79,11 @@ impl Derived {
     }
 }
 
-/// A registered query as a snapshot carries it: name, route fingerprint,
+/// A registered query as a snapshot carries it: name, pattern text,
 /// and the maintained relation and ranking at the snapshot's version.
 pub struct RegisteredView {
     name: Arc<str>,
-    fingerprint: Arc<str>,
+    text: Arc<str>,
     matches: Arc<MatchRelation>,
     ranking: Arc<[RankedMatch]>,
 }
@@ -139,12 +139,11 @@ impl Snapshot {
         self.compressed.as_deref()
     }
 
-    /// The registered query whose pattern has this fingerprint, if there
-    /// is one — its relation and ranking, from one scan of the views.
-    pub fn registered(&self, fingerprint: &str) -> Option<&RegisteredView> {
-        self.registered
-            .iter()
-            .find(|rv| &*rv.fingerprint == fingerprint)
+    /// The registered query whose pattern has this DSL text
+    /// ([`Pattern::fingerprint`]), if there is one — its relation and
+    /// ranking, from one scan of the views.
+    pub fn registered(&self, text: &str) -> Option<&RegisteredView> {
+        self.registered.iter().find(|rv| &*rv.text == text)
     }
 
     /// Names of the registered queries, sorted.
@@ -214,11 +213,11 @@ impl PublishedGraph {
     }
 }
 
-/// A registered query on the write side: its pattern, the fingerprint the
+/// A registered query on the write side: its pattern, the DSL text the
 /// read path routes by and the incremental maintainer of its result.
 struct RegisteredQuery {
     pattern: Pattern,
-    fingerprint: Arc<str>,
+    text: Arc<str>,
     maintainer: IncrementalBoundedSim,
     /// The collapsed relation as the last snapshot published it; `None`
     /// once an update changed the maintained sets. While it is `Some`,
@@ -370,7 +369,7 @@ impl MaintainedGraph {
         let maintainer = IncrementalBoundedSim::new(&self.graph, &pattern);
         log(&pattern)?;
         let rq = RegisteredQuery {
-            fingerprint: pattern.fingerprint().into(),
+            text: pattern.fingerprint().into(),
             pattern,
             maintainer,
             published: None,
@@ -459,7 +458,7 @@ impl MaintainedGraph {
                 debug_assert_eq!(**matches, rq.maintainer.current(), "stale view of {name:?}");
                 RegisteredView {
                     name: Arc::clone(name),
-                    fingerprint: Arc::clone(&rq.fingerprint),
+                    text: Arc::clone(&rq.text),
                     matches: Arc::clone(matches),
                     ranking: Arc::clone(rq.maintainer.ranking()),
                 }

@@ -9,7 +9,7 @@
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// An interned string (label or attribute key). Only meaningful together
 /// with the [`Interner`] that produced it.
@@ -121,27 +121,40 @@ impl AttrValue {
     pub fn loose_eq(&self, other: &AttrValue) -> bool {
         matches!(self.compare(other), Some(Ordering::Equal))
     }
-
-    /// A canonical text form used by signatures and the text file format.
-    /// Distinct values map to distinct strings within a type.
-    pub fn canonical(&self) -> String {
-        match self {
-            AttrValue::Int(v) => format!("i{v}"),
-            AttrValue::Float(v) => format!("f{v:?}"),
-            AttrValue::Str(s) => format!("s{s}"),
-            AttrValue::Bool(b) => format!("b{b}"),
-        }
-    }
 }
 
+/// A value as the pattern DSL writes it, which its lexer reads back to the
+/// same value: a string [`Quoted`], a float with a fraction even when
+/// integral (`2.0`, `-0.0`). Values of different types never print alike.
 impl fmt::Display for AttrValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             AttrValue::Int(v) => write!(f, "{v}"),
+            AttrValue::Float(v) if v.is_finite() && v.fract() == 0.0 => write!(f, "{v}.0"),
             AttrValue::Float(v) => write!(f, "{v}"),
-            AttrValue::Str(s) => write!(f, "{s:?}"),
+            AttrValue::Str(s) => write!(f, "{}", Quoted(s)),
             AttrValue::Bool(b) => write!(f, "{b}"),
         }
+    }
+}
+
+/// A string as a pattern DSL literal, which the lexer reads back to it: in
+/// `"`, with `"`, `\`, newline and tab escaped as `\"`, `\\`, `\n`, `\t` and
+/// every other character raw. A run of quoted texts is injective.
+pub struct Quoted<'a>(pub &'a str);
+
+impl fmt::Display for Quoted<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_char('"')?;
+        for c in self.0.chars() {
+            match c {
+                '"' | '\\' => write!(f, "\\{c}")?,
+                '\n' => f.write_str("\\n")?,
+                '\t' => f.write_str("\\t")?,
+                c => f.write_char(c)?,
+            }
+        }
+        f.write_char('"')
     }
 }
 
@@ -244,15 +257,23 @@ mod tests {
     }
 
     #[test]
-    fn canonical_distinguishes_types() {
-        assert_ne!(
-            AttrValue::Int(1).canonical(),
-            AttrValue::Str("1".into()).canonical()
-        );
-        assert_ne!(
-            AttrValue::Bool(true).canonical(),
-            AttrValue::Str("true".into()).canonical()
-        );
+    fn value_texts_distinguish_types() {
+        let text = |v: AttrValue| v.to_string();
+        assert_eq!(text(AttrValue::Int(2)), "2");
+        assert_eq!(text(AttrValue::Float(2.0)), "2.0");
+        assert_eq!(text(AttrValue::Float(-0.0)), "-0.0");
+        assert_eq!(text(AttrValue::Float(2.5)), "2.5");
+        assert_eq!(text(AttrValue::Str("2".into())), "\"2\"");
+        assert_eq!(text(AttrValue::Bool(true)), "true");
+        assert_eq!(text(AttrValue::Str("true".into())), "\"true\"");
+    }
+
+    #[test]
+    fn quoted_escapes_only_what_the_lexer_reads() {
+        let q = |s: &str| Quoted(s).to_string();
+        assert_eq!(q("a\"b\\c\nd\te"), r#""a\"b\\c\nd\te""#);
+        assert_eq!(q("Müller\r\u{1}\0"), "\"Müller\r\u{1}\0\"");
+        assert_eq!(q(""), "\"\"");
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //! The paper's architecture stores "all the graphs and query results ... as
 //! files". Two formats are provided:
 //!
-//! * a line-oriented **text format** (`.efg`) that is diffable and easy to
-//!   author by hand (used by the shell and the examples), and
-//! * **JSON** via the hand-rolled [`crate::json`] module, for
-//!   interchange with other tooling.
+//! * a line-oriented **text format** (`.efg`, header `# expfinder-graph
+//!   v1`): the durable runtime's snapshots, the shell's `load` / `save`, and
+//! * **JSON** ([`GraphDoc`]): the `POST /graphs` document, for interchange.
 //!
 //! Both round-trip the complete graph: node order, labels, typed
-//! attributes and edges.
+//! attributes and edges. In both a repeated edge is one edge, and an
+//! endpoint that is not a node is an error.
 
 use crate::attrs::AttrValue;
 use crate::digraph::{DiGraph, EdgeUpdate};
@@ -59,17 +59,17 @@ impl From<JsonError> for GraphIoError {
 
 const HEADER: &str = "# expfinder-graph v1";
 
-/// Percent-encode the characters that would break the whitespace-separated
-/// text format.
+/// Percent-encode, byte by byte, the characters that would break the
+/// whitespace-separated text format: `%`, `=` and any whitespace.
 fn encode(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for b in s.bytes() {
-        match b {
-            b' ' | b'%' | b'=' | b'\n' | b'\r' | b'\t' => {
-                out.push('%');
-                out.push_str(&format!("{b:02X}"));
+    for c in s.chars() {
+        if c == '%' || c == '=' || c.is_whitespace() {
+            for b in c.encode_utf8(&mut [0; 4]).bytes() {
+                out.push_str(&format!("%{b:02X}"));
             }
-            _ => out.push(b as char),
+        } else {
+            out.push(c);
         }
     }
     out
@@ -191,12 +191,12 @@ pub fn read_text<R: BufRead>(r: &mut R) -> Result<DiGraph, GraphIoError> {
                     .next()
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| parse_err(lineno, "bad edge target".into()))?;
-                if !g.add_edge(NodeId(a), NodeId(b)) {
-                    return Err(parse_err(
-                        lineno,
-                        format!("edge ({a},{b}) duplicate or out of range"),
-                    ));
+                let n = g.node_count();
+                if a.max(b) as usize >= n {
+                    let msg = format!("edge ({a},{b}) names a node outside 0..{n}");
+                    return Err(parse_err(lineno, msg));
                 }
+                g.add_edge(NodeId(a), NodeId(b));
             }
             Some(other) => {
                 return Err(parse_err(lineno, format!("unknown record {other:?}")));
@@ -488,7 +488,7 @@ mod tests {
             for (k, val) in va.attrs() {
                 let key = a.interner().resolve(*k);
                 let other = b.attr_of(v, key).expect("attr present");
-                assert!(val.loose_eq(other) || val.canonical() == other.canonical());
+                assert!(val.loose_eq(other) || val.to_string() == other.to_string());
             }
         }
         let ea: Vec<_> = a.edges().collect();
@@ -503,6 +503,44 @@ mod tests {
         write_text(&g, &mut buf).unwrap();
         let g2 = read_text(&mut std::io::Cursor::new(buf)).unwrap();
         assert_graphs_equal(&g, &g2);
+    }
+
+    #[test]
+    fn text_keeps_any_string() {
+        let mut g = DiGraph::new();
+        for s in [
+            "Müller",
+            "中 文",
+            "a\u{c}b",
+            "tail\u{2003}",
+            "%=\r\n\t",
+            "\u{1}",
+        ] {
+            g.add_node(s, [("name", AttrValue::Str(s.into()))]);
+        }
+        let mut buf = Vec::new();
+        write_text(&g, &mut buf).unwrap();
+        let g2 = read_text(&mut std::io::Cursor::new(buf)).unwrap();
+        assert_graphs_equal(&g, &g2);
+    }
+
+    #[test]
+    fn text_repeated_edge_is_one_edge() {
+        let src = "# expfinder-graph v1\nn A\nn B\ne 0 1\ne 0 1\n";
+        let g = read_text(&mut src.as_bytes()).unwrap();
+        assert_eq!(g.edge_count(), 1);
+        let doc = r#"{"nodes":[{"label":"A","attrs":[]},{"label":"B","attrs":[]}],
+                      "edges":[[0,1],[0,1]]}"#;
+        assert_eq!(from_json(doc).unwrap().edge_count(), 1, "the JSON rule");
+    }
+
+    #[test]
+    fn text_edge_out_of_range_names_its_line() {
+        let src = "# expfinder-graph v1\nn A\ne 0 0\ne 0 1\n";
+        match read_text(&mut src.as_bytes()) {
+            Err(GraphIoError::Parse { line: 4, msg }) => assert!(msg.contains("0..1"), "{msg}"),
+            other => panic!("expected a parse error at line 4, got {other:?}"),
+        }
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub mod reach_index;
 pub mod scc;
 pub mod view;
 
-pub use attrs::{AttrValue, Interner, Sym};
+pub use attrs::{AttrValue, Interner, Quoted, Sym};
 pub use bfs_frontier::FrontierScratch;
 pub use bitset::BitSet;
 pub use cancel::CancelToken;

@@ -108,6 +108,9 @@ pub enum PatternError {
     EmptyPattern,
     NoOutputNode,
     SelfLoop(String),
+    /// A node name, attribute key or value the DSL cannot write back
+    /// (see [`Pattern::fingerprint`]).
+    Unspellable(String),
 }
 
 impl fmt::Display for PatternError {
@@ -119,6 +122,9 @@ impl fmt::Display for PatternError {
             PatternError::EmptyPattern => write!(f, "pattern has no nodes"),
             PatternError::NoOutputNode => write!(f, "pattern has no output node"),
             PatternError::SelfLoop(n) => write!(f, "self-loop on pattern node {n:?}"),
+            PatternError::Unspellable(what) => {
+                write!(f, "{what} cannot be written in the pattern DSL")
+            }
         }
     }
 }
@@ -129,7 +135,8 @@ impl std::error::Error for PatternError {}
 ///
 /// Invariants (enforced by [`PatternBuilder`] / [`parser::parse`]):
 /// node names are unique, edges reference existing nodes, no duplicate
-/// edges, no self-loops, and the output node (if any) exists.
+/// edges, no self-loops, the output node (if any) exists, and every node
+/// name, attribute key and value can be written in the DSL.
 #[derive(Clone, Debug)]
 pub struct Pattern {
     nodes: Vec<PatternNode>,
@@ -144,8 +151,9 @@ pub struct Pattern {
 impl Pattern {
     /// Assemble a pattern from parts, validating all invariants (unique
     /// node names, edge endpoints in range, no duplicate edges or
-    /// self-loops). Most callers should prefer [`PatternBuilder`]; this
-    /// constructor exists for programmatic generation.
+    /// self-loops, names and conditions the DSL can spell). Most callers
+    /// should prefer [`PatternBuilder`]; this constructor exists for
+    /// programmatic generation.
     pub fn from_parts(
         nodes: Vec<PatternNode>,
         edges: Vec<PatternEdge>,
@@ -158,6 +166,13 @@ impl Pattern {
         for n in &nodes {
             if !seen.insert(n.name.as_str()) {
                 return Err(PatternError::DuplicateNodeName(n.name.clone()));
+            }
+            if !is_ident(&n.name) {
+                let what = format!("node name {:?}", n.name);
+                return Err(PatternError::Unspellable(what));
+            }
+            if let Some(what) = n.predicate.unspellable() {
+                return Err(PatternError::Unspellable(what));
             }
         }
         let mut out_adj = vec![Vec::new(); nodes.len()];
@@ -291,31 +306,13 @@ impl Pattern {
         set
     }
 
-    /// A stable textual fingerprint: equal patterns (same structure,
-    /// conditions, bounds, output) produce equal strings. Used as the
-    /// engine's cache key.
+    /// The pattern's identity: its DSL text ([`Display`](fmt::Display)),
+    /// which [`parser::parse`] reads back to a pattern of the same text.
+    /// Patterns of equal text match the same nodes, so the engine's query
+    /// cache and its registered-query routing key on it, and the durable
+    /// runtime logs it.
     pub fn fingerprint(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        for n in &self.nodes {
-            let _ = write!(s, "n[{}|{}];", n.name, n.predicate.fingerprint());
-        }
-        for e in &self.edges {
-            let _ = write!(s, "e[{}>{}|{}];", e.from.0, e.to.0, e.bound);
-        }
-        if let Some(o) = self.output {
-            let _ = write!(s, "o[{}]", o.0);
-        }
-        s
-    }
-
-    /// A compact `u64` digest of [`fingerprint`](Self::fingerprint):
-    /// equal patterns hash equal, and the engine's query cache keys on
-    /// this instead of owning strings. FNV-1a is not collision-resistant,
-    /// so the cache verifies the full fingerprint on every hit — the
-    /// digest is an index, never an identity.
-    pub fn fingerprint_hash(&self) -> u64 {
-        hash_fingerprint(&self.fingerprint())
+        self.to_string()
     }
 
     /// A copy of this pattern with every bound replaced by 1 hop — the
@@ -329,6 +326,8 @@ impl Pattern {
     }
 }
 
+/// The pattern's DSL text: one `node` statement per node in id order, then
+/// one `edge` statement per edge, each on its own line.
 impl fmt::Display for Pattern {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (i, n) in self.nodes.iter().enumerate() {
@@ -352,16 +351,14 @@ impl fmt::Display for Pattern {
     }
 }
 
-/// FNV-1a over a canonical fingerprint string — the digest behind
-/// [`Pattern::fingerprint_hash`], exposed so callers that already hold
-/// the string (the engine's cache path) need not recompute it.
-pub fn hash_fingerprint(fingerprint: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in fingerprint.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// True if `s` is one DSL identifier: an ASCII letter or `_`, then
+/// ASCII letters, digits and `_`.
+fn is_ident(s: &str) -> bool {
+    let mut bytes = s.bytes();
+    bytes
+        .next()
+        .is_some_and(|c| c.is_ascii_alphabetic() || c == b'_')
+        && bytes.all(|c| c.is_ascii_alphanumeric() || c == b'_')
 }
 
 #[cfg(test)]
@@ -425,9 +422,7 @@ mod tests {
             .build()
             .unwrap();
         assert_ne!(a.fingerprint(), c.fingerprint());
-        // the u64 digest follows the string fingerprint
-        assert_eq!(a.fingerprint_hash(), b.fingerprint_hash());
-        assert_ne!(a.fingerprint_hash(), c.fingerprint_hash());
+        assert_eq!(a.fingerprint(), a.to_string());
     }
 
     #[test]
@@ -435,7 +430,38 @@ mod tests {
         let p = two_node_pattern();
         let text = p.to_string();
         let p2 = parser::parse(&text).unwrap();
-        assert_eq!(p.fingerprint(), p2.fingerprint());
+        assert_eq!(p2.to_string(), text);
+    }
+
+    #[test]
+    fn unspellable_names_keys_and_values_are_refused() {
+        let build = |name: &str, pred: Predicate| PatternBuilder::new().node(name, pred).build();
+        let refused =
+            |r: Result<Pattern, PatternError>| matches!(r, Err(PatternError::Unspellable(_)));
+        assert!(refused(build("a b", Predicate::True)));
+        assert!(refused(build("Müller", Predicate::True)));
+        assert!(refused(build("9a", Predicate::True)));
+        assert!(refused(build("a", Predicate::has_attr("x-y"))));
+        for key in ["label", "true", "not", "has"] {
+            assert!(refused(build("a", Predicate::attr_eq(key, 1))), "{key}");
+            assert!(refused(build("a", Predicate::contains(key, "x"))), "{key}");
+            assert!(build("a", Predicate::has_attr(key)).is_ok(), "has {key}");
+        }
+        assert!(refused(build("a", Predicate::attr_ge("x", f64::NAN))));
+        assert!(refused(build(
+            "a",
+            Predicate::attr_ge("x", f64::INFINITY).negate()
+        )));
+        // a keyword is a fine node name or key where the grammar expects one
+        let ok = build(
+            "node",
+            Predicate::attr_eq("and", 1).and(Predicate::contains("or", "x")),
+        );
+        let p = ok.unwrap();
+        assert_eq!(
+            parser::parse(&p.to_string()).unwrap().to_string(),
+            p.to_string()
+        );
     }
 
     #[test]

@@ -19,6 +19,9 @@
 //! * Conditions: `label = "..."`, `key op value` (`= != < <= > >=`),
 //!   `key contains "..."`, `has key`, combined with `and`, `or`, `not`
 //!   and parentheses. A missing `where` clause means "matches anything".
+//! * Strings are UTF-8; `\"`, `\\`, `\n`, `\t` are the escapes. `5` is an
+//!   integer, `5.0` a float. `parse` keeps the tree the text spells, so a
+//!   pattern's `Display` text reads back to a pattern of the same text.
 
 use crate::{Bound, CmpOp, Pattern, PatternBuilder, Predicate};
 use expfinder_graph::AttrValue;
@@ -74,7 +77,7 @@ impl fmt::Display for Tok {
 }
 
 struct Lexer<'a> {
-    src: &'a [u8],
+    src: &'a str,
     pos: usize,
     line: usize,
     col: usize,
@@ -83,7 +86,7 @@ struct Lexer<'a> {
 impl<'a> Lexer<'a> {
     fn new(src: &'a str) -> Self {
         Lexer {
-            src: src.as_bytes(),
+            src,
             pos: 0,
             line: 1,
             col: 1,
@@ -99,7 +102,7 @@ impl<'a> Lexer<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -108,10 +111,27 @@ impl<'a> Lexer<'a> {
         if c == b'\n' {
             self.line += 1;
             self.col = 1;
-        } else {
+        } else if c & 0xC0 != 0x80 {
+            // a column is a character: UTF-8 continuation bytes add none
             self.col += 1;
         }
         Some(c)
+    }
+
+    /// Step over the bytes `keep` accepts; the text stepped over. Each
+    /// caller's `keep` accepts only ASCII or stops only at ASCII, so both
+    /// ends of the run are char boundaries.
+    fn take_while(&mut self, keep: impl Fn(u8) -> bool) -> &'a str {
+        let start = self.pos;
+        while self.peek().is_some_and(&keep) {
+            self.bump();
+        }
+        &self.src[start..self.pos]
+    }
+
+    /// The character starting at byte `at`, for an error message.
+    fn char_at(&self, at: usize) -> char {
+        self.src[at..].chars().next().unwrap_or('?')
     }
 
     fn skip_ws(&mut self) {
@@ -121,12 +141,7 @@ impl<'a> Lexer<'a> {
                     self.bump();
                 }
                 b'#' => {
-                    while let Some(c) = self.peek() {
-                        if c == b'\n' {
-                            break;
-                        }
-                        self.bump();
-                    }
+                    self.take_while(|c| c != b'\n');
                 }
                 _ => break,
             }
@@ -162,7 +177,7 @@ impl<'a> Lexer<'a> {
                     self.bump();
                     Tok::Arrow
                 } else if self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                    return self.lex_number(true, line, col);
+                    return self.lex_number(self.pos - 1, line, col);
                 } else {
                     return Err(self.err("expected '->' or a negative number after '-'"));
                 }
@@ -202,67 +217,53 @@ impl<'a> Lexer<'a> {
                 self.bump();
                 let mut s = String::new();
                 loop {
+                    s.push_str(self.take_while(|c| c != b'"' && c != b'\\'));
                     match self.bump() {
                         None => return Err(self.err("unterminated string")),
                         Some(b'"') => break,
-                        Some(b'\\') => match self.bump() {
+                        _ => match self.bump() {
                             Some(b'"') => s.push('"'),
                             Some(b'\\') => s.push('\\'),
                             Some(b'n') => s.push('\n'),
                             Some(b't') => s.push('\t'),
-                            other => {
-                                return Err(self.err(format!(
-                                    "bad escape \\{}",
-                                    other.map(|c| c as char).unwrap_or('?')
-                                )))
+                            None => return Err(self.err("unterminated string")),
+                            Some(_) => {
+                                let c = self.char_at(self.pos - 1);
+                                return Err(self.err(format!("bad escape \\{c}")));
                             }
                         },
-                        Some(c) => s.push(c as char),
                     }
                 }
                 Tok::Str(s)
             }
-            c if c.is_ascii_digit() => return self.lex_number(false, line, col),
-            c if c.is_ascii_alphabetic() || c == b'_' => {
-                let mut s = String::new();
-                while let Some(c) = self.peek() {
-                    if c.is_ascii_alphanumeric() || c == b'_' {
-                        s.push(c as char);
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                Tok::Ident(s)
+            c if c.is_ascii_digit() => return self.lex_number(self.pos, line, col),
+            c if c.is_ascii_alphabetic() || c == b'_' => Tok::Ident(
+                self.take_while(|c| c.is_ascii_alphanumeric() || c == b'_')
+                    .to_owned(),
+            ),
+            _ => {
+                let c = self.char_at(self.pos);
+                return Err(self.err(format!("unexpected character {c:?}")));
             }
-            other => return Err(self.err(format!("unexpected character {:?}", other as char))),
         };
         Ok((tok, line, col))
     }
 
+    /// A number whose text starts at byte `start` (its `-`, if any, is
+    /// already consumed): digits, then optionally `.` and digits.
     fn lex_number(
         &mut self,
-        negative: bool,
+        start: usize,
         line: usize,
         col: usize,
     ) -> Result<(Tok, usize, usize), ParseError> {
-        let mut s = String::new();
-        if negative {
-            s.push('-');
+        self.take_while(|c| c.is_ascii_digit());
+        let is_float = self.peek() == Some(b'.');
+        if is_float {
+            self.bump();
+            self.take_while(|c| c.is_ascii_digit());
         }
-        let mut is_float = false;
-        while let Some(c) = self.peek() {
-            if c.is_ascii_digit() {
-                s.push(c as char);
-                self.bump();
-            } else if c == b'.' && !is_float {
-                is_float = true;
-                s.push('.');
-                self.bump();
-            } else {
-                break;
-            }
-        }
+        let s = &self.src[start..self.pos];
         let tok = if is_float {
             Tok::Float(s.parse().map_err(|e| self.err(format!("bad float: {e}")))?)
         } else {
@@ -333,21 +334,31 @@ impl Parser {
 
     // pred := and_expr ( "or" and_expr )*
     fn pred(&mut self) -> Result<Predicate, ParseError> {
-        let mut left = self.and_expr()?;
-        while self.eat_kw("or") {
-            let right = self.and_expr()?;
-            left = left.or(right);
-        }
-        Ok(left)
+        self.chain("or", Self::and_expr, Predicate::Or)
     }
 
+    // and_expr := unary ( "and" unary )*
     fn and_expr(&mut self) -> Result<Predicate, ParseError> {
-        let mut left = self.unary()?;
-        while self.eat_kw("and") {
-            let right = self.unary()?;
-            left = left.and(right);
+        self.chain("and", Self::unary, Predicate::And)
+    }
+
+    /// `operand (kw operand)*`: one operand as itself, more as one
+    /// connective over them; a parenthesised operand stays one operand.
+    fn chain(
+        &mut self,
+        kw: &str,
+        operand: fn(&mut Self) -> Result<Predicate, ParseError>,
+        connective: fn(Vec<Predicate>) -> Predicate,
+    ) -> Result<Predicate, ParseError> {
+        let first = operand(self)?;
+        if !self.is_kw(kw) {
+            return Ok(first);
         }
-        Ok(left)
+        let mut operands = vec![first];
+        while self.eat_kw(kw) {
+            operands.push(operand(self)?);
+        }
+        Ok(connective(operands))
     }
 
     fn unary(&mut self) -> Result<Predicate, ParseError> {
@@ -579,19 +590,62 @@ mod tests {
                  and score >= 2.5 and delta > -3 and active = true;"#,
         )
         .unwrap();
-        let fp = p.fingerprint();
-        assert!(fp.contains("S(specialty~DBA)"), "{fp}");
-        assert!(fp.contains("H(name)"), "{fp}");
-        assert!(fp.contains("f2.5"), "{fp}");
-        assert!(fp.contains("i-3"), "{fp}");
-        assert!(fp.contains("btrue"), "{fp}");
+        let text = p.to_string();
+        assert!(text.contains(r#"(specialty contains "DBA")"#), "{text}");
+        assert!(text.contains("(has name)"), "{text}");
+        assert!(text.contains("(score >= 2.5)"), "{text}");
+        assert!(text.contains("(delta > -3)"), "{text}");
+        assert!(text.contains("(active = true)"), "{text}");
+    }
+
+    fn value_of(p: &Pattern) -> &AttrValue {
+        match &p.nodes()[0].predicate {
+            Predicate::Cmp { value, .. } => value,
+            other => panic!("not a comparison: {other:?}"),
+        }
     }
 
     #[test]
     fn string_escapes() {
-        let p = parse(r#"node a where name = "say \"hi\"\n";"#).unwrap();
-        let fp = p.fingerprint();
-        assert!(fp.contains("say \"hi\"\n"), "{fp}");
+        let p = parse(r#"node a where name = "say \"hi\"\n\t\\";"#).unwrap();
+        assert_eq!(value_of(&p), &AttrValue::Str("say \"hi\"\n\t\\".into()));
+        let err = parse(r#"node a where name = "\é";"#).unwrap_err();
+        assert!(err.msg.contains("bad escape \\é"), "{err}");
+    }
+
+    #[test]
+    fn strings_are_utf8() {
+        let p = parse(r#"node a where label = "Müller";"#).unwrap();
+        assert_eq!(p.nodes()[0].predicate.required_label(), Some("Müller"));
+        assert_eq!(p.to_string(), "node a where label = \"Müller\";\n");
+        // a column counts characters, not bytes
+        let err = parse("node a where label = \"é\" ?;").unwrap_err();
+        assert_eq!((err.line, err.col), (1, 26), "{err}");
+    }
+
+    #[test]
+    fn integral_floats_stay_floats() {
+        for (src, value) in [
+            ("2.0", 2.0),
+            ("-0.0", -0.0),
+            ("100000000000000000000.0", 1e20),
+        ] {
+            let p = parse(&format!("node a where x >= {src};")).unwrap();
+            assert_eq!(value_of(&p), &AttrValue::Float(value));
+            assert_eq!(p.to_string(), format!("node a where x >= {src};\n"));
+        }
+        let p = parse("node a where x >= -0.0;").unwrap();
+        assert!(matches!(value_of(&p), AttrValue::Float(v) if v.is_sign_negative()));
+    }
+
+    #[test]
+    fn a_parenthesised_operand_stays_one_operand() {
+        let grouped = r#"node a where (label = "a),L(b") and (has c);"#;
+        let flat = r#"node a where (label = "a") and (label = "b") and (has c);"#;
+        let (g, f) = (parse(grouped).unwrap(), parse(flat).unwrap());
+        assert_ne!(g.to_string(), f.to_string());
+        let nested = "node a where ((has a) and (has b)) and (has c);\n";
+        assert_eq!(parse(nested).unwrap().to_string(), nested);
     }
 
     #[test]
@@ -635,21 +689,95 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::generate::{random_pattern, PatternConfig, PatternShape};
+    use crate::PatternNode;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Strings that broke the text before: non-ASCII, the lexer's four
+    /// escapes, other control characters, and a label that looked like
+    /// the old encoding's separators; then printable and ASCII runs.
+    fn text() -> BoxedStrategy<String> {
+        let ascii = proptest::collection::vec(0u8..0x80, 0..6);
+        prop_oneof![
+            Just("Müller".to_owned()),
+            Just("a),L(b".to_owned()),
+            Just("say \"hi\" \\ \t\n".to_owned()),
+            "\\PC{0,8}",
+            ascii.prop_map(|bytes| bytes.into_iter().map(char::from).collect()),
+        ]
+        .boxed()
+    }
+
+    /// Integral floats (which once printed as ints), `-0.0`, any finite
+    /// float, any int, strings and bools.
+    fn value() -> impl Strategy<Value = AttrValue> {
+        let finite = |bits| match f64::from_bits(bits) {
+            v if v.is_finite() => AttrValue::Float(v),
+            _ => AttrValue::Float(0.5),
+        };
+        prop_oneof![
+            (-1000i64..1000).prop_map(|v| AttrValue::Float(v as f64)),
+            Just(AttrValue::Float(-0.0)),
+            (0u64..=u64::MAX).prop_map(finite),
+            (-1000i64..1000, 1i64..100).prop_map(|(n, d)| AttrValue::Float(n as f64 / d as f64)),
+            (i64::MIN..=i64::MAX).prop_map(AttrValue::Int),
+            text().prop_map(AttrValue::Str),
+            proptest::bool::ANY.prop_map(AttrValue::Bool),
+        ]
+    }
+
+    /// Keys, keywords that are fine where a key stands among them.
+    fn key() -> impl Strategy<Value = String> {
+        let keys = ["experience", "and", "or", "contains", "where", "_k9"];
+        (0..keys.len()).prop_map(move |i| keys[i].to_owned())
+    }
+
+    /// Any condition tree up to `depth` connectives deep, connectives of
+    /// 0 to 3 operands included.
+    fn predicate(depth: u32) -> BoxedStrategy<Predicate> {
+        let op = [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ];
+        let atom = prop_oneof![
+            Just(Predicate::True),
+            text().prop_map(Predicate::Label),
+            (key(), 0..op.len(), value()).prop_map(move |(k, i, v)| Predicate::cmp(k, op[i], v)),
+            key().prop_map(Predicate::HasAttr),
+            (key(), text()).prop_map(|(k, s)| Predicate::contains(k, s)),
+        ]
+        .boxed();
+        if depth == 0 {
+            return atom;
+        }
+        let inner = predicate(depth - 1);
+        prop_oneof![
+            atom.clone(),
+            atom,
+            proptest::collection::vec(inner.clone(), 0..4).prop_map(Predicate::And),
+            proptest::collection::vec(inner.clone(), 0..4).prop_map(Predicate::Or),
+            inner.prop_map(Predicate::negate),
+        ]
+        .boxed()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// `parse(display(p))` is the identity on fingerprints for every
-        /// generated pattern — the Display form is a complete, lossless
-        /// serialization in the DSL.
+        /// `parse(display(p))` prints `display(p)` for every generated
+        /// pattern: the text is a pattern's identity, so it must survive
+        /// any label, string, number and connective tree.
         #[test]
         fn display_parse_roundtrip(
             seed in 0u64..10_000,
             nodes in 1usize..7,
             shape_idx in 0usize..5,
+            extra in proptest::collection::vec(predicate(3), 6),
         ) {
             let shape = [
                 PatternShape::Chain,
@@ -658,14 +786,19 @@ mod proptests {
                 PatternShape::Cycle,
                 PatternShape::Dag,
             ][shape_idx];
-            let labels = vec!["SA".into(), "SD".into(), "a b".into(), "x\"y".into()];
-            let mut cfg = PatternConfig::new(shape, nodes, labels);
+            let labels = ["SA", "a b", "x\"y", "Müller", "a),L(b", "\\\t\n\r\u{1}"];
+            let mut cfg = PatternConfig::new(shape, nodes, labels.map(String::from).to_vec());
             cfg.extra_edges = 2;
             let p = random_pattern(&mut StdRng::seed_from_u64(seed), &cfg);
+            let nodes = p.nodes().iter().zip(extra).map(|(n, extra)| PatternNode {
+                name: n.name.clone(),
+                predicate: n.predicate.clone().and(extra),
+            });
+            let p = Pattern::from_parts(nodes.collect(), p.edges().to_vec(), p.output()).unwrap();
             let text = p.to_string();
             let reparsed = parse(&text)
                 .unwrap_or_else(|e| panic!("reparse failed: {e}\n{text}"));
-            prop_assert_eq!(p.fingerprint(), reparsed.fingerprint());
+            prop_assert_eq!(reparsed.to_string(), text);
         }
 
         /// The parser never panics on arbitrary input.

@@ -9,7 +9,7 @@
 //!
 //! [compiled]: Predicate::compile
 
-use expfinder_graph::{AttrValue, GraphView, Sym, VertexData};
+use expfinder_graph::{AttrValue, GraphView, Quoted, Sym, VertexData};
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -236,24 +236,24 @@ impl Predicate {
         }
     }
 
-    /// Stable textual form for fingerprints (not meant for humans — see
-    /// `Display` for that).
-    pub fn fingerprint(&self) -> String {
+    /// The first attribute key or value here the DSL cannot write back:
+    /// a key that is no identifier, a compared or searched key that opens
+    /// another atom (`label`, `true`, `not`, `has`), or a non-finite float.
+    pub(crate) fn unspellable(&self) -> Option<String> {
+        let bad = |k: &str, atom: bool| {
+            let opens_atom = atom && matches!(k, "label" | "true" | "not" | "has");
+            (!crate::is_ident(k) || opens_atom).then(|| format!("attribute key {k:?}"))
+        };
         match self {
-            Predicate::True => "T".into(),
-            Predicate::Label(l) => format!("L({l})"),
-            Predicate::Cmp { key, op, value } => format!("C({key}{op}{})", value.canonical()),
-            Predicate::HasAttr(k) => format!("H({k})"),
-            Predicate::Contains { key, needle } => format!("S({key}~{needle})"),
-            Predicate::And(ps) => {
-                let inner: Vec<_> = ps.iter().map(|p| p.fingerprint()).collect();
-                format!("A[{}]", inner.join(","))
-            }
-            Predicate::Or(ps) => {
-                let inner: Vec<_> = ps.iter().map(|p| p.fingerprint()).collect();
-                format!("O[{}]", inner.join(","))
-            }
-            Predicate::Not(p) => format!("N[{}]", p.fingerprint()),
+            Predicate::True | Predicate::Label(_) => None,
+            Predicate::HasAttr(key) => bad(key, false),
+            Predicate::Cmp {
+                value: AttrValue::Float(v),
+                ..
+            } if !v.is_finite() => Some(format!("float {v}")),
+            Predicate::Cmp { key, .. } | Predicate::Contains { key, .. } => bad(key, true),
+            Predicate::And(ps) | Predicate::Or(ps) => ps.iter().find_map(Predicate::unspellable),
+            Predicate::Not(p) => p.unspellable(),
         }
     }
 
@@ -289,27 +289,32 @@ impl Predicate {
     }
 }
 
+/// The DSL text of a condition, which parses back to itself: every `and`
+/// / `or` operand is parenthesised; one operand prints as itself, no
+/// operands as `true` (`and`) or `not (true)` (`or`).
 impl fmt::Display for Predicate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Predicate::True => write!(f, "true"),
-            Predicate::Label(l) => write!(f, "label = {l:?}"),
-            Predicate::Cmp { key, op, value } => match value {
-                AttrValue::Str(s) => write!(f, "{key} {op} {s:?}"),
-                other => write!(f, "{key} {op} {other}"),
-            },
+            Predicate::True => f.write_str("true"),
+            Predicate::Label(l) => write!(f, "label = {}", Quoted(l)),
+            Predicate::Cmp { key, op, value } => write!(f, "{key} {op} {value}"),
             Predicate::HasAttr(k) => write!(f, "has {k}"),
-            Predicate::Contains { key, needle } => write!(f, "{key} contains {needle:?}"),
-            Predicate::And(ps) => {
-                let inner: Vec<_> = ps.iter().map(|p| format!("({p})")).collect();
-                write!(f, "{}", inner.join(" and "))
-            }
-            Predicate::Or(ps) => {
-                let inner: Vec<_> = ps.iter().map(|p| format!("({p})")).collect();
-                write!(f, "{}", inner.join(" or "))
-            }
+            Predicate::Contains { key, needle } => write!(f, "{key} contains {}", Quoted(needle)),
+            Predicate::And(ps) => operands(f, ps, " and ", "true"),
+            Predicate::Or(ps) => operands(f, ps, " or ", "not (true)"),
             Predicate::Not(p) => write!(f, "not ({p})"),
         }
+    }
+}
+
+fn operands(f: &mut fmt::Formatter<'_>, ps: &[Predicate], sep: &str, none: &str) -> fmt::Result {
+    match ps {
+        [] => f.write_str(none),
+        [p] => write!(f, "{p}"),
+        _ => ps.iter().enumerate().try_for_each(|(i, p)| {
+            let sep = if i == 0 { "" } else { sep };
+            write!(f, "{sep}({p})")
+        }),
     }
 }
 
@@ -502,16 +507,26 @@ mod tests {
     }
 
     #[test]
-    fn fingerprints_distinguish() {
+    fn texts_distinguish() {
         let a = Predicate::attr_ge("experience", 5);
         let b = Predicate::attr_ge("experience", 6);
         let c = Predicate::attr_gt("experience", 5);
-        assert_ne!(a.fingerprint(), b.fingerprint());
-        assert_ne!(a.fingerprint(), c.fingerprint());
+        let d = Predicate::attr_ge("experience", 5.0);
+        assert_ne!(a.to_string(), b.to_string());
+        assert_ne!(a.to_string(), c.to_string());
+        assert_ne!(a.to_string(), d.to_string(), "an integral float is no int");
         assert_eq!(
-            a.fingerprint(),
-            Predicate::attr_ge("experience", 5).fingerprint()
+            a.to_string(),
+            Predicate::attr_ge("experience", 5).to_string()
         );
+    }
+
+    #[test]
+    fn degenerate_connectives_print_as_their_meaning() {
+        assert_eq!(Predicate::And(vec![]).to_string(), "true");
+        assert_eq!(Predicate::Or(vec![]).to_string(), "not (true)");
+        let one = Predicate::And(vec![Predicate::label("A")]);
+        assert_eq!(one.to_string(), Predicate::label("A").to_string());
     }
 
     #[test]

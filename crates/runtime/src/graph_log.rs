@@ -43,18 +43,19 @@ pub(crate) struct GraphLog {
 /// locks it after finds no log to append to.
 pub(crate) type LogSlot = Arc<Mutex<Option<GraphLog>>>;
 
-/// The DSL text a `register` record carries for `pattern`: its `Display`
-/// form, verified to re-parse to the same fingerprint.
+/// The DSL text a `register` record carries for `pattern`
+/// ([`Pattern::fingerprint`]), verified to parse back to itself — the
+/// text replay will read.
 fn dsl_source(pattern: &Pattern) -> Result<String, ExpFinderError> {
-    let source = pattern.to_string();
-    let reparsed = parser::parse(&source)
+    let text = pattern.fingerprint();
+    let reparsed = parser::parse(&text)
         .map_err(|e| ExpFinderError::Storage(format!("pattern does not round-trip: {e}")))?;
-    if reparsed.fingerprint() != pattern.fingerprint() {
+    if reparsed.fingerprint() != text {
         return Err(ExpFinderError::Storage(
             "pattern does not round-trip through its DSL form".to_owned(),
         ));
     }
-    Ok(source)
+    Ok(text)
 }
 
 /// Replay one recovered WAL record onto a graph nobody reads yet: the
@@ -165,11 +166,13 @@ impl GraphLog {
         // swap is atomic (tmp + rename), so no crash point between the
         // old log and the new one can lose a live registration.
         let seeds: Vec<WalOp> = rt.engine.write(&self.handle, |core| {
-            let seed = |(name, pattern): (&str, &Pattern)| WalOp::Register {
-                query: name.to_owned(),
-                pattern: pattern.to_string(),
+            let seed = |(name, pattern): (&str, &Pattern)| {
+                Ok(WalOp::Register {
+                    query: name.to_owned(),
+                    pattern: dsl_source(pattern)?,
+                })
             };
-            Ok(core.registered_patterns().map(seed).collect())
+            core.registered_patterns().map(seed).collect()
         })?;
         let sizes = self
             .wal

@@ -536,6 +536,26 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// `<name>.efg` is the graph text format, on add and on compaction.
+    #[test]
+    fn snapshots_are_written_in_the_text_format() {
+        let dir = tmpdir("efg_text");
+        let f = collaboration_fig1();
+        let rt = DurableExpFinder::open(&dir, sequential_config()).unwrap();
+        rt.add_graph("fig1", f.graph.clone()).unwrap();
+        let header = |what| {
+            let body = std::fs::read_to_string(dir.join("fig1.efg")).unwrap();
+            assert!(
+                body.starts_with("# expfinder-graph v1\n"),
+                "{what}: {body:.40}"
+            );
+        };
+        header("add");
+        rt.compact("fig1").unwrap();
+        header("compact");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn registered_query_is_served_and_maintained() {
         let dir = tmpdir("registered");

@@ -142,6 +142,7 @@ pub fn parse_body(body: &[u8]) -> Result<Value, WireError> {
 #[derive(Debug)]
 pub struct QueryRequest {
     pub pattern: Pattern,
+    /// The `pattern` field as sent (serving reads only `pattern`).
     pub dsl: String,
     pub top_k: Option<usize>,
     pub route: Route,

@@ -3,11 +3,16 @@
 layers owes (`just wire-parity PARENT_SERVE CHANGE_SERVE`).
 
 Each binary is booted twice — in memory and on a fresh `--data-dir` —
-with the paper's Fig. 1 fixture, and sent the same fixed script of ~35
+with the paper's Fig. 1 fixture, and sent the same fixed script of ~40
 requests: every route preference, `deadline_ms: 0`, bad DSL, unknown
 graph / field / route / method, register x3 including a duplicate,
 updates including a no-op, an empty batch and out-of-range ids, a batch
 with a bad slot, graph adds including a duplicate and a path-like name.
+The script ends with the patterns whose DSL text once went wrong: a
+register of an integral float (`experience >= 2.0`), then, on an added
+graph, a query for a non-ASCII label and two patterns whose old cache
+encodings collided, sent in that order at one version (the second must
+be evaluated and answer 1 pair).
 Numeric `*_us` / `*_ms` values under `timings` are masked; every other
 byte of every response body, and every status, must match. A differing
 response is reported as the JSON paths at which the bodies differ
@@ -35,6 +40,17 @@ WIDE = (
     'node sa* where label = "SA"; node sd where label = "SD"; '
     'node st where label = "ST"; edge sa -> sd within 3; edge sd -> st within 3;'
 )
+EXP2 = "node sa* where experience >= 2.0;"
+MULLER = 'node x* where label = "Müller";'
+SPLIT = 'node a* where (label = "a") and (label = "b") and (has c);'
+GROUPED = 'node a* where (label = "a),L(b") and (has c);'
+NAMES = {
+    "nodes": [
+        {"label": "Müller", "attrs": []},
+        {"label": "a),L(b", "attrs": [["c", {"Int": 1}]]},
+    ],
+    "edges": [],
+}
 GRAPH = {
     "nodes": [
         {"label": "SA", "attrs": [["name", {"Str": "Ann"}]]},
@@ -94,6 +110,11 @@ SCRIPT = [
     ("GET", "/graphs", None),
     ("GET", "/healthz", None),
     ("GET", "/nope", None),
+    ("POST", "/graphs/fig1/register", {"name": "exp2", "pattern": EXP2}),
+    ("POST", "/graphs", {"name": "names", "graph": NAMES}),
+    ("POST", "/graphs/names/query", q(MULLER, top_k=1)),
+    ("POST", "/graphs/names/query", q(SPLIT)),
+    ("POST", "/graphs/names/query", q(GROUPED)),
 ]
 
 

@@ -99,7 +99,7 @@ use expfinder::engine::{
     QuerySpec, RankTotals, Route, Snapshot, UpdateHook, UpdateReport,
 };
 use expfinder::graph::fixtures::collaboration_fig1;
-use expfinder::graph::{BitSet, CsrGraph, DiGraph, EdgeUpdate, GraphView, NodeId};
+use expfinder::graph::{AttrValue, BitSet, CsrGraph, DiGraph, EdgeUpdate, GraphView, NodeId};
 use expfinder::pattern::fixtures::fig1_pattern;
 use expfinder::pattern::{parser, Bound, Pattern, PatternBuilder, Predicate};
 use expfinder::runtime::faults::{Fault, CRASH_MARKER};
@@ -1796,6 +1796,85 @@ fn fig1_answers_alike_on_every_taken_route_of_both_facades() {
         "snapshot_parallel",
     ];
     assert_eq!(taken, BTreeSet::from(all));
+}
+
+/// Nodes whose labels hold what a pattern's text must escape or decode:
+/// `a),L(b` (with `c`), `Müller` (with `experience = 3`), and the label
+/// `A\u{1}k\u{2}i5` next to an `A` with `k = 5`, which once shared a
+/// compression signature.
+fn names_graph() -> DiGraph {
+    let mut g = DiGraph::new();
+    g.add_node("a),L(b", [("c", AttrValue::Int(1))]);
+    g.add_node("Müller", [("experience", AttrValue::Int(3))]);
+    g.add_node("A\u{1}k\u{2}i5", []);
+    g.add_node("A", [("k", AttrValue::Int(5))]);
+    g
+}
+
+/// A pattern's text is its cache key. These two once encoded alike, so
+/// the second read at one version was served the first one's empty
+/// relation from the cache.
+#[test]
+fn patterns_that_once_encoded_alike_take_two_cache_slots() {
+    let h = Harness::new(names_graph(), 1);
+    let split = r#"node a* where (label = "a") and (label = "b") and (has c);"#;
+    let grouped = r#"node a* where (label = "a),L(b") and (has c);"#;
+    let [split, grouped] = [split, grouped].map(|src| parser::parse(src).unwrap());
+    let first = h.query(&split, Route::Auto, None, Fuse::None).unwrap();
+    assert_eq!(first.matches.total_pairs(), 0);
+    let second = h.query(&grouped, Route::Auto, None, Fuse::None).unwrap();
+    assert_eq!(
+        second.plan.chosen,
+        PlanRoute::Snapshot,
+        "evaluated, not cached"
+    );
+    assert_eq!(second.matches.total_pairs(), 1);
+    let again = h.query(&grouped, Route::Auto, None, Fuse::None).unwrap();
+    assert_eq!(again.plan.chosen, PlanRoute::Cache);
+    h.agree();
+}
+
+/// An integral float and a non-ASCII label: both match, both register on
+/// both facades (the durable one logs their text and checks that it
+/// parses back to itself), and after a restart both read `registered`.
+#[test]
+fn an_integral_float_and_a_non_ascii_label_register_and_survive_a_restart() {
+    let mut h = Harness::new(names_graph(), 1);
+    let exp = parser::parse("node x* where experience >= 2.0;").unwrap();
+    let muller = parser::parse(r#"node x* where label = "Müller";"#).unwrap();
+    for q in [&exp, &muller] {
+        let resp = h.query(q, Route::Direct, Some(2), Fuse::None).unwrap();
+        assert_eq!(resp.matches.total_pairs(), 1, "{q}");
+    }
+    h.register("exp", &exp);
+    h.register("muller", &muller);
+    assert_eq!(h.model.registered.len(), 2, "both facades registered both");
+    let h = h.restart();
+    for q in [&exp, &muller] {
+        let resp = h.query(q, Route::Auto, Some(2), Fuse::None).unwrap();
+        assert_eq!(resp.plan.chosen, PlanRoute::Registered, "{q}");
+        assert_eq!(resp.matches.total_pairs(), 1, "{q}");
+    }
+    h.agree();
+}
+
+/// The compressed route answers as the direct one on a graph whose
+/// labels hold the old signature separators.
+#[test]
+fn the_compressed_route_keeps_nodes_whose_content_only_printed_alike() {
+    let mut h = Harness::new(names_graph(), 1);
+    h.compress();
+    let q = parser::parse(r#"node x* where label = "A";"#).unwrap();
+    for prefer in [Route::Direct, Route::Compressed] {
+        let resp = h.query(&q, prefer, Some(2), Fuse::None).unwrap();
+        assert_eq!(resp.matches.total_pairs(), 1, "{prefer:?}");
+    }
+    let [(c, hd), _] = h.reads();
+    assert_eq!(
+        c.compression_stats(hd).unwrap().unwrap().compressed_nodes,
+        4
+    );
+    h.agree();
 }
 
 /// A cold ranked read expands a node's `G_r` row once, at the deepest
