@@ -12,8 +12,8 @@
 //!
 //! Costs are rounded to integer work units before encoding.
 
-use crate::matchbench::{collab_team_star_pattern, twitter_audience_pattern};
-use crate::{collab_graph, collab_pattern, json_obj as obj, twitter_graph, SEED};
+use crate::matchbench::collab_team_star_pattern;
+use crate::{collab_graph, collab_pattern, json_obj as obj, SEED};
 use expfinder_compress::CompressionMethod;
 use expfinder_engine::{
     EngineConfig, ExpFinder, GraphHandle, PlanDecision, QueryResponse, QuerySpec, Route,
@@ -68,19 +68,17 @@ fn step(
     (doc, resp)
 }
 
-/// One scenario: a fresh engine, one seeded graph, a scripted sequence
-/// of queries (each `(pattern, prefer)`), with optional update batches
-/// and compression between steps driven by the closure.
+/// One scenario: a fresh sequential engine, one seeded graph, a
+/// scripted sequence of queries (each `(pattern, prefer)`), with optional
+/// update batches and compression between steps driven by the closure.
 fn scenario(
     name: &str,
-    threads: usize,
     graph: expfinder_graph::DiGraph,
     script: impl FnOnce(&ExpFinder, &GraphHandle, &mut Vec<Value>),
 ) -> Value {
-    let engine = ExpFinder::new(EngineConfig {
-        threads,
-        ..EngineConfig::default()
-    });
+    let config = EngineConfig::sequential();
+    let threads = config.threads;
+    let engine = ExpFinder::new(config);
     let nodes = expfinder_graph::GraphView::node_count(&graph);
     let edges = expfinder_graph::GraphView::edge_count(&graph);
     let h = engine.add_graph(name, graph).expect("add scenario graph");
@@ -106,7 +104,6 @@ pub fn run_plan_bench() -> Value {
     // graph's, not the version's, so an update batch keeps the discount.
     scenarios.push(scenario(
         "collab_warm_class_seeded",
-        1,
         collab_graph(1500, SEED),
         |engine, h, steps| {
             let q = collab_team_star_pattern();
@@ -129,24 +126,10 @@ pub fn run_plan_bench() -> Value {
         },
     ));
 
-    // With a thread budget a single large query pays for the parallel
-    // route's worker setup.
-    scenarios.push(scenario(
-        "twitter_parallel",
-        4,
-        twitter_graph(5000, SEED),
-        |engine, h, steps| {
-            let q = twitter_audience_pattern();
-            steps.push(step(engine, h, &q, Route::Direct, 0).0);
-            steps.push(step(engine, h, &q, Route::Direct, 1).0);
-        },
-    ));
-
     // A compression-safe pattern on a compressed graph routes to the
     // quotient; `prefer=compressed` on a later step records an override.
     scenarios.push(scenario(
         "collab_compressed",
-        1,
         collab_graph(1500, SEED),
         |engine, h, steps| {
             engine
@@ -162,7 +145,6 @@ pub fn run_plan_bench() -> Value {
     // query is a cache hit with no costed candidates.
     scenarios.push(scenario(
         "collab_cache_hit",
-        1,
         collab_graph(1500, SEED),
         |engine, h, steps| {
             let q = collab_pattern();
@@ -240,9 +222,6 @@ mod tests {
             .collect();
         assert!(costs[1] < costs[0], "the index discount warms: {costs:?}");
         assert!(costs[3] <= costs[2], "an update keeps it: {costs:?}");
-
-        let parallel = scenario_by_name(&doc, "twitter_parallel");
-        assert_eq!(chosen(parallel, 0), "snapshot_parallel");
 
         let compressed = scenario_by_name(&doc, "collab_compressed");
         assert_eq!(chosen(compressed, 0), "compressed");

@@ -70,10 +70,7 @@ pub struct EvalStats {
 /// Compute the maximum bounded simulation `M(Q,G)` with default options.
 /// Never fails — the `Result` is kept for signature parity with
 /// [`graph_simulation`].
-pub fn bounded_simulation<G: GraphView + Sync>(
-    g: &G,
-    q: &Pattern,
-) -> Result<MatchRelation, MatchError> {
+pub fn bounded_simulation<G: GraphView>(g: &G, q: &Pattern) -> Result<MatchRelation, MatchError> {
     evaluate(g, q, EvalRequest::new(Semantics::Bounded))
         .map(|(m, _)| m)
         .map_err(EvalError::uncancelled)
@@ -86,10 +83,7 @@ pub fn bounded_simulation<G: GraphView + Sync>(
 ///
 /// Errors with [`MatchError::NotASimulationPattern`] if any bound exceeds
 /// one hop — those queries belong to [`bounded_simulation`].
-pub fn graph_simulation<G: GraphView + Sync>(
-    g: &G,
-    q: &Pattern,
-) -> Result<MatchRelation, MatchError> {
+pub fn graph_simulation<G: GraphView>(g: &G, q: &Pattern) -> Result<MatchRelation, MatchError> {
     if !q.is_simulation() {
         return Err(MatchError::NotASimulationPattern);
     }
@@ -102,7 +96,7 @@ pub fn graph_simulation<G: GraphView + Sync>(
 /// must be bound to the same snapshot as `g`; results are bit-identical
 /// either way (the entry is exactly the BFS answer), only
 /// `EvalStats::index_hits` and the traversal work change.
-pub fn bounded_simulation_indexed<G: GraphView + Sync>(
+pub fn bounded_simulation_indexed<G: GraphView>(
     g: &G,
     q: &Pattern,
     _: EvalOptions,
@@ -118,6 +112,27 @@ pub fn bounded_simulation_indexed<G: GraphView + Sync>(
         Ok(r) => r,
         Err(_) => unreachable!("bounded simulation takes any pattern and no token"),
     }
+}
+
+/// [`bounded_simulation_indexed`] on a fresh scratch. There is one
+/// fixpoint engine, so `threads` is ignored; the function stays, with
+/// its signature, because the repo benchmark's direct-call rows call it
+/// (`core.parallel_bsim_ms`). Never fails — the `Result` is kept for
+/// that signature.
+pub fn parallel_bounded_simulation_indexed<G: GraphView>(
+    g: &G,
+    q: &Pattern,
+    _threads: usize,
+    index: Option<&dyn ReachProvider>,
+) -> Result<(MatchRelation, EvalStats), MatchError> {
+    let mut scratch = EvalScratch::new();
+    Ok(bounded_simulation_indexed(
+        g,
+        q,
+        EvalOptions,
+        &mut scratch,
+        index,
+    ))
 }
 
 /// Sequential bounded simulation behind [`evaluate`]: seed the candidate

@@ -27,7 +27,7 @@ use expfinder_graph::{CancelToken, GraphView, ReachProvider};
 use expfinder_pattern::Pattern;
 
 /// Compute the maximum bounded **dual** simulation relation.
-pub fn dual_simulation<G: GraphView + Sync>(g: &G, q: &Pattern) -> MatchRelation {
+pub fn dual_simulation<G: GraphView>(g: &G, q: &Pattern) -> MatchRelation {
     match evaluate(g, q, EvalRequest::new(Semantics::Dual)) {
         Ok((m, _)) => m,
         Err(_) => unreachable!("dual simulation takes any pattern and no token"),

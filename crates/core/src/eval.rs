@@ -1,9 +1,8 @@
 //! The one evaluation entry point.
 //!
 //! Every way of computing a match relation in this crate — two
-//! semantics, the sequential fixpoint or the parallel refinement, with or
-//! without caller-owned scratch, a per-snapshot reach index or a
-//! cancellation token — is one call: [`evaluate`] with an
+//! semantics, with or without caller-owned scratch, a per-snapshot reach
+//! index or a cancellation token — is one call: [`evaluate`] with an
 //! [`EvalRequest`]. The paper-named wrappers ([`crate::graph_simulation`],
 //! [`crate::bounded_simulation`], [`crate::dual_simulation`]) and the two
 //! indexed wrappers are fixed requests.
@@ -11,7 +10,7 @@
 use crate::bsim::EvalStats;
 use crate::fixpoint::{Cancelled, EvalScratch};
 use crate::matchrel::MatchRelation;
-use crate::{bsim, dualsim, parallel, MatchError};
+use crate::{bsim, dualsim, MatchError};
 use expfinder_graph::{CancelToken, GraphView, ReachProvider};
 use expfinder_pattern::Pattern;
 
@@ -31,31 +30,27 @@ pub enum Semantics {
 /// changes cost or observability.
 pub struct EvalRequest<'a> {
     pub semantics: Semantics,
-    /// Reusable buffers for the sequential fixpoint; `None` allocates a
-    /// fresh scratch for this call.
+    /// Reusable buffers for the fixpoint; `None` allocates a fresh
+    /// scratch for this call.
     pub scratch: Option<&'a mut EvalScratch>,
     /// Per-snapshot reach provider consulted before class-seeded first
     /// refreshes fall back to BFS. Must be bound to the same snapshot as
     /// the graph; results are bit-identical with or without it.
     pub index: Option<&'a dyn ReachProvider>,
-    /// Polled at every refresh (or round) boundary and inside each BFS; a
-    /// fired token aborts with [`EvalError::Cancelled`] before any torn
-    /// reach set is cached or applied, so scratch and index stay sound.
+    /// Polled at every refresh boundary and inside each BFS; a fired
+    /// token aborts with [`EvalError::Cancelled`] before any torn reach
+    /// set is cached or applied, so scratch and index stay sound.
     pub cancel: Option<&'a CancelToken>,
-    /// Worker threads. Above one, the round-based parallel refinement of
-    /// [`crate::parallel`] runs instead of the sequential fixpoint.
-    pub threads: usize,
 }
 
 impl EvalRequest<'_> {
-    /// Sequential, nothing attached.
+    /// Nothing attached.
     pub fn new(semantics: Semantics) -> EvalRequest<'static> {
         EvalRequest {
             semantics,
             scratch: None,
             index: None,
             cancel: None,
-            threads: 1,
         }
     }
 }
@@ -103,11 +98,10 @@ impl std::fmt::Display for EvalError {
 impl std::error::Error for EvalError {}
 
 /// Compute the maximum match relation `M(Q,G)` of `q` over `g` under
-/// `req.semantics`, with work counters. The sequential fixpoint and the
-/// parallel refinement compute the same greatest fixpoint bit for bit
-/// (judged by [`crate::naive`]); the request only decides how much work
-/// that takes and what is reused.
-pub fn evaluate<G: GraphView + Sync>(
+/// `req.semantics`, with work counters, by the one fixpoint engine of
+/// [`crate::fixpoint`] (judged by [`crate::naive`]); the rest of the
+/// request only decides how much work that takes and what is reused.
+pub fn evaluate<G: GraphView>(
     g: &G,
     q: &Pattern,
     req: EvalRequest<'_>,
@@ -117,12 +111,7 @@ pub fn evaluate<G: GraphView + Sync>(
         scratch,
         index,
         cancel,
-        threads,
     } = req;
-    if threads > 1 {
-        let dual = semantics == Semantics::Dual;
-        return Ok(parallel::refine(g, q, dual, threads, index, cancel)?);
-    }
     let mut own = None;
     let scratch = match scratch {
         Some(s) => s,
@@ -160,7 +149,8 @@ mod tests {
     /// Every retained wrapper is `evaluate` with one fixed request: same
     /// relation, same `EvalStats` (where the wrapper reports them), same
     /// error — and a disarmed token changes neither. The table is the
-    /// cross product below: wrapper × index × threads, over a fixture and
+    /// cross product below: wrapper × index × threads (which the
+    /// benchmark shim ignores), over a fixture and
     /// three random graph/pattern pairs, each also as its 1-bounded
     /// (simulation) variant.
     #[test]
@@ -222,7 +212,6 @@ mod tests {
                     let got = parallel_bounded_simulation_indexed(g, q, threads, Some(&ia));
                     let req = EvalRequest {
                         index: Some(&ib),
-                        threads,
                         ..base(Semantics::Bounded)
                     };
                     assert_eq!(got, eval(g, q, req), "parallel_bounded_simulation_indexed");

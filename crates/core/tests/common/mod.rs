@@ -165,7 +165,7 @@ pub fn apply_vertex_op(g: &mut DiGraph, op: &VertexOp) {
 /// `M(Q,G)` by the naive fixpoint that judges `semantics`, which shares
 /// no code with the engine. Plain simulation is judged by
 /// `naive_simulation` directly.
-pub fn oracle<G: GraphView + Sync>(g: &G, q: &Pattern, semantics: Semantics) -> MatchRelation {
+pub fn oracle<G: GraphView>(g: &G, q: &Pattern, semantics: Semantics) -> MatchRelation {
     match semantics {
         Semantics::Bounded => naive_bounded_simulation(g, q),
         Semantics::Dual => naive_dual_simulation(g, q),

@@ -29,8 +29,8 @@
 //! [`ReadPath`]: (1) the version-keyed result cache, (2) registered
 //! incrementally-maintained queries, and otherwise (3) the cost-based
 //! [`planner`], which estimates the work of every applicable physical
-//! route — the snapshot's own graph with its per-version reach index
-//! (sequential or parallel), the compressed quotient when one exists and
+//! route — the snapshot's own graph with its per-version reach index,
+//! the compressed quotient when one exists and
 //! the query is compression-safe — from the graph's [`CostProfile`] and
 //! picks the cheapest; then one `expfinder_core::evaluate` call on the
 //! winning substrate (bounded simulation, of which a 1-bounded pattern is
@@ -47,15 +47,12 @@
 //! maintains the graph, its compressed counterpart and every registered
 //! query in one pass and then publishes the next snapshot.
 //!
-//! Execution is parallel by default ([`EngineConfig::threads`]): on graphs large
-//! enough to pay for its workers, direct evaluation runs the parallel
-//! refinement of `expfinder-core` over the snapshot's immutable graph,
-//! consulting the reach index its version's [`Derived`] state shares,
-//! and whole batches of queries are drained across a scoped worker pool
-//! by [`Catalog::query_batch`].
-//! Parallelism never changes answers — the refinement computes the same
-//! greatest fixpoint — and [`EngineConfig::sequential`] restores the fully
-//! deterministic single-threaded schedule.
+//! One read runs on the calling thread: direct evaluation runs the one
+//! fixpoint engine of `expfinder-core` over the snapshot's immutable
+//! graph, consulting the reach index its version's [`Derived`] state
+//! shares. The thread budget ([`EngineConfig::threads`]) is the width of
+//! the scoped worker pool [`Catalog::query_batch`] drains a batch across;
+//! [`EngineConfig::sequential`] drains it on the calling thread.
 //!
 //! ```
 //! use expfinder_engine::{ExpFinder, QuerySpec, Route};
@@ -104,19 +101,15 @@ use thiserror::Error;
 /// `threads` defaults to [`std::thread::available_parallelism`];
 /// [`EngineConfig::sequential`] sets it to 1 for fully sequential,
 /// deterministic-schedule execution (the escape hatch tests use). Results
-/// are bit-identical either way — the parallel refinement computes the
-/// same greatest fixpoint.
+/// are bit-identical either way — every slot runs the same read.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
     /// Cached query results kept per engine (LRU).
     pub cache_capacity: usize,
-    /// The thread budget of one read. A single query spends it *inside*
-    /// the query: parallel refinement over the snapshot's graph, and
-    /// result-graph construction. `1` disables the parallel path; every
-    /// direct read then runs the sequential frontier engine on the same
-    /// graph and reach index, as do graphs too small to pay for the
-    /// workers whatever the budget. A [`Catalog::query_batch`] splits it
-    /// between batch workers and their queries ([`ReadPath::query_batch`]).
+    /// The fan-out width of a [`Catalog::query_batch`]: at most this many
+    /// workers drain its slots ([`ReadPath::query_batch`]). A single query
+    /// always runs on the calling thread, so the budget never changes its
+    /// plan, its cost estimate or its answer.
     pub threads: usize,
 }
 
@@ -657,9 +650,7 @@ impl Catalog {
     /// Each query runs on the snapshot it grabbed and reports the
     /// `graph_version` it observed; every response individually equals a
     /// sequential [`Catalog::query`] at that version (property-tested),
-    /// but a batch racing a writer may span versions. The thread budget
-    /// is split between batch workers and per-query refinement
-    /// ([`ReadPath::query_batch`]).
+    /// but a batch racing a writer may span versions.
     ///
     /// A `deadline` arms one [`CancelToken`] polled by every worker, so
     /// slots still running when the budget runs out come back as
@@ -975,11 +966,6 @@ mod tests {
     use super::*;
     use expfinder_graph::fixtures::collaboration_fig1;
     use expfinder_pattern::fixtures::fig1_pattern;
-
-    /// Padding target for tests that want the planner's parallel route
-    /// to win at `threads > 1`: large enough that the thread-divided
-    /// evaluation pays for `planner::PARALLEL_SETUP`.
-    const PAD_SIZE: usize = 4096;
 
     fn engine_with_fig1() -> (ExpFinder, GraphHandle, expfinder_graph::fixtures::Fig1) {
         let f = collaboration_fig1();
@@ -1331,6 +1317,34 @@ mod tests {
         assert!(e.query_batch(&h, Vec::new(), None).is_empty());
     }
 
+    /// Admission compares the sequential estimate whatever the host's
+    /// core count: on a graph where dividing the direct cost by four
+    /// threads would undercut it, a 4-thread engine estimates the same.
+    #[test]
+    fn estimate_cost_does_not_depend_on_the_thread_budget() {
+        use expfinder_graph::generate::{collaboration, CollabConfig};
+        use rand::{rngs::StdRng, SeedableRng};
+        let g = collaboration(
+            &mut StdRng::seed_from_u64(43),
+            &CollabConfig {
+                teams: 125,
+                ..CollabConfig::default()
+            },
+        );
+        let q = fig1_pattern();
+        let cost = |threads| {
+            let e = ExpFinder::new(EngineConfig {
+                threads,
+                ..EngineConfig::sequential()
+            });
+            let h = e.add_graph("g", g.clone()).unwrap();
+            e.estimate_cost(&h, &q).unwrap()
+        };
+        let direct = (g.size() * q.edge_count()) as f64;
+        assert_eq!(cost(1), direct, "a cold graph costs size × pattern edges");
+        assert_eq!(cost(4), direct);
+    }
+
     #[test]
     fn parallel_exec_identical_to_sequential() {
         let f = collaboration_fig1();
@@ -1360,38 +1374,6 @@ mod tests {
                 .map(|x| (x.node, x.rank))
                 .collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn parallel_route_sees_updates_on_the_snapshot_graph() {
-        // fig1 plus inert padding so the graph is large enough for the
-        // parallel route (a bare fig1 stays sequential)
-        let f = collaboration_fig1();
-        let mut g = f.graph.clone();
-        while g.size() < PAD_SIZE {
-            g.add_node("pad", []);
-        }
-        let e = ExpFinder::new(EngineConfig {
-            threads: 2,
-            ..EngineConfig::default()
-        });
-        let h = e.add_graph("fig1", g).unwrap();
-        let q = fig1_pattern();
-        let run = || {
-            e.query(&h, &QuerySpec::pattern(q.clone()).prefer(Route::Direct))
-                .unwrap()
-        };
-        let before = run();
-        assert_eq!(before.plan.chosen, PlanRoute::SnapshotParallel);
-        assert_eq!(before.matches.total_pairs(), 7);
-        e.apply_updates(&h, &[EdgeUpdate::Insert(f.e1.0, f.e1.1)])
-            .unwrap();
-        // the next parallel read runs on the new version's graph and
-        // must see Fred
-        let after = run();
-        assert_eq!(after.plan.chosen, PlanRoute::SnapshotParallel);
-        assert_eq!(after.matches.total_pairs(), 8, "new version evaluated");
-        assert!(after.graph_version > before.graph_version);
     }
 
     #[test]
@@ -1503,33 +1485,6 @@ mod tests {
             t3.entries, t1.entries,
             "old version's entries were replaced, not accumulated"
         );
-    }
-
-    #[test]
-    fn parallel_route_consults_the_index_with_identical_results() {
-        let f = collaboration_fig1();
-        let mut g = f.graph.clone();
-        while g.size() < PAD_SIZE {
-            g.add_node("pad", []);
-        }
-        let e = ExpFinder::new(EngineConfig {
-            threads: 3,
-            ..EngineConfig::default()
-        });
-        let h = e.add_graph("fig1", g.clone()).unwrap();
-        let q = fig1_pattern();
-        let r1 = e
-            .query(&h, &QuerySpec::pattern(q.clone()).prefer(Route::Direct))
-            .unwrap();
-        let r2 = e
-            .query(&h, &QuerySpec::pattern(q.clone()).prefer(Route::Direct))
-            .unwrap();
-        assert_eq!(*r1.matches, *r2.matches);
-        assert_eq!(r1.matches.total_pairs(), 7);
-        let t = e.index_totals();
-        // fig1_pattern seeds carry attr predicates, but at least the
-        // provider was consulted on the parallel route
-        assert!(t.hits + t.misses > 0, "parallel route is wired ({t:?})");
     }
 
     #[test]
@@ -1710,8 +1665,7 @@ mod tests {
     fn every_response_carries_a_plan_decision() {
         let (e, h, _) = engine_with_fig1();
         let q = fig1_pattern();
-        // cost-modeled evaluation: the sequential direct route wins on a
-        // tiny graph at any thread budget
+        // cost-modeled evaluation: the direct route is the only candidate
         let first = e.query(&h, &QuerySpec::pattern(q.clone())).unwrap();
         assert_eq!(first.plan.chosen, PlanRoute::Snapshot);
         assert!(!first.plan.overridden);

@@ -2,9 +2,8 @@
 //!
 //! The engine serves one logical operation — evaluate a pattern against
 //! a graph — through a few physical routes: the published snapshot's
-//! own graph with its per-version [`ReachIndex`](expfinder_graph::ReachIndex)
-//! (refined sequentially, or in parallel under a thread budget), and the
-//! maintained compressed quotient.
+//! own graph with its per-version [`ReachIndex`](expfinder_graph::ReachIndex),
+//! and the maintained compressed quotient.
 //!
 //! The planner makes that choice in one place: fold the statistics the
 //! engine already collects — the graph's reach-index hit rate — into a
@@ -20,9 +19,6 @@
 //! * **snapshot** — the direct route: one fixpoint over the snapshot's
 //!   graph, discounted by the observed reach-index hit rate
 //!   ([`INDEX_DISCOUNT`]).
-//! * **snapshot_parallel** — the same fixpoint refined by the per-query
-//!   thread budget: the direct cost divided by the threads, plus a fixed
-//!   [`PARALLEL_SETUP`] charge, so tiny graphs stay sequential.
 //! * **compressed** — the fixpoint on the maintained quotient, scaled by
 //!   the quotient/original size ratio, plus the match expansion.
 //!
@@ -42,13 +38,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// observed hit rate.
 pub const INDEX_DISCOUNT: f64 = 0.8;
 
-/// Fixed work units charged to the parallel route for spawning and
-/// joining its workers — what keeps tiny graphs sequential at any thread
-/// budget: dividing a graph's evaluation never pays for this below a
-/// few thousand work units. Not calibrated against a measured spawn/join
-/// cost yet.
-pub const PARALLEL_SETUP: f64 = 512.0;
-
 /// Work-unit discount of evaluating on the compressed quotient (smaller
 /// graph, then a linear expansion), applied on top of the
 /// quotient/original size ratio.
@@ -58,19 +47,15 @@ pub const COMPRESSED_EVAL_DISCOUNT: f64 = 0.5;
 /// record, for the exact-result short circuits).
 ///
 /// Wire strings (the `timings.plan` object of a query response):
-/// `cache`, `registered`, `snapshot`, `snapshot_parallel`, `compressed`.
+/// `cache`, `registered`, `snapshot`, `compressed`.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum PlanRoute {
     /// Exact result from the query cache (not costed).
     Cache,
     /// Exact result from a registered query's maintainer (not costed).
     Registered,
-    /// Sequential fixpoint on the published snapshot's graph,
-    /// reach-indexed.
+    /// Fixpoint on the published snapshot's graph, reach-indexed.
     Snapshot,
-    /// Parallel refinement on the published snapshot's graph,
-    /// reach-indexed.
-    SnapshotParallel,
     /// Fixpoint on the maintained compressed quotient, then expansion.
     Compressed,
 }
@@ -82,7 +67,6 @@ impl PlanRoute {
             PlanRoute::Cache => "cache",
             PlanRoute::Registered => "registered",
             PlanRoute::Snapshot => "snapshot",
-            PlanRoute::SnapshotParallel => "snapshot_parallel",
             PlanRoute::Compressed => "compressed",
         }
     }
@@ -120,12 +104,10 @@ impl CostInputs {
     }
 }
 
-/// Per-query context the profile cannot know: thread budget, pattern
-/// size, and whether a compression-safe quotient is available.
+/// Per-query context the profile cannot know: pattern size, and whether
+/// a compression-safe quotient is available.
 #[derive(Copy, Clone, Debug)]
 pub struct PlanContext {
-    /// Thread budget for parallel refinement.
-    pub threads: usize,
     /// Pattern edge count (the per-constraint work multiplier).
     pub pattern_edges: usize,
     /// `Some(ratio)` when a maintained quotient exists, the pattern is
@@ -149,8 +131,7 @@ pub struct PlanDecision {
     /// decision (`chosen` may still coincide with `planned`).
     pub overridden: bool,
     /// Every costed candidate, in deterministic order (`snapshot`,
-    /// `snapshot_parallel?`, `compressed?`). Empty for the exact-result
-    /// short circuits.
+    /// `compressed?`). Empty for the exact-result short circuits.
     pub candidates: Vec<CandidateCost>,
     /// The reach-index hit rate the winning estimate assumed — the
     /// prediction checked by [`PlanDecision::mispredicted`].
@@ -178,10 +159,8 @@ impl PlanDecision {
     /// mispredicted. Deterministic — it compares counters, not
     /// wall-clock.
     pub fn mispredicted(&self, stats: &EvalStats) -> bool {
-        matches!(
-            self.chosen,
-            PlanRoute::Snapshot | PlanRoute::SnapshotParallel
-        ) && self.expected_hit_rate >= 0.5
+        self.chosen == PlanRoute::Snapshot
+            && self.expected_hit_rate >= 0.5
             && stats.index_hits == 0
             && stats.index_misses > 0
     }
@@ -211,8 +190,8 @@ impl PlanDecision {
 }
 
 /// Estimate every candidate route's cost and pick the cheapest (ties
-/// break toward the earlier candidate, so the sequential `snapshot`
-/// route wins an exact tie). Purely deterministic in its inputs.
+/// break toward the earlier candidate, so the `snapshot` route wins an
+/// exact tie). Purely deterministic in its inputs.
 pub fn plan(inputs: &CostInputs, ctx: &PlanContext) -> PlanDecision {
     let base = inputs.size.max(1) as f64 * ctx.pattern_edges.max(1) as f64;
     let hit_rate = inputs.hit_rate();
@@ -222,12 +201,6 @@ pub fn plan(inputs: &CostInputs, ctx: &PlanContext) -> PlanDecision {
         route: PlanRoute::Snapshot,
         cost: direct,
     }];
-    if ctx.threads > 1 {
-        candidates.push(CandidateCost {
-            route: PlanRoute::SnapshotParallel,
-            cost: direct / ctx.threads as f64 + PARALLEL_SETUP,
-        });
-    }
     if let Some(ratio) = ctx.compression_ratio {
         candidates.push(CandidateCost {
             route: PlanRoute::Compressed,
@@ -335,9 +308,8 @@ impl PlannerCounters {
 mod tests {
     use super::*;
 
-    fn ctx(threads: usize, pattern_edges: usize) -> PlanContext {
+    fn ctx(pattern_edges: usize) -> PlanContext {
         PlanContext {
-            threads,
             pattern_edges,
             compression_ratio: None,
         }
@@ -357,9 +329,9 @@ mod tests {
 
     #[test]
     fn a_cold_first_read_goes_direct_at_full_cost() {
-        // nothing observed yet: the direct route is the only candidate on
-        // one thread, at the undiscounted `size × pattern edges`
-        let d = plan(&inputs(100_000, 0, 0), &ctx(1, 4));
+        // nothing observed yet: the direct route is the only candidate,
+        // at the undiscounted `size × pattern edges`
+        let d = plan(&inputs(100_000, 0, 0), &ctx(4));
         assert_eq!(d.planned, PlanRoute::Snapshot);
         assert_eq!(d.candidates.len(), 1);
         assert_eq!(cost_of(&d, PlanRoute::Snapshot), 400_000.0);
@@ -368,8 +340,8 @@ mod tests {
 
     #[test]
     fn a_warm_index_discounts_the_direct_route() {
-        let cold = plan(&inputs(20_000, 0, 0), &ctx(1, 3));
-        let warm = plan(&inputs(20_000, 120, 4), &ctx(1, 3));
+        let cold = plan(&inputs(20_000, 0, 0), &ctx(3));
+        let warm = plan(&inputs(20_000, 120, 4), &ctx(3));
         assert_eq!(warm.planned, PlanRoute::Snapshot);
         let (c, w) = (
             cost_of(&cold, PlanRoute::Snapshot),
@@ -380,37 +352,15 @@ mod tests {
     }
 
     #[test]
-    fn parallel_setup_keeps_tiny_graphs_sequential() {
-        // the pin for PARALLEL_SETUP: 4096 elements at 4 threads divide
-        // enough work to pay for the workers, 60 elements never do
-        let big = plan(&inputs(4096, 0, 0), &ctx(4, 3));
-        assert_eq!(
-            big.planned,
-            PlanRoute::SnapshotParallel,
-            "{:?}",
-            big.candidates
-        );
-        assert_eq!(
-            cost_of(&big, PlanRoute::SnapshotParallel),
-            4096.0 * 3.0 / 4.0 + PARALLEL_SETUP
-        );
-        let tiny = plan(&inputs(60, 0, 0), &ctx(4, 3));
-        assert_eq!(tiny.planned, PlanRoute::Snapshot);
-        // one thread never costs the parallel route at all
-        assert_eq!(plan(&inputs(4096, 0, 0), &ctx(1, 3)).candidates.len(), 1);
-    }
-
-    #[test]
     fn every_estimate_is_finite() {
         let c = PlanContext {
-            threads: 8,
             pattern_edges: 0,
             compression_ratio: Some(0.0),
         };
         for size in [0, 1, 60, 1 << 20] {
             for (hits, misses) in [(0, 0), (1, 0), (0, 1), (7, 3)] {
                 let d = plan(&inputs(size, hits, misses), &c);
-                assert_eq!(d.candidates.len(), 3);
+                assert_eq!(d.candidates.len(), 2);
                 assert!(d.candidates.iter().all(|c| c.cost.is_finite()), "{d:?}");
             }
         }
@@ -419,7 +369,6 @@ mod tests {
     #[test]
     fn compression_wins_until_the_index_is_warm() {
         let c = PlanContext {
-            threads: 1,
             pattern_edges: 3,
             compression_ratio: Some(0.6),
         };
@@ -432,7 +381,6 @@ mod tests {
     #[test]
     fn preference_overrides_are_recorded_not_replanned() {
         let c = PlanContext {
-            threads: 1,
             pattern_edges: 2,
             compression_ratio: Some(0.5),
         };
@@ -444,7 +392,7 @@ mod tests {
 
         // Direct preference: the caller filtered compression out of the
         // context, so the planned route is already the direct winner
-        let mut d = plan(&inputs(1000, 0, 0), &ctx(1, 2));
+        let mut d = plan(&inputs(1000, 0, 0), &ctx(2));
         d.apply_preference(crate::Route::Direct);
         assert!(d.overridden);
         assert_eq!(d.chosen, PlanRoute::Snapshot);

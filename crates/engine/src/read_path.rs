@@ -23,7 +23,7 @@ use expfinder_core::{
 use expfinder_graph::reach_index::IndexCounters;
 use expfinder_pattern::Pattern;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -100,9 +100,9 @@ type Routed = (Hit, PlanDecision, EvalStats);
 /// workers each check one out, so steady-state serving reuses BFS
 /// frontiers, reach caches, counter buffers and the result-graph and
 /// ranking buffers instead of allocating per request), the cumulative planner / evaluation / cancellation counters
-/// behind `GET /metrics`, and the thread budget.
+/// behind `GET /metrics`, and the batch fan-out width.
 pub struct ReadPath {
-    /// [`EngineConfig::threads`], at least 1.
+    /// [`EngineConfig::threads`], at least 1: the batch workers.
     threads: usize,
     cache: Mutex<QueryCache>,
     scratch: ScratchPool,
@@ -134,10 +134,9 @@ impl ReadPath {
         &self.index_counters
     }
 
-    /// Answer one query against the snapshot `resolve` hands out: routing,
-    /// evaluation, result-graph construction and ranking all see that one
-    /// state, with [`EngineConfig::threads`] workers for the parallel
-    /// stages. The read polls its own token — the caller's `token`, or a
+    /// Answer one query against the snapshot `resolve` hands out, on the
+    /// calling thread: routing, evaluation and ranking all see that one
+    /// state. The read polls its own token — the caller's `token`, or a
     /// fresh one when it has only a `deadline` — with `deadline` armed on
     /// it; a fired token aborts with
     /// [`ExpFinderError::DeadlineExceeded`] carrying the partial
@@ -152,13 +151,11 @@ impl ReadPath {
         deadline: Option<Duration>,
         token: Option<Arc<CancelToken>>,
     ) -> Result<QueryResponse, ExpFinderError> {
-        let (own, threads) = (read_token(token, deadline, None), self.threads);
+        let own = read_token(token, deadline, None);
         let cancel = own.as_deref();
-        let out = self.scratch.with(|scratch| {
-            self.execute(
-                resolve, pattern, top_k, prefer, threads, scratch, cancel, true,
-            )
-        });
+        let out = self
+            .scratch
+            .with(|scratch| self.execute(resolve, pattern, top_k, prefer, scratch, cancel, true));
         if let Some(t) = cancel {
             self.cancel_totals.drain(t);
         }
@@ -170,12 +167,8 @@ impl ReadPath {
     /// Results come back in spec order, one `Result` per spec; each slot
     /// resolves its own snapshot — a graph removed mid-batch fails its
     /// remaining slots — and reports the `graph_version` it observed.
-    ///
-    /// The thread budget is split, not multiplied: each query refines with
-    /// `threads / w` (min 1) inner threads, so a batch never runs
-    /// more than `threads + w` threads total — batch-level parallelism is
-    /// the better lever when there are many queries, per-query
-    /// parallelism when there is one.
+    /// Each slot runs on one worker, so a batch never runs more than `w`
+    /// threads.
     ///
     /// A `deadline` arms one [`CancelToken`] polled by every worker, so
     /// slots still running when the budget runs out come back as
@@ -194,35 +187,13 @@ impl ReadPath {
         }
         let batch_token = deadline.map(CancelToken::with_deadline);
         let batch_cancel = batch_token.as_deref();
-        let workers = self.threads.clamp(1, specs.len());
-        let inner_threads = (self.threads / workers).max(1);
-        let indices: Vec<usize> = (0..specs.len()).collect();
         // one pooled EvalScratch per batch worker, reused across its slots
-        let pairs = expfinder_core::parallel::run_items(
-            workers,
-            &indices,
+        let out = run_items(
+            self.threads.clamp(1, specs.len()),
+            specs.len(),
             || self.scratch.take(),
-            |scratch, &i| {
-                let spec = &specs[i];
-                (
-                    i,
-                    self.run_spec(&resolve, spec, inner_threads, scratch, batch_cancel),
-                )
-            },
+            |scratch, i| self.run_spec(&resolve, &specs[i], scratch, batch_cancel),
         );
-        let out = match pairs {
-            Some(mut pairs) => {
-                pairs.sort_by_key(|(i, _)| *i);
-                pairs.into_iter().map(|(_, r)| r).collect()
-            }
-            None => {
-                let mut scratch = self.scratch.take();
-                specs
-                    .iter()
-                    .map(|sp| self.run_spec(&resolve, sp, self.threads, &mut scratch, batch_cancel))
-                    .collect()
-            }
-        };
         if let Some(t) = &batch_token {
             self.cancel_totals.drain(t);
         }
@@ -230,14 +201,12 @@ impl ReadPath {
     }
 
     /// Resolve one [`QuerySpec`] (parsing its DSL if needed, so a parse
-    /// error fails its own slot) and run it with the given inner-thread
-    /// budget, polling the slot's own token ([`read_token`]) or else the
-    /// batch token.
+    /// error fails its own slot) and run it, polling the slot's own token
+    /// ([`read_token`]) or else the batch token.
     fn run_spec(
         &self,
         resolve: impl FnOnce() -> Result<Arc<Snapshot>, ExpFinderError>,
         spec: &QuerySpec,
-        threads: usize,
         scratch: &mut EvalScratch,
         batch_cancel: Option<&CancelToken>,
     ) -> Result<QueryResponse, ExpFinderError> {
@@ -248,7 +217,6 @@ impl ReadPath {
                 pattern,
                 spec.top_k,
                 spec.prefer,
-                threads,
                 scratch,
                 own.as_deref().or(batch_cancel),
                 false, // a batch slot fills the ranked slot but is not served from it
@@ -277,7 +245,6 @@ impl ReadPath {
         pattern: &Pattern,
         top_k: Option<usize>,
         prefer: Route,
-        threads: usize,
         scratch: &mut EvalScratch,
         cancel: Option<&CancelToken>,
         serve_held: bool,
@@ -287,9 +254,8 @@ impl ReadPath {
         let key: CacheKey = (state.id, state.version(), pattern.fingerprint().into());
         let registered = state.registered(&key.2);
         let slot = (&key, top_k.filter(|_| serve_held));
-        let ((matches, held), plan, stats) = self.route_and_eval(
-            &state, registered, pattern, slot, prefer, threads, scratch, cancel,
-        )?;
+        let ((matches, held), plan, stats) =
+            self.route_and_eval(&state, registered, pattern, slot, prefer, scratch, cancel)?;
         let evaluate_time = started.elapsed();
 
         let rank_started = Instant::now();
@@ -351,7 +317,6 @@ impl ReadPath {
         pattern: &Pattern,
         (key, top_k): (&CacheKey, Option<usize>),
         prefer: Route,
-        threads: usize,
         scratch: &mut EvalScratch,
         cancel: Option<&CancelToken>,
     ) -> Result<Routed, ExpFinderError> {
@@ -383,7 +348,7 @@ impl ReadPath {
         // 3. plan: cost every applicable physical route and take the
         // cheapest; only a `Direct` preference keeps the quotient out
         let derived = &state.derived;
-        let mut plan = plan_routes(state, pattern, prefer != Route::Direct, threads);
+        let mut plan = plan_routes(state, pattern, prefer != Route::Direct);
         plan.apply_preference(prefer);
 
         // 4. evaluate on the chosen substrate — the snapshot's graph or
@@ -396,11 +361,6 @@ impl ReadPath {
         let mut req = EvalRequest {
             scratch: Some(scratch),
             cancel,
-            threads: if plan.chosen == PlanRoute::SnapshotParallel {
-                threads
-            } else {
-                1
-            },
             ..EvalRequest::new(Semantics::Bounded)
         };
         let evaluated = match plan.chosen {
@@ -412,8 +372,7 @@ impl ReadPath {
                 req.index = Some(&bound);
                 evaluate(gc, pattern, req).map(|(m, stats)| (gc.expand(&m), stats))
             }
-            // Snapshot / SnapshotParallel (Cache/Registered never reach
-            // this point)
+            // Snapshot (Cache/Registered never reach this point)
             _ => {
                 let bound = derived.reach.bind(state.graph());
                 req.index = Some(&bound);
@@ -451,9 +410,10 @@ impl ReadPath {
     /// returns the cheapest candidate's cost. Deliberately does **not**
     /// consult the cache or registered results (peeking would skew their
     /// hit/miss counters), so the estimate is conservative: an
-    /// exact-route hit costs less than reported here.
+    /// exact-route hit costs less than reported here. Every route runs on
+    /// one thread, so the thread budget never enters it.
     pub fn estimate_cost(&self, state: &Snapshot, pattern: &Pattern) -> f64 {
-        let plan = plan_routes(state, pattern, true, self.threads);
+        let plan = plan_routes(state, pattern, true);
         plan.candidates
             .iter()
             .find(|c| c.route == plan.planned)
@@ -559,12 +519,7 @@ fn read_token(
 /// Cost every physical route applicable to `pattern` on `state`. The
 /// compressed quotient is a candidate only when one exists, the pattern
 /// is compression-safe and `try_compressed` allows it.
-fn plan_routes(
-    state: &Snapshot,
-    pattern: &Pattern,
-    try_compressed: bool,
-    threads: usize,
-) -> PlanDecision {
+fn plan_routes(state: &Snapshot, pattern: &Pattern, try_compressed: bool) -> PlanDecision {
     let compression_ratio = state
         .quotient()
         .filter(|gc| try_compressed && gc.validate_pattern(pattern).is_ok())
@@ -576,11 +531,50 @@ fn plan_routes(
         });
     let inputs = state.profile.inputs(state.graph().size());
     let ctx = PlanContext {
-        threads,
         pattern_edges: pattern.edge_count(),
         compression_ratio,
     };
     planner::plan(&inputs, &ctx)
+}
+
+/// `f(worker, i)` for every `i < n`, in index order: the batch
+/// executor's work queue. Up to `workers` scoped threads pull indices from
+/// a shared counter, each owning one `W` built by `mk_worker` (reusable
+/// scratch state); a lone worker runs inline, without a thread spawn.
+fn run_items<R: Send, W>(
+    workers: usize,
+    n: usize,
+    mk_worker: impl Fn() -> W + Sync,
+    f: impl Fn(&mut W, usize) -> R + Sync,
+) -> Vec<R> {
+    if workers <= 1 {
+        let mut worker = mk_worker();
+        return (0..n).map(|i| f(&mut worker, i)).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let mut out: Vec<(usize, R)> = Vec::with_capacity(n);
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut worker = mk_worker();
+                    let mut local = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break local;
+                        }
+                        local.push((i, f(&mut worker, i)));
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            out.extend(h.join().expect("batch worker panicked"));
+        }
+    });
+    out.sort_by_key(|(i, _)| *i);
+    out.into_iter().map(|(_, r)| r).collect()
 }
 
 /// The best `k` matches of the output node. A pattern `state` has

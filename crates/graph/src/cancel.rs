@@ -1,10 +1,10 @@
 //! Cooperative cancellation for long-running traversals and fixpoints.
 //!
 //! Bounded simulation is cubic in the worst case, so every loop that can
-//! run for a long time — a frontier BFS level sweep, a fixpoint refresh, a
-//! parallel refinement round — carries a [`CancelToken`] and polls it at
-//! its round boundary. The token follows the same discipline as the
-//! runtime's fault injector: **disarmed is one relaxed atomic load**. A
+//! run for a long time — a frontier BFS level sweep, a fixpoint refresh —
+//! carries a [`CancelToken`] and polls it at its round boundary. The
+//! token follows the same discipline as the runtime's fault injector:
+//! **disarmed is one relaxed atomic load**. A
 //! token that carries no deadline and was never cancelled costs a single
 //! `Relaxed` load per check, so threading it through the hot paths is
 //! effectively free (guarded by a bench gate, see `matchbench`).

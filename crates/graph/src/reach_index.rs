@@ -61,10 +61,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 
-/// Source of class-reach sets consulted by the matching fixpoints before
-/// they fall back to a frontier BFS. `Sync` is a supertrait so one
-/// provider can serve the parallel refinement's workers directly.
-pub trait ReachProvider: Sync {
+/// Source of class-reach sets consulted by the matching fixpoint before
+/// it falls back to a frontier BFS.
+pub trait ReachProvider {
     /// The set of nodes with a non-empty path of length `1..=depth` (in
     /// direction `dir`, seen from the class) to some node labelled
     /// `label` — or `None` when the bound view has no class for that
@@ -262,7 +261,7 @@ impl ReachIndex {
 
     /// Bind the index to the graph version it was built for, yielding the
     /// [`ReachProvider`] the matching fixpoints consume.
-    pub fn bind<'a, G: GraphView + Sync>(&'a self, g: &'a G) -> BoundReachIndex<'a, G> {
+    pub fn bind<'a, G: GraphView>(&'a self, g: &'a G) -> BoundReachIndex<'a, G> {
         BoundReachIndex { index: self, g }
     }
 }
@@ -274,7 +273,7 @@ pub struct BoundReachIndex<'a, G> {
     g: &'a G,
 }
 
-impl<G: GraphView + Sync> ReachProvider for BoundReachIndex<'_, G> {
+impl<G: GraphView> ReachProvider for BoundReachIndex<'_, G> {
     fn class_reach(&self, label: Sym, depth: u32, dir: Direction) -> Option<Arc<BitSet>> {
         self.index.entry(self.g, label, depth, dir)
     }

@@ -108,8 +108,9 @@ pub enum PatternError {
     EmptyPattern,
     NoOutputNode,
     SelfLoop(String),
-    /// A node name, attribute key or value the DSL cannot write back
-    /// (see [`Pattern::fingerprint`]).
+    /// A node name, attribute key or value the DSL cannot write back, or
+    /// a condition whose text would nest deeper than
+    /// [`parser::MAX_DEPTH`] (see [`Pattern::fingerprint`]).
     Unspellable(String),
 }
 
@@ -136,7 +137,8 @@ impl std::error::Error for PatternError {}
 /// Invariants (enforced by [`PatternBuilder`] / [`parser::parse`]):
 /// node names are unique, edges reference existing nodes, no duplicate
 /// edges, no self-loops, the output node (if any) exists, and every node
-/// name, attribute key and value can be written in the DSL.
+/// name, attribute key and value can be written in the DSL, in text
+/// nested at most [`parser::MAX_DEPTH`] deep.
 #[derive(Clone, Debug)]
 pub struct Pattern {
     nodes: Vec<PatternNode>,
@@ -151,7 +153,8 @@ pub struct Pattern {
 impl Pattern {
     /// Assemble a pattern from parts, validating all invariants (unique
     /// node names, edge endpoints in range, no duplicate edges or
-    /// self-loops, names and conditions the DSL can spell). Most callers
+    /// self-loops, names and conditions the DSL can spell, conditions
+    /// whose text nests at most [`parser::MAX_DEPTH`] deep). Most callers
     /// should prefer [`PatternBuilder`]; this constructor exists for
     /// programmatic generation.
     pub fn from_parts(
@@ -172,6 +175,12 @@ impl Pattern {
                 return Err(PatternError::Unspellable(what));
             }
             if let Some(what) = n.predicate.unspellable() {
+                return Err(PatternError::Unspellable(what));
+            }
+            let depth = n.predicate.printed_depth();
+            if depth > parser::MAX_DEPTH {
+                let max = parser::MAX_DEPTH;
+                let what = format!("condition nested {depth} levels deep, past {max},");
                 return Err(PatternError::Unspellable(what));
             }
         }
@@ -462,6 +471,35 @@ mod tests {
             parser::parse(&p.to_string()).unwrap().to_string(),
             p.to_string()
         );
+    }
+
+    /// The printed text is held to the parser's nesting cap: each `not`
+    /// prints as `not (…)`, two levels, and each operand of a connective
+    /// over two or more in parentheses, one. So 64 nested `not`s print at
+    /// the cap and read back; 65, or 64 as one operand of an `and`, would
+    /// print past it and are refused — when parsed as well as when built,
+    /// though their own text nests only 65 deep.
+    #[test]
+    fn a_condition_whose_text_would_nest_past_the_cap_is_refused() {
+        let nots = |n: usize| (0..n).fold(Predicate::attr_eq("x", 1), |p, _| p.negate());
+        let build = |pred: Predicate| PatternBuilder::new().node("a", pred).build();
+        let refused =
+            |r: Result<Pattern, PatternError>| matches!(r, Err(PatternError::Unspellable(_)));
+        let p = build(nots(64)).unwrap();
+        assert_eq!(
+            parser::parse(&p.to_string()).unwrap().to_string(),
+            p.to_string()
+        );
+        assert!(refused(build(nots(65))));
+        assert!(refused(build(Predicate::And(vec![
+            nots(64),
+            Predicate::True
+        ]))));
+        assert!(build(Predicate::Or(vec![]).negate()).is_ok());
+        let text = |n: usize| format!("node a where {}x = 1;", "not ".repeat(n));
+        assert!(parser::parse(&text(64)).is_ok());
+        let err = parser::parse(&text(65)).unwrap_err();
+        assert!(err.msg.contains("nested 130 levels deep"), "{err}");
     }
 
     #[test]

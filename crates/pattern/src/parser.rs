@@ -22,6 +22,13 @@
 //! * Strings are UTF-8; `\"`, `\\`, `\n`, `\t` are the escapes. `5` is an
 //!   integer, `5.0` a float. `parse` keeps the tree the text spells, so a
 //!   pattern's `Display` text reads back to a pattern of the same text.
+//! * A condition nests `(` and `not` at most [`MAX_DEPTH`] levels deep,
+//!   combined; a deeper one is a [`ParseError`] at the opener that
+//!   crosses the bound. The text a pattern prints is held to the same
+//!   bound, and it nests deeper than the text it was parsed from — each
+//!   `not` prints as `not (…)`, two levels, and each operand of an
+//!   `and` / `or` in parentheses — so `parse` also refuses a condition
+//!   whose printed text would cross it (65 nested `not`s, say).
 
 use crate::{Bound, CmpOp, Pattern, PatternBuilder, Predicate};
 use expfinder_graph::AttrValue;
@@ -42,6 +49,11 @@ impl fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
+
+/// How deep `(` and `not` may nest in one condition, combined — the JSON
+/// decoder's bound, so that a deep text fails to parse instead of
+/// overflowing the parsing thread's stack.
+pub const MAX_DEPTH: usize = 128;
 
 #[derive(Debug, Clone, PartialEq)]
 enum Tok {
@@ -276,6 +288,8 @@ impl<'a> Lexer<'a> {
 struct Parser {
     toks: Vec<(Tok, usize, usize)>,
     pos: usize,
+    /// `(` and `not` levels open around the current token.
+    depth: usize,
 }
 
 impl Parser {
@@ -361,17 +375,26 @@ impl Parser {
         Ok(connective(operands))
     }
 
+    // unary := "not" unary | "(" pred ")" | atom
     fn unary(&mut self) -> Result<Predicate, ParseError> {
-        if self.eat_kw("not") {
-            return Ok(self.unary()?.negate());
+        let not = self.is_kw("not");
+        if !not && *self.cur() != Tok::LParen {
+            return self.atom();
         }
-        if *self.cur() == Tok::LParen {
-            self.bump();
-            let p = self.pred()?;
-            self.expect(&Tok::RParen)?;
-            return Ok(p);
+        if self.depth == MAX_DEPTH {
+            let msg = format!("condition nested deeper than {MAX_DEPTH} levels");
+            return Err(self.err_here(msg));
         }
-        self.atom()
+        self.bump();
+        self.depth += 1;
+        let p = if not {
+            self.unary().map(Predicate::negate)
+        } else {
+            self.pred()
+                .and_then(|p| self.expect(&Tok::RParen).map(|()| p))
+        };
+        self.depth -= 1;
+        p
     }
 
     fn value(&mut self) -> Result<AttrValue, ParseError> {
@@ -517,7 +540,12 @@ pub fn parse(src: &str) -> Result<Pattern, ParseError> {
             break;
         }
     }
-    Parser { toks, pos: 0 }.parse_pattern()
+    let mut parser = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
+    parser.parse_pattern()
 }
 
 #[cfg(test)]
@@ -676,6 +704,38 @@ mod tests {
     fn unterminated_string() {
         let err = parse(r#"node a where label = "oops;"#).unwrap_err();
         assert!(err.msg.contains("unterminated"), "{err}");
+    }
+
+    /// `depth` levels of `(` and `not`, alternating, around one atom.
+    fn nested(depth: usize) -> String {
+        let opens: String = (0..depth)
+            .map(|i| if i % 2 == 0 { "not " } else { "(" })
+            .collect();
+        format!("node a where {opens}x = 1{};", ")".repeat(depth / 2))
+    }
+
+    /// The nesting cap holds on a thread with a 2 MiB stack — the
+    /// default for spawned threads, which 2 000 unchecked levels of
+    /// parentheses overflow in a release build: at the cap the text
+    /// parses; one level deeper, or 100 000 levels deeper, is an error at
+    /// the opener that crossed it.
+    #[test]
+    fn nesting_deeper_than_the_cap_is_an_error() {
+        let run = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                assert!(parse(&nested(MAX_DEPTH)).is_ok());
+                for depth in [MAX_DEPTH + 1, 100_000] {
+                    let err = parse(&nested(depth)).unwrap_err();
+                    assert!(err.msg.contains("nested deeper"), "{err}");
+                    assert_eq!(err.line, 1);
+                    assert_eq!(err.col, nested(MAX_DEPTH).rfind("x = 1").unwrap() + 1);
+                }
+                let parens = format!("node a where {}x = 1;", "(".repeat(MAX_DEPTH + 1));
+                assert!(parse(&parens).unwrap_err().msg.contains("nested deeper"));
+            })
+            .unwrap();
+        run.join().unwrap();
     }
 
     #[test]

@@ -257,6 +257,25 @@ impl Predicate {
         }
     }
 
+    /// How deep `(` and `not` nest in this condition's [`Display`] text,
+    /// as the parser counts them: a `not (p)` is two levels, and so is
+    /// the `not (true)` of an empty `or`; each parenthesised operand of a
+    /// connective over two or more is one.
+    ///
+    /// [`Display`]: fmt::Display
+    pub(crate) fn printed_depth(&self) -> usize {
+        match self {
+            Predicate::Not(p) => 2 + p.printed_depth(),
+            Predicate::Or(ps) if ps.is_empty() => 2,
+            Predicate::And(ps) | Predicate::Or(ps) => match ps.as_slice() {
+                [] => 0,
+                [p] => p.printed_depth(),
+                _ => 1 + ps.iter().map(Predicate::printed_depth).max().unwrap_or(0),
+            },
+            _ => 0,
+        }
+    }
+
     /// Compile against a graph's interner. Keys and labels the graph has
     /// never seen become `None` symbols, which fail (or for `Not`,
     /// trivially pass) without any string comparison at match time.

@@ -706,27 +706,17 @@ mod tests {
         assert!(v.field("matches").is_err());
     }
 
-    /// One query answered on each of the five taken routes, encoded: the
+    /// One query answered on each of the four taken routes, encoded: the
     /// wire `route` is `timings.plan.chosen`, the route's `as_str`.
     #[test]
     fn route_is_the_plan_chosen_route_on_every_taken_route() {
         use expfinder_compress::CompressionMethod;
-        use expfinder_engine::{EngineConfig, ExpFinder};
+        use expfinder_engine::ExpFinder;
         use expfinder_pattern::fixtures::fig1_pattern;
-        let engine = ExpFinder::new(EngineConfig {
-            threads: 2,
-            ..EngineConfig::default()
-        });
+        let engine = ExpFinder::default();
         let fig1 = engine
             .add_graph("fig1", collaboration_fig1().graph)
             .unwrap();
-        // inert padding: large enough that two threads pay for the
-        // parallel route's setup
-        let mut padded = collaboration_fig1().graph;
-        while padded.size() < 4096 {
-            padded.add_node("pad", []);
-        }
-        let padded = engine.add_graph("padded", padded).unwrap();
         let q = fig1_pattern();
         let run = |h, prefer| {
             engine
@@ -739,7 +729,6 @@ mod tests {
             ("registered", run(&fig1, Route::Auto)),
             ("cache", run(&fig1, Route::Auto)),
             ("snapshot", run(&fig1, Route::Direct)),
-            ("snapshot_parallel", run(&padded, Route::Direct)),
         ];
         engine
             .compress(&fig1, CompressionMethod::Bisimulation)

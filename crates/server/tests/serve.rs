@@ -1433,3 +1433,80 @@ fn serve_binary_applies_deadline_and_admission_flags() {
         bin.assert_drained();
     }
 }
+
+/// A condition nested 3 000 parentheses deep (a 6 KB body) is a 400 on
+/// `/query` and `/register` and fails only its own `/batch` slot, on
+/// both backends; the worker that parsed it keeps serving. Without the
+/// parser's nesting cap the text would overflow the worker's stack and
+/// abort the process. The cap holds the printed text too: 64 nested
+/// `not`s print at the cap, register with 201 on both backends and, on
+/// the durable one, read `registered` after a restart; 65 print past it
+/// and are a 400 on both, not a durable 500.
+#[test]
+fn serve_binary_refuses_a_deeply_nested_condition() {
+    let deep = format!(
+        "node a* where {}label = \"SA\"{};",
+        "(".repeat(3000),
+        ")".repeat(3000)
+    );
+    let register_body = |name: &str, pattern: &str| {
+        Value::Object(BTreeMap::from([
+            ("name".to_owned(), Value::Str(name.to_owned())),
+            ("pattern".to_owned(), Value::Str(pattern.to_owned())),
+        ]))
+    };
+    let register = register_body("deep", &deep);
+    let nots = |n: usize| format!("node a* where {}label = \"SA\";", "not ".repeat(n));
+    let batch = Value::Object(BTreeMap::from([(
+        "queries".to_owned(),
+        Value::Array(vec![
+            query_body(&deep, None, "auto", false),
+            query_body(FIG1_DSL, None, "auto", false),
+        ]),
+    )]));
+    let dir = tmpdir("bin_deep");
+    let data_dir = ["--data-dir", dir.to_str().unwrap()];
+    for (tag, args) in [("memory", &[][..]), ("durable", &data_dir[..])] {
+        let mut bin = ServeBin::boot(tag, args);
+        let mut client = bin.client();
+        for (path, body) in [
+            ("/graphs/fig1/query", query_body(&deep, None, "auto", false)),
+            ("/graphs/fig1/register", register.clone()),
+        ] {
+            let resp = client.request("POST", path, Some(&body)).unwrap();
+            let shown = resp.body.to_string_compact();
+            assert_eq!(resp.status, 400, "{tag} {path}: {shown}");
+            assert!(shown.contains("nested deeper than 128"), "{shown}");
+        }
+        let resp = client
+            .request("POST", "/graphs/fig1/batch", Some(&batch))
+            .unwrap();
+        assert_eq!(resp.status, 200, "{tag}: {}", resp.body.to_string_compact());
+        let results = resp.body.field("results").unwrap().as_array().unwrap();
+        let err = results[0].field("error").unwrap();
+        assert_eq!(err.field("status").unwrap().as_i64().unwrap(), 400);
+        let ok = results[1].field("ok").unwrap();
+        assert_eq!(ok.field("pairs").unwrap().as_i64().unwrap(), 7);
+        let health = client.request("GET", "/healthz", None).unwrap();
+        assert_eq!(health.status, 200, "{tag}");
+        for (n, status) in [(64, 201), (65, 400)] {
+            let body = register_body(&format!("nots{n}"), &nots(n));
+            let resp = client
+                .request("POST", "/graphs/fig1/register", Some(&body))
+                .unwrap();
+            let shown = resp.body.to_string_compact();
+            assert_eq!(resp.status, status, "{tag} {n} nots: {shown}");
+        }
+        drop(bin.child.stdin.take());
+        bin.assert_drained();
+    }
+    let mut bin = ServeBin::boot("durable", &data_dir);
+    let resp = bin
+        .client()
+        .query("fig1", &query_body(&nots(64), None, "auto", false))
+        .unwrap();
+    assert_eq!(resp.field("route").unwrap().as_str().unwrap(), "registered");
+    drop(bin.child.stdin.take());
+    bin.assert_drained();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -20,7 +20,11 @@ name in snake_case), so a new route variant cannot ship undocumented.
 Those are the only two route vocabularies: any other `pub enum *Route`
 under crates/engine/src fails the check, and so does an arm of
 `PlanRoute::as_str` that returns anything but its variant's snake_case —
-the one wire-string table is what the snake_case check reads.
+the one wire-string table is what the snake_case check reads. The route
+list of the spec's `route` bullet (the backticked names after "planner
+routes", in the `POST /graphs/{name}/query` section) must be exactly the
+strings of those arms, so a deleted route cannot stay listed there and a
+new one cannot be left out.
 
 And the metrics vocabulary: every key of the `engine` block that
 crates/server/src/metrics.rs emits for `GET /metrics` must appear in
@@ -115,6 +119,20 @@ def enum_variants(name: str, sources: dict):
 
 
 AS_STR_ARM = re.compile(r'PlanRoute::([A-Z][A-Za-z0-9]*)\s*=>\s*"([^"]*)"')
+ROUTE_BULLET = re.compile(r"^- `route` reports the route actually taken(.*?)^(?:- |\S)", re.M | re.S)
+
+
+def listed_routes(spec: str):
+    """The backticked route names the spec's `route` bullet lists after
+    "planner routes", up to the first parenthesis (None if the bullet or
+    the phrase cannot be found)."""
+    bullet = ROUTE_BULLET.search(spec)
+    if not bullet:
+        return None
+    _, phrase, rest = re.sub(r"\s+", " ", bullet.group(1)).partition("planner routes")
+    if not phrase:
+        return None
+    return set(re.findall(r"`([a-z_]+)`", rest.partition("(")[0]))
 
 
 def check_route_enums(spec: str):
@@ -149,6 +167,24 @@ def check_route_enums(spec: str):
             missing.append(
                 f"PlanRoute::as_str maps {variant} to {wire!r}, not its snake_case "
                 f"{snake_case(variant)!r}"
+            )
+    listed = listed_routes(spec)
+    if listed is None:
+        missing.append(
+            "no route list (\"planner routes `a`, `b` ...\") in the `route` bullet of "
+            "docs/PROTOCOL.md — its shape changed; update scripts/docs_check.py"
+        )
+    elif arms:
+        coded = {wire for _, wire in arms}
+        for wire in sorted(listed - coded):
+            missing.append(
+                f"docs/PROTOCOL.md lists planner route `{wire}`, which "
+                "PlanRoute::as_str does not return"
+            )
+        for wire in sorted(coded - listed):
+            missing.append(
+                f"PlanRoute::as_str returns `{wire}`, missing from the planner "
+                "routes listed in docs/PROTOCOL.md's `route` bullet"
             )
     for enum_name in ROUTE_ENUMS:
         variants = enum_variants(enum_name, sources)

@@ -1,13 +1,16 @@
-//! Batch and parallel-execution determinism tests.
+//! Batch-execution determinism tests.
 //!
-//! The parallel refinement path and the batch executor must be
-//! *invisible* except in speed. Every answer is judged by the naive
-//! oracle and the reference ranking, never by the production engine
-//! itself:
+//! The batch executor must be *invisible* except in speed. Every answer
+//! is judged by the naive oracle and the reference ranking, never by the
+//! production engine itself:
 //!
-//! * property tests: parallel sim / dualsim / bsim equal the oracle on
-//!   arbitrary generated graphs and patterns, on both the `DiGraph` and
-//!   its `CsrGraph` snapshot;
+//! * property tests: `parallel_bounded_simulation_indexed` — the name the
+//!   repo benchmark times bounded simulation under, which runs the one
+//!   fixpoint engine whatever its thread count — equals the oracle for
+//!   bounded and plain simulation, and `evaluate` with
+//!   `Semantics::Dual` equals the dual oracle, on arbitrary generated
+//!   graphs and patterns, on both the `DiGraph` and its `CsrGraph`
+//!   snapshot;
 //! * `query_batch` slots equal single `Catalog::query` reads, and both equal the
 //!   oracle at the same `graph_version`;
 //! * a batch racing `apply_updates` only ever observes consistent
@@ -15,7 +18,9 @@
 //!   the version the slot reports.
 
 use expfinder::core::naive::{naive_simulation, reference_rank};
-use expfinder::core::{evaluate, EvalRequest, RankedMatch, Semantics};
+use expfinder::core::{
+    evaluate, parallel_bounded_simulation_indexed, EvalRequest, RankedMatch, Semantics,
+};
 use expfinder::graph::generate::{collaboration, random_updates, CollabConfig};
 use expfinder::graph::GraphView;
 use expfinder::pattern::fixtures::demo_queries;
@@ -30,21 +35,18 @@ mod common;
 use common::*;
 
 // ---------------------------------------------------------------------
-// parallel refinement ≡ the oracle
+// the benchmark's evaluation entry points ≡ the oracle
 // ---------------------------------------------------------------------
 
-/// The parallel refinement with `threads` workers.
-fn parallel<G: GraphView + Sync>(
-    g: &G,
-    q: &Pattern,
-    semantics: Semantics,
-    threads: usize,
-) -> MatchRelation {
-    let req = EvalRequest {
-        threads,
-        ..EvalRequest::new(semantics)
-    };
-    evaluate(g, q, req).unwrap().0
+/// The benchmark's bounded-simulation shim, asked for `threads` workers.
+fn shim<G: GraphView>(g: &G, q: &Pattern, threads: usize) -> MatchRelation {
+    parallel_bounded_simulation_indexed(g, q, threads, None)
+        .unwrap()
+        .0
+}
+
+fn dual<G: GraphView>(g: &G, q: &Pattern) -> MatchRelation {
+    evaluate(g, q, EvalRequest::new(Semantics::Dual)).unwrap().0
 }
 
 fn bits(list: &[RankedMatch]) -> Vec<(NodeId, u64)> {
@@ -71,7 +73,7 @@ fn assert_answers(g: &DiGraph, q: &Pattern, resp: &QueryResponse, k: Option<usiz
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Parallel bounded simulation equals the naive fixpoint, on the
+    /// The shim's bounded simulation equals the naive fixpoint, on the
     /// `DiGraph` and on the CSR snapshot, at several thread counts.
     #[test]
     fn parallel_bsim_equals_sequential(rg in raw_graph(14), rp in raw_pattern()) {
@@ -80,32 +82,32 @@ proptest! {
         let want = oracle(&g, &q, Semantics::Bounded);
         let csr = CsrGraph::snapshot(&g);
         for threads in [2usize, 4] {
-            prop_assert_eq!(&parallel(&g, &q, Semantics::Bounded, threads), &want);
-            prop_assert_eq!(&parallel(&csr, &q, Semantics::Bounded, threads), &want);
+            prop_assert_eq!(&shim(&g, &q, threads), &want);
+            prop_assert_eq!(&shim(&csr, &q, threads), &want);
         }
     }
 
-    /// Parallel plain simulation — bounded simulation on a bound-1
-    /// pattern — equals naive simulation.
+    /// The shim on a bound-1 pattern — plain simulation — equals naive
+    /// simulation.
     #[test]
     fn parallel_sim_equals_sequential(rg in raw_graph(14), rp in raw_pattern()) {
         let g = build_graph(&rg);
         let q = build_pattern(&rp, true);
         let want = naive_simulation(&g, &q);
         let csr = CsrGraph::snapshot(&g);
-        prop_assert_eq!(&parallel(&g, &q, Semantics::Bounded, 3), &want);
-        prop_assert_eq!(&parallel(&csr, &q, Semantics::Bounded, 3), &want);
+        prop_assert_eq!(&shim(&g, &q, 3), &want);
+        prop_assert_eq!(&shim(&csr, &q, 3), &want);
     }
 
-    /// Parallel dual simulation equals the naive bidirectional fixpoint.
+    /// Dual simulation equals the naive bidirectional fixpoint.
     #[test]
     fn parallel_dualsim_equals_sequential(rg in raw_graph(14), rp in raw_pattern()) {
         let g = build_graph(&rg);
         let q = build_pattern(&rp, false);
         let want = oracle(&g, &q, Semantics::Dual);
         let csr = CsrGraph::snapshot(&g);
-        prop_assert_eq!(&parallel(&g, &q, Semantics::Dual, 3), &want);
-        prop_assert_eq!(&parallel(&csr, &q, Semantics::Dual, 3), &want);
+        prop_assert_eq!(&dual(&g, &q), &want);
+        prop_assert_eq!(&dual(&csr, &q), &want);
     }
 
     /// A batch on a two-thread engine and per-query runs on a sequential

@@ -41,10 +41,9 @@
 //!   graph only (the facades take edge updates only), which resets the
 //!   graph's label index.
 //!
-//! Each case draws `threads` ∈ {1, 2} and the durable side's `fsync` ∈
-//! {`Never`, `Always`}, so that fsync boundaries are reachable; its graph
-//! is padded with isolated nodes so that the planner takes
-//! `snapshot_parallel` at two threads. After every step both facades
+//! Each case draws `threads` ∈ {1, 2}, the width `Batch` fans out to,
+//! and the durable side's `fsync` ∈ {`Never`, `Always`}, so that fsync
+//! boundaries are reachable. After every step both facades
 //! agree with each other on everything a client sees: answers, plans,
 //! versions, update reports and hook frames, catalog and handle state,
 //! and the cache, planner, rank and index counters. They also agree with
@@ -120,11 +119,6 @@ use std::time::Duration;
 mod common;
 use common::*;
 
-/// Graph size (`|V| + |E|`) the script's graphs are padded to: large
-/// enough that at two threads the planner's parallel route pays for its
-/// setup.
-const PAD_SIZE: usize = 2048;
-
 /// Cases of the op-script property.
 const CASES: u32 = 48;
 
@@ -150,7 +144,7 @@ const CRASH_CLASSES: [Option<IoOp>; 4] = [
 /// variant, judged by `naive_simulation`, which must also equal
 /// `naive_bounded_simulation` there), bounded and dual simulation on `q`,
 /// each on the `DiGraph` and its `CsrGraph` snapshot,
-/// × 1–3 threads × a fresh or the case's `reused` scratch × no index, a
+/// × a fresh or the case's `reused` scratch × no index, a
 /// cold or a warm `ReachIndex` bound to that view. A cold index hits and
 /// misses alike on both views, and on both the raw fixpoint the
 /// incremental module persists (`early_exit = false`) equals
@@ -183,8 +177,8 @@ fn check_every_request(g: &DiGraph, q: &Pattern, reused: &mut EvalScratch) {
 }
 
 /// `q` under `semantics` on one view (at `version`), every request;
-/// returns the cold index's `(hits, misses)` on one thread.
-fn every_request<G: GraphView + Sync>(
+/// returns the cold index's `(hits, misses)` on a fresh scratch.
+fn every_request<G: GraphView>(
     view: &G,
     version: u64,
     q: &Pattern,
@@ -193,33 +187,28 @@ fn every_request<G: GraphView + Sync>(
     reused: &mut EvalScratch,
 ) -> (usize, usize) {
     let mut cold = None;
-    for threads in 1..=3 {
-        for reuse in [false, true] {
-            let index = ReachIndex::new(version);
-            let bound = index.bind(view);
-            for (state, provider) in [
-                ("none", None),
-                ("cold", Some(&bound as &dyn ReachProvider)),
-                ("warm", Some(&bound as &dyn ReachProvider)),
-            ] {
-                let mut fresh = EvalScratch::new();
-                let req = EvalRequest {
-                    scratch: Some(if reuse { &mut *reused } else { &mut fresh }),
-                    index: provider,
-                    threads,
-                    ..EvalRequest::new(semantics)
-                };
-                let (m, stats) = evaluate(view, q, req).unwrap();
-                let how =
-                    format!("{semantics:?}, {threads} threads, reused {reuse}, {state} index");
-                assert_eq!(&m, want, "{how}");
-                if (threads, reuse, state) == (1, false, "cold") {
-                    cold = Some((stats.index_hits, stats.index_misses));
-                }
+    for reuse in [false, true] {
+        let index = ReachIndex::new(version);
+        let bound = index.bind(view);
+        for (state, provider) in [
+            ("none", None),
+            ("cold", Some(&bound as &dyn ReachProvider)),
+            ("warm", Some(&bound as &dyn ReachProvider)),
+        ] {
+            let mut fresh = EvalScratch::new();
+            let req = EvalRequest {
+                scratch: Some(if reuse { &mut *reused } else { &mut fresh }),
+                index: provider,
+                ..EvalRequest::new(semantics)
+            };
+            let (m, stats) = evaluate(view, q, req).unwrap();
+            assert_eq!(&m, want, "{semantics:?}, reused {reuse}, {state} index");
+            if (reuse, state) == (false, "cold") {
+                cold = Some((stats.index_hits, stats.index_misses));
             }
         }
     }
-    cold.expect("one sequential cold run")
+    cold.expect("one cold run on a fresh scratch")
 }
 
 /// The raw bounded fixpoint over `view`'s candidate sets, run to the end.
@@ -292,13 +281,6 @@ fn text(g: &DiGraph) -> String {
     let mut out = Vec::new();
     expfinder::graph::io::write_text(g, &mut out).unwrap();
     String::from_utf8(out).unwrap()
-}
-
-fn padded(mut g: DiGraph) -> DiGraph {
-    while g.size() < PAD_SIZE {
-        g.add_node("pad", []);
-    }
-    g
 }
 
 /// How a query may be cut short.
@@ -498,11 +480,7 @@ impl Harness {
             (Err(a), Err(b)) => {
                 assert!(matches!(a, ExpFinderError::DeadlineExceeded(_)), "{a}");
                 assert!(matches!(b, ExpFinderError::DeadlineExceeded(_)), "{b}");
-                // parallel workers race to the firing poll: their partial
-                // work is not a function of the fuse
-                if self.threads == 1 {
-                    assert_eq!(a.partial_stats(), b.partial_stats());
-                }
+                assert_eq!(a.partial_stats(), b.partial_stats());
                 None
             }
             (a, b) => {
@@ -1166,7 +1144,7 @@ fn run_case(case: &Case) {
     patterns.push(patterns[0].as_simulation());
     let pattern = |i: u8| &patterns[i as usize % patterns.len()];
     let mut scratch = EvalScratch::new();
-    let mut h = Harness::with_fsync(padded(base.clone()), case.threads, case.fsync);
+    let mut h = Harness::with_fsync(base.clone(), case.threads, case.fsync);
     check_every_request(&h.model.g, pattern(0), &mut scratch);
     h.agree();
 
@@ -1227,7 +1205,7 @@ fn run_case(case: &Case) {
             Op::RemoveReadd { keep } => {
                 let mut raw = case.graph.clone();
                 raw.edges.truncate(*keep as usize);
-                h.remove_and_readd(padded(build_graph(&raw)), q);
+                h.remove_and_readd(build_graph(&raw), q);
             }
             Op::Restart => h = h.restart(),
             Op::Crash { at, class, torn } => {
@@ -1331,7 +1309,7 @@ proptest! {
         check_case(index, Case { graph, patterns: vec![p0, p1], threads, fsync, script });
         if index + 1 == CASES as usize {
             let taken = TAKEN.with(|t| t.borrow().clone());
-            let all = ["cache", "compressed", "registered", "snapshot", "snapshot_parallel"];
+            let all = ["cache", "compressed", "registered", "snapshot"];
             prop_assert_eq!(taken, BTreeSet::from(all), "routes the scripts took");
             let bound_one = BOUND_ONE_REGISTRATIONS.load(Ordering::Relaxed);
             eprintln!("all-bound-1 registrations over {CASES} cases: {bound_one}");
@@ -1769,32 +1747,22 @@ fn fig1_answers_alike_on_every_taken_route_of_both_facades() {
     let f = collaboration_fig1();
     let q = fig1_pattern();
     let mut taken = BTreeSet::new();
-    // sequential on Fig. 1 as drawn; two threads on a padded copy, which
-    // pays for the parallel route
-    for (threads, g) in [(1, f.graph.clone()), (2, padded(f.graph.clone()))] {
-        let mut h = Harness::new(g, threads);
-        h.register("team", &q);
-        let mut read = |h: &Harness, prefer| {
-            let resp = h.ranked(&q, prefer, 2);
-            let experts: Vec<_> = resp.experts.iter().map(|x| (x.node, x.rank)).collect();
-            assert_eq!(experts, [(f.bob, 9.0 / 5.0), (f.walt, 7.0 / 3.0)]);
-            assert_eq!(resp.matches.total_pairs(), 7);
-            taken.insert(resp.plan.chosen.as_str());
-            h.agree();
-        };
-        read(&h, Route::Auto); // registered
-        read(&h, Route::Auto); // cache
-        read(&h, Route::Direct); // snapshot, or snapshot_parallel
-        h.compress();
-        read(&h, Route::Compressed);
-    }
-    let all = [
-        "cache",
-        "compressed",
-        "registered",
-        "snapshot",
-        "snapshot_parallel",
-    ];
+    let mut h = Harness::new(f.graph.clone(), 1);
+    h.register("team", &q);
+    let mut read = |h: &Harness, prefer| {
+        let resp = h.ranked(&q, prefer, 2);
+        let experts: Vec<_> = resp.experts.iter().map(|x| (x.node, x.rank)).collect();
+        assert_eq!(experts, [(f.bob, 9.0 / 5.0), (f.walt, 7.0 / 3.0)]);
+        assert_eq!(resp.matches.total_pairs(), 7);
+        taken.insert(resp.plan.chosen.as_str());
+        h.agree();
+    };
+    read(&h, Route::Auto); // registered
+    read(&h, Route::Auto); // cache
+    read(&h, Route::Direct); // snapshot
+    h.compress();
+    read(&h, Route::Compressed);
+    let all = ["cache", "compressed", "registered", "snapshot"];
     assert_eq!(taken, BTreeSet::from(all));
 }
 
@@ -1855,6 +1823,26 @@ fn an_integral_float_and_a_non_ascii_label_register_and_survive_a_restart() {
         assert_eq!(resp.plan.chosen, PlanRoute::Registered, "{q}");
         assert_eq!(resp.matches.total_pairs(), 1, "{q}");
     }
+    h.agree();
+}
+
+/// The parser's nesting cap holds a pattern's printed text, which the
+/// durable facade logs and re-parses: 64 nested `not`s print at the cap
+/// (each `not` prints as `not (…)`), register on both facades and read
+/// `registered` after a restart; 65 are refused by `parse`, so neither
+/// facade sees them.
+#[test]
+fn a_condition_printed_at_the_nesting_cap_registers_and_survives_a_restart() {
+    let text = |n: usize| format!("node x* where {}experience >= 2;", "not ".repeat(n));
+    assert!(parser::parse(&text(65)).is_err());
+    let q = parser::parse(&text(64)).unwrap();
+    let mut h = Harness::new(names_graph(), 1);
+    h.register("nots", &q);
+    assert_eq!(h.model.registered.len(), 1, "both facades registered it");
+    let h = h.restart();
+    let resp = h.query(&q, Route::Auto, Some(2), Fuse::None).unwrap();
+    assert_eq!(resp.plan.chosen, PlanRoute::Registered);
+    assert_eq!(resp.matches.total_pairs(), 1);
     h.agree();
 }
 

@@ -71,15 +71,8 @@ fn compress_route_transparency() {
     let t = engine.add_graph("t", g).unwrap();
     let direct = engine.query(&t, &QuerySpec::pattern(q.clone())).unwrap();
     assert_eq!(*direct.matches, want);
-    // sequential or parallel by the host's thread budget
-    assert!(
-        matches!(
-            direct.plan.chosen,
-            PlanRoute::Snapshot | PlanRoute::SnapshotParallel
-        ),
-        "{:?}",
-        direct.plan
-    );
+    // whatever the host's thread budget, a single read goes direct
+    assert_eq!(direct.plan.chosen, PlanRoute::Snapshot, "{:?}", direct.plan);
 
     let stats = engine
         .compress(&t, CompressionMethod::Bisimulation)
@@ -259,7 +252,7 @@ fn cache_versioning_under_updates() {
     assert!(after.matches.total_pairs() <= first.matches.total_pairs());
 }
 
-/// Engine configuration paths: parallel result-graph threads and disabled
+/// Engine configuration paths: a wider thread budget and disabled
 /// compression routing both preserve answers.
 #[test]
 fn engine_config_variants_agree() {
@@ -275,7 +268,7 @@ fn engine_config_variants_agree() {
     let want = expected_top(&g, q, 5);
     assert_eq!(bits(&reference.experts), want);
 
-    // parallel execution (threaded refinement and result graph)
+    // a batch fan-out width of four, which a single read does not use
     let threaded = ExpFinder::new(EngineConfig {
         threads: 4,
         ..EngineConfig::default()
@@ -295,11 +288,9 @@ fn engine_config_variants_agree() {
     let out = compressed
         .query(&hn, &QuerySpec::pattern(q.clone()).prefer(Route::Direct))
         .unwrap();
-    assert!(
-        matches!(
-            out.plan.chosen,
-            PlanRoute::Snapshot | PlanRoute::SnapshotParallel
-        ),
+    assert_eq!(
+        out.plan.chosen,
+        PlanRoute::Snapshot,
         "quotient not consulted: {:?}",
         out.plan
     );
