@@ -21,7 +21,9 @@
 //!   its ranks equal the full build's (`identical`).
 //! * **`match_warm_index`** — the same frontier path without and with the
 //!   per-version reach index, cold (first query on a version) and warm
-//!   (queries 2..N); and one row read once per version of a seeded update
+//!   (queries 2..N), with the condition classes each path added to the
+//!   graph's class memo (`class_builds`; one row's every condition
+//!   carries an `experience` bound); and one row read once per version of a seeded update
 //!   stream on an index whose bounded entries each batch carried and
 //!   repaired ([`ReachCarry`]): `repair_visits` against the
 //!   `rebuild_visits` of sweeping every carried entry again per batch.
@@ -314,6 +316,25 @@ fn rank_doc(g: &DiGraph, pattern: &Pattern, m: &MatchRelation) -> Value {
     ])
 }
 
+/// [`collab_team_star_pattern`] with an `experience` bound on every
+/// node, as the paper's search conditions carry one: every seed set is a
+/// condition class rather than a label's, which the graph's class memo
+/// keeps and the reach index keys its entries by, so a warm version
+/// serves every first refresh as the pure-label star's are served.
+pub fn collab_team_star_experienced_pattern() -> Pattern {
+    let node = |label: &str| Predicate::label(label).and(Predicate::attr_ge("experience", 2));
+    PatternBuilder::new()
+        .node_output("sa", node("SA"))
+        .node("sd", node("SD"))
+        .node("st", node("ST"))
+        .node("qa", node("QA"))
+        .edge("sa", "sd", Bound::hops(2))
+        .edge("sa", "st", Bound::hops(3))
+        .edge("sa", "qa", Bound::hops(2))
+        .build()
+        .expect("valid pattern")
+}
+
 /// Build the counters document; prints one table per workload array.
 pub fn run_counters_bench() -> Value {
     let collab = collab_graph(1500, SEED);
@@ -393,14 +414,16 @@ fn frontier_workloads(collab: &DiGraph, twitter: &DiGraph) -> Vec<Value> {
 ///   query re-pays the class-seeded first-refresh BFS of each
 ///   constraint;
 /// * **cold** — the *first* index-backed query on a fresh graph version:
-///   it pays the sweep that builds each missing `(label, bound,
+///   it pays the sweep that builds each missing `(class, bound,
 ///   direction)` entry (reported separately, not part of warm latency);
 /// * **warm** — queries 2..N on that version: class-seeded first
 ///   refreshes are served from the memoized entries as one bitset copy
 ///   each, which is where `bfs_nodes_visited` drops.
 ///
-/// Results of all paths are asserted equal to the naive oracle's while
-/// measuring.
+/// `class_builds` counts the condition classes a path added to the
+/// graph's class memo: the first path to seed a condition builds its
+/// class, and no warm query builds one. Results of all paths are
+/// asserted equal to the naive oracle's while measuring.
 fn bench_warm_workload(
     name: &str,
     pattern_name: &str,
@@ -408,8 +431,11 @@ fn bench_warm_workload(
     pattern: &Pattern,
 ) -> Value {
     let mut scratch = EvalScratch::new();
+    let memo = graph.class_memo().expect("a DiGraph keeps a class memo");
+    let classes = memo.len();
     let (pr4_t, (pr4_m, pr4_stats)) =
         measure(|| bounded_simulation_indexed(graph, pattern, EvalOptions, &mut scratch, None));
+    let pr4_class_builds = memo.len() - classes;
     let oracle_m = naive_bounded_simulation(graph, pattern);
 
     let idx = ReachIndex::new(graph.version());
@@ -417,9 +443,11 @@ fn bench_warm_workload(
     let ((cold_m, _), cold_t) = time(|| {
         bounded_simulation_indexed(graph, pattern, EvalOptions, &mut scratch, Some(&bound))
     });
+    let classes = memo.len();
     let (warm_t, (warm_m, warm_stats)) = measure(|| {
         bounded_simulation_indexed(graph, pattern, EvalOptions, &mut scratch, Some(&bound))
     });
+    let warm_class_builds = memo.len() - classes;
 
     let identical = warm_m == pr4_m && warm_m == oracle_m && cold_m == warm_m;
     assert!(identical, "{name}/{pattern_name}: index changed results");
@@ -435,10 +463,14 @@ fn bench_warm_workload(
         warm_stats.bfs_nodes_visited,
         pr4_stats.bfs_nodes_visited,
     );
+    assert_eq!(
+        warm_class_builds, 0,
+        "{name}/{pattern_name}: a warm query builds no class"
+    );
 
     let warm_speedup = pr4_t.as_secs_f64() / warm_t.as_secs_f64().max(1e-12);
     println!(
-        "{:>10} {:>14} | {:>11} {:>11} {:>11} {:>7.2}x | bfs nodes {:>9} → {:>9} | hits {} entries {}",
+        "{:>10} {:>14} | {:>11} {:>11} {:>11} {:>7.2}x | bfs nodes {:>9} → {:>9} | hits {} entries {} classes built {}",
         name,
         pattern_name,
         fmt_dur(pr4_t),
@@ -449,6 +481,7 @@ fn bench_warm_workload(
         warm_stats.bfs_nodes_visited,
         warm_stats.index_hits,
         idx.len(),
+        pr4_class_builds,
     );
 
     obj(vec![
@@ -459,12 +492,20 @@ fn bench_warm_workload(
         ("match_pairs", Value::Int(warm_m.total_pairs() as i64)),
         (
             "pr4",
-            obj(vec![("ms", ms(pr4_t)), ("stats", stats_doc(pr4_stats))]),
+            obj(vec![
+                ("ms", ms(pr4_t)),
+                ("stats", stats_doc(pr4_stats)),
+                ("class_builds", Value::Int(pr4_class_builds as i64)),
+            ]),
         ),
         ("cold_ms", ms(cold_t)),
         (
             "warm",
-            obj(vec![("ms", ms(warm_t)), ("stats", stats_doc(warm_stats))]),
+            obj(vec![
+                ("ms", ms(warm_t)),
+                ("stats", stats_doc(warm_stats)),
+                ("class_builds", Value::Int(warm_class_builds as i64)),
+            ]),
         ),
         ("warm_speedup", Value::Float(warm_speedup)),
         (
@@ -488,10 +529,11 @@ fn warm_workloads(collab: &DiGraph, twitter: &DiGraph) -> Vec<Value> {
         "{:>10} {:>14} | {:>11} {:>11} {:>11} {:>8} |",
         "workload", "pattern", "1q pr4", "1q cold", "1q warm", "speedup"
     );
-    // the chain workload keeps two residual-predicate seeds (their first
-    // refreshes miss and stay BFS), so only its class-seeded share
-    // shrinks; the star workloads are fully class-seeded — every warm
-    // query skips the BFS entirely
+    // the chain workload's interior seeds shrink before their upstream
+    // edges refresh (those first refreshes miss and stay BFS), so only
+    // its class-seeded share shrinks; the star workloads are fully
+    // class-seeded — every warm query skips the BFS entirely, whether
+    // its conditions are bare labels or carry an attribute bound
     vec![
         bench_warm_workload(
             "twitter",
@@ -506,6 +548,12 @@ fn warm_workloads(collab: &DiGraph, twitter: &DiGraph) -> Vec<Value> {
             &twitter_chain_pattern(),
         ),
         bench_warm_workload("collab", "team_star", collab, &collab_team_star_pattern()),
+        bench_warm_workload(
+            "collab",
+            "team_star_experienced",
+            collab,
+            &collab_team_star_experienced_pattern(),
+        ),
         bench_carried_workload("collab", collab),
     ]
 }
@@ -859,8 +907,8 @@ mod tests {
         }
 
         let warm = doc.field("match_warm_index").unwrap().as_array().unwrap();
-        assert_eq!(warm.len(), 4);
-        let (warm, carried) = warm.split_at(3);
+        assert_eq!(warm.len(), 5);
+        let (warm, carried) = warm.split_at(4);
         for w in warm {
             assert!(w.field("results_identical").unwrap().as_bool().unwrap());
             assert!(w.field("warm_speedup").unwrap().as_f64().unwrap() > 0.0);
@@ -871,6 +919,7 @@ mod tests {
                 "warm path traverses strictly less"
             );
             assert!(int(hot, "index_hits") > 0);
+            assert_eq!(int(w.field("warm").unwrap(), "class_builds"), 0);
             let idx = w.field("index").unwrap();
             assert!(int(idx, "entries") > 0 && int(idx, "bytes") > 0);
         }
@@ -919,6 +968,16 @@ mod tests {
             0,
             "every constraint served from the index"
         );
+        // and so does the star whose every condition carries an
+        // attribute bound: each one a class the first path built
+        let bounded = &warm[3];
+        assert_eq!(
+            bounded.field("pattern").unwrap().as_str().unwrap(),
+            "team_star_experienced"
+        );
+        let bounded_warm = bounded.field("warm").unwrap().field("stats").unwrap();
+        assert_eq!(int(bounded_warm, "bfs_nodes_visited"), 0);
+        assert_eq!(int(bounded.field("pr4").unwrap(), "class_builds"), 4);
 
         // round-trips through the hand-rolled parser
         let text = doc.to_string_pretty();

@@ -3,7 +3,7 @@
 use crate::partition::{Partition, SignaturePolicy};
 use crate::{CompressError, CompressionMethod};
 use expfinder_core::MatchRelation;
-use expfinder_graph::{BitSet, DiGraph, GraphView, Interner, NodeId, Sym, VertexData};
+use expfinder_graph::{BitSet, ClassMemo, DiGraph, GraphView, Interner, NodeId, Sym, VertexData};
 use expfinder_pattern::Pattern;
 
 /// Reduction statistics, matching the paper's reporting style ("graphs
@@ -207,6 +207,12 @@ impl GraphView for CompressedGraph {
 
     fn has_label_index(&self) -> bool {
         true
+    }
+
+    /// The quotient's own class memo: block classes of each condition,
+    /// dropped with the quotient when maintenance rebuilds it.
+    fn class_memo(&self) -> Option<&ClassMemo> {
+        self.quotient.class_memo()
     }
 }
 

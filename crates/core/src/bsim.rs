@@ -35,7 +35,7 @@ use crate::fixpoint::{refine_constraints, Cancelled, Constraint, EvalScratch, In
 use crate::matchrel::MatchRelation;
 use crate::MatchError;
 use expfinder_graph::bfs::Direction;
-use expfinder_graph::{BitSet, CancelToken, GraphView, ReachProvider};
+use expfinder_graph::{BitSet, CancelToken, Class, GraphView, ReachProvider};
 use expfinder_pattern::Pattern;
 
 /// Evaluation options of [`bounded_simulation_indexed`]. There is one
@@ -62,8 +62,8 @@ pub struct EvalStats {
     /// (indexed evaluations only — zero without a provider).
     pub index_hits: usize,
     /// First refreshes that consulted the provider but fell back to the
-    /// BFS (the seed set was not a full label class, or the view has no
-    /// class for the label). Zero without a provider.
+    /// BFS: the seed set had shrunk, or was seeded as no class (the
+    /// view's class memo was missing or full). Zero without a provider.
     pub index_misses: usize,
 }
 
@@ -172,8 +172,8 @@ pub fn bounded_fixpoint_raw<G: GraphView>(
 }
 
 /// The fixpoint with the reach-index hook: `classes` marks which
-/// candidate sets were seeded as full label classes (empty slice = no
-/// markers), `index` is the per-snapshot provider (None = plain BFS).
+/// candidate sets were seeded as full condition classes (empty slice =
+/// no markers), `index` is the per-snapshot provider (None = plain BFS).
 #[allow(clippy::too_many_arguments, clippy::type_complexity)]
 fn bounded_fixpoint<G: GraphView>(
     g: &G,
@@ -181,7 +181,7 @@ fn bounded_fixpoint<G: GraphView>(
     mut sim: Vec<BitSet>,
     early_exit: bool,
     scratch: &mut EvalScratch,
-    classes: &[Option<expfinder_graph::Sym>],
+    classes: &[Option<Class>],
     index: Option<&dyn ReachProvider>,
     cancel: Option<&CancelToken>,
 ) -> Result<(Vec<BitSet>, EvalStats), Cancelled> {
@@ -510,7 +510,8 @@ mod tests {
         assert_eq!(s2.index_hits, 2);
         assert!(s2.bfs_nodes_visited < base.bfs_nodes_visited);
 
-        // a residual-predicate seed is a miss, never a wrong answer
+        // a label-and-attribute seed is a class too: the snapshot's class
+        // memo keeps it, so its first refresh hits its own entry
         let q2 = PatternBuilder::new()
             .node("sa", Predicate::label("SA"))
             .node(
@@ -524,10 +525,8 @@ mod tests {
             bounded_simulation_indexed(&csr, &q2, EvalOptions, &mut scratch, Some(&bound));
         let (without, _) = bounded_simulation_indexed(&csr, &q2, EvalOptions, &mut scratch, None);
         assert_eq!(with_idx, without);
-        assert_eq!(
-            s3.index_misses, 1,
-            "attr residual disqualifies the seed class"
-        );
+        assert_eq!((s3.index_hits, s3.index_misses), (1, 0));
+        assert_eq!(idx.len(), 3, "an entry of its own, beside the label ones");
     }
 
     #[test]

@@ -36,7 +36,7 @@ use crate::bsim::EvalStats;
 use crate::rank::RankScratch;
 use expfinder_graph::bfs::Direction;
 use expfinder_graph::bfs_frontier::FrontierScratch;
-use expfinder_graph::{BitSet, CancelToken, GraphView, ReachProvider, Sym};
+use expfinder_graph::{BitSet, CancelToken, Class, GraphView, ReachProvider};
 use expfinder_pattern::PNodeId;
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -87,12 +87,14 @@ pub(crate) struct Constraint {
 /// The per-snapshot reach-index context an indexed evaluation threads
 /// into [`refine_constraints`]: the provider serving class-reach entries,
 /// plus the per-pattern-node class markers of
-/// [`crate::candidate_sets_classed`] (`Some(sym)` ⟺ that node's candidate
-/// set was seeded as exactly the graph's label class for `sym`).
+/// [`crate::candidate_sets_classed`] (`Some(class)` ⟺ that node's
+/// candidate set was seeded as exactly one of the graph's condition
+/// classes — a bare label test's, or any condition's the graph's class
+/// memo keeps).
 ///
 /// The hook fires on a constraint's **first** refresh while its seed set
 /// has not shrunk since seeding — then `sim(seeds)` still *is* the full
-/// label class, so the reach set depends only on `(label, bound,
+/// condition class, so the reach set depends only on `(class, bound,
 /// direction)` and the snapshot, and the memoized entry is bit-exact. A
 /// hit replaces the dominant class-seeded BFS with one bitset copy
 /// (`EvalStats::index_hits`); every other first refresh under a provider
@@ -100,7 +102,7 @@ pub(crate) struct Constraint {
 #[derive(Copy, Clone)]
 pub(crate) struct IndexCtx<'a> {
     pub provider: &'a dyn ReachProvider,
-    pub class_of: &'a [Option<Sym>],
+    pub class_of: &'a [Option<Class>],
 }
 
 /// Reusable evaluation state: BFS frontiers, per-constraint reach caches
@@ -162,16 +164,13 @@ impl EvalScratch {
         self.queue.clear();
     }
 
-    /// Rough footprint of the retained graph-sized buffers, for the
-    /// pool's keep-or-drop decision. The frontier scratch holds a small
-    /// constant number of graph-sized bitsets, approximated via `tmp`.
+    /// Footprint of the retained graph-sized buffers, for the pool's
+    /// keep-or-drop decision.
     fn retained_bytes(&self) -> usize {
-        let bitset_bytes = |cap: usize| cap / 8;
-        self.reach
-            .iter()
-            .map(|r| bitset_bytes(r.capacity()))
-            .sum::<usize>()
-            + bitset_bytes(self.tmp.capacity()) * 6
+        let bitset_bytes = |s: &BitSet| s.words().len() * 8;
+        self.reach.iter().map(bitset_bytes).sum::<usize>()
+            + bitset_bytes(&self.tmp)
+            + self.frontier.retained_bytes()
             + self.rank.retained_bytes()
     }
 }
@@ -246,16 +245,15 @@ pub(crate) fn refine_constraints<G: GraphView>(
         }
         stats.refreshes += 1;
         // reach-index hook: a first refresh whose seed set is still the
-        // full label class it was seeded as (never shrunk ⟹ unchanged) is
-        // a pure function of (label, bound, direction) — serve it from
-        // the per-snapshot index as one bitset copy instead of a BFS
+        // full class it was seeded as (never shrunk ⟹ unchanged) is a
+        // pure function of (class, bound, direction) — serve it from the
+        // per-snapshot index as one bitset copy instead of a BFS
         let mut served = false;
         if stamp[ci] == NEVER {
             if let Some(ictx) = index {
-                let hit = (seed_ver == 0)
-                    .then(|| ictx.class_of.get(c.seeds.index()).copied().flatten())
-                    .flatten()
-                    .and_then(|sym| ictx.provider.class_reach(sym, c.depth, c.dir));
+                let class = ictx.class_of.get(c.seeds.index()).and_then(Option::as_ref);
+                let hit = (class.filter(|_| seed_ver == 0))
+                    .map(|class| ictx.provider.class_reach(class, c.depth, c.dir));
                 match hit {
                     Some(entry) => {
                         tmp.clear();
@@ -529,6 +527,20 @@ mod tests {
             // row buffer (reserved, never touched, so it costs address
             // space and no memory)
             s.rank.rows[0].arcs.reserve(SCRATCH_RETAIN_BYTES / 8 + 1);
+            assert!(s.retained_bytes() > SCRATCH_RETAIN_BYTES);
+        });
+        assert_eq!(pool.idle(), 0, "the oversized scratch was dropped");
+    }
+
+    #[test]
+    fn a_scratch_whose_frontier_grew_past_the_cap_is_dropped_not_parked() {
+        let pool = ScratchPool::new();
+        pool.with(|s| {
+            // what a traversal that covered a ~5.6M-node graph leaves in
+            // the member lists (reserved, never touched, so it costs
+            // address space and no memory)
+            s.frontier = FrontierScratch::with_capacity(SCRATCH_RETAIN_BYTES / 12 + 1);
+            assert!(s.frontier.retained_bytes() > SCRATCH_RETAIN_BYTES);
             assert!(s.retained_bytes() > SCRATCH_RETAIN_BYTES);
         });
         assert_eq!(pool.idle(), 0, "the oversized scratch was dropped");

@@ -70,9 +70,10 @@ pub use rank::{
 };
 pub use result_graph::ResultGraph;
 
-use expfinder_graph::{BitSet, GraphView, NodeId, Sym};
+use expfinder_graph::{BitSet, Class, GraphView, NodeId, Sym};
 use expfinder_pattern::{PNodeId, Pattern, Predicate};
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors from the matching layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,36 +100,58 @@ impl std::error::Error for MatchError {}
 
 /// Collect the nodes of `g` satisfying each pattern node's predicate,
 /// as bitsets indexed by pattern node — the seeding every matcher and the
-/// incremental maintainer start from. On a view with a label index
-/// ([`GraphView::has_label_index`]) a predicate that implies a label
-/// tests only that label's class.
+/// incremental maintainer start from. On a view with a class memo
+/// ([`GraphView::class_memo`]) a condition seeded before is one bitset
+/// clone; on a view with a label index ([`GraphView::has_label_index`])
+/// a predicate that implies a label tests only that label's class.
 pub fn candidate_sets<G: GraphView>(g: &G, q: &Pattern) -> Vec<BitSet> {
     q.ids().map(|u| candidate_set_classed(g, q, u).0).collect()
 }
 
-/// [`candidate_sets`] plus, per pattern node, the label symbol whose
-/// class the set *is* — `Some(sym)` exactly when the indexed pure-label
-/// path was taken, i.e. the candidate set equals `g`'s full class for
-/// `sym`. That is the eligibility marker of the reach-index hook: a
-/// constraint whose seed set is still such a class can have its first
-/// refresh served from a per-snapshot
+/// [`candidate_sets`] plus, per pattern node, the [`Class`] the set *is*
+/// — `Some` exactly when the set equals a class of `g`: the memoised
+/// class of the node's condition, or a bare label test's class on a view
+/// whose memo is missing or full. That is the eligibility marker of the
+/// reach-index hook: a constraint whose seed set is still such a class
+/// can have its first refresh served from a per-snapshot
 /// [`ReachIndex`](expfinder_graph::ReachIndex) entry instead of a BFS.
 pub(crate) fn candidate_sets_classed<G: GraphView>(
     g: &G,
     q: &Pattern,
-) -> (Vec<BitSet>, Vec<Option<Sym>>) {
+) -> (Vec<BitSet>, Vec<Option<Class>>) {
     q.ids().map(|u| candidate_set_classed(g, q, u)).unzip()
 }
 
-/// The [`candidate_sets`] entry of one pattern node, plus the class marker
-/// of [`candidate_sets_classed`]. On a view with a label index (`DiGraph`,
-/// `CsrGraph` and the compressed quotient all have one) and a predicate
-/// that implies a label, only that label's class is tested — against the
-/// *residual* predicate, the label conjunct being proven by membership —
-/// so a pure-label node costs one bitset clone and a label no node
-/// carries costs nothing. Without an index every node is tested.
-fn candidate_set_classed<G: GraphView>(g: &G, q: &Pattern, u: PNodeId) -> (BitSet, Option<Sym>) {
+/// The [`candidate_sets`] entry of one pattern node, plus the class
+/// marker of [`candidate_sets_classed`]. The memo keys a condition by its
+/// canonical text (its `Display`, which parses back to it), so every
+/// pattern that repeats a condition reads the one class, on every
+/// version that shares the vertex table. A condition the memo cannot
+/// keep is seeded by [`seed`] per query and left unclassed — unless it
+/// is a bare label test, whose class the label index already holds.
+fn candidate_set_classed<G: GraphView>(g: &G, q: &Pattern, u: PNodeId) -> (BitSet, Option<Class>) {
     let predicate = &q.nodes()[u.index()].predicate;
+    let key = predicate.to_string();
+    let (set, label) = match g.class_memo() {
+        Some(memo) => match memo.class(&key, || seed(g, predicate)) {
+            Ok(class) => return ((**class.members()).clone(), Some(class)),
+            Err(seeded) => seeded,
+        },
+        None => seed(g, predicate),
+    };
+    let class = label.map(|label| Class::new(key.into(), Some(label), Arc::new(set.clone())));
+    (set, class)
+}
+
+/// The nodes of `g` satisfying `predicate`, plus the label whose class
+/// the set is when the predicate is that label's bare test. On a view
+/// with a label index (`DiGraph`, `CsrGraph` and the compressed quotient
+/// all have one) and a predicate that implies a label, only that label's
+/// class is tested — against the *residual* predicate, the label conjunct
+/// being proven by membership — so a pure-label node costs one bitset
+/// clone and a label no node carries costs nothing. Without an index
+/// every node is tested.
+fn seed<G: GraphView>(g: &G, predicate: &Predicate) -> (BitSet, Option<Sym>) {
     let Some(label) = predicate.required_label().filter(|_| g.has_label_index()) else {
         return (scan(g, predicate, g.ids()), None);
     };
@@ -164,7 +187,7 @@ pub(crate) fn scan<G: GraphView>(
 pub(crate) mod tests {
     use super::*;
     use expfinder_graph::fixtures::collaboration_fig1;
-    use expfinder_graph::{AttrValue, CsrGraph, DiGraph, Interner, VertexData};
+    use expfinder_graph::{AttrValue, ClassMemo, CsrGraph, DiGraph, Interner, VertexData};
     use expfinder_pattern::fixtures::fig1_pattern;
     use expfinder_pattern::PatternBuilder;
     use std::cell::Cell;
@@ -174,16 +197,28 @@ pub(crate) mod tests {
     pub(crate) struct Probe<'a> {
         g: &'a DiGraph,
         indexed: bool,
+        memoised: bool,
         vertex_calls: Cell<usize>,
     }
 
     impl<'a> Probe<'a> {
+        /// The graph without its class memo, with or without its label
+        /// index.
         pub(crate) fn new(g: &'a DiGraph, indexed: bool) -> Self {
             let vertex_calls = Cell::new(0);
             Probe {
                 g,
                 indexed,
+                memoised: false,
                 vertex_calls,
+            }
+        }
+
+        /// The graph with its label index and its class memo.
+        fn memoised(g: &'a DiGraph) -> Self {
+            Probe {
+                memoised: true,
+                ..Probe::new(g, true)
             }
         }
     }
@@ -213,6 +248,9 @@ pub(crate) mod tests {
         }
         fn has_label_index(&self) -> bool {
             self.indexed
+        }
+        fn class_memo(&self) -> Option<&ClassMemo> {
+            self.g.class_memo().filter(|_| self.memoised)
         }
     }
 
@@ -273,6 +311,100 @@ pub(crate) mod tests {
             candidate_sets(&g, &q),
             candidate_sets(&Probe::new(&g, true), &q)
         );
+    }
+
+    /// A condition the memo keeps is seeded once per vertex table: a
+    /// clone after an edge update reads no node for it, while a bare
+    /// label test keeps its label marker on a memo hit; an attribute
+    /// write drops the memo and the condition is seeded again.
+    #[test]
+    fn a_memoised_condition_is_seeded_once_per_vertex_table() {
+        let mut g = DiGraph::new();
+        for i in 0..400 {
+            g.add_node(
+                ["SA", "SD"][i % 2],
+                [("experience", AttrValue::Int(i as i64 % 10))],
+            );
+        }
+        let q = PatternBuilder::new()
+            .node(
+                "u",
+                Predicate::label("SA").and(Predicate::attr_ge("experience", 5)),
+            )
+            .node("w", Predicate::label("SD"))
+            .build()
+            .unwrap();
+        let (first, classes) = candidate_sets_classed(&g, &q);
+        assert_eq!(classes[0].as_ref().unwrap().label(), None);
+        let sd = g.interner().get("SD");
+        assert_eq!(classes[1].as_ref().unwrap().label(), sd);
+        assert_eq!(g.class_memo().unwrap().len(), 2);
+
+        let mut next = g.clone();
+        next.add_edge(NodeId(0), NodeId(1));
+        let probe = Probe::memoised(&next);
+        let (again, classes) = candidate_sets_classed(&probe, &q);
+        assert_eq!((again, probe.vertex_calls.get()), (first, 0));
+        assert_eq!(
+            classes[1].as_ref().unwrap().label(),
+            sd,
+            "the marker survives a hit"
+        );
+
+        next.set_attr(NodeId(0), "experience", AttrValue::Int(9));
+        let probe = Probe::memoised(&next);
+        let (after, _) = candidate_sets_classed(&probe, &q);
+        assert!(
+            probe.vertex_calls.get() > 0,
+            "an attribute write drops the memo"
+        );
+        assert!(after[0].contains(NodeId(0)));
+        assert!(
+            !candidate_sets(&g, &q)[0].contains(NodeId(0)),
+            "the old table keeps its own"
+        );
+    }
+
+    /// One more distinct condition than the memo keeps still evaluates as
+    /// the oracle does: it is seeded per query and left unclassed, so its
+    /// first refresh misses the index, and the memo does not grow.
+    #[test]
+    fn a_condition_past_the_memo_bound_is_scanned_and_unclassed() {
+        use crate::naive::naive_bounded_simulation;
+        use expfinder_graph::digraph::MAX_CLASSES;
+        use expfinder_graph::ReachIndex;
+        use expfinder_pattern::Bound;
+        let f = collaboration_fig1();
+        let g = &f.graph;
+        let memo = g.class_memo().unwrap();
+        let index = ReachIndex::new(g.version());
+        let bound = index.bind(g);
+        let mut scratch = EvalScratch::new();
+        for t in 0..=MAX_CLASSES as i64 {
+            // a distinct condition per pattern; `sa` repeats one
+            let q = PatternBuilder::new()
+                .node("sa", Predicate::label("SA"))
+                .node("sd", Predicate::attr_ge("experience", t - 200))
+                .edge("sa", "sd", Bound::hops(2))
+                .build()
+                .unwrap();
+            let kept = memo.len();
+            let (m, stats) =
+                bounded_simulation_indexed(g, &q, EvalOptions, &mut scratch, Some(&bound));
+            assert_eq!(
+                m,
+                naive_bounded_simulation(g, &q),
+                "experience >= {}",
+                t - 200
+            );
+            if kept == MAX_CLASSES {
+                assert_eq!(memo.len(), MAX_CLASSES, "the memo does not grow");
+                assert_eq!((stats.index_hits, stats.index_misses), (0, 1));
+            } else {
+                assert_eq!(stats.index_hits, 1);
+            }
+        }
+        assert_eq!(memo.len(), MAX_CLASSES);
     }
 
     #[test]

@@ -453,14 +453,16 @@ pub struct RankTotals {
 /// `GET /metrics`. `hits`/`misses`/`built`/`carried` are cumulative
 /// across the engine's lifetime (they survive version changes and graph
 /// removals); `entries`/`bytes` are live gauges over the indexes of the
-/// latest snapshots.
+/// latest snapshots, and `classes`/`class_bytes` over the class memos of
+/// their graphs and quotients.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct IndexTotals {
-    /// First refreshes whose seed set was still an unshrunk label class,
-    /// served from an index entry (warm or built on the spot).
+    /// First refreshes whose seed set was still an unshrunk condition
+    /// class, served from an index entry (warm or built on the spot).
     pub hits: u64,
     /// First refreshes that consulted a provider but ran the BFS: their
-    /// seed set had shrunk, or was never a pure label class.
+    /// seed set had shrunk, or was seeded as no class (the graph's class
+    /// memo was full).
     pub misses: u64,
     /// Entries built by a full sweep.
     pub built: u64,
@@ -470,6 +472,11 @@ pub struct IndexTotals {
     pub entries: usize,
     /// Bytes retained by those entries.
     pub bytes: usize,
+    /// Condition classes the graphs' class memos hold
+    /// ([`ClassMemo`](expfinder_graph::ClassMemo)).
+    pub classes: usize,
+    /// Bytes retained by those classes.
+    pub class_bytes: usize,
 }
 
 /// Source of process-unique engine ids.

@@ -155,7 +155,7 @@ impl PlanDecision {
     /// route win? The one falsifiable prediction the model makes per
     /// query is the index discount: a snapshot route chosen on the
     /// strength of a hit rate ≥ 0.5 (the share of first refreshes whose
-    /// seed set was still a label class) that then sees only misses was
+    /// seed set was still a condition class) that then sees only misses was
     /// mispredicted. Deterministic — it compares counters, not
     /// wall-clock.
     pub fn mispredicted(&self, stats: &EvalStats) -> bool {

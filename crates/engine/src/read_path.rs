@@ -21,6 +21,7 @@ use expfinder_core::{
     MatchError, MatchRelation, RankScratch, RankedMatch, ScratchPool, Semantics,
 };
 use expfinder_graph::reach_index::IndexCounters;
+use expfinder_graph::GraphView;
 use expfinder_pattern::Pattern;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -422,22 +423,27 @@ impl ReadPath {
 
     /// Reach-index totals: cumulative hits/misses and built/carried
     /// entries, plus live entry/byte gauges summed over the indexes
-    /// (direct and quotient) `states` hold — the `engine.index` block of
-    /// `GET /metrics`.
+    /// (direct and quotient) `states` hold, and class/byte gauges over
+    /// the class memos of their graphs and quotients — the
+    /// `engine.index` block of `GET /metrics`.
     pub fn index_totals(&self, states: impl IntoIterator<Item = Arc<Snapshot>>) -> IndexTotals {
         let mut totals = IndexTotals {
             hits: self.eval_totals.index_hits.load(Ordering::Relaxed),
             misses: self.eval_totals.index_misses.load(Ordering::Relaxed),
             built: self.index_counters.built(),
             carried: self.index_counters.carried(),
-            entries: 0,
-            bytes: 0,
+            ..IndexTotals::default()
         };
         for state in states {
             let derived = &state.derived;
             for ri in [&derived.reach, &derived.quotient_reach] {
                 totals.entries += ri.len();
                 totals.bytes += ri.bytes();
+            }
+            let quotient = state.quotient().and_then(|q| q.class_memo());
+            for memo in state.graph().class_memo().into_iter().chain(quotient) {
+                totals.classes += memo.len();
+                totals.class_bytes += memo.bytes();
             }
         }
         totals

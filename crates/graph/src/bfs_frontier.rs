@@ -61,6 +61,29 @@ impl FrontierScratch {
         Self::default()
     }
 
+    /// A scratch sized for traversals over `nodes` nodes that may touch
+    /// all of them, so that none of its buffers grows mid-traversal.
+    pub fn with_capacity(nodes: usize) -> Self {
+        FrontierScratch {
+            visited: BitSet::new(nodes),
+            frontier: BitSet::new(nodes),
+            frontier_vec: Vec::with_capacity(nodes),
+            next: BitSet::new(nodes),
+            next_vec: Vec::with_capacity(nodes),
+            touched: Vec::with_capacity(nodes),
+        }
+    }
+
+    /// Heap bytes the scratch keeps between traversals: three bitsets,
+    /// and three member lists of up to `|V|` ids each (`touched` reaches
+    /// `|V|` whenever a traversal covers the graph).
+    pub fn retained_bytes(&self) -> usize {
+        let sets = [&self.visited, &self.frontier, &self.next];
+        let lists = [&self.frontier_vec, &self.next_vec, &self.touched];
+        sets.iter().map(|s| s.words().len() * 8).sum::<usize>()
+            + lists.iter().map(|l| l.capacity()).sum::<usize>() * std::mem::size_of::<NodeId>()
+    }
+
     /// Make the scratch usable for graphs with `n` nodes.
     ///
     /// When the previous traversal touched only a small fraction of the

@@ -15,7 +15,8 @@
 //!
 //! A snapshot shares, not copies, what the graph already shares: the
 //! vertex table with its label-class index
-//! ([`GraphView::nodes_with_label`]) and the interner, by `Arc`, so its
+//! ([`GraphView::nodes_with_label`]) and its condition classes
+//! ([`GraphView::class_memo`]), and the interner, by `Arc`, so its
 //! build is the two adjacency flattens. It is tied to the
 //! [`DiGraph::version`] it was built from and is never mutated. Because
 //! `CsrGraph` implements [`GraphView`], every matcher runs on it
@@ -23,7 +24,7 @@
 
 use crate::attrs::{Interner, Sym};
 use crate::bitset::BitSet;
-use crate::digraph::{DiGraph, VertexData, VertexTable};
+use crate::digraph::{ClassMemo, DiGraph, VertexData, VertexTable};
 use crate::view::GraphView;
 use crate::NodeId;
 use std::sync::Arc;
@@ -114,6 +115,10 @@ impl GraphView for CsrGraph {
 
     fn has_label_index(&self) -> bool {
         true
+    }
+
+    fn class_memo(&self) -> Option<&ClassMemo> {
+        Some(self.vertices.classes())
     }
 }
 

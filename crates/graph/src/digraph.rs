@@ -24,11 +24,15 @@
 //! copies. An edge update moves the tail of its chunk's flat list
 //! (`O(CHUNK · d̄)` bytes, a `memmove`).
 //!
-//! **The label index rides along.** The label → node-set map behind
-//! [`GraphView::nodes_with_label`] lives in the vertex table's `Arc`, built
-//! on first use. Edge updates — the paper's whole ΔG — never write the
-//! table, so every published version of a graph reads one index; a node
-//! or attribute write drops it.
+//! **The label index and the condition classes ride along.** The label →
+//! node-set map behind [`GraphView::nodes_with_label`] and the
+//! [`ClassMemo`] behind [`GraphView::class_memo`] — each node condition's
+//! candidate set, keyed by the condition's canonical text — live in the
+//! vertex table's `Arc`, built on first use. Which nodes satisfy a
+//! condition depends on node contents only, and edge updates — the
+//! paper's whole ΔG — never write the table, so every published version
+//! of a graph reads one index and one memo; a node or attribute write
+//! drops both.
 
 use crate::attrs::{AttrValue, Interner, Sym};
 use crate::bitset::BitSet;
@@ -36,7 +40,8 @@ use crate::view::GraphView;
 use crate::NodeId;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// The content of one node: an interned label plus sorted `(key, value)`
 /// attribute pairs. Kept deliberately small — most nodes carry 2–4
@@ -228,14 +233,137 @@ impl Adjacency {
     }
 }
 
-/// The vertex table and the label-class index over it, behind one `Arc`
-/// so that every clone sharing the table shares its index too.
+/// A node condition's class: every node that satisfies the condition,
+/// under the condition's canonical text. The matching fixpoints key the
+/// reach index by it ([`crate::ReachProvider`]).
+#[derive(Clone, Debug)]
+pub struct Class {
+    key: Arc<str>,
+    label: Option<Sym>,
+    members: Arc<BitSet>,
+}
+
+impl Class {
+    /// The class `members` of the condition whose canonical text is
+    /// `key`; `label` is `Some` exactly when the condition is the bare
+    /// test of a label some node carries, and `members` is then that
+    /// label's class.
+    pub fn new(key: Arc<str>, label: Option<Sym>, members: Arc<BitSet>) -> Class {
+        Class {
+            key,
+            label,
+            members,
+        }
+    }
+
+    /// The condition's canonical text.
+    pub fn key(&self) -> &Arc<str> {
+        &self.key
+    }
+
+    /// The label, when the condition is that label's bare test.
+    pub fn label(&self) -> Option<Sym> {
+        self.label
+    }
+
+    /// The nodes that satisfy the condition.
+    pub fn members(&self) -> &Arc<BitSet> {
+        &self.members
+    }
+}
+
+/// Most classes one [`ClassMemo`] keeps.
+pub const MAX_CLASSES: usize = 256;
+
+/// Most bytes (member sets and keys) one [`ClassMemo`] keeps.
+pub const MAX_CLASS_BYTES: usize = 16 << 20;
+
+/// The candidate set of every node condition a query seeded on a vertex
+/// table, keyed by the condition's canonical text, built on first use.
+/// It lives in the table beside the label index, so every clone sharing
+/// the table — every published version of a graph, and its
+/// [`CsrGraph`](crate::CsrGraph) — shares it, and a node or attribute
+/// write drops it. [`MAX_CLASSES`] and [`MAX_CLASS_BYTES`] bound it: past
+/// them a condition is not kept.
+#[derive(Debug, Default)]
+pub struct ClassMemo {
+    classes: RwLock<HashMap<Arc<str>, Class>>,
+    bytes: AtomicUsize,
+}
+
+impl Clone for ClassMemo {
+    fn clone(&self) -> ClassMemo {
+        let classes = self.classes.read().unwrap_or_else(|e| e.into_inner());
+        ClassMemo {
+            classes: RwLock::new(classes.clone()),
+            bytes: AtomicUsize::new(self.bytes()),
+        }
+    }
+}
+
+impl ClassMemo {
+    /// The class of the condition whose canonical text is `key`. On a
+    /// miss, `build` computes its members and its label marker (see
+    /// [`Class::new`]) and the class is kept. `Err` hands back what
+    /// `build` computed when the memo is full and keeps nothing.
+    /// Concurrent builders of one key may both build; the first insert
+    /// wins, and both sets are equal.
+    pub fn class(
+        &self,
+        key: &str,
+        build: impl FnOnce() -> (BitSet, Option<Sym>),
+    ) -> Result<Class, (BitSet, Option<Sym>)> {
+        let read = self.classes.read().unwrap_or_else(|e| e.into_inner());
+        if let Some(class) = read.get(key) {
+            return Ok(class.clone());
+        }
+        drop(read);
+        let (members, label) = build();
+        let mut classes = self.classes.write().unwrap_or_else(|e| e.into_inner());
+        if let Some(raced) = classes.get(key) {
+            return Ok(raced.clone());
+        }
+        let bytes = self.bytes() + members.words().len() * 8 + key.len();
+        if classes.len() >= MAX_CLASSES || bytes > MAX_CLASS_BYTES {
+            return Err((members, label));
+        }
+        self.bytes.store(bytes, Ordering::Relaxed);
+        let class = Class::new(key.into(), label, Arc::new(members));
+        classes.insert(Arc::clone(&class.key), class.clone());
+        Ok(class)
+    }
+
+    /// Classes kept.
+    pub fn len(&self) -> usize {
+        self.classes.read().unwrap_or_else(|e| e.into_inner()).len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Bytes the kept classes retain: member sets and keys.
+    pub fn bytes(&self) -> usize {
+        self.bytes.load(Ordering::Relaxed)
+    }
+
+    fn clear(&mut self) {
+        let classes = self.classes.get_mut().unwrap_or_else(|e| e.into_inner());
+        classes.clear();
+        *self.bytes.get_mut() = 0;
+    }
+}
+
+/// The vertex table with the label-class index and the class memo over
+/// it, behind one `Arc` so that every clone sharing the table shares them
+/// too.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct VertexTable {
     data: Vec<VertexData>,
     /// Label → the nodes carrying it, each set of capacity `data.len()`;
     /// `OnceLock` makes concurrent first readers of a shared table safe.
     labels: OnceLock<HashMap<Sym, BitSet>>,
+    classes: ClassMemo,
 }
 
 impl VertexTable {
@@ -256,11 +384,18 @@ impl VertexTable {
         })
     }
 
-    /// Copy-on-write access to the node contents; drops the label index in
-    /// place (an unbuilt one costs nothing, so bulk builds don't pay).
+    /// The class memo.
+    pub(crate) fn classes(&self) -> &ClassMemo {
+        &self.classes
+    }
+
+    /// Copy-on-write access to the node contents; drops the label index
+    /// and the class memo in place (unbuilt ones cost nothing, so bulk
+    /// builds don't pay).
     fn write(table: &mut Arc<VertexTable>) -> &mut Vec<VertexData> {
         let table = Arc::make_mut(table);
         table.labels.take();
+        table.classes.clear();
         &mut table.data
     }
 }
@@ -290,7 +425,7 @@ impl DiGraph {
         DiGraph {
             vertices: Arc::new(VertexTable {
                 data: Vec::with_capacity(nodes),
-                labels: OnceLock::new(),
+                ..VertexTable::default()
             }),
             out: Adjacency::with_capacity(nodes),
             inn: Adjacency::with_capacity(nodes),
@@ -500,6 +635,10 @@ impl GraphView for DiGraph {
 
     fn has_label_index(&self) -> bool {
         true
+    }
+
+    fn class_memo(&self) -> Option<&ClassMemo> {
+        Some(self.vertices.classes())
     }
 }
 
@@ -759,18 +898,27 @@ mod tests {
             }
         }
 
-        /// The label index equals a full scan after every op on either side
-        /// of a clone, leaves the other side's index alone, and stays one
-        /// shared map for as long as only edges change.
+        /// The label index and every memoised condition class equal a full
+        /// scan after every op on either side of a clone, leave the other
+        /// side's alone, and stay shared for as long as only edges change:
+        /// the first node or attribute write un-shares them.
         #[test]
         fn label_index_is_shared_and_exact(
             seed in ops(),
             stream in ops(),
+            conds in proptest::collection::vec(condition(), 1..6),
             mutate_clone in proptest::bool::ANY,
         ) {
             for n in [0, 1, CHUNK + 1, 3 * CHUNK + 7] {
                 let mut original = build(n, &seed);
                 original.vertices.labels(); // built once, before the clone
+                let memoised = |g: &DiGraph| -> Vec<Class> {
+                    conds.iter().map(|c| memoised(g, c)).collect()
+                };
+                let members = |classes: &[Class]| -> Vec<Vec<NodeId>> {
+                    classes.iter().map(|c| c.members().to_vec()).collect()
+                };
+                let before_classes = members(&memoised(&original));
                 let mut clone = original.clone();
                 let before = classes(&original);
                 let (touched, untouched) = if mutate_clone {
@@ -778,8 +926,13 @@ mod tests {
                 } else {
                     (&mut original, &clone)
                 };
-                let mut edges_only = true;
+                let (mut edges_only, mut wrote) = (true, false);
                 for op in &stream {
+                    wrote |= match op {
+                        Op::AddVertex(_) => true,
+                        Op::SetAttr(..) => touched.node_count() > 0,
+                        _ => false,
+                    };
                     run(touched, op);
                     edges_only &= matches!(op, Op::Insert(..) | Op::Delete(..));
                     prop_assert_eq!(classes(touched), scanned(touched), "n={} after {:?}", n, op);
@@ -790,9 +943,103 @@ mod tests {
                             "edge updates share the one index"
                         );
                     }
+                    let (mine, theirs) = (memoised(touched), memoised(untouched));
+                    for (c, class) in conds.iter().zip(&mine) {
+                        prop_assert_eq!(class.members().to_vec(), c.scan(touched), "{:?} after {:?}", c, op);
+                        let label = matches!(c, Cond::Label(_)) && !class.members().is_empty();
+                        prop_assert_eq!(class.label().is_some(), label, "{:?}", c);
+                    }
+                    prop_assert_eq!(&members(&theirs), &before_classes, "n={} after {:?}", n, op);
+                    for (a, b) in mine.iter().zip(&theirs) {
+                        prop_assert_eq!(
+                            Arc::ptr_eq(a.members(), b.members()),
+                            !wrote,
+                            "n={} after {:?}: one memo until a node or attribute write", n, op
+                        );
+                    }
+                    prop_assert!(touched.vertices.classes().len() <= conds.len());
                 }
             }
         }
+    }
+
+    const LABELS: [&str; 5] = ["SA", "SD", "label0", "label1", "ghost"];
+
+    /// A node condition as the memo sees it: a canonical text and a scan.
+    #[derive(Clone, Debug)]
+    enum Cond {
+        Label(usize),
+        LabelGe(usize, u8, i64),
+        Ge(u8, i64),
+        NotLabel(usize),
+    }
+
+    fn condition() -> impl Strategy<Value = Cond> {
+        let label = 0..LABELS.len();
+        prop_oneof![
+            label.clone().prop_map(Cond::Label),
+            (label.clone(), 0u8..4, 0i64..9).prop_map(|(l, k, t)| Cond::LabelGe(l, k, t)),
+            (0u8..4, 0i64..9).prop_map(|(k, t)| Cond::Ge(k, t)),
+            label.prop_map(Cond::NotLabel),
+        ]
+    }
+
+    impl Cond {
+        fn holds(&self, g: &DiGraph, v: NodeId) -> bool {
+            let label = |l: usize| g.label_str(v) == LABELS[l];
+            let ge = |k: u8, t: i64| {
+                let value = g.attr_of(v, &format!("k{k}")).and_then(AttrValue::as_int);
+                value.is_some_and(|x| x >= t)
+            };
+            match *self {
+                Cond::Label(l) => label(l),
+                Cond::LabelGe(l, k, t) => label(l) && ge(k, t),
+                Cond::Ge(k, t) => ge(k, t),
+                Cond::NotLabel(l) => !label(l),
+            }
+        }
+
+        fn scan(&self, g: &DiGraph) -> Vec<NodeId> {
+            g.node_ids().filter(|&v| self.holds(g, v)).collect()
+        }
+    }
+
+    /// `c`'s class as the graph's memo answers it, built by a scan that
+    /// marks a bare label test whose label some node carries.
+    fn memoised(g: &DiGraph, c: &Cond) -> Class {
+        let build = || {
+            let mut set = BitSet::new(g.node_count());
+            for v in c.scan(g) {
+                set.insert(v);
+            }
+            let label = match *c {
+                Cond::Label(l) => g.interner().get(LABELS[l]).filter(|_| !set.is_empty()),
+                _ => None,
+            };
+            (set, label)
+        };
+        let memo = g.class_memo().expect("a DiGraph keeps a class memo");
+        memo.class(&format!("{c:?}"), build)
+            .expect("a handful of conditions fits")
+    }
+
+    /// Past [`MAX_CLASSES`], a condition is built and handed back, and the
+    /// memo keeps what it held.
+    #[test]
+    fn the_memo_stops_at_its_bound() {
+        let g = build(10, &[]);
+        let memo = g.class_memo().unwrap();
+        for i in 0..MAX_CLASSES {
+            assert!(memo
+                .class(&i.to_string(), || (BitSet::new(10), None))
+                .is_ok());
+        }
+        let bytes = memo.bytes();
+        assert_eq!(memo.len(), MAX_CLASSES);
+        let past = memo.class("past", || (BitSet::full(10), None));
+        assert_eq!(past.unwrap_err().0, BitSet::full(10));
+        assert_eq!((memo.len(), memo.bytes()), (MAX_CLASSES, bytes));
+        assert!(memo.class("0", || unreachable!("kept")).is_ok());
     }
 
     /// Every interned symbol's class as `nodes_with_label` answers it:

@@ -12,11 +12,15 @@
 //!   sharing the graph's label → bitset candidate index; an alternative
 //!   substrate the matchers are tested and benchmarked on (the engine
 //!   evaluates on the `DiGraph` itself).
-//! * [`ReachIndex`] — a per-version label-reachability memo (entries
-//!   keyed by `(label, bound, direction)`, built by pure bitset sweeps)
+//! * [`ClassMemo`] — each node condition's [`Class`] (its candidate set,
+//!   keyed by the condition's canonical text), kept with the vertex table
+//!   and so shared by every version of a graph until a node or attribute
+//!   write.
+//! * [`ReachIndex`] — a per-version class-reachability memo (entries
+//!   keyed by `(class, bound, direction)`, built by pure bitset sweeps)
 //!   that lets the matching fixpoints skip class-seeded first-refresh
-//!   BFS runs entirely; its bounded entries are carried into the next
-//!   version and repaired update by update
+//!   BFS runs entirely; its bounded label-class entries are carried into
+//!   the next version and repaired update by update
 //!   ([`ReachCarry`](reach_index::ReachCarry)).
 //! * Traversals: bounded (multi-source) BFS with reusable scratch space
 //!   ([`bfs`]), its level-synchronous direction-optimizing counterpart over
@@ -57,7 +61,7 @@ pub use bfs_frontier::FrontierScratch;
 pub use bitset::BitSet;
 pub use cancel::CancelToken;
 pub use csr::CsrGraph;
-pub use digraph::{DiGraph, EdgeUpdate, VertexData};
+pub use digraph::{Class, ClassMemo, DiGraph, EdgeUpdate, VertexData};
 pub use reach_index::{ReachIndex, ReachProvider};
 pub use view::GraphView;
 

@@ -1,17 +1,21 @@
-//! Label-reachability index, one per graph version, whose bounded
-//! entries the graph's owner carries into the next version.
+//! Class-reachability index, one per graph version, whose bounded
+//! label-class entries the graph's owner carries into the next version.
 //!
 //! The matching fixpoints spend their time answering one question:
 //! *which nodes have a non-empty path of length ≤ `b` (in direction `d`)
-//! to some node of label ℓ?* When the seed set of a refinement constraint
-//! is still the **full label class** — which is exactly the state of every
+//! to some node of class `C`?* A class is a node condition's candidate
+//! set ([`Class`]): a bare label test's, or any condition's the graph's
+//! [`ClassMemo`](crate::ClassMemo) keeps, such as `label = "SA"` and
+//! `experience >= 5`. When the seed set of a refinement constraint is
+//! still the **full class** — which is exactly the state of every
 //! constraint's first refresh on a freshly seeded query — the answer
-//! depends only on `(ℓ, b, d)` and the graph version, not on the query.
+//! depends only on `(C, b, d)` and the graph version, not on the query.
 //! A serving workload that evaluates many queries against one graph
 //! version therefore re-pays the same multi-source BFS over and over.
 //!
-//! [`ReachIndex`] memoizes those answers per version: entries are built
-//! lazily on first use by [`class_reach_sweep`] — `b` level-synchronous
+//! [`ReachIndex`] memoizes those answers per version, keyed by the
+//! class's canonical text: entries are built lazily on first use by
+//! [`class_reach_sweep`] from the class's members — `b` level-synchronous
 //! rounds over bitset frontiers, dense levels swept word-parallel — and
 //! shared as `Arc<BitSet>` across queries, threads and HTTP workers. The
 //! engine keeps one index per published graph version, bound to that
@@ -20,10 +24,10 @@
 //!
 //! ## Carried entries
 //!
-//! A bounded entry (`b` at most [`MAX_CARRIED_BOUND`]) also keeps each
-//! node's capped distance `d(w)`: the length of its shortest non-empty
-//! path to (`Backward`) or from (`Forward`) the class, with `b + 1`
-//! standing for "farther". Its reach set is `{w : d(w) ≤ b}`. A version
+//! A bounded entry of a label class (`b` at most [`MAX_CARRIED_BOUND`])
+//! also keeps each node's capped distance `d(w)`: the length of its
+//! shortest non-empty path to (`Backward`) or from (`Forward`) the
+//! class, with `b + 1` standing for "farther". Its reach set is `{w : d(w) ≤ b}`. A version
 //! change does not drop these entries: [`ReachCarry`] takes them from
 //! the index the owner last published, repairs them after every update
 //! it applies, and hands them to the next version's index. The owner
@@ -42,8 +46,9 @@
 //! ran through it lies within `b − 1` of `t`, the locality argument of
 //! `IncrementalBoundedSim` ("Locality: the affected ball"), and the
 //! repair recomputes that ball's distances from its boundary (reset and
-//! relax). Unbounded entries and the quotient's index are not carried:
-//! the next version rebuilds them on first use.
+//! relax). Unbounded entries, entries of the other classes and the
+//! quotient's index are not carried: the next version rebuilds them on
+//! first use.
 //!
 //! The index itself does not hold the graph (entries are built against
 //! whatever [`GraphView`] the caller binds with [`ReachIndex::bind`]);
@@ -54,7 +59,7 @@ use crate::attrs::Sym;
 use crate::bfs::{BfsScratch, Direction};
 use crate::bfs_frontier::FrontierScratch;
 use crate::bitset::BitSet;
-use crate::digraph::{DiGraph, EdgeUpdate};
+use crate::digraph::{Class, DiGraph, EdgeUpdate};
 use crate::view::GraphView;
 use crate::NodeId;
 use std::collections::HashMap;
@@ -65,10 +70,8 @@ use std::sync::{Arc, RwLock};
 /// it falls back to a frontier BFS.
 pub trait ReachProvider {
     /// The set of nodes with a non-empty path of length `1..=depth` (in
-    /// direction `dir`, seen from the class) to some node labelled
-    /// `label` — or `None` when the bound view has no class for that
-    /// label (callers then run their own BFS).
-    fn class_reach(&self, label: Sym, depth: u32, dir: Direction) -> Option<Arc<BitSet>>;
+    /// direction `dir`, seen from the class) to some member of `class`.
+    fn class_reach(&self, class: &Class, depth: u32, dir: Direction) -> Arc<BitSet>;
 }
 
 /// The largest bound whose entries are carried across versions: a carried
@@ -112,8 +115,9 @@ pub fn class_reach_sweep<G: GraphView>(
     FrontierScratch::new().traverse(g, seeds, depth, dir, None, None, out, levels)
 }
 
-/// An index key: `(label, bound, direction)`.
-type Key = (Sym, u32, Direction);
+/// An index key: `(class, bound, direction)`, the class by its canonical
+/// text.
+type Key = (Arc<str>, u32, Direction);
 
 /// The entries a [`ReachCarry`] hands to an index: keys and reach sets.
 type Handed = Arc<[(Key, Arc<BitSet>)]>;
@@ -123,14 +127,14 @@ type Handed = Arc<[(Key, Arc<BitSet>)]>;
 struct Entry {
     /// What the fixpoints consume.
     reach: Arc<BitSet>,
-    /// The capped distances of a bounded key, for the writer to carry
-    /// the entry on; `None` for the other keys.
-    dist: Option<Vec<u8>>,
+    /// The label and capped distances of a bounded label-class key, for
+    /// the writer to carry the entry on; `None` for the other keys.
+    carry: Option<(Sym, Vec<u8>)>,
 }
 
 impl Entry {
     fn bytes(&self) -> usize {
-        self.reach.words().len() * 8 + self.dist.as_ref().map_or(0, |d| d.len())
+        self.reach.words().len() * 8 + self.carry.as_ref().map_or(0, |(_, d)| d.len())
     }
 }
 
@@ -156,7 +160,7 @@ impl IndexCounters {
 }
 
 /// Memo table of class-reach sets for **one** graph version, keyed by
-/// `(label, bound, direction)`. Entries are built lazily on first use and
+/// `(class, bound, direction)`. Entries are built lazily on first use and
 /// handed out as shared `Arc<BitSet>`s; concurrent readers racing on a
 /// missing entry may both build it (the first insert wins — entries for
 /// one version are deterministic, so either result is the same set). An
@@ -218,21 +222,22 @@ impl ReachIndex {
         self.bytes.load(Ordering::Relaxed)
     }
 
-    /// The entry for `(label, depth, dir)`, built against `g` on first
-    /// use. `g` **must** be the graph version this index was created for
-    /// (the engine guarantees it by binding each snapshot's graph to that
-    /// snapshot's index). Returns `None` when `g` maintains no class for
-    /// `label` ([`GraphView::nodes_with_label`]).
+    /// The entry for `(class, depth, dir)`, built against `g` from the
+    /// class's members on first use. `g` **must** be the graph version
+    /// this index was created for, and `class` one of its classes (the
+    /// engine guarantees both by binding each snapshot's graph to that
+    /// snapshot's index). Only a label class's bounded entry keeps the
+    /// distances a [`ReachCarry`] needs to carry it.
     pub fn entry<G: GraphView>(
         &self,
         g: &G,
-        label: Sym,
+        class: &Class,
         depth: u32,
         dir: Direction,
-    ) -> Option<Arc<BitSet>> {
-        let key = (label, depth, dir);
+    ) -> Arc<BitSet> {
+        let key = (Arc::clone(class.key()), depth, dir);
         if let Some((_, hit)) = self.carried.iter().find(|(k, _)| *k == key) {
-            return Some(Arc::clone(hit));
+            return Arc::clone(hit);
         }
         if let Some(hit) = self
             .entries
@@ -240,15 +245,15 @@ impl ReachIndex {
             .unwrap_or_else(|e| e.into_inner())
             .get(&key)
         {
-            return Some(Arc::clone(&hit.reach));
+            return Arc::clone(&hit.reach);
         }
-        let class = g.nodes_with_label(label)?;
+        let carried = class.label().filter(|_| depth <= MAX_CARRIED_BOUND);
         let mut reach = BitSet::new(g.node_count());
-        let mut dist = (depth <= MAX_CARRIED_BOUND).then(Vec::new);
-        class_reach_sweep(g, class, depth, dir, &mut reach, dist.as_mut());
+        let mut dist = carried.map(|_| Vec::new());
+        class_reach_sweep(g, class.members(), depth, dir, &mut reach, dist.as_mut());
         let built = Entry {
             reach: Arc::new(reach),
-            dist,
+            carry: carried.zip(dist),
         };
         let mut entries = self.entries.write().unwrap_or_else(|e| e.into_inner());
         let slot = entries.entry(key).or_insert_with(|| {
@@ -256,7 +261,7 @@ impl ReachIndex {
             self.counters.built.fetch_add(1, Ordering::Relaxed);
             built
         });
-        Some(Arc::clone(&slot.reach))
+        Arc::clone(&slot.reach)
     }
 
     /// Bind the index to the graph version it was built for, yielding the
@@ -274,8 +279,8 @@ pub struct BoundReachIndex<'a, G> {
 }
 
 impl<G: GraphView> ReachProvider for BoundReachIndex<'_, G> {
-    fn class_reach(&self, label: Sym, depth: u32, dir: Direction) -> Option<Arc<BitSet>> {
-        self.index.entry(self.g, label, depth, dir)
+    fn class_reach(&self, class: &Class, depth: u32, dir: Direction) -> Arc<BitSet> {
+        self.index.entry(self.g, class, depth, dir)
     }
 }
 
@@ -286,8 +291,9 @@ pub struct CarryStats {
     pub shared: u64,
     /// Entries handed to a new version after an update moved them.
     pub repaired: u64,
-    /// Entries of a taken index that were not carried: unbounded, or
-    /// bounded beyond [`MAX_CARRIED_BOUND`].
+    /// Entries of a taken index that were not carried: unbounded,
+    /// bounded beyond [`MAX_CARRIED_BOUND`], or of a class other than a
+    /// label's.
     pub dropped: u64,
     /// Nodes the repairs visited: each node a decrease lowered, and each
     /// node of a deletion's ball plus each one its relaxation settled.
@@ -307,8 +313,9 @@ struct Carried {
 }
 
 /// The carried entries of one `(label, direction)`. They differ only in
-/// `b`, so one distance column capped at their largest `b` serves them
-/// all: each reach set is `{w : d(w) ≤ b}`.
+/// `b` (and in their key's text, if two texts test the one label), so
+/// one distance column capped at their largest `b` serves them all: each
+/// reach set is `{w : d(w) ≤ b}`.
 #[derive(Debug)]
 struct Group {
     label: Sym,
@@ -407,9 +414,9 @@ pub struct ReachCarry {
 }
 
 impl ReachCarry {
-    /// Carry `index`'s bounded entries from its version on: the ones
-    /// this carry handed to `index` as they are, and the ones readers
-    /// built in it. If `index` is not the one this carry last handed on,
+    /// Carry `index`'s bounded label-class entries from its version on:
+    /// the ones this carry handed to `index` as they are, and the ones
+    /// readers built in it. If `index` is not the one this carry last handed on,
     /// what it carried is dropped instead.
     pub fn begin(&mut self, index: &ReachIndex) {
         if self.version != Some(index.version) {
@@ -422,23 +429,23 @@ impl ReachCarry {
         for c in self.groups.iter_mut().flat_map(|g| &mut g.entries) {
             c.moved = false;
         }
-        let mut built: Vec<(Key, &Arc<BitSet>, &[u8])> = Vec::new();
-        let taken = |key| {
+        let mut built: Vec<(&Key, Sym, &Arc<BitSet>, &[u8])> = Vec::new();
+        let taken = |key: &Key| {
             self.groups
                 .iter()
-                .any(|g| g.entries.iter().any(|c| c.key == key))
+                .any(|g| g.entries.iter().any(|c| c.key == *key))
         };
         let entries = index.entries.read().unwrap_or_else(|e| e.into_inner());
-        for (&key, e) in entries.iter() {
-            match &e.dist {
-                // taken already by a batch that applied nothing
-                _ if taken(key) => {}
-                Some(dist) => built.push((key, &e.reach, dist)),
+        for (key, e) in entries.iter() {
+            match &e.carry {
                 None => self.left += 1,
+                // taken already by a batch that applied nothing
+                Some(_) if taken(key) => {}
+                Some((label, dist)) => built.push((key, *label, &e.reach, dist)),
             }
         }
         self.version = Some(index.version);
-        let Some(&(_, _, first)) = built.first() else {
+        let Some(&(_, _, _, first)) = built.first() else {
             return;
         };
         // one version, one graph: the same node count as the table's
@@ -448,7 +455,8 @@ impl ReachCarry {
         // a new group's column, or a larger cap's for an existing one,
         // comes from the reader's distances
         let mut sources: Vec<Option<&[u8]>> = vec![None; old];
-        for (key @ (label, b, dir), reach, dist) in built {
+        for (key, label, reach, dist) in built {
+            let (b, dir) = (key.1, key.2);
             let i = match self
                 .groups
                 .iter()
@@ -472,7 +480,7 @@ impl ReachCarry {
                 sources[i] = Some(dist);
             }
             group.entries.push(Carried {
-                key,
+                key: key.clone(),
                 reach: Arc::clone(reach),
                 moved: false,
             });
@@ -514,7 +522,8 @@ impl ReachCarry {
             g.entries.iter().map(move |c| {
                 let cap = c.key.1 as u8 + 1;
                 let column = self.table.iter().skip(i).step_by(stride);
-                (c.key, &*c.reach, column.map(|&d| d.min(cap)).collect())
+                let key = (g.label, c.key.1, g.dir);
+                (key, &*c.reach, column.map(|&d| d.min(cap)).collect())
             })
         })
     }
@@ -604,7 +613,9 @@ impl ReachCarry {
                 .zip(entries())
                 .all(|((_, reach), c)| Arc::ptr_eq(reach, &c.reach));
         if !unchanged {
-            self.handed = entries().map(|c| (c.key, Arc::clone(&c.reach))).collect();
+            self.handed = entries()
+                .map(|c| (c.key.clone(), Arc::clone(&c.reach)))
+                .collect();
         }
         let n = self.table.len() / self.groups.len().max(1);
         let set_bytes = n.div_ceil(64) * 8;
@@ -760,6 +771,13 @@ mod tests {
         NodeId(i)
     }
 
+    /// The class of `label`'s bare test on `g`.
+    fn label_class<G: GraphView>(g: &G, label: Sym) -> Class {
+        let members = g.nodes_with_label(label).expect("a carried label");
+        let key = format!("label = {}", crate::Quoted(g.interner().resolve(label)));
+        Class::new(key.into(), Some(label), Arc::new(members.clone()))
+    }
+
     /// Chain 0 → 1 → 2 → 3 → 4 plus a back edge 4 → 0.
     fn ring5() -> DiGraph {
         let mut g = DiGraph::new();
@@ -844,20 +862,20 @@ mod tests {
         assert!(idx.is_empty());
         assert_eq!(idx.bytes(), 0);
 
-        let sym_b = g.interner().get("B").unwrap();
-        let r = idx.entry(&csr, sym_b, 2, Direction::Backward).unwrap();
+        let class_b = label_class(&csr, g.interner().get("B").unwrap());
+        let r = idx.entry(&csr, &class_b, 2, Direction::Backward);
         // nodes with a non-empty ≤2 path to some B: a (→b1, →→b2), b1 (→b2)
         assert_eq!(r.to_vec(), vec![a, b1]);
         assert_eq!(idx.len(), 1);
         assert!(idx.bytes() > 0);
 
         // second lookup returns the same shared entry
-        let r2 = idx.entry(&csr, sym_b, 2, Direction::Backward).unwrap();
+        let r2 = idx.entry(&csr, &class_b, 2, Direction::Backward);
         assert!(Arc::ptr_eq(&r, &r2));
         assert_eq!(idx.len(), 1);
 
         // distinct keys get distinct entries
-        let fwd = idx.entry(&csr, sym_b, 2, Direction::Forward).unwrap();
+        let fwd = idx.entry(&csr, &class_b, 2, Direction::Forward);
         assert_eq!(fwd.to_vec(), vec![b2], "forward reach from the B class");
         assert_eq!(idx.len(), 2);
     }
@@ -872,20 +890,48 @@ mod tests {
         let idx = ReachIndex::new(g.version());
         let bound = idx.bind(&g);
         for label in &spec.labels {
-            let sym = g.interner().get(label).unwrap();
-            let class = g.nodes_with_label(sym).unwrap();
+            let class = label_class(&g, g.interner().get(label).unwrap());
             for dir in [Direction::Forward, Direction::Backward] {
-                let got = bound.class_reach(sym, 2, dir).unwrap();
-                assert_eq!(*got, oracle(&g, class, 2, dir).0, "{label} {dir:?}");
+                let got = bound.class_reach(&class, 2, dir);
+                assert_eq!(
+                    *got,
+                    oracle(&g, class.members(), 2, dir).0,
+                    "{label} {dir:?}"
+                );
             }
         }
         assert_eq!(idx.len(), spec.labels.len() * 2);
+    }
 
-        // a label no node carries has no class: the caller runs its BFS
-        let ring = ring5();
-        let idx = ReachIndex::new(ring.version());
-        assert!(idx.entry(&ring, Sym(7), 2, Direction::Backward).is_none());
-        assert!(idx.is_empty());
+    /// A class that is no label's — here every node with an even id —
+    /// gets entries like a label class, keyed by its text; only a label
+    /// class's bounded entry keeps the distances a carry needs.
+    #[test]
+    fn a_condition_class_is_keyed_by_its_text_and_not_carried() {
+        let g = ring5();
+        let mut even = BitSet::new(5);
+        for i in [0, 2, 4] {
+            even.insert(n(i));
+        }
+        let class = Class::new("even".into(), None, Arc::new(even.clone()));
+        let idx = ReachIndex::new(g.version());
+        let got = idx.entry(&g, &class, 1, Direction::Backward);
+        assert_eq!(*got, oracle(&g, &even, 1, Direction::Backward).0);
+        let same = Class::new("even".into(), None, Arc::new(even));
+        assert!(Arc::ptr_eq(
+            &got,
+            &idx.entry(&g, &same, 1, Direction::Backward)
+        ));
+        let label = label_class(&g, g.interner().get("x").unwrap());
+        idx.entry(&g, &label, 1, Direction::Backward);
+        assert_eq!(idx.len(), 2);
+        assert_eq!(idx.bytes(), 2 * 8 + g.node_count(), "one set of distances");
+
+        let mut carry = ReachCarry::default();
+        carry.begin(&idx);
+        let next = carry.successor(g.version(), &idx);
+        assert_eq!(next.len(), 1, "the label class's entry alone is carried");
+        assert_eq!(carry.stats().dropped, 1);
     }
 
     #[test]
@@ -897,12 +943,11 @@ mod tests {
         let idx = ReachIndex::new(csr.version());
         let bound = idx.bind(&csr);
         for label in &spec.labels {
-            let sym = g.interner().get(label).unwrap();
-            let class = csr.label_set(sym).unwrap().clone();
+            let class = label_class(&csr, g.interner().get(label).unwrap());
             for depth in [1u32, 3, u32::MAX] {
                 for dir in [Direction::Forward, Direction::Backward] {
-                    let got = bound.class_reach(sym, depth, dir).unwrap();
-                    let (want, _) = oracle(&g, &class, depth, dir);
+                    let got = bound.class_reach(&class, depth, dir);
+                    let (want, _) = oracle(&g, class.members(), depth, dir);
                     assert_eq!(*got, want, "{label} depth {depth} {dir:?}");
                 }
             }
@@ -955,18 +1000,18 @@ mod tests {
         for w in ids[..4].windows(2) {
             g.add_edge(w[0], w[1]);
         }
-        let sym = |l: &str| g.interner().get(l).unwrap();
-        let (b, c) = (sym("B"), sym("C"));
+        let class = |l: &str| label_class(&g, g.interner().get(l).unwrap());
+        let (b, c) = (class("B"), class("C"));
         let idx = ReachIndex::new(g.version());
-        let near = idx.entry(&g, b, 2, Direction::Backward).unwrap();
+        let near = idx.entry(&g, &b, 2, Direction::Backward);
         assert_eq!(near.to_vec(), vec![n(1), n(2)]);
-        let quiet = idx.entry(&g, c, 2, Direction::Backward).unwrap();
-        idx.entry(&g, b, u32::MAX, Direction::Backward).unwrap();
+        let quiet = idx.entry(&g, &c, 2, Direction::Backward);
+        idx.entry(&g, &b, u32::MAX, Direction::Backward);
         assert_eq!(idx.counters().built(), 3);
-        let fresh = |g: &DiGraph, label, depth| {
+        let fresh = |g: &DiGraph, class: &Class, depth| {
             let mut out = BitSet::new(g.node_count());
-            let class = g.nodes_with_label(label).unwrap();
-            class_reach_sweep(g, class, depth, Direction::Backward, &mut out, None);
+            let members = class.members();
+            class_reach_sweep(g, members, depth, Direction::Backward, &mut out, None);
             out
         };
 
@@ -985,13 +1030,13 @@ mod tests {
         let next = carry.successor(g.version(), &idx);
         assert_eq!(carry.version(), Some(next.version()));
 
-        let got = next.entry(&g, b, 2, Direction::Backward).unwrap();
-        assert_eq!(*got, fresh(&g, b, 2));
+        let got = next.entry(&g, &b, 2, Direction::Backward);
+        assert_eq!(*got, fresh(&g, &b, 2));
         assert_eq!(got.to_vec(), vec![n(0), n(2)]);
-        let kept = next.entry(&g, c, 2, Direction::Backward).unwrap();
+        let kept = next.entry(&g, &c, 2, Direction::Backward);
         assert!(Arc::ptr_eq(&kept, &quiet), "an unmoved entry is shared");
         assert!(Arc::ptr_eq(
-            &idx.entry(&g, b, 2, Direction::Backward).unwrap(),
+            &idx.entry(&g, &b, 2, Direction::Backward),
             &near
         ));
         assert_eq!(
@@ -1005,7 +1050,7 @@ mod tests {
         assert!(stats.repair_visits > 0);
         assert_eq!(next.counters().carried(), 2);
         assert!(next.bytes() >= 2 * (8 + g.node_count()));
-        next.entry(&g, b, u32::MAX, Direction::Backward).unwrap();
+        next.entry(&g, &b, u32::MAX, Direction::Backward);
         assert_eq!(
             next.counters().built(),
             4,

@@ -8,7 +8,7 @@
 
 use crate::attrs::{Interner, Sym};
 use crate::bitset::BitSet;
-use crate::digraph::VertexData;
+use crate::digraph::{ClassMemo, VertexData};
 use crate::NodeId;
 
 /// Read-only view of an attributed directed graph with dense node ids.
@@ -49,6 +49,16 @@ pub trait GraphView {
     /// any view that overrides `nodes_with_label`.
     fn has_label_index(&self) -> bool {
         false
+    }
+
+    /// Candidate index hook for whole node conditions: the memo that
+    /// keeps each condition's class under its canonical text, or `None`
+    /// on a view without one (callers then scan per query).
+    /// [`crate::DiGraph`] keeps it beside its label index, with the same
+    /// life: shared by every clone of the vertex table, dropped by a node
+    /// or attribute write.
+    fn class_memo(&self) -> Option<&ClassMemo> {
+        None
     }
 
     /// Iterate all node ids (provided).

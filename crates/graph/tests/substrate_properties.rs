@@ -5,8 +5,9 @@ use expfinder_graph::bfs::{BfsScratch, Direction};
 use expfinder_graph::bfs_frontier::FrontierScratch;
 use expfinder_graph::dijkstra::{DijkstraScratch, WeightedArcs, UNREACHABLE};
 use expfinder_graph::reach_index::{class_reach_sweep, ReachCarry};
-use expfinder_graph::{BitSet, DiGraph, EdgeUpdate, GraphView, NodeId, ReachIndex};
+use expfinder_graph::{BitSet, Class, DiGraph, EdgeUpdate, GraphView, NodeId, Quoted, ReachIndex};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// A graph's out-edges, each of weight 1, as a Dijkstra run reads them.
 struct UnitArcs<'a>(&'a DiGraph);
@@ -268,21 +269,28 @@ proptest! {
                 g.add_edge(id(b), id(a));
             }
         }
-        let syms: Vec<_> = ["A", "B"].iter().filter_map(|l| g.interner().get(l)).collect();
+        // the class of each label some node carries, keyed by its test
+        let classes: Vec<Class> = ["A", "B"]
+            .iter()
+            .filter_map(|l| {
+                let sym = g.interner().get(l)?;
+                let members = Arc::new(g.nodes_with_label(sym)?.clone());
+                Some(Class::new(format!("label = {}", Quoted(l)).into(), Some(sym), members))
+            })
+            .collect();
         let dirs = [Direction::Forward, Direction::Backward];
         // the first version builds bound 1 only; later ones add 2 and 3,
         // which carried bound-1 entries of the same label must absorb
         let fill = |idx: &ReachIndex, g: &DiGraph, depths: &[u32]| {
-            for &l in &syms {
+            for class in &classes {
                 for dir in dirs {
                     for &depth in depths.iter().chain(&[u32::MAX]) {
-                        idx.entry(g, l, depth, dir);
+                        idx.entry(g, class, depth, dir);
                     }
                 }
             }
         };
-        let classes = syms.iter().filter(|&&l| g.nodes_with_label(l).is_some()).count();
-        let mut bounded = classes * 2;
+        let mut bounded = classes.len() * 2;
         let mut idx = ReachIndex::new(g.version());
         fill(&idx, &g, &[1]);
         let mut carry = ReachCarry::default();
@@ -313,7 +321,7 @@ proptest! {
                 prop_assert_eq!(next.len(), bounded);
                 idx = next;
                 fill(&idx, &g, &[1, 2, 3]);
-                bounded = classes * 6;
+                bounded = classes.len() * 6;
                 carry.begin(&idx);
             }
         }

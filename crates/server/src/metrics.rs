@@ -383,6 +383,8 @@ impl Metrics {
                     ("carried", Value::Int(index.carried as i64)),
                     ("entries", Value::Int(index.entries as i64)),
                     ("bytes", Value::Int(index.bytes as i64)),
+                    ("classes", Value::Int(index.classes as i64)),
+                    ("class_bytes", Value::Int(index.class_bytes as i64)),
                 ]),
             ),
             (
@@ -626,6 +628,10 @@ mod tests {
         let index = doc.field("engine").unwrap().field("index").unwrap();
         for key in ["hits", "misses", "built", "carried", "entries", "bytes"] {
             assert!(index.field(key).unwrap().as_i64().unwrap() >= 0, "{key}");
+        }
+        // the evaluated query's node conditions are classes of the graph
+        for key in ["classes", "class_bytes"] {
+            assert!(index.field(key).unwrap().as_i64().unwrap() > 0, "{key}");
         }
         // planner counters: one decision per evaluate call above
         let planner = doc.field("engine").unwrap().field("planner").unwrap();

@@ -32,8 +32,10 @@ field of the counters document (``BENCH_counters.json``, written by the
   a cold read expands), the ranking kernel's ``settled``, ``relaxed``,
   ``pushes`` (on the built graph and under ``on_demand``), the incremental maintainer's ``affected_nodes``,
   ``tentative_pairs``, ``repair_sources`` and ``rerank_candidates``, and
-  the carried reach-index entries' ``repair_visits`` are worse when
-  higher; ``index_hits``
+  the carried reach-index entries' ``repair_visits``, and the
+  ``class_builds`` of ``match_warm_index``'s paths — condition classes a
+  path added to the graph's class memo, 0 on every warm path — are worse
+  when higher; ``index_hits``
   and ``refreshes_skipped`` are worse when lower). These are exact
   functions of the algorithm, so a >25% regression is a real algorithmic
   regression, not runner noise.
@@ -91,6 +93,7 @@ HIGHER_IS_WORSE = {
     "repair_sources",
     "rerank_candidates",
     "repair_visits",
+    "class_builds",
 }
 LOWER_IS_WORSE = {"index_hits", "refreshes_skipped"}
 # machine-shape fields: neither comparable nor interesting
