@@ -5,7 +5,8 @@
 //! It holds two workload arrays:
 //!
 //! * **`match_frontier`** — bounded simulation on the collab/twitter
-//!   workloads by the one fixpoint engine (dependency-ordered plan,
+//!   workloads (and, in the `rank` row, [`collab_rank_pattern`]) by the
+//!   one fixpoint engine (dependency-ordered plan,
 //!   direction-optimizing bitset BFS, refresh memoization, reused
 //!   [`EvalScratch`], label-indexed seeding) as a sequential query is
 //!   served (`new`), with the [`EvalStats`] it produces. The patterns are
@@ -14,11 +15,13 @@
 //!   plan — exactly the work the dependency plan avoids. Each workload
 //!   also ranks its matches: the `rank` block holds the result graph's
 //!   size, the work of building it ([`RankScratch::build_visits`]) and the
-//!   ranking kernel's work counters ([`RankScratch::work`]); its
-//!   `on_demand` block the same ranking as a cold read computes it from
-//!   the candidates ([`rank_candidates`]): the rows it expanded
-//!   ([`RankScratch::expand_visits`]), its searches' work, and whether
-//!   its ranks equal the full build's (`identical`).
+//!   ranking kernel's work counters ([`RankScratch::work`]) and the
+//!   candidates it gave up on ([`RankScratch::pruned`]); its `on_demand`
+//!   block the same ranking as a cold read computes it from the
+//!   candidates ([`rank_candidates`]): the rows it expanded
+//!   ([`RankScratch::expand_visits`]), its searches' work and pruned
+//!   candidates, and whether its ranks equal the full build's
+//!   (`identical`).
 //! * **`match_warm_index`** — the same frontier path without and with the
 //!   per-version reach index, cold (first query on a version) and warm
 //!   (queries 2..N), with the condition classes each path added to the
@@ -245,25 +248,43 @@ fn bits(list: &[RankedMatch]) -> Vec<(u32, u64)> {
     list.iter().map(|x| (x.node.0, x.rank.to_bits())).collect()
 }
 
+/// The `read_cold` pool's slowest shape, `SD -(≤3)-> BA -(≤3)-> SD` with
+/// the first SD the output: developers are both ends of the chain, so a
+/// candidate's searches reach the other candidates its BAs reach, and
+/// ranking every candidate to the end grows with the candidates squared
+/// as teams grow — the row that shows the searches a top-k ranking gives
+/// up on.
+pub fn collab_rank_pattern() -> Pattern {
+    PatternBuilder::new()
+        .node_output("sd", Predicate::label("SD"))
+        .node("ba", Predicate::label("BA"))
+        .node("peer", Predicate::label("SD"))
+        .edge("sd", "ba", Bound::hops(3))
+        .edge("ba", "peer", Bound::hops(3))
+        .build()
+        .expect("valid pattern")
+}
+
 /// Experts ranked per query in the `rank` block.
 const RANK_TOP_K: usize = 10;
 
 /// The `rank` block: `G_r`'s size, the build's and the ranking kernel's
 /// work counters (deterministic, gated by `bench-compare`) and the
 /// ranking's median time, for the top [`RANK_TOP_K`] experts of `m` on
-/// one [`RankScratch`] per call; and, under `on_demand`, the same for
-/// [`rank_candidates`] — the rows it expanded (`expand_visits`), its
-/// searches' work, and whether its ranks equal the full build's
+/// one [`RankScratch`] per call, with the candidates it gave up on
+/// (`pruned`); and, under `on_demand`, the same for [`rank_candidates`] —
+/// the rows it expanded (`expand_visits`), its searches' work and pruned
+/// candidates, and whether its ranks equal the full build's
 /// (`identical`).
 fn rank_doc(g: &DiGraph, pattern: &Pattern, m: &MatchRelation) -> Value {
     let mut build = RankScratch::new();
     let rg = ResultGraph::build_with(g, pattern, m, &mut build);
     let build_visits = build.build_visits();
-    let (rank_t, (built, work)) = measure(|| {
+    let (rank_t, (built, on_built)) = measure(|| {
         let mut scratch = RankScratch::new();
         let ranked = rank_matches_top_k_with(&rg, pattern, m, RANK_TOP_K, &mut scratch)
             .expect("a ranked pattern");
-        (ranked, scratch.work())
+        (ranked, scratch)
     });
     let (demand_t, (ranked, demand)) = measure(|| {
         let mut scratch = RankScratch::new();
@@ -273,9 +294,10 @@ fn rank_doc(g: &DiGraph, pattern: &Pattern, m: &MatchRelation) -> Value {
     });
     let identical = bits(&ranked) == bits(&built);
     assert!(identical, "on-demand ranks diverged from the full build's");
-    let (expand_visits, demand_work) = (demand.expand_visits(), demand.work());
+    let (work, demand_work) = (on_built.work(), demand.work());
+    let expand_visits = demand.expand_visits();
     println!(
-        "{:>10} rank: |V_r| {} |E_r| {} | build visits {} | settled {} relaxed {} pushes {} | {}",
+        "{:>10} rank: |V_r| {} |E_r| {} | build visits {} | settled {} relaxed {} pushes {} | pruned {} | {}",
         "",
         rg.node_count(),
         rg.edges().len(),
@@ -283,15 +305,17 @@ fn rank_doc(g: &DiGraph, pattern: &Pattern, m: &MatchRelation) -> Value {
         work.settled,
         work.relaxed,
         work.pushes,
+        on_built.pruned(),
         fmt_dur(rank_t),
     );
     println!(
-        "{:>10} on demand: expand visits {} | settled {} relaxed {} pushes {} | {}",
+        "{:>10} on demand: expand visits {} | settled {} relaxed {} pushes {} | pruned {} | {}",
         "",
         expand_visits,
         demand_work.settled,
         demand_work.relaxed,
         demand_work.pushes,
+        demand.pruned(),
         fmt_dur(demand_t),
     );
     obj(vec![
@@ -301,6 +325,7 @@ fn rank_doc(g: &DiGraph, pattern: &Pattern, m: &MatchRelation) -> Value {
         ("settled", Value::Int(work.settled as i64)),
         ("relaxed", Value::Int(work.relaxed as i64)),
         ("pushes", Value::Int(work.pushes as i64)),
+        ("pruned", Value::Int(on_built.pruned() as i64)),
         ("ms", ms(rank_t)),
         (
             "on_demand",
@@ -309,6 +334,7 @@ fn rank_doc(g: &DiGraph, pattern: &Pattern, m: &MatchRelation) -> Value {
                 ("settled", Value::Int(demand_work.settled as i64)),
                 ("relaxed", Value::Int(demand_work.relaxed as i64)),
                 ("pushes", Value::Int(demand_work.pushes as i64)),
+                ("pruned", Value::Int(demand.pruned() as i64)),
                 ("identical", Value::Bool(identical)),
                 ("ms", ms(demand_t)),
             ]),
@@ -402,6 +428,7 @@ fn frontier_workloads(collab: &DiGraph, twitter: &DiGraph) -> Vec<Value> {
     vec![
         bench_workload("collab", collab, &collab_pattern()),
         bench_workload("twitter", twitter, &twitter_chain_pattern()),
+        bench_workload("rank", collab, &collab_rank_pattern()),
     ]
 }
 
@@ -886,7 +913,7 @@ mod tests {
         let int = |v: &Value, k: &str| v.field(k).unwrap().as_i64().unwrap();
 
         let frontier = doc.field("match_frontier").unwrap().as_array().unwrap();
-        assert_eq!(frontier.len(), 2);
+        assert_eq!(frontier.len(), 3);
         for w in frontier {
             assert!(w.field("results_identical").unwrap().as_bool().unwrap());
             let new = w.field("new").unwrap().field("stats").unwrap();
@@ -898,12 +925,19 @@ mod tests {
             // every settled node was pushed at least once
             assert!(int(rank, "settled") > 0 && int(rank, "relaxed") > 0);
             assert!(int(rank, "pushes") >= int(rank, "settled"));
-            // a cold read expands fewer rows than a build witnesses, and
-            // ranks alike
+            // a cold read ranks alike; on the collab and twitter rows it
+            // also expands fewer rows than a build witnesses — not on the
+            // `rank` row, whose SDs sit at both ends of the chain, so a
+            // settled SD's rows are a forward and a backward 3-hop ball
+            // where the build runs one forward ball per source
             let demand = rank.field("on_demand").unwrap();
             assert!(demand.field("identical").unwrap().as_bool().unwrap());
-            assert!(int(demand, "expand_visits") <= int(rank, "build_visits"));
+            if w.field("name").unwrap().as_str().unwrap() != "rank" {
+                assert!(int(demand, "expand_visits") <= int(rank, "build_visits"));
+            }
             assert!(int(demand, "pushes") >= int(demand, "settled"));
+            // both rankers give up on the same candidates
+            assert_eq!(int(demand, "pruned"), int(rank, "pruned"));
         }
 
         let warm = doc.field("match_warm_index").unwrap().as_array().unwrap();

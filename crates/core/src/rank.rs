@@ -19,18 +19,38 @@
 //! for every `k' ≤ k`, which is what lets the engine's cache serve a
 //! smaller request from a larger ranked answer.
 //!
-//! Cost: a candidate costs what it reaches in `G_r`, not `|V_r|`. One
-//! forward and one backward [`DijkstraScratch`] run from `v` list the
-//! nodes they reached; `f` sums over those two lists — `|V'_r|` is the
-//! forward list plus the backward entries the forward run did not reach,
-//! `v` itself excluded — and the next candidate's runs reset only those
-//! entries. Integer sums do not depend on order, so the ranks are the
-//! ones a full `0..|V_r|` scan gives, bit for bit. One [`RankScratch`]
-//! serves every candidate of a call — an isolated candidate (most of
-//! them: `G_r` has fewer arcs than nodes) then costs two heap pushes and
-//! pops — and, reused, every ranked read: the serving layers draw it from
-//! their pooled `EvalScratch`, so a steady stream of ranked reads
-//! allocates no search or row buffers.
+//! Cost: a candidate costs what it reaches in `G_r`, not `|V_r|` — and,
+//! once `k` candidates are ranked, only what it takes to show it cannot
+//! enter the top `k`. The selection keeps a sorted running top `k` and
+//! hands each candidate the *bar*, the `(rank, node id)` of the current
+//! `k`-th entry. One forward and one backward [`DijkstraScratch`] search
+//! from `v` run interleaved, a settle at a time, always the one with the
+//! nearer frontier; `|V'_r|` is the nodes either search touched, `v`
+//! itself excluded, and `f` sums the distances they settle. Before every
+//! settle a lower bound on `f` is checked. With `S` the distances settled
+//! so far, `D_f` and `D_b` the two frontier distances
+//! ([`DijkstraScratch::peek`]), `T_f` and `T_b` the nodes each search has
+//! touched but not settled, and `K` the `|V'_r|` so far: weights are
+//! non-negative, so every unsettled node adds at least its search's
+//! frontier distance, and every node yet to join `V'_r` at least
+//! `D = min(D_f, D_b)` — so `f ≥ min((S + D_f·T_f + D_b·T_b) / K, D)`.
+//! And `f ≥ 1` always, as every `G_r` arc weighs at least 1. Once that
+//! bound ranks after the bar (above its rank, or equal to it with a
+//! larger node id) the candidate is given up on. A given-up candidate
+//! cannot belong in the top `k`, and a ranked one's `f` is the sum over
+//! the two finished searches; the counts are integers, and `f64` division
+//! of exact integers is monotone — so the list is the one ranking every
+//! candidate gives, bit for bit. When the `k`-th rank is 1, the floor
+//! alone gives up on every later candidate, before either search settles
+//! anything. With no bar — `k` at or above the candidate count, or a
+//! maintainer's full re-rank — every candidate runs both searches to
+//! the end. The next candidate's searches reset only the entries the last
+//! ones touched. One [`RankScratch`] serves every candidate of a call — an
+//! isolated candidate (most of them: `G_r` has fewer arcs than nodes)
+//! then costs two heap pushes and pops at most — and, reused, every
+//! ranked read: the serving layers draw it from their pooled
+//! `EvalScratch`, so a steady stream of ranked reads allocates no search
+//! or row buffers.
 //!
 //! A cold read builds no `G_r`: `f` reads only the part of it that its
 //! candidates' searches reach. [`rank_candidates`] expands a node's row
@@ -47,13 +67,15 @@
 //! reference the on-demand rows are tested against. It holds its arcs in
 //! the same rows, over the same data-node ids, filled once at build time.
 //!
-//! One kernel: [`RankScratch::social_impact`] computes `f` over any
-//! [`ResultArcs`]. A cold read hands it the rows it expands on demand;
-//! a built [`ResultGraph`] the rows it filled; a registered query's
-//! maintainer (`expfinder_incremental`) its own per-node rows — it
-//! re-ranks only the candidates an update batch can have moved, and
-//! keeps the sorted list, so a ranked read of a registered pattern
-//! copies a prefix of it, and its ranks are this code's, bit for bit.
+//! One kernel computes `f` over any [`ResultArcs`], with or without a
+//! bar. A cold read hands it the rows it expands on demand and a built
+//! [`ResultGraph`] the rows it filled, both through the one top-`k`
+//! selection; a registered query's maintainer (`expfinder_incremental`)
+//! hands [`RankScratch::social_impact`], which passes no bar, its own
+//! per-node rows — it re-ranks only the candidates an update batch can
+//! have moved, and keeps the sorted list, so a ranked read of a
+//! registered pattern copies a prefix of it, and its ranks are this
+//! code's, bit for bit.
 
 use crate::eval::EvalError;
 use crate::fixpoint::Cancelled;
@@ -87,34 +109,85 @@ impl ResultArcs for &ResultGraph {
     }
 }
 
-/// The two searches each candidate runs.
+/// The two searches each candidate runs, and how many candidates they
+/// ranked to the end and gave up on.
 #[derive(Clone, Debug, Default)]
 struct Searches {
     fwd: DijkstraScratch,
     rev: DijkstraScratch,
+    ranked: u64,
+    pruned: u64,
+}
+
+/// Whether a candidate `v` whose `f` is at least `lb` ranks after `bar`
+/// in `(rank, node id)` order whatever its `f` turns out to be.
+fn cannot_beat(lb: f64, v: u32, bar: &RankedMatch) -> bool {
+    lb > bar.rank || (lb == bar.rank && v > bar.node.0)
 }
 
 impl Searches {
-    /// See [`RankScratch::social_impact`].
-    fn social_impact(&mut self, mut g_r: impl ResultArcs, src: u32) -> f64 {
-        let Searches { fwd: from, rev: to } = self;
-        from.run(g_r.one_way(Direction::Forward), src);
-        to.run(g_r.one_way(Direction::Backward), src);
-        // both lists start with `v` itself, which is not in V'_r
-        let mut sum = 0u64;
-        let mut connected = 0usize;
-        for &u in &from.touched()[1..] {
-            sum += from.dist(u); // dist(v, u')
-            connected += 1;
+    /// `f(u_o, v)` of the node `v` of `g_r`, or `None` once a lower bound
+    /// on it shows `v` cannot beat `bar` (see the module docs).
+    fn social_impact(
+        &mut self,
+        mut g_r: impl ResultArcs,
+        v: u32,
+        bar: Option<&RankedMatch>,
+    ) -> Option<f64> {
+        // every arc of G_r weighs at least 1 (its ends differ), so f ≥ 1
+        if bar.is_some_and(|bar| cannot_beat(1.0, v, bar)) {
+            self.pruned += 1;
+            return None;
         }
-        for &u in &to.touched()[1..] {
-            sum += to.dist(u); // dist(u, v)
-            connected += usize::from(from.dist(u) == UNREACHABLE);
+        let Searches { fwd, rev, .. } = self;
+        fwd.begin(g_r.one_way(Direction::Forward).node_count(), v);
+        rev.begin(g_r.one_way(Direction::Backward).node_count(), v);
+        // settled distances summed — both lists start with `v` itself, at
+        // 0 — and |V'_r| so far: the nodes either search touched, but `v`
+        let (mut sum, mut connected) = (0u64, 0u64);
+        let mut settled = [0u64; 2];
+        loop {
+            let (df, db) = (fwd.peek(), rev.peek());
+            let dir = match (df, db) {
+                (None, None) => break,
+                (Some(f), Some(b)) if b < f => Direction::Backward,
+                (Some(_), _) => Direction::Forward,
+                (None, Some(_)) => Direction::Backward,
+            };
+            if let Some(bar) = bar {
+                // every node not settled yet adds at least its search's
+                // frontier distance, and a node new to V'_r at least `near`
+                let near = df.into_iter().chain(db).min().expect("a frontier");
+                let queued = |s: &DijkstraScratch, d: Option<u64>, done: u64| {
+                    d.map_or(0, |d| d * (s.touched().len() as u64 - done))
+                };
+                let low = sum + queued(fwd, df, settled[0]) + queued(rev, db, settled[1]);
+                let lb = match connected {
+                    0 => near as f64,
+                    k => (low as f64 / k as f64).min(near as f64),
+                };
+                if cannot_beat(lb.max(1.0), v, bar) {
+                    self.pruned += 1;
+                    return None;
+                }
+            }
+            let (this, other) = match dir {
+                Direction::Forward => (&mut *fwd, &*rev),
+                Direction::Backward => (&mut *rev, &*fwd),
+            };
+            let reached = this.touched().len();
+            let (_, d) = this.step(&mut g_r.one_way(dir)).expect("a peeked node");
+            sum += d;
+            settled[dir as usize] += 1;
+            connected += (this.touched()[reached..].iter())
+                .filter(|&&w| other.dist(w) == UNREACHABLE)
+                .count() as u64;
         }
-        if connected == 0 {
-            return f64::INFINITY;
-        }
-        sum as f64 / connected as f64
+        self.ranked += 1;
+        Some(match connected {
+            0 => f64::INFINITY,
+            k => sum as f64 / k as f64,
+        })
     }
 }
 
@@ -322,11 +395,24 @@ impl RankScratch {
         self.expand_visits
     }
 
+    /// Candidates ranked to the end by every search this scratch has
+    /// run.
+    pub fn ranked(&self) -> u64 {
+        self.searches.ranked
+    }
+
+    /// Candidates the same searches gave up on: a lower bound on their
+    /// `f` showed they could not enter the top k asked for.
+    pub fn pruned(&self) -> u64 {
+        self.searches.pruned
+    }
+
     /// `f(u_o, v)` of the node `src` of `g_r`: one run each way from
     /// `src`, summed over what they reached. `+∞` when `src` reaches
     /// nothing and nothing reaches it.
     pub fn social_impact(&mut self, g_r: impl ResultArcs, src: u32) -> f64 {
-        self.searches.social_impact(g_r, src)
+        let f = self.searches.social_impact(g_r, src, None);
+        f.expect("no bar, nothing pruned")
     }
 
     /// Heap bytes kept between reads, for a pool's keep-or-drop decision.
@@ -354,12 +440,10 @@ pub fn rank_order(a: &RankedMatch, b: &RankedMatch) -> std::cmp::Ordering {
 
 /// The best `k` matches of the output node in `rg`, the result graph of
 /// `m`, ascending by `(rank, node id)` — every match when `k` is
-/// `usize::MAX`. Identical to sorting every ranked match and truncating
-/// to `k`, but computed with an `O(n)` partition
-/// ([`select_nth_unstable_by`][sel]) plus an `O(k log k)` sort of the
-/// prefix instead of sorting all `n` matches.
-///
-/// [sel]: slice::select_nth_unstable_by
+/// `usize::MAX`. Identical to ranking every match, sorting and
+/// truncating to `k`, but selected as a running top `k` whose `k`-th
+/// entry bounds the rest: a candidate's searches stop as soon as it
+/// provably cannot enter (see the module docs).
 pub fn rank_matches_top_k(
     rg: &ResultGraph,
     q: &Pattern,
@@ -377,7 +461,8 @@ pub fn rank_matches_top_k_with(
     k: usize,
     scratch: &mut RankScratch,
 ) -> Result<Vec<RankedMatch>, MatchError> {
-    let ranked = select_top_k(q, m, k, |v| Ok(scratch.social_impact(rg, v.0)));
+    let searches = &mut scratch.searches;
+    let ranked = select_top_k(q, m, k, |v, bar| Ok(searches.social_impact(rg, v.0, bar)));
     ranked.map_err(EvalError::uncancelled)
 }
 
@@ -416,11 +501,11 @@ pub fn rank_candidates<G: GraphView>(
         cancel,
         cancelled: false,
     };
-    select_top_k(q, m, k, |v| {
+    select_top_k(q, m, k, |v, bar| {
         if cancel.is_some_and(|t| t.is_cancelled()) {
             return Err(Cancelled::default());
         }
-        let rank = searches.social_impact(&mut gr, v.0);
+        let rank = searches.social_impact(&mut gr, v.0, bar);
         if gr.cancelled {
             return Err(Cancelled::default());
         }
@@ -428,31 +513,43 @@ pub fn rank_candidates<G: GraphView>(
     })
 }
 
-/// The best `k` matches of `q`'s output node in `m`, each ranked by
-/// `rank`, ascending by `(rank, node id)`; the first error aborts.
+/// The best `k` matches of `q`'s output node in `m`, ascending by
+/// `(rank, node id)`, kept as a sorted running top `k`. Each candidate is
+/// ranked by `rank`, handed the bar — the current `k`-th entry, once
+/// there are `k` — which may give up on it (`None`) when it cannot beat
+/// the bar; the first error aborts.
 fn select_top_k(
     q: &Pattern,
     m: &MatchRelation,
     k: usize,
-    mut rank: impl FnMut(NodeId) -> Result<f64, Cancelled>,
+    mut rank: impl FnMut(NodeId, Option<&RankedMatch>) -> Result<Option<f64>, Cancelled>,
 ) -> Result<Vec<RankedMatch>, EvalError> {
     let uo = q.require_output().map_err(|_| MatchError::NoOutputNode)?;
-    let mut out = Vec::new();
+    let mut top: Vec<RankedMatch> = Vec::new();
     if k == 0 {
-        return Ok(out);
+        return Ok(top);
     }
     for node in m.matches(uo).iter() {
-        out.push(RankedMatch {
-            node,
-            rank: rank(node)?,
-        });
+        let bar = top.get(k - 1);
+        let Some(rank) = rank(node, bar)? else {
+            continue;
+        };
+        let entry = RankedMatch { node, rank };
+        if top.len() < k {
+            top.push(entry);
+            if top.len() == k {
+                top.sort_by(rank_order);
+            }
+        } else if rank_order(&entry, &top[k - 1]).is_lt() {
+            top.pop();
+            let at = top.partition_point(|x| rank_order(x, &entry).is_lt());
+            top.insert(at, entry);
+        }
     }
-    if out.len() > k {
-        out.select_nth_unstable_by(k - 1, rank_order);
-        out.truncate(k);
+    if top.len() < k {
+        top.sort_by(rank_order);
     }
-    out.sort_by(rank_order);
-    Ok(out)
+    Ok(top)
 }
 
 /// The paper's top-K selection: evaluate, build the result graph, rank,
@@ -519,6 +616,32 @@ mod tests {
         assert_eq!(all[0].node, f.bob);
         assert_eq!(all[1].node, f.walt);
         assert!(all[0].rank < all[1].rank);
+    }
+
+    #[test]
+    fn a_candidate_tied_with_the_bar_ranks_only_with_the_smaller_id() {
+        // the bar is the k-th entry in (rank, node id) order: a candidate
+        // whose f equals its rank beats it with a smaller id alone, and
+        // one a hair worse never does
+        let f = collaboration_fig1();
+        let q = fig1_pattern();
+        let m = bounded_simulation(&f.graph, &q).unwrap();
+        let rg = ResultGraph::build(&f.graph, &q, &m);
+        let bob = rank_of(&f.graph, &q, &m, f.bob);
+        assert!(f.bob.0 > 0);
+        let mut s = Searches::default();
+        let mut against = |rank: f64, node: u32| {
+            let bar = RankedMatch {
+                node: NodeId(node),
+                rank,
+            };
+            s.social_impact(&rg, f.bob.0, Some(&bar))
+        };
+        assert_eq!(against(bob, f.bob.0 + 1), Some(bob));
+        assert_eq!(against(bob, f.bob.0 - 1), None);
+        assert_eq!(against(bob.next_down(), u32::MAX), None);
+        assert_eq!(against(f64::INFINITY, 0), Some(bob));
+        assert_eq!((s.ranked, s.pruned), (2, 2));
     }
 
     #[test]

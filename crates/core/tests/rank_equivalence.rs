@@ -106,17 +106,25 @@ fn assert_same_structure(rg: &ResultGraph, want: &ReferenceResultGraph, what: &s
 }
 
 /// Check every public ranking entry point, on `view`, against `want`
-/// (the reference's full ranking), for every interesting `k`; the result
-/// graph itself against the reference's; and the search work of the two
-/// rankers against each other — all built and ranked on the file's
-/// [`shared_scratch`].
-fn check<V: GraphView>(view: &V, q: &Pattern, m: &MatchRelation, want: &[RankedMatch], what: &str) {
+/// (the reference's full ranking), for every interesting `k` and each of
+/// `more_ks`; the result graph itself against the reference's; and the
+/// search work of the two rankers against each other — all built and
+/// ranked on the file's [`shared_scratch`].
+fn check<V: GraphView>(
+    view: &V,
+    q: &Pattern,
+    m: &MatchRelation,
+    want: &[RankedMatch],
+    what: &str,
+    more_ks: &[usize],
+) {
     let want_rg = reference_result_graph(view, q, m);
     let mut reused = shared_scratch();
     let rg = ResultGraph::build_with(view, q, m, &mut reused);
     assert_same_structure(&rg, &want_rg, what);
     assert_eq!(bits(&rank_all(&rg, q, m)), bits(want), "{what}: all ranked");
-    for k in [0, 1, 2, want.len(), want.len() + 3] {
+    let ks = [0, 1, 2, want.len(), want.len() + 3];
+    for &k in ks.iter().chain(more_ks) {
         let expect = bits(&want[..k.min(want.len())]);
         let got = rank_matches_top_k(&rg, q, m, k).unwrap();
         assert_eq!(bits(&got), expect, "{what}: rank_matches_top_k k={k}");
@@ -143,10 +151,15 @@ fn check<V: GraphView>(view: &V, q: &Pattern, m: &MatchRelation, want: &[RankedM
 
 /// Reference vs. `core` over live and CSR views of one graph.
 fn differential(g: &DiGraph, q: &Pattern, what: &str) -> usize {
+    differential_at(g, q, what, &[])
+}
+
+/// [`differential`], checking each of `more_ks` too.
+fn differential_at(g: &DiGraph, q: &Pattern, what: &str, more_ks: &[usize]) -> usize {
     let m = bounded_simulation(g, q).unwrap();
     let want = reference_rank(g, q, &m, usize::MAX);
-    check(g, q, &m, &want, what);
-    check(&CsrGraph::snapshot(g), q, &m, &want, what);
+    check(g, q, &m, &want, what, more_ks);
+    check(&CsrGraph::snapshot(g), q, &m, &want, what, more_ks);
     want.len()
 }
 
@@ -223,6 +236,59 @@ fn candidate_on_a_cycle_through_itself() {
     assert_eq!(want[0].rank, 2.0);
     assert_eq!(bits(&top_k(&g, &q, &m, 5).unwrap()), bits(&want));
     differential(&g, &q, "self cycle");
+}
+
+#[test]
+fn many_candidates_tie_at_the_kth_rank() {
+    // under a →(≤2) b, an A with one B child is an isolated pair of G_r,
+    // rank 1; an A with a B child and a B grandchild ranks 3/2. Twelve of
+    // each, ids interleaved: every k cuts through a tie, and a 3/2
+    // candidate entered early is pushed out by a later rank-1 one of
+    // larger id
+    let tie = 12;
+    let mut g = DiGraph::new();
+    for i in 0..2 * tie {
+        let a = g.add_node("A", []);
+        let b = g.add_node("B", []);
+        g.add_edge(a, b);
+        if i % 2 == 1 {
+            let via = g.add_node("C", []);
+            let far = g.add_node("B", []);
+            g.add_edge(a, via);
+            g.add_edge(via, far);
+        }
+    }
+    let q = PatternBuilder::new()
+        .node_output("a", Predicate::label("A"))
+        .node("b", Predicate::label("B"))
+        .edge("a", "b", Bound::hops(2))
+        .build()
+        .unwrap();
+    let m = bounded_simulation(&g, &q).unwrap();
+    let want = reference_rank(&g, &q, &m, usize::MAX);
+    let ranks: Vec<f64> = want.iter().map(|x| x.rank).collect();
+    assert_eq!(ranks, [[1.0; 12], [1.5; 12]].concat());
+    let ks = [1, tie - 1, tie, tie + 1, 2 * tie - 1, 2 * tie, 2 * tie + 1];
+    assert_eq!(differential_at(&g, &q, "ties", &ks), 2 * tie);
+
+    // the searches give up on a candidate as soon as it provably cannot
+    // beat the k-th entry: past the first candidate (rank 1, the least
+    // any candidate can have), top 1 ranks no one, and expands no row
+    let mut scratch = RankScratch::new();
+    rank_candidates(&g, &q, &m, 1, &mut scratch, None).unwrap();
+    assert_eq!(
+        (scratch.ranked(), scratch.pruned()),
+        (1, 2 * tie as u64 - 1)
+    );
+    assert_eq!((scratch.work().settled, scratch.expand_visits()), (3, 2));
+    let before = (scratch.ranked(), scratch.pruned());
+    rank_candidates(&g, &q, &m, tie, &mut scratch, None).unwrap();
+    let pruned = scratch.pruned() - before.1;
+    assert_eq!(scratch.ranked() - before.0 + pruned, 2 * tie as u64);
+    assert!(
+        pruned > 0,
+        "a 3/2 candidate past a full top {tie} is pruned"
+    );
 }
 
 #[test]

@@ -446,6 +446,11 @@ pub struct RankTotals {
     pub computed: u64,
     /// Ranked answers served from the query cache's slot.
     pub reused: u64,
+    /// Candidates the computed rankings ranked to the end.
+    pub candidates: u64,
+    /// Candidates the same rankings gave up on: a lower bound on their
+    /// `f` showed they could not enter the top `k` asked for.
+    pub pruned: u64,
 }
 
 /// Point-in-time reach-index totals across every managed graph, from

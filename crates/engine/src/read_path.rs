@@ -88,6 +88,8 @@ impl CancelCounters {
 struct RankCounters {
     computed: AtomicU64,
     reused: AtomicU64,
+    candidates: AtomicU64,
+    pruned: AtomicU64,
 }
 
 /// What routing hands back to [`ReadPath::execute`]: the relation (with
@@ -267,22 +269,22 @@ impl ReadPath {
                 held
             }
             (Some(k), None) => {
-                let ranked = rank(
-                    &state,
-                    registered,
-                    pattern,
-                    &matches,
-                    k,
-                    scratch.rank_scratch(),
-                    cancel,
-                );
+                let ranking = scratch.rank_scratch();
+                let before = (ranking.ranked(), ranking.pruned());
+                let ranked = rank(&state, registered, pattern, &matches, k, ranking, cancel);
                 let experts = ranked.map_err(|e| match e {
                     EvalError::Pattern(e) => e.into(),
                     // the relation is finished and stays cached; the
                     // ranked list is all or nothing
                     EvalError::Cancelled(_) => ExpFinderError::DeadlineExceeded(stats),
                 })?;
-                self.rank_totals.computed.fetch_add(1, Ordering::Relaxed);
+                let totals = &self.rank_totals;
+                totals.computed.fetch_add(1, Ordering::Relaxed);
+                let ranking = scratch.rank_scratch();
+                let candidates = ranking.ranked() - before.0;
+                totals.candidates.fetch_add(candidates, Ordering::Relaxed);
+                let pruned = ranking.pruned() - before.1;
+                totals.pruned.fetch_add(pruned, Ordering::Relaxed);
                 let mut cache = self.cache.lock();
                 cache.put_ranked(&key, &experts, k);
                 experts
@@ -477,11 +479,14 @@ impl ReadPath {
 
     /// Ranked answers computed (ranked afresh, or copied from a
     /// registered query's maintained ranking) and served from the cache
-    /// slot instead — the `engine.rank` block of `GET /metrics`.
+    /// slot instead, and the candidates the computed ones ranked to the
+    /// end or gave up on — the `engine.rank` block of `GET /metrics`.
     pub fn rank_totals(&self) -> RankTotals {
         RankTotals {
             computed: self.rank_totals.computed.load(Ordering::Relaxed),
             reused: self.rank_totals.reused.load(Ordering::Relaxed),
+            candidates: self.rank_totals.candidates.load(Ordering::Relaxed),
+            pruned: self.rank_totals.pruned.load(Ordering::Relaxed),
         }
     }
 

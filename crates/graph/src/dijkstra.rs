@@ -2,17 +2,28 @@
 //!
 //! The ranking function of the paper measures social distance inside the
 //! *result graph*, whose edges are weighted by shortest-path lengths in the
-//! data graph. Result graphs are small (matches only), so a plain binary
-//! heap Dijkstra is the right tool.
+//! data graph. Result graphs are small (matches only), so a binary heap
+//! Dijkstra serves — one a caller can drive a settle at a time:
+//! [`begin`](DijkstraScratch::begin) queues the source,
+//! [`peek`](DijkstraScratch::peek) tells the distance the next settle is
+//! at, which no unsettled node's final distance is below, and
+//! [`step`](DijkstraScratch::step) settles that node. Top-k ranking
+//! interleaves a candidate's two searches by distance this way and stops
+//! both as soon as that bound shows the candidate cannot enter the top k
+//! (`expfinder_core::rank`); [`run`](DijkstraScratch::run) is `begin`
+//! plus `step` until the heap is empty.
 //!
 //! Cost: ranking runs two searches per candidate over the same result
 //! graph, and almost every candidate reaches nothing, so a search must
 //! not pay for the nodes it does not reach. [`DijkstraScratch`] keeps its
 //! distance array from run to run — [`UNREACHABLE`] everywhere except at
-//! the nodes the last run reached, which it lists — and a run first
-//! resets only those. A run from `src` costs `O(R + A log A)` for the `R`
-//! nodes it reaches and the `A` arcs leaving them, not `O(n)`; the array
-//! is sized once per scratch (and again only when `n` grows).
+//! the nodes the last run reached, which it lists — and `begin` resets
+//! only those, and empties the heap of whatever an abandoned run left
+//! queued. A finished run from `src` costs `O(R + A log A)` for the `R`
+//! nodes it reaches and the `A` arcs leaving them, not `O(n)`; an
+//! abandoned one costs what it settled, the arcs leaving those nodes and
+//! the entries they queued. The array is sized once per scratch (and
+//! again only when `n` grows).
 //!
 //! A run reads its graph through [`WeightedArcs`], so one kernel serves
 //! every shape `G_r` comes in, all over data-node ids: a built result
@@ -84,28 +95,55 @@ impl DijkstraScratch {
     }
 
     /// Shortest distances from `src` over `adj`, read back through
-    /// [`touched`](Self::touched) and [`dist`](Self::dist). Panics if `src`
-    /// is not below `adj.node_count()`.
+    /// [`touched`](Self::touched) and [`dist`](Self::dist): a
+    /// [`begin`](Self::begin) and [`step`](Self::step)s until none is
+    /// left. Panics if `src` is not below `adj.node_count()`.
     pub fn run(&mut self, mut adj: impl WeightedArcs, src: u32) {
+        self.begin(adj.node_count(), src);
+        while self.step(&mut adj).is_some() {}
+    }
+
+    /// Start a run from `src` over a graph of `n` nodes, settling
+    /// nothing yet; forgets the last run, finished or not — the nodes it
+    /// reached and whatever it left queued.
+    pub fn begin(&mut self, n: usize, src: u32) {
         for &v in &self.touched {
             self.dist[v as usize] = UNREACHABLE;
         }
         self.touched.clear();
-        self.dist.resize(adj.node_count(), UNREACHABLE);
+        self.heap.clear();
+        self.dist.resize(n, UNREACHABLE);
         self.reach(src, 0);
-        while let Some(Reverse((d, u))) = self.heap.pop() {
-            if d > self.dist[u as usize] {
-                continue; // stale entry
+    }
+
+    /// The distance the next [`step`](Self::step) settles a node at — a
+    /// lower bound on the final distance of every node not yet settled —
+    /// or `None` when the run is finished.
+    pub fn peek(&mut self) -> Option<u64> {
+        while let Some(&Reverse((d, u))) = self.heap.peek() {
+            if d <= self.dist[u as usize] {
+                return Some(d);
             }
-            self.work.settled += 1;
-            for (w, cost) in adj.arcs(u) {
-                self.work.relaxed += 1;
-                let nd = d.saturating_add(cost as u64);
-                if nd < self.dist[w as usize] {
-                    self.reach(w, nd);
-                }
+            self.heap.pop(); // stale entry
+        }
+        None
+    }
+
+    /// Settle the nearest queued node and relax its arcs in `adj`, the
+    /// graph the run began on; returns the node and its distance, or
+    /// `None` when the run is finished.
+    pub fn step(&mut self, adj: &mut impl WeightedArcs) -> Option<(u32, u64)> {
+        let d = self.peek()?;
+        let Reverse((_, u)) = self.heap.pop()?;
+        self.work.settled += 1;
+        for (w, cost) in adj.arcs(u) {
+            self.work.relaxed += 1;
+            let nd = d.saturating_add(cost as u64);
+            if nd < self.dist[w as usize] {
+                self.reach(w, nd);
             }
         }
+        Some((u, d))
     }
 
     /// Lower `v`'s distance to `d` and queue it.
@@ -119,13 +157,15 @@ impl DijkstraScratch {
         self.work.pushes += 1;
     }
 
-    /// The nodes the last run reached, each once, in the order they were
-    /// first reached — so the source comes first.
+    /// The nodes the last run reached — mid-run, has reached so far —
+    /// each once, in the order they were first reached, so the source
+    /// comes first.
     pub fn touched(&self) -> &[u32] {
         &self.touched
     }
 
-    /// The last run's distance from its source to `v`; [`UNREACHABLE`]
+    /// The last run's distance from its source to `v` — mid-run, the
+    /// shortest found so far, final once `v` is settled; [`UNREACHABLE`]
     /// where no path exists (or `v` is outside the adjacency).
     pub fn dist(&self, v: u32) -> u64 {
         self.dist.get(v as usize).copied().unwrap_or(UNREACHABLE)
@@ -185,11 +225,27 @@ mod tests {
         d
     }
 
-    /// One adjacency of a reuse sequence: `n`, its arcs, a source.
-    fn run_case() -> impl Strategy<Value = (usize, Vec<(u32, u32, u32)>, u32)> {
+    /// How a run of a reuse sequence is driven: `run` to the end, `begin`
+    /// plus `step`s to the end, or `begin` plus this many `step`s and
+    /// then abandoned.
+    #[derive(Clone, Debug)]
+    enum Drive {
+        Run,
+        Stepwise,
+        Abandon(usize),
+    }
+
+    /// One adjacency of a reuse sequence: `n`, its arcs, a source, and
+    /// how the run from it is driven.
+    fn run_case() -> impl Strategy<Value = (usize, Vec<(u32, u32, u32)>, u32, Drive)> {
         (1usize..24).prop_flat_map(|n| {
             let arcs = proptest::collection::vec((0u32..n as u32, 0u32..n as u32, 0u32..6), 0..40);
-            (Just(n), arcs, 0u32..n as u32)
+            let drive = prop_oneof![
+                Just(Drive::Run),
+                Just(Drive::Stepwise),
+                (0..n).prop_map(Drive::Abandon),
+            ];
+            (Just(n), arcs, 0u32..n as u32, drive)
         })
     }
 
@@ -197,20 +253,45 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// One scratch across a sequence of adjacencies whose `n` grows
-        /// and shrinks: after every run `dist` equals a fresh dense model
-        /// at every node, `touched` is exactly the reached set (source
-        /// first, no repeats), and the work counters add up. A stale
-        /// entry the reset missed shows up as a distance the model does
-        /// not have.
+        /// and shrinks, with runs finished by `run`, finished a `step` at
+        /// a time, or abandoned part way: after every finished run `dist`
+        /// equals a fresh dense model at every node, `touched` is exactly
+        /// the reached set (source first, no repeats), and the work
+        /// counters add up; a stepwise run settles every node at its model
+        /// distance, in the order `peek` announced. A stale distance the
+        /// reset missed, or a heap entry an abandoned run left queued,
+        /// shows up as a distance the model does not have.
         #[test]
         fn reused_scratch_equals_a_fresh_dense_run(
             runs in proptest::collection::vec(run_case(), 1..12),
         ) {
             let mut s = DijkstraScratch::new();
-            for (i, (n, arcs, src)) in runs.into_iter().enumerate() {
+            for (i, (n, arcs, src, drive)) in runs.into_iter().enumerate() {
                 let before = s.work();
-                s.run(Triples(n, &arcs), src);
                 let want = model(n, &arcs, src);
+                match drive {
+                    Drive::Run => s.run(Triples(n, &arcs), src),
+                    Drive::Stepwise => {
+                        s.begin(n, src);
+                        let mut last = 0;
+                        while let Some(d) = s.peek() {
+                            let (u, at) = s.step(&mut Triples(n, &arcs)).expect("peeked");
+                            prop_assert_eq!(at, d, "run {}: peek", i);
+                            prop_assert_eq!(at, want[u as usize], "run {} node {}", i, u);
+                            prop_assert!(last <= at, "run {}: settled out of order", i);
+                            last = at;
+                        }
+                        prop_assert_eq!(s.step(&mut Triples(n, &arcs)), None);
+                    }
+                    Drive::Abandon(steps) => {
+                        s.begin(n, src);
+                        for _ in 0..steps {
+                            let Some((u, at)) = s.step(&mut Triples(n, &arcs)) else { break };
+                            prop_assert_eq!(at, want[u as usize], "run {} node {}", i, u);
+                        }
+                        continue;
+                    }
+                }
                 for v in 0..n as u32 {
                     prop_assert_eq!(s.dist(v), want[v as usize], "run {} node {}", i, v);
                 }

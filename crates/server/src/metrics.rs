@@ -400,6 +400,8 @@ impl Metrics {
                 obj(vec![
                     ("computed", Value::Int(rank.computed as i64)),
                     ("reused", Value::Int(rank.reused as i64)),
+                    ("candidates", Value::Int(rank.candidates as i64)),
+                    ("pruned", Value::Int(rank.pruned as i64)),
                 ]),
             ),
             (

@@ -241,6 +241,14 @@ fn repeated_ranked_query_ranks_once_per_version() {
         let count = |key| rank.field(key).unwrap().as_i64().unwrap();
         (count("computed"), count("reused"))
     };
+    // the candidates ranked to the end and given up on: fig1's two SA
+    // matches, both in a top 2
+    let searched = |client: &mut Client| {
+        let metrics = client.metrics().unwrap();
+        let rank = metrics.field("engine").unwrap().field("rank").unwrap();
+        let count = |key| rank.field(key).unwrap().as_i64().unwrap();
+        (count("candidates"), count("pruned"))
+    };
     let body = query_body(FIG1_DSL, Some(2), "auto", false);
     let experts = |resp: &Value| resp.field("experts").unwrap().to_string_compact();
 
@@ -253,6 +261,7 @@ fn repeated_ranked_query_ranks_once_per_version() {
         assert_eq!(experts(&again), experts(&first), "same bytes from the slot");
     }
     assert_eq!(rank_counts(&mut client), (1, N - 1));
+    assert_eq!(searched(&mut client), (2, 0), "a slot hit ranks no one");
 
     // any update moves the version: the next answer is ranked afresh
     let f = expfinder_graph::fixtures::collaboration_fig1();
@@ -261,6 +270,7 @@ fn repeated_ranked_query_ranks_once_per_version() {
         .unwrap();
     client.query("fig1", &body).unwrap();
     assert_eq!(rank_counts(&mut client), (2, N - 1));
+    assert_eq!(searched(&mut client), (4, 0));
     handle.shutdown();
 }
 

@@ -35,16 +35,19 @@ field of the counters document (``BENCH_counters.json``, written by the
   the carried reach-index entries' ``repair_visits``, and the
   ``class_builds`` of ``match_warm_index``'s paths — condition classes a
   path added to the graph's class memo, 0 on every warm path — are worse
-  when higher; ``index_hits``
-  and ``refreshes_skipped`` are worse when lower). These are exact
+  when higher; ``index_hits``, ``refreshes_skipped`` and each ``rank``
+  block's ``pruned`` — the candidates a top-k ranking gave up on once a
+  lower bound showed they could not enter, on the built graph and under
+  ``on_demand`` — are worse when lower). These are exact
   functions of the algorithm, so a >25% regression is a real algorithmic
   regression, not runner noise.
 * **same-search rule** (blocking, within the fresh document alone) —
-  each ``rank`` block's ``on_demand.settled`` must equal its ``settled``
-  and ``on_demand.relaxed`` its ``relaxed``: the cold read's rows and the
-  built ``G_r`` hold one arc per ``(v, w)`` pair, so both rankers settle
-  the same nodes and relax the same arcs (only ``pushes`` may differ, as
-  on-demand rows list their arcs in ball order).
+  each ``rank`` block's ``on_demand.settled`` must equal its ``settled``,
+  ``on_demand.relaxed`` its ``relaxed`` and ``on_demand.pruned`` its
+  ``pruned``: the cold read's rows and the built ``G_r`` hold one arc per
+  ``(v, w)`` pair, so both rankers settle the same nodes, relax the same
+  arcs and give up on the same candidates (only ``pushes`` may differ,
+  as on-demand rows list their arcs in ball order).
 * **advisory** (reported, never blocking) — wall-clock milliseconds and
   speedup ratios (honest but hostage to the runner), and the reach
   index's ``entries`` / ``bytes``.
@@ -95,7 +98,7 @@ HIGHER_IS_WORSE = {
     "repair_visits",
     "class_builds",
 }
-LOWER_IS_WORSE = {"index_hits", "refreshes_skipped"}
+LOWER_IS_WORSE = {"index_hits", "refreshes_skipped", "pruned"}
 # machine-shape fields: neither comparable nor interesting
 IGNORED = {"note", "available_parallelism"}
 ADVISORY_SUFFIXES = ("_ms",)
@@ -193,7 +196,7 @@ def same_search(doc, path, findings):
         return
     rank = doc.get("rank")
     if isinstance(rank, dict) and isinstance(rank.get("on_demand"), dict):
-        for key in ("settled", "relaxed"):
+        for key in ("settled", "relaxed", "pruned"):
             built, demand = rank.get(key), rank["on_demand"].get(key)
             if built != demand:
                 findings.append(

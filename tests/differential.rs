@@ -865,12 +865,12 @@ impl Harness {
     }
 
     /// `engine.rank` — the same on both facades, or the two read paths
-    /// did different work for the same script.
-    fn rank_totals(&self) -> RankTotals {
+    /// did different work for the same script — as `(computed, reused)`.
+    fn rank_totals(&self) -> (u64, u64) {
         let [(a, _), (b, _)] = self.reads();
-        let totals = a.read_path().rank_totals();
+        let totals: RankTotals = a.read_path().rank_totals();
         assert_eq!(totals, b.read_path().rank_totals());
-        totals
+        (totals.computed, totals.reused)
     }
 
     /// Everything the facades report besides answers, held to each other
@@ -1353,7 +1353,7 @@ fn ranked_answers_are_cached_per_version_and_never_across() {
         .build()
         .unwrap();
     let mut h = Harness::new(g.clone(), 1);
-    let totals = |computed, reused| RankTotals { computed, reused };
+    let totals = |computed, reused| (computed, reused);
     let rank_of = |resp: &QueryResponse, v: u32| {
         let hit = resp.experts.iter().find(|x| x.node == NodeId(v));
         hit.expect("a candidate").rank
@@ -1727,11 +1727,9 @@ fn every_fuse_value_yields_the_exact_experts_or_408() {
                         "fuse {fuse}"
                     );
                     // nothing partial was stored: the follow-up ranked afresh
-                    let expect = RankTotals {
-                        computed: 1,
-                        reused: 0,
-                    };
-                    assert_eq!(c.read_path().rank_totals(), expect, "fuse {fuse}");
+                    let totals = c.read_path().rank_totals();
+                    let computed = (totals.computed, totals.reused);
+                    assert_eq!(computed, (1, 0), "fuse {fuse}");
                 }
                 Err(other) => panic!("fuse {fuse}: unexpected error: {other}"),
             }
