@@ -141,9 +141,9 @@ pub struct Ball<'a> {
     epoch: u32,
 }
 
-impl Ball<'_> {
-    /// Nodes in visit (BFS) order, including the source.
-    pub fn nodes(&self) -> &[NodeId] {
+impl<'a> Ball<'a> {
+    /// Nodes in visit (BFS) order, including the source first.
+    pub fn nodes(&self) -> &'a [NodeId] {
         self.touched
     }
 

@@ -90,8 +90,8 @@ impl FrontierScratch {
     /// graph, its marks are removed member-by-member via `touched` in
     /// `O(|touched|)` instead of zeroing whole bitsets in `O(|V|/64)` —
     /// so a scratch reused for many *small* traversals over a big graph
-    /// (the incremental module's support sweeps, memoized re-refreshes)
-    /// pays for what it visited, not for the graph.
+    /// (the fixpoint's memoized re-refreshes) pays for what it visited,
+    /// not for the graph.
     fn ensure(&mut self, n: usize) {
         if self.visited.capacity() != n {
             self.visited = BitSet::new(n);

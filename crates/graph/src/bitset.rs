@@ -143,17 +143,6 @@ impl BitSet {
         self.count = count;
     }
 
-    /// `|self ∩ other|` without materializing the intersection. Panics if
-    /// capacities differ.
-    pub fn intersection_count(&self, other: &BitSet) -> usize {
-        assert_eq!(self.len, other.len, "bitset capacity mismatch");
-        self.words
-            .iter()
-            .zip(&other.words)
-            .map(|(a, b)| (a & b).count_ones() as usize)
-            .sum()
-    }
-
     /// True if `self ⊆ other`.
     pub fn is_subset_of(&self, other: &BitSet) -> bool {
         assert_eq!(self.len, other.len, "bitset capacity mismatch");
@@ -292,10 +281,6 @@ mod tests {
         let mut diff = a.clone();
         diff.subtract(&b);
         assert_eq!(diff.to_vec(), vec![n(1), n(99)]);
-
-        assert_eq!(a.intersection_count(&b), 2);
-        assert_eq!(b.intersection_count(&a), 2);
-        assert_eq!(a.intersection_count(&BitSet::new(100)), 0);
 
         assert!(inter.is_subset_of(&a));
         assert!(inter.is_subset_of(&b));

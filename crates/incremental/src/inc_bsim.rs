@@ -10,8 +10,13 @@
 //!
 //! `scnt[e][v] > 0` is exactly the edge condition of bounded simulation —
 //! including *self support around a cycle* (`v = v'` with a non-empty
-//! cycle of length ≤ b), which the ball helpers below handle explicitly
-//! because a plain BFS reports the source at distance 0.
+//! cycle of length ≤ b), which `walk` handles explicitly because a
+//! plain BFS reports the source at distance 0.
+//!
+//! Every support question is about one node — "who is within `b` of
+//! `v`?" — and `walk` answers it with a single-source BFS whose marks
+//! reset in O(1), so it costs the ball it visits, never `|V|`. A support
+//! count is membership probes of the walked nodes in `sim(u')`.
 //!
 //! ## Locality: the affected ball
 //!
@@ -24,12 +29,16 @@
 //! 2. recomputes `scnt[e][v]` from scratch for `v ∈ A` only;
 //! 3. **deletion** (distances grow, matches only shrink): members whose
 //!    counter hit zero cascade through the standard removal loop, each
-//!    removal decrementing supporters found by a reverse ball;
+//!    removal decrementing supporters found by a reverse walk;
 //! 4. **insertion** (distances shrink, matches only grow): optimistic
 //!    expansion admits candidate pairs in `A` supported by members *or
-//!    other tentative pairs* (walking upstream through reverse balls),
+//!    other tentative pairs* (walking upstream through reverse walks),
 //!    then a verification fixpoint removes unsupported tentatives. Old
-//!    members can never be invalidated by an insertion.
+//!    members can never be invalidated by an insertion, so a tentative
+//!    pair is in ΔM exactly when it is still in its raw set afterwards.
+//!
+//! Nothing an update allocates is sized by the graph: the tentative sets
+//! persist across updates and are reset through the pairs they admitted.
 //!
 //! Patterns with unbounded (`*`) edges degrade gracefully: the ball radius
 //! becomes "everything that can reach x", which is correct but no longer
@@ -90,7 +99,6 @@ use expfinder_core::rank::rank_order;
 use expfinder_core::result_graph::{witness_arcs, ResultEdge};
 use expfinder_core::{candidate_sets, RankScratch, RankedMatch, ResultArcs};
 use expfinder_graph::bfs::{BfsScratch, Direction};
-use expfinder_graph::bfs_frontier::FrontierScratch;
 use expfinder_graph::dijkstra::WeightedArcs;
 use expfinder_graph::{BitSet, DiGraph, EdgeUpdate, GraphView, NodeId};
 use expfinder_pattern::{PNodeId, Pattern, PatternEdge};
@@ -110,11 +118,13 @@ pub struct IncrementalBoundedSim {
     /// `max_bound - 1`, or `u32::MAX` for patterns with unbounded edges.
     ball_radius: u32,
     data_nodes: usize,
-    /// Distance-reporting BFS state for the affected-ball computations
-    /// (the frontier BFS answers set questions only).
+    /// The one BFS state of every traversal: the affected ball, the
+    /// `y`-ball of an insertion, the support [`walk`]s and the witness
+    /// runs of [`Self::end_batch`].
     scratch: BfsScratch,
-    /// Single-source reach state shared by every support computation.
-    reach: ReachScratch,
+    /// Per pattern node, the pairs an insertion admits tentatively; empty
+    /// between updates.
+    tentative: Vec<BitSet>,
     /// Persistent output buffer of [`IncrementalBoundedSim::affected`].
     affected_buf: Vec<(NodeId, u32)>,
     /// The arcs of `G_r` over the raw sets (see [`Self::arcs`]).
@@ -434,65 +444,30 @@ fn diff_run(
     changed
 }
 
-/// Persistent single-source reach scratch: the word-parallel frontier BFS
-/// of `expfinder_graph::bfs_frontier` plus reusable seed/reach bitsets,
-/// so maintenance steps share one set of traversal buffers across every
-/// update instead of allocating fresh queue state per call. The seed set
-/// always holds exactly the last source, so switching sources is O(1)
-/// (remove + insert), and the frontier scratch resets sparsely between
-/// small traversals — per-call cost tracks the reach set, with only the
-/// output buffer's clear left at `O(|V|/64)` (callers iterate that
-/// buffer anyway, which costs the same).
-///
-/// `multi_source_within` has exactly the *non-empty path* semantics the
-/// support counters need — a node (the seed included) qualifies only via
-/// a genuine ≥1-length path, so cycles need no special-casing here. A
-/// depth-1 reach skips the traversal and copies the adjacency list.
-#[derive(Default)]
-struct ReachScratch {
-    frontier: FrontierScratch,
-    seed: BitSet,
-    last_seed: Option<NodeId>,
-    reach: BitSet,
-}
-
-impl ReachScratch {
-    /// The set of nodes connected to `v` by a non-empty path of length
-    /// ≤ `depth` in direction `dir` (seen from `v`): with
-    /// [`Direction::Forward`] the nodes `v` supports itself *on* — i.e.
-    /// reachable from `v`; with [`Direction::Backward`] the nodes that
-    /// count `v` as a supporter — i.e. that reach `v`. Borrows the
-    /// internal reach buffer until the next call.
-    fn reach_of<'a, G: GraphView>(
-        &'a mut self,
-        g: &G,
-        v: NodeId,
-        depth: u32,
-        dir: Direction,
-    ) -> &'a BitSet {
-        let n = g.node_count();
-        if self.seed.capacity() != n {
-            self.seed = BitSet::new(n);
-            self.reach = BitSet::new(n);
-            self.last_seed = None;
-        }
-        if depth == 1 {
-            // the bound-1 shortcut the fixpoint takes: one hop is the
-            // adjacency list, which holds `v` only through a self-loop
-            self.reach.clear();
-            for &w in dir.neighbors(g, v) {
-                self.reach.insert(w);
-            }
-            return &self.reach;
-        }
-        if let Some(prev) = self.last_seed.replace(v) {
-            self.seed.remove(prev);
-        }
-        self.seed.insert(v);
-        self.frontier
-            .multi_source_within(g, &self.seed, depth, dir, None, &mut self.reach);
-        &self.reach
-    }
+/// Every node joined to `v` by a non-empty path of length ≤ `depth` in
+/// direction `dir`, seen from `v`: with [`Direction::Forward`] the nodes
+/// `v` reaches (those it is supported *on*), with [`Direction::Backward`]
+/// the nodes that reach `v` (those that count `v` as a supporter). `v`
+/// itself counts only when a cycle of length ≤ `depth` passes through it,
+/// i.e. a neighbour in the opposite direction lies within `depth − 1` of
+/// it. A depth-1 walk reads the adjacency list, which holds `v` only
+/// through a self-loop. Each node comes once, and the walk costs its ball.
+fn walk<'a>(
+    scratch: &'a mut BfsScratch,
+    g: &'a DiGraph,
+    v: NodeId,
+    depth: u32,
+    dir: Direction,
+) -> impl Iterator<Item = NodeId> + 'a {
+    let (cycle, nodes) = if depth == 1 {
+        (false, dir.neighbors(g, v))
+    } else {
+        let ball = scratch.ball(g, v, depth, dir);
+        let closes = |w: &NodeId| ball.dist_of(*w).is_some_and(|d| d < depth);
+        let cycle = dir.opposite().neighbors(g, v).iter().any(closes);
+        (cycle, &ball.nodes()[1..])
+    };
+    cycle.then_some(v).into_iter().chain(nodes.iter().copied())
 }
 
 impl IncrementalBoundedSim {
@@ -504,18 +479,18 @@ impl IncrementalBoundedSim {
         let (sim, _) = bounded_fixpoint_raw(g, q, cand0.clone(), false, &mut eval_scratch, None)
             .expect("no cancel token supplied");
         let n = g.node_count();
-        let mut reach = ReachScratch::default();
+        // sized here, so no update allocates the BFS arrays
+        let mut scratch = BfsScratch::new();
+        scratch.ensure(n);
         let mut scnt: Vec<Vec<u32>> = vec![vec![0; n]; q.edge_count()];
         for (ei, e) in q.edges().iter().enumerate() {
-            let depth = e.bound.depth();
-            // accumulate supporter counts by sweeping each member's
-            // reverse reach set once; counters are only ever read for
-            // predicate candidates of the edge source, so only those are
-            // maintained (a large constant-factor saving on updates)
+            // accumulate supporter counts by walking back from each member
+            // once; counters are only ever read for predicate candidates
+            // of the edge source, so only those are maintained (a large
+            // constant-factor saving on updates)
             let src_cand = &cand0[e.from.index()];
-            let members: Vec<NodeId> = sim[e.to.index()].to_vec();
-            for vp in members {
-                for w in reach.reach_of(g, vp, depth, Direction::Backward).iter() {
+            for vp in sim[e.to.index()].iter() {
+                for w in walk(&mut scratch, g, vp, e.bound.depth(), Direction::Backward) {
                     if src_cand.contains(w) {
                         scnt[ei][w.index()] += 1;
                     }
@@ -523,7 +498,6 @@ impl IncrementalBoundedSim {
             }
         }
         // the arcs of G_r: one witness run per raw source per pattern edge
-        let mut scratch = BfsScratch::new();
         let (mut rows, mut arcs) = (Rows::default(), Vec::new());
         for (ei, e) in q.edges().iter().enumerate() {
             for v in sim[e.from.index()].iter() {
@@ -546,7 +520,7 @@ impl IncrementalBoundedSim {
             ball_radius,
             data_nodes: n,
             scratch,
-            reach,
+            tentative: (0..q.node_count()).map(|_| BitSet::new(n)).collect(),
             affected_buf: Vec::new(),
             rows,
             ranking: Arc::new([]),
@@ -751,68 +725,66 @@ impl IncrementalBoundedSim {
     /// `e` if `dist(v, x) ≤ b_e − 1` (a path through the changed edge
     /// needs a prefix to `x` that fits the bound), and (b) counters are
     /// only ever read for predicate candidates of the edge source. The
-    /// support count itself is one frontier reach sweep from `v`
-    /// intersected with the member set — no per-node queue, no fresh
-    /// allocations.
+    /// support count itself is one forward [`walk`] from `v`, its nodes
+    /// probed in the member set.
     fn recompute_counters(&mut self, g: &DiGraph, affected: &[(NodeId, u32)]) {
-        for ei in 0..self.pattern.edge_count() {
-            let e = &self.pattern.edges()[ei];
+        for (ei, e) in self.pattern.edges().iter().enumerate() {
             let depth = e.bound.depth();
             let radius = depth.saturating_sub(1);
-            let (from, to) = (e.from, e.to);
+            let (cand, members) = (&self.cand0[e.from.index()], &self.sim[e.to.index()]);
             for &(v, dvx) in affected {
-                if dvx > radius || !self.cand0[from.index()].contains(v) {
+                if dvx > radius || !cand.contains(v) {
                     continue;
                 }
-                let reach = self.reach.reach_of(g, v, depth, Direction::Forward);
-                let c = reach.intersection_count(&self.sim[to.index()]) as u32;
-                self.scnt[ei][v.index()] = c;
+                let support = walk(&mut self.scratch, g, v, depth, Direction::Forward)
+                    .filter(|&w| members.contains(w))
+                    .count();
+                self.scnt[ei][v.index()] = support as u32;
             }
         }
     }
 
-    /// Removal cascade shared by deletion handling and insert verification.
-    /// `guard`: when `Some(tentative)`, only pairs in `tentative` may be
-    /// removed (insert verification); `None` = unrestricted (deletion).
+    /// Removal cascade shared by deletion handling and insert verification:
+    /// the queued pairs have left their raw sets; withdraw their support,
+    /// remove every pair left unsupported the same way, and return all
+    /// removed pairs in removal order. `verify`: only tentative pairs may
+    /// be removed (insert verification); else unrestricted (deletion).
     fn removal_cascade(
         &mut self,
         g: &DiGraph,
         mut queue: Vec<(PNodeId, NodeId)>,
-        guard: Option<&[BitSet]>,
-        deltas: &mut Vec<(PNodeId, NodeId)>,
-    ) {
+        verify: bool,
+    ) -> Vec<(PNodeId, NodeId)> {
+        let mut removed = Vec::new();
         while let Some((u, v)) = queue.pop() {
-            deltas.push((u, v));
+            removed.push((u, v));
             // v left sim(u): every supporter w loses one unit on edges → u
-            let in_edges: Vec<u32> = self.pattern.in_edge_indices(u).to_vec();
-            for ei in in_edges {
+            for &ei in self.pattern.in_edge_indices(u) {
                 let e = &self.pattern.edges()[ei as usize];
-                let depth = e.bound.depth();
-                let from = e.from;
-                // one reverse reach sweep from v = everyone who counted v
-                let supported = self.reach.reach_of(g, v, depth, Direction::Backward);
-                let src_cand = &self.cand0[from.index()];
-                for w in supported.iter() {
-                    if !src_cand.contains(w) {
+                let (from, depth) = (e.from.index(), e.bound.depth());
+                // one reverse walk from v = everyone who counted v
+                for w in walk(&mut self.scratch, g, v, depth, Direction::Backward) {
+                    if !self.cand0[from].contains(w) {
                         continue;
                     }
                     let c = &mut self.scnt[ei as usize][w.index()];
                     debug_assert!(*c > 0, "support counter underflow");
                     *c -= 1;
-                    if *c == 0 && self.sim[from.index()].contains(w) {
-                        let allowed = guard.is_none_or(|t| t[from.index()].contains(w));
+                    if *c == 0 && self.sim[from].contains(w) {
+                        let allowed = !verify || self.tentative[from].contains(w);
                         debug_assert!(
                             allowed,
                             "insert verification tried to remove a pre-existing member"
                         );
                         if allowed {
-                            self.sim[from.index()].remove(w);
-                            queue.push((from, w));
+                            self.sim[from].remove(w);
+                            queue.push((e.from, w));
                         }
                     }
                 }
             }
         }
+        removed
     }
 
     /// Mark dirty, per pattern edge `e = (u, u', b)`, the members `v` of
@@ -867,8 +839,7 @@ impl IncrementalBoundedSim {
                 }
             }
         }
-        let mut removed = Vec::new();
-        self.removal_cascade(g, queue, None, &mut removed);
+        let removed = self.removal_cascade(g, queue, false);
         self.stats.removed += removed.len();
         self.affected_buf = affected;
         removed
@@ -915,13 +886,11 @@ impl IncrementalBoundedSim {
         //
         // Seeds are candidate pairs in the affected ball for which the new
         // edge could complete a path to some candidate of a required
-        // target. From the seeds the closure walks upstream through
-        // reverse balls WITHOUT support checks — checking here would fail
-        // to bootstrap cyclic mutual support (pairs that only support each
-        // other). The verification fixpoint below trims the
-        // over-approximation exactly.
-        let nq = self.pattern.node_count();
-        let mut tentative: Vec<BitSet> = (0..nq).map(|_| BitSet::new(self.data_nodes)).collect();
+        // target. From the seeds the closure walks upstream WITHOUT
+        // support checks — checking here would fail to bootstrap cyclic
+        // mutual support (pairs that only support each other). The
+        // verification fixpoint below trims the over-approximation
+        // exactly.
         let mut worklist: Vec<(PNodeId, NodeId)> = Vec::new();
         for u in self.pattern.ids() {
             for &(v, dvx) in &affected {
@@ -939,48 +908,36 @@ impl IncrementalBoundedSim {
                 }
             }
         }
+        let mut added: Vec<(PNodeId, NodeId)> = Vec::new();
         while let Some((u, v)) = worklist.pop() {
-            if tentative[u.index()].contains(v) || self.sim[u.index()].contains(v) {
+            if self.sim[u.index()].contains(v) || !self.tentative[u.index()].insert(v) {
                 continue;
             }
             self.stats.tentative_pairs += 1;
-            tentative[u.index()].insert(v);
-            // upstream propagation through reverse reach sweeps
-            let in_edges: Vec<u32> = self.pattern.in_edge_indices(u).to_vec();
-            for ei in in_edges {
+            added.push((u, v));
+            for &ei in self.pattern.in_edge_indices(u) {
                 let e = &self.pattern.edges()[ei as usize];
-                let from = e.from;
-                let ups = self
-                    .reach
-                    .reach_of(g, v, e.bound.depth(), Direction::Backward);
-                for p in ups.iter() {
-                    if self.cand0[from.index()].contains(p)
-                        && !self.sim[from.index()].contains(p)
-                        && !tentative[from.index()].contains(p)
+                let (from, depth) = (e.from.index(), e.bound.depth());
+                for p in walk(&mut self.scratch, g, v, depth, Direction::Backward) {
+                    if self.cand0[from].contains(p)
+                        && !self.sim[from].contains(p)
+                        && !self.tentative[from].contains(p)
                     {
-                        worklist.push((from, p));
+                        worklist.push((e.from, p));
                     }
                 }
             }
         }
 
         // ---- finalize: admit tentatives, bump supporter counters ----
-        let mut added: Vec<(PNodeId, NodeId)> = Vec::new();
-        for u in self.pattern.ids() {
-            for v in tentative[u.index()].iter() {
-                self.sim[u.index()].insert(v);
-                added.push((u, v));
-            }
-        }
+        // in (pattern node, data node) order, the order ΔM lists them in
+        added.sort_unstable();
         for &(u, v) in &added {
-            let in_edges: Vec<u32> = self.pattern.in_edge_indices(u).to_vec();
-            for ei in in_edges {
+            self.sim[u.index()].insert(v);
+            for &ei in self.pattern.in_edge_indices(u) {
                 let e = &self.pattern.edges()[ei as usize];
-                let src_cand = &self.cand0[e.from.index()];
-                let supported = self
-                    .reach
-                    .reach_of(g, v, e.bound.depth(), Direction::Backward);
-                for w in supported.iter() {
+                let (src_cand, depth) = (&self.cand0[e.from.index()], e.bound.depth());
+                for w in walk(&mut self.scratch, g, v, depth, Direction::Backward) {
                     if src_cand.contains(w) {
                         self.scnt[ei as usize][w.index()] += 1;
                     }
@@ -1001,15 +958,17 @@ impl IncrementalBoundedSim {
                 queue.push((u, v));
             }
         }
-        let mut removed = Vec::new();
-        self.removal_cascade(g, queue, Some(&tentative), &mut removed);
+        self.removal_cascade(g, queue, true);
         self.affected_buf = affected;
+        for &(u, v) in &added {
+            self.tentative[u.index()].remove(v);
+        }
 
-        let removed_set: std::collections::HashSet<(u32, u32)> =
-            removed.iter().map(|&(u, v)| (u.0, v.0)).collect();
+        // verification removed tentative pairs only: the ones still in
+        // their raw set are ΔM
         let deltas: Vec<MatchDelta> = added
             .into_iter()
-            .filter(|&(u, v)| !removed_set.contains(&(u.0, v.0)))
+            .filter(|&(u, v)| self.sim[u.index()].contains(v))
             .map(|(u, v)| MatchDelta {
                 pattern_node: u,
                 data_node: v,
@@ -1092,11 +1051,27 @@ mod tests {
 
     /// The maintained raw sets are the naive raw fixpoint of the current
     /// graph — so the collapsed relation is naive's too, and a dead query
-    /// keeps exactly the state it springs back from.
+    /// keeps exactly the state it springs back from — and every support
+    /// counter of a candidate source counts the members of the target's
+    /// raw set it reaches by a non-empty path within the bound, itself
+    /// included when a short enough cycle passes through it.
     fn check_against_recompute(g: &DiGraph, inc: &IncrementalBoundedSim) {
         let q = inc.pattern();
-        let raw = naive_bounded_fixpoint(g, q, candidate_sets(g, q));
+        let cand0 = candidate_sets(g, q);
+        let raw = naive_bounded_fixpoint(g, q, cand0.clone());
         assert_eq!(inc.sim, raw, "incremental diverged from recompute");
+        let dist = shortest_walks(g);
+        for (ei, e) in q.edges().iter().enumerate() {
+            for v in cand0[e.from.index()].iter() {
+                let within = |w: &NodeId| {
+                    let d = dist[v.index()][w.index()];
+                    d != FAR && d <= e.bound.depth()
+                };
+                let want = raw[e.to.index()].iter().filter(within).count();
+                let got = inc.scnt[ei][v.index()] as usize;
+                assert_eq!(got, want, "scnt of pattern edge {ei} at {v}");
+            }
+        }
     }
 
     #[test]
@@ -1213,6 +1188,39 @@ mod tests {
         g.remove_edge(n1, n0);
         inc.on_update(&g, EdgeUpdate::Delete(n1, n0));
         check_against_recompute(&g, &inc);
+    }
+
+    #[test]
+    fn self_support_needs_a_cycle_within_the_bound() {
+        // a →(≤b) a2 over `A`, and one `A` node v on the cycle
+        // v → x1 → x2 → v of length 3: v supports itself on it exactly
+        // when b ≥ 3, whether the cycle was there at the build or an
+        // insertion closed it
+        for (b, supported) in [(2, false), (3, true), (4, true)] {
+            let q = PatternBuilder::new()
+                .node("a", Predicate::label("A"))
+                .node("a2", Predicate::label("A"))
+                .edge("a", "a2", Bound::hops(b))
+                .build()
+                .unwrap();
+            let mut g = DiGraph::new();
+            let [v, x1, x2] = ["A", "X", "X"].map(|l| g.add_node(l, []));
+            g.add_edge(v, x1);
+            g.add_edge(x1, x2);
+            let mut inc = IncrementalBoundedSim::new(&g, &q);
+            g.add_edge(x2, v);
+            inc.on_update(&g, EdgeUpdate::Insert(x2, v));
+            check_against_recompute(&g, &inc);
+            let built = IncrementalBoundedSim::new(&g, &q);
+            for inc in [&inc, &built] {
+                assert_eq!(inc.scnt[0][v.index()], u32::from(supported), "b = {b}");
+                assert_eq!(inc.current().total_pairs(), 2 * usize::from(supported));
+            }
+            g.remove_edge(x1, x2);
+            inc.on_update(&g, EdgeUpdate::Delete(x1, x2));
+            check_against_recompute(&g, &inc);
+            assert!(inc.current().is_empty(), "b = {b}");
+        }
     }
 
     #[test]
@@ -1387,19 +1395,18 @@ mod tests {
 
     // ---- the maintained G_r arcs and ranking ----
 
-    /// The arcs [`IncrementalBoundedSim::arcs`] must hold, judged pair by
-    /// pair: sources from naive's raw fixpoint, targets from the
-    /// candidate sets, weights from an all-pairs Floyd–Warshall table
-    /// that shares no code with any BFS. Ascending `(edge, from, to)`.
-    fn reference_arcs(g: &DiGraph, q: &Pattern) -> Vec<ResultEdge> {
-        const FAR: u32 = u32::MAX;
+    /// No walk: the [`shortest_walks`] entry of an unconnected pair.
+    const FAR: u32 = u32::MAX;
+
+    /// The length of a shortest non-empty walk from each node to each
+    /// node, by Floyd–Warshall over the edge list — no code shared with
+    /// any BFS. Off the diagonal that is the hop distance; on it, the
+    /// shortest cycle through the node.
+    fn shortest_walks(g: &DiGraph) -> Vec<Vec<u32>> {
         let n = g.node_count();
         let mut dist = vec![vec![FAR; n]; n];
         for (a, b) in g.edges() {
             dist[a.index()][b.index()] = 1;
-        }
-        for (i, row) in dist.iter_mut().enumerate() {
-            row[i] = 0;
         }
         for k in 0..n {
             for i in 0..n {
@@ -1411,6 +1418,15 @@ mod tests {
                 }
             }
         }
+        dist
+    }
+
+    /// The arcs [`IncrementalBoundedSim::arcs`] must hold, judged pair by
+    /// pair: sources from naive's raw fixpoint, targets from the
+    /// candidate sets, weights from [`shortest_walks`]. Ascending `(edge,
+    /// from, to)`.
+    fn reference_arcs(g: &DiGraph, q: &Pattern) -> Vec<ResultEdge> {
+        let dist = shortest_walks(g);
         let cand0 = candidate_sets(g, q);
         let raw = naive_bounded_fixpoint(g, q, cand0.clone());
         let mut out = Vec::new();
