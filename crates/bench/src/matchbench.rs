@@ -40,7 +40,8 @@
 //!   (`repair_sources` re-run BFSes, against the `full_build_sources` a
 //!   from-scratch build would run) and re-ranks the candidates the batch
 //!   can have moved (`rerank_candidates` values of `f`, against the
-//!   `full_rank_candidates` a full re-rank per batch would compute), so a
+//!   `full_rank_candidates` a full re-rank per batch would compute; the
+//!   search that finds them visits `search_visits` nodes), so a
 //!   ranked read after every batch copies a prefix of the maintained
 //!   ranking and builds nothing (`registered_build_visits` is 0). The
 //!   arcs are judged by a from-scratch [`ResultGraph::build`], the whole
@@ -831,6 +832,7 @@ fn bench_gr_workload(name: &str, pattern_name: &str, graph: &DiGraph, pattern: &
             "full_rank_candidates",
             Value::Int(full_rank_candidates as i64),
         ),
+        ("search_visits", Value::Int(work.search_visits as i64)),
         ("arcs", Value::Int(arcs as i64)),
         (
             "registered_build_visits",

@@ -184,6 +184,9 @@ impl ExpFinderError {
             UnknownGraph(_) | UnknownQuery(_) | StaleHandle(_) => 404,
             // the named resource already exists
             DuplicateGraph(_) | DuplicateQuery(_) => 409,
+            // a graph file that could not be read or written, like any
+            // IO failure, is not the client's doing
+            GraphIo(GraphIoError::Io(_)) => 500,
             // the request itself is malformed
             InvalidGraphName(_) | Pattern(_) | Parse(_) | GraphIo(_) => 400,
             // well-formed but unprocessable against this graph
@@ -864,12 +867,19 @@ impl ExpFinder {
     }
 }
 
+/// The longest graph name, in bytes: the longest file the durable runtime
+/// derives from a name, `<name>.efg.tmp` or `<name>.wal.tmp`, then fits
+/// the usual 255-byte file-name limit.
+const MAX_GRAPH_NAME_BYTES: usize = 255 - ".efg.tmp".len();
+
 /// Graph names double as catalog file stems (`<name>.efg`, and the
 /// runtime's `<name>.wal`), so names that could escape the catalog
-/// directory are rejected up front. Exported for the durable runtime,
-/// which reuses the same name-as-file-stem convention.
+/// directory, or that no file system would take, are rejected up front on
+/// both backends. Exported for the durable runtime, which reuses the same
+/// name-as-file-stem convention.
 pub fn validate_graph_name(name: &str) -> Result<(), ExpFinderError> {
     let bad = name.is_empty()
+        || name.len() > MAX_GRAPH_NAME_BYTES
         || name.contains(['/', '\\', '\0'])
         || name == "."
         || name == ".."
@@ -1520,6 +1530,23 @@ mod tests {
         assert_eq!(ExpFinderError::from(parse).http_status(), 400);
         let io = std::io::Error::other("x");
         assert_eq!(ExpFinderError::from(io).http_status(), 500);
+    }
+
+    #[test]
+    fn a_graph_io_error_is_a_500_only_when_it_is_an_io_failure() {
+        let full = std::io::Error::from(std::io::ErrorKind::StorageFull);
+        let json = expfinder_graph::json::parse("{").unwrap_err();
+        let parse = GraphIoError::Parse {
+            line: 1,
+            msg: "x".into(),
+        };
+        for (e, want) in [
+            (GraphIoError::Io(full), 500),
+            (GraphIoError::Json(json), 400),
+            (parse, 400),
+        ] {
+            assert_eq!(ExpFinderError::from(e).http_status(), want);
+        }
     }
 
     #[test]

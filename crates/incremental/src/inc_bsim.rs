@@ -65,19 +65,23 @@
 //! update batch:
 //!
 //! 1. re-run the witness BFS of each dirty source on the graph as the
-//!    batch left it, and diff it against the source's stored run;
-//! 2. **before** patching, search the stored rows: backward from the tail
-//!    of every changed arc (added, removed or reweighted), forward from
-//!    its head, and both ways from every node ΔM moved. The output
-//!    candidates reached are the ones whose `f` can have changed: `f(v)`
-//!    reads only the arcs leaving `v`'s forward reach in `G_r` and those
-//!    entering its backward reach, so a candidate whose old forward reach
-//!    holds no changed tail, whose old backward reach holds no changed
-//!    head, and neither of which holds an endpoint of an arc whose filter
-//!    ΔM flipped, keeps its `f`. The unfiltered rows hold the old `G_r`,
-//!    so the search finds a superset of them;
-//! 3. patch the rows in place;
-//! 4. recompute `f` of the reached candidates still in `sim(u_o)`, drop
+//!    batch left it, and patch the source's stored run with it in one
+//!    pass that notes every changed arc (added, removed or reweighted);
+//! 2. search the patched rows: backward from the tail of every changed
+//!    arc, forward from its head, and both ways from every node ΔM moved.
+//!    The output candidates reached are the ones whose `f` can have
+//!    changed: `f(v)` reads only the arcs leaving `v`'s forward reach in
+//!    `G_r` and those entering its backward reach, so a candidate whose
+//!    old forward reach holds no changed tail, whose old backward reach
+//!    holds no changed head, and neither of which holds an endpoint of an
+//!    arc whose filter ΔM flipped, keeps its `f`. The unfiltered old rows
+//!    hold the old `G_r`, so searching them finds a superset of those
+//!    candidates — and searching the patched rows reaches the same nodes:
+//!    on a path of old arcs to a changed tail, the first changed arc's
+//!    tail is reached over unchanged arcs, which the patched rows keep.
+//!    The same argument over new arcs gives the converse, and a path from
+//!    a changed head is cut at its last changed arc instead;
+//! 3. recompute `f` of the reached candidates still in `sim(u_o)`, drop
 //!    the ones that left, and merge them into the list — a new `Arc` only
 //!    if some entry moved. When the collapsed relation flips (a raw set
 //!    empties or refills) the whole list is recomputed, or emptied.
@@ -138,54 +142,28 @@ pub struct IncrementalBoundedSim {
     /// the last batch end.
     matched: bool,
     /// Per pattern edge, the sources whose arcs the batch in progress may
-    /// have changed; [`Self::end_batch`] drains them.
-    dirty: Vec<DirtySources>,
-    /// The nodes whose membership ΔM changed during the batch.
-    moved: DirtySources,
+    /// have changed, repeats allowed; [`Self::end_batch`] drains them.
+    dirty: Vec<Vec<NodeId>>,
+    /// The nodes whose membership ΔM changed during the batch, repeats
+    /// allowed.
+    moved: Vec<NodeId>,
     repair: Repair,
     stats: IncStats,
 }
 
-/// A set of data nodes in insertion order, deduplicated by a bitset, so a
-/// batch of any length holds each node once.
-struct DirtySources {
-    mark: BitSet,
-    list: Vec<NodeId>,
-}
-
-impl DirtySources {
-    fn new(data_nodes: usize) -> DirtySources {
-        DirtySources {
-            mark: BitSet::new(data_nodes),
-            list: Vec::new(),
-        }
-    }
-
-    fn insert(&mut self, v: NodeId) {
-        if self.mark.insert(v) {
-            self.list.push(v);
-        }
-    }
-
-    /// The members, ascending; leaves the set empty.
-    fn drain_sorted(&mut self) -> std::vec::Drain<'_, NodeId> {
-        for &v in &self.list {
-            self.mark.remove(v);
-        }
-        self.list.sort_unstable();
-        self.list.drain(..)
-    }
+/// The distinct nodes of `list`, ascending; leaves it empty.
+fn drain_sorted(list: &mut Vec<NodeId>) -> std::vec::Drain<'_, NodeId> {
+    list.sort_unstable();
+    list.dedup();
+    list.drain(..)
 }
 
 /// The buffers of [`IncrementalBoundedSim::end_batch`], kept across
 /// batches.
 #[derive(Default)]
 struct Repair {
-    /// The changed sources' arcs on the current graph, in `(edge,
-    /// source)` order.
+    /// One dirty source's arcs on the current graph.
     fresh: Vec<ResultEdge>,
-    /// Per changed source: its pattern edge, and its run in `fresh`.
-    redo: Vec<(u32, NodeId, Range<usize>)>,
     /// The search's seeds: the heads of the changed arcs and every node
     /// ΔM moved, searched forward; their tails and the same moved nodes,
     /// searched backward.
@@ -272,6 +250,16 @@ fn run_of(row: &[RowArc], ei: u32) -> Range<usize> {
     lo..lo + row[lo..].partition_point(|a| a.pattern_edge == ei)
 }
 
+/// `head`'s in-row, and where in it the arc of pattern edge `ei` from
+/// `tail` is.
+fn in_entry(inn: &mut RowMap, head: NodeId, tail: NodeId, ei: u32) -> (&mut Vec<RowArc>, usize) {
+    let into = inn.get_mut(&head).expect("an in-row per head");
+    let at = into
+        .iter()
+        .position(|a| (a.node, a.pattern_edge) == (tail, ei));
+    (into, at.expect("the arc's in-entry"))
+}
+
 impl Rows {
     /// The stored arcs of pattern edge `ei` from `v`, ascending by head.
     fn run(&self, ei: u32, v: NodeId) -> &[RowArc] {
@@ -279,48 +267,73 @@ impl Rows {
     }
 
     /// Replace the arcs of pattern edge `ei` from `v` by `fresh` (`v`'s
-    /// witnesses, ascending by head), in both directions.
-    fn patch(&mut self, ei: u32, v: NodeId, fresh: &[ResultEdge]) {
-        let row = self.out.entry(v).or_default();
-        let run = run_of(row, ei);
-        for old in &row[run.clone()] {
-            let into = self.inn.get_mut(&old.node).expect("an in-row per head");
-            let at = into
-                .iter()
-                .position(|a| (a.node, a.pattern_edge) == (v, ei));
-            into.swap_remove(at.expect("the arc's in-entry"));
-            if into.is_empty() {
-                self.inn.remove(&old.node);
-            }
-        }
+    /// witnesses, ascending by head), in both directions, walking the
+    /// stored run and `fresh` together once: push onto `heads` the head of
+    /// every arc that differs — added, removed or reweighted — and touch
+    /// only those arcs' in-entries. Returns whether any differed.
+    fn patch(&mut self, ei: u32, v: NodeId, fresh: &[ResultEdge], heads: &mut Vec<NodeId>) -> bool {
+        let Rows { out, inn } = self;
+        let old = out.get(&v).map_or(&[][..], |row| &row[run_of(row, ei)]);
         let arc = |node, weight| RowArc {
             node,
             weight,
             pattern_edge: ei,
         };
-        row.splice(run, fresh.iter().map(|e| arc(e.to, e.weight)));
-        if row.is_empty() {
-            self.out.remove(&v);
+        let (mut i, mut j, start) = (0, 0, heads.len());
+        loop {
+            match (old.get(i), fresh.get(j)) {
+                (Some(a), Some(e)) if a.node == e.to => {
+                    (i, j) = (i + 1, j + 1);
+                    if a.weight != e.weight {
+                        let (into, at) = in_entry(inn, a.node, v, ei);
+                        into[at].weight = e.weight;
+                        heads.push(a.node);
+                    }
+                }
+                (Some(a), e) if e.is_none_or(|e| a.node < e.to) => {
+                    i += 1;
+                    let (into, at) = in_entry(inn, a.node, v, ei);
+                    into.swap_remove(at);
+                    if into.is_empty() {
+                        inn.remove(&a.node);
+                    }
+                    heads.push(a.node);
+                }
+                (_, Some(e)) => {
+                    j += 1;
+                    inn.entry(e.to).or_default().push(arc(v, e.weight));
+                    heads.push(e.to);
+                }
+                (_, None) => break,
+            }
         }
-        for e in fresh {
-            self.inn.entry(e.to).or_default().push(arc(v, e.weight));
+        let changed = heads.len() > start;
+        if changed {
+            let row = out.entry(v).or_default();
+            row.splice(run_of(row, ei), fresh.iter().map(|e| arc(e.to, e.weight)));
+            if row.is_empty() {
+                out.remove(&v);
+            }
         }
+        changed
     }
 
     /// Append to `out` every node of `keep` a path of stored arcs leads to
     /// from one of `heads`, or from which one leads to one of `tails` (the
-    /// seeds included); then sort and deduplicate `out`.
+    /// seeds included); then sort and deduplicate `out`. Returns the nodes
+    /// visited, counted once per direction.
     fn reached(
         &self,
         (heads, tails): (&[NodeId], &[NodeId]),
         keep: &BitSet,
         scratch: &mut RerankScratch,
         out: &mut Vec<NodeId>,
-    ) {
+    ) -> usize {
         let RerankScratch { seen, visited, .. } = scratch;
         if seen.capacity() != keep.capacity() {
             *seen = BitSet::new(keep.capacity());
         }
+        let mut visits = 0;
         for (rows, seeds) in [(&self.out, heads), (&self.inn, tails)] {
             for &v in seeds {
                 if seen.insert(v) {
@@ -340,12 +353,14 @@ impl Rows {
                     }
                 }
             }
+            visits += visited.len();
             for v in visited.drain(..) {
                 seen.remove(v);
             }
         }
         out.sort_unstable();
         out.dedup();
+        visits
     }
 }
 
@@ -399,49 +414,6 @@ impl WeightedArcs for GrView<'_> {
                 .then_some((a.node.0, a.weight))
         })
     }
-}
-
-/// Push onto `heads` the head of every arc from `v` that differs between
-/// the stored run `old` and `fresh` (both ascending by head) — added,
-/// removed or reweighted — and `v` onto `tails` if any did. Returns
-/// whether any did.
-fn diff_run(
-    v: NodeId,
-    old: &[RowArc],
-    fresh: &[ResultEdge],
-    (heads, tails): (&mut Vec<NodeId>, &mut Vec<NodeId>),
-) -> bool {
-    let (mut i, mut j, start) = (0, 0, heads.len());
-    loop {
-        let head = match (old.get(i), fresh.get(j)) {
-            (None, None) => break,
-            (Some(a), Some(e)) if a.node == e.to => {
-                (i, j) = (i + 1, j + 1);
-                if a.weight == e.weight {
-                    continue;
-                }
-                a.node
-            }
-            (Some(a), Some(e)) if a.node < e.to => {
-                i += 1;
-                a.node
-            }
-            (Some(a), None) => {
-                i += 1;
-                a.node
-            }
-            (_, Some(e)) => {
-                j += 1;
-                e.to
-            }
-        };
-        heads.push(head);
-    }
-    let changed = heads.len() > start;
-    if changed {
-        tails.push(v);
-    }
-    changed
 }
 
 /// Every node joined to `v` by a non-empty path of length ≤ `depth` in
@@ -498,13 +470,14 @@ impl IncrementalBoundedSim {
             }
         }
         // the arcs of G_r: one witness run per raw source per pattern edge
-        let (mut rows, mut arcs) = (Rows::default(), Vec::new());
+        let (mut rows, mut arcs, mut heads) = (Rows::default(), Vec::new(), Vec::new());
         for (ei, e) in q.edges().iter().enumerate() {
             for v in sim[e.from.index()].iter() {
                 arcs.clear();
                 let targets = &cand0[e.to.index()];
                 witness_arcs(g, q, ei, v, targets, &mut scratch, &mut arcs);
-                rows.patch(ei as u32, v, &arcs);
+                rows.patch(ei as u32, v, &arcs, &mut heads);
+                heads.clear();
             }
         }
         let ball_radius = match q.max_bound() {
@@ -525,8 +498,8 @@ impl IncrementalBoundedSim {
             rows,
             ranking: Arc::new([]),
             matched,
-            dirty: (0..q.edge_count()).map(|_| DirtySources::new(n)).collect(),
-            moved: DirtySources::new(n),
+            dirty: vec![Vec::new(); q.edge_count()],
+            moved: Vec::new(),
             repair: Repair::default(),
             stats: IncStats::default(),
         };
@@ -545,7 +518,7 @@ impl IncrementalBoundedSim {
     /// read only between batches.
     fn assert_batch_ended(&self, what: &str) {
         debug_assert!(
-            self.dirty.iter().all(|d| d.list.is_empty()) && self.moved.list.is_empty(),
+            self.dirty.iter().all(Vec::is_empty) && self.moved.is_empty(),
             "{what} read before the batch's end_batch"
         );
     }
@@ -606,41 +579,34 @@ impl IncrementalBoundedSim {
     /// the `G_r` arcs of every source the batch dirtied (one witness BFS
     /// each, and the sources that left their raw set lose theirs), then
     /// re-rank the candidates whose `f` the changed arcs and ΔM can have
-    /// moved — found by a search of the rows as they were — and merge
+    /// moved — found by a search of the patched rows — and merge
     /// them into the ranking. Returns whether the ranking changed: only
     /// then is it a new `Arc`. See the module docs for the steps and why
     /// the search finds every moved candidate.
     pub fn end_batch(&mut self, g: &DiGraph, scratch: &mut RerankScratch) -> bool {
         let Repair {
             fresh,
-            redo,
             heads,
             tails,
             touched,
         } = &mut self.repair;
-        fresh.clear();
-        redo.clear();
         for nodes in [&mut *heads, &mut *tails, &mut *touched] {
             nodes.clear();
         }
         for (ei, e) in self.pattern.edges().iter().enumerate() {
             let (sources, targets) = (&self.sim[e.from.index()], &self.cand0[e.to.index()]);
-            for v in self.dirty[ei].drain_sorted() {
-                let start = fresh.len();
+            for v in drain_sorted(&mut self.dirty[ei]) {
+                fresh.clear();
                 if sources.contains(v) {
                     self.stats.repair_sources += 1;
                     witness_arcs(g, &self.pattern, ei, v, targets, &mut self.scratch, fresh);
                 }
-                let ei = ei as u32;
-                let seeds = (&mut *heads, &mut *tails);
-                if diff_run(v, self.rows.run(ei, v), &fresh[start..], seeds) {
-                    redo.push((ei, v, start..fresh.len()));
-                } else {
-                    fresh.truncate(start);
+                if self.rows.patch(ei as u32, v, fresh, heads) {
+                    tails.push(v);
                 }
             }
         }
-        for v in self.moved.drain_sorted() {
+        for v in drain_sorted(&mut self.moved) {
             heads.push(v);
             tails.push(v);
         }
@@ -648,13 +614,8 @@ impl IncrementalBoundedSim {
         self.matched = self.sim.iter().all(|s| !s.is_empty());
         let output = self.pattern.output();
         if let (Some(uo), true, true) = (output, was, self.matched) {
-            // searched before the patch: the rows still hold the old G_r
-            let candidates = &self.cand0[uo.index()];
-            self.rows
-                .reached((heads, tails), candidates, scratch, touched);
-        }
-        for (ei, v, run) in redo.drain(..) {
-            self.rows.patch(ei, v, &fresh[run]);
+            let (seeds, candidates) = ((&heads[..], &tails[..]), &self.cand0[uo.index()]);
+            self.stats.search_visits += self.rows.reached(seeds, candidates, scratch, touched);
         }
 
         let Some(uo) = output else {
@@ -690,9 +651,9 @@ impl IncrementalBoundedSim {
     /// `(u, v)`).
     fn dirty_source(&mut self, u: PNodeId, v: NodeId) {
         for &ei in self.pattern.out_edge_indices(u) {
-            self.dirty[ei as usize].insert(v);
+            self.dirty[ei as usize].push(v);
         }
-        self.moved.insert(v);
+        self.moved.push(v);
     }
 
     fn assert_node(&self, v: NodeId) {
@@ -804,7 +765,7 @@ impl IncrementalBoundedSim {
                     && self.sim[e.from.index()].contains(v)
                     && moves(&self.rows, e, ei as u32, v, dvx)
                 {
-                    self.dirty[ei].insert(v);
+                    self.dirty[ei].push(v);
                 }
             }
         }

@@ -60,6 +60,9 @@ pub struct IncStats {
     pub repair_sources: usize,
     /// `f(u_o, v)` values a batch end recomputed.
     pub rerank_candidates: usize,
+    /// Nodes the batch-end search visited to find the candidates to
+    /// re-rank, counted once per direction.
+    pub search_visits: usize,
 }
 
 impl IncStats {
@@ -70,6 +73,7 @@ impl IncStats {
         self.tentative_pairs += other.tentative_pairs;
         self.repair_sources += other.repair_sources;
         self.rerank_candidates += other.rerank_candidates;
+        self.search_visits += other.search_visits;
     }
 }
 

@@ -11,7 +11,7 @@ use expfinder_core::naive::naive_bounded_simulation;
 use expfinder_engine::ExpFinder;
 use expfinder_graph::generate::{collaboration, random_updates, CollabConfig};
 use expfinder_graph::json::Value;
-use expfinder_graph::{DiGraph, EdgeUpdate};
+use expfinder_graph::{DiGraph, EdgeUpdate, GraphView};
 use expfinder_pattern::Pattern;
 use expfinder_server::client::{query_body, query_body_deadline, Client};
 use expfinder_server::{Backend, ClientError, Server, ServerConfig, ServerHandle};
@@ -765,6 +765,45 @@ fn durable_registration_survives_restart_and_feeds_new_subscriptions() {
     assert_eq!(team.field("delta").unwrap().as_i64().unwrap(), -1);
 
     handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A graph name is a file stem on the durable backend, so both backends
+/// cap it at 247 bytes, which leaves room for its longest derived file,
+/// `<name>.efg.tmp`, under the usual 255-byte limit. 247 bytes is a 201 on
+/// both, and the durable graph reopens after a restart; 248 bytes, in one-
+/// or two-byte characters, is a 400 on both.
+#[test]
+fn a_graph_name_is_capped_alike_on_both_backends() {
+    let dir = tmpdir("long_name");
+    let open =
+        || Arc::new(expfinder_runtime::DurableExpFinder::open(&dir, durable_config()).unwrap());
+    let f = expfinder_graph::fixtures::collaboration_fig1();
+    let longest = "g".repeat(247);
+    for backend in [
+        Backend::Local(Arc::new(ExpFinder::default())),
+        Backend::Durable(open()),
+    ] {
+        let handle = Server::bind(backend, "127.0.0.1:0", ServerConfig::default())
+            .unwrap()
+            .spawn();
+        let mut client = Client::new(handle.addr());
+        client.add_graph(&longest, &f.graph).unwrap();
+        for name in ["g".repeat(248), "é".repeat(124)] {
+            match client.add_graph(&name, &f.graph) {
+                Err(ClientError::Status {
+                    status: 400,
+                    message,
+                }) => assert!(message.starts_with("invalid graph name"), "{message}"),
+                other => panic!("expected 400, got {other:?}"),
+            }
+        }
+        handle.shutdown();
+    }
+    let rt = open();
+    let h = rt.handle(&longest).unwrap();
+    let edges = rt.read_graph(&h, DiGraph::edge_count).unwrap();
+    assert_eq!(edges, f.graph.edge_count());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1526,6 +1526,68 @@ fn registered_ranks_follow_an_arc_two_hops_from_the_candidate() {
     h.agree();
 }
 
+/// Every kind of change a batch end re-ranks from, one per batch. On
+/// `a →(≤2) b →(≤2) c →(1) c2` ranked at `b`, each update moves `f(b1)`,
+/// and only one search seed reaches b1: the head of an arc into it that
+/// is added, removed or reweighted (the reweight also rewrites b1's
+/// in-row, which b1's backward run reads); the node ΔM moves when c1
+/// loses the loop it matches `c` by, which changes no stored arc but
+/// takes b1 → c1 out of `G_r`; and the tail of an arc added out of b1,
+/// whose head c4 reaches no candidate.
+#[test]
+fn registered_ranks_follow_every_seed_of_the_batch_end_search() {
+    let q = PatternBuilder::new()
+        .node("a", Predicate::label("A"))
+        .node_output("b", Predicate::label("B"))
+        .node("c", Predicate::label("C"))
+        .node("c2", Predicate::label("C"))
+        .edge("a", "b", Bound::hops(2))
+        .edge("b", "c", Bound::hops(2))
+        .edge("c", "c2", Bound::ONE)
+        .build()
+        .unwrap();
+    let mut g = DiGraph::new();
+    let [a1, a2, y, b1, b2, z, c1, c3, c4] =
+        ["A", "A", "X", "B", "B", "X", "C", "C", "C"].map(|l| g.add_node(l, []));
+    for (p, c) in [
+        (a1, y),
+        (y, b1),
+        (a1, b2),
+        (a2, b2),
+        (b1, z),
+        (z, c1),
+        (b1, c3),
+        (b2, c3),
+        (c1, c1),
+        (c3, c3),
+        (c4, c4),
+    ] {
+        g.add_edge(p, c);
+    }
+    let mut h = Harness::new(g, 1);
+    h.register("middle", &q);
+    let rank_of_b1 = |h: &Harness| {
+        let resp = h.ranked(&q, Route::Auto, 10);
+        assert_eq!(resp.plan.chosen, PlanRoute::Registered);
+        h.read_registered();
+        let b1 = resp.experts.iter().find(|x| x.node == b1);
+        b1.expect("b1 is ranked").rank
+    };
+    // a1 at 2, c3 at 1, c1 at 2
+    assert_eq!(rank_of_b1(&h), 5.0 / 3.0);
+    for (up, rank) in [
+        (EdgeUpdate::Insert(a2, b1), 6.0 / 4.0),
+        (EdgeUpdate::Delete(a2, b1), 5.0 / 3.0),
+        (EdgeUpdate::Insert(a1, b1), 4.0 / 3.0),
+        (EdgeUpdate::Delete(c1, c1), 2.0 / 2.0),
+        (EdgeUpdate::Insert(z, c4), 4.0 / 3.0),
+    ] {
+        h.update(&[up]);
+        assert_eq!(rank_of_b1(&h), rank, "after {up}");
+    }
+    h.agree();
+}
+
 /// The reach index survives a version: the bounded entries a read filled
 /// are carried into the next version's index and repaired there, the
 /// unbounded one is rebuilt. Over 3 → 5 and 6 → 8 → 7, inserting 5 → 7
