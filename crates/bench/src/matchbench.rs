@@ -732,6 +732,7 @@ fn bench_bound1_workload(name: &str, graph: &DiGraph, pattern: &Pattern) -> Valu
                 ("match_pairs", Value::Int(maintained.total_pairs() as i64)),
                 ("affected_nodes", Value::Int(work.affected_nodes as i64)),
                 ("tentative_pairs", Value::Int(work.tentative_pairs as i64)),
+                ("walk_visits", Value::Int(work.walk_visits as i64)),
                 ("ms", ms(maintain_t)),
             ]),
         ),
@@ -833,6 +834,7 @@ fn bench_gr_workload(name: &str, pattern_name: &str, graph: &DiGraph, pattern: &
             Value::Int(full_rank_candidates as i64),
         ),
         ("search_visits", Value::Int(work.search_visits as i64)),
+        ("walk_visits", Value::Int(work.walk_visits as i64)),
         ("arcs", Value::Int(arcs as i64)),
         (
             "registered_build_visits",

@@ -290,8 +290,8 @@ pub(crate) fn refine_constraints<G: GraphView>(
                 }
             } else {
                 let allowed = (stamp[ci] != NEVER).then_some(&reach[ci]);
-                stats.bfs_nodes_visited += frontier
-                    .multi_source_within_cancel(g, seeds, c.depth, c.dir, allowed, cancel, tmp);
+                stats.bfs_nodes_visited +=
+                    frontier.multi_source_within(g, seeds, c.depth, c.dir, allowed, cancel, tmp);
                 if cancel.is_some_and(|t| t.is_cancelled()) {
                     // the BFS may have been abandoned mid-level: `tmp` is
                     // torn and must not become this constraint's cache nor

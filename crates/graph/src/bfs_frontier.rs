@@ -137,28 +137,16 @@ impl FrontierScratch {
     /// suffix path, so it lies in the answer itself) — the refresh-
     /// memoization invariant of the matching fixpoint.
     ///
+    /// With `cancel`, the token is polled at every level boundary. When it
+    /// fires the traversal stops early and returns the work done so far —
+    /// `out` is then **torn** (a subset of the true answer) and the caller
+    /// must discard it; the fixpoints do so by surfacing the cancellation
+    /// before `out` is ever intersected into a match set.
+    ///
     /// Returns the number of nodes marked visited (seeds included) — the
     /// traversal-work measure `EvalStats::bfs_nodes_visited` aggregates.
-    pub fn multi_source_within<G: GraphView>(
-        &mut self,
-        g: &G,
-        seeds: &BitSet,
-        depth: u32,
-        dir: Direction,
-        allowed: Option<&BitSet>,
-        out: &mut BitSet,
-    ) -> usize {
-        self.multi_source_within_cancel(g, seeds, depth, dir, allowed, None, out)
-    }
-
-    /// [`multi_source_within`](Self::multi_source_within) polling a
-    /// [`CancelToken`] at every level boundary. When the token fires the
-    /// traversal stops early and returns the work done so far — `out` is
-    /// then **torn** (a subset of the true answer) and the caller must
-    /// discard it; the fixpoints do so by surfacing the cancellation
-    /// before `out` is ever intersected into a match set.
     #[allow(clippy::too_many_arguments)]
-    pub fn multi_source_within_cancel<G: GraphView>(
+    pub fn multi_source_within<G: GraphView>(
         &mut self,
         g: &G,
         seeds: &BitSet,
@@ -344,7 +332,7 @@ mod tests {
         let (want, want_visited) = walk_reach(g, seeds, depth, dir);
         let mut frontier = FrontierScratch::new();
         let mut b = BitSet::new(g.node_count());
-        let vb = frontier.multi_source_within(g, seeds, depth, dir, None, &mut b);
+        let vb = frontier.multi_source_within(g, seeds, depth, dir, None, None, &mut b);
         assert_eq!(want_visited, vb, "visited-work measure agrees");
         (want, b)
     }
@@ -416,7 +404,7 @@ mod tests {
         seeds.insert(n(0));
         let mut s = FrontierScratch::new();
         let mut full = BitSet::new(5);
-        s.multi_source_within(&g, &seeds, 3, Direction::Backward, None, &mut full);
+        s.multi_source_within(&g, &seeds, 3, Direction::Backward, None, None, &mut full);
         // shrink the seed set? here: same seeds, restricted to the old
         // reach set — the memoization shape — must reproduce the answer
         let mut restricted = BitSet::new(5);
@@ -426,6 +414,7 @@ mod tests {
             3,
             Direction::Backward,
             Some(&full),
+            None,
             &mut restricted,
         );
         assert_eq!(restricted, full);
@@ -438,13 +427,21 @@ mod tests {
         let mut s = FrontierScratch::new();
         let mut out = BitSet::full(5); // stale content must be cleared
         assert_eq!(
-            s.multi_source_within(&g, &BitSet::new(5), 2, Direction::Forward, None, &mut out),
+            s.multi_source_within(
+                &g,
+                &BitSet::new(5),
+                2,
+                Direction::Forward,
+                None,
+                None,
+                &mut out
+            ),
             0
         );
         assert!(out.is_empty());
         let seeds = BitSet::full(5);
         assert_eq!(
-            s.multi_source_within(&g, &seeds, 0, Direction::Forward, None, &mut out),
+            s.multi_source_within(&g, &seeds, 0, Direction::Forward, None, None, &mut out),
             0
         );
         assert!(out.is_empty());
@@ -466,8 +463,15 @@ mod tests {
         seeds.insert(ids[(n - 1) as usize]);
         let mut s = FrontierScratch::new();
         let mut out = BitSet::new(n as usize);
-        let visited =
-            s.multi_source_within(&g, &seeds, u32::MAX, Direction::Backward, None, &mut out);
+        let visited = s.multi_source_within(
+            &g,
+            &seeds,
+            u32::MAX,
+            Direction::Backward,
+            None,
+            None,
+            &mut out,
+        );
         assert_eq!(out.count(), (n - 1) as usize, "everything reaches the tail");
         assert!(
             !out.contains(ids[(n - 1) as usize]),
@@ -491,7 +495,8 @@ mod tests {
         for &(seed, depth) in &[(5000u32, 3u32), (100, 2), (5001, 4), (9999, 1), (0, 5)] {
             let mut seeds = BitSet::new(n as usize);
             seeds.insert(ids[seed as usize]);
-            let va = s.multi_source_within(&g, &seeds, depth, Direction::Backward, None, &mut out);
+            let va =
+                s.multi_source_within(&g, &seeds, depth, Direction::Backward, None, None, &mut out);
             let (want, vb) = walk_reach(&g, &seeds, depth, Direction::Backward);
             assert_eq!(out, want, "seed {seed} depth {depth}");
             assert_eq!(va, vb, "work measure, seed {seed}");
@@ -512,7 +517,7 @@ mod tests {
         token.cancel();
         let mut s = FrontierScratch::new();
         let mut out = BitSet::new(nn as usize);
-        let visited = s.multi_source_within_cancel(
+        let visited = s.multi_source_within(
             &g,
             &seeds,
             u32::MAX,
@@ -525,7 +530,7 @@ mod tests {
         assert!(out.is_empty(), "no level was expanded");
         // a disarmed token changes nothing
         let calm = CancelToken::new();
-        let full = s.multi_source_within_cancel(
+        let full = s.multi_source_within(
             &g,
             &seeds,
             u32::MAX,
@@ -550,13 +555,29 @@ mod tests {
         let mut seeds = BitSet::new(130);
         seeds.insert(ids[129]);
         let mut out = BitSet::new(130);
-        s.multi_source_within(&big, &seeds, u32::MAX, Direction::Backward, None, &mut out);
+        s.multi_source_within(
+            &big,
+            &seeds,
+            u32::MAX,
+            Direction::Backward,
+            None,
+            None,
+            &mut out,
+        );
         assert_eq!(out.count(), 129, "whole chain reaches the tail");
         // shrink back down: capacity mismatch must reset cleanly
         let mut seeds5 = BitSet::new(5);
         seeds5.insert(n(4));
         let mut out5 = BitSet::new(5);
-        s.multi_source_within(&small, &seeds5, 1, Direction::Backward, None, &mut out5);
+        s.multi_source_within(
+            &small,
+            &seeds5,
+            1,
+            Direction::Backward,
+            None,
+            None,
+            &mut out5,
+        );
         assert_eq!(out5.to_vec(), vec![n(3)]);
     }
 }

@@ -200,7 +200,7 @@ proptest! {
         let mut frontier = FrontierScratch::new();
         let mut got = BitSet::new(n);
         for dir in [Direction::Forward, Direction::Backward] {
-            let visited = frontier.multi_source_within(&g, &seed_set, depth, dir, None, &mut got);
+            let visited = frontier.multi_source_within(&g, &seed_set, depth, dir, None, None, &mut got);
             let want = walk_reach(&g, &seed_set, depth, dir);
             prop_assert_eq!(&got, &want, "reach diverged ({:?}, depth {})", dir, depth);
             let mut marked = want.clone();
@@ -235,13 +235,13 @@ proptest! {
         }
         let mut scratch = FrontierScratch::new();
         let mut r1 = BitSet::new(n);
-        scratch.multi_source_within(&g, &s1, depth, Direction::Backward, None, &mut r1);
+        scratch.multi_source_within(&g, &s1, depth, Direction::Backward, None, None, &mut r1);
         let mut unrestricted = BitSet::new(n);
         let vu = scratch.multi_source_within(
-            &g, &s2, depth, Direction::Backward, None, &mut unrestricted);
+            &g, &s2, depth, Direction::Backward, None, None, &mut unrestricted);
         let mut restricted = BitSet::new(n);
         let vr = scratch.multi_source_within(
-            &g, &s2, depth, Direction::Backward, Some(&r1), &mut restricted);
+            &g, &s2, depth, Direction::Backward, Some(&r1), None, &mut restricted);
         prop_assert_eq!(&restricted, &unrestricted, "restriction changed the answer");
         prop_assert!(vr <= vu, "restriction increased work: {} > {}", vr, vu);
     }

@@ -1,22 +1,17 @@
 //! Incremental maintenance for bounded simulation.
 //!
-//! Persistent state: the raw greatest-fixpoint sets `sim(u)` plus, for
-//! every pattern edge `e = (u, u')` with bound `b`, a support counter per
-//! data node:
-//!
-//! ```text
-//! scnt[e][v] = |{ v' ∈ sim(u') : v has a non-empty path to v' of length ≤ b }|
-//! ```
-//!
-//! `scnt[e][v] > 0` is exactly the edge condition of bounded simulation —
-//! including *self support around a cycle* (`v = v'` with a non-empty
-//! cycle of length ≤ b), which `walk` handles explicitly because a
-//! plain BFS reports the source at distance 0.
+//! Persistent state: the raw greatest-fixpoint sets `sim(u)`. A member
+//! `v` of `sim(u)` is *supported* on a pattern edge `e = (u, u')` with
+//! bound `b` when some `v' ∈ sim(u')` lies at the end of a non-empty path
+//! of length ≤ `b` from `v` — including *self support around a cycle*
+//! (`v = v'` with a non-empty cycle of length ≤ b), which `walk` handles
+//! explicitly because a plain BFS reports the source at distance 0.
 //!
 //! Every support question is about one node — "who is within `b` of
 //! `v`?" — and `walk` answers it with a single-source BFS whose marks
-//! reset in O(1), so it costs the ball it visits, never `|V|`. A support
-//! count is membership probes of the walked nodes in `sim(u')`.
+//! reset in O(1), so it costs the ball it visits, never `|V|`. Whether
+//! `v` is supported on `e` is one forward walk, its nodes probed in
+//! `sim(u')`; nothing caches the answer.
 //!
 //! ## Locality: the affected ball
 //!
@@ -26,19 +21,22 @@
 //!
 //! 1. computes `A = {x} ∪ ball_rev(x, b_max − 1)` (on the post-update
 //!    graph — deletions cannot disconnect a source from `x` itself);
-//! 2. recomputes `scnt[e][v]` from scratch for `v ∈ A` only;
-//! 3. **deletion** (distances grow, matches only shrink): members whose
-//!    counter hit zero cascade through the standard removal loop, each
-//!    removal decrementing supporters found by a reverse walk;
-//! 4. **insertion** (distances shrink, matches only grow): optimistic
+//! 2. **deletion** (distances grow, matches only shrink): re-checks the
+//!    members in `A` on the edges whose bound reaches `x`
+//!    (`dist(v, x) < b`), and cascades the ones left unsupported through
+//!    the standard removal loop: each removal re-checks the members a
+//!    reverse walk finds behind it;
+//! 3. **insertion** (distances shrink, matches only grow): optimistic
 //!    expansion admits candidate pairs in `A` supported by members *or
 //!    other tentative pairs* (walking upstream through reverse walks),
 //!    then a verification fixpoint removes unsupported tentatives. Old
-//!    members can never be invalidated by an insertion, so a tentative
-//!    pair is in ΔM exactly when it is still in its raw set afterwards.
+//!    members can never be invalidated by an insertion, so verification
+//!    re-checks tentatives only, and a tentative pair is in ΔM exactly
+//!    when it is still in its raw set afterwards.
 //!
 //! Nothing an update allocates is sized by the graph: the tentative sets
-//! persist across updates and are reset through the pairs they admitted.
+//! persist across updates and are reset through the pairs they admitted,
+//! and the members a removal re-checks are collected in one reused buffer.
 //!
 //! Patterns with unbounded (`*`) edges degrade gracefully: the ball radius
 //! becomes "everything that can reach x", which is correct but no longer
@@ -53,7 +51,7 @@
 //! `w ∈ cand0(u')`, `w ≠ v`, at distance `1..=b` — as per-node rows in
 //! both directions, each entry carrying its pattern edge and weight.
 //! The same locality argument bounds what an update can move: `v`'s
-//! `b`-ball changes only if `dist(v, x) ≤ b − 1`, which step 2 already
+//! `b`-ball changes only if `dist(v, x) ≤ b − 1`, which step 1 already
 //! knows for every `v` in `A`; an insertion `(x, y)` moves an arc only if
 //! some candidate of `u'` is within `b − 1 − dist(v, x)` of `y`, and a
 //! deletion only if an arc is longer than `dist(v, x)`. Those sources,
@@ -81,10 +79,12 @@
 //!    tail is reached over unchanged arcs, which the patched rows keep.
 //!    The same argument over new arcs gives the converse, and a path from
 //!    a changed head is cut at its last changed arc instead;
-//! 3. recompute `f` of the reached candidates still in `sim(u_o)`, drop
-//!    the ones that left, and merge them into the list — a new `Arc` only
-//!    if some entry moved. When the collapsed relation flips (a raw set
-//!    empties or refills) the whole list is recomputed, or emptied.
+//! 3. recompute `f` of the reached candidates still in `sim(u_o)`. When
+//!    each one's `(rank, node)` is already in the list and no member left,
+//!    the list stands as it is; else drop the ones that left and merge
+//!    the recomputed ones in — a new `Arc` only if some entry moved. When
+//!    the collapsed relation flips (a raw set empties or refills) the
+//!    whole list is recomputed, or emptied.
 //!
 //! `G_r` is read off the rows with no copy: an arc counts when its head is
 //! in the raw set of its pattern edge's target (its tail is in its
@@ -117,18 +117,16 @@ pub struct IncrementalBoundedSim {
     cand0: Vec<BitSet>,
     /// Raw greatest-fixpoint match sets.
     sim: Vec<BitSet>,
-    /// Support counters per pattern edge per data node.
-    scnt: Vec<Vec<u32>>,
     /// `max_bound - 1`, or `u32::MAX` for patterns with unbounded edges.
     ball_radius: u32,
     data_nodes: usize,
-    /// The one BFS state of every traversal: the affected ball, the
-    /// `y`-ball of an insertion, the support [`walk`]s and the witness
-    /// runs of [`Self::end_batch`].
-    scratch: BfsScratch,
+    walker: Walker,
     /// Per pattern node, the pairs an insertion admits tentatively; empty
     /// between updates.
     tentative: Vec<BitSet>,
+    /// The members a removal re-checks, found by one reverse walk; empty
+    /// between updates.
+    supporters: Vec<NodeId>,
     /// Persistent output buffer of [`IncrementalBoundedSim::affected`].
     affected_buf: Vec<(NodeId, u32)>,
     /// The arcs of `G_r` over the raw sets (see [`Self::arcs`]).
@@ -416,35 +414,55 @@ impl WeightedArcs for GrView<'_> {
     }
 }
 
-/// Every node joined to `v` by a non-empty path of length ≤ `depth` in
-/// direction `dir`, seen from `v`: with [`Direction::Forward`] the nodes
-/// `v` reaches (those it is supported *on*), with [`Direction::Backward`]
-/// the nodes that reach `v` (those that count `v` as a supporter). `v`
-/// itself counts only when a cycle of length ≤ `depth` passes through it,
-/// i.e. a neighbour in the opposite direction lies within `depth − 1` of
-/// it. A depth-1 walk reads the adjacency list, which holds `v` only
-/// through a self-loop. Each node comes once, and the walk costs its ball.
-fn walk<'a>(
-    scratch: &'a mut BfsScratch,
-    g: &'a DiGraph,
-    v: NodeId,
-    depth: u32,
-    dir: Direction,
-) -> impl Iterator<Item = NodeId> + 'a {
-    let (cycle, nodes) = if depth == 1 {
-        (false, dir.neighbors(g, v))
-    } else {
-        let ball = scratch.ball(g, v, depth, dir);
-        let closes = |w: &NodeId| ball.dist_of(*w).is_some_and(|d| d < depth);
-        let cycle = dir.opposite().neighbors(g, v).iter().any(closes);
-        (cycle, &ball.nodes()[1..])
-    };
-    cycle.then_some(v).into_iter().chain(nodes.iter().copied())
+/// The one BFS state of every traversal — the affected ball, the
+/// `y`-ball of an insertion, the support walks and the witness runs of
+/// [`IncrementalBoundedSim::end_batch`] — and the nodes its walks
+/// returned ([`IncStats::walk_visits`]).
+struct Walker {
+    bfs: BfsScratch,
+    visits: usize,
+}
+
+impl Walker {
+    /// Every node joined to `v` by a non-empty path of length ≤ `depth`
+    /// in direction `dir`, seen from `v`: with [`Direction::Forward`] the
+    /// nodes `v` reaches (those it is supported *on*), with
+    /// [`Direction::Backward`] the nodes that reach `v` (those it
+    /// supports). `v` itself counts only when a cycle of length ≤ `depth`
+    /// passes through it, i.e. a neighbour in the opposite direction lies
+    /// within `depth − 1` of it. A depth-1 walk reads the adjacency list,
+    /// which holds `v` only through a self-loop. Each node comes once, and
+    /// the walk costs its ball.
+    fn walk<'a>(
+        &'a mut self,
+        g: &'a DiGraph,
+        v: NodeId,
+        depth: u32,
+        dir: Direction,
+    ) -> impl Iterator<Item = NodeId> + 'a {
+        let (cycle, nodes) = if depth == 1 {
+            (false, dir.neighbors(g, v))
+        } else {
+            let ball = self.bfs.ball(g, v, depth, dir);
+            let closes = |w: &NodeId| ball.dist_of(*w).is_some_and(|d| d < depth);
+            let cycle = dir.opposite().neighbors(g, v).iter().any(closes);
+            (cycle, &ball.nodes()[1..])
+        };
+        self.visits += usize::from(cycle) + nodes.len();
+        cycle.then_some(v).into_iter().chain(nodes.iter().copied())
+    }
+
+    /// Whether `v` is supported on `e`: a member of `sim(e.to)` lies
+    /// within `e`'s bound of it, found by one forward walk.
+    fn supported(&mut self, g: &DiGraph, e: &PatternEdge, sim: &[BitSet], v: NodeId) -> bool {
+        let members = &sim[e.to.index()];
+        (self.walk(g, v, e.bound.depth(), Direction::Forward)).any(|w| members.contains(w))
+    }
 }
 
 impl IncrementalBoundedSim {
-    /// Evaluate `q` on `g` once (exact raw fixpoint, no early exit) and
-    /// build the support counters.
+    /// Evaluate `q` on `g` once (exact raw fixpoint, no early exit), then
+    /// collect the arcs of `G_r` and rank the output node's matches.
     pub fn new(g: &DiGraph, q: &Pattern) -> IncrementalBoundedSim {
         let cand0 = candidate_sets(g, q);
         let mut eval_scratch = EvalScratch::new();
@@ -454,21 +472,6 @@ impl IncrementalBoundedSim {
         // sized here, so no update allocates the BFS arrays
         let mut scratch = BfsScratch::new();
         scratch.ensure(n);
-        let mut scnt: Vec<Vec<u32>> = vec![vec![0; n]; q.edge_count()];
-        for (ei, e) in q.edges().iter().enumerate() {
-            // accumulate supporter counts by walking back from each member
-            // once; counters are only ever read for predicate candidates
-            // of the edge source, so only those are maintained (a large
-            // constant-factor saving on updates)
-            let src_cand = &cand0[e.from.index()];
-            for vp in sim[e.to.index()].iter() {
-                for w in walk(&mut scratch, g, vp, e.bound.depth(), Direction::Backward) {
-                    if src_cand.contains(w) {
-                        scnt[ei][w.index()] += 1;
-                    }
-                }
-            }
-        }
         // the arcs of G_r: one witness run per raw source per pattern edge
         let (mut rows, mut arcs, mut heads) = (Rows::default(), Vec::new(), Vec::new());
         for (ei, e) in q.edges().iter().enumerate() {
@@ -489,11 +492,14 @@ impl IncrementalBoundedSim {
             pattern: q.clone(),
             cand0,
             sim,
-            scnt,
             ball_radius,
             data_nodes: n,
-            scratch,
+            walker: Walker {
+                bfs: scratch,
+                visits: 0,
+            },
             tentative: (0..q.node_count()).map(|_| BitSet::new(n)).collect(),
+            supporters: Vec::new(),
             affected_buf: Vec::new(),
             rows,
             ranking: Arc::new([]),
@@ -593,13 +599,14 @@ impl IncrementalBoundedSim {
         for nodes in [&mut *heads, &mut *tails, &mut *touched] {
             nodes.clear();
         }
-        for (ei, e) in self.pattern.edges().iter().enumerate() {
+        let q = &self.pattern;
+        for (ei, e) in q.edges().iter().enumerate() {
             let (sources, targets) = (&self.sim[e.from.index()], &self.cand0[e.to.index()]);
             for v in drain_sorted(&mut self.dirty[ei]) {
                 fresh.clear();
                 if sources.contains(v) {
                     self.stats.repair_sources += 1;
-                    witness_arcs(g, &self.pattern, ei, v, targets, &mut self.scratch, fresh);
+                    witness_arcs(g, q, ei, v, targets, &mut self.walker.bfs, fresh);
                 }
                 if self.rows.patch(ei as u32, v, fresh, heads) {
                     tails.push(v);
@@ -631,13 +638,21 @@ impl IncrementalBoundedSim {
         } else if touched.is_empty() {
             return false;
         } else {
-            let mut touched = std::mem::take(&mut self.repair.touched);
-            let kept = |m: &&RankedMatch| touched.binary_search(&m.node).is_err();
-            let kept: Vec<RankedMatch> = self.ranking.iter().filter(kept).copied().collect();
-            touched.retain(|&v| members.contains(v));
+            self.repair.touched.retain(|&v| members.contains(v));
+            let touched = &self.repair.touched;
             self.stats.rerank_candidates += touched.len();
-            let fresh = self.rank(&touched, scratch);
-            self.repair.touched = touched;
+            let fresh = self.rank(touched, scratch);
+            let old = &self.ranking;
+            // every re-ranked candidate found at its old `(rank, node)` and
+            // no member gone: the list stands, and nothing is copied
+            let stands = |f: &RankedMatch| old.binary_search_by(|m| rank_order(m, f)).is_ok();
+            if members.count() == old.len() && fresh.iter().all(stands) {
+                return false;
+            }
+            let kept = |m: &&RankedMatch| {
+                members.contains(m.node) && touched.binary_search(&m.node).is_err()
+            };
+            let kept: Vec<RankedMatch> = old.iter().filter(kept).copied().collect();
             merge_ranked(&kept, &fresh)
         };
         if *ranking == *self.ranking {
@@ -672,75 +687,53 @@ impl IncrementalBoundedSim {
     fn affected(&mut self, g: &DiGraph, x: NodeId) -> Vec<(NodeId, u32)> {
         let mut out = std::mem::take(&mut self.affected_buf);
         out.clear();
-        let ball = self
-            .scratch
-            .ball(g, x, self.ball_radius, Direction::Backward);
+        let ball = (self.walker.bfs).ball(g, x, self.ball_radius, Direction::Backward);
         out.extend(ball.iter());
         debug_assert_eq!(out.first(), Some(&(x, 0)));
         self.stats.affected_nodes += out.len();
         out
     }
 
-    /// Recompute `scnt[e][v]` inside the affected ball. Two sound
-    /// restrictions keep this cheap: (a) a pair can only change for edge
-    /// `e` if `dist(v, x) ≤ b_e − 1` (a path through the changed edge
-    /// needs a prefix to `x` that fits the bound), and (b) counters are
-    /// only ever read for predicate candidates of the edge source. The
-    /// support count itself is one forward [`walk`] from `v`, its nodes
-    /// probed in the member set.
-    fn recompute_counters(&mut self, g: &DiGraph, affected: &[(NodeId, u32)]) {
-        for (ei, e) in self.pattern.edges().iter().enumerate() {
-            let depth = e.bound.depth();
-            let radius = depth.saturating_sub(1);
-            let (cand, members) = (&self.cand0[e.from.index()], &self.sim[e.to.index()]);
-            for &(v, dvx) in affected {
-                if dvx > radius || !cand.contains(v) {
-                    continue;
-                }
-                let support = walk(&mut self.scratch, g, v, depth, Direction::Forward)
-                    .filter(|&w| members.contains(w))
-                    .count();
-                self.scnt[ei][v.index()] = support as u32;
-            }
-        }
+    /// Whether `v`, a member of `sim(u)`, is unsupported on some out-edge
+    /// of `u` whose bound reaches past `dvx` — the edges a change `dvx`
+    /// hops downstream of `v` can have cut (every edge, at `dvx = 0`).
+    fn violated(&mut self, g: &DiGraph, u: PNodeId, v: NodeId, dvx: u32) -> bool {
+        (self.pattern.out_edges(u))
+            .any(|e| dvx < e.bound.depth() && !self.walker.supported(g, e, &self.sim, v))
     }
 
     /// Removal cascade shared by deletion handling and insert verification:
-    /// the queued pairs have left their raw sets; withdraw their support,
-    /// remove every pair left unsupported the same way, and return all
-    /// removed pairs in removal order. `verify`: only tentative pairs may
-    /// be removed (insert verification); else unrestricted (deletion).
+    /// the queued members were found unsupported; remove them, re-check
+    /// every member a removed pair may have supported, remove each one left
+    /// unsupported the same way, and return all removed pairs in removal
+    /// order. `verify`: only tentative pairs are re-checked (insert
+    /// verification — an insertion cannot invalidate an old member); else
+    /// every member (deletion).
     fn removal_cascade(
         &mut self,
         g: &DiGraph,
         mut queue: Vec<(PNodeId, NodeId)>,
         verify: bool,
     ) -> Vec<(PNodeId, NodeId)> {
+        for &(u, v) in &queue {
+            self.sim[u.index()].remove(v);
+        }
         let mut removed = Vec::new();
         while let Some((u, v)) = queue.pop() {
             removed.push((u, v));
-            // v left sim(u): every supporter w loses one unit on edges → u
+            // v left sim(u): re-check, on every edge → u, the members one
+            // reverse walk from v finds
             for &ei in self.pattern.in_edge_indices(u) {
                 let e = &self.pattern.edges()[ei as usize];
-                let (from, depth) = (e.from.index(), e.bound.depth());
-                // one reverse walk from v = everyone who counted v
-                for w in walk(&mut self.scratch, g, v, depth, Direction::Backward) {
-                    if !self.cand0[from].contains(w) {
-                        continue;
-                    }
-                    let c = &mut self.scnt[ei as usize][w.index()];
-                    debug_assert!(*c > 0, "support counter underflow");
-                    *c -= 1;
-                    if *c == 0 && self.sim[from].contains(w) {
-                        let allowed = !verify || self.tentative[from].contains(w);
-                        debug_assert!(
-                            allowed,
-                            "insert verification tried to remove a pre-existing member"
-                        );
-                        if allowed {
-                            self.sim[from].remove(w);
-                            queue.push((e.from, w));
-                        }
+                let from = e.from.index();
+                let (members, tentative) = (&self.sim[from], &self.tentative[from]);
+                let behind = (self.walker.walk(g, v, e.bound.depth(), Direction::Backward))
+                    .filter(|&w| members.contains(w) && (!verify || tentative.contains(w)));
+                self.supporters.extend(behind);
+                for w in self.supporters.drain(..) {
+                    if !self.walker.supported(g, e, &self.sim, w) {
+                        self.sim[from].remove(w);
+                        queue.push((e.from, w));
                     }
                 }
             }
@@ -773,7 +766,6 @@ impl IncrementalBoundedSim {
 
     fn on_delete(&mut self, g: &DiGraph, x: NodeId) -> Vec<MatchDelta> {
         let affected = self.affected(g, x);
-        self.recompute_counters(g, &affected);
         // a deleted (x, y) lengthens only shortest paths through it, and
         // one from v to w through it is longer than dist(v, x); the stored
         // arcs are as the batch began, but a source whose arcs an earlier
@@ -785,17 +777,8 @@ impl IncrementalBoundedSim {
         // members in the affected area whose support vanished
         let mut queue: Vec<(PNodeId, NodeId)> = Vec::new();
         for u in self.pattern.ids() {
-            for &(v, _) in &affected {
-                if !self.sim[u.index()].contains(v) {
-                    continue;
-                }
-                let violated = self
-                    .pattern
-                    .out_edge_indices(u)
-                    .iter()
-                    .any(|&ei| self.scnt[ei as usize][v.index()] == 0);
-                if violated {
-                    self.sim[u.index()].remove(v);
+            for &(v, dvx) in &affected {
+                if self.sim[u.index()].contains(v) && self.violated(g, u, v, dvx) {
                     queue.push((u, v));
                 }
             }
@@ -815,7 +798,6 @@ impl IncrementalBoundedSim {
 
     fn on_insert(&mut self, g: &DiGraph, x: NodeId, y: NodeId) -> Vec<MatchDelta> {
         let affected = self.affected(g, x);
-        self.recompute_counters(g, &affected);
 
         // For terminality detection: how far is the closest *candidate* of
         // each pattern node from y? A pair (u, v) can only have gained
@@ -826,7 +808,7 @@ impl IncrementalBoundedSim {
         let y_ball_depth = self.ball_radius; // b_max − 1
         let mut dmin_y: Vec<u64> = vec![u64::MAX; self.pattern.node_count()];
         {
-            let ball = self.scratch.ball(g, y, y_ball_depth, Direction::Forward);
+            let ball = self.walker.bfs.ball(g, y, y_ball_depth, Direction::Forward);
             for (w, d) in ball.iter() {
                 for u in self.pattern.ids() {
                     if self.cand0[u.index()].contains(w) {
@@ -879,7 +861,7 @@ impl IncrementalBoundedSim {
             for &ei in self.pattern.in_edge_indices(u) {
                 let e = &self.pattern.edges()[ei as usize];
                 let (from, depth) = (e.from.index(), e.bound.depth());
-                for p in walk(&mut self.scratch, g, v, depth, Direction::Backward) {
+                for p in self.walker.walk(g, v, depth, Direction::Backward) {
                     if self.cand0[from].contains(p)
                         && !self.sim[from].contains(p)
                         && !self.tentative[from].contains(p)
@@ -890,35 +872,17 @@ impl IncrementalBoundedSim {
             }
         }
 
-        // ---- finalize: admit tentatives, bump supporter counters ----
+        // ---- finalize: admit tentatives ----
         // in (pattern node, data node) order, the order ΔM lists them in
         added.sort_unstable();
         for &(u, v) in &added {
             self.sim[u.index()].insert(v);
-            for &ei in self.pattern.in_edge_indices(u) {
-                let e = &self.pattern.edges()[ei as usize];
-                let (src_cand, depth) = (&self.cand0[e.from.index()], e.bound.depth());
-                for w in walk(&mut self.scratch, g, v, depth, Direction::Backward) {
-                    if src_cand.contains(w) {
-                        self.scnt[ei as usize][w.index()] += 1;
-                    }
-                }
-            }
         }
 
         // ---- verification: remove unsupported tentatives ----
-        let mut queue: Vec<(PNodeId, NodeId)> = Vec::new();
-        for &(u, v) in &added {
-            let violated = self
-                .pattern
-                .out_edge_indices(u)
-                .iter()
-                .any(|&ei| self.scnt[ei as usize][v.index()] == 0);
-            if violated {
-                self.sim[u.index()].remove(v);
-                queue.push((u, v));
-            }
-        }
+        let queue = (added.iter().copied())
+            .filter(|&(u, v)| self.violated(g, u, v, 0))
+            .collect();
         self.removal_cascade(g, queue, true);
         self.affected_buf = affected;
         for &(u, v) in &added {
@@ -992,14 +956,16 @@ impl Maintainer for IncrementalBoundedSim {
     }
 
     fn stats(&self) -> IncStats {
-        self.stats
+        IncStats {
+            walk_visits: self.walker.visits,
+            ..self.stats
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apply_batch;
     use expfinder_core::naive::{naive_bounded_fixpoint, reference_rank};
     use expfinder_graph::fixtures::collaboration_fig1;
     use expfinder_graph::generate::{erdos_renyi, random_updates, NodeSpec};
@@ -1012,27 +978,29 @@ mod tests {
 
     /// The maintained raw sets are the naive raw fixpoint of the current
     /// graph — so the collapsed relation is naive's too, and a dead query
-    /// keeps exactly the state it springs back from — and every support
-    /// counter of a candidate source counts the members of the target's
-    /// raw set it reaches by a non-empty path within the bound, itself
-    /// included when a short enough cycle passes through it.
+    /// keeps exactly the state it springs back from.
     fn check_against_recompute(g: &DiGraph, inc: &IncrementalBoundedSim) {
         let q = inc.pattern();
-        let cand0 = candidate_sets(g, q);
-        let raw = naive_bounded_fixpoint(g, q, cand0.clone());
+        let raw = naive_bounded_fixpoint(g, q, candidate_sets(g, q));
         assert_eq!(inc.sim, raw, "incremental diverged from recompute");
-        let dist = shortest_walks(g);
-        for (ei, e) in q.edges().iter().enumerate() {
-            for v in cand0[e.from.index()].iter() {
-                let within = |w: &NodeId| {
-                    let d = dist[v.index()][w.index()];
-                    d != FAR && d <= e.bound.depth()
-                };
-                let want = raw[e.to.index()].iter().filter(within).count();
-                let got = inc.scnt[ei][v.index()] as usize;
-                assert_eq!(got, want, "scnt of pattern edge {ei} at {v}");
+    }
+
+    /// Apply a batch of updates to `g`, maintaining `m` along the way, then
+    /// end the batch once. Returns the combined ΔM (per-update deltas
+    /// concatenated; a pair that flips twice appears twice).
+    fn apply_batch(
+        g: &mut DiGraph,
+        m: &mut IncrementalBoundedSim,
+        updates: &[EdgeUpdate],
+    ) -> Vec<MatchDelta> {
+        let mut all = Vec::new();
+        for &up in updates {
+            if g.apply(up) {
+                all.extend(m.on_update(g, up));
             }
         }
+        end(g, m);
+        all
     }
 
     #[test]
@@ -1174,7 +1142,7 @@ mod tests {
             check_against_recompute(&g, &inc);
             let built = IncrementalBoundedSim::new(&g, &q);
             for inc in [&inc, &built] {
-                assert_eq!(inc.scnt[0][v.index()], u32::from(supported), "b = {b}");
+                assert_eq!(inc.sim[0].contains(v), supported, "b = {b}");
                 assert_eq!(inc.current().total_pairs(), 2 * usize::from(supported));
             }
             g.remove_edge(x1, x2);
@@ -1182,6 +1150,30 @@ mod tests {
             check_against_recompute(&g, &inc);
             assert!(inc.current().is_empty(), "b = {b}");
         }
+    }
+
+    #[test]
+    fn a_cycle_one_hop_longer_than_the_bound_supports_nothing() {
+        // a →(≤2) a2 over `A`: v is on the 3-cycle v → x1 → x2 → v and
+        // matched through v → w. Deleting v → w leaves v only the cycle,
+        // one hop too long, so the deletion's re-check must drop it
+        let q = PatternBuilder::new()
+            .node("a", Predicate::label("A"))
+            .node("a2", Predicate::label("A"))
+            .edge("a", "a2", Bound::hops(2))
+            .build()
+            .unwrap();
+        let mut g = DiGraph::new();
+        let [v, w, x1, x2] = ["A", "A", "X", "X"].map(|l| g.add_node(l, []));
+        for (p, c) in [(v, x1), (x1, x2), (x2, v), (v, w)] {
+            g.add_edge(p, c);
+        }
+        let mut inc = IncrementalBoundedSim::new(&g, &q);
+        assert!(inc.sim[0].contains(v));
+        g.remove_edge(v, w);
+        inc.on_update(&g, EdgeUpdate::Delete(v, w));
+        check_against_recompute(&g, &inc);
+        assert!(!inc.sim[0].contains(v));
     }
 
     #[test]

@@ -14,11 +14,12 @@
 //! matches (insertions shorten distances; handled by optimistic upstream
 //! expansion followed by a verification fixpoint, which is what makes
 //! cyclic mutual support correct), and an edge **deletion can only
-//! remove** matches (deletions lengthen distances; handled by an exact
-//! counter cascade). Work is localized to the *affected ball*
-//! `ball_rev(x, b_max − 1) ∪ {x}` around a changed edge `(x, y)`, with
-//! per-pattern-edge support counters
-//! `scnt[e][v] = |{v' ∈ sim(u') : 1 ≤ dist(v, v') ≤ b_e}|`.
+//! remove** matches (deletions lengthen distances; handled by a removal
+//! cascade). Work is localized to the *affected ball*
+//! `ball_rev(x, b_max − 1) ∪ {x}` around a changed edge `(x, y)`, and
+//! support is asked, never stored: `v ∈ sim(u)` is supported on a pattern
+//! edge `e = (u, u')` when some `v' ∈ sim(u')` has `1 ≤ dist(v, v') ≤ b_e`,
+//! which one walk of `v`'s `b_e`-ball answers.
 //!
 //! The maintainer persists the **raw** greatest-fixpoint sets (not the
 //! all-or-nothing collapsed relation), so a query that currently fails is
@@ -63,6 +64,10 @@ pub struct IncStats {
     /// Nodes the batch-end search visited to find the candidates to
     /// re-rank, counted once per direction.
     pub search_visits: usize,
+    /// Nodes the support walks returned: the reverse walks that find the
+    /// members a pair can support, and the forward walks that check a
+    /// member's support.
+    pub walk_visits: usize,
 }
 
 impl IncStats {
@@ -74,6 +79,7 @@ impl IncStats {
         self.repair_sources += other.repair_sources;
         self.rerank_candidates += other.rerank_candidates;
         self.search_visits += other.search_visits;
+        self.walk_visits += other.walk_visits;
     }
 }
 
@@ -102,25 +108,6 @@ pub trait Maintainer {
 
     /// Work counters accumulated since construction.
     fn stats(&self) -> IncStats;
-}
-
-/// Apply a batch of updates to `g`, maintaining `m` along the way, then
-/// end the batch once on a fresh [`RerankScratch`]. Returns the combined
-/// ΔM (per-update deltas concatenated; a pair that flips twice appears
-/// twice, faithfully recording the history).
-pub fn apply_batch(
-    g: &mut expfinder_graph::DiGraph,
-    m: &mut IncrementalBoundedSim,
-    updates: &[EdgeUpdate],
-) -> Vec<MatchDelta> {
-    let mut all = Vec::new();
-    for &up in updates {
-        if g.apply(up) {
-            all.extend(m.on_update(g, up));
-        }
-    }
-    m.end_batch(g, &mut RerankScratch::default());
-    all
 }
 
 #[cfg(test)]

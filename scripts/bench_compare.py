@@ -31,9 +31,10 @@ field of the counters document (``BENCH_counters.json``, written by the
   ``build_visits``, the on-demand ranker's ``expand_visits`` (the rows
   a cold read expands), the ranking kernel's ``settled``, ``relaxed``,
   ``pushes`` (on the built graph and under ``on_demand``), the incremental maintainer's ``affected_nodes``,
-  ``tentative_pairs``, ``repair_sources``, ``rerank_candidates`` and
+  ``tentative_pairs``, ``repair_sources``, ``rerank_candidates``,
   ``search_visits`` (the nodes a batch end's search visits to find the
-  candidates to re-rank), and
+  candidates to re-rank) and ``walk_visits`` (the nodes its support walks
+  return), and
   the carried reach-index entries' ``repair_visits``, and the
   ``class_builds`` of ``match_warm_index``'s paths — condition classes a
   path added to the graph's class memo, 0 on every warm path — are worse
@@ -98,6 +99,7 @@ HIGHER_IS_WORSE = {
     "repair_sources",
     "rerank_candidates",
     "search_visits",
+    "walk_visits",
     "repair_visits",
     "class_builds",
 }

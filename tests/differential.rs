@@ -1588,6 +1588,67 @@ fn registered_ranks_follow_every_seed_of_the_batch_end_search() {
     h.agree();
 }
 
+/// A registered pattern's removals and rejections, on both facades. On
+/// `w →(1) x →(≤2) y →(1) z` the chain w2 → x2 → y2 → z2 keeps the
+/// relation alive. Inserting x3 → y3 gives x3 a `y` candidate, and the
+/// closure admits (x, x3) and, upstream, (w, w3) on x3's support; y3 has
+/// no `z`, so verification rejects x3 and then w3, which x3 alone
+/// supported. Deleting y1 → z1 cuts y1's only `z`, and the removal
+/// cascades across two pattern edges to x1 (two hops upstream, outside
+/// the deletion's affected ball) and w1; inserting it back revives all
+/// three.
+#[test]
+fn registered_removals_cascade_and_verification_rejects_a_tentative() {
+    let q = PatternBuilder::new()
+        .node_output("w", Predicate::label("W"))
+        .node("x", Predicate::label("X"))
+        .node("y", Predicate::label("Y"))
+        .node("z", Predicate::label("Z"))
+        .edge("w", "x", Bound::ONE)
+        .edge("x", "y", Bound::hops(2))
+        .edge("y", "z", Bound::ONE)
+        .build()
+        .unwrap();
+    let mut g = DiGraph::new();
+    let [w1, x1, m, y1, z1] = ["W", "X", "M", "Y", "Z"].map(|l| g.add_node(l, []));
+    let [w2, x2, y2, z2] = ["W", "X", "Y", "Z"].map(|l| g.add_node(l, []));
+    let [w3, x3, y3] = ["W", "X", "Y"].map(|l| g.add_node(l, []));
+    for (p, c) in [
+        (w1, x1),
+        (x1, m),
+        (m, y1),
+        (y1, z1),
+        (w2, x2),
+        (x2, y2),
+        (y2, z2),
+        (w3, x3),
+    ] {
+        g.add_edge(p, c);
+    }
+    let mut h = Harness::new(g, 1);
+    h.register("chain", &q);
+    let matches = |h: &Harness, u: &str| {
+        let [(a, ha), (b, hb)] = h.reads();
+        let got = a.registered_result(ha, "chain").unwrap();
+        assert_eq!(got, b.registered_result(hb, "chain").unwrap());
+        got.matches_vec(q.node_id(u).unwrap())
+    };
+    assert_eq!(matches(&h, "w"), [w1, w2]);
+    h.update(&[EdgeUpdate::Insert(x3, y3)]);
+    assert_eq!(matches(&h, "w"), [w1, w2]);
+    assert_eq!(matches(&h, "x"), [x1, x2]);
+    h.read_registered();
+    h.agree();
+    h.update(&[EdgeUpdate::Delete(y1, z1)]);
+    assert_eq!(matches(&h, "w"), [w2]);
+    assert_eq!((matches(&h, "x"), matches(&h, "y")), (vec![x2], vec![y2]));
+    h.read_registered();
+    h.agree();
+    h.update(&[EdgeUpdate::Insert(y1, z1)]);
+    assert_eq!(matches(&h, "w"), [w1, w2]);
+    h.agree();
+}
+
 /// The reach index survives a version: the bounded entries a read filled
 /// are carried into the next version's index and repaired there, the
 /// unbounded one is rebuilt. Over 3 → 5 and 6 → 8 → 7, inserting 5 → 7
