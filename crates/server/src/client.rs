@@ -231,19 +231,8 @@ impl Client {
         let timeout = self.timeout;
         let addr = self.addr;
         let stream = self.connect()?;
-        let payload = body.map(|v| v.to_string_compact()).unwrap_or_default();
-        let mut head = format!("{method} {path} HTTP/1.1\r\nHost: {addr}\r\n");
-        if body.is_some() {
-            head.push_str("Content-Type: application/json\r\n");
-        }
-        head.push_str(&format!(
-            "Content-Length: {}\r\nConnection: keep-alive\r\n\r\n",
-            payload.len()
-        ));
-        stream
-            .write_all(head.as_bytes())
-            .and_then(|()| stream.write_all(payload.as_bytes()))
-            .and_then(|()| stream.flush())
+        let payload = body.map(Value::to_string_compact);
+        send_request(stream, method, path, addr, payload.as_deref(), "keep-alive")
             .map_err(|e| ClientError::Transport(format!("send: {e}")))?;
 
         let mut reader = BufReader::new(
@@ -418,16 +407,14 @@ impl Client {
                 .to_string_compact()
             })
             .unwrap_or_default();
-        let mut w = stream
-            .try_clone()
-            .map_err(|e| ClientError::Transport(e.to_string()))?;
-        write!(
-            w,
-            "POST /graphs/{graph}/subscribe HTTP/1.1\r\nHost: {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{payload}",
+        send_request(
+            &mut &stream,
+            "POST",
+            &format!("/graphs/{graph}/subscribe"),
             self.addr,
-            payload.len()
+            Some(&payload),
+            "close",
         )
-        .and_then(|()| w.flush())
         .map_err(|e| ClientError::Transport(format!("send: {e}")))?;
 
         let mut reader = BufReader::new(stream);
@@ -479,6 +466,31 @@ impl Client {
             timeout: self.timeout,
         })
     }
+}
+
+/// Encode one request — head and JSON body — and hand it to `w` in a
+/// single write, as the server does its responses (see [`http`]): a
+/// `Content-Type` header goes with a `json` body, even an empty one.
+fn send_request(
+    w: &mut impl Write,
+    method: &str,
+    path: &str,
+    host: SocketAddr,
+    json: Option<&str>,
+    connection: &str,
+) -> std::io::Result<()> {
+    let payload = json.unwrap_or_default();
+    let mut out = Vec::with_capacity(160 + path.len() + payload.len());
+    write!(out, "{method} {path} HTTP/1.1\r\nHost: {host}\r\n")?;
+    if json.is_some() {
+        out.extend_from_slice(b"Content-Type: application/json\r\n");
+    }
+    write!(
+        out,
+        "Content-Length: {}\r\nConnection: {connection}\r\n\r\n{payload}",
+        payload.len()
+    )?;
+    http::send(w, &out)
 }
 
 /// The receiving end of one `/subscribe` stream: call
@@ -569,4 +581,36 @@ pub fn query_body_deadline(
         o.insert("deadline_ms".to_owned(), Value::Int(deadline_ms as i64));
     }
     body
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http::tests::assert_one_write;
+
+    #[test]
+    fn a_request_is_one_write() {
+        let host: SocketAddr = "127.0.0.1:7878".parse().unwrap();
+        assert_one_write(
+            "GET /healthz HTTP/1.1\r\nHost: 127.0.0.1:7878\r\nContent-Length: 0\r\n\
+             Connection: keep-alive\r\n\r\n",
+            |w| send_request(w, "GET", "/healthz", host, None, "keep-alive"),
+        );
+        assert_one_write(
+            "POST /graphs/fig1/query HTTP/1.1\r\nHost: 127.0.0.1:7878\r\n\
+             Content-Type: application/json\r\nContent-Length: 11\r\n\
+             Connection: keep-alive\r\n\r\n{\"top_k\":2}",
+            |w| {
+                let json = Some(r#"{"top_k":2}"#);
+                send_request(w, "POST", "/graphs/fig1/query", host, json, "keep-alive")
+            },
+        );
+        // a subscription sends its Content-Type even without queries
+        assert_one_write(
+            "POST /graphs/fig1/subscribe HTTP/1.1\r\nHost: 127.0.0.1:7878\r\n\
+             Content-Type: application/json\r\nContent-Length: 0\r\n\
+             Connection: close\r\n\r\n",
+            |w| send_request(w, "POST", "/graphs/fig1/subscribe", host, Some(""), "close"),
+        );
+    }
 }

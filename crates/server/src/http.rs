@@ -16,6 +16,13 @@
 //! keep-alive requests), while a stall *mid-message* is retried only up
 //! to `deadline` and then fails — a half-written request cannot pin a
 //! worker forever during a graceful drain.
+//!
+//! Every message this module writes — a response, a chunked-stream
+//! head, one chunk, the terminator — is encoded into one buffer and
+//! leaves in a single `write_all`. Both ends set `TCP_NODELAY`, so the
+//! kernel sends each `write(2)` at once as its own TCP segment, and each
+//! can wake the peer: a response formatted piece by piece onto the
+//! socket would leave as a dozen segments.
 
 use std::io::{self, BufRead, Write};
 use std::time::{Duration, Instant};
@@ -337,16 +344,18 @@ impl Response {
         }
     }
 
-    /// Serialize onto the wire. `keep_alive` is the connection-level
-    /// decision; `self.close` forces `Connection: close` regardless.
+    /// Serialize onto the wire in one write (see the module docs).
+    /// `keep_alive` is the connection-level decision; `self.close`
+    /// forces `Connection: close` regardless.
     pub fn write_to(&self, w: &mut impl Write, keep_alive: bool) -> io::Result<()> {
         let conn = if keep_alive && !self.close {
             "keep-alive"
         } else {
             "close"
         };
+        let mut out = Vec::with_capacity(160 + self.body.len());
         write!(
-            w,
+            out,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
             self.status,
             reason(self.status),
@@ -355,12 +364,18 @@ impl Response {
             conn
         )?;
         if let Some(secs) = self.retry_after {
-            write!(w, "Retry-After: {secs}\r\n")?;
+            write!(out, "Retry-After: {secs}\r\n")?;
         }
-        w.write_all(b"\r\n")?;
-        w.write_all(&self.body)?;
-        w.flush()
+        out.extend_from_slice(b"\r\n");
+        out.extend_from_slice(&self.body);
+        send(w, &out)
     }
+}
+
+/// Hand one fully encoded message to `w` in a single `write_all`.
+pub(crate) fn send(w: &mut impl Write, message: &[u8]) -> io::Result<()> {
+    w.write_all(message)?;
+    w.flush()
 }
 
 // ---------------------------------------------------------------------
@@ -376,33 +391,33 @@ pub const MAX_CHUNK_BYTES: usize = 16 * 1024 * 1024;
 /// always close the connection when they end — a subscription consumes
 /// its connection, so there is no keep-alive to negotiate.
 pub fn write_chunked_head(w: &mut impl Write, status: u16, content_type: &str) -> io::Result<()> {
-    write!(
-        w,
+    let head = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
         status,
         reason(status),
         content_type
-    )?;
-    w.flush()
+    );
+    send(w, head.as_bytes())
 }
 
-/// Write one chunk and flush it to the peer. The subscription protocol
-/// maps one JSON frame to exactly one chunk, so a reader that decodes
-/// chunk-by-chunk never has to scan for frame boundaries. `data` must
-/// not be empty — a zero-length chunk is the stream terminator, written
-/// by [`finish_chunked`].
+/// Write one chunk — size line, payload and CRLF in one write — and
+/// flush it to the peer. The subscription protocol maps one JSON frame
+/// to exactly one chunk, so a reader that decodes chunk-by-chunk never
+/// has to scan for frame boundaries. `data` must not be empty — a
+/// zero-length chunk is the stream terminator, written by
+/// [`finish_chunked`].
 pub fn write_chunk(w: &mut impl Write, data: &[u8]) -> io::Result<()> {
     debug_assert!(!data.is_empty(), "empty chunk would terminate the stream");
-    write!(w, "{:x}\r\n", data.len())?;
-    w.write_all(data)?;
-    w.write_all(b"\r\n")?;
-    w.flush()
+    let mut out = Vec::with_capacity(data.len() + 20);
+    write!(out, "{:x}\r\n", data.len())?;
+    out.extend_from_slice(data);
+    out.extend_from_slice(b"\r\n");
+    send(w, &out)
 }
 
 /// Terminate a chunked response (`0\r\n\r\n`, no trailers).
 pub fn finish_chunked(w: &mut impl Write) -> io::Result<()> {
-    w.write_all(b"0\r\n\r\n")?;
-    w.flush()
+    send(w, b"0\r\n\r\n")
 }
 
 /// Read one chunk of a chunked response body (client side). Returns
@@ -451,7 +466,7 @@ pub fn read_chunk(r: &mut impl BufRead, deadline: Duration) -> Result<Option<Vec
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::io::BufReader;
 
@@ -665,53 +680,83 @@ mod tests {
         ));
     }
 
+    /// A `Write` that counts its `write` calls: a message written piece
+    /// by piece shows up as more than one.
+    #[derive(Default)]
+    pub(crate) struct CountingWriter {
+        pub(crate) writes: usize,
+        pub(crate) bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Run `emit` on a counting writer; assert it wrote exactly `golden`
+    /// (the bytes first, so a framing change and a split write fail with
+    /// different messages) and did so in one `write` call.
+    pub(crate) fn assert_one_write(
+        golden: &str,
+        emit: impl FnOnce(&mut CountingWriter) -> io::Result<()>,
+    ) {
+        let mut w = CountingWriter::default();
+        emit(&mut w).unwrap();
+        assert_eq!(String::from_utf8(w.bytes).unwrap(), golden);
+        assert_eq!(w.writes, 1, "{golden:?} left in {} writes", w.writes);
+    }
+
     #[test]
     fn response_serialization_roundtrips() {
         let doc = expfinder_graph::json::parse(r#"{"ok":true}"#).unwrap();
-        let resp = Response::json(200, &doc);
-        let mut out = Vec::new();
-        resp.write_to(&mut out, true).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
-        assert!(text.contains("Content-Length: 11"), "{text}");
-        assert!(text.contains("Connection: keep-alive"), "{text}");
-        assert!(text.ends_with(r#"{"ok":true}"#), "{text}");
-
-        let mut out = Vec::new();
-        Response {
+        assert_one_write(
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 11\r\n\
+             Connection: keep-alive\r\n\r\n{\"ok\":true}",
+            |w| Response::json(200, &doc).write_to(w, true),
+        );
+        let closing = Response {
             close: true,
             ..Response::json(404, &doc)
-        }
-        .write_to(&mut out, true)
-        .unwrap();
-        assert!(String::from_utf8(out)
-            .unwrap()
-            .contains("Connection: close"));
+        };
+        assert_one_write(
+            "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nContent-Length: 11\r\n\
+             Connection: close\r\n\r\n{\"ok\":true}",
+            |w| closing.write_to(w, true),
+        );
     }
 
     #[test]
     fn retry_after_header_emitted_when_set() {
         let doc = expfinder_graph::json::parse(r#"{"ok":false}"#).unwrap();
-        let mut out = Vec::new();
-        Response {
+        let shed = Response {
             close: true,
             retry_after: Some(2),
             ..Response::json(503, &doc)
-        }
-        .write_to(&mut out, false)
-        .unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(
-            text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
-            "{text}"
+        };
+        assert_one_write(
+            "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+             Content-Length: 12\r\nConnection: close\r\nRetry-After: 2\r\n\r\n{\"ok\":false}",
+            |w| shed.write_to(w, false),
         );
-        assert!(text.contains("Retry-After: 2\r\n"), "{text}");
-        // the header block still terminates with exactly one blank line
-        assert!(text.contains("\r\n\r\n"), "{text}");
+    }
 
-        // and stays absent when unset
-        let mut out = Vec::new();
-        Response::json(200, &doc).write_to(&mut out, true).unwrap();
-        assert!(!String::from_utf8(out).unwrap().contains("Retry-After"));
+    #[test]
+    fn a_chunked_head_frame_and_terminator_are_one_write_each() {
+        assert_one_write(
+            "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
+             Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
+            |w| write_chunked_head(w, 200, "application/x-ndjson"),
+        );
+        assert_one_write("12\r\n{\"frame\":\"hello\"}\n\r\n", |w| {
+            write_chunk(w, b"{\"frame\":\"hello\"}\n")
+        });
+        assert_one_write("0\r\n\r\n", finish_chunked);
     }
 }

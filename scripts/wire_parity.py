@@ -14,14 +14,17 @@ graph, a query for a non-ASCII label and two patterns whose old cache
 encodings collided, sent in that order at one version (the second must
 be evaluated and answer 1 pair).
 Numeric `*_us` / `*_ms` values under `timings` are masked; every other
-byte of every response body, and every status, must match. A differing
+byte of every response body, and every status, must match. So must every
+response head: its header names in order, and every header value but
+`Content-Length`, which follows the masked timings. A differing
 response is reported as the JSON paths at which the bodies differ
-(`timings.plan.candidates[0].route: "live" -> "snapshot"`), and the run
-ends with one line listing every differing path. The sorted difference
+(`timings.plan.candidates[0].route: "live" -> "snapshot"`) and the
+header lines at which the heads differ, and the run ends with one line
+listing every differing path. The sorted difference
 of the two `/metrics` key sets is printed (values are not compared —
 uptime and latencies differ run to run).
 
-Exits 1 on any status or body difference, 0 otherwise. Build the parent
+Exits 1 on any status, head or body difference, 0 otherwise. Build the parent
 binary from a `git clone` of the parent commit, e.g.
 `cargo build --release -p expfinder-server --bin serve` in the clone.
 """
@@ -181,7 +184,15 @@ def request(addr, method, path, body):
         doc = json.loads(raw)
     except ValueError:
         doc = raw.decode("utf-8", "replace")
-    return resp.status, doc
+    return resp.status, head(resp.getheaders()), doc
+
+
+def head(headers):
+    """A response's header lines in order, `Content-Length` masked."""
+    return [
+        (name, "<len>" if name.lower() == "content-length" else value)
+        for name, value in headers
+    ]
 
 
 def run(binary, data_dir):
@@ -206,31 +217,39 @@ def run(binary, data_dir):
             (method, path, *request(addr, method, path, body))
             for method, path, body in SCRIPT
         ]
-        _, metrics = request(addr, "GET", "/metrics", None)
+        _, _, metrics = request(addr, "GET", "/metrics", None)
     finally:
         proc.stdin.close()  # stdin EOF drains the server
         proc.wait(timeout=30)
-    masked = [(m, p, status, mask(doc)) for m, p, status, doc in responses]
+    masked = [(m, p, status, hd, mask(doc)) for m, p, status, hd, doc in responses]
     return masked, key_paths(metrics)
 
 
 def compare(label, parent, change):
-    """Print every differing response as its differing paths; the number
-    of differing responses and the set of differing paths."""
+    """Print every differing response as its differing header lines and
+    body paths; the number of differing responses and the set of
+    differing body paths."""
     (p_resp, p_keys), (c_resp, c_keys) = parent, change
     diffs, all_paths = 0, set()
-    for (method, path, p_status, p_doc), (_, _, c_status, c_doc) in zip(p_resp, c_resp):
+    for (method, path, p_status, p_head, p_doc), (_, _, c_status, c_head, c_doc) in zip(
+        p_resp, c_resp
+    ):
         paths = diff_paths(p_doc, c_doc)
-        if p_status == c_status and not paths:
+        if p_status == c_status and p_head == c_head and not paths:
             continue
         diffs += 1
         print(f"[{label}] DIFF {method} {path}")
         if p_status != c_status:
             print(f"  status: {p_status} -> {c_status}")
+        for i in range(max(len(p_head), len(c_head))):
+            p = p_head[i] if i < len(p_head) else ABSENT
+            c = c_head[i] if i < len(c_head) else ABSENT
+            if p != c:
+                print(f"  header[{i}]: {p} -> {c}")
         for at, p, c in paths:
             print(f"  {at}: {json.dumps(p)} -> {json.dumps(c)}")
             all_paths.add(at)
-    statuses = sorted({s for _, _, s, _ in c_resp})
+    statuses = sorted({s for _, _, s, _, _ in c_resp})
     print(
         f"[{label}] {len(c_resp) - diffs}/{len(c_resp)} responses identical "
         f"(statuses seen: {statuses})"
