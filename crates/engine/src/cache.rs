@@ -3,8 +3,9 @@
 //! Paper §II: "the query engine directly returns M(Q,G) if it is already
 //! cached". Keys combine the graph's catalog id, its version counter and
 //! the pattern's DSL text
-//! ([`Pattern::fingerprint`](expfinder_pattern::Pattern::fingerprint)),
-//! the one text the parser reads back to itself, so two patterns share a
+//! ([`Pattern::text`](expfinder_pattern::Pattern::text), an `Arc` clone
+//! of the text the pattern printed once when it was built), the one text
+//! the parser reads back to itself, so two patterns share a
 //! slot exactly when they print alike. Updates invalidate implicitly —
 //! stale entries simply stop being requested and age out of the LRU.
 //! Keying by id (not name) means a graph removed and re-added under the

@@ -894,7 +894,7 @@ pub fn validate_graph_name(name: &str) -> Result<(), ExpFinderError> {
 /// How one [`QuerySpec`] names its pattern.
 #[derive(Clone, Debug)]
 enum SpecSource {
-    Pattern(Pattern),
+    Pattern(Arc<Pattern>),
     Dsl(String),
 }
 
@@ -923,9 +923,10 @@ impl QuerySpec {
         }
     }
 
-    /// A spec from an assembled pattern.
-    pub fn pattern(pattern: Pattern) -> QuerySpec {
-        QuerySpec::new(SpecSource::Pattern(pattern))
+    /// A spec from an assembled pattern, owned or shared (a batch slot
+    /// decoded off the wire shares the parse memo's pattern).
+    pub fn pattern(pattern: impl Into<Arc<Pattern>>) -> QuerySpec {
+        QuerySpec::new(SpecSource::Pattern(pattern.into()))
     }
 
     /// A spec from DSL text; parse errors surface when it is read (in its
@@ -971,14 +972,15 @@ impl QuerySpec {
         self
     }
 
-    /// Run `read` on the spec's pattern, parsing its DSL text first.
+    /// Run `read` on the spec's pattern, parsing its DSL text first
+    /// ([`parser::parse_memoised`](expfinder_pattern::parser::parse_memoised)).
     pub(crate) fn read<R>(
         &self,
         read: impl FnOnce(&Pattern) -> Result<R, ExpFinderError>,
     ) -> Result<R, ExpFinderError> {
         match &self.source {
             SpecSource::Pattern(p) => read(p),
-            SpecSource::Dsl(s) => read(&expfinder_pattern::parser::parse(s)?),
+            SpecSource::Dsl(s) => read(&*expfinder_pattern::parser::parse_memoised(s)?),
         }
     }
 }

@@ -254,7 +254,7 @@ impl ReadPath {
     ) -> Result<QueryResponse, ExpFinderError> {
         let started = Instant::now();
         let state = resolve()?;
-        let key: CacheKey = (state.id, state.version(), pattern.fingerprint().into());
+        let key: CacheKey = (state.id, state.version(), pattern.text().clone());
         let registered = state.registered(&key.2);
         let slot = (&key, top_k.filter(|_| serve_held));
         let ((matches, held), plan, stats) =

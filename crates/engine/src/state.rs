@@ -140,7 +140,7 @@ impl Snapshot {
     }
 
     /// The registered query whose pattern has this DSL text
-    /// ([`Pattern::fingerprint`]), if there is one — its relation and
+    /// ([`Pattern::text`]), if there is one — its relation and
     /// ranking, from one scan of the views.
     pub fn registered(&self, text: &str) -> Option<&RegisteredView> {
         self.registered.iter().find(|rv| &*rv.text == text)
@@ -369,7 +369,7 @@ impl MaintainedGraph {
         let maintainer = IncrementalBoundedSim::new(&self.graph, &pattern);
         log(&pattern)?;
         let rq = RegisteredQuery {
-            text: pattern.fingerprint().into(),
+            text: pattern.text().clone(),
             pattern,
             maintainer,
             published: None,

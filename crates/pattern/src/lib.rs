@@ -22,7 +22,8 @@ pub mod predicate;
 pub use builder::PatternBuilder;
 pub use predicate::{CmpOp, CompiledPredicate, Predicate};
 
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
 /// Identifier of a node inside one pattern. Dense: `0..node_count`.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -148,6 +149,8 @@ pub struct Pattern {
     /// `in_adj[u]` = indices into `edges` of edges entering `u`.
     in_adj: Vec<Vec<u32>>,
     output: Option<PNodeId>,
+    /// The DSL text, printed once where the pattern is assembled.
+    text: Arc<str>,
 }
 
 impl Pattern {
@@ -200,12 +203,14 @@ impl Pattern {
             out_adj[e.from.index()].push(i as u32);
             in_adj[e.to.index()].push(i as u32);
         }
+        let text = dsl_text(&nodes, &edges, output);
         Ok(Pattern {
             nodes,
             edges,
             out_adj,
             in_adj,
             output,
+            text,
         })
     }
 
@@ -315,48 +320,57 @@ impl Pattern {
         set
     }
 
-    /// The pattern's identity: its DSL text ([`Display`](fmt::Display)),
-    /// which [`parser::parse`] reads back to a pattern of the same text.
+    /// The pattern's DSL text ([`Display`](fmt::Display)), printed once
+    /// when it was assembled: a clone of it is an [`Arc`] clone. The
+    /// engine keys its query cache and its registered-query routing on it.
+    pub fn text(&self) -> &Arc<str> {
+        &self.text
+    }
+
+    /// The pattern's identity: its DSL text ([`Pattern::text`]), which
+    /// [`parser::parse`] reads back to a pattern of the same text.
     /// Patterns of equal text match the same nodes, so the engine's query
     /// cache and its registered-query routing key on it, and the durable
     /// runtime logs it.
     pub fn fingerprint(&self) -> String {
-        self.to_string()
+        self.text.to_string()
     }
 
     /// A copy of this pattern with every bound replaced by 1 hop — the
-    /// plain-simulation version of the query.
+    /// plain-simulation version of the query, its text printed anew.
     pub fn as_simulation(&self) -> Pattern {
         let mut p = self.clone();
         for e in &mut p.edges {
             e.bound = Bound::ONE;
         }
+        p.text = dsl_text(&p.nodes, &p.edges, p.output);
         p
     }
 }
 
-/// The pattern's DSL text: one `node` statement per node in id order, then
-/// one `edge` statement per edge, each on its own line.
+/// The DSL text of a pattern's parts: one `node` statement per node in id
+/// order, then one `edge` statement per edge, each on its own line.
+fn dsl_text(nodes: &[PatternNode], edges: &[PatternEdge], output: Option<PNodeId>) -> Arc<str> {
+    let mut text = String::new();
+    for (i, n) in nodes.iter().enumerate() {
+        let star = if output == Some(PNodeId(i as u32)) {
+            "*"
+        } else {
+            ""
+        };
+        let _ = writeln!(text, "node {}{} where {};", n.name, star, n.predicate);
+    }
+    for e in edges {
+        let (from, to) = (&nodes[e.from.index()].name, &nodes[e.to.index()].name);
+        let _ = writeln!(text, "edge {from} -> {to} within {};", e.bound);
+    }
+    text.into()
+}
+
+/// The pattern's DSL text, as printed when it was assembled.
 impl fmt::Display for Pattern {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, n) in self.nodes.iter().enumerate() {
-            let star = if self.output == Some(PNodeId(i as u32)) {
-                "*"
-            } else {
-                ""
-            };
-            writeln!(f, "node {}{} where {};", n.name, star, n.predicate)?;
-        }
-        for e in &self.edges {
-            writeln!(
-                f,
-                "edge {} -> {} within {};",
-                self.nodes[e.from.index()].name,
-                self.nodes[e.to.index()].name,
-                e.bound
-            )?;
-        }
-        Ok(())
+        f.write_str(&self.text)
     }
 }
 

@@ -29,10 +29,16 @@
 //!   `not` prints as `not (…)`, two levels, and each operand of an
 //!   `and` / `or` in parentheses — so `parse` also refuses a condition
 //!   whose printed text would cross it (65 nested `not`s, say).
+//!
+//! [`parse`] parses every call. [`parse_memoised`] answers a text it has
+//! parsed before with the same shared pattern, from one process-wide memo:
+//! parsing is pure, so its answers never go stale.
 
 use crate::{Bound, CmpOp, Pattern, PatternBuilder, Predicate};
 use expfinder_graph::AttrValue;
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::{Arc, LazyLock, RwLock};
 
 /// Parse failure with 1-based source position.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -548,6 +554,75 @@ pub fn parse(src: &str) -> Result<Pattern, ParseError> {
     parser.parse_pattern()
 }
 
+/// Most texts the process-wide parse memo keeps before it starts over.
+pub const MAX_MEMO_TEXTS: usize = 1024;
+
+/// Most bytes of text the process-wide parse memo keeps before it starts
+/// over; a longer text is parsed every time.
+pub const MAX_MEMO_BYTES: usize = 1 << 20;
+
+/// Parsed patterns keyed by the text they were parsed from, as sent: two
+/// spellings of one pattern are two entries whose patterns print one text.
+/// A text that fails to parse is not kept. Past either cap the memo is
+/// cleared, so no early set of texts owns it for the life of the process.
+#[derive(Debug)]
+struct ParseMemo {
+    max_texts: usize,
+    max_bytes: usize,
+    entries: RwLock<MemoEntries>,
+}
+
+#[derive(Debug, Default)]
+struct MemoEntries {
+    patterns: HashMap<Box<str>, Arc<Pattern>>,
+    /// Sum of the keys' lengths.
+    bytes: usize,
+}
+
+impl ParseMemo {
+    fn new(max_texts: usize, max_bytes: usize) -> ParseMemo {
+        ParseMemo {
+            max_texts,
+            max_bytes,
+            entries: RwLock::default(),
+        }
+    }
+
+    /// The pattern `src` spells, parsed outside the lock on a miss.
+    /// Concurrent parsers of one text may both parse; the first insert
+    /// wins and both get its pattern.
+    fn parse(&self, src: &str) -> Result<Arc<Pattern>, ParseError> {
+        let read = self.entries.read().unwrap_or_else(|e| e.into_inner());
+        if let Some(p) = read.patterns.get(src) {
+            return Ok(p.clone());
+        }
+        drop(read);
+        let parsed = Arc::new(parse(src)?);
+        if src.len() > self.max_bytes {
+            return Ok(parsed);
+        }
+        let mut memo = self.entries.write().unwrap_or_else(|e| e.into_inner());
+        if let Some(raced) = memo.patterns.get(src) {
+            return Ok(raced.clone());
+        }
+        if memo.patterns.len() >= self.max_texts || memo.bytes + src.len() > self.max_bytes {
+            *memo = MemoEntries::default();
+        }
+        memo.bytes += src.len();
+        memo.patterns.insert(src.into(), parsed.clone());
+        Ok(parsed)
+    }
+}
+
+/// [`parse`], memoised process-wide: a text parsed before is answered
+/// with the same [`Arc`], so a server that sees a few texts over and over
+/// parses each once. Errors are not memoised (the text is parsed again).
+pub fn parse_memoised(src: &str) -> Result<Arc<Pattern>, ParseError> {
+    static MEMO: LazyLock<ParseMemo> =
+        LazyLock::new(|| ParseMemo::new(MAX_MEMO_TEXTS, MAX_MEMO_BYTES));
+    MEMO.parse(src)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -743,13 +818,102 @@ mod tests {
         let p = parse("# leading comment\nnode a; # trailing\n# full line\nnode b;").unwrap();
         assert_eq!(p.node_count(), 2);
     }
+
+    impl ParseMemo {
+        fn len_and_bytes(&self) -> (usize, usize) {
+            let memo = self.entries.read().unwrap();
+            (memo.patterns.len(), memo.bytes)
+        }
+    }
+
+    fn chain_text(i: usize) -> String {
+        format!(
+            "node a* where label = \"L{i}\"; node b; edge a -> b within {};",
+            i % 3 + 1
+        )
+    }
+
+    /// Many distinct texts through a small memo: it never holds more than
+    /// either cap, a repeated text is answered from it with the same
+    /// pattern, and every answer prints what a fresh parse prints.
+    #[test]
+    fn the_memo_stays_within_both_caps() {
+        let memo = ParseMemo::new(8, 200);
+        for i in 0..50 {
+            let text = chain_text(i);
+            let p = memo.parse(&text).unwrap();
+            assert_eq!(p.fingerprint(), parse(&text).unwrap().fingerprint());
+            assert!(Arc::ptr_eq(&p, &memo.parse(&text).unwrap()), "{text}");
+            let (len, bytes) = memo.len_and_bytes();
+            assert!(len <= 8 && bytes <= 200, "{len} texts, {bytes} bytes");
+            assert!(len >= 1);
+        }
+        // a text longer than the byte cap is parsed, never kept
+        let long = format!("{}node z;", " ".repeat(200));
+        assert_eq!(memo.parse(&long).unwrap().node_count(), 1);
+        assert!(memo.len_and_bytes().1 <= 200);
+    }
+
+    #[test]
+    fn a_bad_text_is_not_memoised() {
+        let memo = ParseMemo::new(8, 1 << 10);
+        let first = memo.parse("node a; edge a -> ghost;").unwrap_err();
+        assert_eq!(memo.len_and_bytes(), (0, 0));
+        assert_eq!(memo.parse("node a; edge a -> ghost;").unwrap_err(), first);
+        assert_eq!(memo.len_and_bytes(), (0, 0));
+    }
+
+    #[test]
+    fn two_spellings_are_two_entries_of_one_text() {
+        let memo = ParseMemo::new(8, 1 << 10);
+        let a = memo.parse("node a*; node b; edge a -> b;").unwrap();
+        let b = memo
+            .parse("# spelled out\nnode a* where true;\nnode b;\nedge a -> b within 1;")
+            .unwrap();
+        assert_eq!(memo.len_and_bytes().0, 2);
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert_eq!(a.fingerprint(), b.fingerprint());
+    }
+
+    /// Threads parsing one shared text and their own texts at once, past
+    /// the caps: every answer prints what a fresh parse prints.
+    #[test]
+    fn concurrent_parsers_get_equal_patterns() {
+        let memo = ParseMemo::new(4, 1 << 10);
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let memo = &memo;
+                s.spawn(move || {
+                    for i in 0..40 {
+                        let text = if i % 2 == 0 {
+                            FIG1.to_owned()
+                        } else {
+                            chain_text(t * 100 + i)
+                        };
+                        let want = parse(&text).unwrap().fingerprint();
+                        assert_eq!(memo.parse(&text).unwrap().fingerprint(), want);
+                    }
+                });
+            }
+        });
+        assert!(memo.len_and_bytes().0 <= 4);
+    }
+
+    #[test]
+    fn parse_memoised_shares_one_pattern_per_text() {
+        let text = "node memo_probe*; node b; edge memo_probe -> b within 2;";
+        let a = parse_memoised(text).unwrap();
+        assert_eq!(a.fingerprint(), parse(text).unwrap().fingerprint());
+        assert!(parse_memoised("node a; edge a -> nowhere_else;").is_err());
+        assert!(Arc::ptr_eq(&a, &parse_memoised(text).unwrap()));
+    }
 }
 
 #[cfg(test)]
 mod proptests {
     use super::*;
     use crate::generate::{random_pattern, PatternConfig, PatternShape};
-    use crate::PatternNode;
+    use crate::{PNodeId, PatternNode};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -859,6 +1023,21 @@ mod proptests {
             let reparsed = parse(&text)
                 .unwrap_or_else(|e| panic!("reparse failed: {e}\n{text}"));
             prop_assert_eq!(reparsed.to_string(), text);
+            // `as_simulation` changes the bounds, so it must print anew:
+            // its text is that of the same parts built with every bound 1
+            let name = |u: PNodeId| p.node(u).name.clone();
+            let mut b = PatternBuilder::new();
+            for (i, n) in p.nodes().iter().enumerate() {
+                b = if p.output() == Some(PNodeId(i as u32)) {
+                    b.node_output(n.name.clone(), n.predicate.clone())
+                } else {
+                    b.node(n.name.clone(), n.predicate.clone())
+                };
+            }
+            for e in p.edges() {
+                b = b.edge(name(e.from), name(e.to), Bound::ONE);
+            }
+            prop_assert_eq!(p.as_simulation().text(), b.build().unwrap().text());
         }
 
         /// The parser never panics on arbitrary input.

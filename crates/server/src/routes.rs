@@ -26,6 +26,7 @@ use crate::wire::{self, WireError};
 use expfinder_engine::{ExpFinderError, QuerySpec};
 use expfinder_graph::json::Value;
 use expfinder_graph::{AttrValue, GraphView};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// What the connection loop should do with a dispatched request: every
@@ -287,9 +288,11 @@ fn register(inner: &Inner, name: &str, req: &Request) -> Result<Response, WireEr
         .field("pattern")
         .and_then(|p| p.as_str())
         .map_err(|e| WireError::bad_request(e.to_string()))?;
-    let pattern = expfinder_pattern::parser::parse(dsl)
+    let pattern = expfinder_pattern::parser::parse_memoised(dsl)
         .map_err(|e| WireError::from(ExpFinderError::from(e)))?;
-    inner.backend.register_query(name, &qname, pattern)?;
+    inner
+        .backend
+        .register_query(name, &qname, Arc::unwrap_or_clone(pattern))?;
     let pairs = inner.backend.registered_result(name, &qname)?.total_pairs();
     let body = obj(vec![
         ("registered", Value::Str(qname)),

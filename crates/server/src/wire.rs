@@ -27,6 +27,7 @@ use expfinder_graph::io::GraphDoc;
 use expfinder_graph::json::Value;
 use expfinder_graph::{DiGraph, EdgeUpdate, NodeId};
 use expfinder_pattern::Pattern;
+use std::sync::Arc;
 
 /// A decode failure plus the status it answers with. A deadline abort
 /// (408) additionally carries the partial [`EvalStats`] of the work the
@@ -141,7 +142,9 @@ pub fn parse_body(body: &[u8]) -> Result<Value, WireError> {
 /// One decoded query request.
 #[derive(Debug)]
 pub struct QueryRequest {
-    pub pattern: Pattern,
+    /// The parsed `pattern` field, shared with the process-wide parse
+    /// memo (and with every other request that sent the same text).
+    pub pattern: Arc<Pattern>,
     /// The `pattern` field as sent (serving reads only `pattern`).
     pub dsl: String,
     pub top_k: Option<usize>,
@@ -155,7 +158,10 @@ pub struct QueryRequest {
 
 /// Decode `{"pattern": dsl, "top_k"?, "route"?, "include_matches"?,
 /// "deadline_ms"?}`. The DSL is parsed here so the route handler has the
-/// [`Pattern`] (its node names key the serialized match relation).
+/// [`Pattern`] (its node names key the serialized match relation), through
+/// [`parse_memoised`](expfinder_pattern::parser::parse_memoised): a text
+/// sent before is not parsed again, and its pattern already carries the
+/// printed text the engine's cache key shares.
 pub fn decode_query(v: &Value) -> Result<QueryRequest, WireError> {
     let o = v
         .as_object()
@@ -173,7 +179,7 @@ pub fn decode_query(v: &Value) -> Result<QueryRequest, WireError> {
         .and_then(|p| p.as_str())
         .map_err(|e| WireError::bad_request(e.to_string()))?
         .to_owned();
-    let pattern = expfinder_pattern::parser::parse(&dsl)
+    let pattern = expfinder_pattern::parser::parse_memoised(&dsl)
         .map_err(|e| WireError::from(ExpFinderError::from(e)))?;
     let top_k = match o.get("top_k") {
         None | Some(Value::Null) => None,
@@ -592,6 +598,21 @@ mod tests {
         let e = decode_query(&parse(r#"{"pattern": "node oops"}"#).unwrap()).unwrap_err();
         assert_eq!(e.status, 400);
         assert!(e.message.contains("parse"), "{}", e.message);
+    }
+
+    /// A text decoded twice is parsed once: both requests share one
+    /// pattern, and so does a batch slot that sends it again.
+    #[test]
+    fn a_pattern_sent_twice_is_parsed_once() {
+        let v = parse(
+            r#"{"pattern": "node twice* where label = \"SA\"; node b; edge twice -> b within 2;"}"#,
+        )
+        .unwrap();
+        let (a, b) = (decode_query(&v).unwrap(), decode_query(&v).unwrap());
+        assert!(Arc::ptr_eq(&a.pattern, &b.pattern));
+        let batch = obj(vec![("queries", Value::Array(vec![v]))]);
+        let slot = decode_batch(&batch).unwrap().queries.remove(0).unwrap();
+        assert!(Arc::ptr_eq(&a.pattern, &slot.pattern));
     }
 
     #[test]
