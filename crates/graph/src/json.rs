@@ -12,7 +12,7 @@
 //! round-trip exactly up to 2⁵³.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -131,8 +131,13 @@ impl Value {
     /// Compact serialization.
     pub fn to_string_compact(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
+        self.write_compact(&mut out);
         out
+    }
+
+    /// Append the compact serialization to `out`.
+    pub fn write_compact(&self, out: &mut String) {
+        self.write(out, None, 0);
     }
 
     /// Pretty serialization with 2-space indentation.
@@ -146,18 +151,9 @@ impl Value {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Int(v) => out.push_str(&v.to_string()),
-            Value::Float(v) => {
-                if v.is_finite() {
-                    // `{:?}` prints the shortest representation that
-                    // round-trips, and always includes a `.` or exponent
-                    out.push_str(&format!("{v:?}"));
-                } else {
-                    // JSON has no Inf/NaN; encode as null like serde_json
-                    out.push_str("null");
-                }
-            }
-            Value::Str(s) => write_escaped(out, s),
+            Value::Int(v) => write_int(out, *v),
+            Value::Float(v) => write_float(out, *v),
+            Value::Str(s) => write_string(out, s),
             Value::Array(items) => {
                 write_seq(out, indent, depth, '[', ']', items.iter(), |out, v, d| {
                     v.write(out, indent, d)
@@ -171,7 +167,7 @@ impl Value {
                 '}',
                 map.iter(),
                 |out, (k, v), d| {
-                    write_escaped(out, k);
+                    write_string(out, k);
                     out.push(':');
                     if indent.is_some() {
                         out.push(' ');
@@ -181,6 +177,62 @@ impl Value {
             ),
         }
     }
+}
+
+// ------------------------------ append helpers ------------------------------
+//
+// The scalar encodings `Value` serializes through, public so a reply can be
+// written straight into its buffer with no tree in between. Each appends to
+// the caller's `String` through `fmt::Write` and allocates nothing once the
+// buffer has room.
+
+/// Append `v` as a JSON integer.
+pub fn write_int(out: &mut String, v: i64) {
+    // writing into a `String` cannot fail
+    let _ = write!(out, "{v}");
+}
+
+/// Append `v` as a JSON number: the shortest text that round-trips
+/// (`{:?}`, which always has a `.` or an exponent, so it parses back as a
+/// float), or `null` when `v` is not finite — JSON has no Inf/NaN, and
+/// serde_json writes `null` too.
+pub fn write_float(out: &mut String, v: f64) {
+    if v.is_finite() {
+        let _ = write!(out, "{v:?}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// Append `s` as a quoted JSON string. `"`, `\\`, `\n`, `\r` and `\t` get
+/// their short escapes, other control characters `\u00xx`; everything
+/// else, non-ASCII included, is copied as is, a run at a time.
+pub fn write_string(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    // every byte that needs an escape is ASCII, so each cut is a char
+    // boundary
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            b if b < 0x20 => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match escape {
+            Some(e) => out.push_str(e),
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 fn write_seq<T>(
@@ -197,7 +249,7 @@ fn write_seq<T>(
     for (i, item) in items.enumerate() {
         if let Some(w) = indent {
             out.push('\n');
-            out.push_str(&" ".repeat(w * (depth + 1)));
+            out.extend(std::iter::repeat_n(' ', w * (depth + 1)));
         }
         write_item(out, item, depth + 1);
         if i + 1 < n {
@@ -207,28 +259,10 @@ fn write_seq<T>(
     if n > 0 {
         if let Some(w) = indent {
             out.push('\n');
-            out.push_str(&" ".repeat(w * depth));
+            out.extend(std::iter::repeat_n(' ', w * depth));
         }
     }
     out.push(close);
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Parse a complete JSON document (trailing whitespace allowed, trailing
@@ -612,6 +646,45 @@ mod tests {
         let items = v.as_array().unwrap();
         assert_eq!(items[0].as_str().unwrap().len(), 500_000);
         assert_eq!(items[1].as_str().unwrap(), "a\nb");
+    }
+
+    #[test]
+    fn strings_escape_in_runs() {
+        let mut out = String::new();
+        write_string(&mut out, "a\"b\\c\n\r\t\u{1}\u{1f}\u{7f}é 🦀");
+        assert_eq!(out, "\"a\\\"b\\\\c\\n\\r\\t\\u0001\\u001f\u{7f}é 🦀\"");
+        assert_eq!(
+            parse(&out).unwrap().as_str().unwrap(),
+            "a\"b\\c\n\r\t\u{1}\u{1f}\u{7f}é 🦀"
+        );
+        out.clear();
+        write_string(&mut out, "");
+        assert_eq!(out, "\"\"");
+    }
+
+    /// The append helpers are the encodings `Value` writes, appended.
+    #[test]
+    fn append_helpers_write_what_value_writes() {
+        let mut out = String::from("[");
+        write_int(&mut out, -42);
+        out.push(',');
+        write_float(&mut out, 2.0);
+        out.push(',');
+        write_float(&mut out, f64::INFINITY);
+        out.push(',');
+        write_string(&mut out, "x");
+        out.push(',');
+        obj(&[("k", Value::Float(-0.0))]).write_compact(&mut out);
+        out.push(']');
+        let tree = Value::Array(vec![
+            Value::Int(-42),
+            Value::Float(2.0),
+            Value::Float(f64::INFINITY),
+            Value::Str("x".into()),
+            obj(&[("k", Value::Float(-0.0))]),
+        ]);
+        assert_eq!(out, tree.to_string_compact());
+        assert_eq!(out, r#"[-42,2.0,null,"x",{"k":-0.0}]"#);
     }
 
     #[test]

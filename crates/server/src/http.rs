@@ -95,13 +95,19 @@ impl Request {
     }
 
     /// Keep-alive negotiation: HTTP/1.1 defaults on, HTTP/1.0 defaults
-    /// off, an explicit `Connection` header wins either way.
+    /// off, an explicit `Connection` header wins either way. The header
+    /// is a comma-separated token list, matched without case and without
+    /// allocating; `close` wins over `keep-alive`.
     pub fn wants_keep_alive(&self) -> bool {
-        match self.header("connection").map(str::to_ascii_lowercase) {
-            Some(c) if c.contains("close") => false,
-            Some(c) if c.contains("keep-alive") => true,
-            _ => self.http11,
-        }
+        let Some(tokens) = self.header("connection") else {
+            return self.http11;
+        };
+        let has = |want: &str| {
+            tokens
+                .split(',')
+                .any(|t| t.trim().eq_ignore_ascii_case(want))
+        };
+        !has("close") && (has("keep-alive") || self.http11)
     }
 }
 
@@ -335,9 +341,15 @@ pub struct Response {
 
 impl Response {
     pub fn json(status: u16, doc: &expfinder_graph::json::Value) -> Response {
+        Response::json_text(status, doc.to_string_compact())
+    }
+
+    /// A JSON response whose body is already written: the query routes
+    /// write their reply straight into `body`.
+    pub fn json_text(status: u16, body: String) -> Response {
         Response {
             status,
-            body: doc.to_string_compact().into_bytes(),
+            body: body.into_bytes(),
             content_type: "application/json",
             close: false,
             retry_after: None,
@@ -496,6 +508,29 @@ pub(crate) mod tests {
         assert!(!r.wants_keep_alive());
         let r = req(b"GET /healthz HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n").unwrap();
         assert!(r.wants_keep_alive());
+    }
+
+    /// `Connection` is a token list matched without case: `close` wins
+    /// wherever it stands, and with no header 1.1 keeps the connection
+    /// and 1.0 closes it.
+    #[test]
+    fn connection_tokens_match_without_case() {
+        for (version, connection, keep) in [
+            ("1.1", Some("Close"), false),
+            ("1.1", Some("keep-alive, close"), false),
+            ("1.0", Some("keep-alive, close"), false),
+            ("1.0", Some("Upgrade ,KEEP-ALIVE"), true),
+            ("1.1", Some("keep-alive"), true),
+            ("1.1", Some("Upgrade"), true),
+            ("1.0", Some("Upgrade"), false),
+            ("1.1", None, true),
+            ("1.0", None, false),
+        ] {
+            let header = connection.map_or(String::new(), |c| format!("Connection: {c}\r\n"));
+            let head = format!("GET /healthz HTTP/{version}\r\n{header}\r\n");
+            let r = req(head.as_bytes()).unwrap();
+            assert_eq!(r.wants_keep_alive(), keep, "{head:?}");
+        }
     }
 
     #[test]

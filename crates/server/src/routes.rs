@@ -44,14 +44,22 @@ pub(crate) enum Dispatch {
 /// Resolve and handle one request. Returns the metrics key alongside the
 /// dispatch so the caller can record latency per route family.
 pub(crate) fn dispatch(inner: &Inner, req: &Request) -> (RouteKey, Dispatch) {
-    let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
-    if let ("POST", ["graphs", name, "subscribe"]) = (req.method.as_str(), segments.as_slice()) {
+    // every route has at most three segments, so a fourth only marks a
+    // path that no arm matches
+    let mut slots = [""; 4];
+    let n = slots
+        .iter_mut()
+        .zip(req.path.split('/').filter(|s| !s.is_empty()))
+        .map(|(slot, segment)| *slot = segment)
+        .count();
+    let segments = &slots[..n];
+    if let ("POST", ["graphs", name, "subscribe"]) = (req.method.as_str(), segments) {
         let dispatch = subscribe(inner, name, req)
             .unwrap_or_else(|e| Dispatch::Respond(Response::json(e.status, &e.body())));
         return (RouteKey::Subscribe, dispatch);
     }
     let (key, result): (RouteKey, Result<Response, WireError>) =
-        match (req.method.as_str(), segments.as_slice()) {
+        match (req.method.as_str(), segments) {
             ("GET", ["healthz"]) => (RouteKey::Healthz, healthz(inner)),
             ("GET", ["metrics"]) => (
                 RouteKey::Metrics,
@@ -193,21 +201,29 @@ fn query(inner: &Inner, name: &str, req: &Request) -> Result<Response, WireError
             }
             WireError::from(e)
         })?;
-    // resolve expert display names on the latest snapshot; queries and
-    // updates may interleave, but expert node ids are stable
-    let encoded = inner.backend.read_graph(name, |g| {
-        wire::encode_query_response(&resp, &q.pattern, q.include_matches, |n| {
+    // resolve expert display names on the latest snapshot, borrowed from
+    // it while the reply is written; queries and updates may interleave,
+    // but expert node ids are stable
+    let mut body = String::with_capacity(reply_bytes(resp.experts.len()));
+    inner.backend.read_graph(name, |g| {
+        wire::write_query_response(&mut body, &resp, &q.pattern, q.include_matches, |n| {
             if (n.0 as usize) < g.node_count() {
-                g.attr_of(n, "name").and_then(|a| match a {
-                    AttrValue::Str(s) => Some(s.clone()),
+                match g.attr_of(n, "name") {
+                    Some(AttrValue::Str(s)) => Some(s.as_str()),
                     _ => None,
-                })
+                }
             } else {
                 None
             }
         })
     })?;
-    Ok(Response::json(200, &encoded))
+    Ok(Response::json_text(200, body))
+}
+
+/// Room for a query reply of `experts` rows — its plan and timings take
+/// ~300 bytes, an unnamed expert row ~40 — so its buffer is sized once.
+fn reply_bytes(experts: usize) -> usize {
+    320 + 64 * experts
 }
 
 fn batch(inner: &Inner, name: &str, req: &Request) -> Result<Response, WireError> {
@@ -241,33 +257,27 @@ fn batch(inner: &Inner, name: &str, req: &Request) -> Result<Response, WireError
         est += inner.backend.estimate_cost(name, &q.pattern)?;
     }
     let _admitted = admit(inner, RouteKey::Batch, est)?;
-    let mut engine_results = inner
-        .backend
-        .query_batch_deadline(name, specs, deadline)?
-        .into_iter();
-    let results: Vec<Value> = decoded
-        .queries
+    let results = inner.backend.query_batch_deadline(name, specs, deadline)?;
+    let room = results
         .iter()
-        .map(|d| match d {
-            Err(e) => obj(vec![("error", e.fields())]),
-            Ok(q) => match engine_results.next().expect("one result per spec") {
-                Err(e) => {
-                    if matches!(e, ExpFinderError::DeadlineExceeded(_)) {
-                        inner.metrics.note_deadline_enforced();
-                    }
-                    obj(vec![("error", WireError::from(e).fields())])
+        .map(|r| reply_bytes(r.as_ref().map_or(0, |r| r.experts.len())))
+        .sum();
+    let mut engine_results = results.into_iter();
+    let slots = decoded.queries.iter().map(|d| match d {
+        Err(e) => Err(e.fields()),
+        Ok(q) => match engine_results.next().expect("one result per spec") {
+            Err(e) => {
+                if matches!(e, ExpFinderError::DeadlineExceeded(_)) {
+                    inner.metrics.note_deadline_enforced();
                 }
-                Ok(resp) => obj(vec![(
-                    "ok",
-                    wire::encode_query_response(&resp, &q.pattern, q.include_matches, |_| None),
-                )]),
-            },
-        })
-        .collect();
-    Ok(Response::json(
-        200,
-        &obj(vec![("results", Value::Array(results))]),
-    ))
+                Err(WireError::from(e).fields())
+            }
+            Ok(resp) => Ok((resp, q)),
+        },
+    });
+    let mut body = String::with_capacity(room);
+    wire::write_batch_response(&mut body, slots);
+    Ok(Response::json_text(200, body))
 }
 
 fn updates(inner: &Inner, name: &str, req: &Request) -> Result<Response, WireError> {

@@ -20,13 +20,11 @@
 
 use crate::metrics::obj;
 use expfinder_core::EvalStats;
-use expfinder_engine::{
-    ExpFinderError, GraphInfo, PlanDecision, QueryResponse, Route, UpdateReport,
-};
+use expfinder_engine::{ExpFinderError, GraphInfo, QueryResponse, Route, UpdateReport};
 use expfinder_graph::io::GraphDoc;
-use expfinder_graph::json::Value;
+use expfinder_graph::json::{self, Value};
 use expfinder_graph::{DiGraph, EdgeUpdate, NodeId};
-use expfinder_pattern::Pattern;
+use expfinder_pattern::{PNodeId, Pattern};
 use std::sync::Arc;
 
 /// A decode failure plus the status it answers with. A deadline abort
@@ -309,103 +307,155 @@ pub fn decode_add_graph(v: &Value) -> Result<(String, DiGraph), WireError> {
     Ok((name, graph))
 }
 
-/// Encode the planner's [`PlanDecision`] for `timings.plan`: the chosen
-/// and originally-planned routes, whether a caller preference overrode
-/// the plan, and every candidate the planner costed with its (finite)
-/// cost (empty for exact routes — cache and registered hits are never
-/// planned).
-pub fn encode_plan(plan: &PlanDecision) -> Value {
-    let candidates: Vec<Value> = plan
-        .candidates
-        .iter()
-        .map(|c| {
-            obj(vec![
-                ("route", Value::Str(c.route.as_str().to_owned())),
-                ("cost", Value::Float(c.cost)),
-            ])
-        })
-        .collect();
-    obj(vec![
-        ("chosen", Value::Str(plan.chosen.as_str().to_owned())),
-        ("planned", Value::Str(plan.planned.as_str().to_owned())),
-        ("overridden", Value::Bool(plan.overridden)),
-        ("candidates", Value::Array(candidates)),
-    ])
+/// Write a [`QueryResponse`] as its JSON reply, appended to `out`: the
+/// `POST /query` body and each `/batch` slot's `ok` object, written once
+/// into the response buffer with no tree in between.
+///
+/// The keys come in the order a [`Value::Object`] prints them (sorted):
+/// `experts` (each `name`, `node`, `rank`), `graph_version`, `matches`,
+/// `pairs`, `route`, then `timings` with `evaluate_ms`, `plan` (the
+/// planner's [`PlanDecision`](expfinder_engine::PlanDecision):
+/// `candidates` as `{cost, route}`, `chosen`, `overridden`, `planned`),
+/// `rank_ms` and `total_ms`. `route` is the plan's `chosen` route, the
+/// same string as `timings.plan.chosen`; which algorithm ran is the
+/// pattern's (the client sent it). A rank that is not finite is the
+/// string `"inf"`, and a cost that is not finite is `null`. The match
+/// relation, keyed by pattern node name, is included only on request
+/// (`include_matches`) — it can dwarf the rest of the reply on large
+/// graphs. `resolve_name` maps an expert's node id to its `name`
+/// attribute, borrowed from the graph that holds it.
+///
+/// Numbers and strings go through [`json`]'s append helpers, the
+/// encodings `Value` itself writes, so without `include_matches` a
+/// buffer with room for the reply sees no allocation.
+pub fn write_query_response<N: AsRef<str>>(
+    out: &mut String,
+    resp: &QueryResponse,
+    pattern: &Pattern,
+    include_matches: bool,
+    resolve_name: impl Fn(NodeId) -> Option<N>,
+) {
+    out.push_str("{\"experts\":[");
+    for (i, x) in resp.experts.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('{');
+        if let Some(name) = resolve_name(x.node) {
+            out.push_str("\"name\":");
+            json::write_string(out, name.as_ref());
+            out.push(',');
+        }
+        out.push_str("\"node\":");
+        json::write_int(out, x.node.0 as i64);
+        out.push_str(",\"rank\":");
+        if x.rank.is_finite() {
+            json::write_float(out, x.rank);
+        } else {
+            out.push_str("\"inf\"");
+        }
+        out.push('}');
+    }
+    out.push_str("],\"graph_version\":");
+    json::write_int(out, resp.graph_version as i64);
+    if include_matches {
+        // keyed by node name in the sorted order an object prints in
+        // (a pattern's node names are distinct)
+        let mut ids: Vec<PNodeId> = pattern.ids().collect();
+        ids.sort_unstable_by(|&a, &b| pattern.node(a).name.cmp(&pattern.node(b).name));
+        out.push_str(",\"matches\":{");
+        for (i, &u) in ids.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            json::write_string(out, &pattern.node(u).name);
+            out.push_str(":[");
+            for (j, v) in resp.matches.matches(u).iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                json::write_int(out, v.0 as i64);
+            }
+            out.push(']');
+        }
+        out.push('}');
+    }
+    out.push_str(",\"pairs\":");
+    json::write_int(out, resp.matches.total_pairs() as i64);
+    out.push_str(",\"route\":");
+    json::write_string(out, resp.plan.chosen.as_str());
+    out.push_str(",\"timings\":{\"evaluate_ms\":");
+    json::write_float(out, resp.timings.evaluate.as_secs_f64() * 1e3);
+    out.push_str(",\"plan\":{\"candidates\":[");
+    for (i, c) in resp.plan.candidates.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"cost\":");
+        json::write_float(out, c.cost);
+        out.push_str(",\"route\":");
+        json::write_string(out, c.route.as_str());
+        out.push('}');
+    }
+    out.push_str("],\"chosen\":");
+    json::write_string(out, resp.plan.chosen.as_str());
+    out.push_str(",\"overridden\":");
+    out.push_str(if resp.plan.overridden {
+        "true"
+    } else {
+        "false"
+    });
+    out.push_str(",\"planned\":");
+    json::write_string(out, resp.plan.planned.as_str());
+    out.push_str("},\"rank_ms\":");
+    json::write_float(out, resp.timings.rank.as_secs_f64() * 1e3);
+    out.push_str(",\"total_ms\":");
+    json::write_float(out, resp.timings.total.as_secs_f64() * 1e3);
+    out.push_str("}}");
 }
 
-/// Encode a [`QueryResponse`]. Its `route` is the plan's `chosen`
-/// route, the same string as `timings.plan.chosen`; which algorithm ran
-/// is the pattern's (the client sent it). The full match relation is
-/// included only on request (`include_matches`) — it can dwarf the rest
-/// of the response on large graphs. `resolve_name` maps a node id to its
-/// `name` attribute for human-readable expert rows.
+/// A [`QueryResponse`] as a [`Value`] tree: [`write_query_response`]'s
+/// bytes parsed back, which is byte-exact (the tree prints those bytes
+/// again). Serving never calls it; it is kept only because the repo
+/// benchmark's trace harness (`benchmark/src/trace.rs`) times it as its
+/// encode row. ROADMAP item 2a moves that harness and deletes this.
 pub fn encode_query_response(
     resp: &QueryResponse,
     pattern: &Pattern,
     include_matches: bool,
     resolve_name: impl Fn(NodeId) -> Option<String>,
 ) -> Value {
-    let experts: Vec<Value> = resp
-        .experts
-        .iter()
-        .map(|x| {
-            let mut fields = vec![
-                ("node", Value::Int(x.node.0 as i64)),
-                (
-                    "rank",
-                    if x.rank.is_finite() {
-                        Value::Float(x.rank)
-                    } else {
-                        Value::Str("inf".into())
-                    },
-                ),
-            ];
-            if let Some(name) = resolve_name(x.node) {
-                fields.push(("name", Value::Str(name)));
+    let mut out = String::new();
+    write_query_response(&mut out, resp, pattern, include_matches, resolve_name);
+    json::parse(&out).expect("a written reply is valid JSON")
+}
+
+/// Write a `/batch` reply, appended to `out`: `{"results": [...]}` with
+/// one object per slot, in order — `{"ok": <reply>}` written by
+/// [`write_query_response`] (no expert names), or `{"error": <fields>}`
+/// with the slot's [`WireError::fields`].
+pub fn write_batch_response<'a>(
+    out: &mut String,
+    slots: impl IntoIterator<Item = Result<(QueryResponse, &'a QueryRequest), Value>>,
+) {
+    out.push_str("{\"results\":[");
+    for (i, slot) in slots.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        match slot {
+            Ok((resp, q)) => {
+                out.push_str("{\"ok\":");
+                write_query_response(out, &resp, &q.pattern, q.include_matches, |_| None::<&str>);
             }
-            obj(fields)
-        })
-        .collect();
-    let mut fields = vec![
-        ("pairs", Value::Int(resp.matches.total_pairs() as i64)),
-        ("route", Value::Str(resp.plan.chosen.as_str().to_owned())),
-        ("graph_version", Value::Int(resp.graph_version as i64)),
-        ("experts", Value::Array(experts)),
-        (
-            "timings",
-            obj(vec![
-                (
-                    "evaluate_ms",
-                    Value::Float(resp.timings.evaluate.as_secs_f64() * 1e3),
-                ),
-                (
-                    "rank_ms",
-                    Value::Float(resp.timings.rank.as_secs_f64() * 1e3),
-                ),
-                (
-                    "total_ms",
-                    Value::Float(resp.timings.total.as_secs_f64() * 1e3),
-                ),
-                ("plan", encode_plan(&resp.plan)),
-            ]),
-        ),
-    ];
-    if include_matches {
-        let matches: Vec<(&str, Value)> = pattern
-            .ids()
-            .map(|u| {
-                let ids: Vec<Value> = resp
-                    .matches
-                    .matches_vec(u)
-                    .into_iter()
-                    .map(|v| Value::Int(v.0 as i64))
-                    .collect();
-                (pattern.node(u).name.as_str(), Value::Array(ids))
-            })
-            .collect();
-        fields.push(("matches", obj(matches)));
+            Err(fields) => {
+                out.push_str("{\"error\":");
+                fields.write_compact(out);
+            }
+        }
+        out.push('}');
     }
-    obj(fields)
+    out.push_str("]}");
 }
 
 /// Encode an [`UpdateReport`] (the `POST /updates` response).
@@ -855,5 +905,353 @@ mod tests {
         assert_eq!(v.field("applied").unwrap().as_i64().unwrap(), 1);
         let team = v.field("registered_delta").unwrap().field("team").unwrap();
         assert_eq!(team.field("delta").unwrap().as_i64().unwrap(), 1);
+    }
+
+    // ---------------- the writer against its oracle tree ----------------
+
+    use expfinder_core::{MatchRelation, RankedMatch};
+    use expfinder_engine::{CandidateCost, PlanDecision, PlanRoute, QueryTimings};
+    use expfinder_graph::BitSet;
+    use proptest::prelude::*;
+    use std::time::Duration;
+
+    /// The reply as a `Value` tree, built field by field: the encoding
+    /// the server sent before the writer, kept as the writer's oracle.
+    fn oracle(
+        resp: &QueryResponse,
+        pattern: &Pattern,
+        include_matches: bool,
+        resolve_name: impl Fn(NodeId) -> Option<String>,
+    ) -> Value {
+        let experts: Vec<Value> = resp
+            .experts
+            .iter()
+            .map(|x| {
+                let mut fields = vec![
+                    ("node", Value::Int(x.node.0 as i64)),
+                    (
+                        "rank",
+                        if x.rank.is_finite() {
+                            Value::Float(x.rank)
+                        } else {
+                            Value::Str("inf".into())
+                        },
+                    ),
+                ];
+                if let Some(name) = resolve_name(x.node) {
+                    fields.push(("name", Value::Str(name)));
+                }
+                obj(fields)
+            })
+            .collect();
+        let candidates: Vec<Value> = resp
+            .plan
+            .candidates
+            .iter()
+            .map(|c| {
+                obj(vec![
+                    ("route", Value::Str(c.route.as_str().to_owned())),
+                    ("cost", Value::Float(c.cost)),
+                ])
+            })
+            .collect();
+        let plan = obj(vec![
+            ("chosen", Value::Str(resp.plan.chosen.as_str().to_owned())),
+            ("planned", Value::Str(resp.plan.planned.as_str().to_owned())),
+            ("overridden", Value::Bool(resp.plan.overridden)),
+            ("candidates", Value::Array(candidates)),
+        ]);
+        let ms = |d: Duration| Value::Float(d.as_secs_f64() * 1e3);
+        let mut fields = vec![
+            ("pairs", Value::Int(resp.matches.total_pairs() as i64)),
+            ("route", Value::Str(resp.plan.chosen.as_str().to_owned())),
+            ("graph_version", Value::Int(resp.graph_version as i64)),
+            ("experts", Value::Array(experts)),
+            (
+                "timings",
+                obj(vec![
+                    ("evaluate_ms", ms(resp.timings.evaluate)),
+                    ("rank_ms", ms(resp.timings.rank)),
+                    ("total_ms", ms(resp.timings.total)),
+                    ("plan", plan),
+                ]),
+            ),
+        ];
+        if include_matches {
+            let matches: Vec<(&str, Value)> = pattern
+                .ids()
+                .map(|u| {
+                    let ids = resp.matches.matches_vec(u);
+                    let ids = ids.into_iter().map(|v| Value::Int(v.0 as i64)).collect();
+                    (pattern.node(u).name.as_str(), Value::Array(ids))
+                })
+                .collect();
+            fields.push(("matches", obj(matches)));
+        }
+        obj(fields)
+    }
+
+    fn written(
+        resp: &QueryResponse,
+        pattern: &Pattern,
+        include_matches: bool,
+        resolve_name: impl Fn(NodeId) -> Option<String>,
+    ) -> String {
+        let mut out = String::new();
+        write_query_response(&mut out, resp, pattern, include_matches, resolve_name);
+        out
+    }
+
+    /// A pattern whose node names sort differently from their ids, so
+    /// `matches` must be written in name order.
+    fn zed_amy() -> Pattern {
+        expfinder_pattern::parser::parse(
+            "node zed* where label = \"SA\"; node amy; edge zed -> amy;",
+        )
+        .unwrap()
+    }
+
+    fn relation(sets: &[&[u32]], data_nodes: usize) -> Arc<MatchRelation> {
+        let sets = sets
+            .iter()
+            .map(|ids| {
+                let mut set = BitSet::new(data_nodes);
+                for &v in *ids {
+                    set.insert(NodeId(v));
+                }
+                set
+            })
+            .collect();
+        Arc::new(MatchRelation::from_sets(sets, data_nodes))
+    }
+
+    fn expert(node: u32, rank: f64) -> RankedMatch {
+        RankedMatch {
+            node: NodeId(node),
+            rank,
+        }
+    }
+
+    /// A reply with every number shape the writer formats: an integral
+    /// rank, −0.0, a tiny and a huge rank, an infinite one, a NaN cost,
+    /// and names that need escapes or are not ASCII.
+    fn golden_response() -> QueryResponse {
+        QueryResponse {
+            experts: vec![
+                expert(3, 2.0),
+                expert(0, -0.0),
+                expert(7, 1e-7),
+                expert(9, 1e21),
+                expert(12, f64::INFINITY),
+            ],
+            matches: relation(&[&[0, 3, 7, 9, 12], &[1, 2]], 16),
+            graph_version: 5,
+            timings: QueryTimings {
+                evaluate: Duration::from_nanos(1_953_125),
+                rank: Duration::ZERO,
+                total: Duration::from_millis(500),
+            },
+            plan: PlanDecision {
+                chosen: PlanRoute::Snapshot,
+                planned: PlanRoute::Compressed,
+                overridden: true,
+                candidates: vec![
+                    CandidateCost {
+                        route: PlanRoute::Snapshot,
+                        cost: 12.5,
+                    },
+                    CandidateCost {
+                        route: PlanRoute::Compressed,
+                        cost: f64::NAN,
+                    },
+                ],
+                expected_hit_rate: 0.0,
+            },
+        }
+    }
+
+    fn golden_name(n: NodeId) -> Option<String> {
+        match n.0 {
+            3 => Some("Bo \"b\" \\ x\n\u{1}".to_owned()),
+            0 => Some("Zoë 中".to_owned()),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn a_query_reply_is_these_bytes() {
+        let resp = golden_response();
+        let q = zed_amy();
+        let golden = concat!(
+            r#"{"experts":[{"name":"Bo \"b\" \\ x\n\u0001","node":3,"rank":2.0},"#,
+            r#"{"name":"Zoë 中","node":0,"rank":-0.0},{"node":7,"rank":1e-7},"#,
+            r#"{"node":9,"rank":1e21},{"node":12,"rank":"inf"}],"graph_version":5,"#,
+            r#""matches":{"amy":[1,2],"zed":[0,3,7,9,12]},"pairs":7,"route":"snapshot","#,
+            r#""timings":{"evaluate_ms":1.953125,"plan":{"candidates":[{"cost":12.5,"#,
+            r#""route":"snapshot"},{"cost":null,"route":"compressed"}],"chosen":"snapshot","#,
+            r#""overridden":true,"planned":"compressed"},"rank_ms":0.0,"total_ms":500.0}}"#,
+        );
+        assert_eq!(written(&resp, &q, true, golden_name), golden);
+        assert_eq!(
+            oracle(&resp, &q, true, golden_name).to_string_compact(),
+            golden
+        );
+        // the harness's tree is the writer's bytes parsed back
+        let tree = encode_query_response(&resp, &q, true, golden_name);
+        assert_eq!(tree.to_string_compact(), golden);
+
+        // no names, no matches, no experts, no candidates
+        let bare = QueryResponse {
+            experts: vec![],
+            plan: PlanDecision::exact(PlanRoute::Cache),
+            ..golden_response()
+        };
+        assert_eq!(
+            written(&bare, &q, false, |_| None),
+            concat!(
+                r#"{"experts":[],"graph_version":5,"pairs":7,"route":"cache","#,
+                r#""timings":{"evaluate_ms":1.953125,"plan":{"candidates":[],"#,
+                r#""chosen":"cache","overridden":false,"planned":"cache"},"#,
+                r#""rank_ms":0.0,"total_ms":500.0}}"#
+            )
+        );
+    }
+
+    #[test]
+    fn a_batch_reply_is_these_bytes() {
+        let q = QueryRequest {
+            pattern: Arc::new(zed_amy()),
+            dsl: String::new(),
+            top_k: Some(1),
+            route: Route::Auto,
+            include_matches: true,
+            deadline_ms: None,
+        };
+        let one = QueryResponse {
+            experts: vec![expert(3, 2.0)],
+            plan: PlanDecision::exact(PlanRoute::Registered),
+            ..golden_response()
+        };
+        let mut out = String::new();
+        write_batch_response(
+            &mut out,
+            [
+                Err(WireError::bad_request("parse error: \"oops\"").fields()),
+                Ok((one, &q)),
+                Err(WireError::new(404, "no graph").fields()),
+            ],
+        );
+        assert_eq!(
+            out,
+            concat!(
+                r#"{"results":[{"error":{"message":"parse error: \"oops\"","status":400}},"#,
+                r#"{"ok":{"experts":[{"node":3,"rank":2.0}],"graph_version":5,"#,
+                r#""matches":{"amy":[1,2],"zed":[0,3,7,9,12]},"pairs":7,"route":"registered","#,
+                r#""timings":{"evaluate_ms":1.953125,"plan":{"candidates":[],"#,
+                r#""chosen":"registered","overridden":false,"planned":"registered"},"#,
+                r#""rank_ms":0.0,"total_ms":500.0}}},"#,
+                r#"{"error":{"message":"no graph","status":404}}]}"#
+            )
+        );
+        let mut empty = String::new();
+        write_batch_response(&mut empty, []);
+        assert_eq!(empty, r#"{"results":[]}"#);
+    }
+
+    /// Floats of every class: non-finite, ±0.0, integral, tiny, huge and
+    /// arbitrary bit patterns (subnormals and NaN payloads included).
+    fn float() -> BoxedStrategy<f64> {
+        prop_oneof![
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(f64::NAN),
+            Just(-0.0),
+            Just(0.0),
+            (-1_000_000i64..1_000_000).prop_map(|i| i as f64),
+            (1i64..1000, -30i32..=30).prop_map(|(m, e)| m as f64 * 10f64.powi(e)),
+            (0u64..=u64::MAX).prop_map(f64::from_bits),
+        ]
+        .boxed()
+    }
+
+    /// Names built from pieces that need escapes, ASCII and non-ASCII.
+    fn name() -> BoxedStrategy<String> {
+        const PIECES: [&str; 12] = [
+            "a", "Bob", "\"", "\\", "\n", "\r", "\t", "\u{1}", "\u{1f}", "\u{7f}", "Zoë", "中🦀",
+        ];
+        proptest::collection::vec(0..PIECES.len(), 0..6)
+            .prop_map(|ix| ix.into_iter().map(|i| PIECES[i]).collect())
+            .boxed()
+    }
+
+    fn route() -> BoxedStrategy<PlanRoute> {
+        prop_oneof![
+            Just(PlanRoute::Cache),
+            Just(PlanRoute::Registered),
+            Just(PlanRoute::Snapshot),
+            Just(PlanRoute::Compressed),
+        ]
+        .boxed()
+    }
+
+    const DSLS: [&str; 3] = [
+        "node sa* where label = \"SA\";",
+        "node zed* where label = \"SA\"; node amy; edge zed -> amy;",
+        "node m* where label = \"SA\"; node b; node a_1; edge m -> b within 2; edge b -> a_1;",
+    ];
+    const DATA_NODES: usize = 40;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// The writer's bytes are the oracle tree's, for any reply.
+        #[test]
+        fn the_writer_writes_what_the_tree_printed(
+            experts in proptest::collection::vec(
+                (0u32..DATA_NODES as u32, float(), proptest::bool::ANY, name()), 0..12),
+            plan in (route(), route(), proptest::bool::ANY,
+                proptest::collection::vec((route(), float()), 0..=2)),
+            shape in (0..DSLS.len(), proptest::collection::vec(
+                proptest::collection::vec(0u32..DATA_NODES as u32, 0..8), 3)),
+            version_and_times in (0u64..=u64::MAX, 0u64..10_000_000_000,
+                0u64..10_000_000_000, 0u64..10_000_000_000),
+            include_matches in proptest::bool::ANY,
+        ) {
+            let (dsl, sets) = shape;
+            let q = expfinder_pattern::parser::parse(DSLS[dsl]).unwrap();
+            let sets: Vec<&[u32]> = sets[..q.node_count()].iter().map(Vec::as_slice).collect();
+            let (version, evaluate, rank, total) = version_and_times;
+            let names: Vec<(NodeId, String)> = experts
+                .iter()
+                .filter(|e| e.2)
+                .map(|e| (NodeId(e.0), e.3.clone()))
+                .collect();
+            let resp = QueryResponse {
+                experts: experts.iter().map(|e| expert(e.0, e.1)).collect(),
+                matches: relation(&sets, DATA_NODES),
+                graph_version: version,
+                timings: QueryTimings {
+                    evaluate: Duration::from_nanos(evaluate),
+                    rank: Duration::from_nanos(rank),
+                    total: Duration::from_nanos(total),
+                },
+                plan: PlanDecision {
+                    chosen: plan.0,
+                    planned: plan.1,
+                    overridden: plan.2,
+                    candidates: plan
+                        .3
+                        .iter()
+                        .map(|&(route, cost)| CandidateCost { route, cost })
+                        .collect(),
+                    expected_hit_rate: 0.0,
+                },
+            };
+            let resolve = |n: NodeId| {
+                names.iter().find(|(m, _)| *m == n).map(|(_, s)| s.clone())
+            };
+            let tree = oracle(&resp, &q, include_matches, resolve).to_string_compact();
+            prop_assert_eq!(written(&resp, &q, include_matches, resolve), tree);
+        }
     }
 }

@@ -3,22 +3,30 @@
 layers owes (`just wire-parity PARENT_SERVE CHANGE_SERVE`).
 
 Each binary is booted twice — in memory and on a fresh `--data-dir` —
-with the paper's Fig. 1 fixture, and sent the same fixed script of ~40
+with the paper's Fig. 1 fixture, and sent the same fixed script of 45
 requests: every route preference, `deadline_ms: 0`, bad DSL, unknown
 graph / field / route / method, register x3 including a duplicate,
 updates including a no-op, an empty batch and out-of-range ids, a batch
 with a bad slot, graph adds including a duplicate and a path-like name.
-The script ends with the patterns whose DSL text once went wrong: a
-register of an integral float (`experience >= 2.0`), then, on an added
-graph, a query for a non-ASCII label and two patterns whose old cache
-encodings collided, sent in that order at one version (the second must
-be evaluated and answer 1 pair).
-Numeric `*_us` / `*_ms` values under `timings` are masked; every other
-byte of every response body, and every status, must match. So must every
+Then come the patterns whose DSL text once went wrong: a register of an
+integral float (`experience >= 2.0`), then, on an added graph, a query
+for a non-ASCII label and two patterns whose old cache encodings
+collided, sent in that order at one version (the second must be
+evaluated and answer 1 pair). The script ends with the branches of the
+reply writer: experts whose `name` holds a quote, a backslash, control
+characters and non-ASCII text, a `top_k: 0` query, and a batch whose
+first slot is an error and whose answered slot includes the matches.
+
+Bodies are parsed keeping what a byte comparison would see: object keys
+in the order sent (a key sent twice is kept twice), and numbers as
+spelled, so `1` and `1.0` differ. Numeric `*_us` / `*_ms` values under
+`timings` are masked; every other byte of every response body, and
+every status, must match. So must every
 response head: its header names in order, and every header value but
 `Content-Length`, which follows the masked timings. A differing
 response is reported as the JSON paths at which the bodies differ
-(`timings.plan.candidates[0].route: "live" -> "snapshot"`) and the
+(`timings.plan.candidates[0].route: "live" -> "snapshot"`; a key order
+that differs shows at `<path>{keys}`) and the
 header lines at which the heads differ, and the run ends with one line
 listing every differing path. The sorted difference
 of the two `/metrics` key sets is printed (values are not compared —
@@ -53,6 +61,15 @@ NAMES = {
         {"label": "a),L(b", "attrs": [["c", {"Int": 1}]]},
     ],
     "edges": [],
+}
+ESCAPES = {
+    "nodes": [
+        {"label": "SA", "attrs": [["name", {"Str": 'Q "x" \\ y\u0001\n Zoë 中'}]]},
+        {"label": "SA", "attrs": [["name", {"Str": "tab\there\u001f"}]]},
+        {"label": "SA", "attrs": [["name", {"Str": ""}]]},
+        {"label": "SD", "attrs": []},
+    ],
+    "edges": [[0, 3], [1, 3], [2, 3]],
 }
 GRAPH = {
     "nodes": [
@@ -118,7 +135,59 @@ SCRIPT = [
     ("POST", "/graphs/names/query", q(MULLER, top_k=1)),
     ("POST", "/graphs/names/query", q(SPLIT)),
     ("POST", "/graphs/names/query", q(GROUPED)),
+    ("POST", "/graphs", {"name": "escapes", "graph": ESCAPES}),
+    ("POST", "/graphs/escapes/query", q(TEAM, top_k=3, include_matches=True)),
+    ("POST", "/graphs/fig1/query", q(TEAM, top_k=0)),
+    (
+        "POST",
+        "/graphs/fig1/batch",
+        {"queries": [q("node oops"), q(TEAM, top_k=2, include_matches=True)]},
+    ),
 ]
+
+
+class Num:
+    """A JSON number as spelled: `1` and `1.0` are different bytes."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text):
+        self.text = text
+
+    def __eq__(self, other):
+        return isinstance(other, Num) and self.text == other.text
+
+    def __hash__(self):
+        return hash(self.text)
+
+
+def ordered(pairs):
+    """An object in the order its keys were sent; a repeated key is kept
+    as `key#2`, `key#3`, ... instead of overwriting the first."""
+    out = {}
+    for k, v in pairs:
+        key, n = k, 1
+        while key in out:
+            n += 1
+            key = f"{k}#{n}"
+        out[key] = v
+    return out
+
+
+def load(raw):
+    """Parse a body keeping its key order and number spellings."""
+    return json.loads(raw, object_pairs_hook=ordered, parse_float=Num, parse_int=Num)
+
+
+def show(value):
+    """A parsed value printed back as JSON, numbers as they were spelled."""
+    if isinstance(value, Num):
+        return value.text
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{json.dumps(k)}:{show(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, list):
+        return "[" + ",".join(show(v) for v in value) + "]"
+    return json.dumps(value, ensure_ascii=False)
 
 
 def mask(value, in_timings=False, key=""):
@@ -129,8 +198,7 @@ def mask(value, in_timings=False, key=""):
         }
     if isinstance(value, list):
         return [mask(v, in_timings, key) for v in value]
-    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if in_timings and numeric and key.endswith(("_us", "_ms")):
+    if in_timings and isinstance(value, Num) and key.endswith(("_us", "_ms")):
         return "<t>"
     return value
 
@@ -154,9 +222,12 @@ ABSENT = "<absent>"
 def diff_paths(parent, change, prefix=""):
     """`(path, parent value, change value)` for every leaf at which two
     documents differ (`a.b[0].c`; a key or element one side lacks is
-    `<absent>` there)."""
+    `<absent>` there, and objects whose keys come in a different order
+    differ at `a.b{keys}`)."""
     if isinstance(parent, dict) and isinstance(change, dict):
         out = []
+        if list(parent) != list(change):
+            out.append((f"{prefix}{{keys}}", list(parent), list(change)))
         for k in sorted(parent.keys() | change.keys()):
             path = f"{prefix}.{k}" if prefix else k
             out += diff_paths(parent.get(k, ABSENT), change.get(k, ABSENT), path)
@@ -181,7 +252,7 @@ def request(addr, method, path, body):
     raw = resp.read()
     conn.close()
     try:
-        doc = json.loads(raw)
+        doc = load(raw)
     except ValueError:
         doc = raw.decode("utf-8", "replace")
     return resp.status, head(resp.getheaders()), doc
@@ -247,7 +318,7 @@ def compare(label, parent, change):
             if p != c:
                 print(f"  header[{i}]: {p} -> {c}")
         for at, p, c in paths:
-            print(f"  {at}: {json.dumps(p)} -> {json.dumps(c)}")
+            print(f"  {at}: {show(p)} -> {show(c)}")
             all_paths.add(at)
     statuses = sorted({s for _, _, s, _, _ in c_resp})
     print(
