@@ -476,6 +476,12 @@ fn bench_warm_workload(
         bounded_simulation_indexed(graph, pattern, EvalOptions, &mut scratch, Some(&bound))
     });
     let warm_class_builds = memo.len() - classes;
+    // a start-over between two reads of `len` would make the counts lie
+    assert_eq!(
+        memo.resets(),
+        0,
+        "{name}/{pattern_name}: the class memo started over"
+    );
 
     let identical = warm_m == pr4_m && warm_m == oracle_m && cold_m == warm_m;
     assert!(identical, "{name}/{pattern_name}: index changed results");

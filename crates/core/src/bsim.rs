@@ -63,7 +63,7 @@ pub struct EvalStats {
     pub index_hits: usize,
     /// First refreshes that consulted the provider but fell back to the
     /// BFS: the seed set had shrunk, or was seeded as no class (the
-    /// view's class memo was missing or full). Zero without a provider.
+    /// view has no class memo). Zero without a provider.
     pub index_misses: usize,
 }
 

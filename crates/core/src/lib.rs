@@ -109,9 +109,9 @@ pub fn candidate_sets<G: GraphView>(g: &G, q: &Pattern) -> Vec<BitSet> {
 }
 
 /// [`candidate_sets`] plus, per pattern node, the [`Class`] the set *is*
-/// — `Some` exactly when the set equals a class of `g`: the memoised
-/// class of the node's condition, or a bare label test's class on a view
-/// whose memo is missing or full. That is the eligibility marker of the
+/// — `Some` exactly when the set equals a class of `g`: the class of the
+/// node's condition on a view with a class memo, or a bare label test's
+/// class on a view without one. That is the eligibility marker of the
 /// reach-index hook: a constraint whose seed set is still such a class
 /// can have its first refresh served from a per-snapshot
 /// [`ReachIndex`](expfinder_graph::ReachIndex) entry instead of a BFS.
@@ -126,19 +126,17 @@ pub(crate) fn candidate_sets_classed<G: GraphView>(
 /// marker of [`candidate_sets_classed`]. The memo keys a condition by its
 /// canonical text (its `Display`, which parses back to it), so every
 /// pattern that repeats a condition reads the one class, on every
-/// version that shares the vertex table. A condition the memo cannot
-/// keep is seeded by [`seed`] per query and left unclassed — unless it
-/// is a bare label test, whose class the label index already holds.
+/// version that shares the vertex table. On a view without a memo a
+/// condition is seeded by [`seed`] per query and left unclassed — unless
+/// it is a bare label test, whose class the label index already holds.
 fn candidate_set_classed<G: GraphView>(g: &G, q: &Pattern, u: PNodeId) -> (BitSet, Option<Class>) {
     let predicate = &q.nodes()[u.index()].predicate;
     let key = predicate.to_string();
-    let (set, label) = match g.class_memo() {
-        Some(memo) => match memo.class(&key, || seed(g, predicate)) {
-            Ok(class) => return ((**class.members()).clone(), Some(class)),
-            Err(seeded) => seeded,
-        },
-        None => seed(g, predicate),
-    };
+    if let Some(memo) = g.class_memo() {
+        let class = memo.class(&key, || seed(g, predicate));
+        return ((**class.members()).clone(), Some(class));
+    }
+    let (set, label) = seed(g, predicate);
     let class = label.map(|label| Class::new(key.into(), Some(label), Arc::new(set.clone())));
     (set, class)
 }
@@ -366,10 +364,11 @@ pub(crate) mod tests {
     }
 
     /// One more distinct condition than the memo keeps still evaluates as
-    /// the oracle does: it is seeded per query and left unclassed, so its
-    /// first refresh misses the index, and the memo does not grow.
+    /// the oracle does: the memo starts over and keeps the newcomer, so
+    /// every condition is classed and its first refresh hits the index,
+    /// and the memo never holds more than its cap.
     #[test]
-    fn a_condition_past_the_memo_bound_is_scanned_and_unclassed() {
+    fn a_condition_past_the_memo_bound_starts_the_memo_over() {
         use crate::naive::naive_bounded_simulation;
         use expfinder_graph::digraph::MAX_CLASSES;
         use expfinder_graph::ReachIndex;
@@ -388,7 +387,6 @@ pub(crate) mod tests {
                 .edge("sa", "sd", Bound::hops(2))
                 .build()
                 .unwrap();
-            let kept = memo.len();
             let (m, stats) =
                 bounded_simulation_indexed(g, &q, EvalOptions, &mut scratch, Some(&bound));
             assert_eq!(
@@ -397,14 +395,16 @@ pub(crate) mod tests {
                 "experience >= {}",
                 t - 200
             );
-            if kept == MAX_CLASSES {
-                assert_eq!(memo.len(), MAX_CLASSES, "the memo does not grow");
-                assert_eq!((stats.index_hits, stats.index_misses), (0, 1));
-            } else {
-                assert_eq!(stats.index_hits, 1);
-            }
+            assert_eq!((stats.index_hits, stats.index_misses), (1, 0));
+            assert!(memo.len() <= MAX_CLASSES);
         }
-        assert_eq!(memo.len(), MAX_CLASSES);
+        // the 256th `sd` condition found `sa`'s and 255 others kept
+        assert_eq!(memo.resets(), 1);
+        assert_eq!(
+            memo.len(),
+            3,
+            "the last two `sd` conditions and `sa`'s again"
+        );
     }
 
     #[test]

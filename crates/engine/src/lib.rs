@@ -461,16 +461,16 @@ pub struct RankTotals {
 /// `GET /metrics`. `hits`/`misses`/`built`/`carried` are cumulative
 /// across the engine's lifetime (they survive version changes and graph
 /// removals); `entries`/`bytes` are live gauges over the indexes of the
-/// latest snapshots, and `classes`/`class_bytes` over the class memos of
-/// their graphs and quotients.
+/// latest snapshots, `classes`/`class_bytes` over the class memos of
+/// their graphs and quotients, and `resets` over both.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct IndexTotals {
     /// First refreshes whose seed set was still an unshrunk condition
     /// class, served from an index entry (warm or built on the spot).
     pub hits: u64,
     /// First refreshes that consulted a provider but ran the BFS: their
-    /// seed set had shrunk, or was seeded as no class (the graph's class
-    /// memo was full).
+    /// seed set had shrunk, or was seeded as no class (a view without a
+    /// class memo, and a condition other than a bare label test).
     pub misses: u64,
     /// Entries built by a full sweep.
     pub built: u64,
@@ -485,6 +485,9 @@ pub struct IndexTotals {
     pub classes: usize,
     /// Bytes retained by those classes.
     pub class_bytes: usize,
+    /// How often those indexes and memos started over at a cap
+    /// ([`Memo`](expfinder_graph::Memo)).
+    pub resets: u64,
 }
 
 /// Source of process-unique engine ids.

@@ -425,9 +425,9 @@ impl ReadPath {
 
     /// Reach-index totals: cumulative hits/misses and built/carried
     /// entries, plus live entry/byte gauges summed over the indexes
-    /// (direct and quotient) `states` hold, and class/byte gauges over
-    /// the class memos of their graphs and quotients — the
-    /// `engine.index` block of `GET /metrics`.
+    /// (direct and quotient) `states` hold, class/byte gauges over the
+    /// class memos of their graphs and quotients, and the start-overs of
+    /// both — the `engine.index` block of `GET /metrics`.
     pub fn index_totals(&self, states: impl IntoIterator<Item = Arc<Snapshot>>) -> IndexTotals {
         let mut totals = IndexTotals {
             hits: self.eval_totals.index_hits.load(Ordering::Relaxed),
@@ -441,11 +441,13 @@ impl ReadPath {
             for ri in [&derived.reach, &derived.quotient_reach] {
                 totals.entries += ri.len();
                 totals.bytes += ri.bytes();
+                totals.resets += ri.resets();
             }
             let quotient = state.quotient().and_then(|q| q.class_memo());
             for memo in state.graph().class_memo().into_iter().chain(quotient) {
                 totals.classes += memo.len();
                 totals.class_bytes += memo.bytes();
+                totals.resets += memo.resets();
             }
         }
         totals

@@ -36,12 +36,12 @@
 
 use crate::attrs::{AttrValue, Interner, Sym};
 use crate::bitset::BitSet;
+use crate::memo::Memo;
 use crate::view::GraphView;
 use crate::NodeId;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock};
 
 /// The content of one node: an interned label plus sorted `(key, value)`
 /// attribute pairs. Kept deliberately small — most nodes carry 2–4
@@ -283,74 +283,28 @@ pub const MAX_CLASS_BYTES: usize = 16 << 20;
 /// It lives in the table beside the label index, so every clone sharing
 /// the table — every published version of a graph, and its
 /// [`CsrGraph`](crate::CsrGraph) — shares it, and a node or attribute
-/// write drops it. [`MAX_CLASSES`] and [`MAX_CLASS_BYTES`] bound it: past
-/// them a condition is not kept.
-#[derive(Debug, Default)]
-pub struct ClassMemo {
-    classes: RwLock<HashMap<Arc<str>, Class>>,
-    bytes: AtomicUsize,
-}
+/// write drops it. A [`Memo`] capped at [`MAX_CLASSES`] and
+/// [`MAX_CLASS_BYTES`]: past them it starts over.
+pub type ClassMemo = Memo<Arc<str>, Class>;
 
-impl Clone for ClassMemo {
-    fn clone(&self) -> ClassMemo {
-        let classes = self.classes.read().unwrap_or_else(|e| e.into_inner());
-        ClassMemo {
-            classes: RwLock::new(classes.clone()),
-            bytes: AtomicUsize::new(self.bytes()),
-        }
+impl Default for ClassMemo {
+    fn default() -> ClassMemo {
+        Memo::new(MAX_CLASSES, MAX_CLASS_BYTES)
     }
 }
 
 impl ClassMemo {
     /// The class of the condition whose canonical text is `key`. On a
     /// miss, `build` computes its members and its label marker (see
-    /// [`Class::new`]) and the class is kept. `Err` hands back what
-    /// `build` computed when the memo is full and keeps nothing.
-    /// Concurrent builders of one key may both build; the first insert
-    /// wins, and both sets are equal.
-    pub fn class(
-        &self,
-        key: &str,
-        build: impl FnOnce() -> (BitSet, Option<Sym>),
-    ) -> Result<Class, (BitSet, Option<Sym>)> {
-        let read = self.classes.read().unwrap_or_else(|e| e.into_inner());
-        if let Some(class) = read.get(key) {
-            return Ok(class.clone());
+    /// [`Class::new`]), and the class is kept as the memo's rules allow.
+    pub fn class(&self, key: &str, build: impl FnOnce() -> (BitSet, Option<Sym>)) -> Class {
+        if let Some(class) = self.get(key) {
+            return class;
         }
-        drop(read);
         let (members, label) = build();
-        let mut classes = self.classes.write().unwrap_or_else(|e| e.into_inner());
-        if let Some(raced) = classes.get(key) {
-            return Ok(raced.clone());
-        }
-        let bytes = self.bytes() + members.words().len() * 8 + key.len();
-        if classes.len() >= MAX_CLASSES || bytes > MAX_CLASS_BYTES {
-            return Err((members, label));
-        }
-        self.bytes.store(bytes, Ordering::Relaxed);
+        let bytes = members.words().len() * 8 + key.len();
         let class = Class::new(key.into(), label, Arc::new(members));
-        classes.insert(Arc::clone(&class.key), class.clone());
-        Ok(class)
-    }
-
-    /// Classes kept.
-    pub fn len(&self) -> usize {
-        self.classes.read().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Bytes the kept classes retain: member sets and keys.
-    pub fn bytes(&self) -> usize {
-        self.bytes.load(Ordering::Relaxed)
-    }
-
-    fn clear(&mut self) {
-        let classes = self.classes.get_mut().unwrap_or_else(|e| e.into_inner());
-        classes.clear();
-        *self.bytes.get_mut() = 0;
+        self.insert(Arc::clone(&class.key), class, bytes)
     }
 }
 
@@ -395,7 +349,7 @@ impl VertexTable {
     fn write(table: &mut Arc<VertexTable>) -> &mut Vec<VertexData> {
         let table = Arc::make_mut(table);
         table.labels.take();
-        table.classes.clear();
+        table.classes = ClassMemo::default();
         &mut table.data
     }
 }
@@ -1020,26 +974,31 @@ mod tests {
         };
         let memo = g.class_memo().expect("a DiGraph keeps a class memo");
         memo.class(&format!("{c:?}"), build)
-            .expect("a handful of conditions fits")
     }
 
-    /// Past [`MAX_CLASSES`], a condition is built and handed back, and the
-    /// memo keeps what it held.
+    /// One condition past [`MAX_CLASSES`] makes the memo start over: the
+    /// newcomer is kept, the early conditions are built again on their
+    /// next read, and the memo never holds more than its cap.
     #[test]
-    fn the_memo_stops_at_its_bound() {
+    fn a_full_memo_starts_over() {
         let g = build(10, &[]);
         let memo = g.class_memo().unwrap();
         for i in 0..MAX_CLASSES {
-            assert!(memo
-                .class(&i.to_string(), || (BitSet::new(10), None))
-                .is_ok());
+            memo.class(&i.to_string(), || (BitSet::new(10), None));
         }
-        let bytes = memo.bytes();
-        assert_eq!(memo.len(), MAX_CLASSES);
+        assert_eq!((memo.len(), memo.resets()), (MAX_CLASSES, 0));
         let past = memo.class("past", || (BitSet::full(10), None));
-        assert_eq!(past.unwrap_err().0, BitSet::full(10));
-        assert_eq!((memo.len(), memo.bytes()), (MAX_CLASSES, bytes));
-        assert!(memo.class("0", || unreachable!("kept")).is_ok());
+        assert_eq!(**past.members(), BitSet::full(10));
+        assert_eq!((memo.len(), memo.resets()), (1, 1));
+        assert!(memo.len() <= MAX_CLASSES);
+        memo.class("past", || unreachable!("kept"));
+        let mut built = false;
+        memo.class("0", || {
+            built = true;
+            (BitSet::new(10), None)
+        });
+        assert!(built, "the early conditions were dropped");
+        assert_eq!(memo.len(), 2);
     }
 
     /// Every interned symbol's class as `nodes_with_label` answers it:

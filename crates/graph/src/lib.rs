@@ -16,6 +16,9 @@
 //!   keyed by the condition's canonical text), kept with the vertex table
 //!   and so shared by every version of a graph until a node or attribute
 //!   write.
+//! * [`Memo`] — the one bounded memo (a count cap, a byte cap, and a
+//!   start-over when full) that the class memo, the reach index's built
+//!   entries and the pattern crate's parse memo store through.
 //! * [`ReachIndex`] — a per-version class-reachability memo (entries
 //!   keyed by `(class, bound, direction)`, built by pure bitset sweeps)
 //!   that lets the matching fixpoints skip class-seeded first-refresh
@@ -52,6 +55,7 @@ pub mod fixtures;
 pub mod generate;
 pub mod io;
 pub mod json;
+pub mod memo;
 pub mod reach_index;
 pub mod scc;
 pub mod view;
@@ -62,6 +66,7 @@ pub use bitset::BitSet;
 pub use cancel::CancelToken;
 pub use csr::CsrGraph;
 pub use digraph::{Class, ClassMemo, DiGraph, EdgeUpdate, VertexData};
+pub use memo::Memo;
 pub use reach_index::{ReachIndex, ReachProvider};
 pub use view::GraphView;
 

@@ -60,11 +60,11 @@ use crate::bfs::{BfsScratch, Direction};
 use crate::bfs_frontier::FrontierScratch;
 use crate::bitset::BitSet;
 use crate::digraph::{Class, DiGraph, EdgeUpdate};
+use crate::memo::Memo;
 use crate::view::GraphView;
 use crate::NodeId;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Source of class-reach sets consulted by the matching fixpoint before
 /// it falls back to a frontier BFS.
@@ -119,6 +119,13 @@ pub fn class_reach_sweep<G: GraphView>(
 /// text.
 type Key = (Arc<str>, u32, Direction);
 
+/// Most entries one version's readers keep built in its [`ReachIndex`].
+pub const MAX_REACH_ENTRIES: usize = 1024;
+
+/// Most bytes (reach sets and distances) one version's built entries
+/// keep.
+pub const MAX_REACH_BYTES: usize = 64 << 20;
+
 /// The entries a [`ReachCarry`] hands to an index: keys and reach sets.
 type Handed = Arc<[(Key, Arc<BitSet>)]>;
 
@@ -147,7 +154,8 @@ pub struct IndexCounters {
 }
 
 impl IndexCounters {
-    /// Entries built by a full [`class_reach_sweep`].
+    /// Entries built by a full [`class_reach_sweep`] (two readers racing
+    /// on one key count two).
     pub fn built(&self) -> u64 {
         self.built.load(Ordering::Relaxed)
     }
@@ -163,20 +171,22 @@ impl IndexCounters {
 /// `(class, bound, direction)`. Entries are built lazily on first use and
 /// handed out as shared `Arc<BitSet>`s; concurrent readers racing on a
 /// missing entry may both build it (the first insert wins — entries for
-/// one version are deterministic, so either result is the same set). An
-/// index may also start with the entries a [`ReachCarry`] repaired.
-#[derive(Debug, Default)]
+/// one version are deterministic, so either result is the same set). The
+/// built entries are a [`Memo`] capped at [`MAX_REACH_ENTRIES`] and
+/// [`MAX_REACH_BYTES`], so a client that reads many distinct bounds
+/// costs this version sweeps, not memory. An index may also start with
+/// the entries a [`ReachCarry`] repaired.
+#[derive(Debug)]
 pub struct ReachIndex {
     /// Graph version the entries describe; the owner's invalidation key.
     version: u64,
     /// What a [`ReachCarry`] handed on: read without a lock, and shared
     /// with the neighbouring versions' indexes while no batch moves it.
     carried: Handed,
+    /// Bytes the carried entries retain, the carry's distances included.
+    carried_bytes: usize,
     /// What readers built at this version.
-    entries: RwLock<HashMap<Key, Entry>>,
-    /// Retained entry bytes, carried distances included (gauge;
-    /// maintained on insert).
-    bytes: AtomicUsize,
+    built: Memo<Key, Arc<Entry>>,
     counters: Arc<IndexCounters>,
 }
 
@@ -192,8 +202,8 @@ impl ReachIndex {
         ReachIndex {
             version,
             carried: Arc::new([]),
-            entries: RwLock::new(HashMap::new()),
-            bytes: AtomicUsize::new(0),
+            carried_bytes: 0,
+            built: Memo::new(MAX_REACH_ENTRIES, MAX_REACH_BYTES),
             counters,
         }
     }
@@ -210,7 +220,7 @@ impl ReachIndex {
 
     /// Number of memoized entries.
     pub fn len(&self) -> usize {
-        self.carried.len() + self.entries.read().unwrap_or_else(|e| e.into_inner()).len()
+        self.carried.len() + self.built.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -219,7 +229,12 @@ impl ReachIndex {
 
     /// Bytes retained by the memoized entries: bitsets and distances.
     pub fn bytes(&self) -> usize {
-        self.bytes.load(Ordering::Relaxed)
+        self.carried_bytes + self.built.bytes()
+    }
+
+    /// How often this version's built entries started over.
+    pub fn resets(&self) -> u64 {
+        self.built.resets()
     }
 
     /// The entry for `(class, depth, dir)`, built against `g` from the
@@ -239,29 +254,20 @@ impl ReachIndex {
         if let Some((_, hit)) = self.carried.iter().find(|(k, _)| *k == key) {
             return Arc::clone(hit);
         }
-        if let Some(hit) = self
-            .entries
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&key)
-        {
+        if let Some(hit) = self.built.get(&key) {
             return Arc::clone(&hit.reach);
         }
         let carried = class.label().filter(|_| depth <= MAX_CARRIED_BOUND);
         let mut reach = BitSet::new(g.node_count());
         let mut dist = carried.map(|_| Vec::new());
         class_reach_sweep(g, class.members(), depth, dir, &mut reach, dist.as_mut());
-        let built = Entry {
+        self.counters.built.fetch_add(1, Ordering::Relaxed);
+        let built = Arc::new(Entry {
             reach: Arc::new(reach),
             carry: carried.zip(dist),
-        };
-        let mut entries = self.entries.write().unwrap_or_else(|e| e.into_inner());
-        let slot = entries.entry(key).or_insert_with(|| {
-            self.bytes.fetch_add(built.bytes(), Ordering::Relaxed);
-            self.counters.built.fetch_add(1, Ordering::Relaxed);
-            built
         });
-        Arc::clone(&slot.reach)
+        let bytes = built.bytes();
+        Arc::clone(&self.built.insert(key, built, bytes).reach)
     }
 
     /// Bind the index to the graph version it was built for, yielding the
@@ -435,8 +441,8 @@ impl ReachCarry {
                 .iter()
                 .any(|g| g.entries.iter().any(|c| c.key == *key))
         };
-        let entries = index.entries.read().unwrap_or_else(|e| e.into_inner());
-        for (key, e) in entries.iter() {
+        let entries = index.built.entries();
+        for (key, e) in &entries {
             match &e.carry {
                 None => self.left += 1,
                 // taken already by a batch that applied nothing
@@ -620,7 +626,7 @@ impl ReachCarry {
         let n = self.table.len() / self.groups.len().max(1);
         let set_bytes = n.div_ceil(64) * 8;
         next.carried = Arc::clone(&self.handed);
-        next.bytes = AtomicUsize::new(self.table.len() + count * set_bytes);
+        next.carried_bytes = self.table.len() + count * set_bytes;
         next.counters
             .carried
             .fetch_add(count as u64, Ordering::Relaxed);
@@ -953,6 +959,31 @@ mod tests {
             }
         }
         assert_eq!(idx.len(), spec.labels.len() * 6);
+    }
+
+    /// A client that reads one class at many distinct bounds in one
+    /// version: the built entries stay within both caps (the index starts
+    /// over past them), and every answer, before and after a start-over,
+    /// equals a fresh sweep.
+    #[test]
+    fn many_distinct_bounds_stay_within_the_caps() {
+        let mut rng = StdRng::seed_from_u64(1414);
+        let spec = NodeSpec::uniform(3, 4);
+        let g = erdos_renyi(&mut rng, 40, 90, &spec);
+        let class = label_class(&g, g.interner().get(&spec.labels[0]).unwrap());
+        let idx = ReachIndex::new(g.version());
+        for depth in 1..=700u32 {
+            for dir in [Direction::Forward, Direction::Backward] {
+                let got = idx.entry(&g, &class, depth, dir);
+                let mut want = BitSet::new(g.node_count());
+                class_reach_sweep(&g, class.members(), depth, dir, &mut want, None);
+                assert_eq!(*got, want, "depth {depth} {dir:?}");
+                assert!(idx.len() <= MAX_REACH_ENTRIES, "{} entries", idx.len());
+                assert!(idx.bytes() <= MAX_REACH_BYTES, "{} bytes", idx.bytes());
+            }
+        }
+        assert_eq!(idx.resets(), 1);
+        assert_eq!(idx.counters().built(), 1400, "one sweep per key");
     }
 
     /// The capped distances of a sweep are the first depth at which the

@@ -35,10 +35,9 @@
 //! parsing is pure, so its answers never go stale.
 
 use crate::{Bound, CmpOp, Pattern, PatternBuilder, Predicate};
-use expfinder_graph::AttrValue;
-use std::collections::HashMap;
+use expfinder_graph::{AttrValue, Memo};
 use std::fmt;
-use std::sync::{Arc, LazyLock, RwLock};
+use std::sync::{Arc, LazyLock};
 
 /// Parse failure with 1-based source position.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -563,64 +562,24 @@ pub const MAX_MEMO_BYTES: usize = 1 << 20;
 
 /// Parsed patterns keyed by the text they were parsed from, as sent: two
 /// spellings of one pattern are two entries whose patterns print one text.
-/// A text that fails to parse is not kept. Past either cap the memo is
-/// cleared, so no early set of texts owns it for the life of the process.
-#[derive(Debug)]
-struct ParseMemo {
-    max_texts: usize,
-    max_bytes: usize,
-    entries: RwLock<MemoEntries>,
-}
+type ParseMemo = Memo<Box<str>, Arc<Pattern>>;
 
-#[derive(Debug, Default)]
-struct MemoEntries {
-    patterns: HashMap<Box<str>, Arc<Pattern>>,
-    /// Sum of the keys' lengths.
-    bytes: usize,
-}
-
-impl ParseMemo {
-    fn new(max_texts: usize, max_bytes: usize) -> ParseMemo {
-        ParseMemo {
-            max_texts,
-            max_bytes,
-            entries: RwLock::default(),
-        }
+/// The pattern `src` spells, from `memo` or parsed outside its lock. A
+/// text that fails to parse is not kept.
+fn parse_through(memo: &ParseMemo, src: &str) -> Result<Arc<Pattern>, ParseError> {
+    if let Some(p) = memo.get(src) {
+        return Ok(p);
     }
-
-    /// The pattern `src` spells, parsed outside the lock on a miss.
-    /// Concurrent parsers of one text may both parse; the first insert
-    /// wins and both get its pattern.
-    fn parse(&self, src: &str) -> Result<Arc<Pattern>, ParseError> {
-        let read = self.entries.read().unwrap_or_else(|e| e.into_inner());
-        if let Some(p) = read.patterns.get(src) {
-            return Ok(p.clone());
-        }
-        drop(read);
-        let parsed = Arc::new(parse(src)?);
-        if src.len() > self.max_bytes {
-            return Ok(parsed);
-        }
-        let mut memo = self.entries.write().unwrap_or_else(|e| e.into_inner());
-        if let Some(raced) = memo.patterns.get(src) {
-            return Ok(raced.clone());
-        }
-        if memo.patterns.len() >= self.max_texts || memo.bytes + src.len() > self.max_bytes {
-            *memo = MemoEntries::default();
-        }
-        memo.bytes += src.len();
-        memo.patterns.insert(src.into(), parsed.clone());
-        Ok(parsed)
-    }
+    let parsed = Arc::new(parse(src)?);
+    Ok(memo.insert(src.into(), parsed, src.len()))
 }
 
 /// [`parse`], memoised process-wide: a text parsed before is answered
 /// with the same [`Arc`], so a server that sees a few texts over and over
 /// parses each once. Errors are not memoised (the text is parsed again).
 pub fn parse_memoised(src: &str) -> Result<Arc<Pattern>, ParseError> {
-    static MEMO: LazyLock<ParseMemo> =
-        LazyLock::new(|| ParseMemo::new(MAX_MEMO_TEXTS, MAX_MEMO_BYTES));
-    MEMO.parse(src)
+    static MEMO: LazyLock<ParseMemo> = LazyLock::new(|| Memo::new(MAX_MEMO_TEXTS, MAX_MEMO_BYTES));
+    parse_through(&MEMO, src)
 }
 
 #[cfg(test)]
@@ -819,84 +778,27 @@ mod tests {
         assert_eq!(p.node_count(), 2);
     }
 
-    impl ParseMemo {
-        fn len_and_bytes(&self) -> (usize, usize) {
-            let memo = self.entries.read().unwrap();
-            (memo.patterns.len(), memo.bytes)
-        }
-    }
-
-    fn chain_text(i: usize) -> String {
-        format!(
-            "node a* where label = \"L{i}\"; node b; edge a -> b within {};",
-            i % 3 + 1
-        )
-    }
-
-    /// Many distinct texts through a small memo: it never holds more than
-    /// either cap, a repeated text is answered from it with the same
-    /// pattern, and every answer prints what a fresh parse prints.
-    #[test]
-    fn the_memo_stays_within_both_caps() {
-        let memo = ParseMemo::new(8, 200);
-        for i in 0..50 {
-            let text = chain_text(i);
-            let p = memo.parse(&text).unwrap();
-            assert_eq!(p.fingerprint(), parse(&text).unwrap().fingerprint());
-            assert!(Arc::ptr_eq(&p, &memo.parse(&text).unwrap()), "{text}");
-            let (len, bytes) = memo.len_and_bytes();
-            assert!(len <= 8 && bytes <= 200, "{len} texts, {bytes} bytes");
-            assert!(len >= 1);
-        }
-        // a text longer than the byte cap is parsed, never kept
-        let long = format!("{}node z;", " ".repeat(200));
-        assert_eq!(memo.parse(&long).unwrap().node_count(), 1);
-        assert!(memo.len_and_bytes().1 <= 200);
-    }
-
     #[test]
     fn a_bad_text_is_not_memoised() {
         let memo = ParseMemo::new(8, 1 << 10);
-        let first = memo.parse("node a; edge a -> ghost;").unwrap_err();
-        assert_eq!(memo.len_and_bytes(), (0, 0));
-        assert_eq!(memo.parse("node a; edge a -> ghost;").unwrap_err(), first);
-        assert_eq!(memo.len_and_bytes(), (0, 0));
+        let first = parse_through(&memo, "node a; edge a -> ghost;").unwrap_err();
+        assert_eq!((memo.len(), memo.bytes()), (0, 0));
+        assert_eq!(
+            parse_through(&memo, "node a; edge a -> ghost;").unwrap_err(),
+            first
+        );
+        assert_eq!((memo.len(), memo.bytes()), (0, 0));
     }
 
     #[test]
     fn two_spellings_are_two_entries_of_one_text() {
         let memo = ParseMemo::new(8, 1 << 10);
-        let a = memo.parse("node a*; node b; edge a -> b;").unwrap();
-        let b = memo
-            .parse("# spelled out\nnode a* where true;\nnode b;\nedge a -> b within 1;")
-            .unwrap();
-        assert_eq!(memo.len_and_bytes().0, 2);
+        let a = parse_through(&memo, "node a*; node b; edge a -> b;").unwrap();
+        let spelled = "# spelled out\nnode a* where true;\nnode b;\nedge a -> b within 1;";
+        let b = parse_through(&memo, spelled).unwrap();
+        assert_eq!(memo.len(), 2);
         assert!(!Arc::ptr_eq(&a, &b));
         assert_eq!(a.fingerprint(), b.fingerprint());
-    }
-
-    /// Threads parsing one shared text and their own texts at once, past
-    /// the caps: every answer prints what a fresh parse prints.
-    #[test]
-    fn concurrent_parsers_get_equal_patterns() {
-        let memo = ParseMemo::new(4, 1 << 10);
-        std::thread::scope(|s| {
-            for t in 0..4 {
-                let memo = &memo;
-                s.spawn(move || {
-                    for i in 0..40 {
-                        let text = if i % 2 == 0 {
-                            FIG1.to_owned()
-                        } else {
-                            chain_text(t * 100 + i)
-                        };
-                        let want = parse(&text).unwrap().fingerprint();
-                        assert_eq!(memo.parse(&text).unwrap().fingerprint(), want);
-                    }
-                });
-            }
-        });
-        assert!(memo.len_and_bytes().0 <= 4);
     }
 
     #[test]

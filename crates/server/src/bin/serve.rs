@@ -189,37 +189,21 @@ fn main() {
     println!("listening on {bound}");
     let _ = std::io::stdout().flush();
 
-    // stdin EOF ⇒ drain (offline stand-in for SIGTERM)
-    let draining = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    {
-        let draining = Arc::clone(&draining);
-        std::thread::Builder::new()
-            .name("stdin-watch".into())
-            .spawn(move || {
-                let mut sink = String::new();
-                loop {
-                    sink.clear();
-                    match std::io::stdin().read_line(&mut sink) {
-                        Ok(0) | Err(_) => break,
-                        Ok(_) => {}
-                    }
-                }
-                draining.store(true, std::sync::atomic::Ordering::SeqCst);
-            })
-            .expect("spawn stdin watcher");
-    }
-
-    // wait for either shutdown source, then drain
+    // stdin EOF ⇒ drain (offline stand-in for SIGTERM); a remote
+    // `POST /admin/shutdown` drains too, and either way `join` returns
+    let drain = handle.drainer();
+    std::thread::Builder::new()
+        .name("stdin-watch".into())
+        .spawn(move || {
+            let mut sink = String::new();
+            while matches!(std::io::stdin().read_line(&mut sink), Ok(n) if n > 0) {
+                sink.clear();
+            }
+            drain();
+        })
+        .expect("spawn stdin watcher");
     let backend = handle.backend().clone();
-    let served = loop {
-        if handle.is_draining() {
-            break handle.join();
-        }
-        if draining.load(std::sync::atomic::Ordering::SeqCst) {
-            break handle.shutdown();
-        }
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    };
+    let served = handle.join();
     log.line(&format!(
         "drained and stopped: {served} requests served, {} graphs managed",
         backend.graph_names().len()

@@ -385,6 +385,7 @@ impl Metrics {
                     ("bytes", Value::Int(index.bytes as i64)),
                     ("classes", Value::Int(index.classes as i64)),
                     ("class_bytes", Value::Int(index.class_bytes as i64)),
+                    ("resets", Value::Int(index.resets as i64)),
                 ]),
             ),
             (
@@ -628,7 +629,9 @@ mod tests {
         // the reach-index block is always present (zeroes on a graph too
         // small for the snapshot fast path)
         let index = doc.field("engine").unwrap().field("index").unwrap();
-        for key in ["hits", "misses", "built", "carried", "entries", "bytes"] {
+        for key in [
+            "hits", "misses", "built", "carried", "entries", "bytes", "resets",
+        ] {
             assert!(index.field(key).unwrap().as_i64().unwrap() >= 0, "{key}");
         }
         // the evaluated query's node conditions are classes of the graph

@@ -1,21 +1,22 @@
 //! The multi-threaded serving core: listener, bounded worker pool,
 //! keep-alive connection loop and graceful shutdown.
 //!
-//! Architecture: one acceptor thread polls a non-blocking
-//! `TcpListener` and feeds accepted connections into a **bounded**
-//! channel; `workers` threads drain it, each running the keep-alive loop
-//! for one connection at a time. The bound gives natural backpressure —
-//! when every worker is busy and the queue is full, the acceptor sheds
-//! the connection with `503 + Retry-After` (counted as `server.shed` on
-//! `/metrics`) instead of buffering unbounded connections or blocking
-//! the accept loop.
+//! Architecture: one acceptor thread blocks in `TcpListener::accept` and
+//! feeds accepted connections into a **bounded** channel; `workers`
+//! threads drain it, each running the keep-alive loop for one connection
+//! at a time. The bound gives natural backpressure — when every worker
+//! is busy and the queue is full, the acceptor sheds the connection with
+//! `503 + Retry-After` (counted as `server.shed` on `/metrics`) instead
+//! of buffering unbounded connections or blocking the accept loop.
 //!
 //! Graceful shutdown is one `AtomicBool` ([`ServerHandle::shutdown`], or
-//! the `POST /admin/shutdown` endpoint when enabled): the acceptor stops
-//! accepting and closes the listener, workers finish their in-flight
-//! request (bounded by the request deadline), answer it with
-//! `Connection: close`, drain any already-accepted connections, and
-//! exit. `shutdown()`/`join()` then join every thread, so when they
+//! the `POST /admin/shutdown` endpoint when enabled). Setting it also
+//! opens one connection to the listener's own loopback address, because
+//! std cannot interrupt a blocking `accept`: the acceptor wakes, drops
+//! that connection uncounted, stops accepting and closes the listener.
+//! Workers finish their in-flight request (bounded by the request
+//! deadline), answer it with `Connection: close`, drain any
+//! already-accepted connections, and exit. `shutdown()`/`join()` then join every thread, so when they
 //! return no request is half-served — the SIGTERM-safe drain a process
 //! supervisor needs (the `serve` binary wires this to stdin EOF and the
 //! admin endpoint; bare `std` cannot install signal handlers).
@@ -31,7 +32,7 @@ use crate::metrics::Metrics;
 use crate::routes::{self, Dispatch};
 use crate::subscribe::{Subscriber, SubscriptionHub};
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex};
@@ -95,6 +96,8 @@ impl Default for ServerConfig {
 
 /// Shared server state (everything a worker needs).
 pub(crate) struct Inner {
+    /// Where the listener is bound, for the drain's wake connection.
+    addr: SocketAddr,
     pub(crate) backend: Backend,
     pub(crate) metrics: Metrics,
     pub(crate) config: ServerConfig,
@@ -108,8 +111,22 @@ impl Inner {
         self.shutdown.load(Ordering::SeqCst)
     }
 
+    /// Start the drain, once: set the flag, then wake the acceptor from
+    /// its blocking `accept` with a connection of our own.
     pub(crate) fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        if self.shutdown.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        // a failed connect means the acceptor is gone or has a
+        // connection pending, which wakes it as well
+        let _ = TcpStream::connect_timeout(&wake, POLL);
     }
 }
 
@@ -117,12 +134,12 @@ impl Inner {
 /// ephemeral port before any request is handled).
 pub struct Server {
     listener: TcpListener,
-    addr: SocketAddr,
     inner: Arc<Inner>,
 }
 
-/// Granularity of the acceptor's shutdown poll and the workers' idle
-/// read timeout: the worst-case extra latency of noticing a drain.
+/// Granularity of the workers' idle read timeout (the worst-case extra
+/// latency of a worker noticing a drain), and the bound on the shed
+/// path's write and the drain's wake connection.
 const POLL: Duration = Duration::from_millis(25);
 
 impl Server {
@@ -147,8 +164,8 @@ impl Server {
         )));
         Ok(Server {
             listener,
-            addr,
             inner: Arc::new(Inner {
+                addr,
                 backend,
                 metrics: Metrics::default(),
                 config,
@@ -160,7 +177,7 @@ impl Server {
 
     /// The bound address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.inner.addr
     }
 
     /// Start the acceptor and worker threads; the returned handle owns
@@ -192,7 +209,6 @@ impl Server {
                 .expect("spawn acceptor"),
         );
         ServerHandle {
-            addr: self.addr,
             inner: self.inner,
             threads,
         }
@@ -201,14 +217,13 @@ impl Server {
 
 /// Handle to a running server: address, metrics access, shutdown/join.
 pub struct ServerHandle {
-    addr: SocketAddr,
     inner: Arc<Inner>,
     threads: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.inner.addr
     }
 
     /// The backend this server fronts.
@@ -224,9 +239,11 @@ impl ServerHandle {
         inner.metrics.to_json(&inner.backend, inner.subs.to_json())
     }
 
-    /// True once a drain has been requested (locally or remotely).
-    pub fn is_draining(&self) -> bool {
-        self.inner.draining()
+    /// A call that starts the drain from another thread (the `serve`
+    /// binary's stdin watcher); [`ServerHandle::join`] then returns.
+    pub fn drainer(&self) -> impl Fn() + Send + 'static {
+        let inner = Arc::clone(&self.inner);
+        move || inner.request_shutdown()
     }
 
     /// Request a graceful drain and wait for every thread to finish its
@@ -263,11 +280,10 @@ impl Drop for ServerHandle {
 }
 
 fn accept_loop(inner: &Inner, listener: TcpListener, tx: SyncSender<TcpStream>) {
-    listener
-        .set_nonblocking(true)
-        .expect("nonblocking listener");
-    while !inner.draining() {
+    loop {
         match listener.accept() {
+            // the drain's wake connection, or a client that came too late
+            Ok(_) if inner.draining() => break,
             Ok((stream, _peer)) => {
                 inner.metrics.connection_opened();
                 // a full queue sheds the connection with 503 instead of
@@ -281,7 +297,8 @@ fn accept_loop(inner: &Inner, listener: TcpListener, tx: SyncSender<TcpStream>) 
                     Err(std::sync::mpsc::TrySendError::Disconnected(_)) => break,
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
+            Err(_) if inner.draining() => break,
+            // out of descriptors, say: back off instead of spinning
             Err(_) => std::thread::sleep(POLL),
         }
     }

@@ -75,6 +75,13 @@ one fixpoint engine, so no release code may call them — every file
 under crates/*/src, up to its first `#[cfg(test)]`, outside naive.rs and
 the `bench` crate (whose counters are asserted against them), must not
 name `naive::` or a `naive_*` function.
+
+And one rule about where memos live: every memo of the library crates
+stores through `graph::memo::Memo`, whose one full-policy (start over)
+and whose caps are what bound them — so no file under
+crates/{graph,pattern,core,compress,incremental}/src but the memo's own
+(crates/graph/src/memo.rs) may name `RwLock<`, and a hand-rolled
+`RwLock<HashMap>` memo with a policy of its own cannot come back.
 """
 
 import json
@@ -628,6 +635,30 @@ def check_oracle_callers():
     return missing, checked
 
 
+MEMO_HOME = CRATES / "graph" / "src" / "memo.rs"
+MEMO_CRATES = ["graph", "pattern", "core", "compress", "incremental"]
+
+
+def check_memo_home():
+    """`file:line: …` for every line under the MEMO_CRATES' src that
+    names `RwLock<` outside MEMO_HOME, and the number of files checked."""
+    missing, checked = [], 0
+    for crate in MEMO_CRATES:
+        for src in sorted((CRATES / crate / "src").glob("**/*.rs")):
+            if src == MEMO_HOME:
+                continue
+            checked += 1
+            for n, line in enumerate(src.read_text().splitlines(), 1):
+                if "RwLock<" in line:
+                    missing.append(
+                        f"{src.relative_to(ROOT)}:{n}: a lock-guarded map outside "
+                        "graph::memo — store the memo through `Memo`"
+                    )
+    if checked < 20 or not MEMO_HOME.is_file():
+        missing.append(f"{MEMO_HOME} or the library sources moved; update scripts/docs_check.py")
+    return missing, checked
+
+
 # ("POST", ["graphs", name, "subscribe"]) — including arms wrapped over
 # lines; stop at the closing bracket of the segment list
 ARM = re.compile(r'\(\s*"(GET|POST|PUT|DELETE|PATCH)"\s*,\s*\[([^\]]*)\]\s*\)')
@@ -702,6 +733,9 @@ def main() -> int:
     oracle_missing, n_release = check_oracle_callers()
     for msg in oracle_missing:
         print(f"docs-check: {msg}", file=sys.stderr)
+    memo_missing, n_memo = check_memo_home()
+    for msg in memo_missing:
+        print(f"docs-check: {msg}", file=sys.stderr)
     failed = [
         missing,
         variant_missing,
@@ -711,7 +745,7 @@ def main() -> int:
         target_missing,
         recipe_missing,
     ]
-    if any(failed) or path_missing or oracle_missing:
+    if any(failed) or path_missing or oracle_missing or memo_missing:
         return 1
     print(
         f"docs-check OK: {len(routes)} routes, {n_variants} route-enum "
@@ -723,7 +757,8 @@ def main() -> int:
         f"naming live targets and files; {n_recipes} `just` recipes named, all "
         f"declared in the justfile; {n_paths} module paths, all resolving "
         f"under crates/*/src; {n_release} release source files, none calling "
-        "a `core::naive` oracle"
+        f"a `core::naive` oracle; {n_memo} library source files, no memo "
+        "outside graph::memo"
     )
     return 0
 

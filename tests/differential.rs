@@ -1695,6 +1695,56 @@ fn carried_reach_entries_follow_an_insert_and_a_delete() {
     h.agree();
 }
 
+/// One pattern family read at forty distinct bounds, `A -(≤b)-> B` for b
+/// in 1..=40, on a 60-node chain whose one `B` ends it, with updates in
+/// between: every read on both facades equals the naive answer, and the
+/// raw fixpoint naive's. An index entry answering for another bound, or
+/// a carried entry left stale, shows.
+#[test]
+fn one_pattern_family_over_many_distinct_bounds() {
+    let mut g = DiGraph::new();
+    for i in 0..60 {
+        let label = match i {
+            59 => "B",
+            i if i % 5 == 0 => "A",
+            _ => "C",
+        };
+        g.add_node(label, []);
+    }
+    for i in 0..59 {
+        g.add_edge(NodeId(i), NodeId(i + 1));
+    }
+    let star = |b| {
+        PatternBuilder::new()
+            .node_output("x", Predicate::label("A"))
+            .node("y", Predicate::label("B"))
+            .edge("x", "y", Bound::hops(b))
+            .build()
+            .unwrap()
+    };
+    let mut h = Harness::new(g, 1);
+    let mut scratch = EvalScratch::new();
+    let batches = [
+        vec![EdgeUpdate::Insert(NodeId(12), NodeId(50))],
+        vec![EdgeUpdate::Delete(NodeId(52), NodeId(53))],
+        vec![
+            EdgeUpdate::Insert(NodeId(53), NodeId(59)),
+            EdgeUpdate::Delete(NodeId(12), NodeId(50)),
+        ],
+    ];
+    for batch in std::iter::once(&vec![]).chain(&batches) {
+        h.update(batch);
+        for b in 1..=40 {
+            let q = star(b);
+            h.query(&q, Route::Direct, Some(3), Fuse::None).unwrap();
+            let g = &h.model.g;
+            let want = naive_bounded_fixpoint(g, &q, candidate_sets(g, &q));
+            assert_eq!(raw_fixpoint(g, &q, &mut scratch), want, "bound {b}");
+        }
+    }
+    h.agree();
+}
+
 /// A registered pattern with no output node ranks as an unregistered
 /// one: `top_k` 0 and 2, on the cache route and on `Direct`, on both
 /// facades, refuse with the same error before and after the
