@@ -311,7 +311,7 @@ impl ClassMemo {
 /// The vertex table with the label-class index and the class memo over
 /// it, behind one `Arc` so that every clone sharing the table shares them
 /// too.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct VertexTable {
     data: Vec<VertexData>,
     /// Label → the nodes carrying it, each set of capacity `data.len()`;
@@ -351,6 +351,17 @@ impl VertexTable {
         table.labels.take();
         table.classes = ClassMemo::default();
         &mut table.data
+    }
+}
+
+/// A clone copies the nodes only: its one caller, [`VertexTable::write`],
+/// would drop a copied label index at once (a [`ClassMemo`] starts empty).
+impl Clone for VertexTable {
+    fn clone(&self) -> VertexTable {
+        VertexTable {
+            data: self.data.clone(),
+            ..VertexTable::default()
+        }
     }
 }
 
@@ -720,6 +731,25 @@ mod tests {
         let mut es: Vec<_> = g.edges().map(|(u, v)| (u.0, v.0)).collect();
         es.sort_unstable();
         assert_eq!(es, vec![(0, 1), (1, 2), (2, 0)]);
+    }
+
+    /// The copy-on-write clone of a shared table copies the node contents
+    /// but not the label index or the class memo it would drop at once.
+    #[test]
+    fn a_table_clone_copies_only_the_nodes() {
+        let mut g = DiGraph::new();
+        g.add_node("x", [("experience", AttrValue::Int(1))]);
+        g.add_node("y", []);
+        assert_eq!(g.vertices.labels().len(), 2);
+        g.vertices.classes().class("x", || (BitSet::new(2), None));
+        let clone = (*g.vertices).clone();
+        let labels = |t: &VertexTable| t.data().iter().map(VertexData::label).collect::<Vec<_>>();
+        assert_eq!(labels(&clone), labels(&g.vertices));
+        assert!(
+            clone.labels.get().is_none(),
+            "the label index is not copied"
+        );
+        assert_eq!(clone.classes().len(), 0);
     }
 
     // ---- structural sharing: a clone is an independent value ----

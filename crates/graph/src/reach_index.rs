@@ -17,7 +17,7 @@
 //! class's canonical text: entries are built lazily on first use by
 //! [`class_reach_sweep`] from the class's members — `b` level-synchronous
 //! rounds over bitset frontiers, dense levels swept word-parallel — and
-//! shared as `Arc<BitSet>` across queries, threads and HTTP workers. The
+//! shared as `Arc<BitSet>` across queries, threads and HTTP connections. The
 //! engine keeps one index per published graph version, bound to that
 //! version's [`DiGraph`], so an entry never describes a
 //! graph other than the one it is consulted for.

@@ -11,7 +11,7 @@
 //! Without `--data-dir` the daemon serves an in-memory engine (graphs
 //! vanish with the process). With it, the daemon boots a durable runtime
 //! rooted at the directory: graphs persist as `.efg` snapshots, every
-//! accepted update batch is WAL-logged (on the request's own worker
+//! accepted update batch is WAL-logged (on the request's own connection
 //! thread) before it is applied, and a restart replays the logs —
 //! `kill -9` loses at most the batch whose append was torn mid-write.
 //! `--no-fsync` trades crash-durability of the tail for update latency
@@ -28,7 +28,7 @@
 //!   stand-in for SIGTERM, which bare `std` cannot hook),
 //!
 //! and in both cases drains gracefully: in-flight requests finish and
-//! every worker is joined before the process exits 0.
+//! every connection thread is joined before the process exits 0.
 
 use expfinder_engine::{ExpFinder, ExpFinderError};
 use expfinder_runtime::{DurableExpFinder, FsyncPolicy, RuntimeConfig};

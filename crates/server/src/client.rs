@@ -353,9 +353,7 @@ impl Client {
     /// engine
     ///     .add_graph("fig1", expfinder_graph::fixtures::collaboration_fig1().graph)
     ///     .unwrap();
-    /// // a live subscription pins one worker; keep headroom beyond it
-    /// let config = ServerConfig { workers: 4, ..ServerConfig::default() };
-    /// let handle = Server::bind(Backend::Local(engine), "127.0.0.1:0", config)
+    /// let handle = Server::bind(Backend::Local(engine), "127.0.0.1:0", ServerConfig::default())
     ///     .unwrap()
     ///     .spawn();
     ///

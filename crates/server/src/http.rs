@@ -15,7 +15,7 @@
 //! decides whether to keep waiting, e.g. to poll a shutdown flag between
 //! keep-alive requests), while a stall *mid-message* is retried only up
 //! to `deadline` and then fails — a half-written request cannot pin a
-//! worker forever during a graceful drain.
+//! connection thread forever during a graceful drain.
 //!
 //! Every message this module writes — a response, a chunked-stream
 //! head, one chunk, the terminator — is encoded into one buffer and

@@ -13,8 +13,8 @@
 //!   `Arc<ExpFinder>`, or the same engine inside an
 //!   `Arc<DurableExpFinder>` (WAL-logged writes, replay on restart);
 //!   both are read through the one `expfinder_engine::Catalog`.
-//! * [`server`] — bounded worker pool sharing one [`Backend`],
-//!   keep-alive connections, graceful drain, and the `/subscribe` push
+//! * [`server`] — one thread per connection (capped, past the cap
+//!   shed with 503) sharing one [`Backend`], keep-alive connections, graceful drain, and the `/subscribe` push
 //!   loop (one chunked ΔM frame per committed update batch, fed by the
 //!   backend's update hook through a per-subscriber bounded queue).
 //! * [`routes`] — the endpoint table; `ExpFinderError`s map to statuses

@@ -183,8 +183,8 @@ pub struct Metrics {
     in_flight: AtomicU64,
     connections_opened: AtomicU64,
     connections_closed: AtomicU64,
-    /// Connections refused with `503 + Retry-After` because the worker
-    /// queue was full (load shedding, not an error).
+    /// Connections refused with `503 + Retry-After` because `3 × workers`
+    /// connections were live (load shedding, not an error).
     shed: AtomicU64,
     /// Queries answered 408 because their deadline fired mid-evaluation.
     deadline_enforced: AtomicU64,

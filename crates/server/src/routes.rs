@@ -123,7 +123,7 @@ fn effective_deadline(config: &ServerConfig, requested: Option<u64>) -> Option<D
 /// The 429 admission gate. When a cost ceiling is configured, reject
 /// work whose planner estimate exceeds it — or would push the admitted
 /// in-flight cost past the concurrency-weighted pool (`ceiling ×
-/// workers`) — before it consumes a worker. Admitted cost is held on the
+/// workers`) — before it is evaluated. Admitted cost is held on the
 /// route's in-flight gauge by the returned guard until evaluation ends.
 fn admit(inner: &Inner, route: RouteKey, est: f64) -> Result<CostInFlight<'_>, WireError> {
     if let Some(ceiling) = inner.config.admission_max_cost {

@@ -1,41 +1,41 @@
-//! The multi-threaded serving core: listener, bounded worker pool,
-//! keep-alive connection loop and graceful shutdown.
+//! The multi-threaded serving core: listener, one thread per
+//! connection, keep-alive connection loop and graceful shutdown.
 //!
 //! Architecture: one acceptor thread blocks in `TcpListener::accept` and
-//! feeds accepted connections into a **bounded** channel; `workers`
-//! threads drain it, each running the keep-alive loop for one connection
-//! at a time. The bound gives natural backpressure — when every worker
-//! is busy and the queue is full, the acceptor sheds the connection with
+//! gives each accepted connection its own thread, which runs the
+//! keep-alive loop until the connection closes, so an idle client holds
+//! only its own thread. The number of live connections is capped at
+//! `3 × workers`: past it the acceptor sheds the connection with
 //! `503 + Retry-After` (counted as `server.shed` on `/metrics`) instead
-//! of buffering unbounded connections or blocking the accept loop.
+//! of spawning without bound or blocking the accept loop.
 //!
 //! Graceful shutdown is one `AtomicBool` ([`ServerHandle::shutdown`], or
 //! the `POST /admin/shutdown` endpoint when enabled). Setting it also
 //! opens one connection to the listener's own loopback address, because
 //! std cannot interrupt a blocking `accept`: the acceptor wakes, drops
 //! that connection uncounted, stops accepting and closes the listener.
-//! Workers finish their in-flight request (bounded by the request
-//! deadline), answer it with `Connection: close`, drain any
-//! already-accepted connections, and exit. `shutdown()`/`join()` then join every thread, so when they
-//! return no request is half-served — the SIGTERM-safe drain a process
-//! supervisor needs (the `serve` binary wires this to stdin EOF and the
+//! Connection threads finish their in-flight request (bounded by the
+//! request deadline), answer it with `Connection: close`, and exit. The
+//! acceptor joins them all and `shutdown()`/`join()` join the acceptor, so
+//! when they return no request is half-served — the SIGTERM-safe drain a
+//! process supervisor needs (the `serve` binary wires this to stdin EOF and the
 //! admin endpoint; bare `std` cannot install signal handlers).
 //!
 //! `/subscribe` turns a connection into a long-lived chunked push
-//! stream (`stream_subscription`): the worker stays pinned to it,
-//! polling the shutdown flag between frames, so a drain ends every live
-//! subscription with a terminal `bye` frame within one poll interval.
+//! stream (`stream_subscription`) on its own thread, which polls the
+//! shutdown flag between frames, so a drain ends every live subscription
+//! with a terminal `bye` frame within one poll interval.
 
 use crate::backend::Backend;
 use crate::http::{self, HttpError, Response};
 use crate::metrics::Metrics;
 use crate::routes::{self, Dispatch};
 use crate::subscribe::{Subscriber, SubscriptionHub};
-use std::io::BufReader;
+use std::io::{BufReader, ErrorKind};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::RecvTimeoutError;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 /// the `serve` binary exposes each field as a flag.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Worker threads handling connections (the pool bound).
+    /// Sizes the server: `3 × workers` live connections, `ceiling × workers` of admitted cost.
     pub workers: usize,
     /// Largest accepted request body.
     pub max_body_bytes: usize,
@@ -73,7 +73,7 @@ pub struct ServerConfig {
     /// abstract scale `timings.plan` reports). When set, a query whose
     /// estimated cost exceeds the ceiling — or would push the total
     /// admitted in-flight cost past `ceiling × workers` — is rejected
-    /// with `429 + Retry-After` before it consumes a worker. `None`
+    /// with `429 + Retry-After` before it is evaluated. `None`
     /// (the default) admits everything.
     pub admission_max_cost: Option<f64>,
 }
@@ -94,7 +94,7 @@ impl Default for ServerConfig {
     }
 }
 
-/// Shared server state (everything a worker needs).
+/// Shared server state (everything a connection thread needs).
 pub(crate) struct Inner {
     /// Where the listener is bound, for the drain's wake connection.
     addr: SocketAddr,
@@ -137,9 +137,8 @@ pub struct Server {
     inner: Arc<Inner>,
 }
 
-/// Granularity of the workers' idle read timeout (the worst-case extra
-/// latency of a worker noticing a drain), and the bound on the shed
-/// path's write and the drain's wake connection.
+/// A connection's idle read timeout (how late its thread may notice a drain or
+/// a subscriber's hang-up), and the bound on the shed write and the wake connect.
 const POLL: Duration = Duration::from_millis(25);
 
 impl Server {
@@ -180,37 +179,18 @@ impl Server {
         self.inner.addr
     }
 
-    /// Start the acceptor and worker threads; the returned handle owns
-    /// them.
+    /// Start the acceptor thread, which spawns and joins the connection
+    /// threads; the returned handle owns it.
     pub fn spawn(self) -> ServerHandle {
-        let workers = self.inner.config.workers.max(1);
-        // bound = 2× workers: enough runway to keep workers fed, small
-        // enough that overload starts shedding (503) instead of queueing
-        // unboundedly
-        let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(workers * 2);
-        let rx = Arc::new(Mutex::new(rx));
-        let mut threads = Vec::with_capacity(workers + 1);
-        for i in 0..workers {
-            let inner = Arc::clone(&self.inner);
-            let rx = Arc::clone(&rx);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("expfinder-worker-{i}"))
-                    .spawn(move || worker_loop(&inner, &rx))
-                    .expect("spawn worker"),
-            );
-        }
         let inner = Arc::clone(&self.inner);
         let listener = self.listener;
-        threads.push(
-            std::thread::Builder::new()
-                .name("expfinder-accept".into())
-                .spawn(move || accept_loop(&inner, listener, tx))
-                .expect("spawn acceptor"),
-        );
+        let acceptor = std::thread::Builder::new()
+            .name("expfinder-accept".into())
+            .spawn(move || accept_loop(&inner, listener))
+            .expect("spawn acceptor");
         ServerHandle {
             inner: self.inner,
-            threads,
+            acceptor: Some(acceptor),
         }
     }
 }
@@ -218,7 +198,7 @@ impl Server {
 /// Handle to a running server: address, metrics access, shutdown/join.
 pub struct ServerHandle {
     inner: Arc<Inner>,
-    threads: Vec<JoinHandle<()>>,
+    acceptor: Option<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -232,7 +212,7 @@ impl ServerHandle {
     }
 
     /// The `GET /metrics` document, read in-process: observable even
-    /// while every worker is pinned, which is exactly when an overload
+    /// while every connection slot is held, which is exactly when an overload
     /// scenario needs to look at the connection and shed counters.
     pub fn metrics_json(&self) -> expfinder_graph::json::Value {
         let inner = &self.inner;
@@ -246,8 +226,8 @@ impl ServerHandle {
         move || inner.request_shutdown()
     }
 
-    /// Request a graceful drain and wait for every thread to finish its
-    /// in-flight work and exit. Returns the total requests served.
+    /// Request a graceful drain and wait for every connection to finish
+    /// its in-flight work and close. Returns the total requests served.
     pub fn shutdown(mut self) -> u64 {
         self.inner.request_shutdown();
         self.join_threads();
@@ -262,8 +242,8 @@ impl ServerHandle {
     }
 
     fn join_threads(&mut self) {
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+        if let Some(acceptor) = self.acceptor.take() {
+            let _ = acceptor.join();
         }
         // the backend may outlive this server (tests and the shell share
         // engines): stop feeding a hub nobody is draining
@@ -279,22 +259,33 @@ impl Drop for ServerHandle {
     }
 }
 
-fn accept_loop(inner: &Inner, listener: TcpListener, tx: SyncSender<TcpStream>) {
+fn accept_loop(inner: &Arc<Inner>, listener: TcpListener) {
+    // the shed point of a pool of `workers` with `2 × workers` queued
+    let cap = 3 * inner.config.workers.max(1);
+    let mut live: Vec<JoinHandle<()>> = Vec::new();
     loop {
         match listener.accept() {
             // the drain's wake connection, or a client that came too late
             Ok(_) if inner.draining() => break,
             Ok((stream, _peer)) => {
                 inner.metrics.connection_opened();
-                // a full queue sheds the connection with 503 instead of
-                // blocking the acceptor: overload answers immediately and
-                // tells the client when to come back
-                match tx.try_send(stream) {
-                    Ok(()) => {}
-                    Err(std::sync::mpsc::TrySendError::Full(stream)) => {
-                        shed_connection(inner, stream);
-                    }
-                    Err(std::sync::mpsc::TrySendError::Disconnected(_)) => break,
+                live.retain(|t| !t.is_finished());
+                // at the cap, shed with 503 instead of blocking: overload
+                // answers at once and tells the client when to come back
+                if live.len() >= cap {
+                    shed_connection(inner, stream);
+                    continue;
+                }
+                let conn = Arc::clone(inner);
+                let thread = std::thread::Builder::new().name("expfinder-conn".into());
+                let spawned = thread.spawn(move || {
+                    serve_connection(&conn, stream);
+                    conn.metrics.connection_closed();
+                });
+                match spawned {
+                    Ok(t) => live.push(t),
+                    // no thread: dropping the closure closed the stream
+                    Err(_) => inner.metrics.connection_closed(),
                 }
             }
             Err(_) if inner.draining() => break,
@@ -302,8 +293,11 @@ fn accept_loop(inner: &Inner, listener: TcpListener, tx: SyncSender<TcpStream>) 
             Err(_) => std::thread::sleep(POLL),
         }
     }
-    // dropping `tx` (and the listener) lets workers drain the queue and
-    // exit, and refuses new connections at the OS level
+    // refuse new connections at the OS level, then wait out the drain
+    drop(listener);
+    for t in live {
+        let _ = t.join();
+    }
 }
 
 /// Answer one over-capacity connection with `503 + Retry-After` and
@@ -322,31 +316,13 @@ fn shed_connection(inner: &Inner, mut stream: TcpStream) {
     inner.metrics.connection_closed();
 }
 
-fn worker_loop(inner: &Inner, rx: &Arc<Mutex<Receiver<TcpStream>>>) {
-    loop {
-        // hold the lock only for the recv itself, never while serving
-        let next = {
-            let rx = rx.lock().expect("rx lock");
-            rx.recv_timeout(POLL)
-        };
-        match next {
-            Ok(stream) => {
-                serve_connection(inner, stream);
-                inner.metrics.connection_closed();
-            }
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-}
-
 /// The keep-alive loop for one connection.
 fn serve_connection(inner: &Inner, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     if stream.set_read_timeout(Some(POLL)).is_err() {
         return;
     }
-    // a client that stops reading must not pin this worker (or a later
+    // a client that stops reading must not pin this thread (or a later
     // graceful drain) in write_all: bound every write by the request
     // deadline — write_to fails and the connection is dropped instead
     if stream
@@ -426,9 +402,9 @@ fn serve_connection(inner: &Inner, stream: TcpStream) {
 /// goes away, the server drains (terminal `bye`), or the subscriber is
 /// evicted as a slow consumer (terminal `error`, after flushing the
 /// frames that were already queued). Frames are newline-terminated
-/// (`application/x-ndjson`), one JSON document per chunk. The worker
-/// thread is pinned for the lifetime of the stream — subscriptions
-/// compete with request handling for the bounded pool by design.
+/// (`application/x-ndjson`), one JSON document per chunk. The stream
+/// holds its connection's own thread and slot, not request capacity; a
+/// client that hangs up is seen within one poll even with no frame sent.
 fn stream_subscription(
     inner: &Inner,
     writer: &mut TcpStream,
@@ -455,6 +431,7 @@ fn stream_subscription(
                         break;
                     }
                 }
+                Err(RecvTimeoutError::Timeout) if hung_up(writer) => break,
                 Err(RecvTimeoutError::Timeout) => continue,
                 Err(RecvTimeoutError::Disconnected) => {
                     // the hub dropped our sender: evicted as a slow
@@ -469,4 +446,17 @@ fn stream_subscription(
         }
     }
     inner.subs.remove(sub.id);
+}
+
+/// Whether a subscriber closed its end: a non-blocking peek (it delays
+/// no frame) reads EOF or a hard error; `WouldBlock` or bytes waiting do not.
+fn hung_up(stream: &TcpStream) -> bool {
+    let peeked = stream
+        .set_nonblocking(true)
+        .and_then(|()| stream.peek(&mut [0u8; 1]));
+    let gone = match peeked {
+        Ok(n) => n == 0,
+        Err(e) => !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted),
+    };
+    stream.set_nonblocking(false).is_err() || gone
 }

@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, HashMap};
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -556,9 +556,8 @@ fn subscription_pushes_frames_matching_updates_responses_durable() {
 
 #[test]
 fn subscription_filters_and_rejections() {
-    // a live subscription pins its worker; leave headroom for the
-    // refused subscribe attempts below (the default pool is 2 on small
-    // machines: one for the keep-alive client, one for the stream)
+    // each live subscription holds one of the 3 × workers connection
+    // slots; leave headroom for the refused subscribe attempts below
     let handle = serve(
         vec![(
             "fig1",
@@ -695,7 +694,7 @@ fn drain_terminates_subscriptions_with_bye() {
     let hello = sub.next_frame().unwrap().unwrap();
     assert_eq!(hello.field("frame").unwrap().as_str().unwrap(), "hello");
 
-    // drain while the stream is live: the pinned worker notices within
+    // drain while the stream is live: the stream's thread notices within
     // one poll interval and says goodbye before closing
     let drainer = std::thread::spawn(move || handle.shutdown());
     let bye = sub.next_frame().unwrap().unwrap();
@@ -946,9 +945,9 @@ fn overload_sheds_503_and_client_backoff_recovers() {
         String::from_utf8_lossy(&got)
     );
 
-    // fill the bounded queue (workers * 2 = 2) with idle connections;
+    // two idle connections reach the cap of 3 × workers = 3 live ones;
     // the acceptor is one thread, so once it has counted both it cannot
-    // reach a later connection before it has queued them
+    // reach a later connection before it has given them their threads
     let idle1 = TcpStream::connect(addr).unwrap();
     let idle2 = TcpStream::connect(addr).unwrap();
     wait_until("the acceptor to take both idle connections", || {
@@ -995,6 +994,93 @@ fn overload_sheds_503_and_client_backoff_recovers() {
         assert_eq!(health.field("status").unwrap().as_str().unwrap(), "ok");
     });
 
+    handle.shutdown();
+}
+
+/// Send one keep-alive `/healthz` on a fresh connection and read the
+/// reply's head, leaving the connection open and idle.
+fn idle_after_healthz(addr: SocketAddr) -> TcpStream {
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.write_all(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+        .unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut got = Vec::new();
+    let mut buf = [0u8; 512];
+    while !got.windows(4).any(|w| w == b"\r\n\r\n") {
+        match s.read(&mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => got.extend_from_slice(&buf[..n]),
+        }
+    }
+    let head = String::from_utf8_lossy(&got);
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    s
+}
+
+/// An idle keep-alive client holds only its own connection thread: with
+/// two workers, two clients that sent one request each and went idle do
+/// not delay a third client's `/healthz` (it waited out the 30 s idle
+/// budget behind them while each held a pool worker). A drain with
+/// those idle connections and a live subscription still open returns,
+/// and closes every one of them.
+#[test]
+fn idle_keep_alive_clients_do_not_stall_a_third() {
+    let handle = serve(
+        vec![(
+            "fig1",
+            expfinder_graph::fixtures::collaboration_fig1().graph,
+        )],
+        ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        },
+    );
+    let addr = handle.addr();
+    let idle = [idle_after_healthz(addr), idle_after_healthz(addr)];
+
+    let mut third = Client::new(addr);
+    third.set_timeout(Duration::from_secs(5));
+    let started = Instant::now();
+    third.health().unwrap();
+    let waited = started.elapsed();
+    assert!(
+        waited < Duration::from_secs(1),
+        "third client waited {waited:?}"
+    );
+
+    let mut sub = third.subscribe("fig1", None).unwrap();
+    let hello = sub.next_frame().unwrap().unwrap();
+    assert_eq!(hello.field("frame").unwrap().as_str().unwrap(), "hello");
+
+    handle.shutdown();
+    for mut s in idle {
+        let mut rest = Vec::new();
+        s.read_to_end(&mut rest)
+            .expect("the drain closes an idle connection");
+    }
+    let bye = sub.next_frame().unwrap().unwrap();
+    assert_eq!(bye.field("frame").unwrap().as_str().unwrap(), "bye");
+}
+
+/// A subscriber that hangs up while no update commits is dropped within
+/// a poll interval: its thread sees the closed socket without a frame to
+/// fail on, so `subscriptions.live` returns to 0 and the connection is
+/// counted closed.
+#[test]
+fn a_subscriber_that_hangs_up_is_dropped_without_an_update() {
+    let handle = fig1_server();
+    let mut sub = Client::new(handle.addr()).subscribe("fig1", None).unwrap();
+    let hello = sub.next_frame().unwrap().unwrap();
+    assert_eq!(hello.field("frame").unwrap().as_str().unwrap(), "hello");
+    let doc = handle.metrics_json();
+    assert_eq!(metric(&doc, "subscriptions.live"), 1);
+    let closed = metric(&doc, "connections.closed");
+
+    drop(sub);
+    wait_until("the hung-up subscriber to be removed", || {
+        let doc = handle.metrics_json();
+        metric(&doc, "subscriptions.live") == 0 && metric(&doc, "connections.closed") > closed
+    });
     handle.shutdown();
 }
 

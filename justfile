@@ -102,6 +102,14 @@ bench-pairs parent_serve change_serve workload pairs="10" *flags="":
 wire-parity parent_serve change_serve:
     python3 scripts/wire_parity.py {{parent_serve}} {{change_serve}}
 
+# what the benchmark's one keep-alive connection cannot see: boot both
+# `serve` binaries on Fig. 1 and print (a) the fresh-connection
+# `/healthz` round trip, p50/p95 over 300 alternating connections each,
+# and (b) how long client W+1 waits behind W idle keep-alive clients at
+# `--workers W` (default 2), capped at 35 s
+conn-probe parent_serve change_serve *flags="":
+    python3 scripts/conn_probe.py {{parent_serve}} {{change_serve}} {{flags}}
+
 # a simplicity PR's acceptance number: non-test source lines (each `.rs`
 # file up to its first `#[cfg(test)]`, files under a `tests` directory
 # skipped) per file and in total; with
