@@ -647,9 +647,9 @@ fn bench_carried_workload(name: &str, graph: &DiGraph) -> Value {
                 class_reach_sweep(&g, class, depth, dir, &mut want, Some(&mut want_dist));
             identical &= *reach == want && dist == want_dist;
         }
-        let built = idx.counters().built();
+        let built = idx.counters().get("built");
         idx = carry.successor(g.version(), &idx);
-        identical &= read(&g, &idx) && idx.counters().built() == built + 1;
+        identical &= read(&g, &idx) && idx.counters().get("built") == built + 1;
     }
     assert!(
         identical,

@@ -29,19 +29,20 @@
 //! entries by a constant factor, keeping memory proportional to capacity.
 
 use expfinder_core::{MatchRelation, RankedMatch};
+use expfinder_graph::Counters;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Cache key: graph catalog id, graph version, the pattern's DSL text.
 pub type CacheKey = (u64, u64, Arc<str>);
 
-/// Hit/miss counters.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    pub hits: u64,
-    pub misses: u64,
-    pub evictions: u64,
-}
+/// The `engine.cache` counters: lookups answered and not, and entries
+/// the LRU dropped.
+pub type CacheStats = Counters<3>;
+
+const HITS: usize = 0;
+const MISSES: usize = 1;
+const EVICTIONS: usize = 2;
 
 /// A cached relation stamped with its most recent touch generation.
 struct Slot {
@@ -75,7 +76,7 @@ impl QueryCache {
             map: HashMap::new(),
             recency: VecDeque::new(),
             next_gen: 0,
-            stats: CacheStats::default(),
+            stats: Counters::new(&["hits", "misses", "evictions"]),
         }
     }
 
@@ -83,10 +84,10 @@ impl QueryCache {
     pub fn get(&mut self, key: &CacheKey, top_k: Option<usize>) -> Option<Hit> {
         let gen = self.next_gen;
         let Some(slot) = self.map.get_mut(key) else {
-            self.stats.misses += 1;
+            self.stats.add(MISSES, 1);
             return None;
         };
-        self.stats.hits += 1;
+        self.stats.add(HITS, 1);
         self.next_gen += 1;
         slot.gen = gen;
         let held = slot.ranked.as_ref().zip(top_k);
@@ -120,7 +121,7 @@ impl QueryCache {
             // stale touch: the key was touched again later (or evicted)
             if self.map.get(&k).is_some_and(|s| s.gen == g) {
                 self.map.remove(&k);
-                self.stats.evictions += 1;
+                self.stats.add(EVICTIONS, 1);
             }
         }
         self.maybe_compact();
@@ -156,8 +157,8 @@ impl QueryCache {
     }
 
     /// Counters.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
+    pub fn stats(&self) -> &CacheStats {
+        &self.stats
     }
 
     /// Drop everything.
@@ -189,8 +190,8 @@ mod tests {
         assert!(c.get(&k(1, 2), None).is_none(), "different version misses");
         assert!(c.get(&k(2, 1), None).is_none(), "different graph id misses");
         let s = c.stats();
-        assert_eq!(s.hits, 1);
-        assert_eq!(s.misses, 3);
+        assert_eq!(s.get("hits"), 1);
+        assert_eq!(s.get("misses"), 3);
     }
 
     #[test]
@@ -204,7 +205,7 @@ mod tests {
         assert_eq!(c.len(), 2);
         assert!(c.get(&k(2, 1), None).is_none(), "2 evicted");
         assert!(c.get(&k(1, 1), None).is_some(), "1 survived");
-        assert_eq!(c.stats().evictions, 1);
+        assert_eq!(c.stats().get("evictions"), 1);
     }
 
     #[test]

@@ -75,9 +75,7 @@ pub mod report;
 pub mod shell;
 pub mod state;
 
-pub use planner::{
-    CandidateCost, CostInputs, CostProfile, PlanContext, PlanDecision, PlanRoute, PlannerTotals,
-};
+pub use planner::{CandidateCost, CostInputs, CostProfile, PlanContext, PlanDecision, PlanRoute};
 pub use read_path::ReadPath;
 pub use state::{Derived, MaintainedGraph, PublishedGraph, RegisteredView, Snapshot};
 
@@ -427,55 +425,14 @@ impl Deref for ExpFinder {
     }
 }
 
-/// Cumulative cancellation totals, from [`ReadPath::cancel_totals`] —
-/// the `engine.cancel` block of `GET /metrics`. Disarmed checks are not
-/// counted (they are a single relaxed load by design); `checked` counts
-/// armed polls, `fired` counts deadline/cancel transitions.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct CancelTotals {
-    /// Armed cancellation polls performed inside evaluations.
-    pub checked: u64,
-    /// Tokens that fired (one per deadline-aborted evaluation).
-    pub fired: u64,
-}
-
-/// Cumulative ranking totals, from [`ReadPath::rank_totals`] — the
-/// `engine.rank` block of `GET /metrics`.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct RankTotals {
-    /// Ranked answers not served from the cache slot: ranked from the
-    /// candidates, or a prefix of a registered query's maintained ranking
-    /// copied. A ranking the deadline abandoned is not counted.
-    pub computed: u64,
-    /// Ranked answers served from the query cache's slot.
-    pub reused: u64,
-    /// Candidates the computed rankings ranked to the end.
-    pub candidates: u64,
-    /// Candidates the same rankings gave up on: a lower bound on their
-    /// `f` showed they could not enter the top `k` asked for.
-    pub pruned: u64,
-}
-
-/// Point-in-time reach-index totals across every managed graph, from
-/// [`Catalog::index_totals`] — the `engine.index` block of
-/// `GET /metrics`. `hits`/`misses`/`built`/`carried` are cumulative
-/// across the engine's lifetime (they survive version changes and graph
-/// removals); `entries`/`bytes` are live gauges over the indexes of the
-/// latest snapshots, `classes`/`class_bytes` over the class memos of
-/// their graphs and quotients, and `resets` over both.
+/// Point-in-time reach-index gauges across every managed graph, from
+/// [`Catalog::index_totals`] — the gauge half of the `engine.index`
+/// block of `GET /metrics` (its cumulative half is
+/// [`ReadPath::index_counters`]). `entries`/`bytes` are live gauges over
+/// the indexes of the latest snapshots, `classes`/`class_bytes` over the
+/// class memos of their graphs and quotients, and `resets` over both.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct IndexTotals {
-    /// First refreshes whose seed set was still an unshrunk condition
-    /// class, served from an index entry (warm or built on the spot).
-    pub hits: u64,
-    /// First refreshes that consulted a provider but ran the BFS: their
-    /// seed set had shrunk, or was seeded as no class (a view without a
-    /// class memo, and a condition other than a bare label test).
-    pub misses: u64,
-    /// Entries built by a full sweep.
-    pub built: u64,
-    /// Entries handed to a new graph version, shared or repaired.
-    pub carried: u64,
     /// Memoized entries currently held across all graphs.
     pub entries: usize,
     /// Bytes retained by those entries.
@@ -648,10 +605,9 @@ impl Catalog {
         Ok(self.read.estimate_cost(&*self.latest(handle)?, pattern))
     }
 
-    /// Reach-index totals: cumulative hits/misses plus live entry/byte
-    /// gauges summed over every managed graph's per-version indexes
-    /// (direct and compressed) — the `engine.index` block of
-    /// `GET /metrics`.
+    /// Reach-index gauges summed over every managed graph's per-version
+    /// indexes (direct and compressed) and class memos — the gauge half
+    /// of the `engine.index` block of `GET /metrics`.
     pub fn index_totals(&self) -> IndexTotals {
         let graphs = self.graphs.read();
         let latest = graphs.values().map(|slot| slot.published.latest());
@@ -1017,8 +973,8 @@ mod tests {
         assert_eq!(second.plan.chosen, PlanRoute::Cache);
         assert_eq!(*second.matches, *first.matches);
         let stats = e.read_path().cache_stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 1);
+        assert_eq!(stats.get("hits"), 1);
+        assert_eq!(stats.get("misses"), 1);
     }
 
     #[test]
@@ -1426,8 +1382,8 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let consulted = |e: &ExpFinder| {
-            let t = e.read_path().eval_totals();
-            t.index_hits + t.index_misses
+            let t = e.read_path().index_counters();
+            t.get("hits") + t.get("misses")
         };
 
         let e = sequential();
@@ -1480,15 +1436,19 @@ mod tests {
                 .unwrap()
         };
 
+        let counters = e.read_path().index_counters();
+        let [hits, built] = ["hits", "built"].map(|key| move || counters.get(key));
         let first = run(); // first read of the version builds the entries
         let t1 = e.index_totals();
-        assert!(t1.hits >= 2, "class-seeded refreshes hit ({t1:?})");
+        let (hits1, built1) = (hits(), built());
+        assert!(hits1 >= 2, "class-seeded refreshes hit ({counters:?})");
         assert!(t1.entries >= 2 && t1.bytes > 0, "entries memoized ({t1:?})");
 
         let second = run(); // warm: same entries, more hits
         assert_eq!(*second.matches, *first.matches);
         let t2 = e.index_totals();
-        assert!(t2.hits > t1.hits);
+        let hits2 = hits();
+        assert!(hits2 > hits1);
         assert_eq!(t2.entries, t1.entries, "no duplicate entries on reuse");
 
         // an update moves the version: the entries are carried into the
@@ -1504,10 +1464,12 @@ mod tests {
             .unwrap();
         assert_eq!(*after.matches, *expect.matches, "carried entries repaired");
         let t3 = e.index_totals();
-        assert!(t3.hits > t2.hits);
-        assert_eq!(t1.built, t1.entries as u64, "one build per entry");
-        assert_eq!(t3.carried, t1.entries as u64, "every bounded entry carried");
-        assert_eq!(t3.built, t1.built, "the new version built nothing");
+        assert!(hits() > hits2);
+        let entries = t1.entries as u64;
+        assert_eq!(built1, entries, "one build per entry");
+        let carried = counters.get("carried");
+        assert_eq!(carried, entries, "every bounded entry carried");
+        assert_eq!(built(), built1, "the new version built nothing");
         assert_eq!(
             t3.entries, t1.entries,
             "old version's entries were replaced, not accumulated"
@@ -1568,7 +1530,7 @@ mod tests {
         assert_eq!(err.http_status(), 408);
         assert!(err.partial_stats().is_some());
         assert!(
-            e.read_path().cancel_totals().fired >= 1,
+            e.read_path().cancel_totals().get("fired") >= 1,
             "fire transition drained"
         );
         // nothing was cached by the abort, and the next un-deadlined
@@ -1615,7 +1577,7 @@ mod tests {
             assert_eq!(err.http_status(), 408);
             assert!(err.partial_stats().is_some());
         }
-        assert!(e.read_path().cancel_totals().fired >= 1);
+        assert!(e.read_path().cancel_totals().get("fired") >= 1);
     }
 
     #[test]
@@ -1629,7 +1591,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(with.matches.total_pairs(), 7);
-        assert_eq!(e.read_path().cancel_totals().fired, 0);
+        assert_eq!(e.read_path().cancel_totals().get("fired"), 0);
         // a generous per-spec deadline in a batch is equally inert
         let out = e.query_batch(
             &h,
@@ -1729,7 +1691,7 @@ mod tests {
             .unwrap();
         assert!(forced.plan.overridden);
         let t = e.read_path().planner_totals();
-        assert_eq!(t.decisions, 3);
-        assert_eq!(t.overrides, 1);
+        assert_eq!(t.get("decisions"), 3);
+        assert_eq!(t.get("overrides"), 1);
     }
 }

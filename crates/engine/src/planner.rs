@@ -257,53 +257,6 @@ impl CostProfile {
     }
 }
 
-/// Cumulative planner counters — the `engine.planner` block of
-/// `GET /metrics`.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct PlannerTotals {
-    /// Plan decisions made (one per query, exact short circuits
-    /// included).
-    pub decisions: u64,
-    /// Decisions forced by a non-`Auto` route preference.
-    pub overrides: u64,
-    /// Decisions whose winning estimate the evaluation then contradicted
-    /// ([`PlanDecision::mispredicted`]).
-    pub mispredicts: u64,
-}
-
-/// Lock-free accumulator behind [`PlannerTotals`], owned by each engine
-/// (and each durable runtime).
-#[derive(Debug, Default)]
-pub struct PlannerCounters {
-    decisions: AtomicU64,
-    overrides: AtomicU64,
-    mispredicts: AtomicU64,
-}
-
-impl PlannerCounters {
-    /// Count one decision (and its override, if any).
-    pub fn on_decision(&self, decision: &PlanDecision) {
-        self.decisions.fetch_add(1, Ordering::Relaxed);
-        if decision.overridden {
-            self.overrides.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Count one misprediction.
-    pub fn on_mispredict(&self) {
-        self.mispredicts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Point-in-time totals.
-    pub fn totals(&self) -> PlannerTotals {
-        PlannerTotals {
-            decisions: self.decisions.load(Ordering::Relaxed),
-            overrides: self.overrides.load(Ordering::Relaxed),
-            mispredicts: self.mispredicts.load(Ordering::Relaxed),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,24 +366,6 @@ mod tests {
         let i = p.inputs(100);
         assert_eq!((i.size, i.index_hits, i.index_misses), (100, 4, 2));
         assert!((i.hit_rate() - 4.0 / 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn counters_accumulate_decisions_overrides_and_mispredicts() {
-        let c = PlannerCounters::default();
-        let mut d = PlanDecision::exact(PlanRoute::Cache);
-        c.on_decision(&d);
-        d.overridden = true;
-        c.on_decision(&d);
-        c.on_mispredict();
-        assert_eq!(
-            c.totals(),
-            PlannerTotals {
-                decisions: 2,
-                overrides: 1,
-                mispredicts: 1
-            }
-        );
     }
 
     #[test]

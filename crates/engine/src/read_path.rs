@@ -11,86 +11,56 @@
 //! latest snapshot `Arc`; no lock is held while the read runs.
 
 use crate::cache::{CacheKey, CacheStats, Hit, QueryCache};
-use crate::planner::{self, PlanContext, PlanDecision, PlanRoute, PlannerCounters};
+use crate::planner::{self, PlanContext, PlanDecision, PlanRoute};
 use crate::{
-    CancelTotals, EngineConfig, ExpFinderError, IndexTotals, PlannerTotals, QueryResponse,
-    QuerySpec, QueryTimings, RankTotals, RegisteredView, Route, Snapshot,
+    EngineConfig, ExpFinderError, IndexTotals, QueryResponse, QuerySpec, QueryTimings,
+    RegisteredView, Route, Snapshot,
 };
 use expfinder_core::{
     evaluate, rank_candidates, CancelToken, EvalError, EvalRequest, EvalScratch, EvalStats,
     MatchError, MatchRelation, RankScratch, RankedMatch, ScratchPool, Semantics,
 };
-use expfinder_graph::reach_index::IndexCounters;
-use expfinder_graph::GraphView;
+use expfinder_graph::reach_index::{self, IndexCounters};
+use expfinder_graph::{Counters, GraphView};
 use expfinder_pattern::Pattern;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Lock-free accumulator behind [`ReadPath::eval_totals`].
-#[derive(Default)]
-struct EvalTotals {
-    refreshes: AtomicU64,
-    removals: AtomicU64,
-    refreshes_skipped: AtomicU64,
-    bfs_nodes_visited: AtomicU64,
-    index_hits: AtomicU64,
-    index_misses: AtomicU64,
-}
+/// `engine.eval`: the work of every direct and compressed evaluation,
+/// an aborted one's partial work included, in [`EvalStats`]' terms.
+const EVAL: [&str; 4] = [
+    "refreshes",
+    "refreshes_skipped",
+    "bfs_nodes_visited",
+    "removals",
+];
 
-impl EvalTotals {
-    fn add(&self, s: EvalStats) {
-        self.refreshes
-            .fetch_add(s.refreshes as u64, Ordering::Relaxed);
-        self.removals
-            .fetch_add(s.removals as u64, Ordering::Relaxed);
-        self.refreshes_skipped
-            .fetch_add(s.refreshes_skipped as u64, Ordering::Relaxed);
-        self.bfs_nodes_visited
-            .fetch_add(s.bfs_nodes_visited as u64, Ordering::Relaxed);
-        self.index_hits
-            .fetch_add(s.index_hits as u64, Ordering::Relaxed);
-        self.index_misses
-            .fetch_add(s.index_misses as u64, Ordering::Relaxed);
-    }
+/// `engine.planner`: route decisions (one per read, exact short circuits
+/// included), the ones a non-`Auto` preference forced, and the ones the
+/// evaluation then contradicted ([`PlanDecision::mispredicted`]).
+const PLANNER: [&str; 3] = ["decisions", "overrides", "mispredicts"];
+const DECISIONS: usize = 0;
+const OVERRIDES: usize = 1;
+const MISPREDICTS: usize = 2;
 
-    fn snapshot(&self) -> EvalStats {
-        EvalStats {
-            refreshes: self.refreshes.load(Ordering::Relaxed) as usize,
-            removals: self.removals.load(Ordering::Relaxed) as usize,
-            refreshes_skipped: self.refreshes_skipped.load(Ordering::Relaxed) as usize,
-            bfs_nodes_visited: self.bfs_nodes_visited.load(Ordering::Relaxed) as usize,
-            index_hits: self.index_hits.load(Ordering::Relaxed) as usize,
-            index_misses: self.index_misses.load(Ordering::Relaxed) as usize,
-        }
-    }
-}
+/// `engine.rank`: ranked answers not served from the cache slot (ranked
+/// from the candidates, or a prefix of a registered query's maintained
+/// ranking copied; one the deadline abandoned is not counted), answers
+/// served from the slot, and the candidates the computed rankings ranked
+/// to the end or gave up on once a lower bound on their `f` showed they
+/// could not enter the top `k`.
+const RANK: [&str; 4] = ["computed", "reused", "candidates", "pruned"];
+const COMPUTED: usize = 0;
+const REUSED: usize = 1;
+const CANDIDATES: usize = 2;
+const PRUNED: usize = 3;
 
-/// Lock-free accumulator behind [`ReadPath::cancel_totals`]: every
-/// deadline-carrying query drains its token's counters here when it
-/// finishes (successfully or by abort).
-#[derive(Default)]
-struct CancelCounters {
-    checked: AtomicU64,
-    fired: AtomicU64,
-}
-
-impl CancelCounters {
-    fn drain(&self, token: &CancelToken) {
-        self.checked.fetch_add(token.checks(), Ordering::Relaxed);
-        self.fired.fetch_add(token.fired(), Ordering::Relaxed);
-    }
-}
-
-/// Lock-free accumulator behind [`ReadPath::rank_totals`].
-#[derive(Default)]
-struct RankCounters {
-    computed: AtomicU64,
-    reused: AtomicU64,
-    candidates: AtomicU64,
-    pruned: AtomicU64,
-}
+/// `engine.cancel`: armed polls and tokens fired, drained from every
+/// deadline-carrying read's token when it finishes (successfully or by
+/// abort). A disarmed poll is one relaxed load and is not counted.
+const CANCEL: [&str; 2] = ["checked", "fired"];
 
 /// What routing hands back to [`ReadPath::execute`]: the relation (with
 /// the experts, when a cache hit's slot already determined the top K
@@ -102,18 +72,20 @@ type Routed = (Hit, PlanDecision, EvalStats);
 /// the pooled [`EvalScratch`]es (single reads, batch workers and HTTP
 /// workers each check one out, so steady-state serving reuses BFS
 /// frontiers, reach caches, counter buffers and the result-graph and
-/// ranking buffers instead of allocating per request), the cumulative planner / evaluation / cancellation counters
-/// behind `GET /metrics`, and the batch fan-out width.
+/// ranking buffers instead of allocating per request), the cumulative
+/// evaluation / planner / rank / cancellation / index counters behind
+/// `GET /metrics`, and the batch fan-out width.
 pub struct ReadPath {
     /// [`EngineConfig::threads`], at least 1: the batch workers.
     threads: usize,
     cache: Mutex<QueryCache>,
     scratch: ScratchPool,
-    planner: PlannerCounters,
-    rank_totals: RankCounters,
-    eval_totals: EvalTotals,
-    cancel_totals: CancelCounters,
-    /// What every reach index of every graph counts into.
+    eval: Counters<4>,
+    planner: Counters<3>,
+    rank: Counters<4>,
+    cancel: Counters<2>,
+    /// What every reach index of every graph counts into, and what the
+    /// reads count their index hits and misses into.
     index_counters: Arc<IndexCounters>,
 }
 
@@ -123,16 +95,17 @@ impl ReadPath {
             threads: config.threads.max(1),
             cache: Mutex::new(QueryCache::new(config.cache_capacity)),
             scratch: ScratchPool::new(),
-            planner: PlannerCounters::default(),
-            rank_totals: RankCounters::default(),
-            eval_totals: EvalTotals::default(),
-            cancel_totals: CancelCounters::default(),
-            index_counters: Arc::default(),
+            eval: Counters::new(&EVAL),
+            planner: Counters::new(&PLANNER),
+            rank: Counters::new(&RANK),
+            cancel: Counters::new(&CANCEL),
+            index_counters: Arc::new(reach_index::index_counters()),
         }
     }
 
     /// The counters a graph's reach indexes count into, handed to each
-    /// graph the catalog adds.
+    /// graph the catalog adds: the cumulative half of the `engine.index`
+    /// block of `GET /metrics`.
     pub fn index_counters(&self) -> &Arc<IndexCounters> {
         &self.index_counters
     }
@@ -160,7 +133,7 @@ impl ReadPath {
             .scratch
             .with(|scratch| self.execute(resolve, pattern, top_k, prefer, scratch, cancel, true));
         if let Some(t) = cancel {
-            self.cancel_totals.drain(t);
+            self.drain(t);
         }
         out
     }
@@ -198,7 +171,7 @@ impl ReadPath {
             |scratch, i| self.run_spec(&resolve, &specs[i], scratch, batch_cancel),
         );
         if let Some(t) = &batch_token {
-            self.cancel_totals.drain(t);
+            self.drain(t);
         }
         out
     }
@@ -225,7 +198,7 @@ impl ReadPath {
                 false, // a batch slot fills the ranked slot but is not served from it
             );
             if let Some(t) = &own {
-                self.cancel_totals.drain(t);
+                self.drain(t);
             }
             out
         })
@@ -265,7 +238,7 @@ impl ReadPath {
         let experts = match (top_k, held) {
             (None, _) => Vec::new(),
             (_, Some(held)) => {
-                self.rank_totals.reused.fetch_add(1, Ordering::Relaxed);
+                self.rank.add(REUSED, 1);
                 held
             }
             (Some(k), None) => {
@@ -278,13 +251,10 @@ impl ReadPath {
                     // ranked list is all or nothing
                     EvalError::Cancelled(_) => ExpFinderError::DeadlineExceeded(stats),
                 })?;
-                let totals = &self.rank_totals;
-                totals.computed.fetch_add(1, Ordering::Relaxed);
                 let ranking = scratch.rank_scratch();
-                let candidates = ranking.ranked() - before.0;
-                totals.candidates.fetch_add(candidates, Ordering::Relaxed);
-                let pruned = ranking.pruned() - before.1;
-                totals.pruned.fetch_add(pruned, Ordering::Relaxed);
+                self.rank.add(COMPUTED, 1);
+                self.rank.add(CANDIDATES, ranking.ranked() - before.0);
+                self.rank.add(PRUNED, ranking.pruned() - before.1);
                 let mut cache = self.cache.lock();
                 cache.put_ranked(&key, &experts, k);
                 experts
@@ -331,7 +301,7 @@ impl ReadPath {
         }
         let exact = |route, hit| {
             let plan = PlanDecision::exact(route);
-            self.planner.on_decision(&plan);
+            self.decided(&plan);
             (hit, plan, EvalStats::default())
         };
 
@@ -389,20 +359,53 @@ impl ReadPath {
                 // partial work still counts toward the totals, but never
                 // into the graph's cost profile (it would skew the
                 // planner's per-route estimates) and never into the cache
-                self.planner.on_decision(&plan);
-                self.eval_totals.add(c.stats);
+                self.decided(&plan);
+                self.count_eval(&c.stats);
                 return Err(ExpFinderError::DeadlineExceeded(c.stats));
             }
         };
         state.profile.note_eval(&stats);
         if plan.mispredicted(&stats) {
-            self.planner.on_mispredict();
+            self.planner.add(MISPREDICTS, 1);
         }
-        self.planner.on_decision(&plan);
-        self.eval_totals.add(stats);
+        self.decided(&plan);
+        self.count_eval(&stats);
         let matches = Arc::new(m);
         self.cache.lock().put(key.clone(), Arc::clone(&matches));
         Ok(((matches, None), plan, stats))
+    }
+
+    /// Count one route decision, and its override if it has one.
+    fn decided(&self, plan: &PlanDecision) {
+        self.planner.add(DECISIONS, 1);
+        if plan.overridden {
+            self.planner.add(OVERRIDES, 1);
+        }
+    }
+
+    /// Count one evaluation's work, whole or aborted.
+    fn count_eval(&self, s: &EvalStats) {
+        // in `EVAL`'s order
+        let work = [
+            s.refreshes,
+            s.refreshes_skipped,
+            s.bfs_nodes_visited,
+            s.removals,
+        ];
+        for (i, n) in work.into_iter().enumerate() {
+            self.eval.add(i, n as u64);
+        }
+        let index = &self.index_counters;
+        index.add(reach_index::HITS, s.index_hits as u64);
+        index.add(reach_index::MISSES, s.index_misses as u64);
+    }
+
+    /// Fold a finished read's token's poll and fire counts into
+    /// `engine.cancel`.
+    fn drain(&self, token: &CancelToken) {
+        // in `CANCEL`'s order
+        self.cancel.add(0, token.checks());
+        self.cancel.add(1, token.fired());
     }
 
     /// Estimate the planner cost (abstract work units) of evaluating
@@ -423,19 +426,13 @@ impl ReadPath {
             .map_or(f64::INFINITY, |c| c.cost)
     }
 
-    /// Reach-index totals: cumulative hits/misses and built/carried
-    /// entries, plus live entry/byte gauges summed over the indexes
-    /// (direct and quotient) `states` hold, class/byte gauges over the
-    /// class memos of their graphs and quotients, and the start-overs of
-    /// both — the `engine.index` block of `GET /metrics`.
+    /// The live reach-index gauges — entry/byte gauges summed over the
+    /// indexes (direct and quotient) `states` hold, class/byte gauges
+    /// over the class memos of their graphs and quotients, and the
+    /// start-overs of both — the gauge half of the `engine.index` block
+    /// of `GET /metrics` ([`ReadPath::index_counters`] is the rest).
     pub fn index_totals(&self, states: impl IntoIterator<Item = Arc<Snapshot>>) -> IndexTotals {
-        let mut totals = IndexTotals {
-            hits: self.eval_totals.index_hits.load(Ordering::Relaxed),
-            misses: self.eval_totals.index_misses.load(Ordering::Relaxed),
-            built: self.index_counters.built(),
-            carried: self.index_counters.carried(),
-            ..IndexTotals::default()
-        };
+        let mut totals = IndexTotals::default();
         for state in states {
             let derived = &state.derived;
             for ri in [&derived.reach, &derived.quotient_reach] {
@@ -453,9 +450,9 @@ impl ReadPath {
         totals
     }
 
-    /// Cache hit/miss/eviction counters.
+    /// The `engine.cache` counters, as one read of them saw them.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.lock().stats()
+        self.cache.lock().stats().clone()
     }
 
     /// Entries currently held by the query cache.
@@ -463,43 +460,24 @@ impl ReadPath {
         self.cache.lock().len()
     }
 
-    /// Cumulative evaluation-work counters (refreshes, skipped refreshes,
-    /// BFS nodes visited, candidate removals, reach-index hits/misses)
-    /// across every direct and compressed evaluation — the serving-path
-    /// observability hook behind `GET /metrics`.
-    pub fn eval_totals(&self) -> EvalStats {
-        self.eval_totals.snapshot()
+    /// The `engine.eval` counters.
+    pub fn eval_totals(&self) -> &Counters<4> {
+        &self.eval
     }
 
-    /// Cumulative planner counters — how many route decisions were made,
-    /// how many were forced by a caller preference, and how many the
-    /// evaluation then contradicted ([`PlanDecision::mispredicted`]) —
-    /// the `engine.planner` block of `GET /metrics`.
-    pub fn planner_totals(&self) -> PlannerTotals {
-        self.planner.totals()
+    /// The `engine.planner` counters.
+    pub fn planner_totals(&self) -> &Counters<3> {
+        &self.planner
     }
 
-    /// Ranked answers computed (ranked afresh, or copied from a
-    /// registered query's maintained ranking) and served from the cache
-    /// slot instead, and the candidates the computed ones ranked to the
-    /// end or gave up on — the `engine.rank` block of `GET /metrics`.
-    pub fn rank_totals(&self) -> RankTotals {
-        RankTotals {
-            computed: self.rank_totals.computed.load(Ordering::Relaxed),
-            reused: self.rank_totals.reused.load(Ordering::Relaxed),
-            candidates: self.rank_totals.candidates.load(Ordering::Relaxed),
-            pruned: self.rank_totals.pruned.load(Ordering::Relaxed),
-        }
+    /// The `engine.rank` counters.
+    pub fn rank_totals(&self) -> &Counters<4> {
+        &self.rank
     }
 
-    /// Cumulative cancellation counters — armed checks polled and tokens
-    /// fired across every deadline-carrying evaluation — the
-    /// `engine.cancel` block of `GET /metrics`.
-    pub fn cancel_totals(&self) -> CancelTotals {
-        CancelTotals {
-            checked: self.cancel_totals.checked.load(Ordering::Relaxed),
-            fired: self.cancel_totals.fired.load(Ordering::Relaxed),
-        }
+    /// The `engine.cancel` counters.
+    pub fn cancel_totals(&self) -> &Counters<2> {
+        &self.cancel
     }
 }
 

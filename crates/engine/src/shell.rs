@@ -171,7 +171,9 @@ impl Shell {
                 let s = self.engine.read_path().cache_stats();
                 Ok(format!(
                     "cache: {} hits, {} misses, {} evictions",
-                    s.hits, s.misses, s.evictions
+                    s.get("hits"),
+                    s.get("misses"),
+                    s.get("evictions")
                 ))
             }
             "seed" => {

@@ -19,6 +19,9 @@
 //! * [`Memo`] — the one bounded memo (a count cap, a byte cap, and a
 //!   start-over when full) that the class memo, the reach index's built
 //!   entries and the pattern crate's parse memo store through.
+//! * [`Counters`] — the one block of named cumulative counters (relaxed
+//!   atomics, declared once) that every flat `GET /metrics` counter
+//!   lives in.
 //! * [`ReachIndex`] — a per-version class-reachability memo (entries
 //!   keyed by `(class, bound, direction)`, built by pure bitset sweeps)
 //!   that lets the matching fixpoints skip class-seeded first-refresh
@@ -48,6 +51,7 @@ pub mod bfs;
 pub mod bfs_frontier;
 pub mod bitset;
 pub mod cancel;
+pub mod counters;
 pub mod csr;
 pub mod digraph;
 pub mod dijkstra;
@@ -64,6 +68,7 @@ pub use attrs::{AttrValue, Interner, Quoted, Sym};
 pub use bfs_frontier::FrontierScratch;
 pub use bitset::BitSet;
 pub use cancel::CancelToken;
+pub use counters::Counters;
 pub use csr::CsrGraph;
 pub use digraph::{Class, ClassMemo, DiGraph, EdgeUpdate, VertexData};
 pub use memo::Memo;

@@ -59,11 +59,11 @@ use crate::attrs::Sym;
 use crate::bfs::{BfsScratch, Direction};
 use crate::bfs_frontier::FrontierScratch;
 use crate::bitset::BitSet;
+use crate::counters::Counters;
 use crate::digraph::{Class, DiGraph, EdgeUpdate};
 use crate::memo::Memo;
 use crate::view::GraphView;
 use crate::NodeId;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Source of class-reach sets consulted by the matching fixpoint before
@@ -145,26 +145,29 @@ impl Entry {
     }
 }
 
-/// Cumulative entry counts shared by a line of indexes — in the engine,
-/// every index of every graph it serves, across versions.
-#[derive(Debug, Default)]
-pub struct IndexCounters {
-    built: AtomicU64,
-    carried: AtomicU64,
-}
+/// The cumulative half of `GET /metrics`' `engine.index` block, shared
+/// by a line of indexes — in the engine, every index of every graph it
+/// serves, across versions — and by the read path that consults them.
+/// Made by [`index_counters`]; its keys, in this order (the readers add
+/// at [`HITS`] and [`MISSES`]):
+///
+/// * `hits` / `misses` — first refreshes whose seed set was still an
+///   unshrunk condition class, served from an entry, and those that ran
+///   the BFS instead (counted by the reader from its `EvalStats`);
+/// * `built` — entries built by a full [`class_reach_sweep`] (two
+///   readers racing on one key count two);
+/// * `carried` — entries handed to a new version by
+///   [`ReachCarry::successor`], shared or repaired.
+pub type IndexCounters = Counters<4>;
 
-impl IndexCounters {
-    /// Entries built by a full [`class_reach_sweep`] (two readers racing
-    /// on one key count two).
-    pub fn built(&self) -> u64 {
-        self.built.load(Ordering::Relaxed)
-    }
+pub const HITS: usize = 0;
+pub const MISSES: usize = 1;
+const BUILT: usize = 2;
+const CARRIED: usize = 3;
 
-    /// Entries handed to a new version by [`ReachCarry::successor`],
-    /// shared or repaired.
-    pub fn carried(&self) -> u64 {
-        self.carried.load(Ordering::Relaxed)
-    }
+/// A fresh [`IndexCounters`] block, all at zero.
+pub const fn index_counters() -> IndexCounters {
+    Counters::new(&["hits", "misses", "built", "carried"])
 }
 
 /// Memo table of class-reach sets for **one** graph version, keyed by
@@ -194,7 +197,7 @@ impl ReachIndex {
     /// An empty index for the graph version `version`, with counters of
     /// its own.
     pub fn new(version: u64) -> ReachIndex {
-        ReachIndex::counting(version, Arc::default())
+        ReachIndex::counting(version, Arc::new(index_counters()))
     }
 
     /// An empty index for `version` that counts into `counters`.
@@ -261,7 +264,7 @@ impl ReachIndex {
         let mut reach = BitSet::new(g.node_count());
         let mut dist = carried.map(|_| Vec::new());
         class_reach_sweep(g, class.members(), depth, dir, &mut reach, dist.as_mut());
-        self.counters.built.fetch_add(1, Ordering::Relaxed);
+        self.counters.add(BUILT, 1);
         let built = Arc::new(Entry {
             reach: Arc::new(reach),
             carry: carried.zip(dist),
@@ -627,9 +630,7 @@ impl ReachCarry {
         let set_bytes = n.div_ceil(64) * 8;
         next.carried = Arc::clone(&self.handed);
         next.carried_bytes = self.table.len() + count * set_bytes;
-        next.counters
-            .carried
-            .fetch_add(count as u64, Ordering::Relaxed);
+        next.counters.add(CARRIED, count as u64);
         next
     }
 }
@@ -983,7 +984,7 @@ mod tests {
             }
         }
         assert_eq!(idx.resets(), 1);
-        assert_eq!(idx.counters().built(), 1400, "one sweep per key");
+        assert_eq!(idx.counters().get("built"), 1400, "one sweep per key");
     }
 
     /// The capped distances of a sweep are the first depth at which the
@@ -1038,7 +1039,7 @@ mod tests {
         assert_eq!(near.to_vec(), vec![n(1), n(2)]);
         let quiet = idx.entry(&g, &c, 2, Direction::Backward);
         idx.entry(&g, &b, u32::MAX, Direction::Backward);
-        assert_eq!(idx.counters().built(), 3);
+        assert_eq!(idx.counters().get("built"), 3);
         let fresh = |g: &DiGraph, class: &Class, depth| {
             let mut out = BitSet::new(g.node_count());
             let members = class.members();
@@ -1079,11 +1080,11 @@ mod tests {
         let stats = carry.stats();
         assert_eq!((stats.shared, stats.repaired, stats.dropped), (1, 1, 1));
         assert!(stats.repair_visits > 0);
-        assert_eq!(next.counters().carried(), 2);
+        assert_eq!(next.counters().get("carried"), 2);
         assert!(next.bytes() >= 2 * (8 + g.node_count()));
         next.entry(&g, &b, u32::MAX, Direction::Backward);
         assert_eq!(
-            next.counters().built(),
+            next.counters().get("built"),
             4,
             "counters are shared by the line"
         );

@@ -180,7 +180,7 @@ impl GraphLog {
             .map_err(|e| ExpFinderError::Storage(format!("wal swap: {e}")))?;
         for frame_bytes in sizes {
             // the swap fsyncs once for the whole batch, not per frame
-            rt.wal_counters.on_append(frame_bytes as u64, 0);
+            crate::count_append(&rt.wal_counters, frame_bytes as u64, 0);
         }
         Ok(CompactReport {
             snapshot,
@@ -224,10 +224,12 @@ fn write_efg_atomic(
 /// `add_graph`: duplicate check → `.efg` (atomic) → WAL create → catalog
 /// insert, all under the log map's write lock, so two racing adds of one
 /// name have exactly one winner and a graph is listed only once it is
-/// durable. A failed step removes what the earlier ones left, unless it
-/// was a simulated crash — a real one would not clean up either, and
-/// `open` adopts an `.efg` whose log is missing or empty as a graph with
-/// no history.
+/// durable. Every other durable write of the runtime waits for the
+/// `.efg` write, a write to an existing graph included: it looks its log
+/// up under the map's read lock. A failed step removes what the earlier
+/// ones left, unless it was a simulated crash — a real one would not
+/// clean up either, and `open` adopts an `.efg` whose log is missing or
+/// empty as a graph with no history.
 pub(crate) fn add(
     rt: &DurableExpFinder,
     name: &str,

@@ -71,84 +71,46 @@ pub use graph_log::CompactReport;
 pub use wal::FsyncPolicy;
 
 use crate::graph_log::{GraphLog, LogSlot};
-use crate::wal::{ReplaySummary, Wal, WalOp};
+use crate::wal::{Wal, WalOp};
 use expfinder_compress::{CompressStats, CompressionMethod};
 pub use expfinder_core::CancelToken;
 use expfinder_engine::{
     validate_graph_name, Catalog, EngineConfig, ExpFinder, ExpFinderError, MaintainedGraph,
     UpdateReport,
 };
-use expfinder_graph::{io as gio, DiGraph, EdgeUpdate};
+use expfinder_graph::{io as gio, Counters, DiGraph, EdgeUpdate};
 use expfinder_pattern::Pattern;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------
 // WAL metrics
 // ---------------------------------------------------------------------
 
-/// Shared WAL counters, bumped by every logged write and by
-/// [`DurableExpFinder::open`] during replay.
-#[derive(Debug, Default)]
-pub(crate) struct WalCounters {
-    appends: AtomicU64,
-    fsyncs: AtomicU64,
-    bytes: AtomicU64,
-    replayed_frames: AtomicU64,
-    replayed_updates: AtomicU64,
-    truncated_tails: AtomicU64,
-}
+/// The `engine.wal` block of `GET /metrics`: WAL activity since the
+/// runtime opened. `appends` counts frames (one per accepted update
+/// batch or register/unregister record), `fsyncs` the `fsync` calls
+/// those appends issued and `bytes` their frame bytes; `replayed_frames`
+/// and `replayed_updates` count what cold start replayed, and
+/// `truncated_tails` the logs whose torn tail replay cut off.
+pub const WAL_KEYS: [&str; 6] = [
+    "appends",
+    "fsyncs",
+    "bytes",
+    "replayed_frames",
+    "replayed_updates",
+    "truncated_tails",
+];
 
-impl WalCounters {
-    pub fn on_append(&self, frame_bytes: u64, fsyncs: u64) {
-        self.appends.fetch_add(1, Ordering::Relaxed);
-        self.fsyncs.fetch_add(fsyncs, Ordering::Relaxed);
-        self.bytes.fetch_add(frame_bytes, Ordering::Relaxed);
+/// Count one appended frame of `frame_bytes` that issued `fsyncs`.
+pub(crate) fn count_append(wal: &Counters<6>, frame_bytes: u64, fsyncs: u64) {
+    // `appends`, `fsyncs`, `bytes`
+    for (i, n) in [1, fsyncs, frame_bytes].into_iter().enumerate() {
+        wal.add(i, n);
     }
-
-    fn on_replay(&self, s: &ReplaySummary) {
-        self.replayed_frames
-            .fetch_add(s.frames as u64, Ordering::Relaxed);
-        self.replayed_updates
-            .fetch_add(s.updates as u64, Ordering::Relaxed);
-        if s.truncated_tail {
-            self.truncated_tails.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn totals(&self) -> WalTotals {
-        WalTotals {
-            appends: self.appends.load(Ordering::Relaxed),
-            fsyncs: self.fsyncs.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-            replayed_frames: self.replayed_frames.load(Ordering::Relaxed),
-            replayed_updates: self.replayed_updates.load(Ordering::Relaxed),
-            truncated_tails: self.truncated_tails.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Cumulative WAL activity since this runtime started — the
-/// `engine.wal` block of `GET /metrics`.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct WalTotals {
-    /// Frames appended (one per accepted update batch or
-    /// register/unregister record).
-    pub appends: u64,
-    /// `fsync` calls issued by appends.
-    pub fsyncs: u64,
-    /// Frame bytes appended.
-    pub bytes: u64,
-    /// Frames replayed during cold start.
-    pub replayed_frames: u64,
-    /// Updates inside those frames.
-    pub replayed_updates: u64,
-    /// Logs whose torn tail was detected and truncated at replay.
-    pub truncated_tails: u64,
 }
 
 // ---------------------------------------------------------------------
@@ -183,12 +145,13 @@ pub struct DurableExpFinder {
     engine: ExpFinder,
     /// Catalog directory holding `<name>.efg` / `<name>.wal`.
     dir: PathBuf,
-    config: RuntimeConfig,
+    /// When every graph's WAL appends reach stable storage.
+    fsync: FsyncPolicy,
     /// Each graph's log behind its own mutex, by name. Only writes look
     /// here — reads stay on the engine's catalog — and the lock order is
     /// always a log mutex, then the engine's slot mutex.
     logs: RwLock<HashMap<String, LogSlot>>,
-    wal_counters: WalCounters,
+    wal_counters: Counters<6>,
     /// The fault-injection gate every durability-critical I/O site of
     /// this runtime routes through (disarmed in production — see
     /// [`faults`]); each WAL carries its own clone.
@@ -223,11 +186,11 @@ impl DurableExpFinder {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         let rt = DurableExpFinder {
-            engine: ExpFinder::new(config.engine.clone()),
+            engine: ExpFinder::new(config.engine),
             dir,
-            config,
+            fsync: config.fsync,
             logs: RwLock::new(HashMap::new()),
-            wal_counters: WalCounters::default(),
+            wal_counters: Counters::new(&WAL_KEYS),
             faults: FaultInjector::disarmed(),
         };
 
@@ -257,7 +220,15 @@ impl DurableExpFinder {
         let graph = gio::load_text(self.efg_path(name))?;
         let (records, summary) = Wal::replay(self.wal_path(name))
             .map_err(|e| ExpFinderError::Storage(format!("wal replay for {name:?}: {e}")))?;
-        self.wal_counters.on_replay(&summary);
+        // `replayed_frames`, `replayed_updates`, `truncated_tails`
+        let replayed = [
+            summary.frames,
+            summary.updates,
+            summary.truncated_tail as usize,
+        ];
+        for (i, n) in (3..).zip(replayed) {
+            self.wal_counters.add(i, n as u64);
+        }
         let wal = self.open_wal(name, records.last().map_or(0, |r| r.seq))?;
         let mut core = MaintainedGraph::new(graph);
         for rec in &records {
@@ -276,11 +247,6 @@ impl DurableExpFinder {
         &self.dir
     }
 
-    /// The configuration the runtime was opened with.
-    pub fn config(&self) -> &RuntimeConfig {
-        &self.config
-    }
-
     fn efg_path(&self, name: &str) -> PathBuf {
         self.dir.join(format!("{name}.efg"))
     }
@@ -293,7 +259,7 @@ impl DurableExpFinder {
     /// after `last_seq`.
     fn open_wal(&self, name: &str, last_seq: u64) -> Result<Wal, ExpFinderError> {
         let faults = Arc::clone(&self.faults);
-        Wal::open_with_faults(self.wal_path(name), self.config.fsync, last_seq, faults)
+        Wal::open_with_faults(self.wal_path(name), self.fsync, last_seq, faults)
             .map_err(|e| ExpFinderError::Storage(format!("wal open for {name:?}: {e}")))
     }
 
@@ -302,8 +268,11 @@ impl DurableExpFinder {
         let (_, frame_bytes) = wal
             .append_op(op)
             .map_err(|e| ExpFinderError::Storage(format!("wal append: {e}")))?;
-        self.wal_counters
-            .on_append(frame_bytes as u64, wal.fsyncs_per_append());
+        count_append(
+            &self.wal_counters,
+            frame_bytes as u64,
+            wal.fsyncs_per_append(),
+        );
         Ok(())
     }
 
@@ -336,9 +305,10 @@ impl DurableExpFinder {
     /// log map's write lock: two racing adds of one name have exactly one
     /// winner, and the graph is listed and queryable only once it is
     /// durable; an I/O failure leaves neither a catalog entry nor a file
-    /// `open` would adopt. The cost: other adds and removes wait for the
-    /// `.efg` write — they are rare, and writes to existing graphs do not
-    /// wait.
+    /// `open` would adopt. The cost: every other durable write waits for
+    /// the `.efg` write — adds and removes for the write lock, and writes
+    /// to existing graphs too, since each looks its graph's log up under
+    /// the map's read lock. Reads do not wait: they never touch the map.
     pub fn add_graph(&self, name: &str, graph: DiGraph) -> Result<u64, ExpFinderError> {
         // names become file stems: refuse path-like ones before any IO
         validate_graph_name(name)?;
@@ -426,9 +396,9 @@ impl DurableExpFinder {
 
     // --------------------------- metrics ---------------------------
 
-    /// Cumulative WAL activity.
-    pub fn wal_totals(&self) -> WalTotals {
-        self.wal_counters.totals()
+    /// Cumulative WAL activity: the [`WAL_KEYS`] counters.
+    pub fn wal_totals(&self) -> &Counters<6> {
+        &self.wal_counters
     }
 
     /// Fault-injection activity (`engine.faults` in `/metrics`): see
@@ -484,8 +454,8 @@ mod tests {
 
         let rt = DurableExpFinder::open(&dir, sequential_config()).unwrap();
         assert_eq!(rt.graph_names(), vec!["fig1".to_owned()]);
-        assert_eq!(rt.wal_totals().replayed_frames, 1);
-        assert_eq!(rt.wal_totals().replayed_updates, 1);
+        assert_eq!(rt.wal_totals().get("replayed_frames"), 1);
+        assert_eq!(rt.wal_totals().get("replayed_updates"), 1);
         let mut oracle = f.graph.clone();
         oracle.apply(EdgeUpdate::Insert(x, y));
         let edges = rt
@@ -525,7 +495,7 @@ mod tests {
         }
         let rt = DurableExpFinder::open(&dir, sequential_config()).unwrap();
         assert_eq!(
-            rt.wal_totals().replayed_frames,
+            rt.wal_totals().get("replayed_frames"),
             1,
             "only the post-compaction frame"
         );
@@ -782,9 +752,9 @@ mod tests {
         rt.apply_updates("fig1", &[EdgeUpdate::Insert(f.e1.0, f.e1.1)])
             .unwrap();
         let wal = rt.wal_totals();
-        assert_eq!(wal.appends, 1);
-        assert!(wal.bytes > 0);
-        assert_eq!(wal.fsyncs, 0, "FsyncPolicy::Never");
+        assert_eq!(wal.get("appends"), 1);
+        assert!(wal.get("bytes") > 0);
+        assert_eq!(wal.get("fsyncs"), 0, "FsyncPolicy::Never");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -517,7 +517,7 @@ fn appends_racing_remove_and_readd_stay_with_their_life() {
             model.apply(up);
         }
         let rt = DurableExpFinder::open(&dir, config.clone()).unwrap();
-        assert_eq!(rt.wal_totals().replayed_frames, acked.len() as u64);
+        assert_eq!(rt.wal_totals().get("replayed_frames"), acked.len() as u64);
         let h = rt.handle("g").unwrap();
         let got = rt.read_graph(&h, sorted_edges).unwrap();
         assert_eq!(got, sorted_edges(&model), "round {round}");

@@ -97,9 +97,9 @@ fn replay_restores_updates_applied_before_the_crash() {
 
     let rt = DurableExpFinder::open(&dir, config()).unwrap();
     let totals = rt.wal_totals();
-    assert_eq!(totals.replayed_frames, batches.len() as u64);
-    assert_eq!(totals.replayed_updates, updates.len() as u64);
-    assert_eq!(totals.truncated_tails, 0);
+    assert_eq!(totals.get("replayed_frames"), batches.len() as u64);
+    assert_eq!(totals.get("replayed_updates"), updates.len() as u64);
+    assert_eq!(totals.get("truncated_tails"), 0);
 
     let mut oracle = base;
     for &up in &updates {
@@ -132,8 +132,12 @@ fn torn_final_frame_is_dropped_and_the_rest_recovers() {
 
     let rt = DurableExpFinder::open(&dir, config()).unwrap();
     let totals = rt.wal_totals();
-    assert_eq!(totals.truncated_tails, 1, "torn tail must be detected");
-    assert_eq!(totals.replayed_frames, batches.len() as u64 - 1);
+    assert_eq!(
+        totals.get("truncated_tails"),
+        1,
+        "torn tail must be detected"
+    );
+    assert_eq!(totals.get("replayed_frames"), batches.len() as u64 - 1);
     // the repair is on disk: the next append starts on a frame boundary
     let repaired = std::fs::metadata(&wal_path).unwrap().len();
     assert!(
@@ -171,7 +175,7 @@ fn snapshot_mid_stream_keeps_replay_convergent() {
     }
 
     let rt = DurableExpFinder::open(&dir, config()).unwrap();
-    assert_eq!(rt.wal_totals().replayed_frames, 2);
+    assert_eq!(rt.wal_totals().get("replayed_frames"), 2);
 
     let mut oracle = base;
     for &up in &updates {
@@ -230,10 +234,11 @@ fn injected_enospc_mid_run_keeps_recovery_exact() {
     let rt = DurableExpFinder::open(&dir, config()).unwrap();
     let totals = rt.wal_totals();
     assert_eq!(
-        totals.truncated_tails, 0,
+        totals.get("truncated_tails"),
+        0,
         "self-heal left no torn tail behind"
     );
-    assert_eq!(totals.replayed_updates, updates.len() as u64);
+    assert_eq!(totals.get("replayed_updates"), updates.len() as u64);
 
     let mut oracle = base;
     for &up in &updates {
@@ -269,12 +274,12 @@ fn a_failed_fsync_seals_the_log_until_a_reopen() {
     }
 
     let rt = DurableExpFinder::open(&dir, fsync_always()).unwrap();
-    assert_eq!(rt.wal_totals().replayed_frames, 1);
+    assert_eq!(rt.wal_totals().get("replayed_frames"), 1);
     assert_queries_match_oracle(&rt, "c", &applied(&base, &batches[..1]));
     rt.apply_updates("c", batches[2]).unwrap();
     drop(rt);
     let rt = DurableExpFinder::open(&dir, fsync_always()).unwrap();
-    assert_eq!(rt.wal_totals().replayed_frames, 2);
+    assert_eq!(rt.wal_totals().get("replayed_frames"), 2);
     assert_queries_match_oracle(&rt, "c", &applied(&base, &[batches[0], batches[2]]));
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -327,8 +332,8 @@ fn compaction_survives_restart_with_short_log() {
 
     let rt = DurableExpFinder::open(&dir, config()).unwrap();
     // only the post-compaction batch is in the log
-    assert_eq!(rt.wal_totals().replayed_frames, 1);
-    assert_eq!(rt.wal_totals().replayed_updates, second.len() as u64);
+    assert_eq!(rt.wal_totals().get("replayed_frames"), 1);
+    assert_eq!(rt.wal_totals().get("replayed_updates"), second.len() as u64);
 
     let mut oracle = base;
     for &up in &updates {

@@ -24,9 +24,9 @@ use expfinder_engine::{
     Catalog, ExpFinder, ExpFinderError, GraphInfo, IndexTotals, QueryResponse, QuerySpec, ReadPath,
     Route, UpdateHook, UpdateReport,
 };
-use expfinder_graph::{DiGraph, EdgeUpdate};
+use expfinder_graph::{Counters, DiGraph, EdgeUpdate};
 use expfinder_pattern::Pattern;
-use expfinder_runtime::{DurableExpFinder, FaultTotals, WalTotals};
+use expfinder_runtime::{DurableExpFinder, FaultTotals, WAL_KEYS};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -181,21 +181,23 @@ impl Backend {
 
     // ------------------------- metrics feeds ------------------------
 
-    /// The one read path — the source of the cache, evaluation, planner
-    /// and cancellation counters.
+    /// The one read path — the source of the cache, evaluation, index,
+    /// planner, rank and cancellation counters.
     pub fn read_path(&self) -> &ReadPath {
         self.reads().read_path()
     }
 
+    /// The reach-index gauges.
     pub fn index_totals(&self) -> IndexTotals {
         self.reads().index_totals()
     }
 
     /// Cumulative WAL counters — all zero on a [`Backend::Local`], so
     /// the `/metrics` document has the same shape in both deployments.
-    pub fn wal_totals(&self) -> WalTotals {
+    pub fn wal_totals(&self) -> &Counters<6> {
+        static NONE: Counters<6> = Counters::new(&WAL_KEYS);
         match self {
-            Backend::Local(_) => WalTotals::default(),
+            Backend::Local(_) => &NONE,
             Backend::Durable(rt) => rt.wal_totals(),
         }
     }

@@ -143,9 +143,9 @@ fn main() {
                 "durable runtime on {dir}: {} graphs recovered \
                  ({} WAL frames / {} updates replayed, {} torn tails repaired)",
                 rt.graph_names().len(),
-                recovered.replayed_frames,
-                recovered.replayed_updates,
-                recovered.truncated_tails,
+                recovered.get("replayed_frames"),
+                recovered.get("replayed_updates"),
+                recovered.get("truncated_tails"),
             ));
             Backend::Durable(Arc::new(rt))
         }

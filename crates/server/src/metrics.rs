@@ -3,11 +3,13 @@
 //! Everything is plain atomics so the request hot path never takes a
 //! lock: per-route request counters and latency histograms (fixed
 //! log-spaced microsecond buckets), response counts by status class, an
-//! in-flight gauge (RAII guard) and connection open/close counters.
-//! Graph versions are read live from the engine at export time.
+//! in-flight gauge (RAII guard), and the connection and backpressure
+//! [`Counters`] blocks. Graph versions are read live from the engine at
+//! export time.
 
 use crate::backend::Backend;
 use expfinder_graph::json::Value;
+use expfinder_graph::Counters;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -68,9 +70,19 @@ impl RouteKey {
     }
 
     fn index(self) -> usize {
-        Self::ALL.iter().position(|&k| k == self).expect("in ALL")
+        self as usize
     }
 }
+
+// `RouteKey::index` is the discriminant: `ALL` lists the keys in
+// declaration order
+const _: () = {
+    let mut i = 0;
+    while i < RouteKey::ALL.len() {
+        assert!(RouteKey::ALL[i] as usize == i);
+        i += 1;
+    }
+};
 
 /// Counters for one route.
 #[derive(Default)]
@@ -181,16 +193,17 @@ pub struct Metrics {
     started: Instant,
     routes: [RouteStats; RouteKey::ALL.len()],
     in_flight: AtomicU64,
-    connections_opened: AtomicU64,
-    connections_closed: AtomicU64,
-    /// Connections refused with `503 + Retry-After` because `3 × workers`
-    /// connections were live (load shedding, not an error).
-    shed: AtomicU64,
-    /// Queries answered 408 because their deadline fired mid-evaluation.
-    deadline_enforced: AtomicU64,
-    /// Queries answered 429 at admission: the planner's cost estimate
-    /// did not fit the deadline budget or the in-flight load threshold.
-    deadline_rejected: AtomicU64,
+    /// `connections`: connections accepted and closed.
+    connections: Counters<2>,
+    /// `server.shed`: connections refused with `503 + Retry-After`
+    /// because `3 × workers` connections were live (load shedding, not an
+    /// error).
+    shed: Counters<1>,
+    /// `server.deadline`: queries answered 408 because their deadline
+    /// fired mid-evaluation (`enforced`), and queries answered 429 at
+    /// admission because the planner's cost estimate did not fit the
+    /// ceiling or the in-flight pool (`rejected`).
+    deadline: Counters<2>,
 }
 
 impl Default for Metrics {
@@ -199,11 +212,9 @@ impl Default for Metrics {
             started: Instant::now(),
             routes: Default::default(),
             in_flight: AtomicU64::new(0),
-            connections_opened: AtomicU64::new(0),
-            connections_closed: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            deadline_enforced: AtomicU64::new(0),
-            deadline_rejected: AtomicU64::new(0),
+            connections: Counters::new(&["opened", "closed"]),
+            shed: Counters::new(&["shed"]),
+            deadline: Counters::new(&["enforced", "rejected"]),
         }
     }
 }
@@ -249,26 +260,26 @@ impl Metrics {
     }
 
     pub fn connection_opened(&self) {
-        self.connections_opened.fetch_add(1, Ordering::Relaxed);
+        self.connections.add(0, 1);
     }
 
     pub fn connection_closed(&self) {
-        self.connections_closed.fetch_add(1, Ordering::Relaxed);
+        self.connections.add(1, 1);
     }
 
     /// Count one connection answered with the load-shedding 503.
     pub fn connection_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
+        self.shed.add(0, 1);
     }
 
     /// Count one query answered 408 (deadline fired mid-evaluation).
     pub fn note_deadline_enforced(&self) {
-        self.deadline_enforced.fetch_add(1, Ordering::Relaxed);
+        self.deadline.add(0, 1);
     }
 
     /// Count one query rejected 429 at admission.
     pub fn note_deadline_rejected(&self) {
-        self.deadline_rejected.fetch_add(1, Ordering::Relaxed);
+        self.deadline.add(1, 1);
     }
 
     /// Admit `cost` work units onto `route`'s in-flight gauge for the
@@ -341,88 +352,34 @@ impl Metrics {
             .map(|k| (k.name(), self.routes[k.index()].to_json()))
             .collect::<Vec<_>>();
         let read = backend.read_path();
-        let cache = read.cache_stats();
-        let eval = read.eval_totals();
         let index = backend.index_totals();
-        let planner = read.planner_totals();
-        let rank = read.rank_totals();
-        let cancel = read.cancel_totals();
-        let wal = backend.wal_totals();
         let faults = backend.fault_totals();
         let engine_doc = obj(vec![
             (
                 "cache",
-                obj(vec![
-                    ("hits", Value::Int(cache.hits as i64)),
-                    ("misses", Value::Int(cache.misses as i64)),
-                    ("evictions", Value::Int(cache.evictions as i64)),
-                    ("entries", Value::Int(read.cache_len() as i64)),
-                ]),
+                block(
+                    &read.cache_stats(),
+                    vec![("entries", Value::Int(read.cache_len() as i64))],
+                ),
             ),
-            (
-                "eval",
-                obj(vec![
-                    ("refreshes", Value::Int(eval.refreshes as i64)),
-                    (
-                        "refreshes_skipped",
-                        Value::Int(eval.refreshes_skipped as i64),
-                    ),
-                    (
-                        "bfs_nodes_visited",
-                        Value::Int(eval.bfs_nodes_visited as i64),
-                    ),
-                    ("removals", Value::Int(eval.removals as i64)),
-                ]),
-            ),
+            ("eval", block(read.eval_totals(), vec![])),
             (
                 "index",
-                obj(vec![
-                    ("hits", Value::Int(index.hits as i64)),
-                    ("misses", Value::Int(index.misses as i64)),
-                    ("built", Value::Int(index.built as i64)),
-                    ("carried", Value::Int(index.carried as i64)),
-                    ("entries", Value::Int(index.entries as i64)),
-                    ("bytes", Value::Int(index.bytes as i64)),
-                    ("classes", Value::Int(index.classes as i64)),
-                    ("class_bytes", Value::Int(index.class_bytes as i64)),
-                    ("resets", Value::Int(index.resets as i64)),
-                ]),
+                block(
+                    read.index_counters(),
+                    vec![
+                        ("entries", Value::Int(index.entries as i64)),
+                        ("bytes", Value::Int(index.bytes as i64)),
+                        ("classes", Value::Int(index.classes as i64)),
+                        ("class_bytes", Value::Int(index.class_bytes as i64)),
+                        ("resets", Value::Int(index.resets as i64)),
+                    ],
+                ),
             ),
-            (
-                "planner",
-                obj(vec![
-                    ("decisions", Value::Int(planner.decisions as i64)),
-                    ("overrides", Value::Int(planner.overrides as i64)),
-                    ("mispredicts", Value::Int(planner.mispredicts as i64)),
-                ]),
-            ),
-            (
-                "rank",
-                obj(vec![
-                    ("computed", Value::Int(rank.computed as i64)),
-                    ("reused", Value::Int(rank.reused as i64)),
-                    ("candidates", Value::Int(rank.candidates as i64)),
-                    ("pruned", Value::Int(rank.pruned as i64)),
-                ]),
-            ),
-            (
-                "cancel",
-                obj(vec![
-                    ("checked", Value::Int(cancel.checked as i64)),
-                    ("fired", Value::Int(cancel.fired as i64)),
-                ]),
-            ),
-            (
-                "wal",
-                obj(vec![
-                    ("appends", Value::Int(wal.appends as i64)),
-                    ("fsyncs", Value::Int(wal.fsyncs as i64)),
-                    ("bytes", Value::Int(wal.bytes as i64)),
-                    ("replayed_frames", Value::Int(wal.replayed_frames as i64)),
-                    ("replayed_updates", Value::Int(wal.replayed_updates as i64)),
-                    ("truncated_tails", Value::Int(wal.truncated_tails as i64)),
-                ]),
-            ),
+            ("planner", block(read.planner_totals(), vec![])),
+            ("rank", block(read.rank_totals(), vec![])),
+            ("cancel", block(read.cancel_totals(), vec![])),
+            ("wal", block(backend.wal_totals(), vec![])),
             (
                 "faults",
                 obj(vec![
@@ -451,38 +408,16 @@ impl Metrics {
                 Value::Int(self.started.elapsed().as_millis() as i64),
             ),
             ("in_flight", Value::Int(self.in_flight() as i64)),
-            (
-                "connections",
-                obj(vec![
-                    (
-                        "opened",
-                        Value::Int(self.connections_opened.load(Ordering::Relaxed) as i64),
-                    ),
-                    (
-                        "closed",
-                        Value::Int(self.connections_closed.load(Ordering::Relaxed) as i64),
-                    ),
-                ]),
-            ),
+            ("connections", block(&self.connections, vec![])),
             (
                 "server",
-                obj(vec![
-                    ("shed", Value::Int(self.shed.load(Ordering::Relaxed) as i64)),
-                    (
-                        "deadline",
-                        obj(vec![
-                            (
-                                "enforced",
-                                Value::Int(self.deadline_enforced.load(Ordering::Relaxed) as i64),
-                            ),
-                            (
-                                "rejected",
-                                Value::Int(self.deadline_rejected.load(Ordering::Relaxed) as i64),
-                            ),
-                        ]),
-                    ),
-                    ("cost_in_flight", Value::Float(self.total_cost_in_flight())),
-                ]),
+                block(
+                    &self.shed,
+                    vec![
+                        ("deadline", block(&self.deadline, vec![])),
+                        ("cost_in_flight", Value::Float(self.total_cost_in_flight())),
+                    ],
+                ),
             ),
             ("requests", obj(requests)),
             ("subscriptions", subscriptions),
@@ -490,6 +425,13 @@ impl Metrics {
             ("graphs", Value::Array(graphs)),
         ])
     }
+}
+
+/// A [`Counters`] block as a JSON object: every counter under its key,
+/// and `gauges` beside them.
+pub(crate) fn block<const N: usize>(counters: &Counters<N>, gauges: Vec<(&str, Value)>) -> Value {
+    let values = counters.read().map(|(key, n)| (key, Value::Int(n as i64)));
+    obj(values.into_iter().chain(gauges).collect())
 }
 
 /// Build a JSON object from `(key, value)` pairs.

@@ -120,27 +120,35 @@ fn effective_deadline(config: &ServerConfig, requested: Option<u64>) -> Option<D
     ms.map(Duration::from_millis)
 }
 
-/// The 429 admission gate. When a cost ceiling is configured, reject
-/// work whose planner estimate exceeds it — or would push the admitted
-/// in-flight cost past the concurrency-weighted pool (`ceiling ×
+/// The 429 admission gate, which runs only when a cost ceiling is
+/// configured: it calls `estimate` for the work's planner estimate and
+/// rejects work whose estimate exceeds the ceiling — or would push the
+/// admitted in-flight cost past the concurrency-weighted pool (`ceiling ×
 /// workers`) — before it is evaluated. Admitted cost is held on the
 /// route's in-flight gauge by the returned guard until evaluation ends.
-fn admit(inner: &Inner, route: RouteKey, est: f64) -> Result<CostInFlight<'_>, WireError> {
-    if let Some(ceiling) = inner.config.admission_max_cost {
-        let pool = ceiling * inner.config.workers.max(1) as f64;
-        let in_flight = inner.metrics.total_cost_in_flight();
-        if !est.is_finite() || est > ceiling || in_flight + est > pool {
-            inner.metrics.note_deadline_rejected();
-            return Err(WireError::new(
-                429,
-                format!(
-                    "rejected at admission: estimated cost {est:.0} work units \
-                     (ceiling {ceiling:.0}, {in_flight:.0} already in flight)"
-                ),
-            ));
-        }
+/// Without a ceiling nothing is estimated and no guard is held.
+fn admit<'a>(
+    inner: &'a Inner,
+    route: RouteKey,
+    estimate: impl FnOnce() -> Result<f64, ExpFinderError>,
+) -> Result<Option<CostInFlight<'a>>, WireError> {
+    let Some(ceiling) = inner.config.admission_max_cost else {
+        return Ok(None);
+    };
+    let est = estimate()?;
+    let pool = ceiling * inner.config.workers.max(1) as f64;
+    let in_flight = inner.metrics.total_cost_in_flight();
+    if !est.is_finite() || est > ceiling || in_flight + est > pool {
+        inner.metrics.note_deadline_rejected();
+        return Err(WireError::new(
+            429,
+            format!(
+                "rejected at admission: estimated cost {est:.0} work units \
+                 (ceiling {ceiling:.0}, {in_flight:.0} already in flight)"
+            ),
+        ));
     }
-    Ok(inner.metrics.admit_cost(route, est))
+    Ok(Some(inner.metrics.admit_cost(route, est)))
 }
 
 fn healthz(inner: &Inner) -> Result<Response, WireError> {
@@ -187,11 +195,12 @@ fn query(inner: &Inner, name: &str, req: &Request) -> Result<Response, WireError
     let body = wire::parse_body(&req.body)?;
     let q = wire::decode_query(&body)?;
     let deadline = effective_deadline(&inner.config, q.deadline_ms);
-    // admission before evaluation: estimate the work, reject what cannot
-    // fit (429), and hold the admitted cost on the in-flight gauge while
-    // the query runs (also resolves the graph, so unknown names 404 here)
-    let est = inner.backend.estimate_cost(name, &q.pattern)?;
-    let _admitted = admit(inner, RouteKey::Query, est)?;
+    // admission before evaluation, when a ceiling is configured: estimate
+    // the work, reject what cannot fit (429), and hold the admitted cost
+    // on the in-flight gauge while the query runs. The estimate resolves
+    // the graph, so there an unknown name 404s; otherwise the read does.
+    let estimate = || inner.backend.estimate_cost(name, &q.pattern);
+    let _admitted = admit(inner, RouteKey::Query, estimate)?;
     let resp = inner
         .backend
         .query_deadline(name, &q.pattern, q.top_k, q.route, deadline)
@@ -252,11 +261,13 @@ fn batch(inner: &Inner, name: &str, req: &Request) -> Result<Response, WireError
         .collect();
     // admit the whole batch as one unit of work: the sum of the slots'
     // estimates competes for the same in-flight pool as single queries
-    let mut est = 0.0;
-    for q in decoded.queries.iter().filter_map(|d| d.as_ref().ok()) {
-        est += inner.backend.estimate_cost(name, &q.pattern)?;
-    }
-    let _admitted = admit(inner, RouteKey::Batch, est)?;
+    let estimate = || {
+        let queries = decoded.queries.iter().filter_map(|d| d.as_ref().ok());
+        queries
+            .map(|q| inner.backend.estimate_cost(name, &q.pattern))
+            .sum()
+    };
+    let _admitted = admit(inner, RouteKey::Batch, estimate)?;
     let results = inner.backend.query_batch_deadline(name, specs, deadline)?;
     let room = results
         .iter()

@@ -18,10 +18,11 @@
 //! stream with a terminal `error` frame (`"slow-consumer"`). The update
 //! path itself never waits on a slow socket.
 
-use crate::metrics::obj;
+use crate::metrics::block;
 use crate::wire;
 use expfinder_engine::UpdateReport;
 use expfinder_graph::json::Value;
+use expfinder_graph::Counters;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Mutex;
@@ -48,8 +49,9 @@ pub(crate) struct SubscriptionHub {
     queue_capacity: usize,
     slots: Mutex<Vec<Slot>>,
     next_id: AtomicU64,
-    frames_pushed: AtomicU64,
-    slow_consumer_disconnects: AtomicU64,
+    /// Update frames enqueued (after filtering), and subscribers evicted
+    /// because their queue was full.
+    counters: Counters<2>,
 }
 
 impl SubscriptionHub {
@@ -58,8 +60,7 @@ impl SubscriptionHub {
             queue_capacity: queue_capacity.max(1),
             slots: Mutex::new(Vec::new()),
             next_id: AtomicU64::new(1),
-            frames_pushed: AtomicU64::new(0),
-            slow_consumer_disconnects: AtomicU64::new(0),
+            counters: Counters::new(&["frames_pushed", "slow_consumer_disconnects"]),
         }
     }
 
@@ -121,9 +122,8 @@ impl SubscriptionHub {
                 Err(TrySendError::Disconnected(_)) => false,
             }
         });
-        self.frames_pushed.fetch_add(pushed, Ordering::Relaxed);
-        self.slow_consumer_disconnects
-            .fetch_add(evicted, Ordering::Relaxed);
+        self.counters.add(0, pushed);
+        self.counters.add(1, evicted);
     }
 
     /// Live subscriber count (the `/metrics` gauge).
@@ -133,18 +133,13 @@ impl SubscriptionHub {
 
     /// The `subscriptions` block of the `/metrics` document.
     pub(crate) fn to_json(&self) -> Value {
-        obj(vec![
-            ("live", Value::Int(self.live() as i64)),
-            (
-                "frames_pushed",
-                Value::Int(self.frames_pushed.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "slow_consumer_disconnects",
-                Value::Int(self.slow_consumer_disconnects.load(Ordering::Relaxed) as i64),
-            ),
-            ("queue_capacity", Value::Int(self.queue_capacity as i64)),
-        ])
+        block(
+            &self.counters,
+            vec![
+                ("live", Value::Int(self.live() as i64)),
+                ("queue_capacity", Value::Int(self.queue_capacity as i64)),
+            ],
+        )
     }
 }
 
@@ -213,7 +208,7 @@ mod tests {
         hub.publish("g", &report(1, &[]));
         hub.publish("g", &report(2, &[])); // queue full → evicted
         assert_eq!(hub.live(), 0);
-        assert_eq!(hub.slow_consumer_disconnects.load(Ordering::Relaxed), 1);
+        assert_eq!(hub.counters.get("slow_consumer_disconnects"), 1);
         // the buffered frame is still deliverable, then the drop shows
         assert!(sub.rx.recv().is_ok());
         assert!(sub.rx.recv().is_err());

@@ -14,10 +14,11 @@ use expfinder_graph::json::Value;
 use expfinder_graph::{DiGraph, EdgeUpdate, GraphView};
 use expfinder_pattern::Pattern;
 use expfinder_server::client::{query_body, query_body_deadline, Client};
+use expfinder_server::metrics::RouteKey;
 use expfinder_server::{Backend, ClientError, Server, ServerConfig, ServerHandle};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -181,8 +182,14 @@ fn end_to_end_over_tcp() {
     assert_eq!(team.field("after_pairs").unwrap().as_i64().unwrap(), 8);
     assert_eq!(team.field("delta").unwrap().as_i64().unwrap(), 1);
 
-    // unknown graph / unknown route statuses
+    // unknown graph / unknown route statuses: without an admission
+    // ceiling nothing is estimated, so the read itself answers 404
     match client.query("ghost", &query_body(FIG1_DSL, None, "auto", false)) {
+        Err(ClientError::Status { status: 404, .. }) => {}
+        other => panic!("expected 404, got {other:?}"),
+    }
+    let slot = query_body(FIG1_DSL, None, "auto", false);
+    match client.batch("ghost", vec![slot]) {
         Err(ClientError::Status { status: 404, .. }) => {}
         other => panic!("expected 404, got {other:?}"),
     }
@@ -1481,23 +1488,76 @@ fn metric(doc: &Value, path: &str) -> i64 {
     v.as_i64().unwrap()
 }
 
-/// Every object key path of a `/metrics` document under `engine`,
-/// `server` and `subscriptions` (the parts whose schema is fixed).
-fn metric_keys(doc: &Value) -> Vec<String> {
-    fn walk(v: &Value, path: String, out: &mut Vec<String>) {
-        if let Ok(map) = v.as_object() {
-            for (k, child) in map {
-                walk(child, format!("{path}.{k}"), out);
+/// Every leaf's key path in a JSON document (`engine.wal.fsyncs`), an
+/// array read as its first element (`graphs[].name`; an empty one is
+/// the leaf `graphs[]`).
+fn key_paths(doc: &Value) -> BTreeSet<String> {
+    fn walk(v: &Value, path: String, out: &mut BTreeSet<String>) {
+        match v {
+            Value::Object(map) => {
+                for (k, child) in map {
+                    let sep = if path.is_empty() { "" } else { "." };
+                    walk(child, format!("{path}{sep}{k}"), out);
+                }
             }
-        } else {
-            out.push(path);
+            Value::Array(items) => match items.first() {
+                Some(first) => walk(first, format!("{path}[]"), out),
+                None => drop(out.insert(format!("{path}[]"))),
+            },
+            _ => drop(out.insert(path)),
         }
     }
-    let mut out = Vec::new();
-    for top in ["engine", "server", "subscriptions"] {
-        walk(doc.field(top).unwrap(), top.to_owned(), &mut out);
-    }
+    let mut out = BTreeSet::new();
+    walk(doc, String::new(), &mut out);
     out
+}
+
+/// The key paths of the example in PROTOCOL's `GET /metrics` section,
+/// its `"<route>"` entry expanded over every route family.
+fn documented_metric_keys() -> BTreeSet<String> {
+    let spec = include_str!("../../../docs/PROTOCOL.md");
+    let section = spec.split("### `GET /metrics`").nth(1).unwrap();
+    let example = section.split("```json\n").nth(1).unwrap();
+    let example = example.split("```").next().unwrap();
+    let doc = expfinder_graph::json::parse(example).expect("the example parses");
+    let names = RouteKey::ALL.map(RouteKey::name);
+    key_paths(&doc)
+        .into_iter()
+        .flat_map(|path| match path.contains("<route>") {
+            true => names.map(|n| path.replace("<route>", n)).to_vec(),
+            false => vec![path],
+        })
+        .collect()
+}
+
+/// `/metrics` emits exactly the key tree PROTOCOL documents, in memory
+/// and on a data dir: no key the example lacks, none it shows missing.
+#[test]
+fn metrics_key_tree_matches_the_protocol_example() {
+    let documented = documented_metric_keys();
+    let dir = tmpdir("key_tree");
+    let rt = expfinder_runtime::DurableExpFinder::open(&dir, durable_config()).unwrap();
+    let fig1 = expfinder_graph::fixtures::collaboration_fig1().graph;
+    rt.add_graph("fig1", fig1).unwrap();
+    let durable = Server::bind(
+        Backend::Durable(Arc::new(rt)),
+        "127.0.0.1:0",
+        ServerConfig::default(),
+    )
+    .unwrap()
+    .spawn();
+    for (tag, handle) in [("memory", fig1_server()), ("durable", durable)] {
+        let emitted = key_paths(&Client::new(handle.addr()).metrics().unwrap());
+        let undocumented: Vec<_> = emitted.difference(&documented).collect();
+        let missing: Vec<_> = documented.difference(&emitted).collect();
+        assert!(
+            undocumented.is_empty() && missing.is_empty(),
+            "{tag}: emitted but not in PROTOCOL's example: {undocumented:?}; \
+             in the example but not emitted: {missing:?}"
+        );
+        handle.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The deployment shape end to end: a durable boot (`--data-dir`,
@@ -1570,7 +1630,7 @@ fn serve_binary_boots_both_backends_and_drains() {
     let memory_metrics = bin.client().metrics().unwrap();
     drop(bin.child.stdin.take());
     bin.assert_drained();
-    assert_eq!(metric_keys(&memory_metrics), metric_keys(&durable_metrics));
+    assert_eq!(key_paths(&memory_metrics), key_paths(&durable_metrics));
     for key in [
         "engine.index.carried",
         "engine.rank.reused",

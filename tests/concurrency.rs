@@ -171,8 +171,8 @@ fn parallel_queries_agree() {
 
     // the cache took hits from all threads without corruption
     let stats = engine.read_path().cache_stats();
-    assert!(stats.hits > 0);
-    assert_eq!(stats.hits + stats.misses, 8 * 5 * 3);
+    assert!(stats.get("hits") > 0);
+    assert_eq!(stats.get("hits") + stats.get("misses"), 8 * 5 * 3);
 }
 
 #[test]
@@ -333,7 +333,10 @@ fn independent_graphs_run_in_parallel() {
             fresh
         );
         if let Facade::Durable(rt, _) = &facade {
-            assert_eq!(rt.wal_totals().appends, updates.chunks(4).count() as u64);
+            assert_eq!(
+                rt.wal_totals().get("appends"),
+                updates.chunks(4).count() as u64
+            );
         }
     }
 }

@@ -80,8 +80,8 @@
 //! run.
 //!
 //! Fixed scenarios ride along: the ranked-answer slot's exact
-//! `RankTotals`, a registered `G_r` that follows the sources ΔM adds and
-//! removes, the quotient's `index_totals`, the exhaustive Fig. 1 fuse
+//! `engine.rank` counts, a registered `G_r` that follows the sources ΔM adds and
+//! removes, the quotient's index counters, the exhaustive Fig. 1 fuse
 //! walk, the Fig. 1 pattern on every taken route, and one durable script
 //! under `FsyncPolicy::Always` crashed at every I/O boundary it crosses,
 //! and at every write again with torn bytes, each crash judged as above.
@@ -95,7 +95,7 @@ use expfinder::core::{
 };
 use expfinder::engine::{
     Catalog, EngineConfig, ExpFinder, ExpFinderError, GraphHandle, PlanRoute, QueryResponse,
-    QuerySpec, RankTotals, Route, Snapshot, UpdateHook, UpdateReport,
+    QuerySpec, Route, Snapshot, UpdateHook, UpdateReport,
 };
 use expfinder::graph::fixtures::collaboration_fig1;
 use expfinder::graph::{AttrValue, BitSet, CsrGraph, DiGraph, EdgeUpdate, GraphView, NodeId};
@@ -868,9 +868,9 @@ impl Harness {
     /// did different work for the same script — as `(computed, reused)`.
     fn rank_totals(&self) -> (u64, u64) {
         let [(a, _), (b, _)] = self.reads();
-        let totals: RankTotals = a.read_path().rank_totals();
+        let totals = a.read_path().rank_totals();
         assert_eq!(totals, b.read_path().rank_totals());
-        (totals.computed, totals.reused)
+        (totals.get("computed"), totals.get("reused"))
     }
 
     /// Everything the facades report besides answers, held to each other
@@ -924,15 +924,18 @@ impl Harness {
         );
         let (ra, rb) = (a.read_path(), b.read_path());
         let (pa, pb) = (ra.planner_totals(), rb.planner_totals());
-        assert_eq!((pa.decisions, pa.overrides), (pb.decisions, pb.overrides));
+        for key in ["decisions", "overrides"] {
+            assert_eq!(pa.get(key), pb.get(key), "{key}");
+        }
         // concurrent batch slots read one cost profile in either order, and
         // whether a plan mispredicted depends on the hit rate it read
         if self.threads == 1 {
-            assert_eq!(pa.mispredicts, pb.mispredicts);
+            assert_eq!(pa.get("mispredicts"), pb.get("mispredicts"));
         }
         assert_eq!(ra.cache_stats(), rb.cache_stats());
         self.rank_totals();
         assert_eq!(self.engine.index_totals(), self.rt.index_totals());
+        assert_eq!(ra.index_counters(), rb.index_counters());
 
         // a held snapshot keeps answering for its own version
         for held in &model.held {
@@ -1681,8 +1684,12 @@ fn carried_reach_entries_follow_an_insert_and_a_delete() {
         })
     };
     let counts = |h: &Harness| {
-        let t = h.engine.index_totals();
-        (t.built, t.carried, t.entries)
+        let c = h.engine.read_path().index_counters();
+        (
+            c.get("built"),
+            c.get("carried"),
+            h.engine.index_totals().entries,
+        )
     };
     assert_eq!(read(&h), [vec![0, 6], vec![0, 6]]);
     assert_eq!(counts(&h), (2, 0, 2), "one bounded and one unbounded entry");
@@ -1806,9 +1813,10 @@ fn index_totals_count_the_quotient_index_on_both_backends() {
     let resp = h.query(&q, Route::Compressed, None, Fuse::None).unwrap();
     assert_eq!(resp.plan.chosen, PlanRoute::Compressed);
     let totals = h.engine.index_totals();
+    let hits = h.engine.read_path().index_counters().get("hits");
     assert!(
-        totals.hits > 0 && totals.entries > 0 && totals.bytes > 0,
-        "{totals:?}"
+        hits > 0 && totals.entries > 0 && totals.bytes > 0,
+        "{hits} hits, {totals:?}"
     );
     h.agree();
 }
@@ -1890,8 +1898,8 @@ fn every_fuse_value_yields_the_exact_experts_or_408() {
                     // evaluation's work, and the finished relation is cached
                     assert_eq!(stats == finished, ranking, "fuse {fuse}: {stats:?}");
                     // an abandoned ranking is no computed list
-                    let none = RankTotals::default();
-                    assert_eq!(c.read_path().rank_totals(), none, "fuse {fuse}");
+                    let totals = c.read_path().rank_totals().read();
+                    assert!(totals.iter().all(|(_, n)| *n == 0), "fuse {fuse}");
                     let again = ranked(c, hd, None).unwrap();
                     assert_eq!(bits(&again.experts), want, "fuse {fuse}: a truncated list");
                     assert_eq!(
@@ -1901,7 +1909,7 @@ fn every_fuse_value_yields_the_exact_experts_or_408() {
                     );
                     // nothing partial was stored: the follow-up ranked afresh
                     let totals = c.read_path().rank_totals();
-                    let computed = (totals.computed, totals.reused);
+                    let computed = (totals.get("computed"), totals.get("reused"));
                     assert_eq!(computed, (1, 0), "fuse {fuse}");
                 }
                 Err(other) => panic!("fuse {fuse}: unexpected error: {other}"),
