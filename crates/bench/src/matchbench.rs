@@ -27,9 +27,10 @@
 //!   (queries 2..N), with the condition classes each path added to the
 //!   graph's class memo (`class_builds`; one row's every condition
 //!   carries an `experience` bound); and one row read once per version of a seeded update
-//!   stream on an index whose bounded entries each batch carried and
-//!   repaired ([`ReachCarry`]): `repair_visits` against the
-//!   `rebuild_visits` of sweeping every carried entry again per batch.
+//!   stream on an index that thresholds the distance columns each batch
+//!   carried and repaired ([`ReachCarry`]), of label and condition
+//!   classes: `repair_visits` against the `rebuild_visits` of sweeping
+//!   every carried column again per batch.
 //! * **`match_bound1`** — plain simulation: the `match_frontier` patterns
 //!   with every bound set to 1, evaluated by the one bounded kernel and
 //!   maintained by [`IncrementalBoundedSim`] over a seeded update stream
@@ -68,6 +69,7 @@ use expfinder_incremental::{IncrementalBoundedSim, Maintainer, RerankScratch};
 use expfinder_pattern::{Bound, Pattern, PatternBuilder, Predicate};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Timed repetitions per measured path (after one untimed warmup).
@@ -597,19 +599,24 @@ fn warm_workloads(collab: &DiGraph, twitter: &DiGraph) -> Vec<Value> {
 const CARRY_UPDATES: usize = 48;
 const CARRY_BATCH: usize = 4;
 
-/// The carried-index row of `match_warm_index`: [`collab_team_star_pattern`]
-/// and its `sa → sd` edge alone, unbounded, are read once per graph
-/// version of a seeded update stream, on the index that version's writer
-/// handed on — the bounded entries of the previous version's index,
-/// carried and repaired after every update by [`ReachCarry`], as the
-/// engine's write path does. `repair_visits` is the repairs' work,
-/// `rebuild_visits` the work of sweeping every carried entry again per
-/// batch instead; `shared` / `repaired` / `dropped` count the entries at
-/// the handoffs. After every batch each carried entry must equal a fresh
-/// [`class_reach_sweep`], distances included, both reads must equal
-/// naive's, and the only entry a read builds is the unbounded one.
+/// The carried-index row of `match_warm_index`: [`collab_team_star_pattern`],
+/// [`collab_team_star_experienced_pattern`] (its conditions are condition
+/// classes, not bare labels) and the first one's `sa → sd` edge alone,
+/// unbounded, are read once per graph version of a seeded update stream,
+/// on the index that version's writer published: empty, and holding the
+/// writer's [`ReachCarry`] — the distance columns of the bounded entries
+/// readers swept, repaired after every update, as the engine's write path
+/// does. `repair_visits` is the repairs' work, `rebuild_visits` the work
+/// of sweeping every carried column again per batch instead;
+/// `thresholded` counts the entries readers took from the columns,
+/// `columns` the columns carried at the end, and `adopted` / `expired` the
+/// swept entries the carry took on and the columns it dropped. After every
+/// batch each column must equal a fresh [`class_reach_sweep`], distances
+/// included, every read must equal naive's, and the only entry a read
+/// builds is the unbounded one.
 fn bench_carried_workload(name: &str, graph: &DiGraph) -> Value {
     let star = collab_team_star_pattern();
+    let experienced = collab_team_star_experienced_pattern();
     let unbounded = PatternBuilder::new()
         .node_output("sa", Predicate::label("SA"))
         .node("sd", Predicate::label("SD"))
@@ -620,52 +627,61 @@ fn bench_carried_workload(name: &str, graph: &DiGraph) -> Value {
     let stream = random_updates(&mut StdRng::seed_from_u64(SEED), &g, CARRY_UPDATES, 0.5);
     let mut scratch = EvalScratch::new();
     let mut read = |g: &DiGraph, idx: &ReachIndex| {
-        [&star, &unbounded].into_iter().all(|q| {
+        [&star, &experienced, &unbounded].into_iter().all(|q| {
             let bound = idx.bind(g);
             let (m, _) = bounded_simulation_indexed(g, q, EvalOptions, &mut scratch, Some(&bound));
             m == naive_bounded_simulation(g, q)
         })
     };
+    let carry = Arc::new(Mutex::new(ReachCarry::default()));
     let mut idx = ReachIndex::new(g.version());
     let mut identical = read(&g, &idx);
-    let mut carry = ReachCarry::default();
     let (mut rebuild_visits, mut repair_t) = (0, Duration::ZERO);
     for batch in stream.chunks(CARRY_BATCH) {
+        let mut writer = carry.lock().expect("carry lock");
         let (_, t) = time(|| {
-            carry.begin(&idx);
+            writer.begin(&idx);
             for &up in batch {
                 if g.apply(up) {
-                    carry.on_update(&g, up);
+                    writer.on_update(&g, up);
                 }
             }
         });
         repair_t += t;
-        for ((label, depth, dir), reach, dist) in carry.entries() {
-            let class = g.nodes_with_label(label).expect("a carried label");
+        for c in writer.columns() {
             let (mut want, mut want_dist) = (BitSet::new(g.node_count()), Vec::new());
-            rebuild_visits +=
-                class_reach_sweep(&g, class, depth, dir, &mut want, Some(&mut want_dist));
-            identical &= *reach == want && dist == want_dist;
+            rebuild_visits += class_reach_sweep(
+                &g,
+                c.members,
+                c.bound,
+                c.dir,
+                &mut want,
+                Some(&mut want_dist),
+            );
+            identical &= c.dist == want_dist && c.rows == want_dist;
         }
+        drop(writer);
         let built = idx.counters().get("built");
-        idx = carry.successor(g.version(), &idx);
+        let counters = Arc::clone(idx.counters());
+        idx = ReachIndex::carried(g.version(), counters, Arc::clone(&carry));
         identical &= read(&g, &idx) && idx.counters().get("built") == built + 1;
     }
     assert!(
         identical,
-        "{name}: a carried reach entry diverged from a fresh sweep"
+        "{name}: a carried reach column diverged from a fresh sweep"
     );
-    let stats = carry.stats();
+    let writer = carry.lock().expect("carry lock");
+    let (stats, columns) = (writer.stats(), writer.len());
+    let thresholded = idx.counters().get("carried");
     println!(
         "{name:>10} {:>14} | {} batches: repair visits {} vs {} by rebuilds | \
-         shared {} repaired {} dropped {} | repair {}",
+         columns {columns} thresholded {thresholded} adopted {} expired {} | repair {}",
         "carried",
         stream.len().div_ceil(CARRY_BATCH),
         stats.repair_visits,
         rebuild_visits,
-        stats.shared,
-        stats.repaired,
-        stats.dropped,
+        stats.adopted,
+        stats.expired,
         fmt_dur(repair_t),
     );
     obj(vec![
@@ -676,9 +692,10 @@ fn bench_carried_workload(name: &str, graph: &DiGraph) -> Value {
         ("updates", Value::Int(stream.len() as i64)),
         ("repair_visits", Value::Int(stats.repair_visits as i64)),
         ("rebuild_visits", Value::Int(rebuild_visits as i64)),
-        ("shared", Value::Int(stats.shared as i64)),
-        ("repaired", Value::Int(stats.repaired as i64)),
-        ("dropped", Value::Int(stats.dropped as i64)),
+        ("columns", Value::Int(columns as i64)),
+        ("thresholded", Value::Int(thresholded as i64)),
+        ("adopted", Value::Int(stats.adopted as i64)),
+        ("expired", Value::Int(stats.expired as i64)),
         ("repair_ms", ms(repair_t)),
         ("results_identical", Value::Bool(identical)),
     ])
@@ -991,14 +1008,17 @@ mod tests {
             assert!(int(w, "rerank_candidates") > 0);
             assert!(10 * int(w, "rerank_candidates") < int(w, "full_rank_candidates"));
         }
-        // every carried entry is handed on at every batch: repaired far
-        // cheaper than rebuilt, or shared; the unbounded one is dropped
+        // one column per bounded condition of the two stars (three labels,
+        // three condition classes), each thresholded at every batch and
+        // repaired far cheaper than it would be rebuilt; none expires
         let c = &carried[0];
         assert!(c.field("results_identical").unwrap().as_bool().unwrap());
         let batches = (CARRY_UPDATES / CARRY_BATCH) as i64;
-        assert_eq!(int(c, "shared") + int(c, "repaired"), 3 * batches);
-        assert_eq!(int(c, "dropped"), batches);
-        assert!(int(c, "repaired") > 0 && int(c, "repair_visits") > 0);
+        assert_eq!(int(c, "columns"), 6);
+        assert_eq!(int(c, "adopted"), 6);
+        assert_eq!(int(c, "thresholded"), 6 * batches);
+        assert_eq!(int(c, "expired"), 0);
+        assert!(int(c, "repair_visits") > 0);
         assert!(10 * int(c, "repair_visits") < int(c, "rebuild_visits"));
         // the fully class-seeded star skips the BFS entirely on warm runs
         let star = &warm[0];

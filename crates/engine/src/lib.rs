@@ -1451,9 +1451,10 @@ mod tests {
         assert!(hits2 > hits1);
         assert_eq!(t2.entries, t1.entries, "no duplicate entries on reuse");
 
-        // an update moves the version: the entries are carried into the
-        // new version's index, repaired, and must serve the new graph
-        // exactly — answers match a from-scratch engine
+        // an update moves the version: the entries' distance columns are
+        // carried, repaired, and thresholded by the new version's reads,
+        // which must serve the new graph exactly — answers match a
+        // from-scratch engine
         e.apply_updates(&h, &[EdgeUpdate::Insert(f.e1.0, f.e1.1)])
             .unwrap();
         let after = run(); // first read of the new version: warm
@@ -1468,11 +1469,13 @@ mod tests {
         let entries = t1.entries as u64;
         assert_eq!(built1, entries, "one build per entry");
         let carried = counters.get("carried");
-        assert_eq!(carried, entries, "every bounded entry carried");
+        assert_eq!(carried, entries, "every bounded entry thresholded");
         assert_eq!(built(), built1, "the new version built nothing");
         assert_eq!(
-            t3.entries, t1.entries,
-            "old version's entries were replaced, not accumulated"
+            t3.entries,
+            2 * t1.entries,
+            "the old version's entries were replaced, not accumulated: the \
+             new version's thresholded ones, and one carried column each"
         );
     }
 

@@ -25,20 +25,21 @@ use crate::{ExpFinderError, GraphInfo, RegisteredDelta, UpdateReport};
 use expfinder_compress::maintain::MaintainedCompression;
 use expfinder_compress::{CompressStats, CompressedGraph, CompressionMethod};
 use expfinder_core::{MatchRelation, RankedMatch};
-use expfinder_graph::reach_index::{IndexCounters, ReachCarry};
+use expfinder_graph::reach_index::{self, IndexCounters, ReachCarry};
 use expfinder_graph::{DiGraph, EdgeUpdate, GraphView, ReachIndex};
 use expfinder_incremental::{IncrementalBoundedSim, Maintainer, RerankScratch};
 use expfinder_pattern::Pattern;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// What reads build lazily for one graph version and then share: the
 /// reach indexes over the snapshot's graph and over the quotient (entries
 /// fill on first use). One value describes exactly one version, so
 /// nothing in it is ever stale. A publish at a new version starts a new
-/// one whose graph index holds the previous version's bounded entries,
-/// repaired update by update by the writer ([`ReachCarry`]), and whose
+/// one whose graph index is empty but holds the writer's [`ReachCarry`]
+/// — the bounded distance columns readers swept at earlier versions,
+/// repaired update by update, which its readers threshold — and whose
 /// quotient index is empty; a publish that rebuilt or dropped the
 /// quotient swaps in an empty quotient index, which can happen without a
 /// version bump.
@@ -252,10 +253,12 @@ pub struct MaintainedGraph {
     /// What every registered query's batch end searches and ranks with.
     rerank: RerankScratch,
     /// The graph reach index of the snapshot this graph last published,
-    /// which readers fill; the next batch carries its bounded entries.
+    /// which readers fill; the next batch carries its bounded sweeps.
     reach: Option<Arc<ReachIndex>>,
-    /// Those entries, repaired after every update until the next publish.
-    carry: ReachCarry,
+    /// Their distance columns, repaired after every update, and shared
+    /// with every graph index this graph publishes for its readers to
+    /// threshold while the columns describe that index's version.
+    carry: Arc<Mutex<ReachCarry>>,
     unpublished: Unpublished,
 }
 
@@ -267,7 +270,7 @@ impl MaintainedGraph {
             registered: BTreeMap::new(),
             rerank: RerankScratch::default(),
             reach: None,
-            carry: ReachCarry::default(),
+            carry: Arc::default(),
             unpublished: Unpublished::Nothing,
         }
     }
@@ -307,12 +310,14 @@ impl MaintainedGraph {
             })
             .collect();
         let version = self.graph.version();
+        // held for the batch: a reader that finds it held sweeps instead
+        let mut carry = reach_index::lock(&self.carry);
         match &self.reach {
             // the last published index, with whatever readers filled in
-            Some(reach) if reach.version() == version => self.carry.begin(reach),
+            Some(reach) if reach.version() == version => carry.begin(reach),
             // a batch before this one was not published yet: go on with it
-            _ if self.carry.version() == Some(version) => {}
-            _ => self.carry.clear(),
+            _ if carry.version() == Some(version) => {}
+            _ => carry.clear(),
         }
         let mut applied = 0usize;
         for &up in updates {
@@ -320,7 +325,7 @@ impl MaintainedGraph {
                 continue;
             }
             applied += 1;
-            self.carry.on_update(&self.graph, up);
+            carry.on_update(&self.graph, up);
             if let Some(mc) = self.compressed.as_mut() {
                 mc.on_update(&self.graph, up);
             }
@@ -332,6 +337,7 @@ impl MaintainedGraph {
                 }
             }
         }
+        drop(carry);
         for rq in self.registered.values_mut() {
             rq.maintainer.end_batch(&self.graph, &mut self.rerank);
         }
@@ -411,8 +417,8 @@ impl MaintainedGraph {
 
     /// Swap a fresh immutable snapshot into `slot` — the one publish rule
     /// of both facades. A new graph version gets a new [`Derived`], whose
-    /// graph index starts with the entries the batch carried and
-    /// repaired; an unchanged one keeps the previous snapshot's
+    /// graph index starts empty and thresholds the columns the batch
+    /// carried and repaired; an unchanged one keeps the previous snapshot's
     /// (registered set changed) or only swaps its quotient reach index
     /// (quotient built, rebuilt or dropped); and when nothing changed at
     /// all, nothing is published. Publishing costs `O(|ΔG|)`, not `O(|G|)`: the
@@ -433,7 +439,8 @@ impl MaintainedGraph {
             Some(Arc::new(mc.compressed().clone()))
         };
         let (derived, compressed) = if prev.version() != version {
-            let reach = self.carry.successor(version, &prev.derived.reach);
+            let counters = Arc::clone(prev.derived.reach.counters());
+            let reach = ReachIndex::carried(version, counters, Arc::clone(&self.carry));
             (Arc::new(Derived::new(reach)), quotient())
         } else {
             match unpublished {
@@ -568,5 +575,61 @@ mod tests {
 
         // O(Δ): every snapshot shared its untouched chunks with the owner
         assert!(applied > 0 && newest.graph().chunk_copies() <= 2 * applied);
+    }
+
+    /// A reader holding a version the writer has moved past sweeps its
+    /// own graph: the carried column of its key describes a later version
+    /// and must not answer it. On 0(A) → 1(C) → 2(B) a read of
+    /// `A -(≤2)-> B` leaves `B`'s backward column; the held version still
+    /// has 1 → 2, which the next batch deletes, so a threshold of the
+    /// moved column would drop `C -(≤1)-> B`'s one match.
+    #[test]
+    fn a_held_version_sweeps_once_the_carry_moved_past_it() {
+        use expfinder_core::naive::naive_bounded_simulation;
+        use expfinder_core::{bounded_simulation_indexed, EvalOptions, EvalScratch};
+        use expfinder_graph::NodeId;
+        let mut g = DiGraph::new();
+        for label in ["A", "C", "B", "A"] {
+            g.add_node(label, []);
+        }
+        g.add_edge(NodeId(0), NodeId(1));
+        g.add_edge(NodeId(1), NodeId(2));
+        let star = |from: &str, b| {
+            PatternBuilder::new()
+                .node_output("x", Predicate::label(from))
+                .node("y", Predicate::label("B"))
+                .edge("x", "y", Bound::hops(b))
+                .build()
+                .unwrap()
+        };
+        let engine = ExpFinder::default();
+        let h = engine.add_graph("g", g).unwrap();
+        engine.query(&h, &QuerySpec::pattern(star("A", 2))).unwrap();
+        let insert = EdgeUpdate::Insert(NodeId(3), NodeId(1));
+        engine.apply_updates(&h, &[insert]).unwrap();
+        let held = engine.latest(&h).unwrap();
+        engine
+            .apply_updates(&h, &[EdgeUpdate::Delete(NodeId(1), NodeId(2))])
+            .unwrap();
+
+        let counters = engine.read_path().index_counters();
+        let (built, carried) = (counters.get("built"), counters.get("carried"));
+        let q = star("C", 1);
+        let index = held.derived.reach.bind(held.graph());
+        let mut scratch = EvalScratch::new();
+        let (got, _) =
+            bounded_simulation_indexed(held.graph(), &q, EvalOptions, &mut scratch, Some(&index));
+        assert_eq!(got, naive_bounded_simulation(held.graph(), &q));
+        assert!(!got.is_empty(), "the held version still has 1 → 2");
+        assert_eq!(counters.get("built"), built + 1, "the held reader swept");
+        assert_eq!(counters.get("carried"), carried);
+
+        // the latest version's reader thresholds the same key
+        let latest = engine.latest(&h).unwrap();
+        let index = latest.derived.reach.bind(latest.graph());
+        let (got, _) =
+            bounded_simulation_indexed(latest.graph(), &q, EvalOptions, &mut scratch, Some(&index));
+        assert_eq!(got, naive_bounded_simulation(latest.graph(), &q));
+        assert_eq!(counters.get("carried"), carried + 1);
     }
 }

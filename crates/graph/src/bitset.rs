@@ -40,6 +40,21 @@ impl BitSet {
         s
     }
 
+    /// The set of ids `0..len` whose bits `words` sets (bit `i % 64` of
+    /// word `i / 64`); bits at or beyond `len` are dropped. Panics unless
+    /// there are `len.div_ceil(64)` words.
+    pub fn from_words(len: usize, words: Vec<u64>) -> Self {
+        assert_eq!(words.len(), len.div_ceil(WORD_BITS), "word count");
+        let mut s = BitSet {
+            words,
+            len,
+            count: 0,
+        };
+        s.trim_tail();
+        s.count = s.words.iter().map(|w| w.count_ones() as usize).sum();
+        s
+    }
+
     fn trim_tail(&mut self) {
         let tail = self.len % WORD_BITS;
         if tail != 0 {

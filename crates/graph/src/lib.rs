@@ -25,9 +25,9 @@
 //! * [`ReachIndex`] — a per-version class-reachability memo (entries
 //!   keyed by `(class, bound, direction)`, built by pure bitset sweeps)
 //!   that lets the matching fixpoints skip class-seeded first-refresh
-//!   BFS runs entirely; its bounded label-class entries are carried into
-//!   the next version and repaired update by update
-//!   ([`ReachCarry`](reach_index::ReachCarry)).
+//!   BFS runs entirely; the distances of its bounded entries are carried
+//!   into the next versions as columns, repaired update by update and
+//!   thresholded by their readers ([`ReachCarry`](reach_index::ReachCarry)).
 //! * Traversals: bounded (multi-source) BFS with reusable scratch space
 //!   ([`bfs`]), its level-synchronous direction-optimizing counterpart over
 //!   bitset frontiers ([`bfs_frontier`]), Dijkstra over a flat CSR-style

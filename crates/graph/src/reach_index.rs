@@ -1,5 +1,5 @@
-//! Class-reachability index, one per graph version, whose bounded
-//! label-class entries the graph's owner carries into the next version.
+//! Class-reachability index, one per graph version, and the bounded
+//! distance columns the graph's writer carries from version to version.
 //!
 //! The matching fixpoints spend their time answering one question:
 //! *which nodes have a non-empty path of length ≤ `b` (in direction `d`)
@@ -22,20 +22,23 @@
 //! version's [`DiGraph`], so an entry never describes a
 //! graph other than the one it is consulted for.
 //!
-//! ## Carried entries
+//! ## Carried columns
 //!
-//! A bounded entry of a label class (`b` at most [`MAX_CARRIED_BOUND`])
-//! also keeps each node's capped distance `d(w)`: the length of its
-//! shortest non-empty path to (`Backward`) or from (`Forward`) the
-//! class, with `b + 1` standing for "farther". Its reach set is `{w : d(w) ≤ b}`. A version
-//! change does not drop these entries: [`ReachCarry`] takes them from
-//! the index the owner last published, repairs them after every update
-//! it applies, and hands them to the next version's index. The owner
-//! keeps the distances, one column per `(label, direction)` capped at
-//! the largest carried `b` (the other bounds' reach sets are thresholds
-//! of it, so one repair serves them all); a reach set no update of a
-//! batch flipped is shared by `Arc` with the previous version's index,
-//! and a flipped one is copied once per batch.
+//! A bounded entry (`b` at most [`MAX_CARRIED_BOUND`]) that a reader
+//! sweeps also keeps each node's capped distance `d(w)`: the length of its
+//! shortest non-empty path to (`Backward`) or from (`Forward`) the class,
+//! with `b + 1` standing for "farther". Its reach set is `{w : d(w) ≤ b}`.
+//! [`ReachCarry`] takes those distances from the index the writer last
+//! published — of label classes and condition classes alike — as one
+//! column per distinct member set and direction, capped at the largest
+//! bound read (a smaller bound's reach set is a threshold of the same
+//! column, and two conditions with the same members share it), repairs
+//! every column after each update the writer applies, and is shared with
+//! the next version's index. A reader whose key that version's index has
+//! not built yet thresholds the carried column instead of sweeping — but
+//! only when the carry still describes the reader's version and no writer
+//! holds it ([`Mutex::try_lock`]); otherwise it sweeps. So a reader never
+//! waits for the writer and never answers from another version.
 //!
 //! Write `D(w)` for 0 on the class and `d(w)` elsewhere, so that `d(t)`
 //! is `1 + min D(h)` over the nodes `h` whose edge `t → h` (seen from the
@@ -46,16 +49,26 @@
 //! ran through it lies within `b − 1` of `t`, the locality argument of
 //! `IncrementalBoundedSim` ("Locality: the affected ball"), and the
 //! repair recomputes that ball's distances from its boundary (reset and
-//! relax). Unbounded entries, entries of the other classes and the
-//! quotient's index are not carried: the next version rebuilds them on
-//! first use.
+//! relax). Both repairs serve every column of a direction in one
+//! traversal, a node's whole row at a time. Unbounded entries and the
+//! quotient's index are not carried: each version rebuilds them on first
+//! use.
+//!
+//! ## Expiry
+//!
+//! A column makes every later update pay its repair, read or not. At the
+//! start of a batch the carry drops a column once the repair visits
+//! charged to it since a reader last used it exceed the visits of the
+//! sweep that built it — the ski-rental rule, which never pays more than
+//! twice what the better choice in hindsight (keep repairing, or sweep
+//! again on the next read) would have paid. The columns also stay within
+//! [`MAX_REACH_BYTES`].
 //!
 //! The index itself does not hold the graph (entries are built against
 //! whatever [`GraphView`] the caller binds with [`ReachIndex::bind`]);
 //! the caller guarantees the binding matches [`ReachIndex::version`] —
 //! the engine's per-version snapshot is that guarantee.
 
-use crate::attrs::Sym;
 use crate::bfs::{BfsScratch, Direction};
 use crate::bfs_frontier::FrontierScratch;
 use crate::bitset::BitSet;
@@ -64,7 +77,8 @@ use crate::digraph::{Class, DiGraph, EdgeUpdate};
 use crate::memo::Memo;
 use crate::view::GraphView;
 use crate::NodeId;
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Source of class-reach sets consulted by the matching fixpoint before
 /// it falls back to a frontier BFS.
@@ -75,7 +89,7 @@ pub trait ReachProvider {
 }
 
 /// The largest bound whose entries are carried across versions: a carried
-/// entry stores its capped distances one `u8` per node, `b + 1` meaning
+/// column stores its capped distances one `u8` per node, `b + 1` meaning
 /// "farther than `b`".
 pub const MAX_CARRIED_BOUND: u32 = u8::MAX as u32 - 1;
 
@@ -123,25 +137,33 @@ type Key = (Arc<str>, u32, Direction);
 pub const MAX_REACH_ENTRIES: usize = 1024;
 
 /// Most bytes (reach sets and distances) one version's built entries
-/// keep.
+/// keep, and most bytes one graph's [`ReachCarry`] keeps.
 pub const MAX_REACH_BYTES: usize = 64 << 20;
 
-/// The entries a [`ReachCarry`] hands to an index: keys and reach sets.
-type Handed = Arc<[(Key, Arc<BitSet>)]>;
-
-/// One entry a reader built.
+/// One entry a reader built or thresholded.
 #[derive(Debug)]
 struct Entry {
     /// What the fixpoints consume.
     reach: Arc<BitSet>,
-    /// The label and capped distances of a bounded label-class key, for
-    /// the writer to carry the entry on; `None` for the other keys.
-    carry: Option<(Sym, Vec<u8>)>,
+    /// What a sweep of a bounded key leaves for the writer to carry on;
+    /// `None` for an unbounded key and for one thresholded from the
+    /// carry.
+    swept: Option<Swept>,
+}
+
+/// A bounded sweep's by-products.
+#[derive(Debug)]
+struct Swept {
+    members: Arc<BitSet>,
+    /// Capped distances, as [`class_reach_sweep`] leaves them.
+    dist: Vec<u8>,
+    /// Nodes the sweep visited.
+    visits: usize,
 }
 
 impl Entry {
     fn bytes(&self) -> usize {
-        self.reach.words().len() * 8 + self.carry.as_ref().map_or(0, |(_, d)| d.len())
+        self.reach.words().len() * 8 + self.swept.as_ref().map_or(0, |s| s.dist.len())
     }
 }
 
@@ -156,8 +178,8 @@ impl Entry {
 ///   the BFS instead (counted by the reader from its `EvalStats`);
 /// * `built` — entries built by a full [`class_reach_sweep`] (two
 ///   readers racing on one key count two);
-/// * `carried` — entries handed to a new version by
-///   [`ReachCarry::successor`], shared or repaired.
+/// * `carried` — entries a reader thresholded from the writer's carried
+///   columns ([`ReachCarry`]) instead of sweeping.
 pub type IndexCounters = Counters<4>;
 
 pub const HITS: usize = 0;
@@ -177,19 +199,18 @@ pub const fn index_counters() -> IndexCounters {
 /// one version are deterministic, so either result is the same set). The
 /// built entries are a [`Memo`] capped at [`MAX_REACH_ENTRIES`] and
 /// [`MAX_REACH_BYTES`], so a client that reads many distinct bounds
-/// costs this version sweeps, not memory. An index may also start with
-/// the entries a [`ReachCarry`] repaired.
+/// costs this version sweeps, not memory. An index the writer published
+/// also holds the writer's [`ReachCarry`], which a bounded key's first
+/// read thresholds when it can.
 #[derive(Debug)]
 pub struct ReachIndex {
     /// Graph version the entries describe; the owner's invalidation key.
     version: u64,
-    /// What a [`ReachCarry`] handed on: read without a lock, and shared
-    /// with the neighbouring versions' indexes while no batch moves it.
-    carried: Handed,
-    /// Bytes the carried entries retain, the carry's distances included.
-    carried_bytes: usize,
-    /// What readers built at this version.
+    /// What readers built or thresholded at this version.
     built: Memo<Key, Arc<Entry>>,
+    /// The columns of the graph's writer, shared by every index it
+    /// published.
+    carry: Option<Arc<Mutex<ReachCarry>>>,
     counters: Arc<IndexCounters>,
 }
 
@@ -204,10 +225,22 @@ impl ReachIndex {
     pub fn counting(version: u64, counters: Arc<IndexCounters>) -> ReachIndex {
         ReachIndex {
             version,
-            carried: Arc::new([]),
-            carried_bytes: 0,
             built: Memo::new(MAX_REACH_ENTRIES, MAX_REACH_BYTES),
+            carry: None,
             counters,
+        }
+    }
+
+    /// An empty index for `version` that counts into `counters` and
+    /// thresholds `carry`'s columns while they describe `version`.
+    pub fn carried(
+        version: u64,
+        counters: Arc<IndexCounters>,
+        carry: Arc<Mutex<ReachCarry>>,
+    ) -> ReachIndex {
+        ReachIndex {
+            carry: Some(carry),
+            ..ReachIndex::counting(version, counters)
         }
     }
 
@@ -221,18 +254,20 @@ impl ReachIndex {
         &self.counters
     }
 
-    /// Number of memoized entries.
+    /// Number of memoized entries, plus the carry's columns (it locks
+    /// the carry).
     pub fn len(&self) -> usize {
-        self.carried.len() + self.built.len()
+        self.built.len() + self.carry.as_ref().map_or(0, |c| lock(c).len())
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Bytes retained by the memoized entries: bitsets and distances.
+    /// Bytes retained by the memoized entries (bitsets and distances),
+    /// plus the carry's (it locks the carry).
     pub fn bytes(&self) -> usize {
-        self.carried_bytes + self.built.bytes()
+        self.built.bytes() + self.carry.as_ref().map_or(0, |c| lock(c).bytes())
     }
 
     /// How often this version's built entries started over.
@@ -240,12 +275,13 @@ impl ReachIndex {
         self.built.resets()
     }
 
-    /// The entry for `(class, depth, dir)`, built against `g` from the
-    /// class's members on first use. `g` **must** be the graph version
-    /// this index was created for, and `class` one of its classes (the
-    /// engine guarantees both by binding each snapshot's graph to that
-    /// snapshot's index). Only a label class's bounded entry keeps the
-    /// distances a [`ReachCarry`] needs to carry it.
+    /// The entry for `(class, depth, dir)`, built against `g` on first
+    /// use: thresholded from the carry's column if it can be, and swept
+    /// from the class's members otherwise. `g` **must** be the graph
+    /// version this index was created for, and `class` one of its classes
+    /// (the engine guarantees both by binding each snapshot's graph to
+    /// that snapshot's index). A bounded sweep keeps the distances a
+    /// [`ReachCarry`] needs to carry it.
     pub fn entry<G: GraphView>(
         &self,
         g: &G,
@@ -254,23 +290,43 @@ impl ReachIndex {
         dir: Direction,
     ) -> Arc<BitSet> {
         let key = (Arc::clone(class.key()), depth, dir);
-        if let Some((_, hit)) = self.carried.iter().find(|(k, _)| *k == key) {
-            return Arc::clone(hit);
-        }
         if let Some(hit) = self.built.get(&key) {
             return Arc::clone(&hit.reach);
         }
-        let carried = class.label().filter(|_| depth <= MAX_CARRIED_BOUND);
-        let mut reach = BitSet::new(g.node_count());
-        let mut dist = carried.map(|_| Vec::new());
-        class_reach_sweep(g, class.members(), depth, dir, &mut reach, dist.as_mut());
-        self.counters.add(BUILT, 1);
-        let built = Arc::new(Entry {
-            reach: Arc::new(reach),
-            carry: carried.zip(dist),
-        });
-        let bytes = built.bytes();
-        Arc::clone(&self.built.insert(key, built, bytes).reach)
+        let bounded = (1..=MAX_CARRIED_BOUND).contains(&depth);
+        let entry = match bounded.then(|| self.threshold(class, depth, dir)).flatten() {
+            Some(reach) => {
+                self.counters.add(CARRIED, 1);
+                Entry {
+                    reach: Arc::new(reach),
+                    swept: None,
+                }
+            }
+            None => {
+                let mut reach = BitSet::new(g.node_count());
+                let mut dist = bounded.then(Vec::new);
+                let members = class.members();
+                let visits = class_reach_sweep(g, members, depth, dir, &mut reach, dist.as_mut());
+                self.counters.add(BUILT, 1);
+                Entry {
+                    reach: Arc::new(reach),
+                    swept: dist.map(|dist| Swept {
+                        members: Arc::clone(members),
+                        dist,
+                        visits,
+                    }),
+                }
+            }
+        };
+        let bytes = entry.bytes();
+        Arc::clone(&self.built.insert(key, Arc::new(entry), bytes).reach)
+    }
+
+    /// The carry's column for the key thresholded at `depth`, if no
+    /// writer holds the carry and it describes this version.
+    fn threshold(&self, class: &Class, depth: u32, dir: Direction) -> Option<BitSet> {
+        let mut carry = self.carry.as_ref()?.try_lock().ok()?;
+        carry.threshold(self.version, class, depth, dir)
     }
 
     /// Bind the index to the graph version it was built for, yielding the
@@ -278,6 +334,18 @@ impl ReachIndex {
     pub fn bind<'a, G: GraphView>(&'a self, g: &'a G) -> BoundReachIndex<'a, G> {
         BoundReachIndex { index: self, g }
     }
+}
+
+/// `carry`, locked. If a holder panicked, a repair may have stopped
+/// half way, so the columns are dropped and the lock made usable again (a
+/// reader's `try_lock` fails on a poisoned lock, and it sweeps).
+pub fn lock(carry: &Mutex<ReachCarry>) -> MutexGuard<'_, ReachCarry> {
+    carry.lock().unwrap_or_else(|poisoned| {
+        let mut columns = poisoned.into_inner();
+        columns.clear();
+        carry.clear_poison();
+        columns
+    })
 }
 
 /// A [`ReachIndex`] paired with the graph version its entries are built
@@ -296,82 +364,97 @@ impl<G: GraphView> ReachProvider for BoundReachIndex<'_, G> {
 /// What [`ReachCarry`] did, cumulative over its life.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct CarryStats {
-    /// Entries handed to a new version as the batch found them.
-    pub shared: u64,
-    /// Entries handed to a new version after an update moved them.
-    pub repaired: u64,
-    /// Entries of a taken index that were not carried: unbounded,
-    /// bounded beyond [`MAX_CARRIED_BOUND`], or of a class other than a
-    /// label's.
-    pub dropped: u64,
+    /// Swept entries taken on: as a new column, as a new key of a column
+    /// with the same members, or as a larger bound for one.
+    pub adopted: u64,
+    /// Columns dropped because their repairs since a reader last used
+    /// them cost more than the sweep that built them.
+    pub expired: u64,
     /// Nodes the repairs visited: each node a decrease lowered, and each
-    /// node of a deletion's ball plus each one its relaxation settled.
+    /// node of a deletion's ball plus each one its relaxation scanned.
     pub repair_visits: u64,
 }
 
-/// A carried entry.
+/// One carried column: the capped distances to or from one member set.
 #[derive(Debug)]
-struct Carried {
-    key: Key,
-    /// Shared with the indexes that hold the entry; copied when a batch
-    /// first flips one of its bits.
-    reach: Arc<BitSet>,
-    /// Whether an update of the batch in progress moved one of its capped
-    /// distances.
-    moved: bool,
-}
-
-/// The carried entries of one `(label, direction)`. They differ only in
-/// `b` (and in their key's text, if two texts test the one label), so
-/// one distance column capped at their largest `b` serves them all: each
-/// reach set is `{w : d(w) ≤ b}`.
-#[derive(Debug)]
-struct Group {
-    label: Sym,
-    dir: Direction,
-    /// One more than the largest bound of `entries`.
+struct Column {
+    members: Arc<BitSet>,
+    /// The texts of the conditions with these members that readers read.
+    keys: Vec<Arc<str>>,
+    /// One more than the largest bound the column answers.
     cap: u8,
-    entries: Vec<Carried>,
+    /// The column-major copy of the distances, which readers threshold;
+    /// every repair writes it beside the node-major table.
+    dist: Vec<u8>,
+    /// Nodes the sweep that built the column visited.
+    sweep_visits: u64,
+    /// Repair visits charged to the column since a reader last used it.
+    charged: u64,
 }
 
-impl Group {
-    /// Node `v`'s distance went from `old` to `new`: flip the reach bits
-    /// it crosses and mark the entries whose capped distance moved.
-    fn moved(&mut self, v: NodeId, old: u8, new: u8) {
-        for c in &mut self.entries {
-            let cap = c.key.1 as u8 + 1;
-            if old.min(cap) == new.min(cap) {
-                continue;
-            }
-            c.moved = true;
-            if (old < cap) != (new < cap) {
-                let reach = Arc::make_mut(&mut c.reach);
-                if new < cap {
-                    reach.insert(v);
-                } else {
-                    reach.remove(v);
-                }
-            }
+impl Column {
+    /// The capped distance a path through `w` gives the node before it.
+    #[inline]
+    fn via(&self, w: NodeId, d: u8) -> u8 {
+        if self.members.contains(w) {
+            1
+        } else {
+            d.saturating_add(1).min(self.cap)
+        }
+    }
+
+    /// The radius of the ball a deletion can move: every node whose
+    /// capped path can have run through the edge.
+    #[inline]
+    fn radius(&self) -> u32 {
+        self.cap as u32 - 2
+    }
+}
+
+/// The columns of one direction, whose distances of a node sit in one
+/// row of a node-major table, so that screening an update for all of them
+/// reads the two rows of its endpoints and one traversal repairs them
+/// all.
+#[derive(Debug)]
+struct Side {
+    dir: Direction,
+    columns: Vec<Column>,
+    /// Column `c`'s distance of node `v` at `v * columns.len() + c`.
+    table: Vec<u8>,
+}
+
+impl Side {
+    fn new(dir: Direction) -> Side {
+        Side {
+            dir,
+            columns: Vec::new(),
+            table: Vec::new(),
+        }
+    }
+
+    /// Write node `v`'s distance in column `c`, in both layouts.
+    #[inline]
+    fn set(&mut self, v: NodeId, c: usize, d: u8) {
+        self.table[v.index() * self.columns.len() + c] = d;
+        self.columns[c].dist[v.index()] = d;
+    }
+
+    /// Rebuild the table from the columns' copies.
+    fn relayout(&mut self, n: usize) {
+        let stride = self.columns.len();
+        self.table.clear();
+        self.table.reserve(n * stride);
+        for v in 0..n {
+            self.table.extend(self.columns.iter().map(|c| c.dist[v]));
         }
     }
 }
 
-/// One group's distances in the node-major table.
-struct Column<'a> {
-    table: &'a mut [u8],
-    stride: usize,
-    col: usize,
-}
-
-impl Column<'_> {
-    #[inline]
-    fn get(&self, v: NodeId) -> u8 {
-        self.table[v.index() * self.stride + self.col]
-    }
-
-    #[inline]
-    fn set(&mut self, v: NodeId, d: u8) {
-        self.table[v.index() * self.stride + self.col] = d;
+/// The index of `dir`'s side.
+fn side_of(dir: Direction) -> usize {
+    match dir {
+        Direction::Forward => 0,
+        Direction::Backward => 1,
     }
 }
 
@@ -381,160 +464,216 @@ struct RepairScratch {
     ball: BfsScratch,
     /// FIFO of a decrease.
     queue: Vec<NodeId>,
-    /// Tentative distances of a deletion's ball (meaningful on the ball).
-    tentative: Vec<u8>,
-    /// Bucket queue of a deletion's relaxation, by tentative distance.
+    /// Whether a node is in `queue`.
+    queued: Vec<bool>,
+    /// The columns a deletion moves.
+    affected: Vec<usize>,
+    /// Per column of a row, the distance it passes to the nodes that read
+    /// it (`u8::MAX`: none).
+    feed: Vec<u8>,
+    /// Bucket queue of a deletion's relaxation, by distance.
     buckets: Vec<Vec<NodeId>>,
+    /// The level a deletion's relaxation last scanned a node at.
+    done: Vec<u8>,
 }
 
-/// The bounded entries of one graph's reach index, carried by the graph's
+/// The bounded columns of one graph's reach index, carried by the graph's
 /// writer from version to version: [`ReachCarry::begin`] takes the ones
-/// readers built in the index the writer last published,
+/// readers swept in the index the writer last published,
 /// [`ReachCarry::on_update`] repairs all of them after every update the
-/// writer applies, and [`ReachCarry::successor`] hands them to the new
-/// version's index. Exact: after every update each carried entry equals a
-/// fresh [`class_reach_sweep`] of the updated graph, distances included.
+/// writer applies, and each index the writer publishes holds the carry
+/// ([`ReachIndex::carried`]) for its readers to threshold. Exact: after
+/// every update each column equals a fresh [`class_reach_sweep`] of the
+/// updated graph at its bound.
 ///
-/// The distances stay with the writer (readers consume only the reach
-/// sets), one column per `(label, direction)` in a node-major table —
-/// every column's distance of a node in one row — so that screening an
-/// update for all entries reads the two rows of its endpoints, and one
-/// repair serves every bound of a label. A reach set is shared with the
-/// published indexes and copied when a batch first flips one of its bits;
-/// while a batch flips none and readers built nothing new, the next index
-/// shares the previous one's list of carried entries. One value serves
-/// one graph for its whole life, so the table and the repair scratch are
-/// allocated once.
-#[derive(Debug, Default)]
+/// One value serves one graph for its whole life, so its tables and the
+/// repair scratch are allocated once.
+#[derive(Debug)]
 pub struct ReachCarry {
-    /// The graph version the entries describe; `None` while nothing is
+    /// The graph version the columns describe; `None` while nothing is
     /// carried.
     version: Option<u64>,
-    groups: Vec<Group>,
-    /// Group `i`'s capped distance of node `v` is at
-    /// `v * groups.len() + i`.
-    table: Vec<u8>,
-    /// The entries as last handed on.
-    handed: Handed,
-    /// Entries of the taken index left behind, counted at the handoff.
-    left: u64,
+    /// Node count of that version.
+    nodes: usize,
+    /// Forward, then Backward.
+    sides: [Side; 2],
+    /// Each carried key's column within its direction's side.
+    keys: HashMap<(Arc<str>, Direction), usize>,
+    max_bytes: usize,
     scratch: RepairScratch,
     stats: CarryStats,
 }
 
+impl Default for ReachCarry {
+    fn default() -> ReachCarry {
+        ReachCarry {
+            version: None,
+            nodes: 0,
+            sides: [
+                Side::new(Direction::Forward),
+                Side::new(Direction::Backward),
+            ],
+            keys: HashMap::new(),
+            max_bytes: MAX_REACH_BYTES,
+            scratch: RepairScratch::default(),
+            stats: CarryStats::default(),
+        }
+    }
+}
+
+/// One carried column as [`ReachCarry::columns`] shows it.
+#[derive(Debug)]
+pub struct CarriedColumn<'a> {
+    pub dir: Direction,
+    /// The largest bound the column answers.
+    pub bound: u32,
+    pub members: &'a BitSet,
+    /// The copy readers threshold.
+    pub dist: &'a [u8],
+    /// The same column as the repairs read it, from the node-major table.
+    pub rows: Vec<u8>,
+}
+
 impl ReachCarry {
-    /// Carry `index`'s bounded label-class entries from its version on:
-    /// the ones this carry handed to `index` as they are, and the ones
-    /// readers built in it. If `index` is not the one this carry last handed on,
-    /// what it carried is dropped instead.
+    /// Carry `index`'s bounded columns from its version on: drop the
+    /// columns that expired, and take on what readers swept in `index`.
+    /// If the columns do not describe `index`'s version, they are dropped
+    /// first.
     pub fn begin(&mut self, index: &ReachIndex) {
         if self.version != Some(index.version) {
             self.clear();
-            self.left = index.carried.len() as u64;
-        } else {
-            self.left = 0;
-            debug_assert_eq!(self.handed.len(), index.carried.len());
+            self.version = Some(index.version);
         }
-        for c in self.groups.iter_mut().flat_map(|g| &mut g.entries) {
-            c.moved = false;
-        }
-        let mut built: Vec<(&Key, Sym, &Arc<BitSet>, &[u8])> = Vec::new();
-        let taken = |key: &Key| {
-            self.groups
-                .iter()
-                .any(|g| g.entries.iter().any(|c| c.key == *key))
-        };
-        let entries = index.built.entries();
-        for (key, e) in &entries {
-            match &e.carry {
-                None => self.left += 1,
-                // taken already by a batch that applied nothing
-                Some(_) if taken(key) => {}
-                Some((label, dist)) => built.push((key, *label, &e.reach, dist)),
+        let mut moved = self.expire();
+        let mut swept: Vec<(Key, Arc<Entry>)> = index
+            .built
+            .entries()
+            .into_iter()
+            .filter(|(_, e)| e.swept.is_some())
+            .collect();
+        // adopted in one order whatever the memo's
+        swept.sort_by_key(|((text, b, dir), _)| (Arc::clone(text), *b, side_of(*dir)));
+        for ((text, b, dir), entry) in swept {
+            let s = entry.swept.as_ref().expect("filtered");
+            if self.is_empty() {
+                self.nodes = s.dist.len();
             }
-        }
-        self.version = Some(index.version);
-        let Some(&(_, _, _, first)) = built.first() else {
-            return;
-        };
-        // one version, one graph: the same node count as the table's
-        let n = first.len();
-        let old = self.groups.len();
-        debug_assert_eq!(self.table.len(), n * old);
-        // a new group's column, or a larger cap's for an existing one,
-        // comes from the reader's distances
-        let mut sources: Vec<Option<&[u8]>> = vec![None; old];
-        for (key, label, reach, dist) in built {
-            let (b, dir) = (key.1, key.2);
-            let i = match self
-                .groups
+            debug_assert_eq!(self.nodes, s.dist.len(), "one version, one node count");
+            let i = side_of(dir);
+            let found = self.sides[i]
+                .columns
                 .iter()
-                .position(|g| (g.label, g.dir) == (label, dir))
-            {
-                Some(i) => i,
+                .position(|c| same(&c.members, &s.members));
+            let c = match found {
+                Some(c) => c,
+                None if self.bytes() + column_bytes(self.nodes) > self.max_bytes => continue,
                 None => {
-                    self.groups.push(Group {
-                        label,
-                        dir,
+                    let columns = &mut self.sides[i].columns;
+                    columns.push(Column {
+                        members: Arc::clone(&s.members),
+                        keys: Vec::new(),
                         cap: 0,
-                        entries: Vec::new(),
+                        dist: Vec::new(),
+                        sweep_visits: 0,
+                        charged: 0,
                     });
-                    sources.push(None);
-                    sources.len() - 1
+                    columns.len() - 1
                 }
             };
-            let group = &mut self.groups[i];
-            if b as u8 + 1 > group.cap {
-                group.cap = b as u8 + 1;
-                sources[i] = Some(dist);
+            let column = &mut self.sides[i].columns[c];
+            // a sweep is a use
+            column.charged = 0;
+            let raised = b as u8 + 1 > column.cap;
+            if raised {
+                column.cap = b as u8 + 1;
+                column.dist.clone_from(&s.dist);
+                column.sweep_visits = s.visits as u64;
+                moved[i] = true;
             }
-            group.entries.push(Carried {
-                key: key.clone(),
-                reach: Arc::clone(reach),
-                moved: false,
-            });
+            let named = !column.keys.contains(&text);
+            if named {
+                column.keys.push(Arc::clone(&text));
+                self.keys.insert((text, dir), c);
+            }
+            if raised || named {
+                self.stats.adopted += 1;
+            }
         }
-        if sources.iter().all(Option::is_none) {
-            return;
+        for (side, moved) in self.sides.iter_mut().zip(moved) {
+            if moved {
+                side.relayout(self.nodes);
+            }
         }
-        let stride = sources.len();
-        let mut table = Vec::with_capacity(n * stride);
-        for v in 0..n {
-            table.extend(sources.iter().enumerate().map(|(i, src)| match src {
-                Some(dist) => dist[v],
-                None => self.table[v * old + i],
-            }));
+    }
+
+    /// Drop every column whose repairs since a reader last used it cost
+    /// more than the sweep that built it; returns the sides that lost one.
+    fn expire(&mut self) -> [bool; 2] {
+        let mut moved = [false; 2];
+        for (side, moved) in self.sides.iter_mut().zip(&mut moved) {
+            let before = side.columns.len();
+            side.columns.retain(|c| c.charged <= c.sweep_visits);
+            self.stats.expired += (before - side.columns.len()) as u64;
+            *moved = side.columns.len() < before;
         }
-        self.table = table;
+        if moved.contains(&true) {
+            self.keys.clear();
+            for side in &self.sides {
+                for (c, column) in side.columns.iter().enumerate() {
+                    for key in &column.keys {
+                        self.keys.insert((Arc::clone(key), side.dir), c);
+                    }
+                }
+            }
+        }
+        moved
     }
 
     /// Carry nothing.
     pub fn clear(&mut self) {
         self.version = None;
-        self.groups.clear();
-        self.table.clear();
-        self.handed = Arc::new([]);
-        self.left = 0;
+        self.nodes = 0;
+        for side in &mut self.sides {
+            side.columns.clear();
+            side.table.clear();
+        }
+        self.keys.clear();
     }
 
-    /// The graph version the carried entries describe, if any are.
+    /// The graph version the carried columns describe, if any do.
     pub fn version(&self) -> Option<u64> {
         self.version
     }
 
-    /// The carried entries as `(label, bound, direction)`, reach set and
-    /// capped distances.
-    pub fn entries(&self) -> impl Iterator<Item = ((Sym, u32, Direction), &BitSet, Vec<u8>)> {
-        let stride = self.groups.len();
-        let columns = self.groups.iter().enumerate();
-        columns.flat_map(move |(i, g)| {
-            g.entries.iter().map(move |c| {
-                let cap = c.key.1 as u8 + 1;
-                let column = self.table.iter().skip(i).step_by(stride);
-                let key = (g.label, c.key.1, g.dir);
-                (key, &*c.reach, column.map(|&d| d.min(cap)).collect())
-            })
+    /// The carried columns.
+    pub fn columns(&self) -> impl Iterator<Item = CarriedColumn<'_>> {
+        self.sides.iter().flat_map(|side| {
+            let stride = side.columns.len();
+            side.columns
+                .iter()
+                .enumerate()
+                .map(move |(c, col)| CarriedColumn {
+                    dir: side.dir,
+                    bound: col.cap as u32 - 1,
+                    members: &col.members,
+                    dist: &col.dist,
+                    rows: side.table.iter().skip(c).step_by(stride).copied().collect(),
+                })
         })
+    }
+
+    /// Number of carried columns.
+    pub fn len(&self) -> usize {
+        self.sides.iter().map(|s| s.columns.len()).sum()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Bytes the columns retain: two layouts of each, and its member set.
+    pub fn bytes(&self) -> usize {
+        self.len() * column_bytes(self.nodes)
     }
 
     /// Cumulative counts.
@@ -542,16 +681,37 @@ impl ReachCarry {
         self.stats
     }
 
-    /// Repair every carried entry for `up`, which `g` has just applied
+    /// `class`'s column thresholded at `depth`, when the columns describe
+    /// `version` and one answers `depth` for `class`'s key: a use of the
+    /// column.
+    fn threshold(
+        &mut self,
+        version: u64,
+        class: &Class,
+        depth: u32,
+        dir: Direction,
+    ) -> Option<BitSet> {
+        if self.version != Some(version) {
+            return None;
+        }
+        let &c = self.keys.get(&(Arc::clone(class.key()), dir))?;
+        let column = &mut self.sides[side_of(dir)].columns[c];
+        if depth >= column.cap as u32 || !same(&column.members, class.members()) {
+            return None;
+        }
+        column.charged = 0;
+        Some(threshold(&column.dist, depth as u8))
+    }
+
+    /// Repair every carried column for `up`, which `g` has just applied
     /// (a no-op update must not be passed). `g` must be the graph the
-    /// entries described before it.
+    /// columns described before it.
     pub fn on_update(&mut self, g: &DiGraph, up: EdgeUpdate) {
         if self.version.is_none() {
             return;
         }
-        let stride = self.groups.len();
-        if self.table.len() != g.node_count() * stride {
-            // nodes came or went under the entries: rebuild them instead
+        if !self.is_empty() && self.nodes != g.node_count() {
+            // nodes came or went under the columns: rebuild them instead
             self.clear();
             return;
         }
@@ -559,208 +719,257 @@ impl ReachCarry {
             EdgeUpdate::Insert(x, y) => (x, y, true),
             EdgeUpdate::Delete(x, y) => (x, y, false),
         };
-        let (lx, ly) = (g.vertex(x).label(), g.vertex(y).label());
-        for (col, group) in self.groups.iter_mut().enumerate() {
-            let (label, cap) = (group.label, group.cap);
-            // `t`'s distance reads `h` across the edge, seen from the class
-            let (t, h, lh) = match group.dir {
-                Direction::Backward => (x, y, ly),
-                Direction::Forward => (y, x, lx),
-            };
-            let column = Column {
-                table: &mut self.table,
-                stride,
-                col,
-            };
-            let old = column.get(t);
-            let via_h = if lh == label {
-                1
-            } else {
-                column.get(h).saturating_add(1).min(cap)
-            };
-            // the cheap screens: most updates move no entry
-            let unmoved = if insert {
-                via_h >= old
-            } else {
-                old == cap || via_h != old
-            };
-            if unmoved {
+        for side in &mut self.sides {
+            if side.columns.is_empty() {
                 continue;
             }
-            let class = g
-                .nodes_with_label(label)
-                .expect("a carried label has a class");
+            // `t`'s distance reads `h` across the edge, seen from the class
+            let (t, h) = match side.dir {
+                Direction::Backward => (x, y),
+                Direction::Forward => (y, x),
+            };
             let visits = if insert {
-                decrease(g, class, group, column, t, via_h, &mut self.scratch)
+                lower(g, side, t, h, &mut self.scratch)
             } else {
-                reset_and_relax(g, class, group, column, t, &mut self.scratch)
+                raise(g, side, t, h, &mut self.scratch)
             };
             self.stats.repair_visits += visits as u64;
         }
         self.version = Some(g.version());
     }
-
-    /// The index for `version`, counting into `prev`'s counters: it
-    /// starts with the carried entries when they describe `version`, and
-    /// empty otherwise (and then nothing is carried any more). Its
-    /// `bytes` include the distances the carry holds for it.
-    pub fn successor(&mut self, version: u64, prev: &ReachIndex) -> ReachIndex {
-        let mut next = ReachIndex::counting(version, Arc::clone(&prev.counters));
-        if self.version != Some(version) {
-            self.clear();
-            return next;
-        }
-        let entries = || self.groups.iter().flat_map(|g| &g.entries);
-        let (count, moved) = (entries().count(), entries().filter(|c| c.moved).count());
-        self.stats.repaired += moved as u64;
-        self.stats.shared += (count - moved) as u64;
-        self.stats.dropped += std::mem::take(&mut self.left);
-        let unchanged = self.handed.len() == count
-            && self
-                .handed
-                .iter()
-                .zip(entries())
-                .all(|((_, reach), c)| Arc::ptr_eq(reach, &c.reach));
-        if !unchanged {
-            self.handed = entries()
-                .map(|c| (c.key.clone(), Arc::clone(&c.reach)))
-                .collect();
-        }
-        let n = self.table.len() / self.groups.len().max(1);
-        let set_bytes = n.div_ceil(64) * 8;
-        next.carried = Arc::clone(&self.handed);
-        next.carried_bytes = self.table.len() + count * set_bytes;
-        next.counters.add(CARRIED, count as u64);
-        next
-    }
 }
 
-/// An insertion lowered `t`'s distance to `new`: lower every distance
-/// that reads it, breadth-first from `t` (unit steps, so first reached is
-/// final).
-fn decrease<G: GraphView>(
-    g: &G,
-    class: &BitSet,
-    group: &mut Group,
-    mut column: Column<'_>,
-    t: NodeId,
-    new: u8,
-    scratch: &mut RepairScratch,
-) -> usize {
-    let (dir, cap) = (group.dir, group.cap);
-    group.moved(t, column.get(t), new);
-    column.set(t, new);
-    let queue = &mut scratch.queue;
-    queue.clear();
-    // a class member's own distance feeds nobody: they read its 0
-    if !class.contains(t) {
-        queue.push(t);
+/// Whether two member sets are one.
+fn same(a: &Arc<BitSet>, b: &Arc<BitSet>) -> bool {
+    Arc::ptr_eq(a, b) || a == b
+}
+
+/// Bytes one column of a graph of `n` nodes retains.
+fn column_bytes(n: usize) -> usize {
+    2 * n + n.div_ceil(64) * 8
+}
+
+/// The reach set `{w : dist[w] ≤ depth}`, 8 distances per step: a
+/// byte's top bit marks it at most `depth`, and one multiply gathers the
+/// 8 top bits into 8 adjacent bits.
+fn threshold(dist: &[u8], depth: u8) -> BitSet {
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    const GATHER: u64 = 0x0102_0408_1020_4080;
+    let ones = |b: u8| u64::from_ne_bytes([b; 8]);
+    // `d ≤ depth` on bytes: with `lo` the low 7 bits, `(lo | 0x80) − k`
+    // keeps its top bit exactly when `lo ≥ k`, and no byte borrows
+    let at_most = |x: u64| {
+        let (hi, lo) = (x & HIGH, (x & !HIGH) | HIGH);
+        if depth < 0x80 {
+            !((lo - ones(depth + 1)) | hi) & HIGH
+        } else {
+            let far = (lo - ones(depth - 0x7f)) & hi;
+            !far & HIGH
+        }
+    };
+    let words = dist
+        .chunks(64)
+        .map(|chunk| {
+            let mut word = 0u64;
+            for (i, bytes) in chunk.chunks(8).enumerate() {
+                let mut eight = [u8::MAX; 8];
+                eight[..bytes.len()].copy_from_slice(bytes);
+                let marks = at_most(u64::from_le_bytes(eight)) >> 7;
+                word |= (marks.wrapping_mul(GATHER) >> 56) << (8 * i);
+            }
+            word
+        })
+        .collect();
+    BitSet::from_words(dist.len(), words)
+}
+
+/// An inserted edge `t → h` (seen from the class): lower `t`'s distance
+/// in every column where the edge shortens it, then every distance that
+/// reads a lowered one, breadth-first from `t`, a row at a time.
+fn lower(g: &DiGraph, side: &mut Side, t: NodeId, h: NodeId, scratch: &mut RepairScratch) -> usize {
+    let stride = side.columns.len();
+    let (row_t, row_h) = (t.index() * stride, h.index() * stride);
+    let mut moved = false;
+    for c in 0..stride {
+        let via = side.columns[c].via(h, side.table[row_h + c]);
+        if via < side.table[row_t + c] {
+            side.set(t, c, via);
+            side.columns[c].charged += 1;
+            moved = true;
+        }
     }
+    if !moved {
+        return 0;
+    }
+    let RepairScratch {
+        queue,
+        queued,
+        feed,
+        ..
+    } = scratch;
+    if queued.len() < g.node_count() {
+        queued.resize(g.node_count(), false);
+    }
+    queue.clear();
+    queue.push(t);
+    queued[t.index()] = true;
     let mut visits = 1;
     let mut head = 0;
     while head < queue.len() {
         let u = queue[head];
         head += 1;
-        let step = column.get(u) + 1;
-        if step >= cap {
+        queued[u.index()] = false;
+        // a class member's own distance feeds nobody: they read its 0
+        let row = u.index() * stride;
+        feed.clear();
+        feed.extend(side.columns.iter().enumerate().map(|(c, col)| {
+            let step = side.table[row + c].saturating_add(1);
+            if col.members.contains(u) || step >= col.cap {
+                u8::MAX
+            } else {
+                step
+            }
+        }));
+        if feed.iter().all(|&f| f == u8::MAX) {
             continue;
         }
-        for &p in dir.neighbors(g, u) {
-            let old = column.get(p);
-            if step < old {
-                group.moved(p, old, step);
-                column.set(p, step);
-                visits += 1;
-                if !class.contains(p) {
-                    queue.push(p);
+        for &p in side.dir.neighbors(g, u) {
+            let mut lowered = false;
+            for (c, &step) in feed.iter().enumerate() {
+                if step < side.table[p.index() * stride + c] {
+                    side.set(p, c, step);
+                    side.columns[c].charged += 1;
+                    lowered = true;
                 }
+            }
+            if lowered && !queued[p.index()] {
+                queued[p.index()] = true;
+                queue.push(p);
+                visits += 1;
             }
         }
     }
     visits
 }
 
-/// A deletion took a tight neighbour of `t`. Unless another one is left,
-/// recompute the distances of `t`'s ball of radius `cap − 2` (every node
-/// whose capped path can have run through the edge) from the distances
-/// just outside it, then relax inside it by a bucket queue over
-/// `1..cap`.
-fn reset_and_relax<G: GraphView>(
-    g: &G,
-    class: &BitSet,
-    group: &mut Group,
-    mut column: Column<'_>,
-    t: NodeId,
-    scratch: &mut RepairScratch,
-) -> usize {
-    let (dir, cap) = (group.dir, group.cap);
-    // the capped distance a path through `w` gives the node before it
-    let via = |column: &Column<'_>, w: NodeId| {
-        if class.contains(w) {
-            1
-        } else {
-            column.get(w).saturating_add(1).min(cap)
-        }
-    };
-    let old = column.get(t);
-    let down = dir.opposite();
-    if down.neighbors(g, t).iter().any(|&z| via(&column, z) == old) {
-        return 0;
-    }
+/// A deleted edge `t → h` (seen from the class): in every column where
+/// `h` was `t`'s only tight neighbour, recompute the distances of `t`'s
+/// ball of the column's radius from the distances just outside it, then
+/// relax inside it by a bucket queue — one ball and one relaxation for
+/// all those columns, a row at a time.
+fn raise(g: &DiGraph, side: &mut Side, t: NodeId, h: NodeId, scratch: &mut RepairScratch) -> usize {
+    let stride = side.columns.len();
+    let (row_t, row_h) = (t.index() * stride, h.index() * stride);
+    let (dir, down) = (side.dir, side.dir.opposite());
     let RepairScratch {
         ball,
-        tentative,
+        affected,
+        feed,
         buckets,
+        done,
         ..
     } = scratch;
-    let ball = ball.ball(g, t, cap as u32 - 2, dir);
-    if tentative.len() < g.node_count() {
-        tentative.resize(g.node_count(), 0);
+    affected.clear();
+    affected.extend((0..stride).filter(|&c| {
+        let (col, old) = (&side.columns[c], side.table[row_t + c]);
+        old < col.cap && col.via(h, side.table[row_h + c]) == old
+    }));
+    // another tight neighbour keeps `t`'s distance
+    for &z in down.neighbors(g, t) {
+        if affected.is_empty() {
+            return 0;
+        }
+        let row_z = z.index() * stride;
+        affected
+            .retain(|&c| side.columns[c].via(z, side.table[row_z + c]) != side.table[row_t + c]);
     }
-    if buckets.len() <= cap as usize {
-        buckets.resize_with(cap as usize + 1, Vec::new);
+    let Some(radius) = affected.iter().map(|&c| side.columns[c].radius()).max() else {
+        return 0;
+    };
+    let top = radius as usize + 2;
+    let ball = ball.ball(g, t, radius, dir);
+    if done.len() < g.node_count() {
+        done.resize(g.node_count(), 0);
     }
-    let inside = |w: NodeId| ball.dist_of(w).is_some();
+    if buckets.len() <= top {
+        buckets.resize_with(top + 1, Vec::new);
+    }
+    let hop = |w: NodeId| ball.dist_of(w).unwrap_or(u32::MAX);
+    // reset each moved column inside its radius to what the nodes just
+    // outside give
     for &v in ball.nodes() {
-        let mut best = cap;
-        for &z in down.neighbors(g, v) {
-            if class.contains(z) {
-                best = 1;
-                break;
-            }
-            if !inside(z) {
-                best = best.min(via(&column, z));
+        done[v.index()] = 0;
+        let (hv, row) = (hop(v), v.index() * stride);
+        let mut inside = false;
+        for &c in affected.iter() {
+            if hv <= side.columns[c].radius() {
+                side.table[row + c] = side.columns[c].cap;
+                inside = true;
             }
         }
-        tentative[v.index()] = best;
-        if best < cap {
-            buckets[best as usize].push(v);
+        if !inside {
+            continue;
+        }
+        for &z in down.neighbors(g, v) {
+            let (hz, row_z) = (hop(z), z.index() * stride);
+            for &c in affected.iter() {
+                let col = &side.columns[c];
+                let r = col.radius();
+                if hv > r || (hz <= r && !col.members.contains(z)) {
+                    continue;
+                }
+                let via = col.via(z, side.table[row_z + c]);
+                side.table[row + c] = side.table[row + c].min(via);
+            }
+        }
+        for &c in affected.iter() {
+            if hv <= side.columns[c].radius() {
+                let d = side.table[row + c];
+                side.set(v, c, d);
+                side.columns[c].charged += 1;
+                if d < side.columns[c].cap {
+                    buckets[d as usize].push(v);
+                }
+            }
         }
     }
     let mut visits = ball.len();
-    for k in 1..cap {
+    for k in 1..top as u8 {
         let mut level = std::mem::take(&mut buckets[k as usize]);
         for &v in &level {
-            if tentative[v.index()] != k || class.contains(v) || k + 1 >= cap {
+            if done[v.index()] == k {
+                continue;
+            }
+            done[v.index()] = k;
+            let (hv, row) = (hop(v), v.index() * stride);
+            feed.clear();
+            feed.extend(affected.iter().map(|&c| {
+                let col = &side.columns[c];
+                let live = hv <= col.radius() && side.table[row + c] == k;
+                if live && !col.members.contains(v) && k + 1 < col.cap {
+                    k + 1
+                } else {
+                    u8::MAX
+                }
+            }));
+            if feed.iter().all(|&f| f == u8::MAX) {
                 continue;
             }
             visits += 1;
             for &p in dir.neighbors(g, v) {
-                if inside(p) && k + 1 < tentative[p.index()] {
-                    tentative[p.index()] = k + 1;
-                    buckets[k as usize + 1].push(p);
+                let hp = hop(p);
+                for (&c, &step) in affected.iter().zip(feed.iter()) {
+                    let in_ball = hp <= side.columns[c].radius();
+                    if in_ball && step < side.table[p.index() * stride + c] {
+                        side.set(p, c, step);
+                        side.columns[c].charged += 1;
+                        buckets[step as usize].push(p);
+                    }
                 }
             }
         }
         level.clear();
         buckets[k as usize] = level;
-    }
-    for &v in ball.nodes() {
-        let (old, new) = (column.get(v), tentative[v.index()]);
-        if old != new {
-            group.moved(v, old, new);
-            column.set(v, new);
-        }
     }
     visits
 }
@@ -768,10 +977,13 @@ fn reset_and_relax<G: GraphView>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attrs::Sym;
     use crate::bfs::tests::walk_reach as oracle;
     use crate::csr::CsrGraph;
+    use crate::generate::random_updates;
     use crate::generate::{erdos_renyi, NodeSpec};
     use rand::rngs::StdRng;
+    use rand::Rng;
     use rand::SeedableRng;
 
     fn n(i: u32) -> NodeId {
@@ -910,11 +1122,23 @@ mod tests {
         assert_eq!(idx.len(), spec.labels.len() * 2);
     }
 
+    /// A writer's carry, as the engine shares it with its indexes.
+    fn shared() -> Arc<Mutex<ReachCarry>> {
+        Arc::new(Mutex::new(ReachCarry::default()))
+    }
+
+    /// The index the writer holding `carry` publishes for `g` after
+    /// `prev`.
+    fn publish(g: &DiGraph, prev: &ReachIndex, carry: &Arc<Mutex<ReachCarry>>) -> ReachIndex {
+        ReachIndex::carried(g.version(), Arc::clone(prev.counters()), Arc::clone(carry))
+    }
+
     /// A class that is no label's — here every node with an even id —
-    /// gets entries like a label class, keyed by its text; only a label
-    /// class's bounded entry keeps the distances a carry needs.
+    /// gets entries like a label class, keyed by its text, and is carried
+    /// like one: two conditions whose classes have the same members share
+    /// one column, and the next version thresholds every key it answers.
     #[test]
-    fn a_condition_class_is_keyed_by_its_text_and_not_carried() {
+    fn a_condition_class_is_keyed_by_its_text_and_carried_by_its_members() {
         let g = ring5();
         let mut even = BitSet::new(5);
         for i in [0, 2, 4] {
@@ -924,21 +1148,46 @@ mod tests {
         let idx = ReachIndex::new(g.version());
         let got = idx.entry(&g, &class, 1, Direction::Backward);
         assert_eq!(*got, oracle(&g, &even, 1, Direction::Backward).0);
-        let same = Class::new("even".into(), None, Arc::new(even));
+        let same = Class::new("even".into(), None, Arc::new(even.clone()));
         assert!(Arc::ptr_eq(
             &got,
             &idx.entry(&g, &same, 1, Direction::Backward)
         ));
+        let twin = Class::new("twin".into(), None, Arc::new(even));
+        idx.entry(&g, &twin, 2, Direction::Backward);
         let label = label_class(&g, g.interner().get("x").unwrap());
         idx.entry(&g, &label, 1, Direction::Backward);
-        assert_eq!(idx.len(), 2);
-        assert_eq!(idx.bytes(), 2 * 8 + g.node_count(), "one set of distances");
+        idx.entry(&g, &label, u32::MAX, Direction::Backward);
+        assert_eq!(idx.len(), 4);
+        assert_eq!(
+            idx.bytes(),
+            4 * 8 + 3 * g.node_count(),
+            "three bounded sweeps keep distances"
+        );
 
-        let mut carry = ReachCarry::default();
-        carry.begin(&idx);
-        let next = carry.successor(g.version(), &idx);
-        assert_eq!(next.len(), 1, "the label class's entry alone is carried");
-        assert_eq!(carry.stats().dropped, 1);
+        let carry = shared();
+        lock(&carry).begin(&idx);
+        assert_eq!(lock(&carry).len(), 2, "one column per member set");
+        assert_eq!(lock(&carry).stats().adopted, 3);
+        let next = publish(&g, &idx, &carry);
+        for (class, depth) in [(&class, 2), (&twin, 1), (&label, 1)] {
+            let got = next.entry(&g, class, depth, Direction::Backward);
+            assert_eq!(
+                *got,
+                oracle(&g, class.members(), depth, Direction::Backward).0
+            );
+        }
+        assert_eq!(next.counters().get("carried"), 3);
+        assert_eq!(
+            next.counters().get("built"),
+            4,
+            "the next version swept nothing"
+        );
+        // past the column's bound, and unbounded, a reader sweeps
+        next.entry(&g, &label, 2, Direction::Backward);
+        next.entry(&g, &label, u32::MAX, Direction::Backward);
+        assert_eq!(next.counters().get("built"), 6);
+        assert_eq!(next.len(), 5 + 2, "five entries and two columns");
     }
 
     #[test]
@@ -1017,12 +1266,14 @@ mod tests {
         }
     }
 
-    /// A carried entry follows an insert that pulls a node into the ball
-    /// and a delete that takes a node's only tight successor; an entry no
-    /// update moved is handed on by `Arc`, an unbounded one is dropped,
-    /// and the counters see the one build per key and every handoff.
+    /// A carried column follows an insert that pulls a node into the ball
+    /// and a delete that takes a node's only tight successor; the next
+    /// version's reader thresholds it, an unbounded entry is swept again,
+    /// the old version's entries stay as they were, and the counters see
+    /// one build per key and every threshold. An index the carry has moved
+    /// past sweeps instead, on its own graph.
     #[test]
-    fn carried_entries_are_repaired_shared_or_dropped() {
+    fn carried_columns_follow_an_insert_and_a_delete() {
         // 0 → 1 → 2 → 3(B), and a C node 4 nobody reaches
         let mut g = DiGraph::new();
         let ids: Vec<_> = ["A", "A", "A", "B", "C"]
@@ -1034,70 +1285,193 @@ mod tests {
         }
         let class = |l: &str| label_class(&g, g.interner().get(l).unwrap());
         let (b, c) = (class("B"), class("C"));
+        let back = Direction::Backward;
         let idx = ReachIndex::new(g.version());
-        let near = idx.entry(&g, &b, 2, Direction::Backward);
+        let near = idx.entry(&g, &b, 2, back);
         assert_eq!(near.to_vec(), vec![n(1), n(2)]);
-        let quiet = idx.entry(&g, &c, 2, Direction::Backward);
-        idx.entry(&g, &b, u32::MAX, Direction::Backward);
+        let quiet = idx.entry(&g, &c, 2, back);
+        idx.entry(&g, &b, u32::MAX, back);
         assert_eq!(idx.counters().get("built"), 3);
-        let fresh = |g: &DiGraph, class: &Class, depth| {
-            let mut out = BitSet::new(g.node_count());
-            let members = class.members();
-            class_reach_sweep(g, members, depth, Direction::Backward, &mut out, None);
-            out
-        };
+        let fresh = |g: &DiGraph, class: &Class, depth| oracle(g, class.members(), depth, back).0;
 
-        let mut carry = ReachCarry::default();
-        carry.begin(&idx);
-        carry.begin(&idx); // a batch that applied nothing takes nothing twice
-                           // 0 → 2 brings 0 within two hops of 3
+        let carry = shared();
+        lock(&carry).begin(&idx);
+        lock(&carry).begin(&idx); // a batch that applied nothing takes nothing twice
+        assert_eq!(lock(&carry).stats().adopted, 2);
+        // 0 → 2 brings 0 within two hops of 3
         let up = EdgeUpdate::Insert(n(0), n(2));
         assert!(g.apply(up));
-        carry.on_update(&g, up);
+        lock(&carry).on_update(&g, up);
         // deleting 1 → 2 takes 1's only tight successor
         let up = EdgeUpdate::Delete(n(1), n(2));
         assert!(g.apply(up));
-        carry.on_update(&g, up);
-        assert_eq!(carry.version(), Some(g.version()));
-        let next = carry.successor(g.version(), &idx);
-        assert_eq!(carry.version(), Some(next.version()));
+        lock(&carry).on_update(&g, up);
+        assert_eq!(lock(&carry).version(), Some(g.version()));
+        let next = publish(&g, &idx, &carry);
 
-        let got = next.entry(&g, &b, 2, Direction::Backward);
+        let got = next.entry(&g, &b, 2, back);
         assert_eq!(*got, fresh(&g, &b, 2));
         assert_eq!(got.to_vec(), vec![n(0), n(2)]);
-        let kept = next.entry(&g, &c, 2, Direction::Backward);
-        assert!(Arc::ptr_eq(&kept, &quiet), "an unmoved entry is shared");
-        assert!(Arc::ptr_eq(
-            &idx.entry(&g, &b, 2, Direction::Backward),
-            &near
-        ));
+        assert_eq!(*next.entry(&g, &c, 2, back), *quiet);
+        assert_eq!(*next.entry(&g, &b, 1, back), fresh(&g, &b, 1));
+        assert!(Arc::ptr_eq(&idx.entry(&g, &b, 2, back), &near));
         assert_eq!(
             near.to_vec(),
             vec![n(1), n(2)],
             "the old version's entry is untouched"
         );
-        assert_eq!(next.len(), 2, "the unbounded entry was not carried");
-        let stats = carry.stats();
-        assert_eq!((stats.shared, stats.repaired, stats.dropped), (1, 1, 1));
-        assert!(stats.repair_visits > 0);
-        assert_eq!(next.counters().get("carried"), 2);
-        assert!(next.bytes() >= 2 * (8 + g.node_count()));
-        next.entry(&g, &b, u32::MAX, Direction::Backward);
+        assert!(lock(&carry).stats().repair_visits > 0);
+        assert_eq!(next.counters().get("carried"), 3);
+        assert_eq!(
+            next.counters().get("built"),
+            3,
+            "counters are shared by the line"
+        );
+        next.entry(&g, &b, u32::MAX, back);
         assert_eq!(
             next.counters().get("built"),
             4,
-            "counters are shared by the line"
+            "the unbounded entry is swept"
         );
+        assert!(next.bytes() >= 2 * 2 * g.node_count());
 
-        // a handoff that moved nothing shares the list of carried entries
-        carry.begin(&next);
-        let again = carry.successor(next.version(), &next);
-        assert!(Arc::ptr_eq(&again.carried, &next.carried));
-        assert_eq!(again.len(), 2, "the unbounded entry is not carried");
+        // the writer moves on: `next`'s readers sweep their own version
+        let held = g.clone();
+        lock(&carry).begin(&next);
+        let up = EdgeUpdate::Insert(n(3), n(4));
+        assert!(g.apply(up));
+        lock(&carry).on_update(&g, up);
+        let got = next.entry(&held, &c, 1, back);
+        assert_eq!(*got, fresh(&held, &c, 1));
+        assert_ne!(*got, fresh(&g, &c, 1), "the update moved the column");
+        assert_eq!(next.counters().get("built"), 5);
+        assert_eq!(next.counters().get("carried"), 3);
+    }
 
-        // a carry that does not describe the version hands on nothing
-        carry.begin(&next);
-        assert!(g.apply(EdgeUpdate::Insert(n(3), n(4))));
-        assert!(carry.successor(g.version(), &next).is_empty());
+    /// The ski-rental rule: a 254-bound column nobody reads is dropped
+    /// once its repairs since it was built outgrow its sweep, while one a
+    /// reader thresholds at every version stays through the same stream.
+    #[test]
+    fn an_unread_column_expires_and_a_read_one_stays() {
+        let mut rng = StdRng::seed_from_u64(77);
+        let spec = NodeSpec::uniform(2, 4);
+        let mut g = erdos_renyi(&mut rng, 60, 150, &spec);
+        let class = |l: &str| label_class(&g, g.interner().get(l).unwrap());
+        let (unread, read) = (class(&spec.labels[0]), class(&spec.labels[1]));
+        let (b, back) = (MAX_CARRIED_BOUND, Direction::Backward);
+        let mut idx = ReachIndex::new(g.version());
+        idx.entry(&g, &unread, b, back);
+        idx.entry(&g, &read, b, back);
+        let carry = shared();
+        let updates = random_updates(&mut rng, &g, 400, 0.5);
+        for batch in updates.chunks(4) {
+            let mut writer = lock(&carry);
+            writer.begin(&idx);
+            for &up in batch {
+                if g.apply(up) {
+                    writer.on_update(&g, up);
+                }
+            }
+            drop(writer);
+            idx = publish(&g, &idx, &carry);
+            let got = idx.entry(&g, &read, b, back);
+            assert_eq!(*got, oracle(&g, read.members(), b, back).0);
+        }
+        lock(&carry).begin(&idx);
+        let writer = lock(&carry);
+        assert_eq!(writer.stats().expired, 1);
+        let kept: Vec<_> = writer.columns().collect();
+        assert_eq!(kept.len(), 1);
+        assert_eq!(kept[0].members, &**read.members());
+        assert_eq!(
+            idx.counters().get("built"),
+            2,
+            "the read column was never swept again"
+        );
+        assert_eq!(idx.counters().get("carried"), 100);
+    }
+
+    /// The columns stay within the carry's byte cap: a swept entry whose
+    /// column would cross it is not taken on, and its key is swept at the
+    /// next version like any key nobody carries.
+    #[test]
+    fn the_columns_stay_within_the_byte_cap() {
+        let mut rng = StdRng::seed_from_u64(88);
+        let spec = NodeSpec::uniform(4, 4);
+        let g = erdos_renyi(&mut rng, 40, 120, &spec);
+        let classes: Vec<Class> = spec
+            .labels
+            .iter()
+            .map(|l| label_class(&g, g.interner().get(l).unwrap()))
+            .collect();
+        let dirs = [Direction::Forward, Direction::Backward];
+        let idx = ReachIndex::new(g.version());
+        for class in &classes {
+            for dir in dirs {
+                idx.entry(&g, class, 2, dir);
+            }
+        }
+        let carry = shared();
+        let cap = 3 * column_bytes(g.node_count());
+        lock(&carry).max_bytes = cap;
+        lock(&carry).begin(&idx);
+        assert_eq!(lock(&carry).len(), 3);
+        assert!(lock(&carry).bytes() <= cap);
+        let next = publish(&g, &idx, &carry);
+        for class in &classes {
+            for dir in dirs {
+                let got = next.entry(&g, class, 2, dir);
+                assert_eq!(*got, oracle(&g, class.members(), 2, dir).0);
+            }
+        }
+        assert_eq!(next.counters().get("carried"), 3);
+        assert_eq!(next.counters().get("built"), 8 + 5);
+    }
+
+    /// A holder that panicked may have left a repair half done: until the
+    /// next lock a reader sweeps, and that lock drops the columns and
+    /// makes the carry usable again.
+    #[test]
+    fn a_poisoned_carry_drops_its_columns() {
+        let g = ring5();
+        let class = label_class(&g, g.interner().get("x").unwrap());
+        let back = Direction::Backward;
+        let idx = ReachIndex::new(g.version());
+        idx.entry(&g, &class, 2, back);
+        let carry = shared();
+        lock(&carry).begin(&idx);
+        let next = publish(&g, &idx, &carry);
+        let failed = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = carry.lock();
+                panic!("a repair failed");
+            })
+            .join()
+        });
+        assert!(failed.is_err() && carry.is_poisoned());
+        let got = next.entry(&g, &class, 1, back);
+        assert_eq!(*got, oracle(&g, class.members(), 1, back).0);
+        assert_eq!(next.counters().get("carried"), 0, "the reader swept");
+        assert!(lock(&carry).is_empty());
+        assert!(!carry.is_poisoned());
+    }
+
+    /// Thresholding 8 distances per step marks exactly the nodes at most
+    /// the bound away, at every bound and every length's tail.
+    #[test]
+    fn threshold_marks_exactly_the_distances_within_the_bound() {
+        let mut rng = StdRng::seed_from_u64(99);
+        for len in [0usize, 1, 7, 8, 9, 63, 64, 65, 200] {
+            let dist: Vec<u8> = (0..len).map(|_| rng.gen_range(0..=u8::MAX)).collect();
+            for depth in 0..=MAX_CARRIED_BOUND as u8 {
+                let mut want = BitSet::new(len);
+                for i in (0..len).filter(|&i| dist[i] <= depth) {
+                    want.insert(n(i as u32));
+                }
+                let got = threshold(&dist, depth);
+                assert_eq!(got.capacity(), len);
+                assert_eq!(got, want, "len {len} depth {depth}");
+            }
+        }
     }
 }

@@ -7,7 +7,7 @@ use expfinder_graph::dijkstra::{DijkstraScratch, WeightedArcs, UNREACHABLE};
 use expfinder_graph::reach_index::{class_reach_sweep, ReachCarry};
 use expfinder_graph::{BitSet, Class, DiGraph, EdgeUpdate, GraphView, NodeId, Quoted, ReachIndex};
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A graph's out-edges, each of weight 1, as a Dijkstra run reads them.
 struct UnitArcs<'a>(&'a DiGraph);
@@ -246,15 +246,20 @@ proptest! {
         prop_assert!(vr <= vu, "restriction increased work: {} > {}", vr, vu);
     }
 
-    /// Every carried reach-index entry stays a fresh sweep's, bitset and
-    /// distances, after every update of a random insert/delete stream,
-    /// across handoffs to new versions at random points. Self-loops and
+    /// Every carried reach-index column stays a fresh sweep's distances,
+    /// in both of its layouts, after every update of a random
+    /// insert/delete stream, and every key a reader thresholds from it at
+    /// a handoff to a new version (at random points) is a fresh sweep's
+    /// reach set. The classes are both labels' and condition classes
+    /// (`label: None`): two random member sets, and the first label's
+    /// members under a second key, which must share that label's column. Self-loops and
     /// 2-cycles let a class member's own non-empty-path membership flip.
     /// Unbounded entries are never carried.
     #[test]
     fn carried_reach_entries_equal_a_fresh_sweep(
         n in 3usize..12,
         labels in proptest::collection::vec(proptest::bool::ANY, 12),
+        subsets in proptest::collection::vec(proptest::collection::vec(proptest::bool::ANY, 12), 2),
         edges in proptest::collection::vec((0u8..12, 0u8..12, proptest::bool::ANY), 0..30),
         ops in proptest::collection::vec((proptest::bool::ANY, 0u8..12, 0u8..12, proptest::bool::ANY), 1..40),
     ) {
@@ -270,7 +275,7 @@ proptest! {
             }
         }
         // the class of each label some node carries, keyed by its test
-        let classes: Vec<Class> = ["A", "B"]
+        let mut classes: Vec<Class> = ["A", "B"]
             .iter()
             .filter_map(|l| {
                 let sym = g.interner().get(l)?;
@@ -278,51 +283,65 @@ proptest! {
                 Some(Class::new(format!("label = {}", Quoted(l)).into(), Some(sym), members))
             })
             .collect();
+        let twin = Class::new("twin".into(), None, Arc::clone(classes[0].members()));
+        classes.push(twin);
+        for (i, subset) in subsets.iter().enumerate() {
+            let mut members = BitSet::new(n);
+            for v in (0..n).filter(|&v| subset[v]) {
+                members.insert(NodeId(v as u32));
+            }
+            classes.push(Class::new(format!("c{i}").into(), None, Arc::new(members)));
+        }
+        let mut sets: Vec<&BitSet> = classes.iter().map(|c| &**c.members()).collect();
+        sets.sort_by_key(|s| s.words().to_vec());
+        sets.dedup();
+        let columns = sets.len() * 2;
         let dirs = [Direction::Forward, Direction::Backward];
         // the first version builds bound 1 only; later ones add 2 and 3,
-        // which carried bound-1 entries of the same label must absorb
+        // which raise the cap of the columns bound 1 built
         let fill = |idx: &ReachIndex, g: &DiGraph, depths: &[u32]| {
             for class in &classes {
                 for dir in dirs {
                     for &depth in depths.iter().chain(&[u32::MAX]) {
-                        idx.entry(g, class, depth, dir);
+                        let got = idx.entry(g, class, depth, dir);
+                        let want = walk_reach(g, class.members(), depth, dir);
+                        assert_eq!(*got, want, "{:?} {} {:?}", class.key(), depth, dir);
                     }
                 }
             }
         };
-        let mut bounded = classes.len() * 2;
         let mut idx = ReachIndex::new(g.version());
         fill(&idx, &g, &[1]);
-        let mut carry = ReachCarry::default();
-        carry.begin(&idx);
+        let carry = Arc::new(Mutex::new(ReachCarry::default()));
+        carry.lock().unwrap().begin(&idx);
         for &(insert, a, b, handoff) in &ops {
             let up = if insert {
                 EdgeUpdate::Insert(id(a), id(b))
             } else {
                 EdgeUpdate::Delete(id(a), id(b))
             };
+            let mut writer = carry.lock().unwrap();
             if g.apply(up) {
-                carry.on_update(&g, up);
+                writer.on_update(&g, up);
             }
-            let mut carried = 0;
-            for ((label, depth, dir), reach, dist) in carry.entries() {
-                prop_assert!(depth <= 3, "an unbounded entry was carried");
+            for column in writer.columns() {
+                prop_assert!(column.bound <= 3, "an unbounded entry was carried");
                 let mut want = BitSet::new(n);
                 let mut want_dist = Vec::new();
-                let class = g.nodes_with_label(label).unwrap();
-                class_reach_sweep(&g, class, depth, dir, &mut want, Some(&mut want_dist));
-                prop_assert_eq!(reach, &want, "{:?} after {:?}", (depth, dir), up);
-                prop_assert_eq!(&dist, &want_dist, "{:?} after {:?}", (depth, dir), up);
-                carried += 1;
+                let (depth, dir) = (column.bound, column.dir);
+                class_reach_sweep(&g, column.members, depth, dir, &mut want, Some(&mut want_dist));
+                prop_assert_eq!(column.dist, &want_dist[..], "{:?} after {:?}", (depth, dir), up);
+                prop_assert_eq!(&column.rows, &want_dist, "{:?} after {:?}", (depth, dir), up);
             }
-            prop_assert_eq!(carried, bounded);
+            prop_assert_eq!(writer.len(), columns);
+            drop(writer);
             if handoff {
-                let next = carry.successor(g.version(), &idx);
-                prop_assert_eq!(next.len(), bounded);
+                let next = ReachIndex::carried(g.version(), Arc::clone(idx.counters()), Arc::clone(&carry));
+                let carried = next.counters().get("carried");
+                fill(&next, &g, &[1, 2, 3]);
+                prop_assert!(next.counters().get("carried") > carried, "no key was thresholded");
                 idx = next;
-                fill(&idx, &g, &[1, 2, 3]);
-                bounded = classes.len() * 6;
-                carry.begin(&idx);
+                carry.lock().unwrap().begin(&idx);
             }
         }
     }

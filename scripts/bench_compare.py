@@ -21,9 +21,10 @@ field of the counters document (``BENCH_counters.json``, written by the
   ``full_rank_candidates`` a full re-rank per batch would compute, and
   the ``registered_build_visits`` of a ranked registered read (0: it
   builds nothing); and of the carried-index row of ``match_warm_index``:
-  the ``rebuild_visits`` of sweeping every carried entry again per batch,
-  and the entries handed on ``shared`` or ``repaired`` (a distance moved)
-  and ``dropped`` (unbounded). A mismatch means the benchmark
+  the ``rebuild_visits`` of sweeping every carried column again per
+  batch, the ``columns`` carried at the end, the entries readers
+  ``thresholded`` from them, and the swept entries the carry ``adopted``
+  and the columns it let expire (``expired``). A mismatch means the benchmark
   is no longer measuring the same computation.
 * **deterministic counters** (blocking beyond the threshold) —
   evaluation-work counters (``bfs_nodes_visited``, ``refreshes``,
@@ -35,7 +36,7 @@ field of the counters document (``BENCH_counters.json``, written by the
   ``search_visits`` (the nodes a batch end's search visits to find the
   candidates to re-rank) and ``walk_visits`` (the nodes its support walks
   return), and
-  the carried reach-index entries' ``repair_visits``, and the
+  the carried reach-index columns' ``repair_visits``, and the
   ``class_builds`` of ``match_warm_index``'s paths — condition classes a
   path added to the graph's class memo, 0 on every warm path — are worse
   when higher; ``index_hits``, ``refreshes_skipped`` and each ``rank``
@@ -80,9 +81,10 @@ EQUAL_KEYS = {
     "full_rank_candidates",
     "registered_build_visits",
     "rebuild_visits",
-    "shared",
-    "repaired",
-    "dropped",
+    "columns",
+    "thresholded",
+    "adopted",
+    "expired",
 }
 HIGHER_IS_WORSE = {
     "refreshes",

@@ -1652,9 +1652,9 @@ fn registered_removals_cascade_and_verification_rejects_a_tentative() {
     h.agree();
 }
 
-/// The reach index survives a version: the bounded entries a read filled
-/// are carried into the next version's index and repaired there, the
-/// unbounded one is rebuilt. Over 3 → 5 and 6 → 8 → 7, inserting 5 → 7
+/// The reach index survives a version: the bounded entry a read filled
+/// is carried as a distance column, repaired, and thresholded by the next
+/// version's read; the unbounded one is rebuilt. Over 3 → 5 and 6 → 8 → 7, inserting 5 → 7
 /// pulls 3 into the `B` class's 2-ball (and its unbounded reach), and
 /// deleting 8 → 7 takes 8's only tight successor, so 6 leaves both. An
 /// entry carried unrepaired, or a delete left unrepaired, or an unbounded
@@ -1695,10 +1695,14 @@ fn carried_reach_entries_follow_an_insert_and_a_delete() {
     assert_eq!(counts(&h), (2, 0, 2), "one bounded and one unbounded entry");
     h.update(&[EdgeUpdate::Insert(NodeId(5), NodeId(7))]);
     assert_eq!(read(&h), [vec![0, 3, 6], vec![0, 3, 6]]);
-    assert_eq!(counts(&h), (3, 1, 2), "the bounded entry carried");
+    assert_eq!(
+        counts(&h),
+        (3, 1, 3),
+        "the bounded entry thresholded, beside its carried column"
+    );
     h.update(&[EdgeUpdate::Delete(NodeId(8), NodeId(7))]);
     assert_eq!(read(&h), [vec![0, 3], vec![0, 3]]);
-    assert_eq!(counts(&h), (4, 2, 2));
+    assert_eq!(counts(&h), (4, 2, 3));
     h.agree();
 }
 
