@@ -63,7 +63,7 @@ use expfinder_core::{
 };
 use expfinder_graph::generate::random_updates;
 use expfinder_graph::json::Value;
-use expfinder_graph::reach_index::{class_reach_sweep, ReachCarry};
+use expfinder_graph::reach_index::{self, class_reach_sweep, ReachCarry};
 use expfinder_graph::{BitSet, DiGraph, GraphView};
 use expfinder_incremental::{IncrementalBoundedSim, Maintainer, RerankScratch};
 use expfinder_pattern::{Bound, Pattern, PatternBuilder, Predicate};
@@ -638,7 +638,7 @@ fn bench_carried_workload(name: &str, graph: &DiGraph) -> Value {
     let mut identical = read(&g, &idx);
     let (mut rebuild_visits, mut repair_t) = (0, Duration::ZERO);
     for batch in stream.chunks(CARRY_BATCH) {
-        let mut writer = carry.lock().expect("carry lock");
+        let mut writer = reach_index::lock(&carry);
         let (_, t) = time(|| {
             writer.begin(&idx);
             for &up in batch {
@@ -670,7 +670,7 @@ fn bench_carried_workload(name: &str, graph: &DiGraph) -> Value {
         identical,
         "{name}: a carried reach column diverged from a fresh sweep"
     );
-    let writer = carry.lock().expect("carry lock");
+    let writer = reach_index::lock(&carry);
     let (stats, columns) = (writer.stats(), writer.len());
     let thresholded = idx.counters().get("carried");
     println!(

@@ -39,7 +39,7 @@ use expfinder_graph::bfs_frontier::FrontierScratch;
 use expfinder_graph::{BitSet, CancelToken, Class, GraphView, ReachProvider};
 use expfinder_pattern::PNodeId;
 use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Stamp value meaning "this constraint has never been refreshed".
 const NEVER: u64 = u64::MAX;
@@ -429,7 +429,7 @@ impl ScratchPool {
         let scratch = self
             .slots
             .lock()
-            .unwrap_or_else(|e| e.into_inner())
+            .unwrap_or_else(PoisonError::into_inner)
             .pop()
             .unwrap_or_default();
         PooledScratch {
@@ -445,14 +445,17 @@ impl ScratchPool {
 
     /// Parked scratches currently in the pool (for tests/metrics).
     pub fn idle(&self) -> usize {
-        self.slots.lock().unwrap_or_else(|e| e.into_inner()).len()
+        self.slots
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     fn put(&self, scratch: EvalScratch) {
         if scratch.retained_bytes() > SCRATCH_RETAIN_BYTES {
             return;
         }
-        let mut slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
+        let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
         if slots.len() < self.cap {
             slots.push(scratch);
         }

@@ -86,13 +86,12 @@ use expfinder_graph::io::GraphIoError;
 use expfinder_graph::{DiGraph, EdgeUpdate};
 use expfinder_pattern::parser::ParseError;
 use expfinder_pattern::{Pattern, PatternError};
-use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
+use std::fmt;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, Mutex, PoisonError, RwLock, Weak};
 use std::time::Duration;
-use thiserror::Error;
 
 /// Engine configuration.
 ///
@@ -132,39 +131,104 @@ impl EngineConfig {
 
 /// The single error hierarchy of the public API: every layer's failure
 /// (matching, compression, pattern assembly, the DSL parser, IO) is
-/// collapsed into this enum via `#[from]` conversions.
-#[derive(Debug, Error)]
+/// collapsed into this enum via `From` conversions.
+#[derive(Debug)]
 pub enum ExpFinderError {
-    #[error("no graph named {0:?}")]
     UnknownGraph(String),
-    #[error("graph {0:?} already exists")]
     DuplicateGraph(String),
-    #[error("graph handle {0:?} is stale (the graph was removed)")]
     StaleHandle(String),
-    #[error("graph handle {0:?} belongs to a different ExpFinder instance")]
     ForeignHandle(String),
-    #[error("invalid graph name {0:?} (must be non-empty, without path separators or \"..\")")]
     InvalidGraphName(String),
-    #[error("no registered query named {0:?}")]
     UnknownQuery(String),
-    #[error("query {0:?} already registered")]
     DuplicateQuery(String),
-    #[error("match error: {0}")]
-    Match(#[from] MatchError),
-    #[error("compression error: {0}")]
-    Compress(#[from] CompressError),
-    #[error("pattern error: {0}")]
-    Pattern(#[from] PatternError),
-    #[error("pattern parse error: {0}")]
-    Parse(#[from] ParseError),
-    #[error("graph io error: {0}")]
-    GraphIo(#[from] GraphIoError),
-    #[error("io error: {0}")]
-    Io(#[from] std::io::Error),
-    #[error("storage error: {0}")]
+    Match(MatchError),
+    Compress(CompressError),
+    Pattern(PatternError),
+    Parse(ParseError),
+    GraphIo(GraphIoError),
+    Io(std::io::Error),
     Storage(String),
-    #[error("query deadline exceeded during evaluation")]
     DeadlineExceeded(EvalStats),
+}
+
+impl fmt::Display for ExpFinderError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use ExpFinderError::*;
+        match self {
+            UnknownGraph(g) => write!(f, "no graph named {g:?}"),
+            DuplicateGraph(g) => write!(f, "graph {g:?} already exists"),
+            StaleHandle(g) => write!(f, "graph handle {g:?} is stale (the graph was removed)"),
+            ForeignHandle(g) => write!(
+                f,
+                "graph handle {g:?} belongs to a different ExpFinder instance"
+            ),
+            InvalidGraphName(g) => write!(
+                f,
+                "invalid graph name {g:?} (must be non-empty, without path separators or \"..\")"
+            ),
+            UnknownQuery(q) => write!(f, "no registered query named {q:?}"),
+            DuplicateQuery(q) => write!(f, "query {q:?} already registered"),
+            Match(e) => write!(f, "match error: {e}"),
+            Compress(e) => write!(f, "compression error: {e}"),
+            Pattern(e) => write!(f, "pattern error: {e}"),
+            Parse(e) => write!(f, "pattern parse error: {e}"),
+            GraphIo(e) => write!(f, "graph io error: {e}"),
+            Io(e) => write!(f, "io error: {e}"),
+            Storage(msg) => write!(f, "storage error: {msg}"),
+            DeadlineExceeded(_) => write!(f, "query deadline exceeded during evaluation"),
+        }
+    }
+}
+
+impl std::error::Error for ExpFinderError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        use ExpFinderError::*;
+        match self {
+            Match(e) => Some(e),
+            Compress(e) => Some(e),
+            Pattern(e) => Some(e),
+            Parse(e) => Some(e),
+            GraphIo(e) => Some(e),
+            Io(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<MatchError> for ExpFinderError {
+    fn from(e: MatchError) -> Self {
+        ExpFinderError::Match(e)
+    }
+}
+
+impl From<CompressError> for ExpFinderError {
+    fn from(e: CompressError) -> Self {
+        ExpFinderError::Compress(e)
+    }
+}
+
+impl From<PatternError> for ExpFinderError {
+    fn from(e: PatternError) -> Self {
+        ExpFinderError::Pattern(e)
+    }
+}
+
+impl From<ParseError> for ExpFinderError {
+    fn from(e: ParseError) -> Self {
+        ExpFinderError::Parse(e)
+    }
+}
+
+impl From<GraphIoError> for ExpFinderError {
+    fn from(e: GraphIoError) -> Self {
+        ExpFinderError::GraphIo(e)
+    }
+}
+
+impl From<std::io::Error> for ExpFinderError {
+    fn from(e: std::io::Error) -> Self {
+        ExpFinderError::Io(e)
+    }
 }
 
 impl ExpFinderError {
@@ -468,7 +532,10 @@ impl Catalog {
     /// every committed update batch: the same ΔM report
     /// [`ExpFinder::apply_updates`] returns to its caller.
     pub fn set_update_hook(&self, hook: Option<UpdateHook>) {
-        *self.update_hook.write() = hook;
+        *self
+            .update_hook
+            .write()
+            .unwrap_or_else(PoisonError::into_inner) = hook;
     }
 
     /// The read path every query is answered through — the source of
@@ -496,7 +563,12 @@ impl Catalog {
 
     /// Look up the handle of a graph by name.
     pub fn handle(&self, name: &str) -> Result<GraphHandle, ExpFinderError> {
-        match self.graphs.read().get(name) {
+        match self
+            .graphs
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(name)
+        {
             Some(slot) => Ok(self.handle_of(slot)),
             None => Err(ExpFinderError::UnknownGraph(name.to_owned())),
         }
@@ -510,7 +582,13 @@ impl Catalog {
 
     /// Names of all managed graphs (sorted).
     pub fn graph_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.graphs.read().keys().map(|n| n.to_string()).collect();
+        let mut names: Vec<String> = self
+            .graphs
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .keys()
+            .map(|n| n.to_string())
+            .collect();
         names.sort();
         names
     }
@@ -518,7 +596,7 @@ impl Catalog {
     /// A summary of every managed graph (sorted by name) — the catalog
     /// view the serving layer exposes on `GET /graphs` and `/metrics`.
     pub fn graph_infos(&self) -> Vec<GraphInfo> {
-        let graphs = self.graphs.read();
+        let graphs = self.graphs.read().unwrap_or_else(PoisonError::into_inner);
         let mut infos: Vec<GraphInfo> = graphs
             .values()
             .map(|slot| slot.published.latest().info(&slot.name))
@@ -609,7 +687,7 @@ impl Catalog {
     /// indexes (direct and compressed) and class memos — the gauge half
     /// of the `engine.index` block of `GET /metrics`.
     pub fn index_totals(&self) -> IndexTotals {
-        let graphs = self.graphs.read();
+        let graphs = self.graphs.read().unwrap_or_else(PoisonError::into_inner);
         let latest = graphs.values().map(|slot| slot.published.latest());
         self.read.index_totals(latest)
     }
@@ -689,7 +767,7 @@ impl ExpFinder {
         op: impl FnOnce(&mut MaintainedGraph) -> Result<T, ExpFinderError>,
     ) -> Result<T, ExpFinderError> {
         let slot = self.slot(handle)?;
-        let mut core = slot.core.lock();
+        let mut core = slot.core.lock().unwrap_or_else(PoisonError::into_inner);
         let out = op(&mut core);
         core.publish(&slot.published);
         out
@@ -714,7 +792,7 @@ impl ExpFinder {
         mut core: MaintainedGraph,
     ) -> Result<GraphHandle, ExpFinderError> {
         validate_graph_name(name)?;
-        let mut graphs = self.graphs.write();
+        let mut graphs = self.graphs.write().unwrap_or_else(PoisonError::into_inner);
         if graphs.contains_key(name) {
             return Err(ExpFinderError::DuplicateGraph(name.to_owned()));
         }
@@ -737,7 +815,7 @@ impl ExpFinder {
     /// Outstanding handles to it become stale.
     pub fn remove_graph(&self, handle: &GraphHandle) -> Result<(), ExpFinderError> {
         handle.owned_by(self.engine_id)?;
-        let mut graphs = self.graphs.write();
+        let mut graphs = self.graphs.write().unwrap_or_else(PoisonError::into_inner);
         match graphs.get(handle.name()) {
             Some(slot) if slot.id == handle.id => {
                 graphs.remove(handle.name());
@@ -809,9 +887,13 @@ impl ExpFinder {
         handle: &GraphHandle,
         updates: &[EdgeUpdate],
     ) -> Result<UpdateReport, ExpFinderError> {
-        let hook = self.update_hook.read().clone();
+        let hook = self
+            .update_hook
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone();
         let slot = self.slot(handle)?;
-        let mut core = slot.core.lock();
+        let mut core = slot.core.lock().unwrap_or_else(PoisonError::into_inner);
         let report = core.apply(updates);
         // whatever the batch changed is published even when maintenance
         // failed part-way: a durable owner has already logged it
@@ -1082,11 +1164,10 @@ mod tests {
         let (e, h, f) = engine_with_fig1();
         e.register_query(&h, "team", fig1_pattern()).unwrap();
         type SeenReports = Vec<(String, u64, Vec<RegisteredDelta>)>;
-        let seen: Arc<parking_lot::Mutex<SeenReports>> =
-            Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let seen: Arc<Mutex<SeenReports>> = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&seen);
         e.set_update_hook(Some(Arc::new(move |graph: &str, report: &UpdateReport| {
-            sink.lock().push((
+            sink.lock().unwrap_or_else(PoisonError::into_inner).push((
                 graph.to_owned(),
                 report.graph_version,
                 report.registered.clone(),
@@ -1098,7 +1179,7 @@ mod tests {
         e.apply_updates(&h, &[EdgeUpdate::Delete(f.e1.0, f.e1.1)])
             .unwrap();
 
-        let frames = seen.lock().clone();
+        let frames = seen.lock().unwrap_or_else(PoisonError::into_inner).clone();
         assert_eq!(frames.len(), 2);
         assert!(frames.iter().all(|(g, _, _)| g == "fig1"));
         assert!(frames[0].1 < frames[1].1, "versions strictly ordered");
@@ -1109,7 +1190,45 @@ mod tests {
         e.set_update_hook(None);
         e.apply_updates(&h, &[EdgeUpdate::Insert(f.e1.0, f.e1.1)])
             .unwrap();
-        assert_eq!(seen.lock().len(), 2, "removed hook no longer fires");
+        assert_eq!(
+            seen.lock().unwrap_or_else(PoisonError::into_inner).len(),
+            2,
+            "removed hook no longer fires"
+        );
+    }
+
+    #[test]
+    fn a_panicking_update_hook_leaves_the_graph_writable() {
+        // the hook runs under the graph's write mutex, so its panic
+        // poisons that lock; a poisoned lock hands its data on
+        let (e, h, f) = engine_with_fig1();
+        let (x, y) = f.e1;
+        let fired = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let first = Arc::clone(&fired);
+        e.set_update_hook(Some(Arc::new(move |_: &str, _: &UpdateReport| {
+            if !first.swap(true, Ordering::SeqCst) {
+                panic!("update hook panics on its first call");
+            }
+        })));
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            e.apply_updates(&h, &[EdgeUpdate::Insert(x, y)])
+        }));
+        assert!(panicked.is_err());
+
+        let second = e.apply_updates(&h, &[EdgeUpdate::Insert(y, x)]).unwrap();
+        assert_eq!(second.applied, 1);
+        let both = e.read_graph(&h, |g| g.has_edge(x, y) && g.has_edge(y, x));
+        assert!(both.unwrap(), "both batches applied");
+        let got = e.query(&h, &QuerySpec::pattern(fig1_pattern())).unwrap();
+        assert_eq!(got.graph_version, second.graph_version);
+        let fresh = ExpFinder::default();
+        let hf = fresh.add_graph("fig1", e.snapshot(&h).unwrap()).unwrap();
+        let want = fresh
+            .query(&hf, &QuerySpec::pattern(fig1_pattern()))
+            .unwrap();
+        assert_eq!(*got.matches, *want.matches);
+        e.register_query(&h, "team", fig1_pattern()).unwrap();
+        assert_eq!(e.registered_result(&h, "team").unwrap(), want.matches);
     }
 
     #[test]
@@ -1481,25 +1600,109 @@ mod tests {
 
     #[test]
     fn http_status_mapping_is_total_and_sane() {
-        let cases: Vec<(ExpFinderError, u16)> = vec![
-            (ExpFinderError::UnknownGraph("g".into()), 404),
-            (ExpFinderError::UnknownQuery("q".into()), 404),
-            (ExpFinderError::StaleHandle("g".into()), 404),
-            (ExpFinderError::DuplicateGraph("g".into()), 409),
-            (ExpFinderError::DuplicateQuery("q".into()), 409),
-            (ExpFinderError::InvalidGraphName("a/b".into()), 400),
-            (ExpFinderError::ForeignHandle("g".into()), 500),
-            (ExpFinderError::Storage("boom".into()), 500),
-            (ExpFinderError::DeadlineExceeded(EvalStats::default()), 408),
-        ];
-        for (e, want) in cases {
-            assert_eq!(e.http_status(), want, "{e}");
-        }
-        // #[from] variants keep their class
+        use std::error::Error as _;
+        // every variant: its status, its exact message (HTTP error bodies
+        // carry it) and whether it exposes an inner `source()`
         let parse = expfinder_pattern::parser::parse("node oops").unwrap_err();
-        assert_eq!(ExpFinderError::from(parse).http_status(), 400);
-        let io = std::io::Error::other("x");
-        assert_eq!(ExpFinderError::from(io).http_status(), 500);
+        let cases: Vec<(ExpFinderError, u16, &str, bool)> = vec![
+            (
+                ExpFinderError::UnknownGraph("g".into()),
+                404,
+                "no graph named \"g\"",
+                false,
+            ),
+            (
+                ExpFinderError::UnknownQuery("q".into()),
+                404,
+                "no registered query named \"q\"",
+                false,
+            ),
+            (
+                ExpFinderError::StaleHandle("g".into()),
+                404,
+                "graph handle \"g\" is stale (the graph was removed)",
+                false,
+            ),
+            (
+                ExpFinderError::DuplicateGraph("g".into()),
+                409,
+                "graph \"g\" already exists",
+                false,
+            ),
+            (
+                ExpFinderError::DuplicateQuery("q".into()),
+                409,
+                "query \"q\" already registered",
+                false,
+            ),
+            (
+                ExpFinderError::InvalidGraphName("a/b".into()),
+                400,
+                "invalid graph name \"a/b\" (must be non-empty, without path \
+                 separators or \"..\")",
+                false,
+            ),
+            (
+                ExpFinderError::ForeignHandle("g".into()),
+                500,
+                "graph handle \"g\" belongs to a different ExpFinder instance",
+                false,
+            ),
+            (
+                ExpFinderError::Storage("boom".into()),
+                500,
+                "storage error: boom",
+                false,
+            ),
+            (
+                ExpFinderError::DeadlineExceeded(EvalStats::default()),
+                408,
+                "query deadline exceeded during evaluation",
+                false,
+            ),
+            (
+                MatchError::NoOutputNode.into(),
+                422,
+                "match error: pattern has no output node to rank",
+                true,
+            ),
+            (
+                CompressError::NonSignatureAttr("id".into()).into(),
+                422,
+                "compression error: pattern predicate uses identity attribute \"id\" \
+                 which the compressed graph does not preserve",
+                true,
+            ),
+            (
+                PatternError::EmptyPattern.into(),
+                400,
+                "pattern error: pattern has no nodes",
+                true,
+            ),
+            (
+                parse.into(),
+                400,
+                "pattern parse error: 1:10: expected ';', found end of input",
+                true,
+            ),
+            (
+                GraphIoError::Parse {
+                    line: 3,
+                    msg: "x".into(),
+                }
+                .into(),
+                400,
+                "graph io error: parse error at line 3: x",
+                true,
+            ),
+            (std::io::Error::other("x").into(), 500, "io error: x", true),
+        ];
+        assert_eq!(cases.len(), 15, "one case per variant");
+        for (e, status, msg, sourced) in cases {
+            assert_eq!(e.http_status(), status, "{e}");
+            assert_eq!(e.to_string(), msg);
+            assert_eq!(e.source().is_some(), sourced, "{e}");
+        }
     }
 
     #[test]

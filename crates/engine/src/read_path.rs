@@ -23,9 +23,8 @@ use expfinder_core::{
 use expfinder_graph::reach_index::{self, IndexCounters};
 use expfinder_graph::{Counters, GraphView};
 use expfinder_pattern::Pattern;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// `engine.eval`: the work of every direct and compressed evaluation,
@@ -255,7 +254,7 @@ impl ReadPath {
                 self.rank.add(COMPUTED, 1);
                 self.rank.add(CANDIDATES, ranking.ranked() - before.0);
                 self.rank.add(PRUNED, ranking.pruned() - before.1);
-                let mut cache = self.cache.lock();
+                let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
                 cache.put_ranked(&key, &experts, k);
                 experts
             }
@@ -307,13 +306,21 @@ impl ReadPath {
 
         if prefer == Route::Auto {
             // 1. cache
-            if let Some(hit) = self.cache.lock().get(key, top_k) {
+            if let Some(hit) = self
+                .cache
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .get(key, top_k)
+            {
                 return Ok(exact(PlanRoute::Cache, hit));
             }
             // 2. registered incremental state
             if let Some(view) = registered {
                 let matches = Arc::clone(view.matches());
-                self.cache.lock().put(key.clone(), Arc::clone(&matches));
+                self.cache
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .put(key.clone(), Arc::clone(&matches));
                 return Ok(exact(PlanRoute::Registered, (matches, None)));
             }
         }
@@ -371,7 +378,10 @@ impl ReadPath {
         self.decided(&plan);
         self.count_eval(&stats);
         let matches = Arc::new(m);
-        self.cache.lock().put(key.clone(), Arc::clone(&matches));
+        self.cache
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .put(key.clone(), Arc::clone(&matches));
         Ok(((matches, None), plan, stats))
     }
 
@@ -452,12 +462,19 @@ impl ReadPath {
 
     /// The `engine.cache` counters, as one read of them saw them.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.lock().stats().clone()
+        self.cache
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .stats()
+            .clone()
     }
 
     /// Entries currently held by the query cache.
     pub fn cache_len(&self) -> usize {
-        self.cache.lock().len()
+        self.cache
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// The `engine.eval` counters.

@@ -29,9 +29,8 @@ use expfinder_graph::reach_index::{self, IndexCounters, ReachCarry};
 use expfinder_graph::{DiGraph, EdgeUpdate, GraphView, ReachIndex};
 use expfinder_incremental::{IncrementalBoundedSim, Maintainer, RerankScratch};
 use expfinder_pattern::Pattern;
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// What reads build lazily for one graph version and then share: the
 /// reach indexes over the snapshot's graph and over the quotient (entries
@@ -210,7 +209,7 @@ impl PublishedGraph {
 
     /// The latest published snapshot.
     pub fn latest(&self) -> Arc<Snapshot> {
-        Arc::clone(&self.latest.read())
+        Arc::clone(&self.latest.read().unwrap_or_else(PoisonError::into_inner))
     }
 }
 
@@ -480,7 +479,7 @@ impl MaintainedGraph {
             compressed,
             registered,
         };
-        *slot.latest.write() = Arc::new(next);
+        *slot.latest.write().unwrap_or_else(PoisonError::into_inner) = Arc::new(next);
     }
 }
 

@@ -22,12 +22,11 @@
 //! on: run a script once armed with an empty plan to count boundaries,
 //! then crash at each one.
 
-use parking_lot::Mutex;
 use std::fs::File;
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The classes of I/O boundary the injector can interpose on.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -199,7 +198,7 @@ impl FaultInjector {
     /// Arm `plan`, resetting the boundary counters to zero so its
     /// indices are relative to this call.
     pub fn arm(&self, plan: FaultPlan) {
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         st.faults = plan.faults;
         st.writes = 0;
         st.fsyncs = 0;
@@ -213,7 +212,11 @@ impl FaultInjector {
     /// op log keep their values for post-run inspection.
     pub fn disarm(&self) {
         self.armed.store(false, Ordering::SeqCst);
-        self.state.lock().faults.clear();
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .faults
+            .clear();
     }
 
     /// Whether a plan is currently armed.
@@ -223,19 +226,26 @@ impl FaultInjector {
 
     /// Boundaries crossed since the last [`FaultInjector::arm`].
     pub fn boundaries(&self) -> u64 {
-        self.state.lock().total
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .total
     }
 
     /// The class of every boundary crossed since the last arm, in
     /// order — lets a harness target, say, exactly the write boundaries.
     pub fn op_log(&self) -> Vec<IoOp> {
-        self.state.lock().log.clone()
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .log
+            .clone()
     }
 
     /// The `engine.faults` metrics block: faults fired since creation,
     /// boundaries crossed since the last arming.
     pub fn totals(&self) -> FaultTotals {
-        let st = self.state.lock();
+        let st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         FaultTotals {
             injected: self.injected.load(Ordering::Relaxed),
             writes: st.writes,
@@ -246,7 +256,7 @@ impl FaultInjector {
 
     /// Count one boundary of class `op`; the fault to fire, if planned.
     fn fire(&self, op: IoOp) -> Option<Fault> {
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let class_idx = match op {
             IoOp::Write => {
                 st.writes += 1;

@@ -15,10 +15,9 @@ use crate::DurableExpFinder;
 use expfinder_engine::{ExpFinderError, GraphHandle, MaintainedGraph, UpdateReport};
 use expfinder_graph::{io as gio, DiGraph, EdgeUpdate};
 use expfinder_pattern::{parser, Pattern};
-use parking_lot::Mutex;
 use std::fs::File;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// What `DurableExpFinder::compact` reports back.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -235,7 +234,7 @@ pub(crate) fn add(
     name: &str,
     graph: DiGraph,
 ) -> Result<u64, ExpFinderError> {
-    let mut logs = rt.logs.write();
+    let mut logs = rt.logs.write().unwrap_or_else(PoisonError::into_inner);
     if logs.contains_key(name) {
         return Err(ExpFinderError::DuplicateGraph(name.to_owned()));
     }
@@ -274,7 +273,7 @@ pub(crate) fn add(
 /// unlink, so a re-add of the name cannot create its log in between.
 pub(crate) fn remove(rt: &DurableExpFinder, name: &str) -> Result<(), ExpFinderError> {
     let slot = rt.log_slot(name)?;
-    let mut guard = slot.lock();
+    let mut guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
     let log = guard
         .as_ref()
         .ok_or_else(|| ExpFinderError::UnknownGraph(name.to_owned()))?;
@@ -291,7 +290,7 @@ pub(crate) fn remove(rt: &DurableExpFinder, name: &str) -> Result<(), ExpFinderE
         }
         return Err(e.into());
     }
-    let mut logs = rt.logs.write();
+    let mut logs = rt.logs.write().unwrap_or_else(PoisonError::into_inner);
     let unlisted = rt.engine.remove_graph(&log.handle);
     // close the log before deleting it
     *guard = None;

@@ -80,11 +80,10 @@ use expfinder_engine::{
 };
 use expfinder_graph::{io as gio, Counters, DiGraph, EdgeUpdate};
 use expfinder_pattern::Pattern;
-use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 // ---------------------------------------------------------------------
 // WAL metrics
@@ -238,6 +237,7 @@ impl DurableExpFinder {
         let log = Some(GraphLog { handle, wal });
         self.logs
             .write()
+            .unwrap_or_else(PoisonError::into_inner)
             .insert(name.to_owned(), Arc::new(Mutex::new(log)));
         Ok(())
     }
@@ -278,7 +278,12 @@ impl DurableExpFinder {
 
     /// The named graph's entry in the log map.
     fn log_slot(&self, name: &str) -> Result<LogSlot, ExpFinderError> {
-        let slot = self.logs.read().get(name).cloned();
+        let slot = self
+            .logs
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(name)
+            .cloned();
         slot.ok_or_else(|| ExpFinderError::UnknownGraph(name.to_owned()))
     }
 
@@ -292,7 +297,7 @@ impl DurableExpFinder {
         op: impl FnOnce(&mut GraphLog) -> Result<T, ExpFinderError>,
     ) -> Result<T, ExpFinderError> {
         let slot = self.log_slot(name)?;
-        let mut log = slot.lock();
+        let mut log = slot.lock().unwrap_or_else(PoisonError::into_inner);
         op(log
             .as_mut()
             .ok_or_else(|| ExpFinderError::UnknownGraph(name.to_owned()))?)
@@ -672,8 +677,12 @@ mod tests {
         rt.set_update_hook(Some(Arc::new(move |graph: &str, report: &UpdateReport| {
             let delta = report.registered.iter().map(|d| d.delta()).sum();
             let thread = std::thread::current().id();
-            sink.lock()
-                .push((graph.to_owned(), report.graph_version, delta, thread));
+            sink.lock().unwrap_or_else(PoisonError::into_inner).push((
+                graph.to_owned(),
+                report.graph_version,
+                delta,
+                thread,
+            ));
         })));
 
         // the count-only entry point still produces frames carrying ΔM
@@ -681,7 +690,7 @@ mod tests {
             .unwrap();
         rt.apply_updates("fig1", &[EdgeUpdate::Delete(x, y)])
             .unwrap();
-        let frames = seen.lock().clone();
+        let frames = seen.lock().unwrap_or_else(PoisonError::into_inner).clone();
         assert_eq!(frames.len(), 2);
         assert!(frames[0].1 < frames[1].1, "commit order");
         assert_eq!(frames[0].2, 1);
@@ -693,7 +702,52 @@ mod tests {
         rt.set_update_hook(None);
         rt.apply_updates("fig1", &[EdgeUpdate::Insert(x, y)])
             .unwrap();
-        assert_eq!(seen.lock().len(), 2, "removed hook no longer fires");
+        assert_eq!(
+            seen.lock().unwrap_or_else(PoisonError::into_inner).len(),
+            2,
+            "removed hook no longer fires"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_panicking_update_hook_leaves_the_graph_writable() {
+        // the hook runs under the graph's log mutex and write mutex, so
+        // its panic poisons both; a poisoned lock hands its data on
+        let dir = tmpdir("hook_panic");
+        let (x, y) = collaboration_fig1().e1;
+        let rt = DurableExpFinder::open(&dir, sequential_config()).unwrap();
+        rt.add_graph("fig1", collaboration_fig1().graph).unwrap();
+        let fired = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let first = Arc::clone(&fired);
+        rt.set_update_hook(Some(Arc::new(move |_: &str, _: &UpdateReport| {
+            if !first.swap(true, std::sync::atomic::Ordering::SeqCst) {
+                panic!("update hook panics on its first call");
+            }
+        })));
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            rt.apply_updates("fig1", &[EdgeUpdate::Insert(x, y)])
+        }));
+        assert!(panicked.is_err());
+
+        let second = rt
+            .apply_updates("fig1", &[EdgeUpdate::Insert(y, x)])
+            .unwrap();
+        assert_eq!(second.applied, 1);
+        let h = rt.handle("fig1").unwrap();
+        let both = rt.read_graph(&h, |g| g.has_edge(x, y) && g.has_edge(y, x));
+        assert!(both.unwrap(), "both batches applied");
+        let got = rt.query(&h, &QuerySpec::pattern(fig1_pattern())).unwrap();
+        assert_eq!(got.graph_version, second.graph_version);
+        let fresh = ExpFinder::default();
+        let now = rt.read_graph(&h, DiGraph::clone).unwrap();
+        let hf = fresh.add_graph("fig1", now).unwrap();
+        let want = fresh
+            .query(&hf, &QuerySpec::pattern(fig1_pattern()))
+            .unwrap();
+        assert_eq!(*got.matches, *want.matches);
+        rt.register_query("fig1", "team", fig1_pattern()).unwrap();
+        assert_eq!(rt.registered_result(&h, "team").unwrap(), want.matches);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -36,9 +36,10 @@ pub(crate) enum Dispatch {
     /// Write this response; keep-alive as negotiated.
     Respond(Response),
     /// Switch the connection into subscription streaming: send the
-    /// chunked head plus `hello`, then relay frames from the hub until
-    /// the stream ends (the connection always closes afterwards).
-    Subscribe { hello: Value, sub: Subscriber },
+    /// chunked head plus the encoded `hello` line, then relay frames from
+    /// the hub until the stream ends (the connection always closes
+    /// afterwards).
+    Subscribe { hello: String, sub: Subscriber },
 }
 
 /// Resolve and handle one request. Returns the metrics key alongside the
@@ -352,7 +353,7 @@ fn subscribe(inner: &Inner, name: &str, req: &Request) -> Result<Dispatch, WireE
     let version = inner.backend.read_graph(name, |g| g.version())?;
     let sub = inner.subs.subscribe(name, filter.clone());
     let queries = filter.unwrap_or(registered);
-    let hello = wire::subscription_hello(name, version, &queries, sub.id);
+    let hello = wire::ndjson_line(&wire::subscription_hello(name, version, &queries, sub.id));
     Ok(Dispatch::Subscribe { hello, sub })
 }
 

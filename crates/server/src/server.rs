@@ -405,22 +405,16 @@ fn serve_connection(inner: &Inner, stream: TcpStream) {
 /// (`application/x-ndjson`), one JSON document per chunk. The stream
 /// holds its connection's own thread and slot, not request capacity; a
 /// client that hangs up is seen within one poll even with no frame sent.
-fn stream_subscription(
-    inner: &Inner,
-    writer: &mut TcpStream,
-    hello: &expfinder_graph::json::Value,
-    sub: Subscriber,
-) {
-    fn push(w: &mut TcpStream, frame: &expfinder_graph::json::Value) -> bool {
-        let mut line = frame.to_string_compact();
-        line.push('\n');
+fn stream_subscription(inner: &Inner, writer: &mut TcpStream, hello: &str, sub: Subscriber) {
+    use crate::wire::{ndjson_line, subscription_bye, subscription_error};
+    fn push(w: &mut TcpStream, line: &str) -> bool {
         http::write_chunk(w, line.as_bytes()).is_ok()
     }
     if http::write_chunked_head(writer, 200, "application/x-ndjson").is_ok() && push(writer, hello)
     {
         loop {
             if inner.draining() {
-                if push(writer, &crate::wire::subscription_bye("drain")) {
+                if push(writer, &ndjson_line(&subscription_bye("drain"))) {
                     let _ = http::finish_chunked(writer);
                 }
                 break;
@@ -437,7 +431,7 @@ fn stream_subscription(
                     // the hub dropped our sender: evicted as a slow
                     // consumer (buffered frames were already delivered
                     // by the recv loop above)
-                    if push(writer, &crate::wire::subscription_error("slow-consumer")) {
+                    if push(writer, &ndjson_line(&subscription_error("slow-consumer"))) {
                         let _ = http::finish_chunked(writer);
                     }
                     break;

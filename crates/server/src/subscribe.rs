@@ -4,9 +4,9 @@
 //! Every committed update batch reaches [`SubscriptionHub::publish`]
 //! (installed as the engine/runtime [`expfinder_engine::UpdateHook`] by
 //! `Server::bind`), which fans the encoded `update` frame out to
-//! every subscriber of that graph. Fan-out cost is proportional to the
-//! number of *affected* subscribers — graphs without subscribers pay one
-//! mutex acquire and an early return.
+//! every subscriber of that graph. A graph without subscribers pays one
+//! mutex acquire and a scan of the slots; the frame is encoded only for
+//! a graph that has one.
 //!
 //! Backpressure is per subscriber and never blocks the writer: each
 //! subscriber owns a **bounded** queue (`ServerConfig::subscriber_queue`
@@ -25,7 +25,7 @@ use expfinder_graph::json::Value;
 use expfinder_graph::Counters;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One live subscriber as the hub sees it.
 struct Slot {
@@ -33,15 +33,16 @@ struct Slot {
     graph: String,
     /// `None` = all registered queries; `Some` = only these names.
     filter: Option<Vec<String>>,
-    tx: SyncSender<Value>,
+    tx: SyncSender<Arc<str>>,
 }
 
 /// The receiving half handed to the connection's streaming loop.
 pub(crate) struct Subscriber {
     /// Hub-assigned id (echoed in the `hello` frame; used to deregister).
     pub(crate) id: u64,
-    /// Encoded `update` frames, pushed in commit order.
-    pub(crate) rx: Receiver<Value>,
+    /// Encoded `update` frames (newline-terminated lines), pushed in
+    /// commit order.
+    pub(crate) rx: Receiver<Arc<str>>,
 }
 
 /// Registry of all live subscriptions on one server.
@@ -69,12 +70,15 @@ impl SubscriptionHub {
     pub(crate) fn subscribe(&self, graph: &str, filter: Option<Vec<String>>) -> Subscriber {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = std::sync::mpsc::sync_channel(self.queue_capacity);
-        self.slots.lock().expect("subs lock").push(Slot {
-            id,
-            graph: graph.to_owned(),
-            filter,
-            tx,
-        });
+        self.slots
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(Slot {
+                id,
+                graph: graph.to_owned(),
+                filter,
+                tx,
+            });
         Subscriber { id, rx }
     }
 
@@ -82,7 +86,10 @@ impl SubscriptionHub {
     /// or write failure). Idempotent — the slot may already be gone if
     /// the publisher evicted it as a slow consumer.
     pub(crate) fn remove(&self, id: u64) {
-        self.slots.lock().expect("subs lock").retain(|s| s.id != id);
+        self.slots
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .retain(|s| s.id != id);
     }
 
     /// Fan one committed update batch out to every subscriber of
@@ -92,13 +99,13 @@ impl SubscriptionHub {
     /// commit order. Never blocks: a full subscriber queue evicts that
     /// subscriber instead.
     pub(crate) fn publish(&self, graph: &str, report: &UpdateReport) {
-        let mut slots = self.slots.lock().expect("subs lock");
-        if !slots.iter().any(|s| s.graph == graph) {
-            return;
-        }
-        // encode once for the common unfiltered case; filtered
-        // subscribers get the report narrowed to their query set
-        let unfiltered = wire::subscription_update_frame(report, None);
+        let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
+        // encode once, to text every unfiltered subscriber shares;
+        // filtered subscribers get the report narrowed to their query set
+        let encode = |filter: Option<&[String]>| -> Arc<str> {
+            wire::ndjson_line(&wire::subscription_update_frame(report, filter)).into()
+        };
+        let mut unfiltered = None;
         let mut evicted = 0u64;
         let mut pushed = 0u64;
         slots.retain(|slot| {
@@ -106,8 +113,8 @@ impl SubscriptionHub {
                 return true;
             }
             let frame = match &slot.filter {
-                None => unfiltered.clone(),
-                Some(keep) => wire::subscription_update_frame(report, Some(keep)),
+                None => Arc::clone(unfiltered.get_or_insert_with(|| encode(None))),
+                Some(keep) => encode(Some(keep)),
             };
             match slot.tx.try_send(frame) {
                 Ok(()) => {
@@ -128,7 +135,10 @@ impl SubscriptionHub {
 
     /// Live subscriber count (the `/metrics` gauge).
     pub(crate) fn live(&self) -> usize {
-        self.slots.lock().expect("subs lock").len()
+        self.slots
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// The `subscriptions` block of the `/metrics` document.
@@ -147,6 +157,7 @@ impl SubscriptionHub {
 mod tests {
     use super::*;
     use expfinder_engine::{RegisteredDelta, UpdateReport};
+    use expfinder_graph::json;
 
     fn report(version: u64, queries: &[(&str, usize, usize)]) -> UpdateReport {
         UpdateReport {
@@ -168,10 +179,15 @@ mod tests {
     fn publish_reaches_only_matching_graph() {
         let hub = SubscriptionHub::new(4);
         let a = hub.subscribe("a", None);
+        let also_a = hub.subscribe("a", None);
         let b = hub.subscribe("b", None);
-        assert_eq!(hub.live(), 2);
+        assert_eq!(hub.live(), 3);
         hub.publish("a", &report(3, &[("team", 1, 2)]));
-        let frame = a.rx.try_recv().unwrap();
+        let line = a.rx.try_recv().unwrap();
+        // one encode, shared by every unfiltered subscriber
+        assert!(Arc::ptr_eq(&line, &also_a.rx.try_recv().unwrap()));
+        assert!(line.ends_with('\n'));
+        let frame = json::parse(&line).unwrap();
         assert_eq!(frame.field("frame").unwrap().as_str().unwrap(), "update");
         assert_eq!(
             frame
@@ -191,7 +207,7 @@ mod tests {
         let hub = SubscriptionHub::new(4);
         let sub = hub.subscribe("g", Some(vec!["team".into()]));
         hub.publish("g", &report(2, &[("team", 1, 2), ("other", 5, 9)]));
-        let frame = sub.rx.try_recv().unwrap();
+        let frame = json::parse(&sub.rx.try_recv().unwrap()).unwrap();
         let delta = frame
             .field("report")
             .unwrap()

@@ -524,6 +524,14 @@ pub fn decode_subscribe(v: &Value) -> Result<Option<Vec<String>>, WireError> {
 // `"frame"` discriminator: `hello` (first), `update` (one per committed
 // batch), and the terminals `bye` (graceful) / `error` (abnormal).
 
+/// One frame as a stream sends it: the compact document and its
+/// terminating newline (`application/x-ndjson`), one chunk on the wire.
+pub fn ndjson_line(frame: &Value) -> String {
+    let mut line = frame.to_string_compact();
+    line.push('\n');
+    line
+}
+
 /// The `hello` frame opening every subscription stream.
 pub fn subscription_hello(graph: &str, version: u64, queries: &[String], subscriber: u64) -> Value {
     obj(vec![

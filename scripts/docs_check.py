@@ -80,6 +80,12 @@ and whose caps are what bound them — so no file under
 crates/{graph,pattern,core,compress,incremental}/src but the memo's own
 (crates/graph/src/memo.rs) may name `RwLock<`, and a hand-rolled
 `RwLock<HashMap>` memo with a policy of its own cannot come back.
+
+And one rule about the offline stand-ins: every package under vendor/
+must be named in the `[dependencies]` or `[dev-dependencies]` of the
+root package or of a crates/* manifest, so a stand-in cannot outlive
+its last user. Fewer than two vendor packages found fails too, so a
+moved directory cannot pass the rule vacuously.
 """
 
 import re
@@ -210,8 +216,8 @@ def check_route_enums(spec: str):
 
 ARCHITECTURE_SECTIONS = ["Crate map", "The read path", "The write path"]
 # CamelCase names the architecture text may use that this workspace does
-# not declare: std and vendored (`parking_lot`) types
-NOT_OURS = {"Arc", "Mutex", "OnceLock", "RwLock", "Vec"}
+# not declare: std types
+NOT_OURS = {"Arc", "Mutex", "OnceLock", "PoisonError", "RwLock", "Vec"}
 PATH = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:::[A-Za-z_][A-Za-z0-9_]*)*")
 CAMEL = re.compile(r"[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*")
 
@@ -597,6 +603,33 @@ def check_memo_home():
     return missing, checked
 
 
+VENDOR = ROOT / "vendor"
+USER_MANIFESTS = [ROOT / "Cargo.toml", *sorted(CRATES.glob("*/Cargo.toml"))]
+
+
+def check_vendor_users():
+    """`path: …` for every package under vendor/ that no manifest in
+    USER_MANIFESTS depends on, and the number of vendor packages found."""
+    used = set()
+    for manifest in USER_MANIFESTS:
+        doc = tomllib.loads(manifest.read_text())
+        for table in ("dependencies", "dev-dependencies"):
+            for key, spec in doc.get(table, {}).items():
+                used.add(spec.get("package", key) if isinstance(spec, dict) else key)
+    missing, checked = [], 0
+    for manifest in sorted(VENDOR.glob("*/Cargo.toml")):
+        checked += 1
+        name = tomllib.loads(manifest.read_text())["package"]["name"]
+        if name not in used:
+            missing.append(
+                f"{manifest.relative_to(ROOT)}: vendored `{name}` has no user in the "
+                "root package or crates/*; delete it"
+            )
+    if checked < 2:
+        missing.append(f"only {checked} vendor packages found; update scripts/docs_check.py")
+    return missing, checked
+
+
 # ("POST", ["graphs", name, "subscribe"]) — including arms wrapped over
 # lines; stop at the closing bracket of the segment list
 ARM = re.compile(r'\(\s*"(GET|POST|PUT|DELETE|PATCH)"\s*,\s*\[([^\]]*)\]\s*\)')
@@ -671,6 +704,9 @@ def main() -> int:
     memo_missing, n_memo = check_memo_home()
     for msg in memo_missing:
         print(f"docs-check: {msg}", file=sys.stderr)
+    vendor_missing, n_vendor = check_vendor_users()
+    for msg in vendor_missing:
+        print(f"docs-check: {msg}", file=sys.stderr)
     failed = [
         missing,
         variant_missing,
@@ -679,7 +715,7 @@ def main() -> int:
         target_missing,
         recipe_missing,
     ]
-    if any(failed) or path_missing or oracle_missing or memo_missing:
+    if any(failed) or path_missing or oracle_missing or memo_missing or vendor_missing:
         return 1
     print(
         f"docs-check OK: {len(routes)} routes and {n_variants} route-enum "
@@ -692,7 +728,7 @@ def main() -> int:
         f"declared in the justfile; {n_paths} module paths, all resolving "
         f"under crates/*/src; {n_release} release source files, none calling "
         f"a `core::naive` oracle; {n_memo} library source files, no memo "
-        "outside graph::memo"
+        f"outside graph::memo; {n_vendor} vendor packages, each with a user"
     )
     return 0
 
