@@ -6,13 +6,13 @@
 //! `RwLock`, the one [`ReadPath`], the update hook, and *every read* —
 //! [`Catalog::query`] and [`Catalog::query_batch`], both of which take
 //! [`QuerySpec`]s, the catalog listings and the metrics feeds.
-//! [`ExpFinder`] is a `Catalog` (it [`Deref`]s to one) plus the unlogged
-//! writes, all of them one primitive, [`ExpFinder::write`]: lock the
-//! graph's [`MaintainedGraph`], run the operation, publish the next
-//! immutable [`Snapshot`] into the graph's [`PublishedGraph`] slot. The
-//! durable runtime is built *out of* these, not beside them: it wraps an
-//! `ExpFinder`, derefs to the same `Catalog`, and exposes only writes
-//! that append to a WAL before calling `ExpFinder::write`.
+//! [`ExpFinder`] is a `Catalog` (it [`Deref`]s to one) plus the writes,
+//! all of them one primitive, [`ExpFinder::write`]: lock the graph's
+//! [`MaintainedGraph`], run the operation, publish the next immutable
+//! [`Snapshot`] into the graph's [`PublishedGraph`] slot. The durable
+//! runtime is built *out of* these, not beside them: it wraps an
+//! `ExpFinder`, derefs to the same `Catalog`, and adds its graphs with a
+//! [`WriteLog`] attached, which those same writes append to first.
 //!
 //! Everything takes `&self`, so an `Arc<ExpFinder>` can serve many
 //! threads at once: a read clones the latest snapshot `Arc` and holds no
@@ -77,7 +77,9 @@ pub mod state;
 
 pub use planner::{CandidateCost, CostInputs, CostProfile, PlanContext, PlanDecision, PlanRoute};
 pub use read_path::ReadPath;
-pub use state::{Derived, MaintainedGraph, PublishedGraph, RegisteredView, Snapshot};
+pub use state::{
+    Derived, LogRecord, MaintainedGraph, PublishedGraph, RegisteredView, Snapshot, WriteLog,
+};
 
 use expfinder_compress::{CompressError, CompressStats, CompressionMethod};
 pub use expfinder_core::CancelToken;
@@ -148,6 +150,9 @@ pub enum ExpFinderError {
     GraphIo(GraphIoError),
     Io(std::io::Error),
     Storage(String),
+    /// A crash the durable runtime's fault injector simulated: the write
+    /// stopped where the process would have died.
+    SimulatedCrash,
     DeadlineExceeded(EvalStats),
 }
 
@@ -175,6 +180,7 @@ impl fmt::Display for ExpFinderError {
             GraphIo(e) => write!(f, "graph io error: {e}"),
             Io(e) => write!(f, "io error: {e}"),
             Storage(msg) => write!(f, "storage error: {msg}"),
+            SimulatedCrash => write!(f, "simulated crash at injected I/O boundary"),
             DeadlineExceeded(_) => write!(f, "query deadline exceeded during evaluation"),
         }
     }
@@ -257,7 +263,7 @@ impl ExpFinderError {
             DeadlineExceeded(_) => 408,
             // server-side faults: cross-engine handles never come off the
             // wire, and IO/storage failures are not the client's doing
-            ForeignHandle(_) | Io(_) | Storage(_) => 500,
+            ForeignHandle(_) | Io(_) | Storage(_) | SimulatedCrash => 500,
         }
     }
 
@@ -375,8 +381,9 @@ pub struct UpdateReport {
 }
 
 /// One managed graph: its stable catalog id, the slot readers load
-/// snapshots from, and the write side that publishes into it. The mutex
-/// serializes writers of this graph only; readers never take it.
+/// snapshots from, and the write side that publishes into it (with a
+/// durable graph's log). The mutex serializes writers of this graph only;
+/// readers never take it.
 struct GraphSlot {
     id: u64,
     /// The catalog name; every handle resolved by name shares it.
@@ -456,10 +463,10 @@ impl std::fmt::Display for GraphHandle {
 /// [`ReadPath`] and the update hook. Every read of the system — by handle,
 /// on the latest published [`Snapshot`] — is a method of this type, and
 /// nothing here can change a graph. Both facades are built on it and
-/// [`Deref`] to it: [`ExpFinder`] adds the unlogged writes, the durable
-/// runtime wraps an `ExpFinder` and exposes only writes that append to its
-/// WAL first — so a durable graph is read exactly like an in-memory one and
-/// has no write that skips the log.
+/// [`Deref`] to it: [`ExpFinder`] adds the writes, the durable runtime
+/// wraps an `ExpFinder` whose graphs carry a [`WriteLog`] — so a durable
+/// graph is read exactly like an in-memory one and has no write that skips
+/// the log.
 pub struct Catalog {
     /// Process-unique id of this engine instance; handles carry it so a
     /// handle from one engine cannot address another.
@@ -758,18 +765,46 @@ impl ExpFinder {
 
     /// The one write primitive: run `op` on the handle's graph under its
     /// write mutex and publish what it changed — also when `op` fails
-    /// part-way — before the mutex is released. Every write below is this with a [`MaintainedGraph`]
-    /// method for `op`; the durable runtime calls it with the same
-    /// methods and a WAL append for their `log` argument.
+    /// part-way — before the mutex is released. Every write below is this
+    /// with a [`MaintainedGraph`] method for `op`, which appends to the
+    /// graph's [`WriteLog`], if it has one, before it changes anything; the
+    /// durable runtime's snapshot, compaction and removal run their file
+    /// I/O here too. A write that took the mutex after its graph was
+    /// removed answers [`ExpFinderError::StaleHandle`] and runs nothing.
     pub fn write<T>(
         &self,
         handle: &GraphHandle,
         op: impl FnOnce(&mut MaintainedGraph) -> Result<T, ExpFinderError>,
     ) -> Result<T, ExpFinderError> {
+        self.commit(handle, op, |_| {})
+    }
+
+    /// [`ExpFinder::write`], then `committed` on its success, still under
+    /// the write mutex.
+    fn commit<T>(
+        &self,
+        handle: &GraphHandle,
+        op: impl FnOnce(&mut MaintainedGraph) -> Result<T, ExpFinderError>,
+        committed: impl FnOnce(&T),
+    ) -> Result<T, ExpFinderError> {
         let slot = self.slot(handle)?;
         let mut core = slot.core.lock().unwrap_or_else(PoisonError::into_inner);
+        let listed = self
+            .graphs
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(handle.name())
+            .is_some_and(|now| Arc::ptr_eq(now, &slot));
+        if !listed {
+            return Err(ExpFinderError::StaleHandle(handle.name.to_string()));
+        }
         let out = op(&mut core);
+        // whatever `op` changed is published even when it failed part-way:
+        // a durable graph has already logged it
         core.publish(&slot.published);
+        if let Ok(out) = &out {
+            committed(out);
+        }
         out
     }
 
@@ -783,8 +818,9 @@ impl ExpFinder {
 
     /// [`ExpFinder::add_graph`] for a graph that already carries state:
     /// the first snapshot readers see holds `core`'s registered queries
-    /// and quotient (the durable runtime's recovery replays a WAL onto a
-    /// [`MaintainedGraph`] offline and adds the result here, published
+    /// and quotient, and its writes append to `core`'s [`WriteLog`] (the
+    /// durable runtime's recovery replays a WAL onto a [`MaintainedGraph`]
+    /// offline, attaches the log and adds the result here, published
     /// once).
     pub fn add_maintained(
         &self,
@@ -856,9 +892,7 @@ impl ExpFinder {
         query_name: &str,
         pattern: Pattern,
     ) -> Result<(), ExpFinderError> {
-        self.write(handle, |core| {
-            core.register(query_name, pattern, |_| Ok(()))
-        })
+        self.write(handle, |core| core.register(query_name, pattern))
     }
 
     /// Drop a registered query.
@@ -867,7 +901,7 @@ impl ExpFinder {
         handle: &GraphHandle,
         query_name: &str,
     ) -> Result<(), ExpFinderError> {
-        self.write(handle, |core| core.unregister(query_name, || Ok(())))
+        self.write(handle, |core| core.unregister(query_name))
     }
 
     // ------------------------------ updates ------------------------------
@@ -892,19 +926,17 @@ impl ExpFinder {
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .clone();
-        let slot = self.slot(handle)?;
-        let mut core = slot.core.lock().unwrap_or_else(PoisonError::into_inner);
-        let report = core.apply(updates);
-        // whatever the batch changed is published even when maintenance
-        // failed part-way: a durable owner has already logged it
-        core.publish(&slot.published);
-        let report = report?;
-        if let Some(hook) = &hook {
-            // still under the graph's write mutex: per-graph hook calls
-            // are totally ordered by commit
-            hook(handle.name(), &report);
-        }
-        Ok(report)
+        self.commit(
+            handle,
+            |core| core.apply(updates),
+            |report| {
+                if let Some(hook) = &hook {
+                    // still under the graph's write mutex: per-graph hook
+                    // calls are totally ordered by commit
+                    hook(handle.name(), report);
+                }
+            },
+        )
     }
 }
 
@@ -1298,7 +1330,21 @@ mod tests {
             Err(ExpFinderError::UnknownQuery(_))
         ));
         assert!(h.is_live());
+        // a writer that resolved the handle before the removal holds the
+        // graph's slot while it waits for its mutex: once it locks, the
+        // graph is unlisted, and the write runs nothing
+        let racing = e.slot(&h).unwrap();
         e.remove_graph(&h).unwrap();
+        assert!(matches!(
+            e.apply_updates(&h, &[]),
+            Err(ExpFinderError::StaleHandle(_))
+        ));
+        assert!(matches!(
+            e.register_query(&h, "q", fig1_pattern()),
+            Err(ExpFinderError::StaleHandle(_))
+        ));
+        assert!(racing.published.latest().registered_queries().is_empty());
+        drop(racing);
         assert!(!h.is_live());
         assert!(matches!(
             e.remove_graph(&h),
@@ -1696,8 +1742,14 @@ mod tests {
                 true,
             ),
             (std::io::Error::other("x").into(), 500, "io error: x", true),
+            (
+                ExpFinderError::SimulatedCrash,
+                500,
+                "simulated crash at injected I/O boundary",
+                false,
+            ),
         ];
-        assert_eq!(cases.len(), 15, "one case per variant");
+        assert_eq!(cases.len(), 16, "one case per variant");
         for (e, status, msg, sourced) in cases {
             assert_eq!(e.http_status(), status, "{e}");
             assert_eq!(e.to_string(), msg);

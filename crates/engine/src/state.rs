@@ -13,10 +13,12 @@
 //! snapshot while a batch moves neither, so a ranked read of a registered
 //! query copies a prefix of the ranking and computes nothing. The write
 //! side is reached through one function, [`ExpFinder::write`], under a
-//! per-graph mutex, on the caller's thread — the durable runtime calls it
-//! with a WAL append in front. Readers never see it: they clone the latest
-//! `Arc<Snapshot>` out of the graph's [`PublishedGraph`] slot and hold no
-//! lock while they evaluate.
+//! per-graph mutex, on the caller's thread. A durable graph carries its
+//! [`WriteLog`] in the same place: every logged method appends its
+//! [`LogRecord`] before it changes anything, under that one mutex, so the
+//! log's order is the commit order. Readers never see the write side: they
+//! clone the latest `Arc<Snapshot>` out of the graph's [`PublishedGraph`]
+//! slot and hold no lock while they evaluate.
 //!
 //! [`ExpFinder::write`]: crate::ExpFinder::write
 
@@ -241,6 +243,31 @@ enum Unpublished {
 /// Recompress when maintenance drift exceeds this factor.
 const RECOMPRESS_DRIFT: f64 = 2.0;
 
+/// One logged write of a [`MaintainedGraph`], as its [`WriteLog`] is
+/// handed it.
+#[derive(Copy, Clone, Debug)]
+pub enum LogRecord<'a> {
+    /// An edge-update batch, as submitted (no-ops included).
+    Updates(&'a [EdgeUpdate]),
+    /// A query registered under a name.
+    Register(&'a str, &'a Pattern),
+    /// A registered query dropped.
+    Unregister(&'a str),
+}
+
+/// Where a durable graph's writes are recorded before they happen: the
+/// durable runtime's write-ahead log. A [`MaintainedGraph`] without one
+/// is an in-memory graph.
+pub trait WriteLog: Send {
+    /// Record `record`. An error refuses the write it stands for, which
+    /// then changes nothing.
+    fn append(&mut self, record: LogRecord<'_>) -> Result<(), ExpFinderError>;
+
+    /// Compaction: start the log over holding exactly `live`, and return
+    /// the bytes of records it dropped.
+    fn restart(&mut self, live: &[LogRecord<'_>]) -> Result<u64, ExpFinderError>;
+}
+
 /// The write side of one graph: the authoritative mutable graph, its
 /// maintained quotient and its registered queries. Whoever owns one has
 /// exclusive access by construction (`&mut self`); what it changes
@@ -259,6 +286,8 @@ pub struct MaintainedGraph {
     /// threshold while the columns describe that index's version.
     carry: Arc<Mutex<ReachCarry>>,
     unpublished: Unpublished,
+    /// Where a durable graph's writes are appended first.
+    log: Option<Box<dyn WriteLog>>,
 }
 
 impl MaintainedGraph {
@@ -271,6 +300,7 @@ impl MaintainedGraph {
             reach: None,
             carry: Arc::default(),
             unpublished: Unpublished::Nothing,
+            log: None,
         }
     }
 
@@ -279,12 +309,31 @@ impl MaintainedGraph {
         &self.graph
     }
 
-    /// Every registered query's name and pattern, sorted by name (what
-    /// the durable runtime re-seeds a compacted log with).
-    pub fn registered_patterns(&self) -> impl Iterator<Item = (&str, &Pattern)> {
-        self.registered
+    /// Append every later write to `log` before it happens. Whatever was
+    /// done before — a recovery's replay — is not appended again.
+    pub fn attach_log(&mut self, log: Box<dyn WriteLog>) {
+        self.log = Some(log);
+    }
+
+    fn append(&mut self, record: LogRecord<'_>) -> Result<(), ExpFinderError> {
+        match &mut self.log {
+            Some(log) => log.append(record),
+            None => Ok(()),
+        }
+    }
+
+    /// Start the log over holding one register record per registered
+    /// query, sorted by name; the bytes it dropped (0 without a log).
+    pub fn restart_log(&mut self) -> Result<u64, ExpFinderError> {
+        let Some(log) = &mut self.log else {
+            return Ok(0);
+        };
+        let live: Vec<LogRecord<'_>> = self
+            .registered
             .iter()
-            .map(|(name, rq)| (&**name, &rq.pattern))
+            .map(|(name, rq)| LogRecord::Register(name, &rq.pattern))
+            .collect();
+        log.restart(&live)
     }
 
     fn note(&mut self, change: Unpublished) {
@@ -297,8 +346,10 @@ impl MaintainedGraph {
     /// every registered query: its `G_r` arcs are repaired and its moved
     /// candidates re-ranked. The report sizes every registered query's
     /// maintained result before and after (counted in place) — the ΔM
-    /// report.
+    /// report. The batch is appended to the log before any of it is
+    /// applied.
     pub fn apply(&mut self, updates: &[EdgeUpdate]) -> Result<UpdateReport, ExpFinderError> {
+        self.append(LogRecord::Updates(updates))?;
         let mut registered: Vec<RegisteredDelta> = self
             .registered
             .iter()
@@ -358,21 +409,16 @@ impl MaintainedGraph {
     }
 
     /// Register a query for incremental maintenance, seeding its
-    /// maintainer from the current graph. `log` runs after every check
-    /// has passed and before anything changes, so a durable owner can
-    /// append its WAL record there: a registration it fails leaves no
-    /// trace, one it logged cannot then be refused.
-    pub fn register(
-        &mut self,
-        query_name: &str,
-        pattern: Pattern,
-        log: impl FnOnce(&Pattern) -> Result<(), ExpFinderError>,
-    ) -> Result<(), ExpFinderError> {
+    /// maintainer from the current graph. The record is appended to the
+    /// log after every check has passed and before anything changes: a
+    /// registration the log refuses leaves no trace, one it took cannot
+    /// then be refused.
+    pub fn register(&mut self, query_name: &str, pattern: Pattern) -> Result<(), ExpFinderError> {
         if self.registered.contains_key(query_name) {
             return Err(ExpFinderError::DuplicateQuery(query_name.to_owned()));
         }
         let maintainer = IncrementalBoundedSim::new(&self.graph, &pattern);
-        log(&pattern)?;
+        self.append(LogRecord::Register(query_name, &pattern))?;
         let rq = RegisteredQuery {
             text: pattern.text().clone(),
             pattern,
@@ -384,16 +430,12 @@ impl MaintainedGraph {
         Ok(())
     }
 
-    /// Drop a registered query; `log` as in [`MaintainedGraph::register`].
-    pub fn unregister(
-        &mut self,
-        query_name: &str,
-        log: impl FnOnce() -> Result<(), ExpFinderError>,
-    ) -> Result<(), ExpFinderError> {
+    /// Drop a registered query, logged as in [`MaintainedGraph::register`].
+    pub fn unregister(&mut self, query_name: &str) -> Result<(), ExpFinderError> {
         if !self.registered.contains_key(query_name) {
             return Err(ExpFinderError::UnknownQuery(query_name.to_owned()));
         }
-        log()?;
+        self.append(LogRecord::Unregister(query_name))?;
         self.registered.remove(query_name);
         self.note(Unpublished::Views);
         Ok(())

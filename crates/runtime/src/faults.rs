@@ -14,7 +14,11 @@
 //! - simulate a crash at any boundary ([`FaultKind::Crash`]): the error
 //!   carries a [`SimulatedCrash`] marker, and the storage layer treats it
 //!   like a power cut — no self-healing runs, the torn bytes stay on
-//!   disk for *recovery* to deal with, exactly as after a real crash.
+//!   disk for *recovery* to deal with, exactly as after a real crash. The
+//!   facade reports it as [`ExpFinderError::SimulatedCrash`],
+//! - park the thread that crosses a chosen boundary until the test
+//!   [releases](FaultInjector::release) it ([`FaultPlan::park_nth`]), to
+//!   hold one operation mid-I/O while others run.
 //!
 //! Boundaries are counted per plan arming, so a scripted op sequence
 //! crosses the same numbered boundaries on every run — the property the
@@ -22,11 +26,14 @@
 //! on: run a script once armed with an empty plan to count boundaries,
 //! then crash at each one.
 
+use crate::wal::WalError;
+use expfinder_engine::ExpFinderError;
+use std::fmt::Display;
 use std::fs::File;
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// The classes of I/O boundary the injector can interpose on.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -51,6 +58,9 @@ pub enum FaultKind {
     /// storage layer must not run its error-recovery paths (a real
     /// crash would not), only restart-time recovery may repair.
     Crash,
+    /// Not a failure: the crossing thread waits until the test
+    /// [releases](FaultInjector::release) it, then performs the I/O.
+    Park,
 }
 
 /// One planned fault: fire on the `nth` matching boundary after arming.
@@ -127,19 +137,22 @@ impl FaultPlan {
         });
         self
     }
+
+    /// Park the thread that crosses the `nth` boundary of class `op`
+    /// until [`FaultInjector::release`]; it then goes on as if nothing
+    /// were planned there.
+    pub fn park_nth(self, op: IoOp, nth: u64) -> FaultPlan {
+        self.fail_nth(op, nth, FaultKind::Park)
+    }
 }
 
 /// The marker payload inside a [`FaultKind::Crash`] error.
 #[derive(Debug)]
 pub struct SimulatedCrash;
 
-/// The substring every simulated-crash error message carries, for
-/// layers that only see stringified errors (e.g. `ExpFinderError::Storage`).
-pub const CRASH_MARKER: &str = "simulated crash";
-
 impl std::fmt::Display for SimulatedCrash {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{CRASH_MARKER} at injected I/O boundary")
+        ExpFinderError::SimulatedCrash.fmt(f)
     }
 }
 
@@ -150,6 +163,26 @@ impl std::error::Error for SimulatedCrash {}
 pub fn is_simulated_crash(e: &io::Error) -> bool {
     e.get_ref()
         .is_some_and(|inner| inner.is::<SimulatedCrash>())
+}
+
+/// An I/O failure as the facade reports it: an injected crash is
+/// [`ExpFinderError::SimulatedCrash`], anything else [`ExpFinderError::Io`].
+pub(crate) fn io_error(e: io::Error) -> ExpFinderError {
+    if is_simulated_crash(&e) {
+        ExpFinderError::SimulatedCrash
+    } else {
+        ExpFinderError::Io(e)
+    }
+}
+
+/// A WAL failure as the facade reports it: an injected crash is
+/// [`ExpFinderError::SimulatedCrash`], anything else a
+/// [`ExpFinderError::Storage`] error prefixed with `context`.
+pub(crate) fn wal_error(context: impl Display, e: WalError) -> ExpFinderError {
+    match e {
+        WalError::Io(io) if is_simulated_crash(&io) => ExpFinderError::SimulatedCrash,
+        e => ExpFinderError::Storage(format!("{context}: {e}")),
+    }
 }
 
 /// Fault-injection activity — the `engine.faults` block of
@@ -172,6 +205,8 @@ pub struct FaultTotals {
 #[derive(Debug, Default)]
 struct PlanState {
     faults: Vec<Fault>,
+    /// A thread is parked at a [`FaultKind::Park`] boundary.
+    parked: bool,
     writes: u64,
     fsyncs: u64,
     renames: u64,
@@ -186,6 +221,8 @@ pub struct FaultInjector {
     armed: AtomicBool,
     injected: AtomicU64,
     state: Mutex<PlanState>,
+    /// Signalled when a thread parks and when it is released.
+    parking: Condvar,
 }
 
 impl FaultInjector {
@@ -208,8 +245,9 @@ impl FaultInjector {
         self.armed.store(true, Ordering::SeqCst);
     }
 
-    /// Disarm: hooks return to pass-through. Boundary counters and the
-    /// op log keep their values for post-run inspection.
+    /// Disarm: hooks return to pass-through, and a parked thread is
+    /// released. Boundary counters and the op log keep their values for
+    /// post-run inspection.
     pub fn disarm(&self) {
         self.armed.store(false, Ordering::SeqCst);
         self.state
@@ -217,6 +255,22 @@ impl FaultInjector {
             .unwrap_or_else(PoisonError::into_inner)
             .faults
             .clear();
+        self.release();
+    }
+
+    /// Block until a thread is parked at a
+    /// [park](FaultPlan::park_nth) boundary.
+    pub fn wait_parked(&self) {
+        let st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let parked = self.parking.wait_while(st, |st| !st.parked);
+        drop(parked.unwrap_or_else(PoisonError::into_inner));
+    }
+
+    /// Let the parked thread go on.
+    pub fn release(&self) {
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        st.parked = false;
+        self.parking.notify_all();
     }
 
     /// Whether a plan is currently armed.
@@ -255,6 +309,8 @@ impl FaultInjector {
     }
 
     /// Count one boundary of class `op`; the fault to fire, if planned.
+    /// The thread that crosses a park boundary waits here, with the
+    /// state unlocked, until it is released; nothing fires for it.
     fn fire(&self, op: IoOp) -> Option<Fault> {
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let class_idx = match op {
@@ -282,6 +338,13 @@ impl FaultInjector {
                 None => f.nth == total_idx,
             })
             .copied();
+        if hit.is_some_and(|f| f.kind == FaultKind::Park) {
+            st.parked = true;
+            self.parking.notify_all();
+            let released = self.parking.wait_while(st, |st| st.parked);
+            drop(released.unwrap_or_else(PoisonError::into_inner));
+            return None;
+        }
         if hit.is_some() {
             self.injected.fetch_add(1, Ordering::Relaxed);
         }
@@ -293,6 +356,7 @@ impl FaultInjector {
             FaultKind::Enospc => io::Error::other("injected fault: no space left on device"),
             FaultKind::Eio => io::Error::other("injected fault: input/output error"),
             FaultKind::Crash => io::Error::other(SimulatedCrash),
+            FaultKind::Park => unreachable!("a park fails no boundary"),
         }
     }
 
@@ -415,7 +479,8 @@ mod tests {
         inj.write_all(&f, b"x").unwrap();
         let err = inj.sync_all(&f).unwrap_err();
         assert!(is_simulated_crash(&err));
-        assert!(err.to_string().contains(CRASH_MARKER));
+        assert_eq!(err.to_string(), "simulated crash at injected I/O boundary");
+        assert!(matches!(io_error(err), ExpFinderError::SimulatedCrash));
         assert_eq!(inj.op_log(), vec![IoOp::Write, IoOp::Fsync]);
         let _ = std::fs::remove_file(&p);
     }

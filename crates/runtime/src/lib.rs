@@ -9,21 +9,24 @@
 //! `read_path`, the update hook — is the in-memory engine's, the same
 //! methods on the same type, not a copy that agrees by test. What this
 //! crate declares is only the writes, and every one of them is **logged
-//! before it happens**, on the caller's thread: lock the graph's log,
-//! append the operation to its WAL ([`wal`], fsync per policy), and only
-//! then call the engine's own write — `ExpFinder::apply_updates`,
-//! or `ExpFinder::write` with the same [`MaintainedGraph`] method the
-//! in-memory facade passes — which maintains, publishes and fires the
-//! update hook under the graph's write mutex exactly as it does in memory.
-//! The log mutex is taken before the engine's, so a graph's log order is
-//! its commit order. Cold start replays `<name>.wal` onto the last
-//! `<name>.efg` snapshot; compaction rewrites the snapshot and truncates
-//! the log.
+//! before it happens**, on the caller's thread. Each durable graph's
+//! [`MaintainedGraph`] carries its WAL ([`wal`]) as its
+//! [`WriteLog`](expfinder_engine::WriteLog), so a durable write *is* the
+//! engine's own write — `ExpFinder::apply_updates`, or `ExpFinder::write`
+//! with the same method the in-memory facade passes: resolve the name in
+//! the engine's catalog, take the graph's one write mutex, append the
+//! record (fsync per policy), then maintain, publish and fire the update
+//! hook exactly as in memory. One mutex per graph means a graph's log
+//! order is its commit order. Cold start replays `<name>.wal` onto the
+//! last `<name>.efg` snapshot; compaction rewrites the snapshot and
+//! truncates the log.
 //!
 //! Because the wrapped engine is never handed out, the type guarantees a
-//! durable graph has no write that skips the log; because there is no
-//! second catalog, a graph is listed exactly when the engine holds it —
-//! `add_graph` makes it durable first and inserts it last.
+//! durable graph has no write that skips the log; because the engine's
+//! catalog is the only one, a graph is listed exactly when the engine
+//! holds it — `add_graph` makes it durable first and inserts it last. One
+//! runtime mutex serialises `add_graph` and `remove_graph`, and nothing
+//! else takes it, so an add's file I/O stalls no write to another graph.
 //!
 //! The WAL is *event-sourced serving state*, not just graph history:
 //! registered queries are logged as `register`/`unregister` records and
@@ -70,8 +73,8 @@ pub use faults::{FaultInjector, FaultKind, FaultPlan, FaultTotals, IoOp};
 pub use graph_log::CompactReport;
 pub use wal::FsyncPolicy;
 
-use crate::graph_log::{GraphLog, LogSlot};
-use crate::wal::{Wal, WalOp};
+use crate::graph_log::{write_efg_atomic, GraphLog};
+use crate::wal::Wal;
 use expfinder_compress::{CompressStats, CompressionMethod};
 pub use expfinder_core::CancelToken;
 use expfinder_engine::{
@@ -80,10 +83,9 @@ use expfinder_engine::{
 };
 use expfinder_graph::{io as gio, Counters, DiGraph, EdgeUpdate};
 use expfinder_pattern::Pattern;
-use std::collections::HashMap;
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex};
 
 // ---------------------------------------------------------------------
 // WAL metrics
@@ -137,20 +139,20 @@ pub struct RuntimeConfig {
 /// The durable ExpFinder: the WAL bracket around an [`ExpFinder`]. It
 /// [`Deref`]s to the engine's [`Catalog`], so every read — `handle`,
 /// `query`, `query_batch`, `graph_infos`, `read_path`, … — *is* the
-/// in-memory one, and it declares only writes, each of which appends to
-/// the graph's log before it calls the engine's own write. The wrapped
-/// engine is never handed out. See the crate docs.
+/// in-memory one, and it declares only writes: the engine's own, on
+/// graphs whose log each of them appends to first. The wrapped engine is
+/// never handed out. See the crate docs.
 pub struct DurableExpFinder {
     engine: ExpFinder,
     /// Catalog directory holding `<name>.efg` / `<name>.wal`.
     dir: PathBuf,
     /// When every graph's WAL appends reach stable storage.
     fsync: FsyncPolicy,
-    /// Each graph's log behind its own mutex, by name. Only writes look
-    /// here — reads stay on the engine's catalog — and the lock order is
-    /// always a log mutex, then the engine's slot mutex.
-    logs: RwLock<HashMap<String, LogSlot>>,
-    wal_counters: Counters<6>,
+    /// Serialises `add_graph` and `remove_graph`, across their file I/O;
+    /// no write to an existing graph takes it.
+    catalog: Mutex<()>,
+    /// Shared with every graph's log.
+    wal_counters: Arc<Counters<6>>,
     /// The fault-injection gate every durability-critical I/O site of
     /// this runtime routes through (disarmed in production — see
     /// [`faults`]); each WAL carries its own clone.
@@ -188,8 +190,8 @@ impl DurableExpFinder {
             engine: ExpFinder::new(config.engine),
             dir,
             fsync: config.fsync,
-            logs: RwLock::new(HashMap::new()),
-            wal_counters: Counters::new(&WAL_KEYS),
+            catalog: Mutex::new(()),
+            wal_counters: Arc::new(Counters::new(&WAL_KEYS)),
             faults: FaultInjector::disarmed(),
         };
 
@@ -211,10 +213,10 @@ impl DurableExpFinder {
 
     /// Cold-start one graph: load the snapshot, replay the WAL's records
     /// — update batches *and* register/unregister records — in sequence
-    /// order onto a [`MaintainedGraph`] nobody can read yet, add it to
-    /// the engine (one publish: the first snapshot readers see already
-    /// carries the replayed graph and its registered queries), then list
-    /// its log.
+    /// order onto a [`MaintainedGraph`] nobody can read yet and that has
+    /// no log, so replay appends nothing; then attach the log and add the
+    /// graph to the engine (one publish: the first snapshot readers see
+    /// already carries the replayed graph and its registered queries).
     fn recover_graph(&self, name: &str) -> Result<(), ExpFinderError> {
         let graph = gio::load_text(self.efg_path(name))?;
         let (records, summary) = Wal::replay(self.wal_path(name))
@@ -228,17 +230,13 @@ impl DurableExpFinder {
         for (i, n) in (3..).zip(replayed) {
             self.wal_counters.add(i, n as u64);
         }
-        let wal = self.open_wal(name, records.last().map_or(0, |r| r.seq))?;
+        let log = GraphLog::open(self, name, records.last().map_or(0, |r| r.seq))?;
         let mut core = MaintainedGraph::new(graph);
         for rec in &records {
             graph_log::replay_op(&mut core, &rec.op)?;
         }
-        let handle = self.engine.add_maintained(name, core)?;
-        let log = Some(GraphLog { handle, wal });
-        self.logs
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(name.to_owned(), Arc::new(Mutex::new(log)));
+        core.attach_log(Box::new(log));
+        self.engine.add_maintained(name, core)?;
         Ok(())
     }
 
@@ -255,65 +253,16 @@ impl DurableExpFinder {
         self.dir.join(format!("{name}.wal"))
     }
 
-    /// Open (creating if missing) the named graph's log for appending
-    /// after `last_seq`.
-    fn open_wal(&self, name: &str, last_seq: u64) -> Result<Wal, ExpFinderError> {
-        let faults = Arc::clone(&self.faults);
-        Wal::open_with_faults(self.wal_path(name), self.fsync, last_seq, faults)
-            .map_err(|e| ExpFinderError::Storage(format!("wal open for {name:?}: {e}")))
-    }
-
-    /// Append one record to `wal` (fsync per policy) and count it.
-    fn log(&self, wal: &mut Wal, op: &WalOp) -> Result<(), ExpFinderError> {
-        let (_, frame_bytes) = wal
-            .append_op(op)
-            .map_err(|e| ExpFinderError::Storage(format!("wal append: {e}")))?;
-        count_append(
-            &self.wal_counters,
-            frame_bytes as u64,
-            wal.fsyncs_per_append(),
-        );
-        Ok(())
-    }
-
-    /// The named graph's entry in the log map.
-    fn log_slot(&self, name: &str) -> Result<LogSlot, ExpFinderError> {
-        let slot = self
-            .logs
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(name)
-            .cloned();
-        slot.ok_or_else(|| ExpFinderError::UnknownGraph(name.to_owned()))
-    }
-
-    /// Run `op` on the named graph's log under its mutex — the one point
-    /// that orders a graph's durable writes. A graph removed since its
-    /// entry was looked up answers `UnknownGraph`, so a write that lost a
-    /// race with `remove_graph` never appends after its files are gone.
-    fn with_log<T>(
-        &self,
-        name: &str,
-        op: impl FnOnce(&mut GraphLog) -> Result<T, ExpFinderError>,
-    ) -> Result<T, ExpFinderError> {
-        let slot = self.log_slot(name)?;
-        let mut log = slot.lock().unwrap_or_else(PoisonError::into_inner);
-        op(log
-            .as_mut()
-            .ok_or_else(|| ExpFinderError::UnknownGraph(name.to_owned()))?)
-    }
-
     // --------------------------- catalog ---------------------------
 
     /// Add a graph; returns its initial version. Duplicate check →
     /// `.efg` snapshot (atomic) → WAL create → catalog insert, under the
-    /// log map's write lock: two racing adds of one name have exactly one
-    /// winner, and the graph is listed and queryable only once it is
-    /// durable; an I/O failure leaves neither a catalog entry nor a file
-    /// `open` would adopt. The cost: every other durable write waits for
-    /// the `.efg` write — adds and removes for the write lock, and writes
-    /// to existing graphs too, since each looks its graph's log up under
-    /// the map's read lock. Reads do not wait: they never touch the map.
+    /// runtime's add/remove mutex: two racing adds of one name have
+    /// exactly one winner, and the graph is listed and queryable only once
+    /// it is durable; an I/O failure leaves neither a catalog entry nor a
+    /// file `open` would adopt. Only another add or a remove waits for the
+    /// `.efg` write: reads and writes to existing graphs never take that
+    /// mutex.
     pub fn add_graph(&self, name: &str, graph: DiGraph) -> Result<u64, ExpFinderError> {
         // names become file stems: refuse path-like ones before any IO
         validate_graph_name(name)?;
@@ -331,15 +280,15 @@ impl DurableExpFinder {
 
     // --------------------------- updates ---------------------------
 
-    /// Apply edge updates: WAL-append (fsynced per policy), then the
-    /// engine's own [`ExpFinder::apply_updates`] — apply, maintain
-    /// registered queries, publish, update hook. Returns its ΔM report.
+    /// Apply edge updates: the engine's own [`ExpFinder::apply_updates`]
+    /// — WAL append (fsynced per policy), apply, maintain registered
+    /// queries, publish, update hook. Returns its ΔM report.
     pub fn apply_updates(
         &self,
         name: &str,
         updates: &[EdgeUpdate],
     ) -> Result<UpdateReport, ExpFinderError> {
-        self.with_log(name, |log| log.apply(self, updates))
+        self.engine.apply_updates(&self.handle(name)?, updates)
     }
 
     // ---------------------- registered queries ---------------------
@@ -355,13 +304,15 @@ impl DurableExpFinder {
         query_name: &str,
         pattern: Pattern,
     ) -> Result<(), ExpFinderError> {
-        self.with_log(name, |log| log.register(self, query_name, pattern))
+        self.engine
+            .register_query(&self.handle(name)?, query_name, pattern)
     }
 
     /// Drop a registered query. The removal is WAL-logged before it
     /// takes effect, so it survives a restart like the registration did.
     pub fn unregister_query(&self, name: &str, query_name: &str) -> Result<(), ExpFinderError> {
-        self.with_log(name, |log| log.unregister(self, query_name))
+        self.engine
+            .unregister_query(&self.handle(name)?, query_name)
     }
 
     // ------------------------- compression -------------------------
@@ -376,27 +327,45 @@ impl DurableExpFinder {
         name: &str,
         method: CompressionMethod,
     ) -> Result<CompressStats, ExpFinderError> {
-        self.with_log(name, |log| self.engine.compress(&log.handle, method))
+        self.engine.compress(&self.handle(name)?, method)
     }
 
     /// Drop a graph's maintained compression; subsequent snapshots
     /// publish without a quotient and the planner stops considering
     /// the compressed route.
     pub fn drop_compression(&self, name: &str) -> Result<(), ExpFinderError> {
-        self.with_log(name, |log| self.engine.drop_compression(&log.handle))
+        self.engine.drop_compression(&self.handle(name)?)
     }
 
     // ---------------------- snapshot / compact ---------------------
 
-    /// Rewrite `<name>.efg` from the current graph (WAL untouched).
+    /// Rewrite `<name>.efg` from the current graph (WAL untouched),
+    /// inside the engine's write on the graph, so no write is in flight.
     pub fn snapshot(&self, name: &str) -> Result<PathBuf, ExpFinderError> {
-        self.with_log(name, |log| log.save_snapshot(self))
+        let path = self.efg_path(name);
+        self.engine.write(&self.handle(name)?, |core| {
+            write_efg_atomic(core.graph(), &path, &self.faults)?;
+            Ok(path)
+        })
     }
 
-    /// Rewrite `<name>.efg`, then truncate the WAL — the log's frames
-    /// are folded into the snapshot.
+    /// Rewrite `<name>.efg`, then swap the WAL for one holding only the
+    /// live queries' register records — the log's frames are folded into
+    /// the snapshot. Both run inside one engine write on the graph, so no
+    /// acked frame can land in the old log after the snapshot was taken
+    /// and be dropped with it. A crash between the snapshot's rename and
+    /// the log swap replays the full WAL onto the new snapshot, which
+    /// converges to the same graph.
     pub fn compact(&self, name: &str) -> Result<CompactReport, ExpFinderError> {
-        self.with_log(name, |log| log.compact(self))
+        let snapshot = self.efg_path(name);
+        self.engine.write(&self.handle(name)?, |core| {
+            write_efg_atomic(core.graph(), &snapshot, &self.faults)?;
+            let wal_bytes_dropped = core.restart_log()?;
+            Ok(CompactReport {
+                snapshot,
+                wal_bytes_dropped,
+            })
+        })
     }
 
     // --------------------------- metrics ---------------------------
@@ -428,6 +397,7 @@ mod tests {
     use expfinder_graph::fixtures::collaboration_fig1;
     use expfinder_graph::GraphView;
     use expfinder_pattern::fixtures::{fig1_pattern, fig1_pattern_simulation};
+    use std::sync::PoisonError;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("expfinder_rt_{tag}_{}", std::process::id()));
@@ -712,8 +682,8 @@ mod tests {
 
     #[test]
     fn a_panicking_update_hook_leaves_the_graph_writable() {
-        // the hook runs under the graph's log mutex and write mutex, so
-        // its panic poisons both; a poisoned lock hands its data on
+        // the hook runs under the graph's one write mutex, so its panic
+        // poisons it; a poisoned lock hands its data on
         let dir = tmpdir("hook_panic");
         let (x, y) = collaboration_fig1().e1;
         let rt = DurableExpFinder::open(&dir, sequential_config()).unwrap();
@@ -765,10 +735,21 @@ mod tests {
         ));
         let f = collaboration_fig1();
         rt.add_graph("fig1", f.graph.clone()).unwrap();
+        rt.apply_updates("fig1", &[EdgeUpdate::Insert(f.e1.0, f.e1.1)])
+            .unwrap();
+        let files = || ["fig1.efg", "fig1.wal"].map(|f| std::fs::read(dir.join(f)).unwrap());
+        let before = files();
         assert!(matches!(
             rt.add_graph("fig1", f.graph.clone()),
             Err(ExpFinderError::DuplicateGraph(_))
         ));
+        // the duplicate touched neither file, and the graph still answers
+        assert_eq!(files(), before);
+        let h = rt.handle("fig1").unwrap();
+        assert!(rt.read_graph(&h, |g| g.has_edge(f.e1.0, f.e1.1)).unwrap());
+        rt.apply_updates("fig1", &[EdgeUpdate::Delete(f.e1.0, f.e1.1)])
+            .unwrap();
+        assert!(!rt.read_graph(&h, |g| g.has_edge(f.e1.0, f.e1.1)).unwrap());
         assert!(matches!(
             rt.add_graph("../escape", f.graph.clone()),
             Err(ExpFinderError::InvalidGraphName(_))

@@ -9,7 +9,9 @@
 //! `remove_graph`: a fault at any boundary it crosses leaves the graph
 //! listed, writable and on disk. Writes run on their callers' threads, so
 //! the races the locks must order — two adds of one name, appends against
-//! compaction, appends against a remove and re-add — are tested too.
+//! compaction, appends against a remove and re-add — are tested too, and
+//! so is the one they must not: an add held inside its file I/O does not
+//! hold up writes to another graph.
 
 use expfinder_engine::ExpFinderError;
 use expfinder_graph::{DiGraph, EdgeUpdate, GraphView, NodeId};
@@ -21,7 +23,8 @@ use expfinder_runtime::{
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Barrier;
+use std::sync::{mpsc, Barrier};
+use std::time::Duration;
 
 /// Unique temp path per proptest case (cases run concurrently).
 fn tmp_wal(tag: &str) -> PathBuf {
@@ -523,5 +526,61 @@ fn appends_racing_remove_and_readd_stay_with_their_life() {
         assert_eq!(got, sorted_edges(&model), "round {round}");
         rt.remove_graph("g").unwrap();
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Graph `b`'s `add_graph` parks inside its `.efg` write. Meanwhile graph
+/// `a` takes an update, a registration and a compaction, `b` is not
+/// listed, and a write to `b` answers `UnknownGraph`; once released, `b`
+/// is listed. Only a stall is bounded by a timeout, so it fails the test
+/// instead of hanging it.
+#[test]
+fn an_add_parked_in_its_snapshot_write_stalls_no_other_graph() {
+    let dir = tmp_wal("add_park").with_extension("d");
+    let rt = runtime(&dir);
+    rt.add_graph("a", path_graph(5)).unwrap();
+    let pattern = expfinder_pattern::parser::parse(
+        "node x* where label = \"N\"; node y where label = \"N\"; edge x -> y within 2;",
+    )
+    .unwrap();
+    let inj = rt.fault_injector();
+    inj.arm(FaultPlan::new().park_nth(IoOp::Write, 0));
+    std::thread::scope(|s| {
+        let adder = s.spawn(|| rt.add_graph("b", path_graph(8)));
+        inj.wait_parked();
+        let (tx, rx) = mpsc::channel();
+        let rt = &rt;
+        s.spawn(move || {
+            let up = EdgeUpdate::Insert(NodeId(4), NodeId(0));
+            let on_a = rt
+                .apply_updates("a", &[up])
+                .and_then(|_| rt.register_query("a", "q", pattern))
+                .and_then(|()| rt.compact("a"));
+            tx.send(on_a.map(|_| ())).unwrap();
+        });
+        let on_a = rx.recv_timeout(Duration::from_secs(60));
+        if on_a.is_err() {
+            inj.release();
+            panic!("writes to `a` waited for the add of `b`");
+        }
+        on_a.unwrap().unwrap();
+        assert_eq!(rt.graph_names(), ["a"], "`b` is listed only once durable");
+        assert!(matches!(
+            rt.apply_updates("b", &[]),
+            Err(ExpFinderError::UnknownGraph(_))
+        ));
+        inj.release();
+        adder.join().unwrap().unwrap();
+    });
+    inj.disarm();
+    assert_eq!(rt.graph_names(), ["a", "b"]);
+    drop(rt);
+    let rt = runtime(&dir);
+    assert_eq!(rt.graph_names(), ["a", "b"]);
+    let h = rt.handle("a").unwrap();
+    assert_eq!(rt.registered_queries(&h).unwrap(), ["q"]);
+    assert!(rt
+        .read_graph(&h, |g| g.has_edge(NodeId(4), NodeId(0)))
+        .unwrap());
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -18,6 +18,7 @@ use expfinder_runtime::{DurableExpFinder, FaultKind, FaultPlan, FsyncPolicy, IoO
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("expfinder_recovery_{tag}_{}", std::process::id()));
@@ -196,8 +197,10 @@ fn snapshot_mid_stream_keeps_replay_convergent() {
 }
 
 /// An injected ENOSPC that tears an append mid-frame must not poison
-/// the run: the failed batch retries cleanly (the log self-healed), the
-/// oracle checks still pass, and recovery after restart is exact.
+/// the run: the failed batch changed and published nothing (the append
+/// comes before the graph is touched), it retries cleanly (the log
+/// self-healed), the oracle checks still pass, and recovery after
+/// restart is exact.
 #[test]
 fn injected_enospc_mid_run_keeps_recovery_exact() {
     let dir = tmpdir("enospc");
@@ -212,9 +215,12 @@ fn injected_enospc_mid_run_keeps_recovery_exact() {
         let inj = rt.fault_injector();
         inj.arm(FaultPlan::new().partial_write(2, 5, FaultKind::Enospc));
         let mut failures = 0;
+        let h = rt.handle("c").unwrap();
         for batch in &batches {
+            let before = rt.latest(&h).unwrap();
             if rt.apply_updates("c", batch).is_err() {
                 failures += 1;
+                assert!(Arc::ptr_eq(&rt.latest(&h).unwrap(), &before));
                 // the log truncated the torn frame: the retry must land
                 rt.apply_updates("c", batch).unwrap();
             }

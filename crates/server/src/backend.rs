@@ -6,18 +6,19 @@
 //! * [`Backend::Local`] — the classic shareable [`ExpFinder`]: graphs
 //!   live in memory and vanish with the process. This is what the
 //!   shell's `serve` command fronts.
-//! * [`Backend::Durable`] — a [`DurableExpFinder`]: the same engine with
-//!   a WAL append in front of every write, so a restart replays the log
-//!   (`serve --data-dir`).
+//! * [`Backend::Durable`] — a [`DurableExpFinder`]: the same engine
+//!   whose graphs each carry a WAL that every write appends to first, so
+//!   a restart replays the log (`serve --data-dir`).
 //!
 //! Both variants deref to the same [`Catalog`], so everything a request
 //! reads or observes goes through one private `reads()` and is the same
 //! code on both: resolve the name to a handle, call the catalog. Two arms
-//! remain only where the deployments really differ — the three writes a
-//! durable backend must log first (`add_graph`, `apply_updates_traced`,
-//! `register_query`) and the two gauges only it has (`wal_totals`,
-//! `fault_totals`, all-zero on a local backend so `/metrics` keeps one
-//! shape).
+//! remain only where the deployments really differ — the three writes,
+//! which a durable backend takes by name because its engine is never
+//! handed out (`add_graph`, which also puts the graph on disk first,
+//! `apply_updates_traced`, `register_query`), and the two gauges only it
+//! has (`wal_totals`, `fault_totals`, all-zero on a local backend so
+//! `/metrics` keeps one shape).
 
 use expfinder_core::MatchRelation;
 use expfinder_engine::{

@@ -63,11 +63,13 @@ fn engine_with_collab() -> (Arc<ExpFinder>, GraphHandle, DiGraph) {
     (e, h, g)
 }
 
-/// Either facade behind the one read surface, with its edge write.
+/// Either facade behind the one read surface, with its edge write. Both
+/// are boxed, so the two variants stay a pointer apart in size whatever
+/// either facade grows.
 enum Facade {
-    Memory(ExpFinder),
+    Memory(Box<ExpFinder>),
     /// The runtime and its directory, removed on drop.
-    Durable(DurableExpFinder, PathBuf),
+    Durable(Box<DurableExpFinder>, PathBuf),
 }
 
 impl Deref for Facade {
@@ -106,8 +108,8 @@ impl Facade {
         };
         let rt = DurableExpFinder::open(&dir, config).unwrap();
         [
-            Facade::Memory(ExpFinder::new(engine)),
-            Facade::Durable(rt, dir),
+            Facade::Memory(Box::new(ExpFinder::new(engine))),
+            Facade::Durable(Box::new(rt), dir),
         ]
     }
 

@@ -57,7 +57,7 @@
 //! own truth.
 //!
 //! A crash is judged the same way wherever it fires: the crashed write
-//! returns [`CRASH_MARKER`] and the durable side has pushed no hook frame
+//! returns [`ExpFinderError::SimulatedCrash`] and the durable side has pushed no hook frame
 //! for it; the harness reopens the directory as `Restart` does, and the
 //! recovered graph and registered set must be the model's before the
 //! write (`S_a`) or after it (`S_{a+1}`, when the crashed record reached
@@ -101,7 +101,7 @@ use expfinder::graph::fixtures::collaboration_fig1;
 use expfinder::graph::{AttrValue, BitSet, CsrGraph, DiGraph, EdgeUpdate, GraphView, NodeId};
 use expfinder::pattern::fixtures::fig1_pattern;
 use expfinder::pattern::{parser, Bound, Pattern, PatternBuilder, Predicate};
-use expfinder::runtime::faults::{Fault, CRASH_MARKER};
+use expfinder::runtime::faults::Fault;
 use expfinder::runtime::{
     CancelToken, DurableExpFinder, FaultKind, FaultPlan, FsyncPolicy, IoOp, RuntimeConfig,
 };
@@ -563,9 +563,10 @@ impl Harness {
     }
 
     /// One durable write on the runtime. `None` when an armed crash fired
-    /// in it: the write returned [`CRASH_MARKER`] and pushed no hook
-    /// frame, and `after` — what the model would hold had the write been
-    /// acked — waits for [`Harness::restart`] to judge the recovery.
+    /// in it: the write returned [`ExpFinderError::SimulatedCrash`] and
+    /// pushed no hook frame, and `after` — what the model would hold had
+    /// the write been acked — waits for [`Harness::restart`] to judge the
+    /// recovery.
     fn durable<T>(
         &mut self,
         write: impl FnOnce(&DurableExpFinder) -> Result<T, ExpFinderError>,
@@ -573,7 +574,7 @@ impl Harness {
     ) -> Option<Result<T, ExpFinderError>> {
         let frames = self.frames[1].lock().unwrap().len();
         match write(&self.rt) {
-            Err(e) if e.to_string().contains(CRASH_MARKER) => {
+            Err(ExpFinderError::SimulatedCrash) => {
                 assert_eq!(self.frames[1].lock().unwrap().len(), frames, "no frame");
                 let at = self.rt.fault_injector().op_log().last().copied();
                 let class = CRASH_CLASSES.iter().position(|&c| c == at);
