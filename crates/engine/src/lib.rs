@@ -26,7 +26,8 @@
 //! yields [`ExpFinderError::StaleHandle`].
 //!
 //! Query routing follows paper §II and is implemented exactly once, in
-//! [`ReadPath`]: (1) the version-keyed result cache, (2) registered
+//! [`ReadPath`]: (1) the results the snapshot's version has cached in
+//! its [`Derived`] state, (2) registered
 //! incrementally-maintained queries, and otherwise (3) the cost-based
 //! [`planner`], which estimates the work of every applicable physical
 //! route — the snapshot's own graph with its per-version reach index,
@@ -35,7 +36,7 @@
 //! picks the cheapest; then one `expfinder_core::evaluate` call on the
 //! winning substrate (bounded simulation, of which a 1-bounded pattern is
 //! the plain-simulation case), and the top-K rank from the candidates —
-//! or a prefix of the ranked answer the cache slot already holds. The read path reads a published [`Snapshot`] and nothing else;
+//! or a prefix of the ranked answer the cached result already holds. The read path reads a published [`Snapshot`] and nothing else;
 //! the catalog's part of a read is resolving the handle to its graph's
 //! latest one ([`Catalog::handle`], [`Catalog::latest`]) — the same call
 //! on both facades. Every
@@ -68,7 +69,6 @@
 //! assert_eq!(resp.experts.len(), 2);
 //! ```
 
-pub mod cache;
 pub mod planner;
 pub mod read_path;
 pub mod report;
@@ -78,7 +78,8 @@ pub mod state;
 pub use planner::{CandidateCost, CostInputs, CostProfile, PlanContext, PlanDecision, PlanRoute};
 pub use read_path::ReadPath;
 pub use state::{
-    Derived, LogRecord, MaintainedGraph, PublishedGraph, RegisteredView, Snapshot, WriteLog,
+    CachedResult, Derived, LogRecord, MaintainedGraph, PublishedGraph, RegisteredView, Snapshot,
+    WriteLog,
 };
 
 use expfinder_compress::{CompressError, CompressStats, CompressionMethod};
@@ -95,7 +96,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, Weak};
 use std::time::Duration;
 
-/// Engine configuration.
+/// Engine configuration: the batch fan-out width, its one setting. The
+/// query cache has no setting: each graph version keeps at most
+/// [`MAX_CACHED_RESULTS`](state::MAX_CACHED_RESULTS) results in its
+/// [`Derived`] state, freed with the version.
 ///
 /// `threads` defaults to [`std::thread::available_parallelism`];
 /// [`EngineConfig::sequential`] sets it to 1 for fully sequential,
@@ -103,8 +107,6 @@ use std::time::Duration;
 /// are bit-identical either way — every slot runs the same read.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Cached query results kept per engine (LRU).
-    pub cache_capacity: usize,
     /// The fan-out width of a [`Catalog::query_batch`]: at most this many
     /// workers drain its slots ([`ReadPath::query_batch`]). A single query
     /// always runs on the calling thread, so the budget never changes its
@@ -115,7 +117,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            cache_capacity: 64,
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
@@ -124,10 +125,7 @@ impl Default for EngineConfig {
 impl EngineConfig {
     /// The default configuration with one thread everywhere.
     pub fn sequential() -> Self {
-        EngineConfig {
-            threads: 1,
-            ..EngineConfig::default()
-        }
+        EngineConfig { threads: 1 }
     }
 }
 
@@ -303,7 +301,7 @@ pub struct QueryTimings {
     pub evaluate: Duration,
     /// Ranking the top `k`: from the candidates, expanding the `G_r`
     /// rows their searches reach, or copying a registered query's
-    /// maintained prefix or the cache slot's list (zero if no `top_k`).
+    /// maintained prefix or the cached result's list (zero if no `top_k`).
     pub rank: Duration,
     /// End-to-end time inside the engine.
     pub total: Duration,
@@ -472,8 +470,8 @@ pub struct Catalog {
     /// handle from one engine cannot address another.
     engine_id: u64,
     graphs: RwLock<HashMap<Arc<str>, Arc<GraphSlot>>>,
-    /// The shared read path: result cache, scratch pool, thread budget
-    /// and the cumulative planner / evaluation / cancellation counters.
+    /// The shared read path: scratch pool, thread budget and the
+    /// cumulative cache / planner / evaluation / cancellation counters.
     read: ReadPath,
     /// Observer of committed update batches (ΔM push fan-out).
     update_hook: RwLock<Option<UpdateHook>>,
@@ -496,12 +494,15 @@ impl Deref for ExpFinder {
     }
 }
 
-/// Point-in-time reach-index gauges across every managed graph, from
+/// Point-in-time gauges of every managed graph's derived state, from
 /// [`Catalog::index_totals`] — the gauge half of the `engine.index`
 /// block of `GET /metrics` (its cumulative half is
-/// [`ReadPath::index_counters`]). `entries`/`bytes` are live gauges over
-/// the indexes of the latest snapshots, `classes`/`class_bytes` over the
-/// class memos of their graphs and quotients, and `resets` over both.
+/// [`ReadPath::index_counters`]), and of its `engine.cache` block (whose
+/// cumulative half is [`ReadPath::cache_stats`]). `entries`/`bytes` are
+/// live gauges over the indexes of the latest snapshots,
+/// `classes`/`class_bytes` over the class memos of their graphs and
+/// quotients, `resets` over both, and `cached_results` /
+/// `cache_evictions` over the result memos of their versions.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct IndexTotals {
     /// Memoized entries currently held across all graphs.
@@ -516,6 +517,10 @@ pub struct IndexTotals {
     /// How often those indexes and memos started over at a cap
     /// ([`Memo`](expfinder_graph::Memo)).
     pub resets: u64,
+    /// Query results the latest versions hold ([`Derived::cached`]).
+    pub cached_results: usize,
+    /// Results their result memos dropped when they started over.
+    pub cache_evictions: u64,
 }
 
 /// Source of process-unique engine ids.
@@ -552,8 +557,8 @@ impl Catalog {
     }
 
     /// Resolve a handle to its graph slot, rejecting handles from other
-    /// engines (their ids would alias this engine's cache keys) and
-    /// handles whose graph was removed.
+    /// engines (their graphs are not this catalog's, and their ids alias
+    /// this catalog's) and handles whose graph was removed.
     fn slot(&self, handle: &GraphHandle) -> Result<Arc<GraphSlot>, ExpFinderError> {
         handle.owned_by(self.engine_id)?;
         handle.upgrade()
@@ -690,9 +695,10 @@ impl Catalog {
         Ok(self.read.estimate_cost(&*self.latest(handle)?, pattern))
     }
 
-    /// Reach-index gauges summed over every managed graph's per-version
-    /// indexes (direct and compressed) and class memos — the gauge half
-    /// of the `engine.index` block of `GET /metrics`.
+    /// Gauges summed over every managed graph's latest derived state:
+    /// its reach indexes (direct and compressed), class memos and cached
+    /// results — the gauge half of the `engine.index` and `engine.cache`
+    /// blocks of `GET /metrics`.
     pub fn index_totals(&self) -> IndexTotals {
         let graphs = self.graphs.read().unwrap_or_else(PoisonError::into_inner);
         let latest = graphs.values().map(|slot| slot.published.latest());
@@ -834,7 +840,7 @@ impl ExpFinder {
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let counters = Arc::clone(self.read.index_counters());
-        let published = PublishedGraph::new(id, core.graph(), counters);
+        let published = PublishedGraph::new(core.graph(), counters);
         core.publish(&published);
         let slot = Arc::new(GraphSlot {
             id,
@@ -1386,7 +1392,8 @@ mod tests {
         let (a, ha, _) = engine_with_fig1();
         let b = ExpFinder::default();
         let hb = b.add_graph("fig1", collaboration_fig1().graph).unwrap();
-        // warm B's cache with its own graph so any id aliasing would hit
+        // B's graph has the id A's has: warm B's cache with it, so a read
+        // resolving A's handle to B's graph would hit
         let _ = auto(&b, &hb, &fig1_pattern()).unwrap();
 
         assert!(matches!(
@@ -1481,10 +1488,7 @@ mod tests {
         );
         let q = fig1_pattern();
         let cost = |threads| {
-            let e = ExpFinder::new(EngineConfig {
-                threads,
-                ..EngineConfig::sequential()
-            });
+            let e = ExpFinder::new(EngineConfig { threads });
             let h = e.add_graph("g", g.clone()).unwrap();
             e.estimate_cost(&h, &q).unwrap()
         };
@@ -1497,10 +1501,7 @@ mod tests {
     fn parallel_exec_identical_to_sequential() {
         let f = collaboration_fig1();
         let seq = ExpFinder::new(EngineConfig::sequential());
-        let par = ExpFinder::new(EngineConfig {
-            threads: 4,
-            ..EngineConfig::default()
-        });
+        let par = ExpFinder::new(EngineConfig { threads: 4 });
         let hs = seq.add_graph("fig1", f.graph.clone()).unwrap();
         let hp = par.add_graph("fig1", f.graph.clone()).unwrap();
         let q = fig1_pattern();

@@ -1,17 +1,18 @@
 //! The read path — paper §II's query engine, implemented once.
 //!
 //! cache → registered (incremental) → plan → evaluate → top-K rank from
-//! the candidates (or the ranked answer the cache slot already holds, or
-//! a prefix of a registered query's maintained ranking), plus
+//! the candidates (or the ranked answer the cached result already holds,
+//! or a prefix of a registered query's maintained ranking), plus
 //! the batch fan-out and the admission-control cost estimate, all live in
 //! [`ReadPath`]. It reads one thing: a published [`Snapshot`] — one graph
 //! at one version, immutable, with everything a query needs travelling
-//! along. A facade's whole share of a read is the `resolve` closure it
-//! passes, which upgrades a handle or looks a name up and clones the
-//! latest snapshot `Arc`; no lock is held while the read runs.
+//! along, its version's cached results among it. A facade's whole share
+//! of a read is the `resolve` closure it passes, which upgrades a handle
+//! or looks a name up and clones the latest snapshot `Arc`; no lock is
+//! held while the read runs.
 
-use crate::cache::{CacheKey, CacheStats, Hit, QueryCache};
 use crate::planner::{self, PlanContext, PlanDecision, PlanRoute};
+use crate::state::CachedResult;
 use crate::{
     EngineConfig, ExpFinderError, IndexTotals, QueryResponse, QuerySpec, QueryTimings,
     RegisteredView, Route, Snapshot,
@@ -24,8 +25,14 @@ use expfinder_graph::reach_index::{self, IndexCounters};
 use expfinder_graph::{Counters, GraphView};
 use expfinder_pattern::Pattern;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// `engine.cache`: lookups of a version's cached results answered and
+/// not (a read preferring a route looks nothing up).
+const CACHE: [&str; 2] = ["hits", "misses"];
+const HITS: usize = 0;
+const MISSES: usize = 1;
 
 /// `engine.eval`: the work of every direct and compressed evaluation,
 /// an aborted one's partial work included, in [`EvalStats`]' terms.
@@ -44,10 +51,10 @@ const DECISIONS: usize = 0;
 const OVERRIDES: usize = 1;
 const MISPREDICTS: usize = 2;
 
-/// `engine.rank`: ranked answers not served from the cache slot (ranked
-/// from the candidates, or a prefix of a registered query's maintained
-/// ranking copied; one the deadline abandoned is not counted), answers
-/// served from the slot, and the candidates the computed rankings ranked
+/// `engine.rank`: ranked answers not served from the cached result
+/// (ranked from the candidates, or a prefix of a registered query's
+/// maintained ranking copied; one the deadline abandoned is not counted),
+/// answers served from it, and the candidates the computed rankings ranked
 /// to the end or gave up on once a lower bound on their `f` showed they
 /// could not enter the top `k`.
 const RANK: [&str; 4] = ["computed", "reused", "candidates", "pruned"];
@@ -62,23 +69,30 @@ const PRUNED: usize = 3;
 const CANCEL: [&str; 2] = ["checked", "fired"];
 
 /// What routing hands back to [`ReadPath::execute`]: the relation (with
-/// the experts, when a cache hit's slot already determined the top K
-/// asked for), how it was obtained, and the work that took.
-type Routed = (Hit, PlanDecision, EvalStats);
+/// the experts, when a cache hit already determined the top K asked for),
+/// the pattern's cached result at the read's version, which a ranking
+/// computed afterwards fills, how the relation was obtained, and the
+/// work that took.
+type Routed = (
+    (Arc<MatchRelation>, Option<Vec<RankedMatch>>),
+    Arc<CachedResult>,
+    PlanDecision,
+    EvalStats,
+);
 
 /// The shared read path of both service facades. Owns everything a read
-/// touches that is not the graph itself: the version-keyed result cache,
+/// touches that is neither the graph nor its version's derived state:
 /// the pooled [`EvalScratch`]es (single reads, batch workers and HTTP
 /// workers each check one out, so steady-state serving reuses BFS
 /// frontiers, reach caches, counter buffers and the result-graph and
 /// ranking buffers instead of allocating per request), the cumulative
-/// evaluation / planner / rank / cancellation / index counters behind
-/// `GET /metrics`, and the batch fan-out width.
+/// cache / evaluation / planner / rank / cancellation / index counters
+/// behind `GET /metrics`, and the batch fan-out width.
 pub struct ReadPath {
     /// [`EngineConfig::threads`], at least 1: the batch workers.
     threads: usize,
-    cache: Mutex<QueryCache>,
     scratch: ScratchPool,
+    cache: Counters<2>,
     eval: Counters<4>,
     planner: Counters<3>,
     rank: Counters<4>,
@@ -92,8 +106,8 @@ impl ReadPath {
     pub fn new(config: &EngineConfig) -> ReadPath {
         ReadPath {
             threads: config.threads.max(1),
-            cache: Mutex::new(QueryCache::new(config.cache_capacity)),
             scratch: ScratchPool::new(),
+            cache: Counters::new(&CACHE),
             eval: Counters::new(&EVAL),
             planner: Counters::new(&PLANNER),
             rank: Counters::new(&RANK),
@@ -205,8 +219,8 @@ impl ReadPath {
 
     /// Resolve, evaluate, rank: the whole of one read, timed.
     ///
-    /// `serve_held` says whether the ranked list the cache slot already
-    /// holds may answer the read. Single reads pass `true`. Batch slots
+    /// `serve_held` says whether the ranked list the cached result
+    /// already holds may answer the read. Single reads pass `true`. Batch slots
     /// pass `false`: they rank afresh and only *fill* the slot. That is a
     /// staging decision, not a design one — served from the list, `/batch`
     /// throughput on the repo benchmark's hot pool rises ~12× (`read_hot`,
@@ -226,11 +240,10 @@ impl ReadPath {
     ) -> Result<QueryResponse, ExpFinderError> {
         let started = Instant::now();
         let state = resolve()?;
-        let key: CacheKey = (state.id, state.version(), pattern.text().clone());
-        let registered = state.registered(&key.2);
-        let slot = (&key, top_k.filter(|_| serve_held));
-        let ((matches, held), plan, stats) =
-            self.route_and_eval(&state, registered, pattern, slot, prefer, scratch, cancel)?;
+        let registered = state.registered(pattern.text());
+        let held_k = top_k.filter(|_| serve_held);
+        let ((matches, held), cached, plan, stats) =
+            self.route_and_eval(&state, registered, pattern, held_k, prefer, scratch, cancel)?;
         let evaluate_time = started.elapsed();
 
         let rank_started = Instant::now();
@@ -254,8 +267,7 @@ impl ReadPath {
                 self.rank.add(COMPUTED, 1);
                 self.rank.add(CANDIDATES, ranking.ranked() - before.0);
                 self.rank.add(PRUNED, ranking.pruned() - before.1);
-                let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
-                cache.put_ranked(&key, &experts, k);
+                cached.put_ranked(&experts, k);
                 experts
             }
         };
@@ -275,8 +287,11 @@ impl ReadPath {
     }
 
     /// Route and evaluate against one state, `registered` being its view
-    /// of the pattern if it has one. The exact-result short circuits
-    /// (cache, registered) run first, in paper §II order;
+    /// of the pattern if it has one, and cache the relation in the state's
+    /// [`Derived`](crate::Derived) results. The exact-result short
+    /// circuits (cache, registered) run first, in paper §II order; a cache
+    /// hit answers with the top `held_k` too when its ranked answer
+    /// determines them;
     /// everything after them is decided by the cost-based [`planner`]
     /// from the graph's [`CostProfile`]. A non-`Auto` `prefer` takes no
     /// separate code path — the planner still produces its decision and
@@ -287,7 +302,7 @@ impl ReadPath {
         state: &Snapshot,
         registered: Option<&RegisteredView>,
         pattern: &Pattern,
-        (key, top_k): (&CacheKey, Option<usize>),
+        held_k: Option<usize>,
         prefer: Route,
         scratch: &mut EvalScratch,
         cancel: Option<&CancelToken>,
@@ -298,36 +313,33 @@ impl ReadPath {
         if cancel.is_some_and(|t| t.is_cancelled()) {
             return Err(ExpFinderError::DeadlineExceeded(EvalStats::default()));
         }
-        let exact = |route, hit| {
+        let derived = &state.derived;
+        let text = pattern.text();
+        let exact = |route, hit, cached| {
             let plan = PlanDecision::exact(route);
             self.decided(&plan);
-            (hit, plan, EvalStats::default())
+            (hit, cached, plan, EvalStats::default())
         };
 
         if prefer == Route::Auto {
             // 1. cache
-            if let Some(hit) = self
-                .cache
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .get(key, top_k)
-            {
-                return Ok(exact(PlanRoute::Cache, hit));
+            if let Some(cached) = derived.cached(text) {
+                self.cache.add(HITS, 1);
+                let held = held_k.and_then(|k| cached.experts(k));
+                let hit = (Arc::clone(cached.matches()), held);
+                return Ok(exact(PlanRoute::Cache, hit, cached));
             }
+            self.cache.add(MISSES, 1);
             // 2. registered incremental state
             if let Some(view) = registered {
                 let matches = Arc::clone(view.matches());
-                self.cache
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .put(key.clone(), Arc::clone(&matches));
-                return Ok(exact(PlanRoute::Registered, (matches, None)));
+                let cached = derived.cache(text, Arc::clone(&matches));
+                return Ok(exact(PlanRoute::Registered, (matches, None), cached));
             }
         }
 
         // 3. plan: cost every applicable physical route and take the
         // cheapest; only a `Direct` preference keeps the quotient out
-        let derived = &state.derived;
         let mut plan = plan_routes(state, pattern, prefer != Route::Direct);
         plan.apply_preference(prefer);
 
@@ -378,11 +390,8 @@ impl ReadPath {
         self.decided(&plan);
         self.count_eval(&stats);
         let matches = Arc::new(m);
-        self.cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .put(key.clone(), Arc::clone(&matches));
-        Ok(((matches, None), plan, stats))
+        let cached = derived.cache(text, Arc::clone(&matches));
+        Ok(((matches, None), cached, plan, stats))
     }
 
     /// Count one route decision, and its override if it has one.
@@ -436,15 +445,20 @@ impl ReadPath {
             .map_or(f64::INFINITY, |c| c.cost)
     }
 
-    /// The live reach-index gauges — entry/byte gauges summed over the
-    /// indexes (direct and quotient) `states` hold, class/byte gauges
-    /// over the class memos of their graphs and quotients, and the
-    /// start-overs of both — the gauge half of the `engine.index` block
-    /// of `GET /metrics` ([`ReadPath::index_counters`] is the rest).
+    /// The live gauges of `states`' derived state: entry/byte gauges
+    /// summed over the reach indexes (direct and quotient) they hold,
+    /// class/byte gauges over the class memos of their graphs and
+    /// quotients, and the start-overs of both — the gauge half of the
+    /// `engine.index` block of `GET /metrics` ([`ReadPath::index_counters`]
+    /// is the rest) — and the results their versions cache and the
+    /// entries those result memos dropped when they started over, the
+    /// gauge half of `engine.cache` ([`ReadPath::cache_stats`]).
     pub fn index_totals(&self, states: impl IntoIterator<Item = Arc<Snapshot>>) -> IndexTotals {
         let mut totals = IndexTotals::default();
         for state in states {
             let derived = &state.derived;
+            totals.cached_results += derived.results().len();
+            totals.cache_evictions += derived.results().evicted();
             for ri in [&derived.reach, &derived.quotient_reach] {
                 totals.entries += ri.len();
                 totals.bytes += ri.bytes();
@@ -460,21 +474,9 @@ impl ReadPath {
         totals
     }
 
-    /// The `engine.cache` counters, as one read of them saw them.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .stats()
-            .clone()
-    }
-
-    /// Entries currently held by the query cache.
-    pub fn cache_len(&self) -> usize {
-        self.cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+    /// The `engine.cache` counters.
+    pub fn cache_stats(&self) -> &Counters<2> {
+        &self.cache
     }
 
     /// The `engine.eval` counters.

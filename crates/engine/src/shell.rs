@@ -173,7 +173,7 @@ impl Shell {
                     "cache: {} hits, {} misses, {} evictions",
                     s.get("hits"),
                     s.get("misses"),
-                    s.get("evictions")
+                    self.engine.index_totals().cache_evictions
                 ))
             }
             "seed" => {

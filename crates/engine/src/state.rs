@@ -28,31 +28,41 @@ use expfinder_compress::maintain::MaintainedCompression;
 use expfinder_compress::{CompressStats, CompressedGraph, CompressionMethod};
 use expfinder_core::{MatchRelation, RankedMatch};
 use expfinder_graph::reach_index::{self, IndexCounters, ReachCarry};
-use expfinder_graph::{DiGraph, EdgeUpdate, GraphView, ReachIndex};
+use expfinder_graph::{DiGraph, EdgeUpdate, GraphView, Memo, ReachIndex};
 use expfinder_incremental::{IncrementalBoundedSim, Maintainer, RerankScratch};
 use expfinder_pattern::Pattern;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
+/// The most query results one version keeps; one more makes its result
+/// memo start over.
+pub const MAX_CACHED_RESULTS: usize = 64;
+
 /// What reads build lazily for one graph version and then share: the
 /// reach indexes over the snapshot's graph and over the quotient (entries
-/// fill on first use). One value describes exactly one version, so
-/// nothing in it is ever stale. A publish at a new version starts a new
+/// fill on first use) and the query results (paper §II: "the query
+/// engine directly returns M(Q,G) if it is already cached"), keyed by
+/// pattern text ([`Pattern::text`]), so two patterns share a result
+/// exactly when they print alike. One value describes exactly one
+/// version, so nothing in it is ever stale, and it is freed with the last
+/// snapshot of its version. A publish at a new version starts a new
 /// one whose graph index is empty but holds the writer's [`ReachCarry`]
 /// — the bounded distance columns readers swept at earlier versions,
 /// repaired update by update, which its readers threshold — and whose
-/// quotient index is empty; a publish that rebuilt or dropped the
-/// quotient swaps in an empty quotient index, which can happen without a
-/// version bump.
+/// quotient index and results are empty; a publish that rebuilt or
+/// dropped the quotient swaps in an empty quotient index, which can
+/// happen without a version bump, and keeps the results, which do not
+/// depend on the quotient.
 pub struct Derived {
     version: u64,
     pub(crate) reach: Arc<ReachIndex>,
     pub(crate) quotient_reach: Arc<ReachIndex>,
+    results: Arc<Memo<Arc<str>, Arc<CachedResult>>>,
 }
 
 impl Derived {
-    /// `reach` as the graph index, and an empty quotient index counting
-    /// into the same counters.
+    /// `reach` as the graph index, an empty quotient index counting into
+    /// the same counters, and no results.
     pub fn new(reach: ReachIndex) -> Derived {
         let version = reach.version();
         let quotient_reach = ReachIndex::counting(version, Arc::clone(reach.counters()));
@@ -60,6 +70,7 @@ impl Derived {
             version,
             reach: Arc::new(reach),
             quotient_reach: Arc::new(quotient_reach),
+            results: Arc::new(Memo::new(MAX_CACHED_RESULTS, usize::MAX)),
         }
     }
 
@@ -68,7 +79,8 @@ impl Derived {
         self.version
     }
 
-    /// The same direct index and a fresh one for a rebuilt quotient.
+    /// The same direct index and results, and a fresh quotient index for
+    /// a rebuilt quotient.
     pub fn with_fresh_quotient_reach(&self) -> Derived {
         Derived {
             version: self.version,
@@ -77,6 +89,66 @@ impl Derived {
                 self.version,
                 Arc::clone(self.reach.counters()),
             )),
+            results: Arc::clone(&self.results),
+        }
+    }
+
+    /// The cached result of the pattern whose text this is.
+    pub fn cached(&self, text: &str) -> Option<Arc<CachedResult>> {
+        self.results.get(text)
+    }
+
+    /// Cache `matches` as the result of the pattern whose text this is,
+    /// and return the result this version answers it with: an earlier
+    /// one's, if there is one.
+    pub fn cache(&self, text: &Arc<str>, matches: Arc<MatchRelation>) -> Arc<CachedResult> {
+        let result = Arc::new(CachedResult {
+            matches,
+            ranked: Mutex::default(),
+        });
+        self.results.insert(Arc::clone(text), result, 0)
+    }
+
+    /// The cached results, for their gauges.
+    pub fn results(&self) -> &Memo<Arc<str>, Arc<CachedResult>> {
+        &self.results
+    }
+}
+
+/// One pattern's cached result at one version: the relation and, once a
+/// request has paid for it, the **ranked answer** — the top-`k` expert
+/// list with the `k` it is the top of. It serves any `k' ≤ k` (top-k' is
+/// a prefix of top-k under the total `(rank, node id)` order) and every
+/// `k'` once complete. It needs no key of its own — `G_r`, and so every
+/// rank, is a function of `(G, M)` only — but must never be carried to
+/// another version, even when `M` did not move: an inserted edge can
+/// shorten a witnessed path, changing a `G_r` weight and a rank with it.
+pub struct CachedResult {
+    matches: Arc<MatchRelation>,
+    /// `(list, k)`: the best `k` matches of the output node; `k` is
+    /// `usize::MAX` once the list is known to be complete.
+    ranked: Mutex<Option<(Arc<[RankedMatch]>, usize)>>,
+}
+
+impl CachedResult {
+    pub fn matches(&self) -> &Arc<MatchRelation> {
+        &self.matches
+    }
+
+    /// The best `k` matches, if the ranked answer held determines them.
+    pub fn experts(&self, k: usize) -> Option<Vec<RankedMatch>> {
+        let ranked = self.ranked.lock().unwrap_or_else(PoisonError::into_inner);
+        let (list, _) = ranked.as_ref().filter(|(_, held_k)| k <= *held_k)?;
+        Some(list[..k.min(list.len())].to_vec())
+    }
+
+    /// Record the top-`k` list computed for this result, unless it holds
+    /// a longer one already.
+    pub fn put_ranked(&self, list: &[RankedMatch], k: usize) {
+        let k = if list.len() < k { usize::MAX } else { k };
+        let mut ranked = self.ranked.lock().unwrap_or_else(PoisonError::into_inner);
+        if ranked.as_ref().is_none_or(|(_, held_k)| *held_k < k) {
+            *ranked = Some((list.into(), k));
         }
     }
 }
@@ -106,14 +178,11 @@ impl RegisteredView {
 
 /// One immutable published state of a graph — the only thing the read
 /// path reads. Everything a query needs travels together: the graph's
-/// stable identity (cache-key id, [`CostProfile`]), the graph at one
-/// version, that version's [`Derived`] state, the quotient and the
-/// registered-query relations — a reader that grabbed the `Arc` keeps
-/// evaluating on exactly this version while the owner publishes ten
-/// newer ones.
+/// [`CostProfile`], the graph at one version, that version's [`Derived`]
+/// state, the quotient and the registered-query relations — a reader
+/// that grabbed the `Arc` keeps evaluating on exactly this version while
+/// the owner publishes ten newer ones.
 pub struct Snapshot {
-    /// Catalog id — the graph component of a cache key.
-    pub(crate) id: u64,
     /// Shared by every snapshot of the graph, so the workload statistics
     /// the planner runs on accumulate across versions.
     pub(crate) profile: Arc<CostProfile>,
@@ -192,9 +261,8 @@ impl PublishedGraph {
     /// A slot holding `graph` as its first snapshot: no registered
     /// queries, no quotient, a fresh [`CostProfile`], and reach indexes
     /// counting into `counters`.
-    pub fn new(id: u64, graph: &DiGraph, counters: Arc<IndexCounters>) -> PublishedGraph {
+    pub fn new(graph: &DiGraph, counters: Arc<IndexCounters>) -> PublishedGraph {
         let first = Snapshot {
-            id,
             profile: Arc::new(CostProfile::default()),
             graph: graph.clone(),
             derived: Arc::new(Derived::new(ReachIndex::counting(
@@ -514,7 +582,6 @@ impl MaintainedGraph {
             .collect();
         self.reach = Some(Arc::clone(&derived.reach));
         let next = Snapshot {
-            id: prev.id,
             profile: Arc::clone(&prev.profile),
             graph: self.graph.clone(),
             derived,
@@ -616,6 +683,132 @@ mod tests {
 
         // O(Δ): every snapshot shared its untouched chunks with the owner
         assert!(applied > 0 && newest.graph().chunk_copies() <= 2 * applied);
+    }
+
+    fn rel(n: usize) -> Arc<MatchRelation> {
+        use expfinder_graph::BitSet;
+        Arc::new(MatchRelation::from_sets(vec![BitSet::full(n)], n))
+    }
+
+    fn derived(version: u64) -> Derived {
+        Derived::new(ReachIndex::counting(
+            version,
+            Arc::new(reach_index::index_counters()),
+        ))
+    }
+
+    fn ranked(n: u32) -> Vec<RankedMatch> {
+        let at = |i| RankedMatch {
+            node: expfinder_graph::NodeId(i),
+            rank: i as f64,
+        };
+        (0..n).map(at).collect()
+    }
+
+    /// A result is found again at its own graph and version only.
+    #[test]
+    fn hit_and_miss() {
+        use expfinder_graph::fixtures::collaboration_fig1;
+        let engine = ExpFinder::default();
+        let fig1 = collaboration_fig1();
+        let h = engine.add_graph("a", fig1.graph.clone()).unwrap();
+        let other = engine.add_graph("b", fig1.graph).unwrap();
+        let spec = QuerySpec::pattern(fig1_pattern());
+        let read = |h| engine.query(h, &spec).unwrap();
+        read(&h);
+        read(&h);
+        read(&other);
+        let (a, b) = fig1.e1;
+        let update = [EdgeUpdate::Insert(a, b)];
+        engine.apply_updates(&h, &update).unwrap();
+        read(&h);
+        let stats = engine.read_path().cache_stats();
+        assert_eq!((stats.get("hits"), stats.get("misses")), (1, 3));
+        assert_eq!(engine.index_totals().cached_results, 2, "one per graph");
+    }
+
+    #[test]
+    fn ranked_answer_serves_prefixes_and_never_guesses() {
+        let text: Arc<str> = "node a;".into();
+        let cached = derived(1).cache(&text, rel(9));
+        assert_eq!(cached.experts(2), None, "nothing ranked yet");
+
+        // a top-3 of more than 3 candidates determines top-0..=3 only
+        cached.put_ranked(&ranked(3), 3);
+        assert_eq!(cached.experts(2), Some(ranked(2)));
+        assert_eq!(cached.experts(3), Some(ranked(3)));
+        assert_eq!(cached.experts(4), None, "the 4th best is unknown");
+
+        // a shorter list never replaces it; a longer one does, and a list
+        // shorter than its k is complete: it serves every k
+        cached.put_ranked(&ranked(1), 1);
+        assert_eq!(cached.experts(3), Some(ranked(3)));
+        cached.put_ranked(&ranked(5), 8);
+        assert_eq!(cached.experts(4), Some(ranked(4)));
+        assert_eq!(cached.experts(100), Some(ranked(5)));
+        assert_eq!(cached.experts(0), Some(vec![]));
+    }
+
+    #[test]
+    fn ranked_answer_lives_and_dies_with_its_slot() {
+        let text: Arc<str> = "node a;".into();
+        let d = derived(1);
+        d.cache(&text, rel(9)).put_ranked(&ranked(2), 2);
+        // cached again by the same pattern: same (G, M), the list stays
+        let again = d.cache(&text, rel(9));
+        assert_eq!(again.experts(2), Some(ranked(2)));
+        // a rebuilt quotient keeps the version's results
+        let requotiented = d.with_fresh_quotient_reach();
+        assert!(Arc::ptr_eq(&requotiented.cached(&text).unwrap(), &again));
+        // a different version is a different store
+        assert!(derived(2).cached(&text).is_none());
+        // a full memo starts over: the result is gone, and filling the
+        // dropped slot brings nothing back
+        for i in 0..MAX_CACHED_RESULTS {
+            d.cache(&format!("node b{i};").into(), rel(9));
+        }
+        assert!(d.cached(&text).is_none());
+        again.put_ranked(&ranked(3), 3);
+        assert!(d.cached(&text).is_none());
+        let results = d.results();
+        assert_eq!((results.len(), results.resets()), (1, 1));
+        assert_eq!(results.evicted(), MAX_CACHED_RESULTS as u64);
+    }
+
+    #[test]
+    fn keys_are_pattern_texts() {
+        // the text spells the condition tree, so patterns whose old
+        // encodings collided take two slots
+        use expfinder_pattern::parser::parse;
+        let text = |src: &str| -> Arc<str> { parse(src).unwrap().text().clone() };
+        let grouped = text(r#"node a where (label = "a),L(b") and (has c);"#);
+        let split = text(r#"node a where (label = "a") and (label = "b") and (has c);"#);
+        let d = derived(1);
+        d.cache(&grouped, rel(1));
+        assert!(d.cached(&split).is_none());
+        d.cache(&split, rel(2));
+        assert_eq!(d.results().len(), 2);
+        assert_eq!(d.cached(&grouped).unwrap().matches().data_nodes(), 1);
+        assert_eq!(d.cached(&split).unwrap().matches().data_nodes(), 2);
+    }
+
+    /// Results live as long as their version: once an update replaced the
+    /// snapshot and no reader holds its answer, its relation is freed.
+    #[test]
+    fn a_superseded_versions_cached_relation_is_freed() {
+        use expfinder_graph::fixtures::collaboration_fig1;
+        let engine = ExpFinder::default();
+        let fig1 = collaboration_fig1();
+        let h = engine.add_graph("fig1", fig1.graph).unwrap();
+        let resp = engine.query(&h, &QuerySpec::pattern(fig1_pattern()));
+        let resp = resp.unwrap();
+        let cached = Arc::downgrade(&resp.matches);
+        let (a, b) = fig1.e1;
+        let report = engine.apply_updates(&h, &[EdgeUpdate::Insert(a, b)]);
+        assert_eq!(report.unwrap().applied, 1);
+        assert!(cached.upgrade().is_some(), "the response still holds it");
+        drop(resp);
+        assert!(cached.upgrade().is_none(), "the old version kept it");
     }
 
     /// A reader holding a version the writer has moved past sweeps its

@@ -1,8 +1,9 @@
 //! The one bounded memo: values built on first use and shared by key,
 //! within a count cap and a byte cap. The class memo
 //! ([`ClassMemo`](crate::ClassMemo)), a version's built reach-index
-//! entries ([`ReachIndex`](crate::ReachIndex)) and the process-wide parse
-//! memo (`expfinder_pattern::parser::parse_memoised`) all store through
+//! entries ([`ReachIndex`](crate::ReachIndex)), a version's cached query
+//! results (the engine's `Derived` state) and the process-wide parse memo
+//! (`expfinder_pattern::parser::parse_memoised`) all store through
 //! [`Memo`], each with its own caps and one set of rules:
 //!
 //! * the caller builds a value outside the lock, after [`Memo::get`]
@@ -11,7 +12,8 @@
 //! * a value that alone costs more than the byte cap is not kept;
 //! * a value that would take the memo past a cap makes it start over: it
 //!   drops every entry and keeps the new one, so no early set of keys
-//!   owns it for the life of its owner ([`Memo::resets`] counts these).
+//!   owns it for the life of its owner ([`Memo::resets`] counts these,
+//!   [`Memo::evicted`] the entries they dropped).
 //!
 //! `Clone` gives an empty memo with the same caps: a memo caches its
 //! owner's answers, and a copy made to be changed must not inherit them.
@@ -31,6 +33,7 @@ pub struct Memo<K, V> {
     /// Sum of the kept entries' costs (written under the lock).
     bytes: AtomicUsize,
     resets: AtomicU64,
+    evicted: AtomicU64,
 }
 
 impl<K, V> Memo<K, V> {
@@ -43,6 +46,7 @@ impl<K, V> Memo<K, V> {
             entries: RwLock::new(HashMap::new()),
             bytes: AtomicUsize::new(0),
             resets: AtomicU64::new(0),
+            evicted: AtomicU64::new(0),
         }
     }
 
@@ -65,6 +69,11 @@ impl<K, V> Memo<K, V> {
     /// How often the memo started over.
     pub fn resets(&self) -> u64 {
         self.resets.load(Relaxed)
+    }
+
+    /// How many entries those start-overs dropped.
+    pub fn evicted(&self) -> u64 {
+        self.evicted.load(Relaxed)
     }
 }
 
@@ -91,6 +100,7 @@ impl<K: Eq + Hash, V: Clone> Memo<K, V> {
         }
         let mut total = self.bytes() + bytes;
         if entries.len() >= self.max_len || total > self.max_bytes {
+            self.evicted.fetch_add(entries.len() as u64, Relaxed);
             entries.clear();
             total = bytes;
             self.resets.fetch_add(1, Relaxed);
@@ -159,12 +169,14 @@ mod tests {
         }
         assert_eq!(memo.insert(3, 3, 10), 3);
         assert_eq!((memo.len(), memo.bytes(), memo.resets()), (1, 10, 1));
+        assert_eq!(memo.evicted(), 3);
         assert_eq!((memo.get(&0), memo.get(&3)), (None, Some(3)));
 
         // the byte cap, well before the count cap
         memo.insert(4, 4, 80);
         assert_eq!(memo.insert(5, 5, 20), 5);
         assert_eq!((memo.len(), memo.bytes(), memo.resets()), (1, 20, 2));
+        assert_eq!(memo.evicted(), 5, "3, then 4 beside it");
         assert_eq!(memo.get(&5), Some(5));
 
         // an earlier insert wins over a later one of the same key

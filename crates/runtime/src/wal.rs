@@ -37,7 +37,7 @@ use crate::faults::{self, FaultInjector};
 use expfinder_graph::json::{self, Value};
 use expfinder_graph::{io as gio, EdgeUpdate};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom};
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -112,14 +112,37 @@ pub fn checksum(bytes: &[u8]) -> u32 {
     h
 }
 
-/// Encode one record as a length-prefixed, checksummed frame.
-fn encode_frame(rec: &WalRecord) -> Vec<u8> {
-    let payload = rec.to_payload();
+/// Encode record `seq` carrying `op` as a length-prefixed, checksummed
+/// frame.
+fn encode_frame(seq: u64, op: &WalOp) -> Vec<u8> {
+    let payload = payload(seq, op);
     let mut frame = Vec::with_capacity(8 + payload.len());
     frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     frame.extend_from_slice(&checksum(&payload).to_le_bytes());
     frame.extend_from_slice(&payload);
     frame
+}
+
+/// The JSON payload of record `seq` carrying `op`.
+fn payload(seq: u64, op: &WalOp) -> Vec<u8> {
+    let mut fields: Vec<(String, Value)> = vec![("seq".to_owned(), Value::Int(seq as i64))];
+    match op {
+        WalOp::Updates(ups) => {
+            let updates = Value::Array(ups.iter().map(|&u| gio::update_to_json(u)).collect());
+            fields.push(("updates".to_owned(), updates));
+        }
+        WalOp::Register { query, pattern } => {
+            fields.push(("op".to_owned(), Value::Str("register".to_owned())));
+            fields.push(("query".to_owned(), Value::Str(query.clone())));
+            fields.push(("pattern".to_owned(), Value::Str(pattern.clone())));
+        }
+        WalOp::Unregister { query } => {
+            fields.push(("op".to_owned(), Value::Str("unregister".to_owned())));
+            fields.push(("query".to_owned(), Value::Str(query.clone())));
+        }
+    }
+    let doc = Value::Object(fields.into_iter().collect());
+    doc.to_string_compact().into_bytes()
 }
 
 /// The event one WAL record carries. Update batches are the common
@@ -160,28 +183,6 @@ impl WalRecord {
             WalOp::Updates(ups) => Some(ups),
             _ => None,
         }
-    }
-
-    fn to_payload(&self) -> Vec<u8> {
-        let mut fields: Vec<(String, Value)> =
-            vec![("seq".to_owned(), Value::Int(self.seq as i64))];
-        match &self.op {
-            WalOp::Updates(ups) => {
-                let updates = Value::Array(ups.iter().map(|&u| gio::update_to_json(u)).collect());
-                fields.push(("updates".to_owned(), updates));
-            }
-            WalOp::Register { query, pattern } => {
-                fields.push(("op".to_owned(), Value::Str("register".to_owned())));
-                fields.push(("query".to_owned(), Value::Str(query.clone())));
-                fields.push(("pattern".to_owned(), Value::Str(pattern.clone())));
-            }
-            WalOp::Unregister { query } => {
-                fields.push(("op".to_owned(), Value::Str("unregister".to_owned())));
-                fields.push(("query".to_owned(), Value::Str(query.clone())));
-            }
-        }
-        let doc = Value::Object(fields.into_iter().collect());
-        doc.to_string_compact().into_bytes()
     }
 
     fn from_payload(bytes: &[u8]) -> Result<WalRecord, String> {
@@ -354,10 +355,7 @@ impl Wal {
             return Err(WalError::Sealed);
         }
         let seq = self.next_seq;
-        let frame = encode_frame(&WalRecord {
-            seq,
-            op: op.clone(),
-        });
+        let frame = encode_frame(seq, op);
         let good_end = self.file.metadata()?.len();
         if let Err(e) = self.faults.write_all(&self.file, &frame) {
             if faults::is_simulated_crash(&e) {
@@ -391,24 +389,6 @@ impl Wal {
         Ok((seq, frame.len()))
     }
 
-    /// Truncate the log back to an empty header (after a compaction
-    /// rewrote the snapshot) and reset the sequence counter.
-    pub fn reset(&mut self) -> Result<(), WalError> {
-        if self.sealed {
-            return Err(WalError::Sealed);
-        }
-        self.file.set_len(WAL_MAGIC.len() as u64)?;
-        self.file.seek(SeekFrom::End(0))?;
-        if let Err(e) = self.faults.sync_all(&self.file) {
-            // the truncation's durability is unknown — same fsyncgate
-            // reasoning as in append: seal rather than guess
-            self.sealed = true;
-            return Err(e.into());
-        }
-        self.next_seq = 1;
-        Ok(())
-    }
-
     /// Atomically replace the log with a fresh one seeded with `ops`
     /// (sequence numbers `1..=ops.len()`): write a sibling `.wal.tmp`,
     /// fsync it, rename it over the log, fsync the directory. This is
@@ -428,10 +408,7 @@ impl Wal {
         let result = (|| -> Result<(), WalError> {
             self.faults.write_all(&fresh, WAL_MAGIC)?;
             for (i, op) in ops.iter().enumerate() {
-                let frame = encode_frame(&WalRecord {
-                    seq: i as u64 + 1,
-                    op: op.clone(),
-                });
+                let frame = encode_frame(i as u64 + 1, op);
                 self.faults.write_all(&fresh, &frame)?;
                 sizes.push(frame.len());
             }
@@ -683,21 +660,31 @@ mod tests {
         let _ = std::fs::remove_file(&p);
     }
 
+    /// The on-disk format: a frame is the payload's length and FNV-1a
+    /// checksum, little-endian, then the payload, a compact JSON object
+    /// with sorted keys.
     #[test]
-    fn reset_truncates_to_header_and_restarts_seq() {
-        let p = tmp("reset");
-        let _ = std::fs::remove_file(&p);
-        let mut wal = Wal::open(&p, FsyncPolicy::Always, 0).unwrap();
-        wal.append(&[ins(0, 1)]).unwrap();
-        wal.reset().unwrap();
-        assert_eq!(wal.next_seq(), 1);
-        wal.append(&[ins(2, 3)]).unwrap();
-        drop(wal);
-        let (records, _) = Wal::replay(&p).unwrap();
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].seq, 1);
-        assert_eq!(records[0].as_updates(), Some(&[ins(2, 3)][..]));
-        let _ = std::fs::remove_file(&p);
+    fn frames_keep_their_bytes() {
+        let golden = |head: [u8; 8], payload: &str| [&head[..], payload.as_bytes()].concat();
+        let updates = WalOp::Updates(vec![ins(0, 1), del(2, 3)]);
+        assert_eq!(
+            encode_frame(7, &updates),
+            golden(
+                [85, 0, 0, 0, 31, 90, 44, 135],
+                r#"{"seq":7,"updates":[{"from":0,"op":"insert","to":1},{"from":2,"op":"delete","to":3}]}"#
+            )
+        );
+        let register = WalOp::Register {
+            query: "team".to_owned(),
+            pattern: r#"node a where label = "SA";"#.to_owned(),
+        };
+        assert_eq!(
+            encode_frame(1, &register),
+            golden(
+                [81, 0, 0, 0, 80, 206, 80, 2],
+                r#"{"op":"register","pattern":"node a where label = \"SA\";","query":"team","seq":1}"#
+            )
+        );
     }
 
     #[test]
@@ -841,9 +828,9 @@ mod tests {
         assert!(matches!(err, WalError::Io(_)), "{err}");
         assert!(wal.is_sealed());
         inj.disarm();
-        // sealed: appends and resets refuse with the distinct error
+        // sealed: appends and compactions refuse with the distinct error
         assert!(matches!(wal.append(&[ins(2, 3)]), Err(WalError::Sealed)));
-        assert!(matches!(wal.reset(), Err(WalError::Sealed)));
+        assert!(matches!(wal.reset_seeded(&[]), Err(WalError::Sealed)));
         drop(wal);
         // the unacknowledged frame was dropped; reopening recovers
         let (records, _) = Wal::replay(&p).unwrap();

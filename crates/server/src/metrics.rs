@@ -358,8 +358,11 @@ impl Metrics {
             (
                 "cache",
                 block(
-                    &read.cache_stats(),
-                    vec![("entries", Value::Int(read.cache_len() as i64))],
+                    read.cache_stats(),
+                    vec![
+                        ("evictions", Value::Int(index.cache_evictions as i64)),
+                        ("entries", Value::Int(index.cached_results as i64)),
+                    ],
                 ),
             ),
             ("eval", block(read.eval_totals(), vec![])),
@@ -585,5 +588,29 @@ mod tests {
         assert_eq!(planner.field("decisions").unwrap().as_i64().unwrap(), 2);
         assert_eq!(planner.field("overrides").unwrap().as_i64().unwrap(), 0);
         assert_eq!(planner.field("mispredicts").unwrap().as_i64().unwrap(), 0);
+    }
+
+    /// `engine.cache.entries` counts the results the latest versions
+    /// hold: a version an update replaced takes its results with it.
+    #[test]
+    fn cache_entries_are_the_latest_versions_results() {
+        let engine = Arc::new(ExpFinder::default());
+        let fig1 = expfinder_graph::fixtures::collaboration_fig1();
+        let h = engine.add_graph("g", fig1.graph).unwrap();
+        let q = expfinder_pattern::fixtures::fig1_pattern();
+        engine.query(&h, &QuerySpec::pattern(q)).unwrap();
+        let backend = Backend::Local(Arc::clone(&engine));
+        let entries = || {
+            let doc = Metrics::default().to_json(&backend, subs());
+            let cache = doc.field("engine").unwrap().field("cache").unwrap();
+            cache.field("entries").unwrap().as_i64().unwrap()
+        };
+        assert_eq!(entries(), 1);
+        let (a, b) = fig1.e1;
+        let report = engine
+            .apply_updates(&h, &[expfinder_graph::EdgeUpdate::Insert(a, b)])
+            .unwrap();
+        assert_eq!(report.applied, 1, "a new version was published");
+        assert_eq!(entries(), 0);
     }
 }

@@ -95,7 +95,7 @@ bench-pairs parent_serve change_serve workload pairs="10" *flags="":
     python3 scripts/bench_pairs.py {{parent_serve}} {{change_serve}} --workload {{workload}} --pairs {{pairs}} {{flags}}
 
 # a service-layer refactor's wire check: boot both `serve` binaries in
-# memory and on a fresh --data-dir, send the same 41 requests, and fail
+# memory and on a fresh --data-dir, send the same 45 requests, and fail
 # on any status, head or body difference (numeric `*_us`/`*_ms` under
 # `timings` and `Content-Length` masked); prints the `/metrics` key-set
 # difference

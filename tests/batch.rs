@@ -54,10 +54,7 @@ fn bits(list: &[RankedMatch]) -> Vec<(NodeId, u64)> {
 }
 
 fn engine(threads: usize) -> ExpFinder {
-    ExpFinder::new(EngineConfig {
-        threads,
-        ..EngineConfig::default()
-    })
+    ExpFinder::new(EngineConfig { threads })
 }
 
 /// A response's relation is the naive one on `g`, and its experts are

@@ -95,10 +95,7 @@ impl Facade {
     /// An in-memory and a durable facade (in a fresh directory named
     /// after `tag`), each with a `threads` budget.
     fn both(threads: usize, tag: &str) -> [Facade; 2] {
-        let engine = EngineConfig {
-            threads,
-            ..EngineConfig::default()
-        };
+        let engine = EngineConfig { threads };
         let dir = std::env::temp_dir().join(format!("expfinder_conc_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let config = RuntimeConfig {

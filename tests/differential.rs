@@ -242,10 +242,7 @@ impl Drop for TempDir {
 }
 
 fn engine_config(threads: usize) -> EngineConfig {
-    EngineConfig {
-        threads,
-        ..EngineConfig::default()
-    }
+    EngineConfig { threads }
 }
 
 fn runtime_config(threads: usize, fsync: FsyncPolicy) -> RuntimeConfig {

@@ -269,10 +269,7 @@ fn engine_config_variants_agree() {
     assert_eq!(bits(&reference.experts), want);
 
     // a batch fan-out width of four, which a single read does not use
-    let threaded = ExpFinder::new(EngineConfig {
-        threads: 4,
-        ..EngineConfig::default()
-    });
+    let threaded = ExpFinder::new(EngineConfig { threads: 4 });
     let ht = threaded.add_graph("c", g.clone()).unwrap();
     let via_threads = threaded
         .query(&ht, &QuerySpec::pattern(q.clone()).top_k(5))
