@@ -48,6 +48,15 @@
 //!   arcs are judged by a from-scratch [`ResultGraph::build`], the whole
 //!   ranking by `reference_rank` and by [`rank_matches_top_k`] on that
 //!   build.
+//! * **`batch_reads`** — one [`ExpFinder`] answering a fixed 16-slot
+//!   [`query_batch`](expfinder_engine::Catalog::query_batch) of two
+//!   registered and two unregistered patterns at one version, then again
+//!   after one update batch: the ranked answers computed (ranked from the
+//!   candidates, or copied from a registered ranking), the ones served
+//!   from the ranked list the version's cached result holds (`reused`),
+//!   and the candidates the computed rankings searched (`candidates`) —
+//!   the `engine.rank` block of `GET /metrics`. Every slot is judged by
+//!   `naive_bounded_simulation` and `reference_rank`.
 //!
 //! Answers of every path are asserted equal to `core::naive`'s while
 //! measuring (`results_identical`). Counters and sizes are exact functions
@@ -61,6 +70,7 @@ use expfinder_core::{
     rank_matches_top_k_with, CancelToken, EvalOptions, EvalRequest, EvalScratch, EvalStats,
     MatchRelation, RankScratch, RankedMatch, ReachIndex, ResultGraph, Semantics,
 };
+use expfinder_engine::{EngineConfig, ExpFinder, QuerySpec};
 use expfinder_graph::generate::random_updates;
 use expfinder_graph::json::Value;
 use expfinder_graph::reach_index::{self, class_reach_sweep, ReachCarry};
@@ -375,6 +385,7 @@ pub fn run_counters_bench() -> Value {
         bench_bound1_workload("collab", &collab, &collab_pattern()),
         bench_bound1_workload("twitter", &twitter, &twitter_chain_pattern()),
     ];
+    let batch_reads = vec![bench_batch_workload("collab", &collab)];
     println!("gr_maintain: registered G_r arcs repaired and moved candidates re-ranked per batch");
     let gr_maintain = vec![
         bench_gr_workload("collab", "team", &collab, &collab_pattern()),
@@ -402,8 +413,9 @@ pub fn run_counters_bench() -> Value {
                  on the per-version reach index (match_warm_index), and plain \
                  simulation evaluated and maintained as bound-1 bounded simulation \
                  (match_bound1), and registered G_r arcs repaired and moved candidates \
-                 re-ranked per update batch, read as a prefix (gr_maintain); results \
-                 asserted equal to the \
+                 re-ranked per update batch, read as a prefix (gr_maintain), and the \
+                 ranked answers a batch of reads computes and reuses per version \
+                 (batch_reads); results asserted equal to the \
                  naive oracle while measuring; *_ms and speedups are wall-clock, \
                  advisory"
                     .to_owned(),
@@ -418,6 +430,7 @@ pub fn run_counters_bench() -> Value {
         ("match_warm_index", Value::Array(match_warm_index)),
         ("match_bound1", Value::Array(match_bound1)),
         ("gr_maintain", Value::Array(gr_maintain)),
+        ("batch_reads", Value::Array(batch_reads)),
     ])
 }
 
@@ -865,6 +878,105 @@ fn bench_gr_workload(name: &str, pattern_name: &str, graph: &DiGraph, pattern: &
         ),
         ("maintain_ms", ms(maintain_t)),
         ("read_ms", ms(read_t)),
+        ("results_identical", Value::Bool(identical)),
+    ])
+}
+
+/// The `top_k` of each pattern's slots in a `batch_reads` batch, in
+/// slot order: the first ranks, a repeat and a shorter list are read
+/// from the list it left, and a longer one ranks again.
+const BATCH_KS: [usize; 4] = [5, 5, 2, 12];
+
+/// Edge updates in the one batch `batch_reads` applies between its
+/// two batches of reads.
+const BATCH_UPDATES: usize = 8;
+
+/// The `batch_reads` row: the same 16-slot batch on one graph version
+/// and on the next, on a one-worker engine (so which slot of a pattern
+/// ranks first is fixed), with the `engine.rank` counts both batches
+/// leave behind.
+fn bench_batch_workload(name: &str, graph: &DiGraph) -> Value {
+    let registered = [
+        ("team", collab_pattern()),
+        ("team_star", collab_team_star_pattern()),
+    ];
+    let unregistered = [
+        collab_rank_pattern(),
+        collab_team_star_experienced_pattern(),
+    ];
+    let patterns: Vec<Arc<Pattern>> = registered
+        .iter()
+        .map(|(_, p)| p.clone())
+        .chain(unregistered)
+        .map(Arc::new)
+        .collect();
+    let slots: Vec<(usize, usize)> = BATCH_KS
+        .iter()
+        .flat_map(|&k| (0..patterns.len()).map(move |i| (i, k)))
+        .collect();
+    let specs = || {
+        let spec = |&(i, k): &(usize, usize)| QuerySpec::pattern(Arc::clone(&patterns[i])).top_k(k);
+        slots.iter().map(spec).collect::<Vec<_>>()
+    };
+
+    let engine = ExpFinder::new(EngineConfig::sequential());
+    let h = engine.add_graph(name, graph.clone()).expect("a fresh name");
+    for (qname, p) in &registered {
+        engine
+            .register_query(&h, qname, p.clone())
+            .expect("a ranked pattern");
+    }
+    let mut g = graph.clone();
+    let updates = random_updates(&mut StdRng::seed_from_u64(SEED), &g, BATCH_UPDATES, 0.5);
+    let (mut identical, mut batch_t) = (true, Duration::ZERO);
+    for version in 0..2 {
+        if version == 1 {
+            engine.apply_updates(&h, &updates).expect("a live graph");
+            for &up in &updates {
+                g.apply(up);
+            }
+        }
+        let (answers, t) = time(|| engine.query_batch(&h, specs(), None));
+        batch_t += t;
+        let want: Vec<_> = patterns
+            .iter()
+            .map(|p| {
+                let m = naive_bounded_simulation(&g, p);
+                let ranked = bits(&reference_rank(&g, p, &m, usize::MAX));
+                (m, ranked)
+            })
+            .collect();
+        for (&(i, k), answer) in slots.iter().zip(answers) {
+            let resp = answer.expect("a batch slot answers");
+            let (m, ranked) = &want[i];
+            identical &=
+                *resp.matches == *m && bits(&resp.experts) == ranked[..k.min(ranked.len())];
+        }
+    }
+    assert!(
+        identical,
+        "{name}: a batch slot diverged from the naive oracle"
+    );
+    let rank = engine.read_path().rank_totals();
+    let count = |key| rank.get(key) as i64;
+    println!(
+        "batch_reads: {name:>8} | 2 versions x {} slots: ranked {} reused {} | candidates {} | {}",
+        slots.len(),
+        count("computed"),
+        count("reused"),
+        count("candidates"),
+        fmt_dur(batch_t),
+    );
+    obj(vec![
+        ("name", Value::Str(name.to_owned())),
+        ("nodes", Value::Int(graph.node_count() as i64)),
+        ("edges", Value::Int(graph.edge_count() as i64)),
+        ("updates", Value::Int(updates.len() as i64)),
+        ("slots", Value::Int(slots.len() as i64)),
+        ("computed", Value::Int(count("computed"))),
+        ("reused", Value::Int(count("reused"))),
+        ("candidates", Value::Int(count("candidates"))),
+        ("batch_ms", ms(batch_t)),
         ("results_identical", Value::Bool(identical)),
     ])
 }

@@ -144,7 +144,7 @@ impl ReadPath {
         let cancel = own.as_deref();
         let out = self
             .scratch
-            .with(|scratch| self.execute(resolve, pattern, top_k, prefer, scratch, cancel, true));
+            .with(|scratch| self.execute(resolve, pattern, top_k, prefer, scratch, cancel));
         if let Some(t) = cancel {
             self.drain(t);
         }
@@ -208,7 +208,6 @@ impl ReadPath {
                 spec.prefer,
                 scratch,
                 own.as_deref().or(batch_cancel),
-                false, // a batch slot fills the ranked slot but is not served from it
             );
             if let Some(t) = &own {
                 self.drain(t);
@@ -217,17 +216,10 @@ impl ReadPath {
         })
     }
 
-    /// Resolve, evaluate, rank: the whole of one read, timed.
-    ///
-    /// `serve_held` says whether the ranked list the cached result
-    /// already holds may answer the read. Single reads pass `true`. Batch slots
-    /// pass `false`: they rank afresh and only *fill* the slot. That is a
-    /// staging decision, not a design one — served from the list, `/batch`
-    /// throughput on the repo benchmark's hot pool rises ~12× (`read_hot`,
-    /// 2 510 → 29 700 slots/s on one pinned CPU), and its run-to-run
-    /// spread bound (a quarter of the *parent commit's* median) cannot
-    /// resolve a rate that far from its parent.
-    #[allow(clippy::too_many_arguments)]
+    /// Resolve, evaluate, rank: the whole of one read, timed. A single
+    /// read and a batch slot are the same read: either is answered from
+    /// the ranked list its version's cached result holds when that list
+    /// determines the top `top_k`, and either fills the list when it ranks.
     fn execute(
         &self,
         resolve: impl FnOnce() -> Result<Arc<Snapshot>, ExpFinderError>,
@@ -236,14 +228,12 @@ impl ReadPath {
         prefer: Route,
         scratch: &mut EvalScratch,
         cancel: Option<&CancelToken>,
-        serve_held: bool,
     ) -> Result<QueryResponse, ExpFinderError> {
         let started = Instant::now();
         let state = resolve()?;
         let registered = state.registered(pattern.text());
-        let held_k = top_k.filter(|_| serve_held);
         let ((matches, held), cached, plan, stats) =
-            self.route_and_eval(&state, registered, pattern, held_k, prefer, scratch, cancel)?;
+            self.route_and_eval(&state, registered, pattern, top_k, prefer, scratch, cancel)?;
         let evaluate_time = started.elapsed();
 
         let rank_started = Instant::now();
@@ -290,7 +280,7 @@ impl ReadPath {
     /// of the pattern if it has one, and cache the relation in the state's
     /// [`Derived`](crate::Derived) results. The exact-result short
     /// circuits (cache, registered) run first, in paper §II order; a cache
-    /// hit answers with the top `held_k` too when its ranked answer
+    /// hit answers with the top `top_k` too when its ranked answer
     /// determines them;
     /// everything after them is decided by the cost-based [`planner`]
     /// from the graph's [`CostProfile`]. A non-`Auto` `prefer` takes no
@@ -302,7 +292,7 @@ impl ReadPath {
         state: &Snapshot,
         registered: Option<&RegisteredView>,
         pattern: &Pattern,
-        held_k: Option<usize>,
+        top_k: Option<usize>,
         prefer: Route,
         scratch: &mut EvalScratch,
         cancel: Option<&CancelToken>,
@@ -325,7 +315,7 @@ impl ReadPath {
             // 1. cache
             if let Some(cached) = derived.cached(text) {
                 self.cache.add(HITS, 1);
-                let held = held_k.and_then(|k| cached.experts(k));
+                let held = top_k.and_then(|k| cached.experts(k));
                 let hit = (Arc::clone(cached.matches()), held);
                 return Ok(exact(PlanRoute::Cache, hit, cached));
             }

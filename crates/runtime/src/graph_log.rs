@@ -11,7 +11,7 @@
 //! engine's [`Catalog`](expfinder_engine::Catalog).
 
 use crate::faults::{io_error, is_simulated_crash, wal_error, FaultInjector, IoOp};
-use crate::wal::{Wal, WalOp};
+use crate::wal::{Wal, WalEntry, WalOp};
 use crate::DurableExpFinder;
 use expfinder_engine::{ExpFinderError, LogRecord, MaintainedGraph, WriteLog};
 use expfinder_graph::{io as gio, Counters, DiGraph};
@@ -59,7 +59,7 @@ impl WriteLog for GraphLog {
     fn append(&mut self, record: LogRecord<'_>) -> Result<(), ExpFinderError> {
         let (_, frame_bytes) = self
             .wal
-            .append_op(&wal_op(record)?)
+            .append_op(&wal_entry(record)?)
             .map_err(|e| wal_error("wal append", e))?;
         let fsyncs = self.wal.fsyncs_per_append();
         crate::count_append(&self.counters, frame_bytes as u64, fsyncs);
@@ -76,7 +76,7 @@ impl WriteLog for GraphLog {
             .map_err(|e| wal_error("wal size", e))?;
         let seeds = live
             .iter()
-            .map(|&record| wal_op(record))
+            .map(|&record| wal_entry(record))
             .collect::<Result<Vec<_>, _>>()?;
         let sizes = self
             .wal
@@ -90,28 +90,26 @@ impl WriteLog for GraphLog {
     }
 }
 
-/// The WAL record of `record`.
-fn wal_op(record: LogRecord<'_>) -> Result<WalOp, ExpFinderError> {
+/// The WAL record of `record`, borrowing its fields.
+fn wal_entry(record: LogRecord<'_>) -> Result<WalEntry<'_>, ExpFinderError> {
     Ok(match record {
-        LogRecord::Updates(ups) => WalOp::Updates(ups.to_vec()),
-        LogRecord::Register(query, pattern) => WalOp::Register {
-            query: query.to_owned(),
+        LogRecord::Updates(ups) => WalEntry::Updates(ups),
+        LogRecord::Register(query, pattern) => WalEntry::Register {
+            query,
             pattern: dsl_source(pattern)?,
         },
-        LogRecord::Unregister(query) => WalOp::Unregister {
-            query: query.to_owned(),
-        },
+        LogRecord::Unregister(query) => WalEntry::Unregister { query },
     })
 }
 
 /// The DSL text a `register` record carries for `pattern`
-/// ([`Pattern::fingerprint`]), verified to parse back to itself — the
-/// text replay will read.
-fn dsl_source(pattern: &Pattern) -> Result<String, ExpFinderError> {
-    let text = pattern.fingerprint();
-    let reparsed = parser::parse(&text)
+/// ([`Pattern::text`]), verified to parse back to itself — the text
+/// replay will read.
+fn dsl_source(pattern: &Pattern) -> Result<&str, ExpFinderError> {
+    let text = pattern.text();
+    let reparsed = parser::parse(text)
         .map_err(|e| ExpFinderError::Storage(format!("pattern does not round-trip: {e}")))?;
-    if reparsed.fingerprint() != text {
+    if reparsed.text() != text {
         return Err(ExpFinderError::Storage(
             "pattern does not round-trip through its DSL form".to_owned(),
         ));

@@ -34,7 +34,7 @@
 //! truncates away rather than propagating.
 
 use crate::faults::{self, FaultInjector};
-use expfinder_graph::json::{self, Value};
+use expfinder_graph::json;
 use expfinder_graph::{io as gio, EdgeUpdate};
 use std::fs::{File, OpenOptions};
 use std::io::Read;
@@ -112,37 +112,90 @@ pub fn checksum(bytes: &[u8]) -> u32 {
     h
 }
 
-/// Encode record `seq` carrying `op` as a length-prefixed, checksummed
-/// frame.
-fn encode_frame(seq: u64, op: &WalOp) -> Vec<u8> {
-    let payload = payload(seq, op);
-    let mut frame = Vec::with_capacity(8 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&checksum(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
+/// Encode record `seq` carrying `entry` as a length-prefixed, checksummed
+/// frame. The payload is written straight into the frame, behind eight
+/// reserved bytes that then take its length and checksum.
+fn encode_frame(seq: u64, entry: &WalEntry<'_>) -> Vec<u8> {
+    let updates = match entry {
+        WalEntry::Updates(ups) => ups.len(),
+        _ => 0,
+    };
+    let mut out = String::with_capacity(64 + 40 * updates);
+    out.push_str("\0\0\0\0\0\0\0\0");
+    write_payload(&mut out, seq, entry);
+    let mut frame = out.into_bytes();
+    let (head, payload) = frame.split_at_mut(8);
+    head[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    head[4..].copy_from_slice(&checksum(payload).to_le_bytes());
     frame
 }
 
-/// The JSON payload of record `seq` carrying `op`.
-fn payload(seq: u64, op: &WalOp) -> Vec<u8> {
-    let mut fields: Vec<(String, Value)> = vec![("seq".to_owned(), Value::Int(seq as i64))];
-    match op {
-        WalOp::Updates(ups) => {
-            let updates = Value::Array(ups.iter().map(|&u| gio::update_to_json(u)).collect());
-            fields.push(("updates".to_owned(), updates));
+/// Append the JSON payload of record `seq` carrying `entry` to `out`: a
+/// compact object with its keys in sorted order, the form
+/// [`json::Value::to_string_compact`] prints and [`WalRecord`] decodes.
+fn write_payload(out: &mut String, seq: u64, entry: &WalEntry<'_>) {
+    fn field(out: &mut String, key: &str, value: &str) {
+        json::write_string(out, key);
+        out.push(':');
+        json::write_string(out, value);
+        out.push(',');
+    }
+    out.push('{');
+    match *entry {
+        WalEntry::Updates(_) => {}
+        WalEntry::Register { query, pattern } => {
+            field(out, "op", "register");
+            field(out, "pattern", pattern);
+            field(out, "query", query);
         }
-        WalOp::Register { query, pattern } => {
-            fields.push(("op".to_owned(), Value::Str("register".to_owned())));
-            fields.push(("query".to_owned(), Value::Str(query.clone())));
-            fields.push(("pattern".to_owned(), Value::Str(pattern.clone())));
-        }
-        WalOp::Unregister { query } => {
-            fields.push(("op".to_owned(), Value::Str("unregister".to_owned())));
-            fields.push(("query".to_owned(), Value::Str(query.clone())));
+        WalEntry::Unregister { query } => {
+            field(out, "op", "unregister");
+            field(out, "query", query);
         }
     }
-    let doc = Value::Object(fields.into_iter().collect());
-    doc.to_string_compact().into_bytes()
+    out.push_str("\"seq\":");
+    json::write_int(out, seq as i64);
+    if let WalEntry::Updates(ups) = *entry {
+        out.push_str(",\"updates\":[");
+        for (i, &up) in ups.iter().enumerate() {
+            let (op, from, to) = match up {
+                EdgeUpdate::Insert(a, b) => ("insert", a, b),
+                EdgeUpdate::Delete(a, b) => ("delete", a, b),
+            };
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"from\":");
+            json::write_int(out, from.0 as i64);
+            out.push_str(",\"op\":");
+            json::write_string(out, op);
+            out.push_str(",\"to\":");
+            json::write_int(out, to.0 as i64);
+            out.push('}');
+        }
+        out.push(']');
+    }
+    out.push('}');
+}
+
+/// One record as [`Wal::append_op`] writes it: a [`WalOp`] whose fields
+/// are borrowed, so nothing is copied on its way into the frame.
+#[derive(Copy, Clone, Debug)]
+pub enum WalEntry<'a> {
+    /// An accepted edge-update batch.
+    Updates(&'a [EdgeUpdate]),
+    /// A query put under incremental maintenance, with its DSL source.
+    Register {
+        /// The registered query's name.
+        query: &'a str,
+        /// The pattern's DSL source, re-parsed at replay.
+        pattern: &'a str,
+    },
+    /// A registered query dropped.
+    Unregister {
+        /// The registered query's name.
+        query: &'a str,
+    },
 }
 
 /// The event one WAL record carries. Update batches are the common
@@ -333,7 +386,7 @@ impl Wal {
     /// Under [`FsyncPolicy::Always`] the frame is on stable storage when
     /// this returns — the caller may then apply the batch and ack it.
     pub fn append(&mut self, updates: &[EdgeUpdate]) -> Result<(u64, usize), WalError> {
-        self.append_op(&WalOp::Updates(updates.to_vec()))
+        self.append_op(&WalEntry::Updates(updates))
     }
 
     /// Append one record of any kind (update batch, register,
@@ -350,12 +403,12 @@ impl Wal {
     /// silently pretending durability is how fsyncgate ate data. The
     /// torn frame is dropped best-effort either way, so no unacked
     /// record can surface at replay.
-    pub fn append_op(&mut self, op: &WalOp) -> Result<(u64, usize), WalError> {
+    pub fn append_op(&mut self, entry: &WalEntry<'_>) -> Result<(u64, usize), WalError> {
         if self.sealed {
             return Err(WalError::Sealed);
         }
         let seq = self.next_seq;
-        let frame = encode_frame(seq, op);
+        let frame = encode_frame(seq, entry);
         let good_end = self.file.metadata()?.len();
         if let Err(e) = self.faults.write_all(&self.file, &frame) {
             if faults::is_simulated_crash(&e) {
@@ -389,26 +442,26 @@ impl Wal {
         Ok((seq, frame.len()))
     }
 
-    /// Atomically replace the log with a fresh one seeded with `ops`
-    /// (sequence numbers `1..=ops.len()`): write a sibling `.wal.tmp`,
+    /// Atomically replace the log with a fresh one seeded with `entries`
+    /// (sequence numbers `1..=entries.len()`): write a sibling `.wal.tmp`,
     /// fsync it, rename it over the log, fsync the directory. This is
     /// the compaction path — unlike truncate-then-reappend, a crash at
     /// *any* byte of this sequence leaves either the complete old log or
     /// the complete new one, so the re-seeded records (live query
     /// registrations) can never be lost to a badly-timed power cut.
     /// Returns the byte size of each seeded frame.
-    pub fn reset_seeded(&mut self, ops: &[WalOp]) -> Result<Vec<usize>, WalError> {
+    pub fn reset_seeded(&mut self, entries: &[WalEntry<'_>]) -> Result<Vec<usize>, WalError> {
         if self.sealed {
             return Err(WalError::Sealed);
         }
         let tmp = self.path.with_extension("wal.tmp");
         // create truncates a stale tmp from an earlier crashed compaction
         let fresh = File::create(&tmp)?;
-        let mut sizes = Vec::with_capacity(ops.len());
+        let mut sizes = Vec::with_capacity(entries.len());
         let result = (|| -> Result<(), WalError> {
             self.faults.write_all(&fresh, WAL_MAGIC)?;
-            for (i, op) in ops.iter().enumerate() {
-                let frame = encode_frame(i as u64 + 1, op);
+            for (i, entry) in entries.iter().enumerate() {
+                let frame = encode_frame(i as u64 + 1, entry);
                 self.faults.write_all(&fresh, &frame)?;
                 sizes.push(frame.len());
             }
@@ -446,7 +499,7 @@ impl Wal {
         match swapped {
             Ok(file) => {
                 self.file = file;
-                self.next_seq = ops.len() as u64 + 1;
+                self.next_seq = entries.len() as u64 + 1;
                 Ok(sizes)
             }
             Err(e) => {
@@ -666,7 +719,7 @@ mod tests {
     #[test]
     fn frames_keep_their_bytes() {
         let golden = |head: [u8; 8], payload: &str| [&head[..], payload.as_bytes()].concat();
-        let updates = WalOp::Updates(vec![ins(0, 1), del(2, 3)]);
+        let updates = WalEntry::Updates(&[ins(0, 1), del(2, 3)]);
         assert_eq!(
             encode_frame(7, &updates),
             golden(
@@ -674,9 +727,9 @@ mod tests {
                 r#"{"seq":7,"updates":[{"from":0,"op":"insert","to":1},{"from":2,"op":"delete","to":3}]}"#
             )
         );
-        let register = WalOp::Register {
-            query: "team".to_owned(),
-            pattern: r#"node a where label = "SA";"#.to_owned(),
+        let register = WalEntry::Register {
+            query: "team",
+            pattern: r#"node a where label = "SA";"#,
         };
         assert_eq!(
             encode_frame(1, &register),
@@ -685,6 +738,23 @@ mod tests {
                 r#"{"op":"register","pattern":"node a where label = \"SA\";","query":"team","seq":1}"#
             )
         );
+        // every payload is the compact, key-sorted print of its own parse
+        let entries = [
+            updates,
+            WalEntry::Updates(&[]),
+            WalEntry::Register {
+                query: "Zoë \"q\"\n",
+                pattern: "node a\\b;",
+            },
+            WalEntry::Unregister { query: "team" },
+        ];
+        for (seq, entry) in entries.iter().enumerate() {
+            let frame = encode_frame(seq as u64 * 1000, entry);
+            let payload = std::str::from_utf8(&frame[8..]).unwrap();
+            let canonical = json::parse(payload).unwrap().to_string_compact();
+            assert_eq!(payload, canonical);
+            assert_eq!(frame[..4], (payload.len() as u32).to_le_bytes());
+        }
     }
 
     #[test]
@@ -692,21 +762,26 @@ mod tests {
         let p = tmp("register");
         let _ = std::fs::remove_file(&p);
         let mut wal = Wal::open(&p, FsyncPolicy::Never, 0).unwrap();
-        let reg = WalOp::Register {
-            query: "team".to_owned(),
-            pattern: "node pm; node dba; edge pm -> dba within 2;".to_owned(),
-        };
-        wal.append_op(&reg).unwrap();
-        wal.append(&[ins(0, 1)]).unwrap();
-        wal.append_op(&WalOp::Unregister {
-            query: "team".to_owned(),
+        let pattern = "node pm; node dba; edge pm -> dba within 2;";
+        wal.append_op(&WalEntry::Register {
+            query: "team",
+            pattern,
         })
         .unwrap();
+        wal.append(&[ins(0, 1)]).unwrap();
+        wal.append_op(&WalEntry::Unregister { query: "team" })
+            .unwrap();
         drop(wal);
 
         let (records, summary) = Wal::replay(&p).unwrap();
         assert_eq!(records.len(), 3);
-        assert_eq!(records[0].op, reg);
+        assert_eq!(
+            records[0].op,
+            WalOp::Register {
+                query: "team".to_owned(),
+                pattern: pattern.to_owned(),
+            }
+        );
         assert_eq!(records[0].as_updates(), None);
         assert_eq!(records[1].as_updates(), Some(&[ins(0, 1)][..]));
         assert_eq!(
@@ -872,9 +947,10 @@ mod tests {
         let mut wal = Wal::open_with_faults(&p, FsyncPolicy::Never, 0, Arc::clone(&inj)).unwrap();
         wal.append(&[ins(0, 1)]).unwrap();
         wal.append(&[ins(1, 2)]).unwrap();
-        let reg = WalOp::Register {
-            query: "team".to_owned(),
-            pattern: "node pm; node dba; edge pm -> dba within 2;".to_owned(),
+        let pattern = "node pm; node dba; edge pm -> dba within 2;";
+        let reg = WalEntry::Register {
+            query: "team",
+            pattern,
         };
 
         // a failure before the rename leaves the old log fully intact
@@ -894,8 +970,11 @@ mod tests {
         drop(wal);
         let (records, summary) = Wal::replay(&p).unwrap();
         assert_eq!(records.len(), 2);
-        assert_eq!(records[0].op, reg);
-        assert_eq!(records[0].seq, 1);
+        let want = WalOp::Register {
+            query: "team".to_owned(),
+            pattern: pattern.to_owned(),
+        };
+        assert_eq!((records[0].seq, &records[0].op), (1, &want));
         assert_eq!(records[1].as_updates(), Some(&[ins(7, 8)][..]));
         assert!(!summary.truncated_tail);
         assert!(

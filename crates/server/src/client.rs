@@ -478,17 +478,17 @@ fn send_request(
     connection: &str,
 ) -> std::io::Result<()> {
     let payload = json.unwrap_or_default();
-    let mut out = Vec::with_capacity(160 + path.len() + payload.len());
-    write!(out, "{method} {path} HTTP/1.1\r\nHost: {host}\r\n")?;
-    if json.is_some() {
-        out.extend_from_slice(b"Content-Type: application/json\r\n");
-    }
-    write!(
-        out,
-        "Content-Length: {}\r\nConnection: {connection}\r\n\r\n{payload}",
+    let content_type = if json.is_some() {
+        "Content-Type: application/json\r\n"
+    } else {
+        ""
+    };
+    let head = format!(
+        "{method} {path} HTTP/1.1\r\nHost: {host}\r\n{content_type}\
+         Content-Length: {}\r\nConnection: {connection}\r\n\r\n",
         payload.len()
-    )?;
-    http::send(w, &out)
+    );
+    http::send(w, [head.as_bytes(), payload.as_bytes()])
 }
 
 /// The receiving end of one `/subscribe` stream: call

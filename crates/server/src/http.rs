@@ -18,13 +18,14 @@
 //! connection thread forever during a graceful drain.
 //!
 //! Every message this module writes — a response, a chunked-stream
-//! head, one chunk, the terminator — is encoded into one buffer and
-//! leaves in a single `write_all`. Both ends set `TCP_NODELAY`, so the
-//! kernel sends each `write(2)` at once as its own TCP segment, and each
-//! can wake the peer: a response formatted piece by piece onto the
-//! socket would leave as a dozen segments.
+//! head, one chunk, the terminator — leaves in a single vectored write
+//! (`send`): its head is formatted into one small buffer, and the body
+//! goes beside it as it is, never copied behind the head. Both ends set
+//! `TCP_NODELAY`, so the kernel sends each `write(2)` at once as its own
+//! TCP segment, and each can wake the peer: a response formatted piece
+//! by piece onto the socket would leave as a dozen segments.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, IoSlice, Write};
 use std::time::{Duration, Instant};
 
 /// Hard cap on the request/status line plus all headers.
@@ -365,28 +366,38 @@ impl Response {
         } else {
             "close"
         };
-        let mut out = Vec::with_capacity(160 + self.body.len());
-        write!(
-            out,
+        let mut head = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
             self.status,
             reason(self.status),
             self.content_type,
             self.body.len(),
             conn
-        )?;
+        );
         if let Some(secs) = self.retry_after {
-            write!(out, "Retry-After: {secs}\r\n")?;
+            head.push_str(&format!("Retry-After: {secs}\r\n"));
         }
-        out.extend_from_slice(b"\r\n");
-        out.extend_from_slice(&self.body);
-        send(w, &out)
+        head.push_str("\r\n");
+        send(w, [head.as_bytes(), &self.body])
     }
 }
 
-/// Hand one fully encoded message to `w` in a single `write_all`.
-pub(crate) fn send(w: &mut impl Write, message: &[u8]) -> io::Result<()> {
-    w.write_all(message)?;
+/// Hand one message, given as its consecutive `parts`, to `w` in
+/// vectored writes — one, on a socket whose buffer takes it all — then
+/// flush. A short write resumes where it stopped.
+pub(crate) fn send<const N: usize>(w: &mut impl Write, parts: [&[u8]; N]) -> io::Result<()> {
+    let mut slices = parts.map(IoSlice::new);
+    let mut parts = &mut slices[..];
+    // drop empty parts up front, so an empty message writes nothing
+    IoSlice::advance_slices(&mut parts, 0);
+    while !parts.is_empty() {
+        match w.write_vectored(parts) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -409,7 +420,7 @@ pub fn write_chunked_head(w: &mut impl Write, status: u16, content_type: &str) -
         reason(status),
         content_type
     );
-    send(w, head.as_bytes())
+    send(w, [head.as_bytes()])
 }
 
 /// Write one chunk — size line, payload and CRLF in one write — and
@@ -420,16 +431,13 @@ pub fn write_chunked_head(w: &mut impl Write, status: u16, content_type: &str) -
 /// [`finish_chunked`].
 pub fn write_chunk(w: &mut impl Write, data: &[u8]) -> io::Result<()> {
     debug_assert!(!data.is_empty(), "empty chunk would terminate the stream");
-    let mut out = Vec::with_capacity(data.len() + 20);
-    write!(out, "{:x}\r\n", data.len())?;
-    out.extend_from_slice(data);
-    out.extend_from_slice(b"\r\n");
-    send(w, &out)
+    let size = format!("{:x}\r\n", data.len());
+    send(w, [size.as_bytes(), data, b"\r\n"])
 }
 
 /// Terminate a chunked response (`0\r\n\r\n`, no trailers).
 pub fn finish_chunked(w: &mut impl Write) -> io::Result<()> {
-    send(w, b"0\r\n\r\n")
+    send(w, [b"0\r\n\r\n"])
 }
 
 /// Read one chunk of a chunked response body (client side). Returns
@@ -725,9 +733,17 @@ pub(crate) mod tests {
 
     impl Write for CountingWriter {
         fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        /// One call, every part taken, as `writev(2)` on a socket with
+        /// room.
+        fn write_vectored(&mut self, parts: &[IoSlice<'_>]) -> io::Result<usize> {
             self.writes += 1;
-            self.bytes.extend_from_slice(buf);
-            Ok(buf.len())
+            for part in parts {
+                self.bytes.extend_from_slice(part);
+            }
+            Ok(parts.iter().map(|p| p.len()).sum())
         }
 
         fn flush(&mut self) -> io::Result<()> {
@@ -780,6 +796,80 @@ pub(crate) mod tests {
              Content-Length: 12\r\nConnection: close\r\nRetry-After: 2\r\n\r\n{\"ok\":false}",
             |w| shed.write_to(w, false),
         );
+    }
+
+    /// A `Write` that takes at most 7 bytes per call, across parts, so
+    /// a message leaves in many short writes that cut its parts anywhere.
+    #[derive(Default)]
+    struct SevenBytes(Vec<u8>);
+
+    impl Write for SevenBytes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, parts: &[IoSlice<'_>]) -> io::Result<usize> {
+            let start = self.0.len();
+            for part in parts {
+                let room = 7 - (self.0.len() - start);
+                self.0.extend_from_slice(&part[..part.len().min(room)]);
+            }
+            Ok(self.0.len() - start)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A short writer receives every byte, in order: the same bytes the
+    /// encoder that copied head and body into one buffer produced.
+    #[test]
+    fn a_short_writer_receives_the_whole_message() {
+        let copied = |r: &Response, keep_alive: bool| {
+            let conn = if keep_alive && !r.close {
+                "keep-alive"
+            } else {
+                "close"
+            };
+            let mut out = format!(
+                "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
+                r.status,
+                reason(r.status),
+                r.content_type,
+                r.body.len(),
+                conn
+            )
+            .into_bytes();
+            if let Some(secs) = r.retry_after {
+                out.extend_from_slice(format!("Retry-After: {secs}\r\n").as_bytes());
+            }
+            out.extend_from_slice(b"\r\n");
+            out.extend_from_slice(&r.body);
+            out
+        };
+        let long = "x".repeat(1000);
+        for body in ["", "{\"ok\":true}", &long] {
+            for (status, retry_after) in [(200, None), (404, None), (503, Some(2))] {
+                for keep_alive in [false, true] {
+                    let resp = Response {
+                        retry_after,
+                        ..Response::json_text(status, body.to_owned())
+                    };
+                    let mut w = SevenBytes::default();
+                    resp.write_to(&mut w, keep_alive).unwrap();
+                    assert_eq!(w.0, copied(&resp, keep_alive));
+                }
+            }
+        }
+        for data in ["a", "{\"frame\":\"hello\"}\n", &long] {
+            let mut w = SevenBytes::default();
+            write_chunk(&mut w, data.as_bytes()).unwrap();
+            assert_eq!(w.0, format!("{:x}\r\n{data}\r\n", data.len()).into_bytes());
+        }
+        let mut w = SevenBytes::default();
+        finish_chunked(&mut w).unwrap();
+        assert_eq!(w.0, b"0\r\n\r\n");
     }
 
     #[test]

@@ -235,8 +235,9 @@ fn end_to_end_over_tcp() {
 }
 
 /// `engine.rank` over the wire: a repeated `top_k` query ranks once per
-/// graph version and is a lookup every other time — gated on the counts
-/// `GET /metrics` reports, not on time.
+/// graph version and is a lookup every other time, a `/batch` slot as
+/// much as a single `/query` — gated on the counts `GET /metrics`
+/// reports, not on time.
 #[test]
 fn repeated_ranked_query_ranks_once_per_version() {
     const N: i64 = 6;
@@ -258,26 +259,74 @@ fn repeated_ranked_query_ranks_once_per_version() {
     };
     let body = query_body(FIG1_DSL, Some(2), "auto", false);
     let experts = |resp: &Value| resp.field("experts").unwrap().to_string_compact();
+    // a batch slot's experts carry no names: its (node, rank) pairs
+    let ranked = |resp: &Value| {
+        let pair = |e: &Value| {
+            let node = e.field("node").unwrap().as_i64().unwrap();
+            (node, e.field("rank").unwrap().as_f64().unwrap().to_bits())
+        };
+        let list = resp.field("experts").unwrap().as_array().unwrap();
+        list.iter().map(pair).collect::<Vec<_>>()
+    };
+
+    let slots = |client: &mut Client, bodies: Vec<Value>| {
+        let batch = client.batch("fig1", bodies).unwrap();
+        let results = batch.field("results").unwrap().as_array().unwrap();
+        let ok = |r: &Value| r.field("ok").unwrap().clone();
+        results.iter().map(ok).collect::<Vec<_>>()
+    };
 
     assert_eq!(rank_counts(&mut client), (0, 0));
     let first = client.query("fig1", &body).unwrap();
     assert_eq!(first.field("route").unwrap().as_str().unwrap(), "snapshot");
+    // a batch slot is a read like any other: served from the list
+    let batch = slots(&mut client, vec![body.clone(); N as usize]);
+    assert_eq!(ranked(&batch[0]), ranked(&first));
+    for slot in &batch {
+        assert_eq!(slot.field("route").unwrap().as_str().unwrap(), "cache");
+        assert_eq!(
+            experts(slot),
+            experts(&batch[0]),
+            "same bytes from the slot"
+        );
+    }
+    assert_eq!(rank_counts(&mut client), (1, N));
     for _ in 1..N {
         let again = client.query("fig1", &body).unwrap();
         assert_eq!(again.field("route").unwrap().as_str().unwrap(), "cache");
         assert_eq!(experts(&again), experts(&first), "same bytes from the slot");
     }
-    assert_eq!(rank_counts(&mut client), (1, N - 1));
+    assert_eq!(rank_counts(&mut client), (1, 2 * N - 1));
     assert_eq!(searched(&mut client), (2, 0), "a slot hit ranks no one");
+
+    // a slot asking for more than the list was computed for cannot know
+    // whether a third candidate exists: it ranks, and the list it fills
+    // is complete, so every k is a lookup after it
+    let more = query_body(FIG1_DSL, Some(3), "auto", false);
+    let upgraded = slots(&mut client, vec![more.clone()]);
+    assert_eq!(
+        ranked(&upgraded[0]),
+        ranked(&first),
+        "two SA matches in all"
+    );
+    assert_eq!(rank_counts(&mut client), (2, 2 * N - 1));
+    assert_eq!(searched(&mut client), (4, 0));
+    let wide = query_body(FIG1_DSL, Some(50), "auto", false);
+    for slot in slots(&mut client, vec![more, wide, body.clone()]) {
+        assert_eq!(experts(&slot), experts(&batch[0]));
+    }
+    assert_eq!(rank_counts(&mut client), (2, 2 * N + 2));
 
     // any update moves the version: the next answer is ranked afresh
     let f = expfinder_graph::fixtures::collaboration_fig1();
     client
         .updates("fig1", &[EdgeUpdate::Insert(f.e1.0, f.e1.1)])
         .unwrap();
+    slots(&mut client, vec![body.clone()]);
+    assert_eq!(rank_counts(&mut client), (3, 2 * N + 2));
+    assert_eq!(searched(&mut client), (6, 0));
     client.query("fig1", &body).unwrap();
-    assert_eq!(rank_counts(&mut client), (2, N - 1));
-    assert_eq!(searched(&mut client), (4, 0));
+    assert_eq!(rank_counts(&mut client), (3, 2 * N + 3));
     handle.shutdown();
 }
 

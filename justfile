@@ -41,7 +41,9 @@ msrv:
 # the CI perf-regression gate: rebuild the counters document and compare
 # it against the checked-in BENCH_counters.json. Deterministic counters
 # (bfs_nodes_visited, refreshes, index hits/misses, the rank kernel's
-# settled/relaxed/pushes, the on-demand rows' expand_visits) block on
+# settled/relaxed/pushes, the on-demand rows' expand_visits, and the
+# batch_reads row's ranked answers computed, candidates searched and
+# answers reused from a version's ranked list) block on
 # >25% regression and exact outputs (sizes, match_pairs,
 # results_identical, the on-demand ranks' identical) on any mismatch;
 # the same-search rule blocks a fresh document whose rank block's

@@ -24,8 +24,9 @@ field of the counters document (``BENCH_counters.json``, written by the
   the ``rebuild_visits`` of sweeping every carried column again per
   batch, the ``columns`` carried at the end, the entries readers
   ``thresholded`` from them, and the swept entries the carry ``adopted``
-  and the columns it let expire (``expired``). A mismatch means the benchmark
-  is no longer measuring the same computation.
+  and the columns it let expire (``expired``); and of ``batch_reads``: the
+  ``slots`` per batch. A mismatch means the benchmark is no longer
+  measuring the same computation.
 * **deterministic counters** (blocking beyond the threshold) —
   evaluation-work counters (``bfs_nodes_visited``, ``refreshes``,
   ``removals``, ``index_misses``, the result-graph build's
@@ -38,11 +39,14 @@ field of the counters document (``BENCH_counters.json``, written by the
   return), and
   the carried reach-index columns' ``repair_visits``, and the
   ``class_builds`` of ``match_warm_index``'s paths — condition classes a
-  path added to the graph's class memo, 0 on every warm path — are worse
-  when higher; ``index_hits``, ``refreshes_skipped`` and each ``rank``
-  block's ``pruned`` — the candidates a top-k ranking gave up on once a
-  lower bound showed they could not enter, on the built graph and under
-  ``on_demand`` — are worse when lower). These are exact
+  path added to the graph's class memo, 0 on every warm path — and
+  ``batch_reads``' ranked answers ``computed`` and the ``candidates``
+  those rankings searched are worse when higher; ``index_hits``,
+  ``refreshes_skipped``, each ``rank`` block's ``pruned`` — the
+  candidates a top-k ranking gave up on once a lower bound showed they
+  could not enter, on the built graph and under ``on_demand`` — and
+  ``batch_reads``' answers ``reused`` from a version's ranked list are
+  worse when lower). These are exact
   functions of the algorithm, so a >25% regression is a real algorithmic
   regression, not runner noise.
 * **same-search rule** (blocking, within the fresh document alone) —
@@ -85,6 +89,7 @@ EQUAL_KEYS = {
     "thresholded",
     "adopted",
     "expired",
+    "slots",
 }
 HIGHER_IS_WORSE = {
     "refreshes",
@@ -104,8 +109,10 @@ HIGHER_IS_WORSE = {
     "walk_visits",
     "repair_visits",
     "class_builds",
+    "computed",
+    "candidates",
 }
-LOWER_IS_WORSE = {"index_hits", "refreshes_skipped", "pruned"}
+LOWER_IS_WORSE = {"index_hits", "refreshes_skipped", "pruned", "reused"}
 # machine-shape fields: neither comparable nor interesting
 IGNORED = {"note", "available_parallelism"}
 ADVISORY_SUFFIXES = ("_ms",)
